@@ -9,10 +9,10 @@ use rand::SeedableRng;
 
 use xrd_crypto::field::FieldElement;
 use xrd_crypto::nizk::{DleqBatchEntry, DleqProof, SchnorrBatchEntry, SchnorrProof};
-use xrd_crypto::ristretto::{GroupElement, GroupTable};
+use xrd_crypto::ristretto::{FixedGroupTable, GroupElement, GroupTable};
 use xrd_crypto::scalar::Scalar;
 use xrd_mixnet::chain_keys::generate_chain_keys;
-use xrd_mixnet::client::seal_ahs;
+use xrd_mixnet::client::{seal_ahs, ChainSealer};
 use xrd_mixnet::message::{MailboxMessage, MixEntry, PAYLOAD_LEN};
 use xrd_mixnet::MixServer;
 
@@ -168,6 +168,49 @@ fn bench_hop_kernel(c: &mut Criterion) {
             acc
         })
     });
+    group.finish();
+}
+
+/// Fixed-base tables: what one costs to build, what a multiplication
+/// off it saves against a from-scratch ladder, and where bulk sealing
+/// (`ChainSealer`: k + 1 tables built up front) overtakes one-off
+/// sealing (`seal_ahs`: k + 1 ladders per seal) on a k = 3 chain — the
+/// break-even seal count is the first `n` whose `sealer_build_and_seal`
+/// row beats its `seal_ahs` row.
+fn bench_fixed_base(c: &mut Criterion) {
+    let mut rng = StdRng::seed_from_u64(6);
+    let point = GroupElement::random(&mut rng);
+    let x = Scalar::random(&mut rng);
+    let table = FixedGroupTable::new(&point);
+
+    let mut group = c.benchmark_group("fixed_base");
+    group.bench_function("table_build", |b| b.iter(|| FixedGroupTable::new(&point)));
+    group.bench_function("table_mul", |b| b.iter(|| table.mul(&x)));
+    group.bench_function("ladder_mul", |b| b.iter(|| point.mul(&x)));
+
+    let round = 1;
+    let (_, public) = generate_chain_keys(&mut rng, 3, round);
+    let msg = MailboxMessage {
+        mailbox: [7u8; 32],
+        sealed: vec![0u8; PAYLOAD_LEN + xrd_crypto::TAG_LEN],
+    };
+    for n in [1usize, 2, 4, 8] {
+        group.bench_function(format!("seal_ahs_x{n}"), |b| {
+            b.iter(|| {
+                for _ in 0..n {
+                    criterion::black_box(seal_ahs(&mut rng, &public, round, &msg));
+                }
+            })
+        });
+        group.bench_function(format!("sealer_build_and_seal_x{n}"), |b| {
+            b.iter(|| {
+                let sealer = ChainSealer::new(&public);
+                for _ in 0..n {
+                    criterion::black_box(sealer.seal(&mut rng, round, &msg));
+                }
+            })
+        });
+    }
     group.finish();
 }
 
@@ -331,6 +374,7 @@ criterion_group!(
     bench_field_backends,
     bench_hop_kernel_backends,
     bench_hop_kernel,
+    bench_fixed_base,
     bench_batch_invert,
     bench_encode_all,
     bench_batch_verify,

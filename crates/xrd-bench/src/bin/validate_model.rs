@@ -1,6 +1,6 @@
 //! Cross-validation of the figure pipeline model against a **real**
 //! end-to-end round: run an actual in-process deployment (real crypto,
-//! real AHS with all verifications, chains on parallel threads) and
+//! real AHS with all verifications, every phase on all cores) and
 //! compare its wall-clock time with what the discrete-event model
 //! predicts for the equivalent configuration.
 //!
@@ -16,6 +16,7 @@ use std::time::Instant;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
+use xrd_core::backend::{collect_submissions, CoverStore};
 use xrd_core::cost::{PipelineConfig, PipelineModel};
 use xrd_core::{Deployment, DeploymentConfig, User};
 use xrd_sim::{NetworkModel, ServerCompute};
@@ -55,33 +56,36 @@ fn main() {
     );
 
     // Warm-up round (key schedules, allocator), then measured rounds.
-    let _ = deployment.run_round_parallel(&mut rng, &mut users);
+    let _ = deployment.run_round(&mut rng, &mut users);
     let rounds = 3;
     let start = Instant::now();
     for _ in 0..rounds {
-        let (report, _) = deployment.run_round_parallel(&mut rng, &mut users);
+        let (report, _) = deployment.run_round(&mut rng, &mut users);
         assert_eq!(report.delivered, n_users * ell);
     }
     let real = start.elapsed().as_secs_f64() / rounds as f64;
     println!("  measured wall time per round: {real:.3} s (includes client sealing)");
 
-    // Client-side share: time the sealing alone (the model excludes it,
-    // matching the paper's methodology of pre-generating messages).
-    let keys = deployment.chain_keys().to_vec();
-    let topo2 = deployment.topology().clone();
+    // Client-side share: time the round's sealing phase alone (the
+    // model excludes it, matching the paper's methodology of
+    // pre-generating messages).
     let start = Instant::now();
-    for user in users.iter() {
-        let _ = user.seal_round(&mut rng, &topo2, &keys, 999, false);
-        let _ = user.seal_round(&mut rng, &topo2, &keys, 999, true);
-    }
+    let _ = collect_submissions(
+        &mut rng,
+        deployment.topology(),
+        deployment.chain_keys(),
+        deployment.next_chain_keys(),
+        deployment.round(),
+        &mut CoverStore::new(),
+        &users,
+    );
     let sealing = start.elapsed().as_secs_f64();
     println!("  of which client sealing: {sealing:.3} s");
     let real_mixing = (real - sealing).max(0.0);
     println!("  server-side (mixing) portion: {real_mixing:.3} s");
 
-    // Model the equivalent configuration: every chain ran as one thread
-    // on this machine, so a "server" is a single core; the network is
-    // the in-process channel (ideal).
+    // Model the equivalent configuration: a "server" is a single core;
+    // the network is the in-process channel (ideal).
     let beacon = Beacon::from_u64(7);
     let topo = Topology::build_with(&beacon, 0, n_servers, n_servers, k, 0.2);
     let cfg = PipelineConfig {
@@ -98,15 +102,16 @@ fn main() {
     );
 
     // The model assumes every chain really runs in parallel (a machine
-    // per server); this process only has `nproc` cores, so the threaded
-    // run time-slices chains.  Conserve total work to compare.
+    // per server); this process runs the chains one after the other,
+    // each spread over its `nproc` cores.  Conserve total work to
+    // compare.
     let nproc = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);
     let slowdown = (n_servers as f64 / nproc as f64).max(1.0);
     let expected_real = estimate.latency.as_secs_f64() * slowdown;
     println!(
-        "this machine has {nproc} cores for {n_servers} chain threads =>\n\
+        "this machine has {nproc} cores for {n_servers} chains =>\n\
          expected wall time ~= model x {slowdown:.1} = {expected_real:.3} s"
     );
     let ratio = real_mixing / expected_real;

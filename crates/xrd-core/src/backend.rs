@@ -15,11 +15,13 @@
 //! backend.
 
 use std::collections::HashMap;
+use std::sync::OnceLock;
 
-use rand::RngCore;
+use rand::{RngCore, SeedableRng};
 
-use xrd_mixnet::client::Submission;
-use xrd_mixnet::ChainPublicKeys;
+use xrd_crypto::ChaChaRng;
+use xrd_mixnet::client::{ChainSealer, Submission};
+use xrd_mixnet::{par, ChainPublicKeys};
 use xrd_topology::{ChainId, Topology};
 
 use crate::deployment::{FetchResults, RoundReport};
@@ -117,9 +119,22 @@ pub trait RoundBackend {
     ) -> Result<(RoundReport, FetchResults), RoundError>;
 }
 
+/// Users per worker chunk of [`collect_submissions`]: 2ℓ seals each,
+/// a few milliseconds of work per chunk.
+const SEAL_CHUNK: usize = 8;
+
 /// Build the per-chain submission batches for one round: online users
 /// seal fresh messages for `round` and store covers for `round + 1`;
 /// offline users fall back to their stored covers (§5.3.3).
+///
+/// Sealing is bulk work against a handful of fixed keys, so each chain
+/// that is sealed against gets a [`ChainSealer`] pair for the call —
+/// `k + 1` fixed-base tables for this round's bundle, one more for the
+/// next round's (the mixing-key tables are shared) — and users are
+/// sealed on every core ([`par::map_chunks`]).  Each online user seals
+/// from an RNG of her own, seeded with 32 bytes drawn from `rng` in
+/// user order, so the result depends on `rng` alone, not on how many
+/// workers ran or in which order they finished.
 pub fn collect_submissions<R: RngCore + ?Sized>(
     rng: &mut R,
     topo: &Topology,
@@ -129,18 +144,62 @@ pub fn collect_submissions<R: RngCore + ?Sized>(
     cover_store: &mut CoverStore,
     users: &[User],
 ) -> Vec<Vec<Submission>> {
+    // (user, her sealing seed if she is online), in user order.
+    let jobs: Vec<(&User, Option<[u8; 32]>)> = users
+        .iter()
+        .map(|user| {
+            let seed = user.online.then(|| {
+                let mut seed = [0u8; 32];
+                rng.fill_bytes(&mut seed);
+                seed
+            });
+            (user, seed)
+        })
+        .collect();
+
+    // Per chain: (this round's sealer, the cover sealer), built by
+    // whichever worker first seals against the chain.
+    let sealers: Vec<OnceLock<(ChainSealer, ChainSealer)>> =
+        (0..topo.n_chains()).map(|_| OnceLock::new()).collect();
+    let sealers_of = |chain: ChainId| {
+        let c = chain.0 as usize;
+        sealers[c].get_or_init(|| {
+            let current = ChainSealer::new(&current_keys[c]);
+            let cover = current.for_bundle(&next_keys[c]);
+            (current, cover)
+        })
+    };
+
+    // Online users' (fresh, cover) submissions, in user order.
+    type Sealed = Vec<(ChainId, Submission)>;
+    let sealed: Vec<Option<(Sealed, Sealed)>> = par::map_chunks(&jobs, SEAL_CHUNK, |chunk| {
+        chunk
+            .iter()
+            .map(|(user, seed)| {
+                let mut rng = ChaChaRng::from_seed((*seed)?);
+                let mut seal = |for_round: u64, offline_cover: bool| -> Sealed {
+                    user.seal_round_with(topo, for_round, offline_cover, |chain, msg| {
+                        let (current, cover) = sealers_of(chain);
+                        let sealer = if offline_cover { cover } else { current };
+                        sealer.seal(&mut rng, for_round, msg)
+                    })
+                };
+                Some((seal(round, false), seal(round + 1, true)))
+            })
+            .collect()
+    });
+
     let mut per_chain: Vec<Vec<Submission>> = vec![Vec::new(); topo.n_chains()];
-    for user in users.iter() {
-        let submissions: Vec<(ChainId, Submission)> = if user.online {
-            let current = user.seal_round(rng, topo, current_keys, round, false);
-            let cover = user.seal_round(rng, topo, next_keys, round + 1, true);
-            cover_store.insert(user.mailbox_id(), cover);
-            current
-        } else {
-            match cover_store.remove(&user.mailbox_id()) {
+    for (user, sealed) in users.iter().zip(sealed) {
+        let submissions = match sealed {
+            Some((current, cover)) => {
+                cover_store.insert(user.mailbox_id(), cover);
+                current
+            }
+            None => match cover_store.remove(&user.mailbox_id()) {
                 Some(cover) => cover,
                 None => continue, // offline with no cover: absent
-            }
+            },
         };
         for (chain, sub) in submissions {
             per_chain[chain.0 as usize].push(sub);
@@ -196,4 +255,52 @@ pub fn open_fetched(
         fetched.insert(user.mailbox_id(), received);
     }
     Ok(fetched)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::deployment::{Deployment, DeploymentConfig};
+    use rand::rngs::StdRng;
+
+    /// Two rounds of `collect_submissions` with every fan-out forced
+    /// onto `workers` workers: all users online, then user 3 offline
+    /// with a stored cover and user 5 offline with none.
+    fn two_rounds(workers: usize) -> (Vec<Vec<Submission>>, Vec<Vec<Submission>>, CoverStore) {
+        let mut rng = StdRng::seed_from_u64(11);
+        let deployment = Deployment::new(&mut rng, DeploymentConfig::small(6, 2));
+        let mut users: Vec<User> = (0..30).map(|_| User::new(&mut rng)).collect();
+        let (a, b) = (users[0].pk(), users[3].pk());
+        users[0].start_conversation(b);
+        users[3].start_conversation(a);
+        let topo = deployment.topology();
+        let (current, next) = (deployment.chain_keys(), deployment.next_chain_keys());
+        let mut store = CoverStore::new();
+        par::with_workers(workers, || {
+            let first = collect_submissions(&mut rng, topo, current, next, 0, &mut store, &users);
+            users[3].online = false;
+            users[5].online = false;
+            store.remove(&users[5].mailbox_id());
+            let second = collect_submissions(&mut rng, topo, next, next, 1, &mut store, &users);
+            (first, second, store)
+        })
+    }
+
+    #[test]
+    fn submissions_do_not_depend_on_the_worker_count() {
+        let (first, second, store) = two_rounds(1);
+        let ell = xrd_topology::ell_for_chains(6);
+        assert_eq!(first.iter().map(Vec::len).sum::<usize>(), 30 * ell);
+        assert!(first.iter().flatten().all(|s| s.verify_pok(0)));
+        // Round 1: user 3 rides on her stored covers (sealed in round 0
+        // *for* round 1), user 5 is absent, neither has a cover left.
+        assert_eq!(second.iter().map(Vec::len).sum::<usize>(), 29 * ell);
+        assert!(second.iter().flatten().all(|s| s.verify_pok(1)));
+        assert_eq!(store.len(), 28);
+
+        let (first4, second4, store4) = two_rounds(4);
+        assert_eq!(first, first4);
+        assert_eq!(second, second4);
+        assert_eq!(store, store4);
+    }
 }

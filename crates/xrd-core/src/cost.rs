@@ -55,9 +55,18 @@ impl UserCostModel {
     }
 
     /// Single-core time to build a round's submissions (current + cover):
-    /// per seal, `k+4` exponentiations (k outer layers, inner envelope
-    /// key + `g^y`, `g^x`, PoK commitment), `k+2` AEAD seals, and the
-    /// mailbox-level seal.
+    /// per seal, `k+4` exponentiations, `k+2` AEAD seals, and the
+    /// mailbox-level seal.  Of the `k+4`, three are **fixed-base** on the
+    /// generator (`g^y`, `g^x`, the PoK commitment `g^r` — always table
+    /// lookups, `GroupElement::base_mul`) and `k+1` are
+    /// **variable-base** (`mpk_i^x` for the `k` outer layers, `(∏ipk)^y`
+    /// for the inner envelope): from-scratch ladders when a client
+    /// seals one message (`seal_ahs`), table lookups too when many
+    /// messages are sealed against the same chain (`ChainSealer`, what
+    /// `collect_submissions` does for a whole population).  The model
+    /// prices all `k+4` at the variable-base cost `op.exp`: it is the
+    /// paper's single-client figure (§8.1, Fig. 3), where nothing
+    /// amortizes a table.
     pub fn compute_time(&self, n_servers: usize, f: f64) -> SimDuration {
         let ell = ell_for_chains(n_servers) as u64;
         let k = chain_length(f, n_servers, 64) as u64;

@@ -187,20 +187,7 @@ impl Deployment {
         rng: &mut R,
         users: &mut [User],
     ) -> (RoundReport, FetchResults) {
-        self.run_round_inner(rng, users, false)
-            .expect("unbounded in-process mailbox tier cannot fail")
-    }
-
-    /// Like [`Deployment::run_round`] but mixes chains on OS threads —
-    /// the in-process analogue of the real deployment where every chain
-    /// is a separate set of machines.  Results are identical up to
-    /// shuffle randomness.
-    pub fn run_round_parallel<R: RngCore + ?Sized>(
-        &mut self,
-        rng: &mut R,
-        users: &mut [User],
-    ) -> (RoundReport, FetchResults) {
-        self.run_round_inner(rng, users, true)
+        self.run_round_inner(rng, users)
             .expect("unbounded in-process mailbox tier cannot fail")
     }
 
@@ -208,7 +195,6 @@ impl Deployment {
         &mut self,
         rng: &mut R,
         users: &mut [User],
-        parallel: bool,
     ) -> Result<(RoundReport, FetchResults), RoundError> {
         let round = self.round;
 
@@ -229,41 +215,24 @@ impl Deployment {
             per_chain[chain.0 as usize].push(sub);
         }
 
-        // Mix every chain (serially, or one thread per chain).
+        // Mix every chain, one after the other: the phases inside a
+        // chain round fan out by themselves when the batch is big
+        // enough to be worth it (`xrd_mixnet::par`).  A chain takes its
+        // submissions by value, so they are freed as it finishes.
         let mut report = RoundReport {
             round,
             ..Default::default()
         };
-        let outcomes: Vec<xrd_mixnet::ChainRoundOutcome> = if parallel {
-            use rand::SeedableRng;
-            let seeds: Vec<u64> = (0..self.chains.len()).map(|_| rng.next_u64()).collect();
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = self
-                    .chains
-                    .iter_mut()
-                    .zip(per_chain.iter())
-                    .zip(seeds)
-                    .map(|((chain, subs), seed)| {
-                        scope.spawn(move || {
-                            let mut chain_rng = rand::rngs::StdRng::seed_from_u64(seed);
-                            chain.run_round(&mut chain_rng, round, subs)
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("chain thread panicked"))
-                    .collect()
+        let outcomes: Vec<xrd_mixnet::ChainRoundOutcome> = self
+            .chains
+            .iter_mut()
+            .zip(per_chain)
+            .map(|(chain, subs)| {
+                report.messages_mixed += subs.len();
+                chain.run_round(rng, round, &subs)
             })
-        } else {
-            self.chains
-                .iter_mut()
-                .zip(per_chain.iter())
-                .map(|(chain, subs)| chain.run_round(rng, round, subs))
-                .collect()
-        };
-        for (c, (subs, outcome)) in per_chain.iter().zip(outcomes).enumerate() {
-            report.messages_mixed += subs.len();
+            .collect();
+        for (c, outcome) in outcomes.into_iter().enumerate() {
             if !outcome.misbehaving_servers.is_empty() {
                 report.aborted_chains.push(c as u32);
             }
@@ -485,37 +454,33 @@ mod tests {
 
     #[test]
     fn parallel_round_matches_serial_semantics() {
-        // Same seed, one serial and one parallel deployment: delivery
-        // counts and per-user results are identical (content equality;
-        // shuffle orders differ).
-        let run = |parallel: bool| {
-            let (mut rng, mut deployment, mut users) = setup(5);
-            let (a, b) = (users[0].pk(), users[1].pk());
-            users[0].start_conversation(b);
-            users[1].start_conversation(a);
-            users[0].queue_chat(b"via threads?");
-            let (report, fetched) = if parallel {
-                deployment.run_round_parallel(&mut rng, &mut users)
-            } else {
-                deployment.run_round(&mut rng, &mut users)
-            };
-            let mut per_user: Vec<(usize, Vec<Received>)> = users
-                .iter()
-                .enumerate()
-                .map(|(i, u)| {
-                    let mut r = fetched[&u.mailbox_id()].clone();
-                    r.sort_by_key(|x| format!("{x:?}"));
-                    (i, r)
-                })
-                .collect();
-            per_user.sort_by_key(|(i, _)| *i);
-            (report.messages_mixed, report.delivered, per_user)
+        // Same seed, one deployment with every fan-out forced onto one
+        // worker and one forced onto four: every phase's output is
+        // independent of the worker count, so the rounds are identical —
+        // report, per-user results, in order.
+        let run = |workers: usize| {
+            xrd_mixnet::par::with_workers(workers, || {
+                // 80 users: ~40 entries per chain, several worker chunks
+                // in every fanned-out phase.
+                let (mut rng, mut deployment, mut users) = setup(80);
+                let (a, b) = (users[0].pk(), users[1].pk());
+                users[0].start_conversation(b);
+                users[1].start_conversation(a);
+                users[0].queue_chat(b"via threads?");
+                let (report, fetched) = deployment.run_round(&mut rng, &mut users);
+                let per_user: Vec<Vec<Received>> = users
+                    .iter()
+                    .map(|u| fetched[&u.mailbox_id()].clone())
+                    .collect();
+                (report.messages_mixed, report.delivered, per_user)
+            })
         };
-        let serial = run(false);
-        let parallel = run(true);
-        assert_eq!(serial.0, parallel.0);
-        assert_eq!(serial.1, parallel.1);
-        assert_eq!(serial.2, parallel.2);
+        let serial = run(1);
+        assert_eq!(serial.0, serial.1);
+        assert!(serial.2[1]
+            .iter()
+            .any(|r| matches!(r, Received::Chat { data, .. } if data == b"via threads?")));
+        assert_eq!(serial, run(4));
     }
 
     #[test]

@@ -281,12 +281,25 @@ impl User {
         round: u64,
         offline_cover: bool,
     ) -> Vec<(ChainId, Submission)> {
+        self.seal_round_with(topo, round, offline_cover, |chain, msg| {
+            seal_ahs(rng, &chain_keys[chain.0 as usize], round, msg)
+        })
+    }
+
+    /// [`User::seal_round`] with the onion encryption supplied by the
+    /// caller: `seal(chain, message)` is called once per message of the
+    /// round, in chain-list order (bulk sealing passes a
+    /// [`ChainSealer`](xrd_mixnet::ChainSealer) per chain).
+    pub fn seal_round_with(
+        &self,
+        topo: &Topology,
+        round: u64,
+        offline_cover: bool,
+        mut seal: impl FnMut(ChainId, &MailboxMessage) -> Submission,
+    ) -> Vec<(ChainId, Submission)> {
         self.build_round_messages(topo, round, offline_cover)
             .into_iter()
-            .map(|(chain, msg)| {
-                let keys = &chain_keys[chain.0 as usize];
-                (chain, seal_ahs(rng, keys, round, &msg))
-            })
+            .map(|(chain, msg)| (chain, seal(chain, &msg)))
             .collect()
     }
 

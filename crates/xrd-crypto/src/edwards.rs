@@ -16,10 +16,15 @@
 //! the *same* formulas over both backends in one build to compare them
 //! like for like.
 //!
-//! Three multiplication strategies coexist:
+//! Four multiplication strategies coexist:
 //!
 //! * [`EdwardsPoint::scalar_mul`] — constant-time-style signed radix-16
 //!   ladder with a masked table scan; safe for secret scalars.
+//! * [`FixedBaseTable`] — 32 rows of precomputed multiples of a base
+//!   that stays fixed across many multiplications (the generator, a
+//!   chain's mixing keys for an epoch): 64 masked-scan additions and 4
+//!   doublings instead of a 252-doubling ladder; safe for secret
+//!   scalars.
 //! * [`PointTable`] — a reusable signed radix-16 table of a fixed point,
 //!   batch-normalized to affine Niels form with one shared field
 //!   inversion ([`FieldElement::batch_invert`]); the AHS hop kernel
@@ -406,6 +411,35 @@ impl<F: FieldBackend> LookupTable<F> {
     }
 }
 
+/// `[1P, ..., 8P]` in extended coordinates; even multiples come from
+/// the cheaper doubling pipeline.
+fn window_multiples<F: FieldBackend>(p: &EdwardsPoint<F>) -> [EdwardsPoint<F>; 8] {
+    let cached = p.to_projective_niels();
+    let mut row = [*p; 8];
+    row[1] = p.double(); // 2P
+    row[2] = row[1].add_projective_niels(&cached).to_extended(); // 3P
+    row[3] = row[1].double(); // 4P
+    row[4] = row[3].add_projective_niels(&cached).to_extended(); // 5P
+    row[5] = row[2].double(); // 6P
+    row[6] = row[5].add_projective_niels(&cached).to_extended(); // 7P
+    row[7] = row[3].double(); // 8P
+    row
+}
+
+/// Masked scan of an affine window row `[1P, ..., 8P]` for digit `d` in
+/// `[-8, 8]`: uniform access pattern, accumulating `mask AND limb` over
+/// every entry (plus the identity) so exactly one all-ones mask
+/// contributes.
+#[inline(always)]
+fn select_affine<F: FieldBackend>(row: &[AffineNielsPoint<F>; 8], d: i8) -> AffineNielsPoint<F> {
+    let (sign, abs) = digit_sign_abs(d);
+    let mut chosen = AffineNielsPoint::IDENTITY.masked(ct_eq_index(0, abs));
+    for (j, entry) in row.iter().enumerate() {
+        chosen.accumulate(entry, ct_eq_index(j as u64 + 1, abs));
+    }
+    chosen.conditional_negate(sign)
+}
+
 /// A reusable signed radix-16 table of multiples `[1P, ..., 8P]` of a
 /// fixed point, normalized to affine Niels form.
 ///
@@ -438,19 +472,7 @@ impl<F: FieldBackend> PointTable<F> {
     pub fn batch_new(points: &[EdwardsPoint<F>]) -> Vec<PointTable<F>> {
         // Multiples in extended coordinates; even multiples come from
         // the cheaper doubling pipeline.
-        let mut multiples: Vec<[EdwardsPoint<F>; 8]> = Vec::with_capacity(points.len());
-        for p in points {
-            let cached = p.to_projective_niels();
-            let mut row = [*p; 8];
-            row[1] = p.double(); // 2P
-            row[2] = row[1].add_projective_niels(&cached).to_extended(); // 3P
-            row[3] = row[1].double(); // 4P
-            row[4] = row[3].add_projective_niels(&cached).to_extended(); // 5P
-            row[5] = row[2].double(); // 6P
-            row[6] = row[5].add_projective_niels(&cached).to_extended(); // 7P
-            row[7] = row[3].double(); // 8P
-            multiples.push(row);
-        }
+        let multiples: Vec<[EdwardsPoint<F>; 8]> = points.iter().map(window_multiples).collect();
         // One inversion for all 8n Z coordinates.
         rows_to_affine_niels(&multiples)
             .into_iter()
@@ -458,16 +480,9 @@ impl<F: FieldBackend> PointTable<F> {
             .collect()
     }
 
-    /// Masked scan for digit `d` in `[-8, 8)`: uniform access pattern,
-    /// accumulating `mask AND limb` over every entry (plus the identity).
     #[inline(always)]
     fn select(&self, d: i8) -> AffineNielsPoint<F> {
-        let (sign, abs) = digit_sign_abs(d);
-        let mut chosen = AffineNielsPoint::IDENTITY.masked(ct_eq_index(0, abs));
-        for (j, entry) in self.entries.iter().enumerate() {
-            chosen.accumulate(entry, ct_eq_index(j as u64 + 1, abs));
-        }
-        chosen.conditional_negate(sign)
+        select_affine(&self.entries, d)
     }
 
     /// `scalar * P` off the precomputed table (constant-time-style).
@@ -832,7 +847,8 @@ impl<F: FieldBackend> EdwardsPoint<F> {
 
 impl EdwardsPoint {
     /// The Ed25519 basepoint (build-selected backend only: the cached
-    /// static and the precomputed `base_mul` table below are per-build).
+    /// static and the precomputed [`FixedBaseTable::basepoint`] are
+    /// per-build).
     pub fn basepoint() -> &'static EdwardsPoint {
         static B: OnceLock<EdwardsPoint> = OnceLock::new();
         B.get_or_init(|| {
@@ -841,26 +857,11 @@ impl EdwardsPoint {
         })
     }
 
-    /// `scalar * basepoint`, using a precomputed radix-16 table (no
-    /// doublings: 64 table lookups + affine Niels additions).  This is
+    /// `scalar * basepoint` off [`FixedBaseTable::basepoint`].  This is
     /// the hot operation of client sealing (`g^x`, `g^y`, proof
     /// commitments).
     pub fn base_mul(scalar: &Scalar) -> EdwardsPoint {
-        let table = basepoint_table();
-        let digits = scalar.to_radix_16();
-        let mut acc = EdwardsPoint::identity();
-        for (window, &d) in digits.iter().enumerate() {
-            let (sign, abs) = digit_sign_abs(d);
-            let row = &table.windows[window];
-            let mut chosen = AffineNielsPoint::IDENTITY.masked(ct_eq_index(0, abs));
-            for (j, entry) in row.iter().enumerate() {
-                chosen.accumulate(entry, ct_eq_index(j as u64 + 1, abs));
-            }
-            acc = acc
-                .add_affine_niels(&chosen.conditional_negate(sign))
-                .to_extended();
-        }
-        acc
+        FixedBaseTable::basepoint().mul(scalar)
     }
 }
 
@@ -1028,34 +1029,70 @@ fn vartime_pippenger<F: FieldBackend>(
     total
 }
 
-/// Precomputed multiples of the basepoint in affine Niels form:
-/// `windows[i][j] = (j+1) * 16^i * B` for the 64 radix-16 digit
-/// positions, normalized with a single shared inversion.
-struct BasepointTable {
-    windows: Vec<[AffineNielsPoint; 8]>,
+/// Precomputed multiples of a base that stays fixed across many
+/// multiplications, in affine Niels form:
+/// `rows[i][j] = (j+1) * 256^i * P` for the 32 byte positions of a
+/// scalar, normalized with a single shared inversion (32 rows × 8
+/// entries × 3 field elements ≈ 24 KB).
+///
+/// A multiplication is 64 masked-scan additions and one 4-doubling
+/// fold: the odd radix-16 digits are summed off the rows first, that
+/// sum is multiplied by 16, then the even digits are added off the same
+/// rows.  Building the table costs about as much as three from-scratch
+/// ladders, so it pays once a base is used more than a handful of
+/// times — the generator always ([`FixedBaseTable::basepoint`]), a
+/// chain's mixing and aggregate inner keys during bulk sealing.
+///
+/// Scans are masked (uniform access pattern), so the table is safe to
+/// drive with secret scalars.
+pub struct FixedBaseTable<F: FieldBackend = FieldElement> {
+    rows: Vec<[AffineNielsPoint<F>; 8]>,
 }
 
-fn basepoint_table() -> &'static BasepointTable {
-    static TABLE: OnceLock<BasepointTable> = OnceLock::new();
-    TABLE.get_or_init(|| {
-        // All 64*8 multiples in extended coordinates first...
-        let mut rows: Vec<[EdwardsPoint; 8]> = Vec::with_capacity(64);
-        let mut base = *EdwardsPoint::basepoint();
-        for _ in 0..64 {
-            let cached = base.to_projective_niels();
-            let mut row = [base; 8];
-            for j in 1..8 {
-                row[j] = row[j - 1].add_projective_niels(&cached).to_extended();
+impl<F: FieldBackend> FixedBaseTable<F> {
+    /// Scalar bytes: one row per radix-256 position.
+    const ROWS: usize = 32;
+
+    /// Precompute the table for `point`.
+    pub fn new(point: &EdwardsPoint<F>) -> FixedBaseTable<F> {
+        let mut rows: Vec<[EdwardsPoint<F>; 8]> = Vec::with_capacity(Self::ROWS);
+        let mut base = *point;
+        for i in 0..Self::ROWS {
+            let row = window_multiples(&base);
+            if i + 1 < Self::ROWS {
+                // 256 * base = 2^5 * (8 * base).
+                base = row[7].mul_by_pow_2(5);
             }
             rows.push(row);
-            // base = 16 * base for the next digit position.
-            base = base.mul_by_pow_2(4);
         }
-        // ...then one batched normalization for the whole table.
-        BasepointTable {
-            windows: rows_to_affine_niels(&rows),
+        FixedBaseTable {
+            rows: rows_to_affine_niels(&rows),
         }
-    })
+    }
+
+    /// `scalar * P` off the table (constant-time-style).
+    pub fn mul(&self, scalar: &Scalar) -> EdwardsPoint<F> {
+        let digits = scalar.to_radix_16();
+        let add_digits = |mut acc: EdwardsPoint<F>, parity: usize| {
+            for (row, pair) in self.rows.iter().zip(digits.chunks_exact(2)) {
+                acc = acc
+                    .add_affine_niels(&select_affine(row, pair[parity]))
+                    .to_extended();
+            }
+            acc
+        };
+        let odd = add_digits(EdwardsPoint::identity(), 1);
+        add_digits(odd.mul_by_pow_2(4), 0)
+    }
+}
+
+impl FixedBaseTable {
+    /// The process-wide table of the Ed25519 basepoint (build-selected
+    /// backend), built at first use.
+    pub fn basepoint() -> &'static FixedBaseTable {
+        static TABLE: OnceLock<FixedBaseTable> = OnceLock::new();
+        TABLE.get_or_init(|| FixedBaseTable::new(EdwardsPoint::basepoint()))
+    }
 }
 
 #[cfg(test)]
@@ -1091,6 +1128,26 @@ mod tests {
             to_hex(&b.scalar_mul(&Scalar::from_u64(9)).compress()),
             "c0f1225584444ec730446e231390781ffdd2f256e9fcbeb2f40dddc2c2233d7f"
         );
+        // The same vectors through the fixed-base table.
+        for (k, hex) in [
+            (
+                2,
+                "c9a3f86aae465f0e56513864510f3997561fa2c9e85ea21dc2292309f3cd6022",
+            ),
+            (
+                3,
+                "d4b4f5784868c3020403246717ec169ff79e26608ea126a1ab69ee77d1b16712",
+            ),
+            (
+                9,
+                "c0f1225584444ec730446e231390781ffdd2f256e9fcbeb2f40dddc2c2233d7f",
+            ),
+        ] {
+            assert_eq!(
+                to_hex(&EdwardsPoint::base_mul(&Scalar::from_u64(k)).compress()),
+                hex
+            );
+        }
     }
 
     /// Both field backends must produce byte-identical curve behavior:
@@ -1185,22 +1242,65 @@ mod tests {
         assert!(o.ct_eq(&p));
     }
 
+    /// Scalars at the edges of the signed radix-16 recoding: 0, 1, ℓ−1,
+    /// and nibble patterns that recode to all −8 (with carries), all 7
+    /// and all −7/−8 digits.
+    fn edge_scalars() -> Vec<Scalar> {
+        let mut edges: Vec<Scalar> = [0u64, 1, 2, 7, 8, 9, 15, 16, 17, 255, 256]
+            .iter()
+            .map(|&k| Scalar::from_u64(k))
+            .collect();
+        edges.push(Scalar::ZERO.sub(&Scalar::ONE));
+        for nibbles in [0x88u8, 0x77, 0x78, 0x87, 0xff] {
+            let s = Scalar::from_bytes_mod_order(&[nibbles; 32]);
+            edges.push(s);
+            edges.push(s.neg());
+        }
+        edges
+    }
+
+    fn fixed_base_table_matches_ladder<F: FieldBackend>(seed: u64) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        for _ in 0..3 {
+            let enc = EdwardsPoint::base_mul(&Scalar::random(&mut rng)).compress();
+            let p: EdwardsPoint<F> = EdwardsPoint::decompress(&enc).expect("valid point");
+            let table = FixedBaseTable::new(&p);
+            for _ in 0..6 {
+                let s = Scalar::random(&mut rng);
+                assert!(table.mul(&s).ct_eq(&p.scalar_mul(&s)));
+            }
+            for s in edge_scalars() {
+                assert!(table.mul(&s).ct_eq(&p.scalar_mul(&s)), "s={s:?}");
+            }
+        }
+        let identity = FixedBaseTable::new(&EdwardsPoint::<F>::identity());
+        assert!(identity.mul(&Scalar::random(&mut rng)).is_identity());
+    }
+
+    #[test]
+    fn fixed_base_table_matches_scalar_mul_on_both_backends() {
+        use crate::field::{fiat51, sat64};
+        fixed_base_table_matches_ladder::<fiat51::FieldElement>(73);
+        fixed_base_table_matches_ladder::<sat64::FieldElement>(74);
+    }
+
     #[test]
     fn base_mul_matches_generic_scalar_mul() {
-        // The table-driven base_mul must agree with the generic ladder
-        // for random scalars and all small/edge scalars.
+        // base_mul is the shared table type on the basepoint instance:
+        // it must agree with the generic ladder for random scalars and
+        // all small/edge scalars.
         let mut rng = StdRng::seed_from_u64(77);
         let b = EdwardsPoint::basepoint();
         for _ in 0..10 {
             let s = Scalar::random(&mut rng);
             assert!(EdwardsPoint::base_mul(&s).ct_eq(&b.scalar_mul(&s)));
         }
-        for k in [0u64, 1, 2, 7, 8, 9, 15, 16, 17, 255, 256] {
-            let s = Scalar::from_u64(k);
-            assert!(EdwardsPoint::base_mul(&s).ct_eq(&b.scalar_mul(&s)), "k={k}");
+        for s in edge_scalars() {
+            assert!(
+                EdwardsPoint::base_mul(&s).ct_eq(&b.scalar_mul(&s)),
+                "s={s:?}"
+            );
         }
-        let l_minus_1 = Scalar::ZERO.sub(&Scalar::ONE);
-        assert!(EdwardsPoint::base_mul(&l_minus_1).ct_eq(&b.scalar_mul(&l_minus_1)));
     }
 
     #[test]

@@ -52,7 +52,7 @@ pub use keys::{dh, dh_symmetric_key, KeyPair};
 pub use nizk::{
     DleqBatchEntry, DleqProof, SchnorrBatchEntry, SchnorrProof, DLEQ_PROOF_LEN, SCHNORR_PROOF_LEN,
 };
-pub use ristretto::{GroupElement, GroupTable};
+pub use ristretto::{FixedGroupTable, GroupElement, GroupTable};
 pub use scalar::Scalar;
 pub use transcript::Transcript;
 

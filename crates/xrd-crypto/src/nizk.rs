@@ -12,6 +12,9 @@
 //! proof binds all public inputs plus a caller-supplied context (round
 //! number, chain id, ...), so proofs cannot be replayed across contexts.
 
+use std::collections::HashMap;
+use std::sync::OnceLock;
+
 use rand::{RngCore, SeedableRng};
 
 use crate::drbg::ChaChaRng;
@@ -26,6 +29,81 @@ fn rlc_coefficient(rng: &mut ChaChaRng) -> Scalar {
     let mut wide = [0u8; 32];
     rng.fill_bytes(&mut wide[..16]);
     Scalar::from_bytes_mod_order(&wide)
+}
+
+/// Canonical encoding of a proof base for the Fiat–Shamir transcript.
+/// The generator's is computed once: it is the base of every submission
+/// and inner-key PoK of a round, and an encoding costs an inverse
+/// square root.
+fn encode_base(base: &GroupElement) -> [u8; 32] {
+    static GENERATOR: OnceLock<[u8; 32]> = OnceLock::new();
+    if *base == GroupElement::generator() {
+        *GENERATOR.get_or_init(|| GroupElement::generator().encode())
+    } else {
+        base.encode()
+    }
+}
+
+/// The commitment `base^r` for a secret nonce `r`: off the fixed-base
+/// table when `base` is the generator, a from-scratch ladder otherwise
+/// (both masked-scan; `base` itself is public).
+fn commit(base: &GroupElement, r: &Scalar) -> GroupElement {
+    if *base == GroupElement::generator() {
+        GroupElement::base_mul(r)
+    } else {
+        base.mul(r)
+    }
+}
+
+/// `z·B − c·X`, which an honest proof makes equal its commitment `R`.
+/// Every input is public wire data, so this runs on the variable-time
+/// engine (the policy [`SchnorrProof::batch_verify`] documents).
+fn response_minus_challenge(
+    z: &Scalar,
+    base: &GroupElement,
+    c: &Scalar,
+    public: &GroupElement,
+) -> GroupElement {
+    GroupElement::vartime_multiscalar_mul(&[*z, c.neg()], &[*base, *public])
+}
+
+/// The terms of one batched verification equation.  Base terms are
+/// keyed by encoding, so statements that share a base (every
+/// submission PoK of a round has base `g`) fold into one term of the
+/// multiscalar multiplication instead of one each.
+struct BatchTerms {
+    scalars: Vec<Scalar>,
+    points: Vec<GroupElement>,
+    bases: HashMap<[u8; 32], usize>,
+}
+
+impl BatchTerms {
+    fn with_capacity(terms: usize) -> BatchTerms {
+        BatchTerms {
+            scalars: Vec::with_capacity(terms),
+            points: Vec::with_capacity(terms),
+            bases: HashMap::new(),
+        }
+    }
+
+    fn push(&mut self, scalar: Scalar, point: GroupElement) {
+        self.scalars.push(scalar);
+        self.points.push(point);
+    }
+
+    fn push_base(&mut self, scalar: Scalar, encoding: [u8; 32], base: GroupElement) {
+        match self.bases.get(&encoding) {
+            Some(&i) => self.scalars[i] = self.scalars[i].add(&scalar),
+            None => {
+                self.bases.insert(encoding, self.scalars.len());
+                self.push(scalar, base);
+            }
+        }
+    }
+
+    fn sum_is_identity(&self) -> bool {
+        GroupElement::vartime_multiscalar_mul(&self.scalars, &self.points).is_identity()
+    }
 }
 
 /// One statement of a Schnorr batch verification:
@@ -84,8 +162,8 @@ impl SchnorrProof {
     ) -> SchnorrProof {
         debug_assert!(GroupElement::base_mul(x) == *public || base.mul(x) == *public);
         let r = Scalar::random(rng);
-        let commitment = base.mul(&r).encode();
-        let c = Self::challenge(context, base, public, &commitment);
+        let commitment = commit(base, &r).encode();
+        let c = Self::challenge(context, &encode_base(base), public, &commitment);
         SchnorrProof {
             commitment,
             response: r.add(&c.mul(x)),
@@ -98,9 +176,8 @@ impl SchnorrProof {
             Some(p) => p,
             None => return false,
         };
-        let c = Self::challenge(context, base, public, &self.commitment);
-        // B^z == R * X^c
-        base.mul(&self.response) == commitment.add(&public.mul(&c))
+        let c = Self::challenge(context, &encode_base(base), public, &self.commitment);
+        response_minus_challenge(&self.response, base, &c, public) == commitment
     }
 
     /// Verify `n` Schnorr proofs in one multiscalar multiplication.
@@ -117,8 +194,8 @@ impl SchnorrProof {
         if statements.is_empty() {
             return true;
         }
-        let mut commitments = Vec::with_capacity(statements.len());
-        let mut challenges = Vec::with_capacity(statements.len());
+        // Per statement: decoded commitment, challenge, base encoding.
+        let mut checked = Vec::with_capacity(statements.len());
         let mut seed_t = Transcript::new("xrd/schnorr-batch-verify");
         seed_t.append_u64("n", statements.len() as u64);
         for st in statements {
@@ -126,44 +203,41 @@ impl SchnorrProof {
                 Some(p) => p,
                 None => return false,
             };
-            let c = Self::challenge(st.context, &st.base, &st.public, &st.proof.commitment);
+            let base = encode_base(&st.base);
+            let c = Self::challenge(st.context, &base, &st.public, &st.proof.commitment);
             // The challenge binds context, base, public and commitment,
             // so absorbing (challenge, response) binds the statement.
             seed_t.append("challenge", &c.to_bytes());
             seed_t.append("response", &st.proof.response.to_bytes());
-            commitments.push(commitment);
-            challenges.push(c);
+            checked.push((commitment, c, base));
         }
         let mut drbg = ChaChaRng::from_seed(seed_t.challenge_bytes("rlc-seed"));
 
-        let mut scalars = Vec::with_capacity(3 * statements.len());
-        let mut points = Vec::with_capacity(3 * statements.len());
-        for ((st, commitment), c) in statements.iter().zip(&commitments).zip(&challenges) {
+        let mut terms = BatchTerms::with_capacity(2 * statements.len() + 1);
+        for (st, (commitment, c, base)) in statements.iter().zip(checked) {
             let rho = rlc_coefficient(&mut drbg);
-            scalars.push(rho.mul(&st.proof.response));
-            points.push(st.base);
-            scalars.push(rho.neg());
-            points.push(*commitment);
-            scalars.push(rho.mul(c).neg());
-            points.push(st.public);
+            terms.push_base(rho.mul(&st.proof.response), base, st.base);
+            terms.push(rho.neg(), commitment);
+            terms.push(rho.mul(&c).neg(), st.public);
         }
-        GroupElement::vartime_multiscalar_mul(&scalars, &points).is_identity()
+        terms.sum_is_identity()
     }
 
     /// The Fiat-Shamir challenge.  The commitment is taken as its
     /// canonical 32-byte encoding (what travels in the proof): since
     /// decoding rejects non-canonical strings, absorbing the bytes is
     /// equivalent to absorbing `decode(bytes).encode()` and saves a
-    /// re-encoding on every verification.
+    /// re-encoding on every verification.  The base arrives encoded
+    /// ([`encode_base`]) for the same reason.
     fn challenge(
         context: &[u8],
-        base: &GroupElement,
+        base: &[u8; 32],
         public: &GroupElement,
         commitment: &[u8; 32],
     ) -> Scalar {
         let mut t = Transcript::new("xrd/schnorr-pok");
         t.append("context", context);
-        t.append("base", &base.encode());
+        t.append("base", base);
         t.append("public", &public.encode());
         t.append("commitment", commitment);
         t.challenge_scalar("c")
@@ -220,9 +294,17 @@ impl DleqProof {
         x: &Scalar,
     ) -> DleqProof {
         let r = Scalar::random(rng);
-        let c1 = base1.mul(&r).encode();
-        let c2 = base2.mul(&r).encode();
-        let c = Self::challenge(context, base1, public1, base2, public2, &c1, &c2);
+        let c1 = commit(base1, &r).encode();
+        let c2 = commit(base2, &r).encode();
+        let c = Self::challenge(
+            context,
+            &encode_base(base1),
+            public1,
+            &encode_base(base2),
+            public2,
+            &c1,
+            &c2,
+        );
         DleqProof {
             commitment1: c1,
             commitment2: c2,
@@ -248,15 +330,15 @@ impl DleqProof {
         };
         let c = Self::challenge(
             context,
-            base1,
+            &encode_base(base1),
             public1,
-            base2,
+            &encode_base(base2),
             public2,
             &self.commitment1,
             &self.commitment2,
         );
-        base1.mul(&self.response) == r1.add(&public1.mul(&c))
-            && base2.mul(&self.response) == r2.add(&public2.mul(&c))
+        response_minus_challenge(&self.response, base1, &c, public1) == r1
+            && response_minus_challenge(&self.response, base2, &c, public2) == r2
     }
 
     /// Verify `n` DLEQ proofs in one multiscalar multiplication (see
@@ -268,8 +350,8 @@ impl DleqProof {
         if statements.is_empty() {
             return true;
         }
-        let mut commitments = Vec::with_capacity(statements.len());
-        let mut challenges = Vec::with_capacity(statements.len());
+        // Per statement: decoded commitments, challenge, base encodings.
+        let mut checked = Vec::with_capacity(statements.len());
         let mut seed_t = Transcript::new("xrd/dleq-batch-verify");
         seed_t.append_u64("n", statements.len() as u64);
         for st in statements {
@@ -280,41 +362,34 @@ impl DleqProof {
                 (Some(a), Some(b)) => (a, b),
                 _ => return false,
             };
+            let (base1, base2) = (encode_base(&st.base1), encode_base(&st.base2));
             let c = Self::challenge(
                 st.context,
-                &st.base1,
+                &base1,
                 &st.public1,
-                &st.base2,
+                &base2,
                 &st.public2,
                 &st.proof.commitment1,
                 &st.proof.commitment2,
             );
             seed_t.append("challenge", &c.to_bytes());
             seed_t.append("response", &st.proof.response.to_bytes());
-            commitments.push((r1, r2));
-            challenges.push(c);
+            checked.push((r1, r2, c, base1, base2));
         }
         let mut drbg = ChaChaRng::from_seed(seed_t.challenge_bytes("rlc-seed"));
 
-        let mut scalars = Vec::with_capacity(6 * statements.len());
-        let mut points = Vec::with_capacity(6 * statements.len());
-        for ((st, (r1, r2)), c) in statements.iter().zip(&commitments).zip(&challenges) {
+        let mut terms = BatchTerms::with_capacity(6 * statements.len());
+        for (st, (r1, r2, c, base1, base2)) in statements.iter().zip(checked) {
             let rho1 = rlc_coefficient(&mut drbg);
             let rho2 = rlc_coefficient(&mut drbg);
-            scalars.push(rho1.mul(&st.proof.response));
-            points.push(st.base1);
-            scalars.push(rho1.neg());
-            points.push(*r1);
-            scalars.push(rho1.mul(c).neg());
-            points.push(st.public1);
-            scalars.push(rho2.mul(&st.proof.response));
-            points.push(st.base2);
-            scalars.push(rho2.neg());
-            points.push(*r2);
-            scalars.push(rho2.mul(c).neg());
-            points.push(st.public2);
+            terms.push_base(rho1.mul(&st.proof.response), base1, st.base1);
+            terms.push(rho1.neg(), r1);
+            terms.push(rho1.mul(&c).neg(), st.public1);
+            terms.push_base(rho2.mul(&st.proof.response), base2, st.base2);
+            terms.push(rho2.neg(), r2);
+            terms.push(rho2.mul(&c).neg(), st.public2);
         }
-        GroupElement::vartime_multiscalar_mul(&scalars, &points).is_identity()
+        terms.sum_is_identity()
     }
 
     /// The Fiat-Shamir challenge; commitments are absorbed as their
@@ -322,18 +397,18 @@ impl DleqProof {
     #[allow(clippy::too_many_arguments)]
     fn challenge(
         context: &[u8],
-        base1: &GroupElement,
+        base1: &[u8; 32],
         public1: &GroupElement,
-        base2: &GroupElement,
+        base2: &[u8; 32],
         public2: &GroupElement,
         c1: &[u8; 32],
         c2: &[u8; 32],
     ) -> Scalar {
         let mut t = Transcript::new("xrd/chaum-pedersen-dleq");
         t.append("context", context);
-        t.append("base1", &base1.encode());
+        t.append("base1", base1);
         t.append("public1", &public1.encode());
-        t.append("base2", &base2.encode());
+        t.append("base2", base2);
         t.append("public2", &public2.encode());
         t.append("commitment1", c1);
         t.append("commitment2", c2);
@@ -531,6 +606,50 @@ mod tests {
         // Tamper a single response: the whole batch must reject.
         proofs[5].response = proofs[5].response.add(&Scalar::ONE);
         assert!(!SchnorrProof::batch_verify(&entries(&proofs)));
+    }
+
+    #[test]
+    fn schnorr_batch_verify_folds_shared_bases() {
+        // Six statements on the generator (one folded base term) mixed
+        // with two on their own bases: accepted as a whole, rejected as
+        // soon as any one — folded or not — is tampered with.
+        let mut rng = StdRng::seed_from_u64(35);
+        let g = GroupElement::generator();
+        let mut stmts: Vec<(GroupElement, GroupElement, SchnorrProof)> = (0..8)
+            .map(|i| {
+                let base = if i % 4 == 3 {
+                    GroupElement::random(&mut rng)
+                } else {
+                    g
+                };
+                let x = Scalar::random(&mut rng);
+                let public = base.mul(&x);
+                let proof = SchnorrProof::prove(&mut rng, b"fold", &base, &public, &x);
+                assert!(proof.verify(b"fold", &base, &public));
+                (base, public, proof)
+            })
+            .collect();
+        let entries = |stmts: &[(GroupElement, GroupElement, SchnorrProof)]| {
+            stmts
+                .iter()
+                .map(|(base, public, proof)| SchnorrBatchEntry {
+                    context: b"fold",
+                    base: *base,
+                    public: *public,
+                    proof: *proof,
+                })
+                .collect::<Vec<_>>()
+        };
+        assert!(SchnorrProof::batch_verify(&entries(&stmts)));
+        for victim in [0, 3] {
+            let honest = stmts[victim].2;
+            stmts[victim].2.response = honest.response.add(&Scalar::ONE);
+            assert!(!SchnorrProof::batch_verify(&entries(&stmts)));
+            assert!(!stmts[victim]
+                .2
+                .verify(b"fold", &stmts[victim].0, &stmts[victim].1));
+            stmts[victim].2 = honest;
+        }
     }
 
     #[test]

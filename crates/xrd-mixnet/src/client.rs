@@ -2,10 +2,15 @@
 //!
 //! Two variants:
 //!
-//! * [`seal_ahs`] — the AHS "double envelope" (§6.2): one Diffie-Hellman
-//!   exponent `x` shared across all outer layers (so servers can blind
-//!   and verify aggregates), an inner envelope encrypted to the product
-//!   of the per-round inner keys, and a NIZK proving knowledge of `x`.
+//! * [`seal_ahs`] / [`ChainSealer::seal`] — the AHS "double envelope"
+//!   (§6.2): one Diffie-Hellman exponent `x` shared across all outer
+//!   layers (so servers can blind and verify aggregates), an inner
+//!   envelope encrypted to the product of the per-round inner keys, and
+//!   a NIZK proving knowledge of `x`.  `seal_ahs` seals one message
+//!   against a key bundle with from-scratch ladders; a [`ChainSealer`]
+//!   precomputes fixed-base tables of the bundle's keys and seals any
+//!   number of messages off them.  Both run the same onion routine and
+//!   produce byte-identical submissions from the same RNG stream.
 //! * [`seal_basic`] — the baseline Algorithm 2 onion (fresh DH key per
 //!   layer, no proofs), kept for the protocol ablation and as the
 //!   passive-adversary baseline of §5.
@@ -13,12 +18,14 @@
 //! Both produce fixed-size submissions for a given chain length, which
 //! tests assert (uniform message size is part of the privacy argument).
 
+use std::sync::Arc;
+
 use rand::RngCore;
 
 use xrd_crypto::aead::{aenc, round_nonce};
 use xrd_crypto::kdf;
-use xrd_crypto::nizk::SchnorrProof;
-use xrd_crypto::ristretto::GroupElement;
+use xrd_crypto::nizk::{SchnorrBatchEntry, SchnorrProof};
+use xrd_crypto::ristretto::{FixedGroupTable, GroupElement};
 use xrd_crypto::scalar::Scalar;
 use xrd_crypto::SCHNORR_PROOF_LEN;
 
@@ -52,6 +59,29 @@ impl Submission {
             &GroupElement::generator(),
             &self.dh,
         )
+    }
+
+    /// [`Submission::verify_pok`] for each of `submissions`, as one
+    /// batched check ([`SchnorrProof::batch_verify`]: a single
+    /// multiscalar multiplication, the shared base `g` folded into one
+    /// term).  Only if the batch rejects are the proofs checked one by
+    /// one, so the exact offenders are still identified.
+    pub fn verify_poks(round: u64, submissions: &[Submission]) -> Vec<bool> {
+        let context = submission_context(round);
+        let statements: Vec<SchnorrBatchEntry> = submissions
+            .iter()
+            .map(|sub| SchnorrBatchEntry {
+                context: &context,
+                base: GroupElement::generator(),
+                public: sub.dh,
+                proof: sub.pok,
+            })
+            .collect();
+        if SchnorrProof::batch_verify(&statements) {
+            vec![true; submissions.len()]
+        } else {
+            submissions.iter().map(|s| s.verify_pok(round)).collect()
+        }
     }
 
     /// View as the first hop's mix entry.
@@ -122,20 +152,45 @@ pub(crate) fn inner_key(shared: &GroupElement, round: u64) -> [u8; 32] {
     kdf::derive_from_dh("xrd/inner-envelope", shared, &round.to_le_bytes())
 }
 
-/// AHS onion-encryption (§6.2): seal `msg` for the chain described by
-/// `keys`, for round `round`.
-pub fn seal_ahs<R: RngCore + ?Sized>(
+/// Where the Diffie-Hellman values of an AHS onion come from.  The
+/// onion routine ([`seal_onion`]) is written once over this, so the
+/// one-off path (ladders against a [`ChainPublicKeys`]) and the bulk
+/// path (table lookups in a [`ChainSealer`]) cannot drift.
+trait SealKeys {
+    /// Chain length `k`.
+    fn chain_len(&self) -> usize;
+    /// `(∏ipk)^y`, the inner envelope's shared element.
+    fn inner_shared(&self, y: &Scalar) -> GroupElement;
+    /// `mpk_layer^x`, outer layer `layer`'s shared element.
+    fn layer_shared(&self, layer: usize, x: &Scalar) -> GroupElement;
+}
+
+impl SealKeys for ChainPublicKeys {
+    fn chain_len(&self) -> usize {
+        self.len()
+    }
+    fn inner_shared(&self, y: &Scalar) -> GroupElement {
+        self.aggregate_inner_key().mul(y)
+    }
+    fn layer_shared(&self, layer: usize, x: &Scalar) -> GroupElement {
+        self.mpks[layer].mul(x)
+    }
+}
+
+/// The §6.2 double envelope, generic over where the DH values come
+/// from.  Draws from `rng` in a fixed order (`y`, `x`, the PoK nonce).
+fn seal_onion<R: RngCore + ?Sized>(
     rng: &mut R,
-    keys: &ChainPublicKeys,
+    keys: &impl SealKeys,
     round: u64,
     msg: &MailboxMessage,
 ) -> Submission {
-    let k = keys.len();
+    let k = keys.chain_len();
     assert!(k >= 1, "chain must have at least one server");
 
     // Inner envelope: e = (g^y, AEnc(DH(∏ipk, y), ρ, m)).
     let y = Scalar::random(rng);
-    let shared_inner = keys.aggregate_inner_key().mul(&y);
+    let shared_inner = keys.inner_shared(&y);
     let mut ct = Vec::with_capacity(inner_envelope_len());
     ct.extend_from_slice(&GroupElement::base_mul(&y).encode());
     ct.extend_from_slice(&aenc(
@@ -149,7 +204,7 @@ pub fn seal_ahs<R: RngCore + ?Sized>(
     // Outer layers, innermost (layer k-1) first: a single exponent x.
     let x = Scalar::random(rng);
     for layer in (0..k).rev() {
-        let shared = keys.mpks[layer].mul(&x);
+        let shared = keys.layer_shared(layer, &x);
         ct = aenc(
             &outer_layer_key(&shared, round, layer),
             &round_nonce(round, domain_outer(layer)),
@@ -168,6 +223,98 @@ pub fn seal_ahs<R: RngCore + ?Sized>(
         &x,
     );
     Submission { dh, ct, pok }
+}
+
+/// AHS onion-encryption (§6.2): seal `msg` for the chain described by
+/// `keys`, for round `round`.  One-off: every DH value is a
+/// from-scratch ladder; to seal many messages against the same chain
+/// build a [`ChainSealer`].
+pub fn seal_ahs<R: RngCore + ?Sized>(
+    rng: &mut R,
+    keys: &ChainPublicKeys,
+    round: u64,
+    msg: &MailboxMessage,
+) -> Submission {
+    seal_onion(rng, keys, round, msg)
+}
+
+/// Fixed-base tables of a chain's mixing keys: stable for the epoch,
+/// so shared between the sealers of successive bundles.
+struct MixTables {
+    mpks: Vec<GroupElement>,
+    tables: Vec<FixedGroupTable>,
+}
+
+impl MixTables {
+    fn new(mpks: &[GroupElement]) -> MixTables {
+        MixTables {
+            mpks: mpks.to_vec(),
+            tables: mpks.iter().map(FixedGroupTable::new).collect(),
+        }
+    }
+}
+
+/// Bulk sealing against one chain's key bundle: `k` fixed-base tables
+/// of the mixing keys plus one of the aggregate inner key (~24 KB and
+/// about three ladders each to build), after which every seal's `k + 1`
+/// variable-base exponentiations are table lookups.  Pays for itself
+/// after a handful of seals; [`seal_ahs`] is the one-off form.
+///
+/// The tables are plain data derived from public keys and live only as
+/// long as the sealer — nothing is cached in [`ChainPublicKeys`], so
+/// there is nothing to invalidate when keys rotate.
+pub struct ChainSealer {
+    mix: Arc<MixTables>,
+    inner: FixedGroupTable,
+}
+
+impl ChainSealer {
+    /// Precompute the tables for `keys`.
+    pub fn new(keys: &ChainPublicKeys) -> ChainSealer {
+        ChainSealer {
+            mix: Arc::new(MixTables::new(&keys.mpks)),
+            inner: FixedGroupTable::new(&keys.aggregate_inner_key()),
+        }
+    }
+
+    /// A sealer for another bundle of the same chain — the next round's
+    /// pre-published inner keys, which §5.3.3 covers are sealed against.
+    /// Inner keys rotate every round but mixing keys are epoch-stable,
+    /// so the `k` mixing-key tables are shared and only the aggregate
+    /// inner-key table is built.  (A bundle whose mixing keys differ
+    /// gets fresh tables.)
+    pub fn for_bundle(&self, keys: &ChainPublicKeys) -> ChainSealer {
+        if keys.mpks != self.mix.mpks {
+            return ChainSealer::new(keys);
+        }
+        ChainSealer {
+            mix: Arc::clone(&self.mix),
+            inner: FixedGroupTable::new(&keys.aggregate_inner_key()),
+        }
+    }
+
+    /// Seal `msg` for `round`: the submission [`seal_ahs`] returns for
+    /// the same bundle and RNG stream, byte for byte.
+    pub fn seal<R: RngCore + ?Sized>(
+        &self,
+        rng: &mut R,
+        round: u64,
+        msg: &MailboxMessage,
+    ) -> Submission {
+        seal_onion(rng, self, round, msg)
+    }
+}
+
+impl SealKeys for ChainSealer {
+    fn chain_len(&self) -> usize {
+        self.mix.tables.len()
+    }
+    fn inner_shared(&self, y: &Scalar) -> GroupElement {
+        self.inner.mul(y)
+    }
+    fn layer_shared(&self, layer: usize, x: &Scalar) -> GroupElement {
+        self.mix.tables[layer].mul(x)
+    }
 }
 
 /// Baseline Algorithm 2 onion: fresh DH key per layer, mixing keys are
@@ -201,7 +348,7 @@ pub fn basic_onion_len(k: usize) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::chain_keys::generate_chain_keys;
+    use crate::chain_keys::{generate_chain_keys, ServerSecrets};
     use crate::message::{MAILBOX_MSG_LEN, PAYLOAD_LEN};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -237,42 +384,107 @@ mod tests {
         assert!(!s.verify_pok(8));
     }
 
-    #[test]
-    fn manual_peel_recovers_message() {
-        // Peel the onion the way servers will: layer keys from mpk_i^x
-        // (user side equals X_i^{msk_i} — checked in server tests).
-        let mut rng = StdRng::seed_from_u64(3);
-        let k = 3;
-        let (secrets, keys) = generate_chain_keys(&mut rng, k, 5);
-        let msg = test_msg();
-        let s = seal_ahs(&mut rng, &keys, 5, &msg);
-
-        let mut ct = s.ct.clone();
-        let mut x_i = s.dh;
-        for layer in 0..k {
-            let shared = x_i.mul(&secrets[layer].msk);
-            let key = outer_layer_key(&shared, 5, layer);
-            ct = xrd_crypto::adec(&key, &round_nonce(5, domain_outer(layer)), b"", &ct)
+    /// Peel `sub` the way the servers will: layer keys from
+    /// `X_i^{msk_i}` (equal to the user's `mpk_i^x` by the AHS algebra),
+    /// blinding between hops, then the inner envelope under the summed
+    /// inner secrets.
+    fn peel(secrets: &[ServerSecrets], sub: &Submission, round: u64) -> MailboxMessage {
+        let mut ct = sub.ct.clone();
+        let mut x_i = sub.dh;
+        for (layer, secret) in secrets.iter().enumerate() {
+            let shared = x_i.mul(&secret.msk);
+            let key = outer_layer_key(&shared, round, layer);
+            ct = xrd_crypto::adec(&key, &round_nonce(round, domain_outer(layer)), b"", &ct)
                 .expect("layer must decrypt");
-            x_i = x_i.mul(&secrets[layer].bsk);
+            x_i = x_i.mul(&secret.bsk);
         }
-        // Inner envelope.
         let mut gy = [0u8; 32];
         gy.copy_from_slice(&ct[..32]);
         let gy = GroupElement::decode(&gy).unwrap();
-        let isk_sum = secrets
-            .iter()
-            .fold(xrd_crypto::Scalar::ZERO, |a, s| a.add(&s.isk));
-        let shared = gy.mul(&isk_sum);
+        let isk_sum = secrets.iter().fold(Scalar::ZERO, |a, s| a.add(&s.isk));
         let inner = xrd_crypto::adec(
-            &inner_key(&shared, 5),
-            &round_nonce(5, DOMAIN_INNER),
+            &inner_key(&gy.mul(&isk_sum), round),
+            &round_nonce(round, DOMAIN_INNER),
             b"",
             &ct[32..],
         )
         .expect("inner must decrypt");
-        assert_eq!(MailboxMessage::from_bytes(&inner).unwrap(), msg);
         assert_eq!(inner.len(), MAILBOX_MSG_LEN);
+        MailboxMessage::from_bytes(&inner).unwrap()
+    }
+
+    #[test]
+    fn manual_peel_recovers_message() {
+        let mut rng = StdRng::seed_from_u64(3);
+        let (secrets, keys) = generate_chain_keys(&mut rng, 3, 5);
+        let msg = test_msg();
+        let s = seal_ahs(&mut rng, &keys, 5, &msg);
+        assert_eq!(peel(&secrets, &s, 5), msg);
+    }
+
+    #[test]
+    fn sealer_and_one_off_seal_are_byte_identical() {
+        // Same RNG stream in, same submission out — tables or ladders.
+        for k in [1usize, 2, 3, 8] {
+            let mut rng = StdRng::seed_from_u64(40 + k as u64);
+            let (_, keys) = generate_chain_keys(&mut rng, k, 2);
+            let sealer = ChainSealer::new(&keys);
+            for round in [2u64, 3] {
+                let mut rng_a = StdRng::seed_from_u64(round);
+                let mut rng_b = StdRng::seed_from_u64(round);
+                for _ in 0..3 {
+                    let one_off = seal_ahs(&mut rng_a, &keys, round, &test_msg());
+                    let bulk = sealer.seal(&mut rng_b, round, &test_msg());
+                    assert_eq!(bulk, one_off, "k={k}");
+                    assert_eq!(bulk.to_bytes(), one_off.to_bytes());
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn sealer_follows_an_inner_key_rotation() {
+        // The next round's bundle shares the mixing-key tables and gets
+        // its own inner-key table: what it seals opens under the rotated
+        // secrets (and not the old ones' inner key).
+        let mut rng = StdRng::seed_from_u64(44);
+        let (mut secrets, mut keys) = generate_chain_keys(&mut rng, 3, 0);
+        let sealer = ChainSealer::new(&keys);
+        crate::chain_keys::rotate_inner_keys(&mut rng, &mut secrets, &mut keys, 1);
+        let rotated = sealer.for_bundle(&keys);
+        assert!(Arc::ptr_eq(&sealer.mix, &rotated.mix));
+        let msg = test_msg();
+        let sub = rotated.seal(&mut rng, 1, &msg);
+        assert_eq!(peel(&secrets, &sub, 1), msg);
+        let mut replay = StdRng::seed_from_u64(9);
+        let expected = seal_ahs(&mut replay, &keys, 1, &msg);
+        let mut replay = StdRng::seed_from_u64(9);
+        assert_eq!(rotated.seal(&mut replay, 1, &msg), expected);
+        let mut replay = StdRng::seed_from_u64(9);
+        assert_ne!(sealer.seal(&mut replay, 1, &msg).ct, expected.ct);
+
+        // A bundle with other mixing keys gets tables of its own.
+        let (other_secrets, other_keys) = generate_chain_keys(&mut rng, 3, 0);
+        let other = sealer.for_bundle(&other_keys);
+        assert!(!Arc::ptr_eq(&sealer.mix, &other.mix));
+        let sub = other.seal(&mut rng, 0, &msg);
+        assert_eq!(peel(&other_secrets, &sub, 0), msg);
+    }
+
+    #[test]
+    fn batched_pok_check_matches_individual_checks() {
+        let mut rng = StdRng::seed_from_u64(45);
+        let (_, keys) = generate_chain_keys(&mut rng, 2, 0);
+        let mut subs: Vec<Submission> = (0..6)
+            .map(|_| seal_ahs(&mut rng, &keys, 7, &test_msg()))
+            .collect();
+        assert_eq!(Submission::verify_poks(7, &subs), vec![true; 6]);
+        assert_eq!(Submission::verify_poks(8, &subs), vec![false; 6]);
+        subs[4].pok = seal_ahs(&mut rng, &keys, 8, &test_msg()).pok;
+        let expected: Vec<bool> = subs.iter().map(|s| s.verify_pok(7)).collect();
+        assert_eq!(expected, [true, true, true, true, false, true]);
+        assert_eq!(Submission::verify_poks(7, &subs), expected);
+        assert!(Submission::verify_poks(7, &[]).is_empty());
     }
 
     #[test]

@@ -18,6 +18,8 @@
 //!   (§6.4);
 //! * [`runner`] — a faithful in-process executor for one chain round,
 //!   including blame-and-retry;
+//! * [`par`] — the one fan-out helper every data-parallel phase of a
+//!   round runs on;
 //! * [`basic`] — the unverified baseline mixer, kept for ablations and
 //!   attack demonstrations.
 
@@ -30,6 +32,7 @@ pub mod blame;
 pub mod chain_keys;
 pub mod client;
 pub mod message;
+pub mod par;
 pub mod runner;
 pub mod server;
 pub mod testutil;
@@ -39,7 +42,7 @@ pub use chain_keys::{
     apply_rotation_shares, generate_chain_keys, rotation_share, ChainPublicKeys, RotationShare,
     ServerKeyProofs, ServerSecrets,
 };
-pub use client::{seal_ahs, seal_basic, Submission};
+pub use client::{seal_ahs, seal_basic, ChainSealer, Submission};
 pub use message::{MailboxMessage, MixEntry, MAILBOX_MSG_LEN, PAYLOAD_LEN};
 pub use runner::{ChainRoundOutcome, ChainRoundStats, ChainRunner};
 pub use server::{

@@ -1,0 +1,204 @@
+//! The one fan-out helper behind every data-parallel phase of a round:
+//! bulk sealing at the users' edge ([`map_chunks`]) and, on batches big
+//! enough to be worth a second core, the per-entry phases of a chain —
+//! PoK screening, the decrypt-and-blind kernel, envelope opening
+//! ([`map_entries`]).
+//!
+//! Work is handed out in **dynamic chunks**: workers pull the next
+//! chunk index off a shared cursor until none is left, so a core that
+//! is slow or briefly taken away (a stolen vCPU) simply pulls fewer
+//! chunks and the phase degrades towards serial speed — a static
+//! half-and-half split would instead wait on the slow half.  Results
+//! come back in input order whatever the schedule was, so a phase's
+//! output never depends on the worker count.
+
+use std::cell::Cell;
+use std::sync::atomic::{AtomicUsize, Ordering};
+
+thread_local! {
+    /// Worker count forced by [`with_workers`] on this thread.
+    static FORCED_WORKERS: Cell<Option<usize>> = const { Cell::new(None) };
+}
+
+/// Entries (or submissions) per worker chunk of a chain's per-entry
+/// phases.  One entry costs 15-60µs of public-key work depending on the
+/// phase, so a chunk carries 0.5-2ms against a hand-out cost of one
+/// atomic increment.  It is also the unit the phases batch over: one
+/// shared table inversion per chunk in the hop kernel
+/// (`GroupTable::batch_new`'s break-even), one batched Schnorr check per
+/// chunk in PoK screening.
+pub const ENTRY_CHUNK: usize = 32;
+
+/// Batches below this many entries run their per-entry phases on the
+/// calling thread ([`map_entries`]).
+///
+/// A phase over a few hundred entries lasts a few milliseconds: a
+/// second core can save half of very little, and what it saves comes
+/// and goes with that core.  On the two-vCPU reference box, which yields
+/// 1.5 to 1.9 effective cores from one run to the next, fanning out the
+/// thirty such phases of an in-process round (192 entries per chain)
+/// spread `msgs_per_s` 453 1/s between the quartiles of eight runs,
+/// against 101 with only sealing fanned out — wider than the benchmark
+/// lets a change's runs spread — and over loopback TCP, where the
+/// daemons fill both cores anyway, it changed nothing.  At a thousand
+/// entries a phase is tens of milliseconds and worth halving.
+/// (`docs/ARCHITECTURE.md`, *Threading inside a round*, has the runs.)
+const FAN_OUT_MIN_ENTRIES: usize = 1024;
+
+/// Run `f` with every fan-out made *from this thread* using exactly
+/// `workers` workers — instead of one per available core, and whatever
+/// the batch size.  For tests that pin down worker-count invariance;
+/// deployments never call this.
+#[doc(hidden)]
+pub fn with_workers<T>(workers: usize, f: impl FnOnce() -> T) -> T {
+    struct Restore(Option<usize>);
+    impl Drop for Restore {
+        fn drop(&mut self) {
+            FORCED_WORKERS.set(self.0);
+        }
+    }
+    let _restore = Restore(FORCED_WORKERS.replace(Some(workers.max(1))));
+    f()
+}
+
+/// Map `f` over consecutive `chunk`-sized slices of `items` and
+/// concatenate the results in input order.  Runs on the calling thread
+/// plus up to `available_parallelism - 1` scoped threads (none at all
+/// when there is a single chunk or a single core); `f` sees the same
+/// slices either way.
+pub fn map_chunks<T: Sync, U: Send>(
+    items: &[T],
+    chunk: usize,
+    f: impl Fn(&[T]) -> Vec<U> + Sync,
+) -> Vec<U> {
+    assert!(chunk > 0, "chunk size must be positive");
+    let n_chunks = items.len().div_ceil(chunk);
+    let workers = FORCED_WORKERS
+        .get()
+        .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
+        .min(n_chunks);
+    if workers <= 1 {
+        return items.chunks(chunk).flat_map(f).collect();
+    }
+
+    // Relaxed suffices: the cursor only hands out indices; the slices
+    // are borrowed immutably and results travel back through `join`.
+    let cursor = AtomicUsize::new(0);
+    let work = || {
+        let mut done: Vec<(usize, Vec<U>)> = Vec::new();
+        loop {
+            let i = cursor.fetch_add(1, Ordering::Relaxed);
+            if i >= n_chunks {
+                return done;
+            }
+            let start = i * chunk;
+            let end = (start + chunk).min(items.len());
+            done.push((i, f(&items[start..end])));
+        }
+    };
+    let mut parts = std::thread::scope(|scope| {
+        let handles: Vec<_> = (1..workers).map(|_| scope.spawn(work)).collect();
+        let mut parts = work();
+        for handle in handles {
+            parts.extend(handle.join().expect("fan-out worker panicked"));
+        }
+        parts
+    });
+    parts.sort_unstable_by_key(|(i, _)| *i);
+    parts.into_iter().flat_map(|(_, part)| part).collect()
+}
+
+/// [`map_chunks`] over [`ENTRY_CHUNK`]-sized chunks for the per-entry
+/// phases of a chain round, which fan out only from
+/// `FAN_OUT_MIN_ENTRIES` entries up; `f` sees the same chunks either
+/// way.
+pub fn map_entries<T: Sync, U: Send>(entries: &[T], f: impl Fn(&[T]) -> Vec<U> + Sync) -> Vec<U> {
+    if entries.len() < FAN_OUT_MIN_ENTRIES && FORCED_WORKERS.get().is_none() {
+        return entries.chunks(ENTRY_CHUNK).flat_map(f).collect();
+    }
+    map_chunks(entries, ENTRY_CHUNK, f)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::sync::Barrier;
+
+    #[test]
+    fn results_are_in_input_order_for_any_worker_count() {
+        let items: Vec<u32> = (0..1000).collect();
+        let expected: Vec<u32> = items.iter().map(|x| x * 3).collect();
+        for workers in [1, 2, 4, 7] {
+            for chunk in [1, 7, 64, 1000, 5000] {
+                let got = with_workers(workers, || {
+                    map_chunks(&items, chunk, |c| c.iter().map(|x| x * 3).collect())
+                });
+                assert_eq!(got, expected, "workers={workers} chunk={chunk}");
+            }
+        }
+        assert!(map_chunks(&[] as &[u32], 8, |c| c.to_vec()).is_empty());
+    }
+
+    #[test]
+    fn chunks_really_run_on_several_threads() {
+        // Two chunks, two workers, and a barrier only two distinct
+        // threads can pass: a serial execution would deadlock here.
+        let barrier = Barrier::new(2);
+        let got = with_workers(2, || {
+            map_chunks(&[1u8, 2], 1, |c| {
+                barrier.wait();
+                c.to_vec()
+            })
+        });
+        assert_eq!(got, vec![1, 2]);
+    }
+
+    #[test]
+    fn small_batches_stay_on_the_calling_thread_unless_forced() {
+        let caller = std::thread::current().id();
+        let items: Vec<u32> = (0..(3 * ENTRY_CHUNK as u32 + 5)).collect();
+        let got = map_entries(&items, |c| {
+            assert_eq!(std::thread::current().id(), caller);
+            assert!(c.len() <= ENTRY_CHUNK);
+            c.to_vec()
+        });
+        assert_eq!(got, items);
+
+        // Forced, the same batch does fan out: only two distinct
+        // threads can pass the barrier its first two chunks wait on.
+        let barrier = Barrier::new(2);
+        let got = with_workers(2, || {
+            map_entries(&items, |c| {
+                if c[0] < 2 * ENTRY_CHUNK as u32 {
+                    barrier.wait();
+                }
+                c.to_vec()
+            })
+        });
+        assert_eq!(got, items);
+    }
+
+    #[test]
+    fn forced_worker_count_is_scoped_to_the_call() {
+        with_workers(3, || assert_eq!(FORCED_WORKERS.get(), Some(3)));
+        assert_eq!(FORCED_WORKERS.get(), None);
+    }
+
+    #[test]
+    fn one_slow_chunk_does_not_hold_back_the_rest() {
+        // Worker A blocks inside chunk 0 until chunk 7 (the last) has
+        // been handed out — which only happens if the other worker keeps
+        // pulling chunks meanwhile (a static split would leave chunks
+        // 1-3 to A and never finish).
+        let last_started = Barrier::new(2);
+        let got = with_workers(2, || {
+            map_chunks(&(0..8).collect::<Vec<u32>>(), 1, |c| {
+                if c[0] == 0 || c[0] == 7 {
+                    last_started.wait();
+                }
+                c.to_vec()
+            })
+        });
+        assert_eq!(got, (0..8).collect::<Vec<u32>>());
+    }
+}

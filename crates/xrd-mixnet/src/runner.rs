@@ -17,6 +17,7 @@ use crate::blame::{run_blame, BlameVerdict};
 use crate::chain_keys::{generate_chain_keys, ChainPublicKeys, ServerSecrets};
 use crate::client::Submission;
 use crate::message::{MailboxMessage, MixEntry};
+use crate::par;
 use crate::server::{input_digest, open_batch, verify_hop, verify_inner_key, MixError, MixServer};
 
 /// Statistics from one chain-round execution.
@@ -163,10 +164,13 @@ impl ChainRunner {
         let mut misbehaving_servers = Vec::new();
 
         // Submission screening: verify each PoK (§6.2 step 2); a bad
-        // proof identifies the submitter immediately (§6.4).
+        // proof identifies the submitter immediately (§6.4).  Batched
+        // per chunk; a chunk holding a bad proof falls back to
+        // per-proof checks, so exactly the offenders are rejected.
+        let pok_ok = par::map_entries(submissions, |chunk| Submission::verify_poks(round, chunk));
         let mut active: Vec<usize> = Vec::with_capacity(submissions.len());
-        for (i, sub) in submissions.iter().enumerate() {
-            if sub.verify_pok(round) {
+        for (i, ok) in pok_ok.into_iter().enumerate() {
+            if ok {
                 active.push(i);
             } else {
                 stats.rejected_pok += 1;
@@ -220,7 +224,8 @@ impl ChainRunner {
                         // A malicious *server* was caught: the protocol
                         // halts with no privacy loss; nothing is
                         // delivered this round (§6.4: servers delete
-                        // their inner keys).
+                        // their inner keys).  The servers keep their
+                        // hop state: it is the evidence.
                         return ChainRoundOutcome {
                             delivered: Vec::new(),
                             malicious_users,
@@ -249,10 +254,17 @@ impl ChainRunner {
                 "inner key reveal must verify"
             );
         }
-        let delivered = open_batch(&inner_keys, round, &delivered_entries)
-            .into_iter()
-            .flatten()
-            .collect();
+        // The keys are out, so blame can no longer run for this round:
+        // release the per-hop copies of the batch it would have traced.
+        for server in &mut self.servers {
+            server.clear_state();
+        }
+        let delivered = par::map_entries(&delivered_entries, |chunk| {
+            open_batch(&inner_keys, round, chunk)
+        })
+        .into_iter()
+        .flatten()
+        .collect();
 
         ChainRoundOutcome {
             delivered,
@@ -367,6 +379,67 @@ mod tests {
         // The others still go through... note user 1's onion was built
         // for round 99 so even its ct would fail; it never enters.
         assert_eq!(outcome.delivered.len(), 3);
+    }
+
+    #[test]
+    fn one_bad_pok_among_many_is_the_only_rejection() {
+        // Screening is batched per worker chunk; the chunk holding the
+        // bad proof falls back to per-proof checks, so exactly that
+        // submitter is rejected — wherever in the batch it sits.
+        use rand::Rng;
+        let mut rng = StdRng::seed_from_u64(20);
+        let round = 4;
+        let n = 200;
+        let mut chain = ChainRunner::new(&mut rng, 1, round);
+        let honest: Vec<Submission> = (0..n)
+            .map(|i| seal_ahs(&mut rng, chain.public(), round, &msg(i as u8)))
+            .collect();
+        for workers in [1, 3] {
+            let bad = rng.gen_range(0..n);
+            let mut subs = honest.clone();
+            // A well-formed proof of the right statement for the wrong
+            // round.
+            subs[bad].pok = seal_ahs(&mut rng, chain.public(), round + 1, &msg(0)).pok;
+            let outcome = par::with_workers(workers, || chain.run_round(&mut rng, round, &subs));
+            assert_eq!(outcome.malicious_users, vec![bad], "workers={workers}");
+            assert_eq!(outcome.stats.rejected_pok, 1);
+            assert_eq!(outcome.stats.blame_rounds, 0);
+            assert_eq!(outcome.delivered.len(), n - 1);
+        }
+    }
+
+    #[test]
+    fn hop_state_is_dropped_after_a_clean_round_and_kept_as_evidence() {
+        let mut rng = StdRng::seed_from_u64(21);
+        let (mut secrets, public) = generate_chain_keys(&mut rng, 2, 0);
+        let subs: Vec<Submission> = (0..4)
+            .map(|i| seal_ahs(&mut rng, &public, 0, &msg(i)))
+            .collect();
+
+        // Clean round (including one blame-and-retry on the way): once
+        // the inner keys are out nothing is retained.
+        let mut chain = ChainRunner::from_parts(secrets.clone(), public.clone());
+        let mut with_garbage = subs.clone();
+        with_garbage[2].ct[7] ^= 1;
+        let outcome = chain.run_round(&mut rng, 0, &with_garbage);
+        assert_eq!(outcome.malicious_users, vec![2]);
+        assert_eq!(outcome.delivered.len(), 3);
+        assert!(chain.servers_mut().iter().all(|s| s.state().is_none()));
+
+        // Server 1 mixes with a key that is not the one it published:
+        // every entry fails at its hop, blame convicts it, the round
+        // halts — and every server still holds what it saw.
+        secrets[1].msk = Scalar::random(&mut rng);
+        let mut chain = ChainRunner::from_parts(secrets, public);
+        let outcome = chain.run_round(&mut rng, 0, &subs);
+        assert!(!outcome.misbehaving_servers.is_empty());
+        assert!(outcome.misbehaving_servers.iter().all(|&p| p == 1));
+        assert!(outcome.delivered.is_empty());
+        assert!(outcome.malicious_users.is_empty());
+        for server in chain.servers_mut().iter() {
+            let state = server.state().expect("evidence retained");
+            assert_eq!(state.inputs.len(), subs.len());
+        }
     }
 
     #[test]

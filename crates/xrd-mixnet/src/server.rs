@@ -69,18 +69,6 @@ pub struct MixServer {
     state: Option<HopState>,
 }
 
-/// Batches below this size are decrypted serially — thread spawn/join
-/// overhead (~tens of µs) dwarfs per-entry cost only for tiny batches.
-/// Retuned for the 4×64 field backend: one entry now costs ~45-50µs
-/// (interleaved two-scalar ladders off one batched table; was ~60-70µs
-/// on the 5×51 field), so the fixed spawn cost amortizes later again —
-/// at 32 entries a worker chunk still carries >150µs of work even
-/// split eight ways, keeping the spawn overhead under a few percent.
-/// (Also the break-even of `GroupTable::batch_new`'s shared inversion:
-/// below this size the serial path batches the whole run in one call
-/// anyway.)
-const PARALLEL_HOP_THRESHOLD: usize = 32;
-
 /// Hop-kernel metric handles, resolved once per process (the kernels
 /// are cloned into worker threads per chunk; a registry lookup per
 /// chunk would serialize them on the registry mutex).
@@ -186,29 +174,13 @@ impl ChunkKernel {
         slots
     }
 
-    /// [`ChunkKernel::process`] fanned out across scoped OS threads for
-    /// large batches (the per-entry work is embarrassingly parallel —
-    /// two scalar multiplications plus one AEAD open, no shared
-    /// state).  Small batches run serially: thread spawn/join overhead
-    /// dwarfs per-entry cost only below `PARALLEL_HOP_THRESHOLD`.
+    /// [`ChunkKernel::process`] chunk by chunk through
+    /// [`crate::par::map_entries`]: large batches are handed out across
+    /// the cores (the per-entry work is embarrassingly parallel — two
+    /// scalar multiplications plus one AEAD open, no shared state),
+    /// small ones run on the calling thread.
     pub fn process_parallel(&self, entries: &[MixEntry]) -> Vec<Option<MixEntry>> {
-        let n_workers = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
-        if entries.len() < PARALLEL_HOP_THRESHOLD || n_workers == 1 {
-            return self.process(entries);
-        }
-        let chunk = entries.len().div_ceil(n_workers);
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = entries
-                .chunks(chunk)
-                .map(|entries| scope.spawn(move || self.process(entries)))
-                .collect();
-            handles
-                .into_iter()
-                .flat_map(|h| h.join().expect("hop worker panicked"))
-                .collect()
-        })
+        crate::par::map_entries(entries, |chunk| self.process(chunk))
     }
 }
 
@@ -245,6 +217,14 @@ impl MixServer {
         self.state.as_mut()
     }
 
+    /// Drop the retained hop state.  Called once the chain's round has
+    /// concluded cleanly and the inner keys are revealed: from then on
+    /// the §6.4 blame protocol can no longer run for the round, and the
+    /// state pins a copy of every input onion.
+    pub fn clear_state(&mut self) {
+        self.state = None;
+    }
+
     /// This server's secrets (used by the blame-protocol implementation
     /// in this crate).
     pub(crate) fn secrets(&self) -> &ServerSecrets {
@@ -270,8 +250,9 @@ impl MixServer {
     ///
     /// The per-entry decrypt+blind work is embarrassingly parallel (two
     /// scalar multiplications plus one AEAD open per entry, no shared
-    /// state), so large batches are chunked across scoped OS threads —
-    /// the in-process analogue of a real server's worker cores.
+    /// state), so batches are chunked across the cores
+    /// ([`ChunkKernel::process_parallel`]) — the in-process analogue of
+    /// a real server's worker cores.
     pub fn process_round<R: RngCore + ?Sized>(
         &mut self,
         rng: &mut R,
@@ -717,13 +698,13 @@ mod tests {
 
     #[test]
     fn parallel_hop_preserves_order_and_failure_indices() {
-        // A batch large enough to cross PARALLEL_HOP_THRESHOLD, with
-        // corrupted entries scattered across worker chunks: the failure
-        // indices must come back exactly and in input order.
+        // A batch of several worker chunks fanned out over three
+        // workers, with corrupted entries scattered across them: the
+        // failure indices must come back exactly and in input order.
         let mut rng = StdRng::seed_from_u64(40);
         let round = 6;
         let (secrets, public) = generate_chain_keys(&mut rng, 1, round);
-        let n = 4 * super::PARALLEL_HOP_THRESHOLD;
+        let n = 4 * crate::par::ENTRY_CHUNK;
         let mut subs: Vec<Submission> = (0..n)
             .map(|i| seal_ahs(&mut rng, &public, round, &msg(i as u8)))
             .collect();
@@ -733,7 +714,9 @@ mod tests {
         }
         let mut server = MixServer::new(secrets.into_iter().next().unwrap(), public);
         let entries: Vec<MixEntry> = subs.iter().map(|s| s.to_entry()).collect();
-        match server.process_round(&mut rng, round, entries) {
+        let outcome =
+            crate::par::with_workers(3, || server.process_round(&mut rng, round, entries));
+        match outcome {
             Err(MixError::DecryptFailure(idx)) => assert_eq!(idx, bad),
             other => panic!("expected decrypt failure, got {other:?}"),
         }
@@ -747,7 +730,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(41);
         let round = 1;
         let (secrets, public) = generate_chain_keys(&mut rng, 1, round);
-        let n = 3 * super::PARALLEL_HOP_THRESHOLD;
+        let n = 3 * crate::par::ENTRY_CHUNK;
         let subs: Vec<Submission> = (0..n)
             .map(|i| seal_ahs(&mut rng, &public, round, &msg(i as u8)))
             .collect();
@@ -758,10 +741,12 @@ mod tests {
             .chunks(5) // deliberately different chunking than the workers
             .flat_map(|chunk| kernel.process(chunk))
             .collect();
-        // Re-run through process_round (parallel for this size) and undo
-        // the shuffle via the recorded permutation.
+        // Re-run through process_round, fanned out over two workers,
+        // and undo the shuffle via the recorded permutation.
         let mut server2 = server;
-        let result = server2.process_round(&mut rng, round, entries).unwrap();
+        let result =
+            crate::par::with_workers(2, || server2.process_round(&mut rng, round, entries))
+                .unwrap();
         let state = server2.state().unwrap();
         let mut unshuffled: Vec<Option<MixEntry>> = vec![None; n];
         for (o, out) in result.outputs.iter().enumerate() {
