@@ -10,7 +10,7 @@ use rand::SeedableRng;
 use xrd_core::{Deployment, DeploymentConfig, User};
 use xrd_mixnet::chain_keys::{generate_chain_keys, rotate_inner_keys};
 use xrd_net::swarm::sealed_submissions;
-use xrd_net::{launch_local, submit_storm, ChainClient, MixServerDaemon, StormConfig, Transport};
+use xrd_net::{launch_local, submit_storm, ChainClient, MixServerDaemon, StormConfig};
 
 fn bench_networked_round(c: &mut Criterion) {
     let mut group = c.benchmark_group("net_round");
@@ -96,14 +96,13 @@ fn bench_submit_storm(c: &mut Criterion) {
     }
 }
 
-/// The streamed-pipeline probe: one k=3 chain (three mix daemons on
+/// The hop-pipeline probe: one k=3 chain (three mix daemons on
 /// loopback), one agreed batch, the complete mix phase — k hops,
 /// cross-server verification, the coordinator's batched audit,
-/// inner-key reveal and envelope opening — whole-batch versus
-/// streamed.  The whole-batch path transfers, computes and
-/// cross-verifies each hop serially; the streamed path forwards output
-/// chunks to the next hop as they arrive, starts hop crypto on arrived
-/// chunks, and cross-verifies keys-only at end of chain.
+/// inner-key reveal and envelope opening.  The coordinator forwards
+/// output chunks to the next hop as they arrive, daemons start hop
+/// crypto on arrived chunks, and cross-verification runs keys-only at
+/// end of chain.
 fn bench_hop_pipeline(c: &mut Criterion) {
     let mut group = c.benchmark_group("hop_pipeline");
     group.sample_size(10);
@@ -124,23 +123,16 @@ fn bench_hop_pipeline(c: &mut Criterion) {
     let addrs: Vec<_> = daemons.iter().map(|d| d.addr()).collect();
     let submissions = sealed_submissions(&mut rng, &public, round, N);
 
-    for (label, transport) in [
-        ("whole_batch", Transport::Whole),
-        ("streamed", Transport::Streamed { chunk: 64 }),
-    ] {
-        group.bench_function(BenchmarkId::new(label, N), |b| {
-            let mut chain =
-                ChainClient::connect(&addrs, public.clone()).expect("coordinator connects");
-            chain.set_transport(transport);
-            b.iter(|| {
-                let outcome = chain
-                    .mix_round(round, &submissions)
-                    .expect("mix round runs");
-                assert_eq!(outcome.delivered.len(), N);
-                outcome
-            });
+    group.bench_function(BenchmarkId::new("streamed", N), |b| {
+        let mut chain = ChainClient::connect(&addrs, public.clone()).expect("coordinator connects");
+        b.iter(|| {
+            let outcome = chain
+                .mix_round(round, &submissions)
+                .expect("mix round runs");
+            assert_eq!(outcome.delivered.len(), N);
+            outcome
         });
-    }
+    });
     group.finish();
     drop(daemons);
 }

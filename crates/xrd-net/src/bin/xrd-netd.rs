@@ -924,7 +924,6 @@ fn scale(args: &[String]) -> ExitCode {
         n_users,
         rounds,
         conversing_fraction: 0.5,
-        submit_workers: 8,
     };
     deployment.set_transport(Transport::Forwarded { chunk: 64 });
     let forwarded = match run_swarm(&mut rng, &mut deployment, &config) {

@@ -112,10 +112,11 @@ const TAG_CLOSE_SUBMISSIONS: u8 = 0x12;
 const TAG_BATCH_DIGEST: u8 = 0x13;
 const TAG_GET_BATCH: u8 = 0x14;
 const TAG_SUBMISSION_BATCH: u8 = 0x15;
-const TAG_MIX_BATCH: u8 = 0x20;
-const TAG_HOP_OUTPUT: u8 = 0x21;
+// 0x20 (MixBatch), 0x21 (HopOutput) and 0x23 (VerifyHop) carried the
+// monolithic-frame hop and are retired (a whole batch is a one-chunk
+// stream); the tags stay reserved so a stale peer gets a clean
+// UnknownTag instead of a misparse.
 const TAG_HOP_FAILURE: u8 = 0x22;
-const TAG_VERIFY_HOP: u8 = 0x23;
 const TAG_VERIFY_RESULT: u8 = 0x24;
 const TAG_MIX_BATCH_START: u8 = 0x25;
 const TAG_MIX_BATCH_CHUNK: u8 = 0x26;
@@ -257,25 +258,6 @@ pub enum Frame {
         submissions: Vec<Submission>,
     },
 
-    /// Run one AHS hop on a batch (coordinator → mix; answered with
-    /// [`Frame::HopOutput`] or [`Frame::HopFailure`]).
-    MixBatch {
-        /// Round number.
-        round: u64,
-        /// Entries to decrypt, blind and shuffle.
-        entries: Vec<MixEntry>,
-    },
-    /// A completed hop: shuffled outputs plus the aggregate proof.
-    HopOutput {
-        /// Round number.
-        round: u64,
-        /// The prover's hop position.
-        position: u32,
-        /// Shuffled, decrypted, blinded entries.
-        outputs: Vec<MixEntry>,
-        /// Aggregate blinding attestation (§6.3 step 3).
-        proof: DleqProof,
-    },
     /// A hop halted on authentication failures (blame follows).
     HopFailure {
         /// Round number.
@@ -285,27 +267,13 @@ pub enum Frame {
         /// Failing indices into the hop's input batch.
         failed: Vec<u64>,
     },
-    /// Ask a server to verify another server's hop attestation
-    /// (coordinator → mix; answered with [`Frame::VerifyResult`]).
-    VerifyHop {
-        /// Round number.
-        round: u64,
-        /// The *prover's* position.
-        position: u32,
-        /// The prover's inputs.
-        inputs: Vec<MixEntry>,
-        /// The prover's outputs.
-        outputs: Vec<MixEntry>,
-        /// The aggregate proof to check.
-        proof: DleqProof,
-    },
-    /// The verdict of a [`Frame::VerifyHop`] request.
+    /// The verdict of a [`Frame::VerifyHopKeys`] request.
     VerifyResult {
         /// Whether the attestation verified.
         ok: bool,
     },
 
-    /// Open a *streamed* hop: the batch for `round` will arrive as
+    /// Open a hop: the batch for `round` will arrive as
     /// [`Frame::MixBatchChunk`]s totalling `total` entries, closed by
     /// [`Frame::MixBatchEnd`] (coordinator → mix).  The daemon starts
     /// hop crypto on each chunk as it lands, while later chunks are
@@ -357,11 +325,12 @@ pub enum Frame {
         /// Aggregate blinding attestation (§6.3 step 3).
         proof: DleqProof,
     },
-    /// [`Frame::VerifyHop`] shipping only the DH-key columns.  The
-    /// §6.3 attestation binds products of the DH keys — ciphertexts
-    /// never enter the statement — so this checks the same relation at
-    /// ~1/8 the wire cost.  The streamed round path uses it for its
-    /// end-of-chain cross-server verification.
+    /// Ask a server to verify another server's hop attestation from
+    /// its DH-key columns (coordinator → mix; answered with
+    /// [`Frame::VerifyResult`]).  The §6.3 attestation binds products
+    /// of the DH keys — ciphertexts never enter the statement — so the
+    /// columns are all a verifier needs, at ~1/8 the wire cost of the
+    /// full entries.  Sent at end of chain, once every hop has emitted.
     VerifyHopKeys {
         /// Round number.
         round: u64,
@@ -1082,25 +1051,6 @@ impl Frame {
                 }
                 w
             }
-            Frame::MixBatch { round, entries } => {
-                let mut w = Writer::new(TAG_MIX_BATCH);
-                w.u64(*round);
-                w.mix_entries(entries);
-                w
-            }
-            Frame::HopOutput {
-                round,
-                position,
-                outputs,
-                proof,
-            } => {
-                let mut w = Writer::new(TAG_HOP_OUTPUT);
-                w.u64(*round);
-                w.u32(*position);
-                w.mix_entries(outputs);
-                w.dleq(proof);
-                w
-            }
             Frame::HopFailure {
                 round,
                 position,
@@ -1113,21 +1063,6 @@ impl Frame {
                 for i in failed {
                     w.u64(*i);
                 }
-                w
-            }
-            Frame::VerifyHop {
-                round,
-                position,
-                inputs,
-                outputs,
-                proof,
-            } => {
-                let mut w = Writer::new(TAG_VERIFY_HOP);
-                w.u64(*round);
-                w.u32(*position);
-                w.mix_entries(inputs);
-                w.mix_entries(outputs);
-                w.dleq(proof);
                 w
             }
             Frame::VerifyResult { ok } => {
@@ -1410,16 +1345,6 @@ impl Frame {
                 let submissions = (0..n).map(|_| r.submission()).collect::<Result<_, _>>()?;
                 Frame::SubmissionBatch { round, submissions }
             }
-            TAG_MIX_BATCH => Frame::MixBatch {
-                round: r.u64()?,
-                entries: r.mix_entries()?,
-            },
-            TAG_HOP_OUTPUT => Frame::HopOutput {
-                round: r.u64()?,
-                position: r.u32()?,
-                outputs: r.mix_entries()?,
-                proof: r.dleq()?,
-            },
             TAG_HOP_FAILURE => {
                 let round = r.u64()?;
                 let position = r.u32()?;
@@ -1431,13 +1356,6 @@ impl Frame {
                     failed,
                 }
             }
-            TAG_VERIFY_HOP => Frame::VerifyHop {
-                round: r.u64()?,
-                position: r.u32()?,
-                inputs: r.mix_entries()?,
-                outputs: r.mix_entries()?,
-                proof: r.dleq()?,
-            },
             TAG_VERIFY_RESULT => Frame::VerifyResult {
                 ok: match r.u8()? {
                     0 => false,
@@ -1612,10 +1530,7 @@ impl Frame {
             Frame::BatchDigest { .. } => TAG_BATCH_DIGEST,
             Frame::GetBatch { .. } => TAG_GET_BATCH,
             Frame::SubmissionBatch { .. } => TAG_SUBMISSION_BATCH,
-            Frame::MixBatch { .. } => TAG_MIX_BATCH,
-            Frame::HopOutput { .. } => TAG_HOP_OUTPUT,
             Frame::HopFailure { .. } => TAG_HOP_FAILURE,
-            Frame::VerifyHop { .. } => TAG_VERIFY_HOP,
             Frame::VerifyResult { .. } => TAG_VERIFY_RESULT,
             Frame::MixBatchStart { .. } => TAG_MIX_BATCH_START,
             Frame::MixBatchChunk { .. } => TAG_MIX_BATCH_CHUNK,
@@ -1663,10 +1578,7 @@ impl Frame {
             TAG_BATCH_DIGEST => "BatchDigest",
             TAG_GET_BATCH => "GetBatch",
             TAG_SUBMISSION_BATCH => "SubmissionBatch",
-            TAG_MIX_BATCH => "MixBatch",
-            TAG_HOP_OUTPUT => "HopOutput",
             TAG_HOP_FAILURE => "HopFailure",
-            TAG_VERIFY_HOP => "VerifyHop",
             TAG_VERIFY_RESULT => "VerifyResult",
             TAG_MIX_BATCH_START => "MixBatchStart",
             TAG_MIX_BATCH_CHUNK => "MixBatchChunk",
@@ -1895,9 +1807,8 @@ impl std::error::Error for StreamError {}
 /// sender half of a streamed hop.
 ///
 /// Building encodes each entry exactly once and derives the digest
-/// from the already-encoded chunk payloads, so streaming costs the
-/// sender no more encoding work than one monolithic
-/// [`Frame::MixBatch`] would.
+/// from the already-encoded chunk payloads, so the digest costs the
+/// sender no second encoding pass.
 ///
 /// ```
 /// use xrd_net::codec::{ChunkedBatch, BatchAssembler, Frame};

@@ -10,15 +10,15 @@
 //! in-flight requests plus their responses fit in the kernel socket
 //! buffers (small frames like `Submit`/`Ok`: the storm driver in
 //! [`crate::swarm`] pipelines a thousand connections this way).  Do
-//! not pipeline behind a request with a large response (`GetBatch`,
-//! `MixBatch`): the daemon stops reading until that response drains,
-//! and a client still blocked in `send` never reaches `recv` — both
-//! sides would wait on full buffers forever.
+//! not pipeline behind a request with a large response (`GetBatch`):
+//! the daemon stops reading until that response drains, and a client
+//! still blocked in `send` never reaches `recv` — both sides would
+//! wait on full buffers forever.
 //!
-//! Streamed batches (`MixBatchStart/Chunk…/End`) are the sanctioned
-//! exception to the one-request-one-response shape: many request
-//! frames, one multi-frame response that begins only after the End —
-//! so the sender never competes with its own response stream.  These
+//! A mix hop (`MixBatchStart/Chunk…/End`, [`Conn::stream_hop`]) is the
+//! sanctioned exception to the one-request-one-response shape: many
+//! request frames, one multi-frame response that begins only after the
+//! End — so the sender never competes with its own response stream.  These
 //! rules are spec, not implementation detail: see `docs/PROTOCOL.md`
 //! §6 ("Connection semantics, backpressure and pipelining").
 
@@ -26,7 +26,12 @@ use std::io::{BufReader, BufWriter, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::time::Duration;
 
-use crate::codec::{CodecError, Frame};
+use xrd_crypto::nizk::DleqProof;
+use xrd_mixnet::message::MixEntry;
+
+use crate::codec::{
+    reframe_output_chunk, BatchAssembler, ChunkedBatch, CodecError, Frame, StreamError,
+};
 
 /// Errors surfaced by wire operations.
 #[derive(Debug)]
@@ -53,6 +58,12 @@ pub enum NetError {
     },
     /// The peer answered with an unexpected frame type.
     Protocol(String),
+    /// A pipelined or multi-frame exchange lost its framing: a frame
+    /// is missing or out of sequence, or a chunk stream fails
+    /// reassembly — what a dropped or mangled frame on a faulty wire
+    /// leaves behind.  Nothing read so far can be trusted and the
+    /// stream cannot be resumed, but the exchange can be repeated.
+    Desync(String),
 }
 
 impl NetError {
@@ -65,7 +76,7 @@ impl NetError {
     pub fn retryable(&self) -> bool {
         match self {
             NetError::Io(_) | NetError::Codec(_) | NetError::Disconnected => true,
-            NetError::Timeout { .. } => true,
+            NetError::Timeout { .. } | NetError::Desync(_) => true,
             NetError::Remote { code, .. } => *code == crate::codec::error_code::BAD_STATE,
             NetError::Protocol(_) => false,
         }
@@ -92,6 +103,7 @@ impl std::fmt::Display for NetError {
                 write!(f, "remote error {code}: {message}")
             }
             NetError::Protocol(msg) => write!(f, "protocol violation: {msg}"),
+            NetError::Desync(msg) => write!(f, "exchange desynchronized: {msg}"),
         }
     }
 }
@@ -157,6 +169,28 @@ struct ConnMetrics {
     err_disconnected: &'static xrd_obs::Counter,
     /// [`Frame::Error`] responses received.
     err_remote: &'static xrd_obs::Counter,
+}
+
+/// What a mix daemon answered to one hop's batch stream.
+#[derive(Clone, Debug, PartialEq)]
+pub enum HopReply {
+    /// The hop completed: its shuffled outputs (reassembled and checked
+    /// against the stream digest) plus the aggregate attestation.
+    Output {
+        /// The prover's hop position.
+        position: u32,
+        /// Shuffled, decrypted, blinded entries.
+        outputs: Vec<MixEntry>,
+        /// Aggregate blinding attestation (§6.3 step 3).
+        proof: DleqProof,
+    },
+    /// The hop halted on authentication failures (blame follows).
+    Failure {
+        /// The halting server's position.
+        position: u32,
+        /// Failing indices into the hop's input batch.
+        failed: Vec<u64>,
+    },
 }
 
 /// A persistent request/response connection to one daemon.
@@ -328,6 +362,107 @@ impl Conn {
             .flush()
             .map_err(|e| NetError::from_io(e, "write"))?;
         Ok(())
+    }
+
+    /// One whole hop exchange: ship `entries` to the daemon as a
+    /// `chunk`-entry [`ChunkedBatch`] stream for `round` and collect
+    /// its reply.
+    pub fn stream_hop(
+        &mut self,
+        round: u64,
+        entries: &[MixEntry],
+        chunk: usize,
+    ) -> Result<HopReply, NetError> {
+        for bytes in ChunkedBatch::build(round, entries, chunk).frames() {
+            self.send_encoded(bytes)?;
+        }
+        self.recv_hop_reply(round, entries.len(), None)
+    }
+
+    /// The receive half of a hop exchange: one
+    /// `HopOutputStart/Chunk…/End` stream for `round` carrying exactly
+    /// `total` entries, reassembled and checked against its digest —
+    /// or the [`Frame::HopFailure`] / [`Frame::Error`] sent in its
+    /// place.
+    ///
+    /// With `next`, the stream is relayed to the chain's next hop as it
+    /// arrives: each output frame goes out as the matching
+    /// `MixBatchStart/Chunk/End` (chunks **verbatim**, a one-byte tag
+    /// rewrite) *before* it is absorbed here, so the next hop's crypto
+    /// starts while this side is still digesting.
+    pub fn recv_hop_reply(
+        &mut self,
+        round: u64,
+        total: usize,
+        mut next: Option<&mut Conn>,
+    ) -> Result<HopReply, NetError> {
+        let bad_stream = |e: StreamError| NetError::Desync(format!("hop output stream: {e}"));
+        let (position, mut assembler) = match self.recv()? {
+            Frame::HopOutputStart {
+                round: r,
+                position,
+                total: declared,
+            } if r == round => {
+                if declared as usize != total {
+                    return Err(NetError::Protocol(format!(
+                        "hop {position} answered {declared} entries to a {total}-entry batch"
+                    )));
+                }
+                if let Some(next) = next.as_deref_mut() {
+                    next.send(&Frame::MixBatchStart {
+                        round,
+                        total: declared,
+                    })?;
+                }
+                let assembler = BatchAssembler::begin(round, declared).map_err(bad_stream)?;
+                (position, assembler)
+            }
+            Frame::HopFailure {
+                round: r,
+                position,
+                failed,
+            } if r == round => return Ok(HopReply::Failure { position, failed }),
+            Frame::Error { code, message } => return Err(NetError::Remote { code, message }),
+            other => {
+                return Err(NetError::Desync(format!(
+                    "expected HopOutputStart/HopFailure for round {round}, got {}",
+                    Frame::tag_name(other.tag()).unwrap_or("?")
+                )))
+            }
+        };
+        loop {
+            match self.recv_with_body()? {
+                (Frame::HopOutputChunk { entries }, body) => {
+                    if let Some(next) = next.as_deref_mut() {
+                        let wire =
+                            reframe_output_chunk(&body).expect("decoded as hop-output chunk");
+                        next.send_encoded(&wire)?;
+                    }
+                    let payload = &body[ChunkedBatch::CHUNK_PAYLOAD_OFFSET - 4..];
+                    assembler.absorb_raw(entries, payload).map_err(bad_stream)?;
+                }
+                (Frame::HopOutputEnd { digest, proof }, _) => {
+                    let outputs = assembler.finish(digest).map_err(bad_stream)?;
+                    if let Some(next) = next.as_deref_mut() {
+                        next.send(&Frame::MixBatchEnd { digest })?;
+                    }
+                    return Ok(HopReply::Output {
+                        position,
+                        outputs,
+                        proof,
+                    });
+                }
+                (Frame::Error { code, message }, _) => {
+                    return Err(NetError::Remote { code, message })
+                }
+                (other, _) => {
+                    return Err(NetError::Desync(format!(
+                        "expected HopOutputChunk/End, got {}",
+                        Frame::tag_name(other.tag()).unwrap_or("?")
+                    )))
+                }
+            }
+        }
     }
 
     /// One request/response exchange.  [`Frame::Error`] responses are

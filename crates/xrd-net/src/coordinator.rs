@@ -8,9 +8,10 @@
 //!    clients submit (to *all* servers of the chain, per the paper's
 //!    input-agreement step), close it, and check that every server
 //!    fixed the same canonical batch (digest comparison, §6.3);
-//! 2. **k hops** — each server mixes in turn; every *other* server
-//!    verifies the hop's aggregate attestation before the pipeline
-//!    advances (cross-server proof verification over the wire);
+//! 2. **k hops** — each server mixes in turn, its output relayed to
+//!    the next as it is emitted; at end of chain every *other* server
+//!    verifies each hop's aggregate attestation (cross-server proof
+//!    verification over the wire);
 //! 3. **blame** (§6.4, only on decryption failure) — fetch the
 //!    accusation, trace reveals upstream server by server, convict the
 //!    user or server, and restart the hops with convicted users
@@ -22,20 +23,21 @@
 //! real deployment this role is played by the servers gossiping among
 //! themselves, and any party can replay the coordinator's checks.
 //!
-//! # Streamed hops
+//! # The hop pipeline
 //!
-//! Large batches are shipped as *chunk streams* ([`Transport`]): the
-//! coordinator cuts the hop-0 batch into `MixBatchChunk`s, and as each
-//! hop's output chunks come back it forwards them to the next hop
-//! **verbatim** (a one-byte tag rewrite, no re-encode) before the
-//! producing hop has finished emitting — the chain becomes a pipeline
-//! whose per-hop serial cost is the shuffle + proof, not the whole
-//! transfer.  Cross-server attestation checks then move to the end of
-//! the chain (they would otherwise re-serialize the pipeline) and ship
-//! only the DH-key columns ([`Frame::VerifyHopKeys`]); nothing is
-//! revealed or delivered until every hop has verified, so the security
-//! outcome is unchanged — inner keys stay sealed unless the whole
-//! chain checks out, exactly as in the whole-batch path.
+//! Batches travel as *chunk streams* ([`Transport`]): the coordinator
+//! cuts the hop-0 batch into `MixBatchChunk`s, and as each hop's output
+//! chunks come back it forwards them to the next hop **verbatim** (a
+//! one-byte tag rewrite, no re-encode) before the producing hop has
+//! finished emitting — the chain is a pipeline whose per-hop serial
+//! cost is the shuffle + proof, not the whole transfer.  (A batch of
+//! one chunk is the degenerate pipeline: nothing to overlap, nothing
+//! lost.)  Cross-server attestation checks run at the end of the chain
+//! (per hop they would re-serialize the pipeline) and ship only the
+//! DH-key columns ([`Frame::VerifyHopKeys`]) — the §6.3 statement is
+//! over products of DH keys, never ciphertexts.  Nothing is revealed or
+//! delivered until every hop has verified: inner keys stay sealed
+//! unless the whole chain checks out.
 
 use std::collections::HashSet;
 use std::net::SocketAddr;
@@ -54,11 +56,8 @@ use xrd_mixnet::server::{
 };
 use xrd_mixnet::{ChainRoundOutcome, ChainRoundStats};
 
-use crate::codec::{
-    dispute_claim, dispute_context, reframe_output_chunk, BatchAssembler, ChunkedBatch, Frame,
-    STREAM_CHUNK,
-};
-use crate::conn::{Conn, ConnTimeouts, NetError};
+use crate::codec::{dispute_claim, dispute_context, ChunkedBatch, Frame, STREAM_CHUNK};
+use crate::conn::{Conn, ConnTimeouts, HopReply, NetError};
 
 /// Bounded retry-with-backoff for chain exchanges that fail for
 /// *transport* reasons (see [`NetError::retryable`]): the coordinator
@@ -157,15 +156,9 @@ pub(crate) fn request_retry(
 /// How the coordinator ships batches hop to hop.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Transport {
-    /// Stream batches of at least [`Transport::AUTO_STREAM_MIN`]
-    /// entries, ship smaller ones whole (the default).
-    Auto,
-    /// Always one monolithic [`Frame::MixBatch`] per hop, with
-    /// per-hop cross-server verification — the pre-streaming wire
-    /// behavior, kept for small batches and backward compatibility.
-    Whole,
-    /// Always stream, in chunks of the given entry count (clamped to
-    /// ≥ 1; [`STREAM_CHUNK`] is the tuned default).
+    /// Relay: every hop's output streams back to the coordinator, which
+    /// forwards it to the next hop chunk by chunk (the default, at
+    /// [`STREAM_CHUNK`] entries per chunk; clamped to ≥ 1).
     Streamed {
         /// Entries per [`Frame::MixBatchChunk`].
         chunk: usize,
@@ -185,12 +178,18 @@ pub enum Transport {
     },
 }
 
-impl Transport {
-    /// Smallest batch [`Transport::Auto`] streams: below two chunks
-    /// there is no pipeline to overlap, and the whole-batch path has
-    /// one fewer round trip.
-    pub const AUTO_STREAM_MIN: usize = 2 * STREAM_CHUNK;
+impl Default for Transport {
+    fn default() -> Transport {
+        Transport::Streamed {
+            chunk: STREAM_CHUNK,
+        }
+    }
 }
+
+/// One hop's attested statement as DH-key columns: the keys of its
+/// inputs in arrival order, of its outputs in emission order, and the
+/// aggregate proof binding them (§6.3 never involves ciphertexts).
+type HopColumns = (Vec<GroupElement>, Vec<GroupElement>, DleqProof);
 
 /// Coordinator-side handle for one chain: persistent connections to its
 /// `k` mix daemons plus the active/pending key bundles.
@@ -308,7 +307,7 @@ impl ChainClient {
             conns,
             public,
             pending: None,
-            transport: Transport::Auto,
+            transport: Transport::default(),
             retry,
             convicted: Vec::new(),
             suspected: Vec::new(),
@@ -342,7 +341,7 @@ impl ChainClient {
     }
 
     /// Select how this chain ships batches hop to hop (default
-    /// [`Transport::Auto`]).
+    /// [`Transport::default`]: relayed, [`STREAM_CHUNK`]-entry chunks).
     pub fn set_transport(&mut self, transport: Transport) {
         self.transport = transport;
     }
@@ -509,17 +508,9 @@ impl ChainClient {
         loop {
             let forwarded = matches!(transport, Transport::Forwarded { .. });
             let result = match transport {
-                Transport::Whole => self.mix_round_whole(round, submissions),
                 Transport::Streamed { chunk } => self.mix_round_streamed(round, submissions, chunk),
                 Transport::Forwarded { chunk } => {
                     self.mix_round_forwarded(round, submissions, chunk)
-                }
-                Transport::Auto => {
-                    if submissions.len() >= Transport::AUTO_STREAM_MIN {
-                        self.mix_round_streamed(round, submissions, STREAM_CHUNK)
-                    } else {
-                        self.mix_round_whole(round, submissions)
-                    }
                 }
             };
             match result {
@@ -532,9 +523,7 @@ impl ChainClient {
                     attempt += 1;
                     coord_metrics().mix_retries.incr();
                     if forwarded {
-                        transport = Transport::Streamed {
-                            chunk: STREAM_CHUNK,
-                        };
+                        transport = Transport::default();
                         xrd_obs::info!(
                             "round {round}: forwarded mix pass failed ({e}), \
                              falling back to relayed streaming for attempt {}",
@@ -570,208 +559,6 @@ impl ChainClient {
                 other => return other,
             }
         }
-    }
-
-    /// [`ChainClient::mix_round`] over monolithic [`Frame::MixBatch`]s
-    /// with per-hop cross-server verification — each hop is fully
-    /// transferred, fully computed, fully verified before the next
-    /// begins.
-    fn mix_round_whole(
-        &mut self,
-        round: u64,
-        submissions: &[Submission],
-    ) -> Result<MixPhase, NetError> {
-        let k = self.conns.len();
-        let mut stats = ChainRoundStats::default();
-        let mut malicious_users: Vec<usize> = Vec::new();
-        let mut misbehaving_servers: Vec<usize> = Vec::new();
-        let mut active: Vec<usize> = (0..submissions.len()).collect();
-
-        // Per-hop (inputs, outputs, proof) records of the final clean
-        // pass, for the coordinator's own batched end-of-chain audit.
-        let mut hop_audit: Vec<(usize, Vec<MixEntry>, Vec<MixEntry>, DleqProof)> = Vec::new();
-
-        // Mixing with blame-retry: repeat until a clean pass (§6.4).
-        let final_entries: Vec<MixEntry> = 'retry: loop {
-            hop_audit.clear();
-            let mut entries: Vec<MixEntry> =
-                active.iter().map(|&i| submissions[i].to_entry()).collect();
-            for pos in 0..k {
-                let _span = xrd_obs::span_timer(format!("coord.hop{pos}"), round);
-                let inputs = entries.clone();
-                let response = self.conns[pos].request(&Frame::MixBatch {
-                    round,
-                    entries: entries.clone(),
-                })?;
-                match response {
-                    Frame::HopOutput {
-                        round: r,
-                        position,
-                        outputs,
-                        proof,
-                    } => {
-                        if r != round || position as usize != pos {
-                            return Err(NetError::Protocol(
-                                "hop output for wrong round/position".into(),
-                            ));
-                        }
-                        stats.proofs_generated += 1;
-                        // Every other server verifies the attestation,
-                        // concurrently (they are independent machines).
-                        // Verifiers already convicted of lying are out.
-                        let excluded = self.excluded.clone();
-                        let verdicts: Vec<(usize, Result<Frame, NetError>)> =
-                            std::thread::scope(|scope| {
-                                let handles: Vec<_> = self
-                                    .conns
-                                    .iter_mut()
-                                    .enumerate()
-                                    .filter(|(verifier, _)| {
-                                        *verifier != pos && !excluded.contains(verifier)
-                                    })
-                                    .map(|(verifier, conn)| {
-                                        let request = Frame::VerifyHop {
-                                            round,
-                                            position: pos as u32,
-                                            inputs: inputs.clone(),
-                                            outputs: outputs.clone(),
-                                            proof,
-                                        };
-                                        scope.spawn(move || (verifier, conn.request(&request)))
-                                    })
-                                    .collect();
-                                handles
-                                    .into_iter()
-                                    .map(|h| h.join().expect("verifier thread panicked"))
-                                    .collect()
-                            });
-                        let mut rejecting: Vec<usize> = Vec::new();
-                        for (verifier, verdict) in verdicts {
-                            stats.proofs_verified += 1;
-                            match verdict? {
-                                Frame::VerifyResult { ok: true } => {}
-                                Frame::VerifyResult { ok: false } => rejecting.push(verifier),
-                                other => {
-                                    return Err(NetError::Protocol(format!(
-                                        "expected VerifyResult, got {other:?}"
-                                    )))
-                                }
-                            }
-                        }
-                        if !rejecting.is_empty() {
-                            // A rejection over the wire could be a bad
-                            // proof *or* a lying verifier.  Instead of
-                            // aborting, run the dispute protocol to
-                            // convict the right party.
-                            let input_dhs: Vec<GroupElement> =
-                                inputs.iter().map(|e| e.dh).collect();
-                            let output_dhs: Vec<GroupElement> =
-                                outputs.iter().map(|e| e.dh).collect();
-                            let outcome =
-                                self.run_dispute(round, pos, &input_dhs, &output_dhs, &proof);
-                            if outcome.proof_invalid {
-                                self.announce_verdict(
-                                    round,
-                                    pos,
-                                    dispute_claim::BAD_PROOF,
-                                    true,
-                                    outcome.votes_upheld,
-                                );
-                                self.convicted.push(pos);
-                                misbehaving_servers.push(pos);
-                                return Ok(MixPhase::Done(ChainRoundOutcome {
-                                    delivered: Vec::new(),
-                                    malicious_users,
-                                    misbehaving_servers,
-                                    stats,
-                                }));
-                            }
-                            // The proof holds: a rejecting verifier that
-                            // *signed* an upholding affidavit committed
-                            // perjury — convict and exclude it; one that
-                            // recanted under oath is forgiven (its
-                            // rejection is attributed to transport).
-                            // Either way the hop stands and the round
-                            // continues.
-                            for verifier in rejecting {
-                                if !outcome.upholders.contains(&verifier) {
-                                    xrd_obs::info!(
-                                        "round {round}: verifier {verifier} rejected hop {pos} \
-                                         but did not uphold under oath; no conviction"
-                                    );
-                                    continue;
-                                }
-                                if !self.excluded.insert(verifier) {
-                                    continue;
-                                }
-                                xrd_obs::info!(
-                                    "round {round}: verifier {verifier} rejected a valid \
-                                     attestation for hop {pos}; convicted and excluded"
-                                );
-                                self.announce_verdict(
-                                    round,
-                                    verifier,
-                                    dispute_claim::FALSE_VERDICT,
-                                    true,
-                                    outcome.votes_cast - outcome.votes_upheld,
-                                );
-                                self.convicted.push(verifier);
-                                misbehaving_servers.push(verifier);
-                            }
-                        }
-                        hop_audit.push((pos, inputs, outputs.clone(), proof));
-                        entries = outputs;
-                    }
-                    Frame::HopFailure {
-                        round: r,
-                        position,
-                        failed,
-                    } => {
-                        if r != round || position as usize != pos {
-                            return Err(NetError::Protocol(
-                                "hop failure for wrong round/position".into(),
-                            ));
-                        }
-                        match self.resolve_hop_failure(
-                            round,
-                            pos,
-                            failed,
-                            submissions,
-                            &mut active,
-                            &mut malicious_users,
-                            &mut misbehaving_servers,
-                            &mut stats,
-                        )? {
-                            // A malicious server: halt with nothing
-                            // delivered (§6.4).
-                            FailureVerdict::Abort => {
-                                return Ok(MixPhase::Done(ChainRoundOutcome {
-                                    delivered: Vec::new(),
-                                    malicious_users,
-                                    misbehaving_servers,
-                                    stats,
-                                }))
-                            }
-                            FailureVerdict::Retry => continue 'retry,
-                        }
-                    }
-                    other => {
-                        return Err(NetError::Protocol(format!(
-                            "expected HopOutput/HopFailure, got {other:?}"
-                        )))
-                    }
-                }
-            }
-            break entries;
-        };
-
-        Ok(MixPhase::AwaitingAudit(PendingChainRound {
-            hop_audit,
-            final_entries,
-            malicious_users,
-            misbehaving_servers,
-            stats,
-        }))
     }
 
     /// [`ChainClient::mix_round`] as a chunked pipeline: hop `i+1`
@@ -814,82 +601,20 @@ impl ChainClient {
                 // clock starts while `i` is still emitting.  Each span
                 // measures receipt of that hop's full output.
                 let _span = xrd_obs::span_timer(format!("coord.hop{pos}"), round);
-                match self.conns[pos].recv_with_body()? {
-                    (
-                        Frame::HopOutputStart {
-                            round: r,
-                            position,
-                            total,
-                        },
-                        _,
-                    ) => {
-                        if r != round || position as usize != pos {
-                            return Err(NetError::Protocol(
-                                "hop output for wrong round/position".into(),
-                            ));
-                        }
-                        if total as usize != current.len() {
-                            return Err(NetError::Protocol(format!(
-                                "hop {pos} answered {total} entries to a {}-entry batch",
-                                current.len()
-                            )));
-                        }
-                        // The next hop's stream opens before this one
-                        // has delivered a single chunk: the pipeline.
-                        if pos + 1 < k {
-                            self.conns[pos + 1].send(&Frame::MixBatchStart { round, total })?;
-                        }
-                        let mut assembler = BatchAssembler::begin(round, total)
-                            .map_err(|e| NetError::Protocol(format!("hop {pos}: {e}")))?;
-                        let outputs = loop {
-                            match self.conns[pos].recv_with_body()? {
-                                (Frame::HopOutputChunk { entries }, body) => {
-                                    // Forward first — the next hop's
-                                    // crypto starts while we digest.
-                                    if pos + 1 < k {
-                                        let wire = reframe_output_chunk(&body)
-                                            .expect("decoded as hop-output chunk");
-                                        self.conns[pos + 1].send_encoded(&wire)?;
-                                    }
-                                    let payload = &body[ChunkedBatch::CHUNK_PAYLOAD_OFFSET - 4..];
-                                    assembler.absorb_raw(entries, payload).map_err(|e| {
-                                        NetError::Protocol(format!("hop {pos}: {e}"))
-                                    })?;
-                                }
-                                (Frame::HopOutputEnd { digest, proof }, _) => {
-                                    let outputs = assembler.finish(digest).map_err(|e| {
-                                        NetError::Protocol(format!("hop {pos}: {e}"))
-                                    })?;
-                                    if pos + 1 < k {
-                                        self.conns[pos + 1].send(&Frame::MixBatchEnd { digest })?;
-                                    }
-                                    stats.proofs_generated += 1;
-                                    break (outputs, proof);
-                                }
-                                (other, _) => {
-                                    return Err(NetError::Protocol(format!(
-                                        "expected HopOutputChunk/End, got {other:?}"
-                                    )))
-                                }
-                            }
-                        };
-                        let (outputs, proof) = outputs;
+                // The next hop's stream opens before this one has
+                // delivered a single chunk: the pipeline.
+                let (upto, after) = self.conns.split_at_mut(pos + 1);
+                match upto[pos].recv_hop_reply(round, current.len(), after.first_mut())? {
+                    HopReply::Output {
+                        position,
+                        outputs,
+                        proof,
+                    } if position as usize == pos => {
+                        stats.proofs_generated += 1;
                         let inputs = std::mem::replace(&mut current, outputs);
                         hop_audit.push((pos, inputs, current.clone(), proof));
                     }
-                    (
-                        Frame::HopFailure {
-                            round: r,
-                            position,
-                            failed,
-                        },
-                        _,
-                    ) => {
-                        if r != round || position as usize != pos {
-                            return Err(NetError::Protocol(
-                                "hop failure for wrong round/position".into(),
-                            ));
-                        }
+                    HopReply::Failure { position, failed } if position as usize == pos => {
                         match self.resolve_hop_failure(
                             round,
                             pos,
@@ -900,6 +625,8 @@ impl ChainClient {
                             &mut misbehaving_servers,
                             &mut stats,
                         )? {
+                            // A malicious server: halt with nothing
+                            // delivered (§6.4).
                             FailureVerdict::Abort => {
                                 return Ok(MixPhase::Done(ChainRoundOutcome {
                                     delivered: Vec::new(),
@@ -911,12 +638,9 @@ impl ChainClient {
                             FailureVerdict::Retry => continue 'retry,
                         }
                     }
-                    (Frame::Error { code, message }, _) => {
-                        return Err(NetError::Remote { code, message })
-                    }
-                    (other, _) => {
+                    _ => {
                         return Err(NetError::Protocol(format!(
-                            "expected HopOutputStart/HopFailure, got {other:?}"
+                            "hop {pos} replied as another position"
                         )))
                     }
                 }
@@ -924,26 +648,66 @@ impl ChainClient {
             break current;
         };
 
-        // End-of-chain cross-server verification, keys only: each
-        // hop's attestation frame is encoded once and broadcast to the
-        // other k-1 servers, all requests pipelined before any verdict
-        // is collected (responses are one byte and cannot clog).
         let _span = xrd_obs::span_timer("coord.verify_chain", round);
-        let excluded = self.excluded.clone();
+        let columns = |pos: usize| -> HopColumns {
+            let (_, inputs, outputs, proof) = &hop_audit[pos];
+            let dhs = |entries: &[MixEntry]| entries.iter().map(|e| e.dh).collect();
+            (dhs(inputs), dhs(outputs), *proof)
+        };
+        if !self.cross_verify(round, columns, &mut misbehaving_servers, &mut stats)? {
+            return Ok(MixPhase::Done(ChainRoundOutcome {
+                delivered: Vec::new(),
+                malicious_users,
+                misbehaving_servers,
+                stats,
+            }));
+        }
+
+        Ok(MixPhase::AwaitingAudit(PendingChainRound {
+            hop_audit,
+            final_entries,
+            malicious_users,
+            misbehaving_servers,
+            stats,
+        }))
+    }
+
+    /// End-of-chain cross-server verification, keys only: hop `i`'s
+    /// attestation (`columns(i)`, materialized one hop at a time) is
+    /// encoded once as a [`Frame::VerifyHopKeys`] and broadcast to the
+    /// other `k-1` servers, all requests pipelined before any verdict
+    /// is collected (responses are one byte and cannot clog).
+    ///
+    /// Each rejected attestation becomes a dispute rather than an
+    /// abort.  `Ok(false)`: the dispute convicted a *prover* (bad proof
+    /// — recorded in `misbehaving_servers`; the chain must halt with
+    /// nothing delivered).  `Ok(true)`: every attestation stands — any
+    /// verifier that rejected a valid one and upheld the rejection
+    /// under oath is convicted and excluded, and the round continues
+    /// without it.
+    fn cross_verify(
+        &mut self,
+        round: u64,
+        columns: impl Fn(usize) -> HopColumns,
+        misbehaving_servers: &mut Vec<usize>,
+        stats: &mut ChainRoundStats,
+    ) -> Result<bool, NetError> {
         let mut expected: Vec<(usize, usize)> = Vec::new(); // (verifier, prover)
-        for (pos, inputs, outputs, proof) in &hop_audit {
+        for prover in 0..self.conns.len() {
+            let (input_dhs, output_dhs, proof) = columns(prover);
             let wire = Frame::VerifyHopKeys {
                 round,
-                position: *pos as u32,
-                input_dhs: inputs.iter().map(|e| e.dh).collect(),
-                output_dhs: outputs.iter().map(|e| e.dh).collect(),
-                proof: *proof,
+                position: prover as u32,
+                input_dhs,
+                output_dhs,
+                proof,
             }
             .encode();
             for (verifier, conn) in self.conns.iter_mut().enumerate() {
-                if verifier != *pos && !excluded.contains(&verifier) {
+                // Verifiers already convicted of lying are out.
+                if verifier != prover && !self.excluded.contains(&verifier) {
                     conn.send_encoded(&wire)?;
-                    expected.push((verifier, *pos));
+                    expected.push((verifier, prover));
                 }
             }
         }
@@ -961,18 +725,11 @@ impl ChainClient {
                 }
             }
         }
-        // Each rejected attestation becomes a dispute rather than an
-        // abort: the dispute convicts either the prover (bad proof —
-        // chain fails with the offender named) or every verifier that
-        // rejected a valid statement (excluded; round continues).
         let mut disputed_provers: Vec<usize> = rejections.iter().map(|&(p, _)| p).collect();
         disputed_provers.sort_unstable();
         disputed_provers.dedup();
         for prover in disputed_provers {
-            let (_, inputs, outputs, proof) = &hop_audit[prover];
-            let input_dhs: Vec<GroupElement> = inputs.iter().map(|e| e.dh).collect();
-            let output_dhs: Vec<GroupElement> = outputs.iter().map(|e| e.dh).collect();
-            let proof = *proof;
+            let (input_dhs, output_dhs, proof) = columns(prover);
             let outcome = self.run_dispute(round, prover, &input_dhs, &output_dhs, &proof);
             if outcome.proof_invalid {
                 self.announce_verdict(
@@ -984,17 +741,15 @@ impl ChainClient {
                 );
                 self.convicted.push(prover);
                 misbehaving_servers.push(prover);
-                return Ok(MixPhase::Done(ChainRoundOutcome {
-                    delivered: Vec::new(),
-                    malicious_users,
-                    misbehaving_servers,
-                    stats,
-                }));
+                return Ok(false);
             }
+            // The proof holds: a rejecting verifier that *signed* an
+            // upholding affidavit committed perjury — convict and
+            // exclude it; one that recanted under oath is forgiven (its
+            // rejection is attributed to transport).  Either way the
+            // hop stands.
             for &(_, verifier) in rejections.iter().filter(|&&(p, _)| p == prover) {
                 if !outcome.upholders.contains(&verifier) {
-                    // Recanted under oath: the rejection is attributed
-                    // to transport, not malice.
                     xrd_obs::info!(
                         "round {round}: verifier {verifier} rejected hop {prover} \
                          but did not uphold under oath; no conviction"
@@ -1019,14 +774,7 @@ impl ChainClient {
                 misbehaving_servers.push(verifier);
             }
         }
-
-        Ok(MixPhase::AwaitingAudit(PendingChainRound {
-            hop_audit,
-            final_entries,
-            malicious_users,
-            misbehaving_servers,
-            stats,
-        }))
+        Ok(true)
     }
 
     /// [`ChainClient::mix_round`] with daemon-to-daemon forwarding:
@@ -1088,8 +836,7 @@ impl ChainClient {
         // `HopForwarded` on their own connection — hop 0's doubles as
         // the ack that the entire downstream cascade landed, since
         // every hop's forward blocks on its successor's ack.
-        let mut columns: Vec<(Vec<GroupElement>, Vec<GroupElement>, DleqProof)> =
-            Vec::with_capacity(k);
+        let mut columns: Vec<HopColumns> = Vec::with_capacity(k);
         for pos in 0..k.saturating_sub(1) {
             let _span = xrd_obs::span_timer(format!("coord.hop{pos}"), round);
             match self.conns[pos].recv()? {
@@ -1120,56 +867,27 @@ impl ChainClient {
         // The last hop pushes its full output stream; its End frame
         // carries the chain-final attestation.
         let last = k - 1;
-        let final_entries: Vec<MixEntry>;
-        let last_proof: DleqProof;
-        {
+        let (final_entries, last_proof) = {
             let _span = xrd_obs::span_timer(format!("coord.hop{last}"), round);
-            let total = match self.conns[last].recv()? {
-                Frame::HopOutputStart {
-                    round: r,
+            match self.conns[last].recv_hop_reply(round, entries.len(), None)? {
+                HopReply::Output {
                     position,
-                    total,
-                } if r == round && position as usize == last => total,
-                Frame::Error { code, message } => return Err(NetError::Remote { code, message }),
-                other => {
+                    outputs,
+                    proof,
+                } if position as usize == last => (outputs, proof),
+                HopReply::Output { position, .. } => {
                     return Err(NetError::Protocol(format!(
-                        "expected HopOutputStart from hop {last}, got {other:?}"
+                        "hop {last} replied as position {position}"
                     )))
                 }
-            };
-            if total as usize != entries.len() {
-                return Err(NetError::Protocol(format!(
-                    "chain answered {total} entries to a {}-entry batch",
-                    entries.len()
-                )));
-            }
-            let mut assembler = BatchAssembler::begin(round, total)
-                .map_err(|e| NetError::Protocol(format!("hop {last}: {e}")))?;
-            loop {
-                match self.conns[last].recv()? {
-                    Frame::HopOutputChunk { entries } => {
-                        assembler
-                            .absorb(entries)
-                            .map_err(|e| NetError::Protocol(format!("hop {last}: {e}")))?;
-                    }
-                    Frame::HopOutputEnd { digest, proof } => {
-                        final_entries = assembler
-                            .finish(digest)
-                            .map_err(|e| NetError::Protocol(format!("hop {last}: {e}")))?;
-                        last_proof = proof;
-                        break;
-                    }
-                    Frame::Error { code, message } => {
-                        return Err(NetError::Remote { code, message })
-                    }
-                    other => {
-                        return Err(NetError::Protocol(format!(
-                            "expected HopOutputChunk/End, got {other:?}"
-                        )))
-                    }
+                // Blame needs full batches: leave it to the relayed retry.
+                HopReply::Failure { .. } => {
+                    return Err(NetError::Protocol(format!(
+                        "hop {last} halted on a decrypt failure"
+                    )))
                 }
             }
-        }
+        };
         stats.proofs_generated += 1;
 
         // Stitch the columns end to end: hop 0 must have consumed the
@@ -1232,88 +950,15 @@ impl ChainClient {
             }
         }
 
-        // Cross-server verification over the same columns, pipelined
-        // like the streamed path's end-of-chain audit.
-        let excluded = self.excluded.clone();
-        let mut expected: Vec<(usize, usize)> = Vec::new(); // (verifier, prover)
-        for (pos, (input_dhs, output_dhs, proof)) in columns.iter().enumerate() {
-            let wire = Frame::VerifyHopKeys {
-                round,
-                position: pos as u32,
-                input_dhs: input_dhs.clone(),
-                output_dhs: output_dhs.clone(),
-                proof: *proof,
-            }
-            .encode();
-            for (verifier, conn) in self.conns.iter_mut().enumerate() {
-                if verifier != pos && !excluded.contains(&verifier) {
-                    conn.send_encoded(&wire)?;
-                    expected.push((verifier, pos));
-                }
-            }
-        }
-        let mut rejections: Vec<(usize, usize)> = Vec::new(); // (prover, verifier)
-        for (verifier, prover) in expected {
-            stats.proofs_verified += 1;
-            match self.conns[verifier].recv()? {
-                Frame::VerifyResult { ok: true } => {}
-                Frame::VerifyResult { ok: false } => rejections.push((prover, verifier)),
-                Frame::Error { code, message } => return Err(NetError::Remote { code, message }),
-                other => {
-                    return Err(NetError::Protocol(format!(
-                        "expected VerifyResult, got {other:?}"
-                    )))
-                }
-            }
-        }
-        let mut disputed_provers: Vec<usize> = rejections.iter().map(|&(p, _)| p).collect();
-        disputed_provers.sort_unstable();
-        disputed_provers.dedup();
-        for prover in disputed_provers {
-            let (input_dhs, output_dhs, proof) = columns[prover].clone();
-            let outcome = self.run_dispute(round, prover, &input_dhs, &output_dhs, &proof);
-            if outcome.proof_invalid {
-                self.announce_verdict(
-                    round,
-                    prover,
-                    dispute_claim::BAD_PROOF,
-                    true,
-                    outcome.votes_upheld,
-                );
-                self.convicted.push(prover);
-                misbehaving_servers.push(prover);
-                return Ok(MixPhase::Done(ChainRoundOutcome {
-                    delivered: Vec::new(),
-                    malicious_users: Vec::new(),
-                    misbehaving_servers,
-                    stats,
-                }));
-            }
-            for &(_, verifier) in rejections.iter().filter(|&&(p, _)| p == prover) {
-                if !outcome.upholders.contains(&verifier) {
-                    xrd_obs::info!(
-                        "round {round}: verifier {verifier} rejected hop {prover} \
-                         but did not uphold under oath; no conviction"
-                    );
-                    continue;
-                }
-                if !self.excluded.insert(verifier) {
-                    continue;
-                }
-                xrd_obs::info!(
-                    "round {round}: verifier {verifier} rejected a valid attestation \
-                     for hop {prover}; convicted and excluded"
-                );
-                self.announce_verdict(
-                    round,
-                    verifier,
-                    dispute_claim::FALSE_VERDICT,
-                    true,
-                    outcome.votes_cast - outcome.votes_upheld,
-                );
-                self.convicted.push(verifier);
-                misbehaving_servers.push(verifier);
-            }
+        // Cross-server verification over the same columns.
+        let column = |pos: usize| columns[pos].clone();
+        if !self.cross_verify(round, column, &mut misbehaving_servers, &mut stats)? {
+            return Ok(MixPhase::Done(ChainRoundOutcome {
+                delivered: Vec::new(),
+                malicious_users: Vec::new(),
+                misbehaving_servers,
+                stats,
+            }));
         }
 
         // Audited locally and cross-server: go straight to the reveal

@@ -17,15 +17,16 @@
 //! thousands of concurrent submitter connections at a constant thread
 //! count.
 //!
-//! Batch-boundary crypto never runs on the reactor thread: `MixBatch`
-//! hops, streamed `MixBatchStart/Chunk/End` sessions and `VerifyHop`
-//! attestation checks are **deferred** to the reactor's small
-//! fixed-size worker pool (the connection's pending response slot
-//! holds its place), so the event loop keeps accepting and verifying
-//! submissions while a hop's crypto is in flight.  Streamed chunks are
-//! dispatched to the pool *as they arrive* — a hop's compute overlaps
-//! the remainder of its own transfer.  A [`DaemonHandle`] owns the
-//! reactor thread and shuts the daemon down when asked (or on drop).
+//! Batch-boundary crypto never runs on the reactor thread: hops
+//! (`MixBatchStart/Chunk/End` sessions), `VerifyHopKeys` attestation
+//! checks and dispute re-checks are **deferred** to the reactor's
+//! small fixed-size worker pool (the connection's pending response
+//! slot holds its place), so the event loop keeps accepting and
+//! verifying submissions while a hop's crypto is in flight.  A hop's
+//! chunks are dispatched to the pool *as they arrive* — its compute
+//! overlaps the remainder of its own transfer.  A [`DaemonHandle`]
+//! owns the reactor thread and shuts the daemon down when asked (or on
+//! drop).
 
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
@@ -49,7 +50,7 @@ use xrd_core::Journal;
 
 use crate::codec::{
     decode_server_config, dispute_context, encode_hop_output_stream, encode_server_config,
-    error_code, ChunkedBatch, Frame, StreamDigest, StreamError, STREAM_CHUNK,
+    error_code, ChunkedBatch, Frame, FrameDecoder, StreamDigest, StreamError, STREAM_CHUNK,
 };
 use crate::conn::{Conn, NetError};
 use crate::reactor::{service_fn, ConnId, Outcome, Reactor, ReactorHandle, Service, WorkerPool};
@@ -133,8 +134,7 @@ struct HopJobMetrics {
     /// jobs to land (tail of the decrypt/blind phase still in flight
     /// when the End frame arrived).
     wait_chunks_us: &'static xrd_obs::Histogram,
-    /// Output-encoding latency per completed hop (chunked stream or
-    /// monolithic frame).
+    /// Output-encoding latency per completed hop.
     encode_us: &'static xrd_obs::Histogram,
 }
 
@@ -175,10 +175,9 @@ pub struct SubmissionPolicy {
 impl Default for SubmissionPolicy {
     fn default() -> SubmissionPolicy {
         SubmissionPolicy {
-            // Deployments fan many users' submissions through few
-            // connections (the coordinator's submit workers), so the
-            // per-connection cap is generous; the window cap is the
-            // codec's batch bound.
+            // A load driver may fan many users' submissions through
+            // one connection, so the per-connection cap is generous;
+            // the window cap is the codec's batch bound.
             max_per_conn: 4096,
             max_pending: crate::codec::MAX_BATCH,
         }
@@ -882,51 +881,6 @@ impl MixService {
         }))
     }
 
-    /// Whole-batch `MixBatch` (kept for small batches and
-    /// backward compatibility): same crypto, same offload, monolithic
-    /// framing.
-    fn defer_mix(&self, round: u64, entries: Vec<MixEntry>) -> Outcome {
-        let state = Arc::clone(&self.state);
-        Outcome::Defer(Box::new(move || {
-            let _span = xrd_obs::span_timer("hop.whole", round);
-            // Heavy part first, without the state lock: the reactor
-            // thread keeps serving submissions off the same state.
-            let kernel = state
-                .lock()
-                .expect("mix state poisoned")
-                .server
-                .chunk_kernel(round);
-            let slots = kernel.process_parallel(&entries);
-            let mut guard = state.lock().expect("mix state poisoned");
-            let st = &mut *guard;
-            let position = st.secrets.position as u32;
-            match st.server.finish_round(&mut st.rng, round, entries, slots) {
-                Ok(result) => {
-                    drop(guard);
-                    let encoding = std::time::Instant::now();
-                    let bytes = Frame::HopOutput {
-                        round,
-                        position,
-                        outputs: result.outputs,
-                        proof: result.proof,
-                    }
-                    .encode();
-                    hop_job_metrics()
-                        .encode_us
-                        .record_duration(encoding.elapsed());
-                    bytes
-                }
-                Err(MixError::DecryptFailure(failed)) => Frame::HopFailure {
-                    round,
-                    position,
-                    failed: failed.into_iter().map(|i| i as u64).collect(),
-                }
-                .encode(),
-                Err(MixError::Malformed) => err(error_code::BAD_STATE, "malformed batch").encode(),
-            }
-        }))
-    }
-
     /// `DisputeOpen`: re-check the disputed attestation against this
     /// server's copy of the public bundle and answer with signed
     /// evidence.  The verification is pure public-data work off a
@@ -979,9 +933,8 @@ impl MixService {
         }))
     }
 
-    /// Attestation checks (full-entry or keys-only): pure public-data
-    /// work off a snapshot of the bundle — no state lock held in the
-    /// job at all.
+    /// `VerifyHopKeys`: pure public-data work off a snapshot of the
+    /// bundle — no state lock held in the job at all.
     fn defer_verify(
         &self,
         round: u64,
@@ -1027,25 +980,6 @@ impl Service for MixService {
             Frame::MixBatchStart { round, total } => self.stream_start(conn, round, total),
             Frame::MixBatchChunk { entries } => self.stream_chunk(conn, entries, workers),
             Frame::MixBatchEnd { digest } => self.stream_end(conn, digest),
-            Frame::MixBatch { round, entries } => self.defer_mix(round, entries),
-            Frame::VerifyHop {
-                round,
-                position,
-                inputs,
-                outputs,
-                proof,
-            } => {
-                if inputs.len() != outputs.len() {
-                    return Outcome::reply(Frame::VerifyResult { ok: false });
-                }
-                self.defer_verify(
-                    round,
-                    position,
-                    inputs.iter().map(|e| e.dh).collect(),
-                    outputs.iter().map(|e| e.dh).collect(),
-                    proof,
-                )
-            }
             Frame::VerifyHopKeys {
                 round,
                 position,
@@ -1132,8 +1066,7 @@ impl Service for ByzantineService {
     fn handle(&self, conn: ConnId, frame: Frame, workers: &Arc<WorkerPool>) -> Outcome {
         match (self.mode, &frame) {
             // A framing verifier: every attestation is "invalid".
-            (ByzantineMode::LieVerify, Frame::VerifyHop { .. })
-            | (ByzantineMode::LieVerify, Frame::VerifyHopKeys { .. }) => {
+            (ByzantineMode::LieVerify, Frame::VerifyHopKeys { .. }) => {
                 Self::metrics().incr();
                 Outcome::reply(Frame::VerifyResult { ok: false })
             }
@@ -1172,36 +1105,20 @@ impl Service for ByzantineService {
                 }
             }
             // A tampering prover: its emitted key column diverges from
-            // the column it proved over, so every honest verifier
-            // rejects the attestation.
-            (ByzantineMode::CorruptHop, Frame::MixBatch { .. }) => {
+            // the column it proved over.  The lie rides the hop's own
+            // reply stream, so a downstream hop decrypts garbage (blame
+            // then traces the mismatch to this server) and, on the last
+            // hop, every honest verifier rejects the attestation.
+            (ByzantineMode::CorruptHop, Frame::MixBatchEnd { .. }) => {
                 match self.inner.handle(conn, frame, workers) {
                     Outcome::Defer(job) => Outcome::Defer(Box::new(move || {
                         let bytes = job();
-                        match Frame::decode(bytes.get(4..).unwrap_or_default()) {
-                            Ok(Frame::HopOutput {
-                                round,
-                                position,
-                                mut outputs,
-                                proof,
-                            }) if outputs.len() >= 2 => {
+                        match corrupt_hop_output(&bytes) {
+                            Some(tampered) => {
                                 Self::metrics().incr();
-                                // Swapping two DH keys (but not their
-                                // ciphertexts) breaks the proven
-                                // input/output correspondence while
-                                // every element still parses.
-                                let dh = outputs[0].dh;
-                                outputs[0].dh = outputs[1].dh;
-                                outputs[1].dh = dh;
-                                Frame::HopOutput {
-                                    round,
-                                    position,
-                                    outputs,
-                                    proof,
-                                }
-                                .encode()
+                                tampered
                             }
-                            _ => bytes,
+                            None => bytes,
                         }
                     })),
                     other => other,
@@ -1214,6 +1131,45 @@ impl Service for ByzantineService {
     fn on_close(&self, conn: ConnId) {
         self.inner.on_close(conn);
     }
+}
+
+/// [`ByzantineMode::CorruptHop`]'s lie: if `reply` is a hop's
+/// `HopOutputStart/Chunk…/End` stream of at least two entries, the same
+/// stream with the first output's DH key overwritten by the second's
+/// (its ciphertext left alone).  Every element still parses, but the
+/// entry no longer decrypts downstream and the key column's product no
+/// longer matches the attestation — a swap would not do: §6.3 proves a
+/// relation between *products*, which a permutation preserves.
+/// Re-encoded whole, so the stream digest is consistent and only the
+/// content lies.
+fn corrupt_hop_output(reply: &[u8]) -> Option<Vec<u8>> {
+    let mut decoder = FrameDecoder::new();
+    decoder.feed(reply);
+    let Some(Ok(Frame::HopOutputStart {
+        round, position, ..
+    })) = decoder.try_frame()
+    else {
+        return None;
+    };
+    let mut outputs: Vec<MixEntry> = Vec::new();
+    let proof = loop {
+        match decoder.try_frame()? {
+            Ok(Frame::HopOutputChunk { entries }) => outputs.extend(entries),
+            Ok(Frame::HopOutputEnd { proof, .. }) => break proof,
+            _ => return None,
+        }
+    };
+    if outputs.len() < 2 {
+        return None;
+    }
+    outputs[0].dh = outputs[1].dh;
+    Some(encode_hop_output_stream(
+        round,
+        position,
+        &outputs,
+        &proof,
+        STREAM_CHUNK,
+    ))
 }
 
 /// A running mix-server daemon for one `(chain, position)`.

@@ -173,6 +173,10 @@ impl LaunchedCluster {
         let p = &mut procs[index];
         xrd_obs::warn!("launcher: killing {} (crash injection)", p.label);
         let _ = p.child.kill();
+        // Reap it here (the supervisor still sees the cached status):
+        // once this returns the process is gone, so an `await_live`
+        // that follows can only be answered by its replacement.
+        let _ = p.child.wait();
     }
 
     /// Wait until process `index` answers a wire [`Frame::Ping`]

@@ -6,12 +6,13 @@
 //! paper's EC2 testbed (§8).
 //!
 //! * [`codec`] — the length-prefixed binary wire protocol: submissions,
-//!   mix batches (whole and chunk-streamed, with a running stream
-//!   digest), hop attestations, inner-key reveals and rotations, blame
+//!   mix batches (chunk streams with a running stream digest), hop
+//!   attestations, inner-key reveals and rotations, blame
 //!   messages, mailbox delivery/fetch; hand-rolled, hard size caps,
 //!   canonical-encoding checks.  Spec: `docs/PROTOCOL.md`;
 //! * [`conn`] — the client side of a connection (request/response with
-//!   byte accounting, raw-forward helpers for relays);
+//!   byte accounting; [`Conn::stream_hop`], the one hop exchange, whose
+//!   receive half also relays a hop's output to the next hop);
 //! * [`reactor`] — the event-driven core: a dependency-free
 //!   epoll-based readiness loop (raw syscalls on Linux/x86-64, sweep
 //!   fallback elsewhere) serving every connection of a daemon from one
@@ -24,9 +25,9 @@
 //!   holding thousands of concurrent connections; streamed batch
 //!   chunks start hop crypto the moment they arrive;
 //! * [`coordinator`] — [`ChainClient`], driving one chain's round state
-//!   machine over the wire: submission window → k hops (whole-batch, or
-//!   chunk-streamed as a pipeline with verbatim next-hop forwarding) →
-//!   cross-server proof verification → blame → inner-key reveal;
+//!   machine over the wire: submission window → k hops (chunk streams,
+//!   pipelined with verbatim next-hop forwarding) → cross-server proof
+//!   verification → blame → inner-key reveal;
 //! * [`remote`] — [`RemoteDeployment`] (implements
 //!   `xrd_core::RoundBackend`, so it is interchangeable with the
 //!   in-process deployment) and [`launch_local`] (a whole deployment on
@@ -67,7 +68,7 @@ pub mod remote;
 pub mod swarm;
 
 pub use codec::{BatchAssembler, ChunkedBatch, CodecError, Frame, StreamDigest, StreamError};
-pub use conn::{Conn, ConnTimeouts, NetError};
+pub use conn::{Conn, ConnTimeouts, HopReply, NetError};
 pub use coordinator::{ChainClient, MixPhase, PendingChainRound, RetryPolicy, Transport};
 pub use daemon::{ByzantineMode, DaemonHandle, MailboxDaemon, MixServerDaemon, SubmissionPolicy};
 pub use faults::{Direction, FaultKind, FaultPlan, FaultProxy, FaultRule};

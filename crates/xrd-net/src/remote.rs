@@ -62,8 +62,6 @@ pub struct RemoteDeployment {
     current_keys: Vec<ChainPublicKeys>,
     next_keys: Vec<ChainPublicKeys>,
     cover_store: CoverStore,
-    /// Concurrent submitter connections during the submission window.
-    submit_workers: usize,
     /// Raw submissions injected for the next round (attack testing).
     injected: Vec<(xrd_topology::ChainId, Submission)>,
     /// Chains whose key schedule fell out of sync after a failed
@@ -77,10 +75,6 @@ pub struct RemoteDeployment {
     timeouts: ConnTimeouts,
     /// Largest page a fetch asks a shard for.
     fetch_page_max: u32,
-    /// Drive client-side exchanges (submissions, mailbox fetches) from
-    /// the single-threaded client reactor instead of blocking worker
-    /// threads.
-    reactor_clients: bool,
 }
 
 impl RemoteDeployment {
@@ -146,19 +140,11 @@ impl RemoteDeployment {
             current_keys: chain_keys,
             next_keys: Vec::new(),
             cover_store: CoverStore::new(),
-            // Since the daemons went event-driven, connections cost the
-            // server nothing but a buffer: worker count is purely a
-            // client-side CPU knob (sealed frames per second), so scale
-            // it with the client's cores.
-            submit_workers: std::thread::available_parallelism()
-                .map(|n| (2 * n.get()).min(16))
-                .unwrap_or(4),
             injected: Vec::new(),
             dead: vec![false; n_chains],
             retry,
             timeouts,
             fetch_page_max: 256,
-            reactor_clients: true,
         };
         // Pre-publish round-1 inner keys (§5.3.3: covers for ρ+1 are
         // sealed while ρ runs).
@@ -211,29 +197,6 @@ impl RemoteDeployment {
         chain_bytes + mailbox_bytes
     }
 
-    /// Set the number of concurrent submitter connections.  The
-    /// event-driven daemons hold thousands of connections each (see
-    /// `submit_storm` for the single-daemon probe), so this only trades
-    /// client-side threads against submission-window wall clock.  Only
-    /// meaningful for the legacy blocking client path
-    /// ([`RemoteDeployment::set_reactor_clients`]`(false)`); the
-    /// reactor drives every session from one thread regardless.
-    pub fn set_submit_workers(&mut self, n: usize) {
-        self.submit_workers = n.max(1);
-    }
-
-    /// Choose the client-side driver for submissions and mailbox
-    /// fetches.  `true` (the default) pumps one state machine per
-    /// emulated client connection from a single epoll thread —
-    /// [`crate::swarm::reactor`] — which is what lets one process
-    /// emulate a 10k–100k-user population.  `false` restores the
-    /// blocking drivers: a thread-pool fan-out for submissions and the
-    /// pipelined per-shard walk for fetches (the latter is stricter
-    /// about desync detection, so fault-injection tests still use it).
-    pub fn set_reactor_clients(&mut self, on: bool) {
-        self.reactor_clients = on;
-    }
-
     /// Largest page a fetch asks a mailbox shard for (default 256
     /// entries).  Tests shrink it to force multi-page walks; the wire
     /// cost per round is unchanged either way.
@@ -242,8 +205,7 @@ impl RemoteDeployment {
     }
 
     /// Select how every chain ships batches hop to hop (default
-    /// [`crate::Transport::Auto`]: stream large batches, ship small
-    /// ones whole).
+    /// [`crate::Transport::default`]: relayed chunk streams).
     pub fn set_transport(&mut self, transport: crate::Transport) {
         for chain in &mut self.chains {
             chain.set_transport(transport);
@@ -311,11 +273,7 @@ impl RemoteDeployment {
                     failed[c] = Some(format!("opening the window: {e}"));
                 }
             }
-            if self.reactor_clients {
-                self.submit_reactor(round, &per_chain, &mut failed);
-            } else {
-                self.submit_concurrently(round, &per_chain, &mut failed);
-            }
+            self.submit_reactor(round, &per_chain, &mut failed);
         }
 
         // Drive every chain's mix in parallel — each chain is an
@@ -517,46 +475,11 @@ impl RemoteDeployment {
             }
         }
 
-        // Fetch, one worker thread per shard: every online user's
-        // mailbox is paged down (and acked once safely read) over that
-        // shard's connection, then decryption runs from the prefetched
-        // map.
+        // Fetch: every online user's mailbox is paged down (and acked
+        // once safely read) from its shard, then decryption runs from
+        // the prefetched map.
         let fetch_span = xrd_obs::span_timer("round.fetch", round);
-        let mut prefetched: Prefetched = if self.reactor_clients {
-            self.fetch_reactor(round, users)?
-        } else {
-            let mut by_shard: Vec<Vec<[u8; 32]>> = vec![Vec::new(); n_shards];
-            for user in users.iter().filter(|u| u.online) {
-                let mailbox = user.mailbox_id();
-                by_shard[shard_of(&mailbox, n_shards)].push(mailbox);
-            }
-            let retry = self.retry;
-            let page_max = self.fetch_page_max;
-            let results: Vec<Result<Prefetched, NetError>> = std::thread::scope(|scope| {
-                self.mailbox_conns
-                    .iter_mut()
-                    .zip(by_shard)
-                    .map(|(conn, boxes)| {
-                        scope.spawn(move || fetch_shard(conn, boxes, page_max, retry))
-                    })
-                    .collect::<Vec<_>>()
-                    .into_iter()
-                    .map(|h| {
-                        h.join().unwrap_or_else(|_| {
-                            Err(NetError::Protocol("fetch worker panicked".into()))
-                        })
-                    })
-                    .collect()
-            });
-            let mut prefetched: Prefetched = HashMap::new();
-            for result in results {
-                prefetched.extend(result.map_err(|e| RoundError::Infrastructure {
-                    round,
-                    message: format!("mailbox fetch: {e}"),
-                })?);
-            }
-            prefetched
-        };
+        let mut prefetched = self.fetch_reactor(round, users)?;
         let fetched = open_fetched(&self.topo, round, users, |mailbox| {
             Ok(prefetched.remove(mailbox).unwrap_or_default())
         })?;
@@ -596,90 +519,6 @@ impl RemoteDeployment {
         Ok((report, fetched))
     }
 
-    /// Submit every sealed submission to every daemon of its chain (the
-    /// paper's input-agreement fan-out), spread across
-    /// `submit_workers` concurrent client connections.
-    ///
-    /// A chain whose daemons cannot be reached (after one reconnect
-    /// retry per failure) is marked failed in `failed` and its
-    /// remaining submissions skipped; a daemon *rejecting* one
-    /// submission (bad PoK, quota) skips that submission for that
-    /// chain without failing it.
-    fn submit_concurrently(
-        &self,
-        round: u64,
-        per_chain: &[Vec<Submission>],
-        failed: &mut [Option<String>],
-    ) {
-        let tasks: Vec<(usize, &Submission)> = per_chain
-            .iter()
-            .enumerate()
-            .filter(|(c, _)| failed[*c].is_none())
-            .flat_map(|(c, subs)| subs.iter().map(move |s| (c, s)))
-            .collect();
-        if tasks.is_empty() {
-            return;
-        }
-        let workers = self.submit_workers.min(tasks.len());
-        let chunk = tasks.len().div_ceil(workers);
-        let chain_addrs = &self.chain_addrs;
-        // Workers share the failure slate so one chain going down stops
-        // every worker's traffic to it, not just the discoverer's.
-        let shared: std::sync::Mutex<&mut [Option<String>]> = std::sync::Mutex::new(failed);
-
-        std::thread::scope(|scope| {
-            for chunk_tasks in tasks.chunks(chunk) {
-                let shared = &shared;
-                scope.spawn(move || {
-                    // Each worker keeps one connection per daemon it
-                    // talks to (a client device in miniature).
-                    let mut conns: HashMap<SocketAddr, Conn> = HashMap::new();
-                    'tasks: for &(c, submission) in chunk_tasks {
-                        if shared.lock().expect("failure slate poisoned")[c].is_some() {
-                            continue;
-                        }
-                        for &addr in &chain_addrs[c] {
-                            let frame = Frame::Submit {
-                                round,
-                                submission: submission.clone(),
-                            };
-                            let mut result = submit_once(&mut conns, addr, &frame);
-                            if matches!(&result, Err(e) if e.retryable()) {
-                                conns.remove(&addr);
-                                result = submit_once(&mut conns, addr, &frame);
-                            }
-                            match result {
-                                Ok(()) => {}
-                                Err(NetError::Remote { code, message }) => {
-                                    // The daemon rejected this one
-                                    // submission; the window stays up.
-                                    xrd_obs::debug!(
-                                        "round {round}: chain {c} daemon rejected a \
-                                         submission ({code}: {message})"
-                                    );
-                                    continue 'tasks;
-                                }
-                                Err(e) => {
-                                    shared.lock().expect("failure slate poisoned")[c]
-                                        .get_or_insert(format!("submission window: {e}"));
-                                    continue 'tasks;
-                                }
-                            }
-                        }
-                    }
-                });
-            }
-        });
-    }
-
-    /// The reactor-driven submission window: one
-    /// [`client_reactor::SubmitSession`] per sealed submission, each
-    /// fanning out to every daemon of its chain, all pumped
-    /// concurrently from a single epoll thread.  Failure semantics
-    /// match [`RemoteDeployment::submit_concurrently`]: a daemon
-    /// *rejecting* a submission (bad PoK, quota) skips that submission
-    /// without failing the chain; transport trouble the session's
-    /// bounded retries could not heal fails the chain.
     /// The reactor drive knobs, derived from the deployment's own
     /// deadlines and retry policy so reactor-driven clients fail (and
     /// heal) on the same clock as the blocking coordinator conns: the
@@ -709,6 +548,13 @@ impl RemoteDeployment {
         }
     }
 
+    /// The submission window: one [`client_reactor::SubmitSession`] per
+    /// sealed submission, each fanning out to every daemon of its chain
+    /// (the paper's input-agreement fan-out), all pumped concurrently
+    /// from a single epoll thread.  A daemon refusing a *malformed*
+    /// submission skips that submission without failing the chain; any
+    /// other refusal, or transport trouble the session's bounded
+    /// retries could not heal, fails the chain.
     fn submit_reactor(
         &self,
         round: u64,
@@ -823,20 +669,6 @@ impl RemoteDeployment {
     }
 }
 
-/// One submission to one daemon over the worker's cached connection
-/// (dialing it first if needed).
-fn submit_once(
-    conns: &mut HashMap<SocketAddr, Conn>,
-    addr: SocketAddr,
-    frame: &Frame,
-) -> Result<(), NetError> {
-    let conn = match conns.entry(addr) {
-        std::collections::hash_map::Entry::Occupied(e) => e.into_mut(),
-        std::collections::hash_map::Entry::Vacant(e) => e.insert(Conn::connect(addr)?),
-    };
-    conn.request_ok(frame)
-}
-
 /// What the shard-parallel fetch phase hands to decryption: each
 /// online mailbox's `(delivery_round, sealed)` entries, oldest first.
 type Prefetched = HashMap<[u8; 32], Vec<(u64, Vec<u8>)>>;
@@ -878,34 +710,6 @@ pub(crate) fn deliver_shard(
 /// Requests a pipelined shard fetch keeps in flight at once.
 const FETCH_WINDOW: usize = 64;
 
-/// Why one pipelined pass over a shard connection did not complete.
-enum PassError {
-    /// The transport failed mid-pass.
-    Wire(NetError),
-    /// The response stream desynchronized from the request stream (a
-    /// dropped or mangled frame on a faulty wire): positional pairing
-    /// can no longer be trusted, so the pass's findings are discarded.
-    Desync(String),
-}
-
-impl PassError {
-    fn retryable(&self) -> bool {
-        match self {
-            PassError::Wire(e) => e.retryable(),
-            PassError::Desync(_) => true,
-        }
-    }
-
-    fn into_net(self) -> NetError {
-        match self {
-            PassError::Wire(e) => e,
-            PassError::Desync(why) => {
-                NetError::Protocol(format!("mailbox fetch pipeline desync: {why}"))
-            }
-        }
-    }
-}
-
 /// Page down (and then ack) every listed mailbox over one shard
 /// connection, **pipelined**: up to [`FETCH_WINDOW`] requests ride the
 /// wire before their first response is awaited.  The daemon answers a
@@ -941,12 +745,12 @@ pub(crate) fn fetch_shard(
         match fetch_pass(conn, &boxes, page_max) {
             Ok(walked) => break walked,
             Err(e) if e.retryable() && attempt + 1 < retry.attempts => {
-                xrd_obs::debug!("mailbox fetch pass retrying: {}", e.into_net());
+                xrd_obs::debug!("mailbox fetch pass retrying: {e}");
                 attempt += 1;
                 retry.sleep(attempt);
                 let _ = conn.reconnect();
             }
-            Err(e) => return Err(e.into_net()),
+            Err(e) => return Err(e),
         }
     };
 
@@ -960,12 +764,12 @@ pub(crate) fn fetch_shard(
         match ack_pass(conn, &acks) {
             Ok(()) => break,
             Err(e) if e.retryable() && attempt + 1 < retry.attempts => {
-                xrd_obs::debug!("mailbox ack pass retrying: {}", e.into_net());
+                xrd_obs::debug!("mailbox ack pass retrying: {e}");
                 attempt += 1;
                 retry.sleep(attempt);
                 let _ = conn.reconnect();
             }
-            Err(e) => return Err(e.into_net()),
+            Err(e) => return Err(e),
         }
     }
 
@@ -983,7 +787,7 @@ fn fetch_pass(
     conn: &mut Conn,
     boxes: &[[u8; 32]],
     page_max: u32,
-) -> Result<Vec<([u8; 32], Vec<(u64, Vec<u8>)>, u64)>, PassError> {
+) -> Result<Vec<([u8; 32], Vec<(u64, Vec<u8>)>, u64)>, NetError> {
     struct BoxWalk {
         cursor: u64,
         entries: Vec<(u64, Vec<u8>)>,
@@ -1009,16 +813,15 @@ fn fetch_pass(
                     mailbox: boxes[i],
                     cursor: state[i].cursor,
                     max: page_max,
-                })
-                .map_err(PassError::Wire)?;
+                })?;
                 inflight.push_back(i);
             }
-            conn.flush().map_err(PassError::Wire)?;
+            conn.flush()?;
         }
         let Some(i) = inflight.pop_front() else {
             break;
         };
-        match conn.recv().map_err(PassError::Wire)? {
+        match conn.recv()? {
             Frame::MailboxPage {
                 sealed,
                 next_cursor,
@@ -1026,8 +829,8 @@ fn fetch_pass(
             } => {
                 let b = &mut state[i];
                 if next_cursor < b.cursor {
-                    return Err(PassError::Desync(format!(
-                        "cursor went backwards ({} < {})",
+                    return Err(NetError::Desync(format!(
+                        "mailbox cursor went backwards ({} < {})",
                         next_cursor, b.cursor
                     )));
                 }
@@ -1043,18 +846,18 @@ fn fetch_pass(
             Frame::Error { code, .. } if code == error_code::UNKNOWN_MAILBOX => {
                 state[i].done = true;
             }
-            Frame::Error { code, message } => {
-                return Err(PassError::Wire(NetError::Remote { code, message }));
-            }
+            Frame::Error { code, message } => return Err(NetError::Remote { code, message }),
             other => {
-                return Err(PassError::Desync(format!(
+                return Err(NetError::Desync(format!(
                     "expected MailboxPage, got {other:?}"
                 )));
             }
         }
     }
     if state.iter().any(|b| !b.done) {
-        return Err(PassError::Desync("walk ended with unfinished boxes".into()));
+        return Err(NetError::Desync(
+            "mailbox walk ended with unfinished boxes".into(),
+        ));
     }
     Ok(boxes
         .iter()
@@ -1064,24 +867,23 @@ fn fetch_pass(
 }
 
 /// One pipelined ack pass: a `FetchAck` per mailbox, count-verified.
-fn ack_pass(conn: &mut Conn, acks: &[([u8; 32], u64)]) -> Result<(), PassError> {
+fn ack_pass(conn: &mut Conn, acks: &[([u8; 32], u64)]) -> Result<(), NetError> {
     let mut sent = 0;
     let mut confirmed = 0;
     while confirmed < acks.len() {
         while sent < acks.len() && sent - confirmed < FETCH_WINDOW {
             let (mailbox, upto) = acks[sent];
-            conn.send_buffered(&Frame::FetchAck { mailbox, upto })
-                .map_err(PassError::Wire)?;
+            conn.send_buffered(&Frame::FetchAck { mailbox, upto })?;
             sent += 1;
         }
-        conn.flush().map_err(PassError::Wire)?;
-        match conn.recv().map_err(PassError::Wire)? {
+        conn.flush()?;
+        match conn.recv()? {
             Frame::Ok => confirmed += 1,
-            Frame::Error { code, message } => {
-                return Err(PassError::Wire(NetError::Remote { code, message }));
-            }
+            Frame::Error { code, message } => return Err(NetError::Remote { code, message }),
             other => {
-                return Err(PassError::Desync(format!("expected Ok, got {other:?}")));
+                return Err(NetError::Desync(format!(
+                    "expected Ok to FetchAck, got {other:?}"
+                )));
             }
         }
     }

@@ -32,8 +32,8 @@ use xrd_mixnet::client::{seal_ahs, Submission};
 use xrd_mixnet::message::{MailboxMessage, MixEntry, MAILBOX_MSG_LEN};
 use xrd_mixnet::server::verify_hop;
 
-use crate::codec::{BatchAssembler, ChunkedBatch, Frame, STREAM_CHUNK};
-use crate::conn::{Conn, NetError};
+use crate::codec::{Frame, STREAM_CHUNK};
+use crate::conn::{Conn, HopReply, NetError};
 use crate::daemon::MixServerDaemon;
 use crate::remote::RemoteDeployment;
 
@@ -47,8 +47,6 @@ pub struct SwarmConfig {
     /// Fraction of users in pairwise conversations (the rest idle and
     /// send loopback cover traffic only).
     pub conversing_fraction: f64,
-    /// Concurrent submitter connections.
-    pub submit_workers: usize,
 }
 
 impl Default for SwarmConfig {
@@ -57,7 +55,6 @@ impl Default for SwarmConfig {
             n_users: 128,
             rounds: 3,
             conversing_fraction: 0.5,
-            submit_workers: 8,
         }
     }
 }
@@ -126,8 +123,6 @@ pub fn run_swarm<R: RngCore + ?Sized>(
     deployment: &mut RemoteDeployment,
     config: &SwarmConfig,
 ) -> Result<SwarmReport, xrd_core::RoundError> {
-    deployment.set_submit_workers(config.submit_workers);
-
     let mut users: Vec<User> = (0..config.n_users).map(|_| User::new(rng)).collect();
     // Pair the first `conversing_fraction` of users: (0,1), (2,3), …
     let paired = ((config.n_users as f64 * config.conversing_fraction) as usize) & !1;
@@ -231,13 +226,10 @@ pub struct StormReport {
     /// Wall clock for the submission phase (every connection submits
     /// once, with its proof of knowledge verified by the daemon).
     pub submit_elapsed: Duration,
-    /// Wall clock for one *whole-batch* mix hop over the full batch
-    /// (one monolithic `MixBatch` frame, one monolithic response).
-    pub hop_elapsed: Duration,
-    /// Wall clock for the same hop *streamed*: the batch shipped as
+    /// Wall clock for one mix hop over the full batch: shipped as
     /// chunks the daemon starts decrypting on arrival, the output
     /// streamed back in chunks.
-    pub hop_streamed_elapsed: Duration,
+    pub hop_elapsed: Duration,
     /// Verified submissions per second during the submission phase.
     pub submits_per_sec: f64,
     /// The daemon's metrics, scraped *over the wire* (a
@@ -369,72 +361,22 @@ pub fn submit_storm<R: RngCore + ?Sized>(
     };
     let entries: Vec<MixEntry> = batch.iter().map(|s| s.to_entry()).collect();
     let hop_start = Instant::now();
-    let hop = control.request(&Frame::MixBatch {
-        round,
-        entries: entries.clone(),
-    })?;
+    let hop = control.stream_hop(round, &entries, STREAM_CHUNK)?;
     let hop_elapsed = hop_start.elapsed();
     match hop {
-        Frame::HopOutput { outputs, proof, .. } => {
-            if !verify_hop(&public, 0, round, &entries, &outputs, &proof) {
-                return Err(NetError::Protocol(
-                    "storm hop attestation failed verification".into(),
-                ));
-            }
+        HopReply::Output { outputs, proof, .. }
+            if verify_hop(&public, 0, round, &entries, &outputs, &proof) => {}
+        HopReply::Output { .. } => {
+            return Err(NetError::Protocol(
+                "storm hop attestation failed verification".into(),
+            ));
         }
-        other => {
+        HopReply::Failure { failed, .. } => {
             return Err(NetError::Protocol(format!(
-                "expected HopOutput, got {other:?}"
-            )))
+                "storm hop failed to decrypt {} entries",
+                failed.len()
+            )));
         }
-    }
-
-    // The same hop *streamed*: chunks hit the daemon's worker pool as
-    // they arrive, the shuffled output streams back in chunks.
-    let stream = ChunkedBatch::build(round, &entries, STREAM_CHUNK);
-    let hop_streamed_start = Instant::now();
-    for bytes in stream.frames() {
-        control.send_encoded(bytes)?;
-    }
-    let total = match control.recv()? {
-        Frame::HopOutputStart {
-            round: r,
-            position: 0,
-            total,
-        } if r == round => total,
-        other => {
-            return Err(NetError::Protocol(format!(
-                "expected HopOutputStart, got {other:?}"
-            )))
-        }
-    };
-    let mut assembler = BatchAssembler::begin(round, total)
-        .map_err(|e| NetError::Protocol(format!("storm hop stream: {e}")))?;
-    let (outputs, proof) = loop {
-        match control.recv()? {
-            Frame::HopOutputChunk { entries } => {
-                assembler
-                    .absorb(entries)
-                    .map_err(|e| NetError::Protocol(format!("storm hop stream: {e}")))?;
-            }
-            Frame::HopOutputEnd { digest, proof } => {
-                let outputs = assembler
-                    .finish(digest)
-                    .map_err(|e| NetError::Protocol(format!("storm hop stream: {e}")))?;
-                break (outputs, proof);
-            }
-            other => {
-                return Err(NetError::Protocol(format!(
-                    "expected HopOutputChunk/End, got {other:?}"
-                )))
-            }
-        }
-    };
-    let hop_streamed_elapsed = hop_streamed_start.elapsed();
-    if !verify_hop(&public, 0, round, &entries, &outputs, &proof) {
-        return Err(NetError::Protocol(
-            "storm streamed-hop attestation failed verification".into(),
-        ));
     }
 
     // Scrape the daemon before tearing the storm down, over the same
@@ -455,7 +397,6 @@ pub fn submit_storm<R: RngCore + ?Sized>(
         connect_elapsed,
         submit_elapsed,
         hop_elapsed,
-        hop_streamed_elapsed,
         submits_per_sec: config.n_conns as f64 / submit_elapsed.as_secs_f64().max(1e-9),
         stats,
     })

@@ -26,7 +26,7 @@ use rand::{Rng, RngCore, SeedableRng};
 use xrd_core::user::User;
 use xrd_core::{DeploymentConfig, RoundError};
 use xrd_mixnet::chain_keys::{generate_chain_keys, rotate_inner_keys};
-use xrd_net::codec::{error_code, Frame};
+use xrd_net::codec::{error_code, Frame, STREAM_CHUNK};
 use xrd_net::{
     launch_local_faulty_with, ByzantineMode, Conn, ConnTimeouts, DaemonHandle, Direction,
     FaultKind, FaultPlan, FaultRule, MailboxDaemon, MixServerDaemon, RemoteDeployment, RetryPolicy,
@@ -45,10 +45,13 @@ fn fast_timeouts() -> ConnTimeouts {
 }
 
 fn fast_retry() -> RetryPolicy {
-    // Every proxy carries its own copy of the fault schedule, so a rule
-    // on the mix frame can fire once per hop, and a whole-path mix
-    // retry restarts from hop 0: with k=3 hops and up to two rules, a
-    // chain may need 2·3 failed passes before a clean one.
+    // Every proxy carries its own copy of the fault schedule, and a
+    // rule fires on `count` = 1 matching frame per proxy however many
+    // frames a hop takes (Start, a chunk per 64 entries, End, each way;
+    // k-1 `VerifyHopKeys` and their verdicts per daemon): at most one
+    // failed pass per rule per hop.  A mix retry restarts the pass from
+    // hop 0, so with k=3 hops and up to two rules a chain may need 2·3
+    // failed passes before a clean one.
     RetryPolicy {
         attempts: 8,
         base_backoff: Duration::from_millis(10),
@@ -169,9 +172,13 @@ fn chaos_sweep(seeds: std::ops::Range<u64>) {
         "BatchDigest",
         "GetBatch",
         "SubmissionBatch",
-        "MixBatch",
-        "HopOutput",
-        "VerifyHop",
+        "MixBatchStart",
+        "MixBatchChunk",
+        "MixBatchEnd",
+        "HopOutputStart",
+        "HopOutputChunk",
+        "HopOutputEnd",
+        "VerifyHopKeys",
         "VerifyResult",
         "RevealInnerKey",
         "InnerKeyReveal",
@@ -348,37 +355,113 @@ fn equivocating_digest_is_suspected_and_majority_continues() {
     shutdown_all(&mut mix, &mut mailboxes);
 }
 
-/// A server that corrupts its hop output (a content swap its aggregate
-/// attestation cannot cover for) is localized; the rest of the
-/// deployment still delivers its round.
+/// A server that corrupts its hop output (an output key its aggregate
+/// attestation does not cover) is convicted — whatever its position and
+/// however many chunks the batch takes — no user is, and the rest of
+/// the deployment still delivers its round.
+///
+/// * Position 0: the relay forwards chunks verbatim, so the garbled key
+///   reaches hop 1 before any verification; hop 1 halts with a
+///   `HopFailure` and the §6.4 trace must pin it on **server 0** — not
+///   on hop 1 (the accuser) and not on the user whose onion it was.
+/// * Position k−1: nothing downstream decrypts; the end-of-chain
+///   `VerifyHopKeys` broadcast is rejected and the dispute convicts.
 #[test]
 fn corrupting_hop_is_localized_and_other_chains_deliver() {
-    let mut rng = StdRng::seed_from_u64(73);
-    let config = DeploymentConfig::small(3, 3);
-    let (mut mix, mut mailboxes, mut deployment) =
-        launch_byzantine(&mut rng, &config, &[(0, 0, ByzantineMode::CorruptHop)]);
-    let mut users = users_with_chat(&mut rng, 8);
+    const K: usize = 3;
+    // (corrupt position, users): 8 users is a one-chunk batch, 240 put
+    // three chunks or more on every chain.
+    for (position, n_users) in [(0, 8), (0, 240), (K - 1, 8), (K - 1, 240)] {
+        let case = format!("corrupt hop {position}, {n_users} users");
+        let mut rng = StdRng::seed_from_u64(73);
+        let config = DeploymentConfig::small(3, K);
+        let (mut mix, mut mailboxes, mut deployment) = launch_byzantine(
+            &mut rng,
+            &config,
+            &[(0, position, ByzantineMode::CorruptHop)],
+        );
+        let mut users = users_with_chat(&mut rng, n_users);
+        let on_chain = |chain: u32| -> usize {
+            users
+                .iter()
+                .flat_map(|u| deployment.topology().chains_of_user(&u.mailbox_id()))
+                .filter(|c| c.0 == chain)
+                .count()
+        };
+        let corrupted = on_chain(0);
+        let elsewhere: usize = (1..deployment.topology().n_chains() as u32)
+            .map(on_chain)
+            .sum();
+        if n_users == 8 {
+            assert!((2..=STREAM_CHUNK).contains(&corrupted), "{case}: one chunk");
+        } else {
+            assert!(corrupted > 2 * STREAM_CHUNK, "{case}: three chunks or more");
+        }
 
-    let result = deployment.run_round(&mut rng, &mut users);
-    let (report, _) = result.expect("the deployment survives one corrupt chain");
-    assert!(
-        report
-            .convicted_by_chain
-            .get(&0)
-            .is_some_and(|c| c.contains(&0))
-            || report.failed_chains.contains(&0)
-            || report.aborted_chains.contains(&0),
-        "the corrupting hop is localized or its chain visibly fails: {report:?}"
-    );
-    // Whatever happened to chain 0, no honest chain is blamed.
-    for (chain, convicted) in &report.convicted_by_chain {
-        assert_eq!(*chain, 0, "only chain 0 convicts anyone: {convicted:?}");
+        let (report, _) = deployment
+            .run_round(&mut rng, &mut users)
+            .unwrap_or_else(|e| panic!("{case}: the deployment survives one corrupt chain: {e}"));
+        assert_eq!(
+            report.convicted_by_chain,
+            [(0, vec![position as u32])].into(),
+            "{case}: exactly the corrupting server is convicted"
+        );
+        assert!(
+            report.malicious_by_chain.is_empty(),
+            "{case}: no user is blamed for a server's lie: {:?}",
+            report.malicious_by_chain
+        );
+        assert_eq!(report.aborted_chains, vec![0], "{case}: chain 0 halts");
+        assert!(
+            report.failed_chains.is_empty(),
+            "{case}: nothing else fails"
+        );
+        assert_eq!(
+            report.delivered, elsewhere,
+            "{case}: the other chains deliver all of their mail"
+        );
+        shutdown_all(&mut mix, &mut mailboxes);
     }
-    assert!(
-        report.delivered > 0,
-        "the other chains still deliver their mail"
-    );
-    shutdown_all(&mut mix, &mut mailboxes);
+}
+
+/// Loss inside a hop's reply stream: every proxy swallows the first
+/// output chunk (or stream opener) its daemon emits, so the coordinator
+/// sees a stream that fails reassembly — or begins mid-stream — instead
+/// of a silent socket.  That is transport trouble like any other
+/// ([`xrd_net::NetError::Desync`]): the pass is retried on fresh
+/// connections, nobody is convicted, everything delivers.
+#[test]
+fn dropped_output_frames_desync_the_stream_and_are_retried() {
+    for (seed, frame) in [(78, "HopOutputChunk"), (79, "HopOutputStart")] {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let plan = FaultPlan::new(seed).with(
+            FaultRule::new(FaultKind::Drop)
+                .tag(tag(frame))
+                .dir(Direction::Down),
+        );
+        let config = DeploymentConfig::small(3, 3);
+        let (mut cluster, _proxies, mut deployment) =
+            launch_local_faulty_with(&mut rng, &config, &plan, fast_timeouts(), fast_retry())
+                .expect("cluster launches");
+        let ell = deployment.topology().ell();
+        let mut users = users_with_chat(&mut rng, 6);
+
+        let (report, _) = deployment
+            .run_round(&mut rng, &mut users)
+            .unwrap_or_else(|e| panic!("a dropped {frame} is not fatal: {e}"));
+        assert!(
+            report.failed_chains.is_empty(),
+            "dropped {frame}: chains failed: {:?}",
+            report.failed_chains
+        );
+        assert!(
+            report.convicted_by_chain.is_empty(),
+            "dropped {frame}: nobody lied: {:?}",
+            report.convicted_by_chain
+        );
+        assert_eq!(report.delivered, 6 * ell, "dropped {frame}: full delivery");
+        cluster.shutdown();
+    }
 }
 
 /// Stall injection: a proxy that wedges mid-round on the mix frame is
@@ -388,12 +471,13 @@ fn corrupting_hop_is_localized_and_other_chains_deliver() {
 #[test]
 fn stalled_mix_frame_times_out_and_retries() {
     let mut rng = StdRng::seed_from_u64(74);
-    // Every proxy stalls the first MixBatch it sees, indefinitely; the
-    // reconnect after the read deadline gets a fresh (spent) plan
-    // state, so the retry sails through.
+    // Every proxy stalls the first batch chunk it sees, indefinitely;
+    // the reconnect after the read deadline finds the rule spent, so
+    // the retry sails through that hop (and meets the next hop's stall:
+    // k failed passes in all).
     let plan = FaultPlan::new(74).with(
         FaultRule::new(FaultKind::Stall)
-            .tag(tag("MixBatch"))
+            .tag(tag("MixBatchChunk"))
             .dir(Direction::Up),
     );
     let config = DeploymentConfig::small(3, 3);
@@ -451,7 +535,7 @@ fn permanently_stalled_deployment_fails_typed_not_hung() {
     let mut rng = StdRng::seed_from_u64(75);
     let plan = FaultPlan::new(75).with(
         FaultRule::new(FaultKind::Stall)
-            .tag(tag("MixBatch"))
+            .tag(tag("MixBatchStart"))
             .count(u32::MAX)
             .dir(Direction::Up),
     );

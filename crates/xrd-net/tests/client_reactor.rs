@@ -360,6 +360,87 @@ fn fetch_walk_restarts_from_scratch_after_disconnect() {
     assert_eq!(conns.load(Ordering::SeqCst), 2);
 }
 
+/// The fetch walk's three refusals-or-not, each against its own
+/// scripted shard: a mailbox the shard has never heard of is *empty*
+/// (typed `UNKNOWN_MAILBOX` completes the session with no entries and
+/// no ack); a cursor that goes backwards and a frame that is no fetch
+/// response at all are each a typed failure of that session alone —
+/// never entries attributed on a desynchronized stream.
+#[test]
+fn fetch_session_accepts_unknown_mailbox_and_refuses_desynced_replies() {
+    use xrd_net::codec::error_code;
+    let (unknown, _) = scripted_peer(|_, mut stream| {
+        let mut decoder = FrameDecoder::new();
+        let _ = read_frame(&mut stream, &mut decoder);
+        let reply = Frame::Error {
+            code: error_code::UNKNOWN_MAILBOX,
+            message: "never delivered to".into(),
+        };
+        stream.write_all(&reply.encode()).expect("error frame");
+        std::thread::sleep(Duration::from_millis(200));
+    });
+    let (backwards, _) = scripted_peer(|_, mut stream| {
+        let mut decoder = FrameDecoder::new();
+        let _ = read_frame(&mut stream, &mut decoder);
+        let first = Frame::MailboxPage {
+            sealed: vec![(1, sealed(0x11))],
+            next_cursor: 5,
+            remaining: 1,
+        };
+        stream.write_all(&first.encode()).expect("first page");
+        let _ = read_frame(&mut stream, &mut decoder);
+        let second = Frame::MailboxPage {
+            sealed: vec![(1, sealed(0x22))],
+            next_cursor: 3,
+            remaining: 0,
+        };
+        stream.write_all(&second.encode()).expect("second page");
+        std::thread::sleep(Duration::from_millis(200));
+    });
+    let (stray, _) = scripted_peer(|_, mut stream| {
+        let mut decoder = FrameDecoder::new();
+        let _ = read_frame(&mut stream, &mut decoder);
+        stream
+            .write_all(&Frame::Pong.encode())
+            .expect("stray frame");
+        std::thread::sleep(Duration::from_millis(200));
+    });
+
+    let outcome = drive_sessions(
+        vec![
+            FetchSession::new(unknown, [1u8; 32], 4),
+            FetchSession::new(backwards, [2u8; 32], 4),
+            FetchSession::new(stray, [3u8; 32], 4),
+        ],
+        &DriveConfig::default(),
+    )
+    .expect("reactor runs");
+    assert_eq!(outcome.completed, 1, "failures: {:?}", outcome.failed);
+    let mut failed: Vec<(usize, String)> = outcome
+        .failed
+        .iter()
+        .map(|(i, e)| match e {
+            NetError::Protocol(msg) => (*i, msg.clone()),
+            other => panic!("session {i}: expected a protocol failure, got {other:?}"),
+        })
+        .collect();
+    failed.sort();
+    assert_eq!(failed.len(), 2);
+    assert_eq!(failed[0].0, 1);
+    assert!(failed[0].1.contains("out of sequence"), "{failed:?}");
+    assert_eq!(failed[1].0, 2);
+    assert!(
+        failed[1].1.contains("unexpected fetch response"),
+        "{failed:?}"
+    );
+    let entries: Vec<_> = outcome
+        .sessions
+        .into_iter()
+        .map(|s| s.into_entries())
+        .collect();
+    assert!(entries[0].is_empty(), "an unknown mailbox is an empty one");
+}
+
 /// Bytes that do not parse as any frame are a typed
 /// [`NetError::Codec`] failure — immediately, with no retry: a peer
 /// speaking a different protocol will not get retried into.

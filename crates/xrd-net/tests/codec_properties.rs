@@ -156,8 +156,7 @@ fn obs_snapshot(rng: &mut StdRng) -> xrd_obs::Snapshot {
     }
 }
 
-/// Number of distinct frame constructors below (keep in sync; the one
-/// index with no explicit arm falls through to the mailbox frames).
+/// Number of distinct frame constructors below (keep in sync).
 const N_VARIANTS: usize = 40;
 
 /// A random well-formed frame of the chosen variant.
@@ -196,27 +195,10 @@ fn arb_frame(rng: &mut StdRng, variant: usize) -> Frame {
             round: rng.next_u64(),
             submissions: (0..rng.gen_range(0..5)).map(|_| submission(rng)).collect(),
         },
-        10 => Frame::MixBatch {
-            round: rng.next_u64(),
-            entries: mix_entries(rng),
-        },
-        11 => Frame::HopOutput {
-            round: rng.next_u64(),
-            position: rng.gen_range(0..64u32),
-            outputs: mix_entries(rng),
-            proof: dleq(rng),
-        },
         12 => Frame::HopFailure {
             round: rng.next_u64(),
             position: rng.gen_range(0..64u32),
             failed: (0..rng.gen_range(0..8)).map(|_| rng.next_u64()).collect(),
-        },
-        13 => Frame::VerifyHop {
-            round: rng.next_u64(),
-            position: rng.gen_range(0..64u32),
-            inputs: mix_entries(rng),
-            outputs: mix_entries(rng),
-            proof: dleq(rng),
         },
         14 => Frame::VerifyResult {
             ok: rng.gen_bool(0.5),
@@ -316,54 +298,52 @@ fn arb_frame(rng: &mut StdRng, variant: usize) -> Frame {
             upheld: rng.gen_bool(0.5),
             sig: schnorr(rng),
         },
-        36 => Frame::DisputeVerdict {
+        10 => Frame::DisputeVerdict {
             round: rng.next_u64(),
             accused: rng.gen_range(0..64u32),
             claim: rng.gen_range(0..3u8),
             upheld: rng.gen_bool(0.5),
             votes: rng.gen_range(0..64u32),
         },
-        37 => Frame::HopForwarded {
+        11 => Frame::HopForwarded {
             round: rng.next_u64(),
             position: rng.gen_range(0..64u32),
             input_dhs: (0..rng.gen_range(0..6)).map(|_| g(rng)).collect(),
             output_dhs: (0..rng.gen_range(0..6)).map(|_| g(rng)).collect(),
             proof: dleq(rng),
         },
-        38 => Frame::Pong,
-        _ => match variant % 4 {
-            0 => Frame::Deliver {
-                round: rng.next_u64(),
-                batch: rng.next_u64(),
-                messages: (0..rng.gen_range(0..4))
-                    .map(|_| mailbox_message(rng))
-                    .collect(),
-            },
-            1 => {
-                let mut mailbox = [0u8; 32];
-                rng.fill_bytes(&mut mailbox);
-                Frame::FetchPage {
-                    mailbox,
-                    cursor: rng.next_u64(),
-                    max: rng.gen_range(1..512u32),
-                }
-            }
-            2 => Frame::MailboxPage {
-                sealed: (0..rng.gen_range(0..4))
-                    .map(|_| (rng.next_u64(), mailbox_message(rng).sealed))
-                    .collect(),
-                next_cursor: rng.next_u64(),
-                remaining: rng.gen_range(0..1000u64),
-            },
-            _ => {
-                let mut mailbox = [0u8; 32];
-                rng.fill_bytes(&mut mailbox);
-                Frame::FetchAck {
-                    mailbox,
-                    upto: rng.next_u64(),
-                }
-            }
+        13 => Frame::Pong,
+        36 => Frame::Deliver {
+            round: rng.next_u64(),
+            batch: rng.next_u64(),
+            messages: (0..rng.gen_range(0..4))
+                .map(|_| mailbox_message(rng))
+                .collect(),
         },
+        37 => {
+            let mut mailbox = [0u8; 32];
+            rng.fill_bytes(&mut mailbox);
+            Frame::FetchPage {
+                mailbox,
+                cursor: rng.next_u64(),
+                max: rng.gen_range(1..512u32),
+            }
+        }
+        38 => Frame::MailboxPage {
+            sealed: (0..rng.gen_range(0..4))
+                .map(|_| (rng.next_u64(), mailbox_message(rng).sealed))
+                .collect(),
+            next_cursor: rng.next_u64(),
+            remaining: rng.gen_range(0..1000u64),
+        },
+        _ => {
+            let mut mailbox = [0u8; 32];
+            rng.fill_bytes(&mut mailbox);
+            Frame::FetchAck {
+                mailbox,
+                upto: rng.next_u64(),
+            }
+        }
     }
 }
 
@@ -500,17 +480,74 @@ proptest! {
     }
 }
 
+/// `docs/PROTOCOL.md`'s tag tables and the codec agree, row for row:
+/// every `| 0xNN | Name |` row names what [`Frame::tag_name`] reports
+/// for that byte (`—` marks a retired tag: no name), and every tag the
+/// codec knows has a row — so a tag cannot be added, renamed or retired
+/// in one place only.
+#[test]
+fn protocol_doc_tag_tables_match_the_codec() {
+    let doc = std::fs::read_to_string(concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../docs/PROTOCOL.md"
+    ))
+    .expect("docs/PROTOCOL.md is readable");
+    let mut documented = std::collections::BTreeSet::new();
+    for line in doc.lines() {
+        let cells: Vec<&str> = line
+            .split('|')
+            .map(|c| c.trim().trim_matches('`'))
+            .collect();
+        let [_, tag, name, ..] = cells.as_slice() else {
+            continue;
+        };
+        let Some(tag) = tag.strip_prefix("0x") else {
+            continue;
+        };
+        let tag = u8::from_str_radix(tag, 16).expect("tag column is a byte");
+        let named = (*name != "—").then_some(*name);
+        assert_eq!(
+            Frame::tag_name(tag),
+            named,
+            "PROTOCOL.md row for tag {tag:#04x}"
+        );
+        assert!(documented.insert(tag), "tag {tag:#04x} has two rows");
+    }
+    for tag in 0..=u8::MAX {
+        if let Some(name) = Frame::tag_name(tag) {
+            assert!(
+                documented.contains(&tag),
+                "{name} ({tag:#04x}) has no row in PROTOCOL.md"
+            );
+        }
+    }
+}
+
 #[test]
 fn unknown_tag_rejected() {
     assert_eq!(Frame::decode(&[0xee]), Err(CodecError::UnknownTag(0xee)));
     assert_eq!(Frame::decode(&[]), Err(CodecError::Truncated));
 }
 
+/// The whole-batch hop frames are retired and their tag bytes
+/// reserved: a stale peer still speaking them gets a clean unknown-tag
+/// error, whatever follows the tag.
+#[test]
+fn retired_hop_tags_decode_as_unknown() {
+    for tag in [0x20u8, 0x21, 0x23] {
+        assert_eq!(Frame::tag_name(tag), None);
+        assert_eq!(Frame::decode(&[tag]), Err(CodecError::UnknownTag(tag)));
+        let mut body = vec![tag];
+        body.extend_from_slice(&7u64.to_le_bytes());
+        body.extend_from_slice(&0u32.to_le_bytes());
+        assert_eq!(Frame::decode(&body), Err(CodecError::UnknownTag(tag)));
+    }
+}
+
 #[test]
 fn oversized_sequence_rejected() {
-    // A MixBatch whose declared entry count exceeds MAX_BATCH.
-    let mut body = vec![0x20]; // TAG_MIX_BATCH
-    body.extend_from_slice(&7u64.to_le_bytes());
+    // A MixBatchChunk whose declared entry count exceeds MAX_BATCH.
+    let mut body = vec![0x26]; // TAG_MIX_BATCH_CHUNK
     body.extend_from_slice(&(u32::MAX).to_le_bytes());
     assert!(matches!(
         Frame::decode(&body),
@@ -597,9 +634,9 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// Any chunking of a batch — down to 1-entry chunks — reassembles
-    /// to exactly the entries a monolithic `MixBatch` frame carries.
+    /// to exactly the source entries.
     #[test]
-    fn any_chunking_reassembles_to_the_monolithic_batch(
+    fn any_chunking_reassembles_to_the_source_batch(
         seed in any::<u64>(),
         chunk_size in 1usize..40,
     ) {
@@ -609,14 +646,7 @@ proptest! {
 
         let stream = ChunkedBatch::build(round, &entries, chunk_size);
         prop_assert_eq!(stream.total(), entries.len());
-        prop_assert_eq!(reassemble(&stream).expect("clean stream"), entries.clone());
-
-        // The monolithic frame carries the identical batch.
-        let mono = Frame::MixBatch { round, entries: entries.clone() }.encode();
-        let Frame::MixBatch { entries: decoded, .. } =
-            Frame::decode(&mono[4..]).expect("monolithic decodes")
-        else { panic!("wrong frame") };
-        prop_assert_eq!(decoded, entries);
+        prop_assert_eq!(reassemble(&stream).expect("clean stream"), entries);
     }
 
     /// Two different chunkings of the same batch close with the same

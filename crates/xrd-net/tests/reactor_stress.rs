@@ -17,10 +17,10 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use xrd_mixnet::chain_keys::{generate_chain_keys, rotate_inner_keys};
-use xrd_net::codec::Frame;
+use xrd_net::codec::{Frame, STREAM_CHUNK};
 use xrd_net::swarm::reactor::{drive_sessions, raise_nofile_limit, DriveConfig, SubmitSession};
 use xrd_net::swarm::sealed_submissions;
-use xrd_net::{Conn, MixServerDaemon};
+use xrd_net::{Conn, HopReply, MixServerDaemon};
 
 /// Serializes the thread-count-sensitive tests.
 static THREAD_ACCOUNTING: Mutex<()> = Mutex::new(());
@@ -291,13 +291,12 @@ fn churned_connections_leave_daemon_serving_and_thread_count_flat() {
 /// in flight on the daemon's worker pool, the reactor thread keeps
 /// serving — a submission fired mid-hop on another connection is
 /// verified and acknowledged long before the hop's response lands.
-/// The pre-offload daemon ran `MixBatch` crypto inline on the reactor
-/// thread, so the submission would have waited out the whole hop.
+/// A daemon running hop crypto inline on the reactor thread would make
+/// the submission wait out the whole hop.
 ///
-/// The O(1)-thread assertion is adjusted for the offload: the daemon
-/// may now hold its fixed-size worker pool (≤ 4 threads, spawned
-/// lazily at the first hop) plus transient scoped hop workers — still
-/// O(1) in the number of clients.
+/// The O(1)-thread assertion allows for the offload: the daemon holds
+/// its fixed-size worker pool (≤ 4 threads, spawned lazily at the first
+/// hop) — still O(1) in the number of clients.
 #[test]
 fn submissions_served_while_hop_crypto_in_flight() {
     let _guard = THREAD_ACCOUNTING.lock().unwrap();
@@ -343,10 +342,11 @@ fn submissions_served_while_hop_crypto_in_flight() {
         .expect("window reopens");
 
     // Fire the hop on one connection without reading its response…
+    let stream = xrd_net::codec::ChunkedBatch::build(0, &entries, STREAM_CHUNK);
     let hop_start = std::time::Instant::now();
-    control
-        .send(&Frame::MixBatch { round: 0, entries })
-        .expect("hop fires");
+    for bytes in stream.frames() {
+        control.send_encoded(bytes).expect("hop fires");
+    }
 
     // …and submit on another connection while the hop is in flight.
     let mut submitter = Conn::connect(addr).expect("submitter connects");
@@ -362,41 +362,33 @@ fn submissions_served_while_hop_crypto_in_flight() {
     let threads_mid_hop = process_threads();
 
     // Collect the hop.
-    match control.recv().expect("hop response") {
-        Frame::HopOutput { outputs, .. } => assert_eq!(outputs.len(), N),
-        other => panic!("expected HopOutput, got {other:?}"),
+    match control.recv_hop_reply(0, N, None).expect("hop response") {
+        HopReply::Output { outputs, .. } => assert_eq!(outputs.len(), N),
+        other => panic!("expected the hop's output, got {other:?}"),
     }
     let hop_elapsed = hop_start.elapsed();
 
     assert!(
         submit_elapsed < hop_elapsed / 2,
         "submission waited out the hop: submit {submit_elapsed:?} vs hop {hop_elapsed:?} \
-         — MixBatch crypto is blocking the reactor thread"
+         — hop crypto is blocking the reactor thread"
     );
 
     if let (Some(b), Some(mid)) = (baseline, threads_mid_hop) {
-        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-        // Worker pool (≤ 4) + transient scoped hop workers (≤ cores),
-        // never O(clients).
+        // Worker pool (≤ 4), never O(clients).
         assert!(
-            mid <= b + 4 + cores + THREAD_SLACK,
+            mid <= b + 4 + THREAD_SLACK,
             "hop offload grew threads {b} -> {mid} (pool should be fixed-size)"
         );
     }
 
-    // The streamed path overlaps the same way: submissions interleave
-    // with the chunk stream of the *next* hop.
-    let stream = xrd_net::codec::ChunkedBatch::build(
-        0,
-        &batch.iter().map(|s| s.to_entry()).collect::<Vec<_>>(),
-        64,
-    );
+    // Submissions interleave with the chunk stream itself, too: a
+    // fresh one lands between two chunks of the *next* hop's batch.
     let (head, tail) = stream.frames().split_at(stream.frames().len() / 2);
     for bytes in head {
         control.send_encoded(bytes).expect("chunk sends");
     }
     let submit_start = std::time::Instant::now();
-    // A fresh submission between two chunks of an in-flight stream.
     submitter
         .request_ok(&Frame::Submit {
             round: 1,
@@ -407,13 +399,7 @@ fn submissions_served_while_hop_crypto_in_flight() {
     for bytes in tail {
         control.send_encoded(bytes).expect("chunk sends");
     }
-    loop {
-        match control.recv().expect("stream response") {
-            Frame::HopOutputStart { .. } | Frame::HopOutputChunk { .. } => {}
-            Frame::HopOutputEnd { .. } => break,
-            other => panic!("expected hop output stream, got {other:?}"),
-        }
-    }
+    control.recv_hop_reply(0, N, None).expect("stream response");
     assert!(
         mid_stream_submit < std::time::Duration::from_secs(2),
         "mid-stream submission stalled: {mid_stream_submit:?}"

@@ -108,9 +108,9 @@ fn scraped_counters_match_frames_actually_sent() {
 }
 
 /// The mid-storm acceptance test from the issue: scraping a live mix
-/// daemon that just served a full storm (submission window + a whole
-/// and a streamed hop) returns per-tag frame counters and hop-phase
-/// histograms consistent with the round actually driven.
+/// daemon that just served a full storm (submission window + one mix
+/// hop) returns per-tag frame counters and hop-phase histograms
+/// consistent with the round actually driven.
 #[test]
 fn storm_scrape_tells_the_storm_story() {
     let _guard = REGISTRY_ACCOUNTING.lock().unwrap();
@@ -134,13 +134,13 @@ fn storm_scrape_tells_the_storm_story() {
     // The control connection's round-management traffic.
     assert_eq!(delta(s, &before, "frames.in.OpenRound"), 1);
     assert_eq!(delta(s, &before, "frames.in.CloseSubmissions"), 1);
-    assert_eq!(delta(s, &before, "frames.in.MixBatch"), 1);
+    assert_eq!(delta(s, &before, "frames.in.MixBatchStart"), 1);
     // N submitters plus the control connection were accepted.
     assert_eq!(delta(s, &before, "reactor.accepts"), N as u64 + 1);
 
-    // Hop-phase accounting: the batch was mixed twice (whole-batch,
-    // then the same entries streamed), so the kernel saw 2·N entries…
-    assert_eq!(delta(s, &before, "hop.entries"), 2 * N as u64);
+    // Hop-phase accounting: the batch was mixed once, so the kernel
+    // saw N entries…
+    assert_eq!(delta(s, &before, "hop.entries"), N as u64);
     assert_eq!(delta(s, &before, "hop.err.decrypt_failures"), 0);
     // …and both phase histograms recorded real, well-formed samples.
     for name in ["hop.decrypt_blind_us", "hop.shuffle_prove_us"] {
@@ -153,11 +153,18 @@ fn storm_scrape_tells_the_storm_story() {
         assert!(h.max >= h.p50(), "{name} percentile ordering broken");
     }
 
-    // The span ring holds both hop flavors for the round driven.
-    for span_name in ["hop.whole", "hop.stream"] {
-        assert!(
-            s.spans.iter().any(|e| e.name == span_name && e.round == 0),
-            "span {span_name} missing from the scrape"
-        );
-    }
+    // The span ring holds the hop of the round driven — the one hop
+    // span there is.
+    assert!(
+        s.spans
+            .iter()
+            .any(|e| e.name == "hop.stream" && e.round == 0),
+        "span hop.stream missing from the scrape"
+    );
+    assert!(
+        s.spans
+            .iter()
+            .all(|e| !e.name.starts_with("hop.") || e.name == "hop.stream"),
+        "a second hop span flavor is in the scrape"
+    );
 }

@@ -1,109 +1,75 @@
-//! End-to-end tests for the streamed hop pipeline: equivalence with
-//! the whole-batch path, full chain rounds over forced streaming
+//! End-to-end tests for the hop pipeline: chunking-invariance against
+//! the in-process reference, full chain rounds over forced chunk sizes
 //! (including blame), and the daemon's handling of malformed streams.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use xrd_core::{DeploymentConfig, User};
+use xrd_crypto::nizk::DleqProof;
 use xrd_mixnet::chain_keys::{generate_chain_keys, rotate_inner_keys};
 use xrd_mixnet::message::MixEntry;
-use xrd_mixnet::server::verify_hop;
-use xrd_net::codec::{error_code, BatchAssembler, ChunkedBatch, Frame, StreamDigest};
-use xrd_net::{launch_local, run_swarm, Conn, MixServerDaemon, NetError, SwarmConfig, Transport};
+use xrd_mixnet::server::{verify_hop, MixServer};
+use xrd_net::codec::{
+    encode_hop_output_stream, error_code, ChunkedBatch, Frame, StreamDigest, STREAM_CHUNK,
+};
+use xrd_net::{
+    launch_local, run_swarm, Conn, HopReply, MixServerDaemon, NetError, SwarmConfig, Transport,
+};
 use xrd_topology::ChainId;
 
-/// Drive one daemon through a streamed hop and return its outputs and
-/// proof.
-fn streamed_hop(
-    conn: &mut Conn,
-    round: u64,
-    entries: &[MixEntry],
-    chunk: usize,
-) -> Result<(Vec<MixEntry>, xrd_crypto::nizk::DleqProof), NetError> {
-    let stream = ChunkedBatch::build(round, entries, chunk);
-    for bytes in stream.frames() {
-        conn.send_encoded(bytes)?;
-    }
-    let total = match conn.recv()? {
-        Frame::HopOutputStart { total, .. } => total,
-        other => panic!("expected HopOutputStart, got {other:?}"),
-    };
-    let mut assembler = BatchAssembler::begin(round, total).expect("assembler");
-    loop {
-        match conn.recv()? {
-            Frame::HopOutputChunk { entries } => {
-                assembler.absorb(entries).expect("absorbs");
-            }
-            Frame::HopOutputEnd { digest, proof } => {
-                return Ok((assembler.finish(digest).expect("digest matches"), proof));
-            }
-            other => panic!("expected HopOutputChunk/End, got {other:?}"),
-        }
+/// A completed hop's outputs and attestation.
+fn hop_output(reply: HopReply) -> (Vec<MixEntry>, DleqProof) {
+    match reply {
+        HopReply::Output { outputs, proof, .. } => (outputs, proof),
+        other => panic!("expected the hop's output, got {other:?}"),
     }
 }
 
-/// The streamed path computes *exactly* the whole-batch hop: two
-/// daemons with identical secrets and rng seeds, one driven by a
-/// monolithic `MixBatch`, one by a chunk stream — identical shuffled
-/// outputs, both attestations verify.
+/// A hop's result does not depend on how its batch was cut: same-seed
+/// daemons fed the same batch in 1-entry chunks, in 64-entry chunks and
+/// as one n-entry chunk return byte-identical outputs and proofs — the
+/// very ones `MixServer::process_round` computes in process from the
+/// same seed (the kernel draws no randomness; a daemon's seeded rng
+/// feeds only the shuffle and the proof, in that order).
 #[test]
-fn streamed_and_whole_batch_hops_agree() {
+fn hop_output_is_invariant_under_chunking() {
     let round = 0u64;
     let mut rng = StdRng::seed_from_u64(11);
     let (mut secrets, mut public) = generate_chain_keys(&mut rng, 3, 0);
     rotate_inner_keys(&mut rng, &mut secrets, &mut public, round);
     let secrets = secrets.remove(0);
 
-    let whole = MixServerDaemon::spawn("127.0.0.1:0", secrets.clone(), public.clone(), 42)
-        .expect("whole daemon spawns");
-    let streamed = MixServerDaemon::spawn("127.0.0.1:0", secrets, public.clone(), 42)
-        .expect("streamed daemon spawns");
-
-    let subs = xrd_net::swarm::sealed_submissions(&mut rng, &public, round, 37);
+    let n = 2 * STREAM_CHUNK + 9;
+    let subs = xrd_net::swarm::sealed_submissions(&mut rng, &public, round, n);
     let entries: Vec<MixEntry> = subs.iter().map(|s| s.to_entry()).collect();
 
-    let mut whole_conn = Conn::connect(whole.addr()).expect("connects");
-    let (whole_out, whole_proof) = match whole_conn
-        .request(&Frame::MixBatch {
-            round,
-            entries: entries.clone(),
-        })
-        .expect("whole hop runs")
-    {
-        Frame::HopOutput { outputs, proof, .. } => (outputs, proof),
-        other => panic!("expected HopOutput, got {other:?}"),
-    };
-
-    let mut streamed_conn = Conn::connect(streamed.addr()).expect("connects");
-    let (streamed_out, streamed_proof) =
-        streamed_hop(&mut streamed_conn, round, &entries, 5).expect("streamed hop runs");
-
-    // Same rng seed, same rng consumption order (the kernel draws no
-    // randomness; only the shuffle and proof do): identical results.
-    assert_eq!(streamed_out, whole_out);
+    let reference = MixServer::new(secrets.clone(), public.clone())
+        .process_round(&mut StdRng::seed_from_u64(42), round, entries.clone())
+        .expect("reference hop runs");
     assert!(verify_hop(
         &public,
         0,
         round,
         &entries,
-        &whole_out,
-        &whole_proof
+        &reference.outputs,
+        &reference.proof
     ));
-    assert!(verify_hop(
-        &public,
-        0,
-        round,
-        &entries,
-        &streamed_out,
-        &streamed_proof
-    ));
+
+    for chunk in [1, STREAM_CHUNK, n] {
+        let daemon = MixServerDaemon::spawn("127.0.0.1:0", secrets.clone(), public.clone(), 42)
+            .expect("daemon spawns");
+        let mut conn = Conn::connect(daemon.addr()).expect("connects");
+        let (outputs, proof) =
+            hop_output(conn.stream_hop(round, &entries, chunk).expect("hop runs"));
+        assert_eq!(outputs, reference.outputs, "outputs at chunk size {chunk}");
+        assert_eq!(proof, reference.proof, "proof at chunk size {chunk}");
+    }
 }
 
 /// A full networked deployment with streaming forced down to 4-entry
 /// chunks: every round (mix, cross-verify, reveal, delivery, rotation)
-/// completes and every chat lands — the pipeline is a drop-in for the
-/// whole-batch path.
+/// completes and every chat lands at any chunk size.
 #[test]
 fn streamed_chain_rounds_deliver() {
     let mut rng = StdRng::seed_from_u64(23);
@@ -118,7 +84,6 @@ fn streamed_chain_rounds_deliver() {
             n_users: 16,
             rounds: 2,
             conversing_fraction: 0.5,
-            submit_workers: 4,
         },
     )
     .expect("streamed swarm round failed");
@@ -152,7 +117,6 @@ fn forwarded_chain_rounds_deliver() {
             n_users: 16,
             rounds: 2,
             conversing_fraction: 0.5,
-            submit_workers: 4,
         },
     )
     .expect("forwarded swarm round failed");
@@ -300,7 +264,7 @@ fn malformed_streams_rejected_cleanly() {
 
     // 5. A fresh Start replaces any aborted session, and the daemon
     // still runs a clean streamed hop on this same connection.
-    let (outputs, proof) = streamed_hop(&mut conn, round, &entries, 2).expect("clean hop");
+    let (outputs, proof) = hop_output(conn.stream_hop(round, &entries, 2).expect("clean hop"));
     assert_eq!(outputs.len(), entries.len());
     assert!(verify_hop(&public, 0, round, &entries, &outputs, &proof));
 }
@@ -338,12 +302,9 @@ fn disconnect_while_hop_pending_leaves_daemon_serving() {
 
     // Fire a ~15ms hop and hang up without reading the response.
     let mut doomed = Conn::connect(daemon.addr()).expect("doomed connects");
-    doomed
-        .send(&Frame::MixBatch {
-            round,
-            entries: entries.clone(),
-        })
-        .expect("hop fires");
+    for bytes in ChunkedBatch::build(round, &entries, STREAM_CHUNK).frames() {
+        doomed.send_encoded(bytes).expect("hop fires");
+    }
     drop(doomed);
 
     // While (and after) the orphaned job runs, the daemon serves.
@@ -357,45 +318,46 @@ fn disconnect_while_hop_pending_leaves_daemon_serving() {
         "daemon unresponsive after mid-hop disconnect"
     );
     // And a full hop still completes on the surviving connection.
-    let (outputs, proof) = streamed_hop(&mut conn, round, &entries, 50).expect("clean hop");
+    let (outputs, proof) = hop_output(conn.stream_hop(round, &entries, 50).expect("clean hop"));
     assert!(verify_hop(&public, 0, round, &entries, &outputs, &proof));
 }
 
 /// A request/response client that half-closes (shutdown write) right
 /// after firing a hop must still receive the deferred response — EOF
 /// on the daemon's read is not a disconnect while the peer's read
-/// half lives.
+/// half lives.  The reply is, byte for byte, the encoding of the hop
+/// `MixServer::process_round` computes in process from the daemon's
+/// seed.
 #[test]
 fn half_closing_client_still_receives_deferred_response() {
-    use std::io::Write;
+    use std::io::{Read, Write};
     let round = 0u64;
     let mut rng = StdRng::seed_from_u64(91);
     let (mut secrets, mut public) = generate_chain_keys(&mut rng, 2, 0);
     rotate_inner_keys(&mut rng, &mut secrets, &mut public, round);
-    let daemon = MixServerDaemon::spawn("127.0.0.1:0", secrets.remove(0), public.clone(), 5)
+    let secrets = secrets.remove(0);
+    let daemon = MixServerDaemon::spawn("127.0.0.1:0", secrets.clone(), public.clone(), 5)
         .expect("daemon spawns");
 
     let subs = xrd_net::swarm::sealed_submissions(&mut rng, &public, round, 60);
     let entries: Vec<MixEntry> = subs.iter().map(|s| s.to_entry()).collect();
 
     let mut stream = std::net::TcpStream::connect(daemon.addr()).expect("connects");
-    stream
-        .write_all(
-            &Frame::MixBatch {
-                round,
-                entries: entries.clone(),
-            }
-            .encode(),
-        )
-        .expect("hop fires");
+    for bytes in ChunkedBatch::build(round, &entries, STREAM_CHUNK).frames() {
+        stream.write_all(bytes).expect("hop fires");
+    }
     stream
         .shutdown(std::net::Shutdown::Write)
         .expect("half-close");
 
-    match xrd_net::codec::read_frame(&mut stream).expect("response readable") {
-        Some(Ok(Frame::HopOutput { outputs, proof, .. })) => {
-            assert!(verify_hop(&public, 0, round, &entries, &outputs, &proof));
-        }
-        other => panic!("expected HopOutput after half-close, got {other:?}"),
-    }
+    let reference = MixServer::new(secrets, public)
+        .process_round(&mut StdRng::seed_from_u64(5), round, entries)
+        .expect("reference hop runs");
+    let expected =
+        encode_hop_output_stream(round, 0, &reference.outputs, &reference.proof, STREAM_CHUNK);
+    let mut reply = vec![0u8; expected.len()];
+    stream
+        .read_exact(&mut reply)
+        .expect("response readable after half-close");
+    assert!(reply == expected, "reply differs from the reference hop");
 }

@@ -47,12 +47,8 @@ fn stress(mut args: impl Iterator<Item = String>) {
         report.submit_elapsed, report.submits_per_sec
     );
     println!(
-        "mix hop  : {:>9.1?}  ({} entries whole-batch, attestation verified)",
+        "mix hop  : {:>9.1?}  ({} entries in chunks, attestation verified)",
         report.hop_elapsed, report.accepted
-    );
-    println!(
-        "streamed : {:>9.1?}  (same hop, chunked + overlapped with transfer)",
-        report.hop_streamed_elapsed
     );
     // The storm scrapes the daemon over the wire before tearing down;
     // the report's registry snapshot must agree with the storm it just
@@ -120,7 +116,6 @@ fn main() {
             n_users,
             rounds,
             conversing_fraction: 0.5,
-            submit_workers: 8,
         },
     )
     .expect("loopback swarm round failed");
