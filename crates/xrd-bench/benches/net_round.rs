@@ -58,7 +58,6 @@ fn bench_submit_storm(c: &mut Criterion) {
                 let mut rng = StdRng::seed_from_u64(3);
                 let config = StormConfig {
                     n_conns,
-                    workers: 4,
                     chain_len: 3,
                 };
                 b.iter(|| submit_storm(&mut rng, &config).expect("storm completes"));

@@ -22,22 +22,27 @@
 //!   process and print round latency/throughput; `--faults` inserts a
 //!   fault proxy (running the given plan) in front of every mix
 //!   daemon, turning the demo into a chaos run;
-//! * `stress [--conns N] [--workers W] [--chain-len K]` — storm one
-//!   mix daemon with N concurrent submitter connections (default
-//!   1000) and print connect/submit/hop wall clock — the
-//!   connection-scalability probe for the event-driven reactor;
+//! * `stress [--conns N] [--chain-len K]` — storm one mix daemon with
+//!   N concurrent submitter connections (default 1000), all driven
+//!   from one client-reactor thread, and print connect/submit/hop wall
+//!   clock — the connection-scalability probe for the event-driven
+//!   reactor;
 //! * `mailbox-storm [--shards S] [--mailboxes M] [--per-box P]
-//!   [--offline F] [--page-max N] [--dir DIR] [--seed X]` — drive the
-//!   mailbox tier at paper scale (default 100 000 mailboxes across 4
-//!   shards): serial vs shard-parallel deliver/paginated-fetch, with an
-//!   offline fraction draining a two-round backlog — fails on any lost
-//!   or duplicated entry;
+//!   [--offline F] [--dir DIR] [--seed X]` — drive the mailbox tier at
+//!   paper scale (default 100 000 mailboxes across 4 shards) through
+//!   two rounds on the path a deployment runs: the coordinator
+//!   delivers shard-parallel, every user walks and acks her own
+//!   mailbox over her own connection, and an offline fraction drains a
+//!   two-round backlog in round 1 — fails on any lost or duplicated
+//!   entry;
 //! * `launch --manifest FILE [--users N] [--rounds R] [--transport T]`
 //!   — spawn the deployment a manifest describes as real `xrd-netd`
 //!   child processes (key ceremony, config files, daemon-to-daemon
 //!   `--successor` wiring), drive a client-reactor swarm against it,
 //!   print per-round latency/throughput, and shut everything down over
-//!   the wire (see `docs/DEPLOYMENT.md`);
+//!   the wire (see `docs/DEPLOYMENT.md`).  Without `--transport` the
+//!   rounds run under `Transport::default()` (coordinator-relayed
+//!   streaming), like every other entry point;
 //! * `scale [--users N[,N...]] [--rounds R]` — the §8 scaling curve:
 //!   for each population size, launch a fresh multi-process deployment
 //!   and drive the emulated-user swarm through `R` rounds under the
@@ -78,14 +83,14 @@ fn usage() -> ExitCode {
          xrd-netd proxy --upstream ADDR [--listen ADDR] [--plan FILE]\n  \
          xrd-netd mailbox --shard S --shards N [--listen ADDR] [--dir DIR]\n  \
          xrd-netd mailbox-storm [--shards S] [--mailboxes M] [--per-box P] [--offline F] \
-         [--page-max N] [--dir DIR] [--seed X]\n  \
+         [--dir DIR] [--seed X]\n  \
          xrd-netd demo [--servers N] [--chain-len K] [--shards S] [--users U] [--rounds R] \
          [--faults FILE]\n  \
          xrd-netd launch --manifest FILE [--users N] [--rounds R] \
-         [--transport forwarded|streamed]\n  \
+         [--transport streamed|forwarded] (default: streamed, the library default)\n  \
          xrd-netd scale [--users N[,N...]] [--rounds R] [--servers S] [--chain-len K] \
          [--shards M] [--json FILE]\n  \
-         xrd-netd stress [--conns N] [--workers W] [--chain-len K]\n  \
+         xrd-netd stress [--conns N] [--chain-len K]\n  \
          xrd-netd stats ADDR"
     );
     ExitCode::FAILURE
@@ -160,18 +165,14 @@ fn stress(args: &[String]) -> ExitCode {
         n_conns: flag(args, "--conns")
             .and_then(|v| v.parse().ok())
             .unwrap_or(1000),
-        workers: flag(args, "--workers")
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(8),
         chain_len: flag(args, "--chain-len")
             .and_then(|v| v.parse().ok())
             .unwrap_or(3),
     };
     let mut rng = StdRng::seed_from_u64(rand::rngs::OsRng.next_u64());
     println!(
-        "stress: {} concurrent submitter connections against one mix daemon \
-         ({} client pump threads, k = {})",
-        config.n_conns, config.workers, config.chain_len
+        "stress: {} concurrent submitter connections against one mix daemon (k = {})",
+        config.n_conns, config.chain_len
     );
     let report = match submit_storm(&mut rng, &config) {
         Ok(r) => r,
@@ -434,18 +435,14 @@ fn mailbox_storm_cmd(args: &[String]) -> ExitCode {
         offline_fraction: flag(args, "--offline")
             .and_then(|v| v.parse().ok())
             .unwrap_or(0.1),
-        page_max: flag(args, "--page-max")
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(256),
         persist_dir: flag(args, "--dir").map(std::path::PathBuf::from),
         seed: flag(args, "--seed")
             .and_then(|v| v.parse().ok())
             .unwrap_or(7),
     };
-    let mut rng = StdRng::seed_from_u64(rand::rngs::OsRng.next_u64());
     println!(
         "mailbox-storm: {} mailboxes × {} msg/round across {} shard{} \
-         ({:.0}% offline round 0{})",
+         ({:.0}% offline round 0, draining in round 1{})",
         config.mailboxes,
         config.per_box,
         config.shards,
@@ -457,7 +454,7 @@ fn mailbox_storm_cmd(args: &[String]) -> ExitCode {
             ""
         },
     );
-    let report = match mailbox_storm(&mut rng, &config) {
+    let report = match mailbox_storm(&config) {
         Ok(r) => r,
         Err(e) => {
             xrd_obs::error!("mailbox-storm: failed: {e}");
@@ -472,21 +469,12 @@ fn mailbox_storm_cmd(args: &[String]) -> ExitCode {
         );
         return ExitCode::FAILURE;
     }
-    println!(
-        "deliver: serial {:.1?} | parallel {:.1?} ({:.2}x)",
-        report.deliver_serial,
-        report.deliver_parallel,
-        report.deliver_speedup(),
-    );
-    println!(
-        "fetch:   serial {:.1?} ({} entries) | parallel {:.1?} ({} entries, churn backlog \
-         included) — {:.2}x per entry",
-        report.fetch_serial,
-        report.fetched_serial,
-        report.fetch_parallel,
-        report.fetched_parallel,
-        report.fetch_speedup(),
-    );
+    for (round, r) in report.rounds.iter().enumerate() {
+        println!(
+            "round {round}: deliver {:.1?} | fetch {:.1?} ({} entries)",
+            r.deliver, r.fetch, r.fetched
+        );
+    }
     println!("loss 0 | duplication 0");
     ExitCode::SUCCESS
 }
@@ -657,10 +645,10 @@ fn launch(args: &[String]) -> ExitCode {
         .and_then(|v| v.parse().ok())
         .unwrap_or(2u64);
     let transport = match flag(args, "--transport").as_deref() {
-        None | Some("forwarded") => Transport::Forwarded { chunk: 64 },
-        Some("streamed") => Transport::Streamed { chunk: 64 },
+        None | Some("streamed") => Transport::default(),
+        Some("forwarded") => Transport::Forwarded { chunk: 64 },
         Some(other) => {
-            xrd_obs::error!("launch: unknown transport `{other}` (forwarded|streamed)");
+            xrd_obs::error!("launch: unknown transport `{other}` (streamed|forwarded)");
             return usage();
         }
     };

@@ -22,7 +22,7 @@
 //! rules are spec, not implementation detail: see `docs/PROTOCOL.md`
 //! §6 ("Connection semantics, backpressure and pipelining").
 
-use std::io::{BufReader, BufWriter, Write};
+use std::io::{BufReader, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::time::Duration;
 
@@ -196,7 +196,7 @@ pub enum HopReply {
 /// A persistent request/response connection to one daemon.
 pub struct Conn {
     reader: BufReader<TcpStream>,
-    writer: BufWriter<TcpStream>,
+    writer: TcpStream,
     peer: SocketAddr,
     timeouts: ConnTimeouts,
     bytes_sent: u64,
@@ -217,10 +217,9 @@ impl Conn {
         stream.set_read_timeout(Some(timeouts.read))?;
         stream.set_write_timeout(Some(timeouts.write))?;
         let reader = BufReader::new(stream.try_clone()?);
-        let writer = BufWriter::new(stream);
         Ok(Conn {
             reader,
-            writer,
+            writer: stream,
             peer: addr,
             timeouts,
             bytes_sent: 0,
@@ -270,40 +269,7 @@ impl Conn {
                 cap: crate::codec::MAX_FRAME_LEN,
             }));
         }
-        self.bytes_sent += encoded.len() as u64;
-        self.writer
-            .write_all(&encoded)
-            .map_err(|e| NetError::from_io(e, "write"))?;
-        self.writer
-            .flush()
-            .map_err(|e| NetError::from_io(e, "write"))?;
-        Ok(())
-    }
-
-    /// Queue one frame into the write buffer **without flushing** —
-    /// the pipelining fast path (one syscall per window instead of one
-    /// per frame).  Call [`Conn::flush`] before awaiting responses, or
-    /// the tail of the batch may never reach the peer.
-    pub fn send_buffered(&mut self, frame: &Frame) -> Result<(), NetError> {
-        let encoded = frame.encode();
-        if encoded.len() - 4 > crate::codec::MAX_FRAME_LEN {
-            return Err(NetError::Codec(CodecError::Oversized {
-                declared: encoded.len() - 4,
-                cap: crate::codec::MAX_FRAME_LEN,
-            }));
-        }
-        self.bytes_sent += encoded.len() as u64;
-        self.writer
-            .write_all(&encoded)
-            .map_err(|e| NetError::from_io(e, "write"))
-    }
-
-    /// Flush every frame queued with [`Conn::send_buffered`] to the
-    /// socket.
-    pub fn flush(&mut self) -> Result<(), NetError> {
-        self.writer
-            .flush()
-            .map_err(|e| NetError::from_io(e, "write"))
+        self.send_encoded(&encoded)
     }
 
     /// Await one frame.
@@ -357,11 +323,7 @@ impl Conn {
         self.bytes_sent += bytes.len() as u64;
         self.writer
             .write_all(bytes)
-            .map_err(|e| NetError::from_io(e, "write"))?;
-        self.writer
-            .flush()
-            .map_err(|e| NetError::from_io(e, "write"))?;
-        Ok(())
+            .map_err(|e| NetError::from_io(e, "write"))
     }
 
     /// One whole hop exchange: ship `entries` to the daemon as a

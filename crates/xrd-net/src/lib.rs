@@ -36,7 +36,10 @@
 //!   reactor ([`swarm::reactor`]) pumping 10k–100k per-user connection
 //!   state machines (submit → ack, fetch pages → ack) from one epoll
 //!   loop, with latency/throughput reporting; [`submit_storm`] storms
-//!   one daemon with tens of thousands of concurrent submitters;
+//!   one daemon with tens of thousands of concurrent submitters and
+//!   [`mailbox_storm`] the mailbox shards with 100k+ users, each
+//!   fetching her own mailbox ([`swarm::reactor::fetch_mailboxes`],
+//!   the one fetch walk — a round's fetch phase runs it too);
 //! * [`manifest`] — parsed, validated deployment manifests: hosts,
 //!   per-process chain/hop/shard placement, ports, and the
 //!   daemon-to-daemon forwarding links, all checked against the
@@ -79,6 +82,6 @@ pub use remote::{
     LocalCluster, RemoteDeployment,
 };
 pub use swarm::{
-    mailbox_storm, run_swarm, submit_storm, MailboxStormConfig, MailboxStormReport, StormConfig,
-    StormReport, SwarmConfig, SwarmReport, SwarmRoundStats,
+    mailbox_storm, run_swarm, submit_storm, MailboxStormConfig, MailboxStormReport,
+    MailboxStormRound, StormConfig, StormReport, SwarmConfig, SwarmReport, SwarmRoundStats,
 };

@@ -4,7 +4,7 @@
 //! up on loopback TCP (one daemon per mix-server hop and per mailbox
 //! shard, each on its own port).
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::net::SocketAddr;
 
 use rand::RngCore;
@@ -55,8 +55,8 @@ pub struct RemoteDeployment {
     /// connect to.
     chain_addrs: Vec<Vec<SocketAddr>>,
     mailbox_addrs: Vec<SocketAddr>,
-    /// Coordinator-side connections to the mailbox daemons (delivery +
-    /// fetching).
+    /// Coordinator-side connections to the mailbox daemons (delivery;
+    /// users fetch over connections of their own).
     mailbox_conns: Vec<Conn>,
     round: u64,
     current_keys: Vec<ChainPublicKeys>,
@@ -67,14 +67,14 @@ pub struct RemoteDeployment {
     /// Chains whose key schedule fell out of sync after a failed
     /// rotation: excluded from every subsequent round.
     dead: Vec<bool>,
-    /// Retry policy for mailbox exchanges (delivery batches, fetch
-    /// pages, acks) — all idempotent on the daemon side.
+    /// Retry policy for delivery batches (deduplicated on the daemon
+    /// side) and, as a redial budget, for the users' sessions.
     retry: RetryPolicy,
-    /// Per-connection deadlines, shared by the blocking coordinator
-    /// conns and (as connect/idle ceilings) the client reactor.
+    /// Per-connection deadlines: the coordinator's own connections
+    /// (chain daemons, mailbox delivery) block under them, and the
+    /// users' submit and fetch sessions on the client reactor take the
+    /// connect and read deadlines as their dial and idle ceilings.
     timeouts: ConnTimeouts,
-    /// Largest page a fetch asks a shard for.
-    fetch_page_max: u32,
 }
 
 impl RemoteDeployment {
@@ -144,7 +144,6 @@ impl RemoteDeployment {
             dead: vec![false; n_chains],
             retry,
             timeouts,
-            fetch_page_max: 256,
         };
         // Pre-publish round-1 inner keys (§5.3.3: covers for ρ+1 are
         // sealed while ρ runs).
@@ -195,13 +194,6 @@ impl RemoteDeployment {
             .map(|c| c.bytes_sent() + c.bytes_received())
             .sum();
         chain_bytes + mailbox_bytes
-    }
-
-    /// Largest page a fetch asks a mailbox shard for (default 256
-    /// entries).  Tests shrink it to force multi-page walks; the wire
-    /// cost per round is unchanged either way.
-    pub fn set_fetch_page_max(&mut self, max: u32) {
-        self.fetch_page_max = max.max(1);
     }
 
     /// Select how every chain ships batches hop to hop (default
@@ -450,29 +442,12 @@ impl RemoteDeployment {
             for msg in delivered {
                 per_shard[shard_of(&msg.mailbox, n_shards)].push(msg);
             }
-            let retry = self.retry;
-            let results: Vec<Result<(), NetError>> = std::thread::scope(|scope| {
-                self.mailbox_conns
-                    .iter_mut()
-                    .zip(per_shard)
-                    .map(|(conn, messages)| {
-                        scope.spawn(move || deliver_shard(conn, round, messages, retry))
-                    })
-                    .collect::<Vec<_>>()
-                    .into_iter()
-                    .map(|h| {
-                        h.join().unwrap_or_else(|_| {
-                            Err(NetError::Protocol("delivery worker panicked".into()))
-                        })
-                    })
-                    .collect()
-            });
-            for result in results {
-                result.map_err(|e| RoundError::Infrastructure {
+            deliver_shards(&mut self.mailbox_conns, round, per_shard, self.retry).map_err(|e| {
+                RoundError::Infrastructure {
                     round,
                     message: format!("mailbox delivery: {e}"),
-                })?;
-            }
+                }
+            })?;
         }
 
         // Fetch: every online user's mailbox is paged down (and acked
@@ -519,26 +494,22 @@ impl RemoteDeployment {
         Ok((report, fetched))
     }
 
-    /// The reactor drive knobs, derived from the deployment's own
-    /// deadlines and retry policy so reactor-driven clients fail (and
-    /// heal) on the same clock as the blocking coordinator conns: the
-    /// connect/read deadlines become the dial and idle ceilings, the
-    /// retry budget matches the request policy.  Chaos tests shrink
-    /// the deployment's timeouts to milliseconds — a dropped response
-    /// must redial immediately, not stall until the reactor's
-    /// whole-run deadline.  `fd_limit` is the achieved
-    /// `RLIMIT_NOFILE` (what [`client_reactor::raise_nofile_limit`]
-    /// returned): the in-flight cap stays under it with headroom for
-    /// the coordinator's own connections, so a population larger than
-    /// the fd budget drains in waves instead of dying on `EMFILE`.
-    fn drive_config_within(&self, fd_limit: u64) -> client_reactor::DriveConfig {
-        let headroom = fd_limit.saturating_sub(256).max(64) as usize;
+    /// The reactor drive knobs for `sessions` users, derived from the
+    /// deployment's own deadlines and retry policy so reactor-driven
+    /// clients fail (and heal) on the same clock as the blocking
+    /// coordinator conns: the connect/read deadlines become the dial
+    /// and idle ceilings, the retry budget matches the request policy.
+    /// Chaos tests shrink the deployment's timeouts to milliseconds — a
+    /// dropped response must redial immediately, not stall until the
+    /// reactor's whole-run deadline.  The in-flight cap is fitted to
+    /// the process's fd budget, so a population larger than it drains
+    /// in waves instead of dying on `EMFILE`.
+    fn drive_config(&self, sessions: usize) -> client_reactor::DriveConfig {
         let defaults = client_reactor::DriveConfig::default();
         client_reactor::DriveConfig {
             max_retries: self.retry.attempts.saturating_sub(1),
             connect_timeout: self.timeouts.connect,
             exchange_timeout: self.timeouts.read,
-            max_in_flight: defaults.max_in_flight.min(headroom),
             // A deployment configured for long silent stretches (scale
             // runs on oversubscribed hosts) needs the whole-run cap to
             // sit above its own idle ceiling, or healthy-but-slow runs
@@ -546,6 +517,7 @@ impl RemoteDeployment {
             deadline: defaults.deadline.max(self.timeouts.read * 4),
             ..defaults
         }
+        .within_fd_budget(sessions)
     }
 
     /// The submission window: one [`client_reactor::SubmitSession`] per
@@ -587,8 +559,8 @@ impl RemoteDeployment {
         if sessions.is_empty() {
             return;
         }
-        let limit = client_reactor::raise_nofile_limit(sessions.len() as u64 + 64);
-        match client_reactor::drive_sessions(sessions, &self.drive_config_within(limit)) {
+        let config = self.drive_config(sessions.len());
+        match client_reactor::drive_sessions(sessions, &config) {
             Ok(outcome) => {
                 for (i, e) in outcome.failed {
                     let c = chain_of[i];
@@ -629,28 +601,18 @@ impl RemoteDeployment {
         }
     }
 
-    /// The reactor-driven fetch phase: one
-    /// [`client_reactor::FetchSession`] per online user — page down the
-    /// mailbox from its owning shard, ack the watermark — all pumped
-    /// from a single epoll thread.  The mailbox tier is shared
-    /// infrastructure, so any session failing beyond its bounded
-    /// retries is a round-level [`RoundError::Infrastructure`].
+    /// The fetch phase: every online user walks and acks her own
+    /// mailbox ([`client_reactor::fetch_mailboxes`]).  The mailbox tier
+    /// is shared infrastructure, so any session failing beyond its
+    /// bounded retries is a round-level [`RoundError::Infrastructure`].
     fn fetch_reactor(&self, round: u64, users: &[User]) -> Result<Prefetched, RoundError> {
-        let n_shards = self.mailbox_addrs.len();
-        let sessions: Vec<client_reactor::FetchSession> = users
+        let mailboxes: Vec<[u8; 32]> = users
             .iter()
             .filter(|u| u.online)
-            .map(|user| {
-                let mailbox = user.mailbox_id();
-                let shard = self.mailbox_addrs[shard_of(&mailbox, n_shards)];
-                client_reactor::FetchSession::new(shard, mailbox, self.fetch_page_max)
-            })
+            .map(User::mailbox_id)
             .collect();
-        if sessions.is_empty() {
-            return Ok(HashMap::new());
-        }
-        let limit = client_reactor::raise_nofile_limit(sessions.len() as u64 + 64);
-        let outcome = client_reactor::drive_sessions(sessions, &self.drive_config_within(limit))
+        let config = self.drive_config(mailboxes.len());
+        let outcome = client_reactor::fetch_mailboxes(&self.mailbox_addrs, &mailboxes, &config)
             .map_err(|e| RoundError::Infrastructure {
                 round,
                 message: format!("mailbox fetch reactor: {e}"),
@@ -669,16 +631,40 @@ impl RemoteDeployment {
     }
 }
 
-/// What the shard-parallel fetch phase hands to decryption: each
-/// online mailbox's `(delivery_round, sealed)` entries, oldest first.
+/// What the fetch phase hands to decryption: each online mailbox's
+/// `(delivery_round, sealed)` entries, oldest first.
 type Prefetched = HashMap<[u8; 32], Vec<(u64, Vec<u8>)>>;
+
+/// Deliver every shard's messages, one worker thread per shard
+/// connection (`per_shard[s]` goes to `conns[s]`).
+pub(crate) fn deliver_shards(
+    conns: &mut [Conn],
+    round: u64,
+    per_shard: Vec<Vec<MailboxMessage>>,
+    retry: RetryPolicy,
+) -> Result<(), NetError> {
+    std::thread::scope(|scope| {
+        let workers: Vec<_> = conns
+            .iter_mut()
+            .zip(per_shard)
+            .map(|(conn, messages)| {
+                scope.spawn(move || deliver_shard(conn, round, messages, retry))
+            })
+            .collect();
+        workers.into_iter().try_for_each(|worker| {
+            worker
+                .join()
+                .unwrap_or_else(|_| Err(NetError::Protocol("delivery worker panicked".into())))
+        })
+    })
+}
 
 /// Deliver one shard's messages, in codec-bounded chunks.  Each chunk
 /// carries a batch id unique within the round **on this shard's
 /// daemon**, so a retry after a lost `Ok` is answered from the dedup
 /// window instead of double-storing (which would break the per-user
 /// message-count uniformity the protocol relies on).
-pub(crate) fn deliver_shard(
+fn deliver_shard(
     conn: &mut Conn,
     round: u64,
     messages: Vec<MailboxMessage>,
@@ -705,255 +691,6 @@ pub(crate) fn deliver_shard(
         batch += 1;
     }
     Ok(())
-}
-
-/// Requests a pipelined shard fetch keeps in flight at once.
-const FETCH_WINDOW: usize = 64;
-
-/// Page down (and then ack) every listed mailbox over one shard
-/// connection, **pipelined**: up to [`FETCH_WINDOW`] requests ride the
-/// wire before their first response is awaited.  The daemon answers a
-/// connection's requests strictly in order (PROTOCOL.md §6), so
-/// responses pair up positionally; with the requests batched, both
-/// sides coalesce small frames into few syscalls and the per-mailbox
-/// round-trip wait disappears — this, not thread count, is what makes
-/// the shard-parallel fetch beat the one-request-at-a-time baseline
-/// even on a single core.
-///
-/// Positional pairing is only as good as the wire, so the exchange is
-/// two-phase, each phase safe to restart wholesale:
-///
-/// 1. **Walk** — pipeline every mailbox's cursor walk (each mailbox
-///    has at most one request outstanding).  Reads are
-///    non-destructive, so a pass that does not finish cleanly — a
-///    transport error, a response that doesn't match its request, a
-///    missing response — is *discarded in full* and rerun; nothing a
-///    desynchronized pairing might have mis-attributed survives.
-/// 2. **Ack** — pipeline one `FetchAck` per non-empty mailbox.  All
-///    responses are `Ok`, so only the *count* matters: the daemon
-///    answers every request it receives, so a count-complete pass
-///    proves every ack was applied, and acks are idempotent watermarks
-///    so a failed pass is simply resent.
-pub(crate) fn fetch_shard(
-    conn: &mut Conn,
-    boxes: Vec<[u8; 32]>,
-    page_max: u32,
-    retry: RetryPolicy,
-) -> Result<Prefetched, NetError> {
-    let mut attempt = 0;
-    let walked = loop {
-        match fetch_pass(conn, &boxes, page_max) {
-            Ok(walked) => break walked,
-            Err(e) if e.retryable() && attempt + 1 < retry.attempts => {
-                xrd_obs::debug!("mailbox fetch pass retrying: {e}");
-                attempt += 1;
-                retry.sleep(attempt);
-                let _ = conn.reconnect();
-            }
-            Err(e) => return Err(e),
-        }
-    };
-
-    let acks: Vec<([u8; 32], u64)> = walked
-        .iter()
-        .filter(|(_, entries, _)| !entries.is_empty())
-        .map(|(mailbox, _, cursor)| (*mailbox, *cursor))
-        .collect();
-    let mut attempt = 0;
-    while !acks.is_empty() {
-        match ack_pass(conn, &acks) {
-            Ok(()) => break,
-            Err(e) if e.retryable() && attempt + 1 < retry.attempts => {
-                xrd_obs::debug!("mailbox ack pass retrying: {e}");
-                attempt += 1;
-                retry.sleep(attempt);
-                let _ = conn.reconnect();
-            }
-            Err(e) => return Err(e),
-        }
-    }
-
-    Ok(walked
-        .into_iter()
-        .map(|(mailbox, entries, _)| (mailbox, entries))
-        .collect())
-}
-
-/// One pipelined walk pass: every mailbox paged from cursor 0 to
-/// `remaining == 0`.  Returns `(mailbox, entries, end_cursor)` per
-/// mailbox, or the reason the whole pass must be discarded.
-#[allow(clippy::type_complexity)]
-fn fetch_pass(
-    conn: &mut Conn,
-    boxes: &[[u8; 32]],
-    page_max: u32,
-) -> Result<Vec<([u8; 32], Vec<(u64, Vec<u8>)>, u64)>, NetError> {
-    struct BoxWalk {
-        cursor: u64,
-        entries: Vec<(u64, Vec<u8>)>,
-        done: bool,
-    }
-    let mut state: Vec<BoxWalk> = boxes
-        .iter()
-        .map(|_| BoxWalk {
-            cursor: 0,
-            entries: Vec::new(),
-            done: false,
-        })
-        .collect();
-
-    let mut todo: VecDeque<usize> = (0..boxes.len()).collect();
-    let mut inflight: VecDeque<usize> = VecDeque::new();
-    loop {
-        // Refill the window in batches, one flush per refill.
-        if !todo.is_empty() && inflight.len() <= FETCH_WINDOW / 2 {
-            while inflight.len() < FETCH_WINDOW {
-                let Some(i) = todo.pop_front() else { break };
-                conn.send_buffered(&Frame::FetchPage {
-                    mailbox: boxes[i],
-                    cursor: state[i].cursor,
-                    max: page_max,
-                })?;
-                inflight.push_back(i);
-            }
-            conn.flush()?;
-        }
-        let Some(i) = inflight.pop_front() else {
-            break;
-        };
-        match conn.recv()? {
-            Frame::MailboxPage {
-                sealed,
-                next_cursor,
-                remaining,
-            } => {
-                let b = &mut state[i];
-                if next_cursor < b.cursor {
-                    return Err(NetError::Desync(format!(
-                        "mailbox cursor went backwards ({} < {})",
-                        next_cursor, b.cursor
-                    )));
-                }
-                b.entries.extend(sealed);
-                b.cursor = next_cursor;
-                if remaining > 0 {
-                    todo.push_back(i);
-                } else {
-                    b.done = true;
-                }
-            }
-            // Never delivered to: empty from the client's point of view.
-            Frame::Error { code, .. } if code == error_code::UNKNOWN_MAILBOX => {
-                state[i].done = true;
-            }
-            Frame::Error { code, message } => return Err(NetError::Remote { code, message }),
-            other => {
-                return Err(NetError::Desync(format!(
-                    "expected MailboxPage, got {other:?}"
-                )));
-            }
-        }
-    }
-    if state.iter().any(|b| !b.done) {
-        return Err(NetError::Desync(
-            "mailbox walk ended with unfinished boxes".into(),
-        ));
-    }
-    Ok(boxes
-        .iter()
-        .zip(state)
-        .map(|(mailbox, b)| (*mailbox, b.entries, b.cursor))
-        .collect())
-}
-
-/// One pipelined ack pass: a `FetchAck` per mailbox, count-verified.
-fn ack_pass(conn: &mut Conn, acks: &[([u8; 32], u64)]) -> Result<(), NetError> {
-    let mut sent = 0;
-    let mut confirmed = 0;
-    while confirmed < acks.len() {
-        while sent < acks.len() && sent - confirmed < FETCH_WINDOW {
-            let (mailbox, upto) = acks[sent];
-            conn.send_buffered(&Frame::FetchAck { mailbox, upto })?;
-            sent += 1;
-        }
-        conn.flush()?;
-        match conn.recv()? {
-            Frame::Ok => confirmed += 1,
-            Frame::Error { code, message } => return Err(NetError::Remote { code, message }),
-            other => {
-                return Err(NetError::Desync(format!(
-                    "expected Ok to FetchAck, got {other:?}"
-                )));
-            }
-        }
-    }
-    Ok(())
-}
-
-/// Fetch one mailbox completely: follow `next_cursor` until the shard
-/// reports nothing remaining, then ack everything read.  A mailbox the
-/// shard has never heard of is simply empty from the client's point of
-/// view (first round, or a user whose partners all went silent).
-///
-/// The ack goes out only after every page has safely arrived, so a
-/// client (or connection) dying mid-walk re-reads from its previous
-/// watermark next round instead of losing mail — at-least-once, with
-/// redelivery across failures.
-pub(crate) fn fetch_mailbox(
-    conn: &mut Conn,
-    mailbox: &[u8; 32],
-    page_max: u32,
-    retry: RetryPolicy,
-) -> Result<Vec<(u64, Vec<u8>)>, NetError> {
-    let mut out = Vec::new();
-    let mut cursor = 0u64;
-    loop {
-        let frame = Frame::FetchPage {
-            mailbox: *mailbox,
-            cursor,
-            max: page_max,
-        };
-        match request_retry(conn, &frame, retry) {
-            Ok(Frame::MailboxPage {
-                sealed,
-                next_cursor,
-                remaining,
-            }) => {
-                out.extend(sealed);
-                cursor = next_cursor;
-                if remaining == 0 {
-                    break;
-                }
-            }
-            Ok(other) => {
-                return Err(NetError::Protocol(format!(
-                    "expected MailboxPage, got {other:?}"
-                )))
-            }
-            Err(NetError::Remote { code, .. }) if code == error_code::UNKNOWN_MAILBOX => {
-                return Ok(Vec::new());
-            }
-            Err(e) => return Err(e),
-        }
-    }
-    if !out.is_empty() {
-        match request_retry(
-            conn,
-            &Frame::FetchAck {
-                mailbox: *mailbox,
-                upto: cursor,
-            },
-            retry,
-        )? {
-            Frame::Ok => {}
-            other => {
-                return Err(NetError::Protocol(format!(
-                    "expected Ok to FetchAck, got {other:?}"
-                )))
-            }
-        }
-    }
-    Ok(out)
 }
 
 impl RoundBackend for RemoteDeployment {

@@ -12,13 +12,14 @@
 //!   daemon, measuring the submission window plus one mix hop.  This is
 //!   the connection-scalability probe for the event-driven daemons;
 //! * [`mailbox_storm`] — the mailbox-tier probe: paper-scale mailbox
-//!   counts delivered to and paged back out of a set of shard daemons,
-//!   serial vs shard-parallel, with a user-churn leg exercising
-//!   ack-driven retention at scale.
+//!   counts delivered to a set of shard daemons and fetched back the
+//!   way a round's users fetch — each mailbox walked and acked over its
+//!   own connection — with a user-churn leg exercising ack-driven
+//!   retention at scale.
 //!
-//! All client connections are pumped by the single-threaded client
-//! reactor in [`reactor`] — one epoll loop emulating the whole user
-//! population — rather than a pool of blocking worker threads.
+//! Every client connection — a user submitting, a user fetching — is a
+//! session machine on the single-threaded client reactor in
+//! [`reactor`]: one epoll loop emulating the whole user population.
 
 pub mod reactor;
 
@@ -194,11 +195,6 @@ pub struct StormConfig {
     /// Concurrent submitter connections (one submission each).  All of
     /// them are open against the daemon at the same time.
     pub n_conns: usize,
-    /// Legacy knob from the blocking thread-pool driver, kept so
-    /// existing configs still parse.  The storm now runs every
-    /// connection from one client reactor thread; this field changes
-    /// nothing.
-    pub workers: usize,
     /// Chain length `k` the submissions are sealed for.
     pub chain_len: usize,
 }
@@ -207,7 +203,6 @@ impl Default for StormConfig {
     fn default() -> StormConfig {
         StormConfig {
             n_conns: 1000,
-            workers: 8,
             chain_len: 3,
         }
     }
@@ -304,14 +299,8 @@ pub fn submit_storm<R: RngCore + ?Sized>(
     let submissions = sealed_submissions(rng, &public, round, config.n_conns);
 
     // One session machine per emulated user, all driven from *this*
-    // thread by the client reactor.  `connect_first` keeps the old
-    // phase semantics — the whole population concurrently connected
-    // before anyone submits — without the barrier choreography the
-    // thread-pool driver needed (whose sizing was a standing footgun:
-    // a barrier sized by `workers` instead of threads-actually-spawned
-    // parked the storm forever, and a panicking worker stranded the
-    // rest at the rendezvous).  Here a failed or panicking session
-    // fails alone; the loop keeps draining the others.
+    // thread by the client reactor.  `connect_first`: the whole
+    // population is concurrently connected before anyone submits.
     reactor::raise_nofile_limit(config.n_conns as u64 + 256);
     let sessions: Vec<reactor::SubmitSession> = submissions
         .iter()
@@ -415,12 +404,10 @@ pub struct MailboxStormConfig {
     pub mailboxes: usize,
     /// Messages delivered per mailbox per round.
     pub per_box: usize,
-    /// Fraction of mailboxes whose owner is offline for the serial
-    /// round: their mail is *not* fetched (so it must survive, acked by
-    /// nobody) until the parallel round fetches both rounds' worth.
+    /// Fraction of mailboxes whose owner is offline in round 0: their
+    /// mail is *not* fetched (so it must survive, acked by nobody)
+    /// until round 1 fetches both rounds' worth.
     pub offline_fraction: f64,
-    /// Largest page a fetch requests.
-    pub page_max: u32,
     /// Spawn the shards on the log-structured persistent store rooted
     /// here instead of in memory.
     pub persist_dir: Option<std::path::PathBuf>,
@@ -435,11 +422,23 @@ impl Default for MailboxStormConfig {
             mailboxes: 100_000,
             per_box: 1,
             offline_fraction: 0.1,
-            page_max: 256,
             persist_dir: None,
             seed: 7,
         }
     }
+}
+
+/// One round of a [`mailbox_storm`].
+#[derive(Clone, Debug)]
+pub struct MailboxStormRound {
+    /// Delivery wall clock: one coordinator connection per shard, one
+    /// thread each.
+    pub deliver: Duration,
+    /// Fetch wall clock: every fetching mailbox walked and acked by its
+    /// own session, pagination included.
+    pub fetch: Duration,
+    /// Entries the fetch read.
+    pub fetched: u64,
 }
 
 /// What one [`mailbox_storm`] measured.
@@ -451,39 +450,17 @@ pub struct MailboxStormReport {
     pub mailboxes: usize,
     /// Messages delivered per round (mailboxes × per_box).
     pub messages_per_round: usize,
-    /// Serial delivery: one thread walks the shards one at a time.
-    pub deliver_serial: Duration,
-    /// Shard-parallel delivery: one worker thread per shard.
-    pub deliver_parallel: Duration,
-    /// Serial fetch of the online mailboxes (one thread, shard by
-    /// shard), pagination and acks included.
-    pub fetch_serial: Duration,
-    /// Shard-parallel fetch of *every* mailbox — the churned ones
-    /// return two rounds of mail.
-    pub fetch_parallel: Duration,
-    /// Entries read by the serial fetch leg.
-    pub fetched_serial: u64,
-    /// Entries read by the parallel fetch leg.
-    pub fetched_parallel: u64,
+    /// Round 0 (the online mailboxes fetch) and round 1 (every mailbox
+    /// fetches; the offline ones return two rounds of mail).
+    pub rounds: [MailboxStormRound; 2],
     /// Entries that should have arrived but did not (must be 0).
     pub lost: u64,
     /// Entries that arrived more than once (must be 0).
     pub duplicated: u64,
-}
-
-impl MailboxStormReport {
-    /// Delivery speedup of the shard-parallel leg over the serial one.
-    pub fn deliver_speedup(&self) -> f64 {
-        self.deliver_serial.as_secs_f64() / self.deliver_parallel.as_secs_f64().max(1e-9)
-    }
-
-    /// Fetch speedup, normalized per entry read (the parallel leg reads
-    /// the churned backlog on top of its own round).
-    pub fn fetch_speedup(&self) -> f64 {
-        let serial = self.fetch_serial.as_secs_f64() / (self.fetched_serial.max(1) as f64);
-        let parallel = self.fetch_parallel.as_secs_f64() / (self.fetched_parallel.max(1) as f64);
-        serial / parallel.max(1e-12)
-    }
+    /// The process-wide metrics registry as round 1 ended, the shard
+    /// daemons (which run in this process) still up: `reactor.accepts`
+    /// is one per shard for delivery plus one per mailbox fetched.
+    pub stats: xrd_obs::Snapshot,
 }
 
 /// The `i`-th storm mailbox id.
@@ -512,25 +489,23 @@ fn storm_deliveries(
     per_shard
 }
 
-/// Drive the mailbox tier at paper scale: two rounds of `mailboxes ×
-/// per_box` deliveries into `shards` shard daemons, fetched back out
-/// with cursor pagination and acks — round 0 serial (the baseline),
-/// round 1 shard-parallel (the [`RemoteDeployment`] fast path) — while
-/// an `offline_fraction` of users sits out round 0 and drains a
-/// two-round backlog in round 1 (§5.3.3 churn at scale).
+/// Drive the mailbox tier at paper scale, on the path a deployment's
+/// round runs: two rounds of `mailboxes × per_box` deliveries into
+/// `shards` shard daemons (the coordinator's side: one connection and
+/// one thread per shard), each followed by the users' side — every
+/// fetching mailbox walked with cursor pagination and acked by its own
+/// [`reactor::FetchSession`].  An `offline_fraction` of users sits out
+/// round 0 and drains a two-round backlog in round 1 (§5.3.3 churn at
+/// scale).
 ///
-/// Every entry is accounted: the report's `lost`/`duplicated` are hard
-/// zeros or the storm's invariants are broken.
-pub fn mailbox_storm<R: RngCore + ?Sized>(
-    rng: &mut R,
-    config: &MailboxStormConfig,
-) -> Result<MailboxStormReport, NetError> {
-    use crate::coordinator::RetryPolicy;
+/// Every entry is accounted, per mailbox, in both rounds: the report's
+/// `lost`/`duplicated` are hard zeros or the storm's invariants are
+/// broken.
+pub fn mailbox_storm(config: &MailboxStormConfig) -> Result<MailboxStormReport, NetError> {
     use crate::daemon::MailboxDaemon;
-    use crate::remote::{deliver_shard, fetch_mailbox, fetch_shard};
+    use rand::SeedableRng;
 
     assert!(config.shards >= 1 && config.mailboxes >= 1);
-    let retry = RetryPolicy::default();
 
     // Spawn the shard daemons (in-memory or persistent).
     let mut daemons = Vec::with_capacity(config.shards);
@@ -547,119 +522,71 @@ pub fn mailbox_storm<R: RngCore + ?Sized>(
         };
         daemons.push(daemon);
     }
-    let mut conns = daemons
+    let addrs: Vec<std::net::SocketAddr> = daemons.iter().map(|d| d.addr()).collect();
+    let mut conns = addrs
         .iter()
-        .map(|d| Conn::connect(d.addr()))
+        .map(|&addr| Conn::connect(addr))
         .collect::<Result<Vec<_>, _>>()?;
 
     // Offline set: the tail of the id space sits out round 0.
     let n_offline = ((config.mailboxes as f64) * config.offline_fraction.clamp(0.0, 1.0)) as usize;
     let first_offline = config.mailboxes - n_offline;
+    let mailboxes: Vec<[u8; 32]> = (0..config.mailboxes).map(storm_mailbox).collect();
 
-    use rand::SeedableRng;
-    let mut rng_seeded = rand::rngs::StdRng::seed_from_u64(config.seed);
-    let _ = rng.next_u64(); // caller rng participates only as entropy
-    let round0 = storm_deliveries(config, &mut rng_seeded);
-    let round1 = storm_deliveries(config, &mut rng_seeded);
-
-    // Round 0: serial deliver, then serial fetch of the online boxes.
-    let start = Instant::now();
-    for (conn, messages) in conns.iter_mut().zip(round0) {
-        deliver_shard(conn, 0, messages, retry)?;
-    }
-    let deliver_serial = start.elapsed();
-
-    let mut fetched_serial = 0u64;
-    let start = Instant::now();
-    for i in 0..first_offline {
-        let mailbox = storm_mailbox(i);
-        let shard = xrd_core::mailbox::shard_of(&mailbox, config.shards);
-        fetched_serial +=
-            fetch_mailbox(&mut conns[shard], &mailbox, config.page_max, retry)?.len() as u64;
-    }
-    let fetch_serial = start.elapsed();
-
-    // Round 1: shard-parallel deliver, then shard-parallel fetch of
-    // everything (the churned users drain their backlog too).
-    let start = Instant::now();
-    let results: Vec<Result<(), NetError>> = std::thread::scope(|scope| {
-        conns
-            .iter_mut()
-            .zip(round1)
-            .map(|(conn, messages)| scope.spawn(move || deliver_shard(conn, 1, messages, retry)))
-            .collect::<Vec<_>>()
-            .into_iter()
-            .map(|h| {
-                h.join()
-                    .unwrap_or_else(|_| Err(NetError::Protocol("deliver worker panicked".into())))
-            })
-            .collect()
-    });
-    results.into_iter().collect::<Result<(), NetError>>()?;
-    let deliver_parallel = start.elapsed();
-
-    let mut by_shard: Vec<Vec<(usize, [u8; 32])>> = vec![Vec::new(); config.shards];
-    for i in 0..config.mailboxes {
-        let mailbox = storm_mailbox(i);
-        by_shard[xrd_core::mailbox::shard_of(&mailbox, config.shards)].push((i, mailbox));
-    }
-    let page_max = config.page_max;
-    let start = Instant::now();
-    let results: Vec<Result<Vec<(usize, u64)>, NetError>> = std::thread::scope(|scope| {
-        conns
-            .iter_mut()
-            .zip(by_shard)
-            .map(|(conn, boxes)| {
-                scope.spawn(move || {
-                    let ids: Vec<[u8; 32]> = boxes.iter().map(|(_, m)| *m).collect();
-                    let fetched = fetch_shard(conn, ids, page_max, retry)?;
-                    Ok(boxes
-                        .into_iter()
-                        .map(|(i, mailbox)| {
-                            (i, fetched.get(&mailbox).map_or(0, |v| v.len() as u64))
-                        })
-                        .collect())
-                })
-            })
-            .collect::<Vec<_>>()
-            .into_iter()
-            .map(|h| {
-                h.join()
-                    .unwrap_or_else(|_| Err(NetError::Protocol("fetch worker panicked".into())))
-            })
-            .collect()
-    });
-    let fetch_parallel = start.elapsed();
-
-    // Exact accounting: every entry once, churn backlog included.
+    let mut rng = rand::rngs::StdRng::seed_from_u64(config.seed);
+    let retry = crate::coordinator::RetryPolicy::default();
+    let drive = reactor::DriveConfig::default().within_fd_budget(config.mailboxes);
     let per_box = config.per_box as u64;
     let mut lost = 0u64;
     let mut duplicated = 0u64;
-    let mut fetched_parallel = 0u64;
-    for result in results {
-        for (i, got) in result? {
-            fetched_parallel += got;
+    let mut run_round = |round: u64| -> Result<MailboxStormRound, NetError> {
+        let deliveries = storm_deliveries(config, &mut rng);
+        let start = Instant::now();
+        crate::remote::deliver_shards(&mut conns, round, deliveries, retry)?;
+        let deliver = start.elapsed();
+
+        let fetching = if round == 0 {
+            &mailboxes[..first_offline]
+        } else {
+            &mailboxes[..]
+        };
+        let start = Instant::now();
+        let outcome = reactor::fetch_mailboxes(&addrs, fetching, &drive).map_err(NetError::Io)?;
+        let fetch = start.elapsed();
+        if let Some((i, e)) = outcome.failed.into_iter().next() {
+            return Err(NetError::Protocol(format!(
+                "storm round {round}: mailbox {i} fetch failed: {e}"
+            )));
+        }
+
+        // Exact accounting: every entry once, churn backlog included.
+        let mut fetched = 0u64;
+        for (i, session) in outcome.sessions.into_iter().enumerate() {
+            let got = session.into_entries().len() as u64;
             let expected = if i < first_offline {
                 per_box
             } else {
-                2 * per_box
+                (round + 1) * per_box
             };
+            fetched += got;
             lost += expected.saturating_sub(got);
             duplicated += got.saturating_sub(expected);
         }
-    }
+        Ok(MailboxStormRound {
+            deliver,
+            fetch,
+            fetched,
+        })
+    };
+    let rounds = [run_round(0)?, run_round(1)?];
 
     Ok(MailboxStormReport {
         shards: config.shards,
         mailboxes: config.mailboxes,
         messages_per_round: config.mailboxes * config.per_box,
-        deliver_serial,
-        deliver_parallel,
-        fetch_serial,
-        fetch_parallel,
-        fetched_serial,
-        fetched_parallel,
+        rounds,
         lost,
         duplicated,
+        stats: xrd_obs::global().snapshot(),
     })
 }

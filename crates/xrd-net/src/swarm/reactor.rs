@@ -2,10 +2,9 @@
 //! per-user connection state machines — the §8-scale counterpart of the
 //! daemon reactor in [`crate::reactor`].
 //!
-//! The swarm used to pump blocking client sockets from a worker-thread
-//! pool, which caps one load-generator process at a few thousand
-//! emulated users (a thread apiece, or coarse chunking that serializes
-//! them).  Here a single event loop owns every user's connection:
+//! A single event loop owns every user's connection — a thread apiece
+//! would cap one load-generator process at a few thousand emulated
+//! users:
 //!
 //! * each session is a [`SessionMachine`] — a pure state machine fed
 //!   one decoded response [`Frame`] at a time, answering with what to
@@ -17,23 +16,26 @@
 //! * writes are buffered and flushed as the socket accepts them, so a
 //!   full kernel send buffer never blocks the loop;
 //! * a session whose machine panics fails *that session* — the loop
-//!   and every other session keep running (the storm cannot deadlock
-//!   on one bad worker, which the old barrier-synchronized thread pool
-//!   could);
+//!   and every other session keep running;
 //! * a session whose connection is lost mid-exchange is retried from
-//!   the top of its current exchange, a bounded number of times.
+//!   the top of its current exchange, a bounded number of times; a
+//!   peer that cannot be *dialed* is redialed after a doubling backoff.
 //!
 //! Sessions are sequential dialers: a machine talks to one address at
-//! a time (submit to hop 0, then hop 1, …, then page its mailbox
-//! shard), which mirrors a real client device and keeps the file
-//! descriptor count at one per *user*, not one per (user, daemon)
-//! pair.
+//! a time (submit to hop 0, then hop 1, …; page its mailbox shard),
+//! which mirrors a real client device and keeps the file descriptor
+//! count at one per *user*, not one per (user, daemon) pair.
+//! [`fetch_mailboxes`] is the crate's one mailbox fetch walk: a
+//! [`FetchSession`] per mailbox.
 
-use std::collections::VecDeque;
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, VecDeque};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::os::fd::AsRawFd;
 use std::time::{Duration, Instant};
+
+use xrd_core::mailbox::shard_of;
 
 use crate::codec::{error_code, Frame, FrameDecoder};
 use crate::conn::NetError;
@@ -106,10 +108,9 @@ pub struct DriveConfig {
     /// Most sessions concurrently holding a live connection.  Sessions
     /// beyond the cap wait in the dial queue until completions free
     /// slots, so a population larger than the process's fd budget
-    /// drains in waves instead of dying on `EMFILE` mid-storm.  The
-    /// default leaves comfortable headroom under the common 16k–64k
-    /// `RLIMIT_NOFILE` hard caps; [`drive_sessions`] callers that
-    /// raise the limit can raise this to match.
+    /// drains in waves instead of dying on `EMFILE` mid-storm.
+    /// [`DriveConfig::within_fd_budget`] fits it to the process's
+    /// `RLIMIT_NOFILE`.
     pub max_in_flight: usize,
     /// Dial every session's first target up front — the whole
     /// population concurrently connected — before any frame is sent,
@@ -130,11 +131,43 @@ impl Default for DriveConfig {
             connect_timeout: Duration::from_secs(5),
             deadline: Duration::from_secs(300),
             exchange_timeout: Duration::from_secs(60),
-            max_in_flight: 12_000,
+            max_in_flight: MAX_IN_FLIGHT,
             connect_first: false,
             connects_per_tick: 512,
         }
     }
+}
+
+impl DriveConfig {
+    /// This config for a run of `sessions` sessions, fitted to the
+    /// process's descriptor budget: `RLIMIT_NOFILE` is raised towards
+    /// what holding them all at once would take, and `max_in_flight`
+    /// is capped by [`in_flight_cap`] of the limit actually achieved.
+    pub fn within_fd_budget(self, sessions: usize) -> DriveConfig {
+        let fd_limit = raise_nofile_limit(2 * sessions as u64 + FD_RESERVE);
+        DriveConfig {
+            max_in_flight: self.max_in_flight.min(in_flight_cap(fd_limit)),
+            ..self
+        }
+    }
+}
+
+/// The default [`DriveConfig::max_in_flight`].
+const MAX_IN_FLIGHT: usize = 12_000;
+
+/// Descriptors [`in_flight_cap`] leaves to the rest of the process
+/// (coordinator connections, listeners, pollers, log segments).
+const FD_RESERVE: u64 = 256;
+
+/// Most sessions that may hold a connection at once in a process whose
+/// `RLIMIT_NOFILE` is `fd_limit` — the one place the fd budget is
+/// computed.  A session costs **two** descriptors: its own socket, and
+/// the accepted end when the peer is a daemon in this same process
+/// (every loopback cluster), which a budget of one apiece overdraws
+/// into `EMFILE` at half the limit.
+pub fn in_flight_cap(fd_limit: u64) -> usize {
+    let budget = (fd_limit.saturating_sub(FD_RESERVE) / 2).max(64);
+    MAX_IN_FLIGHT.min(budget as usize)
 }
 
 /// What one [`drive_sessions`] run produced.  The driven machines come
@@ -170,9 +203,15 @@ const FRAMES_PER_VISIT: usize = 32;
 /// tag-match and clock compare per slot, noise even at 50k sessions.
 const SWEEP_EVERY: Duration = Duration::from_millis(100);
 
+/// Wait before redialing a peer that could not be *dialed* (refused,
+/// out of descriptors, connect timeout), doubling per retry the session
+/// has already spent — [`crate::RetryPolicy::default`]'s schedule.  A
+/// daemon being respawned is back in tens of milliseconds; without the
+/// wait a session burns its whole retry budget inside one loop tick.
+const REDIAL_BACKOFF: Duration = Duration::from_millis(25);
+
 /// Run a session's callback, converting a panic into a session
-/// failure instead of a crashed (and, with the old thread-pool driver,
-/// deadlocked) storm.
+/// failure instead of a crashed storm.
 fn guard<T>(f: impl FnOnce() -> T) -> Result<T, NetError> {
     std::panic::catch_unwind(std::panic::AssertUnwindSafe(f))
         .map_err(|_| NetError::Protocol("session state machine panicked".into()))
@@ -222,7 +261,7 @@ impl Wire {
 }
 
 enum SlotState {
-    /// Waiting in the dial queue.
+    /// Waiting in the dial queue (or backing off before rejoining it).
     Dialing,
     Active(Wire),
     Finished,
@@ -250,6 +289,133 @@ enum Drove {
     Failed(NetError),
 }
 
+/// One run's bookkeeping — what the event loop and the dialer both
+/// move.
+struct Run<'a> {
+    config: &'a DriveConfig,
+    completed: usize,
+    failed: Vec<(usize, NetError)>,
+    /// Sessions waiting for a dial, with the address to dial.
+    dial_queue: VecDeque<(usize, SocketAddr)>,
+    /// Sessions whose last dial failed, by the instant they may rejoin
+    /// the dial queue.
+    backoff: BinaryHeap<Reverse<(Instant, usize)>>,
+    /// Live connections right now; the `max_in_flight` dial gate.
+    active: usize,
+}
+
+impl Run<'_> {
+    fn fail<S>(&mut self, slot: &mut Slot<S>, i: usize, e: NetError) {
+        slot.state = SlotState::Failed;
+        self.failed.push((i, e));
+    }
+
+    /// Queue slot `i` for a dial to its machine's current target; a
+    /// machine with no target left has completed its session.
+    fn enqueue<S: SessionMachine>(&mut self, slot: &mut Slot<S>, i: usize) {
+        match guard(|| slot.session.target()) {
+            Ok(Some(addr)) => {
+                slot.state = SlotState::Dialing;
+                self.dial_queue.push_back((i, addr));
+            }
+            Ok(None) => {
+                slot.state = SlotState::Finished;
+                self.completed += 1;
+            }
+            Err(e) => self.fail(slot, i, e),
+        }
+    }
+
+    /// Slot `i` lost its connection, or could not get one: charge a
+    /// retry and redial — after `wait`, if any — or, the budget spent,
+    /// fail the session with `e`.
+    fn retry<S: SessionMachine>(
+        &mut self,
+        slot: &mut Slot<S>,
+        i: usize,
+        e: NetError,
+        wait: Option<Duration>,
+    ) {
+        if slot.retries_left == 0 {
+            return self.fail(slot, i, e);
+        }
+        slot.retries_left -= 1;
+        match wait {
+            Some(wait) => {
+                slot.state = SlotState::Dialing;
+                self.backoff.push(Reverse((Instant::now() + wait, i)));
+            }
+            None => self.enqueue(slot, i),
+        }
+    }
+
+    /// Close the books on a live connection (dropping the wire closes
+    /// the socket).
+    fn hang_up(&mut self, poller: &mut Poller, wire: &Wire) {
+        let _ = poller.remove(wire.stream.as_raw_fd());
+        self.active -= 1;
+    }
+
+    /// Dial queued sessions, at most `most` of them, while the
+    /// in-flight cap has room — so the wave never outruns the fd budget.
+    fn dial_batch<S: SessionMachine>(
+        &mut self,
+        poller: &mut Poller,
+        slots: &mut [Slot<S>],
+        most: usize,
+    ) {
+        for _ in 0..most {
+            if self.active >= self.config.max_in_flight {
+                break;
+            }
+            let Some((i, addr)) = self.dial_queue.pop_front() else {
+                break;
+            };
+            self.dial(poller, &mut slots[i], i, addr);
+        }
+    }
+
+    /// Dial `addr` for slot `i` and register the connection (or charge
+    /// a retry / fail the session).
+    fn dial<S: SessionMachine>(
+        &mut self,
+        poller: &mut Poller,
+        slot: &mut Slot<S>,
+        i: usize,
+        addr: SocketAddr,
+    ) {
+        let stream = TcpStream::connect_timeout(&addr, self.config.connect_timeout).and_then(|s| {
+            s.set_nonblocking(true)?;
+            s.set_nodelay(true)?;
+            Ok(s)
+        });
+        let stream = match stream {
+            Ok(s) => s,
+            Err(e) => {
+                let spent = self.config.max_retries - slot.retries_left;
+                let wait = REDIAL_BACKOFF * 2u32.saturating_pow(spent.min(8));
+                return self.retry(slot, i, NetError::Io(e), Some(wait));
+            }
+        };
+        let mut wire = Wire::new(stream);
+        match guard(|| slot.session.on_connect()) {
+            Ok(frames) => frames.iter().for_each(|frame| wire.queue(frame)),
+            Err(e) => return self.fail(slot, i, e),
+        }
+        let wanted = wire.wanted_interest();
+        if poller
+            .add(wire.stream.as_raw_fd(), i as u64, wanted)
+            .is_err()
+        {
+            let e = NetError::Protocol("poller registration failed (fd limit?)".into());
+            return self.fail(slot, i, e);
+        }
+        wire.registered = wanted;
+        slot.state = SlotState::Active(wire);
+        self.active += 1;
+    }
+}
+
 /// Drive every session to completion (or failure) on the calling
 /// thread — one poller, zero spawned threads, any number of sessions.
 ///
@@ -272,26 +438,18 @@ pub fn drive_sessions<S: SessionMachine>(
             retries_left: config.max_retries,
         })
         .collect();
-
-    let mut completed = 0usize;
-    let mut failed: Vec<(usize, NetError)> = Vec::new();
-    let mut dial_queue: VecDeque<usize> = VecDeque::new();
-    // Live connections right now; the `max_in_flight` dial gate.
-    let mut active = 0usize;
+    let mut run = Run {
+        config,
+        completed: 0,
+        failed: Vec::new(),
+        dial_queue: VecDeque::new(),
+        backoff: BinaryHeap::new(),
+        active: 0,
+    };
 
     // Sessions with no target at all complete on the spot.
     for (i, slot) in slots.iter_mut().enumerate() {
-        match guard(|| slot.session.target()) {
-            Ok(Some(_)) => dial_queue.push_back(i),
-            Ok(None) => {
-                slot.state = SlotState::Finished;
-                completed += 1;
-            }
-            Err(e) => {
-                slot.state = SlotState::Failed;
-                failed.push((i, e));
-            }
-        }
+        run.enqueue(slot, i);
     }
 
     // The connection-storm mode: the entire population is dialed (and
@@ -301,21 +459,7 @@ pub fn drive_sessions<S: SessionMachine>(
     let mut connect_elapsed = Duration::ZERO;
     if config.connect_first {
         let connect_start = Instant::now();
-        while active < config.max_in_flight {
-            let Some(i) = dial_queue.pop_front() else {
-                break;
-            };
-            dial(
-                &mut poller,
-                &mut slots,
-                i,
-                config,
-                &mut dial_queue,
-                &mut completed,
-                &mut failed,
-                &mut active,
-            );
-        }
+        run.dial_batch(&mut poller, &mut slots, usize::MAX);
         connect_elapsed = connect_start.elapsed();
         // The held population spent the connect phase deliberately
         // silent; the idle clock starts with the drive phase.
@@ -333,48 +477,31 @@ pub fn drive_sessions<S: SessionMachine>(
     let mut last_sweep = Instant::now();
 
     loop {
-        // Dial (and redial) in bounded batches per tick, gated by the
-        // in-flight cap so the wave never outruns the fd budget.
-        for _ in 0..config.connects_per_tick {
-            if active >= config.max_in_flight {
+        // Sessions whose redial backoff has run out rejoin the queue;
+        // then dial (and redial) in bounded batches per tick.
+        let now = Instant::now();
+        while let Some(&Reverse((due, i))) = run.backoff.peek() {
+            if due > now {
                 break;
             }
-            let Some(i) = dial_queue.pop_front() else {
-                break;
-            };
-            dial(
-                &mut poller,
-                &mut slots,
-                i,
-                config,
-                &mut dial_queue,
-                &mut completed,
-                &mut failed,
-                &mut active,
-            );
+            run.backoff.pop();
+            run.enqueue(&mut slots[i], i);
         }
+        run.dial_batch(&mut poller, &mut slots, config.connects_per_tick);
 
-        let live = slots
-            .iter()
-            .any(|s| matches!(s.state, SlotState::Active(_)));
-        if !live && dial_queue.is_empty() {
+        if run.active == 0 && run.dial_queue.is_empty() && run.backoff.is_empty() {
             break;
         }
 
         if started.elapsed() > config.deadline {
             for (i, slot) in slots.iter_mut().enumerate() {
-                if matches!(slot.state, SlotState::Active(_) | SlotState::Dialing) {
-                    if let SlotState::Active(wire) = &slot.state {
-                        let _ = poller.remove(wire.stream.as_raw_fd());
-                    }
-                    slot.state = SlotState::Failed;
-                    failed.push((
-                        i,
-                        NetError::Timeout {
-                            op: "swarm reactor deadline",
-                        },
-                    ));
+                match &slot.state {
+                    SlotState::Active(wire) => run.hang_up(&mut poller, wire),
+                    SlotState::Dialing => {}
+                    SlotState::Finished | SlotState::Failed => continue,
                 }
+                let op = "swarm reactor deadline";
+                run.fail(slot, i, NetError::Timeout { op });
             }
             break;
         }
@@ -388,39 +515,31 @@ pub fn drive_sessions<S: SessionMachine>(
         if last_sweep.elapsed() >= SWEEP_EVERY {
             last_sweep = Instant::now();
             for (i, slot) in slots.iter_mut().enumerate() {
-                let SlotState::Active(wire) = &mut slot.state else {
+                let SlotState::Active(wire) = &slot.state else {
                     continue;
                 };
                 if wire.last_progress.elapsed() <= config.exchange_timeout {
                     continue;
                 }
-                let _ = poller.remove(wire.stream.as_raw_fd());
-                active -= 1;
-                if slot.retries_left > 0 {
-                    slot.retries_left -= 1;
-                    slot.state = SlotState::Dialing;
-                    dial_queue.push_back(i);
-                } else {
-                    slot.state = SlotState::Failed;
-                    failed.push((
-                        i,
-                        NetError::Timeout {
-                            op: "client exchange idle",
-                        },
-                    ));
-                }
+                run.hang_up(&mut poller, wire);
+                let op = "client exchange idle";
+                run.retry(slot, i, NetError::Timeout { op }, None);
             }
         }
 
         events.clear();
         // Ready dials and yielded sessions demand an immediate pass;
         // a dial queue blocked on the in-flight cap does not — only a
-        // completion (a readiness event) can unblock it.
-        let dials_ready = !dial_queue.is_empty() && active < config.max_in_flight;
-        let timeout = if yielded.is_empty() && !dials_ready {
-            WAIT_MS
-        } else {
+        // completion (a readiness event) can unblock it.  A session
+        // backing off wakes the loop when its redial falls due.
+        let dials_ready = !run.dial_queue.is_empty() && run.active < config.max_in_flight;
+        let timeout = if !yielded.is_empty() || dials_ready {
             0
+        } else if let Some(&Reverse((due, _))) = run.backoff.peek() {
+            let until_due = due.saturating_duration_since(Instant::now());
+            (until_due.as_millis() as i32 + 1).min(WAIT_MS)
+        } else {
+            WAIT_MS
         };
         poller.wait(&mut events, timeout)?;
         events.splice(0..0, yielded.drain(..).map(|t| (t, 0)));
@@ -446,129 +565,29 @@ pub fn drive_sessions<S: SessionMachine>(
                 }
                 Drove::Yield => yielded.push(token),
                 Drove::StageDone => {
-                    let _ = poller.remove(wire.stream.as_raw_fd());
-                    active -= 1;
-                    match guard(|| slot.session.target()) {
-                        Ok(Some(_)) => {
-                            slot.state = SlotState::Dialing;
-                            dial_queue.push_back(i);
-                        }
-                        Ok(None) => {
-                            slot.state = SlotState::Finished;
-                            completed += 1;
-                        }
-                        Err(e) => {
-                            slot.state = SlotState::Failed;
-                            failed.push((i, e));
-                        }
-                    }
+                    run.hang_up(&mut poller, wire);
+                    run.enqueue(slot, i);
                 }
                 Drove::Lost(e) => {
-                    let _ = poller.remove(wire.stream.as_raw_fd());
-                    active -= 1;
-                    if slot.retries_left > 0 {
-                        slot.retries_left -= 1;
-                        slot.state = SlotState::Dialing;
-                        dial_queue.push_back(i);
-                    } else {
-                        slot.state = SlotState::Failed;
-                        failed.push((i, e));
-                    }
+                    run.hang_up(&mut poller, wire);
+                    run.retry(slot, i, e, None);
                 }
                 Drove::Failed(e) => {
-                    let _ = poller.remove(wire.stream.as_raw_fd());
-                    active -= 1;
-                    slot.state = SlotState::Failed;
-                    failed.push((i, e));
+                    run.hang_up(&mut poller, wire);
+                    run.fail(slot, i, e);
                 }
             }
         }
     }
 
-    failed.sort_by_key(|(i, _)| *i);
+    run.failed.sort_by_key(|(i, _)| *i);
     Ok(RunOutcome {
         sessions: slots.into_iter().map(|s| s.session).collect(),
-        completed,
-        failed,
+        completed: run.completed,
+        failed: run.failed,
         connect_elapsed,
         drive_elapsed: drive_start.elapsed(),
     })
-}
-
-/// Dial slot `i`'s current target and register the connection (or
-/// charge a retry / fail the session).  `active` counts live
-/// connections; a successful dial increments it.
-#[allow(clippy::too_many_arguments)]
-fn dial<S: SessionMachine>(
-    poller: &mut Poller,
-    slots: &mut [Slot<S>],
-    i: usize,
-    config: &DriveConfig,
-    dial_queue: &mut VecDeque<usize>,
-    completed: &mut usize,
-    failed: &mut Vec<(usize, NetError)>,
-    active: &mut usize,
-) {
-    let slot = &mut slots[i];
-    let addr = match guard(|| slot.session.target()) {
-        Ok(Some(addr)) => addr,
-        Ok(None) => {
-            slot.state = SlotState::Finished;
-            *completed += 1;
-            return;
-        }
-        Err(e) => {
-            slot.state = SlotState::Failed;
-            failed.push((i, e));
-            return;
-        }
-    };
-    let stream = TcpStream::connect_timeout(&addr, config.connect_timeout).and_then(|s| {
-        s.set_nonblocking(true)?;
-        s.set_nodelay(true)?;
-        Ok(s)
-    });
-    let stream = match stream {
-        Ok(s) => s,
-        Err(e) => {
-            if slot.retries_left > 0 {
-                slot.retries_left -= 1;
-                dial_queue.push_back(i);
-            } else {
-                slot.state = SlotState::Failed;
-                failed.push((i, NetError::Io(e)));
-            }
-            return;
-        }
-    };
-    let mut wire = Wire::new(stream);
-    match guard(|| slot.session.on_connect()) {
-        Ok(frames) => {
-            for frame in &frames {
-                wire.queue(frame);
-            }
-        }
-        Err(e) => {
-            slot.state = SlotState::Failed;
-            failed.push((i, e));
-            return;
-        }
-    }
-    let wanted = wire.wanted_interest();
-    if poller
-        .add(wire.stream.as_raw_fd(), i as u64, wanted)
-        .is_err()
-    {
-        slot.state = SlotState::Failed;
-        failed.push((
-            i,
-            NetError::Protocol("poller registration failed (fd limit?)".into()),
-        ));
-        return;
-    }
-    wire.registered = wanted;
-    slot.state = SlotState::Active(wire);
-    *active += 1;
 }
 
 /// Drive one connection as far as its socket and frame budget allow:
@@ -799,6 +818,34 @@ impl SessionMachine for FetchSession {
             ))),
         }
     }
+}
+
+/// Largest page a mailbox walk asks its shard for.
+pub const FETCH_PAGE_MAX: u32 = 256;
+
+/// Walk and ack every listed mailbox, each from the shard that owns it
+/// (`shards[s]` is shard `s`): one [`FetchSession`] apiece — a user
+/// downloading her own mailbox over her own connection (§5.1) — all
+/// driven from the calling thread.  The sessions come back in the
+/// order listed, so `sessions[i].into_entries()` is `mailboxes[i]`'s
+/// mail; a session that failed beyond its retries is in
+/// [`RunOutcome::failed`] and the others are unaffected.
+///
+/// This is the only mailbox fetch walk in the crate: a round's fetch
+/// phase and the mailbox storm both run it.
+pub fn fetch_mailboxes(
+    shards: &[SocketAddr],
+    mailboxes: &[[u8; 32]],
+    config: &DriveConfig,
+) -> std::io::Result<RunOutcome<FetchSession>> {
+    let sessions = mailboxes
+        .iter()
+        .map(|mailbox| {
+            let shard = shards[shard_of(mailbox, shards.len())];
+            FetchSession::new(shard, *mailbox, FETCH_PAGE_MAX)
+        })
+        .collect();
+    drive_sessions(sessions, config)
 }
 
 // ---------------------------------------------------------------------

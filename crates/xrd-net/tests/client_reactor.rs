@@ -18,7 +18,7 @@ use std::time::Duration;
 
 use xrd_net::codec::FrameDecoder;
 use xrd_net::swarm::reactor::{
-    drive_sessions, DriveConfig, FetchSession, SessionMachine, Step, SubmitSession,
+    drive_sessions, in_flight_cap, DriveConfig, FetchSession, SessionMachine, Step, SubmitSession,
 };
 use xrd_net::{CodecError, Frame, NetError};
 
@@ -209,6 +209,79 @@ fn disconnects_past_the_retry_budget_fail_the_session() {
         conns.load(Ordering::SeqCst),
         3,
         "initial attempt plus max_retries reconnects, then stop"
+    );
+}
+
+/// A loopback address nothing is listening on (bound once to reserve
+/// the port, then released).
+fn unbound_addr() -> SocketAddr {
+    let listener = TcpListener::bind("127.0.0.1:0").expect("port reserved");
+    listener.local_addr().expect("reserved addr")
+}
+
+/// A daemon that is down when first dialed and back 150 ms later — a
+/// supervised respawn — is met by a redial, not by a retry budget burnt
+/// in one loop tick: refused dials back off 25, 50, 100 ms, so the
+/// third redial (175 ms in) finds the listener, with retries to spare.
+#[test]
+fn refused_dial_backs_off_until_the_listener_is_up() {
+    let addr = unbound_addr();
+    let late_peer = std::thread::spawn(move || {
+        std::thread::sleep(Duration::from_millis(150));
+        let listener = TcpListener::bind(addr).expect("late peer binds");
+        let (mut stream, _) = listener.accept().expect("late peer accepts");
+        let mut decoder = FrameDecoder::new();
+        let _ = read_frame(&mut stream, &mut decoder);
+        stream.write_all(&Frame::Ok.encode()).expect("ack");
+    });
+
+    let outcome = drive_sessions(
+        vec![SubmitSession::new(vec![(addr, Frame::Ping)])],
+        &DriveConfig {
+            max_retries: 5,
+            ..Default::default()
+        },
+    )
+    .expect("reactor runs");
+    assert_eq!(outcome.completed, 1, "failures: {:?}", outcome.failed);
+    late_peer
+        .join()
+        .expect("late peer served exactly one session");
+    assert!(
+        outcome.drive_elapsed >= Duration::from_millis(25 + 50 + 100),
+        "the listener came up 150 ms in, which only the third redial's \
+         backoff reaches; the drive took {:?}",
+        outcome.drive_elapsed
+    );
+    // Five retries would have waited 25 + … + 400 = 775 ms in all.
+    assert!(
+        outcome.drive_elapsed < Duration::from_millis(175 + 200),
+        "redials past the third were spent: {:?}",
+        outcome.drive_elapsed
+    );
+}
+
+/// A peer that never listens still fails its session — typed, after
+/// exactly `max_retries` backed-off redials, in bounded time.
+#[test]
+fn peer_that_never_listens_fails_typed_after_the_backoff() {
+    let addr = unbound_addr();
+    let outcome = drive_sessions(
+        vec![SubmitSession::new(vec![(addr, Frame::Ping)])],
+        &DriveConfig::default(),
+    )
+    .expect("reactor runs");
+    assert_eq!(outcome.completed, 0);
+    assert_eq!(outcome.failed.len(), 1);
+    match &outcome.failed[0] {
+        (0, NetError::Io(e)) => assert_eq!(e.kind(), std::io::ErrorKind::ConnectionRefused),
+        other => panic!("expected the refused dial itself, got {other:?}"),
+    }
+    let waited = Duration::from_millis(25 + 50 + 100);
+    assert!(
+        outcome.drive_elapsed >= waited && outcome.drive_elapsed < waited + Duration::from_secs(1),
+        "three redials back off {waited:?} in all; the drive took {:?}",
+        outcome.drive_elapsed
     );
 }
 
@@ -539,4 +612,27 @@ fn panicking_machine_fails_alone_and_the_storm_completes() {
         NetError::Protocol(msg) => assert!(msg.contains("panicked"), "got: {msg}"),
         other => panic!("expected the panic converted to a Protocol error, got {other:?}"),
     }
+}
+
+/// The fd rule, on the one function that computes it: a session in
+/// flight is budgeted two descriptors (its socket, and the accepted end
+/// a same-process daemon holds) under a 256-descriptor reserve, never
+/// fewer than 64 sessions, and the default cap once the limit stops
+/// binding.  The 100k mailbox storm in CI is the end-to-end check.
+#[test]
+fn in_flight_cap_budgets_two_descriptors_per_session() {
+    let default_cap = DriveConfig::default().max_in_flight;
+    for limit in [0u64, 256, 383, 384, 1024, 4096, 20_000, 65_536, u64::MAX] {
+        let cap = in_flight_cap(limit);
+        let budget = limit.saturating_sub(256) / 2;
+        assert!((64..=default_cap).contains(&cap), "limit {limit}: {cap}");
+        assert!(
+            budget < 64 || cap as u64 <= budget,
+            "limit {limit}: {cap} sessions overdraw {budget}"
+        );
+    }
+    assert_eq!(in_flight_cap(20_000), 9_872);
+    assert_eq!(in_flight_cap(2 * default_cap as u64 + 255), default_cap - 1);
+    assert_eq!(in_flight_cap(2 * default_cap as u64 + 256), default_cap);
+    assert_eq!(in_flight_cap(u64::MAX), default_cap);
 }

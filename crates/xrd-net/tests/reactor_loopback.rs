@@ -7,11 +7,8 @@ use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
-use rand::rngs::StdRng;
-use rand::SeedableRng;
-
 use xrd_net::codec::{error_code, read_frame, Frame};
-use xrd_net::{submit_storm, Conn, MailboxDaemon, NetError, StormConfig};
+use xrd_net::{Conn, MailboxDaemon, NetError};
 
 fn mailbox_message(byte: u8) -> xrd_mixnet::MailboxMessage {
     xrd_mixnet::MailboxMessage {
@@ -125,25 +122,6 @@ fn pipelined_requests_on_one_connection_answered_in_order() {
         other => panic!("expected MailboxPage, got {other:?}"),
     }
     assert!(matches!(conn.recv().expect("ack 3"), Frame::Pong));
-}
-
-/// Regression: a connection/worker split where `chunks()` yields fewer
-/// pieces than requested workers (5 across 4 → 3 chunks of 2) must
-/// complete — the storm's barriers are sized by the threads actually
-/// spawned, not the requested worker count.
-#[test]
-fn submit_storm_with_uneven_worker_split_completes() {
-    let mut rng = StdRng::seed_from_u64(33);
-    let report = submit_storm(
-        &mut rng,
-        &StormConfig {
-            n_conns: 5,
-            workers: 4,
-            chain_len: 2,
-        },
-    )
-    .expect("uneven split storm completes");
-    assert_eq!(report.accepted, 5);
 }
 
 /// A peer that keeps hundreds of pipelined frames in flight (and

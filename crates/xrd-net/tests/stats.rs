@@ -120,7 +120,6 @@ fn storm_scrape_tells_the_storm_story() {
     let mut rng = StdRng::seed_from_u64(23);
     let config = StormConfig {
         n_conns: N,
-        workers: 4,
         chain_len: 3,
     };
     let report = submit_storm(&mut rng, &config).expect("storm completes");

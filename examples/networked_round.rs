@@ -5,7 +5,7 @@
 //!
 //! ```text
 //! cargo run --release --example networked_round [n_users] [rounds]
-//! cargo run --release --example networked_round stress [n_conns] [workers]
+//! cargo run --release --example networked_round stress [n_conns]
 //! ```
 //!
 //! The `stress` mode skips the full deployment and instead storms a
@@ -21,15 +21,13 @@ use xrd_net::{launch_local, run_swarm, submit_storm, StormConfig, SwarmConfig};
 
 fn stress(mut args: impl Iterator<Item = String>) {
     let n_conns: usize = args.next().and_then(|v| v.parse().ok()).unwrap_or(1000);
-    let workers: usize = args.next().and_then(|v| v.parse().ok()).unwrap_or(8);
     let config = StormConfig {
         n_conns,
-        workers,
         ..Default::default()
     };
     println!(
         "storming one mix daemon with {n_conns} concurrent submitter connections \
-         ({workers} client pump threads, chain k = {})…",
+         (chain k = {})…",
         config.chain_len
     );
     let mut rng = StdRng::seed_from_u64(99);
