@@ -1,16 +1,23 @@
 //! Macro-benchmark: a complete round through the *networked* deployment
 //! (loopback TCP daemons) next to the same round in-process — the cost
 //! of the wire — plus the reactor concurrency probe: a connection storm
-//! of concurrent submitters against a single daemon.
+//! of concurrent submitters against a single daemon, and the mailbox
+//! tier's ack herd against one persistent shard.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
+use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion, Throughput};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
+use xrd_core::mailbox::LogStoreConfig;
 use xrd_core::{Deployment, DeploymentConfig, User};
 use xrd_mixnet::chain_keys::{generate_chain_keys, rotate_inner_keys};
+use xrd_mixnet::{MailboxMessage, MAILBOX_MSG_LEN};
+use xrd_net::swarm::reactor::{drive_sessions, DriveConfig, FetchSession, FETCH_PAGE_MAX};
 use xrd_net::swarm::sealed_submissions;
-use xrd_net::{launch_local, submit_storm, ChainClient, MixServerDaemon, StormConfig};
+use xrd_net::{
+    launch_local, submit_storm, ChainClient, Conn, Frame, MailboxDaemon, MixServerDaemon,
+    StormConfig,
+};
 
 fn bench_networked_round(c: &mut Criterion) {
     let mut group = c.benchmark_group("net_round");
@@ -136,10 +143,69 @@ fn bench_hop_pipeline(c: &mut Criterion) {
     drop(daemons);
 }
 
+/// The end-of-round ack herd: 2 000 users each walk and ack her own
+/// one-entry mailbox on one persistent shard (fsync on), all sessions
+/// driven from one client thread.  Delivery is set-up, not timed; what
+/// is timed is pages, acks and the syncs the acks' `Ok`s wait for —
+/// one per reactor tick, shared by the tick's acks.
+fn bench_mailbox_ack(c: &mut Criterion) {
+    const N: usize = 2000;
+    let mut group = c.benchmark_group("mailbox_ack");
+    group.sample_size(10);
+    group.throughput(Throughput::Elements(N as u64));
+    let dir = std::env::temp_dir().join(format!("xrd-bench-mailbox-ack-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let daemon =
+        MailboxDaemon::spawn_persistent("127.0.0.1:0", 0, 1, &dir, LogStoreConfig::default())
+            .expect("shard spawns");
+    let addr = daemon.addr();
+    let mailbox = |i: usize| {
+        let mut id = [0u8; 32];
+        id[..8].copy_from_slice(&(i as u64).to_le_bytes());
+        id
+    };
+    let mut coordinator = Conn::connect(addr).expect("connects");
+    let mut batch = 0u64;
+    group.bench_function(BenchmarkId::new("persistent_shard", N), |b| {
+        b.iter_batched(
+            || {
+                for chunk in (0..N).collect::<Vec<_>>().chunks(500) {
+                    batch += 1;
+                    coordinator
+                        .request_ok(&Frame::Deliver {
+                            round: 1,
+                            batch,
+                            messages: chunk
+                                .iter()
+                                .map(|&i| MailboxMessage {
+                                    mailbox: mailbox(i),
+                                    sealed: vec![7u8; MAILBOX_MSG_LEN - 32],
+                                })
+                                .collect(),
+                        })
+                        .expect("delivered");
+                }
+                (0..N)
+                    .map(|i| FetchSession::new(addr, mailbox(i), FETCH_PAGE_MAX))
+                    .collect::<Vec<_>>()
+            },
+            |sessions| {
+                let run = drive_sessions(sessions, &DriveConfig::default()).expect("drives");
+                assert_eq!(run.completed, N);
+            },
+            BatchSize::LargeInput,
+        );
+    });
+    group.finish();
+    drop(daemon);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 criterion_group!(
     benches,
     bench_networked_round,
     bench_submit_storm,
-    bench_hop_pipeline
+    bench_hop_pipeline,
+    bench_mailbox_ack
 );
 criterion_main!(benches);

@@ -49,6 +49,18 @@
 //! id order, rebuilding the index; a torn record at a segment tail
 //! (the crash-mid-append case) truncates the tail and keeps everything
 //! before it.  `mailbox.recovery_us` records how long the rebuild took.
+//!
+//! ## A failed sync is final
+//!
+//! If an `fdatasync` of a segment fails, the store is **poisoned**:
+//! every later `put`/`ack`/`begin_batch`/`commit_batch`/`abort_batch`/
+//! `flush` returns [`MailboxError::Storage`] until the store is
+//! reopened.  The index already holds what the sync was to cover (the
+//! ack watermark moved, the batch id is in the dedup window), and the
+//! kernel reports a write-back error once — a retried `flush` would
+//! "succeed" without the data — so answering a retry from that state
+//! would acknowledge something that is not on disk.  Replay on reopen
+//! is the recovery path.
 
 use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
 use std::fs::{File, OpenOptions};
@@ -145,6 +157,13 @@ pub struct LogMailboxStore {
     index: HashMap<[u8; 32], BoxIndex>,
     /// Appends since the last fsync.
     dirty: bool,
+    /// Set by a failed segment sync and never cleared: the index is
+    /// ahead of the disk, so every later write or flush is refused (see
+    /// the module docs).
+    poisoned: Option<MailboxError>,
+    /// Test seam: make the next segment sync fail.
+    #[cfg(test)]
+    fail_next_sync: bool,
     /// Recently committed delivery-batch ids (the durable dedup
     /// window), plus their order for eviction.
     committed: HashSet<(u64, u64)>,
@@ -180,6 +199,8 @@ fn log_metrics() -> &'static LogMetrics {
         recovery_us: xrd_obs::hist("mailbox.recovery_us"),
         torn_tails: xrd_obs::counter("mailbox.recovery.torn_tails"),
         aborted_batches: xrd_obs::counter("mailbox.recovery.aborted_batches"),
+        fsyncs: xrd_obs::counter("mailbox.log.fsyncs"),
+        fsync_us: xrd_obs::hist("mailbox.log.fsync_us"),
     })
 }
 
@@ -195,6 +216,10 @@ struct LogMetrics {
     /// Delivery batches rolled back during recovery (crash before
     /// their COMMIT landed; the sender's retry re-stores them).
     aborted_batches: &'static xrd_obs::Counter,
+    /// `fdatasync` calls on segment files (flushes and rotations).
+    fsyncs: &'static xrd_obs::Counter,
+    /// Latency of each, µs.
+    fsync_us: &'static xrd_obs::Histogram,
 }
 
 fn io_err(what: &str, e: std::io::Error) -> MailboxError {
@@ -240,6 +265,9 @@ impl LogMailboxStore {
             segments: BTreeMap::new(),
             index: HashMap::new(),
             dirty: false,
+            poisoned: None,
+            #[cfg(test)]
+            fail_next_sync: false,
             committed: HashSet::new(),
             committed_order: VecDeque::new(),
             replay_txn: None,
@@ -491,6 +519,7 @@ impl LogMailboxStore {
     /// Append a raw record to the active segment, rotating first if the
     /// active segment is over its size budget.
     fn append(&mut self, record: &[u8], allow_rotate: bool) -> Result<u64, MailboxError> {
+        self.check_poisoned()?;
         if allow_rotate && self.segments[&self.active_id].len >= self.cfg.segment_bytes {
             self.rotate()?;
         }
@@ -504,13 +533,37 @@ impl LogMailboxStore {
         Ok(at)
     }
 
+    /// Refuse if an earlier segment sync failed.
+    fn check_poisoned(&self) -> Result<(), MailboxError> {
+        match &self.poisoned {
+            Some(e) => Err(e.clone()),
+            None => Ok(()),
+        }
+    }
+
+    /// `fdatasync` the active segment; a failure poisons the store.
+    fn sync_active(&mut self, what: &str) -> Result<(), MailboxError> {
+        let started = std::time::Instant::now();
+        let synced = self.segments[&self.active_id].file.sync_data();
+        #[cfg(test)]
+        let synced = if std::mem::take(&mut self.fail_next_sync) {
+            Err(std::io::Error::other("injected sync failure"))
+        } else {
+            synced
+        };
+        log_metrics().fsyncs.incr();
+        log_metrics().fsync_us.record_duration(started.elapsed());
+        synced.map_err(|e| {
+            let e = io_err(what, e);
+            self.poisoned = Some(e.clone());
+            e
+        })
+    }
+
     /// Seal the active segment and start a fresh one.
     fn rotate(&mut self) -> Result<(), MailboxError> {
         if self.cfg.sync {
-            let seg = &self.segments[&self.active_id];
-            seg.file
-                .sync_data()
-                .map_err(|e| io_err("fsync sealed segment", e))?;
+            self.sync_active("fsync sealed segment")?;
         }
         let next = self.active_id + 1;
         self.create_segment(next)?;
@@ -722,6 +775,9 @@ impl MailboxStore for LogMailboxStore {
                 next: b.next,
             });
         }
+        // Before the idempotence shortcut: a watermark a failed sync
+        // left ahead of the disk must not answer the retry.
+        self.check_poisoned()?;
         if upto <= b.acked {
             return Ok(0); // idempotent replay of an old ack
         }
@@ -751,17 +807,18 @@ impl MailboxStore for LogMailboxStore {
     }
 
     fn flush(&mut self) -> Result<(), MailboxError> {
+        self.check_poisoned()?;
         if self.dirty && self.cfg.sync {
-            self.segments[&self.active_id]
-                .file
-                .sync_data()
-                .map_err(|e| io_err("fsync active segment", e))?;
+            self.sync_active("fsync active segment")?;
         }
         self.dirty = false;
         Ok(())
     }
 
     fn begin_batch(&mut self, round: u64, batch: u64) -> Result<bool, MailboxError> {
+        // Before the dedup answer: an id a failed sync left in the
+        // window is not on disk.
+        self.check_poisoned()?;
         if self.committed.contains(&(round, batch)) {
             return Ok(false); // durably committed: dedup hit
         }
@@ -1119,6 +1176,65 @@ mod tests {
         let p = s.fetch_page(&[1u8; 32], 0, 32).unwrap();
         assert!(p.entries.iter().enumerate().all(|(i, e)| e.seq == i as u64));
         assert!(!s.begin_batch(2, 3).unwrap());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+    /// The bug the poison flag closes: the index runs ahead of a sync
+    /// that then fails.  Without it the retried batch hits the dedup
+    /// window and the retried ack the idempotence shortcut — both
+    /// answered as done for records that never reached the disk, and
+    /// the next `flush` "succeeds" because the kernel reports a
+    /// write-back error once.
+    #[test]
+    fn failed_sync_poisons_the_store_until_reopen() {
+        let dir = tmp("poison");
+        let mut s = LogMailboxStore::open(&dir, 0, 1, LogStoreConfig::default()).unwrap();
+        s.put(1, msg(1, b"kept")).unwrap();
+        s.flush().unwrap();
+
+        assert!(s.begin_batch(2, 7).unwrap());
+        s.put(2, msg(1, b"lost")).unwrap();
+        s.commit_batch(2, 7).unwrap();
+        s.ack(&[1u8; 32], 1).unwrap();
+        s.fail_next_sync = true;
+        assert!(matches!(s.flush(), Err(MailboxError::Storage { .. })));
+
+        // Every retry is refused — not dedup-acked, not re-acked, not
+        // "flushed" by a sync that no longer carries the error.
+        let storage = |r: Result<(), MailboxError>| matches!(r, Err(MailboxError::Storage { .. }));
+        assert!(storage(s.flush()));
+        assert!(storage(s.begin_batch(2, 7).map(drop)));
+        assert!(storage(s.begin_batch(2, 8).map(drop)));
+        assert!(storage(s.commit_batch(2, 8)));
+        assert!(storage(s.abort_batch(2, 8)));
+        assert!(storage(s.put(3, msg(1, b"more")).map(drop)));
+        assert!(storage(s.ack(&[1u8; 32], 1).map(drop)));
+        assert!(storage(s.ack(&[1u8; 32], 2).map(drop)));
+
+        // Reopening replays what the file holds and serves again.
+        drop(s);
+        let mut s = LogMailboxStore::open(&dir, 0, 1, LogStoreConfig::default()).unwrap();
+        s.put(4, msg(1, b"after")).unwrap();
+        s.flush().unwrap();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Rotation syncs the segment it seals; that sync failing poisons
+    /// the store like a failed flush.
+    #[test]
+    fn failed_rotation_sync_poisons_too() {
+        let dir = tmp("poison-rotate");
+        let cfg = LogStoreConfig {
+            segment_bytes: 64,
+            sync: true,
+        };
+        let mut s = LogMailboxStore::open(&dir, 0, 1, cfg).unwrap();
+        s.put(1, msg(1, &[7u8; 64])).unwrap();
+        s.fail_next_sync = true;
+        assert!(matches!(
+            s.put(1, msg(1, &[8u8; 64])),
+            Err(MailboxError::Storage { .. })
+        ));
+        assert!(matches!(s.flush(), Err(MailboxError::Storage { .. })));
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

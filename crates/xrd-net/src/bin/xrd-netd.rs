@@ -34,7 +34,9 @@
 //!   delivers shard-parallel, every user walks and acks her own
 //!   mailbox over her own connection, and an offline fraction drains a
 //!   two-round backlog in round 1 — fails on any lost or duplicated
-//!   entry;
+//!   entry, and with `--dir` (persistent shards) prints acks, fsyncs
+//!   and acks per fsync and fails if 1 000+ mailboxes paid a sync per
+//!   ack;
 //! * `launch --manifest FILE [--users N] [--rounds R] [--transport T]`
 //!   — spawn the deployment a manifest describes as real `xrd-netd`
 //!   child processes (key ceremony, config files, daemon-to-daemon
@@ -476,6 +478,23 @@ fn mailbox_storm_cmd(args: &[String]) -> ExitCode {
         );
     }
     println!("loss 0 | duplication 0");
+    if config.persist_dir.is_some() {
+        // How the acks were made durable, from the registry the shard
+        // daemons (in this process) wrote: a shard syncs once per
+        // reactor tick, so a herd's acks share syncs — a build that is
+        // back to one sync per ack reads 1.0 here.
+        let acks = report.stats.counter("frames.in.FetchAck");
+        let fsyncs = report.stats.counter("mailbox.log.fsyncs");
+        println!(
+            "acks {acks} | fsyncs {fsyncs} | {:.1} acks per fsync",
+            acks as f64 / fsyncs.max(1) as f64
+        );
+        // (`acks == 0`: an `obs-noop` build counts nothing.)
+        if config.mailboxes >= 1000 && acks > 0 && fsyncs >= acks {
+            xrd_obs::error!("mailbox-storm: {fsyncs} fsyncs for {acks} acks — no group commit");
+            return ExitCode::FAILURE;
+        }
+    }
     ExitCode::SUCCESS
 }
 

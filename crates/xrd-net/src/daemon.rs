@@ -8,7 +8,9 @@
 //! * [`MailboxDaemon`] — one mailbox shard: accepts (idempotent,
 //!   batch-deduped) deliveries from the mix layer and serves clients
 //!   paginated, ack-driven fetches over a pluggable
-//!   [`MailboxStore`] — in-memory or log-structured persistent.
+//!   [`MailboxStore`] — in-memory or log-structured persistent.  Its
+//!   `Ok`s wait for the reactor's commit phase: one sync per loop
+//!   iteration covers every ack and delivery the iteration served.
 //!
 //! Both daemons are event-driven: all connections of a daemon are
 //! served by **one** reactor thread (see [`crate::reactor`]) running a
@@ -43,7 +45,7 @@ use xrd_crypto::nizk::{DleqProof, SchnorrProof};
 use xrd_crypto::ristretto::GroupElement;
 use xrd_mixnet::chain_keys::{rotation_share, ChainPublicKeys, ServerSecrets};
 use xrd_mixnet::client::Submission;
-use xrd_mixnet::message::{outer_ct_len, MixEntry};
+use xrd_mixnet::message::{outer_ct_len, MailboxMessage, MixEntry};
 use xrd_mixnet::server::{input_digest, verify_hop_keys, ChunkKernel, MixError, MixServer};
 
 use xrd_core::Journal;
@@ -53,7 +55,7 @@ use crate::codec::{
     error_code, ChunkedBatch, Frame, FrameDecoder, StreamDigest, StreamError, STREAM_CHUNK,
 };
 use crate::conn::{Conn, NetError};
-use crate::reactor::{service_fn, ConnId, Outcome, Reactor, ReactorHandle, Service, WorkerPool};
+use crate::reactor::{ConnId, Outcome, Reactor, ReactorHandle, Service, WorkerPool};
 
 // ---------------------------------------------------------------------
 // Generic daemon plumbing
@@ -1387,6 +1389,20 @@ fn mailbox_err(e: MailboxError) -> Frame {
     err(code, e.to_string())
 }
 
+/// One mailbox shard as a reactor [`Service`].
+///
+/// Durability rule: a handler appends (`ack`, or
+/// `begin_batch`/`put`/`commit_batch`) and returns its `Ok` as
+/// [`Outcome::ReplyAfterCommit`]; [`Service::commit`] is the daemon's
+/// only [`MailboxStore::flush`], run by the reactor once per loop
+/// iteration before any held `Ok` is released.  So an `Ok` for a
+/// `FetchAck` or a `Deliver` reaches a socket only after a sync that
+/// began after its record was appended has returned — and every
+/// connection served in that iteration shares the one sync.
+struct MailboxService {
+    state: Mutex<MailboxState>,
+}
+
 struct MailboxState {
     /// This daemon's shard index and the deployment's shard count, used
     /// to reject deliveries that belong elsewhere.
@@ -1397,97 +1413,128 @@ struct MailboxState {
     /// order for eviction.
     seen_batches: HashSet<(u64, u64)>,
     batch_order: VecDeque<(u64, u64)>,
+    /// The refusal of a failed commit, answered to every later request:
+    /// what that commit covered is applied in memory (and remembered in
+    /// `seen_batches`) but not on disk, so a retry must not be
+    /// acknowledged from it.  Cleared only by a restart, which replays
+    /// the log.
+    failed: Option<Frame>,
 }
 
 impl MailboxState {
-    fn handle(&mut self, frame: Frame) -> Frame {
+    fn handle(&mut self, frame: Frame) -> Outcome {
+        if let Some(refusal) = &self.failed {
+            return Outcome::reply(refusal.clone());
+        }
         match frame {
-            Frame::Ping => Frame::Pong,
             Frame::Deliver {
                 round,
                 batch,
                 messages,
-            } => {
-                if self.seen_batches.contains(&(round, batch)) {
-                    // A retry of a batch whose Ok got lost: it is
-                    // already stored (and flushed), so just re-ack.
-                    mailbox_metrics().duplicates.incr();
-                    return Frame::Ok;
-                }
-                for m in &messages {
-                    if shard_of(&m.mailbox, self.n_shards) != self.shard {
-                        return err(error_code::BAD_STATE, "message routed to wrong shard");
-                    }
-                }
-                // Open a durable delivery bracket.  A persistent store
-                // that committed this id before a crash-restart answers
-                // `false` — the batch is already on disk even though
-                // this process's in-memory window never saw it.
-                match self.store.begin_batch(round, batch) {
-                    Ok(true) => {}
-                    Ok(false) => {
-                        mailbox_metrics().duplicates.incr();
-                        return Frame::Ok;
-                    }
-                    Err(e) => return mailbox_err(e),
-                }
-                for m in messages {
-                    if let Err(e) = self.store.put(round, m) {
-                        // Roll the partial batch back so recovery never
-                        // applies half a delivery; the sender retries
-                        // the whole batch.
-                        let _ = self.store.abort_batch(round, batch);
-                        return mailbox_err(e);
-                    }
-                }
-                if let Err(e) = self.store.commit_batch(round, batch) {
-                    return mailbox_err(e);
-                }
-                // Durability point: the batch must survive a crash
-                // before the sender is told it landed (it won't retry).
-                if let Err(e) = self.store.flush() {
-                    return mailbox_err(e);
-                }
-                self.seen_batches.insert((round, batch));
-                self.batch_order.push_back((round, batch));
-                if self.batch_order.len() > DELIVER_DEDUP_WINDOW {
-                    let old = self.batch_order.pop_front().expect("len checked");
-                    self.seen_batches.remove(&old);
-                }
-                mailbox_metrics().batches.incr();
-                Frame::Ok
-            }
+            } => match self.deliver(round, batch, messages) {
+                // Held even for a duplicate: the batch it repeats may
+                // be waiting for this very commit.
+                Ok(()) => Outcome::ReplyAfterCommit(vec![Frame::Ok]),
+                Err(e) => Outcome::reply(mailbox_err(e)),
+            },
             Frame::FetchPage {
                 mailbox,
                 cursor,
                 max,
-            } => match self.store.fetch_page(&mailbox, cursor, max as usize) {
-                Ok(page) => Frame::MailboxPage {
-                    sealed: page
-                        .entries
-                        .into_iter()
-                        .map(|e| (e.round, e.sealed))
-                        .collect(),
-                    next_cursor: page.next_cursor,
-                    remaining: page.remaining,
-                },
-                Err(e) => mailbox_err(e),
-            },
-            Frame::FetchAck { mailbox, upto } => match self.store.ack(&mailbox, upto) {
-                Ok(_) => match self.store.flush() {
-                    // Flush so acked retention survives a crash: a
-                    // recovered shard must not resurrect retired
-                    // entries for a client that already acked them.
-                    Ok(()) => Frame::Ok,
+            } => Outcome::reply(
+                match self.store.fetch_page(&mailbox, cursor, max as usize) {
+                    Ok(page) => Frame::MailboxPage {
+                        sealed: page
+                            .entries
+                            .into_iter()
+                            .map(|e| (e.round, e.sealed))
+                            .collect(),
+                        next_cursor: page.next_cursor,
+                        remaining: page.remaining,
+                    },
                     Err(e) => mailbox_err(e),
                 },
-                Err(e) => mailbox_err(e),
+            ),
+            // Held so acked retention survives a crash: a recovered
+            // shard must not resurrect retired entries for a client
+            // that was told they are gone.
+            Frame::FetchAck { mailbox, upto } => match self.store.ack(&mailbox, upto) {
+                Ok(_) => Outcome::ReplyAfterCommit(vec![Frame::Ok]),
+                Err(e) => Outcome::reply(mailbox_err(e)),
             },
-            other => err(
+            other => Outcome::reply(err(
                 error_code::UNSUPPORTED,
                 format!("mailbox daemon cannot serve {other:?}"),
-            ),
+            )),
         }
+    }
+
+    /// Append one delivery batch (or recognise a retry of one), leaving
+    /// durability to the commit its `Ok` is held for — the sender won't
+    /// retry a batch it was told landed.
+    fn deliver(
+        &mut self,
+        round: u64,
+        batch: u64,
+        messages: Vec<MailboxMessage>,
+    ) -> Result<(), MailboxError> {
+        if self.seen_batches.contains(&(round, batch)) {
+            // A retry of a batch whose Ok got lost.
+            mailbox_metrics().duplicates.incr();
+            return Ok(());
+        }
+        for m in &messages {
+            let shard = shard_of(&m.mailbox, self.n_shards);
+            if shard != self.shard {
+                return Err(MailboxError::WrongShard {
+                    shard,
+                    expected: self.shard,
+                });
+            }
+        }
+        // Open a durable delivery bracket.  A persistent store that
+        // committed this id before a crash-restart answers `false` —
+        // the batch is already on disk even though this process's
+        // in-memory window never saw it.
+        if !self.store.begin_batch(round, batch)? {
+            mailbox_metrics().duplicates.incr();
+            return Ok(());
+        }
+        for m in messages {
+            if let Err(e) = self.store.put(round, m) {
+                // Roll the partial batch back so recovery never applies
+                // half a delivery; the sender retries the whole batch.
+                let _ = self.store.abort_batch(round, batch);
+                return Err(e);
+            }
+        }
+        self.store.commit_batch(round, batch)?;
+        self.seen_batches.insert((round, batch));
+        self.batch_order.push_back((round, batch));
+        if self.batch_order.len() > DELIVER_DEDUP_WINDOW {
+            let old = self.batch_order.pop_front().expect("len checked");
+            self.seen_batches.remove(&old);
+        }
+        mailbox_metrics().batches.incr();
+        Ok(())
+    }
+}
+
+impl Service for MailboxService {
+    fn handle(&self, _conn: ConnId, frame: Frame, _workers: &Arc<WorkerPool>) -> Outcome {
+        self.state
+            .lock()
+            .expect("mailbox state poisoned")
+            .handle(frame)
+    }
+
+    fn commit(&self) -> Result<(), Frame> {
+        let mut state = self.state.lock().expect("mailbox state poisoned");
+        state.store.flush().map_err(|e| {
+            let refusal = mailbox_err(e);
+            state.failed = Some(refusal.clone());
+            refusal
+        })
     }
 }
 
@@ -1530,16 +1577,14 @@ impl MailboxDaemon {
         store: Box<dyn MailboxStore + Send>,
     ) -> std::io::Result<DaemonHandle> {
         assert!(shard < n_shards);
-        let state = Arc::new(Mutex::new(MailboxState {
+        let state = Mutex::new(MailboxState {
             shard,
             n_shards,
             store,
             seen_batches: HashSet::new(),
             batch_order: VecDeque::new(),
-        }));
-        spawn_daemon(
-            addr,
-            service_fn(move |frame| state.lock().expect("mailbox state poisoned").handle(frame)),
-        )
+            failed: None,
+        });
+        spawn_daemon(addr, Arc::new(MailboxService { state }))
     }
 }

@@ -19,7 +19,10 @@
 //!   thread, with per-connection incremental decode/encode state
 //!   machines, plus a small fixed-size worker pool that batch crypto
 //!   is deferred to (a pending response slot per connection keeps the
-//!   loop serving submissions while a hop runs);
+//!   loop serving submissions while a hop runs), and a commit phase
+//!   that ends every loop iteration — replies that acknowledge a write
+//!   are held until the service's one `commit` (a mailbox shard's
+//!   `fdatasync`) has covered them, so a herd shares its syncs;
 //! * [`daemon`] — [`MixServerDaemon`] (one hop of one chain) and
 //!   [`MailboxDaemon`] (one shard), each a single reactor thread
 //!   holding thousands of concurrent connections; streamed batch

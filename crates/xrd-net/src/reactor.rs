@@ -33,6 +33,20 @@
 //! immediately, not at the next poll timeout).  The loop itself never
 //! blocks on crypto: submissions keep flowing on other connections
 //! while a hop is in flight.
+//!
+//! A service whose replies promise durability returns the third
+//! outcome, [`Outcome::ReplyAfterCommit`]: the reactor holds the encoded
+//! reply (the connection's pending slot is occupied, so its
+//! request/response order is untouched) and, at the end of every loop
+//! iteration that held anything, calls [`Service::commit`] **once** —
+//! the service's one durability point, an `fdatasync` for a persistent
+//! mailbox shard — then releases every held reply, or the commit's error
+//! frame in place of each.  One iteration is therefore: readiness →
+//! handlers → one `commit` → release.  Nothing lingers and no batch
+//! size is configured: the group is whatever became readable while the
+//! previous commit ran (as many connections as one poller wait reports
+//! — its event buffer holds 256), so a lone request pays exactly one
+//! commit and waits for no company, and a herd shares its syncs.
 
 use std::collections::{HashMap, VecDeque};
 use std::io::{Read, Write};
@@ -71,6 +85,14 @@ pub enum Outcome {
     /// returns once complete.  Other connections are served
     /// throughout.
     Defer(Job),
+    /// Respond with these frames once the service's next
+    /// [`Service::commit`] has returned: the reactor holds the encoded
+    /// reply with this connection's pending slot occupied, commits once
+    /// at the end of the loop iteration for every reply held in it, and
+    /// then releases them — or, if the commit failed, its error frame
+    /// in place of each.  For replies that acknowledge a write the
+    /// commit makes durable.
+    ReplyAfterCommit(Vec<Frame>),
 }
 
 impl Outcome {
@@ -102,6 +124,17 @@ pub trait Service: Send + Sync + 'static {
     /// connection).  Default: ignore it.
     fn attach(&self, handle: ReactorHandle) {
         let _ = handle;
+    }
+
+    /// Make durable whatever the handlers of this loop iteration wrote.
+    /// Called once at the end of every iteration in which a handler
+    /// returned [`Outcome::ReplyAfterCommit`], on the reactor thread,
+    /// before any of those replies is released.  On `Err` the frame is
+    /// sent in place of every held reply.  Default: nothing to commit.
+    // The refusal is the cold path; `Ok(())` is what runs every tick.
+    #[allow(clippy::result_large_err)]
+    fn commit(&self) -> Result<(), Frame> {
+        Ok(())
     }
 }
 
@@ -527,6 +560,10 @@ enum Action {
     /// — do *not* wait for readiness, which may never fire again for
     /// bytes that already left the kernel buffer.
     Yield,
+    /// Still alive, parked behind a reply held for this iteration's
+    /// commit.  The release drives it again before the loop next waits,
+    /// so its poller registration is left as it is.
+    Held,
     /// Finished or failed; deregister and close.
     Drop,
     /// This connection's [`Frame::Shutdown`] acknowledgement has fully
@@ -573,6 +610,13 @@ struct ReactorMetrics {
     write_stalls: &'static Counter,
     /// Jobs deferred to the worker pool on behalf of a connection.
     deferred_jobs: &'static Counter,
+    /// [`Service::commit`] calls (loop iterations that held a reply).
+    commits: &'static Counter,
+    /// Replies released per commit — how many acknowledgements shared
+    /// one sync.
+    commit_held: &'static Histogram,
+    /// [`Service::commit`] latency, µs.
+    commit_us: &'static Histogram,
     /// Connections dropped over an unparseable frame (the silent-drop
     /// path: also debug-logged with the peer address).
     err_malformed: &'static Counter,
@@ -597,6 +641,9 @@ impl ReactorMetrics {
             budget_yields: xrd_obs::counter("reactor.budget_yields"),
             write_stalls: xrd_obs::counter("reactor.write_stalls"),
             deferred_jobs: xrd_obs::counter("reactor.deferred_jobs"),
+            commits: xrd_obs::counter("reactor.commits"),
+            commit_held: xrd_obs::hist("reactor.commit.held"),
+            commit_us: xrd_obs::hist("reactor.commit_us"),
             err_malformed: xrd_obs::counter("reactor.err.malformed_frame"),
             err_io: xrd_obs::counter("reactor.err.io"),
             by_tag: [None; 256],
@@ -634,9 +681,10 @@ struct Connection {
     /// once the acknowledgement is flushed.
     is_shutdown: bool,
     /// The pending response slot: a deferred job is computing this
-    /// connection's next response on the worker pool.  While occupied,
-    /// no further requests are processed (or even read) — the job's
-    /// completion re-opens the slot and queues its frames.
+    /// connection's next response on the worker pool, or the response
+    /// is held for the iteration's commit.  While occupied, no further
+    /// requests are processed (or even read) — the completion re-opens
+    /// the slot and queues its frames.
     pending: bool,
     /// The peer closed its write half (EOF on read).  It may still be
     /// reading: a half-closing request/response client must receive
@@ -689,13 +737,42 @@ impl Connection {
         }
     }
 
+    /// Write pending output until it drains (`Ok(true)`) or the socket
+    /// stops taking it (`Ok(false)`); `Err` means the connection is
+    /// dead.
+    fn drain_output(&mut self, metrics: &ReactorMetrics) -> std::io::Result<bool> {
+        while self.has_pending_output() {
+            match self.stream.write(&self.outbuf[self.outpos..]) {
+                Ok(0) => return Err(std::io::ErrorKind::WriteZero.into()),
+                Ok(n) => {
+                    metrics.bytes_out.add(n as u64);
+                    self.outpos += n;
+                }
+                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
+                    metrics.write_stalls.incr();
+                    return Ok(false);
+                }
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
+                Err(e) => {
+                    metrics.err_io.incr();
+                    return Err(e);
+                }
+            }
+        }
+        self.outbuf.clear();
+        self.outpos = 0;
+        Ok(true)
+    }
+
     /// Drive this connection as far as the socket allows or the frame
     /// budget permits: flush pending output, process buffered frames
     /// (one at a time — the next request is handled only after the
     /// previous response has drained), read newly arrived bytes,
     /// repeat.  Deferred jobs the service produced are appended to
-    /// `deferred` for the reactor to submit (the connection is already
+    /// `deferred` for the reactor to submit, replies it wants held for
+    /// the commit to `held` (either way the connection is already
     /// marked pending).
+    #[allow(clippy::too_many_arguments)]
     fn advance(
         &mut self,
         token: ConnId,
@@ -703,31 +780,17 @@ impl Connection {
         workers: &Arc<WorkerPool>,
         read_buf: &mut [u8],
         deferred: &mut Vec<(ConnId, Job)>,
+        held: &mut Vec<Completion>,
         metrics: &mut ReactorMetrics,
     ) -> Action {
         let mut frames_this_visit = 0;
         loop {
             // 1. Flush whatever output is pending.
-            while self.has_pending_output() {
-                match self.stream.write(&self.outbuf[self.outpos..]) {
-                    Ok(0) => return Action::Drop,
-                    Ok(n) => {
-                        metrics.bytes_out.add(n as u64);
-                        self.outpos += n;
-                    }
-                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                        metrics.write_stalls.incr();
-                        return Action::Keep;
-                    }
-                    Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                    Err(_) => {
-                        metrics.err_io.incr();
-                        return Action::Drop;
-                    }
-                }
+            match self.drain_output(metrics) {
+                Ok(true) => {}
+                Ok(false) => return Action::Keep,
+                Err(_) => return Action::Drop,
             }
-            self.outbuf.clear();
-            self.outpos = 0;
             if self.closing {
                 return if self.is_shutdown {
                     Action::Stop
@@ -818,6 +881,19 @@ impl Connection {
                             metrics.deferred_jobs.incr();
                             deferred.push((token, job));
                         }
+                        Outcome::ReplyAfterCommit(frames) => {
+                            self.pending = true;
+                            let mut bytes = Vec::new();
+                            for frame in &frames {
+                                bytes.extend_from_slice(&frame.encode());
+                            }
+                            held.push(Completion {
+                                conn: token,
+                                bytes,
+                                reopens_slot: true,
+                            });
+                            return Action::Held;
+                        }
                     }
                     continue;
                 }
@@ -897,8 +973,8 @@ impl Waker {
 }
 
 /// Bytes awaiting delivery to a connection: a deferred job's response
-/// (which re-opens the pending slot) or a [`ReactorHandle`] push
-/// (which does not).
+/// or a reply released by a commit (both re-open the pending slot), or
+/// a [`ReactorHandle`] push (which does not).
 struct Completion {
     conn: ConnId,
     bytes: Vec<u8>,
@@ -1029,23 +1105,35 @@ impl Reactor {
         // the pool right after (collected here to keep `advance`'s
         // borrows simple).
         let mut deferred: Vec<(ConnId, Job)> = Vec::new();
+        // Replies held for this iteration's commit, and the ones the
+        // last commit released: those are delivered like any other
+        // completion at the top of the next iteration, after a
+        // non-blocking poll has gathered whatever became readable while
+        // the commit ran — the next group.
+        let mut held: Vec<Completion> = Vec::new();
+        let mut released: Vec<Completion> = Vec::new();
 
-        'outer: while !self.stop.load(Ordering::SeqCst) {
+        while !self.stop.load(Ordering::SeqCst) {
             events.clear();
-            // With yielded work pending, poll without blocking so the
-            // backlog keeps draining at event-loop cadence.
-            let timeout = if yielded.is_empty() { WAIT_MS } else { 0 };
+            // With yielded work or released replies pending, poll
+            // without blocking so they move at event-loop cadence.
+            let timeout = if yielded.is_empty() && released.is_empty() {
+                WAIT_MS
+            } else {
+                0
+            };
             if poller.wait(&mut events, timeout).is_err() {
                 break;
             }
             self.metrics.wakes.incr();
             self.metrics.ready_events.add(events.len() as u64);
-            // Deliver completed deferred responses (re-opening each
-            // connection's pending slot) and handle pushes (which ride
-            // alongside): queue the bytes and drive the connection this
-            // iteration.
-            let done: Vec<Completion> =
+            // Deliver completed deferred responses and committed replies
+            // (re-opening each connection's pending slot) and handle
+            // pushes (which ride alongside): queue the bytes and drive
+            // the connection this iteration.
+            let mut done: Vec<Completion> =
                 std::mem::take(&mut *self.completions.lock().expect("completions poisoned"));
+            done.append(&mut released);
             for completion in done {
                 let Some(conn) = self.conns.get_mut(&completion.conn) else {
                     continue; // connection died while its job ran
@@ -1116,6 +1204,7 @@ impl Reactor {
                     &self.workers,
                     &mut read_buf,
                     &mut deferred,
+                    &mut held,
                     &mut self.metrics,
                 );
                 match action {
@@ -1133,6 +1222,7 @@ impl Reactor {
                         }
                     }
                     Action::Yield => yielded.push(token),
+                    Action::Held => {}
                     Action::Drop => {
                         let conn = self.conns.remove(&token).expect("present");
                         let _ = poller.remove(conn.stream.as_raw_fd());
@@ -1141,8 +1231,10 @@ impl Reactor {
                         self.service.on_close(token);
                     }
                     Action::Stop => {
+                        // Leave the event pass, not the iteration: what
+                        // it held is still committed and released below.
                         self.stop.store(true, Ordering::SeqCst);
-                        break 'outer;
+                        break;
                     }
                 }
                 // Ship whatever the service deferred: the job's frames
@@ -1170,6 +1262,31 @@ impl Reactor {
                         waker.wake();
                     });
                 }
+            }
+            // The commit phase: one `commit` covers every reply held in
+            // this iteration; only then may any of them reach a socket.
+            if !held.is_empty() {
+                let started = Instant::now();
+                let committed = self.service.commit();
+                self.metrics.commit_us.record_duration(started.elapsed());
+                self.metrics.commits.incr();
+                self.metrics.commit_held.record(held.len() as u64);
+                if let Err(frame) = committed {
+                    let refusal = frame.encode();
+                    for reply in &mut held {
+                        reply.bytes.clone_from(&refusal);
+                    }
+                }
+                released.append(&mut held);
+            }
+        }
+        // Replies committed by the final iteration (a `Shutdown` or the
+        // stop flag ended the loop) still go out, as far as each socket
+        // takes them without blocking.
+        for reply in released {
+            if let Some(conn) = self.conns.get_mut(&reply.conn) {
+                conn.outbuf.extend_from_slice(&reply.bytes);
+                let _ = conn.drain_output(&self.metrics);
             }
         }
         // Let in-flight and queued jobs finish, then join the workers —

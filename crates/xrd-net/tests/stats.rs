@@ -17,7 +17,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use xrd_net::codec::Frame;
-use xrd_net::{submit_storm, Conn, MailboxDaemon, StormConfig};
+use xrd_net::{mailbox_storm, submit_storm, Conn, MailboxDaemon, MailboxStormConfig, StormConfig};
 use xrd_obs::Snapshot;
 
 /// Serializes the registry-delta-sensitive tests.
@@ -166,4 +166,60 @@ fn storm_scrape_tells_the_storm_story() {
             .all(|e| !e.name.starts_with("hop.") || e.name == "hop.stream"),
         "a second hop span flavor is in the scrape"
     );
+}
+
+/// The same on a persistent mailbox shard pair: a 500-mailbox storm's
+/// scrape says how the acks were made durable — every segment sync is
+/// one reactor commit (or a rotation/compaction), and the herd's acks
+/// share them instead of paying one apiece.
+#[test]
+fn persistent_storm_scrape_tells_the_group_commit_story() {
+    let _guard = REGISTRY_ACCOUNTING.lock().unwrap();
+    let before = xrd_obs::global().snapshot();
+    let dir = std::env::temp_dir().join(format!("xrd-stats-storm-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+
+    const N: u64 = 500;
+    let config = MailboxStormConfig {
+        shards: 2,
+        mailboxes: N as usize,
+        per_box: 2,
+        persist_dir: Some(dir.clone()),
+        ..MailboxStormConfig::default()
+    };
+    let report = mailbox_storm(&config).expect("storm completes");
+    assert_eq!((report.lost, report.duplicated), (0, 0));
+    let s = &report.stats;
+
+    // Round 0 acks the online 90 %, round 1 everybody.
+    let acks = delta(s, &before, "frames.in.FetchAck");
+    assert_eq!(acks, N - N / 10 + N);
+    let fsyncs = delta(s, &before, "mailbox.log.fsyncs");
+    let commits = delta(s, &before, "reactor.commits");
+    let housekeeping =
+        delta(s, &before, "mailbox.segment_rotations") + delta(s, &before, "mailbox.compactions");
+    assert!(fsyncs >= 1, "a persistent shard synced nothing");
+    assert!(
+        fsyncs <= commits + housekeeping,
+        "{fsyncs} syncs for {commits} commits + {housekeeping} rotations/compactions: \
+         something syncs outside the commit phase"
+    );
+    assert!(
+        fsyncs < acks,
+        "{fsyncs} syncs for {acks} acks: the herd is back to a sync per ack"
+    );
+    // Every held reply was released by some commit: the acks plus the
+    // two rounds' Deliver batches.
+    let held = s.hist("reactor.commit.held").expect("histogram present");
+    let held_before = before.hist("reactor.commit.held").map_or(0, |h| h.sum);
+    assert_eq!(
+        held.sum - held_before,
+        acks + delta(s, &before, "frames.in.Deliver")
+    );
+    for name in ["mailbox.log.fsync_us", "reactor.commit_us"] {
+        let h = s.hist(name).expect("histogram present");
+        assert!(h.is_well_formed(), "histogram {name} is malformed");
+        assert!(h.count > before.hist(name).map_or(0, |h| h.count));
+    }
+    let _ = std::fs::remove_dir_all(&dir);
 }
