@@ -2,350 +2,22 @@
 //! and malformed / truncated / oversized frames are rejected without
 //! panicking.
 
+mod common;
+
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};
 
-use xrd_crypto::nizk::{DleqProof, SchnorrProof};
-use xrd_crypto::ristretto::GroupElement;
-use xrd_crypto::scalar::Scalar;
-use xrd_mixnet::blame::{Accusation, BlameReveal};
-use xrd_mixnet::chain_keys::{RotationShare, ServerKeyProofs, ServerSecrets};
-use xrd_mixnet::client::Submission;
-use xrd_mixnet::message::{MailboxMessage, MixEntry, MAILBOX_MSG_LEN};
+use xrd_mixnet::chain_keys::ServerSecrets;
+use xrd_mixnet::message::MixEntry;
 use xrd_net::codec::{
-    decode_server_config, encode_server_config, error_code, BatchAssembler, ChunkedBatch,
-    CodecError, Frame, FrameDecoder, StreamError, MAX_FRAME_LEN,
+    decode_server_config, encode_server_config, BatchAssembler, ChunkedBatch, CodecError, Frame,
+    FrameDecoder, StreamError, MAX_FRAME_LEN,
 };
 
-// ---- structural generators (random but well-formed values) ----
+use common::{arb_variant, chain_keys, mix_entries, mix_entry, scalar, LIVE_TAGS};
 
-fn g(rng: &mut StdRng) -> GroupElement {
-    GroupElement::random(rng)
-}
-
-fn scalar(rng: &mut StdRng) -> Scalar {
-    Scalar::random(rng)
-}
-
-fn schnorr(rng: &mut StdRng) -> SchnorrProof {
-    SchnorrProof {
-        commitment: g(rng).encode(),
-        response: scalar(rng),
-    }
-}
-
-fn dleq(rng: &mut StdRng) -> DleqProof {
-    DleqProof {
-        commitment1: g(rng).encode(),
-        commitment2: g(rng).encode(),
-        response: scalar(rng),
-    }
-}
-
-fn bytes(rng: &mut StdRng, max: usize) -> Vec<u8> {
-    let len = rng.gen_range(0..=max);
-    let mut v = vec![0u8; len];
-    rng.fill_bytes(&mut v);
-    v
-}
-
-fn mix_entry(rng: &mut StdRng) -> MixEntry {
-    MixEntry {
-        dh: g(rng),
-        ct: bytes(rng, 600),
-    }
-}
-
-fn mix_entries(rng: &mut StdRng) -> Vec<MixEntry> {
-    let n = rng.gen_range(0..6);
-    (0..n).map(|_| mix_entry(rng)).collect()
-}
-
-fn submission(rng: &mut StdRng) -> Submission {
-    Submission {
-        dh: g(rng),
-        ct: bytes(rng, 600),
-        pok: schnorr(rng),
-    }
-}
-
-fn mailbox_message(rng: &mut StdRng) -> MailboxMessage {
-    let mut sealed = vec![0u8; MAILBOX_MSG_LEN - 32];
-    rng.fill_bytes(&mut sealed);
-    let mut mailbox = [0u8; 32];
-    rng.fill_bytes(&mut mailbox);
-    MailboxMessage { mailbox, sealed }
-}
-
-fn chain_keys(rng: &mut StdRng) -> xrd_mixnet::ChainPublicKeys {
-    let k = rng.gen_range(1..5);
-    xrd_mixnet::ChainPublicKeys {
-        epoch: rng.next_u64(),
-        inner_epoch: rng.next_u64(),
-        bpks: (0..k + 1).map(|_| g(rng)).collect(),
-        mpks: (0..k).map(|_| g(rng)).collect(),
-        ipks: (0..k).map(|_| g(rng)).collect(),
-        proofs: (0..k)
-            .map(|_| ServerKeyProofs {
-                bsk_pok: schnorr(rng),
-                msk_pok: schnorr(rng),
-                isk_pok: schnorr(rng),
-            })
-            .collect(),
-    }
-}
-
-fn accusation(rng: &mut StdRng) -> Accusation {
-    Accusation {
-        position: rng.gen_range(0..64usize),
-        input_index: rng.gen_range(0..1000usize),
-        entry: mix_entry(rng),
-        dec_key: g(rng),
-        key_proof: dleq(rng),
-    }
-}
-
-fn blame_reveal(rng: &mut StdRng) -> BlameReveal {
-    BlameReveal {
-        position: rng.gen_range(0..64usize),
-        input_index: rng.gen_range(0..1000usize),
-        input: mix_entry(rng),
-        output_dh: g(rng),
-        blind_proof: dleq(rng),
-        dec_key: g(rng),
-        key_proof: dleq(rng),
-    }
-}
-
-fn hist_snapshot(rng: &mut StdRng) -> xrd_obs::HistSnapshot {
-    let mut buckets = vec![0u64; xrd_obs::N_BUCKETS];
-    for _ in 0..rng.gen_range(0..24) {
-        buckets[rng.gen_range(0..xrd_obs::N_BUCKETS)] = rng.next_u64().max(1);
-    }
-    xrd_obs::HistSnapshot {
-        count: rng.next_u64(),
-        sum: rng.next_u64(),
-        min: rng.next_u64(),
-        max: rng.next_u64(),
-        buckets,
-    }
-}
-
-fn obs_snapshot(rng: &mut StdRng) -> xrd_obs::Snapshot {
-    let name = |rng: &mut StdRng| format!("metric.{}", rng.gen_range(0..1000u32));
-    xrd_obs::Snapshot {
-        uptime_us: rng.next_u64(),
-        counters: (0..rng.gen_range(0..6))
-            .map(|_| (name(rng), rng.next_u64()))
-            .collect(),
-        gauges: (0..rng.gen_range(0..4))
-            .map(|_| (name(rng), rng.next_u64() as i64))
-            .collect(),
-        hists: (0..rng.gen_range(0..4))
-            .map(|_| (name(rng), hist_snapshot(rng)))
-            .collect(),
-        spans: (0..rng.gen_range(0..6))
-            .map(|_| xrd_obs::SpanEvent {
-                name: name(rng),
-                round: rng.next_u64(),
-                start_us: rng.next_u64(),
-                dur_us: rng.next_u64(),
-            })
-            .collect(),
-    }
-}
-
-/// Number of distinct frame constructors below (keep in sync).
-const N_VARIANTS: usize = 40;
-
-/// A random well-formed frame of the chosen variant.
-fn arb_frame(rng: &mut StdRng, variant: usize) -> Frame {
-    match variant % N_VARIANTS {
-        0 => Frame::Ok,
-        1 => Frame::Error {
-            code: error_code::REJECTED_SUBMISSION,
-            message: String::from_utf8_lossy(&bytes(rng, 40)).into_owned(),
-        },
-        2 => Frame::Ping,
-        3 => Frame::Shutdown,
-        4 => Frame::OpenRound {
-            round: rng.next_u64(),
-        },
-        5 => Frame::Submit {
-            round: rng.next_u64(),
-            submission: submission(rng),
-        },
-        6 => Frame::CloseSubmissions {
-            round: rng.next_u64(),
-        },
-        7 => {
-            let mut digest = [0u8; 32];
-            rng.fill_bytes(&mut digest);
-            Frame::BatchDigest {
-                round: rng.next_u64(),
-                digest,
-                count: rng.next_u64(),
-            }
-        }
-        8 => Frame::GetBatch {
-            round: rng.next_u64(),
-        },
-        9 => Frame::SubmissionBatch {
-            round: rng.next_u64(),
-            submissions: (0..rng.gen_range(0..5)).map(|_| submission(rng)).collect(),
-        },
-        12 => Frame::HopFailure {
-            round: rng.next_u64(),
-            position: rng.gen_range(0..64u32),
-            failed: (0..rng.gen_range(0..8)).map(|_| rng.next_u64()).collect(),
-        },
-        14 => Frame::VerifyResult {
-            ok: rng.gen_bool(0.5),
-        },
-        15 => Frame::RevealInnerKey {
-            round: rng.next_u64(),
-        },
-        16 => Frame::InnerKeyReveal {
-            position: rng.gen_range(0..64u32),
-            isk: scalar(rng),
-        },
-        17 => Frame::PrepareRotation {
-            inner_epoch: rng.next_u64(),
-        },
-        18 => Frame::RotationShare {
-            inner_epoch: rng.next_u64(),
-            share: RotationShare {
-                position: rng.gen_range(0..64usize),
-                ipk: g(rng),
-                pok: schnorr(rng),
-            },
-        },
-        19 => Frame::ActivateRotation {
-            keys: chain_keys(rng),
-        },
-        20 => Frame::Accuse {
-            round: rng.next_u64(),
-            input_index: rng.next_u64(),
-        },
-        21 => Frame::Accusation {
-            accusation: accusation(rng),
-        },
-        22 => Frame::RevealSlot {
-            round: rng.next_u64(),
-            output_index: rng.next_u64(),
-        },
-        23 => Frame::SlotReveal {
-            reveal: if rng.gen_bool(0.3) {
-                None
-            } else {
-                Some(Box::new(blame_reveal(rng)))
-            },
-        },
-        24 => Frame::MixForward {
-            round: rng.next_u64(),
-        },
-        25 => Frame::MixBatchStart {
-            round: rng.next_u64(),
-            total: rng.gen_range(0..=xrd_net::codec::MAX_BATCH as u32),
-        },
-        26 => Frame::MixBatchChunk {
-            entries: mix_entries(rng),
-        },
-        27 => {
-            let mut digest = [0u8; 32];
-            rng.fill_bytes(&mut digest);
-            Frame::MixBatchEnd { digest }
-        }
-        28 => Frame::HopOutputStart {
-            round: rng.next_u64(),
-            position: rng.gen_range(0..64u32),
-            total: rng.gen_range(0..=xrd_net::codec::MAX_BATCH as u32),
-        },
-        29 => Frame::HopOutputChunk {
-            entries: mix_entries(rng),
-        },
-        30 => {
-            let mut digest = [0u8; 32];
-            rng.fill_bytes(&mut digest);
-            Frame::HopOutputEnd {
-                digest,
-                proof: dleq(rng),
-            }
-        }
-        31 => Frame::VerifyHopKeys {
-            round: rng.next_u64(),
-            position: rng.gen_range(0..64u32),
-            input_dhs: (0..rng.gen_range(0..6)).map(|_| g(rng)).collect(),
-            output_dhs: (0..rng.gen_range(0..6)).map(|_| g(rng)).collect(),
-            proof: dleq(rng),
-        },
-        32 => Frame::StatsRequest,
-        33 => Frame::StatsReport {
-            snapshot: Box::new(obs_snapshot(rng)),
-        },
-        34 => Frame::DisputeOpen {
-            round: rng.next_u64(),
-            accused: rng.gen_range(0..64u32),
-            input_dhs: (0..rng.gen_range(0..6)).map(|_| g(rng)).collect(),
-            output_dhs: (0..rng.gen_range(0..6)).map(|_| g(rng)).collect(),
-            proof: dleq(rng),
-        },
-        35 => Frame::DisputeEvidence {
-            round: rng.next_u64(),
-            position: rng.gen_range(0..64u32),
-            accused: rng.gen_range(0..64u32),
-            upheld: rng.gen_bool(0.5),
-            sig: schnorr(rng),
-        },
-        10 => Frame::DisputeVerdict {
-            round: rng.next_u64(),
-            accused: rng.gen_range(0..64u32),
-            claim: rng.gen_range(0..3u8),
-            upheld: rng.gen_bool(0.5),
-            votes: rng.gen_range(0..64u32),
-        },
-        11 => Frame::HopForwarded {
-            round: rng.next_u64(),
-            position: rng.gen_range(0..64u32),
-            input_dhs: (0..rng.gen_range(0..6)).map(|_| g(rng)).collect(),
-            output_dhs: (0..rng.gen_range(0..6)).map(|_| g(rng)).collect(),
-            proof: dleq(rng),
-        },
-        13 => Frame::Pong,
-        36 => Frame::Deliver {
-            round: rng.next_u64(),
-            batch: rng.next_u64(),
-            messages: (0..rng.gen_range(0..4))
-                .map(|_| mailbox_message(rng))
-                .collect(),
-        },
-        37 => {
-            let mut mailbox = [0u8; 32];
-            rng.fill_bytes(&mut mailbox);
-            Frame::FetchPage {
-                mailbox,
-                cursor: rng.next_u64(),
-                max: rng.gen_range(1..512u32),
-            }
-        }
-        38 => Frame::MailboxPage {
-            sealed: (0..rng.gen_range(0..4))
-                .map(|_| (rng.next_u64(), mailbox_message(rng).sealed))
-                .collect(),
-            next_cursor: rng.next_u64(),
-            remaining: rng.gen_range(0..1000u64),
-        },
-        _ => {
-            let mut mailbox = [0u8; 32];
-            rng.fill_bytes(&mut mailbox);
-            Frame::FetchAck {
-                mailbox,
-                upto: rng.next_u64(),
-            }
-        }
-    }
-}
+const N_VARIANTS: usize = LIVE_TAGS.len();
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
@@ -354,7 +26,7 @@ proptest! {
     #[test]
     fn every_frame_roundtrips(seed in any::<u64>(), variant in 0usize..N_VARIANTS * 3) {
         let mut rng = StdRng::seed_from_u64(seed);
-        let frame = arb_frame(&mut rng, variant);
+        let frame = arb_variant(&mut rng, variant);
         let encoded = frame.encode();
         // Length prefix is consistent.
         let len = u32::from_le_bytes(encoded[..4].try_into().unwrap()) as usize;
@@ -374,7 +46,7 @@ proptest! {
     #[test]
     fn truncation_is_always_rejected(seed in any::<u64>(), variant in 0usize..N_VARIANTS) {
         let mut rng = StdRng::seed_from_u64(seed);
-        let frame = arb_frame(&mut rng, variant);
+        let frame = arb_variant(&mut rng, variant);
         let body = &frame.encode()[4..];
         for cut in 0..body.len() {
             match Frame::decode(&body[..cut]) {
@@ -389,7 +61,7 @@ proptest! {
     #[test]
     fn trailing_bytes_rejected(seed in any::<u64>(), variant in 0usize..N_VARIANTS) {
         let mut rng = StdRng::seed_from_u64(seed);
-        let frame = arb_frame(&mut rng, variant);
+        let frame = arb_variant(&mut rng, variant);
         let mut body = frame.encode()[4..].to_vec();
         body.push(0x00);
         prop_assert_eq!(Frame::decode(&body), Err(CodecError::TrailingBytes));
@@ -413,7 +85,7 @@ proptest! {
     ) {
         let mut rng = StdRng::seed_from_u64(seed);
         let frames: Vec<Frame> = (0..n_frames)
-            .map(|i| arb_frame(&mut rng, seed as usize % N_VARIANTS + i))
+            .map(|i| arb_variant(&mut rng, seed as usize % N_VARIANTS + i))
             .collect();
         let mut wire = Vec::new();
         for f in &frames {
@@ -447,7 +119,7 @@ proptest! {
         cut_seed in any::<u64>(),
     ) {
         let mut rng = StdRng::seed_from_u64(seed);
-        let frame = arb_frame(&mut rng, variant);
+        let frame = arb_variant(&mut rng, variant);
         let wire = frame.encode();
         let cut = StdRng::seed_from_u64(cut_seed).gen_range(0..wire.len());
 
