@@ -36,6 +36,19 @@
 //! * [`Journal::rewrite`] atomically replaces the whole journal with a
 //!   compacted snapshot (temp file + rename + directory fsync) — the
 //!   compaction move for state where only the latest epoch matters.
+//!
+//! ## A failed append or sync is final
+//!
+//! The rule of the mailbox log (`mailbox/log.rs`): once an append or an
+//! `fdatasync` fails, the journal is **failed** and [`Journal::append`],
+//! [`Journal::sync`] and [`Journal::rewrite`] refuse until it is
+//! reopened.  A failed write (`ENOSPC`, `EIO`) may leave part of its
+//! record in the `O_APPEND` file; a record appended after it would sit
+//! behind a torn one, and replay — which truncates at the first torn
+//! record — would silently drop it although it was synced and
+//! acknowledged (for a mix daemon: an `ACTIVATE`, i.e. a respawned hop
+//! rejoining with stale keys).  [`Journal::open`] cuts the torn record
+//! off and keeps everything acknowledged before it.
 
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Write};
@@ -116,6 +129,12 @@ pub struct Journal {
     file: File,
     len: u64,
     sync: bool,
+    /// Why an earlier append or sync failed; set once, never cleared
+    /// (see the module docs).
+    failed: Option<String>,
+    /// Test seam: make the next append write half its record and fail.
+    #[cfg(test)]
+    fail_next_append: bool,
 }
 
 impl Journal {
@@ -142,21 +161,21 @@ impl Journal {
             .open(&path)?;
         let mut bytes = Vec::new();
         file.read_to_end(&mut bytes)?;
+        let journal = |file, len| Journal {
+            path: path.clone(),
+            file,
+            len,
+            sync,
+            failed: None,
+            #[cfg(test)]
+            fail_next_append: false,
+        };
         if bytes.is_empty() {
             file.write_all(MAGIC)?;
             if sync {
                 file.sync_data()?;
             }
-            let len = MAGIC.len() as u64;
-            return Ok((
-                Journal {
-                    path,
-                    file,
-                    len,
-                    sync,
-                },
-                Vec::new(),
-            ));
+            return Ok((journal(file, MAGIC.len() as u64), Vec::new()));
         }
         if bytes.len() < MAGIC.len() || &bytes[..MAGIC.len()] != MAGIC {
             return Err(std::io::Error::other(format!(
@@ -183,15 +202,7 @@ impl Journal {
             }
         }
         journal_metrics().recovered.add(records.len() as u64);
-        Ok((
-            Journal {
-                path,
-                file,
-                len: o as u64,
-                sync,
-            },
-            records,
-        ))
+        Ok((journal(file, o as u64), records))
     }
 
     /// The journal's path.
@@ -204,10 +215,42 @@ impl Journal {
         self.len
     }
 
+    /// Refuse if an earlier append or sync failed.
+    fn check_failed(&self) -> std::io::Result<()> {
+        match &self.failed {
+            Some(why) => Err(std::io::Error::other(format!(
+                "journal failed earlier ({why}); reopen to recover"
+            ))),
+            None => Ok(()),
+        }
+    }
+
+    /// Pass `result` through, failing the journal for good on an error.
+    fn latch(&mut self, result: std::io::Result<()>) -> std::io::Result<()> {
+        if let Err(e) = &result {
+            self.failed = Some(e.to_string());
+        }
+        result
+    }
+
     /// Stage one record.  Not durable until [`Journal::sync`].
     pub fn append(&mut self, payload: &[u8]) -> std::io::Result<()> {
+        self.check_failed()?;
         let rec = encode_record(payload);
-        self.file.write_all(&rec)?;
+        #[cfg(test)]
+        let rec = if self.fail_next_append {
+            rec[..rec.len() / 2].to_vec()
+        } else {
+            rec
+        };
+        let written = self.file.write_all(&rec);
+        #[cfg(test)]
+        let written = if std::mem::take(&mut self.fail_next_append) {
+            Err(std::io::Error::other("injected append failure"))
+        } else {
+            written
+        };
+        self.latch(written)?;
         self.len += rec.len() as u64;
         journal_metrics().appends.incr();
         Ok(())
@@ -215,8 +258,10 @@ impl Journal {
 
     /// Make everything staged durable (`fdatasync`).
     pub fn sync(&mut self) -> std::io::Result<()> {
+        self.check_failed()?;
         if self.sync {
-            self.file.sync_data()?;
+            let synced = self.file.sync_data();
+            self.latch(synced)?;
         }
         Ok(())
     }
@@ -233,6 +278,7 @@ impl Journal {
     /// the journal, and the directory fsync'd — a crash at any point
     /// leaves either the old journal or the new one, never a mix.
     pub fn rewrite(&mut self, records: &[&[u8]]) -> std::io::Result<()> {
+        self.check_failed()?;
         let tmp = self.path.with_extension("journal.tmp");
         let mut file = OpenOptions::new()
             .create(true)
@@ -261,5 +307,38 @@ impl Journal {
         self.len = len;
         journal_metrics().rewrites.incr();
         Ok(())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A failed append is final.  Half of the failed record is in the
+    /// `O_APPEND` file, so without the latch the next record lands
+    /// behind a torn one and replay drops it — synced and acknowledged.
+    #[test]
+    fn failed_append_fails_the_journal_until_reopen() {
+        let path = std::env::temp_dir().join(format!("xrd-jrnl-failed-{}", std::process::id()));
+        let _ = std::fs::remove_file(&path);
+        let (mut j, _) = Journal::open(&path).unwrap();
+        j.append_sync(b"prepare").unwrap();
+        j.fail_next_append = true;
+        assert!(j.append_sync(b"torn").is_err());
+
+        // (a) Every later operation is refused.
+        assert!(j.append(b"activate").is_err());
+        assert!(j.sync().is_err());
+        assert!(j.rewrite(&[b"activate"]).is_err());
+
+        // (b) Reopening cuts the torn record off, keeps everything
+        // acknowledged before it, and what is appended next survives.
+        drop(j);
+        let (mut j, records) = Journal::open(&path).unwrap();
+        assert_eq!(records, [b"prepare".to_vec()]);
+        j.append_sync(b"activate").unwrap();
+        let (_, records) = Journal::open(&path).unwrap();
+        assert_eq!(records, [b"prepare".to_vec(), b"activate".to_vec()]);
+        let _ = std::fs::remove_file(&path);
     }
 }

@@ -50,17 +50,24 @@
 //! (the crash-mid-append case) truncates the tail and keeps everything
 //! before it.  `mailbox.recovery_us` records how long the rebuild took.
 //!
-//! ## A failed sync is final
+//! ## A failed sync or append is final
 //!
-//! If an `fdatasync` of a segment fails, the store is **poisoned**:
+//! If an `fdatasync` of a segment — or the `write` of a record — fails,
+//! the store is **poisoned**:
 //! every later `put`/`ack`/`begin_batch`/`commit_batch`/`abort_batch`/
 //! `flush` returns [`MailboxError::Storage`] until the store is
 //! reopened.  The index already holds what the sync was to cover (the
 //! ack watermark moved, the batch id is in the dedup window), and the
 //! kernel reports a write-back error once — a retried `flush` would
 //! "succeed" without the data — so answering a retry from that state
-//! would acknowledge something that is not on disk.  Replay on reopen
-//! is the recovery path.
+//! would acknowledge something that is not on disk.  A failed append
+//! (`ENOSPC`, `EIO`) may leave part of its record in the `O_APPEND`
+//! file: the file is then longer than the length the index computes
+//! payload offsets from, so a later record would be indexed at the
+//! wrong bytes, and replay — which truncates at the first torn record —
+//! would drop every record appended after it, synced and acknowledged
+//! or not.  Replay on reopen is the recovery path for both: it cuts the
+//! torn record off and keeps everything acknowledged before it.
 
 use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
 use std::fs::{File, OpenOptions};
@@ -157,13 +164,16 @@ pub struct LogMailboxStore {
     index: HashMap<[u8; 32], BoxIndex>,
     /// Appends since the last fsync.
     dirty: bool,
-    /// Set by a failed segment sync and never cleared: the index is
-    /// ahead of the disk, so every later write or flush is refused (see
-    /// the module docs).
+    /// Set by a failed segment sync or append and never cleared: the
+    /// index no longer describes the disk, so every later write or
+    /// flush is refused (see the module docs).
     poisoned: Option<MailboxError>,
     /// Test seam: make the next segment sync fail.
     #[cfg(test)]
     fail_next_sync: bool,
+    /// Test seam: make the next append write half its record and fail.
+    #[cfg(test)]
+    fail_next_append: bool,
     /// Recently committed delivery-batch ids (the durable dedup
     /// window), plus their order for eviction.
     committed: HashSet<(u64, u64)>,
@@ -268,6 +278,8 @@ impl LogMailboxStore {
             poisoned: None,
             #[cfg(test)]
             fail_next_sync: false,
+            #[cfg(test)]
+            fail_next_append: false,
             committed: HashSet::new(),
             committed_order: VecDeque::new(),
             replay_txn: None,
@@ -517,7 +529,8 @@ impl LogMailboxStore {
     }
 
     /// Append a raw record to the active segment, rotating first if the
-    /// active segment is over its size budget.
+    /// active segment is over its size budget.  A failed write may have
+    /// landed part of the record, so it poisons the store.
     fn append(&mut self, record: &[u8], allow_rotate: bool) -> Result<u64, MailboxError> {
         self.check_poisoned()?;
         if allow_rotate && self.segments[&self.active_id].len >= self.cfg.segment_bytes {
@@ -525,15 +538,30 @@ impl LogMailboxStore {
         }
         let seg = self.segments.get_mut(&self.active_id).expect("active");
         let at = seg.len;
-        seg.file
-            .write_all(record)
-            .map_err(|e| io_err("append record", e))?;
+        #[cfg(test)]
+        let record = if self.fail_next_append {
+            &record[..record.len() / 2]
+        } else {
+            record
+        };
+        let written = seg.file.write_all(record);
+        #[cfg(test)]
+        let written = if std::mem::take(&mut self.fail_next_append) {
+            Err(std::io::Error::other("injected append failure"))
+        } else {
+            written
+        };
+        if let Err(e) = written {
+            let e = io_err("append record", e);
+            self.poisoned = Some(e.clone());
+            return Err(e);
+        }
         seg.len += record.len() as u64;
         self.dirty = true;
         Ok(at)
     }
 
-    /// Refuse if an earlier segment sync failed.
+    /// Refuse if an earlier segment sync or append failed.
     fn check_poisoned(&self) -> Result<(), MailboxError> {
         match &self.poisoned {
             Some(e) => Err(e.clone()),
@@ -1215,6 +1243,45 @@ mod tests {
         let mut s = LogMailboxStore::open(&dir, 0, 1, LogStoreConfig::default()).unwrap();
         s.put(4, msg(1, b"after")).unwrap();
         s.flush().unwrap();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A failed append is as final as a failed sync.  Half of the
+    /// failed record is in the `O_APPEND` file, so without the poison
+    /// the next record is indexed at the wrong offset (its `pread`
+    /// serves the torn record's bytes) and replay, truncating at the
+    /// torn record, drops it although it was flushed and acknowledged.
+    #[test]
+    fn failed_append_poisons_the_store_until_reopen() {
+        let dir = tmp("poison-append");
+        let mut s = LogMailboxStore::open(&dir, 0, 1, LogStoreConfig::default()).unwrap();
+        s.put(1, msg(1, b"kept")).unwrap();
+        s.ack(&[1u8; 32], 0).unwrap();
+        s.flush().unwrap();
+
+        s.fail_next_append = true;
+        let storage = |r: Result<(), MailboxError>| matches!(r, Err(MailboxError::Storage { .. }));
+        assert!(storage(s.put(2, msg(1, b"torn")).map(drop)));
+
+        // (a) Every later operation is refused: nothing may land after
+        // the torn record, and nothing may be acknowledged.
+        assert!(storage(s.put(3, msg(1, b"after")).map(drop)));
+        assert!(storage(s.ack(&[1u8; 32], 1).map(drop)));
+        assert!(storage(s.begin_batch(3, 0).map(drop)));
+        assert!(storage(s.commit_batch(3, 0)));
+        assert!(storage(s.abort_batch(3, 0)));
+        assert!(storage(s.flush()));
+
+        // (b) Reopening cuts the torn record off and recovers everything
+        // acknowledged before the failure — intact, and appendable.
+        drop(s);
+        let mut s = LogMailboxStore::open(&dir, 0, 1, LogStoreConfig::default()).unwrap();
+        assert_eq!(s.pending(&[1u8; 32]), Ok(1));
+        s.put(4, msg(1, b"after")).unwrap();
+        s.flush().unwrap();
+        let page = s.fetch_page(&[1u8; 32], 0, 8).unwrap();
+        let sealed: Vec<&[u8]> = page.entries.iter().map(|e| &e.sealed[..]).collect();
+        assert_eq!(sealed, [&b"kept"[..], b"after"]);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -14,9 +14,34 @@
 //! and sequences carry a `u32` length prefix checked against hard caps
 //! so a malicious peer cannot force huge allocations.
 //!
-//! The codec is hand-rolled over byte slices — no serde, no external
-//! dependencies — and every frame type round-trips exactly (see the
-//! property tests in `tests/codec_properties.rs`).
+//! No serde, no external dependencies — and **one declaration per
+//! frame**.  The `frames!` table below has a row per tag, `0xNN Name {
+//! field: Type, … }` with the fields in wire order, and derives the
+//! [`Frame`] variant, its [`Frame::encode`] and [`Frame::decode`] arms,
+//! [`Frame::tag`], [`Frame::tag_name`] and [`Frame::TAGS`] from it.  A
+//! field's type carries its layout through the private `Wire` trait
+//! (`put` and `get` side by side, caps and canonical-encoding checks in
+//! the `get` they guard), so an encode arm and a decode arm cannot
+//! disagree: there is only the row.  Retired tags stay in the table as
+//! `reserved` rows — never reused, and claiming one twice does not
+//! compile.
+//!
+//! ## Adding a frame
+//!
+//! 1. Add its row to the `frames!` table at the next free tag of its
+//!    group (never a `reserved` one), fields in wire order; a new field
+//!    type needs a `Wire` impl.
+//! 2. Add the row to `docs/PROTOCOL.md` §2
+//!    (`protocol_doc_tag_tables_match_the_codec` fails until you do).
+//! 3. Add a generator arm to `arb_frame` in `tests/common/mod.rs`
+//!    (`every_table_row_has_a_generator_arm` fails until you do).
+//! 4. Regenerate `GOLDEN_DIGEST` in `tests/codec_golden.rs` — the
+//!    failing assertion prints the new value — in the same commit, and
+//!    say so in the commit message: that digest moving is the record
+//!    that the wire changed.
+//!
+//! Every frame round-trips exactly (`tests/codec_properties.rs`) and
+//! encodes to pinned bytes (`tests/codec_golden.rs`).
 
 use xrd_crypto::nizk::{DleqProof, SchnorrProof, DLEQ_PROOF_LEN, SCHNORR_PROOF_LEN};
 use xrd_crypto::ristretto::GroupElement;
@@ -28,8 +53,8 @@ use xrd_mixnet::message::{MailboxMessage, MixEntry, MAILBOX_MSG_LEN};
 
 /// Hard cap on one frame's encoded size (tag + payload).  Sized so a
 /// [`MAX_BATCH`]-entry batch of paper-scale onions (k ≈ 32, ~1 KiB per
-/// entry) still fits: encoders reject anything larger at runtime
-/// ([`write_frame`]) rather than shipping a frame the receiver must
+/// entry) still fits: senders reject anything larger at runtime
+/// (`Conn::send`) rather than shipping a frame the receiver must
 /// refuse.
 pub const MAX_FRAME_LEN: usize = 64 * 1024 * 1024;
 
@@ -95,58 +120,6 @@ impl std::fmt::Display for CodecError {
 
 impl std::error::Error for CodecError {}
 
-// ---------------------------------------------------------------------
-// Frame tags.  Stable protocol constants — append, never renumber.
-// ---------------------------------------------------------------------
-
-const TAG_OK: u8 = 0x01;
-const TAG_ERROR: u8 = 0x02;
-const TAG_PING: u8 = 0x03;
-const TAG_SHUTDOWN: u8 = 0x04;
-const TAG_STATS_REQUEST: u8 = 0x05;
-const TAG_STATS_REPORT: u8 = 0x06;
-const TAG_PONG: u8 = 0x07;
-const TAG_OPEN_ROUND: u8 = 0x10;
-const TAG_SUBMIT: u8 = 0x11;
-const TAG_CLOSE_SUBMISSIONS: u8 = 0x12;
-const TAG_BATCH_DIGEST: u8 = 0x13;
-const TAG_GET_BATCH: u8 = 0x14;
-const TAG_SUBMISSION_BATCH: u8 = 0x15;
-// 0x20 (MixBatch), 0x21 (HopOutput) and 0x23 (VerifyHop) carried the
-// monolithic-frame hop and are retired (a whole batch is a one-chunk
-// stream); the tags stay reserved so a stale peer gets a clean
-// UnknownTag instead of a misparse.
-const TAG_HOP_FAILURE: u8 = 0x22;
-const TAG_VERIFY_RESULT: u8 = 0x24;
-const TAG_MIX_BATCH_START: u8 = 0x25;
-const TAG_MIX_BATCH_CHUNK: u8 = 0x26;
-const TAG_MIX_BATCH_END: u8 = 0x27;
-const TAG_HOP_OUTPUT_START: u8 = 0x28;
-const TAG_HOP_OUTPUT_CHUNK: u8 = 0x29;
-const TAG_HOP_OUTPUT_END: u8 = 0x2A;
-const TAG_VERIFY_HOP_KEYS: u8 = 0x2B;
-const TAG_MIX_FORWARD: u8 = 0x2C;
-const TAG_HOP_FORWARDED: u8 = 0x2D;
-const TAG_REVEAL_INNER_KEY: u8 = 0x30;
-const TAG_INNER_KEY_REVEAL: u8 = 0x31;
-const TAG_PREPARE_ROTATION: u8 = 0x32;
-const TAG_ROTATION_SHARE: u8 = 0x33;
-const TAG_ACTIVATE_ROTATION: u8 = 0x34;
-const TAG_ACCUSE: u8 = 0x40;
-const TAG_ACCUSATION: u8 = 0x41;
-const TAG_REVEAL_SLOT: u8 = 0x42;
-const TAG_SLOT_REVEAL: u8 = 0x43;
-const TAG_DISPUTE_OPEN: u8 = 0x44;
-const TAG_DISPUTE_EVIDENCE: u8 = 0x45;
-const TAG_DISPUTE_VERDICT: u8 = 0x46;
-const TAG_DELIVER: u8 = 0x50;
-// 0x51 (Fetch) and 0x52 (MailboxContents) carried the old
-// drain-everything fetch API and are retired; the tags stay reserved
-// so a stale peer gets a clean UnknownTag instead of a misparse.
-const TAG_FETCH_PAGE: u8 = 0x53;
-const TAG_MAILBOX_PAGE: u8 = 0x54;
-const TAG_FETCH_ACK: u8 = 0x55;
-
 /// Error codes carried by [`Frame::Error`].
 pub mod error_code {
     /// The frame could not be handled in the daemon's current state.
@@ -186,13 +159,527 @@ pub mod dispute_claim {
     pub const EQUIVOCATION: u8 = 2;
 }
 
-/// One message of the XRD wire protocol.
-#[derive(Clone, Debug, PartialEq)]
-pub enum Frame {
+// ---------------------------------------------------------------------
+// Writer / Reader: the byte sink and source every layout is written in
+// ---------------------------------------------------------------------
+
+struct Writer {
+    buf: Vec<u8>,
+}
+
+impl Writer {
+    fn new(tag: u8) -> Writer {
+        // Reserve the length prefix; filled in `finish`.
+        Writer {
+            buf: vec![0, 0, 0, 0, tag],
+        }
+    }
+
+    fn raw(&mut self, bytes: &[u8]) {
+        self.buf.extend_from_slice(bytes);
+    }
+
+    /// A `bytes` string: `u32` length, then the bytes.
+    fn bytes(&mut self, bytes: &[u8]) {
+        debug_assert!(bytes.len() <= MAX_BYTES);
+        (bytes.len() as u32).put(self);
+        self.raw(bytes);
+    }
+
+    /// A `u32` count, then the items.
+    fn seq<T: Wire>(&mut self, items: &[T]) {
+        (items.len() as u32).put(self);
+        for item in items {
+            item.put(self);
+        }
+    }
+
+    fn finish(mut self) -> Vec<u8> {
+        let len = (self.buf.len() - 4) as u32;
+        self.buf[..4].copy_from_slice(&len.to_le_bytes());
+        self.buf
+    }
+}
+
+struct Reader<'a> {
+    buf: &'a [u8],
+}
+
+impl<'a> Reader<'a> {
+    fn take(&mut self, n: usize) -> Result<&'a [u8], CodecError> {
+        if self.buf.len() < n {
+            return Err(CodecError::Truncated);
+        }
+        let (head, tail) = self.buf.split_at(n);
+        self.buf = tail;
+        Ok(head)
+    }
+
+    fn array<const N: usize>(&mut self) -> Result<[u8; N], CodecError> {
+        Ok(self.take(N)?.try_into().expect("take returned N bytes"))
+    }
+
+    /// A declared `u32` length, checked against its cap *before*
+    /// anything is allocated for it.
+    fn count(&mut self, cap: usize) -> Result<usize, CodecError> {
+        let declared = u32::get(self)? as usize;
+        if declared > cap {
+            return Err(CodecError::Oversized { declared, cap });
+        }
+        Ok(declared)
+    }
+
+    fn bytes(&mut self) -> Result<Vec<u8>, CodecError> {
+        let len = self.count(MAX_BYTES)?;
+        Ok(self.take(len)?.to_vec())
+    }
+
+    /// A sealed mailbox payload: `bytes` of exactly the one legal size.
+    fn sealed(&mut self) -> Result<Vec<u8>, CodecError> {
+        let sealed = self.bytes()?;
+        if sealed.len() != MAILBOX_MSG_LEN - 32 {
+            return Err(CodecError::BadLength);
+        }
+        Ok(sealed)
+    }
+
+    /// At most `cap` items, each parsed by `item`.
+    fn seq<T>(
+        &mut self,
+        cap: usize,
+        mut item: impl FnMut(&mut Self) -> Result<T, CodecError>,
+    ) -> Result<Vec<T>, CodecError> {
+        let n = self.count(cap)?;
+        (0..n).map(|_| item(self)).collect()
+    }
+
+    fn finish(self) -> Result<(), CodecError> {
+        if self.buf.is_empty() {
+            Ok(())
+        } else {
+            Err(CodecError::TrailingBytes)
+        }
+    }
+}
+
+// ---------------------------------------------------------------------
+// Wire: one layout per type, written once
+// ---------------------------------------------------------------------
+
+/// A type with exactly one wire layout.  `put` appends it and `get`
+/// parses it back, side by side in one `impl` so the two halves cannot
+/// drift apart; every cap and every canonical-encoding rejection lives
+/// in the `get` of the type it guards.  The frame table below names
+/// only field types, so a frame's layout *is* its row.
+trait Wire: Sized {
+    fn put(&self, w: &mut Writer);
+    fn get(r: &mut Reader<'_>) -> Result<Self, CodecError>;
+}
+
+macro_rules! wire_le_int {
+    ($($int:ty),*) => {$(
+        impl Wire for $int {
+            fn put(&self, w: &mut Writer) {
+                w.raw(&self.to_le_bytes());
+            }
+            fn get(r: &mut Reader<'_>) -> Result<$int, CodecError> {
+                Ok(<$int>::from_le_bytes(r.array()?))
+            }
+        }
+    )*};
+}
+wire_le_int!(u8, u16, u32, u64);
+
+/// One byte, `0` or `1`; anything else is rejected.
+impl Wire for bool {
+    fn put(&self, w: &mut Writer) {
+        (*self as u8).put(w);
+    }
+    fn get(r: &mut Reader<'_>) -> Result<bool, CodecError> {
+        match u8::get(r)? {
+            0 => Ok(false),
+            1 => Ok(true),
+            _ => Err(CodecError::BadLength),
+        }
+    }
+}
+
+/// 32 raw bytes (digests, mailbox ids).
+impl Wire for [u8; 32] {
+    fn put(&self, w: &mut Writer) {
+        w.raw(self);
+    }
+    fn get(r: &mut Reader<'_>) -> Result<[u8; 32], CodecError> {
+        r.array()
+    }
+}
+
+/// `bytes` whose contents must be UTF-8.
+impl Wire for String {
+    fn put(&self, w: &mut Writer) {
+        w.bytes(self.as_bytes());
+    }
+    fn get(r: &mut Reader<'_>) -> Result<String, CodecError> {
+        String::from_utf8(r.bytes()?).map_err(|_| CodecError::BadLength)
+    }
+}
+
+impl Wire for GroupElement {
+    fn put(&self, w: &mut Writer) {
+        w.raw(&self.encode());
+    }
+    fn get(r: &mut Reader<'_>) -> Result<GroupElement, CodecError> {
+        GroupElement::decode(&r.array()?).ok_or(CodecError::InvalidGroupElement)
+    }
+}
+
+impl Wire for Scalar {
+    fn put(&self, w: &mut Writer) {
+        w.raw(&self.to_bytes());
+    }
+    fn get(r: &mut Reader<'_>) -> Result<Scalar, CodecError> {
+        Scalar::from_canonical_bytes(&r.array()?).ok_or(CodecError::InvalidScalar)
+    }
+}
+
+impl Wire for SchnorrProof {
+    fn put(&self, w: &mut Writer) {
+        w.raw(&self.to_bytes());
+    }
+    fn get(r: &mut Reader<'_>) -> Result<SchnorrProof, CodecError> {
+        SchnorrProof::from_bytes(r.take(SCHNORR_PROOF_LEN)?).ok_or(CodecError::InvalidProof)
+    }
+}
+
+impl Wire for DleqProof {
+    fn put(&self, w: &mut Writer) {
+        w.raw(&self.to_bytes());
+    }
+    fn get(r: &mut Reader<'_>) -> Result<DleqProof, CodecError> {
+        DleqProof::from_bytes(r.take(DLEQ_PROOF_LEN)?).ok_or(CodecError::InvalidProof)
+    }
+}
+
+/// `seq<T>`, at most [`MAX_BATCH`] items.  Byte strings are *not*
+/// `Vec<u8>` rows: they go through `Writer::bytes`/`Reader::bytes`
+/// (capped by [`MAX_BYTES`]) inside the composite that owns them.
+impl<T: Wire> Wire for Vec<T> {
+    fn put(&self, w: &mut Writer) {
+        // Each group element pays one per-point encode here (~one
+        // invsqrt): ristretto encoding has no batch fast path — see
+        // `GroupElement::encode_all` for the bound.  Senders that hold
+        // already-encoded wire bytes should forward those instead (the
+        // streamed relay path does exactly that).
+        debug_assert!(self.len() <= MAX_BATCH);
+        w.seq(self);
+    }
+    fn get(r: &mut Reader<'_>) -> Result<Vec<T>, CodecError> {
+        r.seq(MAX_BATCH, T::get)
+    }
+}
+
+/// One presence byte (a `bool`), then the value if present.
+impl<T: Wire> Wire for Option<T> {
+    fn put(&self, w: &mut Writer) {
+        self.is_some().put(w);
+        if let Some(v) = self {
+            v.put(w);
+        }
+    }
+    fn get(r: &mut Reader<'_>) -> Result<Option<T>, CodecError> {
+        bool::get(r)?.then(|| T::get(r)).transpose()
+    }
+}
+
+impl<T: Wire> Wire for Box<T> {
+    fn put(&self, w: &mut Writer) {
+        (**self).put(w);
+    }
+    fn get(r: &mut Reader<'_>) -> Result<Box<T>, CodecError> {
+        T::get(r).map(Box::new)
+    }
+}
+
+/// Composite layouts, each declared once: the fields in wire order,
+/// carried by their own `Wire` impl unless marked `bytes` (a byte string
+/// under [`MAX_BYTES`]), `sealed` (one of exactly the sealed mailbox
+/// payload size) or `u32`/`u64` (a `usize` index at that wire width).
+macro_rules! wire_structs {
+    ($($ty:path { $($field:ident $(: $how:ident)?),* })*) => {$(
+        impl Wire for $ty {
+            fn put(&self, w: &mut Writer) {
+                $( wire_structs!(@put w, self.$field $(, $how)?); )*
+            }
+            fn get(r: &mut Reader<'_>) -> Result<Self, CodecError> {
+                Ok(Self { $( $field: wire_structs!(@get r $(, $how)?) ),* })
+            }
+        }
+    )*};
+    (@put $w:ident, $v:expr) => { $v.put($w) };
+    (@put $w:ident, $v:expr, bytes) => { $w.bytes(&$v) };
+    (@put $w:ident, $v:expr, sealed) => { $w.bytes(&$v) };
+    (@put $w:ident, $v:expr, $int:ident) => { ($v as $int).put($w) };
+    (@get $r:ident) => { Wire::get($r)? };
+    (@get $r:ident, bytes) => { $r.bytes()? };
+    (@get $r:ident, sealed) => { $r.sealed()? };
+    (@get $r:ident, $int:ident) => { <$int>::get($r)? as usize };
+}
+wire_structs! {
+    MixEntry { dh, ct: bytes }
+    Submission { dh, pok, ct: bytes }
+    MailboxMessage { mailbox, sealed: sealed }
+    RotationShare { position: u32, ipk, pok }
+    Accusation { position: u32, input_index: u64, entry, dec_key, key_proof }
+    BlameReveal { position: u32, input_index: u64, input, output_dh, blind_proof,
+                  dec_key, key_proof }
+    xrd_obs::SpanEvent { name, round, start_us, dur_us }
+}
+
+/// One [`Frame::MailboxPage`] entry: `(delivery_round, sealed)`.
+impl Wire for (u64, Vec<u8>) {
+    fn put(&self, w: &mut Writer) {
+        self.0.put(w);
+        w.bytes(&self.1);
+    }
+    fn get(r: &mut Reader<'_>) -> Result<(u64, Vec<u8>), CodecError> {
+        Ok((Wire::get(r)?, r.sealed()?))
+    }
+}
+
+impl Wire for ChainPublicKeys {
+    fn put(&self, w: &mut Writer) {
+        debug_assert!(self.len() <= MAX_CHAIN_LEN);
+        self.epoch.put(w);
+        self.inner_epoch.put(w);
+        (self.len() as u32).put(w);
+        for p in self.bpks.iter().chain(&self.mpks).chain(&self.ipks) {
+            p.put(w);
+        }
+        for proofs in &self.proofs {
+            proofs.bsk_pok.put(w);
+            proofs.msk_pok.put(w);
+            proofs.isk_pok.put(w);
+        }
+    }
+    fn get(r: &mut Reader<'_>) -> Result<ChainPublicKeys, CodecError> {
+        let epoch = Wire::get(r)?;
+        let inner_epoch = Wire::get(r)?;
+        let k = u32::get(r)? as usize;
+        if k == 0 || k > MAX_CHAIN_LEN {
+            return Err(CodecError::Oversized {
+                declared: k,
+                cap: MAX_CHAIN_LEN,
+            });
+        }
+        let mut groups = |n| (0..n).map(|_| Wire::get(r)).collect::<Result<_, _>>();
+        let (bpks, mpks, ipks) = (groups(k + 1)?, groups(k)?, groups(k)?);
+        let proofs = (0..k)
+            .map(|_| {
+                Ok(ServerKeyProofs {
+                    bsk_pok: Wire::get(r)?,
+                    msk_pok: Wire::get(r)?,
+                    isk_pok: Wire::get(r)?,
+                })
+            })
+            .collect::<Result<_, CodecError>>()?;
+        Ok(ChainPublicKeys {
+            epoch,
+            inner_epoch,
+            bpks,
+            mpks,
+            ipks,
+            proofs,
+        })
+    }
+}
+
+/// `u64 uptime_us`, then four sections of at most [`MAX_METRICS`]
+/// entries each: counters, gauges, histograms, spans.
+impl Wire for xrd_obs::Snapshot {
+    fn put(&self, w: &mut Writer) {
+        debug_assert!(
+            self.counters.len() <= MAX_METRICS
+                && self.gauges.len() <= MAX_METRICS
+                && self.hists.len() <= MAX_METRICS
+                && self.spans.len() <= MAX_METRICS
+        );
+        self.uptime_us.put(w);
+        (self.counters.len() as u32).put(w);
+        for (name, v) in &self.counters {
+            name.put(w);
+            v.put(w);
+        }
+        (self.gauges.len() as u32).put(w);
+        for (name, v) in &self.gauges {
+            name.put(w);
+            (*v as u64).put(w);
+        }
+        (self.hists.len() as u32).put(w);
+        for (name, h) in &self.hists {
+            name.put(w);
+            for v in [h.count, h.sum, h.min, h.max] {
+                v.put(w);
+            }
+            // Buckets ship sparse: most of the 252 log-scale buckets are
+            // empty for any real latency distribution.
+            let nonzero = h.buckets.iter().enumerate().filter(|&(_, &n)| n > 0);
+            (nonzero.clone().count() as u32).put(w);
+            for (i, n) in nonzero {
+                (i as u16).put(w);
+                n.put(w);
+            }
+        }
+        w.seq(&self.spans);
+    }
+    fn get(r: &mut Reader<'_>) -> Result<xrd_obs::Snapshot, CodecError> {
+        Ok(xrd_obs::Snapshot {
+            uptime_us: Wire::get(r)?,
+            counters: r.seq(MAX_METRICS, |r| Ok((Wire::get(r)?, Wire::get(r)?)))?,
+            gauges: r.seq(MAX_METRICS, |r| Ok((Wire::get(r)?, u64::get(r)? as i64)))?,
+            hists: r.seq(MAX_METRICS, |r| {
+                let name = Wire::get(r)?;
+                let (count, sum, min, max) =
+                    (Wire::get(r)?, Wire::get(r)?, Wire::get(r)?, Wire::get(r)?);
+                let mut buckets = vec![0u64; xrd_obs::N_BUCKETS];
+                let mut last: Option<usize> = None;
+                for _ in 0..r.count(MAX_METRICS)? {
+                    let i = u16::get(r)? as usize;
+                    // Canonical sparse form: strictly increasing indices,
+                    // in range, no zero entries.
+                    if i >= xrd_obs::N_BUCKETS || last.is_some_and(|p| i <= p) {
+                        return Err(CodecError::BadLength);
+                    }
+                    last = Some(i);
+                    buckets[i] = u64::get(r)?;
+                    if buckets[i] == 0 {
+                        return Err(CodecError::BadLength);
+                    }
+                }
+                let hist = xrd_obs::HistSnapshot {
+                    count,
+                    sum,
+                    min,
+                    max,
+                    buckets,
+                };
+                Ok((name, hist))
+            })?,
+            spans: r.seq(MAX_METRICS, Wire::get)?,
+        })
+    }
+}
+
+// ---------------------------------------------------------------------
+// The frame table
+// ---------------------------------------------------------------------
+
+// Derive the whole per-frame surface from one table of rows
+// `0xNN Name { field: Type, … },` (fields in wire order), `0xNN Name,`
+// or `0xNN reserved,`.  The first two arms walk the rows — a reserved
+// row only claims its tag in `TAGS`, any other row is also a variant —
+// and the third emits everything.  Nothing else knows a frame's layout.
+macro_rules! frames {
+    (@rows [$($live:tt)*] [$($tags:tt)*] $tag:literal reserved, $($rest:tt)*) => {
+        frames! { @rows [$($live)*] [$($tags)* ($tag, ""),] $($rest)* }
+    };
+    (@rows [$($live:tt)*] [$($tags:tt)*]
+        $(#[$doc:meta])* $tag:literal $name:ident $({ $($fields:tt)* })?, $($rest:tt)*
+    ) => {
+        frames! { @rows
+            [$($live)* $(#[$doc])* $tag $name $({ $($fields)* })?,]
+            [$($tags)* ($tag, stringify!($name)),]
+            $($rest)*
+        }
+    };
+    (@rows
+        [$(
+            $(#[$doc:meta])* $tag:literal $name:ident
+            $({ $( $(#[$fdoc:meta])* $field:ident: $ty:ty ),* $(,)? })?,
+        )*]
+        [$($tags:tt)*]
+    ) => {
+        /// One message of the XRD wire protocol.
+        #[derive(Clone, Debug, PartialEq)]
+        pub enum Frame {
+            $( $(#[$doc])* $name $({ $( $(#[$fdoc])* $field: $ty ),* })?, )*
+        }
+
+        /// Every live row's tag byte under its variant's name, for the
+        /// sites that handle raw tag bytes (chunk reframing).
+        #[allow(non_upper_case_globals, dead_code)]
+        mod tag {
+            $( pub(super) const $name: u8 = $tag; )*
+        }
+
+        impl Frame {
+            /// The frame table's rows, `(tag, variant name)` in
+            /// ascending tag order.  A retired tag keeps its row with
+            /// an empty name: it is reserved forever, never reused,
+            /// and decodes as [`CodecError::UnknownTag`].
+            pub const TAGS: &'static [(u8, &'static str)] = &[$($tags)*];
+
+            /// Encode the full frame, including the 4-byte length prefix.
+            pub fn encode(&self) -> Vec<u8> {
+                let mut w = Writer::new(self.tag());
+                match self {
+                    $( Frame::$name $({ $($field),* })? => { $($( $field.put(&mut w); )*)? } )*
+                }
+                let out = w.finish();
+                debug_assert!(
+                    out.len() - 4 <= MAX_FRAME_LEN,
+                    "frame exceeds MAX_FRAME_LEN"
+                );
+                out
+            }
+
+            /// Decode a frame from its body (everything after the length
+            /// prefix: the tag byte plus the payload).
+            pub fn decode(body: &[u8]) -> Result<Frame, CodecError> {
+                if body.len() > MAX_FRAME_LEN {
+                    return Err(CodecError::Oversized {
+                        declared: body.len(),
+                        cap: MAX_FRAME_LEN,
+                    });
+                }
+                let mut r = Reader { buf: body };
+                let frame = match u8::get(&mut r)? {
+                    $( $tag => Frame::$name $({ $( $field: <$ty as Wire>::get(&mut r)? ),* })?, )*
+                    other => return Err(CodecError::UnknownTag(other)),
+                };
+                r.finish()?;
+                Ok(frame)
+            }
+
+            /// This frame's wire tag.
+            pub fn tag(&self) -> u8 {
+                match self {
+                    $( Frame::$name { .. } => $tag, )*
+                }
+            }
+
+            /// Human-readable name for a wire tag (the per-tag frame
+            /// counters in the metrics registry are keyed by these), or
+            /// `None` for a tag this protocol version does not know —
+            /// reserved tags included.
+            pub fn tag_name(tag: u8) -> Option<&'static str> {
+                match tag {
+                    $( $tag => Some(stringify!($name)), )*
+                    _ => None,
+                }
+            }
+        }
+    };
+    ($($rows:tt)*) => {
+        frames! { @rows [] [] $($rows)* }
+    };
+}
+
+frames! {
+    // ---- Control (0x0*) ----
     /// Generic success acknowledgement.
-    Ok,
+    0x01 Ok,
     /// Generic failure with a machine code and human-readable detail.
-    Error {
+    0x02 Error {
         /// One of [`error_code`]'s constants.
         code: u16,
         /// Human-readable context.
@@ -202,29 +689,30 @@ pub enum Frame {
     /// possible health check, served by the reactor before any service
     /// logic so a wedged handler still distinguishes "process up" from
     /// "process gone".
-    Ping,
-    /// Reply to [`Frame::Ping`].
-    Pong,
+    0x03 Ping,
     /// Ask the daemon to exit after this connection.
-    Shutdown,
+    0x04 Shutdown,
     /// Scrape the daemon's metrics (answered with
     /// [`Frame::StatsReport`] by the reactor itself, so every daemon
     /// kind serves it without touching its service logic).
-    StatsRequest,
+    0x05 StatsRequest,
     /// A point-in-time copy of the daemon's process-wide metric
     /// registry (boxed: it is bulky and rides the admin path only).
-    StatsReport {
+    0x06 StatsReport {
         /// Counters, gauges, histograms and the span ring.
         snapshot: Box<xrd_obs::Snapshot>,
     },
+    /// Reply to [`Frame::Ping`].
+    0x07 Pong,
 
+    // ---- Submission window (0x1*) ----
     /// Open the submission window for a round (coordinator → mix).
-    OpenRound {
+    0x10 OpenRound {
         /// Round number.
         round: u64,
     },
     /// One user submission for an open round (client → mix).
-    Submit {
+    0x11 Submit {
         /// Round the submission is sealed for.
         round: u64,
         /// The AHS submission.
@@ -232,12 +720,12 @@ pub enum Frame {
     },
     /// Close the window; the daemon fixes its canonical batch
     /// (coordinator → mix; answered with [`Frame::BatchDigest`]).
-    CloseSubmissions {
+    0x12 CloseSubmissions {
         /// Round number.
         round: u64,
     },
     /// The daemon's input-agreement digest over its canonical batch.
-    BatchDigest {
+    0x13 BatchDigest {
         /// Round number.
         round: u64,
         /// `input_digest` over the batch entries.
@@ -246,20 +734,26 @@ pub enum Frame {
         count: u64,
     },
     /// Request the canonical batch (coordinator → mix).
-    GetBatch {
+    0x14 GetBatch {
         /// Round number.
         round: u64,
     },
     /// The canonical submission batch, in agreed order.
-    SubmissionBatch {
+    0x15 SubmissionBatch {
         /// Round number.
         round: u64,
         /// Submissions in canonical order.
         submissions: Vec<Submission>,
     },
 
+    // ---- Mixing (0x2*) ----
+    // 0x20 (MixBatch), 0x21 (HopOutput) and 0x23 (VerifyHop) carried the
+    // monolithic-frame hop and are retired: a whole batch is a one-chunk
+    // stream.  A stale peer gets a clean UnknownTag instead of a misparse.
+    0x20 reserved,
+    0x21 reserved,
     /// A hop halted on authentication failures (blame follows).
-    HopFailure {
+    0x22 HopFailure {
         /// Round number.
         round: u64,
         /// The halting server's position.
@@ -267,19 +761,19 @@ pub enum Frame {
         /// Failing indices into the hop's input batch.
         failed: Vec<u64>,
     },
+    0x23 reserved,
     /// The verdict of a [`Frame::VerifyHopKeys`] request.
-    VerifyResult {
+    0x24 VerifyResult {
         /// Whether the attestation verified.
         ok: bool,
     },
-
     /// Open a hop: the batch for `round` will arrive as
     /// [`Frame::MixBatchChunk`]s totalling `total` entries, closed by
     /// [`Frame::MixBatchEnd`] (coordinator → mix).  The daemon starts
     /// hop crypto on each chunk as it lands, while later chunks are
     /// still in flight; the response is a [`Frame::HopOutputStart`]
     /// stream (or [`Frame::HopFailure`]), emitted only after the End.
-    MixBatchStart {
+    0x25 MixBatchStart {
         /// Round number.
         round: u64,
         /// Total entries the stream will carry (≤ [`MAX_BATCH`]).
@@ -289,21 +783,21 @@ pub enum Frame {
     /// compatible with [`Frame::HopOutputChunk`] (same bytes, different
     /// tag), so a relay can forward a received output chunk to the next
     /// hop by rewriting one byte.
-    MixBatchChunk {
+    0x26 MixBatchChunk {
         /// The chunk's entries.
         entries: Vec<MixEntry>,
     },
     /// Close a streamed batch.  `digest` is the [`StreamDigest`] over
     /// every entry shipped, in stream order; a receiver whose own
     /// running digest disagrees rejects the whole stream.
-    MixBatchEnd {
+    0x27 MixBatchEnd {
         /// Stream digest over all entries.
         digest: [u8; 32],
     },
     /// Start of a streamed hop response: `total` shuffled output
     /// entries follow as [`Frame::HopOutputChunk`]s, closed by
     /// [`Frame::HopOutputEnd`].
-    HopOutputStart {
+    0x28 HopOutputStart {
         /// Round number.
         round: u64,
         /// The prover's hop position.
@@ -313,13 +807,13 @@ pub enum Frame {
     },
     /// One chunk of a streamed hop output (see [`Frame::MixBatchChunk`]
     /// for the payload-compatibility guarantee).
-    HopOutputChunk {
+    0x29 HopOutputChunk {
         /// The chunk's entries.
         entries: Vec<MixEntry>,
     },
     /// End of a streamed hop response: the stream digest over the
     /// output entries plus the hop's aggregate blinding attestation.
-    HopOutputEnd {
+    0x2A HopOutputEnd {
         /// Stream digest over all output entries.
         digest: [u8; 32],
         /// Aggregate blinding attestation (§6.3 step 3).
@@ -331,7 +825,7 @@ pub enum Frame {
     /// of the DH keys — ciphertexts never enter the statement — so the
     /// columns are all a verifier needs, at ~1/8 the wire cost of the
     /// full entries.  Sent at end of chain, once every hop has emitted.
-    VerifyHopKeys {
+    0x2B VerifyHopKeys {
         /// Round number.
         round: u64,
         /// The *prover's* position.
@@ -352,7 +846,7 @@ pub enum Frame {
     /// reports its full output stream there instead.  Answered with
     /// [`Frame::Ok`]; the reports follow unsolicited once the hop
     /// completes.
-    MixForward {
+    0x2C MixForward {
         /// Round number.
         round: u64,
     },
@@ -360,7 +854,7 @@ pub enum Frame {
     /// forwarded mode: the same statement as [`Frame::VerifyHopKeys`]
     /// (§6.3 binds only the DH-key columns), pushed to the coordinator
     /// while the full entries travel daemon-to-daemon.
-    HopForwarded {
+    0x2D HopForwarded {
         /// Round number.
         round: u64,
         /// The reporting hop's position.
@@ -373,14 +867,15 @@ pub enum Frame {
         proof: DleqProof,
     },
 
+    // ---- Inner keys and rotation (0x3*) ----
     /// Ask a server to reveal its per-round inner key (after the last
     /// hop verifies; answered with [`Frame::InnerKeyReveal`]).
-    RevealInnerKey {
+    0x30 RevealInnerKey {
         /// Round number.
         round: u64,
     },
     /// A revealed inner key.
-    InnerKeyReveal {
+    0x31 InnerKeyReveal {
         /// The revealing server's position.
         position: u32,
         /// The inner secret `isk_i`.
@@ -388,12 +883,12 @@ pub enum Frame {
     },
     /// Ask a server to generate fresh inner keys for a future round
     /// (answered with [`Frame::RotationShare`]).
-    PrepareRotation {
+    0x32 PrepareRotation {
         /// The inner-key epoch (round number) being prepared.
         inner_epoch: u64,
     },
     /// One server's inner-key rotation share.
-    RotationShare {
+    0x33 RotationShare {
         /// The epoch the share belongs to.
         inner_epoch: u64,
         /// The share: position, new `ipk`, knowledge proof.
@@ -401,28 +896,29 @@ pub enum Frame {
     },
     /// Distribute the assembled rotated bundle and switch to it
     /// (answered with [`Frame::Ok`]).
-    ActivateRotation {
+    0x34 ActivateRotation {
         /// The verified bundle for the new epoch.
         keys: ChainPublicKeys,
     },
 
+    // ---- Blame and disputes (0x4*) ----
     /// Open the blame protocol for a slot that failed decryption
     /// (coordinator → accusing server; answered with
     /// [`Frame::Accusation`]).
-    Accuse {
+    0x40 Accuse {
         /// Round number.
         round: u64,
         /// Failing index in the accuser's input order.
         input_index: u64,
     },
     /// The accuser's opening move (§6.4 step 4).
-    Accusation {
+    0x41 Accusation {
         /// The accusation: entry, decryption key, proof.
         accusation: Accusation,
     },
     /// Ask an upstream server to reveal one traced slot (answered with
     /// [`Frame::SlotReveal`]).
-    RevealSlot {
+    0x42 RevealSlot {
         /// Round number.
         round: u64,
         /// Index in the revealing server's *output* order.
@@ -430,19 +926,18 @@ pub enum Frame {
     },
     /// An upstream server's revelation for a traced slot; `None` if it
     /// cannot produce one (which convicts it).
-    SlotReveal {
+    0x43 SlotReveal {
         /// The reveal, if the server produced one (boxed: it is by far
         /// the largest payload in the protocol).
         reveal: Option<Box<BlameReveal>>,
     },
-
     /// Open a dispute over one server's hop attestation (coordinator →
     /// every other server of the chain; answered with
     /// [`Frame::DisputeEvidence`]).  Carries the full disputed
     /// statement — the prover's input/output DH key columns and its
     /// aggregate DLEQ proof — so each witness re-checks it
     /// independently of its own round state.
-    DisputeOpen {
+    0x44 DisputeOpen {
         /// Round number.
         round: u64,
         /// The accused prover's position.
@@ -455,7 +950,7 @@ pub enum Frame {
         proof: DleqProof,
     },
     /// One witness's signed verdict on a disputed attestation.
-    DisputeEvidence {
+    0x45 DisputeEvidence {
         /// Round number.
         round: u64,
         /// The witness's position.
@@ -473,7 +968,7 @@ pub enum Frame {
     },
     /// The dispute's outcome, gossiped to every server of the chain
     /// (answered with [`Frame::Ok`]).
-    DisputeVerdict {
+    0x46 DisputeVerdict {
         /// Round number.
         round: u64,
         /// The convicted (or, for [`dispute_claim::EQUIVOCATION`],
@@ -487,9 +982,10 @@ pub enum Frame {
         votes: u32,
     },
 
+    // ---- Mailboxes (0x5*) ----
     /// Deliver opened messages to a mailbox shard (answered with
     /// [`Frame::Ok`]).
-    Deliver {
+    0x50 Deliver {
         /// Round number: the round these messages were mixed in, which
         /// recipients need to derive the unsealing nonce.
         round: u64,
@@ -501,12 +997,16 @@ pub enum Frame {
         /// The opened mailbox messages.
         messages: Vec<MailboxMessage>,
     },
+    // 0x51 (Fetch) and 0x52 (MailboxContents) carried the old
+    // drain-everything fetch API and are retired.
+    0x51 reserved,
+    0x52 reserved,
     /// Read one page of a mailbox, non-destructively (client → mailbox;
     /// answered with [`Frame::MailboxPage`]).  Fetching never removes
     /// messages: the client retires what it has safely read with an
     /// explicit [`Frame::FetchAck`], giving at-least-once delivery
     /// across client crashes and lost replies.
-    FetchPage {
+    0x53 FetchPage {
         /// Mailbox id to read.
         mailbox: [u8; 32],
         /// Resume token: 0 for the oldest un-acked entry, else the
@@ -516,20 +1016,20 @@ pub enum Frame {
         max: u32,
     },
     /// One page of a mailbox's un-acked entries, oldest first.
-    MailboxPage {
-        /// `(delivery_round, sealed)` per entry: each sealed payload
-        /// must be opened against the round it was delivered in.
-        sealed: Vec<(u64, Vec<u8>)>,
+    0x54 MailboxPage {
         /// Pass as `cursor` to continue, or as `upto` in a
         /// [`Frame::FetchAck`] to retire everything read so far.
         next_cursor: u64,
         /// Entries still pending past this page.
         remaining: u64,
+        /// `(delivery_round, sealed)` per entry: each sealed payload
+        /// must be opened against the round it was delivered in.
+        sealed: Vec<(u64, Vec<u8>)>,
     },
     /// Retire every entry below `upto` (client → mailbox; answered
     /// with [`Frame::Ok`]).  Idempotent: re-acking an already-acked
     /// prefix is a no-op success.
-    FetchAck {
+    0x55 FetchAck {
         /// Mailbox id to ack.
         mailbox: [u8; 32],
         /// Exclusive upper bound: the `next_cursor` of the last page
@@ -538,1094 +1038,34 @@ pub enum Frame {
     },
 }
 
-// ---------------------------------------------------------------------
-// Writer
-// ---------------------------------------------------------------------
-
-struct Writer {
-    buf: Vec<u8>,
-}
-
-impl Writer {
-    fn new(tag: u8) -> Writer {
-        // Reserve the length prefix; filled in `finish`.
-        Writer {
-            buf: vec![0, 0, 0, 0, tag],
-        }
-    }
-
-    fn u8(&mut self, v: u8) {
-        self.buf.push(v);
-    }
-
-    fn u16(&mut self, v: u16) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    fn u32(&mut self, v: u32) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    fn u64(&mut self, v: u64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    fn raw(&mut self, bytes: &[u8]) {
-        self.buf.extend_from_slice(bytes);
-    }
-
-    fn bytes(&mut self, bytes: &[u8]) {
-        debug_assert!(bytes.len() <= MAX_BYTES);
-        self.u32(bytes.len() as u32);
-        self.raw(bytes);
-    }
-
-    fn string(&mut self, s: &str) {
-        self.bytes(s.as_bytes());
-    }
-
-    fn group(&mut self, p: &GroupElement) {
-        self.raw(&p.encode());
-    }
-
-    fn scalar(&mut self, s: &Scalar) {
-        self.raw(&s.to_bytes());
-    }
-
-    fn schnorr(&mut self, p: &SchnorrProof) {
-        self.raw(&p.to_bytes());
-    }
-
-    fn dleq(&mut self, p: &DleqProof) {
-        self.raw(&p.to_bytes());
-    }
-
-    fn seq_len(&mut self, n: usize) {
-        debug_assert!(n <= MAX_BATCH);
-        self.u32(n as u32);
-    }
-
-    fn mix_entry(&mut self, e: &MixEntry) {
-        self.group(&e.dh);
-        self.bytes(&e.ct);
-    }
-
-    fn mix_entries(&mut self, entries: &[MixEntry]) {
-        self.seq_len(entries.len());
-        // Each DH key pays one per-point encode here (~one invsqrt):
-        // ristretto encoding has no batch fast path — see
-        // `GroupElement::encode_all` for the bound.  Senders that hold
-        // already-encoded wire bytes should forward those instead
-        // (the streamed relay path does exactly that).
-        for e in entries {
-            self.raw(&e.dh.encode());
-            self.bytes(&e.ct);
-        }
-    }
-
-    fn groups(&mut self, points: &[GroupElement]) {
-        self.seq_len(points.len());
-        for enc in GroupElement::encode_all(points) {
-            self.raw(&enc);
-        }
-    }
-
-    fn submission(&mut self, s: &Submission) {
-        self.group(&s.dh);
-        self.schnorr(&s.pok);
-        self.bytes(&s.ct);
-    }
-
-    fn mailbox_message(&mut self, m: &MailboxMessage) {
-        self.raw(&m.mailbox);
-        self.bytes(&m.sealed);
-    }
-
-    fn chain_keys(&mut self, k: &ChainPublicKeys) {
-        debug_assert!(k.len() <= MAX_CHAIN_LEN);
-        self.u64(k.epoch);
-        self.u64(k.inner_epoch);
-        self.u32(k.len() as u32);
-        for p in &k.bpks {
-            self.group(p);
-        }
-        for p in &k.mpks {
-            self.group(p);
-        }
-        for p in &k.ipks {
-            self.group(p);
-        }
-        for proofs in &k.proofs {
-            self.schnorr(&proofs.bsk_pok);
-            self.schnorr(&proofs.msk_pok);
-            self.schnorr(&proofs.isk_pok);
-        }
-    }
-
-    fn finish(mut self) -> Vec<u8> {
-        let len = (self.buf.len() - 4) as u32;
-        self.buf[..4].copy_from_slice(&len.to_le_bytes());
-        self.buf
-    }
-}
-
-// ---------------------------------------------------------------------
-// Reader
-// ---------------------------------------------------------------------
-
-struct Reader<'a> {
-    buf: &'a [u8],
-}
-
-impl<'a> Reader<'a> {
-    fn take(&mut self, n: usize) -> Result<&'a [u8], CodecError> {
-        if self.buf.len() < n {
-            return Err(CodecError::Truncated);
-        }
-        let (head, tail) = self.buf.split_at(n);
-        self.buf = tail;
-        Ok(head)
-    }
-
-    fn u8(&mut self) -> Result<u8, CodecError> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u16(&mut self) -> Result<u16, CodecError> {
-        Ok(u16::from_le_bytes(self.take(2)?.try_into().unwrap()))
-    }
-
-    fn u32(&mut self) -> Result<u32, CodecError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-
-    fn u64(&mut self) -> Result<u64, CodecError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
-    fn array32(&mut self) -> Result<[u8; 32], CodecError> {
-        Ok(self.take(32)?.try_into().unwrap())
-    }
-
-    fn bytes(&mut self) -> Result<Vec<u8>, CodecError> {
-        let len = self.u32()? as usize;
-        if len > MAX_BYTES {
-            return Err(CodecError::Oversized {
-                declared: len,
-                cap: MAX_BYTES,
-            });
-        }
-        Ok(self.take(len)?.to_vec())
-    }
-
-    fn string(&mut self) -> Result<String, CodecError> {
-        String::from_utf8(self.bytes()?).map_err(|_| CodecError::BadLength)
-    }
-
-    fn group(&mut self) -> Result<GroupElement, CodecError> {
-        GroupElement::decode(&self.array32()?).ok_or(CodecError::InvalidGroupElement)
-    }
-
-    fn scalar(&mut self) -> Result<Scalar, CodecError> {
-        Scalar::from_canonical_bytes(&self.array32()?).ok_or(CodecError::InvalidScalar)
-    }
-
-    fn schnorr(&mut self) -> Result<SchnorrProof, CodecError> {
-        SchnorrProof::from_bytes(self.take(SCHNORR_PROOF_LEN)?).ok_or(CodecError::InvalidProof)
-    }
-
-    fn dleq(&mut self) -> Result<DleqProof, CodecError> {
-        DleqProof::from_bytes(self.take(DLEQ_PROOF_LEN)?).ok_or(CodecError::InvalidProof)
-    }
-
-    fn metrics_len(&mut self) -> Result<usize, CodecError> {
-        let n = self.u32()? as usize;
-        if n > MAX_METRICS {
-            return Err(CodecError::Oversized {
-                declared: n,
-                cap: MAX_METRICS,
-            });
-        }
-        Ok(n)
-    }
-
-    fn seq_len(&mut self) -> Result<usize, CodecError> {
-        let n = self.u32()? as usize;
-        if n > MAX_BATCH {
-            return Err(CodecError::Oversized {
-                declared: n,
-                cap: MAX_BATCH,
-            });
-        }
-        Ok(n)
-    }
-
-    fn mix_entry(&mut self) -> Result<MixEntry, CodecError> {
-        Ok(MixEntry {
-            dh: self.group()?,
-            ct: self.bytes()?,
-        })
-    }
-
-    fn mix_entries(&mut self) -> Result<Vec<MixEntry>, CodecError> {
-        let n = self.seq_len()?;
-        (0..n).map(|_| self.mix_entry()).collect()
-    }
-
-    fn groups(&mut self) -> Result<Vec<GroupElement>, CodecError> {
-        let n = self.seq_len()?;
-        (0..n).map(|_| self.group()).collect()
-    }
-
-    fn submission(&mut self) -> Result<Submission, CodecError> {
-        Ok(Submission {
-            dh: self.group()?,
-            pok: self.schnorr()?,
-            ct: self.bytes()?,
-        })
-    }
-
-    fn mailbox_message(&mut self) -> Result<MailboxMessage, CodecError> {
-        let mailbox = self.array32()?;
-        let sealed = self.bytes()?;
-        if sealed.len() != MAILBOX_MSG_LEN - 32 {
-            return Err(CodecError::BadLength);
-        }
-        Ok(MailboxMessage { mailbox, sealed })
-    }
-
-    fn chain_keys(&mut self) -> Result<ChainPublicKeys, CodecError> {
-        let epoch = self.u64()?;
-        let inner_epoch = self.u64()?;
-        let k = self.u32()? as usize;
-        if k == 0 || k > MAX_CHAIN_LEN {
-            return Err(CodecError::Oversized {
-                declared: k,
-                cap: MAX_CHAIN_LEN,
-            });
-        }
-        let bpks = (0..k + 1).map(|_| self.group()).collect::<Result<_, _>>()?;
-        let mpks = (0..k).map(|_| self.group()).collect::<Result<_, _>>()?;
-        let ipks = (0..k).map(|_| self.group()).collect::<Result<_, _>>()?;
-        let proofs = (0..k)
-            .map(|_| {
-                Ok(ServerKeyProofs {
-                    bsk_pok: self.schnorr()?,
-                    msk_pok: self.schnorr()?,
-                    isk_pok: self.schnorr()?,
-                })
-            })
-            .collect::<Result<_, CodecError>>()?;
-        Ok(ChainPublicKeys {
-            epoch,
-            inner_epoch,
-            bpks,
-            mpks,
-            ipks,
-            proofs,
-        })
-    }
-
-    fn accusation(&mut self) -> Result<Accusation, CodecError> {
-        Ok(Accusation {
-            position: self.u32()? as usize,
-            input_index: self.u64()? as usize,
-            entry: self.mix_entry()?,
-            dec_key: self.group()?,
-            key_proof: self.dleq()?,
-        })
-    }
-
-    fn blame_reveal(&mut self) -> Result<BlameReveal, CodecError> {
-        Ok(BlameReveal {
-            position: self.u32()? as usize,
-            input_index: self.u64()? as usize,
-            input: self.mix_entry()?,
-            output_dh: self.group()?,
-            blind_proof: self.dleq()?,
-            dec_key: self.group()?,
-            key_proof: self.dleq()?,
-        })
-    }
-
-    fn finish(self) -> Result<(), CodecError> {
-        if self.buf.is_empty() {
-            Ok(())
-        } else {
-            Err(CodecError::TrailingBytes)
-        }
-    }
-}
-
-fn write_snapshot(w: &mut Writer, s: &xrd_obs::Snapshot) {
-    debug_assert!(
-        s.counters.len() <= MAX_METRICS
-            && s.gauges.len() <= MAX_METRICS
-            && s.hists.len() <= MAX_METRICS
-            && s.spans.len() <= MAX_METRICS
-    );
-    w.u64(s.uptime_us);
-    w.u32(s.counters.len() as u32);
-    for (name, v) in &s.counters {
-        w.string(name);
-        w.u64(*v);
-    }
-    w.u32(s.gauges.len() as u32);
-    for (name, v) in &s.gauges {
-        w.string(name);
-        w.u64(*v as u64);
-    }
-    w.u32(s.hists.len() as u32);
-    for (name, h) in &s.hists {
-        w.string(name);
-        w.u64(h.count);
-        w.u64(h.sum);
-        w.u64(h.min);
-        w.u64(h.max);
-        // Buckets ship sparse: most of the 252 log-scale buckets are
-        // empty for any real latency distribution.
-        let nonzero: Vec<(usize, u64)> = h
-            .buckets
-            .iter()
-            .enumerate()
-            .filter(|&(_, &n)| n > 0)
-            .map(|(i, &n)| (i, n))
-            .collect();
-        w.u32(nonzero.len() as u32);
-        for (i, n) in nonzero {
-            w.u16(i as u16);
-            w.u64(n);
-        }
-    }
-    w.u32(s.spans.len() as u32);
-    for span in &s.spans {
-        w.string(&span.name);
-        w.u64(span.round);
-        w.u64(span.start_us);
-        w.u64(span.dur_us);
-    }
-}
-
-fn read_snapshot(r: &mut Reader<'_>) -> Result<xrd_obs::Snapshot, CodecError> {
-    let uptime_us = r.u64()?;
-    let n = r.metrics_len()?;
-    let counters = (0..n)
-        .map(|_| Ok((r.string()?, r.u64()?)))
-        .collect::<Result<_, CodecError>>()?;
-    let n = r.metrics_len()?;
-    let gauges = (0..n)
-        .map(|_| Ok((r.string()?, r.u64()? as i64)))
-        .collect::<Result<_, CodecError>>()?;
-    let n = r.metrics_len()?;
-    let hists = (0..n)
-        .map(|_| {
-            let name = r.string()?;
-            let (count, sum, min, max) = (r.u64()?, r.u64()?, r.u64()?, r.u64()?);
-            let mut buckets = vec![0u64; xrd_obs::N_BUCKETS];
-            let pairs = r.metrics_len()?;
-            let mut last: Option<usize> = None;
-            for _ in 0..pairs {
-                let i = r.u16()? as usize;
-                // Canonical sparse form: strictly increasing indices,
-                // in range, no zero entries.
-                if i >= xrd_obs::N_BUCKETS || last.is_some_and(|p| i <= p) {
-                    return Err(CodecError::BadLength);
-                }
-                last = Some(i);
-                let v = r.u64()?;
-                if v == 0 {
-                    return Err(CodecError::BadLength);
-                }
-                buckets[i] = v;
-            }
-            Ok((
-                name,
-                xrd_obs::HistSnapshot {
-                    count,
-                    sum,
-                    min,
-                    max,
-                    buckets,
-                },
-            ))
-        })
-        .collect::<Result<_, CodecError>>()?;
-    let n = r.metrics_len()?;
-    let spans = (0..n)
-        .map(|_| {
-            Ok(xrd_obs::SpanEvent {
-                name: r.string()?,
-                round: r.u64()?,
-                start_us: r.u64()?,
-                dur_us: r.u64()?,
-            })
-        })
-        .collect::<Result<_, CodecError>>()?;
-    Ok(xrd_obs::Snapshot {
-        uptime_us,
-        counters,
-        gauges,
-        hists,
-        spans,
-    })
-}
-
-fn write_accusation(w: &mut Writer, a: &Accusation) {
-    w.u32(a.position as u32);
-    w.u64(a.input_index as u64);
-    w.mix_entry(&a.entry);
-    w.group(&a.dec_key);
-    w.dleq(&a.key_proof);
-}
-
-fn write_blame_reveal(w: &mut Writer, r: &BlameReveal) {
-    w.u32(r.position as u32);
-    w.u64(r.input_index as u64);
-    w.mix_entry(&r.input);
-    w.group(&r.output_dh);
-    w.dleq(&r.blind_proof);
-    w.group(&r.dec_key);
-    w.dleq(&r.key_proof);
-}
-
-impl Frame {
-    /// Encode the full frame, including the 4-byte length prefix.
-    pub fn encode(&self) -> Vec<u8> {
-        let w = match self {
-            Frame::Ok => Writer::new(TAG_OK),
-            Frame::Error { code, message } => {
-                let mut w = Writer::new(TAG_ERROR);
-                w.u16(*code);
-                w.string(message);
-                w
-            }
-            Frame::Ping => Writer::new(TAG_PING),
-            Frame::Pong => Writer::new(TAG_PONG),
-            Frame::Shutdown => Writer::new(TAG_SHUTDOWN),
-            Frame::StatsRequest => Writer::new(TAG_STATS_REQUEST),
-            Frame::StatsReport { snapshot } => {
-                let mut w = Writer::new(TAG_STATS_REPORT);
-                write_snapshot(&mut w, snapshot);
-                w
-            }
-            Frame::OpenRound { round } => {
-                let mut w = Writer::new(TAG_OPEN_ROUND);
-                w.u64(*round);
-                w
-            }
-            Frame::Submit { round, submission } => {
-                let mut w = Writer::new(TAG_SUBMIT);
-                w.u64(*round);
-                w.submission(submission);
-                w
-            }
-            Frame::CloseSubmissions { round } => {
-                let mut w = Writer::new(TAG_CLOSE_SUBMISSIONS);
-                w.u64(*round);
-                w
-            }
-            Frame::BatchDigest {
-                round,
-                digest,
-                count,
-            } => {
-                let mut w = Writer::new(TAG_BATCH_DIGEST);
-                w.u64(*round);
-                w.raw(digest);
-                w.u64(*count);
-                w
-            }
-            Frame::GetBatch { round } => {
-                let mut w = Writer::new(TAG_GET_BATCH);
-                w.u64(*round);
-                w
-            }
-            Frame::SubmissionBatch { round, submissions } => {
-                let mut w = Writer::new(TAG_SUBMISSION_BATCH);
-                w.u64(*round);
-                w.seq_len(submissions.len());
-                for s in submissions {
-                    w.raw(&s.dh.encode());
-                    w.schnorr(&s.pok);
-                    w.bytes(&s.ct);
-                }
-                w
-            }
-            Frame::HopFailure {
-                round,
-                position,
-                failed,
-            } => {
-                let mut w = Writer::new(TAG_HOP_FAILURE);
-                w.u64(*round);
-                w.u32(*position);
-                w.seq_len(failed.len());
-                for i in failed {
-                    w.u64(*i);
-                }
-                w
-            }
-            Frame::VerifyResult { ok } => {
-                let mut w = Writer::new(TAG_VERIFY_RESULT);
-                w.u8(*ok as u8);
-                w
-            }
-            Frame::MixBatchStart { round, total } => {
-                let mut w = Writer::new(TAG_MIX_BATCH_START);
-                w.u64(*round);
-                w.u32(*total);
-                w
-            }
-            Frame::MixBatchChunk { entries } => {
-                let mut w = Writer::new(TAG_MIX_BATCH_CHUNK);
-                w.mix_entries(entries);
-                w
-            }
-            Frame::MixBatchEnd { digest } => {
-                let mut w = Writer::new(TAG_MIX_BATCH_END);
-                w.raw(digest);
-                w
-            }
-            Frame::HopOutputStart {
-                round,
-                position,
-                total,
-            } => {
-                let mut w = Writer::new(TAG_HOP_OUTPUT_START);
-                w.u64(*round);
-                w.u32(*position);
-                w.u32(*total);
-                w
-            }
-            Frame::HopOutputChunk { entries } => {
-                let mut w = Writer::new(TAG_HOP_OUTPUT_CHUNK);
-                w.mix_entries(entries);
-                w
-            }
-            Frame::HopOutputEnd { digest, proof } => {
-                let mut w = Writer::new(TAG_HOP_OUTPUT_END);
-                w.raw(digest);
-                w.dleq(proof);
-                w
-            }
-            Frame::VerifyHopKeys {
-                round,
-                position,
-                input_dhs,
-                output_dhs,
-                proof,
-            } => {
-                let mut w = Writer::new(TAG_VERIFY_HOP_KEYS);
-                w.u64(*round);
-                w.u32(*position);
-                w.groups(input_dhs);
-                w.groups(output_dhs);
-                w.dleq(proof);
-                w
-            }
-            Frame::MixForward { round } => {
-                let mut w = Writer::new(TAG_MIX_FORWARD);
-                w.u64(*round);
-                w
-            }
-            Frame::HopForwarded {
-                round,
-                position,
-                input_dhs,
-                output_dhs,
-                proof,
-            } => {
-                let mut w = Writer::new(TAG_HOP_FORWARDED);
-                w.u64(*round);
-                w.u32(*position);
-                w.groups(input_dhs);
-                w.groups(output_dhs);
-                w.dleq(proof);
-                w
-            }
-            Frame::RevealInnerKey { round } => {
-                let mut w = Writer::new(TAG_REVEAL_INNER_KEY);
-                w.u64(*round);
-                w
-            }
-            Frame::InnerKeyReveal { position, isk } => {
-                let mut w = Writer::new(TAG_INNER_KEY_REVEAL);
-                w.u32(*position);
-                w.scalar(isk);
-                w
-            }
-            Frame::PrepareRotation { inner_epoch } => {
-                let mut w = Writer::new(TAG_PREPARE_ROTATION);
-                w.u64(*inner_epoch);
-                w
-            }
-            Frame::RotationShare { inner_epoch, share } => {
-                let mut w = Writer::new(TAG_ROTATION_SHARE);
-                w.u64(*inner_epoch);
-                w.u32(share.position as u32);
-                w.group(&share.ipk);
-                w.schnorr(&share.pok);
-                w
-            }
-            Frame::ActivateRotation { keys } => {
-                let mut w = Writer::new(TAG_ACTIVATE_ROTATION);
-                w.chain_keys(keys);
-                w
-            }
-            Frame::Accuse { round, input_index } => {
-                let mut w = Writer::new(TAG_ACCUSE);
-                w.u64(*round);
-                w.u64(*input_index);
-                w
-            }
-            Frame::Accusation { accusation } => {
-                let mut w = Writer::new(TAG_ACCUSATION);
-                write_accusation(&mut w, accusation);
-                w
-            }
-            Frame::RevealSlot {
-                round,
-                output_index,
-            } => {
-                let mut w = Writer::new(TAG_REVEAL_SLOT);
-                w.u64(*round);
-                w.u64(*output_index);
-                w
-            }
-            Frame::SlotReveal { reveal } => {
-                let mut w = Writer::new(TAG_SLOT_REVEAL);
-                match reveal {
-                    None => w.u8(0),
-                    Some(r) => {
-                        w.u8(1);
-                        write_blame_reveal(&mut w, r);
-                    }
-                }
-                w
-            }
-            Frame::DisputeOpen {
-                round,
-                accused,
-                input_dhs,
-                output_dhs,
-                proof,
-            } => {
-                let mut w = Writer::new(TAG_DISPUTE_OPEN);
-                w.u64(*round);
-                w.u32(*accused);
-                w.groups(input_dhs);
-                w.groups(output_dhs);
-                w.dleq(proof);
-                w
-            }
-            Frame::DisputeEvidence {
-                round,
-                position,
-                accused,
-                upheld,
-                sig,
-            } => {
-                let mut w = Writer::new(TAG_DISPUTE_EVIDENCE);
-                w.u64(*round);
-                w.u32(*position);
-                w.u32(*accused);
-                w.u8(*upheld as u8);
-                w.schnorr(sig);
-                w
-            }
-            Frame::DisputeVerdict {
-                round,
-                accused,
-                claim,
-                upheld,
-                votes,
-            } => {
-                let mut w = Writer::new(TAG_DISPUTE_VERDICT);
-                w.u64(*round);
-                w.u32(*accused);
-                w.u8(*claim);
-                w.u8(*upheld as u8);
-                w.u32(*votes);
-                w
-            }
-            Frame::Deliver {
-                round,
-                batch,
-                messages,
-            } => {
-                let mut w = Writer::new(TAG_DELIVER);
-                w.u64(*round);
-                w.u64(*batch);
-                w.seq_len(messages.len());
-                for m in messages {
-                    w.mailbox_message(m);
-                }
-                w
-            }
-            Frame::FetchPage {
-                mailbox,
-                cursor,
-                max,
-            } => {
-                let mut w = Writer::new(TAG_FETCH_PAGE);
-                w.raw(mailbox);
-                w.u64(*cursor);
-                w.u32(*max);
-                w
-            }
-            Frame::MailboxPage {
-                sealed,
-                next_cursor,
-                remaining,
-            } => {
-                let mut w = Writer::new(TAG_MAILBOX_PAGE);
-                w.u64(*next_cursor);
-                w.u64(*remaining);
-                w.seq_len(sealed.len());
-                for (round, s) in sealed {
-                    w.u64(*round);
-                    w.bytes(s);
-                }
-                w
-            }
-            Frame::FetchAck { mailbox, upto } => {
-                let mut w = Writer::new(TAG_FETCH_ACK);
-                w.raw(mailbox);
-                w.u64(*upto);
-                w
-            }
-        };
-        let out = w.finish();
-        debug_assert!(
-            out.len() - 4 <= MAX_FRAME_LEN,
-            "frame exceeds MAX_FRAME_LEN"
+// Rows ascend strictly by tag, so claiming a tag twice — live or
+// reserved — does not compile.
+const _: () = {
+    let mut i = 1;
+    while i < Frame::TAGS.len() {
+        assert!(
+            Frame::TAGS[i - 1].0 < Frame::TAGS[i].0,
+            "frame table rows must be in ascending tag order, each tag once"
         );
-        out
+        i += 1;
     }
-
-    /// Decode a frame from its body (everything after the length
-    /// prefix: the tag byte plus the payload).
-    pub fn decode(body: &[u8]) -> Result<Frame, CodecError> {
-        if body.len() > MAX_FRAME_LEN {
-            return Err(CodecError::Oversized {
-                declared: body.len(),
-                cap: MAX_FRAME_LEN,
-            });
-        }
-        let mut r = Reader { buf: body };
-        let tag = r.u8()?;
-        let frame = match tag {
-            TAG_OK => Frame::Ok,
-            TAG_ERROR => Frame::Error {
-                code: r.u16()?,
-                message: r.string()?,
-            },
-            TAG_PING => Frame::Ping,
-            TAG_PONG => Frame::Pong,
-            TAG_SHUTDOWN => Frame::Shutdown,
-            TAG_STATS_REQUEST => Frame::StatsRequest,
-            TAG_STATS_REPORT => Frame::StatsReport {
-                snapshot: Box::new(read_snapshot(&mut r)?),
-            },
-            TAG_OPEN_ROUND => Frame::OpenRound { round: r.u64()? },
-            TAG_SUBMIT => Frame::Submit {
-                round: r.u64()?,
-                submission: r.submission()?,
-            },
-            TAG_CLOSE_SUBMISSIONS => Frame::CloseSubmissions { round: r.u64()? },
-            TAG_BATCH_DIGEST => Frame::BatchDigest {
-                round: r.u64()?,
-                digest: r.array32()?,
-                count: r.u64()?,
-            },
-            TAG_GET_BATCH => Frame::GetBatch { round: r.u64()? },
-            TAG_SUBMISSION_BATCH => {
-                let round = r.u64()?;
-                let n = r.seq_len()?;
-                let submissions = (0..n).map(|_| r.submission()).collect::<Result<_, _>>()?;
-                Frame::SubmissionBatch { round, submissions }
-            }
-            TAG_HOP_FAILURE => {
-                let round = r.u64()?;
-                let position = r.u32()?;
-                let n = r.seq_len()?;
-                let failed = (0..n).map(|_| r.u64()).collect::<Result<_, _>>()?;
-                Frame::HopFailure {
-                    round,
-                    position,
-                    failed,
-                }
-            }
-            TAG_VERIFY_RESULT => Frame::VerifyResult {
-                ok: match r.u8()? {
-                    0 => false,
-                    1 => true,
-                    _ => return Err(CodecError::BadLength),
-                },
-            },
-            TAG_MIX_BATCH_START => Frame::MixBatchStart {
-                round: r.u64()?,
-                total: r.u32()?,
-            },
-            TAG_MIX_BATCH_CHUNK => Frame::MixBatchChunk {
-                entries: r.mix_entries()?,
-            },
-            TAG_MIX_BATCH_END => Frame::MixBatchEnd {
-                digest: r.array32()?,
-            },
-            TAG_HOP_OUTPUT_START => Frame::HopOutputStart {
-                round: r.u64()?,
-                position: r.u32()?,
-                total: r.u32()?,
-            },
-            TAG_HOP_OUTPUT_CHUNK => Frame::HopOutputChunk {
-                entries: r.mix_entries()?,
-            },
-            TAG_HOP_OUTPUT_END => Frame::HopOutputEnd {
-                digest: r.array32()?,
-                proof: r.dleq()?,
-            },
-            TAG_VERIFY_HOP_KEYS => Frame::VerifyHopKeys {
-                round: r.u64()?,
-                position: r.u32()?,
-                input_dhs: r.groups()?,
-                output_dhs: r.groups()?,
-                proof: r.dleq()?,
-            },
-            TAG_MIX_FORWARD => Frame::MixForward { round: r.u64()? },
-            TAG_HOP_FORWARDED => Frame::HopForwarded {
-                round: r.u64()?,
-                position: r.u32()?,
-                input_dhs: r.groups()?,
-                output_dhs: r.groups()?,
-                proof: r.dleq()?,
-            },
-            TAG_REVEAL_INNER_KEY => Frame::RevealInnerKey { round: r.u64()? },
-            TAG_INNER_KEY_REVEAL => Frame::InnerKeyReveal {
-                position: r.u32()?,
-                isk: r.scalar()?,
-            },
-            TAG_PREPARE_ROTATION => Frame::PrepareRotation {
-                inner_epoch: r.u64()?,
-            },
-            TAG_ROTATION_SHARE => Frame::RotationShare {
-                inner_epoch: r.u64()?,
-                share: RotationShare {
-                    position: r.u32()? as usize,
-                    ipk: r.group()?,
-                    pok: r.schnorr()?,
-                },
-            },
-            TAG_ACTIVATE_ROTATION => Frame::ActivateRotation {
-                keys: r.chain_keys()?,
-            },
-            TAG_ACCUSE => Frame::Accuse {
-                round: r.u64()?,
-                input_index: r.u64()?,
-            },
-            TAG_ACCUSATION => Frame::Accusation {
-                accusation: r.accusation()?,
-            },
-            TAG_REVEAL_SLOT => Frame::RevealSlot {
-                round: r.u64()?,
-                output_index: r.u64()?,
-            },
-            TAG_SLOT_REVEAL => Frame::SlotReveal {
-                reveal: match r.u8()? {
-                    0 => None,
-                    1 => Some(Box::new(r.blame_reveal()?)),
-                    _ => return Err(CodecError::BadLength),
-                },
-            },
-            TAG_DISPUTE_OPEN => Frame::DisputeOpen {
-                round: r.u64()?,
-                accused: r.u32()?,
-                input_dhs: r.groups()?,
-                output_dhs: r.groups()?,
-                proof: r.dleq()?,
-            },
-            TAG_DISPUTE_EVIDENCE => Frame::DisputeEvidence {
-                round: r.u64()?,
-                position: r.u32()?,
-                accused: r.u32()?,
-                upheld: match r.u8()? {
-                    0 => false,
-                    1 => true,
-                    _ => return Err(CodecError::BadLength),
-                },
-                sig: r.schnorr()?,
-            },
-            TAG_DISPUTE_VERDICT => Frame::DisputeVerdict {
-                round: r.u64()?,
-                accused: r.u32()?,
-                claim: r.u8()?,
-                upheld: match r.u8()? {
-                    0 => false,
-                    1 => true,
-                    _ => return Err(CodecError::BadLength),
-                },
-                votes: r.u32()?,
-            },
-            TAG_DELIVER => {
-                let round = r.u64()?;
-                let batch = r.u64()?;
-                let n = r.seq_len()?;
-                let messages = (0..n)
-                    .map(|_| r.mailbox_message())
-                    .collect::<Result<_, _>>()?;
-                Frame::Deliver {
-                    round,
-                    batch,
-                    messages,
-                }
-            }
-            TAG_FETCH_PAGE => Frame::FetchPage {
-                mailbox: r.array32()?,
-                cursor: r.u64()?,
-                max: r.u32()?,
-            },
-            TAG_MAILBOX_PAGE => {
-                let next_cursor = r.u64()?;
-                let remaining = r.u64()?;
-                let n = r.seq_len()?;
-                let sealed = (0..n)
-                    .map(|_| {
-                        let round = r.u64()?;
-                        let s = r.bytes()?;
-                        if s.len() != MAILBOX_MSG_LEN - 32 {
-                            return Err(CodecError::BadLength);
-                        }
-                        Ok((round, s))
-                    })
-                    .collect::<Result<_, _>>()?;
-                Frame::MailboxPage {
-                    sealed,
-                    next_cursor,
-                    remaining,
-                }
-            }
-            TAG_FETCH_ACK => Frame::FetchAck {
-                mailbox: r.array32()?,
-                upto: r.u64()?,
-            },
-            other => return Err(CodecError::UnknownTag(other)),
-        };
-        r.finish()?;
-        Ok(frame)
-    }
-
-    /// This frame's wire tag.
-    pub fn tag(&self) -> u8 {
-        match self {
-            Frame::Ok => TAG_OK,
-            Frame::Error { .. } => TAG_ERROR,
-            Frame::Ping => TAG_PING,
-            Frame::Pong => TAG_PONG,
-            Frame::Shutdown => TAG_SHUTDOWN,
-            Frame::StatsRequest => TAG_STATS_REQUEST,
-            Frame::StatsReport { .. } => TAG_STATS_REPORT,
-            Frame::OpenRound { .. } => TAG_OPEN_ROUND,
-            Frame::Submit { .. } => TAG_SUBMIT,
-            Frame::CloseSubmissions { .. } => TAG_CLOSE_SUBMISSIONS,
-            Frame::BatchDigest { .. } => TAG_BATCH_DIGEST,
-            Frame::GetBatch { .. } => TAG_GET_BATCH,
-            Frame::SubmissionBatch { .. } => TAG_SUBMISSION_BATCH,
-            Frame::HopFailure { .. } => TAG_HOP_FAILURE,
-            Frame::VerifyResult { .. } => TAG_VERIFY_RESULT,
-            Frame::MixBatchStart { .. } => TAG_MIX_BATCH_START,
-            Frame::MixBatchChunk { .. } => TAG_MIX_BATCH_CHUNK,
-            Frame::MixBatchEnd { .. } => TAG_MIX_BATCH_END,
-            Frame::HopOutputStart { .. } => TAG_HOP_OUTPUT_START,
-            Frame::HopOutputChunk { .. } => TAG_HOP_OUTPUT_CHUNK,
-            Frame::HopOutputEnd { .. } => TAG_HOP_OUTPUT_END,
-            Frame::VerifyHopKeys { .. } => TAG_VERIFY_HOP_KEYS,
-            Frame::MixForward { .. } => TAG_MIX_FORWARD,
-            Frame::HopForwarded { .. } => TAG_HOP_FORWARDED,
-            Frame::RevealInnerKey { .. } => TAG_REVEAL_INNER_KEY,
-            Frame::InnerKeyReveal { .. } => TAG_INNER_KEY_REVEAL,
-            Frame::PrepareRotation { .. } => TAG_PREPARE_ROTATION,
-            Frame::RotationShare { .. } => TAG_ROTATION_SHARE,
-            Frame::ActivateRotation { .. } => TAG_ACTIVATE_ROTATION,
-            Frame::Accuse { .. } => TAG_ACCUSE,
-            Frame::Accusation { .. } => TAG_ACCUSATION,
-            Frame::RevealSlot { .. } => TAG_REVEAL_SLOT,
-            Frame::SlotReveal { .. } => TAG_SLOT_REVEAL,
-            Frame::DisputeOpen { .. } => TAG_DISPUTE_OPEN,
-            Frame::DisputeEvidence { .. } => TAG_DISPUTE_EVIDENCE,
-            Frame::DisputeVerdict { .. } => TAG_DISPUTE_VERDICT,
-            Frame::Deliver { .. } => TAG_DELIVER,
-            Frame::FetchPage { .. } => TAG_FETCH_PAGE,
-            Frame::MailboxPage { .. } => TAG_MAILBOX_PAGE,
-            Frame::FetchAck { .. } => TAG_FETCH_ACK,
-        }
-    }
-
-    /// Human-readable name for a wire tag (the per-tag frame counters
-    /// in the metrics registry are keyed by these), or `None` for a tag
-    /// this protocol version does not know.
-    pub fn tag_name(tag: u8) -> Option<&'static str> {
-        Some(match tag {
-            TAG_OK => "Ok",
-            TAG_ERROR => "Error",
-            TAG_PING => "Ping",
-            TAG_PONG => "Pong",
-            TAG_SHUTDOWN => "Shutdown",
-            TAG_STATS_REQUEST => "StatsRequest",
-            TAG_STATS_REPORT => "StatsReport",
-            TAG_OPEN_ROUND => "OpenRound",
-            TAG_SUBMIT => "Submit",
-            TAG_CLOSE_SUBMISSIONS => "CloseSubmissions",
-            TAG_BATCH_DIGEST => "BatchDigest",
-            TAG_GET_BATCH => "GetBatch",
-            TAG_SUBMISSION_BATCH => "SubmissionBatch",
-            TAG_HOP_FAILURE => "HopFailure",
-            TAG_VERIFY_RESULT => "VerifyResult",
-            TAG_MIX_BATCH_START => "MixBatchStart",
-            TAG_MIX_BATCH_CHUNK => "MixBatchChunk",
-            TAG_MIX_BATCH_END => "MixBatchEnd",
-            TAG_HOP_OUTPUT_START => "HopOutputStart",
-            TAG_HOP_OUTPUT_CHUNK => "HopOutputChunk",
-            TAG_HOP_OUTPUT_END => "HopOutputEnd",
-            TAG_VERIFY_HOP_KEYS => "VerifyHopKeys",
-            TAG_MIX_FORWARD => "MixForward",
-            TAG_HOP_FORWARDED => "HopForwarded",
-            TAG_REVEAL_INNER_KEY => "RevealInnerKey",
-            TAG_INNER_KEY_REVEAL => "InnerKeyReveal",
-            TAG_PREPARE_ROTATION => "PrepareRotation",
-            TAG_ROTATION_SHARE => "RotationShare",
-            TAG_ACTIVATE_ROTATION => "ActivateRotation",
-            TAG_ACCUSE => "Accuse",
-            TAG_ACCUSATION => "Accusation",
-            TAG_REVEAL_SLOT => "RevealSlot",
-            TAG_SLOT_REVEAL => "SlotReveal",
-            TAG_DISPUTE_OPEN => "DisputeOpen",
-            TAG_DISPUTE_EVIDENCE => "DisputeEvidence",
-            TAG_DISPUTE_VERDICT => "DisputeVerdict",
-            TAG_DELIVER => "Deliver",
-            TAG_FETCH_PAGE => "FetchPage",
-            TAG_MAILBOX_PAGE => "MailboxPage",
-            TAG_FETCH_ACK => "FetchAck",
-            _ => return None,
-        })
-    }
-}
+};
 
 /// Serialize one mix server's launch configuration — its secrets plus
 /// the chain's active public bundle — for distribution to a standalone
-/// daemon process (`xrd-netd mix --config <file>`).
+/// daemon process (`xrd-netd mix --config <file>`).  A file format, not
+/// a wire frame: no length prefix, no tag.
 pub fn encode_server_config(
     secrets: &xrd_mixnet::chain_keys::ServerSecrets,
     public: &ChainPublicKeys,
 ) -> Vec<u8> {
-    let mut w = Writer::new(0);
-    w.u32(secrets.position as u32);
-    w.scalar(&secrets.bsk);
-    w.scalar(&secrets.msk);
-    w.scalar(&secrets.isk);
-    w.chain_keys(public);
-    // Strip the frame header (length + tag): this is a file format, not
-    // a wire frame.
-    w.finish()[5..].to_vec()
+    let mut w = Writer { buf: Vec::new() };
+    (secrets.position as u32).put(&mut w);
+    secrets.bsk.put(&mut w);
+    secrets.msk.put(&mut w);
+    secrets.isk.put(&mut w);
+    public.put(&mut w);
+    w.buf
 }
 
 /// Parse a [`encode_server_config`] blob.
@@ -1633,16 +1073,15 @@ pub fn decode_server_config(
     bytes: &[u8],
 ) -> Result<(xrd_mixnet::chain_keys::ServerSecrets, ChainPublicKeys), CodecError> {
     let mut r = Reader { buf: bytes };
-    let position = r.u32()? as usize;
     let secrets = xrd_mixnet::chain_keys::ServerSecrets {
-        position,
-        bsk: r.scalar()?,
-        msk: r.scalar()?,
-        isk: r.scalar()?,
+        position: u32::get(&mut r)? as usize,
+        bsk: Wire::get(&mut r)?,
+        msk: Wire::get(&mut r)?,
+        isk: Wire::get(&mut r)?,
     };
-    let public = r.chain_keys()?;
+    let public = ChainPublicKeys::get(&mut r)?;
     r.finish()?;
-    if position >= public.len() {
+    if secrets.position >= public.len() {
         return Err(CodecError::BadLength);
     }
     Ok((secrets, public))
@@ -1861,7 +1300,7 @@ impl ChunkedBatch {
     /// itself must fit [`MAX_BATCH`].
     pub fn build(round: u64, entries: &[MixEntry], chunk_size: usize) -> ChunkedBatch {
         assert!(entries.len() <= MAX_BATCH, "batch exceeds MAX_BATCH");
-        let (chunks, digest) = encode_chunk_frames(TAG_MIX_BATCH_CHUNK, entries, chunk_size);
+        let (chunks, digest) = encode_chunk_frames(tag::MixBatchChunk, entries, chunk_size);
         let mut frames = Vec::with_capacity(2 + chunks.len());
         frames.push(
             Frame::MixBatchStart {
@@ -2022,7 +1461,7 @@ fn encode_chunk_frames(
     let mut digest = StreamDigest::new();
     for chunk in entries.chunks(chunk_size) {
         let mut w = Writer::new(tag);
-        w.mix_entries(chunk);
+        w.seq(chunk);
         let encoded = w.finish();
         digest.absorb_chunk_payload(&encoded[ChunkedBatch::CHUNK_PAYLOAD_OFFSET..]);
         frames.push(encoded);
@@ -2050,7 +1489,7 @@ pub fn encode_hop_output_stream(
     proof: &DleqProof,
     chunk_size: usize,
 ) -> Vec<u8> {
-    let (chunks, digest) = encode_chunk_frames(TAG_HOP_OUTPUT_CHUNK, outputs, chunk_size);
+    let (chunks, digest) = encode_chunk_frames(tag::HopOutputChunk, outputs, chunk_size);
     let mut wire = Frame::HopOutputStart {
         round,
         position,
@@ -2077,12 +1516,12 @@ pub fn encode_hop_output_stream(
 /// construction, so forwarding costs one byte rewrite and no
 /// re-encoding.  Returns `None` if `body` is not a hop-output chunk.
 pub fn reframe_output_chunk(body: &[u8]) -> Option<Vec<u8>> {
-    if body.first() != Some(&TAG_HOP_OUTPUT_CHUNK) {
+    if body.first() != Some(&tag::HopOutputChunk) {
         return None;
     }
     let mut wire = Vec::with_capacity(4 + body.len());
     wire.extend_from_slice(&(body.len() as u32).to_le_bytes());
-    wire.push(TAG_MIX_BATCH_CHUNK);
+    wire.push(tag::MixBatchChunk);
     wire.extend_from_slice(&body[1..]);
     Some(wire)
 }
@@ -2095,8 +1534,8 @@ pub fn reframe_output_chunk(body: &[u8]) -> Option<Vec<u8>> {
 /// arrive off a socket (in chunks of any size, down to one byte at a
 /// time) and pull complete [`Frame`]s out as they become available.
 ///
-/// This is the event-loop counterpart of [`read_frame`]: where
-/// `read_frame` blocks until a whole frame is buffered, `FrameDecoder`
+/// This is the event-loop counterpart of [`read_frame_with_body`]:
+/// where that blocks until a whole frame is buffered, `FrameDecoder`
 /// never blocks and never copies more than once — partial frames stay
 /// buffered until completed by a later `feed`.
 ///
@@ -2196,30 +1635,12 @@ impl FrameDecoder {
     }
 }
 
-/// Read one frame from a stream (blocking).  Returns `Ok(None)` on a
-/// clean EOF at a frame boundary.
-pub fn read_frame<R: std::io::Read>(
-    stream: &mut R,
-) -> std::io::Result<Option<Result<Frame, CodecError>>> {
-    Ok(read_frame_with_len(stream)?.map(|r| r.map(|(frame, _)| frame)))
-}
-
-/// [`read_frame`], additionally reporting the frame's total size on the
-/// wire (length prefix included) for byte accounting.
-pub fn read_frame_with_len<R: std::io::Read>(
-    stream: &mut R,
-) -> std::io::Result<Option<Result<(Frame, u64), CodecError>>> {
-    Ok(
-        read_frame_with_body(stream)?
-            .map(|r| r.map(|(frame, body)| (frame, 4 + body.len() as u64))),
-    )
-}
-
-/// [`read_frame`], additionally returning the frame's *body* bytes
-/// (tag plus payload, without the length prefix) — for relays that
-/// forward a frame's payload verbatim (see [`reframe_output_chunk`])
-/// or digest it without re-encoding.
-#[allow(clippy::type_complexity)] // mirrors read_frame_with_len's shape
+/// Read one frame from a stream (blocking), returning it together with
+/// its *body* bytes (tag plus payload, without the length prefix) — for
+/// byte accounting, and for relays that forward a frame's payload
+/// verbatim (see [`reframe_output_chunk`]) or digest it without
+/// re-encoding.  Returns `Ok(None)` on a clean EOF at a frame boundary.
+#[allow(clippy::type_complexity)] // io error / clean EOF / codec error, nested
 pub fn read_frame_with_body<R: std::io::Read>(
     stream: &mut R,
 ) -> std::io::Result<Option<Result<(Frame, Vec<u8>), CodecError>>> {
@@ -2247,22 +1668,6 @@ pub fn read_frame_with_body<R: std::io::Read>(
     let mut body = vec![0u8; len];
     stream.read_exact(&mut body)?;
     Ok(Some(Frame::decode(&body).map(|frame| (frame, body))))
-}
-
-/// Write one frame to a stream (blocking).  Refuses (with
-/// `InvalidData`) to ship a frame the receiver would reject as
-/// oversized — the runtime counterpart of the encoder's debug
-/// assertions.
-pub fn write_frame<W: std::io::Write>(stream: &mut W, frame: &Frame) -> std::io::Result<()> {
-    let encoded = frame.encode();
-    if encoded.len() - 4 > MAX_FRAME_LEN {
-        return Err(std::io::Error::new(
-            std::io::ErrorKind::InvalidData,
-            format!("frame of {} bytes exceeds MAX_FRAME_LEN", encoded.len() - 4),
-        ));
-    }
-    stream.write_all(&encoded)?;
-    stream.flush()
 }
 
 #[cfg(test)]
@@ -2307,29 +1712,30 @@ mod tests {
                 max: 64,
             },
         ];
-        let mut wire = Vec::new();
-        for f in &frames {
-            write_frame(&mut wire, f).unwrap();
-        }
+        let wire: Vec<u8> = frames.iter().flat_map(Frame::encode).collect();
         let mut cursor = std::io::Cursor::new(wire);
         for f in &frames {
-            let got = read_frame(&mut cursor).unwrap().unwrap().unwrap();
+            let (got, body) = read_frame_with_body(&mut cursor).unwrap().unwrap().unwrap();
             assert_eq!(&got, f);
+            assert_eq!(body, f.encode()[4..]);
         }
-        assert!(read_frame(&mut cursor).unwrap().is_none(), "clean EOF");
+        assert!(
+            read_frame_with_body(&mut cursor).unwrap().is_none(),
+            "clean EOF"
+        );
     }
 
     #[test]
     fn zero_and_oversized_lengths_rejected() {
         let mut zero = std::io::Cursor::new(vec![0u8, 0, 0, 0]);
         assert!(matches!(
-            read_frame(&mut zero).unwrap().unwrap(),
+            read_frame_with_body(&mut zero).unwrap().unwrap(),
             Err(CodecError::Oversized { .. })
         ));
         let huge = (MAX_FRAME_LEN as u32 + 1).to_le_bytes().to_vec();
         let mut huge = std::io::Cursor::new(huge);
         assert!(matches!(
-            read_frame(&mut huge).unwrap().unwrap(),
+            read_frame_with_body(&mut huge).unwrap().unwrap(),
             Err(CodecError::Oversized { .. })
         ));
     }
@@ -2433,6 +1839,6 @@ mod tests {
         let mut wire = 10u32.to_le_bytes().to_vec();
         wire.extend_from_slice(&[1, 2, 3]);
         let mut cursor = std::io::Cursor::new(wire);
-        assert!(read_frame(&mut cursor).is_err());
+        assert!(read_frame_with_body(&mut cursor).is_err());
     }
 }

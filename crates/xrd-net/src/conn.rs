@@ -274,22 +274,7 @@ impl Conn {
 
     /// Await one frame.
     pub fn recv(&mut self) -> Result<Frame, NetError> {
-        match crate::codec::read_frame_with_len(&mut self.reader)? {
-            None => {
-                conn_metrics().err_disconnected.incr();
-                xrd_obs::debug!("peer {} disconnected mid-exchange", self.peer);
-                Err(NetError::Disconnected)
-            }
-            Some(Err(e)) => {
-                conn_metrics().err_codec.incr();
-                xrd_obs::debug!("peer {} sent an unparseable frame: {e}", self.peer);
-                Err(e.into())
-            }
-            Some(Ok((frame, wire_len))) => {
-                self.bytes_received += wire_len;
-                Ok(frame)
-            }
-        }
+        self.recv_with_body().map(|(frame, _)| frame)
     }
 
     /// Await one frame, also returning its raw *body* bytes (tag plus

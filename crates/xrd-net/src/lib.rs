@@ -8,7 +8,8 @@
 //! * [`codec`] — the length-prefixed binary wire protocol: submissions,
 //!   mix batches (chunk streams with a running stream digest), hop
 //!   attestations, inner-key reveals and rotations, blame
-//!   messages, mailbox delivery/fetch; hand-rolled, hard size caps,
+//!   messages, mailbox delivery/fetch; every frame declared once in a
+//!   table its codec is derived from, hard size caps,
 //!   canonical-encoding checks.  Spec: `docs/PROTOCOL.md`;
 //! * [`conn`] — the client side of a connection (request/response with
 //!   byte accounting; [`Conn::stream_hop`], the one hop exchange, whose

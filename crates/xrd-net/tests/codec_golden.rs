@@ -24,10 +24,6 @@ use xrd_net::codec::Frame;
 /// `0..8` — recorded from the hand-written per-tag codec at `d2bb8a0`.
 const GOLDEN_DIGEST: &str = "5744d7c8a3b10f43e66af3abec2ad067406a7c7628d5fb2758f22f608ff54ac1";
 
-fn hex(bytes: &[u8]) -> String {
-    bytes.iter().map(|b| format!("{b:02x}")).collect()
-}
-
 #[test]
 fn every_frame_encodes_to_the_golden_bytes() {
     let mut h = xrd_crypto::Blake2b::new(32);
@@ -42,7 +38,11 @@ fn every_frame_encodes_to_the_golden_bytes() {
         }
     }
     assert!(frames >= 8 * 40, "only {frames} frames hashed");
-    assert_eq!(hex(&h.finalize_32()), GOLDEN_DIGEST, "wire bytes changed");
+    assert_eq!(
+        xrd_crypto::util::to_hex(&h.finalize_32()),
+        GOLDEN_DIGEST,
+        "wire bytes changed"
+    );
 }
 
 /// `docs/PROTOCOL.md` §3, byte for byte, in both directions.

@@ -15,16 +15,18 @@ use xrd_net::codec::{
     FrameDecoder, StreamError, MAX_FRAME_LEN,
 };
 
-use common::{arb_variant, chain_keys, mix_entries, mix_entry, scalar, LIVE_TAGS};
+use common::{arb_frame, arb_variant, chain_keys, live_tags, mix_entries, mix_entry, scalar};
 
-const N_VARIANTS: usize = LIVE_TAGS.len();
+/// Strategy bound for "any frame variant": [`arb_variant`] wraps the
+/// index over the live rows, so every row is reachable.
+const N_ROWS: usize = Frame::TAGS.len();
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
     /// Every frame type round-trips through encode/decode exactly.
     #[test]
-    fn every_frame_roundtrips(seed in any::<u64>(), variant in 0usize..N_VARIANTS * 3) {
+    fn every_frame_roundtrips(seed in any::<u64>(), variant in 0usize..N_ROWS) {
         let mut rng = StdRng::seed_from_u64(seed);
         let frame = arb_variant(&mut rng, variant);
         let encoded = frame.encode();
@@ -44,7 +46,7 @@ proptest! {
     /// Every strict prefix of a frame body fails with `Truncated` —
     /// never a panic, never a bogus success.
     #[test]
-    fn truncation_is_always_rejected(seed in any::<u64>(), variant in 0usize..N_VARIANTS) {
+    fn truncation_is_always_rejected(seed in any::<u64>(), variant in 0usize..N_ROWS) {
         let mut rng = StdRng::seed_from_u64(seed);
         let frame = arb_variant(&mut rng, variant);
         let body = &frame.encode()[4..];
@@ -59,7 +61,7 @@ proptest! {
     /// Appending garbage after a valid body is rejected as trailing
     /// bytes.
     #[test]
-    fn trailing_bytes_rejected(seed in any::<u64>(), variant in 0usize..N_VARIANTS) {
+    fn trailing_bytes_rejected(seed in any::<u64>(), variant in 0usize..N_ROWS) {
         let mut rng = StdRng::seed_from_u64(seed);
         let frame = arb_variant(&mut rng, variant);
         let mut body = frame.encode()[4..].to_vec();
@@ -85,7 +87,7 @@ proptest! {
     ) {
         let mut rng = StdRng::seed_from_u64(seed);
         let frames: Vec<Frame> = (0..n_frames)
-            .map(|i| arb_variant(&mut rng, seed as usize % N_VARIANTS + i))
+            .map(|i| arb_variant(&mut rng, seed as usize % N_ROWS + i))
             .collect();
         let mut wire = Vec::new();
         for f in &frames {
@@ -115,7 +117,7 @@ proptest! {
     #[test]
     fn incremental_decoder_pends_on_any_truncation(
         seed in any::<u64>(),
-        variant in 0usize..N_VARIANTS,
+        variant in 0usize..N_ROWS,
         cut_seed in any::<u64>(),
     ) {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -152,11 +154,31 @@ proptest! {
     }
 }
 
-/// `docs/PROTOCOL.md`'s tag tables and the codec agree, row for row:
-/// every `| 0xNN | Name |` row names what [`Frame::tag_name`] reports
-/// for that byte (`—` marks a retired tag: no name), and every tag the
-/// codec knows has a row — so a tag cannot be added, renamed or retired
-/// in one place only.
+/// A table row without a generator arm would go unfuzzed (and
+/// unpinned by `codec_golden`): the tags [`arb_frame`] builds are
+/// exactly the live rows of [`Frame::TAGS`], each arm builds the tag it
+/// is keyed by, and the table agrees with `tag`/`tag_name`.
+#[test]
+fn every_table_row_has_a_generator_arm() {
+    let mut rng = StdRng::seed_from_u64(1);
+    let built: Vec<u8> = (0..=u8::MAX)
+        .filter_map(|tag| arb_frame(&mut rng, tag).map(|frame| (tag, frame)))
+        .map(|(tag, frame)| {
+            assert_eq!(frame.tag(), tag, "arm {tag:#04x} builds another frame");
+            tag
+        })
+        .collect();
+    assert_eq!(built, live_tags());
+    for &(tag, name) in Frame::TAGS {
+        assert_eq!(Frame::tag_name(tag), (!name.is_empty()).then_some(name));
+    }
+}
+
+/// `docs/PROTOCOL.md`'s tag tables and the codec's frame table agree,
+/// row for row: every `| 0xNN | Name |` row is a row of [`Frame::TAGS`]
+/// with that name (`—` marks a reserved row: retired, never reused),
+/// and every table row is documented — so a tag cannot be added,
+/// renamed or retired in one place only.
 #[test]
 fn protocol_doc_tag_tables_match_the_codec() {
     let doc = std::fs::read_to_string(concat!(
@@ -164,7 +186,7 @@ fn protocol_doc_tag_tables_match_the_codec() {
         "/../../docs/PROTOCOL.md"
     ))
     .expect("docs/PROTOCOL.md is readable");
-    let mut documented = std::collections::BTreeSet::new();
+    let mut documented = Vec::new();
     for line in doc.lines() {
         let cells: Vec<&str> = line
             .split('|')
@@ -177,22 +199,9 @@ fn protocol_doc_tag_tables_match_the_codec() {
             continue;
         };
         let tag = u8::from_str_radix(tag, 16).expect("tag column is a byte");
-        let named = (*name != "—").then_some(*name);
-        assert_eq!(
-            Frame::tag_name(tag),
-            named,
-            "PROTOCOL.md row for tag {tag:#04x}"
-        );
-        assert!(documented.insert(tag), "tag {tag:#04x} has two rows");
+        documented.push((tag, if *name == "—" { "" } else { *name }));
     }
-    for tag in 0..=u8::MAX {
-        if let Some(name) = Frame::tag_name(tag) {
-            assert!(
-                documented.contains(&tag),
-                "{name} ({tag:#04x}) has no row in PROTOCOL.md"
-            );
-        }
-    }
+    assert_eq!(documented, Frame::TAGS, "PROTOCOL.md rows, in order");
 }
 
 #[test]

@@ -73,8 +73,7 @@ pub fn submission(rng: &mut StdRng) -> Submission {
 pub fn mailbox_message(rng: &mut StdRng) -> MailboxMessage {
     let mut sealed = vec![0u8; MAILBOX_MSG_LEN - 32];
     rng.fill_bytes(&mut sealed);
-    let mut mailbox = [0u8; 32];
-    rng.fill_bytes(&mut mailbox);
+    let mailbox = array32(rng);
     MailboxMessage { mailbox, sealed }
 }
 
@@ -338,15 +337,15 @@ pub fn arb_frame(rng: &mut StdRng, tag: u8) -> Option<Frame> {
     })
 }
 
-/// The tags [`arb_frame`] has an arm for (keep in sync).
-pub const LIVE_TAGS: [u8; 40] = [
-    0x01, 0x02, 0x03, 0x04, 0x05, 0x06, 0x07, 0x10, 0x11, 0x12, 0x13, 0x14, 0x15, 0x22, 0x24, 0x25,
-    0x26, 0x27, 0x28, 0x29, 0x2A, 0x2B, 0x2C, 0x2D, 0x30, 0x31, 0x32, 0x33, 0x34, 0x40, 0x41, 0x42,
-    0x43, 0x44, 0x45, 0x46, 0x50, 0x53, 0x54, 0x55,
-];
+/// The live (non-reserved) rows' tags of [`Frame::TAGS`].
+pub fn live_tags() -> Vec<u8> {
+    let live = Frame::TAGS.iter().filter(|(_, name)| !name.is_empty());
+    live.map(|&(tag, _)| tag).collect()
+}
 
-/// A random well-formed frame of the `variant`-th live tag, wrapping.
+/// A random well-formed frame of the `variant`-th live row, wrapping.
 pub fn arb_variant(rng: &mut StdRng, variant: usize) -> Frame {
-    let tag = LIVE_TAGS[variant % LIVE_TAGS.len()];
+    let live = live_tags();
+    let tag = live[variant % live.len()];
     arb_frame(rng, tag).unwrap_or_else(|| panic!("no generator arm for tag {tag:#04x}"))
 }

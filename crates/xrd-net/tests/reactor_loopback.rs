@@ -2,12 +2,10 @@
 //! dribblers, desynchronized streams, pipelined clients and graceful
 //! shutdown with connections still open — all over real loopback TCP.
 
-use std::io::Write;
-use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
-use xrd_net::codec::{error_code, read_frame, Frame};
+use xrd_net::codec::{error_code, Frame};
 use xrd_net::{Conn, MailboxDaemon, NetError};
 
 fn mailbox_message(byte: u8) -> xrd_mixnet::MailboxMessage {
@@ -28,7 +26,7 @@ fn byte_dribbling_peer_does_not_stall_other_connections() {
     let daemon = MailboxDaemon::spawn("127.0.0.1:0", 0, 1).expect("daemon spawns");
     let addr = daemon.addr();
 
-    let mut dribbler = TcpStream::connect(addr).expect("dribbler connects");
+    let mut dribbler = Conn::connect(addr).expect("dribbler connects");
     let mut fast = Conn::connect(addr).expect("fast client connects");
 
     let wire = Frame::FetchPage {
@@ -39,16 +37,16 @@ fn byte_dribbling_peer_does_not_stall_other_connections() {
     .encode();
     let (head, last) = wire.split_at(wire.len() - 1);
     for &byte in head {
-        dribbler.write_all(&[byte]).expect("dribble one byte");
+        dribbler.send_encoded(&[byte]).expect("dribble one byte");
         // While A is mid-frame, B's requests fly.
         fast.ping().expect("fast ping served");
     }
 
     // A's frame completes only now — and gets its answer (the mailbox
     // was never delivered to, which the shard reports as such).
-    dribbler.write_all(last).expect("final byte");
-    match read_frame(&mut dribbler).expect("response readable") {
-        Some(Ok(Frame::Error { code, .. })) => assert_eq!(code, error_code::UNKNOWN_MAILBOX),
+    dribbler.send_encoded(last).expect("final byte");
+    match dribbler.recv().expect("response readable") {
+        Frame::Error { code, .. } => assert_eq!(code, error_code::UNKNOWN_MAILBOX),
         other => panic!("expected UNKNOWN_MAILBOX error, got {other:?}"),
     }
 }
@@ -58,18 +56,18 @@ fn byte_dribbling_peer_does_not_stall_other_connections() {
 #[test]
 fn malformed_frame_answered_with_error_then_close() {
     let daemon = MailboxDaemon::spawn("127.0.0.1:0", 0, 1).expect("daemon spawns");
-    let mut stream = TcpStream::connect(daemon.addr()).expect("connects");
+    let mut conn = Conn::connect(daemon.addr()).expect("connects");
 
     let mut wire = 3u32.to_le_bytes().to_vec();
     wire.extend_from_slice(&[0xEE, 1, 2]); // unknown tag, 2 payload bytes
-    stream.write_all(&wire).expect("garbage sent");
+    conn.send_encoded(&wire).expect("garbage sent");
 
-    match read_frame(&mut stream).expect("error frame readable") {
-        Some(Ok(Frame::Error { code, .. })) => assert_eq!(code, error_code::BAD_STATE),
+    match conn.recv().expect("error frame readable") {
+        Frame::Error { code, .. } => assert_eq!(code, error_code::BAD_STATE),
         other => panic!("expected Error, got {other:?}"),
     }
     assert!(
-        read_frame(&mut stream).expect("EOF readable").is_none(),
+        matches!(conn.recv(), Err(NetError::Disconnected)),
         "daemon must close after a malformed frame"
     );
 }
@@ -80,16 +78,15 @@ fn malformed_frame_answered_with_error_then_close() {
 #[test]
 fn oversized_length_prefix_answered_with_error_then_close() {
     let daemon = MailboxDaemon::spawn("127.0.0.1:0", 0, 1).expect("daemon spawns");
-    let mut stream = TcpStream::connect(daemon.addr()).expect("connects");
+    let mut conn = Conn::connect(daemon.addr()).expect("connects");
 
-    stream
-        .write_all(&u32::MAX.to_le_bytes())
+    conn.send_encoded(&u32::MAX.to_le_bytes())
         .expect("bogus prefix sent");
-    match read_frame(&mut stream).expect("error frame readable") {
-        Some(Ok(Frame::Error { code, .. })) => assert_eq!(code, error_code::BAD_STATE),
+    match conn.recv().expect("error frame readable") {
+        Frame::Error { code, .. } => assert_eq!(code, error_code::BAD_STATE),
         other => panic!("expected Error, got {other:?}"),
     }
-    assert!(read_frame(&mut stream).expect("EOF readable").is_none());
+    assert!(matches!(conn.recv(), Err(NetError::Disconnected)));
 }
 
 /// Requests pipelined on one connection are answered in order: the
