@@ -906,6 +906,11 @@ impl<F: FieldBackend> NafLookupTable5<F> {
 }
 
 /// Straus' interleaved method over width-5 NAFs.
+///
+/// The accumulator is carried in completed form, like the window state
+/// of `radix16_ladder!`: a doubling that no addition follows — four in
+/// five, at width 5 — renormalizes to P2 (3 multiplications), and only
+/// the one an addition does follow pays for extended coordinates (4).
 fn vartime_straus<F: FieldBackend>(
     scalars: &[Scalar],
     points: &[EdwardsPoint<F>],
@@ -913,24 +918,23 @@ fn vartime_straus<F: FieldBackend>(
     let nafs: Vec<[i8; 256]> = scalars.iter().map(|s| s.non_adjacent_form(5)).collect();
     let tables: Vec<NafLookupTable5<F>> = points.iter().map(NafLookupTable5::new).collect();
 
-    let mut acc = EdwardsPoint::identity();
-    let mut started = false;
-    for i in (0..256).rev() {
-        if started {
-            acc = acc.double();
-        }
+    let Some(top) = (0..256).rev().find(|&i| nafs.iter().any(|naf| naf[i] != 0)) else {
+        return EdwardsPoint::identity();
+    };
+    // 2·O = O, in completed form.
+    let mut acc = EdwardsPoint::<F>::identity().to_projective_view().double();
+    for i in (0..=top).rev() {
+        acc = acc.to_projective().double();
         for (naf, table) in nafs.iter().zip(&tables) {
             let d = naf[i];
             if d > 0 {
-                acc = acc.add_projective_niels(table.select(d)).to_extended();
-                started = true;
+                acc = acc.to_extended().add_projective_niels(table.select(d));
             } else if d < 0 {
-                acc = acc.sub_projective_niels(table.select(-d)).to_extended();
-                started = true;
+                acc = acc.to_extended().sub_projective_niels(table.select(-d));
             }
         }
     }
-    acc
+    acc.to_extended()
 }
 
 /// Normalize a slice of extended points to affine Niels caches with a
@@ -1339,37 +1343,85 @@ mod tests {
         assert!(lhs.ct_eq(&rhs));
     }
 
-    #[test]
-    fn vartime_scalar_mul_matches_ct() {
-        let mut rng = StdRng::seed_from_u64(78);
-        let p = EdwardsPoint::base_mul(&Scalar::random(&mut rng));
+    /// [`edge_scalars`] plus the top of the NAF: 2^252 (the highest
+    /// bit a reduced scalar has), the all-ones run below it, and the
+    /// two top bits together.
+    fn vartime_edge_scalars() -> Vec<Scalar> {
+        let mut edges = edge_scalars();
+        let mut top = [0u8; 32];
+        top[31] = 0x10;
+        let two_252 = Scalar::from_bytes_mod_order(&top);
+        top[31] = 0x0c;
+        edges.extend([
+            two_252,
+            two_252.sub(&Scalar::ONE),
+            Scalar::from_bytes_mod_order(&top),
+        ]);
+        edges
+    }
+
+    fn vartime_scalar_mul_matches_ladder<F: FieldBackend>(seed: u64) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let enc = EdwardsPoint::base_mul(&Scalar::random(&mut rng)).compress();
+        let p: EdwardsPoint<F> = EdwardsPoint::decompress(&enc).expect("valid point");
         for _ in 0..8 {
             let s = Scalar::random(&mut rng);
             assert!(p.vartime_scalar_mul(&s).ct_eq(&p.scalar_mul(&s)));
         }
-        for k in [0u64, 1, 2, 16, 31, 32] {
-            let s = Scalar::from_u64(k);
-            assert!(p.vartime_scalar_mul(&s).ct_eq(&p.scalar_mul(&s)), "k={k}");
+        for s in vartime_edge_scalars() {
+            let fast = p.vartime_scalar_mul(&s);
+            assert!(fast.is_on_curve(), "s={s:?}");
+            assert!(fast.ct_eq(&p.scalar_mul(&s)), "s={s:?}");
         }
+        let identity = EdwardsPoint::<F>::identity();
+        assert!(identity
+            .vartime_scalar_mul(&Scalar::random(&mut rng))
+            .is_identity());
+    }
+
+    #[test]
+    fn vartime_scalar_mul_matches_ct() {
+        use crate::field::{fiat51, sat64};
+        vartime_scalar_mul_matches_ladder::<fiat51::FieldElement>(78);
+        vartime_scalar_mul_matches_ladder::<sat64::FieldElement>(178);
+    }
+
+    fn multiscalar_matches_naive<F: FieldBackend>(seed: u64) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let random_point = |rng: &mut StdRng| -> EdwardsPoint<F> {
+            let enc = EdwardsPoint::base_mul(&Scalar::random(rng)).compress();
+            EdwardsPoint::decompress(&enc).expect("valid point")
+        };
+        let naive = |scalars: &[Scalar], points: &[EdwardsPoint<F>]| {
+            scalars
+                .iter()
+                .zip(points)
+                .fold(EdwardsPoint::identity(), |acc, (s, p)| {
+                    acc.add(&p.scalar_mul(s))
+                })
+        };
+        for n in [0usize, 1, 2, 3, 8, 20] {
+            let scalars: Vec<Scalar> = (0..n).map(|_| Scalar::random(&mut rng)).collect();
+            let points: Vec<EdwardsPoint<F>> = (0..n).map(|_| random_point(&mut rng)).collect();
+            let fast = EdwardsPoint::vartime_multiscalar_mul(&scalars, &points);
+            assert!(fast.ct_eq(&naive(&scalars, &points)), "n={n}");
+        }
+        // Every edge scalar at once, each on a point of its own: zero
+        // rows, rows that end at bit 0, rows that start at bit 252.
+        let scalars = vartime_edge_scalars();
+        let points: Vec<EdwardsPoint<F>> = scalars.iter().map(|_| random_point(&mut rng)).collect();
+        let fast = EdwardsPoint::vartime_multiscalar_mul(&scalars, &points);
+        assert!(fast.ct_eq(&naive(&scalars, &points)));
+        // All-zero scalars never start the accumulator.
+        let zeros = vec![Scalar::ZERO; 3];
+        assert!(EdwardsPoint::vartime_multiscalar_mul(&zeros, &points[..3]).is_identity());
     }
 
     #[test]
     fn multiscalar_small_matches_naive() {
-        let mut rng = StdRng::seed_from_u64(79);
-        for n in [0usize, 1, 2, 3, 8, 20] {
-            let scalars: Vec<Scalar> = (0..n).map(|_| Scalar::random(&mut rng)).collect();
-            let points: Vec<EdwardsPoint> = (0..n)
-                .map(|_| EdwardsPoint::base_mul(&Scalar::random(&mut rng)))
-                .collect();
-            let naive = scalars
-                .iter()
-                .zip(&points)
-                .fold(EdwardsPoint::identity(), |acc, (s, p)| {
-                    acc.add(&p.scalar_mul(s))
-                });
-            let fast = EdwardsPoint::vartime_multiscalar_mul(&scalars, &points);
-            assert!(fast.ct_eq(&naive), "n={n}");
-        }
+        use crate::field::{fiat51, sat64};
+        multiscalar_matches_naive::<fiat51::FieldElement>(79);
+        multiscalar_matches_naive::<sat64::FieldElement>(179);
     }
 
     #[test]
