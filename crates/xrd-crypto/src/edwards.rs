@@ -1263,11 +1263,17 @@ mod tests {
         edges
     }
 
+    /// A random point on backend `F` (through the wire encoding: the
+    /// fixed-base table that draws it is the build-selected backend's).
+    fn random_point<F: FieldBackend>(rng: &mut StdRng) -> EdwardsPoint<F> {
+        let enc = EdwardsPoint::base_mul(&Scalar::random(rng)).compress();
+        EdwardsPoint::decompress(&enc).expect("valid point")
+    }
+
     fn fixed_base_table_matches_ladder<F: FieldBackend>(seed: u64) {
         let mut rng = StdRng::seed_from_u64(seed);
         for _ in 0..3 {
-            let enc = EdwardsPoint::base_mul(&Scalar::random(&mut rng)).compress();
-            let p: EdwardsPoint<F> = EdwardsPoint::decompress(&enc).expect("valid point");
+            let p: EdwardsPoint<F> = random_point(&mut rng);
             let table = FixedBaseTable::new(&p);
             for _ in 0..6 {
                 let s = Scalar::random(&mut rng);
@@ -1362,8 +1368,7 @@ mod tests {
 
     fn vartime_scalar_mul_matches_ladder<F: FieldBackend>(seed: u64) {
         let mut rng = StdRng::seed_from_u64(seed);
-        let enc = EdwardsPoint::base_mul(&Scalar::random(&mut rng)).compress();
-        let p: EdwardsPoint<F> = EdwardsPoint::decompress(&enc).expect("valid point");
+        let p: EdwardsPoint<F> = random_point(&mut rng);
         for _ in 0..8 {
             let s = Scalar::random(&mut rng);
             assert!(p.vartime_scalar_mul(&s).ct_eq(&p.scalar_mul(&s)));
@@ -1388,10 +1393,6 @@ mod tests {
 
     fn multiscalar_matches_naive<F: FieldBackend>(seed: u64) {
         let mut rng = StdRng::seed_from_u64(seed);
-        let random_point = |rng: &mut StdRng| -> EdwardsPoint<F> {
-            let enc = EdwardsPoint::base_mul(&Scalar::random(rng)).compress();
-            EdwardsPoint::decompress(&enc).expect("valid point")
-        };
         let naive = |scalars: &[Scalar], points: &[EdwardsPoint<F>]| {
             scalars
                 .iter()
