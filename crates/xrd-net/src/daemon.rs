@@ -2,9 +2,11 @@
 //! protocol of [`crate::codec`].
 //!
 //! * [`MixServerDaemon`] — one hop position of one mix chain: accepts
-//!   user submissions during the round window, fixes the canonical
-//!   batch, runs AHS hops, verifies other servers' hop attestations,
-//!   answers blame requests, reveals inner keys and rotates them.
+//!   user submissions during the round window (their proofs of
+//!   knowledge checked a reactor tick at a time, in one batched
+//!   verification per tick), fixes the canonical batch, runs AHS hops,
+//!   verifies other servers' hop attestations, answers blame requests,
+//!   reveals inner keys and rotates them.
 //! * [`MailboxDaemon`] — one mailbox shard: accepts (idempotent,
 //!   batch-deduped) deliveries from the mix layer and serves clients
 //!   paginated, ack-driven fetches over a pluggable
@@ -191,6 +193,9 @@ fn mix_metrics() -> &'static MixMetrics {
     static METRICS: std::sync::OnceLock<MixMetrics> = std::sync::OnceLock::new();
     METRICS.get_or_init(|| MixMetrics {
         rejected_quota: xrd_obs::counter("submit.rejected.quota"),
+        screen_batch: xrd_obs::hist("submit.screen_batch"),
+        screen_us: xrd_obs::hist("submit.screen_us"),
+        screen_fallbacks: xrd_obs::counter("submit.screen_fallbacks"),
         evidence_served: xrd_obs::counter("dispute.evidence.served"),
         verdicts_heard: xrd_obs::counter("dispute.verdicts.heard"),
     })
@@ -199,6 +204,14 @@ fn mix_metrics() -> &'static MixMetrics {
 struct MixMetrics {
     /// Submissions rejected by [`SubmissionPolicy`].
     rejected_quota: &'static xrd_obs::Counter,
+    /// Submissions per screening — how many proofs of knowledge shared
+    /// one batched check (sums to the submissions received).
+    screen_batch: &'static xrd_obs::Histogram,
+    /// Latency of one screening, µs.
+    screen_us: &'static xrd_obs::Histogram,
+    /// Screenings whose batch rejected and fell back to per-proof
+    /// checks to name the offenders (0 on an honest window).
+    screen_fallbacks: &'static xrd_obs::Counter,
     /// [`Frame::DisputeOpen`]s answered with signed evidence.
     evidence_served: &'static xrd_obs::Counter,
     /// [`Frame::DisputeVerdict`]s received and recorded.
@@ -215,8 +228,17 @@ struct MixState {
     pending_isk: Option<(u64, xrd_crypto::Scalar)>,
     /// Round currently accepting submissions.
     open_round: Option<u64>,
-    /// Submissions received for the open round (arrival order).
+    /// Submissions admitted to the open round (arrival order).
     pending_subs: Vec<Submission>,
+    /// Submissions of the open round that passed the inline checks but
+    /// whose proof of knowledge is not yet checked, with the connection
+    /// each `Ok` is held on.  [`MixState::screen`] empties it once per
+    /// reactor tick, and before anything that reads or resets the
+    /// window.
+    unscreened: Vec<(ConnId, Submission)>,
+    /// Verdicts of screened-out submissions, for the tick's commit to
+    /// put in place of their held `Ok`.
+    rejections: Vec<(ConnId, Frame)>,
     /// Canonical (sorted) batches per closed round.
     batches: HashMap<u64, Vec<Submission>>,
     /// In-flight streamed hop sessions, one per connection.
@@ -486,7 +508,78 @@ impl MixState {
         None
     }
 
-    fn handle(&mut self, conn: ConnId, frame: Frame) -> Frame {
+    /// `Submit`: the cheap checks — window, quotas, onion size — then
+    /// queue the submission for the tick's screening.  Returns the
+    /// refusal if a check failed; `None` means the submission is queued
+    /// and its `Ok` is to be held for the commit, which may still turn
+    /// it into a rejection — the proof of knowledge is not checked
+    /// here.  Queued submissions count against the window cap as if
+    /// admitted, so the cap is never overshot (a connection has at most
+    /// one queued — its pending slot is taken — so its own quota needs
+    /// no such allowance).
+    fn queue_submission(
+        &mut self,
+        conn: ConnId,
+        round: u64,
+        submission: Submission,
+    ) -> Option<Frame> {
+        if self.open_round != Some(round) {
+            return Some(err(error_code::UNKNOWN_ROUND, "no submission window open"));
+        }
+        if self.pending_subs.len() + self.unscreened.len() >= self.policy.max_pending {
+            mix_metrics().rejected_quota.incr();
+            return Some(err(error_code::QUOTA_EXCEEDED, "submission window full"));
+        }
+        if self.submitted.get(&conn).copied().unwrap_or(0) >= self.policy.max_per_conn {
+            mix_metrics().rejected_quota.incr();
+            return Some(err(
+                error_code::QUOTA_EXCEEDED,
+                "per-connection quota exhausted",
+            ));
+        }
+        if submission.ct.len() != outer_ct_len(self.public().len()) {
+            return Some(err(error_code::REJECTED_SUBMISSION, "wrong onion size"));
+        }
+        self.unscreened.push((conn, submission));
+        None
+    }
+
+    /// Check the proof of knowledge of everything queued since the last
+    /// screening in **one** batched verification
+    /// ([`Submission::verify_poks`]: one multiscalar multiplication; a
+    /// rejecting batch falls back to per-proof checks, so exactly the
+    /// proofs a single check refuses are refused).  Passers are
+    /// admitted to the window in arrival order; each offender's
+    /// rejection waits in `rejections` for the tick's commit.
+    fn screen(&mut self) {
+        if self.unscreened.is_empty() {
+            return;
+        }
+        let round = self
+            .open_round
+            .expect("submissions queue only for the open window, which screens before it changes");
+        let started = std::time::Instant::now();
+        let (conns, submissions): (Vec<ConnId>, Vec<Submission>) =
+            std::mem::take(&mut self.unscreened).into_iter().unzip();
+        let verdicts = Submission::verify_poks(round, &submissions);
+        let metrics = mix_metrics();
+        metrics.screen_batch.record(submissions.len() as u64);
+        if verdicts.contains(&false) {
+            metrics.screen_fallbacks.incr();
+        }
+        for ((conn, submission), valid) in conns.into_iter().zip(submissions).zip(verdicts) {
+            if valid {
+                *self.submitted.entry(conn).or_insert(0) += 1;
+                self.pending_subs.push(submission);
+            } else {
+                let refusal = err(error_code::REJECTED_SUBMISSION, "invalid PoK");
+                self.rejections.push((conn, refusal));
+            }
+        }
+        metrics.screen_us.record_duration(started.elapsed());
+    }
+
+    fn handle(&mut self, frame: Frame) -> Frame {
         match frame {
             Frame::Ping => Frame::Pong,
             Frame::OpenRound { round } => {
@@ -494,6 +587,9 @@ impl MixState {
                 // re-sent open for the already-open round must not
                 // discard submissions accepted in between.
                 if self.open_round != Some(round) {
+                    // What the old window still has queued gets its
+                    // verdict before the window goes.
+                    self.screen();
                     self.open_round = Some(round);
                     self.pending_subs.clear();
                     self.submitted.clear();
@@ -503,29 +599,6 @@ impl MixState {
                         return e;
                     }
                 }
-                Frame::Ok
-            }
-            Frame::Submit { round, submission } => {
-                if self.open_round != Some(round) {
-                    return err(error_code::UNKNOWN_ROUND, "no submission window open");
-                }
-                if self.pending_subs.len() >= self.policy.max_pending {
-                    mix_metrics().rejected_quota.incr();
-                    return err(error_code::QUOTA_EXCEEDED, "submission window full");
-                }
-                if self.submitted.get(&conn).copied().unwrap_or(0) >= self.policy.max_per_conn {
-                    mix_metrics().rejected_quota.incr();
-                    return err(error_code::QUOTA_EXCEEDED, "per-connection quota exhausted");
-                }
-                let k = self.public().len();
-                if submission.ct.len() != outer_ct_len(k) {
-                    return err(error_code::REJECTED_SUBMISSION, "wrong onion size");
-                }
-                if !submission.verify_pok(round) {
-                    return err(error_code::REJECTED_SUBMISSION, "invalid PoK");
-                }
-                *self.submitted.entry(conn).or_insert(0) += 1;
-                self.pending_subs.push(submission);
                 Frame::Ok
             }
             Frame::CloseSubmissions { round } => {
@@ -543,6 +616,10 @@ impl MixState {
                     }
                     return err(error_code::UNKNOWN_ROUND, "window not open for round");
                 }
+                // The batch a digest fixes never depends on where a
+                // tick boundary fell: whatever this tick queued ahead
+                // of the close is screened into it first.
+                self.screen();
                 self.open_round = None;
                 // Canonical order: sort by serialized bytes, so every
                 // server that received the same set fixes the same batch.
@@ -676,10 +753,12 @@ impl MixState {
     }
 }
 
-/// The mix daemon's [`Service`]: cheap frames (submissions, window
-/// control, key management, blame) are answered inline off
-/// [`MixState::handle`]; hop crypto and attestation verification are
-/// deferred to the worker pool so the reactor thread stays free to
+/// The mix daemon's [`Service`]: cheap frames (window control, key
+/// management, blame) are answered inline off [`MixState::handle`]; a
+/// submission passes its cheap checks inline and has its proof of
+/// knowledge checked with the rest of its tick's in [`Service::commit`],
+/// its `Ok` held until then; hop crypto and attestation verification
+/// are deferred to the worker pool so the reactor thread stays free to
 /// serve submissions while a hop is in flight.
 struct MixService {
     state: Arc<Mutex<MixState>>,
@@ -979,6 +1058,14 @@ impl Service for MixService {
                 state.forward_reports.retain(|&r, _| r + 1 >= round);
                 Outcome::reply(Frame::Ok)
             }
+            // The `Ok` waits for the tick's screening: every submission
+            // gets its verdict before its acknowledgement.
+            Frame::Submit { round, submission } => {
+                match self.lock().queue_submission(conn, round, submission) {
+                    None => Outcome::ReplyAfterCommit(vec![Frame::Ok]),
+                    Some(refusal) => Outcome::reply(refusal),
+                }
+            }
             Frame::MixBatchStart { round, total } => self.stream_start(conn, round, total),
             Frame::MixBatchChunk { entries } => self.stream_chunk(conn, entries, workers),
             Frame::MixBatchEnd { digest } => self.stream_end(conn, digest),
@@ -996,7 +1083,7 @@ impl Service for MixService {
                 output_dhs,
                 proof,
             } => self.defer_dispute(round, accused, input_dhs, output_dhs, proof, None),
-            other => Outcome::reply(self.lock().handle(conn, other)),
+            other => Outcome::reply(self.lock().handle(other)),
         }
     }
 
@@ -1006,6 +1093,15 @@ impl Service for MixService {
         let mut state = self.lock();
         state.streams.remove(&conn);
         state.submitted.remove(&conn);
+    }
+
+    /// The tick's screening: one batched proof check over every
+    /// submission the iteration queued; the offenders' held `Ok`s
+    /// become their rejections.
+    fn commit(&self) -> Result<Vec<(ConnId, Frame)>, Frame> {
+        let mut state = self.lock();
+        state.screen();
+        Ok(std::mem::take(&mut state.rejections))
     }
 }
 
@@ -1133,6 +1229,10 @@ impl Service for ByzantineService {
     fn on_close(&self, conn: ConnId) {
         self.inner.on_close(conn);
     }
+
+    fn commit(&self) -> Result<Vec<(ConnId, Frame)>, Frame> {
+        self.inner.commit()
+    }
 }
 
 /// [`ByzantineMode::CorruptHop`]'s lie: if `reply` is a hop's
@@ -1196,6 +1296,8 @@ impl MixServerDaemon {
             pending_isk,
             open_round,
             pending_subs: Vec::new(),
+            unscreened: Vec::new(),
+            rejections: Vec::new(),
             batches: HashMap::new(),
             streams: HashMap::new(),
             policy,
@@ -1528,9 +1630,9 @@ impl Service for MailboxService {
             .handle(frame)
     }
 
-    fn commit(&self) -> Result<(), Frame> {
+    fn commit(&self) -> Result<Vec<(ConnId, Frame)>, Frame> {
         let mut state = self.state.lock().expect("mailbox state poisoned");
-        state.store.flush().map_err(|e| {
+        state.store.flush().map(|()| Vec::new()).map_err(|e| {
             let refusal = mailbox_err(e);
             state.failed = Some(refusal.clone());
             refusal
@@ -1586,5 +1688,72 @@ impl MailboxDaemon {
             failed: None,
         });
         spawn_daemon(addr, Arc::new(MailboxService { state }))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use xrd_mixnet::chain_keys::{generate_chain_keys, rotate_inner_keys};
+
+    /// A hop-0 state with round 0's window open and four submissions
+    /// queued unscreened on connections 10..14 — the one on connection
+    /// 12 with a proof bound to another round.
+    fn state_with_queued_submissions() -> Arc<Mutex<MixState>> {
+        let mut rng = StdRng::seed_from_u64(41);
+        let (mut secrets, mut public) = generate_chain_keys(&mut rng, 3, 0);
+        rotate_inner_keys(&mut rng, &mut secrets, &mut public, 0);
+        let mut submissions = crate::swarm::sealed_submissions(&mut rng, &public, 0, 4);
+        submissions[2] = crate::swarm::sealed_submissions(&mut rng, &public, 9, 1).remove(0);
+        let policy = SubmissionPolicy::default();
+        let state = MixServerDaemon::state(secrets.remove(0), public, 7, policy, None);
+        {
+            let mut st = state.lock().unwrap();
+            assert_eq!(st.handle(Frame::OpenRound { round: 0 }), Frame::Ok);
+            for (conn, submission) in (10..).zip(submissions) {
+                assert_eq!(st.queue_submission(conn, 0, submission), None);
+            }
+            assert!(st.pending_subs.is_empty(), "nothing is admitted unscreened");
+        }
+        state
+    }
+
+    /// The one offender's rejection, as the commit will hand it over.
+    fn assert_only_conn_12_rejected(st: &MixState) {
+        assert!(st.unscreened.is_empty());
+        match &st.rejections[..] {
+            [(12, Frame::Error { code, .. })] => {
+                assert_eq!(*code, error_code::REJECTED_SUBMISSION)
+            }
+            other => panic!("expected connection 12's rejection alone, got {other:?}"),
+        }
+    }
+
+    /// A `CloseSubmissions` handled in the same tick as queued
+    /// submissions — before that tick's commit — screens them first:
+    /// the digest covers exactly the valid ones, wherever the tick
+    /// boundary fell.
+    #[test]
+    fn closing_the_window_screens_what_is_queued() {
+        let state = state_with_queued_submissions();
+        let mut st = state.lock().unwrap();
+        match st.handle(Frame::CloseSubmissions { round: 0 }) {
+            Frame::BatchDigest { count, .. } => assert_eq!(count, 3),
+            other => panic!("expected BatchDigest, got {other:?}"),
+        }
+        assert_only_conn_12_rejected(&st);
+        assert_eq!(st.batches[&0].len(), 3);
+    }
+
+    /// Opening the next window does the same before it resets the old
+    /// one: the queued submissions' held replies still get their
+    /// verdicts, and none of them leaks into the new window.
+    #[test]
+    fn opening_the_next_window_screens_what_is_queued() {
+        let state = state_with_queued_submissions();
+        let mut st = state.lock().unwrap();
+        assert_eq!(st.handle(Frame::OpenRound { round: 1 }), Frame::Ok);
+        assert_only_conn_12_rejected(&st);
+        assert!(st.pending_subs.is_empty() && st.submitted.is_empty());
     }
 }

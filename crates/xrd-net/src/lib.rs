@@ -39,11 +39,13 @@
 //! * [`swarm`] — the emulated client fleet: a single-threaded client
 //!   reactor ([`swarm::reactor`]) pumping 10k–100k per-user connection
 //!   state machines (submit → ack, fetch pages → ack) from one epoll
-//!   loop, with latency/throughput reporting; [`submit_storm`] storms
-//!   one daemon with tens of thousands of concurrent submitters and
-//!   [`mailbox_storm`] the mailbox shards with 100k+ users, each
-//!   fetching her own mailbox ([`swarm::reactor::fetch_mailboxes`],
-//!   the one fetch walk — a round's fetch phase runs it too);
+//!   loop — as a value ([`swarm::reactor::ClientReactor`]) a
+//!   deployment owns, so its users keep their connections across
+//!   rounds — with latency/throughput reporting; [`submit_storm`]
+//!   storms one daemon with tens of thousands of concurrent submitters
+//!   and [`mailbox_storm`] the mailbox shards with 100k+ users, each
+//!   fetching her own mailbox ([`swarm::reactor::fetch_sessions`], the
+//!   one fetch walk — a round's fetch phase runs it too);
 //! * [`manifest`] — parsed, validated deployment manifests: hosts,
 //!   per-process chain/hop/shard placement, ports, and the
 //!   daemon-to-daemon forwarding links, all checked against the

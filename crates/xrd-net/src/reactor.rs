@@ -34,19 +34,29 @@
 //! blocks on crypto: submissions keep flowing on other connections
 //! while a hop is in flight.
 //!
-//! A service whose replies promise durability returns the third
-//! outcome, [`Outcome::ReplyAfterCommit`]: the reactor holds the encoded
-//! reply (the connection's pending slot is occupied, so its
-//! request/response order is untouched) and, at the end of every loop
-//! iteration that held anything, calls [`Service::commit`] **once** —
-//! the service's one durability point, an `fdatasync` for a persistent
-//! mailbox shard — then releases every held reply, or the commit's error
-//! frame in place of each.  One iteration is therefore: readiness →
-//! handlers → one `commit` → release.  Nothing lingers and no batch
-//! size is configured: the group is whatever became readable while the
-//! previous commit ran (as many connections as one poller wait reports
-//! — its event buffer holds 256), so a lone request pays exactly one
-//! commit and waits for no company, and a herd shares its syncs.
+//! A service with something to do **once per tick** before certain
+//! replies may leave returns the third outcome,
+//! [`Outcome::ReplyAfterCommit`]: the reactor holds the encoded reply
+//! (the connection's pending slot is occupied, so its request/response
+//! order is untouched) and, at the end of every loop iteration that held
+//! anything, calls [`Service::commit`] **once** — the service's
+//! once-per-tick point: an `fdatasync` for a persistent mailbox shard,
+//! one batched proof-of-knowledge check over every submission the tick
+//! queued for a mix daemon — then releases the held replies.  The commit
+//! may replace individual held replies by connection (the submissions
+//! whose proof failed read their rejection where the others read `Ok`),
+//! or refuse the lot with one error frame (a failed sync).  One iteration
+//! is therefore: readiness → handlers → one `commit` → release.  Nothing
+//! lingers and no batch size is configured: the group is whatever became
+//! readable while the previous commit ran (as many connections as one
+//! poller wait reports — its event buffer holds 256), so a lone request
+//! pays exactly one commit and waits for no company, and a herd shares
+//! its syncs and its multiscalar multiplications.
+//!
+//! A connection that has gone quiet — nothing buffered either way,
+//! blocked on its next request — gives its decode and output buffers
+//! back: clients keep their connections across rounds, and thousands of
+//! idle sockets must not each pin the buffers their last frame grew.
 
 use std::collections::{HashMap, VecDeque};
 use std::io::{Read, Write};
@@ -89,9 +99,10 @@ pub enum Outcome {
     /// [`Service::commit`] has returned: the reactor holds the encoded
     /// reply with this connection's pending slot occupied, commits once
     /// at the end of the loop iteration for every reply held in it, and
-    /// then releases them — or, if the commit failed, its error frame
-    /// in place of each.  For replies that acknowledge a write the
-    /// commit makes durable.
+    /// then releases them — each as it was held, unless the commit
+    /// replaced it (by connection) or refused them all.  For replies
+    /// that acknowledge what only the commit settles: a write it makes
+    /// durable, a submission it screens.
     ReplyAfterCommit(Vec<Frame>),
 }
 
@@ -126,15 +137,21 @@ pub trait Service: Send + Sync + 'static {
         let _ = handle;
     }
 
-    /// Make durable whatever the handlers of this loop iteration wrote.
-    /// Called once at the end of every iteration in which a handler
-    /// returned [`Outcome::ReplyAfterCommit`], on the reactor thread,
-    /// before any of those replies is released.  On `Err` the frame is
-    /// sent in place of every held reply.  Default: nothing to commit.
-    // The refusal is the cold path; `Ok(())` is what runs every tick.
+    /// The service's once-per-tick point: settle whatever the handlers
+    /// of this loop iteration left pending behind an
+    /// [`Outcome::ReplyAfterCommit`] — sync what they wrote, screen what
+    /// they queued.  Called once at the end of every iteration in which
+    /// a handler returned one, on the reactor thread, before any of
+    /// those replies is released.  `Ok(replaced)` releases every held
+    /// reply as it stands except those of the listed connections, which
+    /// read the given frame instead (a connection holds at most one
+    /// reply, so the id names it); `Err(frame)` sends `frame` in place
+    /// of every held reply.  Default: nothing to settle.
+    // The refusals are the cold path; `Ok(vec![])` is what runs every
+    // tick, and an empty vector allocates nothing.
     #[allow(clippy::result_large_err)]
-    fn commit(&self) -> Result<(), Frame> {
-        Ok(())
+    fn commit(&self) -> Result<Vec<(ConnId, Frame)>, Frame> {
+        Ok(Vec::new())
     }
 }
 
@@ -764,6 +781,18 @@ impl Connection {
         Ok(true)
     }
 
+    /// The connection has gone quiet: everything it was sent is
+    /// answered, every answer is on the wire, and the socket has no
+    /// more for it.  Hand back the buffers its last frames grew — a
+    /// client keeping the connection for the next round costs a socket,
+    /// not the ~1 KiB its last `Submit` occupied.
+    fn rest(&mut self) {
+        if self.decoder.buffered() == 0 {
+            self.decoder = FrameDecoder::new();
+            self.outbuf = Vec::new();
+        }
+    }
+
     /// Drive this connection as far as the socket allows or the frame
     /// budget permits: flush pending output, process buffered frames
     /// (one at a time — the next request is handled only after the
@@ -924,7 +953,10 @@ impl Connection {
                     self.decoder.feed(&read_buf[..n]);
                     continue;
                 }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => return Action::Keep,
+                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
+                    self.rest();
+                    return Action::Keep;
+                }
                 Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
                 Err(_) => {
                     metrics.err_io.incr();
@@ -1271,10 +1303,21 @@ impl Reactor {
                 self.metrics.commit_us.record_duration(started.elapsed());
                 self.metrics.commits.incr();
                 self.metrics.commit_held.record(held.len() as u64);
-                if let Err(frame) = committed {
-                    let refusal = frame.encode();
-                    for reply in &mut held {
-                        reply.bytes.clone_from(&refusal);
+                match committed {
+                    Ok(replaced) if replaced.is_empty() => {}
+                    Ok(replaced) => {
+                        let mut replaced: HashMap<ConnId, Frame> = replaced.into_iter().collect();
+                        for reply in &mut held {
+                            if let Some(frame) = replaced.remove(&reply.conn) {
+                                reply.bytes = frame.encode();
+                            }
+                        }
+                    }
+                    Err(frame) => {
+                        let refusal = frame.encode();
+                        for reply in &mut held {
+                            reply.bytes.clone_from(&refusal);
+                        }
                     }
                 }
                 released.append(&mut held);

@@ -75,6 +75,11 @@ pub struct RemoteDeployment {
     /// users' submit and fetch sessions on the client reactor take the
     /// connect and read deadlines as their dial and idle ceilings.
     timeouts: ConnTimeouts,
+    /// The users' side of the wire: every round's submit and fetch
+    /// sessions are driven through this one reactor, which keeps each
+    /// lane's connections between rounds — a steady-state round dials
+    /// nothing.
+    clients: client_reactor::ClientReactor,
 }
 
 impl RemoteDeployment {
@@ -144,6 +149,7 @@ impl RemoteDeployment {
             dead: vec![false; n_chains],
             retry,
             timeouts,
+            clients: client_reactor::ClientReactor::new()?,
         };
         // Pre-publish round-1 inner keys (§5.3.3: covers for ρ+1 are
         // sealed while ρ runs).
@@ -494,17 +500,16 @@ impl RemoteDeployment {
         Ok((report, fetched))
     }
 
-    /// The reactor drive knobs for `sessions` users, derived from the
-    /// deployment's own deadlines and retry policy so reactor-driven
-    /// clients fail (and heal) on the same clock as the blocking
-    /// coordinator conns: the connect/read deadlines become the dial
-    /// and idle ceilings, the retry budget matches the request policy.
-    /// Chaos tests shrink the deployment's timeouts to milliseconds — a
-    /// dropped response must redial immediately, not stall until the
-    /// reactor's whole-run deadline.  The in-flight cap is fitted to
-    /// the process's fd budget, so a population larger than it drains
-    /// in waves instead of dying on `EMFILE`.
-    fn drive_config(&self, sessions: usize) -> client_reactor::DriveConfig {
+    /// The reactor drive knobs, derived from the deployment's own
+    /// deadlines and retry policy so reactor-driven clients fail (and
+    /// heal) on the same clock as the blocking coordinator conns: the
+    /// connect/read deadlines become the dial and idle ceilings, the
+    /// retry budget matches the request policy.  Chaos tests shrink the
+    /// deployment's timeouts to milliseconds — a dropped response must
+    /// redial immediately, not stall until the reactor's whole-run
+    /// deadline.  The fd budget is the reactor's, not a drive's: it
+    /// holds the kept connections too.
+    fn drive_config(&self) -> client_reactor::DriveConfig {
         let defaults = client_reactor::DriveConfig::default();
         client_reactor::DriveConfig {
             max_retries: self.retry.attempts.saturating_sub(1),
@@ -517,7 +522,6 @@ impl RemoteDeployment {
             deadline: defaults.deadline.max(self.timeouts.read * 4),
             ..defaults
         }
-        .within_fd_budget(sessions)
     }
 
     /// The submission window: one [`client_reactor::SubmitSession`] per
@@ -528,7 +532,7 @@ impl RemoteDeployment {
     /// other refusal, or transport trouble the session's bounded
     /// retries could not heal, fails the chain.
     fn submit_reactor(
-        &self,
+        &mut self,
         round: u64,
         per_chain: &[Vec<Submission>],
         failed: &mut [Option<String>],
@@ -536,11 +540,16 @@ impl RemoteDeployment {
         let mut chain_of: Vec<usize> = Vec::new();
         let mut sessions: Vec<client_reactor::SubmitSession> = Vec::new();
         for (c, subs) in per_chain.iter().enumerate() {
-            if failed[c].is_some() {
-                continue;
-            }
+            // A failed chain's submissions still take their lanes (as
+            // sessions with nothing to send), so every other
+            // submission's lane — and with it the connections the lane
+            // kept — is where it was last round.
+            let addrs: &[SocketAddr] = match failed[c] {
+                None => &self.chain_addrs[c],
+                Some(_) => &[],
+            };
             for submission in subs {
-                let exchanges: Vec<(SocketAddr, Frame)> = self.chain_addrs[c]
+                let exchanges: Vec<(SocketAddr, Frame)> = addrs
                     .iter()
                     .map(|&addr| {
                         (
@@ -556,11 +565,8 @@ impl RemoteDeployment {
                 sessions.push(client_reactor::SubmitSession::new(exchanges));
             }
         }
-        if sessions.is_empty() {
-            return;
-        }
-        let config = self.drive_config(sessions.len());
-        match client_reactor::drive_sessions(sessions, &config) {
+        let config = self.drive_config();
+        match self.clients.drive(sessions, &config) {
             Ok(outcome) => {
                 for (i, e) in outcome.failed {
                     let c = chain_of[i];
@@ -602,21 +608,25 @@ impl RemoteDeployment {
     }
 
     /// The fetch phase: every online user walks and acks her own
-    /// mailbox ([`client_reactor::fetch_mailboxes`]).  The mailbox tier
-    /// is shared infrastructure, so any session failing beyond its
-    /// bounded retries is a round-level [`RoundError::Infrastructure`].
-    fn fetch_reactor(&self, round: u64, users: &[User]) -> Result<Prefetched, RoundError> {
+    /// mailbox — one [`client_reactor::FetchSession`] apiece, see
+    /// [`client_reactor::fetch_sessions`].  The mailbox tier is shared
+    /// infrastructure, so any session failing beyond its bounded
+    /// retries is a round-level [`RoundError::Infrastructure`].
+    fn fetch_reactor(&mut self, round: u64, users: &[User]) -> Result<Prefetched, RoundError> {
         let mailboxes: Vec<[u8; 32]> = users
             .iter()
             .filter(|u| u.online)
             .map(User::mailbox_id)
             .collect();
-        let config = self.drive_config(mailboxes.len());
-        let outcome = client_reactor::fetch_mailboxes(&self.mailbox_addrs, &mailboxes, &config)
-            .map_err(|e| RoundError::Infrastructure {
-                round,
-                message: format!("mailbox fetch reactor: {e}"),
-            })?;
+        let sessions = client_reactor::fetch_sessions(&self.mailbox_addrs, &mailboxes);
+        let config = self.drive_config();
+        let outcome =
+            self.clients
+                .drive(sessions, &config)
+                .map_err(|e| RoundError::Infrastructure {
+                    round,
+                    message: format!("mailbox fetch reactor: {e}"),
+                })?;
         if let Some((i, e)) = outcome.failed.into_iter().next() {
             return Err(RoundError::Infrastructure {
                 round,

@@ -551,7 +551,8 @@ pub fn mailbox_storm(config: &MailboxStormConfig) -> Result<MailboxStormReport, 
             &mailboxes[..]
         };
         let start = Instant::now();
-        let outcome = reactor::fetch_mailboxes(&addrs, fetching, &drive).map_err(NetError::Io)?;
+        let sessions = reactor::fetch_sessions(&addrs, fetching);
+        let outcome = reactor::drive_sessions(sessions, &drive).map_err(NetError::Io)?;
         let fetch = start.elapsed();
         if let Some((i, e)) = outcome.failed.into_iter().next() {
             return Err(NetError::Protocol(format!(

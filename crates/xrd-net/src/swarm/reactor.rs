@@ -21,15 +21,23 @@
 //!   the top of its current exchange, a bounded number of times; a
 //!   peer that cannot be *dialed* is redialed after a doubling backoff.
 //!
-//! Sessions are sequential dialers: a machine talks to one address at
-//! a time (submit to hop 0, then hop 1, …; page its mailbox shard),
-//! which mirrors a real client device and keeps the file descriptor
-//! count at one per *user*, not one per (user, daemon) pair.
-//! [`fetch_mailboxes`] is the crate's one mailbox fetch walk: a
-//! [`FetchSession`] per mailbox.
+//! Sessions are sequential: a machine talks to one address at a time
+//! (submit to hop 0, then hop 1, …; page its mailbox shard), which
+//! mirrors a real client device and keeps the connections *in flight*
+//! at one per session.  [`fetch_sessions`] is the crate's one mailbox
+//! fetch walk: a [`FetchSession`] per mailbox.
+//!
+//! The loop is a value, [`ClientReactor`], that can outlive one drive:
+//! it owns the poller and the connections, parks a connection whose
+//! exchange ended instead of closing it, and hands it to the same
+//! lane's next session that wants the same address — so a deployment
+//! that drives its users through one reactor every round
+//! ([`crate::RemoteDeployment`]) dials its daemons once.
+//! [`drive_sessions`] is the same loop — there is exactly one in this
+//! crate — on a reactor that lives for the call and keeps nothing.
 
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::{BTreeMap, BinaryHeap, HashMap, VecDeque};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::os::fd::AsRawFd;
@@ -67,6 +75,10 @@ pub enum Step {
 /// requests), then [`on_frame`](SessionMachine::on_frame) per decoded
 /// response.  After a [`Step::NextTarget`], `target` is consulted
 /// again — a new address continues the session, `None` completes it.
+///
+/// "Connect" and "hang up" are the machine's view: the reactor may put
+/// an exchange on a connection the lane kept from an earlier one, and
+/// park the connection afterwards instead of closing it.
 ///
 /// **Restart discipline**: a connection lost mid-exchange is retried
 /// by reconnecting and calling `on_connect` again, so an exchange must
@@ -110,7 +122,9 @@ pub struct DriveConfig {
     /// slots, so a population larger than the process's fd budget
     /// drains in waves instead of dying on `EMFILE` mid-storm.
     /// [`DriveConfig::within_fd_budget`] fits it to the process's
-    /// `RLIMIT_NOFILE`.
+    /// `RLIMIT_NOFILE` for a [`drive_sessions`] call; a
+    /// [`ClientReactor`] that keeps connections has a budget of its own
+    /// — parked and live together — and applies the smaller of the two.
     pub max_in_flight: usize,
     /// Dial every session's first target up front — the whole
     /// population concurrently connected — before any frame is sent,
@@ -119,8 +133,8 @@ pub struct DriveConfig {
     /// up-front dial too; a population beyond it dials the remainder
     /// during the drive phase.
     pub connect_first: bool,
-    /// New dials per loop iteration (staggers reconnect bursts so the
-    /// daemon's accept backlog absorbs them).
+    /// Sessions put on a connection per loop iteration (staggers
+    /// reconnect bursts so the daemon's accept backlog absorbs them).
     pub connects_per_tick: usize,
 }
 
@@ -220,6 +234,8 @@ fn guard<T>(f: impl FnOnce() -> T) -> Result<T, NetError> {
 /// One live client connection.
 struct Wire {
     stream: TcpStream,
+    /// The address it is connected to (what it parks under).
+    addr: SocketAddr,
     decoder: FrameDecoder,
     outbuf: Vec<u8>,
     outpos: usize,
@@ -228,17 +244,24 @@ struct Wire {
     /// the idle sweep compares it against
     /// [`DriveConfig::exchange_timeout`].
     last_progress: Instant,
+    /// Picked up parked, and no byte has come back on it since: if it
+    /// turns out dead now, it died in the parking lot (daemon
+    /// restarted, proxy dropped it), not in this exchange — replaced by
+    /// a fresh dial at no charge to the session's retry budget.
+    unproven: bool,
 }
 
 impl Wire {
-    fn new(stream: TcpStream) -> Wire {
+    fn new(stream: TcpStream, addr: SocketAddr, unproven: bool) -> Wire {
         Wire {
             stream,
+            addr,
             decoder: FrameDecoder::new(),
             outbuf: Vec::new(),
             outpos: 0,
             registered: 0,
             last_progress: Instant::now(),
+            unproven,
         }
     }
 
@@ -251,14 +274,16 @@ impl Wire {
     }
 
     fn wanted_interest(&self) -> u32 {
-        let base = interest::READ | interest::READ_HANGUP;
         if self.has_pending_output() {
-            base | interest::WRITE
+            IDLE_INTEREST | interest::WRITE
         } else {
-            base
+            IDLE_INTEREST
         }
     }
 }
+
+/// What a wire with nothing to write is registered for.
+const IDLE_INTEREST: u32 = interest::READ | interest::READ_HANGUP;
 
 enum SlotState {
     /// Waiting in the dial queue (or backing off before rejoining it).
@@ -280,8 +305,8 @@ enum Drove {
     Keep,
     /// Frame budget spent with bytes still buffered; revisit next tick.
     Yield,
-    /// The machine finished its exchange; consult `target` and redial
-    /// (or complete).
+    /// The machine finished its exchange; consult `target` and connect
+    /// again (or complete).
     StageDone,
     /// The connection died mid-exchange (candidate for a retry).
     Lost(NetError),
@@ -289,19 +314,384 @@ enum Drove {
     Failed(NetError),
 }
 
-/// One run's bookkeeping — what the event loop and the dialer both
-/// move.
+/// A connection between exchanges: the socket and what it parks under,
+/// nothing else — its buffers went with its [`Wire`].
+struct Parked {
+    lane: usize,
+    addr: SocketAddr,
+    stream: TcpStream,
+}
+
+/// Poller-token bit marking a parked connection (the rest is its
+/// parking id); a live wire's token is its slot index.
+const PARKED: u64 = 1 << 63;
+
+/// Client-reactor metric handles, resolved once per process.
+fn swarm_metrics() -> &'static SwarmMetrics {
+    static METRICS: std::sync::OnceLock<SwarmMetrics> = std::sync::OnceLock::new();
+    METRICS.get_or_init(|| SwarmMetrics {
+        dials: xrd_obs::counter("swarm.dials"),
+        conns_reused: xrd_obs::counter("swarm.conns_reused"),
+        conns_evicted: xrd_obs::counter("swarm.conns_evicted"),
+    })
+}
+
+struct SwarmMetrics {
+    /// TCP connects attempted.
+    dials: &'static xrd_obs::Counter,
+    /// Exchanges that rode a connection parked by an earlier one.
+    conns_reused: &'static xrd_obs::Counter,
+    /// Parked connections closed to make room for a dial.
+    conns_evicted: &'static xrd_obs::Counter,
+}
+
+/// The client event loop as a value that outlives one drive: it owns
+/// the poller and the connections, so a deployment that drives its
+/// users' sessions through the same reactor every round keeps their
+/// connections across rounds.
+///
+/// Sessions are numbered by their position in a drive — their **lane**.
+/// When a lane's exchange ends, its connection is *parked*: registered
+/// for hang-up only, its buffers released, filed under `(lane,
+/// address)`.  The next session on that lane — later in the same
+/// drive, or in the next one — that wants the same address picks it up
+/// instead of dialing, so a population that talks to the same daemons
+/// every round dials them once.  Two lanes never share a socket: the
+/// lane is part of the key.
+///
+/// Parked and in-flight connections together stay within one
+/// descriptor budget, fixed when the reactor is built
+/// ([`in_flight_cap`] of the `RLIMIT_NOFILE` it could raise to): at the
+/// budget, the least recently parked connection is closed before a
+/// dial, so a population larger than the budget still drains in waves.
+/// A parked connection whose peer hangs up is closed as soon as a
+/// drive's poller reports it; one found dead only on pick-up is
+/// replaced by a fresh dial without charging the session's retries.
+pub struct ClientReactor {
+    poller: Poller,
+    /// Parked connections by parking id.  Ids count up, so the first
+    /// entry is the least recently used.
+    parked: BTreeMap<u64, Parked>,
+    /// `(lane, address)` → parking id.
+    parked_at: HashMap<(usize, SocketAddr), u64>,
+    next_parking_id: u64,
+    /// Most connections held at once, parked and in flight together.
+    conn_cap: usize,
+    /// Whether a finished exchange parks its connection (a reactor
+    /// that lives for one drive closes it: nobody will come back).
+    keeps: bool,
+}
+
+impl ClientReactor {
+    /// A reactor that keeps connections between exchanges and drives,
+    /// budgeted to this process's descriptor limit — which is raised
+    /// here, once, towards what the default in-flight cap would take.
+    pub fn new() -> std::io::Result<ClientReactor> {
+        let fd_limit = raise_nofile_limit(2 * MAX_IN_FLIGHT as u64 + FD_RESERVE);
+        ClientReactor::with_conn_cap(in_flight_cap(fd_limit))
+    }
+
+    /// [`ClientReactor::new`] with an explicit connection budget
+    /// instead of the one derived from `RLIMIT_NOFILE`.
+    pub fn with_conn_cap(conn_cap: usize) -> std::io::Result<ClientReactor> {
+        Ok(ClientReactor {
+            poller: Poller::new()?,
+            parked: BTreeMap::new(),
+            parked_at: HashMap::new(),
+            next_parking_id: 0,
+            conn_cap: conn_cap.max(1),
+            keeps: true,
+        })
+    }
+
+    /// Connections parked right now.
+    pub fn parked(&self) -> usize {
+        self.parked.len()
+    }
+
+    /// Deregister and close a live wire.
+    fn close(&mut self, wire: Wire) {
+        let _ = self.poller.remove(wire.stream.as_raw_fd());
+    }
+
+    /// A lane's exchange ended cleanly: park its connection for the
+    /// lane's next exchange with that address — or close it, if this
+    /// reactor does not keep connections or the wire is not at rest
+    /// (bytes nobody asked for would answer the next exchange's
+    /// request).
+    fn park(&mut self, lane: usize, wire: Wire) {
+        let at_rest = !wire.has_pending_output() && wire.decoder.buffered() == 0;
+        if !self.keeps || !at_rest {
+            return self.close(wire);
+        }
+        let id = self.next_parking_id;
+        let fd = wire.stream.as_raw_fd();
+        if self
+            .poller
+            .modify(fd, PARKED | id, interest::READ_HANGUP)
+            .is_err()
+        {
+            return self.close(wire);
+        }
+        self.next_parking_id += 1;
+        let Wire { stream, addr, .. } = wire;
+        let displaced = self.parked_at.insert((lane, addr), id);
+        debug_assert!(
+            displaced.is_none(),
+            "a lane picks its parked connection up before it dials"
+        );
+        self.parked.insert(id, Parked { lane, addr, stream });
+    }
+
+    /// The connection `lane` parked with `addr`, if it still has one.
+    fn pick_up(&mut self, lane: usize, addr: SocketAddr) -> Option<TcpStream> {
+        let id = self.parked_at.remove(&(lane, addr))?;
+        self.parked.remove(&id).map(|parked| parked.stream)
+    }
+
+    /// Close parked connection `id` and forget it.
+    fn unpark(&mut self, id: u64) {
+        if let Some(parked) = self.parked.remove(&id) {
+            self.parked_at.remove(&(parked.lane, parked.addr));
+            let _ = self.poller.remove(parked.stream.as_raw_fd());
+        }
+    }
+
+    /// The poller reported parked connection `id`.  Only a hang-up is
+    /// solicited from it, but readiness is never trusted to be genuine
+    /// (the sweep poller reports everything): ask the socket.  Anything
+    /// but "nothing to read yet" — EOF, an error, bytes nobody asked
+    /// for — ends it.
+    fn check_parked(&mut self, id: u64) {
+        let Some(parked) = self.parked.get(&id) else {
+            return; // stale readiness for a connection since picked up
+        };
+        match parked.stream.peek(&mut [0u8; 1]) {
+            Err(e)
+                if matches!(
+                    e.kind(),
+                    std::io::ErrorKind::WouldBlock | std::io::ErrorKind::Interrupted
+                ) => {}
+            _ => self.unpark(id),
+        }
+    }
+
+    /// Drive every session to completion (or failure) on the calling
+    /// thread — one poller, zero spawned threads, any number of
+    /// sessions.  Session `i` runs on lane `i`.
+    ///
+    /// Failures are per-session: a machine that panics, a daemon that
+    /// rejects a request, a connection that dies past its retry budget
+    /// — each marks *its* session failed in [`RunOutcome::failed`] and
+    /// the rest of the swarm keeps running.  Only a poller-level error
+    /// aborts the run as a whole.
+    pub fn drive<S: SessionMachine>(
+        &mut self,
+        sessions: Vec<S>,
+        config: &DriveConfig,
+    ) -> std::io::Result<RunOutcome<S>> {
+        let started = Instant::now();
+        let mut slots: Vec<Slot<S>> = sessions
+            .into_iter()
+            .map(|session| Slot {
+                session,
+                state: SlotState::Dialing,
+                retries_left: config.max_retries,
+            })
+            .collect();
+        let mut run = Run {
+            reactor: self,
+            config,
+            completed: 0,
+            failed: Vec::new(),
+            dial_queue: VecDeque::new(),
+            backoff: BinaryHeap::new(),
+            active: 0,
+            ready: Vec::new(),
+        };
+
+        // Sessions with no target at all complete on the spot.
+        for (i, slot) in slots.iter_mut().enumerate() {
+            run.enqueue(slot, i);
+        }
+
+        // The connection-storm mode: the entire population is connected
+        // (and held) before a single request goes out, so the connect
+        // and request phases are measured separately — without a
+        // barrier in sight.
+        let mut connect_elapsed = Duration::ZERO;
+        if config.connect_first {
+            let connect_start = Instant::now();
+            run.connect_batch(&mut slots, usize::MAX);
+            connect_elapsed = connect_start.elapsed();
+            // The held population spent the connect phase deliberately
+            // silent; the idle clock starts with the drive phase.
+            for slot in &mut slots {
+                if let SlotState::Active(wire) = &mut slot.state {
+                    wire.last_progress = Instant::now();
+                }
+            }
+        }
+
+        let drive_start = Instant::now();
+        let mut read_buf = vec![0u8; READ_CHUNK];
+        let mut events: Vec<(u64, u32)> = Vec::with_capacity(1024);
+        let mut last_sweep = Instant::now();
+
+        loop {
+            // Sessions whose redial backoff has run out rejoin the
+            // queue; then connect (and reconnect) in bounded batches
+            // per tick.
+            let now = Instant::now();
+            while let Some(&Reverse((due, i))) = run.backoff.peek() {
+                if due > now {
+                    break;
+                }
+                run.backoff.pop();
+                run.enqueue(&mut slots[i], i);
+            }
+            run.connect_batch(&mut slots, config.connects_per_tick);
+
+            if run.active == 0 && run.dial_queue.is_empty() && run.backoff.is_empty() {
+                break;
+            }
+
+            if started.elapsed() > config.deadline {
+                for (i, slot) in slots.iter_mut().enumerate() {
+                    match &slot.state {
+                        SlotState::Active(_) => run.hang_up(slot),
+                        SlotState::Dialing => {}
+                        SlotState::Finished | SlotState::Failed => continue,
+                    }
+                    let op = "swarm reactor deadline";
+                    run.fail(slot, i, NetError::Timeout { op });
+                }
+                break;
+            }
+
+            // The idle sweep: a silent wire gets no readiness events,
+            // so only a clock can notice it.  Idle past the exchange
+            // timeout is handled exactly like a lost connection — tear
+            // down, charge a retry, redial (the machines restart their
+            // current exchange) — so a dropped response heals instead
+            // of pinning its session until the whole-run deadline.
+            if last_sweep.elapsed() >= SWEEP_EVERY {
+                last_sweep = Instant::now();
+                for (i, slot) in slots.iter_mut().enumerate() {
+                    let SlotState::Active(wire) = &slot.state else {
+                        continue;
+                    };
+                    if wire.last_progress.elapsed() <= config.exchange_timeout {
+                        continue;
+                    }
+                    run.hang_up(slot);
+                    let op = "client exchange idle";
+                    run.retry(slot, i, NetError::Timeout { op }, None);
+                }
+            }
+
+            events.clear();
+            // Ready sessions and queued connects demand an immediate
+            // pass; a queue blocked on the in-flight cap does not —
+            // only a completion (a readiness event) can unblock it.  A
+            // session backing off wakes the loop when its redial falls
+            // due.
+            let connects_ready = !run.dial_queue.is_empty() && run.active < run.max_active();
+            let timeout = if !run.ready.is_empty() || connects_ready {
+                0
+            } else if let Some(&Reverse((due, _))) = run.backoff.peek() {
+                let until_due = due.saturating_duration_since(Instant::now());
+                (until_due.as_millis() as i32 + 1).min(WAIT_MS)
+            } else {
+                WAIT_MS
+            };
+            run.reactor.poller.wait(&mut events, timeout)?;
+            events.splice(0..0, run.ready.drain(..).map(|t| (t, 0)));
+
+            for &(token, _readiness) in &events {
+                if token & PARKED != 0 {
+                    run.reactor.check_parked(token & !PARKED);
+                    continue;
+                }
+                let i = token as usize;
+                let Some(slot) = slots.get_mut(i) else {
+                    continue;
+                };
+                let SlotState::Active(wire) = &mut slot.state else {
+                    continue; // stale readiness for a closed connection
+                };
+                match drive_wire(wire, &mut slot.session, &mut read_buf) {
+                    Drove::Keep => {
+                        let wanted = wire.wanted_interest();
+                        if wanted != wire.registered
+                            && run
+                                .reactor
+                                .poller
+                                .modify(wire.stream.as_raw_fd(), token, wanted)
+                                .is_ok()
+                        {
+                            wire.registered = wanted;
+                        }
+                    }
+                    Drove::Yield => run.ready.push(token),
+                    Drove::StageDone => {
+                        let wire = run.detach(slot);
+                        run.reactor.park(i, wire);
+                        run.enqueue(slot, i);
+                    }
+                    Drove::Lost(e) => {
+                        let wire = run.detach(slot);
+                        let died_parked = wire.unproven;
+                        run.reactor.close(wire);
+                        if died_parked {
+                            run.enqueue(slot, i);
+                        } else {
+                            run.retry(slot, i, e, None);
+                        }
+                    }
+                    Drove::Failed(e) => {
+                        run.hang_up(slot);
+                        run.fail(slot, i, e);
+                    }
+                }
+            }
+        }
+
+        let Run {
+            completed,
+            mut failed,
+            ..
+        } = run;
+        failed.sort_by_key(|(i, _)| *i);
+        Ok(RunOutcome {
+            sessions: slots.into_iter().map(|s| s.session).collect(),
+            completed,
+            failed,
+            connect_elapsed,
+            drive_elapsed: drive_start.elapsed(),
+        })
+    }
+}
+
+/// One drive's bookkeeping — what the event loop and the dialer both
+/// move — over the reactor it runs on.
 struct Run<'a> {
+    reactor: &'a mut ClientReactor,
     config: &'a DriveConfig,
     completed: usize,
     failed: Vec<(usize, NetError)>,
-    /// Sessions waiting for a dial, with the address to dial.
+    /// Sessions waiting for a connection, with the address they want.
     dial_queue: VecDeque<(usize, SocketAddr)>,
     /// Sessions whose last dial failed, by the instant they may rejoin
     /// the dial queue.
     backoff: BinaryHeap<Reverse<(Instant, usize)>>,
-    /// Live connections right now; the `max_in_flight` dial gate.
+    /// Live connections right now; the in-flight gate.
     active: usize,
+    /// Slots to drive on the next pass without waiting for readiness:
+    /// just connected (opening requests queued, the socket all but
+    /// surely writable), or cut off by the frame budget with bytes
+    /// already buffered.
+    ready: Vec<u64>,
 }
 
 impl Run<'_> {
@@ -310,8 +700,8 @@ impl Run<'_> {
         self.failed.push((i, e));
     }
 
-    /// Queue slot `i` for a dial to its machine's current target; a
-    /// machine with no target left has completed its session.
+    /// Queue slot `i` for a connection to its machine's current target;
+    /// a machine with no target left has completed its session.
     fn enqueue<S: SessionMachine>(&mut self, slot: &mut Slot<S>, i: usize) {
         match guard(|| slot.session.target()) {
             Ok(Some(addr)) => {
@@ -349,245 +739,122 @@ impl Run<'_> {
         }
     }
 
-    /// Close the books on a live connection (dropping the wire closes
-    /// the socket).
-    fn hang_up(&mut self, poller: &mut Poller, wire: &Wire) {
-        let _ = poller.remove(wire.stream.as_raw_fd());
+    /// Take the live wire out of `slot` (whose next state the caller
+    /// sets).
+    fn detach<S>(&mut self, slot: &mut Slot<S>) -> Wire {
         self.active -= 1;
+        match std::mem::replace(&mut slot.state, SlotState::Dialing) {
+            SlotState::Active(wire) => wire,
+            _ => unreachable!("only a live wire is detached"),
+        }
     }
 
-    /// Dial queued sessions, at most `most` of them, while the
+    /// Close `slot`'s live connection.
+    fn hang_up<S>(&mut self, slot: &mut Slot<S>) {
+        let wire = self.detach(slot);
+        self.reactor.close(wire);
+    }
+
+    /// Most connections in flight at once: the drive's own cap, within
+    /// the reactor's budget.
+    fn max_active(&self) -> usize {
+        self.config.max_in_flight.min(self.reactor.conn_cap)
+    }
+
+    /// Connect queued sessions, at most `most` of them, while the
     /// in-flight cap has room — so the wave never outruns the fd budget.
-    fn dial_batch<S: SessionMachine>(
-        &mut self,
-        poller: &mut Poller,
-        slots: &mut [Slot<S>],
-        most: usize,
-    ) {
+    fn connect_batch<S: SessionMachine>(&mut self, slots: &mut [Slot<S>], most: usize) {
         for _ in 0..most {
-            if self.active >= self.config.max_in_flight {
+            if self.active >= self.max_active() {
                 break;
             }
             let Some((i, addr)) = self.dial_queue.pop_front() else {
                 break;
             };
-            self.dial(poller, &mut slots[i], i, addr);
+            self.connect(&mut slots[i], i, addr);
         }
     }
 
-    /// Dial `addr` for slot `i` and register the connection (or charge
-    /// a retry / fail the session).
-    fn dial<S: SessionMachine>(
-        &mut self,
-        poller: &mut Poller,
-        slot: &mut Slot<S>,
-        i: usize,
-        addr: SocketAddr,
-    ) {
-        let stream = TcpStream::connect_timeout(&addr, self.config.connect_timeout).and_then(|s| {
-            s.set_nonblocking(true)?;
-            s.set_nodelay(true)?;
-            Ok(s)
-        });
-        let stream = match stream {
-            Ok(s) => s,
-            Err(e) => {
-                let spent = self.config.max_retries - slot.retries_left;
-                let wait = REDIAL_BACKOFF * 2u32.saturating_pow(spent.min(8));
-                return self.retry(slot, i, NetError::Io(e), Some(wait));
+    /// Put slot `i` on a connection to `addr` — the one its lane parked
+    /// there, else a fresh dial (closing the least recently parked
+    /// connections first if the reactor is at its budget) — and queue
+    /// the exchange's opening requests on it.  A failed dial charges a
+    /// retry or fails the session.
+    fn connect<S: SessionMachine>(&mut self, slot: &mut Slot<S>, i: usize, addr: SocketAddr) {
+        let token = i as u64;
+        let kept = self.reactor.pick_up(i, addr);
+        let reused = kept.is_some();
+        let stream = match kept {
+            Some(stream) => stream,
+            None => {
+                let reactor = &mut *self.reactor;
+                while reactor.parked.len() + self.active >= reactor.conn_cap {
+                    let Some((&oldest, _)) = reactor.parked.first_key_value() else {
+                        break;
+                    };
+                    reactor.unpark(oldest);
+                    swarm_metrics().conns_evicted.incr();
+                }
+                swarm_metrics().dials.incr();
+                let dialed = TcpStream::connect_timeout(&addr, self.config.connect_timeout)
+                    .and_then(|s| {
+                        s.set_nonblocking(true)?;
+                        s.set_nodelay(true)?;
+                        Ok(s)
+                    });
+                match dialed {
+                    Ok(stream) => stream,
+                    Err(e) => {
+                        let spent = self.config.max_retries - slot.retries_left;
+                        let wait = REDIAL_BACKOFF * 2u32.saturating_pow(spent.min(8));
+                        return self.retry(slot, i, NetError::Io(e), Some(wait));
+                    }
+                }
             }
         };
-        let mut wire = Wire::new(stream);
-        match guard(|| slot.session.on_connect()) {
-            Ok(frames) => frames.iter().for_each(|frame| wire.queue(frame)),
-            Err(e) => return self.fail(slot, i, e),
-        }
-        let wanted = wire.wanted_interest();
-        if poller
-            .add(wire.stream.as_raw_fd(), i as u64, wanted)
-            .is_err()
-        {
+        let mut wire = Wire::new(stream, addr, reused);
+        let fd = wire.stream.as_raw_fd();
+        // Registered as idle, driven as ready: the first pass writes the
+        // opening requests without waiting to be told the socket is
+        // writable, and only a write that blocks asks for that.
+        let registered = if reused {
+            swarm_metrics().conns_reused.incr();
+            self.reactor.poller.modify(fd, token, IDLE_INTEREST)
+        } else {
+            self.reactor.poller.add(fd, token, IDLE_INTEREST)
+        };
+        if registered.is_err() {
+            self.reactor.close(wire);
             let e = NetError::Protocol("poller registration failed (fd limit?)".into());
             return self.fail(slot, i, e);
         }
-        wire.registered = wanted;
+        wire.registered = IDLE_INTEREST;
+        match guard(|| slot.session.on_connect()) {
+            Ok(frames) => frames.iter().for_each(|frame| wire.queue(frame)),
+            Err(e) => {
+                self.reactor.close(wire);
+                return self.fail(slot, i, e);
+            }
+        }
         slot.state = SlotState::Active(wire);
         self.active += 1;
+        self.ready.push(token);
     }
 }
 
 /// Drive every session to completion (or failure) on the calling
-/// thread — one poller, zero spawned threads, any number of sessions.
-///
-/// Failures are per-session: a machine that panics, a daemon that
-/// rejects a request, a connection that dies past its retry budget —
-/// each marks *its* session failed in [`RunOutcome::failed`] and the
-/// rest of the swarm keeps running.  Only a poller-level error (fd
-/// exhaustion at registration time, say) aborts the run as a whole.
+/// thread, on a [`ClientReactor`] that lives for this call and closes
+/// each connection when its exchange ends — see
+/// [`ClientReactor::drive`], which this is.
 pub fn drive_sessions<S: SessionMachine>(
     sessions: Vec<S>,
     config: &DriveConfig,
 ) -> std::io::Result<RunOutcome<S>> {
-    let started = Instant::now();
-    let mut poller = Poller::new()?;
-    let mut slots: Vec<Slot<S>> = sessions
-        .into_iter()
-        .map(|session| Slot {
-            session,
-            state: SlotState::Dialing,
-            retries_left: config.max_retries,
-        })
-        .collect();
-    let mut run = Run {
-        config,
-        completed: 0,
-        failed: Vec::new(),
-        dial_queue: VecDeque::new(),
-        backoff: BinaryHeap::new(),
-        active: 0,
+    let mut reactor = ClientReactor {
+        keeps: false,
+        ..ClientReactor::with_conn_cap(usize::MAX)?
     };
-
-    // Sessions with no target at all complete on the spot.
-    for (i, slot) in slots.iter_mut().enumerate() {
-        run.enqueue(slot, i);
-    }
-
-    // The connection-storm mode: the entire population is dialed (and
-    // held) before a single request goes out, so the connect and
-    // request phases are measured separately — without a barrier in
-    // sight.
-    let mut connect_elapsed = Duration::ZERO;
-    if config.connect_first {
-        let connect_start = Instant::now();
-        run.dial_batch(&mut poller, &mut slots, usize::MAX);
-        connect_elapsed = connect_start.elapsed();
-        // The held population spent the connect phase deliberately
-        // silent; the idle clock starts with the drive phase.
-        for slot in &mut slots {
-            if let SlotState::Active(wire) = &mut slot.state {
-                wire.last_progress = Instant::now();
-            }
-        }
-    }
-
-    let drive_start = Instant::now();
-    let mut read_buf = vec![0u8; READ_CHUNK];
-    let mut events: Vec<(u64, u32)> = Vec::with_capacity(1024);
-    let mut yielded: Vec<u64> = Vec::new();
-    let mut last_sweep = Instant::now();
-
-    loop {
-        // Sessions whose redial backoff has run out rejoin the queue;
-        // then dial (and redial) in bounded batches per tick.
-        let now = Instant::now();
-        while let Some(&Reverse((due, i))) = run.backoff.peek() {
-            if due > now {
-                break;
-            }
-            run.backoff.pop();
-            run.enqueue(&mut slots[i], i);
-        }
-        run.dial_batch(&mut poller, &mut slots, config.connects_per_tick);
-
-        if run.active == 0 && run.dial_queue.is_empty() && run.backoff.is_empty() {
-            break;
-        }
-
-        if started.elapsed() > config.deadline {
-            for (i, slot) in slots.iter_mut().enumerate() {
-                match &slot.state {
-                    SlotState::Active(wire) => run.hang_up(&mut poller, wire),
-                    SlotState::Dialing => {}
-                    SlotState::Finished | SlotState::Failed => continue,
-                }
-                let op = "swarm reactor deadline";
-                run.fail(slot, i, NetError::Timeout { op });
-            }
-            break;
-        }
-
-        // The idle sweep: a silent wire gets no readiness events, so
-        // only a clock can notice it.  Idle past the exchange timeout
-        // is handled exactly like a lost connection — tear down,
-        // charge a retry, redial (the machines restart their current
-        // exchange) — so a dropped response heals instead of pinning
-        // its session until the whole-run deadline.
-        if last_sweep.elapsed() >= SWEEP_EVERY {
-            last_sweep = Instant::now();
-            for (i, slot) in slots.iter_mut().enumerate() {
-                let SlotState::Active(wire) = &slot.state else {
-                    continue;
-                };
-                if wire.last_progress.elapsed() <= config.exchange_timeout {
-                    continue;
-                }
-                run.hang_up(&mut poller, wire);
-                let op = "client exchange idle";
-                run.retry(slot, i, NetError::Timeout { op }, None);
-            }
-        }
-
-        events.clear();
-        // Ready dials and yielded sessions demand an immediate pass;
-        // a dial queue blocked on the in-flight cap does not — only a
-        // completion (a readiness event) can unblock it.  A session
-        // backing off wakes the loop when its redial falls due.
-        let dials_ready = !run.dial_queue.is_empty() && run.active < config.max_in_flight;
-        let timeout = if !yielded.is_empty() || dials_ready {
-            0
-        } else if let Some(&Reverse((due, _))) = run.backoff.peek() {
-            let until_due = due.saturating_duration_since(Instant::now());
-            (until_due.as_millis() as i32 + 1).min(WAIT_MS)
-        } else {
-            WAIT_MS
-        };
-        poller.wait(&mut events, timeout)?;
-        events.splice(0..0, yielded.drain(..).map(|t| (t, 0)));
-
-        for &(token, _readiness) in &events {
-            let i = token as usize;
-            let Some(slot) = slots.get_mut(i) else {
-                continue;
-            };
-            let SlotState::Active(wire) = &mut slot.state else {
-                continue; // stale readiness for a closed connection
-            };
-            match drive_wire(wire, &mut slot.session, &mut read_buf) {
-                Drove::Keep => {
-                    let wanted = wire.wanted_interest();
-                    if wanted != wire.registered
-                        && poller
-                            .modify(wire.stream.as_raw_fd(), token, wanted)
-                            .is_ok()
-                    {
-                        wire.registered = wanted;
-                    }
-                }
-                Drove::Yield => yielded.push(token),
-                Drove::StageDone => {
-                    run.hang_up(&mut poller, wire);
-                    run.enqueue(slot, i);
-                }
-                Drove::Lost(e) => {
-                    run.hang_up(&mut poller, wire);
-                    run.retry(slot, i, e, None);
-                }
-                Drove::Failed(e) => {
-                    run.hang_up(&mut poller, wire);
-                    run.fail(slot, i, e);
-                }
-            }
-        }
-    }
-
-    run.failed.sort_by_key(|(i, _)| *i);
-    Ok(RunOutcome {
-        sessions: slots.into_iter().map(|s| s.session).collect(),
-        completed: run.completed,
-        failed: run.failed,
-        connect_elapsed,
-        drive_elapsed: drive_start.elapsed(),
-    })
+    reactor.drive(sessions, config)
 }
 
 /// Drive one connection as far as its socket and frame budget allow:
@@ -641,6 +908,7 @@ fn drive_wire<S: SessionMachine>(wire: &mut Wire, session: &mut S, read_buf: &mu
             Ok(n) => {
                 wire.decoder.feed(&read_buf[..n]);
                 wire.last_progress = Instant::now();
+                wire.unproven = false;
                 continue;
             }
             Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => return Drove::Keep,
@@ -823,29 +1091,24 @@ impl SessionMachine for FetchSession {
 /// Largest page a mailbox walk asks its shard for.
 pub const FETCH_PAGE_MAX: u32 = 256;
 
-/// Walk and ack every listed mailbox, each from the shard that owns it
-/// (`shards[s]` is shard `s`): one [`FetchSession`] apiece — a user
-/// downloading her own mailbox over her own connection (§5.1) — all
-/// driven from the calling thread.  The sessions come back in the
-/// order listed, so `sessions[i].into_entries()` is `mailboxes[i]`'s
-/// mail; a session that failed beyond its retries is in
+/// One [`FetchSession`] per listed mailbox, each aimed at the shard
+/// that owns it (`shards[s]` is shard `s`): a user downloading her own
+/// mailbox over her own connection (§5.1).  Driven, the sessions come
+/// back in the order listed, so `sessions[i].into_entries()` is
+/// `mailboxes[i]`'s mail; one that failed beyond its retries is in
 /// [`RunOutcome::failed`] and the others are unaffected.
 ///
 /// This is the only mailbox fetch walk in the crate: a round's fetch
-/// phase and the mailbox storm both run it.
-pub fn fetch_mailboxes(
-    shards: &[SocketAddr],
-    mailboxes: &[[u8; 32]],
-    config: &DriveConfig,
-) -> std::io::Result<RunOutcome<FetchSession>> {
-    let sessions = mailboxes
+/// phase drives these sessions on the deployment's reactor, the mailbox
+/// storm through [`drive_sessions`].
+pub fn fetch_sessions(shards: &[SocketAddr], mailboxes: &[[u8; 32]]) -> Vec<FetchSession> {
+    mailboxes
         .iter()
         .map(|mailbox| {
             let shard = shards[shard_of(mailbox, shards.len())];
             FetchSession::new(shard, *mailbox, FETCH_PAGE_MAX)
         })
-        .collect();
-    drive_sessions(sessions, config)
+        .collect()
 }
 
 // ---------------------------------------------------------------------

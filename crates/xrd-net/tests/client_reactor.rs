@@ -8,17 +8,21 @@
 //! (bounded retry, restartable fetch walks), malformed bytes (a typed
 //! codec failure, never a retry), and a machine that panics taking
 //! down its own session and nothing else — the regression that used to
-//! deadlock the thread-pool submit storm.
+//! deadlock the thread-pool submit storm.  And, for a reactor that
+//! outlives one drive: which exchanges ride a kept connection, which
+//! redial, at whose expense, and which connection goes when the budget
+//! is full.
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use xrd_net::codec::FrameDecoder;
 use xrd_net::swarm::reactor::{
-    drive_sessions, in_flight_cap, DriveConfig, FetchSession, SessionMachine, Step, SubmitSession,
+    drive_sessions, in_flight_cap, ClientReactor, DriveConfig, FetchSession, SessionMachine, Step,
+    SubmitSession,
 };
 use xrd_net::{CodecError, Frame, NetError};
 
@@ -51,14 +55,21 @@ fn sealed(fill: u8) -> Vec<u8> {
 
 /// Read one complete frame off `stream` (blocking).
 fn read_frame(stream: &mut TcpStream, decoder: &mut FrameDecoder) -> Frame {
+    read_frame_or_eof(stream, decoder).expect("client hung up mid-request")
+}
+
+/// Read one complete frame off `stream` (blocking); `None` if the
+/// client hangs up first.
+fn read_frame_or_eof(stream: &mut TcpStream, decoder: &mut FrameDecoder) -> Option<Frame> {
     let mut buf = [0u8; 4096];
     loop {
         if let Some(result) = decoder.try_frame() {
-            return result.expect("peer received a well-formed frame");
+            return Some(result.expect("peer received a well-formed frame"));
         }
-        let n = stream.read(&mut buf).expect("peer reads");
-        assert!(n > 0, "client hung up mid-request");
-        decoder.feed(&buf[..n]);
+        match stream.read(&mut buf) {
+            Ok(0) | Err(_) => return None,
+            Ok(n) => decoder.feed(&buf[..n]),
+        }
     }
 }
 
@@ -612,6 +623,208 @@ fn panicking_machine_fails_alone_and_the_storm_completes() {
         NetError::Protocol(msg) => assert!(msg.contains("panicked"), "got: {msg}"),
         other => panic!("expected the panic converted to a Protocol error, got {other:?}"),
     }
+}
+
+/// A peer for kept connections: every accepted connection is served on
+/// a thread of its own — `Ok` to each frame until the client hangs up —
+/// so any number of them can sit parked at once.  Returns the listen
+/// address and, per connection in accept order, the exchanges served.
+fn keepalive_peer() -> (SocketAddr, Arc<Mutex<Vec<usize>>>) {
+    let listener = TcpListener::bind("127.0.0.1:0").expect("peer binds");
+    let addr = listener.local_addr().expect("peer addr");
+    let served = Arc::new(Mutex::new(Vec::new()));
+    let ledger = Arc::clone(&served);
+    std::thread::spawn(move || {
+        for (n, stream) in listener.incoming().enumerate() {
+            let Ok(mut stream) = stream else { break };
+            ledger.lock().unwrap().push(0);
+            let ledger = Arc::clone(&ledger);
+            std::thread::spawn(move || {
+                let mut decoder = FrameDecoder::new();
+                while read_frame_or_eof(&mut stream, &mut decoder).is_some() {
+                    ledger.lock().unwrap()[n] += 1;
+                    if stream.write_all(&Frame::Ok.encode()).is_err() {
+                        break;
+                    }
+                }
+            });
+        }
+    });
+    (addr, served)
+}
+
+/// A one-exchange session: `Ping` to `addr`.
+fn ping(addr: SocketAddr) -> SubmitSession {
+    SubmitSession::new(vec![(addr, Frame::Ping)])
+}
+
+/// A session with nothing to do — it holds its lane's place in a drive.
+fn idle() -> SubmitSession {
+    SubmitSession::new(Vec::new())
+}
+
+/// Drive `sessions` on `reactor` and demand every one completed.
+fn drive_all(reactor: &mut ClientReactor, sessions: Vec<SubmitSession>, config: &DriveConfig) {
+    let n = sessions.len();
+    let outcome = reactor.drive(sessions, config).expect("reactor runs");
+    assert_eq!(outcome.completed, n, "failures: {:?}", outcome.failed);
+}
+
+/// Two drives on one reactor: the second drive's exchange rides the
+/// connection the first one parked — the peer accepts once and serves
+/// twice.
+#[test]
+fn second_drive_rides_the_connection_the_first_parked() {
+    let (addr, served) = keepalive_peer();
+    let mut reactor = ClientReactor::new().expect("reactor builds");
+    let config = DriveConfig::default();
+    drive_all(&mut reactor, vec![ping(addr)], &config);
+    assert_eq!(reactor.parked(), 1, "the finished exchange parked its wire");
+    drive_all(&mut reactor, vec![ping(addr)], &config);
+    assert_eq!(
+        *served.lock().unwrap(),
+        vec![2],
+        "one accept, two exchanges"
+    );
+    assert_eq!(reactor.parked(), 1);
+}
+
+/// The one-shot entry point keeps nothing: each of two calls dials, and
+/// the peer sees each connection hang up.
+#[test]
+fn drive_sessions_closes_what_it_dialed() {
+    let (addr, served) = keepalive_peer();
+    for _ in 0..2 {
+        let outcome = drive_sessions(vec![ping(addr)], &DriveConfig::default()).expect("runs");
+        assert_eq!(outcome.completed, 1, "failures: {:?}", outcome.failed);
+    }
+    assert_eq!(*served.lock().unwrap(), vec![1, 1]);
+}
+
+/// A peer that closes a parked connection between drives (a daemon
+/// restarted, a proxy dropped it): the next drive replaces it with a
+/// fresh dial **at no charge** — the session has no retries at all and
+/// still completes.
+#[test]
+fn connection_that_died_parked_is_redialed_without_charging_a_retry() {
+    let (closed_tx, closed_rx) = std::sync::mpsc::channel();
+    let closed_tx = Mutex::new(closed_tx);
+    let (addr, conns) = scripted_peer(move |n, mut stream| {
+        let mut decoder = FrameDecoder::new();
+        let _ = read_frame(&mut stream, &mut decoder);
+        stream.write_all(&Frame::Ok.encode()).expect("ack");
+        if n == 0 {
+            // Served once, then gone while the client has it parked.
+            drop(stream);
+            closed_tx.lock().unwrap().send(()).expect("test listens");
+        } else {
+            let _ = read_frame_or_eof(&mut stream, &mut decoder);
+        }
+    });
+    let no_retries = DriveConfig {
+        max_retries: 0,
+        ..Default::default()
+    };
+    let mut reactor = ClientReactor::new().expect("reactor builds");
+    drive_all(&mut reactor, vec![ping(addr)], &no_retries);
+    closed_rx.recv().expect("peer closed the parked connection");
+    drive_all(&mut reactor, vec![ping(addr)], &no_retries);
+    assert_eq!(
+        conns.load(Ordering::SeqCst),
+        2,
+        "the dead connection was replaced by exactly one fresh dial"
+    );
+}
+
+/// The other side of that rule: a kept connection that dies *after* the
+/// first byte of the exchange's answer died in the exchange, and is
+/// charged like any lost connection — with no retries, the session
+/// fails.
+#[test]
+fn kept_connection_dying_mid_answer_is_charged_as_a_lost_connection() {
+    let (addr, conns) = scripted_peer(|_, mut stream| {
+        let mut decoder = FrameDecoder::new();
+        let _ = read_frame(&mut stream, &mut decoder);
+        stream.write_all(&Frame::Ok.encode()).expect("first ack");
+        let _ = read_frame(&mut stream, &mut decoder);
+        stream
+            .write_all(&Frame::Ok.encode()[..2])
+            .expect("half an ack");
+    });
+    let no_retries = DriveConfig {
+        max_retries: 0,
+        ..Default::default()
+    };
+    let mut reactor = ClientReactor::new().expect("reactor builds");
+    drive_all(&mut reactor, vec![ping(addr)], &no_retries);
+    let outcome = reactor
+        .drive(vec![ping(addr)], &no_retries)
+        .expect("reactor runs");
+    assert_eq!(outcome.completed, 0);
+    assert!(
+        matches!(
+            outcome.failed[..],
+            [(0, NetError::Disconnected | NetError::Io(_))]
+        ),
+        "expected the lost connection itself, got {:?}",
+        outcome.failed
+    );
+    assert_eq!(conns.load(Ordering::SeqCst), 1, "no budget, no redial");
+}
+
+/// Two lanes wanting the same address never share a socket: a lane
+/// rides only what *it* parked, so a lane with nothing parked dials even
+/// while other lanes' connections to that very address sit idle.
+#[test]
+fn lanes_never_share_a_socket() {
+    let (addr, served) = keepalive_peer();
+    let mut reactor = ClientReactor::new().expect("reactor builds");
+    let config = DriveConfig::default();
+    drive_all(&mut reactor, vec![ping(addr), ping(addr)], &config);
+    assert_eq!(*served.lock().unwrap(), vec![1, 1]);
+    // Lane 1 alone: it rides its own connection, not lane 0's.
+    drive_all(&mut reactor, vec![idle(), ping(addr)], &config);
+    assert_eq!(*served.lock().unwrap(), vec![1, 2]);
+    // Lane 2 has never run: two parked connections to `addr`, neither
+    // of them its own.
+    drive_all(&mut reactor, vec![idle(), idle(), ping(addr)], &config);
+    assert_eq!(*served.lock().unwrap(), vec![1, 2, 1]);
+    assert_eq!(reactor.parked(), 3);
+}
+
+/// The connection budget covers parked and live connections together,
+/// and the least recently parked one makes room: one lane visiting
+/// three peers on a budget of two.
+#[test]
+fn least_recently_parked_connection_is_evicted_at_the_cap() {
+    let (a, served_a) = keepalive_peer();
+    let (b, served_b) = keepalive_peer();
+    let (c, served_c) = keepalive_peer();
+    let visit = |order: [SocketAddr; 3]| {
+        SubmitSession::new(order.iter().map(|&addr| (addr, Frame::Ping)).collect())
+    };
+    let mut reactor = ClientReactor::with_conn_cap(2).expect("reactor builds");
+    let config = DriveConfig::default();
+
+    // a, b park; dialing c evicts a (parked first).
+    drive_all(&mut reactor, vec![visit([a, b, c])], &config);
+    assert_eq!(reactor.parked(), 2);
+    // c and b are ridden and parked again, in that order; a was
+    // evicted, so it is dialed anew — evicting c, now the oldest.
+    drive_all(&mut reactor, vec![visit([c, b, a])], &config);
+    assert_eq!(reactor.parked(), 2);
+    assert_eq!(
+        *served_a.lock().unwrap(),
+        vec![1, 1],
+        "a: evicted, redialed"
+    );
+    assert_eq!(*served_b.lock().unwrap(), vec![2], "b: kept throughout");
+    assert_eq!(*served_c.lock().unwrap(), vec![2], "c: kept until the end");
+    // b and a are what is parked now: riding them dials nothing.
+    drive_all(&mut reactor, vec![visit([b, a, b])], &config);
+    assert_eq!(*served_a.lock().unwrap(), vec![1, 2]);
+    assert_eq!(*served_b.lock().unwrap(), vec![4]);
+    assert_eq!(*served_c.lock().unwrap(), vec![2]);
 }
 
 /// The fd rule, on the one function that computes it: a session in
