@@ -1,23 +1,28 @@
-//! An in-process XRD deployment: topology + chains + mailbox servers +
-//! the round protocol of Figure 1, with §5.3.3 churn handling (cover
-//! messages) built in.
+//! An in-process XRD deployment: topology + chains + mailbox servers,
+//! every hop a function call.
 //!
 //! This is the "real" system — every message is really onion-encrypted,
 //! really mixed through AHS with proofs verified, and really delivered to
 //! and fetched from mailboxes.  The experiment harness uses it at reduced
 //! scale; `cost.rs` extrapolates to paper scale.
-
-use std::collections::HashMap;
+//!
+//! The round itself (Figure 1, with §5.3.3 churn handling) is
+//! [`backend::run_round`](crate::backend::run_round), shared with the
+//! networked deployment; what is here is the in-process [`Cluster`]
+//! under it: one [`ChainRunner`] per chain and a [`MailboxHub`].
 
 use rand::RngCore;
 
 use xrd_mixnet::client::Submission;
-use xrd_mixnet::{ChainPublicKeys, ChainRunner};
+use xrd_mixnet::{ChainPublicKeys, ChainRunner, MailboxMessage};
 use xrd_topology::{Beacon, ChainId, Topology};
 
-use crate::backend::{collect_submissions, open_fetched, CoverStore, RoundBackend, RoundError};
+use crate::backend::{
+    run_round, ChainMixed, Cluster, FetchResults, Prefetched, RoundError, RoundParts, RoundReport,
+    RoundState,
+};
 use crate::mailbox::{drain, MailboxHub, MailboxStore};
-use crate::user::{Received, User};
+use crate::user::User;
 
 /// Page size the in-process deployment walks mailboxes with.  Small
 /// enough that multi-page walks are exercised by ordinary tests
@@ -53,53 +58,17 @@ impl DeploymentConfig {
     }
 }
 
-/// Report for one executed round.
-#[derive(Clone, Debug, Default)]
-pub struct RoundReport {
-    /// Round number executed.
-    pub round: u64,
-    /// Messages mixed (submissions accepted into chains).
-    pub messages_mixed: usize,
-    /// Messages delivered to mailboxes.
-    pub delivered: usize,
-    /// Per-chain malicious submission counts (by chain index).
-    pub malicious_by_chain: HashMap<u32, usize>,
-    /// Chains that aborted due to a misbehaving server.
-    pub aborted_chains: Vec<u32>,
-    /// Chains that failed for infrastructure reasons this round (a
-    /// daemon down, a timed-out pass) — the round degraded to the
-    /// surviving chains.  Networked backends only; the in-process
-    /// deployment never populates this.
-    pub failed_chains: Vec<u32>,
-    /// Server positions convicted by the dispute protocol, per chain.
-    /// A conviction does not imply the chain aborted: a lying verifier
-    /// is convicted and excluded while its chain's round completes.
-    pub convicted_by_chain: HashMap<u32, Vec<u32>>,
-    /// Server positions whose input-agreement digest dissented from
-    /// the majority, per chain — suspects (equivocation or a lossy
-    /// link), recorded but never convicted on digest evidence alone.
-    pub suspected_by_chain: HashMap<u32, Vec<u32>>,
-}
-
-/// What each user got back this round, keyed by mailbox id.
-pub type FetchResults = HashMap<[u8; 32], Vec<Received>>;
-
 /// The in-process deployment.
 pub struct Deployment {
-    topo: Topology,
+    state: RoundState,
+    cluster: InProcess,
+}
+
+/// The servers of a [`Deployment`]: every chain a [`ChainRunner`], the
+/// mailbox tier a [`MailboxHub`].
+pub struct InProcess {
     chains: Vec<ChainRunner>,
     mailboxes: MailboxHub,
-    round: u64,
-    /// Inner-key bundles active for the current round.
-    current_keys: Vec<ChainPublicKeys>,
-    /// Inner-key bundles for the *next* round, published a round ahead
-    /// so cover messages can be sealed against them (§5.3.3).
-    next_keys: Vec<ChainPublicKeys>,
-    /// Cover submissions stored at round ρ for use in round ρ+1,
-    /// keyed by mailbox id (§5.3.3).
-    cover_store: CoverStore,
-    /// Raw submissions injected for the next round (attack testing).
-    injected: Vec<(ChainId, Submission)>,
 }
 
 impl Deployment {
@@ -124,14 +93,11 @@ impl Deployment {
             next_keys.push(chain.prepare_inner_rotation(rng, 1));
         }
         Deployment {
-            topo,
-            chains,
-            mailboxes: MailboxHub::new(config.n_mailbox_shards),
-            round: 0,
-            current_keys,
-            next_keys,
-            cover_store: HashMap::new(),
-            injected: Vec::new(),
+            state: RoundState::new(topo, current_keys, next_keys),
+            cluster: InProcess {
+                chains,
+                mailboxes: MailboxHub::new(config.n_mailbox_shards),
+            },
         }
     }
 
@@ -140,34 +106,34 @@ impl Deployment {
     /// and demos; deployments never call this.
     #[doc(hidden)]
     pub fn inject_submission(&mut self, chain: ChainId, submission: Submission) {
-        self.injected.push((chain, submission));
+        self.state.injected.push((chain, submission));
     }
 
     /// The deployment's topology.
     pub fn topology(&self) -> &Topology {
-        &self.topo
+        &self.state.topo
     }
 
     /// Current round number.
     pub fn round(&self) -> u64 {
-        self.round
+        self.state.round
     }
 
     /// The public key bundles of all chains for the current round.
     pub fn chain_keys(&self) -> &[ChainPublicKeys] {
-        &self.current_keys
+        &self.state.current_keys
     }
 
     /// The pre-published key bundles for the next round (what cover
     /// messages are sealed against).
     pub fn next_chain_keys(&self) -> &[ChainPublicKeys] {
-        &self.next_keys
+        &self.state.next_keys
     }
 
     /// Mutable chain access for fault injection in tests.
     #[doc(hidden)]
     pub fn chains_mut(&mut self) -> &mut [ChainRunner] {
-        &mut self.chains
+        &mut self.cluster.chains
     }
 
     /// Execute one full round (Figure 1): users submit (or their stored
@@ -175,142 +141,114 @@ impl Deployment {
     /// filled, online users fetch.  Returns the report plus each online
     /// user's decrypted mailbox contents.
     ///
-    /// The default in-process mailbox tier is unbounded and in memory,
-    /// so its store operations cannot fail and this convenience wrapper
-    /// keeps the infallible signature.  A deployment given a capacity
-    /// cap ([`Deployment::set_mailbox_capacity`]) must run rounds
-    /// through [`RoundBackend::run_round`], which surfaces mailbox
-    /// trouble as a typed [`RoundError`] instead; this wrapper panics
-    /// on it.
+    /// In-process chains cannot fail and the default mailbox tier is
+    /// unbounded and in memory, so this convenience wrapper keeps an
+    /// infallible signature.  A deployment given a capacity cap
+    /// ([`Deployment::set_mailbox_capacity`]) must run rounds through
+    /// [`RoundBackend::run_round`](crate::RoundBackend::run_round),
+    /// which surfaces mailbox trouble as a typed [`RoundError`]; this
+    /// wrapper panics on it.
     pub fn run_round<R: RngCore + ?Sized>(
         &mut self,
         rng: &mut R,
         users: &mut [User],
     ) -> (RoundReport, FetchResults) {
-        self.run_round_inner(rng, users)
+        run_round(&mut self.state, &mut self.cluster, rng, users)
             .expect("unbounded in-process mailbox tier cannot fail")
-    }
-
-    fn run_round_inner<R: RngCore + ?Sized>(
-        &mut self,
-        rng: &mut R,
-        users: &mut [User],
-    ) -> Result<(RoundReport, FetchResults), RoundError> {
-        let round = self.round;
-
-        // Collect submissions: online users build fresh messages for ρ
-        // (sealed against this round's keys) and covers for ρ+1 (sealed
-        // against the pre-published next-round keys); offline users fall
-        // back to stored covers.
-        let mut per_chain = collect_submissions(
-            rng,
-            &self.topo,
-            &self.current_keys,
-            &self.next_keys,
-            round,
-            &mut self.cover_store,
-            users,
-        );
-        for (chain, sub) in self.injected.drain(..) {
-            per_chain[chain.0 as usize].push(sub);
-        }
-
-        // Mix every chain, one after the other: the phases inside a
-        // chain round fan out by themselves when the batch is big
-        // enough to be worth it (`xrd_mixnet::par`).  A chain takes its
-        // submissions by value, so they are freed as it finishes.
-        let mut report = RoundReport {
-            round,
-            ..Default::default()
-        };
-        let outcomes: Vec<xrd_mixnet::ChainRoundOutcome> = self
-            .chains
-            .iter_mut()
-            .zip(per_chain)
-            .map(|(chain, subs)| {
-                report.messages_mixed += subs.len();
-                chain.run_round(rng, round, &subs)
-            })
-            .collect();
-        for (c, outcome) in outcomes.into_iter().enumerate() {
-            if !outcome.misbehaving_servers.is_empty() {
-                report.aborted_chains.push(c as u32);
-            }
-            if !outcome.malicious_users.is_empty() {
-                report
-                    .malicious_by_chain
-                    .insert(c as u32, outcome.malicious_users.len());
-            }
-            for msg in outcome.delivered {
-                report.delivered += 1;
-                self.mailboxes
-                    .put(round, msg)
-                    .map_err(|error| RoundError::Mailbox { round, error })?;
-            }
-        }
-
-        // Online users fetch and decrypt — the same paginated,
-        // ack-driven walk the networked backend runs over the wire.
-        let mailboxes = &mut self.mailboxes;
-        let fetched = open_fetched(&self.topo, round, users, |mailbox| {
-            drain(mailboxes, mailbox, FETCH_PAGE)
-                .map_err(|error| RoundError::Mailbox { round, error })
-        })?;
-
-        // Advance the key schedule: activate ρ+1, pre-publish ρ+2.
-        self.round += 1;
-        for (c, chain) in self.chains.iter_mut().enumerate() {
-            chain.activate_inner_rotation();
-            self.current_keys[c] = chain.public().clone();
-            self.next_keys[c] = chain.prepare_inner_rotation(rng, self.round + 1);
-        }
-        Ok((report, fetched))
-    }
-
-    /// Direct mailbox inspection (tests).
-    pub fn mailboxes(&self) -> &MailboxHub {
-        &self.mailboxes
     }
 
     /// Cap the un-acked messages each in-process mailbox shard will
     /// hold; a round whose delivery would exceed it fails with
-    /// [`RoundError::Mailbox`] through [`RoundBackend::run_round`]
+    /// [`RoundError::Mailbox`] through
+    /// [`RoundBackend::run_round`](crate::RoundBackend::run_round)
     /// (tests of the fallible path).
     #[doc(hidden)]
     pub fn set_mailbox_capacity(&mut self, cap: usize) {
-        let n = self.mailboxes.n_shards();
-        self.mailboxes = MailboxHub::with_capacity(n, cap);
+        let n = self.cluster.mailboxes.n_shards();
+        self.cluster.mailboxes = MailboxHub::with_capacity(n, cap);
     }
 }
 
-impl RoundBackend for Deployment {
-    fn topology(&self) -> &Topology {
-        &self.topo
+impl RoundParts for Deployment {
+    type Cluster = InProcess;
+
+    fn state(&self) -> &RoundState {
+        &self.state
     }
 
-    fn round(&self) -> u64 {
-        self.round
+    fn parts(&mut self) -> (&mut RoundState, &mut InProcess) {
+        (&mut self.state, &mut self.cluster)
     }
+}
 
-    fn chain_keys(&self) -> &[ChainPublicKeys] {
-        &self.current_keys
-    }
-
-    fn run_round(
+impl Cluster for InProcess {
+    /// Every chain, one after the other: the phases inside a chain
+    /// round fan out by themselves when the batch is big enough to be
+    /// worth it (`xrd_mixnet::par`).  A chain takes its submissions by
+    /// value, so they are freed as it finishes.  In-process rotation
+    /// cannot fail, so no chain is ever dead.
+    fn mix<R: RngCore + ?Sized>(
         &mut self,
-        rng: &mut dyn rand::RngCore,
-        users: &mut [User],
-    ) -> Result<(RoundReport, FetchResults), crate::backend::RoundError> {
-        // In-process chains cannot fail for infrastructure reasons.
-        Ok(Deployment::run_round(self, rng, users))
+        rng: &mut R,
+        round: u64,
+        per_chain: Vec<Vec<Submission>>,
+        _dead: &[bool],
+    ) -> Vec<ChainMixed> {
+        let _span = xrd_obs::span_timer("round.mix", round);
+        self.chains
+            .iter_mut()
+            .zip(per_chain)
+            .map(|(chain, submissions)| {
+                let outcome = chain.run_round(rng, round, &submissions);
+                ChainMixed {
+                    convicted: outcome.misbehaving_servers.clone(),
+                    suspected: Vec::new(),
+                    result: Ok((submissions.len() - outcome.stats.rejected_pok, outcome)),
+                }
+            })
+            .collect()
+    }
+
+    fn deliver(&mut self, round: u64, messages: Vec<MailboxMessage>) -> Result<(), RoundError> {
+        for msg in messages {
+            self.mailboxes
+                .put(round, msg)
+                .map_err(|error| RoundError::Mailbox { round, error })?;
+        }
+        Ok(())
+    }
+
+    /// The same paginated, ack-driven walk the networked backend runs
+    /// over the wire.
+    fn fetch(&mut self, round: u64, mailboxes: &[[u8; 32]]) -> Result<Prefetched, RoundError> {
+        let mut fetched = Prefetched::with_capacity(mailboxes.len());
+        for mailbox in mailboxes {
+            let entries = drain(&mut self.mailboxes, mailbox, FETCH_PAGE)
+                .map_err(|error| RoundError::Mailbox { round, error })?;
+            fetched.insert(*mailbox, entries);
+        }
+        Ok(fetched)
+    }
+
+    fn rotate<R: RngCore + ?Sized>(
+        &mut self,
+        rng: &mut R,
+        chain: usize,
+        inner_epoch: u64,
+    ) -> Result<ChainPublicKeys, String> {
+        let chain = &mut self.chains[chain];
+        chain.activate_inner_rotation();
+        Ok(chain.prepare_inner_rotation(rng, inner_epoch))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::user::Received;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+    use std::collections::HashMap;
 
     fn setup(n_users: usize) -> (StdRng, Deployment, Vec<User>) {
         let mut rng = StdRng::seed_from_u64(42);
@@ -481,6 +419,81 @@ mod tests {
             .iter()
             .any(|r| matches!(r, Received::Chat { data, .. } if data == b"via threads?")));
         assert_eq!(serial, run(4));
+    }
+
+    #[test]
+    fn a_capped_mailbox_tier_is_a_typed_error_not_a_panic() {
+        use crate::mailbox::MailboxError;
+        use crate::RoundBackend;
+        let (mut rng, mut deployment, mut users) = setup(4);
+        deployment.set_mailbox_capacity(1);
+        let outcome = RoundBackend::run_round(&mut deployment, &mut rng, &mut users);
+        assert!(
+            matches!(
+                outcome,
+                Err(RoundError::Mailbox {
+                    round: 0,
+                    error: MailboxError::ShardFull { cap: 1, .. },
+                })
+            ),
+            "{outcome:?}"
+        );
+    }
+
+    #[test]
+    fn a_server_mixing_under_the_wrong_key_aborts_its_chain_only() {
+        use xrd_crypto::scalar::Scalar;
+        use xrd_mixnet::{MixServer, ServerSecrets};
+        let mut rng = StdRng::seed_from_u64(43);
+        let mut deployment = Deployment::new(&mut rng, DeploymentConfig::small(6, 3));
+        let mut users: Vec<User> = (0..8).map(|_| User::new(&mut rng)).collect();
+        let ell = deployment.topology().ell();
+        let (bad_chain, bad_position) = (2usize, 1usize);
+
+        // Hop 1 of chain 2 does not hold the mixing key it published:
+        // every entry fails to decrypt there, and its accusation cannot
+        // be backed by a proof against `mpk_1`.
+        let public = deployment.chain_keys()[bad_chain].clone();
+        let imposter = ServerSecrets {
+            position: bad_position,
+            bsk: Scalar::random(&mut rng),
+            msk: Scalar::random(&mut rng),
+            isk: Scalar::random(&mut rng),
+        };
+        deployment.chains_mut()[bad_chain].servers_mut()[bad_position] =
+            MixServer::new(imposter, public);
+
+        let (report, fetched) = deployment.run_round(&mut rng, &mut users);
+        assert_eq!(report.aborted_chains, vec![bad_chain as u32]);
+        assert_eq!(
+            report.convicted_by_chain,
+            HashMap::from([(bad_chain as u32, vec![bad_position as u32])])
+        );
+        assert!(report.failed_chains.is_empty());
+        assert!(report.malicious_by_chain.is_empty(), "no user is blamed");
+        // Nothing from the aborted chain, everything from the others.
+        let topo = deployment.topology();
+        let on_bad_chain = |user: &User| {
+            topo.chains_of_user(&user.mailbox_id())
+                .iter()
+                .filter(|chain| chain.0 as usize == bad_chain)
+                .count()
+        };
+        let lost: usize = users.iter().map(on_bad_chain).sum();
+        assert!(lost > 0, "the scenario needs traffic on the bad chain");
+        assert_eq!(report.messages_mixed, users.len() * ell);
+        assert_eq!(report.delivered, users.len() * ell - lost);
+        for user in &users {
+            let got = &fetched[&user.mailbox_id()];
+            assert_eq!(got.len(), ell - on_bad_chain(user));
+            assert!(got.iter().all(|r| *r == Received::Loopback));
+        }
+
+        // The servers are rebuilt from the chain's own secrets when the
+        // inner keys rotate: the next round is whole again.
+        let (report, _) = deployment.run_round(&mut rng, &mut users);
+        assert!(report.aborted_chains.is_empty());
+        assert_eq!(report.delivered, users.len() * ell);
     }
 
     #[test]

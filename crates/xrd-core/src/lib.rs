@@ -11,12 +11,16 @@
 //!   paginated, ack-driven store API with an in-memory backend
 //!   ([`mailbox::MailboxHub`]) and a crash-recoverable log-structured
 //!   one ([`mailbox::LogMailboxStore`]);
-//! * [`deployment::Deployment`] — a faithful in-process deployment that
-//!   runs real rounds end to end (used by tests, examples, and scaled
-//!   experiments);
-//! * [`backend::RoundBackend`] — the backend abstraction shared with
-//!   the networked deployment in `xrd-net`, plus the user-side round
-//!   logic common to every backend;
+//! * [`backend`] — the round, written once: [`backend::run_round`]
+//!   drives a [`backend::RoundState`] through seal → mix → deliver →
+//!   fetch → open → rotate over the four-method [`backend::Cluster`]
+//!   trait, which names exactly what differs when servers are function
+//!   calls or daemons.  Every deployment is that state plus its
+//!   cluster, and a [`backend::RoundBackend`] by one blanket `impl`;
+//! * [`deployment::Deployment`] — the in-process cluster (a
+//!   `ChainRunner` per chain, a `MailboxHub`) under that driver: real
+//!   rounds end to end, used by tests, examples and scaled
+//!   experiments; `xrd-net`'s `RemoteDeployment` is the networked one;
 //! * [`churn`] — the §8.3 availability Monte-Carlo (Figure 8);
 //! * [`cost`] — user-cost accounting and the discrete-event round model
 //!   (Figures 2-6), priced with per-op costs measured on the real
@@ -35,8 +39,8 @@ pub mod payload;
 pub mod secgame;
 pub mod user;
 
-pub use backend::{RoundBackend, RoundError};
-pub use deployment::{Deployment, DeploymentConfig, FetchResults, RoundReport};
+pub use backend::{FetchResults, RoundBackend, RoundError, RoundReport};
+pub use deployment::{Deployment, DeploymentConfig};
 pub use journal::Journal;
 pub use mailbox::{
     drain, LogMailboxStore, LogStoreConfig, MailboxError, MailboxHub, MailboxStore, Page, PageEntry,

@@ -18,7 +18,7 @@ use crate::chain_keys::{generate_chain_keys, ChainPublicKeys, ServerSecrets};
 use crate::client::Submission;
 use crate::message::{MailboxMessage, MixEntry};
 use crate::par;
-use crate::server::{input_digest, open_batch, verify_hop, verify_inner_key, MixError, MixServer};
+use crate::server::{input_digest, open_revealed, verify_hop, MixError, MixServer};
 
 /// Statistics from one chain-round execution.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
@@ -36,8 +36,9 @@ pub struct ChainRoundStats {
     pub proofs_verified: usize,
 }
 
-/// Outcome of a chain round.
-#[derive(Clone, Debug)]
+/// Outcome of a chain round.  Also the round's running ledger: the
+/// executors start from `default()` and fill it in as verdicts fall.
+#[derive(Clone, Debug, Default)]
 pub struct ChainRoundOutcome {
     /// Messages ready for mailbox delivery, in shuffled order.
     pub delivered: Vec<MailboxMessage>,
@@ -47,6 +48,58 @@ pub struct ChainRoundOutcome {
     pub misbehaving_servers: Vec<usize>,
     /// Execution statistics.
     pub stats: ChainRoundStats,
+}
+
+/// What one hop's decryption failures resolved to ([`resolve_blame`]).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum BlameResolution {
+    /// Only users were convicted and they are out of the active set:
+    /// mix again without them.
+    Retry,
+    /// A server was convicted: the chain halts with nothing delivered
+    /// (§6.4: servers delete their inner keys).
+    Abort,
+}
+
+/// The verdict bookkeeping of one failed hop, the same wherever the
+/// servers live: run `blame` on every failed input slot (an index into
+/// the batch just mixed, i.e. into `active`), record each convicted
+/// server in `outcome`, and — only if no server was convicted — move
+/// the convicted users from `active` to `outcome.malicious_users`.
+///
+/// `active` holds the original submission indices still in the batch;
+/// a [`BlameVerdict::MaliciousUser`] indexes into it.  `failed` must
+/// not be empty (a failure names the slots that failed), so some party
+/// is always identified.
+pub fn resolve_blame<E>(
+    outcome: &mut ChainRoundOutcome,
+    active: &mut Vec<usize>,
+    failed: impl IntoIterator<Item = usize>,
+    mut blame: impl FnMut(usize) -> Result<BlameVerdict, E>,
+) -> Result<BlameResolution, E> {
+    outcome.stats.blame_rounds += 1;
+    let mut to_remove: Vec<usize> = Vec::new();
+    for idx in failed {
+        match blame(idx)? {
+            BlameVerdict::MaliciousUser { submission_index } => {
+                to_remove.push(active[submission_index]);
+            }
+            BlameVerdict::ServerMisbehaved { position } => {
+                outcome.misbehaving_servers.push(position);
+            }
+        }
+    }
+    if !outcome.misbehaving_servers.is_empty() {
+        return Ok(BlameResolution::Abort);
+    }
+    assert!(
+        !to_remove.is_empty(),
+        "blame must identify at least one party"
+    );
+    outcome.stats.removed_by_blame += to_remove.len();
+    active.retain(|i| !to_remove.contains(i));
+    outcome.malicious_users.extend(to_remove);
+    Ok(BlameResolution::Retry)
 }
 
 /// A whole chain executing in one process: the servers plus shared
@@ -159,9 +212,7 @@ impl ChainRunner {
         round: u64,
         submissions: &[Submission],
     ) -> ChainRoundOutcome {
-        let mut stats = ChainRoundStats::default();
-        let mut malicious_users = Vec::new();
-        let mut misbehaving_servers = Vec::new();
+        let mut outcome = ChainRoundOutcome::default();
 
         // Submission screening: verify each PoK (§6.2 step 2); a bad
         // proof identifies the submitter immediately (§6.4).  Batched
@@ -173,8 +224,8 @@ impl ChainRunner {
             if ok {
                 active.push(i);
             } else {
-                stats.rejected_pok += 1;
-                malicious_users.push(i);
+                outcome.stats.rejected_pok += 1;
+                outcome.malicious_users.push(i);
             }
         }
 
@@ -192,18 +243,16 @@ impl ChainRunner {
         let delivered_entries: Vec<MixEntry> = loop {
             let entries: Vec<MixEntry> =
                 active.iter().map(|&i| submissions[i].to_entry()).collect();
-            match self.mix_pass(rng, round, entries, &mut stats) {
+            match self.mix_pass(rng, round, entries, &mut outcome.stats) {
                 MixPassResult::Clean(outputs) => break outputs,
                 MixPassResult::Blame { position, failed } => {
-                    stats.blame_rounds += 1;
                     // Blame runs against the batch actually mixed (the
                     // active subset); verdict indices are then mapped
                     // back to original submission indices.
                     let active_subs: Vec<Submission> =
                         active.iter().map(|&i| submissions[i].clone()).collect();
-                    let mut to_remove: Vec<usize> = Vec::new();
-                    for idx in failed {
-                        match run_blame(
+                    let blame = |idx| -> Result<BlameVerdict, std::convert::Infallible> {
+                        Ok(run_blame(
                             rng,
                             &self.public,
                             &self.servers,
@@ -211,36 +260,13 @@ impl ChainRunner {
                             round,
                             position,
                             idx,
-                        ) {
-                            BlameVerdict::MaliciousUser { submission_index } => {
-                                to_remove.push(active[submission_index]);
-                            }
-                            BlameVerdict::ServerMisbehaved { position } => {
-                                misbehaving_servers.push(position);
-                            }
-                        }
-                    }
-                    if !misbehaving_servers.is_empty() {
-                        // A malicious *server* was caught: the protocol
-                        // halts with no privacy loss; nothing is
-                        // delivered this round (§6.4: servers delete
-                        // their inner keys).  The servers keep their
-                        // hop state: it is the evidence.
-                        return ChainRoundOutcome {
-                            delivered: Vec::new(),
-                            malicious_users,
-                            misbehaving_servers,
-                            stats,
-                        };
-                    }
-                    assert!(
-                        !to_remove.is_empty(),
-                        "blame must identify at least one party"
-                    );
-                    stats.removed_by_blame += to_remove.len();
-                    for bad in to_remove {
-                        malicious_users.push(bad);
-                        active.retain(|&i| i != bad);
+                        ))
+                    };
+                    let Ok(resolution) = resolve_blame(&mut outcome, &mut active, failed, blame);
+                    if resolution == BlameResolution::Abort {
+                        // The servers keep their hop state: it is the
+                        // evidence.
+                        return outcome;
                     }
                 }
             }
@@ -248,30 +274,14 @@ impl ChainRunner {
 
         // Inner key reveal + verification, then open.
         let inner_keys: Vec<Scalar> = self.servers.iter().map(|s| s.reveal_inner_key()).collect();
-        for (pos, key) in inner_keys.iter().enumerate() {
-            assert!(
-                verify_inner_key(&self.public, pos, key),
-                "inner key reveal must verify"
-            );
-        }
         // The keys are out, so blame can no longer run for this round:
         // release the per-hop copies of the batch it would have traced.
         for server in &mut self.servers {
             server.clear_state();
         }
-        let delivered = par::map_entries(&delivered_entries, |chunk| {
-            open_batch(&inner_keys, round, chunk)
-        })
-        .into_iter()
-        .flatten()
-        .collect();
-
-        ChainRoundOutcome {
-            delivered,
-            malicious_users,
-            misbehaving_servers,
-            stats,
-        }
+        outcome.delivered = open_revealed(&self.public, round, &inner_keys, &delivered_entries)
+            .expect("inner key reveal must verify");
+        outcome
     }
 
     /// One pass over all hops; returns either the final entries or the

@@ -570,6 +570,29 @@ pub fn open_batch(
         .collect()
 }
 
+/// The chain-level tail of a clean round, the same wherever the
+/// servers live: check every revealed inner key against the published
+/// bundle ([`verify_inner_key`]) and only then open the final batch
+/// ([`open_batch`], fanned out like the other per-entry phases).
+/// `Err(position)` names the first server whose revealed key is not the
+/// one it published; nothing is opened then.
+///
+/// An envelope that does not open is dropped here and nowhere else.
+pub fn open_revealed(
+    public: &ChainPublicKeys,
+    round: u64,
+    inner_keys: &[Scalar],
+    entries: &[MixEntry],
+) -> Result<Vec<MailboxMessage>, usize> {
+    if let Some(liar) =
+        (0..inner_keys.len()).find(|&pos| !verify_inner_key(public, pos, &inner_keys[pos]))
+    {
+        return Err(liar);
+    }
+    let opened = crate::par::map_entries(entries, |chunk| open_batch(inner_keys, round, chunk));
+    Ok(opened.into_iter().flatten().collect())
+}
+
 /// Digest of a batch for input agreement (§6.3: "sorting the users'
 /// ciphertexts, hashing them ... and comparing the hashes").
 pub fn input_digest(entries: &[MixEntry]) -> [u8; 32] {

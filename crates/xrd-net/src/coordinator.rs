@@ -49,12 +49,11 @@ use xrd_crypto::scalar::Scalar;
 use xrd_mixnet::blame::{trace_blame, BlameVerdict};
 use xrd_mixnet::chain_keys::{apply_rotation_shares, ChainPublicKeys, RotationShare};
 use xrd_mixnet::client::Submission;
-use xrd_mixnet::message::{MailboxMessage, MixEntry};
+use xrd_mixnet::message::MixEntry;
 use xrd_mixnet::server::{
-    input_digest, open_batch, verify_hop, verify_hop_keys, verify_hops_batched, verify_inner_key,
-    HopRecord,
+    input_digest, open_revealed, verify_hop, verify_hop_keys, verify_hops_batched, HopRecord,
 };
-use xrd_mixnet::{ChainRoundOutcome, ChainRoundStats};
+use xrd_mixnet::{resolve_blame, BlameResolution, ChainRoundOutcome};
 
 use crate::codec::{dispute_claim, dispute_context, ChunkedBatch, Frame, STREAM_CHUNK};
 use crate::conn::{Conn, ConnTimeouts, HopReply, NetError};
@@ -228,13 +227,6 @@ struct DisputeOutcome {
     upholders: Vec<usize>,
 }
 
-/// What a hop failure resolved to: retry the mix with the convicted
-/// users removed, or abort the chain (a server misbehaved).
-enum FailureVerdict {
-    Retry,
-    Abort,
-}
-
 /// Result of the mixing/blame phases when the audit is deferred to the
 /// caller ([`ChainClient::mix_round_deferred`]).
 pub enum MixPhase {
@@ -255,12 +247,10 @@ pub struct PendingChainRound {
     hop_audit: Vec<(usize, Vec<MixEntry>, Vec<MixEntry>, DleqProof)>,
     /// The chain's final mixed batch.
     final_entries: Vec<MixEntry>,
-    /// Users convicted by blame during earlier (retried) passes.
-    malicious_users: Vec<usize>,
-    /// Servers convicted so far (empty on a clean pass).
-    misbehaving_servers: Vec<usize>,
-    /// Round statistics accumulated through the mix phase.
-    stats: ChainRoundStats,
+    /// The round's ledger through the mix phase: users convicted by
+    /// blame during earlier (retried) passes, verifiers convicted of
+    /// lying, statistics.  Nothing delivered yet.
+    outcome: ChainRoundOutcome,
 }
 
 impl PendingChainRound {
@@ -317,15 +307,13 @@ impl ChainClient {
 
     /// Drain the verdicts accumulated since the last call: positions
     /// convicted (dispute or blame) and positions suspected (digest
-    /// dissent).  Deployment drivers fold these into the round report.
+    /// dissent), in the order they fell — a position can repeat.  The
+    /// round driver folds these into the round report.
     pub fn take_round_verdicts(&mut self) -> (Vec<usize>, Vec<usize>) {
-        let mut convicted = std::mem::take(&mut self.convicted);
-        convicted.sort_unstable();
-        convicted.dedup();
-        let mut suspected = std::mem::take(&mut self.suspected);
-        suspected.sort_unstable();
-        suspected.dedup();
-        (convicted, suspected)
+        (
+            std::mem::take(&mut self.convicted),
+            std::mem::take(&mut self.suspected),
+        )
     }
 
     /// Re-dial every daemon connection (same peers, same deadlines).
@@ -576,9 +564,7 @@ impl ChainClient {
         chunk: usize,
     ) -> Result<MixPhase, NetError> {
         let k = self.conns.len();
-        let mut stats = ChainRoundStats::default();
-        let mut malicious_users: Vec<usize> = Vec::new();
-        let mut misbehaving_servers: Vec<usize> = Vec::new();
+        let mut outcome = ChainRoundOutcome::default();
         let mut active: Vec<usize> = (0..submissions.len()).collect();
         let mut hop_audit: Vec<(usize, Vec<MixEntry>, Vec<MixEntry>, DleqProof)> = Vec::new();
 
@@ -610,32 +596,34 @@ impl ChainClient {
                         outputs,
                         proof,
                     } if position as usize == pos => {
-                        stats.proofs_generated += 1;
+                        outcome.stats.proofs_generated += 1;
                         let inputs = std::mem::replace(&mut current, outputs);
                         hop_audit.push((pos, inputs, current.clone(), proof));
                     }
                     HopReply::Failure { position, failed } if position as usize == pos => {
-                        match self.resolve_hop_failure(
-                            round,
-                            pos,
-                            failed,
-                            submissions,
-                            &mut active,
-                            &mut malicious_users,
-                            &mut misbehaving_servers,
-                            &mut stats,
-                        )? {
+                        // A failure names the slots that failed; one
+                        // that names none gives blame nothing to trace.
+                        if failed.is_empty() {
+                            return Err(NetError::Protocol(
+                                "blame identified no party for a failed slot".into(),
+                            ));
+                        }
+                        let active_subs: Vec<Submission> =
+                            active.iter().map(|&i| submissions[i].clone()).collect();
+                        let failed = failed.into_iter().map(|idx| idx as usize);
+                        let blame = |idx| -> Result<BlameVerdict, NetError> {
+                            let verdict =
+                                self.run_blame_over_wire(round, pos, idx, &active_subs)?;
+                            if let BlameVerdict::ServerMisbehaved { position } = verdict {
+                                self.convicted.push(position);
+                            }
+                            Ok(verdict)
+                        };
+                        match resolve_blame(&mut outcome, &mut active, failed, blame)? {
                             // A malicious server: halt with nothing
                             // delivered (§6.4).
-                            FailureVerdict::Abort => {
-                                return Ok(MixPhase::Done(ChainRoundOutcome {
-                                    delivered: Vec::new(),
-                                    malicious_users,
-                                    misbehaving_servers,
-                                    stats,
-                                }))
-                            }
-                            FailureVerdict::Retry => continue 'retry,
+                            BlameResolution::Abort => return Ok(MixPhase::Done(outcome)),
+                            BlameResolution::Retry => continue 'retry,
                         }
                     }
                     _ => {
@@ -654,21 +642,14 @@ impl ChainClient {
             let dhs = |entries: &[MixEntry]| entries.iter().map(|e| e.dh).collect();
             (dhs(inputs), dhs(outputs), *proof)
         };
-        if !self.cross_verify(round, columns, &mut misbehaving_servers, &mut stats)? {
-            return Ok(MixPhase::Done(ChainRoundOutcome {
-                delivered: Vec::new(),
-                malicious_users,
-                misbehaving_servers,
-                stats,
-            }));
+        if !self.cross_verify(round, columns, &mut outcome)? {
+            return Ok(MixPhase::Done(outcome));
         }
 
         Ok(MixPhase::AwaitingAudit(PendingChainRound {
             hop_audit,
             final_entries,
-            malicious_users,
-            misbehaving_servers,
-            stats,
+            outcome,
         }))
     }
 
@@ -680,8 +661,8 @@ impl ChainClient {
     ///
     /// Each rejected attestation becomes a dispute rather than an
     /// abort.  `Ok(false)`: the dispute convicted a *prover* (bad proof
-    /// — recorded in `misbehaving_servers`; the chain must halt with
-    /// nothing delivered).  `Ok(true)`: every attestation stands — any
+    /// — recorded in `outcome.misbehaving_servers`; the chain must halt
+    /// with nothing delivered).  `Ok(true)`: every attestation stands — any
     /// verifier that rejected a valid one and upheld the rejection
     /// under oath is convicted and excluded, and the round continues
     /// without it.
@@ -689,8 +670,7 @@ impl ChainClient {
         &mut self,
         round: u64,
         columns: impl Fn(usize) -> HopColumns,
-        misbehaving_servers: &mut Vec<usize>,
-        stats: &mut ChainRoundStats,
+        outcome: &mut ChainRoundOutcome,
     ) -> Result<bool, NetError> {
         let mut expected: Vec<(usize, usize)> = Vec::new(); // (verifier, prover)
         for prover in 0..self.conns.len() {
@@ -713,7 +693,7 @@ impl ChainClient {
         }
         let mut rejections: Vec<(usize, usize)> = Vec::new(); // (prover, verifier)
         for (verifier, prover) in expected {
-            stats.proofs_verified += 1;
+            outcome.stats.proofs_verified += 1;
             match self.conns[verifier].recv()? {
                 Frame::VerifyResult { ok: true } => {}
                 Frame::VerifyResult { ok: false } => rejections.push((prover, verifier)),
@@ -730,17 +710,17 @@ impl ChainClient {
         disputed_provers.dedup();
         for prover in disputed_provers {
             let (input_dhs, output_dhs, proof) = columns(prover);
-            let outcome = self.run_dispute(round, prover, &input_dhs, &output_dhs, &proof);
-            if outcome.proof_invalid {
+            let dispute = self.run_dispute(round, prover, &input_dhs, &output_dhs, &proof);
+            if dispute.proof_invalid {
                 self.announce_verdict(
                     round,
                     prover,
                     dispute_claim::BAD_PROOF,
                     true,
-                    outcome.votes_upheld,
+                    dispute.votes_upheld,
                 );
                 self.convicted.push(prover);
-                misbehaving_servers.push(prover);
+                outcome.misbehaving_servers.push(prover);
                 return Ok(false);
             }
             // The proof holds: a rejecting verifier that *signed* an
@@ -749,7 +729,7 @@ impl ChainClient {
             // rejection is attributed to transport).  Either way the
             // hop stands.
             for &(_, verifier) in rejections.iter().filter(|&&(p, _)| p == prover) {
-                if !outcome.upholders.contains(&verifier) {
+                if !dispute.upholders.contains(&verifier) {
                     xrd_obs::info!(
                         "round {round}: verifier {verifier} rejected hop {prover} \
                          but did not uphold under oath; no conviction"
@@ -768,10 +748,10 @@ impl ChainClient {
                     verifier,
                     dispute_claim::FALSE_VERDICT,
                     true,
-                    outcome.votes_cast - outcome.votes_upheld,
+                    dispute.votes_cast - dispute.votes_upheld,
                 );
                 self.convicted.push(verifier);
-                misbehaving_servers.push(verifier);
+                outcome.misbehaving_servers.push(verifier);
             }
         }
         Ok(true)
@@ -807,8 +787,7 @@ impl ChainClient {
         chunk: usize,
     ) -> Result<MixPhase, NetError> {
         let k = self.conns.len();
-        let mut stats = ChainRoundStats::default();
-        let mut misbehaving_servers: Vec<usize> = Vec::new();
+        let mut outcome = ChainRoundOutcome::default();
         let entries: Vec<MixEntry> = submissions.iter().map(|s| s.to_entry()).collect();
 
         // Mark the round forwarded on every hop; each daemon records
@@ -852,7 +831,7 @@ impl ChainClient {
                             "hop {pos} attested mismatched column lengths"
                         )));
                     }
-                    stats.proofs_generated += 1;
+                    outcome.stats.proofs_generated += 1;
                     columns.push((input_dhs, output_dhs, proof));
                 }
                 Frame::Error { code, message } => return Err(NetError::Remote { code, message }),
@@ -888,7 +867,7 @@ impl ChainClient {
                 }
             }
         };
-        stats.proofs_generated += 1;
+        outcome.stats.proofs_generated += 1;
 
         // Stitch the columns end to end: hop 0 must have consumed the
         // agreed batch, and every seam must match — a mismatch means
@@ -922,7 +901,7 @@ impl ChainClient {
         let _span = xrd_obs::span_timer("coord.verify_chain", round);
         for (pos, column) in columns.iter().enumerate().take(k) {
             let (input_dhs, output_dhs, proof) = column.clone();
-            stats.proofs_verified += 1;
+            outcome.stats.proofs_verified += 1;
             if !verify_hop_keys(
                 &self.public,
                 pos,
@@ -931,34 +910,24 @@ impl ChainClient {
                 output_dhs.iter(),
                 &proof,
             ) {
-                let outcome = self.run_dispute(round, pos, &input_dhs, &output_dhs, &proof);
+                let dispute = self.run_dispute(round, pos, &input_dhs, &output_dhs, &proof);
                 self.announce_verdict(
                     round,
                     pos,
                     dispute_claim::BAD_PROOF,
                     true,
-                    outcome.votes_upheld,
+                    dispute.votes_upheld,
                 );
                 self.convicted.push(pos);
-                misbehaving_servers.push(pos);
-                return Ok(MixPhase::Done(ChainRoundOutcome {
-                    delivered: Vec::new(),
-                    malicious_users: Vec::new(),
-                    misbehaving_servers,
-                    stats,
-                }));
+                outcome.misbehaving_servers.push(pos);
+                return Ok(MixPhase::Done(outcome));
             }
         }
 
         // Cross-server verification over the same columns.
         let column = |pos: usize| columns[pos].clone();
-        if !self.cross_verify(round, column, &mut misbehaving_servers, &mut stats)? {
-            return Ok(MixPhase::Done(ChainRoundOutcome {
-                delivered: Vec::new(),
-                malicious_users: Vec::new(),
-                misbehaving_servers,
-                stats,
-            }));
+        if !self.cross_verify(round, column, &mut outcome)? {
+            return Ok(MixPhase::Done(outcome));
         }
 
         // Audited locally and cross-server: go straight to the reveal
@@ -967,57 +936,10 @@ impl ChainClient {
         let pending = PendingChainRound {
             hop_audit: Vec::new(),
             final_entries,
-            malicious_users: Vec::new(),
-            misbehaving_servers,
-            stats,
+            outcome,
         };
         self.conclude_audited(round, pending, true)
             .map(MixPhase::Done)
-    }
-
-    /// Resolve one hop's decrypt failures through the blame protocol:
-    /// convicted users are removed from `active` (retry), a convicted
-    /// server aborts the chain.
-    #[allow(clippy::too_many_arguments)]
-    fn resolve_hop_failure(
-        &mut self,
-        round: u64,
-        pos: usize,
-        failed: Vec<u64>,
-        submissions: &[Submission],
-        active: &mut Vec<usize>,
-        malicious_users: &mut Vec<usize>,
-        misbehaving_servers: &mut Vec<usize>,
-        stats: &mut ChainRoundStats,
-    ) -> Result<FailureVerdict, NetError> {
-        stats.blame_rounds += 1;
-        let active_subs: Vec<Submission> = active.iter().map(|&i| submissions[i].clone()).collect();
-        let mut to_remove = Vec::new();
-        for idx in failed {
-            match self.run_blame_over_wire(round, pos, idx as usize, &active_subs)? {
-                BlameVerdict::MaliciousUser { submission_index } => {
-                    to_remove.push(active[submission_index]);
-                }
-                BlameVerdict::ServerMisbehaved { position } => {
-                    misbehaving_servers.push(position);
-                    self.convicted.push(position);
-                }
-            }
-        }
-        if !misbehaving_servers.is_empty() {
-            return Ok(FailureVerdict::Abort);
-        }
-        if to_remove.is_empty() {
-            return Err(NetError::Protocol(
-                "blame identified no party for a failed slot".into(),
-            ));
-        }
-        stats.removed_by_blame += to_remove.len();
-        for bad in to_remove {
-            malicious_users.push(bad);
-            active.retain(|&i| i != bad);
-        }
-        Ok(FailureVerdict::Retry)
     }
 
     /// Conclude a clean mixing pass after its attestations have been
@@ -1046,7 +968,7 @@ impl ChainClient {
         // chain's k statements: count them here, once, whatever the
         // verdict — the per-hop re-checks below localize rather than
         // re-audit (matching the pre-deferred accounting).
-        pending.stats.proofs_verified += pending.hop_audit.len();
+        pending.outcome.stats.proofs_verified += pending.hop_audit.len();
         let mut audit_convicted: Vec<usize> = Vec::new();
         if !audit_ok {
             for r in &pending.records() {
@@ -1069,38 +991,29 @@ impl ChainClient {
                 let input_dhs: Vec<GroupElement> = inputs.iter().map(|e| e.dh).collect();
                 let output_dhs: Vec<GroupElement> = outputs.iter().map(|e| e.dh).collect();
                 let proof = *proof;
-                let outcome = self.run_dispute(round, pos, &input_dhs, &output_dhs, &proof);
+                let dispute = self.run_dispute(round, pos, &input_dhs, &output_dhs, &proof);
                 self.announce_verdict(
                     round,
                     pos,
                     dispute_claim::BAD_PROOF,
                     true,
-                    outcome.votes_upheld,
+                    dispute.votes_upheld,
                 );
                 self.convicted.push(pos);
             }
-            pending
-                .misbehaving_servers
-                .extend(audit_convicted.iter().copied());
         }
         let PendingChainRound {
             hop_audit: _,
             final_entries,
-            malicious_users,
-            mut misbehaving_servers,
-            stats,
+            mut outcome,
         } = pending;
         // Only a *prover* conviction from the failed audit blocks the
         // reveal; verifiers convicted of lying earlier in the pass are
         // already excluded and must not cost the honest users their
         // round.
         if !audit_convicted.is_empty() {
-            return Ok(ChainRoundOutcome {
-                delivered: Vec::new(),
-                malicious_users,
-                misbehaving_servers,
-                stats,
-            });
+            outcome.misbehaving_servers.extend(audit_convicted);
+            return Ok(outcome);
         }
         // On a failed combined audit with every hop of *this* chain
         // verifying individually, the offender is in another chain:
@@ -1110,24 +1023,21 @@ impl ChainClient {
         let _span = xrd_obs::span_timer("coord.reveal", round);
         let retry = self.retry;
         let mut inner_keys: Vec<Scalar> = Vec::with_capacity(k);
+        let mut mislabelled: Option<usize> = None;
         for pos in 0..k {
             match request_retry(
                 &mut self.conns[pos],
                 &Frame::RevealInnerKey { round },
                 retry,
             )? {
-                Frame::InnerKeyReveal { position, isk } => {
-                    if position as usize != pos || !verify_inner_key(&self.public, pos, &isk) {
-                        misbehaving_servers.push(pos);
-                        self.convicted.push(pos);
-                        return Ok(ChainRoundOutcome {
-                            delivered: Vec::new(),
-                            malicious_users,
-                            misbehaving_servers,
-                            stats,
-                        });
-                    }
+                Frame::InnerKeyReveal { position, isk } if position as usize == pos => {
                     inner_keys.push(isk);
+                }
+                // Answering as another position is as good as a key
+                // that does not verify.
+                Frame::InnerKeyReveal { .. } => {
+                    mislabelled = Some(pos);
+                    break;
                 }
                 other => {
                     return Err(NetError::Protocol(format!(
@@ -1136,17 +1046,18 @@ impl ChainClient {
                 }
             }
         }
-        let delivered: Vec<MailboxMessage> = open_batch(&inner_keys, round, &final_entries)
-            .into_iter()
-            .flatten()
-            .collect();
-
-        Ok(ChainRoundOutcome {
-            delivered,
-            malicious_users,
-            misbehaving_servers,
-            stats,
-        })
+        let opened = mislabelled.map_or_else(
+            || open_revealed(&self.public, round, &inner_keys, &final_entries),
+            Err,
+        );
+        match opened {
+            Ok(delivered) => outcome.delivered = delivered,
+            Err(liar) => {
+                outcome.misbehaving_servers.push(liar);
+                self.convicted.push(liar);
+            }
+        }
+        Ok(outcome)
     }
 
     /// Run the gossip dispute protocol over one rejected hop

@@ -32,9 +32,12 @@
 //!   machine over the wire: submission window → k hops (chunk streams,
 //!   pipelined with verbatim next-hop forwarding) → cross-server proof
 //!   verification → blame → inner-key reveal;
-//! * [`remote`] — [`RemoteDeployment`] (implements
-//!   `xrd_core::RoundBackend`, so it is interchangeable with the
-//!   in-process deployment) and [`launch_local`] (a whole deployment on
+//! * [`remote`] — [`RemoteDeployment`]: the shared round driver
+//!   (`xrd_core::backend::run_round`) over the networked `Cluster` —
+//!   chain coordinators, mailbox connections and the users' kept
+//!   client reactor — so it is the in-process deployment's round with
+//!   the servers behind sockets, interchangeable with it by
+//!   construction; and [`launch_local`] (a whole deployment on
 //!   loopback, one port per daemon);
 //! * [`swarm`] — the emulated client fleet: a single-threaded client
 //!   reactor ([`swarm::reactor`]) pumping 10k–100k per-user connection

@@ -1,55 +1,44 @@
-//! [`RemoteDeployment`]: the full XRD round protocol against networked
-//! daemons, presenting the same [`RoundBackend`] face as the in-process
-//! `Deployment` — plus [`launch_local`], which spins a whole deployment
-//! up on loopback TCP (one daemon per mix-server hop and per mailbox
-//! shard, each on its own port).
+//! [`RemoteDeployment`]: XRD rounds against networked daemons — the
+//! shared round driver ([`xrd_core::backend::run_round`]) over a
+//! [`Cluster`] whose servers live behind TCP, so it presents the same
+//! [`RoundBackend`](xrd_core::RoundBackend) face as the in-process
+//! `Deployment` by construction — plus [`launch_local`], which spins a
+//! whole deployment up on loopback TCP (one daemon per mix-server hop
+//! and per mailbox shard, each on its own port).
 
-use std::collections::HashMap;
 use std::net::SocketAddr;
 
 use rand::RngCore;
 
-use xrd_core::backend::{collect_submissions, open_fetched, CoverStore, RoundBackend, RoundError};
-use xrd_core::deployment::{DeploymentConfig, FetchResults, RoundReport};
+use xrd_core::backend::{
+    run_round, ChainMixed, Cluster, FetchResults, Prefetched, RoundError, RoundParts, RoundReport,
+    RoundState,
+};
+use xrd_core::deployment::DeploymentConfig;
 use xrd_core::mailbox::shard_of;
 use xrd_core::user::User;
 use xrd_mixnet::chain_keys::{generate_chain_keys, rotate_inner_keys, ChainPublicKeys};
 use xrd_mixnet::client::Submission;
 use xrd_mixnet::message::MailboxMessage;
 use xrd_mixnet::{verify_hops_batched_multi, ChainAudit, ChainRoundOutcome, HopRecord};
-use xrd_topology::{Beacon, Topology};
+use xrd_topology::{Beacon, ChainId, Topology};
 
 use crate::codec::{error_code, Frame, MAX_BATCH};
 use crate::conn::{Conn, ConnTimeouts, NetError};
-use crate::coordinator::{request_retry, ChainClient, MixPhase, PendingChainRound, RetryPolicy};
+use crate::coordinator::{request_retry, ChainClient, MixPhase, RetryPolicy};
 use crate::daemon::{DaemonHandle, MailboxDaemon, MixServerDaemon};
 use crate::faults::{FaultPlan, FaultProxy};
 use crate::swarm::reactor as client_reactor;
 
-/// A chain's result from a scoped parallel phase: the outer `String`
-/// is a panicked worker thread, the inner `Result` the chain's own
-/// transport outcome.
-type ChainPhase<T> = Result<Result<T, NetError>, String>;
-
-/// Round-progress metric handles, resolved once per process.
-fn round_metrics() -> &'static RoundMetrics {
-    static METRICS: std::sync::OnceLock<RoundMetrics> = std::sync::OnceLock::new();
-    METRICS.get_or_init(|| RoundMetrics {
-        degraded: xrd_obs::counter("round.degraded"),
-        chain_failures: xrd_obs::counter("round.chain_failures"),
-    })
-}
-
-struct RoundMetrics {
-    /// Rounds that completed without one or more chains.
-    degraded: &'static xrd_obs::Counter,
-    /// Individual chain failures across all rounds.
-    chain_failures: &'static xrd_obs::Counter,
-}
-
 /// A deployment whose chains and mailboxes live behind TCP endpoints.
 pub struct RemoteDeployment {
-    topo: Topology,
+    state: RoundState,
+    cluster: Wire,
+}
+
+/// The servers of a [`RemoteDeployment`], as the coordinator and its
+/// users reach them.
+pub struct Wire {
     chains: Vec<ChainClient>,
     /// Daemon addresses per chain (hop order) — what submitting clients
     /// connect to.
@@ -58,15 +47,6 @@ pub struct RemoteDeployment {
     /// Coordinator-side connections to the mailbox daemons (delivery;
     /// users fetch over connections of their own).
     mailbox_conns: Vec<Conn>,
-    round: u64,
-    current_keys: Vec<ChainPublicKeys>,
-    next_keys: Vec<ChainPublicKeys>,
-    cover_store: CoverStore,
-    /// Raw submissions injected for the next round (attack testing).
-    injected: Vec<(xrd_topology::ChainId, Submission)>,
-    /// Chains whose key schedule fell out of sync after a failed
-    /// rotation: excluded from every subsequent round.
-    dead: Vec<bool>,
     /// Retry policy for delivery batches (deduplicated on the daemon
     /// side) and, as a redial budget, for the users' sessions.
     retry: RetryPolicy,
@@ -119,7 +99,6 @@ impl RemoteDeployment {
     ) -> Result<RemoteDeployment, NetError> {
         assert_eq!(chain_addrs.len(), topo.n_chains());
         assert_eq!(chain_keys.len(), topo.n_chains());
-        let n_chains = topo.n_chains();
         let mut chains = Vec::with_capacity(chain_addrs.len());
         for (addrs, keys) in chain_addrs.iter().zip(chain_keys.iter()) {
             assert!(keys.verify(), "chain bundle must verify");
@@ -134,67 +113,61 @@ impl RemoteDeployment {
             .iter()
             .map(|&a| Conn::connect_with(a, timeouts))
             .collect::<Result<Vec<_>, _>>()?;
-
-        let mut deployment = RemoteDeployment {
-            topo,
-            chains,
-            chain_addrs,
-            mailbox_addrs,
-            mailbox_conns,
-            round: 0,
-            current_keys: chain_keys,
-            next_keys: Vec::new(),
-            cover_store: CoverStore::new(),
-            injected: Vec::new(),
-            dead: vec![false; n_chains],
-            retry,
-            timeouts,
-            clients: client_reactor::ClientReactor::new()?,
-        };
         // Pre-publish round-1 inner keys (§5.3.3: covers for ρ+1 are
         // sealed while ρ runs).
-        deployment.next_keys = deployment
-            .chains
+        let next_keys = chains
             .iter_mut()
             .map(|c| c.prepare_rotation(1))
             .collect::<Result<_, _>>()?;
-        Ok(deployment)
+        Ok(RemoteDeployment {
+            state: RoundState::new(topo, chain_keys, next_keys),
+            cluster: Wire {
+                chains,
+                chain_addrs,
+                mailbox_addrs,
+                mailbox_conns,
+                retry,
+                timeouts,
+                clients: client_reactor::ClientReactor::new()?,
+            },
+        })
     }
 
     /// The deployment's topology.
     pub fn topology(&self) -> &Topology {
-        &self.topo
+        &self.state.topo
     }
 
     /// Current round number.
     pub fn round(&self) -> u64 {
-        self.round
+        self.state.round
     }
 
     /// The public key bundles of all chains for the current round.
     pub fn chain_keys(&self) -> &[ChainPublicKeys] {
-        &self.current_keys
+        &self.state.current_keys
     }
 
     /// The pre-published bundles for the next round.
     pub fn next_chain_keys(&self) -> &[ChainPublicKeys] {
-        &self.next_keys
+        &self.state.next_keys
     }
 
     /// Daemon addresses per chain, hop order (for external submitters).
     pub fn chain_addrs(&self) -> &[Vec<SocketAddr>] {
-        &self.chain_addrs
+        &self.cluster.chain_addrs
     }
 
     /// Mailbox shard addresses (for external fetchers).
     pub fn mailbox_addrs(&self) -> &[SocketAddr] {
-        &self.mailbox_addrs
+        &self.cluster.mailbox_addrs
     }
 
     /// Total bytes exchanged with all daemons so far.
     pub fn bytes_on_wire(&self) -> u64 {
-        let chain_bytes: u64 = self.chains.iter().map(|c| c.bytes_on_wire()).sum();
+        let chain_bytes: u64 = self.cluster.chains.iter().map(|c| c.bytes_on_wire()).sum();
         let mailbox_bytes: u64 = self
+            .cluster
             .mailbox_conns
             .iter()
             .map(|c| c.bytes_sent() + c.bytes_received())
@@ -205,7 +178,7 @@ impl RemoteDeployment {
     /// Select how every chain ships batches hop to hop (default
     /// [`crate::Transport::default`]: relayed chunk streams).
     pub fn set_transport(&mut self, transport: crate::Transport) {
-        for chain in &mut self.chains {
+        for chain in &mut self.cluster.chains {
             chain.set_transport(transport);
         }
     }
@@ -214,123 +187,128 @@ impl RemoteDeployment {
     /// that does not follow the protocol).  Fault-injection hook for
     /// tests, mirroring `Deployment::inject_submission`.
     #[doc(hidden)]
-    pub fn inject_submission(&mut self, chain: xrd_topology::ChainId, submission: Submission) {
-        self.injected.push((chain, submission));
+    pub fn inject_submission(&mut self, chain: ChainId, submission: Submission) {
+        self.state.injected.push((chain, submission));
     }
 
-    /// Execute one full round over the wire: submission window → k hops
-    /// with cross-server verification (and blame) → inner-key reveal →
-    /// mailbox delivery → fetch → key rotation.
-    ///
+    /// Execute one full round over the wire:
+    /// [`xrd_core::backend::run_round`] on the networked [`Cluster`].
     /// A chain that fails — transport trouble its bounded retries could
-    /// not heal, a convicted server, a coordinator-side panic — is
-    /// *dropped from the round*, recorded in
-    /// [`RoundReport::failed_chains`], and the round completes for the
-    /// surviving chains (`round.degraded` counter).  Only deployment-
-    /// wide trouble is an error: every chain failing at once
+    /// not heal, a coordinator-side panic — degrades the round
+    /// ([`RoundReport::failed_chains`]); every chain failing at once
     /// ([`RoundError::AllChainsFailed`]) or the shared mailbox layer
-    /// failing ([`RoundError::Infrastructure`]).
+    /// failing ([`RoundError::Infrastructure`]) is an error.
     pub fn run_round<R: RngCore + ?Sized>(
         &mut self,
         rng: &mut R,
         users: &mut [User],
     ) -> Result<(RoundReport, FetchResults), RoundError> {
-        let round = self.round;
-        let n_chains = self.chains.len();
-        // Per-chain failure slots for this round: a `Some` drops the
-        // chain from every later phase.
-        let mut failed: Vec<Option<String>> = (0..n_chains)
-            .map(|c| {
-                self.dead[c].then(|| "chain dead since an earlier failed rotation".to_string())
+        run_round(&mut self.state, &mut self.cluster, rng, users)
+    }
+}
+
+impl RoundParts for RemoteDeployment {
+    type Cluster = Wire;
+
+    fn state(&self) -> &RoundState {
+        &self.state
+    }
+
+    fn parts(&mut self) -> (&mut RoundState, &mut Wire) {
+        (&mut self.state, &mut self.cluster)
+    }
+}
+
+/// Run `work` on each `(chain, input)` job, every chain on a thread of
+/// its own — each is an independent set of machines — and collect
+/// `(chain, result)`.  A failure reads "`phase`: why"; a panicking
+/// worker fails its chain, not the process.
+fn each_chain<I: Send, T: Send>(
+    chains: &mut [ChainClient],
+    phase: &str,
+    jobs: Vec<(usize, I)>,
+    work: impl Fn(&mut ChainClient, I) -> Result<T, NetError> + Sync,
+) -> Vec<(usize, Result<T, String>)> {
+    let mut slots: Vec<Option<&mut ChainClient>> = chains.iter_mut().map(Some).collect();
+    let work = &work;
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = jobs
+            .into_iter()
+            .map(|(c, input)| {
+                let chain = slots[c].take().expect("one job per chain");
+                (c, scope.spawn(move || work(chain, input)))
             })
             .collect();
+        handles
+            .into_iter()
+            .map(|(c, handle)| {
+                let result = match handle.join() {
+                    Ok(Ok(done)) => Ok(done),
+                    Ok(Err(e)) => Err(format!("{phase}: {e}")),
+                    Err(_) => Err(format!("{phase}: coordinator thread panicked")),
+                };
+                (c, result)
+            })
+            .collect()
+    })
+}
 
-        // Client side: seal ℓ submissions per user (+ covers for ρ+1).
-        let mut per_chain = collect_submissions(
-            rng,
-            &self.topo,
-            &self.current_keys,
-            &self.next_keys,
-            round,
-            &mut self.cover_store,
-            users,
-        );
-        for (chain, sub) in self.injected.drain(..) {
-            per_chain[chain.0 as usize].push(sub);
-        }
+/// A chain's standing within one round's mix phase: empty while it is
+/// live and unfinished, an `Err` drops it from every later step.
+type Slot = Option<Result<(usize, ChainRoundOutcome), String>>;
+
+impl Cluster for Wire {
+    /// Submission window → mix → audit → reveal, in `round.*` spans of
+    /// those names.  The daemons draw their own randomness.
+    fn mix<R: RngCore + ?Sized>(
+        &mut self,
+        _rng: &mut R,
+        round: u64,
+        per_chain: Vec<Vec<Submission>>,
+        dead: &[bool],
+    ) -> Vec<ChainMixed> {
+        let mut slots: Vec<Slot> = dead
+            .iter()
+            .map(|&dead| dead.then(|| Err("dead".to_string())))
+            .collect();
 
         // Submission window: open on every live chain, submit
-        // concurrently, then close and run input agreement.
-        {
+        // concurrently (closing and input agreement open the mix).
+        let bad_poks = {
             let _span = xrd_obs::span_timer("round.submit_window", round);
-            for (c, chain) in self.chains.iter_mut().enumerate() {
-                if failed[c].is_some() {
-                    continue;
-                }
-                if let Err(e) = chain.open_round(round) {
-                    failed[c] = Some(format!("opening the window: {e}"));
-                }
-            }
-            self.submit_reactor(round, &per_chain, &mut failed);
-        }
-
-        // Drive every chain's mix in parallel — each chain is an
-        // independent set of machines.  The coordinator's own audit is
-        // deferred: each chain returns its clean pass's attestations,
-        // and all `n_chains × k` hop proofs of the round are folded
-        // into ONE batched multiscalar mul below before any chain
-        // reveals its inner keys.
-        let mut report = RoundReport {
-            round,
-            ..Default::default()
-        };
-        let mix_span = xrd_obs::span_timer("round.mix", round);
-        let phases: Vec<(usize, ChainPhase<(usize, MixPhase)>)> = std::thread::scope(|scope| {
-            let handles: Vec<_> = self
-                .chains
-                .iter_mut()
-                .enumerate()
-                .filter(|(c, _)| failed[*c].is_none())
-                .map(|(c, chain)| {
-                    let handle = scope.spawn(move || {
-                        let batch = chain.close_and_agree(round)?;
-                        let phase = chain.mix_round_deferred(round, &batch)?;
-                        Ok((batch.len(), phase))
-                    });
-                    (c, handle)
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|(c, h)| {
-                    // A panicking coordinator thread fails its
-                    // chain, not the process.
-                    (
-                        c,
-                        h.join()
-                            .map_err(|_| "chain coordinator thread panicked".to_string()),
-                    )
-                })
-                .collect()
-        });
-
-        drop(mix_span);
-
-        // Split final outcomes from audit-pending chains; transport
-        // failures and panics drop their chain from the round.
-        let mut outcomes: Vec<(usize, ChainRoundOutcome)> = Vec::new();
-        let mut pendings: Vec<(usize, PendingChainRound)> = Vec::new();
-        for (c, result) in phases {
-            match result {
-                Ok(Ok((mixed, phase))) => {
-                    report.messages_mixed += mixed;
-                    match phase {
-                        MixPhase::Done(outcome) => outcomes.push((c, outcome)),
-                        MixPhase::AwaitingAudit(pending) => pendings.push((c, pending)),
+            for (chain, slot) in self.chains.iter_mut().zip(&mut slots) {
+                if slot.is_none() {
+                    if let Err(e) = chain.open_round(round) {
+                        *slot = Some(Err(format!("opening the window: {e}")));
                     }
                 }
-                Ok(Err(e)) => failed[c] = Some(format!("mix phase: {e}")),
-                Err(msg) => failed[c] = Some(msg),
+            }
+            self.submit_reactor(round, &per_chain, &mut slots)
+        };
+
+        // Drive every chain's mix in parallel.  The coordinator's own
+        // audit is deferred: each chain returns its clean pass's
+        // attestations, and all `n_chains × k` hop proofs of the round
+        // are folded into ONE batched multiscalar mul below before any
+        // chain reveals its inner keys.
+        let mix_span = xrd_obs::span_timer("round.mix", round);
+        let live = (0..slots.len())
+            .filter(|&c| slots[c].is_none())
+            .map(|c| (c, ()))
+            .collect();
+        let mixed = each_chain(&mut self.chains, "mix phase", live, |chain, ()| {
+            let batch = chain.close_and_agree(round)?;
+            Ok((batch.len(), chain.mix_round_deferred(round, &batch)?))
+        });
+        drop(mix_span);
+        let mut pendings = Vec::new();
+        for (c, result) in mixed {
+            match result {
+                Ok((entered, MixPhase::AwaitingAudit(pending))) => {
+                    pendings.push((c, (entered, pending)))
+                }
+                Ok((entered, MixPhase::Done(outcome))) => slots[c] = Some(Ok((entered, outcome))),
+                Err(why) => slots[c] = Some(Err(why)),
             }
         }
 
@@ -340,7 +318,7 @@ impl RemoteDeployment {
             let _span = xrd_obs::span_timer("round.audit", round);
             let record_sets: Vec<(usize, Vec<HopRecord>)> = pendings
                 .iter()
-                .map(|(c, pending)| (*c, pending.records()))
+                .map(|(c, (_, pending))| (*c, pending.records()))
                 .collect();
             let audits: Vec<ChainAudit> = record_sets
                 .iter()
@@ -356,150 +334,100 @@ impl RemoteDeployment {
         // envelope opening are per-chain independent; only the audit
         // itself needed the barrier).
         let reveal_span = xrd_obs::span_timer("round.reveal", round);
-        let concluded: Vec<(usize, ChainPhase<ChainRoundOutcome>)> = std::thread::scope(|scope| {
-            let mut slots: Vec<Option<&mut ChainClient>> =
-                self.chains.iter_mut().map(Some).collect();
-            let handles: Vec<_> = pendings
-                .into_iter()
-                .map(|(c, pending)| {
-                    let chain = slots[c].take().expect("one pending per chain");
-                    let handle =
-                        scope.spawn(move || chain.conclude_audited(round, pending, audit_ok));
-                    (c, handle)
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|(c, h)| {
-                    (
-                        c,
-                        h.join()
-                            .map_err(|_| "chain conclusion thread panicked".to_string()),
-                    )
-                })
-                .collect()
-        });
+        let conclude = |chain: &mut ChainClient, (entered, pending)| {
+            Ok((entered, chain.conclude_audited(round, pending, audit_ok)?))
+        };
+        let concluded = each_chain(&mut self.chains, "concluding the round", pendings, conclude);
         drop(reveal_span);
-        for (c, result) in concluded {
-            match result {
-                Ok(Ok(outcome)) => outcomes.push((c, outcome)),
-                Ok(Err(e)) => failed[c] = Some(format!("concluding the round: {e}")),
-                Err(msg) => failed[c] = Some(msg),
-            }
+        for (c, concluded) in concluded {
+            slots[c] = Some(concluded);
         }
 
-        let mut delivered: Vec<MailboxMessage> = Vec::new();
-        for (c, outcome) in outcomes {
-            // A chain only counts as aborted if server misbehavior
-            // actually cost it the round; a chain that convicted a
-            // lying verifier and still delivered merely shrank.
-            if !outcome.misbehaving_servers.is_empty() && outcome.delivered.is_empty() {
-                report.aborted_chains.push(c as u32);
-            }
-            if !outcome.malicious_users.is_empty() {
-                report
-                    .malicious_by_chain
-                    .insert(c as u32, outcome.malicious_users.len());
-            }
-            report.delivered += outcome.delivered.len();
-            delivered.extend(outcome.delivered);
-        }
-
-        // Fold the dispute/blame verdicts every chain accumulated into
-        // the report (chains that later failed still localized liars).
-        for (c, chain) in self.chains.iter_mut().enumerate() {
-            let (convicted, suspected) = chain.take_round_verdicts();
-            if !convicted.is_empty() {
-                report
-                    .convicted_by_chain
-                    .insert(c as u32, convicted.into_iter().map(|p| p as u32).collect());
-            }
-            if !suspected.is_empty() {
-                report
-                    .suspected_by_chain
-                    .insert(c as u32, suspected.into_iter().map(|p| p as u32).collect());
-            }
-        }
-
-        // Record this round's chain failures before touching the
-        // shared mailbox layer; an entirely failed round is an error,
-        // a partially failed one only degrades.
-        for (c, failure) in failed.iter().enumerate() {
-            if let Some(msg) = failure {
-                round_metrics().chain_failures.incr();
-                xrd_obs::error!("round {round}: chain {c} failed: {msg}");
-                report.failed_chains.push(c as u32);
-            }
-        }
-        if !report.failed_chains.is_empty() {
-            round_metrics().degraded.incr();
-            if report.failed_chains.len() == n_chains {
-                return Err(RoundError::AllChainsFailed { round });
-            }
-        }
-
-        // Deliver to mailbox shards, one worker thread per shard.  The
-        // mailbox layer is shared by every chain, so trouble here is
-        // deployment infrastructure failure, not chain degradation.
-        let n_shards = self.mailbox_conns.len();
-        {
-            let _span = xrd_obs::span_timer("round.deliver", round);
-            let mut per_shard: Vec<Vec<MailboxMessage>> = vec![Vec::new(); n_shards];
-            for msg in delivered {
-                per_shard[shard_of(&msg.mailbox, n_shards)].push(msg);
-            }
-            deliver_shards(&mut self.mailbox_conns, round, per_shard, self.retry).map_err(|e| {
-                RoundError::Infrastructure {
-                    round,
-                    message: format!("mailbox delivery: {e}"),
+        self.chains
+            .iter_mut()
+            .zip(slots)
+            .zip(bad_poks)
+            .map(|((chain, slot), bad_poks)| {
+                // Chains that failed still localized their liars.
+                let (convicted, suspected) = chain.take_round_verdicts();
+                let mut result =
+                    slot.unwrap_or_else(|| Err("neither concluded nor failed".to_string()));
+                // What the daemons refused at the window for a bad proof
+                // of knowledge never reached the coordinator: enter it
+                // in the chain's ledger here, where `ChainRunner` enters
+                // its own screening's rejects.
+                if let Ok((_, outcome)) = &mut result {
+                    outcome.stats.rejected_pok += bad_poks.len();
+                    outcome.malicious_users.extend(bad_poks);
                 }
-            })?;
-        }
-
-        // Fetch: every online user's mailbox is paged down (and acked
-        // once safely read) from its shard, then decryption runs from
-        // the prefetched map.
-        let fetch_span = xrd_obs::span_timer("round.fetch", round);
-        let mut prefetched = self.fetch_reactor(round, users)?;
-        let fetched = open_fetched(&self.topo, round, users, |mailbox| {
-            Ok(prefetched.remove(mailbox).unwrap_or_default())
-        })?;
-        drop(fetch_span);
-
-        // Advance the key schedule: activate ρ+1, pre-publish ρ+2.
-        // Rotation is attempted even for chains that failed this round
-        // (their daemons may be healthy again); a chain whose rotation
-        // fails is out of sync with its daemons and stays dead.
-        self.round += 1;
-        for (c, chain) in self.chains.iter_mut().enumerate() {
-            if self.dead[c] {
-                continue;
-            }
-            let rotated = chain
-                .activate_rotation()
-                .and_then(|()| chain.prepare_rotation(self.round + 1));
-            match rotated {
-                Ok(next) => {
-                    self.current_keys[c] = chain.public().clone();
-                    self.next_keys[c] = next;
+                ChainMixed {
+                    result,
+                    convicted,
+                    suspected,
                 }
-                Err(e) => {
-                    round_metrics().chain_failures.incr();
-                    xrd_obs::error!("round {round}: chain {c} failed to rotate, now dead: {e}");
-                    self.dead[c] = true;
-                    if !report.failed_chains.contains(&(c as u32)) {
-                        report.failed_chains.push(c as u32);
-                    }
-                }
-            }
-        }
-        if self.dead.iter().all(|&d| d) {
-            return Err(RoundError::AllChainsFailed { round });
-        }
-
-        Ok((report, fetched))
+            })
+            .collect()
     }
 
+    /// One worker thread per shard.
+    fn deliver(&mut self, round: u64, messages: Vec<MailboxMessage>) -> Result<(), RoundError> {
+        let n_shards = self.mailbox_conns.len();
+        let mut per_shard: Vec<Vec<MailboxMessage>> = vec![Vec::new(); n_shards];
+        for msg in messages {
+            per_shard[shard_of(&msg.mailbox, n_shards)].push(msg);
+        }
+        deliver_shards(&mut self.mailbox_conns, round, per_shard, self.retry).map_err(|e| {
+            RoundError::Infrastructure {
+                round,
+                message: format!("mailbox delivery: {e}"),
+            }
+        })
+    }
+
+    /// Every user walks and acks her own mailbox — one
+    /// [`client_reactor::FetchSession`] apiece, see
+    /// [`client_reactor::fetch_sessions`].  The mailbox tier is shared
+    /// infrastructure, so any session failing beyond its bounded
+    /// retries is a round-level [`RoundError::Infrastructure`].
+    fn fetch(&mut self, round: u64, mailboxes: &[[u8; 32]]) -> Result<Prefetched, RoundError> {
+        let sessions = client_reactor::fetch_sessions(&self.mailbox_addrs, mailboxes);
+        let config = self.drive_config();
+        let outcome =
+            self.clients
+                .drive(sessions, &config)
+                .map_err(|e| RoundError::Infrastructure {
+                    round,
+                    message: format!("mailbox fetch reactor: {e}"),
+                })?;
+        if let Some((i, e)) = outcome.failed.into_iter().next() {
+            return Err(RoundError::Infrastructure {
+                round,
+                message: format!("mailbox fetch session {i}: {e}"),
+            });
+        }
+        Ok(outcome
+            .sessions
+            .into_iter()
+            .map(|s| (s.mailbox(), s.into_entries()))
+            .collect())
+    }
+
+    /// A chain whose rotation fails is out of sync with its daemons.
+    fn rotate<R: RngCore + ?Sized>(
+        &mut self,
+        _rng: &mut R,
+        chain: usize,
+        inner_epoch: u64,
+    ) -> Result<ChainPublicKeys, String> {
+        let chain = &mut self.chains[chain];
+        chain
+            .activate_rotation()
+            .and_then(|()| chain.prepare_rotation(inner_epoch))
+            .map_err(|e| e.to_string())
+    }
+}
+
+impl Wire {
     /// The reactor drive knobs, derived from the deployment's own
     /// deadlines and retry policy so reactor-driven clients fail (and
     /// heal) on the same clock as the blocking coordinator conns: the
@@ -531,24 +459,30 @@ impl RemoteDeployment {
     /// submission skips that submission without failing the chain; any
     /// other refusal, or transport trouble the session's bounded
     /// retries could not heal, fails the chain.
+    ///
+    /// Returns, per chain, the refused submissions (indices into
+    /// `per_chain[c]`) whose proof of knowledge really is bad — checked
+    /// here, so that no submitter is called malicious on one server's
+    /// word.  A daemon that refuses a *valid* proof is only skipped,
+    /// and shows as digest dissent.
     fn submit_reactor(
         &mut self,
         round: u64,
         per_chain: &[Vec<Submission>],
-        failed: &mut [Option<String>],
-    ) {
-        let mut chain_of: Vec<usize> = Vec::new();
+        slots: &mut [Slot],
+    ) -> Vec<Vec<usize>> {
+        let mut origin: Vec<(usize, usize)> = Vec::new();
         let mut sessions: Vec<client_reactor::SubmitSession> = Vec::new();
         for (c, subs) in per_chain.iter().enumerate() {
             // A failed chain's submissions still take their lanes (as
             // sessions with nothing to send), so every other
             // submission's lane — and with it the connections the lane
             // kept — is where it was last round.
-            let addrs: &[SocketAddr] = match failed[c] {
+            let addrs: &[SocketAddr] = match slots[c] {
                 None => &self.chain_addrs[c],
                 Some(_) => &[],
             };
-            for submission in subs {
+            for (i, submission) in subs.iter().enumerate() {
                 let exchanges: Vec<(SocketAddr, Frame)> = addrs
                     .iter()
                     .map(|&addr| {
@@ -561,15 +495,16 @@ impl RemoteDeployment {
                         )
                     })
                     .collect();
-                chain_of.push(c);
+                origin.push((c, i));
                 sessions.push(client_reactor::SubmitSession::new(exchanges));
             }
         }
+        let mut bad_poks: Vec<Vec<usize>> = vec![Vec::new(); per_chain.len()];
         let config = self.drive_config();
         match self.clients.drive(sessions, &config) {
             Ok(outcome) => {
-                for (i, e) in outcome.failed {
-                    let c = chain_of[i];
+                for (session, e) in outcome.failed {
+                    let (c, i) = origin[session];
                     match e {
                         // The daemon refusing a *malformed* onion is
                         // the protocol working: only injected attack
@@ -584,6 +519,9 @@ impl RemoteDeployment {
                                 "round {round}: chain {c} daemon rejected a \
                                  submission ({message})"
                             );
+                            if !per_chain[c][i].verify_pok(round) {
+                                bad_poks[c].push(i);
+                            }
                         }
                         // Any other rejection of well-formed traffic
                         // (quota, closed window) means the message
@@ -592,7 +530,7 @@ impl RemoteDeployment {
                         // fetch time.  An undersized submission
                         // window surfaces as a failed chain instead.
                         e => {
-                            failed[c].get_or_insert(format!("submission window: {e}"));
+                            slots[c].get_or_insert_with(|| Err(format!("submission window: {e}")));
                         }
                     }
                 }
@@ -600,50 +538,14 @@ impl RemoteDeployment {
             // Only the poller itself failing to come up lands here;
             // without it no chain got any traffic.
             Err(e) => {
-                for slot in failed.iter_mut() {
-                    slot.get_or_insert(format!("submission reactor: {e}"));
+                for slot in slots.iter_mut() {
+                    slot.get_or_insert_with(|| Err(format!("submission reactor: {e}")));
                 }
             }
         }
-    }
-
-    /// The fetch phase: every online user walks and acks her own
-    /// mailbox — one [`client_reactor::FetchSession`] apiece, see
-    /// [`client_reactor::fetch_sessions`].  The mailbox tier is shared
-    /// infrastructure, so any session failing beyond its bounded
-    /// retries is a round-level [`RoundError::Infrastructure`].
-    fn fetch_reactor(&mut self, round: u64, users: &[User]) -> Result<Prefetched, RoundError> {
-        let mailboxes: Vec<[u8; 32]> = users
-            .iter()
-            .filter(|u| u.online)
-            .map(User::mailbox_id)
-            .collect();
-        let sessions = client_reactor::fetch_sessions(&self.mailbox_addrs, &mailboxes);
-        let config = self.drive_config();
-        let outcome =
-            self.clients
-                .drive(sessions, &config)
-                .map_err(|e| RoundError::Infrastructure {
-                    round,
-                    message: format!("mailbox fetch reactor: {e}"),
-                })?;
-        if let Some((i, e)) = outcome.failed.into_iter().next() {
-            return Err(RoundError::Infrastructure {
-                round,
-                message: format!("mailbox fetch session {i}: {e}"),
-            });
-        }
-        Ok(outcome
-            .sessions
-            .into_iter()
-            .map(|s| (s.mailbox(), s.into_entries()))
-            .collect())
+        bad_poks
     }
 }
-
-/// What the fetch phase hands to decryption: each online mailbox's
-/// `(delivery_round, sealed)` entries, oldest first.
-type Prefetched = HashMap<[u8; 32], Vec<(u64, Vec<u8>)>>;
 
 /// Deliver every shard's messages, one worker thread per shard
 /// connection (`per_shard[s]` goes to `conns[s]`).
@@ -701,28 +603,6 @@ fn deliver_shard(
         batch += 1;
     }
     Ok(())
-}
-
-impl RoundBackend for RemoteDeployment {
-    fn topology(&self) -> &Topology {
-        &self.topo
-    }
-
-    fn round(&self) -> u64 {
-        self.round
-    }
-
-    fn chain_keys(&self) -> &[ChainPublicKeys] {
-        &self.current_keys
-    }
-
-    fn run_round(
-        &mut self,
-        rng: &mut dyn RngCore,
-        users: &mut [User],
-    ) -> Result<(RoundReport, FetchResults), RoundError> {
-        RemoteDeployment::run_round(self, rng, users)
-    }
 }
 
 /// Handles for a deployment launched by [`launch_local`]; dropping it

@@ -10,7 +10,7 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use xrd::core::deployment::FetchResults;
+use xrd::core::FetchResults;
 use xrd::core::{Deployment, DeploymentConfig, Received, User};
 
 fn print_round(round: u64, ell: usize, users: &[User], fetched: &FetchResults) {

@@ -1,12 +1,16 @@
 //! The same round-protocol test suite, run against both backends via
 //! the common `RoundBackend` trait: the in-process `Deployment` and the
-//! networked `RemoteDeployment` must be indistinguishable to users.
+//! networked `RemoteDeployment` must be indistinguishable to users —
+//! and, both being the one round driver over their own cluster, report
+//! a round in the same words.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use xrd::core::backend::RoundBackend;
-use xrd::core::{Deployment, DeploymentConfig, Received, User};
+use xrd::core::{Deployment, DeploymentConfig, Received, RoundReport, User};
+use xrd::mixnet::{seal_ahs, ChainPublicKeys, MailboxMessage, Submission, PAYLOAD_LEN};
+use xrd::topology::ChainId;
 use xrd_net::launch_local;
 
 /// Drive any backend through the core protocol properties:
@@ -23,8 +27,16 @@ fn round_protocol_suite(backend: &mut dyn RoundBackend, rng: &mut StdRng) {
 
     // 1. Idle round.
     let (report, fetched) = backend.run_round(rng, &mut users).expect("round failed");
-    assert_eq!(report.messages_mixed, 6 * ell);
-    assert_eq!(report.delivered, 6 * ell);
+    assert_eq!(
+        report,
+        RoundReport {
+            round: 0,
+            messages_mixed: 6 * ell,
+            delivered: 6 * ell,
+            ..Default::default()
+        },
+        "an honest round reports no casualty of any kind"
+    );
     for user in &users {
         let got = &fetched[&user.mailbox_id()];
         assert_eq!(got.len(), ell);
@@ -130,8 +142,67 @@ fn backends_agree_on_round_state() {
         let (rb, _) = remote
             .run_round(&mut rng_b, &mut users_b)
             .expect("remote round failed");
-        assert_eq!(ra.messages_mixed, rb.messages_mixed);
-        assert_eq!(ra.delivered, rb.delivered);
+        assert_eq!(ra, rb);
+    }
+
+    cluster.shutdown();
+}
+
+/// A well-formed submission whose proof of knowledge is for another
+/// round.
+fn wrong_round_pok(rng: &mut StdRng, keys: &ChainPublicKeys, round: u64) -> Submission {
+    let msg = MailboxMessage {
+        mailbox: [7; 32],
+        sealed: vec![7; PAYLOAD_LEN + xrd::crypto::TAG_LEN],
+    };
+    seal_ahs(rng, keys, round + 99, &msg)
+}
+
+/// A valid proof of knowledge on an onion that fails at the last hop.
+fn garbage_onion(rng: &mut StdRng, keys: &ChainPublicKeys, round: u64) -> Submission {
+    xrd::mixnet::testutil::malicious_submission(rng, keys, round, keys.len() - 1)
+}
+
+/// One meaning per report field: a malicious submitter injected into
+/// chain 0 reads the same on both backends, whether she is refused up
+/// front for a bad proof of knowledge (by `ChainRunner`'s screening in
+/// process; by the daemons at the window, re-checked by the client,
+/// over the wire — she never enters a mix batch) or mixed and removed
+/// by blame.
+#[test]
+fn backends_report_a_malicious_submitter_alike() {
+    type Attack = fn(&mut StdRng, &ChainPublicKeys, u64) -> Submission;
+    let attacks: [(Attack, usize); 2] = [(wrong_round_pok, 0), (garbage_onion, 1)];
+
+    let config = DeploymentConfig::small(4, 3);
+    let mut rng = StdRng::seed_from_u64(23);
+    let mut local = Deployment::new(&mut rng, config.clone());
+    let (mut cluster, mut remote) = launch_local(&mut rng, &config).expect("cluster launches");
+    let ell = local.topology().ell();
+    let mut users_a: Vec<User> = (0..3).map(|_| User::new(&mut rng)).collect();
+    let mut users_b = users_a.clone();
+
+    for (round, (attack, entered)) in (0u64..).zip(attacks) {
+        let bad = attack(&mut rng, &local.chain_keys()[0], round);
+        local.inject_submission(ChainId(0), bad);
+        let bad = attack(&mut rng, &remote.chain_keys()[0], round);
+        remote.inject_submission(ChainId(0), bad);
+
+        let (ra, _) = local.run_round(&mut rng, &mut users_a);
+        let (rb, _) = remote
+            .run_round(&mut rng, &mut users_b)
+            .expect("remote round failed");
+        assert_eq!(
+            ra,
+            RoundReport {
+                round,
+                messages_mixed: 3 * ell + entered,
+                delivered: 3 * ell,
+                malicious_by_chain: [(0, 1)].into(),
+                ..Default::default()
+            }
+        );
+        assert_eq!(ra, rb, "round {round}");
     }
 
     cluster.shutdown();
