@@ -11,6 +11,10 @@
 //!   paginated, ack-driven store API with an in-memory backend
 //!   ([`mailbox::MailboxHub`]) and a crash-recoverable log-structured
 //!   one ([`mailbox::LogMailboxStore`]);
+//! * [`record_log::RecordLog`] — the one crash-safe append-only file
+//!   (checksummed records, torn-tail repair, "a failed append or sync
+//!   is final") under that store's segments and under [`Journal`], the
+//!   mix daemon's control-state journal;
 //! * [`backend`] — the round, written once: [`backend::run_round`]
 //!   drives a [`backend::RoundState`] through seal → mix → deliver →
 //!   fetch → open → rotate over the four-method [`backend::Cluster`]
@@ -36,6 +40,7 @@ pub mod dialing;
 pub mod journal;
 pub mod mailbox;
 pub mod payload;
+pub mod record_log;
 pub mod secgame;
 pub mod user;
 
@@ -46,4 +51,5 @@ pub use mailbox::{
     drain, LogMailboxStore, LogStoreConfig, MailboxError, MailboxHub, MailboxStore, Page, PageEntry,
 };
 pub use payload::{Payload, MAX_CHAT_LEN};
+pub use record_log::RecordLog;
 pub use user::{Received, User};

@@ -3,21 +3,21 @@
 //! ## On-disk layout
 //!
 //! A store is one directory holding append-only **segment files**
-//! `seg-<id:016x>.log`, each starting with an 8-byte magic and followed
-//! by checksummed records:
+//! `seg-<id:016x>.log`.  Each is a [`RecordLog`] behind the `XRDMBOX2`
+//! magic — framing, checksums, torn-tail repair and the failure rule
+//! are that type's (see [`crate::record_log`]) — whose record payloads
+//! are:
 //!
 //! ```text
-//! PUT    = [0x01][mailbox:32][seq:u64][round:u64][len:u32][sealed:len][fnv64]
-//! ACK    = [0x02][mailbox:32][upto:u64][fnv64]
-//! BEGIN  = [0x03][round:u64][batch:u64][fnv64]
-//! COMMIT = [0x04][round:u64][batch:u64][fnv64]
-//! ABORT  = [0x05][round:u64][batch:u64][fnv64]
+//! PUT    = [0x01][mailbox:32][seq:u64][round:u64][sealed…]
+//! ACK    = [0x02][mailbox:32][upto:u64]
+//! BEGIN  = [0x03][round:u64][batch:u64]
+//! COMMIT = [0x04][round:u64][batch:u64]
+//! ABORT  = [0x05][round:u64][batch:u64]
 //! ```
 //!
-//! All integers little-endian; `fnv64` is FNV-1a over every preceding
-//! byte of the record (torn-write detection, not adversarial
-//! integrity — the payloads are already AEAD-sealed for their owners).
-//! BEGIN/COMMIT/ABORT bracket one wire `Deliver` batch
+//! All integers little-endian; a PUT's sealed bytes run to the end of
+//! its record.  BEGIN/COMMIT/ABORT bracket one wire `Deliver` batch
 //! ([`MailboxStore::begin_batch`]): PUTs between a BEGIN and its COMMIT
 //! belong to that delivery and are only applied on recovery if the
 //! COMMIT landed — a crash mid-batch rolls the partial batch back (an
@@ -28,8 +28,8 @@
 //! (compaction copies, direct store users) are committed by
 //! construction.
 //! Exactly one segment (the highest id) is *active* and appended to;
-//! when it exceeds [`LogStoreConfig::segment_bytes`] it is sealed and a
-//! fresh one started (**rotation**).
+//! when it exceeds [`LogStoreConfig::segment_bytes`] it is synced,
+//! sealed, and a fresh one started (**rotation**).
 //!
 //! ## Index, compaction, recovery
 //!
@@ -41,75 +41,61 @@
 //! or below — or to zero — is **compacted**: the current ack watermark
 //! of every mailbox it touched and copies of its still-live entries
 //! (original `seq`/`round` preserved) are appended to the active
-//! segment, then the file is deleted.  Replay is idempotent (duplicate
-//! sequence numbers and stale acks are skipped), so a crash anywhere in
-//! compaction or delivery recovers cleanly.
+//! segment, then the file is deleted.
 //!
 //! **Recovery** on [`LogMailboxStore::open`] replays every segment in
-//! id order, rebuilding the index; a torn record at a segment tail
-//! (the crash-mid-append case) truncates the tail and keeps everything
-//! before it.  `mailbox.recovery_us` records how long the rebuild took.
+//! id order through the same two index functions the live `put` and
+//! `ack` use, so it is idempotent by their rules: a stale ack moves
+//! nothing, a PUT below the watermark is dropped, and a PUT for a
+//! sequence number already indexed — a compaction copy — relocates the
+//! entry.  A crash anywhere in compaction or delivery recovers cleanly.
+//! `mailbox.recovery_us` records how long the rebuild took.
 //!
-//! ## A failed sync or append is final
+//! ## After a failed sync or append
 //!
-//! If an `fdatasync` of a segment — or the `write` of a record — fails,
-//! the store is **poisoned**:
-//! every later `put`/`ack`/`begin_batch`/`commit_batch`/`abort_batch`/
-//! `flush` returns [`MailboxError::Storage`] until the store is
-//! reopened.  The index already holds what the sync was to cover (the
-//! ack watermark moved, the batch id is in the dedup window), and the
-//! kernel reports a write-back error once — a retried `flush` would
-//! "succeed" without the data — so answering a retry from that state
-//! would acknowledge something that is not on disk.  A failed append
-//! (`ENOSPC`, `EIO`) may leave part of its record in the `O_APPEND`
-//! file: the file is then longer than the length the index computes
-//! payload offsets from, so a later record would be indexed at the
-//! wrong bytes, and replay — which truncates at the first torn record —
-//! would drop every record appended after it, synced and acknowledged
-//! or not.  Replay on reopen is the recovery path for both: it cuts the
-//! torn record off and keeps everything acknowledged before it.
+//! The active segment's [`RecordLog`] refuses everything until the
+//! store is reopened, and the store with it: every later `put`/`ack`/
+//! `begin_batch`/`commit_batch`/`abort_batch`/`flush` returns
+//! [`MailboxError::Storage`].  What is the store's own to answer is the
+//! index, which already holds what the failed sync was to cover (the
+//! ack watermark moved, the batch id is in the dedup window): the two
+//! calls that can answer from it without touching the file —
+//! `begin_batch`'s dedup hit and `ack`'s idempotent shortcut — ask the
+//! log first, or a retry would be acknowledged for something that is
+//! not on disk.
 
 use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
-use std::fs::{File, OpenOptions};
-use std::io::Write;
-use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 
 use xrd_mixnet::MailboxMessage;
 
 use super::{page_bounds, shard_of, store_metrics, MailboxError, MailboxStore, Page, PageEntry};
-use crate::journal::fnv64;
+use crate::record_log::RecordLog;
 
-const MAGIC: &[u8; 8] = b"XRDMBOX1";
+const MAGIC: &[u8; 8] = b"XRDMBOX2";
 const KIND_PUT: u8 = 1;
 const KIND_ACK: u8 = 2;
 const KIND_TXN_BEGIN: u8 = 3;
 const KIND_TXN_COMMIT: u8 = 4;
 const KIND_TXN_ABORT: u8 = 5;
+/// Bytes of a PUT payload ahead of its sealed message.
+const PUT_HEADER: usize = 1 + 32 + 8 + 8;
 /// Committed delivery-batch ids retained for dedup (matches the wire
 /// layer's in-memory window; a sender retries a batch within a few
 /// connection lifetimes, never thousands of batches later).
 const BATCH_DEDUP_WINDOW: usize = 4096;
-/// Sanity cap on a record's sealed payload during replay: anything
-/// larger than this is a torn length field, not a real message.
-const MAX_SEALED: usize = 1 << 20;
 
 /// Tuning knobs for a [`LogMailboxStore`].
 #[derive(Clone, Copy, Debug)]
 pub struct LogStoreConfig {
     /// Rotate the active segment once it exceeds this many bytes.
     pub segment_bytes: u64,
-    /// Fsync on [`MailboxStore::flush`] (and on rotation/compaction).
-    /// Benchmarks measuring pure indexing cost may turn it off; daemons
-    /// leave it on.
-    pub sync: bool,
 }
 
 impl Default for LogStoreConfig {
     fn default() -> LogStoreConfig {
         LogStoreConfig {
             segment_bytes: 8 * 1024 * 1024,
-            sync: true,
         }
     }
 }
@@ -136,18 +122,17 @@ struct BoxIndex {
 }
 
 struct Segment {
-    file: File,
-    path: PathBuf,
-    len: u64,
+    log: RecordLog,
     /// Live (indexed, un-acked) PUT records still pointing here.
     live: u64,
     /// Bytes of those live records' payloads.
     live_bytes: u64,
-    /// Total payload bytes ever PUT into this segment (compaction
+    /// Total payload bytes ever indexed from this segment (compaction
     /// denominator).
     put_bytes: u64,
-    /// Every mailbox with any record in this segment — compaction
-    /// re-appends their ack watermarks before deleting the file.
+    /// Every mailbox with an indexed PUT or an ACK in this segment —
+    /// compaction re-appends their ack watermarks before deleting the
+    /// file.
     touched: HashSet<[u8; 32]>,
 }
 
@@ -164,22 +149,12 @@ pub struct LogMailboxStore {
     index: HashMap<[u8; 32], BoxIndex>,
     /// Appends since the last fsync.
     dirty: bool,
-    /// Set by a failed segment sync or append and never cleared: the
-    /// index no longer describes the disk, so every later write or
-    /// flush is refused (see the module docs).
-    poisoned: Option<MailboxError>,
-    /// Test seam: make the next segment sync fail.
-    #[cfg(test)]
-    fail_next_sync: bool,
-    /// Test seam: make the next append write half its record and fail.
-    #[cfg(test)]
-    fail_next_append: bool,
     /// Recently committed delivery-batch ids (the durable dedup
     /// window), plus their order for eviction.
     committed: HashSet<(u64, u64)>,
     committed_order: VecDeque<(u64, u64)>,
     /// Replay-only: the delivery transaction currently open, with the
-    /// PUTs staged since its BEGIN.
+    /// PUTs held back since its BEGIN.
     replay_txn: Option<ReplayTxn>,
 }
 
@@ -187,17 +162,7 @@ pub struct LogMailboxStore {
 struct ReplayTxn {
     round: u64,
     batch: u64,
-    staged: Vec<StagedPut>,
-}
-
-/// A PUT held back during replay until its transaction commits.
-struct StagedPut {
-    mailbox: [u8; 32],
-    seq: u64,
-    round: u64,
-    seg: u64,
-    offset: u64,
-    len: u32,
+    staged: Vec<([u8; 32], EntryLoc)>,
 }
 
 /// Persistence metric handles, resolved once per process.
@@ -221,12 +186,13 @@ struct LogMetrics {
     compactions: &'static xrd_obs::Counter,
     /// Index-rebuild time on open, µs.
     recovery_us: &'static xrd_obs::Histogram,
-    /// Torn record tails truncated during recovery.
+    /// Torn segment tails (or headers) cut off during recovery.
     torn_tails: &'static xrd_obs::Counter,
     /// Delivery batches rolled back during recovery (crash before
     /// their COMMIT landed; the sender's retry re-stores them).
     aborted_batches: &'static xrd_obs::Counter,
-    /// `fdatasync` calls on segment files (flushes and rotations).
+    /// `fdatasync` calls covering appended records (flushes, and the
+    /// one sealing a rotated segment).
     fsyncs: &'static xrd_obs::Counter,
     /// Latency of each, µs.
     fsync_us: &'static xrd_obs::Histogram,
@@ -238,8 +204,64 @@ fn io_err(what: &str, e: std::io::Error) -> MailboxError {
     }
 }
 
-fn seg_path(dir: &Path, id: u64) -> PathBuf {
-    dir.join(format!("seg-{id:016x}.log"))
+fn put_header(mailbox: &[u8; 32], seq: u64, round: u64) -> [u8; PUT_HEADER] {
+    let mut rec = [KIND_PUT; PUT_HEADER];
+    rec[1..33].copy_from_slice(mailbox);
+    rec[33..41].copy_from_slice(&seq.to_le_bytes());
+    rec[41..].copy_from_slice(&round.to_le_bytes());
+    rec
+}
+
+fn ack_record(mailbox: &[u8; 32], upto: u64) -> [u8; 41] {
+    let mut rec = [KIND_ACK; 41];
+    rec[1..33].copy_from_slice(mailbox);
+    rec[33..].copy_from_slice(&upto.to_le_bytes());
+    rec
+}
+
+fn txn_record(kind: u8, round: u64, batch: u64) -> [u8; 17] {
+    let mut rec = [kind; 17];
+    rec[1..9].copy_from_slice(&round.to_le_bytes());
+    rec[9..].copy_from_slice(&batch.to_le_bytes());
+    rec
+}
+
+/// One record, decoded.
+enum Record {
+    Put { mailbox: [u8; 32], loc: EntryLoc },
+    Ack { mailbox: [u8; 32], upto: u64 },
+    Txn { kind: u8, round: u64, batch: u64 },
+}
+
+/// Decode the payload `rec` found at byte `at` of segment `seg`;
+/// `None` for a kind or a length no version of this store writes.
+fn decode_record(seg: u64, at: u64, rec: &[u8]) -> Option<Record> {
+    let u64_at = |at: usize| u64::from_le_bytes(rec[at..at + 8].try_into().expect("8 bytes"));
+    let mailbox = || rec[1..33].try_into().expect("32 bytes");
+    match *rec.first()? {
+        KIND_PUT if rec.len() >= PUT_HEADER => Some(Record::Put {
+            mailbox: mailbox(),
+            loc: EntryLoc {
+                seq: u64_at(33),
+                round: u64_at(41),
+                seg,
+                offset: at + PUT_HEADER as u64,
+                len: (rec.len() - PUT_HEADER) as u32,
+            },
+        }),
+        KIND_ACK if rec.len() == 41 => Some(Record::Ack {
+            mailbox: mailbox(),
+            upto: u64_at(33),
+        }),
+        kind @ (KIND_TXN_BEGIN | KIND_TXN_COMMIT | KIND_TXN_ABORT) if rec.len() == 17 => {
+            Some(Record::Txn {
+                kind,
+                round: u64_at(1),
+                batch: u64_at(9),
+            })
+        }
+        _ => None,
+    }
 }
 
 impl LogMailboxStore {
@@ -265,6 +287,9 @@ impl LogMailboxStore {
             })
             .collect();
         ids.sort_unstable();
+        if ids.is_empty() {
+            ids.push(0);
+        }
 
         let mut store = LogMailboxStore {
             dir,
@@ -275,24 +300,12 @@ impl LogMailboxStore {
             segments: BTreeMap::new(),
             index: HashMap::new(),
             dirty: false,
-            poisoned: None,
-            #[cfg(test)]
-            fail_next_sync: false,
-            #[cfg(test)]
-            fail_next_append: false,
             committed: HashSet::new(),
             committed_order: VecDeque::new(),
             replay_txn: None,
         };
         for id in ids {
-            store.replay_segment(id)?;
-        }
-        match store.segments.keys().next_back() {
-            Some(&last) => store.active_id = last,
-            None => {
-                store.create_segment(0)?;
-                store.active_id = 0;
-            }
+            store.open_segment(id)?;
         }
         // A transaction still open at the end of replay is the
         // crash-mid-batch case: its staged PUTs are dropped (the
@@ -301,11 +314,7 @@ impl LogMailboxStore {
         // resurrect them on a later recovery.
         if let Some(txn) = store.replay_txn.take() {
             log_metrics().aborted_batches.incr();
-            store.append(
-                &Self::encode_txn(KIND_TXN_ABORT, txn.round, txn.batch),
-                false,
-            )?;
-            store.flush()?;
+            store.abort_batch(txn.round, txn.batch)?;
         }
         log_metrics().recovery_us.record_duration(start.elapsed());
         Ok(store)
@@ -326,299 +335,185 @@ impl LogMailboxStore {
     /// compute truncation points for crash simulation).
     #[doc(hidden)]
     pub fn active_segment(&self) -> (u64, u64) {
-        let seg = &self.segments[&self.active_id];
-        (self.active_id, seg.len)
+        (self.active_id, self.active().log.len_bytes())
     }
 
-    fn create_segment(&mut self, id: u64) -> Result<(), MailboxError> {
-        let path = seg_path(&self.dir, id);
-        let mut file = OpenOptions::new()
-            .create_new(true)
-            .read(true)
-            .append(true)
-            .open(&path)
-            .map_err(|e| io_err("create segment", e))?;
-        file.write_all(MAGIC)
-            .map_err(|e| io_err("write segment header", e))?;
-        self.segments.insert(
-            id,
-            Segment {
-                file,
-                path,
-                len: MAGIC.len() as u64,
-                live: 0,
-                live_bytes: 0,
-                put_bytes: 0,
-                touched: HashSet::new(),
-            },
-        );
-        self.sync_dir()?;
-        Ok(())
+    fn active(&self) -> &Segment {
+        &self.segments[&self.active_id]
     }
 
-    fn sync_dir(&self) -> Result<(), MailboxError> {
-        if !self.cfg.sync {
-            return Ok(());
-        }
-        File::open(&self.dir)
-            .and_then(|d| d.sync_all())
-            .map_err(|e| io_err("fsync store dir", e))
+    fn active_mut(&mut self) -> &mut Segment {
+        self.segments.get_mut(&self.active_id).expect("active")
     }
 
-    /// Replay one segment file into the index, truncating a torn tail.
-    fn replay_segment(&mut self, id: u64) -> Result<(), MailboxError> {
-        let path = seg_path(&self.dir, id);
-        let bytes = std::fs::read(&path).map_err(|e| io_err("read segment", e))?;
-        let file = OpenOptions::new()
-            .read(true)
-            .append(true)
-            .open(&path)
-            .map_err(|e| io_err("open segment", e))?;
-        if bytes.len() < MAGIC.len() || &bytes[..MAGIC.len()] != MAGIC {
-            // Crash before the header landed: an empty segment.
-            file.set_len(0).map_err(|e| io_err("truncate segment", e))?;
-            let mut f = file;
-            f.write_all(MAGIC)
-                .map_err(|e| io_err("rewrite segment header", e))?;
+    /// Refuse if the active segment's log failed earlier — the one
+    /// question the index cannot answer for itself.
+    fn check(&self) -> Result<(), MailboxError> {
+        self.active().log.check().map_err(|e| io_err("segment", e))
+    }
+
+    /// Open segment `id` — created if absent — make it the active one
+    /// and replay what it holds into the index.
+    fn open_segment(&mut self, id: u64) -> Result<(), MailboxError> {
+        let path = self.dir.join(format!("seg-{id:016x}.log"));
+        let (log, replay) = RecordLog::open(path, MAGIC).map_err(|e| io_err("open segment", e))?;
+        if replay.torn {
             log_metrics().torn_tails.incr();
-            self.segments.insert(
-                id,
-                Segment {
-                    file: f,
-                    path,
-                    len: MAGIC.len() as u64,
-                    live: 0,
-                    live_bytes: 0,
-                    put_bytes: 0,
-                    touched: HashSet::new(),
-                },
-            );
-            return Ok(());
         }
-
-        let mut seg = Segment {
-            file,
-            path,
-            len: 0, // set below
+        let segment = Segment {
+            log,
             live: 0,
             live_bytes: 0,
             put_bytes: 0,
             touched: HashSet::new(),
         };
-        let mut o = MAGIC.len();
-        let good = loop {
-            let Some(rec) = parse_record(&bytes, o) else {
-                break o;
-            };
-            match rec {
-                Record::Put {
-                    end,
-                    mailbox,
-                    seq,
-                    round,
-                    payload_offset,
-                    payload_len,
-                } => {
-                    seg.touched.insert(mailbox);
-                    seg.put_bytes += payload_len as u64;
-                    let staged = StagedPut {
-                        mailbox,
-                        seq,
-                        round,
-                        seg: id,
-                        offset: payload_offset as u64,
-                        len: payload_len,
-                    };
-                    match &mut self.replay_txn {
-                        // Inside a delivery bracket: held back until its
-                        // COMMIT proves the batch landed.
-                        Some(txn) => txn.staged.push(staged),
-                        // Bare PUT (compaction copy, direct store user):
-                        // committed by construction.
-                        None => apply_staged(
-                            &mut self.index,
-                            &mut self.segments,
-                            &mut seg,
-                            id,
-                            vec![staged],
-                        ),
-                    }
-                    o = end;
+        self.segments.insert(id, segment);
+        self.active_id = id;
+        for (at, rec) in replay.records() {
+            match decode_record(id, at, rec) {
+                Some(Record::Put { mailbox, loc }) => match &mut self.replay_txn {
+                    // Inside a delivery bracket: held back until its
+                    // COMMIT proves the batch landed.
+                    Some(txn) => txn.staged.push((mailbox, loc)),
+                    // Bare PUT (compaction copy, direct store user):
+                    // committed by construction.
+                    None => self.index_put(mailbox, loc),
+                },
+                Some(Record::Ack { mailbox, upto }) => {
+                    self.index_ack(mailbox, upto);
                 }
-                Record::Txn {
-                    end,
-                    kind,
-                    round,
-                    batch,
-                } => {
+                Some(Record::Txn { kind, round, batch }) => {
+                    // An ABORT rolls the open bracket's PUTs back (the
+                    // batch never completed; the sender retries), a
+                    // COMMIT applies them.  So does a BEGIN: one while
+                    // a bracket is open cannot be produced by the
+                    // runtime (every batch ends in COMMIT or ABORT, and
+                    // open() closes a dangling one), but if it ever
+                    // appears, better to apply than to lose data.
+                    let open = self.replay_txn.take();
+                    if kind != KIND_TXN_ABORT {
+                        for (mailbox, loc) in open.into_iter().flat_map(|txn| txn.staged) {
+                            self.index_put(mailbox, loc);
+                        }
+                    }
                     match kind {
                         KIND_TXN_BEGIN => {
-                            // A BEGIN while a bracket is open cannot be
-                            // produced by the runtime (every batch ends
-                            // in COMMIT or ABORT, and open() closes a
-                            // dangling one); if it ever appears, apply
-                            // the staged PUTs rather than lose data.
-                            if let Some(prev) = self.replay_txn.take() {
-                                apply_staged(
-                                    &mut self.index,
-                                    &mut self.segments,
-                                    &mut seg,
-                                    id,
-                                    prev.staged,
-                                );
-                            }
                             self.replay_txn = Some(ReplayTxn {
                                 round,
                                 batch,
                                 staged: Vec::new(),
-                            });
+                            })
                         }
-                        KIND_TXN_COMMIT => {
-                            if let Some(txn) = self.replay_txn.take() {
-                                apply_staged(
-                                    &mut self.index,
-                                    &mut self.segments,
-                                    &mut seg,
-                                    id,
-                                    txn.staged,
-                                );
-                            }
-                            self.record_committed(round, batch);
-                        }
-                        // ABORT: the batch never completed; its staged
-                        // PUTs are rolled back (the sender retries).
-                        _ => {
-                            self.replay_txn = None;
-                        }
+                        KIND_TXN_COMMIT => self.record_committed(round, batch),
+                        _ => {}
                     }
-                    o = end;
                 }
-                Record::Ack { end, mailbox, upto } => {
-                    seg.touched.insert(mailbox);
-                    let b = self.index.entry(mailbox).or_default();
-                    b.acked = b.acked.max(upto);
-                    b.next = b.next.max(upto);
-                    let mut retired: Vec<EntryLoc> = Vec::new();
-                    while b.entries.front().is_some_and(|e| e.seq < upto) {
-                        retired.push(b.entries.pop_front().expect("front checked"));
-                    }
-                    for loc in retired {
-                        let owner = if loc.seg == id {
-                            &mut seg
-                        } else {
-                            self.segments.get_mut(&loc.seg).expect("segment replayed")
-                        };
-                        owner.live -= 1;
-                        owner.live_bytes -= loc.len as u64;
-                    }
-                    o = end;
+                // The checksum says it was written whole, so it is not
+                // ours to cut off: some other version's record.
+                None => {
+                    return Err(MailboxError::Storage {
+                        message: format!("segment {id:x}: unknown record at byte {at}"),
+                    })
                 }
             }
-        };
-        if good < bytes.len() {
-            // Torn tail: a crash mid-append.  Everything before it is
-            // intact; drop the partial record.
-            seg.file
-                .set_len(good as u64)
-                .map_err(|e| io_err("truncate torn tail", e))?;
-            log_metrics().torn_tails.incr();
         }
-        seg.len = good as u64;
-        self.segments.insert(id, seg);
         Ok(())
     }
 
-    /// Append a raw record to the active segment, rotating first if the
-    /// active segment is over its size budget.  A failed write may have
-    /// landed part of the record, so it poisons the store.
-    fn append(&mut self, record: &[u8], allow_rotate: bool) -> Result<u64, MailboxError> {
-        self.check_poisoned()?;
-        if allow_rotate && self.segments[&self.active_id].len >= self.cfg.segment_bytes {
-            self.rotate()?;
+    /// Index one PUT record sitting at `loc` — the live `put`, a
+    /// compaction copy and replay alike.  Below the ack watermark it is
+    /// dead on arrival; for a sequence number already indexed it is a
+    /// compaction copy and the entry moves to it.
+    fn index_put(&mut self, mailbox: [u8; 32], loc: EntryLoc) {
+        let len = loc.len as u64;
+        let b = self.index.entry(mailbox).or_default();
+        b.next = b.next.max(loc.seq + 1);
+        let seg = self.segments.get_mut(&loc.seg).expect("open segment");
+        seg.touched.insert(mailbox);
+        seg.put_bytes += len;
+        if loc.seq < b.acked {
+            return;
         }
-        let seg = self.segments.get_mut(&self.active_id).expect("active");
-        let at = seg.len;
-        #[cfg(test)]
-        let record = if self.fail_next_append {
-            &record[..record.len() / 2]
-        } else {
-            record
-        };
-        let written = seg.file.write_all(record);
-        #[cfg(test)]
-        let written = if std::mem::take(&mut self.fail_next_append) {
-            Err(std::io::Error::other("injected append failure"))
-        } else {
-            written
-        };
-        if let Err(e) = written {
-            let e = io_err("append record", e);
-            self.poisoned = Some(e.clone());
-            return Err(e);
+        seg.live += 1;
+        seg.live_bytes += len;
+        // Append order is seq order per mailbox except for compaction
+        // copies, so this is the back of the queue on the live path.
+        let pos = b.entries.partition_point(|e| e.seq < loc.seq);
+        match b.entries.get_mut(pos).filter(|e| e.seq == loc.seq) {
+            Some(old) => {
+                let left = self.segments.get_mut(&old.seg).expect("open segment");
+                left.live -= 1;
+                left.live_bytes -= old.len as u64;
+                *old = loc;
+            }
+            None => b.entries.insert(pos, loc),
         }
-        seg.len += record.len() as u64;
+    }
+
+    /// Index one ACK record in the active segment: raise `mailbox`'s
+    /// watermark to `upto` and retire what falls below it, returning
+    /// how many entries that was.  A stale ack moves nothing.
+    fn index_ack(&mut self, mailbox: [u8; 32], upto: u64) -> u64 {
+        self.active_mut().touched.insert(mailbox);
+        let b = self.index.entry(mailbox).or_default();
+        b.acked = b.acked.max(upto);
+        b.next = b.next.max(upto);
+        let mut retired = 0;
+        while b.entries.front().is_some_and(|e| e.seq < upto) {
+            let loc = b.entries.pop_front().expect("front checked");
+            let seg = self.segments.get_mut(&loc.seg).expect("open segment");
+            seg.live -= 1;
+            seg.live_bytes -= loc.len as u64;
+            retired += 1;
+        }
+        retired
+    }
+
+    /// Append one record to the active segment, rotating first if it is
+    /// over its size budget; returns the payload's file offset.
+    fn append(&mut self, parts: &[&[u8]], allow_rotate: bool) -> Result<u64, MailboxError> {
+        if allow_rotate && self.active().log.len_bytes() >= self.cfg.segment_bytes {
+            // Seal the active segment and start a fresh one.
+            self.flush()?;
+            self.open_segment(self.active_id + 1)?;
+            log_metrics().rotations.incr();
+        }
+        let at = self.active_mut().log.append(parts);
+        let at = at.map_err(|e| io_err("append record", e))?;
         self.dirty = true;
         Ok(at)
     }
 
-    /// Refuse if an earlier segment sync or append failed.
-    fn check_poisoned(&self) -> Result<(), MailboxError> {
-        match &self.poisoned {
-            Some(e) => Err(e.clone()),
-            None => Ok(()),
-        }
-    }
-
-    /// `fdatasync` the active segment; a failure poisons the store.
-    fn sync_active(&mut self, what: &str) -> Result<(), MailboxError> {
-        let started = std::time::Instant::now();
-        let synced = self.segments[&self.active_id].file.sync_data();
-        #[cfg(test)]
-        let synced = if std::mem::take(&mut self.fail_next_sync) {
-            Err(std::io::Error::other("injected sync failure"))
-        } else {
-            synced
+    /// Append and index a PUT.
+    fn log_put(
+        &mut self,
+        mailbox: [u8; 32],
+        seq: u64,
+        round: u64,
+        sealed: &[u8],
+        allow_rotate: bool,
+    ) -> Result<(), MailboxError> {
+        let at = self.append(&[&put_header(&mailbox, seq, round), sealed], allow_rotate)?;
+        let loc = EntryLoc {
+            seq,
+            round,
+            seg: self.active_id,
+            offset: at + PUT_HEADER as u64,
+            len: sealed.len() as u32,
         };
-        log_metrics().fsyncs.incr();
-        log_metrics().fsync_us.record_duration(started.elapsed());
-        synced.map_err(|e| {
-            let e = io_err(what, e);
-            self.poisoned = Some(e.clone());
-            e
-        })
-    }
-
-    /// Seal the active segment and start a fresh one.
-    fn rotate(&mut self) -> Result<(), MailboxError> {
-        if self.cfg.sync {
-            self.sync_active("fsync sealed segment")?;
-        }
-        let next = self.active_id + 1;
-        self.create_segment(next)?;
-        self.active_id = next;
-        log_metrics().rotations.incr();
+        self.index_put(mailbox, loc);
         Ok(())
     }
 
-    fn encode_put(mailbox: &[u8; 32], seq: u64, round: u64, sealed: &[u8]) -> Vec<u8> {
-        let mut rec = Vec::with_capacity(1 + 32 + 8 + 8 + 4 + sealed.len() + 8);
-        rec.push(KIND_PUT);
-        rec.extend_from_slice(mailbox);
-        rec.extend_from_slice(&seq.to_le_bytes());
-        rec.extend_from_slice(&round.to_le_bytes());
-        rec.extend_from_slice(&(sealed.len() as u32).to_le_bytes());
-        rec.extend_from_slice(sealed);
-        rec.extend_from_slice(&fnv64(&rec).to_le_bytes());
-        rec
-    }
-
-    fn encode_txn(kind: u8, round: u64, batch: u64) -> Vec<u8> {
-        let mut rec = Vec::with_capacity(1 + 8 + 8 + 8);
-        rec.push(kind);
-        rec.extend_from_slice(&round.to_le_bytes());
-        rec.extend_from_slice(&batch.to_le_bytes());
-        rec.extend_from_slice(&fnv64(&rec).to_le_bytes());
-        rec
+    /// Append and index an ACK; returns how many entries it retired.
+    fn log_ack(
+        &mut self,
+        mailbox: [u8; 32],
+        upto: u64,
+        allow_rotate: bool,
+    ) -> Result<u64, MailboxError> {
+        self.append(&[&ack_record(&mailbox, upto)], allow_rotate)?;
+        Ok(self.index_ack(mailbox, upto))
     }
 
     /// Remember a committed delivery-batch id for dedup, evicting the
@@ -634,19 +529,10 @@ impl LogMailboxStore {
         }
     }
 
-    fn encode_ack(mailbox: &[u8; 32], upto: u64) -> Vec<u8> {
-        let mut rec = Vec::with_capacity(1 + 32 + 8 + 8);
-        rec.push(KIND_ACK);
-        rec.extend_from_slice(mailbox);
-        rec.extend_from_slice(&upto.to_le_bytes());
-        rec.extend_from_slice(&fnv64(&rec).to_le_bytes());
-        rec
-    }
-
     fn read_sealed(&self, loc: &EntryLoc) -> Result<Vec<u8>, MailboxError> {
         let seg = self.segments.get(&loc.seg).expect("live entry's segment");
         let mut buf = vec![0u8; loc.len as usize];
-        seg.file
+        seg.log
             .read_exact_at(&mut buf, loc.offset)
             .map_err(|e| io_err("read entry", e))?;
         Ok(buf)
@@ -674,48 +560,28 @@ impl LogMailboxStore {
         debug_assert_ne!(id, self.active_id);
         let touched: Vec<[u8; 32]> = self.segments[&id].touched.iter().copied().collect();
         for mailbox in touched {
+            let b = &self.index[&mailbox];
             // Re-record the ack watermark so deleting this segment's ACK
             // records cannot regress retention on recovery.
-            let acked = self.index.get(&mailbox).map_or(0, |b| b.acked);
-            if acked > 0 {
-                self.append(&Self::encode_ack(&mailbox, acked), false)?;
-            }
+            let acked = b.acked;
             // Copy the mailbox's live entries out of the doomed segment,
-            // preserving seq and round (replay skips duplicates, so a
-            // crash between copy and delete is safe).
-            let locs: Vec<(usize, EntryLoc)> = self
-                .index
-                .get(&mailbox)
-                .map(|b| {
-                    b.entries
-                        .iter()
-                        .enumerate()
-                        .filter(|(_, e)| e.seg == id)
-                        .map(|(i, e)| (i, *e))
-                        .collect()
-                })
-                .unwrap_or_default();
-            for (i, loc) in locs {
+            // preserving seq and round (a crash between copy and delete
+            // is safe: replay moves the entry to the copy as well).
+            let locs: Vec<EntryLoc> = b.entries.iter().filter(|e| e.seg == id).copied().collect();
+            if acked > 0 {
+                self.log_ack(mailbox, acked, false)?;
+            }
+            for loc in locs {
                 let sealed = self.read_sealed(&loc)?;
-                let rec = Self::encode_put(&mailbox, loc.seq, loc.round, &sealed);
-                let at = self.append(&rec, false)?;
-                let new_loc = EntryLoc {
-                    seg: self.active_id,
-                    offset: at + 1 + 32 + 8 + 8 + 4,
-                    ..loc
-                };
-                let active = self.segments.get_mut(&self.active_id).expect("active");
-                active.live += 1;
-                active.live_bytes += loc.len as u64;
-                active.put_bytes += loc.len as u64;
-                active.touched.insert(mailbox);
-                self.index.get_mut(&mailbox).expect("indexed").entries[i] = new_loc;
+                self.log_put(mailbox, loc.seq, loc.round, &sealed, false)?;
             }
         }
         self.flush()?;
         let seg = self.segments.remove(&id).expect("candidate exists");
-        std::fs::remove_file(&seg.path).map_err(|e| io_err("delete compacted segment", e))?;
-        self.sync_dir()?;
+        debug_assert_eq!(seg.live, 0, "every live entry was copied out");
+        seg.log
+            .delete()
+            .map_err(|e| io_err("delete compacted segment", e))?;
         log_metrics().compactions.incr();
         Ok(())
     }
@@ -730,23 +596,8 @@ impl MailboxStore for LogMailboxStore {
                 expected: self.shard,
             });
         }
-        let seq = self.index.entry(msg.mailbox).or_default().next;
-        let rec = Self::encode_put(&msg.mailbox, seq, round, &msg.sealed);
-        let at = self.append(&rec, true)?;
-        let b = self.index.get_mut(&msg.mailbox).expect("just inserted");
-        b.next = seq + 1;
-        b.entries.push_back(EntryLoc {
-            seq,
-            round,
-            seg: self.active_id,
-            offset: at + 1 + 32 + 8 + 8 + 4,
-            len: msg.sealed.len() as u32,
-        });
-        let seg = self.segments.get_mut(&self.active_id).expect("active");
-        seg.live += 1;
-        seg.live_bytes += msg.sealed.len() as u64;
-        seg.put_bytes += msg.sealed.len() as u64;
-        seg.touched.insert(msg.mailbox);
+        let seq = self.index.get(&msg.mailbox).map_or(0, |b| b.next);
+        self.log_put(msg.mailbox, seq, round, &msg.sealed, true)?;
         store_metrics().puts.incr();
         Ok(seq)
     }
@@ -769,21 +620,17 @@ impl MailboxStore for LogMailboxStore {
             cursor,
             max,
         )?;
-        let locs: Vec<EntryLoc> = b
+        let entries = b
             .entries
-            .iter()
-            .skip(start)
-            .take(end - start)
-            .copied()
-            .collect();
-        let mut entries = Vec::with_capacity(locs.len());
-        for loc in locs {
-            entries.push(PageEntry {
-                seq: loc.seq,
-                round: loc.round,
-                sealed: self.read_sealed(&loc)?,
-            });
-        }
+            .range(start..end)
+            .map(|loc| {
+                Ok(PageEntry {
+                    seq: loc.seq,
+                    round: loc.round,
+                    sealed: self.read_sealed(loc)?,
+                })
+            })
+            .collect::<Result<_, MailboxError>>()?;
         store_metrics().pages.incr();
         Ok(Page {
             entries,
@@ -805,25 +652,14 @@ impl MailboxStore for LogMailboxStore {
         }
         // Before the idempotence shortcut: a watermark a failed sync
         // left ahead of the disk must not answer the retry.
-        self.check_poisoned()?;
+        self.check()?;
         if upto <= b.acked {
             return Ok(0); // idempotent replay of an old ack
         }
-        self.append(&Self::encode_ack(mailbox, upto), true)?;
-        let b = self.index.get_mut(mailbox).expect("checked above");
-        b.acked = upto;
-        let mut retired = Vec::new();
-        while b.entries.front().is_some_and(|e| e.seq < upto) {
-            retired.push(b.entries.pop_front().expect("front checked"));
-        }
-        for loc in &retired {
-            let seg = self.segments.get_mut(&loc.seg).expect("live segment");
-            seg.live -= 1;
-            seg.live_bytes -= loc.len as u64;
-        }
-        store_metrics().acks.add(retired.len() as u64);
+        let retired = self.log_ack(*mailbox, upto, true)?;
+        store_metrics().acks.add(retired);
         self.compact_eligible()?;
-        Ok(retired.len() as u64)
+        Ok(retired)
     }
 
     fn pending(&self, mailbox: &[u8; 32]) -> Result<u64, MailboxError> {
@@ -835,175 +671,47 @@ impl MailboxStore for LogMailboxStore {
     }
 
     fn flush(&mut self) -> Result<(), MailboxError> {
-        self.check_poisoned()?;
-        if self.dirty && self.cfg.sync {
-            self.sync_active("fsync active segment")?;
+        self.check()?;
+        if std::mem::take(&mut self.dirty) {
+            let started = std::time::Instant::now();
+            let synced = self.active_mut().log.sync();
+            log_metrics().fsyncs.incr();
+            log_metrics().fsync_us.record_duration(started.elapsed());
+            synced.map_err(|e| io_err("fsync segment", e))?;
         }
-        self.dirty = false;
         Ok(())
     }
 
     fn begin_batch(&mut self, round: u64, batch: u64) -> Result<bool, MailboxError> {
         // Before the dedup answer: an id a failed sync left in the
         // window is not on disk.
-        self.check_poisoned()?;
+        self.check()?;
         if self.committed.contains(&(round, batch)) {
             return Ok(false); // durably committed: dedup hit
         }
-        self.append(&Self::encode_txn(KIND_TXN_BEGIN, round, batch), true)?;
+        self.append(&[&txn_record(KIND_TXN_BEGIN, round, batch)], true)?;
         Ok(true)
     }
 
     fn commit_batch(&mut self, round: u64, batch: u64) -> Result<(), MailboxError> {
         // Not durable until the caller's flush(); one fsync covers the
         // whole bracket, and recovery rolls back anything uncommitted.
-        self.append(&Self::encode_txn(KIND_TXN_COMMIT, round, batch), false)?;
+        self.append(&[&txn_record(KIND_TXN_COMMIT, round, batch)], false)?;
         self.record_committed(round, batch);
         Ok(())
     }
 
     fn abort_batch(&mut self, round: u64, batch: u64) -> Result<(), MailboxError> {
-        self.append(&Self::encode_txn(KIND_TXN_ABORT, round, batch), false)?;
+        self.append(&[&txn_record(KIND_TXN_ABORT, round, batch)], false)?;
         // Make the rollback durable before the error reply goes out.
         self.flush()
-    }
-}
-
-enum Record {
-    Put {
-        end: usize,
-        mailbox: [u8; 32],
-        seq: u64,
-        round: u64,
-        payload_offset: usize,
-        payload_len: u32,
-    },
-    Ack {
-        end: usize,
-        mailbox: [u8; 32],
-        upto: u64,
-    },
-    Txn {
-        end: usize,
-        kind: u8,
-        round: u64,
-        batch: u64,
-    },
-}
-
-/// Parse one record at `o`; `None` means a torn/absent record (replay
-/// truncates there).
-fn parse_record(bytes: &[u8], o: usize) -> Option<Record> {
-    let u64_at = |at: usize| u64::from_le_bytes(bytes[at..at + 8].try_into().expect("8 bytes"));
-    let kind = *bytes.get(o)?;
-    match kind {
-        KIND_PUT => {
-            let header_end = o + 1 + 32 + 8 + 8 + 4;
-            if bytes.len() < header_end {
-                return None;
-            }
-            let len = u32::from_le_bytes(
-                bytes[header_end - 4..header_end]
-                    .try_into()
-                    .expect("4 bytes"),
-            );
-            if len as usize > MAX_SEALED {
-                return None;
-            }
-            let end = header_end + len as usize + 8;
-            if bytes.len() < end {
-                return None;
-            }
-            let stored = u64_at(end - 8);
-            if fnv64(&bytes[o..end - 8]) != stored {
-                return None;
-            }
-            Some(Record::Put {
-                end,
-                mailbox: bytes[o + 1..o + 33].try_into().expect("32 bytes"),
-                seq: u64_at(o + 33),
-                round: u64_at(o + 41),
-                payload_offset: header_end,
-                payload_len: len,
-            })
-        }
-        KIND_ACK => {
-            let end = o + 1 + 32 + 8 + 8;
-            if bytes.len() < end {
-                return None;
-            }
-            let stored = u64_at(end - 8);
-            if fnv64(&bytes[o..end - 8]) != stored {
-                return None;
-            }
-            Some(Record::Ack {
-                end,
-                mailbox: bytes[o + 1..o + 33].try_into().expect("32 bytes"),
-                upto: u64_at(o + 33),
-            })
-        }
-        KIND_TXN_BEGIN | KIND_TXN_COMMIT | KIND_TXN_ABORT => {
-            let end = o + 1 + 8 + 8 + 8;
-            if bytes.len() < end {
-                return None;
-            }
-            let stored = u64_at(end - 8);
-            if fnv64(&bytes[o..end - 8]) != stored {
-                return None;
-            }
-            Some(Record::Txn {
-                end,
-                kind,
-                round: u64_at(o + 1),
-                batch: u64_at(o + 9),
-            })
-        }
-        _ => None,
-    }
-}
-
-/// Apply replayed (or staged-then-committed) PUTs to the index with the
-/// standard idempotence rules: duplicate sequence numbers and already
-/// acked entries are skipped, everything else is inserted in seq order
-/// and counted live against its segment.  `current` is the segment
-/// being replayed (not yet inserted into `segments`).
-fn apply_staged(
-    index: &mut HashMap<[u8; 32], BoxIndex>,
-    segments: &mut BTreeMap<u64, Segment>,
-    current: &mut Segment,
-    current_id: u64,
-    staged: Vec<StagedPut>,
-) {
-    for p in staged {
-        let b = index.entry(p.mailbox).or_default();
-        b.next = b.next.max(p.seq + 1);
-        let dup = b.entries.iter().any(|e| e.seq == p.seq);
-        if p.seq >= b.acked && !dup {
-            let loc = EntryLoc {
-                seq: p.seq,
-                round: p.round,
-                seg: p.seg,
-                offset: p.offset,
-                len: p.len,
-            };
-            // Replay order is append order, which is seq order per
-            // mailbox except for compaction copies; insert sorted.
-            let pos = b.entries.partition_point(|e| e.seq < p.seq);
-            b.entries.insert(pos, loc);
-            let owner = if p.seg == current_id {
-                &mut *current
-            } else {
-                segments.get_mut(&p.seg).expect("segment replayed")
-            };
-            owner.live += 1;
-            owner.live_bytes += p.len as u64;
-        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::record_log::Fault;
 
     fn msg(mailbox: u8, body: &[u8]) -> MailboxMessage {
         MailboxMessage {
@@ -1047,7 +755,6 @@ mod tests {
         let dir = tmp("rotate");
         let cfg = LogStoreConfig {
             segment_bytes: 256, // tiny: rotate every few records
-            sync: false,
         };
         let mut s = LogMailboxStore::open(&dir, 0, 1, cfg).unwrap();
         for i in 0..40u64 {
@@ -1071,10 +778,7 @@ mod tests {
     #[test]
     fn partial_compaction_preserves_live_entries() {
         let dir = tmp("compact");
-        let cfg = LogStoreConfig {
-            segment_bytes: 512,
-            sync: false,
-        };
+        let cfg = LogStoreConfig { segment_bytes: 512 };
         let mut s = LogMailboxStore::open(&dir, 0, 1, cfg).unwrap();
         // Interleave two mailboxes so early segments hold both.
         for i in 0..30u64 {
@@ -1185,10 +889,7 @@ mod tests {
     #[test]
     fn batch_spanning_rotation_replays_atomically() {
         let dir = tmp("txn-span");
-        let cfg = LogStoreConfig {
-            segment_bytes: 256,
-            sync: false,
-        };
+        let cfg = LogStoreConfig { segment_bytes: 256 };
         {
             let mut s = LogMailboxStore::open(&dir, 0, 1, cfg).unwrap();
             assert!(s.begin_batch(2, 3).unwrap());
@@ -1206,12 +907,22 @@ mod tests {
         assert!(!s.begin_batch(2, 3).unwrap());
         let _ = std::fs::remove_dir_all(&dir);
     }
-    /// The bug the poison flag closes: the index runs ahead of a sync
-    /// that then fails.  Without it the retried batch hits the dedup
-    /// window and the retried ack the idempotence shortcut — both
-    /// answered as done for records that never reached the disk, and
-    /// the next `flush` "succeeds" because the kernel reports a
-    /// write-back error once.
+
+    /// Arm the active segment's [`RecordLog`] failure seam.
+    fn inject(s: &mut LogMailboxStore, fault: Fault) {
+        s.segments.get_mut(&s.active_id).unwrap().log.fault = Some(fault);
+    }
+
+    fn refused<T>(r: Result<T, MailboxError>) -> bool {
+        matches!(r, Err(MailboxError::Storage { .. }))
+    }
+
+    /// What is the store's to answer after a failed sync: the index ran
+    /// ahead of it.  The retried batch would hit the dedup window and
+    /// the retried ack the idempotence shortcut — both answered as done
+    /// for records that never reached the disk, neither touching the
+    /// file.  (That the file itself refuses every later write and sync
+    /// is `RecordLog`'s contract, tested there.)
     #[test]
     fn failed_sync_poisons_the_store_until_reopen() {
         let dir = tmp("poison");
@@ -1223,20 +934,18 @@ mod tests {
         s.put(2, msg(1, b"lost")).unwrap();
         s.commit_batch(2, 7).unwrap();
         s.ack(&[1u8; 32], 1).unwrap();
-        s.fail_next_sync = true;
-        assert!(matches!(s.flush(), Err(MailboxError::Storage { .. })));
+        inject(&mut s, Fault::Sync);
+        assert!(refused(s.flush()));
 
-        // Every retry is refused — not dedup-acked, not re-acked, not
-        // "flushed" by a sync that no longer carries the error.
-        let storage = |r: Result<(), MailboxError>| matches!(r, Err(MailboxError::Storage { .. }));
-        assert!(storage(s.flush()));
-        assert!(storage(s.begin_batch(2, 7).map(drop)));
-        assert!(storage(s.begin_batch(2, 8).map(drop)));
-        assert!(storage(s.commit_batch(2, 8)));
-        assert!(storage(s.abort_batch(2, 8)));
-        assert!(storage(s.put(3, msg(1, b"more")).map(drop)));
-        assert!(storage(s.ack(&[1u8; 32], 1).map(drop)));
-        assert!(storage(s.ack(&[1u8; 32], 2).map(drop)));
+        assert!(refused(s.begin_batch(2, 7)), "dedup window answered");
+        assert!(refused(s.ack(&[1u8; 32], 1)), "idempotent ack answered");
+        // And everything that does touch the file passes its refusal on.
+        assert!(refused(s.flush()));
+        assert!(refused(s.begin_batch(2, 8)));
+        assert!(refused(s.commit_batch(2, 8)));
+        assert!(refused(s.abort_batch(2, 8)));
+        assert!(refused(s.put(3, msg(1, b"more"))));
+        assert!(refused(s.ack(&[1u8; 32], 2)));
 
         // Reopening replays what the file holds and serves again.
         drop(s);
@@ -1246,11 +955,10 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    /// A failed append is as final as a failed sync.  Half of the
-    /// failed record is in the `O_APPEND` file, so without the poison
-    /// the next record is indexed at the wrong offset (its `pread`
-    /// serves the torn record's bytes) and replay, truncating at the
-    /// torn record, drops it although it was flushed and acknowledged.
+    /// A failed append leaves no trace in the index — the entry is not
+    /// served, its sequence number not consumed — and the store refuses
+    /// from then on; the index rebuilt on reopen is the acknowledged
+    /// prefix, and the torn record's sequence number is assigned again.
     #[test]
     fn failed_append_poisons_the_store_until_reopen() {
         let dir = tmp("poison-append");
@@ -1259,25 +967,18 @@ mod tests {
         s.ack(&[1u8; 32], 0).unwrap();
         s.flush().unwrap();
 
-        s.fail_next_append = true;
-        let storage = |r: Result<(), MailboxError>| matches!(r, Err(MailboxError::Storage { .. }));
-        assert!(storage(s.put(2, msg(1, b"torn")).map(drop)));
+        inject(&mut s, Fault::Append);
+        assert!(refused(s.put(2, msg(1, b"torn"))));
+        assert_eq!(s.pending(&[1u8; 32]), Ok(1));
+        assert!(refused(s.put(3, msg(1, b"after"))));
+        assert!(refused(s.ack(&[1u8; 32], 0)), "idempotent ack answered");
+        assert!(refused(s.begin_batch(3, 0)));
+        assert!(refused(s.flush()));
 
-        // (a) Every later operation is refused: nothing may land after
-        // the torn record, and nothing may be acknowledged.
-        assert!(storage(s.put(3, msg(1, b"after")).map(drop)));
-        assert!(storage(s.ack(&[1u8; 32], 1).map(drop)));
-        assert!(storage(s.begin_batch(3, 0).map(drop)));
-        assert!(storage(s.commit_batch(3, 0)));
-        assert!(storage(s.abort_batch(3, 0)));
-        assert!(storage(s.flush()));
-
-        // (b) Reopening cuts the torn record off and recovers everything
-        // acknowledged before the failure — intact, and appendable.
         drop(s);
         let mut s = LogMailboxStore::open(&dir, 0, 1, LogStoreConfig::default()).unwrap();
         assert_eq!(s.pending(&[1u8; 32]), Ok(1));
-        s.put(4, msg(1, b"after")).unwrap();
+        assert_eq!(s.put(4, msg(1, b"after")).unwrap(), 1);
         s.flush().unwrap();
         let page = s.fetch_page(&[1u8; 32], 0, 8).unwrap();
         let sealed: Vec<&[u8]> = page.entries.iter().map(|e| &e.sealed[..]).collect();
@@ -1285,23 +986,94 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    /// Rotation syncs the segment it seals; that sync failing poisons
-    /// the store like a failed flush.
+    /// Rotation syncs the segment it seals; when that sync fails the
+    /// rotation does not happen and the store refuses like after a
+    /// failed flush.
     #[test]
     fn failed_rotation_sync_poisons_too() {
         let dir = tmp("poison-rotate");
-        let cfg = LogStoreConfig {
-            segment_bytes: 64,
-            sync: true,
-        };
+        let cfg = LogStoreConfig { segment_bytes: 64 };
         let mut s = LogMailboxStore::open(&dir, 0, 1, cfg).unwrap();
         s.put(1, msg(1, &[7u8; 64])).unwrap();
-        s.fail_next_sync = true;
-        assert!(matches!(
-            s.put(1, msg(1, &[8u8; 64])),
-            Err(MailboxError::Storage { .. })
-        ));
-        assert!(matches!(s.flush(), Err(MailboxError::Storage { .. })));
+        inject(&mut s, Fault::Sync);
+        assert!(refused(s.put(1, msg(1, &[8u8; 64]))));
+        assert_eq!(s.segment_count(), 1, "no segment was started");
+        assert!(refused(s.flush()));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// An ACK record keeps its mailbox's watermark alive only as long
+    /// as its segment exists, so compaction must carry the watermark
+    /// of every mailbox *acked* in the doomed segment forward — also
+    /// one whose PUTs sit elsewhere, in a segment that outlives it.
+    #[test]
+    fn ack_outlives_the_segment_that_recorded_it() {
+        let dir = tmp("ack-carried");
+        let cfg = LogStoreConfig { segment_bytes: 256 };
+        let mut s = LogMailboxStore::open(&dir, 0, 1, cfg).unwrap();
+        // Segment 0: mailbox 1's entry beside enough of mailbox 2's to
+        // keep the segment above the compaction threshold.
+        s.put(0, msg(1, b"acked")).unwrap();
+        s.put(0, msg(2, &[2u8; 64])).unwrap();
+        s.put(0, msg(2, &[2u8; 64])).unwrap();
+        // Segment 1: the ACK, then mailbox 3 filling it.
+        assert_eq!(s.ack(&[1u8; 32], 1), Ok(1));
+        for _ in 0..2 {
+            s.put(1, msg(3, &[3u8; 64])).unwrap();
+        }
+        // Segment 2: mailbox 3's ack leaves segment 1 dead; it goes.
+        assert_eq!(s.segment_count(), 2);
+        assert_eq!(s.ack(&[3u8; 32], 2), Ok(2));
+        assert_eq!(s.segment_count(), 2, "segment 1 compacted away");
+        s.flush().unwrap();
+        drop(s);
+        let s = LogMailboxStore::open(&dir, 0, 1, cfg).unwrap();
+        assert_eq!(s.pending(&[1u8; 32]), Ok(0), "acked entry resurrected");
+        assert_eq!(s.pending(&[2u8; 32]), Ok(2));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    fn only_segment(dir: &Path) -> PathBuf {
+        let mut files = std::fs::read_dir(dir).unwrap().map(|e| e.unwrap().path());
+        let seg = files.next().expect("one segment file");
+        assert!(files.next().is_none());
+        seg
+    }
+
+    /// A segment whose header never landed whole — the crash between
+    /// creating the file and its first write reaching the disk — is an
+    /// empty segment, not an error.
+    #[test]
+    fn torn_segment_header_starts_fresh() {
+        let dir = tmp("torn-header");
+        drop(LogMailboxStore::open(&dir, 0, 1, LogStoreConfig::default()).unwrap());
+        std::fs::write(only_segment(&dir), &MAGIC[..5]).unwrap();
+        let mut s = LogMailboxStore::open(&dir, 0, 1, LogStoreConfig::default()).unwrap();
+        assert_eq!(s.put(0, msg(1, b"first")).unwrap(), 0);
+        s.flush().unwrap();
+        drop(s);
+        let s = LogMailboxStore::open(&dir, 0, 1, LogStoreConfig::default()).unwrap();
+        assert_eq!(s.pending(&[1u8; 32]), Ok(1));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A segment file under another magic — the previous format's, say,
+    /// in a reused directory — is not the store's to wipe: opening
+    /// fails and the file keeps every byte.
+    #[test]
+    fn foreign_segment_is_refused_untouched() {
+        let dir = tmp("foreign");
+        drop(LogMailboxStore::open(&dir, 0, 1, LogStoreConfig::default()).unwrap());
+        let seg = only_segment(&dir);
+        let foreign = b"XRDMBOX1 and a shard's worth of somebody's messages";
+        std::fs::write(&seg, foreign).unwrap();
+        assert!(refused(LogMailboxStore::open(
+            &dir,
+            0,
+            1,
+            LogStoreConfig::default()
+        )));
+        assert_eq!(std::fs::read(&seg).unwrap(), foreign);
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

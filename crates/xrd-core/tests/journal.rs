@@ -1,8 +1,10 @@
-//! Durability contract of the daemon state [`Journal`]: records
-//! survive reopen byte-for-byte, a torn tail (the crash landing
-//! mid-write) is truncated away without losing the intact prefix, a
-//! corrupted checksum drops exactly the damaged record, and
-//! [`Journal::rewrite`] compacts atomically.
+//! Durability contract of the daemon state [`Journal`], through its
+//! public surface: records survive reopen byte-for-byte, a torn tail
+//! (the crash landing mid-write) is truncated away without losing the
+//! intact prefix, a corrupted checksum drops exactly the damaged
+//! record, a torn header starts fresh while a foreign one is refused,
+//! and [`Journal::rewrite`] compacts atomically.  (The byte-by-byte
+//! sweeps and the failure latch are `RecordLog`'s unit tests.)
 
 use std::fs::OpenOptions;
 use std::io::Write;
@@ -98,9 +100,8 @@ fn rewrite_compacts_to_exactly_the_given_records() {
     {
         let (mut j, _) = Journal::open(&path).expect("open");
         for i in 0..20u8 {
-            j.append(&[i; 100]).expect("append");
+            j.append_sync(&[i; 100]).expect("append");
         }
-        j.sync().expect("sync");
         let before = j.len_bytes();
         j.rewrite(&[b"active-config", b"open-round"])
             .expect("rewrite");
@@ -117,5 +118,33 @@ fn rewrite_compacts_to_exactly_the_given_records() {
             b"later".to_vec()
         ]
     );
+    let _ = std::fs::remove_file(&path);
+}
+
+/// The crash before the 8-byte header landed whole: a respawn must
+/// come up on an empty journal, not fail forever on a 3-byte file.
+#[test]
+fn torn_header_starts_a_fresh_journal() {
+    let path = tmp("torn-header");
+    std::fs::write(&path, b"XRD").expect("write raw");
+    let (mut j, records) = Journal::open(&path).expect("a torn header is not an error");
+    assert!(records.is_empty());
+    j.append_sync(b"first").expect("append");
+    drop(j);
+    let (_, records) = Journal::open(&path).expect("reopen");
+    assert_eq!(records, vec![b"first".to_vec()]);
+    let _ = std::fs::remove_file(&path);
+}
+
+/// Eight bytes that are not the journal's magic are somebody else's
+/// file: refused, and not a byte of it changed.
+#[test]
+fn foreign_header_is_refused_and_the_file_left_alone() {
+    let path = tmp("foreign");
+    let foreign = b"XRDMBOX2 is a mailbox segment, not a journal";
+    std::fs::write(&path, foreign).expect("write raw");
+    let err = Journal::open(&path).err().expect("foreign file refused");
+    assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+    assert_eq!(std::fs::read(&path).expect("read raw"), foreign);
     let _ = std::fs::remove_file(&path);
 }

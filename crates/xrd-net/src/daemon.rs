@@ -278,6 +278,12 @@ const JREC_PREPARE: u8 = 2;
 /// replacing launch-time state wholesale on restore.
 const JREC_ACTIVATE: u8 = 3;
 
+fn open_round_record(round: u64) -> [u8; 9] {
+    let mut rec = [JREC_OPEN_ROUND; 9];
+    rec[1..].copy_from_slice(&round.to_le_bytes());
+    rec
+}
+
 /// One connection's in-flight streamed hop.  The session itself holds
 /// only bookkeeping — every chunk's entries are *moved* into its
 /// worker job (no copy on the reactor thread) and handed back through
@@ -495,8 +501,11 @@ impl MixState {
         self.server.public()
     }
 
-    /// Append one control record durably (fsync) before the state
-    /// change it describes is acknowledged.  A journal failure is
+    /// Append one control record durably (fsync) *before* the state
+    /// change it describes is made — write-ahead, so a record that did
+    /// not land leaves memory where the journal is and an idempotence
+    /// shortcut cannot answer the coordinator's retry `Ok` for a
+    /// transition a respawn would not find.  A journal failure is
     /// answered as a storage error: promising durability we cannot
     /// deliver would break the respawn contract.
     fn journal_record(&mut self, payload: &[u8]) -> Option<Frame> {
@@ -590,14 +599,12 @@ impl MixState {
                     // What the old window still has queued gets its
                     // verdict before the window goes.
                     self.screen();
+                    if let Some(e) = self.journal_record(&open_round_record(round)) {
+                        return e;
+                    }
                     self.open_round = Some(round);
                     self.pending_subs.clear();
                     self.submitted.clear();
-                    let mut rec = vec![JREC_OPEN_ROUND];
-                    rec.extend_from_slice(&round.to_le_bytes());
-                    if let Some(e) = self.journal_record(&rec) {
-                        return e;
-                    }
                 }
                 Frame::Ok
             }
@@ -654,7 +661,6 @@ impl MixState {
             Frame::PrepareRotation { inner_epoch } => {
                 let (isk, share) =
                     rotation_share(&mut self.rng, self.secrets.position, inner_epoch);
-                self.pending_isk = Some((inner_epoch, isk));
                 // The share is a promise to the coordinator: if this
                 // process dies before activation, its replacement must
                 // still hold the isk the assembled bundle will carry.
@@ -664,6 +670,7 @@ impl MixState {
                 if let Some(e) = self.journal_record(&rec) {
                     return e;
                 }
+                self.pending_isk = Some((inner_epoch, isk));
                 Frame::RotationShare { inner_epoch, share }
             }
             Frame::ActivateRotation { keys } => {
@@ -673,11 +680,13 @@ impl MixState {
                     // process that restored it from its journal.
                     return Frame::Ok;
                 }
-                let Some((epoch, isk)) = self.pending_isk.take() else {
+                // The prepared share stays armed until the activation
+                // is durable: a refusal below, or a journal that would
+                // not take the record, leaves this hop where it was.
+                let Some((epoch, isk)) = self.pending_isk else {
                     return err(error_code::BAD_ROTATION, "no rotation prepared");
                 };
                 if keys.inner_epoch != epoch {
-                    self.pending_isk = Some((epoch, isk));
                     return err(error_code::BAD_ROTATION, "epoch mismatch");
                 }
                 let position = self.secrets.position;
@@ -689,28 +698,24 @@ impl MixState {
                 if !keys.verify() {
                     return err(error_code::BAD_ROTATION, "bundle fails verification");
                 }
-                self.secrets.isk = isk;
-                self.server = MixServer::new(self.secrets.clone(), keys);
+                let mut secrets = self.secrets.clone();
+                secrets.isk = isk;
                 // Activation obsoletes every earlier record: compact
                 // the journal down to the new bundle (plus the open
                 // window, if one is in flight).
                 if let Some(j) = &mut self.journal {
                     let mut act = vec![JREC_ACTIVATE];
-                    act.extend_from_slice(&encode_server_config(
-                        &self.secrets,
-                        self.server.public(),
-                    ));
-                    let mut open = Vec::new();
+                    act.extend_from_slice(&encode_server_config(&secrets, &keys));
+                    let open = self.open_round.map(open_round_record);
                     let mut records: Vec<&[u8]> = vec![&act];
-                    if let Some(round) = self.open_round {
-                        open.push(JREC_OPEN_ROUND);
-                        open.extend_from_slice(&round.to_le_bytes());
-                        records.push(&open);
-                    }
+                    records.extend(open.iter().map(|rec| &rec[..]));
                     if let Err(e) = j.rewrite(&records) {
                         return err(error_code::STORAGE, format!("state journal: {e}"));
                     }
                 }
+                self.pending_isk = None;
+                self.server = MixServer::new(secrets.clone(), keys);
+                self.secrets = secrets;
                 Frame::Ok
             }
             Frame::Accuse {
@@ -1755,5 +1760,65 @@ mod tests {
         assert_eq!(st.handle(Frame::OpenRound { round: 1 }), Frame::Ok);
         assert_only_conn_12_rejected(&st);
         assert!(st.pending_subs.is_empty() && st.submitted.is_empty());
+    }
+
+    /// Write-ahead, without a seam: a directory squatting on the
+    /// journal's temp path makes the activation's `rewrite` fail.  The
+    /// hop answers `STORAGE` and has not moved — so the coordinator's
+    /// retry is not waved through by the "already running this bundle"
+    /// shortcut for an `ACTIVATE` a respawn would not find — and once
+    /// the journal takes the record the same frame succeeds and a
+    /// reopen replays the new bundle.
+    #[test]
+    fn activation_is_journaled_before_it_is_made() {
+        use xrd_mixnet::chain_keys::apply_rotation_shares;
+        let path = std::env::temp_dir().join(format!("xrd-wal-{}.journal", std::process::id()));
+        let squatter = std::path::PathBuf::from(format!("{}.tmp", path.display()));
+        let _ = std::fs::remove_file(&path);
+        let _ = std::fs::remove_dir(&squatter);
+
+        let mut rng = StdRng::seed_from_u64(43);
+        let (mut secrets, mut public) = generate_chain_keys(&mut rng, 3, 0);
+        rotate_inner_keys(&mut rng, &mut secrets, &mut public, 0);
+        let secrets = secrets.remove(0);
+        let journal = Journal::open(&path).expect("fresh journal");
+        let policy = SubmissionPolicy::default();
+        let state =
+            MixServerDaemon::state(secrets.clone(), public.clone(), 7, policy, Some(journal));
+        let mut st = state.lock().unwrap();
+        assert_eq!(st.handle(Frame::OpenRound { round: 4 }), Frame::Ok);
+        let share = match st.handle(Frame::PrepareRotation { inner_epoch: 1 }) {
+            Frame::RotationShare { share, .. } => share,
+            other => panic!("expected RotationShare, got {other:?}"),
+        };
+        let shares = [
+            share,
+            rotation_share(&mut rng, 1, 1).1,
+            rotation_share(&mut rng, 2, 1).1,
+        ];
+        let mut keys = public.clone();
+        assert!(apply_rotation_shares(&mut keys, 1, &shares));
+
+        std::fs::create_dir(&squatter).expect("squat on the temp path");
+        for attempt in ["first attempt", "coordinator's retry"] {
+            match st.handle(Frame::ActivateRotation { keys: keys.clone() }) {
+                Frame::Error { code, .. } => assert_eq!(code, error_code::STORAGE, "{attempt}"),
+                other => panic!("{attempt}: expected STORAGE, got {other:?}"),
+            }
+            assert_eq!(st.public(), &public, "{attempt}: memory ran ahead");
+        }
+        std::fs::remove_dir(&squatter).expect("unsquat");
+        let activate = Frame::ActivateRotation { keys: keys.clone() };
+        assert_eq!(st.handle(activate), Frame::Ok);
+        assert_eq!(st.public(), &keys);
+        drop(st);
+
+        let (_, records) = Journal::open(&path).expect("reopen");
+        let (_, restored, pending_isk, open_round) =
+            MixServerDaemon::restore(secrets, public, &records);
+        assert_eq!(restored, keys, "the respawn rejoins under the new bundle");
+        assert!(pending_isk.is_none());
+        assert_eq!(open_round, Some(4));
+        let _ = std::fs::remove_file(&path);
     }
 }
