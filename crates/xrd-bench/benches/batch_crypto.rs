@@ -27,7 +27,7 @@ fn bench_field_backends(c: &mut Criterion) {
     use xrd_crypto::field::{fiat51, sat64, FIELD_BACKEND};
     const OPS: usize = 1000;
 
-    println!("selected FieldElement backend: {FIELD_BACKEND}");
+    println!("field backend: {FIELD_BACKEND}");
     let mut rng = StdRng::seed_from_u64(7);
     let seed = Scalar::random(&mut rng).to_bytes();
     let f51 = fiat51::FieldElement::from_bytes(&seed);
@@ -167,6 +167,57 @@ fn bench_hop_kernel(c: &mut Criterion) {
             }
             acc
         })
+    });
+    group.finish();
+}
+
+/// The hop's two per-entry kernels over one 32-entry worker chunk
+/// (`par::ENTRY_CHUNK`), scalar against the batch entry points that
+/// run eight entries per field-lane vector: `batch_new` + `mul_pair`
+/// vs `batch_mul_pair` (decrypt-and-blind, secret exponents) and
+/// `vartime_mul` vs `batch_vartime_mul` (the batch open, revealed
+/// exponent); the rate column is entries per second.  Without the
+/// lane kernel the batch entry points *are* the scalar rows, so the
+/// group says so and stops.
+fn bench_lanes(c: &mut Criterion) {
+    use xrd_crypto::field::FIELD_BACKEND;
+    const CHUNK: usize = 32;
+
+    if !FIELD_BACKEND.ends_with("+ifma8") {
+        println!(
+            "lanes: skipped — backend {FIELD_BACKEND} has no lane kernel (needs avx512f + \
+             avx512ifma at compile time and no force-field51)"
+        );
+        return;
+    }
+    let mut rng = StdRng::seed_from_u64(8);
+    let msk = Scalar::random(&mut rng);
+    let bsk = Scalar::random(&mut rng);
+    let points: Vec<GroupElement> = (0..CHUNK).map(|_| GroupElement::random(&mut rng)).collect();
+
+    let mut group = c.benchmark_group("lanes");
+    group.throughput(criterion::Throughput::Elements(CHUNK as u64));
+    group.bench_function("mul_pair_x32/scalar", |b| {
+        b.iter(|| {
+            GroupTable::batch_new(&points)
+                .iter()
+                .map(|table| table.mul_pair(&msk, &bsk))
+                .collect::<Vec<_>>()
+        })
+    });
+    group.bench_function("mul_pair_x32/batch", |b| {
+        b.iter(|| GroupElement::batch_mul_pair(&points, &msk, &bsk))
+    });
+    group.bench_function("vartime_mul_x32/scalar", |b| {
+        b.iter(|| {
+            points
+                .iter()
+                .map(|p| p.vartime_mul(&msk))
+                .collect::<Vec<_>>()
+        })
+    });
+    group.bench_function("vartime_mul_x32/batch", |b| {
+        b.iter(|| GroupElement::batch_vartime_mul(&points, &msk))
     });
     group.finish();
 }
@@ -374,6 +425,7 @@ criterion_group!(
     bench_field_backends,
     bench_hop_kernel_backends,
     bench_hop_kernel,
+    bench_lanes,
     bench_fixed_base,
     bench_batch_invert,
     bench_encode_all,

@@ -563,7 +563,7 @@ pub fn open_fetched(
         }
         // Conversation bookkeeping: consume the queued chats that went
         // out this round.
-        if !user.partners().is_empty() {
+        if user.partner().is_some() {
             user.mark_round_sent();
         }
         // Partner-offline handling: stop conversing with exactly the

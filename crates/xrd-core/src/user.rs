@@ -64,13 +64,28 @@ pub enum ConversationError {
     AlreadyConversing,
 }
 
+/// One conversation: the partner and everything about her that is
+/// fixed for the conversation's life.  Both directional keys come from
+/// one constant-time DH ladder and its Ristretto encodes — paid here,
+/// once, not per sealed or fetched message.
+#[derive(Clone)]
+struct Conversation {
+    peer: GroupElement,
+    /// `peer`'s mailbox id (her public key's encoding).
+    peer_id: [u8; 32],
+    /// `s_B = KDF(s_AB, pk_B)` in Algorithm 2: seals what we send her.
+    key_to_peer: [u8; 32],
+    /// `s_A = KDF(s_AB, pk_A)`: opens what she sends us.
+    key_to_me: [u8; 32],
+}
+
 /// A user endpoint.
 #[derive(Clone)]
 pub struct User {
     keypair: KeyPair,
     pk_bytes: [u8; 32],
-    /// Current conversation partners (public keys), in add order.
-    partners: Vec<GroupElement>,
+    /// Current conversations, in add order.
+    conversations: Vec<Conversation>,
     /// Outgoing chat queues, keyed by partner mailbox id.
     outbox: HashMap<[u8; 32], Vec<Vec<u8>>>,
     /// Whether the user is reachable this round (churn modeling).
@@ -85,7 +100,7 @@ impl User {
         User {
             keypair,
             pk_bytes,
-            partners: Vec::new(),
+            conversations: Vec::new(),
             outbox: HashMap::new(),
             online: true,
         }
@@ -101,10 +116,23 @@ impl User {
         self.pk_bytes
     }
 
+    /// The conversation record for `peer` (one DH ladder; see
+    /// [`Conversation`]).
+    fn conversation_with(&self, peer: GroupElement) -> Conversation {
+        let peer_id = peer.encode();
+        let shared = self.keypair.dh(&peer);
+        Conversation {
+            peer,
+            peer_id,
+            key_to_peer: kdf::derive_from_dh("xrd/conversation", &shared, &peer_id),
+            key_to_me: kdf::derive_from_dh("xrd/conversation", &shared, &self.pk_bytes),
+        }
+    }
+
     /// Begin a (single) conversation with `peer`, replacing any existing
     /// conversations (the §5 base protocol; agreed out of band, §3.1).
     pub fn start_conversation(&mut self, peer: GroupElement) {
-        self.partners = vec![peer];
+        self.conversations = vec![self.conversation_with(peer)];
         self.outbox.clear();
     }
 
@@ -116,51 +144,52 @@ impl User {
         peer: GroupElement,
     ) -> Result<(), ConversationError> {
         let peer_id = peer.encode();
-        if self.partners.iter().any(|p| p.encode() == peer_id) {
+        if self.conversations.iter().any(|c| c.peer_id == peer_id) {
             return Err(ConversationError::AlreadyConversing);
         }
         let new_chain = topo.meeting_chain_of_users(&self.pk_bytes, &peer_id);
-        for existing in &self.partners {
-            let existing_id = existing.encode();
-            let chain = topo.meeting_chain_of_users(&self.pk_bytes, &existing_id);
+        for existing in &self.conversations {
+            let chain = topo.meeting_chain_of_users(&self.pk_bytes, &existing.peer_id);
             if chain == new_chain {
                 return Err(ConversationError::MeetingChainConflict {
                     chain,
-                    existing_partner: existing_id,
+                    existing_partner: existing.peer_id,
                 });
             }
         }
-        self.partners.push(peer);
+        self.conversations.push(self.conversation_with(peer));
         Ok(())
     }
 
     /// End every conversation (reverts to all-loopback).
     pub fn end_conversation(&mut self) {
-        self.partners.clear();
+        self.conversations.clear();
         self.outbox.clear();
     }
 
     /// End the conversation with one partner.
     pub fn end_conversation_with(&mut self, partner_id: &[u8; 32]) {
-        self.partners.retain(|p| p.encode() != *partner_id);
+        self.conversations.retain(|c| c.peer_id != *partner_id);
         self.outbox.remove(partner_id);
     }
 
-    /// Current partners.
-    pub fn partners(&self) -> &[GroupElement] {
-        &self.partners
+    /// Current partners, in add order.
+    pub fn partners(&self) -> impl ExactSizeIterator<Item = &GroupElement> {
+        self.conversations.iter().map(|c| &c.peer)
     }
 
     /// Convenience: the first partner, if any (base-protocol style).
     pub fn partner(&self) -> Option<&GroupElement> {
-        self.partners.first()
+        self.partners().next()
     }
 
     /// Queue chat content for the first partner.
     pub fn queue_chat(&mut self, data: impl Into<Vec<u8>>) {
-        if let Some(first) = self.partners.first() {
-            let id = first.encode();
-            self.outbox.entry(id).or_default().push(data.into());
+        if let Some(first) = self.conversations.first() {
+            self.outbox
+                .entry(first.peer_id)
+                .or_default()
+                .push(data.into());
         }
     }
 
@@ -184,21 +213,14 @@ impl User {
         )
     }
 
-    /// Directional conversation key for messages **to** `dest_pk`
-    /// (`s_B = KDF(s_AB, pk_B)` in Algorithm 2).
-    fn conversation_key(&self, peer: &GroupElement, dest_pk: &GroupElement) -> [u8; 32] {
-        let shared = self.keypair.dh(peer);
-        kdf::derive_from_dh("xrd/conversation", &shared, &dest_pk.encode())
-    }
-
-    /// Map each of this user's chains to the partner (if any) whose
-    /// conversation rides on it.  Partners with colliding meeting chains
-    /// were rejected at `add_conversation`, so the map is well defined.
-    fn conversation_slots(&self, topo: &Topology) -> HashMap<ChainId, GroupElement> {
+    /// Map each of this user's chains to the conversation (if any) that
+    /// rides on it.  Partners with colliding meeting chains were
+    /// rejected at `add_conversation`, so the map is well defined.
+    fn conversation_slots(&self, topo: &Topology) -> HashMap<ChainId, &Conversation> {
         let mut slots = HashMap::new();
-        for peer in &self.partners {
-            let chain = topo.meeting_chain_of_users(&self.pk_bytes, &peer.encode());
-            slots.entry(chain).or_insert(*peer);
+        for conversation in &self.conversations {
+            let chain = topo.meeting_chain_of_users(&self.pk_bytes, &conversation.peer_id);
+            slots.entry(chain).or_insert(conversation);
         }
         slots
     }
@@ -223,23 +245,22 @@ impl User {
             // The first occurrence of a meeting chain carries the
             // conversation (a group's chain list may repeat a chain
             // after modular wrapping).
-            let peer = if used.insert(chain) {
+            let conversation = if used.insert(chain) {
                 slots.get(&chain).copied()
             } else {
                 None
             };
-            if let Some(peer) = peer {
-                let peer_id = peer.encode();
+            if let Some(conversation) = conversation {
+                let queued = self.outbox.get(&conversation.peer_id);
                 let payload = if offline_cover {
                     Payload::Offline
-                } else if let Some(chat) = self.outbox.get(&peer_id).and_then(|q| q.first()) {
+                } else if let Some(chat) = queued.and_then(|q| q.first()) {
                     Payload::Chat(chat.clone())
                 } else {
                     Payload::Chat(Vec::new())
                 };
-                let key = self.conversation_key(&peer, &peer);
                 let sealed = aenc(
-                    &key,
+                    &conversation.key_to_peer,
                     &round_nonce(round, DOMAIN_MAILBOX),
                     b"",
                     &payload.encode(),
@@ -247,7 +268,7 @@ impl User {
                 out.push((
                     chain,
                     MailboxMessage {
-                        mailbox: peer_id,
+                        mailbox: conversation.peer_id,
                         sealed,
                     },
                 ));
@@ -306,8 +327,8 @@ impl User {
     /// Advance the outboxes after a round in which conversation messages
     /// went out: pop one queued chat per partner.
     pub fn mark_round_sent(&mut self) {
-        for peer in &self.partners {
-            if let Some(queue) = self.outbox.get_mut(&peer.encode()) {
+        for conversation in &self.conversations {
+            if let Some(queue) = self.outbox.get_mut(&conversation.peer_id) {
                 if !queue.is_empty() {
                     queue.remove(0);
                 }
@@ -323,20 +344,20 @@ impl User {
         sealed_messages: &[Vec<u8>],
     ) -> Vec<Received> {
         let my_chains = topo.chains_of_user(&self.pk_bytes);
+        let nonce = round_nonce(round, DOMAIN_MAILBOX);
         sealed_messages
             .iter()
             .map(|sealed| {
                 // Each partner's incoming conversation key.
-                for peer in &self.partners {
-                    let key = self.conversation_key(peer, &self.keypair.pk);
-                    if let Some(pt) = adec(&key, &round_nonce(round, DOMAIN_MAILBOX), b"", sealed) {
+                for conversation in &self.conversations {
+                    if let Some(pt) = adec(&conversation.key_to_me, &nonce, b"", sealed) {
                         return match Payload::decode(&pt) {
                             Some(Payload::Chat(data)) => Received::Chat {
-                                from: peer.encode(),
+                                from: conversation.peer_id,
                                 data,
                             },
                             Some(Payload::Offline) => Received::PartnerOffline {
-                                partner: peer.encode(),
+                                partner: conversation.peer_id,
                             },
                             _ => Received::Opaque,
                         };
@@ -345,7 +366,7 @@ impl User {
                 // Then each chain's loopback key.
                 for &chain in my_chains {
                     let key = self.loopback_key(chain, round);
-                    if let Some(pt) = adec(&key, &round_nonce(round, DOMAIN_MAILBOX), b"", sealed) {
+                    if let Some(pt) = adec(&key, &nonce, b"", sealed) {
                         return match Payload::decode(&pt) {
                             Some(Payload::Dummy) => Received::Loopback,
                             _ => Received::Opaque,
@@ -362,7 +383,7 @@ impl std::fmt::Debug for User {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("User")
             .field("mailbox", &xrd_crypto::util::to_hex(&self.pk_bytes[..4]))
-            .field("conversations", &self.partners.len())
+            .field("conversations", &self.conversations.len())
             .field("online", &self.online)
             .finish()
     }
@@ -606,6 +627,9 @@ mod tests {
         }
         alice.end_conversation_with(&partners[0].mailbox_id());
         assert_eq!(alice.partners().len(), 1);
-        assert_eq!(alice.partners()[0].encode(), partners[1].mailbox_id());
+        assert_eq!(
+            alice.partner().map(|p| p.encode()),
+            Some(partners[1].mailbox_id())
+        );
     }
 }

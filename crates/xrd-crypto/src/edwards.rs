@@ -9,12 +9,17 @@
 //! "P2" doublings, cached-Niels additions) so a scalar multiplication
 //! costs roughly half the field work of the naive extended-only ladder.
 //!
-//! The whole pipeline is generic over the field representation
-//! ([`FieldBackend`]): `EdwardsPoint<F>` defaults to the build-selected
-//! [`FieldElement`], which is what the rest of the crate (and the
-//! public API) uses, while benches and differential tests instantiate
-//! the *same* formulas over both backends in one build to compare them
-//! like for like.
+//! The whole pipeline is generic over the field representation:
+//! `EdwardsPoint<F>` defaults to the build-selected [`FieldElement`],
+//! which is what the rest of the crate (and the public API) uses, while
+//! benches and differential tests instantiate the *same* formulas over
+//! both scalar backends in one build to compare them like for like.
+//! The formulas, tables and ladders ask only for [`FieldArith`], so
+//! they also instantiate at the eight-lane `F51x8` where it is compiled
+//! in — eight points per value, one digit stream for all of them (the
+//! `impl EdwardsPoint<F51x8>` block below); what needs one element's
+//! bytes, inverse or equality (compression, affine tables, `ct_eq`)
+//! asks for [`FieldBackend`].
 //!
 //! Four multiplication strategies coexist:
 //!
@@ -37,7 +42,7 @@
 
 use std::sync::OnceLock;
 
-use crate::field::{FieldBackend, FieldElement};
+use crate::field::{FieldArith, FieldBackend, FieldElement};
 use crate::scalar::Scalar;
 
 /// The curve constant `d = -121665/121666` for the build-selected
@@ -49,7 +54,7 @@ pub fn edwards_d() -> &'static FieldElement {
 /// A point on edwards25519 in extended coordinates, generic over the
 /// field representation (defaulting to the build-selected backend).
 #[derive(Clone, Copy, Debug)]
-pub struct EdwardsPoint<F: FieldBackend = FieldElement> {
+pub struct EdwardsPoint<F: FieldArith = FieldElement> {
     pub(crate) x: F,
     pub(crate) y: F,
     pub(crate) z: F,
@@ -74,7 +79,7 @@ const BASEPOINT_COMPRESSED: [u8; 32] = [
 
 /// A point in projective "P2" coordinates (no `T`): doubling input.
 #[derive(Clone, Copy, Debug)]
-struct ProjectivePoint<F: FieldBackend> {
+struct ProjectivePoint<F: FieldArith> {
     x: F,
     y: F,
     z: F,
@@ -83,7 +88,7 @@ struct ProjectivePoint<F: FieldBackend> {
 /// The output of an addition/doubling formula before renormalization:
 /// `x = X/Z`, `y = Y/T`.
 #[derive(Clone, Copy, Debug)]
-struct CompletedPoint<F: FieldBackend> {
+struct CompletedPoint<F: FieldArith> {
     x: F,
     y: F,
     z: F,
@@ -92,7 +97,7 @@ struct CompletedPoint<F: FieldBackend> {
 
 /// Cached form of a point for repeated additions (projective).
 #[derive(Clone, Copy, Debug)]
-pub(crate) struct ProjectiveNielsPoint<F: FieldBackend = FieldElement> {
+pub(crate) struct ProjectiveNielsPoint<F: FieldArith = FieldElement> {
     y_plus_x: F,
     y_minus_x: F,
     z: F,
@@ -103,13 +108,13 @@ pub(crate) struct ProjectiveNielsPoint<F: FieldBackend = FieldElement> {
 /// cheaper to add than [`ProjectiveNielsPoint`], and 3 field elements
 /// instead of 4, so masked table scans touch less memory.
 #[derive(Clone, Copy, Debug)]
-pub(crate) struct AffineNielsPoint<F: FieldBackend = FieldElement> {
+pub(crate) struct AffineNielsPoint<F: FieldArith = FieldElement> {
     y_plus_x: F,
     y_minus_x: F,
     xy2d: F,
 }
 
-impl<F: FieldBackend> ProjectiveNielsPoint<F> {
+impl<F: FieldArith> ProjectiveNielsPoint<F> {
     /// The cached form of the identity.
     const IDENTITY: ProjectiveNielsPoint<F> = ProjectiveNielsPoint {
         y_plus_x: F::ONE,
@@ -153,7 +158,7 @@ impl<F: FieldBackend> ProjectiveNielsPoint<F> {
     }
 }
 
-impl<F: FieldBackend> AffineNielsPoint<F> {
+impl<F: FieldArith> AffineNielsPoint<F> {
     /// The cached form of the identity.
     const IDENTITY: AffineNielsPoint<F> = AffineNielsPoint {
         y_plus_x: F::ONE,
@@ -192,7 +197,7 @@ impl<F: FieldBackend> AffineNielsPoint<F> {
     }
 }
 
-impl<F: FieldBackend> ProjectivePoint<F> {
+impl<F: FieldArith> ProjectivePoint<F> {
     /// Doubling: 4 squarings, no general multiplications.  Inputs are
     /// reduced (they come out of multiplications); the additive steps
     /// are lazy where the backend supports it.  The bounds noted inline
@@ -217,7 +222,7 @@ impl<F: FieldBackend> ProjectivePoint<F> {
     }
 }
 
-impl<F: FieldBackend> CompletedPoint<F> {
+impl<F: FieldArith> CompletedPoint<F> {
     /// Renormalize to "P2" (3 multiplications): enough to keep doubling.
     #[inline(always)]
     fn to_projective(self) -> ProjectivePoint<F> {
@@ -248,7 +253,7 @@ impl<F: FieldBackend> CompletedPoint<F> {
 /// Used by the two-scalar hop kernel; see
 /// [`PointTable::scalar_mul_pair`].
 #[inline(always)]
-fn double_pair<F: FieldBackend>(
+fn double_pair<F: FieldArith>(
     pa: &ProjectivePoint<F>,
     pb: &ProjectivePoint<F>,
 ) -> (CompletedPoint<F>, CompletedPoint<F>) {
@@ -283,7 +288,7 @@ fn double_pair<F: FieldBackend>(
 /// Two independent "P2" renormalizations, interleaved like
 /// [`double_pair`] (6 independent multiplies back to back).
 #[inline(always)]
-fn to_projective_pair<F: FieldBackend>(
+fn to_projective_pair<F: FieldArith>(
     ca: &CompletedPoint<F>,
     cb: &CompletedPoint<F>,
 ) -> (ProjectivePoint<F>, ProjectivePoint<F>) {
@@ -310,7 +315,7 @@ fn to_projective_pair<F: FieldBackend>(
 /// Two independent affine-Niels mixed additions, interleaved like
 /// [`double_pair`].
 #[inline(always)]
-fn add_affine_niels_pair<F: FieldBackend>(
+fn add_affine_niels_pair<F: FieldArith>(
     ea: &EdwardsPoint<F>,
     na: &AffineNielsPoint<F>,
     eb: &EdwardsPoint<F>,
@@ -384,17 +389,25 @@ macro_rules! radix16_ladder {
 
 /// One-shot signed radix-16 lookup table in projective Niels form,
 /// used by [`EdwardsPoint::scalar_mul`].  Built without any inversion.
-struct LookupTable<F: FieldBackend>([ProjectiveNielsPoint<F>; 8]);
+struct LookupTable<F: FieldArith>([ProjectiveNielsPoint<F>; 8]);
 
-impl<F: FieldBackend> LookupTable<F> {
+impl<F: FieldArith> LookupTable<F> {
     fn new(p: &EdwardsPoint<F>) -> LookupTable<F> {
-        let mut multiples = [*p; 8];
-        for i in 1..8 {
-            multiples[i] = multiples[i - 1]
-                .add_projective_niels(&p.to_projective_niels())
-                .to_extended();
+        let cached = p.to_projective_niels();
+        let mut table = [cached; 8];
+        let mut multiple = *p;
+        for entry in &mut table[1..] {
+            multiple = multiple.add_projective_niels(&cached).to_extended();
+            *entry = multiple.to_projective_niels();
         }
-        LookupTable(multiples.map(|m| m.to_projective_niels()))
+        LookupTable(table)
+    }
+
+    /// `scalar * P` off the table (constant-time-style).
+    #[inline(always)]
+    fn scalar_mul(&self, scalar: &Scalar) -> EdwardsPoint<F> {
+        radix16_ladder!(scalar, |acc: EdwardsPoint<F>, d: i8| acc
+            .add_projective_niels(&self.select(d)))
     }
 
     /// Masked scan for digit `d` in `[-8, 8)`: uniform access pattern,
@@ -413,7 +426,7 @@ impl<F: FieldBackend> LookupTable<F> {
 
 /// `[1P, ..., 8P]` in extended coordinates; even multiples come from
 /// the cheaper doubling pipeline.
-fn window_multiples<F: FieldBackend>(p: &EdwardsPoint<F>) -> [EdwardsPoint<F>; 8] {
+fn window_multiples<F: FieldArith>(p: &EdwardsPoint<F>) -> [EdwardsPoint<F>; 8] {
     let cached = p.to_projective_niels();
     let mut row = [*p; 8];
     row[1] = p.double(); // 2P
@@ -431,7 +444,7 @@ fn window_multiples<F: FieldBackend>(p: &EdwardsPoint<F>) -> [EdwardsPoint<F>; 8
 /// every entry (plus the identity) so exactly one all-ones mask
 /// contributes.
 #[inline(always)]
-fn select_affine<F: FieldBackend>(row: &[AffineNielsPoint<F>; 8], d: i8) -> AffineNielsPoint<F> {
+fn select_affine<F: FieldArith>(row: &[AffineNielsPoint<F>; 8], d: i8) -> AffineNielsPoint<F> {
     let (sign, abs) = digit_sign_abs(d);
     let mut chosen = AffineNielsPoint::IDENTITY.masked(ct_eq_index(0, abs));
     for (j, entry) in row.iter().enumerate() {
@@ -527,7 +540,7 @@ impl<F: FieldBackend> PointTable<F> {
     }
 }
 
-impl<F: FieldBackend> EdwardsPoint<F> {
+impl<F: FieldArith> EdwardsPoint<F> {
     /// The identity element `(0, 1)`.
     pub fn identity() -> EdwardsPoint<F> {
         EdwardsPoint {
@@ -680,9 +693,7 @@ impl<F: FieldBackend> EdwardsPoint<F> {
     /// Scalar multiplication with a signed radix-16 fixed window and a
     /// masked table scan (uniform memory access pattern per window).
     pub fn scalar_mul(&self, scalar: &Scalar) -> EdwardsPoint<F> {
-        let table = LookupTable::new(self);
-        radix16_ladder!(scalar, |acc: EdwardsPoint<F>, d: i8| acc
-            .add_projective_niels(&table.select(d)))
+        LookupTable::new(self).scalar_mul(scalar)
     }
 
     /// The pre-optimization scalar multiplication (fresh table of full
@@ -727,6 +738,18 @@ impl<F: FieldBackend> EdwardsPoint<F> {
         self.mul_by_pow_2(3)
     }
 
+    /// Variable-time single-scalar multiplication (width-5 NAF).
+    ///
+    /// **Variable time** — public data only (see
+    /// [`EdwardsPoint::vartime_multiscalar_mul`]); the §6.3 batch-open
+    /// path uses it with the *revealed* inner keys.
+    pub fn vartime_scalar_mul(&self, scalar: &Scalar) -> EdwardsPoint<F> {
+        vartime_straus(std::slice::from_ref(scalar), std::slice::from_ref(self))
+    }
+}
+
+/// What needs a single element's encoding, inversion or equality.
+impl<F: FieldBackend> EdwardsPoint<F> {
     /// Compress to the 32-byte "y plus sign of x" encoding.
     pub fn compress(&self) -> [u8; 32] {
         EdwardsPoint::batch_compress(std::slice::from_ref(self))[0]
@@ -806,15 +829,6 @@ impl<F: FieldBackend> EdwardsPoint<F> {
         }
     }
 
-    /// Variable-time single-scalar multiplication (width-5 NAF).
-    ///
-    /// **Variable time** — public data only (see
-    /// [`EdwardsPoint::vartime_multiscalar_mul`]); the §6.3 batch-open
-    /// path uses it with the *revealed* inner keys.
-    pub fn vartime_scalar_mul(&self, scalar: &Scalar) -> EdwardsPoint<F> {
-        vartime_straus(std::slice::from_ref(scalar), std::slice::from_ref(self))
-    }
-
     /// Projective equality: `X1 Z2 == X2 Z1 && Y1 Z2 == Y2 Z1`.
     pub fn ct_eq(&self, other: &EdwardsPoint<F>) -> bool {
         let lhs_x = self.x.mul(&other.z);
@@ -865,6 +879,97 @@ impl EdwardsPoint {
     }
 }
 
+/// Eight points in lockstep, one per lane of the IFMA field
+/// representation: what the batch entry points
+/// ([`GroupElement::batch_mul_pair`](crate::GroupElement::batch_mul_pair),
+/// [`GroupElement::batch_vartime_mul`](crate::GroupElement::batch_vartime_mul))
+/// compute in where the lane kernel is compiled in.  The arithmetic is
+/// the generic pipeline above, instantiated at `F51x8`; only the
+/// transposes in and out and the out-of-line wrappers live here.
+///
+/// Everything here is `#[inline(never)]` on purpose.  A lane value is
+/// 320 bytes and the optimizer gives every temporary of an inlined
+/// ladder its own slot, so a frame runs to 10–20 KB; kept apart, the
+/// transposes, the table build and the ladder are *siblings* under a
+/// small caller and a thread's stack grows by the largest of them, not
+/// by their sum (every daemon worker thread that ever runs a hop chunk
+/// keeps those pages).
+#[cfg(all(
+    target_arch = "x86_64",
+    target_feature = "avx512f",
+    target_feature = "avx512ifma",
+    not(feature = "force-field51")
+))]
+mod lanes {
+    use super::{EdwardsPoint, LookupTable};
+    use crate::field::ifma::F51x8;
+    use crate::field::FieldElement;
+    use crate::scalar::Scalar;
+
+    impl EdwardsPoint<F51x8> {
+        /// Lane `i` holds `lane(i)`, or the identity where that is
+        /// `None` (a short last group runs the same code with idle
+        /// lanes).
+        #[inline(never)]
+        pub(crate) fn from_lanes<'a>(lane: impl Fn(usize) -> Option<&'a EdwardsPoint>) -> Self {
+            let identity = EdwardsPoint::identity();
+            let coordinate = |of: fn(&EdwardsPoint) -> &FieldElement| {
+                F51x8::from_lanes(&std::array::from_fn(|i| {
+                    of(lane(i).unwrap_or(&identity)).to_limbs51()
+                }))
+            };
+            EdwardsPoint {
+                x: coordinate(|p| &p.x),
+                y: coordinate(|p| &p.y),
+                z: coordinate(|p| &p.z),
+                t: coordinate(|p| &p.t),
+            }
+        }
+
+        /// The eight lanes as points on the build-selected backend.
+        #[inline(never)]
+        pub(crate) fn lanes(&self) -> [EdwardsPoint; 8] {
+            let (x, y, z, t) = (
+                self.x.to_lanes(),
+                self.y.to_lanes(),
+                self.z.to_lanes(),
+                self.t.to_lanes(),
+            );
+            std::array::from_fn(|i| EdwardsPoint {
+                x: FieldElement::from_limbs51(&x[i]),
+                y: FieldElement::from_limbs51(&y[i]),
+                z: FieldElement::from_limbs51(&z[i]),
+                t: FieldElement::from_limbs51(&t[i]),
+            })
+        }
+
+        /// `(a * P, b * P)` in every lane: one projective-Niels table
+        /// (no inversion; 10 KB, so on the heap), two masked-scan
+        /// ladders off it — safe for secret scalars exactly as
+        /// [`EdwardsPoint::scalar_mul`] is, the digits being the same
+        /// for all lanes.
+        pub(crate) fn lanes_scalar_mul_pair(&self, a: &Scalar, b: &Scalar) -> (Self, Self) {
+            #[inline(never)]
+            fn build(p: &EdwardsPoint<F51x8>) -> Box<LookupTable<F51x8>> {
+                Box::new(LookupTable::new(p))
+            }
+            #[inline(never)]
+            fn ladder(table: &LookupTable<F51x8>, scalar: &Scalar) -> EdwardsPoint<F51x8> {
+                table.scalar_mul(scalar)
+            }
+            let table = build(self);
+            (ladder(&table, a), ladder(&table, b))
+        }
+
+        /// `s * P` in every lane, **variable time** (see
+        /// [`EdwardsPoint::vartime_scalar_mul`]).
+        #[inline(never)]
+        pub(crate) fn lanes_vartime_scalar_mul(&self, s: &Scalar) -> Self {
+            self.vartime_scalar_mul(s)
+        }
+    }
+}
+
 impl<F: FieldBackend> PartialEq for EdwardsPoint<F> {
     fn eq(&self, other: &Self) -> bool {
         self.ct_eq(other)
@@ -883,9 +988,9 @@ const PIPPENGER_THRESHOLD: usize = 190;
 
 /// Per-point table of odd multiples `[1P, 3P, 5P, ..., 15P]` for
 /// width-5 NAF (variable-time lookups: plain indexing, no masked scan).
-struct NafLookupTable5<F: FieldBackend>([ProjectiveNielsPoint<F>; 8]);
+struct NafLookupTable5<F: FieldArith>([ProjectiveNielsPoint<F>; 8]);
 
-impl<F: FieldBackend> NafLookupTable5<F> {
+impl<F: FieldArith> NafLookupTable5<F> {
     fn new(p: &EdwardsPoint<F>) -> NafLookupTable5<F> {
         let p2 = p.double().to_projective_niels();
         let mut odd = [p.to_projective_niels(); 8];
@@ -911,7 +1016,7 @@ impl<F: FieldBackend> NafLookupTable5<F> {
 /// of `radix16_ladder!`: a doubling that no addition follows — four in
 /// five, at width 5 — renormalizes to P2 (3 multiplications), and only
 /// the one an addition does follow pays for extended coordinates (4).
-fn vartime_straus<F: FieldBackend>(
+fn vartime_straus<F: FieldArith>(
     scalars: &[Scalar],
     points: &[EdwardsPoint<F>],
 ) -> EdwardsPoint<F> {

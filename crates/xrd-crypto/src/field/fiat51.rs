@@ -16,9 +16,6 @@ const LOW_51_BIT_MASK: u64 = (1u64 << 51) - 1;
 #[derive(Clone, Copy, Debug)]
 pub struct FieldElement(pub(crate) [u64; 5]);
 
-/// Backend name for diagnostics and bench labels.
-pub const BACKEND_NAME: &str = "fiat51";
-
 /// `16 * p` in radix-2^51 limbs; added before subtraction to avoid
 /// underflow while keeping the result congruent mod p.
 const SIXTEEN_P: [u64; 5] = [
@@ -30,6 +27,12 @@ const SIXTEEN_P: [u64; 5] = [
 ];
 
 impl FieldElement {
+    /// Backend name for diagnostics and bench labels.
+    pub const BACKEND_NAME: &str = "fiat51";
+    /// What [`crate::field::FIELD_BACKEND`] reads when the eight-lane
+    /// kernel is compiled in beside this backend.
+    pub const BACKEND_NAME_WITH_LANES: &str = "fiat51+ifma8";
+
     /// The additive identity.
     pub const ZERO: FieldElement = FieldElement([0, 0, 0, 0, 0]);
     /// The multiplicative identity.
@@ -134,6 +137,24 @@ impl FieldElement {
         limbs[4] &= LOW_51_BIT_MASK;
         limbs[0] += c4 * 19;
         FieldElement(limbs)
+    }
+
+    /// The value as five radix-2^51 limbs, each below 2^52 — the lane
+    /// kernel's input form (one carry pass, so a value still carrying
+    /// postponed carries is accepted too).
+    #[doc(hidden)]
+    #[inline]
+    pub fn to_limbs51(&self) -> [u64; 5] {
+        Self::weak_reduce(self.0).0
+    }
+
+    /// Inverse of [`FieldElement::to_limbs51`] for any limbs below
+    /// 2^52 (this backend's own reduced form).
+    #[doc(hidden)]
+    #[inline]
+    pub fn from_limbs51(limbs: &[u64; 5]) -> FieldElement {
+        debug_assert!(limbs.iter().all(|&l| l < 1 << 52));
+        FieldElement(*limbs)
     }
 
     /// Field addition.

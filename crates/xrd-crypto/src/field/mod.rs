@@ -2,25 +2,42 @@
 //!
 //! This module is self-contained (no external crypto dependency) and
 //! ships **two interchangeable limb representations** behind one public
-//! type, [`FieldElement`]:
+//! type, [`FieldElement`], plus — where the target has the
+//! instructions — an eight-lane representation the batch kernels run
+//! on:
 //!
 //! | backend            | limbs | representation            | multiply kernel |
 //! |--------------------|-------|---------------------------|-----------------|
 //! | [`fiat51`]         | 5×51  | radix 2^51, weakly reduced | portable `u128` accumulators |
 //! | [`sat64`]          | 4×64  | saturated, value < 2^256  | `mulx`+`adcx`/`adox` inline asm on x86-64 (BMI2+ADX), portable `u128` carry chains elsewhere |
+//! | `ifma` (`F51x8`)   | 8 × 5×51 | eight elements, one per 64-bit lane of five `__m512i`; every op returns limbs < 2^52 | `vpmadd52{l,h}uq` (AVX-512 IFMA) |
 //!
 //! **Selection** happens at build time:
 //!
-//! * feature `force-field51` → the portable 5×51 backend, everywhere;
+//! * feature `force-field51` → the portable 5×51 backend, everywhere
+//!   (and no lane kernel);
 //! * feature `force-field64` → the 4×64 backend (its portable carry
 //!   chains if the target lacks BMI2+ADX);
 //! * default: 4×64 on x86-64 compiled with `bmi2`+`adx` target
 //!   features (the workspace's `-C target-cpu=native` enables them on
 //!   the reference host), 5×51 anywhere else.
 //!
-//! Both backends are *always compiled* — the feature only chooses which
-//! one `FieldElement` aliases — so differential tests and benches can
-//! drive the two representations against each other in a single build.
+//! Both scalar backends are *always compiled* — the feature only
+//! chooses which one `FieldElement` aliases — so differential tests and
+//! benches can drive the two representations against each other in a
+//! single build.
+//!
+//! The lane representation is not a choice for `FieldElement` (it has
+//! no bytes, inversion or equality — it is a [`FieldArith`], not a
+//! [`FieldBackend`]) and has no feature of its own: the `ifma` module
+//! is compiled exactly where `avx512f` and `avx512ifma` are statically
+//! enabled (`target-cpu=native` on a host that has them) and the
+//! portable backend is not being forced — `force-field51` means
+//! portable arithmetic *everywhere*, so it turns the lane kernel off
+//! with everything else native, as `-C target-feature=-avx512ifma`
+//! does while keeping the 4×64 backend.  Where it is compiled, the
+//! batch entry points in `ristretto.rs` run on it.  [`FIELD_BACKEND`]
+//! names what a build got.
 //!
 //! ## Lazy-reduction contract
 //!
@@ -37,6 +54,9 @@
 //! * **sat64** reduces eagerly: saturated limbs have no spare bits, and
 //!   its add/sub are already a handful of ALU ops, so the lazy entry
 //!   points simply forward to `add`/`sub` (see `sat64.rs`).
+//! * **ifma** reduces eagerly too: its multiplier reads only 52 bits
+//!   of a limb, so every op ends in a carry pass and there is no bound
+//!   to audit between ops (see `ifma.rs`).
 //!
 //! Derived curve constants (sqrt(-1), Edwards d, the Ristretto magic
 //! constants) are computed at first use from first principles rather
@@ -247,18 +267,9 @@ macro_rules! impl_field_shared {
         }
         impl Eq for $fe {}
 
-        impl crate::field::FieldBackend for $fe {
+        impl crate::field::FieldArith for $fe {
             const ZERO: Self = $fe::ZERO;
             const ONE: Self = $fe::ONE;
-            fn from_u64(x: u64) -> Self {
-                $fe::from_u64(x)
-            }
-            fn from_bytes(bytes: &[u8; 32]) -> Self {
-                $fe::from_bytes(bytes)
-            }
-            fn to_bytes(&self) -> [u8; 32] {
-                $fe::to_bytes(self)
-            }
             fn add(&self, rhs: &Self) -> Self {
                 $fe::add(self, rhs)
             }
@@ -298,6 +309,26 @@ macro_rules! impl_field_shared {
             fn conditional_negate(&self, choice: u64) -> Self {
                 $fe::conditional_negate(self, choice)
             }
+            fn edwards_d2() -> &'static Self {
+                use std::sync::OnceLock;
+                static D2: OnceLock<$fe> = OnceLock::new();
+                D2.get_or_init(|| {
+                    let d = <$fe as crate::field::FieldBackend>::edwards_d();
+                    d.add(d)
+                })
+            }
+        }
+
+        impl crate::field::FieldBackend for $fe {
+            fn from_u64(x: u64) -> Self {
+                $fe::from_u64(x)
+            }
+            fn from_bytes(bytes: &[u8; 32]) -> Self {
+                $fe::from_bytes(bytes)
+            }
+            fn to_bytes(&self) -> [u8; 32] {
+                $fe::to_bytes(self)
+            }
             fn abs(&self) -> Self {
                 $fe::abs(self)
             }
@@ -334,36 +365,37 @@ macro_rules! impl_field_shared {
                         .mul(&$fe::from_u64(121666).invert())
                 })
             }
-            fn edwards_d2() -> &'static Self {
-                use std::sync::OnceLock;
-                static D2: OnceLock<$fe> = OnceLock::new();
-                D2.get_or_init(|| {
-                    let d = <$fe as crate::field::FieldBackend>::edwards_d();
-                    d.add(d)
-                })
-            }
         }
     };
 }
 pub(crate) use impl_field_shared;
 
-/// Seals [`FieldBackend`]: the point pipeline's invariants (the
-/// lazy-reduction bounds among them) are only audited for the two
-/// in-crate backends, so no foreign type may implement the trait.
+/// Seals [`FieldArith`] (and so [`FieldBackend`]): the point
+/// pipeline's invariants (the lazy-reduction bounds among them) are
+/// only audited for the in-crate representations, so no foreign type
+/// may implement the traits.
 mod sealed {
     pub trait Sealed {}
     impl Sealed for super::fiat51::FieldElement {}
     impl Sealed for super::sat64::FieldElement {}
+    #[cfg(all(
+        target_arch = "x86_64",
+        target_feature = "avx512f",
+        target_feature = "avx512ifma",
+        not(feature = "force-field51")
+    ))]
+    impl Sealed for super::ifma::F51x8 {}
 }
 
-/// The field interface the generic point pipeline (`edwards.rs`) is
-/// written against.  Both backends implement it (via
-/// `impl_field_shared!`, which delegates to the inherent methods), so
-/// point arithmetic — and therefore the hop kernel — can be
-/// instantiated over *either* representation in the same build; the
-/// cross-backend benches and differential tests rely on exactly that.
-/// Outside of those harnesses, use the [`FieldElement`] alias and its
-/// inherent methods.
+/// The arithmetic the curve formulas in `edwards.rs` are written
+/// against — everything that makes sense on *several field elements at
+/// once*.  The two scalar backends implement it (via
+/// `impl_field_shared!`, which delegates to the inherent methods) and
+/// so does the eight-lane `ifma::F51x8` where it is compiled in, so
+/// the tables, ladders and Straus loop instantiate over one element or
+/// over eight in lockstep from the same source.  Masks and selects
+/// take one `u64` for the whole value: a lane type applies it to every
+/// lane (the digit streams that drive them are uniform across lanes).
 ///
 /// The `lazy_*` and masked-scan methods are doc-hidden: they carry
 /// per-backend contracts (see the module docs — on the 5×51 backend a
@@ -372,14 +404,11 @@ mod sealed {
 /// sound call sites are the curve formulas in `edwards.rs`, where the
 /// bounds are established structurally and debug-asserted.
 #[allow(missing_docs)] // mirror of the documented inherent methods
-pub trait FieldBackend:
-    sealed::Sealed + Copy + Clone + std::fmt::Debug + PartialEq + Eq + Send + Sync + 'static
+pub trait FieldArith:
+    sealed::Sealed + Copy + Clone + std::fmt::Debug + Send + Sync + 'static
 {
     const ZERO: Self;
     const ONE: Self;
-    fn from_u64(x: u64) -> Self;
-    fn from_bytes(bytes: &[u8; 32]) -> Self;
-    fn to_bytes(&self) -> [u8; 32];
     fn add(&self, rhs: &Self) -> Self;
     fn sub(&self, rhs: &Self) -> Self;
     fn neg(&self) -> Self;
@@ -398,6 +427,22 @@ pub trait FieldBackend:
     #[doc(hidden)]
     fn or_assign_masked(&mut self, entry: &Self, mask: u64);
     fn conditional_negate(&self, choice: u64) -> Self;
+    /// `2 * d` for the curve constant `d` (per-backend cached).
+    fn edwards_d2() -> &'static Self;
+}
+
+/// A *single* field element: [`FieldArith`] plus what only makes sense
+/// per element — encodings, inversion, square roots, sign and equality
+/// tests.  Both scalar backends implement it, so point arithmetic —
+/// and therefore the hop kernel — can be instantiated over *either*
+/// representation in the same build; the cross-backend benches and
+/// differential tests rely on exactly that.  Outside of those
+/// harnesses, use the [`FieldElement`] alias and its inherent methods.
+#[allow(missing_docs)] // mirror of the documented inherent methods
+pub trait FieldBackend: FieldArith + PartialEq + Eq {
+    fn from_u64(x: u64) -> Self;
+    fn from_bytes(bytes: &[u8; 32]) -> Self;
+    fn to_bytes(&self) -> [u8; 32];
     fn abs(&self) -> Self;
     fn is_negative(&self) -> bool;
     fn is_zero(&self) -> bool;
@@ -410,11 +455,16 @@ pub trait FieldBackend:
     fn sqrt_m1() -> &'static Self;
     /// The curve constant `d = -121665/121666` (per-backend cached).
     fn edwards_d() -> &'static Self;
-    /// `2 * d` (per-backend cached).
-    fn edwards_d2() -> &'static Self;
 }
 
 pub mod fiat51;
+#[cfg(all(
+    target_arch = "x86_64",
+    target_feature = "avx512f",
+    target_feature = "avx512ifma",
+    not(feature = "force-field51")
+))]
+pub mod ifma;
 pub mod sat64;
 
 /// True when this build selects the portable 5×51 backend.
@@ -429,7 +479,7 @@ pub mod sat64;
         ))
     )
 ))]
-pub use fiat51::{FieldElement, BACKEND_NAME as FIELD_BACKEND};
+pub use fiat51::FieldElement;
 
 /// True when this build selects the 4×64 saturated backend.
 #[cfg(not(any(
@@ -443,7 +493,24 @@ pub use fiat51::{FieldElement, BACKEND_NAME as FIELD_BACKEND};
         ))
     )
 )))]
-pub use sat64::{FieldElement, BACKEND_NAME as FIELD_BACKEND};
+pub use sat64::FieldElement;
+
+/// What this build compiled in: the scalar backend [`FieldElement`]
+/// aliases, then `+ifma8` when the eight-lane kernel (`field::ifma`) is
+/// built beside it and the batch entry points
+/// ([`GroupElement::batch_mul_pair`](crate::GroupElement::batch_mul_pair),
+/// [`GroupElement::batch_vartime_mul`](crate::GroupElement::batch_vartime_mul))
+/// run on it.
+pub const FIELD_BACKEND: &str = if cfg!(all(
+    target_arch = "x86_64",
+    target_feature = "avx512f",
+    target_feature = "avx512ifma",
+    not(feature = "force-field51")
+)) {
+    FieldElement::BACKEND_NAME_WITH_LANES
+} else {
+    FieldElement::BACKEND_NAME
+};
 
 #[cfg(test)]
 mod tests {
@@ -452,6 +519,25 @@ mod tests {
 
     fn fe(n: u64) -> FieldElement {
         FieldElement::from_u64(n)
+    }
+
+    /// `FIELD_BACKEND` names the build: the scalar backend selected,
+    /// `+ifma8` exactly when the lane module is compiled in.  Printed
+    /// so a CI log says which kernel a cell tested (`-- --nocapture`).
+    #[test]
+    fn field_backend_names_the_build() {
+        println!("FIELD_BACKEND = {FIELD_BACKEND}");
+        let lanes = cfg!(all(
+            target_arch = "x86_64",
+            target_feature = "avx512f",
+            target_feature = "avx512ifma",
+            not(feature = "force-field51")
+        ));
+        if !lanes {
+            println!("lane kernel not built (needs avx512f + avx512ifma, no force-field51)");
+        }
+        assert!(FIELD_BACKEND.starts_with(FieldElement::BACKEND_NAME));
+        assert_eq!(FIELD_BACKEND.ends_with("+ifma8"), lanes);
     }
 
     #[test]

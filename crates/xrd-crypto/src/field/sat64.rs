@@ -31,9 +31,6 @@ use crate::util::load_u64_le;
 #[derive(Clone, Copy, Debug)]
 pub struct FieldElement(pub(crate) [u64; 4]);
 
-/// Backend name for diagnostics and bench labels.
-pub const BACKEND_NAME: &str = "sat64";
-
 /// Mask clearing bit 255 (the top bit of limb 3).
 const TOP_BIT_CLEAR: u64 = (1u64 << 63) - 1;
 
@@ -452,6 +449,12 @@ mod asm {
 }
 
 impl FieldElement {
+    /// Backend name for diagnostics and bench labels.
+    pub const BACKEND_NAME: &str = "sat64";
+    /// What [`crate::field::FIELD_BACKEND`] reads when the eight-lane
+    /// kernel is compiled in beside this backend.
+    pub const BACKEND_NAME_WITH_LANES: &str = "sat64+ifma8";
+
     /// The additive identity.
     pub const ZERO: FieldElement = FieldElement([0, 0, 0, 0]);
     /// The multiplicative identity.
@@ -512,6 +515,40 @@ impl FieldElement {
             out[8 * i..8 * i + 8].copy_from_slice(&limb.to_le_bytes());
         }
         out
+    }
+
+    /// The value as five radix-2^51 limbs, each below 2^52 (the top
+    /// one keeps the representation's bits 204..255) — the lane
+    /// kernel's input form.  Pure shifts: nothing is reduced.
+    #[doc(hidden)]
+    #[inline]
+    pub fn to_limbs51(&self) -> [u64; 5] {
+        const LOW_51: u64 = (1 << 51) - 1;
+        let l = &self.0;
+        [
+            l[0] & LOW_51,
+            ((l[0] >> 51) | (l[1] << 13)) & LOW_51,
+            ((l[1] >> 38) | (l[2] << 26)) & LOW_51,
+            ((l[2] >> 25) | (l[3] << 39)) & LOW_51,
+            l[3] >> 12,
+        ]
+    }
+
+    /// Inverse of [`FieldElement::to_limbs51`] for any limbs below
+    /// 2^52: the sum can pass 2^256 by a bit, which folds as `+38`.
+    #[doc(hidden)]
+    #[inline]
+    pub fn from_limbs51(limbs: &[u64; 5]) -> FieldElement {
+        debug_assert!(limbs.iter().all(|&l| l < 1 << 52));
+        // Limb i sits at bit 51·i = 64·i - 13·i.
+        let mut l = [0u64; 4];
+        let mut acc = limbs[0] as u128;
+        for i in 0..4 {
+            acc += (limbs[i + 1] as u128) << (51 - 13 * i);
+            l[i] = acc as u64;
+            acc >>= 64;
+        }
+        FieldElement(fold_carry(l, acc as u64))
     }
 
     /// Field addition.

@@ -98,6 +98,41 @@ impl GroupElement {
         GroupElement(self.0.vartime_scalar_mul(x))
     }
 
+    /// `(P^a, P^b)` for every `P` in `points`, in order — the §6.3 hop
+    /// kernel over a chunk: every entry's DH key raised to the same
+    /// `msk` (decrypt) and `bsk` (blind).  Safe for secret exponents:
+    /// the constant-time policy is [`GroupTable::mul_pair`]'s.
+    ///
+    /// Where the eight-lane field kernel is compiled in
+    /// ([`crate::field::FIELD_BACKEND`] ends in `+ifma8`) the points are
+    /// taken eight at a time, one per lane: one projective-Niels table
+    /// per group (no inversion) and two masked-scan ladders whose digit
+    /// stream is the same for every lane.  A short last group is padded
+    /// with the identity, so there is one path whatever the length.
+    /// Everywhere else this is [`GroupTable::batch_new`] +
+    /// [`GroupTable::mul_pair`].
+    pub fn batch_mul_pair(
+        points: &[GroupElement],
+        a: &Scalar,
+        b: &Scalar,
+    ) -> Vec<(GroupElement, GroupElement)> {
+        batch::mul_pair(points, a, b)
+    }
+
+    /// `P^x` for every `P` in `points`, in order, in **variable time**:
+    /// for *public* exponents and elements only, as
+    /// [`GroupElement::vartime_mul`] — the §6.3 batch open, where `x`
+    /// is the sum of the revealed inner keys.
+    ///
+    /// Where the eight-lane field kernel is compiled in, eight points
+    /// share one width-5 NAF walk (the exponent, hence the add/sub
+    /// schedule, is the same for every lane; a short last group is
+    /// padded with the identity).  Everywhere else this is a
+    /// [`GroupElement::vartime_mul`] per point.
+    pub fn batch_vartime_mul(points: &[GroupElement], x: &Scalar) -> Vec<GroupElement> {
+        batch::vartime_mul(points, x)
+    }
+
     /// `prod_i points[i]^scalars[i]` in **variable time** (Straus for
     /// small batches, Pippenger above ~200 points).
     ///
@@ -341,6 +376,71 @@ impl FixedGroupTable {
     /// `P^x` off the precomputed table (constant-time-style scans).
     pub fn mul(&self, x: &Scalar) -> GroupElement {
         GroupElement(self.0.mul(x))
+    }
+}
+
+/// The batch entry points' bodies where the eight-lane field kernel is
+/// compiled in: eight points per [`EdwardsPoint`] over `F51x8`, a
+/// short last group padded with the identity.
+#[cfg(all(
+    target_arch = "x86_64",
+    target_feature = "avx512f",
+    target_feature = "avx512ifma",
+    not(feature = "force-field51")
+))]
+mod batch {
+    use super::{EdwardsPoint, GroupElement, Scalar};
+
+    pub(super) fn mul_pair(
+        points: &[GroupElement],
+        a: &Scalar,
+        b: &Scalar,
+    ) -> Vec<(GroupElement, GroupElement)> {
+        let mut out = Vec::with_capacity(points.len());
+        for group in points.chunks(8) {
+            let (pa, pb) = EdwardsPoint::from_lanes(|i| group.get(i).map(|p| &p.0))
+                .lanes_scalar_mul_pair(a, b);
+            let (pa, pb) = (pa.lanes(), pb.lanes());
+            out.extend((0..group.len()).map(|i| (GroupElement(pa[i]), GroupElement(pb[i]))));
+        }
+        out
+    }
+
+    pub(super) fn vartime_mul(points: &[GroupElement], x: &Scalar) -> Vec<GroupElement> {
+        let mut out = Vec::with_capacity(points.len());
+        for group in points.chunks(8) {
+            let px = EdwardsPoint::from_lanes(|i| group.get(i).map(|p| &p.0))
+                .lanes_vartime_scalar_mul(x);
+            out.extend(px.lanes()[..group.len()].iter().copied().map(GroupElement));
+        }
+        out
+    }
+}
+
+/// The batch entry points' bodies on every other build: the per-point
+/// scalar kernels.
+#[cfg(not(all(
+    target_arch = "x86_64",
+    target_feature = "avx512f",
+    target_feature = "avx512ifma",
+    not(feature = "force-field51")
+)))]
+mod batch {
+    use super::{GroupElement, GroupTable, Scalar};
+
+    pub(super) fn mul_pair(
+        points: &[GroupElement],
+        a: &Scalar,
+        b: &Scalar,
+    ) -> Vec<(GroupElement, GroupElement)> {
+        GroupTable::batch_new(points)
+            .iter()
+            .map(|table| table.mul_pair(a, b))
+            .collect()
+    }
+
+    pub(super) fn vartime_mul(points: &[GroupElement], x: &Scalar) -> Vec<GroupElement> {
+        points.iter().map(|p| p.vartime_mul(x)).collect()
     }
 }
 

@@ -163,3 +163,74 @@ proptest! {
         prop_assert_eq!(individual, !tamper);
     }
 }
+
+/// The two batch entry points agree with the per-point scalar ladders
+/// — one test body for every build: eight points per field-lane vector
+/// where the lane kernel is compiled in (`FIELD_BACKEND` ends in
+/// `+ifma8`), `GroupTable`/`vartime_mul` per point elsewhere.  Lengths
+/// straddle the lane width and the hop's chunk size; the points put the
+/// identity, a point beside its negation and equal points in
+/// neighbouring lanes; the scalars sit at the edges of both recodings.
+#[test]
+fn batch_entry_points_match_the_scalar_ladders() {
+    let mut rng = StdRng::seed_from_u64(0x1a7e5);
+    let l_minus_1 = Scalar::ZERO.sub(&Scalar::ONE);
+    let mut bytes = [0u8; 32];
+    bytes[31] = 0x10;
+    let two_252 = Scalar::from_bytes_mod_order(&bytes);
+    // Top nibble 8 (a reduced scalar's highest): it recodes to -8
+    // under a carried 1, so the ladder's first two windows take the
+    // table's last entry negated and its first.
+    bytes[31] = 0x08;
+    bytes[0] = 0x5a;
+    let top_digit_8 = Scalar::from_bytes_mod_order(&bytes);
+    assert_eq!(top_digit_8.to_radix_16()[62..], [-8, 1]);
+    let scalars = [
+        Scalar::ZERO,
+        Scalar::ONE,
+        l_minus_1,
+        two_252,
+        two_252.sub(&Scalar::ONE),
+        top_digit_8,
+        Scalar::random(&mut rng),
+    ];
+
+    for n in [0usize, 1, 7, 8, 9, 31, 32, 33, 64] {
+        let mut points: Vec<GroupElement> =
+            (0..n).map(|_| GroupElement::random(&mut rng)).collect();
+        // Lanes 1..=5 of the first vector: identity, P, -P, P, P.
+        if n >= 7 {
+            points[1] = GroupElement::identity();
+            points[3] = points[2].neg();
+            points[4] = points[2];
+            points[5] = points[2];
+        }
+        // Two scalar pairs per length keeps the debug run short while
+        // every scalar meets every length class over the sweep.
+        for k in 0..2 {
+            let a = scalars[(n + k) % scalars.len()];
+            let b = scalars[(n + 3 * k + 1) % scalars.len()];
+            let pairs = GroupElement::batch_mul_pair(&points, &a, &b);
+            let opened = GroupElement::batch_vartime_mul(&points, &a);
+            assert_eq!(pairs.len(), n);
+            assert_eq!(opened.len(), n);
+            for (i, p) in points.iter().enumerate() {
+                assert_eq!(pairs[i].0, p.mul(&a), "n={n} i={i} a={a:?}");
+                assert_eq!(pairs[i].1, p.mul(&b), "n={n} i={i} b={b:?}");
+                assert_eq!(opened[i], p.mul(&a), "n={n} i={i} x={a:?}");
+                assert_eq!(pairs[i].0.encode(), p.mul(&a).encode());
+            }
+        }
+    }
+    // Every edge scalar against one full vector.
+    let points: Vec<GroupElement> = (0..8).map(|_| GroupElement::random(&mut rng)).collect();
+    for a in &scalars {
+        let pairs = GroupElement::batch_mul_pair(&points, a, &l_minus_1);
+        let opened = GroupElement::batch_vartime_mul(&points, a);
+        for (i, p) in points.iter().enumerate() {
+            assert_eq!(pairs[i].0, p.mul(a), "i={i} a={a:?}");
+            assert_eq!(pairs[i].1, p.neg(), "i={i}");
+            assert_eq!(opened[i], p.mul(a), "i={i} x={a:?}");
+        }
+    }
+}

@@ -328,3 +328,254 @@ fn sqrt_ratio_edge_cases_both_backends() {
         "sat64",
     );
 }
+
+/// The eight-lane IFMA representation against the portable 5×51
+/// backend, lane by lane.  Compiled where the lane kernel is (see
+/// `src/field/mod.rs`); CI prints `FIELD_BACKEND` per cell so a runner
+/// without IFMA reads as "not built" rather than as green.
+#[cfg(all(
+    target_arch = "x86_64",
+    target_feature = "avx512f",
+    target_feature = "avx512ifma",
+    not(feature = "force-field51")
+))]
+mod lanes {
+    use proptest::prelude::*;
+
+    use xrd_crypto::field::fiat51::FieldElement as Fe51;
+    use xrd_crypto::field::ifma::F51x8;
+    use xrd_crypto::field::FieldArith;
+
+    const TOP: u64 = (1 << 52) - 1;
+    const LOW_51: u64 = (1 << 51) - 1;
+
+    /// Eight reference elements and the one vector that must track
+    /// them, lane `i` against `reference[i]`.
+    #[derive(Clone, Copy, Debug)]
+    struct Lanes {
+        reference: [Fe51; 8],
+        vector: F51x8,
+    }
+
+    impl Lanes {
+        fn from_limbs(limbs: &[[u64; 5]; 8]) -> Lanes {
+            Lanes {
+                reference: limbs.map(|l| Fe51::from_limbs51(&l)),
+                vector: F51x8::from_lanes(limbs),
+            }
+        }
+
+        /// Apply `reference_op` per lane and `vector_op` once.
+        fn map2(
+            &self,
+            rhs: &Lanes,
+            reference_op: impl Fn(&Fe51, &Fe51) -> Fe51,
+            vector_op: impl Fn(&F51x8, &F51x8) -> F51x8,
+        ) -> Lanes {
+            Lanes {
+                reference: std::array::from_fn(|i| {
+                    reference_op(&self.reference[i], &rhs.reference[i])
+                }),
+                vector: vector_op(&self.vector, &rhs.vector),
+            }
+        }
+
+        /// Every lane canonicalizes to its reference's bytes, and every
+        /// limb is a valid multiplier input (the module's one rule).
+        fn assert_agree(&self, what: &str) {
+            for (i, limbs) in self.vector.to_lanes().iter().enumerate() {
+                assert!(
+                    limbs.iter().all(|&l| l <= TOP),
+                    "lane {i} not tight after {what}: {limbs:x?}"
+                );
+                assert_eq!(
+                    Fe51::from_limbs51(limbs).to_bytes(),
+                    self.reference[i].to_bytes(),
+                    "lane {i} disagrees after {what}"
+                );
+            }
+        }
+
+        /// One step of a differential sequence.  The `lazy_*` entry
+        /// points are checked against the reference's *eager* ops: the
+        /// contract is the value, and the reference's own lazy forms
+        /// carry input bounds a random sequence does not respect.
+        fn step(&self, sel: u8, rhs: &Lanes) -> Lanes {
+            let choice = (sel >> 7) as u64;
+            let mask = choice.wrapping_neg();
+            match sel % 13 {
+                0 => self.map2(rhs, Fe51::add, F51x8::add),
+                1 => self.map2(rhs, Fe51::sub, F51x8::sub),
+                2 => self.map2(rhs, Fe51::mul, F51x8::mul),
+                3 => self.map2(rhs, |a, _| a.square(), |a, _| a.square()),
+                4 => self.map2(rhs, |a, _| a.square2(), |a, _| a.square2()),
+                5 => self.map2(rhs, |a, _| a.neg(), |a, _| a.neg()),
+                6 => self.map2(rhs, Fe51::add, F51x8::lazy_add),
+                7 => self.map2(rhs, Fe51::sub, F51x8::lazy_sub),
+                8 => self.map2(rhs, Fe51::sub, F51x8::lazy_sub_wide),
+                9 => self.map2(
+                    rhs,
+                    |a, b| Fe51::select(a, b, choice),
+                    |a, b| F51x8::select(a, b, choice),
+                ),
+                10 => self.map2(
+                    rhs,
+                    |a, _| a.conditional_negate(choice),
+                    |a, _| a.conditional_negate(choice),
+                ),
+                // The masked scan: seed with `self` under the mask, OR
+                // `rhs` in under its complement — one of the two.
+                11 => self.map2(
+                    rhs,
+                    |a, b| Fe51::select(b, a, choice),
+                    |a, b| {
+                        let mut scanned = a.and_mask(mask);
+                        scanned.or_assign_masked(b, !mask);
+                        scanned
+                    },
+                ),
+                _ => self.map2(rhs, |a, b| a.mul(b).add(a), |a, b| a.mul(b).add(a)),
+            }
+        }
+    }
+
+    /// Values at every edge the representation has: around the modulus
+    /// (as `from_bytes` admits them, unreduced), and raw limbs at the
+    /// top of the tight range, alone and mixed with empty limbs.
+    fn edge_limbs() -> Vec<[u64; 5]> {
+        let bytes = |low: u8, rest: u8, top: u8| {
+            let mut b = [rest; 32];
+            b[0] = low;
+            b[31] = top;
+            Fe51::from_bytes(&b).to_limbs51()
+        };
+        vec![
+            bytes(0, 0, 0),          // 0
+            bytes(1, 0, 0),          // 1
+            bytes(0xec, 0xff, 0x7f), // p - 1
+            bytes(0xed, 0xff, 0x7f), // p
+            bytes(0xee, 0xff, 0x7f), // p + 1
+            bytes(0xff, 0xff, 0x7f), // 2^255 - 1
+            [TOP; 5],
+            [TOP, 0, TOP, 0, TOP],
+            [0, TOP, 0, TOP, 0],
+            [LOW_51, TOP, LOW_51, TOP, LOW_51],
+            [TOP, LOW_51 + 1, TOP, 1, 0],
+            [0, 0, 0, 0, TOP],
+        ]
+    }
+
+    /// Every edge value against every edge value under every op, the
+    /// eight lanes of a vector holding eight *different* values (the
+    /// edge list rotated by lane), so a lane that read its neighbour's
+    /// limb could not pass.
+    #[test]
+    fn lanes_match_fiat51_on_edge_values() {
+        let edges = edge_limbs();
+        let n = edges.len();
+        let rotated = |start: usize, stride: usize| -> Lanes {
+            Lanes::from_limbs(&std::array::from_fn(|i| edges[(start + i * stride) % n]))
+        };
+        for a0 in 0..n {
+            let a = rotated(a0, 1);
+            a.assert_agree("construction");
+            for b0 in 0..n {
+                // Stride 5 is coprime to the list length: lane i of `b`
+                // meets a different partner than lane i+1's.
+                let b = rotated(b0, 5);
+                for sel in (0..13u8).chain(128 + 9..128 + 12) {
+                    let out = a.step(sel, &b);
+                    out.assert_agree(&format!("op {sel} on edges {a0}/{b0}"));
+                    // And once more from the result: outputs are inputs.
+                    out.step(2, &a).assert_agree(&format!("op {sel} then mul"));
+                    out.step(3, &a)
+                        .assert_agree(&format!("op {sel} then square"));
+                }
+            }
+        }
+    }
+
+    proptest! {
+        /// Random op sequences over vectors of eight different random
+        /// values (an edge value spliced into one lane): byte-identical
+        /// to the reference after every step, not just at the end.
+        #[test]
+        fn lane_op_sequences_match_fiat51(
+            inputs in prop::collection::vec(prop::array::uniform32(any::<u8>()), 16..41),
+            raw_ops in prop::collection::vec(any::<u8>(), 1..32),
+            edge_at in any::<prop::sample::Index>(),
+        ) {
+            let edges = edge_limbs();
+            let vectors: Vec<Lanes> = inputs
+                .chunks_exact(8)
+                .enumerate()
+                .map(|(v, chunk)| {
+                    let mut limbs: [[u64; 5]; 8] =
+                        std::array::from_fn(|i| Fe51::from_bytes(&chunk[i]).to_limbs51());
+                    limbs[edge_at.index(8)] = edges[(edge_at.index(edges.len()) + v) % edges.len()];
+                    Lanes::from_limbs(&limbs)
+                })
+                .collect();
+            let mut acc = vectors[0];
+            for (i, &sel) in raw_ops.iter().enumerate() {
+                let rhs = &vectors[(sel as usize >> 4) % vectors.len()];
+                acc = acc.step(sel, rhs);
+                acc.assert_agree(&format!("step {i}: op {}", sel % 13));
+            }
+        }
+    }
+}
+
+/// The radix-2^51 limb view both scalar backends expose to the lane
+/// kernel: `from_limbs51` inverts `to_limbs51`, limbs come out below
+/// 2^52, and any limbs below 2^52 — sums past 2^256 included — go in.
+#[test]
+fn limbs51_round_trip_on_both_backends() {
+    const TOP: u64 = (1 << 52) - 1;
+    let mut samples: Vec<[u8; 32]> = (0..32u8)
+        .map(|i| {
+            std::array::from_fn(|j| (j as u8).wrapping_mul(37).wrapping_add(i.wrapping_mul(101)))
+        })
+        .collect();
+    samples.push([0xff; 32]);
+    samples.push([0; 32]);
+    for bytes in &samples {
+        let pair = Pair::from_bytes(bytes);
+        // Squaring roams sat64's full `value < 2^256` range.
+        for pair in [
+            pair,
+            Pair {
+                a: pair.a.square(),
+                b: pair.b.square(),
+            },
+        ] {
+            let (la, lb) = (pair.a.to_limbs51(), pair.b.to_limbs51());
+            assert!(la.iter().chain(&lb).all(|&l| l <= TOP));
+            Pair {
+                a: fiat51::FieldElement::from_limbs51(&la),
+                b: sat64::FieldElement::from_limbs51(&lb),
+            }
+            .assert_agree("limbs51 round trip");
+            assert_eq!(
+                fiat51::FieldElement::from_limbs51(&la).to_bytes(),
+                pair.a.to_bytes()
+            );
+            // Each backend reads the other's limbs.
+            assert_eq!(
+                sat64::FieldElement::from_limbs51(&la).to_bytes(),
+                pair.a.to_bytes()
+            );
+            assert_eq!(
+                fiat51::FieldElement::from_limbs51(&lb).to_bytes(),
+                pair.a.to_bytes()
+            );
+        }
+    }
+    for limbs in [[TOP; 5], [0, 0, 0, 0, TOP], [TOP, 0, TOP, 0, TOP]] {
+        Pair {
+            a: fiat51::FieldElement::from_limbs51(&limbs),
+            b: sat64::FieldElement::from_limbs51(&limbs),
+        }
+        .assert_agree("limbs at the top of the tight range");
+    }
+}

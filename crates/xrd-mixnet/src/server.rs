@@ -17,7 +17,7 @@ use rand::RngCore;
 
 use xrd_crypto::aead::{adec, round_nonce};
 use xrd_crypto::nizk::{DleqBatchEntry, DleqProof};
-use xrd_crypto::ristretto::{GroupElement, GroupTable};
+use xrd_crypto::ristretto::GroupElement;
 use xrd_crypto::scalar::Scalar;
 
 use crate::chain_keys::{ChainPublicKeys, ServerSecrets};
@@ -133,15 +133,17 @@ impl ChunkKernel {
         self.round
     }
 
-    /// Decrypt-and-blind one entry off its precomputed window table:
-    /// both the decrypt (`msk`) and blind (`bsk`) exponentiations run
-    /// off one table with masked constant-time scans, so the per-entry
-    /// cost is two table ladders instead of two from-scratch
-    /// multiplications.  `None` on authentication failure.
-    fn decrypt_and_blind(&self, entry: &MixEntry, table: &GroupTable) -> Option<MixEntry> {
-        // Steps 1+2 share the table: X_j^{msk_i} and X_j^{bsk_i}.
-        let (shared, blinded) = table.mul_pair(&self.msk, &self.bsk);
-        let key = outer_layer_key(&shared, self.round, self.position);
+    /// Finish one entry from its two exponentiations: `shared` is
+    /// `X_j^{msk_i}` (step 1, keys the outer layer) and `blinded` is
+    /// `X_j^{bsk_i}` (step 2, the next hop's DH key).  `None` on
+    /// authentication failure.
+    fn decrypt_and_blind(
+        &self,
+        entry: &MixEntry,
+        shared: &GroupElement,
+        blinded: GroupElement,
+    ) -> Option<MixEntry> {
+        let key = outer_layer_key(shared, self.round, self.position);
         let next_ct = adec(
             &key,
             &round_nonce(self.round, domain_outer(self.position)),
@@ -154,19 +156,20 @@ impl ChunkKernel {
         })
     }
 
-    /// Run the kernel over a chunk: batch-build the window tables (one
-    /// shared field inversion for the whole chunk, via
-    /// [`GroupTable::batch_new`]) then decrypt-and-blind each entry off
-    /// its table.  Slot `j` of the result corresponds to `entries[j]`;
-    /// `None` marks an authentication failure at that index.
+    /// Run the kernel over a chunk: raise every entry's DH key to `msk`
+    /// and `bsk` in one batch ([`GroupElement::batch_mul_pair`]: masked
+    /// constant-time scans, eight entries per field-lane vector where
+    /// the lane kernel is compiled in, shared-inversion window tables
+    /// elsewhere), then open each entry's outer layer.  Slot `j` of the
+    /// result corresponds to `entries[j]`; `None` marks an
+    /// authentication failure at that index.
     pub fn process(&self, entries: &[MixEntry]) -> Vec<Option<MixEntry>> {
         let started = std::time::Instant::now();
         let dhs: Vec<GroupElement> = entries.iter().map(|e| e.dh).collect();
-        let tables = GroupTable::batch_new(&dhs);
         let slots: Vec<Option<MixEntry>> = entries
             .iter()
-            .zip(&tables)
-            .map(|(entry, table)| self.decrypt_and_blind(entry, table))
+            .zip(GroupElement::batch_mul_pair(&dhs, &self.msk, &self.bsk))
+            .map(|(entry, (shared, blinded))| self.decrypt_and_blind(entry, &shared, blinded))
             .collect();
         let m = hop_metrics();
         m.decrypt_blind_us.record_duration(started.elapsed());
@@ -547,27 +550,30 @@ pub fn open_batch(
     entries: &[MixEntry],
 ) -> Vec<Option<MailboxMessage>> {
     let isk_sum = inner_keys.iter().fold(Scalar::ZERO, |a, s| a.add(s));
-    entries
+    // Only envelopes whose ephemeral key parses take a place in the
+    // batch; `at` remembers where each came from.
+    let (at, ephemerals): (Vec<usize>, Vec<GroupElement>) = entries
         .iter()
-        .map(|entry| {
-            if entry.ct.len() < 32 {
-                return None;
-            }
-            let mut gy = [0u8; 32];
-            gy.copy_from_slice(&entry.ct[..32]);
-            let gy = GroupElement::decode(&gy)?;
-            // The inner keys are public once revealed (§6.3 broadcasts
-            // them), so the variable-time ladder is safe here.
-            let key = inner_key(&gy.vartime_mul(&isk_sum), round);
-            let plaintext = adec(
-                &key,
-                &round_nonce(round, DOMAIN_INNER),
-                b"",
-                &entry.ct[32..],
-            )?;
-            MailboxMessage::from_bytes(&plaintext)
+        .enumerate()
+        .filter_map(|(j, entry)| {
+            let gy = GroupElement::decode(entry.ct.first_chunk::<32>()?)?;
+            Some((j, gy))
         })
-        .collect()
+        .unzip();
+    // The inner keys are public once revealed (§6.3 broadcasts them),
+    // so the variable-time ladder is safe here.
+    let shared = GroupElement::batch_vartime_mul(&ephemerals, &isk_sum);
+    let mut opened = vec![None; entries.len()];
+    for (j, dh) in at.into_iter().zip(shared) {
+        opened[j] = adec(
+            &inner_key(&dh, round),
+            &round_nonce(round, DOMAIN_INNER),
+            b"",
+            &entries[j].ct[32..],
+        )
+        .and_then(|plaintext| MailboxMessage::from_bytes(&plaintext));
+    }
+    opened
 }
 
 /// The chain-level tail of a clean round, the same wherever the
@@ -860,6 +866,52 @@ mod tests {
             ct: vec![0u8; 8],
         };
         assert_eq!(open_batch(&[Scalar::ONE], 0, &[short]), vec![None]);
+    }
+
+    #[test]
+    fn open_batch_keeps_positions_around_interleaved_junk() {
+        // Envelopes that never reach the ladder (too short, ephemeral
+        // key not a group element) and ones that do but fail to open
+        // (valid key, junk ciphertext) between good ones, across more
+        // than one eight-wide group: every good message comes back at
+        // its own index, every bad one is `None` at its own.
+        let mut rng = StdRng::seed_from_u64(60);
+        let round = 5;
+        let (secrets, public) = generate_chain_keys(&mut rng, 2, round);
+        let inner: Vec<Scalar> = secrets.iter().map(|s| s.isk).collect();
+        let n = 21;
+        let short = [2usize, 9];
+        let undecodable = [0usize, 10, 20];
+        let junk = [5usize, 11, 12];
+        let good = |j: usize| ![&short[..], &undecodable, &junk].concat().contains(&j);
+        // Peel both outer layers kernel by kernel (no shuffle), so
+        // entry j still carries message j's inner envelope.
+        let mut entries: Vec<MixEntry> = (0..n)
+            .map(|j| seal_ahs(&mut rng, &public, round, &msg(j as u8)).to_entry())
+            .collect();
+        for secrets in secrets {
+            let kernel = MixServer::new(secrets, public.clone()).chunk_kernel(round);
+            entries = kernel.process(&entries).into_iter().flatten().collect();
+        }
+        assert_eq!(entries.len(), n);
+        for (j, entry) in entries.iter_mut().enumerate() {
+            if short.contains(&j) {
+                entry.ct.truncate(17);
+            } else if undecodable.contains(&j) {
+                entry.ct[..32].fill(0xff); // s >= p: not canonical
+            } else if junk.contains(&j) {
+                entry.ct[40] ^= 1;
+            }
+        }
+        let opened = open_batch(&inner, round, &entries);
+        assert_eq!(opened.len(), n);
+        for (j, slot) in opened.iter().enumerate() {
+            if good(j) {
+                assert_eq!(slot.as_ref(), Some(&msg(j as u8)), "index {j}");
+            } else {
+                assert_eq!(*slot, None, "index {j}");
+            }
+        }
     }
 
     #[test]
