@@ -36,7 +36,6 @@ pub mod backend;
 pub mod churn;
 pub mod cost;
 pub mod deployment;
-pub mod dialing;
 pub mod journal;
 pub mod mailbox;
 pub mod payload;
