@@ -444,15 +444,18 @@ pub fn verify_hop_keys<'a>(
     )
 }
 
-/// One hop's attestation record for batched verification.
+/// One hop's attestation record for batched verification: the two DH-key
+/// columns the §6.3 statement is over and the proof binding them.  The
+/// ciphertexts never enter the statement, so a verifier holds columns,
+/// whoever carried the batch.
 #[derive(Clone, Debug)]
 pub struct HopRecord<'a> {
     /// Hop position of the proving server.
     pub position: usize,
-    /// The hop's inputs in arrival order.
-    pub inputs: &'a [MixEntry],
-    /// The hop's outputs in emission order.
-    pub outputs: &'a [MixEntry],
+    /// DH keys of the hop's inputs in arrival order.
+    pub input_dhs: &'a [GroupElement],
+    /// DH keys of the hop's outputs in emission order.
+    pub output_dhs: &'a [GroupElement],
     /// The aggregate blinding proof for this hop.
     pub proof: DleqProof,
 }
@@ -465,7 +468,7 @@ pub struct HopRecord<'a> {
 /// Returns `false` if any hop's batch is malformed (length mismatch)
 /// or if the combined verification fails (meaning at least one hop
 /// proof is invalid — callers wanting to identify *which* re-check
-/// hops individually with [`verify_hop`]).
+/// hops individually with [`verify_hop_keys`]).
 pub fn verify_hops_batched(public: &ChainPublicKeys, round: u64, hops: &[HopRecord]) -> bool {
     verify_hops_batched_multi(&[ChainAudit {
         public,
@@ -499,13 +502,13 @@ pub struct ChainAudit<'a> {
 ///
 /// Returns `false` if any hop anywhere is malformed or any proof in
 /// the combined batch is invalid.  Callers re-check per chain (or per
-/// hop, [`verify_hop`]) to localize a failure.
+/// hop, [`verify_hop_keys`]) to localize a failure.
 pub fn verify_hops_batched_multi(chains: &[ChainAudit<'_>]) -> bool {
     for chain in chains {
         if chain
             .hops
             .iter()
-            .any(|hop| hop.inputs.len() != hop.outputs.len())
+            .any(|hop| hop.input_dhs.len() != hop.output_dhs.len())
         {
             return false;
         }
@@ -525,8 +528,8 @@ pub fn verify_hops_batched_multi(chains: &[ChainAudit<'_>]) -> bool {
         .zip(&contexts)
         .map(|((chain, hop), ctx)| DleqBatchEntry {
             context: ctx,
-            base1: GroupElement::product(hop.inputs.iter().map(|e| &e.dh)),
-            public1: GroupElement::product(hop.outputs.iter().map(|e| &e.dh)),
+            base1: GroupElement::product(hop.input_dhs),
+            public1: GroupElement::product(hop.output_dhs),
             base2: *chain.public.blinding_base(hop.position),
             public2: chain.public.bpks[hop.position + 1],
             proof: hop.proof,
@@ -943,51 +946,59 @@ mod tests {
             .map(|s| MixServer::new(s, public.clone()))
             .collect();
         let mut entries: Vec<MixEntry> = subs.iter().map(|s| s.to_entry()).collect();
-        let mut inputs_per_hop = Vec::new();
-        let mut outputs_per_hop = Vec::new();
+        let dhs =
+            |entries: &[MixEntry]| -> Vec<GroupElement> { entries.iter().map(|e| e.dh).collect() };
+        // The k+1 key columns of the pass: entering hop 0 … leaving hop k-1.
+        let mut columns = vec![dhs(&entries)];
         let mut proofs = Vec::new();
-        for server in servers.iter_mut() {
+        for (i, server) in servers.iter_mut().enumerate() {
             let before = entries.clone();
             let result = server.process_round(&mut rng, round, entries).unwrap();
-            inputs_per_hop.push(before);
-            outputs_per_hop.push(result.outputs.clone());
+            // Per-hop verification over entries and over columns agree.
+            assert!(verify_hop(
+                &public,
+                i,
+                round,
+                &before,
+                &result.outputs,
+                &result.proof
+            ));
+            columns.push(dhs(&result.outputs));
             proofs.push(result.proof);
             entries = result.outputs;
         }
-        let records: Vec<HopRecord> = (0..k)
-            .map(|i| HopRecord {
-                position: i,
-                inputs: &inputs_per_hop[i],
-                outputs: &outputs_per_hop[i],
-                proof: proofs[i],
+        fn records<'a>(
+            columns: &'a [Vec<GroupElement>],
+            proofs: &[DleqProof],
+        ) -> Vec<HopRecord<'a>> {
+            let hops = columns.windows(2).zip(proofs).enumerate();
+            hops.map(|(position, (pair, proof))| HopRecord {
+                position,
+                input_dhs: &pair[0],
+                output_dhs: &pair[1],
+                proof: *proof,
             })
-            .collect();
-        // One verifier checks the whole chain in one batched call.
-        assert!(verify_hops_batched(&public, round, &records));
-        // ...and agrees with per-hop verification.
-        for r in &records {
-            assert!(verify_hop(
-                &public, r.position, round, r.inputs, r.outputs, &r.proof
-            ));
+            .collect()
         }
+        // One verifier checks the whole chain in one batched call.
+        assert!(verify_hops_batched(
+            &public,
+            round,
+            &records(&columns, &proofs)
+        ));
         // Tampering any single hop's outputs breaks the batch.
-        let mut tampered_outputs = outputs_per_hop.clone();
-        tampered_outputs[1][0].dh = GroupElement::random(&mut rng);
-        let tampered: Vec<HopRecord> = (0..k)
-            .map(|i| HopRecord {
-                position: i,
-                inputs: &inputs_per_hop[i],
-                outputs: &tampered_outputs[i],
-                proof: proofs[i],
-            })
-            .collect();
-        assert!(!verify_hops_batched(&public, round, &tampered));
+        let mut tampered = columns.clone();
+        tampered[2][0] = GroupElement::random(&mut rng);
+        assert!(!verify_hops_batched(
+            &public,
+            round,
+            &records(&tampered, &proofs)
+        ));
         // Length mismatch is rejected structurally.
-        let short = &outputs_per_hop[0][..5];
         let bad = [HopRecord {
             position: 0,
-            inputs: &inputs_per_hop[0],
-            outputs: short,
+            input_dhs: &columns[0],
+            output_dhs: &columns[1][..5],
             proof: proofs[0],
         }];
         assert!(!verify_hops_batched(&public, round, &bad));

@@ -42,9 +42,10 @@
 //!   child processes (key ceremony, config files, daemon-to-daemon
 //!   `--successor` wiring), drive a client-reactor swarm against it,
 //!   print per-round latency/throughput, and shut everything down over
-//!   the wire (see `docs/DEPLOYMENT.md`).  Without `--transport` the
-//!   rounds run under `Transport::default()` (coordinator-relayed
-//!   streaming), like every other entry point;
+//!   the wire (see `docs/DEPLOYMENT.md`).  `--transport` says where a
+//!   hop sends its output: `streamed` (to the coordinator, which relays
+//!   it — the default, like every other entry point) or `forwarded` (to
+//!   its successor daemon); the mix pass is the same either way;
 //! * `scale [--users N[,N...]] [--rounds R]` — the §8 scaling curve:
 //!   for each population size, launch a fresh multi-process deployment
 //!   and drive the emulated-user swarm through `R` rounds under the
@@ -89,7 +90,8 @@ fn usage() -> ExitCode {
          xrd-netd demo [--servers N] [--chain-len K] [--shards S] [--users U] [--rounds R] \
          [--faults FILE]\n  \
          xrd-netd launch --manifest FILE [--users N] [--rounds R] \
-         [--transport streamed|forwarded] (default: streamed, the library default)\n  \
+         [--transport streamed|forwarded] (where a hop sends its output: the coordinator \
+         [default] or its successor)\n  \
          xrd-netd scale [--users N[,N...]] [--rounds R] [--servers S] [--chain-len K] \
          [--shards M] [--json FILE]\n  \
          xrd-netd stress [--conns N] [--chain-len K]\n  \
@@ -664,8 +666,8 @@ fn launch(args: &[String]) -> ExitCode {
         .and_then(|v| v.parse().ok())
         .unwrap_or(2u64);
     let transport = match flag(args, "--transport").as_deref() {
-        None | Some("streamed") => Transport::default(),
-        Some("forwarded") => Transport::Forwarded { chunk: 64 },
+        None | Some("streamed") => Transport::Streamed,
+        Some("forwarded") => Transport::Forwarded,
         Some(other) => {
             xrd_obs::error!("launch: unknown transport `{other}` (streamed|forwarded)");
             return usage();
@@ -932,7 +934,7 @@ fn scale(args: &[String]) -> ExitCode {
         rounds,
         conversing_fraction: 0.5,
     };
-    deployment.set_transport(Transport::Forwarded { chunk: 64 });
+    deployment.set_transport(Transport::Forwarded);
     let forwarded = match run_swarm(&mut rng, &mut deployment, &config) {
         Ok(r) => r,
         Err(e) => {
@@ -941,7 +943,7 @@ fn scale(args: &[String]) -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    deployment.set_transport(Transport::Streamed { chunk: 64 });
+    deployment.set_transport(Transport::Streamed);
     let streamed = match run_swarm(&mut rng, &mut deployment, &config) {
         Ok(r) => r,
         Err(e) => {

@@ -27,6 +27,7 @@ use std::net::{SocketAddr, TcpStream};
 use std::time::Duration;
 
 use xrd_crypto::nizk::DleqProof;
+use xrd_crypto::ristretto::GroupElement;
 use xrd_mixnet::message::MixEntry;
 
 use crate::codec::{
@@ -184,6 +185,19 @@ pub enum HopReply {
         /// Aggregate blinding attestation (§6.3 step 3).
         proof: DleqProof,
     },
+    /// The hop completed and pushed its outputs straight to its
+    /// successor ([`Frame::HopForwarded`]): only the statement comes
+    /// back — the DH-key columns it proved over, never the ciphertexts.
+    Attested {
+        /// The prover's hop position.
+        position: u32,
+        /// DH keys of the batch the hop consumed, in arrival order.
+        input_dhs: Vec<GroupElement>,
+        /// DH keys of the batch it emitted, in emission order.
+        output_dhs: Vec<GroupElement>,
+        /// Aggregate blinding attestation (§6.3 step 3).
+        proof: DleqProof,
+    },
     /// The hop halted on authentication failures (blame follows).
     Failure {
         /// The halting server's position.
@@ -311,26 +325,38 @@ impl Conn {
             .map_err(|e| NetError::from_io(e, "write"))
     }
 
-    /// One whole hop exchange: ship `entries` to the daemon as a
-    /// `chunk`-entry [`ChunkedBatch`] stream for `round` and collect
-    /// its reply.
+    /// The send half of a hop exchange: ship `entries` to the daemon as
+    /// a `chunk`-entry [`ChunkedBatch`] stream for `round`.
+    pub fn send_batch(
+        &mut self,
+        round: u64,
+        entries: &[MixEntry],
+        chunk: usize,
+    ) -> Result<(), NetError> {
+        for bytes in ChunkedBatch::build(round, entries, chunk).frames() {
+            self.send_encoded(bytes)?;
+        }
+        Ok(())
+    }
+
+    /// One whole hop exchange: [`Conn::send_batch`], then collect the
+    /// daemon's reply.
     pub fn stream_hop(
         &mut self,
         round: u64,
         entries: &[MixEntry],
         chunk: usize,
     ) -> Result<HopReply, NetError> {
-        for bytes in ChunkedBatch::build(round, entries, chunk).frames() {
-            self.send_encoded(bytes)?;
-        }
+        self.send_batch(round, entries, chunk)?;
         self.recv_hop_reply(round, entries.len(), None)
     }
 
     /// The receive half of a hop exchange: one
     /// `HopOutputStart/Chunk…/End` stream for `round` carrying exactly
     /// `total` entries, reassembled and checked against its digest —
-    /// or the [`Frame::HopFailure`] / [`Frame::Error`] sent in its
-    /// place.
+    /// or the [`Frame::HopForwarded`] (the hop sent its output to its
+    /// successor instead), [`Frame::HopFailure`] or [`Frame::Error`]
+    /// sent in its place.
     ///
     /// With `next`, the stream is relayed to the chain's next hop as it
     /// arrives: each output frame goes out as the matching
@@ -369,6 +395,20 @@ impl Conn {
                 position,
                 failed,
             } if r == round => return Ok(HopReply::Failure { position, failed }),
+            Frame::HopForwarded {
+                round: r,
+                position,
+                input_dhs,
+                output_dhs,
+                proof,
+            } if r == round => {
+                return Ok(HopReply::Attested {
+                    position,
+                    input_dhs,
+                    output_dhs,
+                    proof,
+                })
+            }
             Frame::Error { code, message } => return Err(NetError::Remote { code, message }),
             other => {
                 return Err(NetError::Desync(format!(

@@ -8,10 +8,11 @@
 //!    clients submit (to *all* servers of the chain, per the paper's
 //!    input-agreement step), close it, and check that every server
 //!    fixed the same canonical batch (digest comparison, §6.3);
-//! 2. **k hops** — each server mixes in turn, its output relayed to
-//!    the next as it is emitted; at end of chain every *other* server
-//!    verifies each hop's aggregate attestation (cross-server proof
-//!    verification over the wire);
+//! 2. **k hops** — each server mixes in turn and sends its output on,
+//!    through the coordinator or straight to its successor
+//!    ([`Transport`]); at end of chain every *other* server verifies
+//!    each hop's aggregate attestation (cross-server proof verification
+//!    over the wire);
 //! 3. **blame** (§6.4, only on decryption failure) — fetch the
 //!    accusation, trace reveals upstream server by server, convict the
 //!    user or server, and restart the hops with convicted users
@@ -23,21 +24,19 @@
 //! real deployment this role is played by the servers gossiping among
 //! themselves, and any party can replay the coordinator's checks.
 //!
-//! # The hop pipeline
+//! # The mix pass
 //!
-//! Batches travel as *chunk streams* ([`Transport`]): the coordinator
-//! cuts the hop-0 batch into `MixBatchChunk`s, and as each hop's output
-//! chunks come back it forwards them to the next hop **verbatim** (a
-//! one-byte tag rewrite, no re-encode) before the producing hop has
-//! finished emitting — the chain is a pipeline whose per-hop serial
-//! cost is the shuffle + proof, not the whole transfer.  (A batch of
-//! one chunk is the degenerate pipeline: nothing to overlap, nothing
-//! lost.)  Cross-server attestation checks run at the end of the chain
-//! (per hop they would re-serialize the pipeline) and ship only the
-//! DH-key columns ([`Frame::VerifyHopKeys`]) — the §6.3 statement is
-//! over products of DH keys, never ciphertexts.  Nothing is revealed or
-//! delivered until every hop has verified: inner keys stay sealed
-//! unless the whole chain checks out.
+//! Batches travel as *chunk streams* and the chain is a pipeline: hop
+//! `i + 1` is decrypting while hop `i` is still emitting, whoever carries
+//! the chunks between them, so the per-hop serial cost is the shuffle +
+//! proof, not the whole transfer.  (A batch of one chunk is the
+//! degenerate pipeline: nothing to overlap, nothing lost.)  The pass is
+//! written once, with the successor as its parameter, and what it keeps
+//! of a hop is what §6.3 proves: a statement over products of DH keys,
+//! never ciphertexts — so the audit, the cross-server checks
+//! ([`Frame::VerifyHopKeys`]) and a dispute all read key columns.
+//! Nothing is revealed or delivered until every hop has verified: inner
+//! keys stay sealed unless the whole chain checks out.
 
 use std::collections::HashSet;
 use std::net::SocketAddr;
@@ -51,7 +50,7 @@ use xrd_mixnet::chain_keys::{apply_rotation_shares, ChainPublicKeys, RotationSha
 use xrd_mixnet::client::Submission;
 use xrd_mixnet::message::MixEntry;
 use xrd_mixnet::server::{
-    input_digest, open_revealed, verify_hop, verify_hop_keys, verify_hops_batched, HopRecord,
+    input_digest, open_revealed, verify_hop_keys, verify_hops_batched, HopRecord,
 };
 use xrd_mixnet::{resolve_blame, BlameResolution, ChainRoundOutcome};
 
@@ -152,43 +151,31 @@ pub(crate) fn request_retry(
     }
 }
 
-/// How the coordinator ships batches hop to hop.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+/// Where a hop sends its output: the one parameter of the mix pass.
+/// Either way the batch moves in [`STREAM_CHUNK`]-entry chunks and the
+/// chain is audited, blamed and retried alike — §6.3 proves a statement
+/// over DH-key columns, so who carried the ciphertexts is routing.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum Transport {
-    /// Relay: every hop's output streams back to the coordinator, which
-    /// forwards it to the next hop chunk by chunk (the default, at
-    /// [`STREAM_CHUNK`] entries per chunk; clamped to ≥ 1).
-    Streamed {
-        /// Entries per [`Frame::MixBatchChunk`].
-        chunk: usize,
-    },
-    /// Daemon-to-daemon forwarding: the coordinator streams the batch
-    /// to hop 0 only, and each hop pushes its output straight to its
-    /// successor (configured at daemon spawn, typically from the
-    /// deployment manifest).  The coordinator receives one keys-only
-    /// [`Frame::HopForwarded`] attestation per intermediate hop and
-    /// the final hop's full output stream — intermediate batches never
-    /// cross the coordinator's wire at all.  Requires daemons spawned
-    /// with successors; a failed pass falls back to
-    /// [`Transport::Streamed`] on retry.
-    Forwarded {
-        /// Entries per [`Frame::MixBatchChunk`] on the hop-0 leg.
-        chunk: usize,
-    },
+    /// To the coordinator, which relays it to the next hop chunk by
+    /// chunk as it arrives (the default).
+    #[default]
+    Streamed,
+    /// To its successor daemon (configured at daemon spawn, typically
+    /// from the deployment manifest), as the paper's servers do: the
+    /// coordinator streams the batch to hop 0 only and receives one
+    /// keys-only [`Frame::HopForwarded`] per intermediate hop plus the
+    /// last hop's output — intermediate batches never cross its wire.
+    /// A pass that fails is retried as [`Transport::Streamed`] on fresh
+    /// connections.
+    Forwarded,
 }
 
-impl Default for Transport {
-    fn default() -> Transport {
-        Transport::Streamed {
-            chunk: STREAM_CHUNK,
-        }
-    }
+/// The DH keys of a batch, in order: the only part of it §6.3 proves
+/// anything about.
+fn dh_column(entries: &[MixEntry]) -> Vec<GroupElement> {
+    entries.iter().map(|e| e.dh).collect()
 }
-
-/// One hop's attested statement as DH-key columns: the keys of its
-/// inputs in arrival order, of its outputs in emission order, and the
-/// aggregate proof binding them (§6.3 never involves ciphertexts).
-type HopColumns = (Vec<GroupElement>, Vec<GroupElement>, DleqProof);
 
 /// Coordinator-side handle for one chain: persistent connections to its
 /// `k` mix daemons plus the active/pending key bundles.
@@ -241,10 +228,15 @@ pub enum MixPhase {
 /// A clean mixing pass whose attestations have not been audited yet:
 /// everything [`ChainClient::conclude_audited`] needs to finish the
 /// round once the caller has folded this chain's proofs into its
-/// (possibly deployment-wide) batched verification.
+/// (possibly deployment-wide) batched verification.  It holds what the
+/// proofs are about — key columns — and the final batch; no
+/// intermediate ciphertext batch outlives its hop.
 pub struct PendingChainRound {
-    /// Per-hop `(position, inputs, outputs, proof)` of the clean pass.
-    hop_audit: Vec<(usize, Vec<MixEntry>, Vec<MixEntry>, DleqProof)>,
+    /// The `k + 1` DH-key columns of the clean pass: `columns[i]`
+    /// entered hop `i` and `columns[i + 1]` left it.
+    columns: Vec<Vec<GroupElement>>,
+    /// Hop `i`'s attestation over `columns[i]` and `columns[i + 1]`.
+    proofs: Vec<DleqProof>,
     /// The chain's final mixed batch.
     final_entries: Vec<MixEntry>,
     /// The round's ledger through the mix phase: users convicted by
@@ -254,18 +246,18 @@ pub struct PendingChainRound {
 }
 
 impl PendingChainRound {
-    /// Borrow the clean pass's attestations as [`HopRecord`]s, the
-    /// form [`verify_hops_batched_multi`](xrd_mixnet::verify_hops_batched_multi) consumes.
+    /// Borrow the clean pass's attestations as [`HopRecord`]s (adjacent
+    /// columns and the proof between them), the form
+    /// [`verify_hops_batched_multi`](xrd_mixnet::verify_hops_batched_multi) consumes.
     pub fn records(&self) -> Vec<HopRecord<'_>> {
-        self.hop_audit
-            .iter()
-            .map(|(pos, inputs, outputs, proof)| HopRecord {
-                position: *pos,
-                inputs,
-                outputs,
-                proof: *proof,
-            })
-            .collect()
+        let hops = self.columns.windows(2).zip(&self.proofs).enumerate();
+        hops.map(|(position, (pair, proof))| HopRecord {
+            position,
+            input_dhs: &pair[0],
+            output_dhs: &pair[1],
+            proof: *proof,
+        })
+        .collect()
     }
 }
 
@@ -328,8 +320,8 @@ impl ChainClient {
         Ok(())
     }
 
-    /// Select how this chain ships batches hop to hop (default
-    /// [`Transport::default`]: relayed, [`STREAM_CHUNK`]-entry chunks).
+    /// Select where this chain's hops send their output (default
+    /// [`Transport::Streamed`]: to the coordinator).
     pub fn set_transport(&mut self, transport: Transport) {
         self.transport = transport;
     }
@@ -494,41 +486,26 @@ impl ChainClient {
         let mut attempt = 0;
         let mut transport = self.transport;
         loop {
-            let forwarded = matches!(transport, Transport::Forwarded { .. });
-            let result = match transport {
-                Transport::Streamed { chunk } => self.mix_round_streamed(round, submissions, chunk),
-                Transport::Forwarded { chunk } => {
-                    self.mix_round_forwarded(round, submissions, chunk)
-                }
-            };
-            match result {
-                // Forwarded-mode failures always downgrade: whatever
-                // broke (a dead successor link, a decrypt failure the
-                // blame machinery must localize), the relayed pipeline
-                // can handle it — per-hop errors reach the coordinator
-                // directly there instead of cascading through daemons.
+            let forwarded = transport == Transport::Forwarded;
+            match self.mix_pass(round, submissions, transport) {
+                // A forwarded pass that fails always downgrades: whatever
+                // broke (a dead successor link, a decrypt failure that
+                // cascaded up the daemons as an error, a column seam),
+                // every hop answers the coordinator directly when it
+                // relays.
                 Err(e) if (e.retryable() || forwarded) && attempt + 1 < self.retry.attempts => {
                     attempt += 1;
                     coord_metrics().mix_retries.incr();
-                    if forwarded {
-                        transport = Transport::default();
-                        xrd_obs::info!(
-                            "round {round}: forwarded mix pass failed ({e}), \
-                             falling back to relayed streaming for attempt {}",
-                            attempt + 1
-                        );
-                    } else {
-                        xrd_obs::info!(
-                            "round {round}: mix pass failed on transport ({e}), \
-                             reconnecting for attempt {}",
-                            attempt + 1
-                        );
-                    }
+                    transport = Transport::Streamed;
+                    xrd_obs::info!(
+                        "round {round}: mix pass failed ({e}), reconnecting for relayed attempt {}",
+                        attempt + 1
+                    );
                     self.retry.sleep(attempt);
                     // A fresh pass needs fresh connections: streamed
-                    // sessions and in-flight responses on the old ones
-                    // are unsalvageable.  A refused re-dial is a
-                    // daemon mid-reincarnation under supervision —
+                    // sessions, forwarded marks and in-flight responses
+                    // on the old ones die with them.  A refused re-dial
+                    // is a daemon mid-reincarnation under supervision —
                     // burn the remaining retry attempts waiting for it
                     // to come back instead of aborting the pass.
                     while let Err(e) = self.reconnect_all() {
@@ -549,56 +526,97 @@ impl ChainClient {
         }
     }
 
-    /// [`ChainClient::mix_round`] as a chunked pipeline: hop `i+1`
-    /// receives (and starts decrypting) hop `i`'s output chunks while
-    /// hop `i` is still emitting later ones.  Output chunks are
-    /// forwarded *verbatim* (one-byte tag rewrite) — the relay decodes
-    /// each chunk once for its own audit but never re-encodes it.
-    /// Cross-server verification runs at end of chain over DH-key
-    /// columns only ([`Frame::VerifyHopKeys`]); the reveal still
-    /// happens only after every check passes.
-    fn mix_round_streamed(
+    /// One mix pass over the agreed batch (§6.3), blame included (§6.4).
+    ///
+    /// The coordinator streams the batch to hop 0 and collects one reply
+    /// per hop in chain order.  `transport` decides only where hop `pos`
+    /// sent its output: back here — and, relaying, on to hop `pos + 1`
+    /// **verbatim** as it arrives (a one-byte tag rewrite per chunk, no
+    /// re-encode), so the next hop's crypto overlaps this hop's emission
+    /// — or straight to its successor, in which case only its key
+    /// columns come back.  Either reply yields the hop's output column
+    /// and proof, checked against the *running* column (the keys the
+    /// previous hop emitted), so a daemon that mixed another batch than
+    /// its predecessor's fails the pass at its seam.
+    ///
+    /// A [`Frame::HopFailure`] that reaches the coordinator is blamed in
+    /// place — blame needs the submissions and the servers' reveals,
+    /// never the intermediate batches — and the pass repeats without the
+    /// convicted users; a failure that cascades back up forwarding
+    /// daemons arrives as an error and fails the pass.  A clean pass is
+    /// cross-verified at end of chain (per hop it would re-serialize the
+    /// pipeline) over key columns only, and returned for the caller's
+    /// audit: nothing is revealed before that.
+    fn mix_pass(
         &mut self,
         round: u64,
         submissions: &[Submission],
-        chunk: usize,
+        transport: Transport,
     ) -> Result<MixPhase, NetError> {
         let k = self.conns.len();
+        let forwarded = transport == Transport::Forwarded;
         let mut outcome = ChainRoundOutcome::default();
         let mut active: Vec<usize> = (0..submissions.len()).collect();
-        let mut hop_audit: Vec<(usize, Vec<MixEntry>, Vec<MixEntry>, DleqProof)> = Vec::new();
 
         // Mixing with blame-retry: repeat until a clean pass (§6.4).
-        let final_entries: Vec<MixEntry> = 'retry: loop {
-            hop_audit.clear();
-            let entries: Vec<MixEntry> =
+        let (columns, proofs, final_entries) = 'retry: loop {
+            let mut current: Vec<MixEntry> =
                 active.iter().map(|&i| submissions[i].to_entry()).collect();
-
+            if forwarded {
+                // Mark the round on every hop; each daemon records this
+                // very connection as the round's report channel.
+                for conn in &mut self.conns {
+                    conn.request_ok(&Frame::MixForward { round })?;
+                }
+            }
             // Open the pipeline: hop 0's request stream, encoded once.
-            let stream = ChunkedBatch::build(round, &entries, chunk);
-            for bytes in stream.frames() {
+            for bytes in ChunkedBatch::build(round, &current, STREAM_CHUNK).frames() {
                 self.conns[0].send_encoded(bytes)?;
             }
 
-            // `current` is the batch entering the hop being received.
-            let mut current = entries;
+            let mut columns = vec![dh_column(&current)];
+            let mut proofs = Vec::with_capacity(k);
             for pos in 0..k {
                 // Hop spans overlap under the pipeline: hop `i+1`'s
                 // clock starts while `i` is still emitting.  Each span
-                // measures receipt of that hop's full output.
+                // measures receipt of that hop's full reply.
                 let _span = xrd_obs::span_timer(format!("coord.hop{pos}"), round);
-                // The next hop's stream opens before this one has
-                // delivered a single chunk: the pipeline.
+                // The last hop always answers with its output; the
+                // others do when relaying, and it goes on to the next
+                // hop before this one has delivered a single chunk.
+                let attests = forwarded && pos + 1 < k;
                 let (upto, after) = self.conns.split_at_mut(pos + 1);
-                match upto[pos].recv_hop_reply(round, current.len(), after.first_mut())? {
+                let next = if forwarded { None } else { after.first_mut() };
+                let running = &columns[pos];
+                let (column, proof) = match upto[pos].recv_hop_reply(round, running.len(), next)? {
                     HopReply::Output {
                         position,
                         outputs,
                         proof,
-                    } if position as usize == pos => {
-                        outcome.stats.proofs_generated += 1;
-                        let inputs = std::mem::replace(&mut current, outputs);
-                        hop_audit.push((pos, inputs, current.clone(), proof));
+                    } if position as usize == pos && !attests => {
+                        current = outputs;
+                        (dh_column(&current), proof)
+                    }
+                    HopReply::Attested {
+                        position,
+                        input_dhs,
+                        output_dhs,
+                        proof,
+                    } if position as usize == pos && attests => {
+                        // The coordinator did not carry this batch: the
+                        // hop must have consumed what the one before it
+                        // emitted (hop 0: what the chain agreed on).
+                        if input_dhs != *running {
+                            return Err(NetError::Protocol(format!(
+                                "column seam mismatch entering hop {pos}"
+                            )));
+                        }
+                        if output_dhs.len() != running.len() {
+                            return Err(NetError::Protocol(format!(
+                                "hop {pos} attested mismatched column lengths"
+                            )));
+                        }
+                        (output_dhs, proof)
                     }
                     HopReply::Failure { position, failed } if position as usize == pos => {
                         // A failure names the slots that failed; one
@@ -628,33 +646,31 @@ impl ChainClient {
                     }
                     _ => {
                         return Err(NetError::Protocol(format!(
-                            "hop {pos} replied as another position"
+                            "hop {pos} replied as another position or in another mode"
                         )))
                     }
-                }
+                };
+                outcome.stats.proofs_generated += 1;
+                columns.push(column);
+                proofs.push(proof);
             }
-            break current;
+            break (columns, proofs, current);
         };
 
         let _span = xrd_obs::span_timer("coord.verify_chain", round);
-        let columns = |pos: usize| -> HopColumns {
-            let (_, inputs, outputs, proof) = &hop_audit[pos];
-            let dhs = |entries: &[MixEntry]| entries.iter().map(|e| e.dh).collect();
-            (dhs(inputs), dhs(outputs), *proof)
-        };
-        if !self.cross_verify(round, columns, &mut outcome)? {
+        if !self.cross_verify(round, &columns, &proofs, &mut outcome)? {
             return Ok(MixPhase::Done(outcome));
         }
-
         Ok(MixPhase::AwaitingAudit(PendingChainRound {
-            hop_audit,
+            columns,
+            proofs,
             final_entries,
             outcome,
         }))
     }
 
     /// End-of-chain cross-server verification, keys only: hop `i`'s
-    /// attestation (`columns(i)`, materialized one hop at a time) is
+    /// attestation (`columns[i]`, `columns[i + 1]`, `proofs[i]`) is
     /// encoded once as a [`Frame::VerifyHopKeys`] and broadcast to the
     /// other `k-1` servers, all requests pipelined before any verdict
     /// is collected (responses are one byte and cannot clog).
@@ -669,18 +685,18 @@ impl ChainClient {
     fn cross_verify(
         &mut self,
         round: u64,
-        columns: impl Fn(usize) -> HopColumns,
+        columns: &[Vec<GroupElement>],
+        proofs: &[DleqProof],
         outcome: &mut ChainRoundOutcome,
     ) -> Result<bool, NetError> {
         let mut expected: Vec<(usize, usize)> = Vec::new(); // (verifier, prover)
-        for prover in 0..self.conns.len() {
-            let (input_dhs, output_dhs, proof) = columns(prover);
+        for (prover, proof) in proofs.iter().enumerate() {
             let wire = Frame::VerifyHopKeys {
                 round,
                 position: prover as u32,
-                input_dhs,
-                output_dhs,
-                proof,
+                input_dhs: columns[prover].clone(),
+                output_dhs: columns[prover + 1].clone(),
+                proof: *proof,
             }
             .encode();
             for (verifier, conn) in self.conns.iter_mut().enumerate() {
@@ -709,8 +725,8 @@ impl ChainClient {
         disputed_provers.sort_unstable();
         disputed_provers.dedup();
         for prover in disputed_provers {
-            let (input_dhs, output_dhs, proof) = columns(prover);
-            let dispute = self.run_dispute(round, prover, &input_dhs, &output_dhs, &proof);
+            let (input_dhs, output_dhs) = (&columns[prover], &columns[prover + 1]);
+            let dispute = self.run_dispute(round, prover, input_dhs, output_dhs, &proofs[prover]);
             if dispute.proof_invalid {
                 self.announce_verdict(
                     round,
@@ -757,191 +773,6 @@ impl ChainClient {
         Ok(true)
     }
 
-    /// [`ChainClient::mix_round`] with daemon-to-daemon forwarding:
-    /// the coordinator streams the agreed batch to hop 0 once, each
-    /// hop pushes its output straight to its successor, and only
-    /// keys-only [`Frame::HopForwarded`] attestations plus the final
-    /// mixed batch come back — intermediate ciphertext batches never
-    /// cross the coordinator's wire.
-    ///
-    /// The chain is audited from DH-key columns alone: the §6.3
-    /// statement a hop proves involves only its input/output key
-    /// columns against the bundle's blinding bases, never the
-    /// ciphertexts, so the attested columns — stitched end to end by
-    /// continuity checks against the agreed batch and the final
-    /// stream — carry exactly the information every verification
-    /// needs.  The coordinator checks each hop locally, broadcasts the
-    /// columns for cross-server verification, and reveals inner keys
-    /// only after every check passes, the same bar as the relayed
-    /// paths.
-    ///
-    /// Blame needs full batches, so any failure here (a dead
-    /// successor link, a decrypt failure cascading up as an error, a
-    /// column seam mismatch) surfaces as an error for
-    /// [`ChainClient::mix_round_deferred`] to retry over relayed
-    /// streaming, where per-hop machinery has everything it needs.
-    fn mix_round_forwarded(
-        &mut self,
-        round: u64,
-        submissions: &[Submission],
-        chunk: usize,
-    ) -> Result<MixPhase, NetError> {
-        let k = self.conns.len();
-        let mut outcome = ChainRoundOutcome::default();
-        let entries: Vec<MixEntry> = submissions.iter().map(|s| s.to_entry()).collect();
-
-        // Mark the round forwarded on every hop; each daemon records
-        // this very connection as the round's report channel.
-        for conn in &mut self.conns {
-            match conn.request(&Frame::MixForward { round })? {
-                Frame::Ok => {}
-                Frame::Error { code, message } => return Err(NetError::Remote { code, message }),
-                other => {
-                    return Err(NetError::Protocol(format!(
-                        "expected Ok for MixForward, got {other:?}"
-                    )))
-                }
-            }
-        }
-
-        // Stream the agreed batch to hop 0 — the only batch transfer
-        // the coordinator performs in this mode.
-        let stream = ChunkedBatch::build(round, &entries, chunk);
-        for bytes in stream.frames() {
-            self.conns[0].send_encoded(bytes)?;
-        }
-
-        // Collect attestations.  Hops `0..k-1` each deliver one
-        // `HopForwarded` on their own connection — hop 0's doubles as
-        // the ack that the entire downstream cascade landed, since
-        // every hop's forward blocks on its successor's ack.
-        let mut columns: Vec<HopColumns> = Vec::with_capacity(k);
-        for pos in 0..k.saturating_sub(1) {
-            let _span = xrd_obs::span_timer(format!("coord.hop{pos}"), round);
-            match self.conns[pos].recv()? {
-                Frame::HopForwarded {
-                    round: r,
-                    position,
-                    input_dhs,
-                    output_dhs,
-                    proof,
-                } if r == round && position as usize == pos => {
-                    if input_dhs.len() != output_dhs.len() {
-                        return Err(NetError::Protocol(format!(
-                            "hop {pos} attested mismatched column lengths"
-                        )));
-                    }
-                    outcome.stats.proofs_generated += 1;
-                    columns.push((input_dhs, output_dhs, proof));
-                }
-                Frame::Error { code, message } => return Err(NetError::Remote { code, message }),
-                other => {
-                    return Err(NetError::Protocol(format!(
-                        "expected HopForwarded from hop {pos}, got {other:?}"
-                    )))
-                }
-            }
-        }
-
-        // The last hop pushes its full output stream; its End frame
-        // carries the chain-final attestation.
-        let last = k - 1;
-        let (final_entries, last_proof) = {
-            let _span = xrd_obs::span_timer(format!("coord.hop{last}"), round);
-            match self.conns[last].recv_hop_reply(round, entries.len(), None)? {
-                HopReply::Output {
-                    position,
-                    outputs,
-                    proof,
-                } if position as usize == last => (outputs, proof),
-                HopReply::Output { position, .. } => {
-                    return Err(NetError::Protocol(format!(
-                        "hop {last} replied as position {position}"
-                    )))
-                }
-                // Blame needs full batches: leave it to the relayed retry.
-                HopReply::Failure { .. } => {
-                    return Err(NetError::Protocol(format!(
-                        "hop {last} halted on a decrypt failure"
-                    )))
-                }
-            }
-        };
-        outcome.stats.proofs_generated += 1;
-
-        // Stitch the columns end to end: hop 0 must have consumed the
-        // agreed batch, and every seam must match — a mismatch means
-        // some daemon mixed a batch other than the one its predecessor
-        // emitted, which column auditing cannot localize; fail the
-        // pass and let the relayed retry sort it out.
-        let input_col: Vec<GroupElement> = entries.iter().map(|e| e.dh).collect();
-        let final_col: Vec<GroupElement> = final_entries.iter().map(|e| e.dh).collect();
-        let last_inputs = columns
-            .last()
-            .map(|(_, outputs, _)| outputs.clone())
-            .unwrap_or_else(|| input_col.clone());
-        columns.push((last_inputs, final_col, last_proof));
-        if columns[0].0 != input_col {
-            return Err(NetError::Protocol(
-                "hop 0 attested a different batch than the chain agreed on".into(),
-            ));
-        }
-        for pos in 1..k {
-            if columns[pos].0 != columns[pos - 1].1 {
-                return Err(NetError::Protocol(format!(
-                    "column seam mismatch between hops {} and {pos}",
-                    pos - 1
-                )));
-            }
-        }
-
-        // The coordinator's own audit, per hop over the key columns.
-        // A refuted attestation goes through the dispute protocol so
-        // the conviction rests on gossiped, signed evidence.
-        let _span = xrd_obs::span_timer("coord.verify_chain", round);
-        for (pos, column) in columns.iter().enumerate().take(k) {
-            let (input_dhs, output_dhs, proof) = column.clone();
-            outcome.stats.proofs_verified += 1;
-            if !verify_hop_keys(
-                &self.public,
-                pos,
-                round,
-                input_dhs.iter(),
-                output_dhs.iter(),
-                &proof,
-            ) {
-                let dispute = self.run_dispute(round, pos, &input_dhs, &output_dhs, &proof);
-                self.announce_verdict(
-                    round,
-                    pos,
-                    dispute_claim::BAD_PROOF,
-                    true,
-                    dispute.votes_upheld,
-                );
-                self.convicted.push(pos);
-                outcome.misbehaving_servers.push(pos);
-                return Ok(MixPhase::Done(outcome));
-            }
-        }
-
-        // Cross-server verification over the same columns.
-        let column = |pos: usize| columns[pos].clone();
-        if !self.cross_verify(round, column, &mut outcome)? {
-            return Ok(MixPhase::Done(outcome));
-        }
-
-        // Audited locally and cross-server: go straight to the reveal
-        // (the empty audit record makes `conclude_audited` skip the
-        // re-check and reveal immediately).
-        let pending = PendingChainRound {
-            hop_audit: Vec::new(),
-            final_entries,
-            outcome,
-        };
-        self.conclude_audited(round, pending, true)
-            .map(MixPhase::Done)
-    }
-
     /// Conclude a clean mixing pass after its attestations have been
     /// audited: on a failed audit, re-verify this chain's hops
     /// individually to pin (or clear) an offender; then reveal the
@@ -959,39 +790,41 @@ impl ChainClient {
     pub fn conclude_audited(
         &mut self,
         round: u64,
-        mut pending: PendingChainRound,
+        pending: PendingChainRound,
         audit_ok: bool,
     ) -> Result<ChainRoundOutcome, NetError> {
         let k = self.conns.len();
+        let PendingChainRound {
+            columns,
+            proofs,
+            final_entries,
+            mut outcome,
+        } = pending;
 
         // The audit (batched, possibly deployment-wide) covered this
         // chain's k statements: count them here, once, whatever the
         // verdict — the per-hop re-checks below localize rather than
-        // re-audit (matching the pre-deferred accounting).
-        pending.outcome.stats.proofs_verified += pending.hop_audit.len();
-        let mut audit_convicted: Vec<usize> = Vec::new();
+        // re-audit.
+        outcome.stats.proofs_verified += proofs.len();
+        let mut refuted = false;
         if !audit_ok {
-            for r in &pending.records() {
-                if !verify_hop(
+            for (pos, proof) in proofs.iter().enumerate() {
+                let (input_dhs, output_dhs) = (&columns[pos], &columns[pos + 1]);
+                let holds = verify_hop_keys(
                     &self.public,
-                    r.position,
+                    pos,
                     round,
-                    r.inputs,
-                    r.outputs,
-                    &r.proof,
-                ) {
-                    audit_convicted.push(r.position);
+                    input_dhs.iter(),
+                    output_dhs.iter(),
+                    proof,
+                );
+                if holds {
+                    continue;
                 }
-            }
-            // Each locally-refuted attestation is put through the
-            // dispute protocol so the conviction rests on gossiped,
-            // signed evidence rather than this coordinator's word.
-            for &pos in &audit_convicted {
-                let (_, inputs, outputs, proof) = &pending.hop_audit[pos];
-                let input_dhs: Vec<GroupElement> = inputs.iter().map(|e| e.dh).collect();
-                let output_dhs: Vec<GroupElement> = outputs.iter().map(|e| e.dh).collect();
-                let proof = *proof;
-                let dispute = self.run_dispute(round, pos, &input_dhs, &output_dhs, &proof);
+                // A locally-refuted attestation is put through the
+                // dispute protocol so the conviction rests on gossiped,
+                // signed evidence rather than this coordinator's word.
+                let dispute = self.run_dispute(round, pos, input_dhs, output_dhs, proof);
                 self.announce_verdict(
                     round,
                     pos,
@@ -1000,19 +833,15 @@ impl ChainClient {
                     dispute.votes_upheld,
                 );
                 self.convicted.push(pos);
+                outcome.misbehaving_servers.push(pos);
+                refuted = true;
             }
         }
-        let PendingChainRound {
-            hop_audit: _,
-            final_entries,
-            mut outcome,
-        } = pending;
         // Only a *prover* conviction from the failed audit blocks the
         // reveal; verifiers convicted of lying earlier in the pass are
         // already excluded and must not cost the honest users their
         // round.
-        if !audit_convicted.is_empty() {
-            outcome.misbehaving_servers.extend(audit_convicted);
+        if refuted {
             return Ok(outcome);
         }
         // On a failed combined audit with every hop of *this* chain

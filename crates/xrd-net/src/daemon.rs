@@ -54,7 +54,7 @@ use xrd_core::Journal;
 
 use crate::codec::{
     decode_server_config, dispute_context, encode_hop_output_stream, encode_server_config,
-    error_code, ChunkedBatch, Frame, FrameDecoder, StreamDigest, StreamError, STREAM_CHUNK,
+    error_code, Frame, FrameDecoder, StreamDigest, StreamError, STREAM_CHUNK,
 };
 use crate::conn::{Conn, NetError};
 use crate::reactor::{ConnId, Outcome, Reactor, ReactorHandle, Service, WorkerPool};
@@ -379,52 +379,45 @@ struct ForwardCtx {
 }
 
 /// Stream `outputs` to the successor as a normal
-/// `MixBatchStart/Chunk/End` round and await its single ack frame —
-/// with one reconnect retry, since the cached link may have idled out
-/// between rounds.  (A restarted stream is safe: a second Start on the
-/// same connection replaces the incomplete session.)
+/// `MixBatchStart/Chunk/End` round and await its single ack frame.  The
+/// one reconnect retry is for the *link*: the cached connection may have
+/// idled out between rounds, which shows as a failed send or no answer
+/// at all.  (A restarted stream is safe: a second Start on the same
+/// connection replaces the incomplete session.)  Once the successor has
+/// answered — any frame, an error included — the forward has failed and
+/// the error goes upstream: a refused batch is never sent twice.
 fn forward_batch(
     link: &Mutex<Option<Conn>>,
     successor: SocketAddr,
     round: u64,
     outputs: &[MixEntry],
 ) -> Result<(), NetError> {
-    let batch = ChunkedBatch::build(round, outputs, STREAM_CHUNK);
     let mut guard = link.lock().expect("forward link poisoned");
-    for attempt in 0..2 {
-        if guard.is_none() {
-            *guard = match Conn::connect(successor) {
-                Ok(conn) => Some(conn),
-                Err(_) if attempt == 0 => continue,
-                Err(e) => return Err(e),
-            };
-        }
-        let conn = guard.as_mut().expect("link just ensured");
-        let result = (|| {
-            for bytes in batch.frames() {
-                conn.send_encoded(bytes)?;
+    let mut redialed = false;
+    loop {
+        let mut conn = match guard.take() {
+            Some(conn) => conn,
+            None => {
+                redialed = true;
+                Conn::connect(successor)?
             }
-            match conn.recv()? {
-                Frame::Ok => Ok(()),
-                Frame::Error { code, message } => Err(NetError::Remote { code, message }),
-                other => Err(NetError::Protocol(format!(
+        };
+        let sent = conn.send_batch(round, outputs, STREAM_CHUNK);
+        match sent.and_then(|()| conn.recv()) {
+            Ok(Frame::Ok) => {
+                *guard = Some(conn);
+                return Ok(());
+            }
+            Ok(Frame::Error { code, message }) => return Err(NetError::Remote { code, message }),
+            Ok(other) => {
+                return Err(NetError::Protocol(format!(
                     "expected Ok from next hop, got {other:?}"
-                ))),
+                )))
             }
-        })();
-        match result {
-            Ok(()) => return Ok(()),
-            Err(e) if attempt == 0 && e.retryable() => {
-                *guard = None;
-                continue;
-            }
-            Err(e) => {
-                *guard = None;
-                return Err(e);
-            }
+            Err(e) if !redialed && e.retryable() => {}
+            Err(e) => return Err(e),
         }
     }
-    unreachable!("forward_batch loop always returns within two attempts")
 }
 
 /// Route one forwarded hop's completed output.  Non-last hops stream
@@ -1098,6 +1091,10 @@ impl Service for MixService {
         let mut state = self.lock();
         state.streams.remove(&conn);
         state.submitted.remove(&conn);
+        // A forwarded mark dies with its report connection: a pass the
+        // coordinator gave up on must not have a later relayed stream
+        // answered as forwarded.
+        state.forward_reports.retain(|_, report| *report != conn);
     }
 
     /// The tick's screening: one batched proof check over every

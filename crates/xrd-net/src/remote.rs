@@ -175,8 +175,8 @@ impl RemoteDeployment {
         chain_bytes + mailbox_bytes
     }
 
-    /// Select how every chain ships batches hop to hop (default
-    /// [`crate::Transport::default`]: relayed chunk streams).
+    /// Select where every chain's hops send their output (default
+    /// [`crate::Transport::Streamed`]: to the coordinator).
     pub fn set_transport(&mut self, transport: crate::Transport) {
         for chain in &mut self.cluster.chains {
             chain.set_transport(transport);

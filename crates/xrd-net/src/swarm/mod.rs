@@ -355,16 +355,16 @@ pub fn submit_storm<R: RngCore + ?Sized>(
     match hop {
         HopReply::Output { outputs, proof, .. }
             if verify_hop(&public, 0, round, &entries, &outputs, &proof) => {}
-        HopReply::Output { .. } => {
-            return Err(NetError::Protocol(
-                "storm hop attestation failed verification".into(),
-            ));
-        }
         HopReply::Failure { failed, .. } => {
             return Err(NetError::Protocol(format!(
                 "storm hop failed to decrypt {} entries",
                 failed.len()
             )));
+        }
+        HopReply::Output { .. } | HopReply::Attested { .. } => {
+            return Err(NetError::Protocol(
+                "storm hop attestation failed verification".into(),
+            ));
         }
     }
 

@@ -18,7 +18,9 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use xrd_core::user::{Received, User};
-use xrd_net::{launch_manifest, Manifest, Transport};
+use xrd_net::codec::Frame;
+use xrd_net::{launch_manifest, Conn, ConnTimeouts, Manifest, RetryPolicy, Transport};
+use xrd_topology::ChainId;
 
 /// Mean duration (ms) of the named span over the given rounds.
 fn mean_span_ms(stats: &xrd_obs::Snapshot, name: &str, rounds: &[u64]) -> f64 {
@@ -65,7 +67,7 @@ fn soak(n_users: usize, seed: u64) -> (f64, f64) {
     assert_eq!(cluster.n_processes(), 11, "3 chains × 3 hops + 2 shards");
 
     let mut deployment = cluster.connect().expect("coordinator connects");
-    deployment.set_transport(Transport::Forwarded { chunk: 64 });
+    deployment.set_transport(Transport::Forwarded);
     let ell = deployment.topology().ell();
 
     // Population: the last 10% churn; the first half converse in
@@ -156,7 +158,7 @@ fn soak(n_users: usize, seed: u64) -> (f64, f64) {
     deployment
         .run_round(&mut rng, &mut users)
         .expect("forwarded comparison round");
-    deployment.set_transport(Transport::Streamed { chunk: 64 });
+    deployment.set_transport(Transport::Streamed);
     let str_round = deployment.round();
     deployment
         .run_round(&mut rng, &mut users)
@@ -205,4 +207,69 @@ fn soak_at_ten_thousand_users_with_transport_parity() {
          coordinator-relayed streaming ({str_ms:.1} ms); a bigger gap means the \
          forwarded pipeline is serializing"
     );
+}
+
+/// A forwarding hop sends a batch its successor refused **once**: the
+/// reconnect retry is for a link that idled out, not for an answer.  A
+/// bad onion at the last layer makes the last hop refuse hop 1's batch;
+/// hop 1 reports the failure to hop 0 as an error frame, and hop 0 must
+/// pass it up rather than stream to hop 1 again — which (its forwarded
+/// mark consumed) would run the round's hop a second time as a relayed
+/// one.  Read off each daemon process's own `hop.stream` spans: one per
+/// pass the chain took — forwarded (refused), relayed (blamed), relayed
+/// (clean) on the chain with the onion, one on the others.
+#[test]
+fn refused_forward_is_not_resent() {
+    let mut rng = StdRng::seed_from_u64(77);
+    let manifest =
+        Manifest::single_host("local", IpAddr::from([127, 0, 0, 1]), 77, 3, 0.2, 3, 2, 0);
+    let netd = Path::new(env!("CARGO_BIN_EXE_xrd-netd"));
+    let mut cluster = launch_manifest(&mut rng, &manifest, netd).expect("cluster launches");
+    let retry = RetryPolicy {
+        attempts: 2,
+        ..RetryPolicy::default()
+    };
+    let mut deployment = cluster
+        .connect_timeouts(ConnTimeouts::default(), retry)
+        .expect("coordinator connects");
+    deployment.set_transport(Transport::Forwarded);
+    let ell = deployment.topology().ell();
+    let last_layer = deployment.topology().chain_len() - 1;
+
+    let mut users: Vec<User> = (0..5).map(|_| User::new(&mut rng)).collect();
+    let bad = xrd_mixnet::testutil::malicious_submission(
+        &mut rng,
+        &deployment.chain_keys()[0],
+        0,
+        last_layer,
+    );
+    deployment.inject_submission(ChainId(0), bad);
+    let (report, _) = deployment
+        .run_round(&mut rng, &mut users)
+        .expect("round completes");
+    assert!(report.failed_chains.is_empty(), "{report:?}");
+    assert_eq!(report.malicious_by_chain.get(&0), Some(&1), "{report:?}");
+    assert_eq!(report.delivered, 5 * ell);
+
+    for (c, chain) in cluster.chain_addrs().iter().enumerate() {
+        for (pos, addr) in chain.iter().enumerate() {
+            let mut conn = Conn::connect(*addr).expect("daemon answers");
+            let stats = match conn.request(&Frame::StatsRequest).expect("scrape answered") {
+                Frame::StatsReport { snapshot } => snapshot,
+                other => panic!("expected StatsReport, got {other:?}"),
+            };
+            let hops = stats
+                .spans
+                .iter()
+                .filter(|s| s.name == "hop.stream" && s.round == 0)
+                .count();
+            let passes = if c == 0 { 3 } else { 1 };
+            assert_eq!(
+                hops, passes,
+                "chain {c} hop {pos} ran the round's hop {hops}×"
+            );
+        }
+    }
+    drop(deployment);
+    assert_eq!(cluster.shutdown(), 0, "daemon(s) had to be killed");
 }

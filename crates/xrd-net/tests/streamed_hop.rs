@@ -1,6 +1,7 @@
 //! End-to-end tests for the hop pipeline: chunking-invariance against
-//! the in-process reference, full chain rounds over forced chunk sizes
-//! (including blame), and the daemon's handling of malformed streams.
+//! the in-process reference, full chain rounds over multi-chunk batches
+//! under both transports (including blame), and the daemon's handling
+//! of malformed streams.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -14,7 +15,8 @@ use xrd_net::codec::{
     encode_hop_output_stream, error_code, ChunkedBatch, Frame, StreamDigest, STREAM_CHUNK,
 };
 use xrd_net::{
-    launch_local, run_swarm, Conn, HopReply, MixServerDaemon, NetError, SwarmConfig, Transport,
+    launch_local, launch_local_faulty_with, run_swarm, Conn, ConnTimeouts, FaultPlan, HopReply,
+    MixServerDaemon, NetError, RetryPolicy, SwarmConfig, Transport,
 };
 use xrd_topology::ChainId;
 
@@ -67,121 +69,146 @@ fn hop_output_is_invariant_under_chunking() {
     }
 }
 
-/// A full networked deployment with streaming forced down to 4-entry
-/// chunks: every round (mix, cross-verify, reveal, delivery, rotation)
-/// completes and every chat lands at any chunk size.
+/// Rounds of `n_users` swarm users over a 4-chain, 3-hop loopback
+/// deployment under `transport`: every round (mix, cross-verify, audit,
+/// reveal, delivery, rotation) completes and every chat lands.  The
+/// population is sized so that some chain's batch spans several chunks.
+fn swarm_rounds_deliver(seed: u64, transport: Transport) {
+    const N_USERS: usize = 96;
+    let mut rng = StdRng::seed_from_u64(seed);
+    let config = DeploymentConfig::small(4, 3);
+    let (mut cluster, mut deployment) = launch_local(&mut rng, &config).expect("cluster launches");
+    deployment.set_transport(transport);
+    let n_chains = deployment.topology().n_chains();
+
+    let report = run_swarm(
+        &mut rng,
+        &mut deployment,
+        &SwarmConfig {
+            n_users: N_USERS,
+            rounds: 2,
+            conversing_fraction: 0.5,
+        },
+    )
+    .expect("swarm round failed");
+    assert_eq!(report.rounds.len(), 2);
+    for round in &report.rounds {
+        assert!(
+            round.messages_mixed > n_chains * STREAM_CHUNK,
+            "round {}: no chain's batch exceeds one {STREAM_CHUNK}-entry chunk",
+            round.round
+        );
+        assert_eq!(
+            round.delivered, round.messages_mixed,
+            "round {} lost messages",
+            round.round
+        );
+    }
+    cluster.shutdown();
+}
+
+/// The relayed pass over multi-chunk batches: hop `i + 1` receives hop
+/// `i`'s chunks from the coordinator as they are emitted.
 #[test]
 fn streamed_chain_rounds_deliver() {
-    let mut rng = StdRng::seed_from_u64(23);
-    let config = DeploymentConfig::small(4, 3);
-    let (mut cluster, mut deployment) = launch_local(&mut rng, &config).expect("cluster launches");
-    deployment.set_transport(Transport::Streamed { chunk: 4 });
-
-    let report = run_swarm(
-        &mut rng,
-        &mut deployment,
-        &SwarmConfig {
-            n_users: 16,
-            rounds: 2,
-            conversing_fraction: 0.5,
-        },
-    )
-    .expect("streamed swarm round failed");
-    assert_eq!(report.rounds.len(), 2);
-    for round in &report.rounds {
-        assert!(
-            round.delivered > 0,
-            "round {} delivered nothing",
-            round.round
-        );
-    }
-    cluster.shutdown();
+    swarm_rounds_deliver(23, Transport::Streamed);
 }
 
-/// Daemon-to-daemon forwarding is a drop-in for the relayed paths: the
-/// coordinator streams the batch to hop 0 once, hops forward output
-/// chunks directly to their successors, and only keys-only
-/// attestations plus the last hop's stream come back — yet every
-/// round completes and every chat lands, across rotations.
+/// Daemon-to-daemon forwarding is the same pass with another successor:
+/// the coordinator streams the batch to hop 0 once, hops forward output
+/// chunks directly to their successors, and only keys-only attestations
+/// plus the last hop's stream come back — yet every round completes and
+/// every chat lands, across rotations.
 #[test]
 fn forwarded_chain_rounds_deliver() {
-    let mut rng = StdRng::seed_from_u64(29);
-    let config = DeploymentConfig::small(4, 3);
-    let (mut cluster, mut deployment) = launch_local(&mut rng, &config).expect("cluster launches");
-    deployment.set_transport(Transport::Forwarded { chunk: 8 });
-
-    let report = run_swarm(
-        &mut rng,
-        &mut deployment,
-        &SwarmConfig {
-            n_users: 16,
-            rounds: 2,
-            conversing_fraction: 0.5,
-        },
-    )
-    .expect("forwarded swarm round failed");
-    assert_eq!(report.rounds.len(), 2);
-    for round in &report.rounds {
-        assert!(
-            round.delivered > 0,
-            "round {} delivered nothing",
-            round.round
-        );
-    }
-    cluster.shutdown();
+    swarm_rounds_deliver(29, Transport::Forwarded);
 }
 
-/// Forwarded mode cannot localize a bad onion (blame needs the full
-/// intermediate batches), so a decrypt failure mid-cascade must make
-/// the coordinator *fall back to relayed streaming*, where the §6.4
-/// trace convicts the injected submission and the honest messages all
-/// deliver — forwarding degrades, never loses a round.
+/// One bad *user* onion never costs a forwarded chain its round,
+/// whichever layer it breaks at, even with a single retry to spend.
+/// At layer 0 the `HopFailure` reaches the coordinator and is blamed in
+/// place; deeper, the failure cascades up the daemons as an error, the
+/// pass is retried relayed on fresh connections — where no hop may still
+/// hold the failed pass's forwarded mark (its report connection is
+/// gone), or it would answer the relayed stream `Ok` and burn the one
+/// retry — and the §6.4 trace convicts the injected submission there.
 #[test]
-fn forwarded_falls_back_to_streaming_for_blame() {
-    let mut rng = StdRng::seed_from_u64(37);
+fn forwarded_chain_survives_a_bad_onion_at_any_layer() {
     let config = DeploymentConfig::small(4, 3);
-    let (mut cluster, mut deployment) = launch_local(&mut rng, &config).expect("cluster launches");
-    deployment.set_transport(Transport::Forwarded { chunk: 8 });
-    let ell = deployment.topology().ell();
+    let retry = RetryPolicy {
+        attempts: 2,
+        ..RetryPolicy::default()
+    };
+    for layer in 0..3 {
+        let mut rng = StdRng::seed_from_u64(37 + layer as u64);
+        let (mut cluster, _proxies, mut deployment) = launch_local_faulty_with(
+            &mut rng,
+            &config,
+            &FaultPlan::new(0),
+            ConnTimeouts::default(),
+            retry,
+        )
+        .expect("cluster launches");
+        deployment.set_transport(Transport::Forwarded);
+        let ell = deployment.topology().ell();
+        assert_eq!(deployment.topology().chain_len(), 3);
 
-    let mut users: Vec<User> = (0..5).map(|_| User::new(&mut rng)).collect();
-    let bad = xrd_mixnet::testutil::malicious_submission(
-        &mut rng,
-        &deployment.chain_keys()[0],
-        0,
-        deployment.topology().chain_len() - 1,
-    );
-    deployment.inject_submission(ChainId(0), bad);
+        let mut users: Vec<User> = (0..5).map(|_| User::new(&mut rng)).collect();
+        let bad = xrd_mixnet::testutil::malicious_submission(
+            &mut rng,
+            &deployment.chain_keys()[0],
+            0,
+            layer,
+        );
+        deployment.inject_submission(ChainId(0), bad);
 
-    let (report, fetched) = deployment
-        .run_round(&mut rng, &mut users)
-        .expect("round failed");
-    assert!(report.aborted_chains.is_empty(), "no server is at fault");
-    assert_eq!(
-        report.malicious_by_chain.get(&0),
-        Some(&1),
-        "the injected submission is convicted on the fallback path"
-    );
-    assert_eq!(report.delivered, 5 * ell, "honest messages all survive");
-    for user in &users {
-        assert_eq!(fetched[&user.mailbox_id()].len(), ell);
+        let (report, fetched) = deployment
+            .run_round(&mut rng, &mut users)
+            .expect("round failed");
+        assert!(
+            report.failed_chains.is_empty(),
+            "layer {layer}: chain lost: {report:?}"
+        );
+        assert!(report.aborted_chains.is_empty(), "no server is at fault");
+        assert_eq!(
+            report.malicious_by_chain.get(&0),
+            Some(&1),
+            "layer {layer}: the injected submission is convicted"
+        );
+        assert_eq!(
+            report.delivered,
+            5 * ell,
+            "layer {layer}: honest messages all survive"
+        );
+        for user in &users {
+            assert_eq!(fetched[&user.mailbox_id()].len(), ell);
+        }
+        cluster.shutdown();
     }
-    cluster.shutdown();
 }
 
-/// Blame still works when the batch streams: a garbage onion triggers
-/// `HopFailure` out of a streamed session, the §6.4 trace convicts the
-/// injected submission, and the retried (streamed) pass delivers every
-/// honest message.
+/// Blame still works when the batch streams in several chunks: a
+/// garbage onion triggers `HopFailure` out of a streamed session, the
+/// §6.4 trace convicts the injected submission, and the retried
+/// (streamed) pass delivers every honest message.
 #[test]
 fn streamed_blame_removes_malicious_submission() {
+    const N_USERS: usize = 100;
     let mut rng = StdRng::seed_from_u64(4);
     let config = DeploymentConfig::small(4, 3);
     let (mut cluster, mut deployment) = launch_local(&mut rng, &config).expect("cluster launches");
-    deployment.set_transport(Transport::Streamed { chunk: 3 });
     let ell = deployment.topology().ell();
 
-    let mut users: Vec<User> = (0..5).map(|_| User::new(&mut rng)).collect();
+    let mut users: Vec<User> = (0..N_USERS).map(|_| User::new(&mut rng)).collect();
+    let on_chain_0: usize = users
+        .iter()
+        .flat_map(|u| deployment.topology().chains_of_user(&u.mailbox_id()))
+        .filter(|&&chain| chain == ChainId(0))
+        .count();
+    assert!(
+        on_chain_0 > STREAM_CHUNK,
+        "chain 0's batch ({on_chain_0}) must span several chunks"
+    );
     let bad = xrd_mixnet::testutil::malicious_submission(
         &mut rng,
         &deployment.chain_keys()[0],
@@ -199,7 +226,11 @@ fn streamed_blame_removes_malicious_submission() {
         Some(&1),
         "the injected submission is convicted"
     );
-    assert_eq!(report.delivered, 5 * ell, "honest messages all survive");
+    assert_eq!(
+        report.delivered,
+        N_USERS * ell,
+        "honest messages all survive"
+    );
     for user in &users {
         assert_eq!(fetched[&user.mailbox_id()].len(), ell);
     }
