@@ -382,10 +382,10 @@ struct ForwardCtx {
 /// `MixBatchStart/Chunk/End` round and await its single ack frame.  The
 /// one reconnect retry is for the *link*: the cached connection may have
 /// idled out between rounds, which shows as a failed send or no answer
-/// at all.  (A restarted stream is safe: a second Start on the same
-/// connection replaces the incomplete session.)  Once the successor has
-/// answered — any frame, an error included — the forward has failed and
-/// the error goes upstream: a refused batch is never sent twice.
+/// at all.  (Streaming again is safe then: a half-received session dies
+/// with the connection it came in on.)  Once the successor has answered
+/// — any frame, an error included — the forward has failed and the
+/// error goes upstream: a refused batch is never sent twice.
 fn forward_batch(
     link: &Mutex<Option<Conn>>,
     successor: SocketAddr,
