@@ -12,7 +12,7 @@ use xrd_crypto::nizk::{DleqBatchEntry, DleqProof, SchnorrBatchEntry, SchnorrProo
 use xrd_crypto::ristretto::{FixedGroupTable, GroupElement, GroupTable};
 use xrd_crypto::scalar::Scalar;
 use xrd_mixnet::chain_keys::generate_chain_keys;
-use xrd_mixnet::client::{seal_ahs, ChainSealer};
+use xrd_mixnet::client::{seal_ahs, ChainSealer, SealRandomness};
 use xrd_mixnet::message::{MailboxMessage, MixEntry, PAYLOAD_LEN};
 use xrd_mixnet::MixServer;
 
@@ -237,6 +237,11 @@ fn bench_fixed_base(c: &mut Criterion) {
     let mut group = c.benchmark_group("fixed_base");
     group.bench_function("table_build", |b| b.iter(|| FixedGroupTable::new(&point)));
     group.bench_function("table_mul", |b| b.iter(|| table.mul(&x)));
+    let xs: Vec<Scalar> = (0..8).map(|_| Scalar::random(&mut rng)).collect();
+    group.bench_function("table_mul_x8/per_scalar", |b| {
+        b.iter(|| xs.iter().map(|x| table.mul(x)).collect::<Vec<_>>())
+    });
+    group.bench_function("table_mul_x8/mul_all", |b| b.iter(|| table.mul_all(&xs)));
     group.bench_function("ladder_mul", |b| b.iter(|| point.mul(&x)));
 
     let round = 1;
@@ -262,6 +267,37 @@ fn bench_fixed_base(c: &mut Criterion) {
             })
         });
     }
+    group.finish();
+
+    // Eight messages for one chain, three ways: one-off ladders, a
+    // built sealer one message at a time, and the sealer's batch — the
+    // same submissions, the public-key work shared eight to a table
+    // walk and to an inverse square root where the lane kernel is
+    // compiled in.
+    let sealer = ChainSealer::new(&public);
+    let mut group = c.benchmark_group("client_seal");
+    group.bench_function("seal_ahs_x8", |b| {
+        b.iter(|| {
+            for _ in 0..8 {
+                criterion::black_box(seal_ahs(&mut rng, &public, round, &msg));
+            }
+        })
+    });
+    group.bench_function("sealer_seal_x8", |b| {
+        b.iter(|| {
+            for _ in 0..8 {
+                criterion::black_box(sealer.seal(&mut rng, round, &msg));
+            }
+        })
+    });
+    group.bench_function("sealer_seal_all_x8", |b| {
+        b.iter(|| {
+            let jobs = (0..8)
+                .map(|_| (SealRandomness::draw(&mut rng), msg.clone()))
+                .collect();
+            sealer.seal_all(round, jobs)
+        })
+    });
     group.finish();
 }
 
@@ -294,18 +330,20 @@ fn bench_batch_invert(c: &mut Criterion) {
     group.finish();
 }
 
-/// Ristretto encoding of a 256-point batch.  There is no batch fast
-/// path to compare against: the per-point inverse square root is
-/// inherent (square roots do not Montgomery-batch) and the serial
-/// encode has no discrete inversion to amortize — PR 2's
-/// shared-inversion variant measured 0.98× and was removed (see
-/// `GroupElement::encode_all` for the bound's arithmetic).  This entry
-/// tracks the per-point cost so the trajectory file keeps a number for
-/// the wire path's dominant encode.
+/// Ristretto encoding of a 256-point batch: `encode_all` against the
+/// per-point map it equals byte for byte.  Each encoding is one inverse
+/// square root — nothing Montgomery's trick can share (PR 2's
+/// shared-inversion variant measured 0.98× and was removed) — but a
+/// fixed schedule of squarings, which the lane kernel runs for eight
+/// points at once; on a build without it the two rows are the same
+/// code and read the same.
 fn bench_encode_all(c: &mut Criterion) {
     let mut rng = StdRng::seed_from_u64(3);
     let points: Vec<GroupElement> = (0..256).map(|_| GroupElement::random(&mut rng)).collect();
     let mut group = c.benchmark_group("encode_256");
+    group.bench_function("per_point", |b| {
+        b.iter(|| points.iter().map(|p| p.encode()).collect::<Vec<_>>())
+    });
     group.bench_function("encode_all", |b| {
         b.iter(|| GroupElement::encode_all(&points))
     });

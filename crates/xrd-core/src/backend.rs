@@ -20,12 +20,12 @@
 //! driver's failure logic without a server.
 
 use std::collections::HashMap;
-use std::sync::OnceLock;
+use std::sync::{Mutex, OnceLock};
 
 use rand::{RngCore, SeedableRng};
 
 use xrd_crypto::ChaChaRng;
-use xrd_mixnet::client::{ChainSealer, Submission};
+use xrd_mixnet::client::{ChainSealer, SealRandomness, Submission};
 use xrd_mixnet::{par, ChainPublicKeys, ChainRoundOutcome, MailboxMessage};
 use xrd_topology::{ChainId, Topology};
 
@@ -445,22 +445,29 @@ pub fn run_round<C: Cluster, R: RngCore + ?Sized>(
     Ok((report, fetched))
 }
 
-/// Users per worker chunk of [`collect_submissions`]: 2ℓ seals each,
-/// a few milliseconds of work per chunk.
-const SEAL_CHUNK: usize = 8;
-
 /// Build the per-chain submission batches for one round: online users
 /// seal fresh messages for `round` and store covers for `round + 1`;
 /// offline users fall back to their stored covers (§5.3.3).
 ///
-/// Sealing is bulk work against a handful of fixed keys, so each chain
+/// Sealing is bulk work against a handful of fixed keys, and its unit
+/// is *a chain's next messages*, not a user.  Every online user's
+/// messages are staged first — which message of hers, for which chain,
+/// with its onion's randomness drawn from an RNG of her own (seeded
+/// with 32 bytes drawn from `rng` in user order, and read in her
+/// message order) — then sealed per `(chain, bundle)`,
+/// [`par::ENTRY_CHUNK`] to a [`ChainSealer::seal_all`] call, on every
+/// core ([`par::map_chunks`]), and handed back in user order.  A
+/// submission depends on its message and its randomness alone, so the
+/// result depends on `rng` alone — not on how messages were grouped,
+/// how many workers ran or in which order they finished.  Each chain
 /// that is sealed against gets a [`ChainSealer`] pair for the call —
 /// `k + 1` fixed-base tables for this round's bundle, one more for the
-/// next round's (the mixing-key tables are shared) — and users are
-/// sealed on every core ([`par::map_chunks`]).  Each online user seals
-/// from an RNG of her own, seeded with 32 bytes drawn from `rng` in
-/// user order, so the result depends on `rng` alone, not on how many
-/// workers ran or in which order they finished.
+/// next round's (the mixing-key tables are shared).
+///
+/// What is staged is small and short-lived: a mailbox message is built
+/// by the worker that seals it, a unit at a time, and a worker *takes*
+/// its unit, so the randomness is freed as the submissions appear and
+/// nothing staged outlives the call.
 pub fn collect_submissions<R: RngCore + ?Sized>(
     rng: &mut R,
     topo: &Topology,
@@ -470,16 +477,41 @@ pub fn collect_submissions<R: RngCore + ?Sized>(
     cover_store: &mut CoverStore,
     users: &[User],
 ) -> Vec<Vec<Submission>> {
-    // (user, her sealing seed if she is online), in user order.
-    let jobs: Vec<(&User, Option<[u8; 32]>)> = users
+    /// One message awaiting its onion: `user`'s `position`-th of the
+    /// round; `seq` is its place in user order.
+    struct Job<'a> {
+        seq: usize,
+        user: &'a User,
+        position: usize,
+        randomness: SealRandomness,
+    }
+    // Every online user's jobs — fresh messages, then covers — filed
+    // under their (chain, bundle), and per user how many of each kind
+    // (`None`: offline).
+    let mut buckets: Vec<[Vec<Job>; 2]> =
+        (0..topo.n_chains()).map(|_| Default::default()).collect();
+    let mut n_jobs = 0;
+    let staged: Vec<Option<[usize; 2]>> = users
         .iter()
         .map(|user| {
-            let seed = user.online.then(|| {
+            user.online.then(|| {
                 let mut seed = [0u8; 32];
                 rng.fill_bytes(&mut seed);
-                seed
-            });
-            (user, seed)
+                let mut rng = ChaChaRng::from_seed(seed);
+                let my_chains = topo.chains_of_user(&user.mailbox_id());
+                [false, true].map(|cover| {
+                    for (position, &chain) in my_chains.iter().enumerate() {
+                        buckets[chain.0 as usize][cover as usize].push(Job {
+                            seq: n_jobs,
+                            user,
+                            position,
+                            randomness: SealRandomness::draw(&mut rng),
+                        });
+                        n_jobs += 1;
+                    }
+                    my_chains.len()
+                })
+            })
         })
         .collect();
 
@@ -496,31 +528,59 @@ pub fn collect_submissions<R: RngCore + ?Sized>(
         })
     };
 
-    // Online users' (fresh, cover) submissions, in user order.
-    type Sealed = Vec<(ChainId, Submission)>;
-    let sealed: Vec<Option<(Sealed, Sealed)>> = par::map_chunks(&jobs, SEAL_CHUNK, |chunk| {
-        chunk
-            .iter()
-            .map(|(user, seed)| {
-                let mut rng = ChaChaRng::from_seed((*seed)?);
-                let mut seal = |for_round: u64, offline_cover: bool| -> Sealed {
-                    user.seal_round_with(topo, for_round, offline_cover, |chain, msg| {
-                        let (current, cover) = sealers_of(chain);
-                        let sealer = if offline_cover { cover } else { current };
-                        sealer.seal(&mut rng, for_round, msg)
-                    })
-                };
-                Some((seal(round, false), seal(round + 1, true)))
-            })
+    // A chain's batch is at least its fresh messages: room for them up
+    // front, not by doubling while everything sealed is still held.
+    let mut per_chain: Vec<Vec<Submission>> = (buckets.iter())
+        .map(|[fresh, _]| Vec::with_capacity(fresh.len()))
+        .collect();
+
+    // Units of work: (chain, cover?, the bucket's next jobs), each for
+    // one worker to take.
+    type Unit<'a> = Mutex<Option<(ChainId, bool, Vec<Job<'a>>)>>;
+    let mut units: Vec<Unit> = Vec::new();
+    for (chain, bundles) in (0u32..).map(ChainId).zip(buckets) {
+        for (cover, jobs) in [false, true].into_iter().zip(bundles) {
+            let mut jobs = jobs.into_iter().peekable();
+            while jobs.peek().is_some() {
+                let unit = jobs.by_ref().take(par::ENTRY_CHUNK).collect();
+                units.push(Mutex::new(Some((chain, cover, unit))));
+            }
+        }
+    }
+    // Boxed: a submission is a few hundred bytes, and what is gathered,
+    // sorted and scattered here should be pointers to them.
+    let mut sealed: Vec<(usize, ChainId, Box<Submission>)> = par::map_chunks(&units, 1, |unit| {
+        let (chain, cover, jobs) = (unit[0].lock())
+            .expect("a unit's lock is held only to take it")
+            .take()
+            .expect("every unit is handed out once");
+        let (current, covers) = sealers_of(chain);
+        let (sealer, for_round) = if cover {
+            (covers, round + 1)
+        } else {
+            (current, round)
+        };
+        let seqs: Vec<usize> = jobs.iter().map(|job| job.seq).collect();
+        let jobs = jobs.into_iter().map(|job| {
+            let (_, msg) = (job.user).build_round_message(topo, for_round, cover, job.position);
+            (job.randomness, msg)
+        });
+        let sealed = sealer.seal_all(for_round, jobs.collect());
+        (seqs.into_iter().zip(sealed))
+            .map(|(seq, sub)| (seq, chain, Box::new(sub)))
             .collect()
     });
+    debug_assert_eq!(sealed.len(), n_jobs);
+    sealed.sort_unstable_by_key(|(seq, ..)| *seq);
+    let mut sealed = sealed.into_iter().map(|(_, chain, sub)| (chain, *sub));
 
-    let mut per_chain: Vec<Vec<Submission>> = vec![Vec::new(); topo.n_chains()];
-    for (user, sealed) in users.iter().zip(sealed) {
-        let submissions = match sealed {
-            Some((current, cover)) => {
-                cover_store.insert(user.mailbox_id(), cover);
-                current
+    for (user, staged) in users.iter().zip(staged) {
+        let submissions: Vec<(ChainId, Submission)> = match staged {
+            Some([fresh, covers]) => {
+                let fresh = sealed.by_ref().take(fresh).collect();
+                let covers = sealed.by_ref().take(covers).collect();
+                cover_store.insert(user.mailbox_id(), covers);
+                fresh
             }
             None => match cover_store.remove(&user.mailbox_id()) {
                 Some(cover) => cover,

@@ -63,10 +63,16 @@ impl UserCostModel {
     /// for the inner envelope): from-scratch ladders when a client
     /// seals one message (`seal_ahs`), table lookups too when many
     /// messages are sealed against the same chain (`ChainSealer`, what
-    /// `collect_submissions` does for a whole population).  The model
-    /// prices all `k+4` at the variable-base cost `op.exp`: it is the
-    /// paper's single-client figure (§8.1, Fig. 3), where nothing
-    /// amortizes a table.
+    /// `collect_submissions` does for a whole population — and there,
+    /// on a build with the eight-lane field kernel, eight messages
+    /// share each table walk and each of the seal's `k+4` Ristretto
+    /// encodings: ~30µs a seal at `k = 3` against ~92µs for the same
+    /// sealer one message at a time and ~190µs for `seal_ahs`, the
+    /// `client_seal` rows of `batch_crypto`).  The model prices all
+    /// `k+4` at the variable-base cost `op.exp`: it is the paper's
+    /// single-client figure (§8.1, Fig. 3), where nothing amortizes a
+    /// table and no second message fills a lane — the bulk price is a
+    /// simulator's price for a population, not a client's.
     pub fn compute_time(&self, n_servers: usize, f: f64) -> SimDuration {
         let ell = ell_for_chains(n_servers) as u64;
         let k = chain_length(f, n_servers, 64) as u64;

@@ -213,19 +213,8 @@ impl User {
         )
     }
 
-    /// Map each of this user's chains to the conversation (if any) that
-    /// rides on it.  Partners with colliding meeting chains were
-    /// rejected at `add_conversation`, so the map is well defined.
-    fn conversation_slots(&self, topo: &Topology) -> HashMap<ChainId, &Conversation> {
-        let mut slots = HashMap::new();
-        for conversation in &self.conversations {
-            let chain = topo.meeting_chain_of_users(&self.pk_bytes, &conversation.peer_id);
-            slots.entry(chain).or_insert(conversation);
-        }
-        slots
-    }
-
-    /// Build the `ℓ` mailbox-level messages for `round`.
+    /// Build the `ℓ` mailbox-level messages for `round`, in the order of
+    /// this user's chain list.
     ///
     /// `offline_cover` selects §5.3.3 cover-message semantics: each
     /// conversation slot carries [`Payload::Offline`] instead of chat
@@ -236,60 +225,65 @@ impl User {
         round: u64,
         offline_cover: bool,
     ) -> Vec<(ChainId, MailboxMessage)> {
-        let my_chains = topo.chains_of_user(&self.pk_bytes);
-        let slots = self.conversation_slots(topo);
+        (0..topo.chains_of_user(&self.pk_bytes).len())
+            .map(|position| self.build_round_message(topo, round, offline_cover, position))
+            .collect()
+    }
 
-        let mut out = Vec::with_capacity(my_chains.len());
-        let mut used: std::collections::HashSet<ChainId> = std::collections::HashSet::new();
-        for &chain in my_chains {
-            // The first occurrence of a meeting chain carries the
-            // conversation (a group's chain list may repeat a chain
-            // after modular wrapping).
-            let conversation = if used.insert(chain) {
-                slots.get(&chain).copied()
+    /// The `position`-th of [`User::build_round_messages`]' messages,
+    /// with the chain it is bound for (bulk sealing builds each message
+    /// where it is sealed).
+    pub fn build_round_message(
+        &self,
+        topo: &Topology,
+        round: u64,
+        offline_cover: bool,
+        position: usize,
+    ) -> (ChainId, MailboxMessage) {
+        let my_chains = topo.chains_of_user(&self.pk_bytes);
+        let chain = my_chains[position];
+        // The first occurrence of a meeting chain carries the
+        // conversation (a group's chain list may repeat a chain after
+        // modular wrapping) — the first partner's whose meeting chain it
+        // is: partners with colliding meeting chains were rejected at
+        // `add_conversation`.
+        let conversation = if my_chains[..position].contains(&chain) {
+            None
+        } else {
+            self.conversations.iter().find(|conversation| {
+                topo.meeting_chain_of_users(&self.pk_bytes, &conversation.peer_id) == chain
+            })
+        };
+        let message = if let Some(conversation) = conversation {
+            let queued = self.outbox.get(&conversation.peer_id);
+            let payload = if offline_cover {
+                Payload::Offline
+            } else if let Some(chat) = queued.and_then(|q| q.first()) {
+                Payload::Chat(chat.clone())
             } else {
-                None
+                Payload::Chat(Vec::new())
             };
-            if let Some(conversation) = conversation {
-                let queued = self.outbox.get(&conversation.peer_id);
-                let payload = if offline_cover {
-                    Payload::Offline
-                } else if let Some(chat) = queued.and_then(|q| q.first()) {
-                    Payload::Chat(chat.clone())
-                } else {
-                    Payload::Chat(Vec::new())
-                };
-                let sealed = aenc(
+            MailboxMessage {
+                mailbox: conversation.peer_id,
+                sealed: aenc(
                     &conversation.key_to_peer,
                     &round_nonce(round, DOMAIN_MAILBOX),
                     b"",
                     &payload.encode(),
-                );
-                out.push((
-                    chain,
-                    MailboxMessage {
-                        mailbox: conversation.peer_id,
-                        sealed,
-                    },
-                ));
-            } else {
-                let key = self.loopback_key(chain, round);
-                let sealed = aenc(
-                    &key,
+                ),
+            }
+        } else {
+            MailboxMessage {
+                mailbox: self.pk_bytes,
+                sealed: aenc(
+                    &self.loopback_key(chain, round),
                     &round_nonce(round, DOMAIN_MAILBOX),
                     b"",
                     &Payload::Dummy.encode(),
-                );
-                out.push((
-                    chain,
-                    MailboxMessage {
-                        mailbox: self.pk_bytes,
-                        sealed,
-                    },
-                ));
+                ),
             }
-        }
-        out
+        };
+        (chain, message)
     }
 
     /// Onion-encrypt a round's messages into per-chain submissions.
@@ -302,25 +296,12 @@ impl User {
         round: u64,
         offline_cover: bool,
     ) -> Vec<(ChainId, Submission)> {
-        self.seal_round_with(topo, round, offline_cover, |chain, msg| {
-            seal_ahs(rng, &chain_keys[chain.0 as usize], round, msg)
-        })
-    }
-
-    /// [`User::seal_round`] with the onion encryption supplied by the
-    /// caller: `seal(chain, message)` is called once per message of the
-    /// round, in chain-list order (bulk sealing passes a
-    /// [`ChainSealer`](xrd_mixnet::ChainSealer) per chain).
-    pub fn seal_round_with(
-        &self,
-        topo: &Topology,
-        round: u64,
-        offline_cover: bool,
-        mut seal: impl FnMut(ChainId, &MailboxMessage) -> Submission,
-    ) -> Vec<(ChainId, Submission)> {
         self.build_round_messages(topo, round, offline_cover)
             .into_iter()
-            .map(|(chain, msg)| (chain, seal(chain, &msg)))
+            .map(|(chain, msg)| {
+                let sealed = seal_ahs(rng, &chain_keys[chain.0 as usize], round, &msg);
+                (chain, sealed)
+            })
             .collect()
     }
 

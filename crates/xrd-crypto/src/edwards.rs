@@ -29,7 +29,8 @@
 //!   that stays fixed across many multiplications (the generator, a
 //!   chain's mixing keys for an epoch): 64 masked-scan additions and 4
 //!   doublings instead of a 252-doubling ladder; safe for secret
-//!   scalars.
+//!   scalars.  Where the lane kernel is compiled in, eight scalars share
+//!   one walk of the one table (per-lane digits, see `scan_row`).
 //! * [`PointTable`] — a reusable signed radix-16 table of a fixed point,
 //!   batch-normalized to affine Niels form with one shared field
 //!   inversion ([`FieldElement::batch_invert`]); the AHS hop kernel
@@ -42,7 +43,7 @@
 
 use std::sync::OnceLock;
 
-use crate::field::{FieldArith, FieldBackend, FieldElement};
+use crate::field::{Digit, FieldArith, FieldBackend, FieldElement, ScanFrom};
 use crate::scalar::Scalar;
 
 /// The curve constant `d = -121665/121666` for the build-selected
@@ -123,10 +124,10 @@ impl<F: FieldArith> ProjectiveNielsPoint<F> {
         t2d: F::ZERO,
     };
 
-    /// Negate iff `choice` is 1 (swaps the sum/difference caches and
-    /// negates the `2dT` term).
+    /// Negate where `choice` is set (swaps the sum/difference caches
+    /// and negates the `2dT` term).
     #[inline(always)]
-    fn conditional_negate(&self, choice: u64) -> Self {
+    fn conditional_negate(&self, choice: F::Choice) -> Self {
         ProjectiveNielsPoint {
             y_plus_x: F::select(&self.y_plus_x, &self.y_minus_x, choice),
             y_minus_x: F::select(&self.y_minus_x, &self.y_plus_x, choice),
@@ -135,26 +136,10 @@ impl<F: FieldArith> ProjectiveNielsPoint<F> {
         }
     }
 
-    /// All limbs ANDed with `0 - choice` (scan seed).
+    /// The cached coordinates, as [`scan_row`] takes them.
     #[inline(always)]
-    fn masked(&self, choice: u64) -> Self {
-        let m = choice.wrapping_neg();
-        ProjectiveNielsPoint {
-            y_plus_x: self.y_plus_x.and_mask(m),
-            y_minus_x: self.y_minus_x.and_mask(m),
-            z: self.z.and_mask(m),
-            t2d: self.t2d.and_mask(m),
-        }
-    }
-
-    /// OR in `entry`'s limbs under the mask `0 - choice`.
-    #[inline(always)]
-    fn accumulate(&mut self, entry: &Self, choice: u64) {
-        let m = choice.wrapping_neg();
-        self.y_plus_x.or_assign_masked(&entry.y_plus_x, m);
-        self.y_minus_x.or_assign_masked(&entry.y_minus_x, m);
-        self.z.or_assign_masked(&entry.z, m);
-        self.t2d.or_assign_masked(&entry.t2d, m);
+    fn coords(&self) -> [&F; 4] {
+        [&self.y_plus_x, &self.y_minus_x, &self.z, &self.t2d]
     }
 }
 
@@ -166,9 +151,9 @@ impl<F: FieldArith> AffineNielsPoint<F> {
         xy2d: F::ZERO,
     };
 
-    /// Negate iff `choice` is 1.
+    /// Negate where `choice` is set.
     #[inline(always)]
-    fn conditional_negate(&self, choice: u64) -> Self {
+    fn conditional_negate(&self, choice: F::Choice) -> Self {
         AffineNielsPoint {
             y_plus_x: F::select(&self.y_plus_x, &self.y_minus_x, choice),
             y_minus_x: F::select(&self.y_minus_x, &self.y_plus_x, choice),
@@ -176,24 +161,10 @@ impl<F: FieldArith> AffineNielsPoint<F> {
         }
     }
 
-    /// All limbs ANDed with `0 - choice` (scan seed).
+    /// The cached coordinates, as [`scan_row`] takes them.
     #[inline(always)]
-    fn masked(&self, choice: u64) -> Self {
-        let m = choice.wrapping_neg();
-        AffineNielsPoint {
-            y_plus_x: self.y_plus_x.and_mask(m),
-            y_minus_x: self.y_minus_x.and_mask(m),
-            xy2d: self.xy2d.and_mask(m),
-        }
-    }
-
-    /// OR in `entry`'s limbs under the mask `0 - choice`.
-    #[inline(always)]
-    fn accumulate(&mut self, entry: &Self, choice: u64) {
-        let m = choice.wrapping_neg();
-        self.y_plus_x.or_assign_masked(&entry.y_plus_x, m);
-        self.y_minus_x.or_assign_masked(&entry.y_minus_x, m);
-        self.xy2d.or_assign_masked(&entry.xy2d, m);
+    fn coords(&self) -> [&F; 3] {
+        [&self.y_plus_x, &self.y_minus_x, &self.xy2d]
     }
 }
 
@@ -345,23 +316,28 @@ fn add_affine_niels_pair<F: FieldArith>(
     )
 }
 
-/// Constant-time-style `a == b` for small table indices: returns 1 iff
-/// equal, without a data-dependent branch.
+/// The one masked table scan: the entry of `[identity, row...]` at
+/// index `abs` (in `0..=8`), per lane, as `N` coordinates of the lane
+/// type `F` read from a table held as `S`.  Uniform access pattern —
+/// every entry is read, in order, and merged under its own hit
+/// ([`ScanFrom`]); exactly one hit is set in any lane — so `abs` may be
+/// secret.  `F = S` is a ladder over its own table (a digit stream
+/// shared by all lanes is the splat case); `F` eight lanes and `S` a
+/// single element is eight scalars walking one table.
 #[inline(always)]
-fn ct_eq_index(a: u64, b: u64) -> u64 {
-    // a ^ b is zero iff equal; (x - 1) underflows to all-ones iff x == 0.
-    ((a ^ b).wrapping_sub(1) >> 63) & 1
-}
-
-/// Split a signed radix-16 digit into `(sign, |digit|)` without a
-/// secret-dependent branch.
-#[inline(always)]
-fn digit_sign_abs(d: i8) -> (u64, u64) {
-    let x = d as i16; // in [-8, 8)
-    let xmask = x >> 15; // 0 if non-negative, -1 if negative
-    let abs = ((x + xmask) ^ xmask) as u64;
-    debug_assert!(abs <= 8);
-    ((xmask & 1) as u64, abs)
+fn scan_row<'a, F: ScanFrom<S>, S: 'a, const N: usize>(
+    identity: [&S; N],
+    row: impl Iterator<Item = [&'a S; N]>,
+    abs: F::Digit,
+) -> [F; N] {
+    let mut acc = identity.map(|c| F::scan_seed(c, abs.is(0)));
+    for (j, entry) in row.enumerate() {
+        let hit = abs.is(j as i8 + 1);
+        for (a, c) in acc.iter_mut().zip(entry) {
+            F::scan_merge(a, c, hit);
+        }
+    }
+    acc.map(F::scan_finish)
 }
 
 /// The shared signed radix-16 window ladder: 63 windows of (4 cheap
@@ -369,19 +345,20 @@ fn digit_sign_abs(d: i8) -> (u64, u64) {
 /// digit.  The window state is carried in completed form — the
 /// doubling chain only needs P2 (3-mul renormalization) and only the
 /// final pre-addition double pays for extended coordinates.  `$add`
-/// maps `(EdwardsPoint<F>, digit)` to a `CompletedPoint<F>` via the
-/// caller's table-scan-and-add (affine or projective Niels).
+/// maps `(EdwardsPoint<F>, F::Digit)` to a `CompletedPoint<F>` via the
+/// caller's table-scan-and-add (affine or projective Niels); the
+/// scalar's digit goes to every lane.
 macro_rules! radix16_ladder {
     ($scalar:expr, $add:expr) => {{
         let add = $add;
         let digits = $scalar.to_radix_16();
-        let mut c = add(EdwardsPoint::identity(), digits[63]);
+        let mut c = add(EdwardsPoint::identity(), digits[63].into());
         for i in (0..63).rev() {
             let mut p = c.to_projective();
             for _ in 0..3 {
                 p = p.double().to_projective();
             }
-            c = add(p.double().to_extended(), digits[i]);
+            c = add(p.double().to_extended(), digits[i].into());
         }
         c.to_extended()
     }};
@@ -406,21 +383,26 @@ impl<F: FieldArith> LookupTable<F> {
     /// `scalar * P` off the table (constant-time-style).
     #[inline(always)]
     fn scalar_mul(&self, scalar: &Scalar) -> EdwardsPoint<F> {
-        radix16_ladder!(scalar, |acc: EdwardsPoint<F>, d: i8| acc
+        radix16_ladder!(scalar, |acc: EdwardsPoint<F>, d: F::Digit| acc
             .add_projective_niels(&self.select(d)))
     }
 
-    /// Masked scan for digit `d` in `[-8, 8)`: uniform access pattern,
-    /// accumulating `mask AND limb` over every entry (plus the identity)
-    /// so exactly one all-ones mask contributes.
+    /// `d * P` for a digit `d` in `[-8, 8)` per lane ([`scan_row`]).
     #[inline(always)]
-    fn select(&self, d: i8) -> ProjectiveNielsPoint<F> {
-        let (sign, abs) = digit_sign_abs(d);
-        let mut chosen = ProjectiveNielsPoint::IDENTITY.masked(ct_eq_index(0, abs));
-        for (j, entry) in self.0.iter().enumerate() {
-            chosen.accumulate(entry, ct_eq_index(j as u64 + 1, abs));
+    fn select(&self, d: F::Digit) -> ProjectiveNielsPoint<F> {
+        let (sign, abs) = d.sign_abs();
+        let [y_plus_x, y_minus_x, z, t2d] = scan_row::<F, F, 4>(
+            ProjectiveNielsPoint::IDENTITY.coords(),
+            self.0.iter().map(|entry| entry.coords()),
+            abs,
+        );
+        ProjectiveNielsPoint {
+            y_plus_x,
+            y_minus_x,
+            z,
+            t2d,
         }
-        chosen.conditional_negate(sign)
+        .conditional_negate(sign)
     }
 }
 
@@ -439,18 +421,25 @@ fn window_multiples<F: FieldArith>(p: &EdwardsPoint<F>) -> [EdwardsPoint<F>; 8] 
     row
 }
 
-/// Masked scan of an affine window row `[1P, ..., 8P]` for digit `d` in
-/// `[-8, 8]`: uniform access pattern, accumulating `mask AND limb` over
-/// every entry (plus the identity) so exactly one all-ones mask
-/// contributes.
+/// `d * P` off an affine window row `[1P, ..., 8P]` held as `S`, for a
+/// digit `d` in `[-8, 8]` per lane of `F` ([`scan_row`]).
 #[inline(always)]
-fn select_affine<F: FieldArith>(row: &[AffineNielsPoint<F>; 8], d: i8) -> AffineNielsPoint<F> {
-    let (sign, abs) = digit_sign_abs(d);
-    let mut chosen = AffineNielsPoint::IDENTITY.masked(ct_eq_index(0, abs));
-    for (j, entry) in row.iter().enumerate() {
-        chosen.accumulate(entry, ct_eq_index(j as u64 + 1, abs));
+fn select_affine<F: ScanFrom<S>, S: FieldArith>(
+    row: &[AffineNielsPoint<S>; 8],
+    d: F::Digit,
+) -> AffineNielsPoint<F> {
+    let (sign, abs) = d.sign_abs();
+    let [y_plus_x, y_minus_x, xy2d] = scan_row::<F, S, 3>(
+        AffineNielsPoint::IDENTITY.coords(),
+        row.iter().map(|entry| entry.coords()),
+        abs,
+    );
+    AffineNielsPoint {
+        y_plus_x,
+        y_minus_x,
+        xy2d,
     }
-    chosen.conditional_negate(sign)
+    .conditional_negate(sign)
 }
 
 /// A reusable signed radix-16 table of multiples `[1P, ..., 8P]` of a
@@ -495,7 +484,7 @@ impl<F: FieldBackend> PointTable<F> {
 
     #[inline(always)]
     fn select(&self, d: i8) -> AffineNielsPoint<F> {
-        select_affine(&self.entries, d)
+        select_affine::<F, F>(&self.entries, d)
     }
 
     /// `scalar * P` off the precomputed table (constant-time-style).
@@ -717,7 +706,7 @@ impl<F: FieldArith> EdwardsPoint<F> {
             let abs = d.unsigned_abs() as usize;
             let mut chosen = table[0];
             for (j, entry) in table.iter().enumerate() {
-                let hit = ((j + 1) == abs) as u64;
+                let hit = F::Choice::from((j + 1) == abs);
                 chosen = EdwardsPoint {
                     x: F::select(&chosen.x, &entry.x, hit),
                     y: F::select(&chosen.y, &entry.y, hit),
@@ -768,7 +757,7 @@ impl<F: FieldBackend> EdwardsPoint<F> {
                 let x = p.x.mul(zinv);
                 let y = p.y.mul(zinv);
                 let mut bytes = y.to_bytes();
-                bytes[31] |= (x.is_negative() as u8) << 7;
+                bytes[31] |= (x.is_negative() as u8) << 7; // a `u64` in {0, 1}
                 bytes
             })
             .collect()
@@ -784,7 +773,7 @@ impl<F: FieldBackend> EdwardsPoint<F> {
         let u = yy.sub(&F::ONE);
         let v = yy.mul(F::edwards_d()).add(&F::ONE);
         let (is_valid, mut x) = F::sqrt_ratio_i(&u, &v);
-        if !is_valid {
+        if is_valid == 0 {
             return None;
         }
         if x.is_zero() && sign == 1 {
@@ -835,7 +824,7 @@ impl<F: FieldBackend> EdwardsPoint<F> {
         let rhs_x = other.x.mul(&self.z);
         let lhs_y = self.y.mul(&other.z);
         let rhs_y = other.y.mul(&self.z);
-        lhs_x.ct_eq(&rhs_x) && lhs_y.ct_eq(&rhs_y)
+        lhs_x.ct_eq(&rhs_x) & lhs_y.ct_eq(&rhs_y) == 1
     }
 
     /// True iff this is the identity.
@@ -855,7 +844,7 @@ impl<F: FieldBackend> EdwardsPoint<F> {
         let rhs = zzzz.add(&F::edwards_d().mul(&xx).mul(&yy));
         let ok_curve = lhs.ct_eq(&rhs);
         let ok_t = self.x.mul(&self.y).ct_eq(&self.z.mul(&self.t));
-        ok_curve && ok_t
+        ok_curve & ok_t == 1
     }
 }
 
@@ -882,7 +871,8 @@ impl EdwardsPoint {
 /// Eight points in lockstep, one per lane of the IFMA field
 /// representation: what the batch entry points
 /// ([`GroupElement::batch_mul_pair`](crate::GroupElement::batch_mul_pair),
-/// [`GroupElement::batch_vartime_mul`](crate::GroupElement::batch_vartime_mul))
+/// [`GroupElement::batch_vartime_mul`](crate::GroupElement::batch_vartime_mul),
+/// [`FixedGroupTable::mul_all`](crate::ristretto::FixedGroupTable::mul_all))
 /// compute in where the lane kernel is compiled in.  The arithmetic is
 /// the generic pipeline above, instantiated at `F51x8`; only the
 /// transposes in and out and the out-of-line wrappers live here.
@@ -901,10 +891,43 @@ impl EdwardsPoint {
     not(feature = "force-field51")
 ))]
 mod lanes {
-    use super::{EdwardsPoint, LookupTable};
-    use crate::field::ifma::F51x8;
-    use crate::field::FieldElement;
+    use super::{EdwardsPoint, FixedBaseTable, LookupTable};
+    use crate::field::ifma::{Digits8, F51x8};
+    use crate::field::{FieldArith, FieldElement, ScanFrom};
     use crate::scalar::Scalar;
+
+    impl<F: FieldArith> FixedBaseTable<F>
+    where
+        F51x8: ScanFrom<F>,
+    {
+        /// `scalars[i] * P` in lane `i` (the identity in the lanes past
+        /// `scalars`' end): one walk of this table for up to eight
+        /// scalars, safe for secret ones exactly as
+        /// [`FixedBaseTable::mul`] is — the digits differ per lane and
+        /// reach the scan only as k-masks.
+        pub(crate) fn lanes_mul(&self, scalars: &[Scalar]) -> EdwardsPoint<F51x8> {
+            #[inline(never)]
+            fn transpose(scalars: &[Scalar]) -> [Digits8; 64] {
+                debug_assert!(scalars.len() <= 8);
+                let mut digits = [[0i8; 64]; 8];
+                for (lane, scalar) in digits.iter_mut().zip(scalars) {
+                    *lane = scalar.to_radix_16();
+                }
+                std::array::from_fn(|i| Digits8::from_lanes(digits.map(|lane| lane[i])))
+            }
+            #[inline(never)]
+            fn walk<F: FieldArith>(
+                table: &FixedBaseTable<F>,
+                digits: &[Digits8; 64],
+            ) -> EdwardsPoint<F51x8>
+            where
+                F51x8: ScanFrom<F>,
+            {
+                table.walk::<F51x8>(digits)
+            }
+            walk(self, &transpose(scalars))
+        }
+    }
 
     impl EdwardsPoint<F51x8> {
         /// Lane `i` holds `lane(i)`, or the identity where that is
@@ -1154,7 +1177,12 @@ fn vartime_pippenger<F: FieldBackend>(
 ///
 /// Scans are masked (uniform access pattern), so the table is safe to
 /// drive with secret scalars.
-pub struct FixedBaseTable<F: FieldBackend = FieldElement> {
+///
+/// Only *building* a table inverts, so only [`FixedBaseTable::new`]
+/// asks for a [`FieldBackend`]; the walk is the generic pipeline and
+/// can select into a lane type other than the one the table is held in
+/// (`walk`).
+pub struct FixedBaseTable<F: FieldArith = FieldElement> {
     rows: Vec<[AffineNielsPoint<F>; 8]>,
 }
 
@@ -1178,14 +1206,27 @@ impl<F: FieldBackend> FixedBaseTable<F> {
             rows: rows_to_affine_niels(&rows),
         }
     }
+}
 
+impl<F: FieldArith> FixedBaseTable<F> {
     /// `scalar * P` off the table (constant-time-style).
     pub fn mul(&self, scalar: &Scalar) -> EdwardsPoint<F> {
-        let digits = scalar.to_radix_16();
-        let add_digits = |mut acc: EdwardsPoint<F>, parity: usize| {
+        self.walk::<F>(&scalar.to_radix_16().map(F::Digit::from))
+    }
+
+    /// The table walk over signed radix-16 digits, in the lane type
+    /// `L`: `L = F` is one multiplication (or a lane table's lockstep
+    /// ones); `L` eight lanes over a table of single elements is eight
+    /// multiplications of the *same* point, lane `i` by the scalar
+    /// whose digits sit in lane `i` — 64 row scans, each comparing the
+    /// row's indices against all eight digits at once
+    /// ([`select_affine`]), then the same additions in lockstep.
+    #[inline(always)]
+    fn walk<L: ScanFrom<F>>(&self, digits: &[L::Digit; 64]) -> EdwardsPoint<L> {
+        let add_digits = |mut acc: EdwardsPoint<L>, parity: usize| {
             for (row, pair) in self.rows.iter().zip(digits.chunks_exact(2)) {
                 acc = acc
-                    .add_affine_niels(&select_affine(row, pair[parity]))
+                    .add_affine_niels(&select_affine::<L, F>(row, pair[parity]))
                     .to_extended();
             }
             acc
@@ -1205,7 +1246,7 @@ impl FixedBaseTable {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::util::to_hex;
     use rand::rngs::StdRng;
@@ -1354,7 +1395,7 @@ mod tests {
     /// Scalars at the edges of the signed radix-16 recoding: 0, 1, ℓ−1,
     /// and nibble patterns that recode to all −8 (with carries), all 7
     /// and all −7/−8 digits.
-    fn edge_scalars() -> Vec<Scalar> {
+    pub(crate) fn edge_scalars() -> Vec<Scalar> {
         let mut edges: Vec<Scalar> = [0u64, 1, 2, 7, 8, 9, 15, 16, 17, 255, 256]
             .iter()
             .map(|&k| Scalar::from_u64(k))
@@ -1390,6 +1431,67 @@ mod tests {
         }
         let identity = FixedBaseTable::new(&EdwardsPoint::<F>::identity());
         assert!(identity.mul(&Scalar::random(&mut rng)).is_identity());
+    }
+
+    /// The walk asks for [`FieldArith`] only (building a table is what
+    /// inverts): this compiles, and a walk through the relaxed bound
+    /// is the walk.
+    #[test]
+    fn fixed_base_table_walks_under_the_arithmetic_bound() {
+        fn walk<F: FieldArith>(table: &FixedBaseTable<F>, s: &Scalar) -> EdwardsPoint<F> {
+            table.mul(s)
+        }
+        let s = Scalar::from_u64(0xdead_beef);
+        assert!(walk(FixedBaseTable::basepoint(), &s).ct_eq(&EdwardsPoint::base_mul(&s)));
+    }
+
+    /// One table walk for up to eight scalars: lane `i` is
+    /// `FixedBaseTable::mul` of scalar `i` and an idle lane the
+    /// identity, whatever the other lanes walk — every edge scalar in
+    /// every lane, beside different neighbours each time, off a table
+    /// held in either scalar representation.
+    #[cfg(all(
+        target_arch = "x86_64",
+        target_feature = "avx512f",
+        target_feature = "avx512ifma",
+        not(feature = "force-field51")
+    ))]
+    #[test]
+    fn lane_walk_matches_fixed_base_mul_in_every_lane() {
+        use crate::field::ifma::F51x8;
+        use crate::field::{fiat51, sat64, ScanFrom};
+
+        fn check<F: FieldBackend>(seed: u64)
+        where
+            F51x8: ScanFrom<F>,
+        {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut scalars = vartime_edge_scalars();
+            scalars.extend((0..11).map(|_| Scalar::random(&mut rng)));
+            let table = FixedBaseTable::<F>::new(&random_point(&mut rng));
+            let expected: Vec<[u8; 32]> = scalars.iter().map(|s| table.mul(s).compress()).collect();
+            for start in 0..scalars.len() {
+                for len in [1usize, 3, 7, 8] {
+                    // Stride 5 is coprime to the list's length.
+                    let at = |i: usize| (start + 5 * i) % scalars.len();
+                    let group: Vec<Scalar> = (0..len).map(|i| scalars[at(i)]).collect();
+                    let lanes = table.lanes_mul(&group).lanes();
+                    for (i, lane) in lanes.iter().enumerate() {
+                        if i < len {
+                            assert_eq!(
+                                lane.compress(),
+                                expected[at(i)],
+                                "lane {i} of {len} from {start}"
+                            );
+                        } else {
+                            assert!(lane.is_identity(), "idle lane {i} of {len}");
+                        }
+                    }
+                }
+            }
+        }
+        check::<fiat51::FieldElement>(75);
+        check::<sat64::FieldElement>(76);
     }
 
     #[test]
@@ -1457,7 +1559,7 @@ mod tests {
     /// [`edge_scalars`] plus the top of the NAF: 2^252 (the highest
     /// bit a reduced scalar has), the all-ones run below it, and the
     /// two top bits together.
-    fn vartime_edge_scalars() -> Vec<Scalar> {
+    pub(crate) fn vartime_edge_scalars() -> Vec<Scalar> {
         let mut edges = edge_scalars();
         let mut top = [0u8; 32];
         top[31] = 0x10;

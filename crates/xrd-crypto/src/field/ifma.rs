@@ -2,12 +2,15 @@
 //! five radix-2^51 limbs in five `__m512i`, lane `i` of every vector
 //! belonging to element `i`.
 //!
-//! This is not a third choice for [`FieldElement`]
-//! — it has no bytes, no inversion, no equality — but a
-//! [`FieldArith`], so the tables and ladders of `edwards.rs`
-//! instantiate over it unchanged and run eight points in lockstep
-//! (vertical SIMD: one digit stream, one mask, one add/sub schedule for
-//! all lanes; nothing is ever gathered or branched on per lane).
+//! This is not a third choice for [`FieldElement`] — it has no bytes
+//! and no inversion — but a [`FieldArith`], so the tables and ladders
+//! of `edwards.rs` instantiate over it unchanged and run eight points
+//! in lockstep, and a [`FieldLanes`], so the Ristretto encode does too.
+//! It is vertical SIMD throughout: one instruction stream for all
+//! lanes, and where lanes differ — each its own table digit
+//! ([`Digits8`]), its own sign, its own side of a select — they differ
+//! by a k-mask ([`LaneMask`]) on an instruction every lane executes.
+//! Nothing is ever gathered or branched on per lane.
 //!
 //! **Compiled only where `avx512f` and `avx512ifma` are statically
 //! enabled** (the `cfg` on `pub mod ifma` in `field/mod.rs`; the
@@ -41,7 +44,7 @@
 use std::arch::x86_64::*;
 use std::sync::OnceLock;
 
-use super::{FieldArith, FieldElement};
+use super::{fiat51, sat64, Digit, FieldArith, FieldElement, FieldLanes, ScanFrom};
 
 /// Eight field elements, one per 64-bit lane (see the module docs).
 #[derive(Clone, Copy, Debug)]
@@ -157,15 +160,108 @@ fn below_2_52(a: __m512i) -> bool {
     unsafe { _mm512_cmplt_epu64_mask(a, splat(1 << 52)) == 0xff }
 }
 
+/// `x` in the lanes where `k` is set, `a` in the others (a masked
+/// `vpbroadcastq`: no lane index ever forms an address).
+#[inline(always)]
+fn broadcast_under(k: __mmask8, a: __m512i, x: u64) -> __m512i {
+    // SAFETY: masked `vpbroadcastq` is AVX-512F (module `cfg`).
+    unsafe { _mm512_mask_set1_epi64(a, k, x as i64) }
+}
+
+/// `a | b`.
+#[inline(always)]
+fn or(a: __m512i, b: __m512i) -> __m512i {
+    // SAFETY: `vporq` is AVX-512F (module `cfg`).
+    unsafe { _mm512_or_si512(a, b) }
+}
+
+/// `|a|` per signed 64-bit lane.
+#[inline(always)]
+fn abs_i64(a: __m512i) -> __m512i {
+    // SAFETY: `vpabsq` is AVX-512F (module `cfg`).
+    unsafe { _mm512_abs_epi64(a) }
+}
+
+/// The lanes where `a == b`.
+#[inline(always)]
+fn eq_lanes(a: __m512i, b: __m512i) -> __mmask8 {
+    // SAFETY: `vpcmpeqq` into a mask is AVX-512F (module `cfg`).
+    unsafe { _mm512_cmpeq_epi64_mask(a, b) }
+}
+
+/// The lanes where `a < 0` as a signed 64-bit integer.
+#[inline(always)]
+fn negative_lanes(a: __m512i) -> __mmask8 {
+    // SAFETY: `vpcmpq` is AVX-512F (module `cfg`).
+    unsafe { _mm512_cmplt_epi64_mask(a, splat(0)) }
+}
+
+/// The lanes where `a & b != 0`.
+#[inline(always)]
+fn test_lanes(a: __m512i, b: __m512i) -> __mmask8 {
+    // SAFETY: `vptestmq` is AVX-512F (module `cfg`).
+    unsafe { _mm512_test_epi64_mask(a, b) }
+}
+
 // ---------------------------------------------------------------------
 // Arithmetic, in safe code over the wrappers.
 // ---------------------------------------------------------------------
 
-/// The all-lanes mask of a whole-value `choice` in {0, 1}.
-#[inline(always)]
-fn lanes_if(choice: u64) -> __mmask8 {
-    debug_assert!(choice == 0 || choice == 1);
-    (choice as u8).wrapping_neg()
+/// One boolean per lane, bit `i` for lane `i`: [`F51x8`]'s
+/// [`FieldArith::Choice`].  Only ever an operand of a masked
+/// instruction — never tested, never an index.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct LaneMask(pub __mmask8);
+
+impl From<bool> for LaneMask {
+    /// The same boolean in every lane.
+    #[inline(always)]
+    fn from(all: bool) -> LaneMask {
+        LaneMask((all as u8).wrapping_neg())
+    }
+}
+
+impl std::ops::BitOr for LaneMask {
+    type Output = LaneMask;
+    #[inline(always)]
+    fn bitor(self, rhs: LaneMask) -> LaneMask {
+        LaneMask(self.0 | rhs.0)
+    }
+}
+
+/// Eight signed radix-16 digits, lane `i`'s sign-extended into 64-bit
+/// lane `i`: [`F51x8`]'s [`FieldArith::Digit`].
+#[derive(Clone, Copy, Debug)]
+pub struct Digits8(__m512i);
+
+impl Digits8 {
+    /// Lane `i` scans for `digits[i]`.
+    #[inline(always)]
+    pub fn from_lanes(digits: [i8; 8]) -> Digits8 {
+        Digits8(from_array(digits.map(|d| d as i64 as u64)))
+    }
+}
+
+impl From<i8> for Digits8 {
+    /// Every lane scans for `d`: a ladder whose lanes share a scalar.
+    #[inline(always)]
+    fn from(d: i8) -> Digits8 {
+        Digits8(splat(d as i64 as u64))
+    }
+}
+
+impl Digit for Digits8 {
+    type Choice = LaneMask;
+
+    #[inline(always)]
+    fn sign_abs(self) -> (LaneMask, Digits8) {
+        (LaneMask(negative_lanes(self.0)), Digits8(abs_i64(self.0)))
+    }
+
+    #[inline(always)]
+    fn is(self, j: i8) -> LaneMask {
+        LaneMask(eq_lanes(self.0, splat(j as u64)))
+    }
 }
 
 /// One parallel carry pass: every limb keeps its low 51 bits and takes
@@ -222,6 +318,40 @@ impl F51x8 {
         self.0.iter().all(|&limb| below_2_52(limb))
     }
 
+    /// Every lane's unique representative in `[0, p)`, limbs below
+    /// 2^51 — what sign and equality are read off.  Straight-line: a
+    /// sequential carry chain brings any tight value below `2^255 + 38`
+    /// (< 2p), a second one computes whether it reaches `p` (the carry
+    /// out of `value + 19` at bit 255), and a third adds `19` times
+    /// that and drops bit 255.
+    #[inline(always)]
+    fn canonical(&self) -> [__m512i; 5] {
+        debug_assert!(self.is_tight());
+        let low = splat(LOW_51);
+        // l[k] += c; c = l[k] >> 51; l[k] &= low, for k = 0..5.
+        let ripple = |l: &mut [__m512i; 5], mut c: __m512i| {
+            for limb in l.iter_mut() {
+                let t = add(*limb, c);
+                c = shr::<51>(t);
+                *limb = and(t, low);
+            }
+            c
+        };
+        let mut l = self.0;
+        let top = ripple(&mut l, splat(0));
+        // 2^255 ≡ 19; `top` is at most 2, so limb 0 stays below
+        // 2^51 + 38 and the value below 2^255 + 38.
+        l[0] = madd_lo(l[0], top, splat(19));
+        let mut q = splat(19);
+        for limb in l {
+            q = shr::<51>(add(limb, q));
+        }
+        // q = 1 exactly where the value is at least p.
+        let nineteen_q = madd_lo(splat(0), q, splat(19));
+        ripple(&mut l, nineteen_q);
+        l
+    }
+
     /// The five folded (pre-carry) columns of a squaring.  Each
     /// off-diagonal product `a_i·a_j`, `i < j`, is taken once and its
     /// column share doubled by shifting (an operand cannot be doubled
@@ -259,6 +389,8 @@ impl F51x8 {
 }
 
 impl FieldArith for F51x8 {
+    type Choice = LaneMask;
+    type Digit = Digits8;
     const ZERO: F51x8 = F51x8([splat(0); 5]);
     const ONE: F51x8 = F51x8([splat(1), splat(0), splat(0), splat(0), splat(0)]);
 
@@ -325,35 +457,116 @@ impl FieldArith for F51x8 {
     }
 
     #[inline(always)]
-    fn select(a: &F51x8, b: &F51x8, choice: u64) -> F51x8 {
-        let k = lanes_if(choice);
-        F51x8(std::array::from_fn(|i| blend(k, a.0[i], b.0[i])))
+    fn select(a: &F51x8, b: &F51x8, choice: LaneMask) -> F51x8 {
+        F51x8(std::array::from_fn(|i| blend(choice.0, a.0[i], b.0[i])))
     }
 
     #[inline(always)]
-    fn and_mask(&self, mask: u64) -> F51x8 {
-        debug_assert!(mask == 0 || mask == u64::MAX);
-        F51x8(self.0.map(|limb| keep(mask as u8, limb)))
+    fn and_mask(&self, choice: LaneMask) -> F51x8 {
+        F51x8(self.0.map(|limb| keep(choice.0, limb)))
     }
 
     #[inline(always)]
-    fn or_assign_masked(&mut self, entry: &F51x8, mask: u64) {
-        debug_assert!(mask == 0 || mask == u64::MAX);
+    fn or_assign_masked(&mut self, entry: &F51x8, choice: LaneMask) {
         for (limb, e) in self.0.iter_mut().zip(&entry.0) {
-            *limb = or_under(mask as u8, *limb, *e);
+            *limb = or_under(choice.0, *limb, *e);
         }
     }
 
     #[inline(always)]
-    fn conditional_negate(&self, choice: u64) -> F51x8 {
+    fn conditional_negate(&self, choice: LaneMask) -> F51x8 {
         F51x8::select(self, &self.neg(), choice)
     }
 
     fn edwards_d2() -> &'static F51x8 {
         static D2: OnceLock<F51x8> = OnceLock::new();
-        D2.get_or_init(|| {
-            let d2 = <FieldElement as FieldArith>::edwards_d2().to_limbs51();
-            F51x8::from_lanes(&[d2; 8])
-        })
+        D2.get_or_init(|| F51x8::splat(<FieldElement as FieldArith>::edwards_d2()))
+    }
+}
+
+impl FieldLanes for F51x8 {
+    fn splat(x: &FieldElement) -> F51x8 {
+        F51x8(x.to_limbs51().map(splat))
+    }
+
+    #[inline(always)]
+    fn is_negative(&self) -> LaneMask {
+        LaneMask(test_lanes(self.canonical()[0], splat(1)))
+    }
+
+    #[inline(always)]
+    fn ct_eq(&self, other: &F51x8) -> LaneMask {
+        let [d0, d1, d2, d3, d4] = self.sub(other).canonical();
+        LaneMask(eq_lanes(or(or(d0, d1), or(or(d2, d3), d4)), splat(0)))
+    }
+}
+
+// ---------------------------------------------------------------------
+// Scanning a table of single elements: one table, a different entry
+// chosen in every lane.  The accumulator is `N` vectors of the table
+// backend's own words, eight candidates side by side; each word of an
+// entry is broadcast and merged under the hit's k-mask (every entry of
+// a row is read, in order, whatever the digits), and only the selected
+// entry is converted to lane form.
+// ---------------------------------------------------------------------
+
+#[inline(always)]
+fn seed_words<const N: usize>(words: &[u64; N], hit: LaneMask) -> [__m512i; N] {
+    words.map(|w| broadcast_under(hit.0, splat(0), w))
+}
+
+#[inline(always)]
+fn merge_words<const N: usize>(acc: &mut [__m512i; N], words: &[u64; N], hit: LaneMask) {
+    for (a, &w) in acc.iter_mut().zip(words) {
+        *a = broadcast_under(hit.0, *a, w);
+    }
+}
+
+impl ScanFrom<sat64::FieldElement> for F51x8 {
+    type Scan = [__m512i; 4];
+
+    #[inline(always)]
+    fn scan_seed(entry: &sat64::FieldElement, hit: LaneMask) -> Self::Scan {
+        seed_words(&entry.0, hit)
+    }
+
+    #[inline(always)]
+    fn scan_merge(acc: &mut Self::Scan, entry: &sat64::FieldElement, hit: LaneMask) {
+        merge_words(acc, &entry.0, hit);
+    }
+
+    /// `sat64::FieldElement::to_limbs51`, eight at a time: pure shifts,
+    /// the top limb keeping the representation's bits 204..255.
+    #[inline(always)]
+    fn scan_finish(l: Self::Scan) -> F51x8 {
+        let low = splat(LOW_51);
+        F51x8([
+            and(l[0], low),
+            and(or(shr::<51>(l[0]), shl::<13>(l[1])), low),
+            and(or(shr::<38>(l[1]), shl::<26>(l[2])), low),
+            and(or(shr::<25>(l[2]), shl::<39>(l[3])), low),
+            shr::<12>(l[3]),
+        ])
+    }
+}
+
+impl ScanFrom<fiat51::FieldElement> for F51x8 {
+    type Scan = [__m512i; 5];
+
+    #[inline(always)]
+    fn scan_seed(entry: &fiat51::FieldElement, hit: LaneMask) -> Self::Scan {
+        seed_words(&entry.0, hit)
+    }
+
+    #[inline(always)]
+    fn scan_merge(acc: &mut Self::Scan, entry: &fiat51::FieldElement, hit: LaneMask) {
+        merge_words(acc, &entry.0, hit);
+    }
+
+    /// `fiat51::FieldElement::to_limbs51`, eight at a time: one carry
+    /// pass over limbs that may still hold postponed carries.
+    #[inline(always)]
+    fn scan_finish(limbs: Self::Scan) -> F51x8 {
+        carry(limbs)
     }
 }

@@ -28,16 +28,16 @@
 //! single build.
 //!
 //! The lane representation is not a choice for `FieldElement` (it has
-//! no bytes, inversion or equality — it is a [`FieldArith`], not a
-//! [`FieldBackend`]) and has no feature of its own: the `ifma` module
-//! is compiled exactly where `avx512f` and `avx512ifma` are statically
-//! enabled (`target-cpu=native` on a host that has them) and the
-//! portable backend is not being forced — `force-field51` means
-//! portable arithmetic *everywhere*, so it turns the lane kernel off
-//! with everything else native, as `-C target-feature=-avx512ifma`
-//! does while keeping the 4×64 backend.  Where it is compiled, the
-//! batch entry points in `ristretto.rs` run on it.  [`FIELD_BACKEND`]
-//! names what a build got.
+//! no bytes and no inversion — it is a [`FieldArith`] and a
+//! [`FieldLanes`], not a [`FieldBackend`]) and has no feature of its
+//! own: the `ifma` module is compiled exactly where `avx512f` and
+//! `avx512ifma` are statically enabled (`target-cpu=native` on a host
+//! that has them) and the portable backend is not being forced —
+//! `force-field51` means portable arithmetic *everywhere*, so it turns
+//! the lane kernel off with everything else native, as `-C
+//! target-feature=-avx512ifma` does while keeping the 4×64 backend.
+//! Where it is compiled, the batch entry points in `ristretto.rs` run
+//! on it.  [`FIELD_BACKEND`] names what a build got.
 //!
 //! ## Lazy-reduction contract
 //!
@@ -65,11 +65,14 @@
 #[cfg(all(feature = "force-field51", feature = "force-field64"))]
 compile_error!("features `force-field51` and `force-field64` are mutually exclusive");
 
-/// Everything the two backends share — the exponentiation towers,
-/// square-root machinery, batched inversion and constant-time helpers
-/// are representation-independent (they only use the backend's core
-/// ops plus canonical encodings), so they are stamped into each
-/// backend module from this single definition.
+/// Everything the two backends share and a lane type does not —
+/// inversion, batched inversion, byte-level sign and equality, derived
+/// constants — is representation-independent (it only uses the
+/// backend's core ops plus canonical encodings), so it is stamped into
+/// each backend module from this single definition, with the trait
+/// impls.  What a lane type shares too (the `(p-5)/8` tower, the
+/// square-root convention) is written once as [`FieldLanes`]' provided
+/// methods; the inherent `sqrt_ratio_i` here forwards to it.
 macro_rules! impl_field_shared {
     ($fe:ident) => {
         impl $fe {
@@ -79,54 +82,12 @@ macro_rules! impl_field_shared {
                 $fe::ZERO.sub(self)
             }
 
-            /// Square `k` times: returns `self^(2^k)`.
-            pub fn pow2k(&self, k: u32) -> $fe {
-                debug_assert!(k > 0);
-                let mut out = self.square();
-                for _ in 1..k {
-                    out = out.square();
-                }
-                out
-            }
-
-            /// Shared tower for inversion and `pow_p58`: returns
-            /// `(self^(2^250 - 1), self^11)`.
-            fn pow22501(&self) -> ($fe, $fe) {
-                let t0 = self.square(); // 2
-                let t1 = t0.square().square(); // 8
-                let t2 = self.mul(&t1); // 9
-                let t3 = t0.mul(&t2); // 11
-                let t4 = t3.square(); // 22
-                let t5 = t2.mul(&t4); // 2^5 - 1
-                let t6 = t5.pow2k(5); // 2^10 - 2^5
-                let t7 = t6.mul(&t5); // 2^10 - 1
-                let t8 = t7.pow2k(10); // 2^20 - 2^10
-                let t9 = t8.mul(&t7); // 2^20 - 1
-                let t10 = t9.pow2k(20); // 2^40 - 2^20
-                let t11 = t10.mul(&t9); // 2^40 - 1
-                let t12 = t11.pow2k(10); // 2^50 - 2^10
-                let t13 = t12.mul(&t7); // 2^50 - 1
-                let t14 = t13.pow2k(50); // 2^100 - 2^50
-                let t15 = t14.mul(&t13); // 2^100 - 1
-                let t16 = t15.pow2k(100); // 2^200 - 2^100
-                let t17 = t16.mul(&t15); // 2^200 - 1
-                let t18 = t17.pow2k(50); // 2^250 - 2^50
-                let t19 = t18.mul(&t13); // 2^250 - 1
-                (t19, t3)
-            }
-
             /// Multiplicative inverse: `self^(p-2)`.  Returns zero for zero.
             pub fn invert(&self) -> $fe {
+                use crate::field::FieldLanes;
                 let (t19, t3) = self.pow22501();
-                let t20 = t19.pow2k(5); // 2^255 - 2^5
+                let t20 = FieldLanes::pow2k(&t19, 5); // 2^255 - 2^5
                 t20.mul(&t3) // 2^255 - 21 = p - 2
-            }
-
-            /// `self^((p-5)/8) = self^(2^252 - 3)`, used by `sqrt_ratio_i`.
-            fn pow_p58(&self) -> $fe {
-                let (t19, _) = self.pow22501();
-                let t20 = t19.pow2k(2); // 2^252 - 4
-                self.mul(&t20) // 2^252 - 3
             }
 
             /// Generic (variable-time) exponentiation by a 256-bit
@@ -201,21 +162,8 @@ macro_rules! impl_field_shared {
             ///
             /// `r` is always non-negative.
             pub fn sqrt_ratio_i(u: &$fe, v: &$fe) -> (bool, $fe) {
-                let v3 = v.square().mul(v);
-                let v7 = v3.square().mul(v);
-                let mut r = u.mul(&v3).mul(&u.mul(&v7).pow_p58());
-                let check = v.mul(&r.square());
-
-                let i = Self::sqrt_m1();
-                let correct_sign = check.ct_eq(u);
-                let flipped_sign = check.ct_eq(&u.neg());
-                let flipped_sign_i = check.ct_eq(&u.neg().mul(i));
-
-                let r_prime = i.mul(&r);
-                r = Self::select(&r, &r_prime, (flipped_sign || flipped_sign_i) as u64);
-                r = r.abs();
-
-                (correct_sign || flipped_sign, r)
+                let (was_square, r) = <$fe as crate::field::FieldLanes>::sqrt_ratio_i(u, v);
+                (was_square == 1, r)
             }
 
             /// Montgomery batch inversion: invert every element of
@@ -268,6 +216,8 @@ macro_rules! impl_field_shared {
         impl Eq for $fe {}
 
         impl crate::field::FieldArith for $fe {
+            type Choice = u64;
+            type Digit = i8;
             const ZERO: Self = $fe::ZERO;
             const ONE: Self = $fe::ONE;
             fn add(&self, rhs: &Self) -> Self {
@@ -300,11 +250,11 @@ macro_rules! impl_field_shared {
             fn select(a: &Self, b: &Self, choice: u64) -> Self {
                 $fe::select(a, b, choice)
             }
-            fn and_mask(&self, mask: u64) -> Self {
-                $fe::and_mask(self, mask)
+            fn and_mask(&self, choice: u64) -> Self {
+                $fe::and_mask(self, choice.wrapping_neg())
             }
-            fn or_assign_masked(&mut self, entry: &Self, mask: u64) {
-                $fe::or_assign_masked(self, entry, mask)
+            fn or_assign_masked(&mut self, entry: &Self, choice: u64) {
+                $fe::or_assign_masked(self, entry, choice.wrapping_neg())
             }
             fn conditional_negate(&self, choice: u64) -> Self {
                 $fe::conditional_negate(self, choice)
@@ -319,6 +269,18 @@ macro_rules! impl_field_shared {
             }
         }
 
+        impl crate::field::FieldLanes for $fe {
+            fn splat(x: &crate::field::FieldElement) -> Self {
+                $fe::from_limbs51(&x.to_limbs51())
+            }
+            fn is_negative(&self) -> u64 {
+                $fe::is_negative(self) as u64
+            }
+            fn ct_eq(&self, other: &Self) -> u64 {
+                $fe::ct_eq(self, other) as u64
+            }
+        }
+
         impl crate::field::FieldBackend for $fe {
             fn from_u64(x: u64) -> Self {
                 $fe::from_u64(x)
@@ -329,32 +291,14 @@ macro_rules! impl_field_shared {
             fn to_bytes(&self) -> [u8; 32] {
                 $fe::to_bytes(self)
             }
-            fn abs(&self) -> Self {
-                $fe::abs(self)
-            }
-            fn is_negative(&self) -> bool {
-                $fe::is_negative(self)
-            }
             fn is_zero(&self) -> bool {
                 $fe::is_zero(self)
-            }
-            fn ct_eq(&self, other: &Self) -> bool {
-                $fe::ct_eq(self, other)
             }
             fn invert(&self) -> Self {
                 $fe::invert(self)
             }
             fn batch_invert(elements: &mut [Self]) {
                 $fe::batch_invert(elements)
-            }
-            fn sqrt_ratio_i(u: &Self, v: &Self) -> (bool, Self) {
-                $fe::sqrt_ratio_i(u, v)
-            }
-            fn invsqrt(&self) -> (bool, Self) {
-                $fe::invsqrt(self)
-            }
-            fn sqrt_m1() -> &'static Self {
-                $fe::sqrt_m1()
             }
             fn edwards_d() -> &'static Self {
                 use std::sync::OnceLock;
@@ -387,15 +331,58 @@ mod sealed {
     impl Sealed for super::ifma::F51x8 {}
 }
 
+/// One signed radix-16 digit per lane of a field representation: what
+/// a masked table scan is driven by.  A single element's is an `i8`; the
+/// eight-lane kernel's is a vector of eight, one scalar's digit per
+/// lane, with the ladders that raise every lane to the *same* scalar as
+/// its splat case (`From<i8>`).
+///
+/// Both questions are answered without a branch or an address that
+/// depends on the digit: it is secret wherever the scalar is.
+pub trait Digit: Copy + From<i8> {
+    /// The per-lane boolean the answers come as
+    /// ([`FieldArith::Choice`] of the representation scanned into).
+    type Choice;
+    /// `(digit < 0, |digit|)` per lane, for a digit in `[-8, 8]`.
+    fn sign_abs(self) -> (Self::Choice, Self);
+    /// `digit == j` per lane, for a non-negative digit.
+    fn is(self, j: i8) -> Self::Choice;
+}
+
+impl Digit for i8 {
+    type Choice = u64;
+
+    #[inline(always)]
+    fn sign_abs(self) -> (u64, i8) {
+        let x = self as i16; // in [-8, 8]
+        let xmask = x >> 15; // 0 if non-negative, -1 if negative
+        let abs = (x + xmask) ^ xmask;
+        debug_assert!((0..=8).contains(&abs));
+        ((xmask & 1) as u64, abs as i8)
+    }
+
+    #[inline(always)]
+    fn is(self, j: i8) -> u64 {
+        // a ^ b is zero iff equal; (x - 1) underflows to all-ones iff
+        // x == 0.
+        ((self ^ j) as u8 as u64).wrapping_sub(1) >> 63
+    }
+}
+
 /// The arithmetic the curve formulas in `edwards.rs` are written
 /// against — everything that makes sense on *several field elements at
 /// once*.  The two scalar backends implement it (via
 /// `impl_field_shared!`, which delegates to the inherent methods) and
 /// so does the eight-lane `ifma::F51x8` where it is compiled in, so
 /// the tables, ladders and Straus loop instantiate over one element or
-/// over eight in lockstep from the same source.  Masks and selects
-/// take one `u64` for the whole value: a lane type applies it to every
-/// lane (the digit streams that drive them are uniform across lanes).
+/// over eight in lockstep from the same source.
+///
+/// Selects and masks take a [`FieldArith::Choice`] — one boolean *per
+/// lane*: a `u64` in `{0, 1}` for a single element, a k-mask for the
+/// eight-lane type — and table scans a [`FieldArith::Digit`], so the
+/// same scan serves a ladder whose digit stream is uniform across lanes
+/// (every lane raised to one server key) and a walk whose digits differ
+/// per lane (eight users' sealing scalars against one table).
 ///
 /// The `lazy_*` and masked-scan methods are doc-hidden: they carry
 /// per-backend contracts (see the module docs — on the 5×51 backend a
@@ -407,6 +394,11 @@ mod sealed {
 pub trait FieldArith:
     sealed::Sealed + Copy + Clone + std::fmt::Debug + Send + Sync + 'static
 {
+    /// One boolean per lane (`From<bool>` is the same one in every
+    /// lane).
+    type Choice: Copy + From<bool> + std::ops::BitOr<Output = Self::Choice>;
+    /// One signed radix-16 digit per lane.
+    type Digit: Digit<Choice = Self::Choice>;
     const ZERO: Self;
     const ONE: Self;
     fn add(&self, rhs: &Self) -> Self;
@@ -421,38 +413,174 @@ pub trait FieldArith:
     fn lazy_sub(&self, rhs: &Self) -> Self;
     #[doc(hidden)]
     fn lazy_sub_wide(&self, rhs: &Self) -> Self;
-    fn select(a: &Self, b: &Self, choice: u64) -> Self;
+    /// `b` in the lanes where `choice` is set, `a` in the others.
+    fn select(a: &Self, b: &Self, choice: Self::Choice) -> Self;
+    /// `self` in the lanes where `choice` is set, zero in the others.
     #[doc(hidden)]
-    fn and_mask(&self, mask: u64) -> Self;
+    fn and_mask(&self, choice: Self::Choice) -> Self;
+    /// OR `entry` into the lanes where `choice` is set.
     #[doc(hidden)]
-    fn or_assign_masked(&mut self, entry: &Self, mask: u64);
-    fn conditional_negate(&self, choice: u64) -> Self;
+    fn or_assign_masked(&mut self, entry: &Self, choice: Self::Choice);
+    fn conditional_negate(&self, choice: Self::Choice) -> Self;
     /// `2 * d` for the curve constant `d` (per-backend cached).
     fn edwards_d2() -> &'static Self;
 }
 
-/// A *single* field element: [`FieldArith`] plus what only makes sense
-/// per element — encodings, inversion, square roots, sign and equality
-/// tests.  Both scalar backends implement it, so point arithmetic —
-/// and therefore the hop kernel — can be instantiated over *either*
+/// A representation a masked table scan can select *into* from a table
+/// held as `S` — the one scan behind every constant-time ladder
+/// (`edwards.rs`'s `scan_row`).  A scan seeds its accumulator with one
+/// candidate and merges the others, each under its own per-lane hit, of
+/// which **exactly one is set in every lane**; no step branches on a
+/// hit or forms an address from one.
+///
+/// Every representation scans from itself (AND under the hit, OR in).
+/// The eight-lane type also scans from a table of *single* elements —
+/// one table, a different entry chosen per lane — by broadcasting each
+/// word of an entry and merging it under the hit's k-mask, in the
+/// table's own limbs; only the selected entry is converted to lane
+/// form ([`ScanFrom::scan_finish`]).
+#[doc(hidden)]
+pub trait ScanFrom<S>: FieldArith {
+    /// The scan's accumulator.
+    type Scan: Copy;
+    fn scan_seed(entry: &S, hit: Self::Choice) -> Self::Scan;
+    fn scan_merge(acc: &mut Self::Scan, entry: &S, hit: Self::Choice);
+    fn scan_finish(acc: Self::Scan) -> Self;
+}
+
+impl<F: FieldArith> ScanFrom<F> for F {
+    type Scan = F;
+    #[inline(always)]
+    fn scan_seed(entry: &F, hit: F::Choice) -> F {
+        entry.and_mask(hit)
+    }
+    #[inline(always)]
+    fn scan_merge(acc: &mut F, entry: &F, hit: F::Choice) {
+        acc.or_assign_masked(entry, hit);
+    }
+    #[inline(always)]
+    fn scan_finish(acc: F) -> F {
+        acc
+    }
+}
+
+/// The lane-mask tier: [`FieldArith`] plus the questions whose answer
+/// is one boolean *per lane* — sign and equality, which need a
+/// canonical form — and what is built from them: `abs`, the
+/// `(p-5)/8` exponentiation tower and the Ristretto square-root
+/// convention.  Written once here, they run on one element (where the
+/// [`FieldArith::Choice`] is a `u64` the inherent wrappers turn into a
+/// `bool`) or on eight per inverse square root, each lane taking its
+/// own side of every select; nothing branches on a choice, so the
+/// inputs may be secret.
+pub trait FieldLanes: FieldArith {
+    /// `x` in every lane.
+    fn splat(x: &FieldElement) -> Self;
+
+    /// Per lane: the canonical encoding's low bit is set (the
+    /// "negative" convention used by Ristretto).
+    fn is_negative(&self) -> Self::Choice;
+
+    /// Per lane: equal as field elements.
+    fn ct_eq(&self, other: &Self) -> Self::Choice;
+
+    /// Absolute value: negate the negative lanes.
+    fn abs(&self) -> Self {
+        self.conditional_negate(self.is_negative())
+    }
+
+    /// Square `k` times: returns `self^(2^k)`.
+    fn pow2k(&self, k: u32) -> Self {
+        debug_assert!(k > 0);
+        let mut out = self.square();
+        for _ in 1..k {
+            out = out.square();
+        }
+        out
+    }
+
+    /// Shared tower for inversion and `pow_p58`: returns
+    /// `(self^(2^250 - 1), self^11)`.
+    #[doc(hidden)]
+    fn pow22501(&self) -> (Self, Self) {
+        let t0 = self.square(); // 2
+        let t1 = t0.square().square(); // 8
+        let t2 = self.mul(&t1); // 9
+        let t3 = t0.mul(&t2); // 11
+        let t4 = t3.square(); // 22
+        let t5 = t2.mul(&t4); // 2^5 - 1
+        let t6 = t5.pow2k(5); // 2^10 - 2^5
+        let t7 = t6.mul(&t5); // 2^10 - 1
+        let t8 = t7.pow2k(10); // 2^20 - 2^10
+        let t9 = t8.mul(&t7); // 2^20 - 1
+        let t10 = t9.pow2k(20); // 2^40 - 2^20
+        let t11 = t10.mul(&t9); // 2^40 - 1
+        let t12 = t11.pow2k(10); // 2^50 - 2^10
+        let t13 = t12.mul(&t7); // 2^50 - 1
+        let t14 = t13.pow2k(50); // 2^100 - 2^50
+        let t15 = t14.mul(&t13); // 2^100 - 1
+        let t16 = t15.pow2k(100); // 2^200 - 2^100
+        let t17 = t16.mul(&t15); // 2^200 - 1
+        let t18 = t17.pow2k(50); // 2^250 - 2^50
+        let t19 = t18.mul(&t13); // 2^250 - 1
+        (t19, t3)
+    }
+
+    /// `self^((p-5)/8) = self^(2^252 - 3)`, used by `sqrt_ratio_i`.
+    #[doc(hidden)]
+    fn pow_p58(&self) -> Self {
+        let (t19, _) = self.pow22501();
+        let t20 = t19.pow2k(2); // 2^252 - 4
+        self.mul(&t20) // 2^252 - 3
+    }
+
+    /// Computes `sqrt(u/v)` in the Ristretto convention, per lane.
+    ///
+    /// Returns `(was_square, r)` where:
+    /// - if `u/v` is square, `was_square` is set and `r = +sqrt(u/v)`;
+    /// - if `u/v` is non-square, `was_square` is clear and
+    ///   `r = +sqrt(i*u/v)` (where `i = sqrt(-1)`);
+    /// - if `u = 0`, returns `(set, 0)`; if `v = 0` (and `u != 0`),
+    ///   returns `(clear, 0)`.
+    ///
+    /// `r` is always non-negative.
+    fn sqrt_ratio_i(u: &Self, v: &Self) -> (Self::Choice, Self) {
+        let v3 = v.square().mul(v);
+        let v7 = v3.square().mul(v);
+        let r = u.mul(&v3).mul(&u.mul(&v7).pow_p58());
+        let check = v.mul(&r.square());
+
+        let i = Self::splat(FieldElement::sqrt_m1());
+        let neg_u = u.neg();
+        let correct_sign = check.ct_eq(u);
+        let flipped_sign = check.ct_eq(&neg_u);
+        let flipped_sign_i = check.ct_eq(&neg_u.mul(&i));
+
+        let r = Self::select(&r, &i.mul(&r), flipped_sign | flipped_sign_i);
+        (correct_sign | flipped_sign, r.abs())
+    }
+
+    /// `1/sqrt(self)` (Ristretto convention; see `sqrt_ratio_i`).
+    fn invsqrt(&self) -> (Self::Choice, Self) {
+        Self::sqrt_ratio_i(&Self::ONE, self)
+    }
+}
+
+/// A *single* field element: [`FieldLanes`] with one lane, plus what
+/// only makes sense per element — encodings, inversion, zero tests.
+/// Both scalar backends implement it, so point arithmetic — and
+/// therefore the hop kernel — can be instantiated over *either*
 /// representation in the same build; the cross-backend benches and
 /// differential tests rely on exactly that.  Outside of those
 /// harnesses, use the [`FieldElement`] alias and its inherent methods.
 #[allow(missing_docs)] // mirror of the documented inherent methods
-pub trait FieldBackend: FieldArith + PartialEq + Eq {
+pub trait FieldBackend: FieldLanes<Choice = u64, Digit = i8> + PartialEq + Eq {
     fn from_u64(x: u64) -> Self;
     fn from_bytes(bytes: &[u8; 32]) -> Self;
     fn to_bytes(&self) -> [u8; 32];
-    fn abs(&self) -> Self;
-    fn is_negative(&self) -> bool;
     fn is_zero(&self) -> bool;
-    fn ct_eq(&self, other: &Self) -> bool;
     fn invert(&self) -> Self;
     fn batch_invert(elements: &mut [Self]);
-    fn sqrt_ratio_i(u: &Self, v: &Self) -> (bool, Self);
-    fn invsqrt(&self) -> (bool, Self);
-    /// sqrt(-1) mod p (per-backend cached static).
-    fn sqrt_m1() -> &'static Self;
     /// The curve constant `d = -121665/121666` (per-backend cached).
     fn edwards_d() -> &'static Self;
 }
@@ -499,7 +627,9 @@ pub use sat64::FieldElement;
 /// aliases, then `+ifma8` when the eight-lane kernel (`field::ifma`) is
 /// built beside it and the batch entry points
 /// ([`GroupElement::batch_mul_pair`](crate::GroupElement::batch_mul_pair),
-/// [`GroupElement::batch_vartime_mul`](crate::GroupElement::batch_vartime_mul))
+/// [`GroupElement::batch_vartime_mul`](crate::GroupElement::batch_vartime_mul),
+/// [`GroupElement::base_mul_all`](crate::GroupElement::base_mul_all),
+/// [`GroupElement::encode_all`](crate::GroupElement::encode_all))
 /// run on it.
 pub const FIELD_BACKEND: &str = if cfg!(all(
     target_arch = "x86_64",

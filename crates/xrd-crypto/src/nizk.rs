@@ -160,14 +160,57 @@ impl SchnorrProof {
         public: &GroupElement,
         x: &Scalar,
     ) -> SchnorrProof {
-        debug_assert!(GroupElement::base_mul(x) == *public || base.mul(x) == *public);
+        debug_assert!(commit(base, x) == *public);
         let r = Scalar::random(rng);
         let commitment = commit(base, &r).encode();
-        let c = Self::challenge(context, &encode_base(base), public, &commitment);
+        let c = Self::challenge(context, &encode_base(base), &public.encode(), &commitment);
         SchnorrProof {
             commitment,
             response: r.add(&c.mul(x)),
         }
+    }
+
+    /// [`SchnorrProof::prove`] over the generator for every `x` in
+    /// `xs`, with its public value: `(g^x, proof)` per exponent, the
+    /// proof the one `prove(rng, context, &g, &g^x, x)` returns when
+    /// `rng`'s next scalar is that exponent's entry of `nonces`.  The
+    /// `2n` exponentiations and `2n` encodings go through
+    /// [`GroupElement::base_mul_all`] and [`GroupElement::encode_all`]
+    /// (eight per table walk and per inverse square root where the lane
+    /// kernel is compiled in), and since `g^x` is computed here from
+    /// `x` there is no statement to re-check, in any build.
+    ///
+    /// The nonces arrive pre-drawn because bulk sealing draws every
+    /// message's randomness from its user's RNG *before* it groups
+    /// messages by chain — the stream a user's RNG yields must not
+    /// depend on how her messages were batched — and by value because a
+    /// nonce is used for exactly one proof: two proofs under one nonce
+    /// reveal `x`.  Draw each with [`Scalar::random`] and pass it
+    /// nowhere else; everything that does not need this ordering calls
+    /// `prove`.
+    #[doc(hidden)]
+    pub fn prove_base_all(
+        context: &[u8],
+        xs: &[Scalar],
+        nonces: Vec<Scalar>,
+    ) -> Vec<(GroupElement, SchnorrProof)> {
+        assert_eq!(xs.len(), nonces.len(), "one nonce per proof");
+        let base = encode_base(&GroupElement::generator());
+        let publics = GroupElement::base_mul_all(xs);
+        let commitments = GroupElement::encode_all(&GroupElement::base_mul_all(&nonces));
+        let encoded = GroupElement::encode_all(&publics);
+        nonces
+            .into_iter()
+            .enumerate()
+            .map(|(i, r)| {
+                let c = Self::challenge(context, &base, &encoded[i], &commitments[i]);
+                let proof = SchnorrProof {
+                    commitment: commitments[i],
+                    response: r.add(&c.mul(&xs[i])),
+                };
+                (publics[i], proof)
+            })
+            .collect()
     }
 
     /// Verify the proof against `(B, X)` and the context.
@@ -176,7 +219,12 @@ impl SchnorrProof {
             Some(p) => p,
             None => return false,
         };
-        let c = Self::challenge(context, &encode_base(base), public, &self.commitment);
+        let c = Self::challenge(
+            context,
+            &encode_base(base),
+            &public.encode(),
+            &self.commitment,
+        );
         response_minus_challenge(&self.response, base, &c, public) == commitment
     }
 
@@ -204,7 +252,7 @@ impl SchnorrProof {
                 None => return false,
             };
             let base = encode_base(&st.base);
-            let c = Self::challenge(st.context, &base, &st.public, &st.proof.commitment);
+            let c = Self::challenge(st.context, &base, &st.public.encode(), &st.proof.commitment);
             // The challenge binds context, base, public and commitment,
             // so absorbing (challenge, response) binds the statement.
             seed_t.append("challenge", &c.to_bytes());
@@ -228,17 +276,18 @@ impl SchnorrProof {
     /// decoding rejects non-canonical strings, absorbing the bytes is
     /// equivalent to absorbing `decode(bytes).encode()` and saves a
     /// re-encoding on every verification.  The base arrives encoded
-    /// ([`encode_base`]) for the same reason.
+    /// ([`encode_base`]) for the same reason, and the public value so
+    /// that a batch prover can encode its publics together.
     fn challenge(
         context: &[u8],
         base: &[u8; 32],
-        public: &GroupElement,
+        public: &[u8; 32],
         commitment: &[u8; 32],
     ) -> Scalar {
         let mut t = Transcript::new("xrd/schnorr-pok");
         t.append("context", context);
         t.append("base", base);
-        t.append("public", &public.encode());
+        t.append("public", public);
         t.append("commitment", commitment);
         t.challenge_scalar("c")
     }
@@ -457,6 +506,26 @@ mod tests {
         let gx = GroupElement::base_mul(&x);
         let proof = SchnorrProof::prove(&mut rng, b"ctx", &g, &gx, &x);
         assert!(proof.verify(b"ctx", &g, &gx));
+    }
+
+    #[test]
+    fn prove_base_all_is_prove_per_exponent() {
+        // The batch prover with pre-drawn nonces returns what `prove`
+        // does when its RNG yields those nonces, and the publics.
+        let g = GroupElement::generator();
+        for n in [0usize, 1, 2, 3, 8, 11] {
+            let mut rng = StdRng::seed_from_u64(40 + n as u64);
+            let xs: Vec<Scalar> = (0..n).map(|_| Scalar::random(&mut rng)).collect();
+            let mut nonce_rng = rng.clone();
+            let nonces: Vec<Scalar> = (0..n).map(|_| Scalar::random(&mut nonce_rng)).collect();
+            let batch = SchnorrProof::prove_base_all(b"ctx", &xs, nonces);
+            assert_eq!(batch.len(), n);
+            for (x, (public, proof)) in xs.iter().zip(batch) {
+                assert_eq!(public, GroupElement::base_mul(x));
+                assert_eq!(proof, SchnorrProof::prove(&mut rng, b"ctx", &g, &public, x));
+                assert!(proof.verify(b"ctx", &g, &public));
+            }
+        }
     }
 
     #[test]

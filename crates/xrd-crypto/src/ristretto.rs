@@ -12,7 +12,7 @@ use std::sync::OnceLock;
 use rand::RngCore;
 
 use crate::edwards::{edwards_d, EdwardsPoint, FixedBaseTable, PointTable};
-use crate::field::FieldElement;
+use crate::field::{FieldElement, FieldLanes};
 use crate::scalar::Scalar;
 
 /// Derived Ristretto constants (computed once, validated by tests).
@@ -70,6 +70,13 @@ impl GroupElement {
     /// `g^x` in the paper's multiplicative notation.
     pub fn base_mul(x: &Scalar) -> GroupElement {
         GroupElement(EdwardsPoint::base_mul(x))
+    }
+
+    /// `g^x` for every `x` in `xs`, in order ([`FixedGroupTable::mul_all`]
+    /// on the generator's table): bulk sealing's `g^y`, `g^x` and proof
+    /// commitments.  Safe for secret exponents.
+    pub fn base_mul_all(xs: &[Scalar]) -> Vec<GroupElement> {
+        batch::fixed_mul_all(FixedBaseTable::basepoint(), xs)
     }
 
     /// `self^x` in the paper's multiplicative notation.
@@ -168,51 +175,30 @@ impl GroupElement {
 
     /// Canonical 32-byte encoding.
     pub fn encode(&self) -> [u8; 32] {
-        let c = constants();
-        let i = FieldElement::sqrt_m1();
-        let (x0, y0, z0, t0) = (self.0.x, self.0.y, self.0.z, self.0.t);
-
-        let u1 = z0.add(&y0).mul(&z0.sub(&y0));
-        let u2 = x0.mul(&y0);
-        let (_, invsqrt) = u1.mul(&u2.square()).invsqrt();
-        let den1 = invsqrt.mul(&u1);
-        let den2 = invsqrt.mul(&u2);
-        let z_inv = den1.mul(&den2).mul(&t0);
-
-        let ix0 = x0.mul(i);
-        let iy0 = y0.mul(i);
-        let enchanted_denominator = den1.mul(&c.invsqrt_a_minus_d);
-        let rotate = t0.mul(&z_inv).is_negative() as u64;
-
-        let x = FieldElement::select(&x0, &iy0, rotate);
-        let mut y = FieldElement::select(&y0, &ix0, rotate);
-        let den_inv = FieldElement::select(&den2, &enchanted_denominator, rotate);
-
-        y = y.conditional_negate(x.mul(&z_inv).is_negative() as u64);
-
-        den_inv.mul(&z0.sub(&y)).abs().to_bytes()
+        encode_field(&self.0).to_bytes()
     }
 
-    /// Encode a slice of elements.
+    /// Encode a slice of elements, in order: `points[i].encode()` for
+    /// every `i`, byte for byte.
     ///
-    /// This is a plain per-point map — **there is no batch fast path
-    /// for ristretto encoding, by arithmetic, not by omission.**  Each
-    /// encode is dominated by one inverse square root (a fixed
-    /// ~254-squaring exponentiation), and square roots do not combine
-    /// under Montgomery's product trick the way inversions do
-    /// (`sqrt(ab)` relates to `sqrt(a)sqrt(b)` only up to a quadratic
-    /// character, which costs another per-element exponentiation to
-    /// resolve).  The serial encode also contains no discrete
-    /// inversion to amortize — every denominator already derives from
-    /// that single invsqrt.  A shared-inversion "batch" variant (PR 2)
-    /// measured 0.98× against this map and was removed; the name
-    /// `encode_all` states the intent (encode many) without promising
-    /// a speedup that cannot exist.  Batch wins on the wire path come
-    /// from [`EdwardsPoint::batch_compress`]-style shared inversions
-    /// (48× on table normalization), where a real per-point inversion
-    /// exists to amortize.
+    /// Each encoding is dominated by one inverse square root, a fixed
+    /// ~254-squaring exponentiation.  Square roots do not combine under
+    /// Montgomery's product trick the way inversions do (`sqrt(ab)`
+    /// relates to `sqrt(a)sqrt(b)` only up to a quadratic character,
+    /// which costs another per-element exponentiation to resolve), so
+    /// no *algebraic* batching exists — but a fixed schedule of
+    /// squarings is ideal lane work.  Where the eight-lane field kernel
+    /// is compiled in ([`crate::field::FIELD_BACKEND`] ends in
+    /// `+ifma8`) the points are taken eight at a time, one per lane,
+    /// through the same formula [`GroupElement::encode`] runs
+    /// (`encode_field`): one exponentiation per group, each lane
+    /// taking its own side of the formula's sign tests and selects
+    /// under a lane mask.  No branch or address depends on a point, so
+    /// secret shared elements (a DH value about to key a KDF) are as
+    /// safe here as in `encode`; a short last group is padded with the
+    /// identity.  Everywhere else this is the per-point map.
     pub fn encode_all(points: &[GroupElement]) -> Vec<[u8; 32]> {
-        points.iter().map(|p| p.encode()).collect()
+        batch::encode_all(points)
     }
 
     /// Decode a canonical 32-byte encoding; `None` for invalid encodings.
@@ -377,11 +363,58 @@ impl FixedGroupTable {
     pub fn mul(&self, x: &Scalar) -> GroupElement {
         GroupElement(self.0.mul(x))
     }
+
+    /// `P^x` for every `x` in `xs`, in order — [`FixedGroupTable::mul`]
+    /// per exponent, result for result.  Safe for secret exponents.
+    ///
+    /// Where the eight-lane field kernel is compiled in, eight
+    /// exponents share one walk of the table: every row scan compares
+    /// the row's indices against a vector of eight digits and merges
+    /// each entry under that per-lane k-mask — every entry is read, in
+    /// order, whatever the digits; nothing is gathered and the table
+    /// exists once, in its own representation — then the 64 additions
+    /// run in lockstep.  A short last group walks with idle lanes.
+    /// Everywhere else this is the per-exponent map.
+    pub fn mul_all(&self, xs: &[Scalar]) -> Vec<GroupElement> {
+        batch::fixed_mul_all(&self.0, xs)
+    }
+}
+
+/// The Ristretto ENCODE formula, written once over the lane-mask tier:
+/// the `s` coordinate of every lane's point (non-negative, so its bytes
+/// are the encoding).  One element is [`GroupElement::encode`]; eight
+/// are a group of [`GroupElement::encode_all`].
+#[inline(always)]
+fn encode_field<F: FieldLanes>(point: &EdwardsPoint<F>) -> F {
+    let c = constants();
+    let i = F::splat(FieldElement::sqrt_m1());
+    let (x0, y0, z0, t0) = (point.x, point.y, point.z, point.t);
+
+    let u1 = z0.add(&y0).mul(&z0.sub(&y0));
+    let u2 = x0.mul(&y0);
+    let (_, invsqrt) = u1.mul(&u2.square()).invsqrt();
+    let den1 = invsqrt.mul(&u1);
+    let den2 = invsqrt.mul(&u2);
+    let z_inv = den1.mul(&den2).mul(&t0);
+
+    let ix0 = x0.mul(&i);
+    let iy0 = y0.mul(&i);
+    let enchanted_denominator = den1.mul(&F::splat(&c.invsqrt_a_minus_d));
+    let rotate = t0.mul(&z_inv).is_negative();
+
+    let x = F::select(&x0, &iy0, rotate);
+    let y = F::select(&y0, &ix0, rotate);
+    let den_inv = F::select(&den2, &enchanted_denominator, rotate);
+
+    let y = y.conditional_negate(x.mul(&z_inv).is_negative());
+
+    den_inv.mul(&z0.sub(&y)).abs()
 }
 
 /// The batch entry points' bodies where the eight-lane field kernel is
 /// compiled in: eight points per [`EdwardsPoint`] over `F51x8`, a
-/// short last group padded with the identity.
+/// short last group padded with the identity (or walked with idle
+/// lanes).
 #[cfg(all(
     target_arch = "x86_64",
     target_feature = "avx512f",
@@ -389,7 +422,17 @@ impl FixedGroupTable {
     not(feature = "force-field51")
 ))]
 mod batch {
-    use super::{EdwardsPoint, GroupElement, Scalar};
+    use super::{EdwardsPoint, FixedBaseTable, GroupElement, Scalar};
+    use crate::field::ifma::F51x8;
+    use crate::field::FieldElement;
+
+    /// A group of fewer elements than this is cheaper one element at a
+    /// time: a table walk or an encode in lanes costs about two scalar
+    /// ones whatever the number of lanes in use (`batch_crypto`'s
+    /// `fixed_base/table_mul_x8` and `encode_256` rows), so a one-off
+    /// seal — a batch of one — keeps the scalar kernels' price.  Only a
+    /// batch's last group can be this short.
+    const LANES_FROM: usize = 3;
 
     pub(super) fn mul_pair(
         points: &[GroupElement],
@@ -415,6 +458,43 @@ mod batch {
         }
         out
     }
+
+    pub(super) fn fixed_mul_all(table: &FixedBaseTable, xs: &[Scalar]) -> Vec<GroupElement> {
+        let mut out = Vec::with_capacity(xs.len());
+        for group in xs.chunks(8) {
+            if group.len() < LANES_FROM {
+                out.extend(group.iter().map(|x| GroupElement(table.mul(x))));
+                continue;
+            }
+            let px = table.lanes_mul(group);
+            out.extend(px.lanes()[..group.len()].iter().copied().map(GroupElement));
+        }
+        out
+    }
+
+    pub(super) fn encode_all(points: &[GroupElement]) -> Vec<[u8; 32]> {
+        // A sibling of the transposes, like the ladders in `edwards.rs`'s
+        // `lanes` module: the frame of an inlined exponentiation tower
+        // is not added to theirs.
+        #[inline(never)]
+        fn encode8(points: &EdwardsPoint<F51x8>) -> F51x8 {
+            super::encode_field(points)
+        }
+        let mut out = Vec::with_capacity(points.len());
+        for group in points.chunks(8) {
+            if group.len() < LANES_FROM {
+                out.extend(group.iter().map(GroupElement::encode));
+                continue;
+            }
+            let s = encode8(&EdwardsPoint::from_lanes(|i| group.get(i).map(|p| &p.0)));
+            out.extend(
+                s.to_lanes()[..group.len()]
+                    .iter()
+                    .map(|limbs| FieldElement::from_limbs51(limbs).to_bytes()),
+            );
+        }
+        out
+    }
 }
 
 /// The batch entry points' bodies on every other build: the per-point
@@ -426,7 +506,7 @@ mod batch {
     not(feature = "force-field51")
 )))]
 mod batch {
-    use super::{GroupElement, GroupTable, Scalar};
+    use super::{FixedBaseTable, GroupElement, GroupTable, Scalar};
 
     pub(super) fn mul_pair(
         points: &[GroupElement],
@@ -441,6 +521,14 @@ mod batch {
 
     pub(super) fn vartime_mul(points: &[GroupElement], x: &Scalar) -> Vec<GroupElement> {
         points.iter().map(|p| p.vartime_mul(x)).collect()
+    }
+
+    pub(super) fn fixed_mul_all(table: &FixedBaseTable, xs: &[Scalar]) -> Vec<GroupElement> {
+        xs.iter().map(|x| GroupElement(table.mul(x))).collect()
+    }
+
+    pub(super) fn encode_all(points: &[GroupElement]) -> Vec<[u8; 32]> {
+        points.iter().map(|p| p.encode()).collect()
     }
 }
 
@@ -675,6 +763,129 @@ mod tests {
             assert_eq!(table.mul(&x), p.mul(&x));
         }
         assert!(table.mul(&Scalar::ZERO).is_identity());
+    }
+
+    /// `mul_all` is `mul` per exponent at every length around the lane
+    /// width — none, a batch of one, a group with an idle lane, a full
+    /// group, a group and a straggler, two and a straggler — over
+    /// exponents at every edge of the recoding (0, 1, ℓ−1, 2^252 ± 1,
+    /// the radix-16 carry patterns) and random ones, each exponent
+    /// meeting different neighbours at different lengths.
+    #[test]
+    fn mul_all_matches_mul_at_every_length() {
+        let mut rng = StdRng::seed_from_u64(25);
+        let mut pool = crate::edwards::tests::vartime_edge_scalars();
+        let two_252 = Scalar::from_bytes_mod_order(&{
+            let mut b = [0u8; 32];
+            b[31] = 0x10;
+            b
+        });
+        pool.push(two_252.add(&Scalar::ONE));
+        pool.extend((0..9).map(|_| Scalar::random(&mut rng)));
+        let point = GroupElement::random(&mut rng);
+        let table = FixedGroupTable::new(&point);
+        for len in [0usize, 1, 7, 8, 9, 17] {
+            for start in 0..pool.len() {
+                let xs: Vec<Scalar> = (0..len)
+                    .map(|i| pool[(start + 7 * i) % pool.len()])
+                    .collect();
+                let expected: Vec<GroupElement> = xs.iter().map(|x| table.mul(x)).collect();
+                assert_eq!(table.mul_all(&xs), expected, "len {len} from {start}");
+                if start % 8 == 0 {
+                    let expected: Vec<GroupElement> =
+                        xs.iter().map(GroupElement::base_mul).collect();
+                    assert_eq!(GroupElement::base_mul_all(&xs), expected, "g, len {len}");
+                }
+            }
+        }
+        assert_eq!(table.mul(&pool[3]), point.mul(&pool[3]));
+    }
+
+    /// The four Edwards points of one Ristretto coset: `p` plus each
+    /// point of the 4-torsion subgroup — the identity, `(0, -1)` and
+    /// `(±i, 0)`.
+    fn coset_representatives(p: &GroupElement) -> [GroupElement; 4] {
+        let (zero, one) = (FieldElement::ZERO, FieldElement::ONE);
+        let i = *FieldElement::sqrt_m1();
+        let torsion = |x: FieldElement, y: FieldElement| EdwardsPoint {
+            x,
+            y,
+            z: one,
+            t: x.mul(&y),
+        };
+        [
+            torsion(zero, one),
+            torsion(zero, one.neg()),
+            torsion(i, zero),
+            torsion(i.neg(), zero),
+        ]
+        .map(|t| {
+            assert!(t.is_on_curve() && t.double().double().is_identity());
+            GroupElement(p.0.add(&t))
+        })
+    }
+
+    /// Which side of the encode formula's two sign tests a point takes:
+    /// `(rotate, negate y)`, from its affine coordinates.
+    fn encode_branches(p: &GroupElement) -> (bool, bool) {
+        let z_inv = p.0.z.invert();
+        let (x, y) = (p.0.x.mul(&z_inv), p.0.y.mul(&z_inv));
+        let rotate = x.mul(&y).is_negative();
+        let x = if rotate {
+            y.mul(FieldElement::sqrt_m1())
+        } else {
+            x
+        };
+        (rotate, x.is_negative())
+    }
+
+    /// `encode_all` is `encode` per point, byte for byte, wherever a
+    /// point falls in a group and whatever its neighbours: on the
+    /// identity, on all four coset representatives of a point (one
+    /// encoding, each side of `rotate` and of the final sign taken by
+    /// some lane of the same group), and back from the wire
+    /// (`encode_all(decode(b)) == b`).
+    #[test]
+    fn encode_all_matches_encode_on_every_branch() {
+        let mut rng = StdRng::seed_from_u64(26);
+        let mut points = vec![GroupElement::identity()];
+        let mut branches = std::collections::HashSet::new();
+        for _ in 0..6 {
+            let p = GroupElement::random(&mut rng);
+            let coset = coset_representatives(&p);
+            for q in &coset {
+                assert_eq!(q.encode(), p.encode());
+                branches.insert(encode_branches(q));
+            }
+            points.extend(coset);
+        }
+        points.extend(coset_representatives(&GroupElement::identity()));
+        assert_eq!(
+            branches.len(),
+            4,
+            "every (rotate, sign) combination is exercised"
+        );
+        for len in [0usize, 1, 2, 3, 7, 8, 9, 17, points.len()] {
+            for start in 0..points.len() {
+                let group: Vec<GroupElement> = (0..len)
+                    .map(|i| points[(start + 3 * i) % points.len()])
+                    .collect();
+                let expected: Vec<[u8; 32]> = group.iter().map(|p| p.encode()).collect();
+                assert_eq!(
+                    GroupElement::encode_all(&group),
+                    expected,
+                    "len {len} from {start}"
+                );
+            }
+        }
+        let wire: Vec<[u8; 32]> = (0..19)
+            .map(|_| GroupElement::base_mul(&Scalar::random(&mut rng)).encode())
+            .collect();
+        let decoded: Vec<GroupElement> = wire
+            .iter()
+            .map(|b| GroupElement::decode(b).expect("an encoding decodes"))
+            .collect();
+        assert_eq!(GroupElement::encode_all(&decoded), wire);
     }
 
     #[test]

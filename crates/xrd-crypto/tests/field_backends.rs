@@ -343,8 +343,8 @@ mod lanes {
     use proptest::prelude::*;
 
     use xrd_crypto::field::fiat51::FieldElement as Fe51;
-    use xrd_crypto::field::ifma::F51x8;
-    use xrd_crypto::field::FieldArith;
+    use xrd_crypto::field::ifma::{Digits8, F51x8, LaneMask};
+    use xrd_crypto::field::{Digit, FieldArith, FieldLanes};
 
     const TOP: u64 = (1 << 52) - 1;
     const LOW_51: u64 = (1 << 51) - 1;
@@ -372,9 +372,20 @@ mod lanes {
             reference_op: impl Fn(&Fe51, &Fe51) -> Fe51,
             vector_op: impl Fn(&F51x8, &F51x8) -> F51x8,
         ) -> Lanes {
+            self.map2_lanes(rhs, |_, a, b| reference_op(a, b), vector_op)
+        }
+
+        /// [`Lanes::map2`] with a reference that is told its lane: for
+        /// ops whose mask differs per lane.
+        fn map2_lanes(
+            &self,
+            rhs: &Lanes,
+            reference_op: impl Fn(usize, &Fe51, &Fe51) -> Fe51,
+            vector_op: impl Fn(&F51x8, &F51x8) -> F51x8,
+        ) -> Lanes {
             Lanes {
                 reference: std::array::from_fn(|i| {
-                    reference_op(&self.reference[i], &rhs.reference[i])
+                    reference_op(i, &self.reference[i], &rhs.reference[i])
                 }),
                 vector: vector_op(&self.vector, &rhs.vector),
             }
@@ -401,8 +412,11 @@ mod lanes {
         /// contract is the value, and the reference's own lazy forms
         /// carry input bounds a random sequence does not respect.
         fn step(&self, sel: u8, rhs: &Lanes) -> Lanes {
-            let choice = (sel >> 7) as u64;
-            let mask = choice.wrapping_neg();
+            // A lane mask that differs between neighbours (or, with the
+            // top bit of `sel` clear, no lane at all).
+            let mask = LaneMask(if sel >> 7 == 1 { sel | 0x5a } else { 0 });
+            let not_mask = LaneMask(!mask.0);
+            let choice = |lane: usize| (mask.0 >> lane & 1) as u64;
             match sel % 13 {
                 0 => self.map2(rhs, Fe51::add, F51x8::add),
                 1 => self.map2(rhs, Fe51::sub, F51x8::sub),
@@ -413,24 +427,24 @@ mod lanes {
                 6 => self.map2(rhs, Fe51::add, F51x8::lazy_add),
                 7 => self.map2(rhs, Fe51::sub, F51x8::lazy_sub),
                 8 => self.map2(rhs, Fe51::sub, F51x8::lazy_sub_wide),
-                9 => self.map2(
+                9 => self.map2_lanes(
                     rhs,
-                    |a, b| Fe51::select(a, b, choice),
-                    |a, b| F51x8::select(a, b, choice),
+                    |i, a, b| Fe51::select(a, b, choice(i)),
+                    |a, b| F51x8::select(a, b, mask),
                 ),
-                10 => self.map2(
+                10 => self.map2_lanes(
                     rhs,
-                    |a, _| a.conditional_negate(choice),
-                    |a, _| a.conditional_negate(choice),
+                    |i, a, _| a.conditional_negate(choice(i)),
+                    |a, _| a.conditional_negate(mask),
                 ),
                 // The masked scan: seed with `self` under the mask, OR
                 // `rhs` in under its complement — one of the two.
-                11 => self.map2(
+                11 => self.map2_lanes(
                     rhs,
-                    |a, b| Fe51::select(b, a, choice),
+                    |i, a, b| Fe51::select(b, a, choice(i)),
                     |a, b| {
                         let mut scanned = a.and_mask(mask);
-                        scanned.or_assign_masked(b, !mask);
+                        scanned.or_assign_masked(b, not_mask);
                         scanned
                     },
                 ),
@@ -495,7 +509,94 @@ mod lanes {
         }
     }
 
+    /// The lane-mask tier's two questions, lane by lane: the sign of
+    /// every edge value (a canonical form is what both read, so values
+    /// at and above `p`, and limbs at the top of the tight range, are
+    /// the cases that matter) and equality of every pair of them — two
+    /// different limb vectors of one residue included.
+    #[test]
+    fn lane_signs_and_equality_match_fiat51() {
+        let edges = edge_limbs();
+        let n = edges.len();
+        for a0 in 0..n {
+            let a = Lanes::from_limbs(&std::array::from_fn(|i| edges[(a0 + i) % n]));
+            let negative = a.vector.is_negative();
+            for (i, reference) in a.reference.iter().enumerate() {
+                assert_eq!(
+                    negative.0 >> i & 1 == 1,
+                    reference.is_negative(),
+                    "sign of edge {} in lane {i}",
+                    (a0 + i) % n
+                );
+            }
+            a.map2(&a, |x, _| x.abs(), |x, _| x.abs())
+                .assert_agree("abs");
+            for b0 in 0..n {
+                let b = Lanes::from_limbs(&std::array::from_fn(|i| edges[(b0 + i * 5) % n]));
+                let equal = a.vector.ct_eq(&b.vector);
+                for i in 0..8 {
+                    assert_eq!(
+                        equal.0 >> i & 1 == 1,
+                        a.reference[i].ct_eq(&b.reference[i]),
+                        "equality of edges {} and {} in lane {i}",
+                        (a0 + i) % n,
+                        (b0 + i * 5) % n
+                    );
+                }
+            }
+        }
+    }
+
+    /// A vector of digits answers as its eight `i8`s do: every digit of
+    /// the signed radix-16 range, each next to different neighbours.
+    #[test]
+    fn lane_digits_match_single_digits() {
+        for start in -8i8..=8 {
+            let digits: [i8; 8] = std::array::from_fn(|i| (start + 8 + 3 * i as i8) % 17 - 8);
+            let (sign, abs) = Digits8::from_lanes(digits).sign_abs();
+            for (i, d) in digits.iter().enumerate() {
+                let (lane_sign, lane_abs) = d.sign_abs();
+                assert_eq!((sign.0 >> i & 1) as u64, lane_sign, "sign of {d}");
+                for j in 0..=8 {
+                    assert_eq!(
+                        (abs.is(j).0 >> i & 1) as u64,
+                        lane_abs.is(j),
+                        "|{d}| == {j}"
+                    );
+                }
+            }
+            let (sign, abs) = Digits8::from(start).sign_abs();
+            assert_eq!(sign, LaneMask::from(start < 0));
+            assert_eq!(abs.is(start.abs()), LaneMask::from(true));
+        }
+    }
+
     proptest! {
+        /// The inverse square root in lanes — the `(p-5)/8` tower and
+        /// every sign test and select of `sqrt_ratio_i`, each lane on
+        /// its own side — against the reference's, on random ratios
+        /// with zero numerators and denominators spliced in.
+        #[test]
+        fn lane_sqrt_ratio_matches_fiat51(
+            inputs in prop::array::uniform16(prop::array::uniform32(any::<u8>())),
+            zero_u in any::<prop::sample::Index>(),
+            zero_v in any::<prop::sample::Index>(),
+        ) {
+            let mut limbs: [[[u64; 5]; 8]; 2] = std::array::from_fn(|half| {
+                std::array::from_fn(|i| Fe51::from_bytes(&inputs[8 * half + i]).to_limbs51())
+            });
+            limbs[0][zero_u.index(8)] = [0; 5];
+            limbs[1][zero_v.index(8)] = [0; 5];
+            let (u, v) = (Lanes::from_limbs(&limbs[0]), Lanes::from_limbs(&limbs[1]));
+            let (was_square, root) = F51x8::sqrt_ratio_i(&u.vector, &v.vector);
+            let expected: [(bool, Fe51); 8] =
+                std::array::from_fn(|i| Fe51::sqrt_ratio_i(&u.reference[i], &v.reference[i]));
+            for (i, (square, _)) in expected.iter().enumerate() {
+                prop_assert_eq!(was_square.0 >> i & 1 == 1, *square, "lane {}", i);
+            }
+            Lanes { reference: expected.map(|(_, r)| r), vector: root }.assert_agree("sqrt_ratio_i");
+        }
+
         /// Random op sequences over vectors of eight different random
         /// values (an edge value spliced into one lane): byte-identical
         /// to the reference after every step, not just at the end.

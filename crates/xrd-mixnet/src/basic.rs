@@ -64,7 +64,7 @@ impl BasicMixServer {
                 let mut gx = [0u8; 32];
                 gx.copy_from_slice(&ct[..32]);
                 let gx = GroupElement::decode(&gx)?;
-                let key = outer_layer_key(&gx.mul(&self.msk), round, self.position);
+                let key = outer_layer_key(&gx.mul(&self.msk).encode(), round, self.position);
                 adec(
                     &key,
                     &round_nonce(round, domain_outer(self.position)),

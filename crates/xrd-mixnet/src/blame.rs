@@ -199,7 +199,7 @@ fn check_reveal(
         return false;
     }
     // Decryption correctness: ADec(dec_key, c_i) == c_{i+1}.
-    let key = outer_layer_key(&reveal.dec_key, round, reveal.position);
+    let key = outer_layer_key(&reveal.dec_key.encode(), round, reveal.position);
     match adec(
         &key,
         &round_nonce(round, domain_outer(reveal.position)),
@@ -248,7 +248,7 @@ where
             position: accuser_position,
         };
     }
-    let key = outer_layer_key(&accusation.dec_key, round, accuser_position);
+    let key = outer_layer_key(&accusation.dec_key.encode(), round, accuser_position);
     if adec(
         &key,
         &round_nonce(round, domain_outer(accuser_position)),

@@ -2,15 +2,19 @@
 //!
 //! Two variants:
 //!
-//! * [`seal_ahs`] / [`ChainSealer::seal`] — the AHS "double envelope"
+//! * [`seal_ahs`] / [`ChainSealer`] — the AHS "double envelope"
 //!   (§6.2): one Diffie-Hellman exponent `x` shared across all outer
 //!   layers (so servers can blind and verify aggregates), an inner
 //!   envelope encrypted to the product of the per-round inner keys, and
 //!   a NIZK proving knowledge of `x`.  `seal_ahs` seals one message
 //!   against a key bundle with from-scratch ladders; a [`ChainSealer`]
 //!   precomputes fixed-base tables of the bundle's keys and seals any
-//!   number of messages off them.  Both run the same onion routine and
-//!   produce byte-identical submissions from the same RNG stream.
+//!   number of messages off them, one at a time
+//!   ([`ChainSealer::seal`]) or many per call
+//!   ([`ChainSealer::seal_all`], where every exponentiation and
+//!   encoding is one batch across the messages).  All run the same
+//!   onion routine and produce byte-identical submissions from the
+//!   same randomness.
 //! * [`seal_basic`] — the baseline Algorithm 2 onion (fresh DH key per
 //!   layer, no proofs), kept for the protocol ablation and as the
 //!   passive-adversary baseline of §5.
@@ -136,93 +140,157 @@ pub(crate) fn outer_layer_context(round: u64, layer: usize) -> Vec<u8> {
     ctx
 }
 
-/// Symmetric key for outer layer `layer`, derived from the layer's DH
-/// shared element; used identically by the user (from `mpk_i^x`) and
-/// server `i` (from `X_i^{msk_i}` — the same element by the AHS algebra).
-pub(crate) fn outer_layer_key(shared: &GroupElement, round: u64, layer: usize) -> [u8; 32] {
-    kdf::derive_from_dh(
+/// Symmetric key for outer layer `layer`, derived from the *encoding*
+/// of the layer's DH shared element; used identically by the user (from
+/// `mpk_i^x`) and server `i` (from `X_i^{msk_i}` — the same element by
+/// the AHS algebra).  Whoever holds many shared elements encodes them
+/// together ([`GroupElement::encode_all`]).
+pub(crate) fn outer_layer_key(shared: &[u8; 32], round: u64, layer: usize) -> [u8; 32] {
+    kdf::derive_key(
         "xrd/outer-layer",
-        shared,
-        &outer_layer_context(round, layer),
+        &[shared, &outer_layer_context(round, layer)],
     )
 }
 
-/// Symmetric key for the inner envelope.
-pub(crate) fn inner_key(shared: &GroupElement, round: u64) -> [u8; 32] {
-    kdf::derive_from_dh("xrd/inner-envelope", shared, &round.to_le_bytes())
+/// Symmetric key for the inner envelope, from the encoding of its DH
+/// shared element.
+pub(crate) fn inner_key(shared: &[u8; 32], round: u64) -> [u8; 32] {
+    kdf::derive_key("xrd/inner-envelope", &[shared, &round.to_le_bytes()])
+}
+
+/// One onion's secret randomness: the inner envelope's exponent `y`,
+/// the outer layers' exponent `x` and the nonce of the proof of
+/// knowledge of `x`.
+///
+/// [`SealRandomness::draw`] takes them from an RNG in the order the
+/// onion routine always has (`y`, `x`, the nonce), so drawing a
+/// message's randomness *first* and sealing it later — in whatever
+/// batch it ends up in — yields the submission that sealing it on the
+/// spot would have.  Not `Clone`, and consumed by the seal: the same
+/// nonce under two challenges (another message, another round) reveals
+/// `x`.
+pub struct SealRandomness {
+    y: Scalar,
+    x: Scalar,
+    nonce: Scalar,
+}
+
+impl SealRandomness {
+    /// The next onion's randomness off `rng`.
+    pub fn draw<R: RngCore + ?Sized>(rng: &mut R) -> SealRandomness {
+        SealRandomness {
+            y: Scalar::random(rng),
+            x: Scalar::random(rng),
+            nonce: Scalar::random(rng),
+        }
+    }
 }
 
 /// Where the Diffie-Hellman values of an AHS onion come from.  The
-/// onion routine ([`seal_onion`]) is written once over this, so the
+/// onion routine ([`seal_onions`]) is written once over this, so the
 /// one-off path (ladders against a [`ChainPublicKeys`]) and the bulk
-/// path (table lookups in a [`ChainSealer`]) cannot drift.
+/// path (walks of a [`ChainSealer`]'s tables) cannot drift.
 trait SealKeys {
     /// Chain length `k`.
     fn chain_len(&self) -> usize;
-    /// `(∏ipk)^y`, the inner envelope's shared element.
-    fn inner_shared(&self, y: &Scalar) -> GroupElement;
-    /// `mpk_layer^x`, outer layer `layer`'s shared element.
-    fn layer_shared(&self, layer: usize, x: &Scalar) -> GroupElement;
+    /// `(∏ipk)^y`, the inner envelope's shared element, per `y`.
+    fn inner_shared_all(&self, ys: &[Scalar]) -> Vec<GroupElement>;
+    /// `mpk_layer^x`, outer layer `layer`'s shared element, per `x`.
+    fn layer_shared_all(&self, layer: usize, xs: &[Scalar]) -> Vec<GroupElement>;
 }
 
 impl SealKeys for ChainPublicKeys {
     fn chain_len(&self) -> usize {
         self.len()
     }
-    fn inner_shared(&self, y: &Scalar) -> GroupElement {
-        self.aggregate_inner_key().mul(y)
+    fn inner_shared_all(&self, ys: &[Scalar]) -> Vec<GroupElement> {
+        let ipk = self.aggregate_inner_key();
+        ys.iter().map(|y| ipk.mul(y)).collect()
     }
-    fn layer_shared(&self, layer: usize, x: &Scalar) -> GroupElement {
-        self.mpks[layer].mul(x)
+    fn layer_shared_all(&self, layer: usize, xs: &[Scalar]) -> Vec<GroupElement> {
+        xs.iter().map(|x| self.mpks[layer].mul(x)).collect()
     }
 }
 
-/// The §6.2 double envelope, generic over where the DH values come
-/// from.  Draws from `rng` in a fixed order (`y`, `x`, the PoK nonce).
+/// The §6.2 double envelope for a batch of messages bound for one
+/// chain, generic over where the DH values come from: submission `i`
+/// seals `jobs[i]`'s message under `jobs[i]`'s randomness and depends on
+/// nothing else in the batch.
+///
+/// All public-key work is done across the batch first — `g^y`, `g^x`
+/// and the proof commitments off the generator's table, the `k + 1`
+/// shared elements off the chain's, then every element that is hashed
+/// or sent encoded — so that it runs eight messages per table walk and
+/// per inverse square root where `xrd-crypto`'s lane kernel is compiled
+/// in; what is left per message is symmetric: `k + 1` KDF + AEAD layers
+/// and the proof's challenge hash.  The exponents reach the tables only
+/// through [`FixedGroupTable::mul_all`] / [`GroupElement::mul`] and the
+/// shared elements only through [`GroupElement::encode_all`], all
+/// masked: nothing here branches on a secret.
+fn seal_onions(
+    keys: &impl SealKeys,
+    round: u64,
+    jobs: Vec<(SealRandomness, MailboxMessage)>,
+) -> Vec<Submission> {
+    let k = keys.chain_len();
+    assert!(k >= 1, "chain must have at least one server");
+    let ys: Vec<Scalar> = jobs.iter().map(|(r, _)| r.y).collect();
+    let xs: Vec<Scalar> = jobs.iter().map(|(r, _)| r.x).collect();
+
+    // Inner envelopes: e = (g^y, AEnc(DH(∏ipk, y), ρ, m)).
+    let gy = GroupElement::encode_all(&GroupElement::base_mul_all(&ys));
+    let inner_shared = GroupElement::encode_all(&keys.inner_shared_all(&ys));
+    let mut nonces: Vec<Scalar> = Vec::with_capacity(jobs.len());
+    let mut cts: Vec<Vec<u8>> = (jobs.into_iter().zip(&gy).zip(&inner_shared))
+        .map(|(((randomness, msg), gy), shared)| {
+            nonces.push(randomness.nonce);
+            let mut ct = Vec::with_capacity(inner_envelope_len());
+            ct.extend_from_slice(gy);
+            ct.extend_from_slice(&aenc(
+                &inner_key(shared, round),
+                &round_nonce(round, DOMAIN_INNER),
+                b"",
+                &msg.to_bytes(),
+            ));
+            debug_assert_eq!(ct.len(), inner_envelope_len());
+            ct
+        })
+        .collect();
+
+    // Outer layers, innermost (layer k-1) first: a single exponent x
+    // per message.
+    for layer in (0..k).rev() {
+        let shared = GroupElement::encode_all(&keys.layer_shared_all(layer, &xs));
+        for (ct, shared) in cts.iter_mut().zip(&shared) {
+            *ct = aenc(
+                &outer_layer_key(shared, round, layer),
+                &round_nonce(round, domain_outer(layer)),
+                b"",
+                ct,
+            );
+        }
+    }
+
+    SchnorrProof::prove_base_all(&submission_context(round), &xs, nonces)
+        .into_iter()
+        .zip(cts)
+        .map(|((dh, pok), ct)| {
+            debug_assert_eq!(ct.len(), outer_ct_len(k));
+            Submission { dh, ct, pok }
+        })
+        .collect()
+}
+
+/// The batch of one.
 fn seal_onion<R: RngCore + ?Sized>(
     rng: &mut R,
     keys: &impl SealKeys,
     round: u64,
     msg: &MailboxMessage,
 ) -> Submission {
-    let k = keys.chain_len();
-    assert!(k >= 1, "chain must have at least one server");
-
-    // Inner envelope: e = (g^y, AEnc(DH(∏ipk, y), ρ, m)).
-    let y = Scalar::random(rng);
-    let shared_inner = keys.inner_shared(&y);
-    let mut ct = Vec::with_capacity(inner_envelope_len());
-    ct.extend_from_slice(&GroupElement::base_mul(&y).encode());
-    ct.extend_from_slice(&aenc(
-        &inner_key(&shared_inner, round),
-        &round_nonce(round, DOMAIN_INNER),
-        b"",
-        &msg.to_bytes(),
-    ));
-    debug_assert_eq!(ct.len(), inner_envelope_len());
-
-    // Outer layers, innermost (layer k-1) first: a single exponent x.
-    let x = Scalar::random(rng);
-    for layer in (0..k).rev() {
-        let shared = keys.layer_shared(layer, &x);
-        ct = aenc(
-            &outer_layer_key(&shared, round, layer),
-            &round_nonce(round, domain_outer(layer)),
-            b"",
-            &ct,
-        );
-    }
-    debug_assert_eq!(ct.len(), outer_ct_len(k));
-
-    let dh = GroupElement::base_mul(&x);
-    let pok = SchnorrProof::prove(
-        rng,
-        &submission_context(round),
-        &GroupElement::generator(),
-        &dh,
-        &x,
-    );
-    Submission { dh, ct, pok }
+    seal_onions(keys, round, vec![(SealRandomness::draw(rng), msg.clone())])
+        .pop()
+        .expect("one submission per message")
 }
 
 /// AHS onion-encryption (§6.2): seal `msg` for the chain described by
@@ -257,7 +325,8 @@ impl MixTables {
 /// Bulk sealing against one chain's key bundle: `k` fixed-base tables
 /// of the mixing keys plus one of the aggregate inner key (~24 KB and
 /// about three ladders each to build), after which every seal's `k + 1`
-/// variable-base exponentiations are table lookups.  Pays for itself
+/// variable-base exponentiations are table walks — shared eight
+/// messages to a walk by [`ChainSealer::seal_all`].  Pays for itself
 /// after a handful of seals; [`seal_ahs`] is the one-off form.
 ///
 /// The tables are plain data derived from public keys and live only as
@@ -303,17 +372,30 @@ impl ChainSealer {
     ) -> Submission {
         seal_onion(rng, self, round, msg)
     }
+
+    /// Seal every job's message for `round` under that job's
+    /// randomness, in order: submission `i` is the one
+    /// [`ChainSealer::seal`] returns for `jobs[i]`'s message from an
+    /// RNG about to yield `jobs[i]`'s randomness, byte for byte,
+    /// whatever else is in the batch.
+    pub fn seal_all(
+        &self,
+        round: u64,
+        jobs: Vec<(SealRandomness, MailboxMessage)>,
+    ) -> Vec<Submission> {
+        seal_onions(self, round, jobs)
+    }
 }
 
 impl SealKeys for ChainSealer {
     fn chain_len(&self) -> usize {
         self.mix.tables.len()
     }
-    fn inner_shared(&self, y: &Scalar) -> GroupElement {
-        self.inner.mul(y)
+    fn inner_shared_all(&self, ys: &[Scalar]) -> Vec<GroupElement> {
+        self.inner.mul_all(ys)
     }
-    fn layer_shared(&self, layer: usize, x: &Scalar) -> GroupElement {
-        self.mix.tables[layer].mul(x)
+    fn layer_shared_all(&self, layer: usize, xs: &[Scalar]) -> Vec<GroupElement> {
+        self.mix.tables[layer].mul_all(xs)
     }
 }
 
@@ -329,7 +411,7 @@ pub fn seal_basic<R: RngCore + ?Sized>(
     let mut ct = msg.to_bytes();
     for (layer, mpk) in mpks.iter().enumerate().rev() {
         let x = Scalar::random(rng);
-        let key = outer_layer_key(&mpk.mul(&x), round, layer);
+        let key = outer_layer_key(&mpk.mul(&x).encode(), round, layer);
         let sealed = aenc(&key, &round_nonce(round, domain_outer(layer)), b"", &ct);
         let mut next = Vec::with_capacity(32 + sealed.len());
         next.extend_from_slice(&GroupElement::base_mul(&x).encode());
@@ -393,7 +475,7 @@ mod tests {
         let mut x_i = sub.dh;
         for (layer, secret) in secrets.iter().enumerate() {
             let shared = x_i.mul(&secret.msk);
-            let key = outer_layer_key(&shared, round, layer);
+            let key = outer_layer_key(&shared.encode(), round, layer);
             ct = xrd_crypto::adec(&key, &round_nonce(round, domain_outer(layer)), b"", &ct)
                 .expect("layer must decrypt");
             x_i = x_i.mul(&secret.bsk);
@@ -403,7 +485,7 @@ mod tests {
         let gy = GroupElement::decode(&gy).unwrap();
         let isk_sum = secrets.iter().fold(Scalar::ZERO, |a, s| a.add(&s.isk));
         let inner = xrd_crypto::adec(
-            &inner_key(&gy.mul(&isk_sum), round),
+            &inner_key(&gy.mul(&isk_sum).encode(), round),
             &round_nonce(round, DOMAIN_INNER),
             b"",
             &ct[32..],
@@ -438,6 +520,43 @@ mod tests {
                     assert_eq!(bulk, one_off, "k={k}");
                     assert_eq!(bulk.to_bytes(), one_off.to_bytes());
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn batch_seal_is_byte_identical_to_one_off_seals() {
+        // Randomness drawn message by message, sealed as one batch:
+        // each submission is the one `seal_ahs` makes on the spot from
+        // the same stream — for every group size around the lane width
+        // and its multiples, with different messages in a batch.
+        for k in [1usize, 2, 3, 8] {
+            let mut rng = StdRng::seed_from_u64(50 + k as u64);
+            let (_, keys) = generate_chain_keys(&mut rng, k, 4);
+            let sealer = ChainSealer::new(&keys);
+            let msgs: Vec<MailboxMessage> = (0..17u8)
+                .map(|i| MailboxMessage {
+                    mailbox: [i; 32],
+                    sealed: vec![i.wrapping_mul(31); PAYLOAD_LEN + TAG_LEN],
+                })
+                .collect();
+            for n in 1..=17usize {
+                let mut rng_a = StdRng::seed_from_u64(n as u64);
+                let mut rng_b = StdRng::seed_from_u64(n as u64);
+                let one_off: Vec<Submission> = msgs[..n]
+                    .iter()
+                    .map(|msg| seal_ahs(&mut rng_a, &keys, 4, msg))
+                    .collect();
+                let jobs = msgs[..n]
+                    .iter()
+                    .map(|msg| (SealRandomness::draw(&mut rng_b), msg.clone()))
+                    .collect();
+                let batch = sealer.seal_all(4, jobs);
+                assert_eq!(batch, one_off, "k={k} n={n}");
+                for (b, o) in batch.iter().zip(&one_off) {
+                    assert_eq!(b.to_bytes(), o.to_bytes(), "k={k} n={n}");
+                }
+                assert!(batch.iter().all(|s| s.verify_pok(4)));
             }
         }
     }
@@ -501,7 +620,7 @@ mod tests {
             let mut gx = [0u8; 32];
             gx.copy_from_slice(&ct[..32]);
             let gx = GroupElement::decode(&gx).unwrap();
-            let key = outer_layer_key(&gx.mul(msk), 2, layer);
+            let key = outer_layer_key(&gx.mul(msk).encode(), 2, layer);
             ct = xrd_crypto::adec(&key, &round_nonce(2, domain_outer(layer)), b"", &ct[32..])
                 .expect("basic layer must decrypt");
         }

@@ -42,7 +42,7 @@ pub use chain_keys::{
     apply_rotation_shares, generate_chain_keys, rotation_share, ChainPublicKeys, RotationShare,
     ServerKeyProofs, ServerSecrets,
 };
-pub use client::{seal_ahs, seal_basic, ChainSealer, Submission};
+pub use client::{seal_ahs, seal_basic, ChainSealer, SealRandomness, Submission};
 pub use message::{MailboxMessage, MixEntry, MAILBOX_MSG_LEN, PAYLOAD_LEN};
 pub use runner::{resolve_blame, BlameResolution, ChainRoundOutcome, ChainRoundStats, ChainRunner};
 pub use server::{

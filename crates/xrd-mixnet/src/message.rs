@@ -83,12 +83,17 @@ impl MixEntry {
         out
     }
 
-    /// Serialize a whole batch (the per-entry wire format is the same
-    /// as [`MixEntry::to_bytes`]: DH key encoding followed by
-    /// ciphertext; ristretto encoding has no batch fast path — see
-    /// `GroupElement::encode_all`).
+    /// Serialize a whole batch: [`MixEntry::to_bytes`] per entry, byte
+    /// for byte, with the batch's DH keys encoded together
+    /// ([`GroupElement::encode_all`]: eight per inverse square root
+    /// where the lane kernel is compiled in).
     pub fn batch_to_bytes(entries: &[MixEntry]) -> Vec<Vec<u8>> {
-        entries.iter().map(|e| e.to_bytes()).collect()
+        let dhs: Vec<GroupElement> = entries.iter().map(|e| e.dh).collect();
+        entries
+            .iter()
+            .zip(GroupElement::encode_all(&dhs))
+            .map(|(entry, dh)| [&dh[..], &entry.ct].concat())
+            .collect()
     }
 
     /// Parse; `ct_len` is the expected ciphertext length at this hop.

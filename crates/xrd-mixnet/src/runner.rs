@@ -229,20 +229,20 @@ impl ChainRunner {
             }
         }
 
+        // The agreed batch as the first hop's entries, built once: what
+        // input agreement hashes is what the first pass mixes.
+        let to_entries = |active: &[usize]| -> Vec<MixEntry> {
+            active.iter().map(|&i| submissions[i].to_entry()).collect()
+        };
+        let mut entries = to_entries(&active);
+
         // Input agreement: all servers hash the agreed submission set.
         // (With one process there is nothing to compare against, but the
         // digest is computed as the protocol prescribes.)
-        let _digest = input_digest(
-            &active
-                .iter()
-                .map(|&i| submissions[i].to_entry())
-                .collect::<Vec<_>>(),
-        );
+        input_digest(&entries);
 
         // Mixing with blame-retry: repeat until a clean pass.
         let delivered_entries: Vec<MixEntry> = loop {
-            let entries: Vec<MixEntry> =
-                active.iter().map(|&i| submissions[i].to_entry()).collect();
             match self.mix_pass(rng, round, entries, &mut outcome.stats) {
                 MixPassResult::Clean(outputs) => break outputs,
                 MixPassResult::Blame { position, failed } => {
@@ -268,6 +268,7 @@ impl ChainRunner {
                         // evidence.
                         return outcome;
                     }
+                    entries = to_entries(&active);
                 }
             }
         };

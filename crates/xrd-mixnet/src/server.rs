@@ -133,14 +133,14 @@ impl ChunkKernel {
         self.round
     }
 
-    /// Finish one entry from its two exponentiations: `shared` is
-    /// `X_j^{msk_i}` (step 1, keys the outer layer) and `blinded` is
-    /// `X_j^{bsk_i}` (step 2, the next hop's DH key).  `None` on
-    /// authentication failure.
+    /// Finish one entry from its two exponentiations: `shared` is the
+    /// encoding of `X_j^{msk_i}` (step 1, keys the outer layer) and
+    /// `blinded` is `X_j^{bsk_i}` (step 2, the next hop's DH key).
+    /// `None` on authentication failure.
     fn decrypt_and_blind(
         &self,
         entry: &MixEntry,
-        shared: &GroupElement,
+        shared: &[u8; 32],
         blinded: GroupElement,
     ) -> Option<MixEntry> {
         let key = outer_layer_key(shared, self.round, self.position);
@@ -160,16 +160,22 @@ impl ChunkKernel {
     /// and `bsk` in one batch ([`GroupElement::batch_mul_pair`]: masked
     /// constant-time scans, eight entries per field-lane vector where
     /// the lane kernel is compiled in, shared-inversion window tables
-    /// elsewhere), then open each entry's outer layer.  Slot `j` of the
+    /// elsewhere), encode the chunk's layer-key elements together
+    /// ([`GroupElement::encode_all`], masked the same way — they are
+    /// secret), then open each entry's outer layer.  Slot `j` of the
     /// result corresponds to `entries[j]`; `None` marks an
     /// authentication failure at that index.
     pub fn process(&self, entries: &[MixEntry]) -> Vec<Option<MixEntry>> {
         let started = std::time::Instant::now();
         let dhs: Vec<GroupElement> = entries.iter().map(|e| e.dh).collect();
+        let (shared, blinded): (Vec<GroupElement>, Vec<GroupElement>) =
+            GroupElement::batch_mul_pair(&dhs, &self.msk, &self.bsk)
+                .into_iter()
+                .unzip();
         let slots: Vec<Option<MixEntry>> = entries
             .iter()
-            .zip(GroupElement::batch_mul_pair(&dhs, &self.msk, &self.bsk))
-            .map(|(entry, (shared, blinded))| self.decrypt_and_blind(entry, &shared, blinded))
+            .zip(GroupElement::encode_all(&shared).iter().zip(blinded))
+            .map(|(entry, (shared, blinded))| self.decrypt_and_blind(entry, shared, blinded))
             .collect();
         let m = hop_metrics();
         m.decrypt_blind_us.record_duration(started.elapsed());
@@ -565,11 +571,11 @@ pub fn open_batch(
         .unzip();
     // The inner keys are public once revealed (§6.3 broadcasts them),
     // so the variable-time ladder is safe here.
-    let shared = GroupElement::batch_vartime_mul(&ephemerals, &isk_sum);
+    let shared = GroupElement::encode_all(&GroupElement::batch_vartime_mul(&ephemerals, &isk_sum));
     let mut opened = vec![None; entries.len()];
-    for (j, dh) in at.into_iter().zip(shared) {
+    for (j, dh) in at.into_iter().zip(&shared) {
         opened[j] = adec(
-            &inner_key(&dh, round),
+            &inner_key(dh, round),
             &round_nonce(round, DOMAIN_INNER),
             b"",
             &entries[j].ct[32..],

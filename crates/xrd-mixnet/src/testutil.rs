@@ -36,7 +36,7 @@ pub fn malicious_submission<R: RngCore + ?Sized>(
     for layer in (0..bad_layer).rev() {
         let shared = keys.mpks[layer].mul(&x);
         ct = aenc(
-            &outer_layer_key(&shared, round, layer),
+            &outer_layer_key(&shared.encode(), round, layer),
             &round_nonce(round, domain_outer(layer)),
             b"",
             &ct,

@@ -366,10 +366,13 @@ impl Wire for DleqProof {
 impl<T: Wire> Wire for Vec<T> {
     fn put(&self, w: &mut Writer) {
         // Each group element pays one per-point encode here (~one
-        // invsqrt): ristretto encoding has no batch fast path — see
-        // `GroupElement::encode_all` for the bound.  Senders that hold
-        // already-encoded wire bytes should forward those instead (the
-        // streamed relay path does exactly that).
+        // invsqrt): a generic row cannot know its items hold points, so
+        // it cannot hand them to `GroupElement::encode_all` (eight per
+        // inverse square root on a lane build) the way
+        // `dispute_context` below and `MixEntry::batch_to_bytes` do.
+        // Senders that
+        // hold already-encoded wire bytes should forward those instead
+        // (the streamed relay path does exactly that).
         debug_assert!(self.len() <= MAX_BATCH);
         w.seq(self);
     }
