@@ -80,7 +80,7 @@ impl AtomModel {
     /// Client-side compute: onion-encrypt for one group (k
     /// exponentiations) — milliseconds, flat in N (Fig. 3).
     pub fn user_compute_secs(&self, op: &OpCosts) -> f64 {
-        op.exp.scale(self.group_size as u64).as_secs_f64()
+        op.exp_one_off.scale(self.group_size as u64).as_secs_f64()
     }
 }
 
@@ -104,6 +104,7 @@ mod tests {
     fn measured_like() -> (OpCosts, ServerCompute) {
         let mut op = OpCosts::nominal();
         op.exp = xrd_sim::SimDuration::from_micros(60);
+        op.exp_one_off = op.exp;
         (op, ServerCompute::c4_8xlarge())
     }
 

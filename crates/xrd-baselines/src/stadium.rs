@@ -80,7 +80,7 @@ impl StadiumModel {
 
     /// Client compute: one onion (≈ chain_len exponentiations).
     pub fn user_compute_secs(&self, op: &OpCosts) -> f64 {
-        op.exp.scale(self.chain_len as u64).as_secs_f64()
+        op.exp_one_off.scale(self.chain_len as u64).as_secs_f64()
     }
 }
 

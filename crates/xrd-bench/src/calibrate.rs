@@ -15,6 +15,7 @@ use xrd_crypto::nizk::{DleqProof, SchnorrProof};
 use xrd_crypto::ristretto::GroupElement;
 use xrd_crypto::scalar::Scalar;
 use xrd_crypto::{adec, aenc, round_nonce};
+use xrd_mixnet::par::ENTRY_CHUNK;
 use xrd_mixnet::MAILBOX_MSG_LEN;
 use xrd_sim::{OpCosts, SimDuration};
 
@@ -39,9 +40,22 @@ pub fn calibrate(quick: bool) -> OpCosts {
     let scalar = Scalar::random(&mut rng);
     let mut sink = GroupElement::identity();
 
-    let exp = time_per_iter(iters, || {
+    let exp_one_off = time_per_iter(iters, || {
         sink = point.mul(&scalar);
     });
+
+    // What a mix server pays per exponentiation: the hop kernel's two
+    // ladders per entry (`X^msk`, `X^bsk`), batched over one worker
+    // chunk the way `ChunkKernel::process` runs them.
+    let chunk: Vec<GroupElement> = (0..ENTRY_CHUNK)
+        .map(|_| GroupElement::random(&mut rng))
+        .collect();
+    let blind = Scalar::random(&mut rng);
+    let mut pairs = Vec::new();
+    let per_chunk = time_per_iter(iters, || {
+        pairs = GroupElement::batch_mul_pair(&chunk, &scalar, &blind);
+    });
+    let exp = SimDuration::from_nanos(per_chunk.0 / (2 * ENTRY_CHUNK as u64));
 
     let other = GroupElement::random(&mut rng);
     let group_add = time_per_iter(iters * 64, || {
@@ -82,6 +96,7 @@ pub fn calibrate(quick: bool) -> OpCosts {
 
     OpCosts {
         exp,
+        exp_one_off,
         group_add,
         aead,
         schnorr_prove,
@@ -95,7 +110,8 @@ pub fn calibrate(quick: bool) -> OpCosts {
 pub fn format_op_costs(op: &OpCosts) -> String {
     format!(
         "calibrated op costs on this machine:\n\
-         \x20 exponentiation      {}\n\
+         \x20 exponentiation      {} (per exponentiation of the batched hop kernel)\n\
+         \x20 one-off mul         {} (a single from-scratch ladder; clients)\n\
          \x20 group addition      {}\n\
          \x20 AEAD (seal+open)    {}\n\
          \x20 Schnorr prove       {}\n\
@@ -103,6 +119,7 @@ pub fn format_op_costs(op: &OpCosts) -> String {
          \x20 DLEQ prove          {}\n\
          \x20 DLEQ verify         {}",
         op.exp,
+        op.exp_one_off,
         op.group_add,
         op.aead,
         op.schnorr_prove,
@@ -123,6 +140,8 @@ mod tests {
         // ~100 ms on any machine this runs on.
         assert!(op.exp >= SimDuration::from_micros(1), "exp = {}", op.exp);
         assert!(op.exp <= SimDuration::from_millis(100));
+        // Batched, an exponentiation costs no more than on its own.
+        assert!(op.exp <= op.exp_one_off);
         // Group addition is far cheaper than exponentiation.
         assert!(op.group_add.0 * 10 < op.exp.0);
         // DLEQ costs about twice Schnorr (allow generous noise: the

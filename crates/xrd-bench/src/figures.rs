@@ -367,6 +367,7 @@ mod tests {
         // conservative nominal placeholder.
         let mut op = OpCosts::nominal();
         op.exp = xrd_sim::SimDuration::from_micros(55);
+        op.exp_one_off = op.exp;
         op
     }
 

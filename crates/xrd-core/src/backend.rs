@@ -266,8 +266,9 @@ pub struct ChainMixed {
 
 /// The servers of a deployment — what differs when a hop is a function
 /// call or a daemon, and nothing else.  Static dispatch.  The RNG is
-/// for the cluster whose servers draw from the caller's (in process);
-/// daemons have their own.
+/// for the cluster whose servers draw from the caller's (in process:
+/// one seed per chain for `mix`, in chain order, then the draws of each
+/// `rotate`); daemons have their own.
 pub trait Cluster {
     /// Run `round` on every chain not marked `dead`: `per_chain[c]`
     /// goes in through chain `c`'s submission window and through the k
@@ -318,8 +319,11 @@ pub trait Cluster {
 /// that finds no chain left.
 ///
 /// The RNG is consumed in a fixed order — a sealing seed per online
-/// user, then whatever the cluster's chains draw mixing, then rotating,
-/// both in chain order — so a seeded in-process run is reproducible.
+/// user, then what the cluster draws to mix (in process: one 32-byte
+/// seed per chain, in chain order, each chain then drawing from a
+/// stream of its own while the chains run side by side), then what each
+/// chain's rotation draws, in chain order — so a seeded in-process run
+/// is reproducible, on any number of cores.
 pub fn run_round<C: Cluster, R: RngCore + ?Sized>(
     state: &mut RoundState,
     cluster: &mut C,

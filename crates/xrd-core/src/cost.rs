@@ -69,7 +69,7 @@ impl UserCostModel {
     /// encodings: ~30µs a seal at `k = 3` against ~92µs for the same
     /// sealer one message at a time and ~190µs for `seal_ahs`, the
     /// `client_seal` rows of `batch_crypto`).  The model prices all
-    /// `k+4` at the variable-base cost `op.exp`: it is the paper's
+    /// `k+4` at the one-off variable-base cost `op.exp_one_off`: it is the paper's
     /// single-client figure (§8.1, Fig. 3), where nothing amortizes a
     /// table and no second message fills a lane — the bulk price is a
     /// simulator's price for a population, not a client's.
@@ -78,7 +78,7 @@ impl UserCostModel {
         let k = chain_length(f, n_servers, 64) as u64;
         let per_seal = self
             .op
-            .exp
+            .exp_one_off
             .scale(k + 4)
             .saturating_add(self.op.aead.scale(k + 2));
         per_seal.scale(2 * ell)

@@ -11,10 +11,13 @@
 //! networked deployment; what is here is the in-process [`Cluster`]
 //! under it: one [`ChainRunner`] per chain and a [`MailboxHub`].
 
-use rand::RngCore;
+use std::sync::Mutex;
 
+use rand::{RngCore, SeedableRng};
+
+use xrd_crypto::ChaChaRng;
 use xrd_mixnet::client::Submission;
-use xrd_mixnet::{ChainPublicKeys, ChainRunner, MailboxMessage};
+use xrd_mixnet::{par, ChainPublicKeys, ChainRoundOutcome, ChainRunner, MailboxMessage};
 use xrd_topology::{Beacon, ChainId, Topology};
 
 use crate::backend::{
@@ -181,12 +184,54 @@ impl RoundParts for Deployment {
     }
 }
 
+impl InProcess {
+    /// [`Cluster::mix`] with the chain round as a parameter
+    /// ([`ChainRunner::run_round`] in a round), so that a test can watch
+    /// the threads it runs on: a seed per chain drawn in chain order,
+    /// then the chains as units of [`par::map_chunks`], each taken by
+    /// one worker.  One [`ChainMixed`] per chain, in chain order.
+    fn mix_with<R: RngCore + ?Sized>(
+        &mut self,
+        rng: &mut R,
+        per_chain: Vec<Vec<Submission>>,
+        chain_round: impl Fn(&mut ChainRunner, &mut ChaChaRng, &[Submission]) -> ChainRoundOutcome
+            + Sync,
+    ) -> Vec<ChainMixed> {
+        type Unit<'a> = Mutex<Option<(&'a mut ChainRunner, Vec<Submission>, ChaChaRng)>>;
+        let units: Vec<Unit> = (self.chains.iter_mut().zip(per_chain))
+            .map(|(chain, submissions)| {
+                let mut seed = [0u8; 32];
+                rng.fill_bytes(&mut seed);
+                Mutex::new(Some((chain, submissions, ChaChaRng::from_seed(seed))))
+            })
+            .collect();
+        par::map_chunks(&units, 1, |unit| {
+            let (chain, submissions, mut rng) = (unit[0].lock())
+                .expect("a unit's lock is held only to take it")
+                .take()
+                .expect("every unit is handed out once");
+            let outcome = chain_round(chain, &mut rng, &submissions);
+            vec![ChainMixed {
+                convicted: outcome.misbehaving_servers.clone(),
+                suspected: Vec::new(),
+                result: Ok((submissions.len() - outcome.stats.rejected_pok, outcome)),
+            }]
+        })
+    }
+}
+
 impl Cluster for InProcess {
-    /// Every chain, one after the other: the phases inside a chain
-    /// round fan out by themselves when the batch is big enough to be
-    /// worth it (`xrd_mixnet::par`).  A chain takes its submissions by
-    /// value, so they are freed as it finishes.  In-process rotation
-    /// cannot fail, so no chain is ever dead.
+    /// Every chain, side by side: a chain's whole round is one unit of
+    /// the one fan-out helper (`xrd_mixnet::par`), taken by whichever
+    /// worker is free, and the phases inside it fan out into whatever
+    /// cores the chain level left over.  Each chain screens, mixes,
+    /// blames, retries, reveals and opens off an RNG stream of its own,
+    /// seeded with 32 bytes drawn from `rng` in chain order before any
+    /// of them starts — so what a chain draws (its shuffles, its hop
+    /// and blame proofs) depends on the round's RNG alone, not on which
+    /// chain ran when or on how many cores.  A worker takes its unit,
+    /// so a chain's submissions are freed as it finishes.  In-process
+    /// rotation cannot fail, so no chain is ever dead.
     fn mix<R: RngCore + ?Sized>(
         &mut self,
         rng: &mut R,
@@ -195,18 +240,9 @@ impl Cluster for InProcess {
         _dead: &[bool],
     ) -> Vec<ChainMixed> {
         let _span = xrd_obs::span_timer("round.mix", round);
-        self.chains
-            .iter_mut()
-            .zip(per_chain)
-            .map(|(chain, submissions)| {
-                let outcome = chain.run_round(rng, round, &submissions);
-                ChainMixed {
-                    convicted: outcome.misbehaving_servers.clone(),
-                    suspected: Vec::new(),
-                    result: Ok((submissions.len() - outcome.stats.rejected_pok, outcome)),
-                }
-            })
-            .collect()
+        self.mix_with(rng, per_chain, |chain, rng, submissions| {
+            chain.run_round(rng, round, submissions)
+        })
     }
 
     fn deliver(&mut self, round: u64, messages: Vec<MailboxMessage>) -> Result<(), RoundError> {
@@ -392,33 +428,79 @@ mod tests {
 
     #[test]
     fn parallel_round_matches_serial_semantics() {
-        // Same seed, one deployment with every fan-out forced onto one
-        // worker and one forced onto four: every phase's output is
-        // independent of the worker count, so the rounds are identical —
-        // report, per-user results, in order.
-        let run = |workers: usize| {
-            xrd_mixnet::par::with_workers(workers, || {
+        // Same seed, the same two rounds under core budgets of one, two
+        // and four: chains run one after the other, two at a time, four
+        // at a time.  A round's output is a function of the seed alone
+        // — every chain draws from its own stream, blame included (the
+        // garbage onion in chain 0 has its proofs drawn there) — so the
+        // reports, every user's results in order and the key bundles
+        // pre-published for the next round are identical.
+        let run = |budget: usize| {
+            par::with_workers(budget, || {
                 // 80 users: ~40 entries per chain, several worker chunks
-                // in every fanned-out phase.
+                // in every phase.
                 let (mut rng, mut deployment, mut users) = setup(80);
                 let (a, b) = (users[0].pk(), users[1].pk());
                 users[0].start_conversation(b);
                 users[1].start_conversation(a);
                 users[0].queue_chat(b"via threads?");
-                let (report, fetched) = deployment.run_round(&mut rng, &mut users);
-                let per_user: Vec<Vec<Received>> = users
-                    .iter()
-                    .map(|u| fetched[&u.mailbox_id()].clone())
+                let bad = xrd_mixnet::testutil::malicious_submission(
+                    &mut rng,
+                    &deployment.chain_keys()[0],
+                    0,
+                    deployment.topology().chain_len() - 1,
+                );
+                deployment.inject_submission(xrd_topology::ChainId(0), bad);
+                let rounds: Vec<(RoundReport, Vec<Vec<Received>>)> = (0..2)
+                    .map(|_| {
+                        let (report, fetched) = deployment.run_round(&mut rng, &mut users);
+                        let per_user = (users.iter())
+                            .map(|u| fetched[&u.mailbox_id()].clone())
+                            .collect();
+                        (report, per_user)
+                    })
                     .collect();
-                (report.messages_mixed, report.delivered, per_user)
+                (rounds, deployment.next_chain_keys().to_vec())
             })
         };
         let serial = run(1);
-        assert_eq!(serial.0, serial.1);
-        assert!(serial.2[1]
+        let (first, per_user) = &serial.0[0];
+        assert_eq!(first.malicious_by_chain.get(&0), Some(&1), "blame ran");
+        assert_eq!(first.messages_mixed, first.delivered + 1);
+        assert!(per_user[1]
             .iter()
             .any(|r| matches!(r, Received::Chat { data, .. } if data == b"via threads?")));
-        assert_eq!(serial, run(4));
+        for budget in [2, 4] {
+            assert!(serial == run(budget), "budget {budget} changed the rounds");
+        }
+    }
+
+    #[test]
+    fn chains_really_run_on_several_threads() {
+        // Six chains on a budget of two.  Every chain round waits on a
+        // barrier only two distinct threads can pass — a serial walk
+        // would deadlock in chain 0 — and the threads the chains ran on
+        // are two, the caller among them.
+        use std::collections::HashSet;
+        use std::sync::Barrier;
+        use std::thread::{self, ThreadId};
+        let (mut rng, mut deployment, _) = setup(0);
+        let n_chains = deployment.topology().n_chains();
+        assert_eq!(n_chains, 6);
+        let side_by_side = Barrier::new(2);
+        let threads: Mutex<HashSet<ThreadId>> = Mutex::new(HashSet::new());
+        let mixed = par::with_workers(2, || {
+            let idle = vec![Vec::new(); n_chains];
+            (deployment.cluster).mix_with(&mut rng, idle, |chain, rng, submissions| {
+                side_by_side.wait();
+                threads.lock().unwrap().insert(thread::current().id());
+                chain.run_round(rng, 0, submissions)
+            })
+        });
+        assert_eq!(mixed.len(), n_chains);
+        let threads = threads.into_inner().unwrap();
+        assert_eq!(threads.len(), 2);
+        assert!(threads.contains(&thread::current().id()));
     }
 
     #[test]

@@ -243,16 +243,23 @@ impl SchnorrProof {
             return true;
         }
         // Per statement: decoded commitment, challenge, base encoding.
+        // The publics are encoded together (an encoding is an inverse
+        // square root; `encode_all` takes them eight to a lane group).
+        let mut commitments = Vec::with_capacity(statements.len());
+        for st in statements {
+            match GroupElement::decode(&st.proof.commitment) {
+                Some(p) => commitments.push(p),
+                None => return false,
+            }
+        }
+        let publics: Vec<GroupElement> = statements.iter().map(|st| st.public).collect();
+        let publics = GroupElement::encode_all(&publics);
         let mut checked = Vec::with_capacity(statements.len());
         let mut seed_t = Transcript::new("xrd/schnorr-batch-verify");
         seed_t.append_u64("n", statements.len() as u64);
-        for st in statements {
-            let commitment = match GroupElement::decode(&st.proof.commitment) {
-                Some(p) => p,
-                None => return false,
-            };
+        for ((st, commitment), public) in statements.iter().zip(commitments).zip(&publics) {
             let base = encode_base(&st.base);
-            let c = Self::challenge(st.context, &base, &st.public.encode(), &st.proof.commitment);
+            let c = Self::challenge(st.context, &base, public, &st.proof.commitment);
             // The challenge binds context, base, public and commitment,
             // so absorbing (challenge, response) binds the statement.
             seed_t.append("challenge", &c.to_bytes());
@@ -348,9 +355,9 @@ impl DleqProof {
         let c = Self::challenge(
             context,
             &encode_base(base1),
-            public1,
+            &public1.encode(),
             &encode_base(base2),
-            public2,
+            &public2.encode(),
             &c1,
             &c2,
         );
@@ -380,9 +387,9 @@ impl DleqProof {
         let c = Self::challenge(
             context,
             &encode_base(base1),
-            public1,
+            &public1.encode(),
             &encode_base(base2),
-            public2,
+            &public2.encode(),
             &self.commitment1,
             &self.commitment2,
         );
@@ -399,25 +406,34 @@ impl DleqProof {
         if statements.is_empty() {
             return true;
         }
-        // Per statement: decoded commitments, challenge, base encodings.
-        let mut checked = Vec::with_capacity(statements.len());
-        let mut seed_t = Transcript::new("xrd/dleq-batch-verify");
-        seed_t.append_u64("n", statements.len() as u64);
+        // Per statement: decoded commitments, challenge, base encodings;
+        // the publics encoded together, as in the Schnorr batch.
+        let mut commitments = Vec::with_capacity(statements.len());
         for st in statements {
-            let (r1, r2) = match (
+            match (
                 GroupElement::decode(&st.proof.commitment1),
                 GroupElement::decode(&st.proof.commitment2),
             ) {
-                (Some(a), Some(b)) => (a, b),
+                (Some(a), Some(b)) => commitments.push((a, b)),
                 _ => return false,
-            };
+            }
+        }
+        let publics: Vec<GroupElement> = (statements.iter())
+            .flat_map(|st| [st.public1, st.public2])
+            .collect();
+        let publics = GroupElement::encode_all(&publics);
+        let mut checked = Vec::with_capacity(statements.len());
+        let mut seed_t = Transcript::new("xrd/dleq-batch-verify");
+        seed_t.append_u64("n", statements.len() as u64);
+        for ((st, (r1, r2)), public) in (statements.iter().zip(commitments)).zip(publics.chunks(2))
+        {
             let (base1, base2) = (encode_base(&st.base1), encode_base(&st.base2));
             let c = Self::challenge(
                 st.context,
                 &base1,
-                &st.public1,
+                &public[0],
                 &base2,
-                &st.public2,
+                &public[1],
                 &st.proof.commitment1,
                 &st.proof.commitment2,
             );
@@ -442,23 +458,24 @@ impl DleqProof {
     }
 
     /// The Fiat-Shamir challenge; commitments are absorbed as their
-    /// canonical wire bytes (see [`SchnorrProof::challenge`]).
+    /// canonical wire bytes and publics arrive encoded (see
+    /// [`SchnorrProof::challenge`]).
     #[allow(clippy::too_many_arguments)]
     fn challenge(
         context: &[u8],
         base1: &[u8; 32],
-        public1: &GroupElement,
+        public1: &[u8; 32],
         base2: &[u8; 32],
-        public2: &GroupElement,
+        public2: &[u8; 32],
         c1: &[u8; 32],
         c2: &[u8; 32],
     ) -> Scalar {
         let mut t = Transcript::new("xrd/chaum-pedersen-dleq");
         t.append("context", context);
         t.append("base1", base1);
-        t.append("public1", &public1.encode());
+        t.append("public1", public1);
         t.append("base2", base2);
-        t.append("public2", &public2.encode());
+        t.append("public2", public2);
         t.append("commitment1", c1);
         t.append("commitment2", c2);
         t.challenge_scalar("c")

@@ -11,6 +11,7 @@
 
 use rand::RngCore;
 
+use xrd_crypto::ristretto::GroupElement;
 use xrd_crypto::scalar::Scalar;
 
 use crate::blame::{run_blame, BlameVerdict};
@@ -18,7 +19,7 @@ use crate::chain_keys::{generate_chain_keys, ChainPublicKeys, ServerSecrets};
 use crate::client::Submission;
 use crate::message::{MailboxMessage, MixEntry};
 use crate::par;
-use crate::server::{input_digest, open_revealed, verify_hop, MixError, MixServer};
+use crate::server::{input_digest, open_revealed, verify_hop_keys, MixError, MixServer};
 
 /// Statistics from one chain-round execution.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
@@ -212,6 +213,7 @@ impl ChainRunner {
         round: u64,
         submissions: &[Submission],
     ) -> ChainRoundOutcome {
+        let started = std::time::Instant::now();
         let mut outcome = ChainRoundOutcome::default();
 
         // Submission screening: verify each PoK (§6.2 step 2); a bad
@@ -241,10 +243,11 @@ impl ChainRunner {
         // digest is computed as the protocol prescribes.)
         input_digest(&entries);
 
-        // Mixing with blame-retry: repeat until a clean pass.
-        let delivered_entries: Vec<MixEntry> = loop {
+        // Mixing with blame-retry: repeat until a clean pass, or until
+        // a server is convicted and the chain halts.
+        let mixed: Option<Vec<MixEntry>> = loop {
             match self.mix_pass(rng, round, entries, &mut outcome.stats) {
-                MixPassResult::Clean(outputs) => break outputs,
+                MixPassResult::Clean(outputs) => break Some(outputs),
                 MixPassResult::Blame { position, failed } => {
                     // Blame runs against the batch actually mixed (the
                     // active subset); verdict indices are then mapped
@@ -266,22 +269,29 @@ impl ChainRunner {
                     if resolution == BlameResolution::Abort {
                         // The servers keep their hop state: it is the
                         // evidence.
-                        return outcome;
+                        break None;
                     }
                     entries = to_entries(&active);
                 }
             }
         };
 
-        // Inner key reveal + verification, then open.
-        let inner_keys: Vec<Scalar> = self.servers.iter().map(|s| s.reveal_inner_key()).collect();
-        // The keys are out, so blame can no longer run for this round:
-        // release the per-hop copies of the batch it would have traced.
-        for server in &mut self.servers {
-            server.clear_state();
+        if let Some(delivered_entries) = mixed {
+            // Inner key reveal + verification, then open.
+            let inner_keys: Vec<Scalar> =
+                self.servers.iter().map(|s| s.reveal_inner_key()).collect();
+            // The keys are out, so blame can no longer run for this
+            // round: release the per-hop copies of the batch it would
+            // have traced.
+            for server in &mut self.servers {
+                server.clear_state();
+            }
+            outcome.delivered = open_revealed(&self.public, round, &inner_keys, &delivered_entries)
+                .expect("inner key reveal must verify");
         }
-        outcome.delivered = open_revealed(&self.public, round, &inner_keys, &delivered_entries)
-            .expect("inner key reveal must verify");
+        // One sample per chain round: beside the deployment's `round.mix`
+        // span, their sum says how much of the chains' work overlapped.
+        xrd_obs::hist("chain.round_us").record_duration(started.elapsed());
         outcome
     }
 
@@ -296,19 +306,21 @@ impl ChainRunner {
     ) -> MixPassResult {
         let k = self.servers.len();
         for pos in 0..k {
-            let inputs = entries.clone();
+            // The hop proof is a statement about the DH keys alone, so
+            // the input's key column is all a verifier keeps of it.
+            let input_dhs: Vec<GroupElement> = entries.iter().map(|e| e.dh).collect();
             match self.servers[pos].process_round(rng, round, entries) {
                 Ok(result) => {
                     stats.proofs_generated += 1;
                     // Every other server verifies the hop proof.
-                    let mut ok = true;
+                    let mut ok = result.outputs.len() == input_dhs.len();
                     for _verifier in 0..k.saturating_sub(1) {
-                        ok &= verify_hop(
+                        ok &= verify_hop_keys(
                             &self.public,
                             pos,
                             round,
-                            &inputs,
-                            &result.outputs,
+                            input_dhs.iter(),
+                            result.outputs.iter().map(|e| &e.dh),
                             &result.proof,
                         );
                         stats.proofs_verified += 1;

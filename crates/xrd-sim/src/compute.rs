@@ -64,8 +64,12 @@ impl ServerCompute {
 /// `xrd-bench`'s calibration) — the substitute for the paper's EC2 CPUs.
 #[derive(Clone, Copy, Debug)]
 pub struct OpCosts {
-    /// One variable-base scalar multiplication (group exponentiation).
+    /// One variable-base exponentiation as a mix server pays it: inside
+    /// the batched two-scalar hop kernel, per exponentiation.
     pub exp: SimDuration,
+    /// One variable-base exponentiation on its own (a from-scratch
+    /// ladder): what a single client pays, with nothing to batch over.
+    pub exp_one_off: SimDuration,
     /// One group operation (point addition).
     pub group_add: SimDuration,
     /// AEAD seal/open of one fixed-size message payload.
@@ -86,6 +90,7 @@ impl OpCosts {
     pub fn nominal() -> OpCosts {
         OpCosts {
             exp: SimDuration::from_micros(180),
+            exp_one_off: SimDuration::from_micros(180),
             group_add: SimDuration::from_nanos(800),
             aead: SimDuration::from_micros(2),
             schnorr_prove: SimDuration::from_micros(200),
