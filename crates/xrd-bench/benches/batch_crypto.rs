@@ -350,6 +350,34 @@ fn bench_encode_all(c: &mut Criterion) {
     group.finish();
 }
 
+/// Ristretto decoding of 256 wire encodings, one in sixteen corrupted
+/// (a negative `s`): `decode_all` against the per-element map it
+/// equals result for result — the same inverse square root per element
+/// as the encode, eight per lane group where the kernel is compiled in.
+fn bench_decode_all(c: &mut Criterion) {
+    let mut rng = StdRng::seed_from_u64(6);
+    let points: Vec<GroupElement> = (0..256).map(|_| GroupElement::random(&mut rng)).collect();
+    let mut encodings = GroupElement::encode_all(&points);
+    for encoding in encodings.iter_mut().step_by(16) {
+        encoding[0] |= 1;
+    }
+    let per_point: Vec<_> = encodings.iter().map(GroupElement::decode).collect();
+    assert_eq!(GroupElement::decode_all(&encodings), per_point);
+    let mut group = c.benchmark_group("decode_256");
+    group.bench_function("per_point", |b| {
+        b.iter(|| {
+            encodings
+                .iter()
+                .map(GroupElement::decode)
+                .collect::<Vec<_>>()
+        })
+    });
+    group.bench_function("decode_all", |b| {
+        b.iter(|| GroupElement::decode_all(&encodings))
+    });
+    group.finish();
+}
+
 /// Batched NIZK verification (one multiscalar mul) vs a verify loop.
 fn bench_batch_verify(c: &mut Criterion) {
     let mut rng = StdRng::seed_from_u64(4);
@@ -467,6 +495,7 @@ criterion_group!(
     bench_fixed_base,
     bench_batch_invert,
     bench_encode_all,
+    bench_decode_all,
     bench_batch_verify,
     bench_hop_end_to_end
 );

@@ -5,7 +5,8 @@
 //! This is not a third choice for [`FieldElement`] — it has no bytes
 //! and no inversion — but a [`FieldArith`], so the tables and ladders
 //! of `edwards.rs` instantiate over it unchanged and run eight points
-//! in lockstep, and a [`FieldLanes`], so the Ristretto encode does too.
+//! in lockstep, and a [`FieldLanes`], so the Ristretto encode and
+//! decode do too.
 //! It is vertical SIMD throughout: one instruction stream for all
 //! lanes, and where lanes differ — each its own table digit
 //! ([`Digits8`]), its own sign, its own side of a select — they differ
@@ -226,6 +227,14 @@ impl std::ops::BitOr for LaneMask {
     #[inline(always)]
     fn bitor(self, rhs: LaneMask) -> LaneMask {
         LaneMask(self.0 | rhs.0)
+    }
+}
+
+impl std::ops::BitXor for LaneMask {
+    type Output = LaneMask;
+    #[inline(always)]
+    fn bitxor(self, rhs: LaneMask) -> LaneMask {
+        LaneMask(self.0 ^ rhs.0)
     }
 }
 

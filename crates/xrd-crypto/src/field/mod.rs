@@ -395,8 +395,11 @@ pub trait FieldArith:
     sealed::Sealed + Copy + Clone + std::fmt::Debug + Send + Sync + 'static
 {
     /// One boolean per lane (`From<bool>` is the same one in every
-    /// lane).
-    type Choice: Copy + From<bool> + std::ops::BitOr<Output = Self::Choice>;
+    /// lane; XOR with `From(true)` negates every lane).
+    type Choice: Copy
+        + From<bool>
+        + std::ops::BitOr<Output = Self::Choice>
+        + std::ops::BitXor<Output = Self::Choice>;
     /// One signed radix-16 digit per lane.
     type Digit: Digit<Choice = Self::Choice>;
     const ZERO: Self;
@@ -629,7 +632,8 @@ pub use sat64::FieldElement;
 /// ([`GroupElement::batch_mul_pair`](crate::GroupElement::batch_mul_pair),
 /// [`GroupElement::batch_vartime_mul`](crate::GroupElement::batch_vartime_mul),
 /// [`GroupElement::base_mul_all`](crate::GroupElement::base_mul_all),
-/// [`GroupElement::encode_all`](crate::GroupElement::encode_all))
+/// [`GroupElement::encode_all`](crate::GroupElement::encode_all),
+/// [`GroupElement::decode_all`](crate::GroupElement::decode_all))
 /// run on it.
 pub const FIELD_BACKEND: &str = if cfg!(all(
     target_arch = "x86_64",

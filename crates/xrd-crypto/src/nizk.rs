@@ -243,15 +243,16 @@ impl SchnorrProof {
             return true;
         }
         // Per statement: decoded commitment, challenge, base encoding.
-        // The publics are encoded together (an encoding is an inverse
-        // square root; `encode_all` takes them eight to a lane group).
-        let mut commitments = Vec::with_capacity(statements.len());
-        for st in statements {
-            match GroupElement::decode(&st.proof.commitment) {
-                Some(p) => commitments.push(p),
-                None => return false,
-            }
-        }
+        // The commitments are decoded together and the publics encoded
+        // together (each conversion is an inverse square root;
+        // `decode_all` and `encode_all` take them eight to a lane group).
+        let commitments: Vec<[u8; 32]> = statements.iter().map(|st| st.proof.commitment).collect();
+        let Some(commitments) = GroupElement::decode_all(&commitments)
+            .into_iter()
+            .collect::<Option<Vec<_>>>()
+        else {
+            return false;
+        };
         let publics: Vec<GroupElement> = statements.iter().map(|st| st.public).collect();
         let publics = GroupElement::encode_all(&publics);
         let mut checked = Vec::with_capacity(statements.len());
@@ -407,17 +408,18 @@ impl DleqProof {
             return true;
         }
         // Per statement: decoded commitments, challenge, base encodings;
-        // the publics encoded together, as in the Schnorr batch.
-        let mut commitments = Vec::with_capacity(statements.len());
-        for st in statements {
-            match (
-                GroupElement::decode(&st.proof.commitment1),
-                GroupElement::decode(&st.proof.commitment2),
-            ) {
-                (Some(a), Some(b)) => commitments.push((a, b)),
-                _ => return false,
-            }
-        }
+        // the commitments decoded together and the publics encoded
+        // together, as in the Schnorr batch.
+        let commitments: Vec<[u8; 32]> = (statements.iter())
+            .flat_map(|st| [st.proof.commitment1, st.proof.commitment2])
+            .collect();
+        let Some(commitments) = GroupElement::decode_all(&commitments)
+            .into_iter()
+            .collect::<Option<Vec<_>>>()
+        else {
+            return false;
+        };
+        let commitments = commitments.chunks(2).map(|r| (r[0], r[1]));
         let publics: Vec<GroupElement> = (statements.iter())
             .flat_map(|st| [st.public1, st.public2])
             .collect();

@@ -203,30 +203,28 @@ impl GroupElement {
 
     /// Decode a canonical 32-byte encoding; `None` for invalid encodings.
     pub fn decode(bytes: &[u8; 32]) -> Option<GroupElement> {
-        let s = FieldElement::from_bytes(bytes);
-        // Must be canonical and non-negative.
-        if s.to_bytes() != *bytes || s.is_negative() {
-            return None;
-        }
-        let one = FieldElement::ONE;
-        let ss = s.square();
-        let u1 = one.sub(&ss);
-        let u2 = one.add(&ss);
-        let u2_sqr = u2.square();
-        // v = -(D * u1^2) - u2_sqr
-        let v = edwards_d().mul(&u1.square()).neg().sub(&u2_sqr);
-        let (was_square, invsqrt) = v.mul(&u2_sqr).invsqrt();
-        let den_x = invsqrt.mul(&u2);
-        let den_y = invsqrt.mul(&den_x).mul(&v);
+        let (point, valid) = decode_field(&canonical_s(bytes)?);
+        (valid == 1).then_some(GroupElement(point))
+    }
 
-        let x = s.add(&s).mul(&den_x).abs();
-        let y = u1.mul(&den_y);
-        let t = x.mul(&y);
-
-        if !was_square || t.is_negative() || y.is_zero() {
-            return None;
-        }
-        Some(GroupElement(EdwardsPoint { x, y, z: one, t }))
+    /// Decode a slice of encodings, in order: `decode(&encodings[i])`
+    /// for every `i` — the same point, or the same `None`.
+    ///
+    /// The checks that `s` is canonical and non-negative run per
+    /// element, on the bytes (wire input is public).  The rest is the
+    /// formula [`GroupElement::decode`] runs (`decode_field`), whose one
+    /// inverse square root is a fixed schedule of squarings, as in
+    /// [`GroupElement::encode_all`].  Where the eight-lane field kernel
+    /// is compiled in the encodings are taken eight at a time, one per
+    /// lane: one exponentiation per group, and each lane's validity (a
+    /// root exists, `t` is non-negative, `y` is not zero) a lane mask
+    /// beside its point rather than an early return, so an invalid
+    /// encoding never changes its neighbours' results.  A lane whose
+    /// bytes fail their checks, like a short last group's idle lanes,
+    /// decodes zero and is dropped.  Everywhere else this is the
+    /// per-element map.
+    pub fn decode_all(encodings: &[[u8; 32]]) -> Vec<Option<GroupElement>> {
+        batch::decode_all(encodings)
     }
 
     /// The Elligator-style one-way map from a field element to a group
@@ -411,10 +409,48 @@ fn encode_field<F: FieldLanes>(point: &EdwardsPoint<F>) -> F {
     den_inv.mul(&z0.sub(&y)).abs()
 }
 
+/// The `s` an encoding names, if `bytes` is its canonical encoding
+/// and `s` is non-negative: the checks [`GroupElement::decode`] and
+/// every lane of [`GroupElement::decode_all`] run per element, on the
+/// bytes, before the formula.
+fn canonical_s(bytes: &[u8; 32]) -> Option<FieldElement> {
+    let s = FieldElement::from_bytes(bytes);
+    (s.to_bytes() == *bytes && bytes[0] & 1 == 0).then_some(s)
+}
+
+/// The Ristretto DECODE formula, written once over the lane-mask tier:
+/// every lane's point from its `s` (already checked by
+/// [`canonical_s`]), and per lane whether the encoding is valid — the
+/// square root exists, `t` is non-negative, `y` is not zero.  Nothing
+/// returns early: an invalid lane still computes, and its mask says
+/// so.  One element is [`GroupElement::decode`]; eight are a group of
+/// [`GroupElement::decode_all`].
+#[inline(always)]
+fn decode_field<F: FieldLanes>(s: &F) -> (EdwardsPoint<F>, F::Choice) {
+    let one = F::ONE;
+    let ss = s.square();
+    let u1 = one.sub(&ss);
+    let u2 = one.add(&ss);
+    let u2_sqr = u2.square();
+    // v = -(D * u1^2) - u2_sqr
+    let v = F::splat(edwards_d()).mul(&u1.square()).neg().sub(&u2_sqr);
+    let (was_square, invsqrt) = v.mul(&u2_sqr).invsqrt();
+    let den_x = invsqrt.mul(&u2);
+    let den_y = invsqrt.mul(&den_x).mul(&v);
+
+    let x = s.add(s).mul(&den_x).abs();
+    let y = u1.mul(&den_y);
+    let t = x.mul(&y);
+
+    let yes = F::Choice::from(true);
+    let invalid = (was_square ^ yes) | t.is_negative() | y.ct_eq(&F::ZERO);
+    (EdwardsPoint { x, y, z: one, t }, invalid ^ yes)
+}
+
 /// The batch entry points' bodies where the eight-lane field kernel is
-/// compiled in: eight points per [`EdwardsPoint`] over `F51x8`, a
-/// short last group padded with the identity (or walked with idle
-/// lanes).
+/// compiled in: eight points (or encodings) per [`EdwardsPoint`] (or
+/// field element) over `F51x8`, a short last group padded with the
+/// identity (or walked with idle lanes).
 #[cfg(all(
     target_arch = "x86_64",
     target_feature = "avx512f",
@@ -423,15 +459,16 @@ fn encode_field<F: FieldLanes>(point: &EdwardsPoint<F>) -> F {
 ))]
 mod batch {
     use super::{EdwardsPoint, FixedBaseTable, GroupElement, Scalar};
-    use crate::field::ifma::F51x8;
+    use crate::field::ifma::{F51x8, LaneMask};
     use crate::field::FieldElement;
 
     /// A group of fewer elements than this is cheaper one element at a
-    /// time: a table walk or an encode in lanes costs about two scalar
-    /// ones whatever the number of lanes in use (`batch_crypto`'s
-    /// `fixed_base/table_mul_x8` and `encode_256` rows), so a one-off
-    /// seal — a batch of one — keeps the scalar kernels' price.  Only a
-    /// batch's last group can be this short.
+    /// time: a table walk, an encode or a decode in lanes costs about
+    /// two scalar ones whatever the number of lanes in use
+    /// (`batch_crypto`'s `fixed_base/table_mul_x8`, `encode_256` and
+    /// `decode_256` rows), so a one-off seal — a batch of one — keeps
+    /// the scalar kernels' price, and so does a frame carrying one
+    /// point.  Only a batch's last group can be this short.
     const LANES_FROM: usize = 3;
 
     pub(super) fn mul_pair(
@@ -495,6 +532,31 @@ mod batch {
         }
         out
     }
+
+    pub(super) fn decode_all(encodings: &[[u8; 32]]) -> Vec<Option<GroupElement>> {
+        // A sibling of the transposes, as `encode8` is.
+        #[inline(never)]
+        fn decode8(s: &F51x8) -> (EdwardsPoint<F51x8>, LaneMask) {
+            super::decode_field(s)
+        }
+        let mut out = Vec::with_capacity(encodings.len());
+        for group in encodings.chunks(8) {
+            if group.len() < LANES_FROM {
+                out.extend(group.iter().map(GroupElement::decode));
+                continue;
+            }
+            let s: [Option<FieldElement>; 8] =
+                std::array::from_fn(|i| group.get(i).and_then(super::canonical_s));
+            let limbs = s.map(|s| s.unwrap_or(FieldElement::ZERO).to_limbs51());
+            let (points, valid) = decode8(&F51x8::from_lanes(&limbs));
+            let points = points.lanes();
+            out.extend((0..group.len()).map(|i| {
+                let ok = s[i].is_some() && valid.0 >> i & 1 == 1;
+                ok.then_some(GroupElement(points[i]))
+            }));
+        }
+        out
+    }
 }
 
 /// The batch entry points' bodies on every other build: the per-point
@@ -529,6 +591,10 @@ mod batch {
 
     pub(super) fn encode_all(points: &[GroupElement]) -> Vec<[u8; 32]> {
         points.iter().map(|p| p.encode()).collect()
+    }
+
+    pub(super) fn decode_all(encodings: &[[u8; 32]]) -> Vec<Option<GroupElement>> {
+        encodings.iter().map(GroupElement::decode).collect()
     }
 }
 
@@ -886,6 +952,96 @@ mod tests {
             .map(|b| GroupElement::decode(b).expect("an encoding decodes"))
             .collect();
         assert_eq!(GroupElement::encode_all(&decoded), wire);
+    }
+
+    /// Encodings every check of the decode rejects, one or more per
+    /// check, with the check's name: `s ≥ p` (and a set top bit), a
+    /// negative `s`, a non-square, a negative `t`, and `y = 0`.  The
+    /// non-square and negative-`t` cases are found by walking even `s`
+    /// and sorting the rejects: a negative `t` still comes with a point
+    /// on the curve (the root exists), a non-square does not.
+    fn invalid_encodings() -> Vec<(&'static str, [u8; 32])> {
+        let mut bad = Vec::new();
+        let mut p = [0xffu8; 32];
+        (p[0], p[31]) = (0xed, 0x7f);
+        bad.push(("s = p", p));
+        p[0] = 0xff;
+        bad.push(("s = 2^255 - 1", p));
+        let mut top = GroupElement::generator().encode();
+        top[31] |= 0x80;
+        bad.push(("top bit set", top));
+        let s = FieldElement::from_bytes(&GroupElement::generator().encode());
+        bad.push(("negative s", s.neg().to_bytes()));
+        bad.push(("y = 0 (s = -1)", FieldElement::ONE.neg().to_bytes()));
+        let (mut non_square, mut negative_t) = (0, 0);
+        for k in 1u64..1000 {
+            let s = FieldElement::from_u64(2 * k);
+            let (point, valid) = decode_field(&s);
+            if valid == 1 {
+                continue;
+            }
+            if point.is_on_curve() && negative_t < 2 {
+                negative_t += 1;
+                bad.push(("negative t", s.to_bytes()));
+            } else if !point.is_on_curve() && non_square < 2 {
+                non_square += 1;
+                bad.push(("non-square", s.to_bytes()));
+            }
+            if (non_square, negative_t) == (2, 2) {
+                break;
+            }
+        }
+        assert_eq!((non_square, negative_t), (2, 2), "both rejects found");
+        for (what, bytes) in &bad {
+            assert!(GroupElement::decode(bytes).is_none(), "{what} decodes");
+        }
+        bad
+    }
+
+    /// `decode_all` is `decode` per encoding on every branch of the
+    /// formula — the identity, valid points, and each rejection of
+    /// [`invalid_encodings`] — at every length around the lane width,
+    /// with the bad encoding at every position among valid neighbours
+    /// (whose points must not move), and with the bad ones side by side.
+    #[test]
+    fn decode_all_matches_decode_on_every_branch() {
+        let mut rng = StdRng::seed_from_u64(27);
+        let mut points = vec![GroupElement::identity()];
+        points.extend((0..16).map(|_| GroupElement::random(&mut rng)));
+        let valid = GroupElement::encode_all(&points);
+        let decoded: Vec<GroupElement> = GroupElement::decode_all(&valid)
+            .into_iter()
+            .map(|p| p.expect("an encoding decodes"))
+            .collect();
+        assert_eq!(decoded, points, "decode_all(encode_all(P)) == P");
+        let bad = invalid_encodings();
+        for len in [0usize, 1, 2, 3, 7, 8, 9, 17] {
+            let base: Vec<[u8; 32]> = (0..len).map(|i| valid[(i + len) % valid.len()]).collect();
+            for (what, bytes) in &bad {
+                for at in 0..len {
+                    let mut encodings = base.clone();
+                    encodings[at] = *bytes;
+                    let expected: Vec<Option<GroupElement>> =
+                        encodings.iter().map(GroupElement::decode).collect();
+                    assert_eq!(expected.iter().flatten().count(), len - 1);
+                    assert_eq!(
+                        GroupElement::decode_all(&encodings),
+                        expected,
+                        "{what} at {at} of {len}"
+                    );
+                }
+            }
+            let mixed: Vec<[u8; 32]> = (0..len)
+                .map(|i| match i % 3 {
+                    0 => bad[(i / 3) % bad.len()].1,
+                    _ => base[i],
+                })
+                .collect();
+            let expected: Vec<Option<GroupElement>> =
+                mixed.iter().map(GroupElement::decode).collect();
+            assert_eq!(GroupElement::decode_all(&mixed), expected, "mixed, {len}");
+        }
+        assert!(GroupElement::decode_all(&[]).is_empty());
     }
 
     #[test]

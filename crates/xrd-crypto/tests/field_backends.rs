@@ -345,6 +345,7 @@ mod lanes {
     use xrd_crypto::field::fiat51::FieldElement as Fe51;
     use xrd_crypto::field::ifma::{Digits8, F51x8, LaneMask};
     use xrd_crypto::field::{Digit, FieldArith, FieldLanes};
+    use xrd_crypto::{GroupElement, Scalar};
 
     const TOP: u64 = (1 << 52) - 1;
     const LOW_51: u64 = (1 << 51) - 1;
@@ -623,6 +624,39 @@ mod lanes {
                 acc = acc.step(sel, rhs);
                 acc.assert_agree(&format!("step {i}: op {}", sel % 13));
             }
+        }
+
+        /// The Ristretto decode in lanes against the one-element decode,
+        /// on wire bytes of four kinds (picked by a string's own second
+        /// byte): raw (mostly non-canonical or negative), canonical and
+        /// even (past the byte checks, so the formula's own tests
+        /// decide: no root, negative `t`), a valid point's encoding, and
+        /// raw with the top bit clear — every lane group mixing accepted
+        /// and rejected lanes.
+        #[test]
+        fn lane_decode_matches_decode(
+            inputs in prop::collection::vec(prop::array::uniform32(any::<u8>()), 0..41),
+        ) {
+            let encodings: Vec<[u8; 32]> = inputs
+                .iter()
+                .map(|bytes| match bytes[1] % 4 {
+                    0 => *bytes,
+                    1 => {
+                        let mut s = Fe51::from_bytes(bytes).to_bytes();
+                        s[0] &= !1;
+                        s
+                    }
+                    2 => GroupElement::base_mul(&Scalar::from_bytes_mod_order(bytes)).encode(),
+                    _ => {
+                        let mut s = *bytes;
+                        s[31] &= 0x7f;
+                        s
+                    }
+                })
+                .collect();
+            let expected: Vec<Option<GroupElement>> =
+                encodings.iter().map(GroupElement::decode).collect();
+            prop_assert_eq!(GroupElement::decode_all(&encodings), expected);
         }
     }
 }

@@ -96,7 +96,7 @@ impl Submission {
         }
     }
 
-    /// Serialize to the wire format: `g^x || PoK || onion`.
+    /// The canonical bytes of a submission: `g^x || PoK || onion`.
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(self.wire_len());
         out.extend_from_slice(&self.dh.encode());
@@ -105,24 +105,18 @@ impl Submission {
         out
     }
 
-    /// Parse from the wire format.  `k` is the chain length (fixing the
-    /// onion size); returns `None` on any structural problem.  The PoK is
-    /// *not* verified here — servers call [`Submission::verify_pok`]
-    /// after parsing, as the protocol prescribes.
-    pub fn from_bytes(bytes: &[u8], k: usize) -> Option<Submission> {
-        let expect = 32 + SCHNORR_PROOF_LEN + outer_ct_len(k);
-        if bytes.len() != expect {
-            return None;
-        }
-        let mut dh_bytes = [0u8; 32];
-        dh_bytes.copy_from_slice(&bytes[..32]);
-        let dh = GroupElement::decode(&dh_bytes)?;
-        let pok = SchnorrProof::from_bytes(&bytes[32..32 + SCHNORR_PROOF_LEN])?;
-        Some(Submission {
-            dh,
-            ct: bytes[32 + SCHNORR_PROOF_LEN..].to_vec(),
-            pok,
-        })
+    /// [`Submission::to_bytes`] for a whole batch, byte for byte, with
+    /// the batch's DH keys encoded together
+    /// ([`GroupElement::encode_all`]: eight per inverse square root
+    /// where the lane kernel is compiled in) — what a mix server sorts a
+    /// closed window by.
+    pub fn batch_to_bytes(submissions: &[Submission]) -> Vec<Vec<u8>> {
+        let dhs: Vec<GroupElement> = submissions.iter().map(|s| s.dh).collect();
+        submissions
+            .iter()
+            .zip(GroupElement::encode_all(&dhs))
+            .map(|(s, dh)| [&dh[..], &s.pok.to_bytes(), &s.ct].concat())
+            .collect()
     }
 }
 
@@ -639,23 +633,20 @@ mod tests {
     }
 
     #[test]
-    fn submission_serialization_roundtrip() {
+    fn batch_to_bytes_is_to_bytes_per_submission() {
         let mut rng = StdRng::seed_from_u64(6);
-        let k = 3;
-        let (_, keys) = generate_chain_keys(&mut rng, k, 0);
-        let s = seal_ahs(&mut rng, &keys, 0, &test_msg());
-        let bytes = s.to_bytes();
-        assert_eq!(bytes.len(), s.wire_len());
-        let parsed = Submission::from_bytes(&bytes, k).expect("roundtrip");
-        assert_eq!(parsed.dh, s.dh);
-        assert_eq!(parsed.ct, s.ct);
-        assert!(parsed.verify_pok(0));
-        // Wrong k (wrong expected size) is rejected.
-        assert!(Submission::from_bytes(&bytes, k + 1).is_none());
-        // Corrupted group encoding is rejected.
-        let mut bad = bytes.clone();
-        bad[..32].copy_from_slice(&[0xffu8; 32]);
-        assert!(Submission::from_bytes(&bad, k).is_none());
+        let (_, keys) = generate_chain_keys(&mut rng, 3, 0);
+        for n in [0usize, 1, 2, 3, 8, 9] {
+            let subs: Vec<Submission> = (0..n)
+                .map(|_| seal_ahs(&mut rng, &keys, 0, &test_msg()))
+                .collect();
+            let one_by_one: Vec<Vec<u8>> = subs.iter().map(Submission::to_bytes).collect();
+            assert_eq!(Submission::batch_to_bytes(&subs), one_by_one, "n={n}");
+            assert!(subs
+                .iter()
+                .zip(&one_by_one)
+                .all(|(s, b)| b.len() == s.wire_len()));
+        }
     }
 
     #[test]

@@ -95,19 +95,6 @@ impl MixEntry {
             .map(|(entry, dh)| [&dh[..], &entry.ct].concat())
             .collect()
     }
-
-    /// Parse; `ct_len` is the expected ciphertext length at this hop.
-    pub fn from_bytes(bytes: &[u8], ct_len: usize) -> Option<MixEntry> {
-        if bytes.len() != 32 + ct_len {
-            return None;
-        }
-        let mut dh_bytes = [0u8; 32];
-        dh_bytes.copy_from_slice(&bytes[..32]);
-        Some(MixEntry {
-            dh: GroupElement::decode(&dh_bytes)?,
-            ct: bytes[32..].to_vec(),
-        })
-    }
 }
 
 /// Expected onion ciphertext length after peeling `layers_remaining`
@@ -147,23 +134,22 @@ mod tests {
     }
 
     #[test]
-    fn mix_entry_roundtrip() {
+    fn batch_to_bytes_is_to_bytes_per_entry() {
         let mut rng = StdRng::seed_from_u64(1);
-        let entry = MixEntry {
-            dh: GroupElement::base_mul(&Scalar::random(&mut rng)),
-            ct: vec![3u8; 100],
-        };
-        let bytes = entry.to_bytes();
-        assert_eq!(bytes.len(), entry.wire_len());
-        assert_eq!(MixEntry::from_bytes(&bytes, 100).unwrap(), entry);
-        assert!(MixEntry::from_bytes(&bytes, 99).is_none());
-    }
-
-    #[test]
-    fn mix_entry_rejects_invalid_group_encoding() {
-        let mut bytes = vec![0xffu8; 32 + 8];
-        bytes[31] = 0x7f; // not a canonical ristretto encoding
-        assert!(MixEntry::from_bytes(&bytes, 8).is_none());
+        for n in [0usize, 1, 2, 3, 8, 9] {
+            let entries: Vec<MixEntry> = (0..n)
+                .map(|i| MixEntry {
+                    dh: GroupElement::base_mul(&Scalar::random(&mut rng)),
+                    ct: vec![i as u8; 100 + i],
+                })
+                .collect();
+            let one_by_one: Vec<Vec<u8>> = entries.iter().map(MixEntry::to_bytes).collect();
+            assert_eq!(MixEntry::batch_to_bytes(&entries), one_by_one, "n={n}");
+            assert!(entries
+                .iter()
+                .zip(&one_by_one)
+                .all(|(e, b)| b.len() == e.wire_len()));
+        }
     }
 
     #[test]

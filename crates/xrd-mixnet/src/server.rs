@@ -560,14 +560,18 @@ pub fn open_batch(
 ) -> Vec<Option<MailboxMessage>> {
     let isk_sum = inner_keys.iter().fold(Scalar::ZERO, |a, s| a.add(s));
     // Only envelopes whose ephemeral key parses take a place in the
-    // batch; `at` remembers where each came from.
-    let (at, ephemerals): (Vec<usize>, Vec<GroupElement>) = entries
+    // batch; `at` remembers where each came from.  The keys are decoded
+    // together (`decode_all`: eight per inverse square root where the
+    // lane kernel is compiled in).
+    let (at, encoded): (Vec<usize>, Vec<[u8; 32]>) = entries
         .iter()
         .enumerate()
-        .filter_map(|(j, entry)| {
-            let gy = GroupElement::decode(entry.ct.first_chunk::<32>()?)?;
-            Some((j, gy))
-        })
+        .filter_map(|(j, entry)| Some((j, *entry.ct.first_chunk::<32>()?)))
+        .unzip();
+    let (at, ephemerals): (Vec<usize>, Vec<GroupElement>) = at
+        .into_iter()
+        .zip(GroupElement::decode_all(&encoded))
+        .filter_map(|(j, gy)| Some((j, gy?)))
         .unzip();
     // The inner keys are public once revealed (§6.3 broadcasts them),
     // so the variable-time ladder is safe here.

@@ -186,12 +186,10 @@ impl Writer {
         self.raw(bytes);
     }
 
-    /// A `u32` count, then the items.
+    /// A `u32` count, then the items ([`Wire::put_all`]).
     fn seq<T: Wire>(&mut self, items: &[T]) {
         (items.len() as u32).put(self);
-        for item in items {
-            item.put(self);
-        }
+        T::put_all(items, self);
     }
 
     fn finish(mut self) -> Vec<u8> {
@@ -253,6 +251,48 @@ impl<'a> Reader<'a> {
         (0..n).map(|_| item(self)).collect()
     }
 
+    /// `n` items whose layout opens with a group element, the rest of
+    /// each parsed by `rest`: every item's point is read as bytes, then
+    /// all of them are decoded in one [`GroupElement::decode_all`].  The
+    /// result — error included — is a per-item parse's: parsing stops
+    /// at the first failure, and if any point read before it is invalid
+    /// that is the error, because on the wire that point came first.
+    fn point_led<R, T>(
+        &mut self,
+        n: usize,
+        mut rest: impl FnMut(&mut Self) -> Result<R, CodecError>,
+        item: impl Fn(GroupElement, R) -> T,
+    ) -> Result<Vec<T>, CodecError> {
+        // Every item is at least its point: a hostile count cannot make
+        // this allocate more than the frame already holds.
+        let cap = n.min(self.buf.len() / 32);
+        let (mut points, mut rests) = (Vec::with_capacity(cap), Vec::with_capacity(cap));
+        let mut failed = Ok(());
+        for _ in 0..n {
+            let parsed = self.array().and_then(|point| {
+                points.push(point);
+                rest(self)
+            });
+            match parsed {
+                Ok(r) => rests.push(r),
+                Err(e) => {
+                    failed = Err(e);
+                    break;
+                }
+            }
+        }
+        let points = GroupElement::decode_all(&points)
+            .into_iter()
+            .collect::<Option<Vec<_>>>()
+            .ok_or(CodecError::InvalidGroupElement)?;
+        failed?;
+        Ok(points
+            .into_iter()
+            .zip(rests)
+            .map(|(p, r)| item(p, r))
+            .collect())
+    }
+
     fn finish(self) -> Result<(), CodecError> {
         if self.buf.is_empty() {
             Ok(())
@@ -271,9 +311,27 @@ impl<'a> Reader<'a> {
 /// drift apart; every cap and every canonical-encoding rejection lives
 /// in the `get` of the type it guards.  The frame table below names
 /// only field types, so a frame's layout *is* its row.
+///
+/// A sequence goes through `put_all`/`get_all`: by default `put`/`get`
+/// per item, overridden by the types that hold a group element
+/// ([`GroupElement`] itself and the `point`-led composites below) so a
+/// sequence's points are encoded in one [`GroupElement::encode_all`]
+/// and decoded in one [`GroupElement::decode_all`].  Same bytes, same
+/// error: the first failing item's, and within an item its point's
+/// before any later field's.
 trait Wire: Sized {
     fn put(&self, w: &mut Writer);
     fn get(r: &mut Reader<'_>) -> Result<Self, CodecError>;
+
+    fn put_all(items: &[Self], w: &mut Writer) {
+        for item in items {
+            item.put(w);
+        }
+    }
+
+    fn get_all(r: &mut Reader<'_>, n: usize) -> Result<Vec<Self>, CodecError> {
+        (0..n).map(|_| Self::get(r)).collect()
+    }
 }
 
 macro_rules! wire_le_int {
@@ -331,6 +389,14 @@ impl Wire for GroupElement {
     fn get(r: &mut Reader<'_>) -> Result<GroupElement, CodecError> {
         GroupElement::decode(&r.array()?).ok_or(CodecError::InvalidGroupElement)
     }
+    fn put_all(points: &[GroupElement], w: &mut Writer) {
+        for encoding in GroupElement::encode_all(points) {
+            w.raw(&encoding);
+        }
+    }
+    fn get_all(r: &mut Reader<'_>, n: usize) -> Result<Vec<GroupElement>, CodecError> {
+        r.point_led(n, |_| Ok(()), |point, ()| point)
+    }
 }
 
 impl Wire for Scalar {
@@ -365,19 +431,18 @@ impl Wire for DleqProof {
 /// (capped by [`MAX_BYTES`]) inside the composite that owns them.
 impl<T: Wire> Wire for Vec<T> {
     fn put(&self, w: &mut Writer) {
-        // Each group element pays one per-point encode here (~one
-        // invsqrt): a generic row cannot know its items hold points, so
-        // it cannot hand them to `GroupElement::encode_all` (eight per
-        // inverse square root on a lane build) the way
-        // `dispute_context` below and `MixEntry::batch_to_bytes` do.
-        // Senders that
-        // hold already-encoded wire bytes should forward those instead
-        // (the streamed relay path does exactly that).
+        // The items go out through `T::put_all`, so a row of points (or
+        // of point-led entries) pays one `encode_all` — eight per inverse
+        // square root on a lane build — not one encode per point.
+        // Senders that hold already-encoded wire bytes should still
+        // forward those instead (the streamed relay path does exactly
+        // that).
         debug_assert!(self.len() <= MAX_BATCH);
         w.seq(self);
     }
     fn get(r: &mut Reader<'_>) -> Result<Vec<T>, CodecError> {
-        r.seq(MAX_BATCH, T::get)
+        let n = r.count(MAX_BATCH)?;
+        T::get_all(r, n)
     }
 }
 
@@ -406,7 +471,9 @@ impl<T: Wire> Wire for Box<T> {
 /// Composite layouts, each declared once: the fields in wire order,
 /// carried by their own `Wire` impl unless marked `bytes` (a byte string
 /// under [`MAX_BYTES`]), `sealed` (one of exactly the sealed mailbox
-/// payload size) or `u32`/`u64` (a `usize` index at that wire width).
+/// payload size), `u32`/`u64` (a `usize` index at that wire width) or
+/// `point` (a group element opening the layout: a sequence of the type
+/// encodes and decodes its points together, `Wire::put_all`/`get_all`).
 macro_rules! wire_structs {
     ($($ty:path { $($field:ident $(: $how:ident)?),* })*) => {$(
         impl Wire for $ty {
@@ -416,20 +483,40 @@ macro_rules! wire_structs {
             fn get(r: &mut Reader<'_>) -> Result<Self, CodecError> {
                 Ok(Self { $( $field: wire_structs!(@get r $(, $how)?) ),* })
             }
+            wire_structs!(@all $($field $(: $how)?),*);
         }
     )*};
+    (@all $point:ident: point, $($field:ident $(: $how:ident)?),*) => {
+        fn put_all(items: &[Self], w: &mut Writer) {
+            let points: Vec<GroupElement> = items.iter().map(|item| item.$point).collect();
+            for (item, point) in items.iter().zip(GroupElement::encode_all(&points)) {
+                w.raw(&point);
+                $( wire_structs!(@put w, item.$field $(, $how)?); )*
+            }
+        }
+        fn get_all(r: &mut Reader<'_>, n: usize) -> Result<Vec<Self>, CodecError> {
+            r.point_led(
+                n,
+                |r| Ok(($( wire_structs!(@get r $(, $how)?), )*)),
+                |$point, ($($field,)*)| Self { $point, $($field),* },
+            )
+        }
+    };
+    (@all $($fields:tt)*) => {};
     (@put $w:ident, $v:expr) => { $v.put($w) };
+    (@put $w:ident, $v:expr, point) => { $v.put($w) };
     (@put $w:ident, $v:expr, bytes) => { $w.bytes(&$v) };
     (@put $w:ident, $v:expr, sealed) => { $w.bytes(&$v) };
     (@put $w:ident, $v:expr, $int:ident) => { ($v as $int).put($w) };
     (@get $r:ident) => { Wire::get($r)? };
+    (@get $r:ident, point) => { GroupElement::get($r)? };
     (@get $r:ident, bytes) => { $r.bytes()? };
     (@get $r:ident, sealed) => { $r.sealed()? };
     (@get $r:ident, $int:ident) => { <$int>::get($r)? as usize };
 }
 wire_structs! {
-    MixEntry { dh, ct: bytes }
-    Submission { dh, pok, ct: bytes }
+    MixEntry { dh: point, ct: bytes }
+    Submission { dh: point, pok, ct: bytes }
     MailboxMessage { mailbox, sealed: sealed }
     RotationShare { position: u32, ipk, pok }
     Accusation { position: u32, input_index: u64, entry, dec_key, key_proof }
@@ -455,9 +542,8 @@ impl Wire for ChainPublicKeys {
         self.epoch.put(w);
         self.inner_epoch.put(w);
         (self.len() as u32).put(w);
-        for p in self.bpks.iter().chain(&self.mpks).chain(&self.ipks) {
-            p.put(w);
-        }
+        let points = [&self.bpks[..], &self.mpks, &self.ipks].concat();
+        GroupElement::put_all(&points, w);
         for proofs in &self.proofs {
             proofs.bsk_pok.put(w);
             proofs.msk_pok.put(w);
@@ -474,7 +560,7 @@ impl Wire for ChainPublicKeys {
                 cap: MAX_CHAIN_LEN,
             });
         }
-        let mut groups = |n| (0..n).map(|_| Wire::get(r)).collect::<Result<_, _>>();
+        let mut groups = |n| GroupElement::get_all(r, n);
         let (bpks, mpks, ipks) = (groups(k + 1)?, groups(k)?, groups(k)?);
         let proofs = (0..k)
             .map(|_| {
@@ -1128,12 +1214,14 @@ impl StreamDigest {
         StreamDigest { h }
     }
 
-    /// Absorb entries by re-deriving their canonical encodings (one
-    /// per-point encode each; prefer [`BatchAssembler::absorb_raw`]
-    /// wherever the already-encoded wire bytes are at hand).
+    /// Absorb entries by re-deriving their canonical encodings (their
+    /// DH keys in one [`GroupElement::encode_all`]; prefer
+    /// [`BatchAssembler::absorb_raw`] wherever the already-encoded wire
+    /// bytes are at hand).
     pub fn absorb_entries(&mut self, entries: &[MixEntry]) {
-        for e in entries {
-            self.h.update(&e.dh.encode());
+        let dhs: Vec<GroupElement> = entries.iter().map(|e| e.dh).collect();
+        for (e, dh) in entries.iter().zip(GroupElement::encode_all(&dhs)) {
+            self.h.update(&dh);
             self.h.update(&(e.ct.len() as u32).to_le_bytes());
             self.h.update(&e.ct);
         }

@@ -8,14 +8,20 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};
 
-use xrd_mixnet::chain_keys::ServerSecrets;
-use xrd_mixnet::message::MixEntry;
+use xrd_crypto::nizk::{DleqProof, SchnorrProof, DLEQ_PROOF_LEN, SCHNORR_PROOF_LEN};
+use xrd_crypto::ristretto::GroupElement;
+use xrd_mixnet::chain_keys::{generate_chain_keys, ServerSecrets};
+use xrd_mixnet::client::{seal_ahs, Submission};
+use xrd_mixnet::message::{MailboxMessage, MixEntry, MAILBOX_MSG_LEN};
 use xrd_net::codec::{
     decode_server_config, encode_server_config, BatchAssembler, ChunkedBatch, CodecError, Frame,
-    FrameDecoder, StreamError, MAX_FRAME_LEN,
+    FrameDecoder, StreamError, MAX_BATCH, MAX_BYTES, MAX_FRAME_LEN,
 };
 
-use common::{arb_frame, arb_variant, chain_keys, live_tags, mix_entries, mix_entry, scalar};
+use common::{
+    arb_frame, arb_variant, chain_keys, dleq, g, live_tags, mix_entries, mix_entry, scalar,
+    submission,
+};
 
 /// Strategy bound for "any frame variant": [`arb_variant`] wraps the
 /// index over the live rows, so every row is reachable.
@@ -278,6 +284,323 @@ fn wrong_size_mailbox_message_rejected() {
     body.extend_from_slice(&3u32.to_le_bytes()); // sealed: 3 bytes (wrong)
     body.extend_from_slice(&[1, 2, 3]);
     assert_eq!(Frame::decode(&body), Err(CodecError::BadLength));
+}
+
+// ---- rows of points: batched decode, per-item errors ----
+
+/// A per-item parse of the frames whose rows carry many points: every
+/// point decoded the moment it is read, every field checked in wire
+/// order — the reference the codec's batched rows (one `decode_all` per
+/// row) must agree with, error for error.  It also records where each
+/// point starts, for the mutations.
+struct PerItem<'a> {
+    body: &'a [u8],
+    at: usize,
+    points: Vec<usize>,
+}
+
+impl PerItem<'_> {
+    fn take(&mut self, n: usize) -> Result<&[u8], CodecError> {
+        let bytes = self.body.get(self.at..self.at + n);
+        self.at += n;
+        bytes.ok_or(CodecError::Truncated)
+    }
+
+    fn count(&mut self, cap: usize) -> Result<usize, CodecError> {
+        let declared = u32::from_le_bytes(self.take(4)?.try_into().unwrap()) as usize;
+        if declared > cap {
+            return Err(CodecError::Oversized { declared, cap });
+        }
+        Ok(declared)
+    }
+
+    fn point(&mut self) -> Result<(), CodecError> {
+        self.points.push(self.at);
+        let bytes: [u8; 32] = self.take(32)?.try_into().unwrap();
+        GroupElement::decode(&bytes)
+            .map(drop)
+            .ok_or(CodecError::InvalidGroupElement)
+    }
+
+    fn ct(&mut self) -> Result<(), CodecError> {
+        let len = self.count(MAX_BYTES)?;
+        self.take(len).map(drop)
+    }
+
+    fn proof(&mut self, len: usize, parses: fn(&[u8]) -> bool) -> Result<(), CodecError> {
+        match parses(self.take(len)?) {
+            true => Ok(()),
+            false => Err(CodecError::InvalidProof),
+        }
+    }
+
+    fn seq(&mut self, item: fn(&mut Self) -> Result<(), CodecError>) -> Result<(), CodecError> {
+        for _ in 0..self.count(MAX_BATCH)? {
+            item(self)?;
+        }
+        Ok(())
+    }
+
+    fn frame(&mut self) -> Result<(), CodecError> {
+        let dleq = |b: &[u8]| DleqProof::from_bytes(b).is_some();
+        match self.take(1)?[0] {
+            // SubmissionBatch: round, then (dh, pok, ct) per submission.
+            0x15 => {
+                self.take(8)?;
+                self.seq(|r| {
+                    r.point()?;
+                    r.proof(SCHNORR_PROOF_LEN, |b| SchnorrProof::from_bytes(b).is_some())?;
+                    r.ct()
+                })?;
+            }
+            // MixBatchChunk, HopOutputChunk: (dh, ct) per entry.
+            0x26 | 0x29 => self.seq(|r| {
+                r.point()?;
+                r.ct()
+            })?,
+            // VerifyHopKeys, HopForwarded, DisputeOpen: round, position,
+            // two key columns, the proof.
+            0x2B | 0x2D | 0x44 => {
+                self.take(12)?;
+                self.seq(Self::point)?;
+                self.seq(Self::point)?;
+                self.proof(DLEQ_PROOF_LEN, dleq)?;
+            }
+            tag => panic!("no reference for tag {tag:#04x}"),
+        }
+        match self.at == self.body.len() {
+            true => Ok(()),
+            false => Err(CodecError::TrailingBytes),
+        }
+    }
+}
+
+/// The reference's verdict on `body`, and where its points start.
+fn per_item_parse(body: &[u8]) -> (Result<(), CodecError>, Vec<usize>) {
+    let mut r = PerItem {
+        body,
+        at: 0,
+        points: Vec::new(),
+    };
+    (r.frame(), r.points)
+}
+
+/// A frame of one of the point-row kinds, with rows long enough to fill
+/// lane groups (0..20 points a row, so a short last group, a full one
+/// and none at all all occur).
+fn point_rows_frame(rng: &mut StdRng, which: usize) -> Frame {
+    let n = rng.gen_range(0..20);
+    let column =
+        |rng: &mut StdRng, n: usize| -> Vec<GroupElement> { (0..n).map(|_| g(rng)).collect() };
+    let (round, position) = (rng.next_u64(), rng.gen_range(0..64u32));
+    match which % 6 {
+        0 => Frame::SubmissionBatch {
+            round,
+            submissions: (0..n).map(|_| submission(rng)).collect(),
+        },
+        1 => Frame::MixBatchChunk {
+            entries: (0..n).map(|_| mix_entry(rng)).collect(),
+        },
+        2 => Frame::HopOutputChunk {
+            entries: (0..n).map(|_| mix_entry(rng)).collect(),
+        },
+        3 => Frame::VerifyHopKeys {
+            round,
+            position,
+            input_dhs: column(rng, n),
+            output_dhs: column(rng, n),
+            proof: dleq(rng),
+        },
+        4 => Frame::HopForwarded {
+            round,
+            position,
+            input_dhs: column(rng, n),
+            output_dhs: column(rng, n / 2),
+            proof: dleq(rng),
+        },
+        _ => Frame::DisputeOpen {
+            round,
+            accused: position,
+            input_dhs: column(rng, n / 2),
+            output_dhs: column(rng, n),
+            proof: dleq(rng),
+        },
+    }
+}
+
+/// Make the 32 bytes at `at` a rejected (or, for the middle-byte flip,
+/// possibly a different valid) encoding: a negative `s`, `s` past the
+/// field, or a byte flipped inside — which leaves the bytes canonical
+/// and even, so the formula's own checks (no root, negative `t`) decide.
+fn corrupt_point(body: &mut [u8], at: usize, how: usize) {
+    match how % 3 {
+        0 => body[at] |= 1,
+        1 => body[at + 31] |= 0x80,
+        _ => body[at + 13] ^= 0x55,
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Corrupt the point at index i, truncate at byte j, or both: the
+    /// codec's batched rows yield exactly the error a per-item parse
+    /// does — the first failing item's, and within an item its point's
+    /// before a later field's.
+    #[test]
+    fn point_rows_fail_like_a_per_item_parse(
+        seed in any::<u64>(),
+        which in 0usize..6,
+        mode in 0u8..3,
+        point in any::<prop::sample::Index>(),
+        how in 0usize..3,
+        cut in any::<prop::sample::Index>(),
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let frame = point_rows_frame(&mut rng, which);
+        let mut body = frame.encode()[4..].to_vec();
+        let (clean, points) = per_item_parse(&body);
+        prop_assert_eq!(clean, Ok(()));
+        if mode != 1 && !points.is_empty() {
+            corrupt_point(&mut body, points[point.index(points.len())], how);
+        }
+        if mode != 0 {
+            body.truncate(cut.index(body.len()));
+        }
+        let expected = per_item_parse(&body).0;
+        prop_assert_eq!(Frame::decode(&body).map(drop), expected);
+    }
+}
+
+/// The case a batched row gets wrong if it checks its points only
+/// after the whole row: the last entry's point is bad *and* its
+/// ciphertext is cut short.  The point comes first on the wire, so the
+/// point is the error — at every row length around the lane width.
+#[test]
+fn a_bad_point_outranks_a_truncation_later_in_its_item() {
+    let mut rng = StdRng::seed_from_u64(31);
+    for n in [1usize, 2, 3, 7, 8, 9, 17] {
+        let entries: Vec<MixEntry> = (0..n)
+            .map(|_| MixEntry {
+                dh: g(&mut rng),
+                ct: vec![7; 40],
+            })
+            .collect();
+        let mut body = Frame::MixBatchChunk { entries }.encode()[4..].to_vec();
+        let (_, points) = per_item_parse(&body);
+        let last = points[n - 1];
+        body[last] |= 1;
+        body.pop();
+        assert_eq!(
+            Frame::decode(&body),
+            Err(CodecError::InvalidGroupElement),
+            "n={n}"
+        );
+        // Cut inside that point instead: it was never read whole.
+        body.truncate(last + 16);
+        assert_eq!(Frame::decode(&body), Err(CodecError::Truncated), "n={n}");
+    }
+}
+
+/// Within a submission the fields are checked in wire order — point,
+/// then proof — and a failing item ends the row: a bad proof in item 0
+/// outranks a bad point in item 1, and a bad point outranks a bad proof
+/// in its own item.
+#[test]
+fn submission_fields_fail_in_wire_order() {
+    let mut rng = StdRng::seed_from_u64(32);
+    let submissions: Vec<Submission> = (0..9).map(|_| submission(&mut rng)).collect();
+    let body = Frame::SubmissionBatch {
+        round: 4,
+        submissions,
+    }
+    .encode()[4..]
+        .to_vec();
+    let (_, points) = per_item_parse(&body);
+    // A proof's response follows its commitment: 32 bytes of 0xff are
+    // never a canonical scalar.
+    let bad_proof = |body: &mut Vec<u8>, item: usize| {
+        let response = points[item] + 32 + 32;
+        body[response..response + 32].fill(0xff);
+    };
+    let mut proof_then_point = body.clone();
+    bad_proof(&mut proof_then_point, 0);
+    proof_then_point[points[1]] |= 1;
+    assert_eq!(
+        Frame::decode(&proof_then_point),
+        Err(CodecError::InvalidProof)
+    );
+    let mut point_and_proof = body.clone();
+    bad_proof(&mut point_and_proof, 5);
+    point_and_proof[points[5]] |= 1;
+    assert_eq!(
+        Frame::decode(&point_and_proof),
+        Err(CodecError::InvalidGroupElement)
+    );
+}
+
+/// A real sealed submission crosses the wire whole — alone in a
+/// `Submit` and eight to a `SubmissionBatch` — and its proof still
+/// verifies after the trip; a ciphertext shorter or longer than its
+/// declared length, or a point that is not a canonical encoding, is
+/// refused.  (The codec is the only parser of wire input: these are the
+/// cases the retired `Submission::from_bytes`/`MixEntry::from_bytes`
+/// were tested on.)
+#[test]
+fn sealed_submissions_cross_the_wire_whole() {
+    let mut rng = StdRng::seed_from_u64(6);
+    let (_, keys) = generate_chain_keys(&mut rng, 3, 0);
+    let submissions: Vec<Submission> = (0..8)
+        .map(|_| {
+            seal_ahs(
+                &mut rng,
+                &keys,
+                0,
+                &MailboxMessage {
+                    mailbox: [7; 32],
+                    sealed: vec![9; MAILBOX_MSG_LEN - 32],
+                },
+            )
+        })
+        .collect();
+    let batch = Frame::SubmissionBatch {
+        round: 0,
+        submissions: submissions.clone(),
+    };
+    let Ok(Frame::SubmissionBatch {
+        submissions: got, ..
+    }) = Frame::decode(&batch.encode()[4..])
+    else {
+        panic!("a sealed batch decodes");
+    };
+    assert_eq!(got, submissions);
+    assert_eq!(Submission::verify_poks(0, &got), vec![true; 8]);
+
+    let submit = Frame::Submit {
+        round: 0,
+        submission: submissions[0].clone(),
+    };
+    let body = submit.encode()[4..].to_vec();
+    assert_eq!(Frame::decode(&body), Ok(submit));
+    let mut short = body.clone();
+    short.pop();
+    assert_eq!(Frame::decode(&short), Err(CodecError::Truncated));
+    let mut long = body.clone();
+    long.push(0);
+    assert_eq!(Frame::decode(&long), Err(CodecError::TrailingBytes));
+    let mut bad_dh = body.clone();
+    bad_dh[9..41].fill(0xff);
+    assert_eq!(Frame::decode(&bad_dh), Err(CodecError::InvalidGroupElement));
+
+    // A mix entry whose key is 31 bytes of 0xff under a clear top bit:
+    // `s ≥ p`, not a canonical encoding.
+    let mut entry = vec![0x26];
+    entry.extend_from_slice(&1u32.to_le_bytes());
+    entry.extend_from_slice(&[0xff; 31]);
+    entry.push(0x7f);
+    entry.extend_from_slice(&8u32.to_le_bytes());
+    entry.extend_from_slice(&[0; 8]);
+    assert_eq!(Frame::decode(&entry), Err(CodecError::InvalidGroupElement));
 }
 
 // ---- streamed-batch chunking properties ----
