@@ -18,122 +18,6 @@ use xrd_mixnet::MixServer;
 
 const BATCH: usize = 64;
 
-/// Same-build comparison of the two field backends (both are always
-/// compiled; the feature flags only pick which one `FieldElement`
-/// aliases — see `xrd-crypto/src/field/mod.rs`).  Dependent-op chains
-/// of `OPS` iterations so the ~15ns ops dominate harness overhead and
-/// latency (what the serial ladders actually pay) is what's measured.
-fn bench_field_backends(c: &mut Criterion) {
-    use xrd_crypto::field::{fiat51, sat64, FIELD_BACKEND};
-    const OPS: usize = 1000;
-
-    println!("field backend: {FIELD_BACKEND}");
-    let mut rng = StdRng::seed_from_u64(7);
-    let seed = Scalar::random(&mut rng).to_bytes();
-    let f51 = fiat51::FieldElement::from_bytes(&seed);
-    let f64x = sat64::FieldElement::from_bytes(&seed);
-
-    let mut group = c.benchmark_group("field_mul_1000");
-    group.bench_function("fiat51", |b| {
-        b.iter(|| {
-            let mut x = f51;
-            for _ in 0..OPS {
-                x = x.mul(&f51);
-            }
-            x
-        })
-    });
-    group.bench_function("sat64", |b| {
-        b.iter(|| {
-            let mut x = f64x;
-            for _ in 0..OPS {
-                x = x.mul(&f64x);
-            }
-            x
-        })
-    });
-    group.finish();
-
-    let mut group = c.benchmark_group("field_square_1000");
-    group.bench_function("fiat51", |b| {
-        b.iter(|| {
-            let mut x = f51;
-            for _ in 0..OPS {
-                x = x.square();
-            }
-            x
-        })
-    });
-    group.bench_function("sat64", |b| {
-        b.iter(|| {
-            let mut x = f64x;
-            for _ in 0..OPS {
-                x = x.square();
-            }
-            x
-        })
-    });
-    group.finish();
-
-    // One inversion is ~254 squarings + 11 muls: the closest field-only
-    // proxy for the constant-time ladder mix the hop kernel runs.
-    let mut group = c.benchmark_group("field_invert");
-    group.bench_function("fiat51", |b| b.iter(|| f51.invert()));
-    group.bench_function("sat64", |b| b.iter(|| f64x.invert()));
-    group.finish();
-}
-
-/// The *same-build* backend ratio on the real hop kernel: the generic
-/// point pipeline lets one binary run `PointTable::scalar_mul_pair` —
-/// table build included, exactly the §6.3 per-entry shape — over both
-/// field representations on the same inputs, which removes build-to-
-/// build noise from the comparison entirely.
-fn bench_hop_kernel_backends(c: &mut Criterion) {
-    use xrd_crypto::edwards::{EdwardsPoint, PointTable};
-    use xrd_crypto::field::{fiat51, sat64};
-
-    let mut rng = StdRng::seed_from_u64(6);
-    let msk = Scalar::random(&mut rng);
-    let bsk = Scalar::random(&mut rng);
-    let encodings: Vec<[u8; 32]> = (0..BATCH)
-        .map(|_| EdwardsPoint::base_mul(&Scalar::random(&mut rng)).compress())
-        .collect();
-    let p51: Vec<EdwardsPoint<fiat51::FieldElement>> = encodings
-        .iter()
-        .map(|e| EdwardsPoint::decompress(e).expect("valid"))
-        .collect();
-    let p64: Vec<EdwardsPoint<sat64::FieldElement>> = encodings
-        .iter()
-        .map(|e| EdwardsPoint::decompress(e).expect("valid"))
-        .collect();
-
-    let mut group = c.benchmark_group("hop_kernel_backends");
-    group.sample_size(10);
-    group.bench_function("fiat51", |b| {
-        b.iter(|| {
-            let tables = PointTable::batch_new(&p51);
-            tables
-                .iter()
-                .map(|t| t.scalar_mul_pair(&msk, &bsk))
-                .fold(EdwardsPoint::identity(), |acc, (pm, pb)| {
-                    acc.add(&pm).add(&pb)
-                })
-        })
-    });
-    group.bench_function("sat64", |b| {
-        b.iter(|| {
-            let tables = PointTable::batch_new(&p64);
-            tables
-                .iter()
-                .map(|t| t.scalar_mul_pair(&msk, &bsk))
-                .fold(EdwardsPoint::identity(), |acc, (pm, pb)| {
-                    acc.add(&pm).add(&pb)
-                })
-        })
-    });
-    group.finish();
-}
-
 /// The §6.3 two-scalar hop kernel: per entry, raise the same DH key to
 /// both `msk` (decrypt) and `bsk` (blind).
 fn bench_hop_kernel(c: &mut Criterion) {
@@ -183,10 +67,11 @@ fn bench_lanes(c: &mut Criterion) {
     use xrd_crypto::field::FIELD_BACKEND;
     const CHUNK: usize = 32;
 
+    println!("field backend: {FIELD_BACKEND}");
     if !FIELD_BACKEND.ends_with("+ifma8") {
         println!(
             "lanes: skipped — backend {FIELD_BACKEND} has no lane kernel (needs avx512f + \
-             avx512ifma at compile time and no force-field51)"
+             avx512ifma at compile time)"
         );
         return;
     }
@@ -488,8 +373,6 @@ fn bench_hop_end_to_end(c: &mut Criterion) {
 
 criterion_group!(
     benches,
-    bench_field_backends,
-    bench_hop_kernel_backends,
     bench_hop_kernel,
     bench_lanes,
     bench_fixed_base,

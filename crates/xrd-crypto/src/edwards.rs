@@ -12,8 +12,8 @@
 //! The whole pipeline is generic over the field representation:
 //! `EdwardsPoint<F>` defaults to the build-selected [`FieldElement`],
 //! which is what the rest of the crate (and the public API) uses, while
-//! benches and differential tests instantiate the *same* formulas over
-//! both scalar backends in one build to compare them like for like.
+//! differential tests instantiate the *same* formulas over the portable
+//! 5×51 backend as well, the oracle every build carries.
 //! The formulas, tables and ladders ask only for [`FieldArith`], so
 //! they also instantiate at the eight-lane `F51x8` where it is compiled
 //! in — eight points per value, one digit stream for all of them (the
@@ -887,8 +887,7 @@ impl EdwardsPoint {
 #[cfg(all(
     target_arch = "x86_64",
     target_feature = "avx512f",
-    target_feature = "avx512ifma",
-    not(feature = "force-field51")
+    target_feature = "avx512ifma"
 ))]
 mod lanes {
     use super::{EdwardsPoint, FixedBaseTable, LookupTable};
@@ -1300,13 +1299,13 @@ pub(crate) mod tests {
         }
     }
 
-    /// Both field backends must produce byte-identical curve behavior:
-    /// decompress → ladder → compress agrees limb-for-limb after
+    /// The selected field backend must behave byte for byte as the
+    /// 5×51 oracle does: decompress → ladder → compress agrees after
     /// canonical encoding (the cross-backend proptests go further; this
     /// is the smoke check that lives next to the formulas).
     #[test]
     fn backends_agree_on_scalar_mul() {
-        use crate::field::{fiat51, sat64};
+        use crate::field::{fiat51, FieldElement};
         let mut rng = StdRng::seed_from_u64(4242);
         for _ in 0..4 {
             let s = Scalar::random(&mut rng);
@@ -1315,9 +1314,9 @@ pub(crate) mod tests {
                 .compress();
             let p51: EdwardsPoint<fiat51::FieldElement> =
                 EdwardsPoint::decompress(&enc).expect("valid point");
-            let p64: EdwardsPoint<sat64::FieldElement> =
+            let p: EdwardsPoint<FieldElement> =
                 EdwardsPoint::decompress(&enc).expect("valid point");
-            assert_eq!(p51.scalar_mul(&s).compress(), p64.scalar_mul(&s).compress());
+            assert_eq!(p51.scalar_mul(&s).compress(), p.scalar_mul(&s).compress());
         }
     }
 
@@ -1449,17 +1448,16 @@ pub(crate) mod tests {
     /// `FixedBaseTable::mul` of scalar `i` and an idle lane the
     /// identity, whatever the other lanes walk — every edge scalar in
     /// every lane, beside different neighbours each time, off a table
-    /// held in either scalar representation.
+    /// held in the 5×51 representation and in the selected one.
     #[cfg(all(
         target_arch = "x86_64",
         target_feature = "avx512f",
-        target_feature = "avx512ifma",
-        not(feature = "force-field51")
+        target_feature = "avx512ifma"
     ))]
     #[test]
     fn lane_walk_matches_fixed_base_mul_in_every_lane() {
         use crate::field::ifma::F51x8;
-        use crate::field::{fiat51, sat64, ScanFrom};
+        use crate::field::{fiat51, FieldElement, ScanFrom};
 
         fn check<F: FieldBackend>(seed: u64)
         where
@@ -1491,14 +1489,14 @@ pub(crate) mod tests {
             }
         }
         check::<fiat51::FieldElement>(75);
-        check::<sat64::FieldElement>(76);
+        check::<FieldElement>(76);
     }
 
     #[test]
     fn fixed_base_table_matches_scalar_mul_on_both_backends() {
-        use crate::field::{fiat51, sat64};
+        use crate::field::{fiat51, FieldElement};
         fixed_base_table_matches_ladder::<fiat51::FieldElement>(73);
-        fixed_base_table_matches_ladder::<sat64::FieldElement>(74);
+        fixed_base_table_matches_ladder::<FieldElement>(74);
     }
 
     #[test]
@@ -1593,9 +1591,9 @@ pub(crate) mod tests {
 
     #[test]
     fn vartime_scalar_mul_matches_ct() {
-        use crate::field::{fiat51, sat64};
+        use crate::field::{fiat51, FieldElement};
         vartime_scalar_mul_matches_ladder::<fiat51::FieldElement>(78);
-        vartime_scalar_mul_matches_ladder::<sat64::FieldElement>(178);
+        vartime_scalar_mul_matches_ladder::<FieldElement>(178);
     }
 
     fn multiscalar_matches_naive<F: FieldBackend>(seed: u64) {
@@ -1627,9 +1625,9 @@ pub(crate) mod tests {
 
     #[test]
     fn multiscalar_small_matches_naive() {
-        use crate::field::{fiat51, sat64};
+        use crate::field::{fiat51, FieldElement};
         multiscalar_matches_naive::<fiat51::FieldElement>(79);
-        multiscalar_matches_naive::<sat64::FieldElement>(179);
+        multiscalar_matches_naive::<FieldElement>(179);
     }
 
     #[test]

@@ -4,8 +4,10 @@
 //! Elements are five 51-bit limbs kept weakly reduced (below ~2^52) so
 //! that products never overflow 128-bit accumulators.  This backend is
 //! pure integer arithmetic over `u64`/`u128` and compiles everywhere;
-//! it is the fallback when the saturated [`super::sat64`] backend is
-//! not selected (see `field/mod.rs` for the dispatch rules).
+//! it is the selected backend on every target the saturated `sat64`
+//! backend's asm cannot run on, and the oracle the other
+//! representations are tested against on all of them (see
+//! `field/mod.rs` for the selection rules).
 
 use crate::util::load_u64_le;
 

@@ -16,7 +16,7 @@
 //! **Compiled only where `avx512f` and `avx512ifma` are statically
 //! enabled** (the `cfg` on `pub mod ifma` in `field/mod.rs`; the
 //! workspace's `-C target-cpu=native` turns them on where the host has
-//! them, and `force-field51` keeps the module out regardless).  There
+//! them).  There
 //! is no runtime detection: every intrinsic call below is sound because
 //! the instruction it names is part of the compilation target.
 //!
@@ -45,7 +45,7 @@
 use std::arch::x86_64::*;
 use std::sync::OnceLock;
 
-use super::{fiat51, sat64, Digit, FieldArith, FieldElement, FieldLanes, ScanFrom};
+use super::{fiat51, Digit, FieldArith, FieldElement, FieldLanes, ScanFrom};
 
 /// Eight field elements, one per 64-bit lane (see the module docs).
 #[derive(Clone, Copy, Debug)]
@@ -397,6 +397,8 @@ impl F51x8 {
     }
 }
 
+impl super::sealed::Sealed for F51x8 {}
+
 impl FieldArith for F51x8 {
     type Choice = LaneMask;
     type Digit = Digits8;
@@ -531,16 +533,22 @@ fn merge_words<const N: usize>(acc: &mut [__m512i; N], words: &[u64; N], hit: La
     }
 }
 
-impl ScanFrom<sat64::FieldElement> for F51x8 {
+// Wherever `sat64` is compiled (the gate on `pub mod sat64`).
+#[cfg(all(
+    target_feature = "bmi2",
+    target_feature = "adx",
+    target_feature = "avx2"
+))]
+impl ScanFrom<super::sat64::FieldElement> for F51x8 {
     type Scan = [__m512i; 4];
 
     #[inline(always)]
-    fn scan_seed(entry: &sat64::FieldElement, hit: LaneMask) -> Self::Scan {
+    fn scan_seed(entry: &super::sat64::FieldElement, hit: LaneMask) -> Self::Scan {
         seed_words(&entry.0, hit)
     }
 
     #[inline(always)]
-    fn scan_merge(acc: &mut Self::Scan, entry: &sat64::FieldElement, hit: LaneMask) {
+    fn scan_merge(acc: &mut Self::Scan, entry: &super::sat64::FieldElement, hit: LaneMask) {
         merge_words(acc, &entry.0, hit);
     }
 

@@ -9,35 +9,32 @@
 //! | backend            | limbs | representation            | multiply kernel |
 //! |--------------------|-------|---------------------------|-----------------|
 //! | [`fiat51`]         | 5×51  | radix 2^51, weakly reduced | portable `u128` accumulators |
-//! | [`sat64`]          | 4×64  | saturated, value < 2^256  | `mulx`+`adcx`/`adox` inline asm on x86-64 (BMI2+ADX), portable `u128` carry chains elsewhere |
+//! | `sat64`            | 4×64  | saturated, value < 2^256  | `mulx`+`adcx`/`adox` inline asm; compiled only on x86-64 with BMI2+ADX+AVX2 |
 //! | `ifma` (`F51x8`)   | 8 × 5×51 | eight elements, one per 64-bit lane of five `__m512i`; every op returns limbs < 2^52 | `vpmadd52{l,h}uq` (AVX-512 IFMA) |
 //!
-//! **Selection** happens at build time:
+//! **Selection is a function of the compile target**, with no build
+//! option of its own:
 //!
-//! * feature `force-field51` → the portable 5×51 backend, everywhere
-//!   (and no lane kernel);
-//! * feature `force-field64` → the 4×64 backend (its portable carry
-//!   chains if the target lacks BMI2+ADX);
-//! * default: 4×64 on x86-64 compiled with `bmi2`+`adx` target
-//!   features (the workspace's `-C target-cpu=native` enables them on
-//!   the reference host), 5×51 anywhere else.
+//! * `sat64` is compiled exactly where its asm runs — x86-64 with the
+//!   `bmi2`, `adx` and `avx2` target features on (the workspace's
+//!   `-C target-cpu=native` enables them on the reference host) — and
+//!   is then what [`FieldElement`] aliases;
+//! * `fiat51` is always compiled: it is [`FieldElement`] on every other
+//!   target, and the differential oracle the other two representations
+//!   are tested against everywhere;
+//! * the `ifma` module is compiled wherever `avx512f` and `avx512ifma`
+//!   are on, beside whichever scalar backend the target selected.
 //!
-//! Both scalar backends are *always compiled* — the feature only
-//! chooses which one `FieldElement` aliases — so differential tests and
-//! benches can drive the two representations against each other in a
-//! single build.
+//! To build another shape on one host, change the target features:
+//! `-C target-cpu=x86-64` is `fiat51` without lanes, `-C
+//! target-feature=-avx512ifma` keeps the scalar backend and drops the
+//! lanes, `-C target-feature=-adx` pairs the lanes with `fiat51`.
 //!
 //! The lane representation is not a choice for `FieldElement` (it has
 //! no bytes and no inversion — it is a [`FieldArith`] and a
-//! [`FieldLanes`], not a [`FieldBackend`]) and has no feature of its
-//! own: the `ifma` module is compiled exactly where `avx512f` and
-//! `avx512ifma` are statically enabled (`target-cpu=native` on a host
-//! that has them) and the portable backend is not being forced —
-//! `force-field51` means portable arithmetic *everywhere*, so it turns
-//! the lane kernel off with everything else native, as `-C
-//! target-feature=-avx512ifma` does while keeping the 4×64 backend.
-//! Where it is compiled, the batch entry points in `ristretto.rs` run
-//! on it.  [`FIELD_BACKEND`] names what a build got.
+//! [`FieldLanes`], not a [`FieldBackend`]).  Where it is compiled, the
+//! batch entry points in `ristretto.rs` run on it.  [`FIELD_BACKEND`]
+//! names what a build got.
 //!
 //! ## Lazy-reduction contract
 //!
@@ -61,9 +58,6 @@
 //! Derived curve constants (sqrt(-1), Edwards d, the Ristretto magic
 //! constants) are computed at first use from first principles rather
 //! than transcribed, and validated by unit tests.
-
-#[cfg(all(feature = "force-field51", feature = "force-field64"))]
-compile_error!("features `force-field51` and `force-field64` are mutually exclusive");
 
 /// Everything the two backends share and a lane type does not —
 /// inversion, batched inversion, byte-level sign and equality, derived
@@ -215,6 +209,8 @@ macro_rules! impl_field_shared {
         }
         impl Eq for $fe {}
 
+        impl crate::field::sealed::Sealed for $fe {}
+
         impl crate::field::FieldArith for $fe {
             type Choice = u64;
             type Digit = i8;
@@ -317,18 +313,11 @@ pub(crate) use impl_field_shared;
 /// Seals [`FieldArith`] (and so [`FieldBackend`]): the point
 /// pipeline's invariants (the lazy-reduction bounds among them) are
 /// only audited for the in-crate representations, so no foreign type
-/// may implement the traits.
+/// may implement the traits.  Each representation's module implements
+/// it (the scalar backends through `impl_field_shared!`), so a module
+/// compiled out takes its impl with it.
 mod sealed {
     pub trait Sealed {}
-    impl Sealed for super::fiat51::FieldElement {}
-    impl Sealed for super::sat64::FieldElement {}
-    #[cfg(all(
-        target_arch = "x86_64",
-        target_feature = "avx512f",
-        target_feature = "avx512ifma",
-        not(feature = "force-field51")
-    ))]
-    impl Sealed for super::ifma::F51x8 {}
 }
 
 /// One signed radix-16 digit per lane of a field representation: what
@@ -571,11 +560,11 @@ pub trait FieldLanes: FieldArith {
 
 /// A *single* field element: [`FieldLanes`] with one lane, plus what
 /// only makes sense per element — encodings, inversion, zero tests.
-/// Both scalar backends implement it, so point arithmetic — and
-/// therefore the hop kernel — can be instantiated over *either*
-/// representation in the same build; the cross-backend benches and
-/// differential tests rely on exactly that.  Outside of those
-/// harnesses, use the [`FieldElement`] alias and its inherent methods.
+/// Every compiled scalar backend implements it, so point arithmetic —
+/// and therefore the hop kernel — can be instantiated over [`fiat51`]
+/// as well as over the selected [`FieldElement`]; the differential
+/// tests rely on exactly that.  Outside of them, use the
+/// [`FieldElement`] alias and its inherent methods.
 #[allow(missing_docs)] // mirror of the documented inherent methods
 pub trait FieldBackend: FieldLanes<Choice = u64, Digit = i8> + PartialEq + Eq {
     fn from_u64(x: u64) -> Self;
@@ -592,39 +581,36 @@ pub mod fiat51;
 #[cfg(all(
     target_arch = "x86_64",
     target_feature = "avx512f",
-    target_feature = "avx512ifma",
-    not(feature = "force-field51")
+    target_feature = "avx512ifma"
 ))]
 pub mod ifma;
+#[cfg(all(
+    target_arch = "x86_64",
+    target_feature = "bmi2",
+    target_feature = "adx",
+    target_feature = "avx2"
+))]
 pub mod sat64;
 
-/// True when this build selects the portable 5×51 backend.
-#[cfg(any(
-    feature = "force-field51",
-    all(
-        not(feature = "force-field64"),
-        not(all(
-            target_arch = "x86_64",
-            target_feature = "bmi2",
-            target_feature = "adx"
-        ))
-    )
+/// The build's scalar backend: the 4×64 saturated one where its asm
+/// runs.
+#[cfg(all(
+    target_arch = "x86_64",
+    target_feature = "bmi2",
+    target_feature = "adx",
+    target_feature = "avx2"
 ))]
-pub use fiat51::FieldElement;
-
-/// True when this build selects the 4×64 saturated backend.
-#[cfg(not(any(
-    feature = "force-field51",
-    all(
-        not(feature = "force-field64"),
-        not(all(
-            target_arch = "x86_64",
-            target_feature = "bmi2",
-            target_feature = "adx"
-        ))
-    )
-)))]
 pub use sat64::FieldElement;
+
+/// The build's scalar backend: the portable 5×51 one on every target
+/// that cannot run `sat64`'s asm.
+#[cfg(not(all(
+    target_arch = "x86_64",
+    target_feature = "bmi2",
+    target_feature = "adx",
+    target_feature = "avx2"
+)))]
+pub use fiat51::FieldElement;
 
 /// What this build compiled in: the scalar backend [`FieldElement`]
 /// aliases, then `+ifma8` when the eight-lane kernel (`field::ifma`) is
@@ -638,8 +624,7 @@ pub use sat64::FieldElement;
 pub const FIELD_BACKEND: &str = if cfg!(all(
     target_arch = "x86_64",
     target_feature = "avx512f",
-    target_feature = "avx512ifma",
-    not(feature = "force-field51")
+    target_feature = "avx512ifma"
 )) {
     FieldElement::BACKEND_NAME_WITH_LANES
 } else {
@@ -664,11 +649,10 @@ mod tests {
         let lanes = cfg!(all(
             target_arch = "x86_64",
             target_feature = "avx512f",
-            target_feature = "avx512ifma",
-            not(feature = "force-field51")
+            target_feature = "avx512ifma"
         ));
         if !lanes {
-            println!("lane kernel not built (needs avx512f + avx512ifma, no force-field51)");
+            println!("lane kernel not built (needs avx512f + avx512ifma)");
         }
         assert!(FIELD_BACKEND.starts_with(FieldElement::BACKEND_NAME));
         assert_eq!(FIELD_BACKEND.ends_with("+ifma8"), lanes);

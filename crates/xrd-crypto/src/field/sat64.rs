@@ -7,15 +7,14 @@
 //! (`2^256 ≡ 38 (mod p)`), and only `to_bytes` performs the final
 //! canonical reduction into `[0, p)`.
 //!
-//! Two multiply kernels coexist:
-//!
-//! * an inline-`asm!` kernel for x86-64 with BMI2+ADX (`mulx` full
-//!   64×64 multiplies, `adcx`/`adox` dual carry chains — the
-//!   saturated representation exists to exploit exactly these
-//!   instructions), selected when those target features are enabled
-//!   at compile time (`-C target-cpu=native` on the reference host);
-//! * a portable `u128` carry-chain path everywhere else, which also
-//!   serves as the differential-testing reference for the asm.
+//! Add, sub, mul and square are inline `asm!` for x86-64 with BMI2+ADX
+//! (`mulx` full 64×64 multiplies, `adcx`/`adox` dual carry chains — the
+//! saturated representation exists to exploit exactly these
+//! instructions), and selects and masks are AVX2.  The module is
+//! compiled exactly where all three are enabled at compile time
+//! (`-C target-cpu=native` on the reference host; see `field/mod.rs`),
+//! so it has no portable path: the 5×51 backend is what every other
+//! target runs, and the oracle the kernels here are tested against.
 //!
 //! Unlike the 5×51 backend there are no spare bits to postpone carries
 //! into, so the `lazy_*` entry points reduce eagerly — additions here
@@ -52,56 +51,19 @@ fn fold_carry(mut l: [u64; 4], carry: u64) -> [u64; 4] {
     l
 }
 
-/// Reduce a 512-bit product to four limbs: `lo + 38*hi` (since `2^256
-/// ≡ 38`), then fold the small remaining carry.
-#[inline(always)]
-fn reduce512(t: [u64; 8]) -> [u64; 4] {
-    let mut l = [0u64; 4];
-    let mut acc: u128 = 0;
-    for i in 0..4 {
-        acc += (t[i] as u128) + 38u128 * (t[i + 4] as u128);
-        l[i] = acc as u64;
-        acc >>= 64;
-    }
-    // acc ≤ 38 here; fold_carry's second-wrap argument still holds
-    // because the first fold adds at most 38*38 = 1444.
-    fold_carry(l, acc as u64)
-}
-
-/// Portable 4×4 schoolbook multiply into a 512-bit product, then a
-/// 38-fold reduction.  `u128` accumulation: `t + a*b + carry` peaks at
-/// exactly `2^128 - 1`, so the chain never overflows.
-#[inline(always)]
-fn mul_portable(a: &[u64; 4], b: &[u64; 4]) -> [u64; 4] {
-    let mut t = [0u64; 8];
-    for i in 0..4 {
-        let mut carry: u128 = 0;
-        for j in 0..4 {
-            let acc = (t[i + j] as u128) + (a[i] as u128) * (b[j] as u128) + carry;
-            t[i + j] = acc as u64;
-            carry = acc >> 64;
-        }
-        t[i + 4] = carry as u64;
-    }
-    reduce512(t)
-}
-
 /// x86-64 BMI2+ADX kernels: `mulx` for full 64×64→128 products with
 /// untouched flags, `adcx`/`adox` for two independent carry chains per
 /// row.  The 512-bit product never touches memory — it lives in eight
-/// registers and is folded mod `2^256 - 38` in place.
+/// registers and is folded mod `2^256 - 38` in place.  `mulx`, `adcx`
+/// and `adox` are part of every target this module is compiled for
+/// (the gate on `pub mod sat64` in `field/mod.rs`).
 ///
 /// Correctness of the tails: after folding `hi*38` the remaining top
 /// word is < 39, so `imul`-folding it adds < 1482; if *that* carries
 /// out of limb 3 the value wrapped mod 2^256, limb 0 is < 1482, and
 /// the final masked 38-add (`sbb/and/add`) cannot carry.  The asm is
-/// differentially tested against the portable path (unit test below
+/// differentially tested against the 5×51 backend (unit tests below
 /// and `tests/field_backends.rs`).
-#[cfg(all(
-    target_arch = "x86_64",
-    target_feature = "bmi2",
-    target_feature = "adx"
-))]
 mod asm {
     /// Addition with the carry folded back as +38, twice (the second
     /// fold's `sbb/and` masks 38 in only on the rare second wrap).
@@ -554,70 +516,14 @@ impl FieldElement {
     /// Field addition.
     #[inline(always)]
     pub fn add(&self, rhs: &FieldElement) -> FieldElement {
-        #[cfg(all(
-            target_arch = "x86_64",
-            target_feature = "bmi2",
-            target_feature = "adx"
-        ))]
-        {
-            FieldElement(asm::add(&self.0, &rhs.0))
-        }
-        #[cfg(not(all(
-            target_arch = "x86_64",
-            target_feature = "bmi2",
-            target_feature = "adx"
-        )))]
-        {
-            let mut l = [0u64; 4];
-            let mut acc: u128 = 0;
-            for i in 0..4 {
-                acc += (self.0[i] as u128) + (rhs.0[i] as u128);
-                l[i] = acc as u64;
-                acc >>= 64;
-            }
-            FieldElement(fold_carry(l, acc as u64))
-        }
+        FieldElement(asm::add(&self.0, &rhs.0))
     }
 
     /// Field subtraction: borrow out of the top limb folds back as
     /// `-38` (`-2^256 ≡ -38 mod p`), twice for the rare double wrap.
     #[inline(always)]
     pub fn sub(&self, rhs: &FieldElement) -> FieldElement {
-        #[cfg(all(
-            target_arch = "x86_64",
-            target_feature = "bmi2",
-            target_feature = "adx"
-        ))]
-        {
-            FieldElement(asm::sub(&self.0, &rhs.0))
-        }
-        #[cfg(not(all(
-            target_arch = "x86_64",
-            target_feature = "bmi2",
-            target_feature = "adx"
-        )))]
-        {
-            let mut l = [0u64; 4];
-            let mut borrow = 0u64;
-            for i in 0..4 {
-                let (d1, b1) = self.0[i].overflowing_sub(rhs.0[i]);
-                let (d2, b2) = d1.overflowing_sub(borrow);
-                l[i] = d2;
-                borrow = (b1 | b2) as u64;
-            }
-            let (d, b) = l[0].overflowing_sub(38 * borrow);
-            l[0] = d;
-            let mut bb = b as u64;
-            for i in 1..4 {
-                let (d, b) = l[i].overflowing_sub(bb);
-                l[i] = d;
-                bb = b as u64;
-            }
-            // A second borrow means the value wrapped high: limb 0 is
-            // now within 38 of 2^64, so it cannot borrow again.
-            l[0] = l[0].wrapping_sub(38 * bb);
-            FieldElement(l)
-        }
+        FieldElement(asm::sub(&self.0, &rhs.0))
     }
 
     // -----------------------------------------------------------------
@@ -629,21 +535,18 @@ impl FieldElement {
 
     /// Lazy addition (eager in this backend; see module docs).
     #[inline(always)]
-    #[allow(dead_code)] // unused when the other backend is selected
     pub(crate) fn lazy_add(&self, rhs: &FieldElement) -> FieldElement {
         self.add(rhs)
     }
 
     /// Lazy subtraction (eager in this backend; see module docs).
     #[inline(always)]
-    #[allow(dead_code)] // unused when the other backend is selected
     pub(crate) fn lazy_sub(&self, rhs: &FieldElement) -> FieldElement {
         self.sub(rhs)
     }
 
     /// Wide-rhs lazy subtraction (eager in this backend).
     #[inline(always)]
-    #[allow(dead_code)] // unused when the other backend is selected
     pub(crate) fn lazy_sub_wide(&self, rhs: &FieldElement) -> FieldElement {
         self.sub(rhs)
     }
@@ -651,43 +554,13 @@ impl FieldElement {
     /// Field multiplication.
     #[inline(always)]
     pub fn mul(&self, rhs: &FieldElement) -> FieldElement {
-        #[cfg(all(
-            target_arch = "x86_64",
-            target_feature = "bmi2",
-            target_feature = "adx"
-        ))]
-        {
-            FieldElement(asm::mul(&self.0, &rhs.0))
-        }
-        #[cfg(not(all(
-            target_arch = "x86_64",
-            target_feature = "bmi2",
-            target_feature = "adx"
-        )))]
-        {
-            FieldElement(mul_portable(&self.0, &rhs.0))
-        }
+        FieldElement(asm::mul(&self.0, &rhs.0))
     }
 
     /// Field squaring.
     #[inline(always)]
     pub fn square(&self) -> FieldElement {
-        #[cfg(all(
-            target_arch = "x86_64",
-            target_feature = "bmi2",
-            target_feature = "adx"
-        ))]
-        {
-            FieldElement(asm::square(&self.0))
-        }
-        #[cfg(not(all(
-            target_arch = "x86_64",
-            target_feature = "bmi2",
-            target_feature = "adx"
-        )))]
-        {
-            FieldElement(mul_portable(&self.0, &self.0))
-        }
+        FieldElement(asm::square(&self.0))
     }
 
     /// `2 * self^2`.
@@ -704,8 +577,10 @@ impl FieldElement {
     pub fn select(a: &FieldElement, b: &FieldElement, choice: u64) -> FieldElement {
         debug_assert!(choice == 0 || choice == 1);
         let mask = choice.wrapping_neg(); // 0 or all-ones
-        #[cfg(all(target_arch = "x86_64", target_feature = "avx2"))]
-        // SAFETY: loads/stores 32 bytes from/to valid [u64; 4] refs.
+
+        // SAFETY: AVX2 is on wherever this module is compiled (the gate
+        // in field/mod.rs); loads/stores 32 bytes from/to valid [u64; 4]
+        // refs.
         unsafe {
             use core::arch::x86_64::*;
             let mut out = [0u64; 4];
@@ -717,14 +592,6 @@ impl FieldElement {
             _mm256_storeu_si256(out.as_mut_ptr() as *mut __m256i, sel);
             FieldElement(out)
         }
-        #[cfg(not(all(target_arch = "x86_64", target_feature = "avx2")))]
-        {
-            let mut out = *a;
-            for (o, l) in out.0.iter_mut().zip(b.0.iter()) {
-                *o ^= mask & (*o ^ l);
-            }
-            out
-        }
     }
 
     /// All limbs ANDed with `mask` (masked table-scan seed).  The four
@@ -734,10 +601,10 @@ impl FieldElement {
     /// the resulting per-entry mispredicts are measurable across the
     /// ladder's 126 scans per two-scalar kernel.
     #[inline(always)]
-    #[allow(dead_code)] // unused when the other backend is selected
     pub(crate) fn and_mask(&self, mask: u64) -> FieldElement {
-        #[cfg(all(target_arch = "x86_64", target_feature = "avx2"))]
-        // SAFETY: loads/stores 32 bytes from/to valid [u64; 4] refs.
+        // SAFETY: AVX2 is on wherever this module is compiled (the gate
+        // in field/mod.rs); loads/stores 32 bytes from/to valid [u64; 4]
+        // refs.
         unsafe {
             use core::arch::x86_64::*;
             let mut out = [0u64; 4];
@@ -746,23 +613,15 @@ impl FieldElement {
             _mm256_storeu_si256(out.as_mut_ptr() as *mut __m256i, _mm256_and_si256(v, m));
             FieldElement(out)
         }
-        #[cfg(not(all(target_arch = "x86_64", target_feature = "avx2")))]
-        {
-            let mut out = *self;
-            for l in out.0.iter_mut() {
-                *l &= mask;
-            }
-            out
-        }
     }
 
     /// OR in `entry`'s limbs under `mask` (masked table-scan
     /// accumulation): one `vpand` + `vpor` under AVX2, branchless.
     #[inline(always)]
-    #[allow(dead_code)] // unused when the other backend is selected
     pub(crate) fn or_assign_masked(&mut self, entry: &FieldElement, mask: u64) {
-        #[cfg(all(target_arch = "x86_64", target_feature = "avx2"))]
-        // SAFETY: loads/stores 32 bytes from/to valid [u64; 4] refs.
+        // SAFETY: AVX2 is on wherever this module is compiled (the gate
+        // in field/mod.rs); loads/stores 32 bytes from/to valid [u64; 4]
+        // refs.
         unsafe {
             use core::arch::x86_64::*;
             let acc = _mm256_loadu_si256(self.0.as_ptr() as *const __m256i);
@@ -771,19 +630,6 @@ impl FieldElement {
             let merged = _mm256_or_si256(acc, _mm256_and_si256(e, m));
             _mm256_storeu_si256(self.0.as_mut_ptr() as *mut __m256i, merged);
         }
-        #[cfg(not(all(target_arch = "x86_64", target_feature = "avx2")))]
-        {
-            for (l, e) in self.0.iter_mut().zip(entry.0.iter()) {
-                *l |= e & mask;
-            }
-        }
-    }
-
-    /// The portable multiply, exposed for differential testing of the
-    /// asm kernel (`tests/field_backends.rs`).
-    #[doc(hidden)]
-    pub fn mul_portable_ref(&self, rhs: &FieldElement) -> FieldElement {
-        FieldElement(mul_portable(&self.0, &rhs.0))
     }
 }
 
@@ -792,13 +638,40 @@ crate::field::impl_field_shared!(FieldElement);
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::field::fiat51;
+    use proptest::prelude::*;
 
-    /// The asm kernels must agree with the portable carry chains on
-    /// structured and pseudo-random limb patterns (only meaningful when
-    /// the asm path is compiled in; otherwise this tests the portable
-    /// path against itself and is vacuous but harmless).
+    /// The same value in the 5×51 backend, read through the radix-2^51
+    /// limb view the lane kernel uses (pure shifts, nothing reduced).
+    fn oracle(x: &FieldElement) -> fiat51::FieldElement {
+        fiat51::FieldElement::from_limbs51(&x.to_limbs51())
+    }
+
+    /// `x op y` agrees with the 5×51 backend's on the same values.
+    fn assert_ops_agree(x: &FieldElement, y: &FieldElement) {
+        let (x51, y51) = (oracle(x), oracle(y));
+        let what = format!("{:x?} and {:x?}", x.0, y.0);
+        assert_eq!(x.add(y).to_bytes(), x51.add(&y51).to_bytes(), "add {what}");
+        assert_eq!(x.sub(y).to_bytes(), x51.sub(&y51).to_bytes(), "sub {what}");
+        assert_eq!(x.mul(y).to_bytes(), x51.mul(&y51).to_bytes(), "mul {what}");
+        assert_eq!(
+            x.square().to_bytes(),
+            x51.square().to_bytes(),
+            "square {what}"
+        );
+        assert_eq!(
+            x.square2().to_bytes(),
+            x51.square2().to_bytes(),
+            "square2 {what}"
+        );
+    }
+
+    /// The asm kernels against the 5×51 backend on structured limb
+    /// patterns — the carry and fold edges of the saturated
+    /// representation — and pseudo-random ones, each against each of
+    /// the first eight.
     #[test]
-    fn asm_matches_portable() {
+    fn asm_matches_fiat51_on_limb_patterns() {
         let mut patterns: Vec<[u64; 4]> = vec![
             [0, 0, 0, 0],
             [1, 0, 0, 0],
@@ -821,20 +694,24 @@ mod tests {
         }
         for a in &patterns {
             for b in patterns.iter().take(8) {
-                let fa = FieldElement(*a);
-                let fb = FieldElement(*b);
-                assert_eq!(
-                    fa.mul(&fb).to_bytes(),
-                    fa.mul_portable_ref(&fb).to_bytes(),
-                    "mul mismatch on {a:?} * {b:?}"
-                );
+                assert_ops_agree(&FieldElement(*a), &FieldElement(*b));
             }
-            let fa = FieldElement(*a);
-            assert_eq!(
-                fa.square().to_bytes(),
-                fa.mul_portable_ref(&fa).to_bytes(),
-                "square mismatch on {a:?}"
-            );
+        }
+    }
+
+    proptest! {
+        /// The asm kernels against the 5×51 backend over the
+        /// representation's full `value < 2^256` input domain:
+        /// `from_bytes` never sets bit 255, so the operands are products
+        /// of parsed values, which roam the whole range.
+        #[test]
+        fn asm_matches_fiat51_on_full_range_products(
+            x in prop::array::uniform32(any::<u8>()),
+            y in prop::array::uniform32(any::<u8>()),
+        ) {
+            let a = FieldElement::from_bytes(&x).mul(&FieldElement::from_bytes(&y));
+            let b = FieldElement::from_bytes(&y).square();
+            assert_ops_agree(&a, &b);
         }
     }
 

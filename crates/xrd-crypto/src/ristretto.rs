@@ -454,8 +454,7 @@ fn decode_field<F: FieldLanes>(s: &F) -> (EdwardsPoint<F>, F::Choice) {
 #[cfg(all(
     target_arch = "x86_64",
     target_feature = "avx512f",
-    target_feature = "avx512ifma",
-    not(feature = "force-field51")
+    target_feature = "avx512ifma"
 ))]
 mod batch {
     use super::{EdwardsPoint, FixedBaseTable, GroupElement, Scalar};
@@ -564,8 +563,7 @@ mod batch {
 #[cfg(not(all(
     target_arch = "x86_64",
     target_feature = "avx512f",
-    target_feature = "avx512ifma",
-    not(feature = "force-field51")
+    target_feature = "avx512ifma"
 )))]
 mod batch {
     use super::{FixedBaseTable, GroupElement, GroupTable, Scalar};

@@ -1,36 +1,36 @@
-//! Differential tests driving BOTH field backends from one workspace
-//! build (they are always compiled; the feature flags only choose
-//! which one the `FieldElement` alias points at — see
-//! `src/field/mod.rs`): random op sequences must agree limb for limb
-//! after canonical encoding, known-answer vectors around `p`, and the
-//! `sqrt_ratio` edge cases must match on both representations.  The
-//! sat64 backend's asm kernels are additionally diffed against its
-//! portable carry chains.
+//! Differential tests driving the build's selected field backend (the
+//! `FieldElement` alias, see `src/field/mod.rs`) against the portable
+//! 5×51 backend every build carries: random op sequences must agree
+//! limb for limb after canonical encoding, known-answer vectors around
+//! `p`, and the `sqrt_ratio` edge cases must match on both
+//! representations.  Where the selection is `fiat51` itself, the pairs
+//! are the oracle against itself and still pin the known answers.
 
 use proptest::prelude::*;
 
-use xrd_crypto::field::{fiat51, sat64};
+use xrd_crypto::field::{fiat51, FieldElement};
 
-/// A pair of elements, one per backend, constructed from the same
-/// canonical bytes and kept in lockstep through every operation.
+/// A pair of elements, the oracle's and the selected backend's,
+/// constructed from the same canonical bytes and kept in lockstep
+/// through every operation.
 #[derive(Clone, Copy, Debug)]
 struct Pair {
     a: fiat51::FieldElement,
-    b: sat64::FieldElement,
+    b: FieldElement,
 }
 
 impl Pair {
     fn from_bytes(bytes: &[u8; 32]) -> Pair {
         Pair {
             a: fiat51::FieldElement::from_bytes(bytes),
-            b: sat64::FieldElement::from_bytes(bytes),
+            b: FieldElement::from_bytes(bytes),
         }
     }
 
     fn from_u64(x: u64) -> Pair {
         Pair {
             a: fiat51::FieldElement::from_u64(x),
-            b: sat64::FieldElement::from_u64(x),
+            b: FieldElement::from_u64(x),
         }
     }
 
@@ -120,29 +120,9 @@ proptest! {
         let pu = Pair::from_bytes(&u);
         let pv = Pair::from_bytes(&v);
         let (ok_a, r_a) = fiat51::FieldElement::sqrt_ratio_i(&pu.a, &pv.a);
-        let (ok_b, r_b) = sat64::FieldElement::sqrt_ratio_i(&pu.b, &pv.b);
+        let (ok_b, r_b) = FieldElement::sqrt_ratio_i(&pu.b, &pv.b);
         prop_assert_eq!(ok_a, ok_b);
         prop_assert_eq!(r_a.to_bytes(), r_b.to_bytes());
-    }
-
-    /// The sat64 asm kernels vs the portable u128 carry chains on
-    /// arbitrary (not just canonical) limb patterns — `from_bytes`
-    /// never produces a limb-3 top bit, so drive the representation's
-    /// full `value < 2^256` input domain through multiplication first.
-    #[test]
-    fn sat64_asm_matches_portable(
-        x in prop::array::uniform32(any::<u8>()),
-        y in prop::array::uniform32(any::<u8>()),
-    ) {
-        // Products of parsed values roam the full representation range.
-        let a = sat64::FieldElement::from_bytes(&x).mul(&sat64::FieldElement::from_bytes(&y));
-        let b = sat64::FieldElement::from_bytes(&y).square();
-        prop_assert_eq!(a.mul(&b).to_bytes(), a.mul_portable_ref(&b).to_bytes());
-        prop_assert_eq!(a.square().to_bytes(), a.mul_portable_ref(&a).to_bytes());
-        prop_assert_eq!(
-            a.square2().to_bytes(),
-            a.mul_portable_ref(&a).add(&a.mul_portable_ref(&a)).to_bytes()
-        );
     }
 
     /// Batch inversion agrees across backends (zeros included).
@@ -153,15 +133,14 @@ proptest! {
     ) {
         let mut va: Vec<fiat51::FieldElement> =
             inputs.iter().map(fiat51::FieldElement::from_bytes).collect();
-        let mut vb: Vec<sat64::FieldElement> =
-            inputs.iter().map(sat64::FieldElement::from_bytes).collect();
+        let mut vb: Vec<FieldElement> = inputs.iter().map(FieldElement::from_bytes).collect();
         if !va.is_empty() {
             let i = zero_at.index(va.len());
             va[i] = fiat51::FieldElement::ZERO;
-            vb[i] = sat64::FieldElement::ZERO;
+            vb[i] = FieldElement::ZERO;
         }
         fiat51::FieldElement::batch_invert(&mut va);
-        sat64::FieldElement::batch_invert(&mut vb);
+        FieldElement::batch_invert(&mut vb);
         for (a, b) in va.iter().zip(&vb) {
             prop_assert_eq!(a.to_bytes(), b.to_bytes());
         }
@@ -186,16 +165,15 @@ proptest! {
 
         let p51: EdwardsPoint<fiat51::FieldElement> =
             EdwardsPoint::decompress(&base).expect("valid");
-        let p64: EdwardsPoint<sat64::FieldElement> =
-            EdwardsPoint::decompress(&base).expect("valid");
-        prop_assert_eq!(p51.scalar_mul(&s).compress(), p64.scalar_mul(&s).compress());
+        let p: EdwardsPoint<FieldElement> = EdwardsPoint::decompress(&base).expect("valid");
+        prop_assert_eq!(p51.scalar_mul(&s).compress(), p.scalar_mul(&s).compress());
 
         let t51 = PointTable::new(&p51);
-        let t64 = PointTable::new(&p64);
+        let table = PointTable::new(&p);
         let (a51, b51) = t51.scalar_mul_pair(&s, &t);
-        let (a64, b64) = t64.scalar_mul_pair(&s, &t);
-        prop_assert_eq!(a51.compress(), a64.compress());
-        prop_assert_eq!(b51.compress(), b64.compress());
+        let (a, b) = table.scalar_mul_pair(&s, &t);
+        prop_assert_eq!(a51.compress(), a.compress());
+        prop_assert_eq!(b51.compress(), b.compress());
     }
 }
 
@@ -319,13 +297,13 @@ fn sqrt_ratio_edge_cases_both_backends() {
         "fiat51",
     );
     check(
-        sat64::FieldElement::ZERO,
-        sat64::FieldElement::ONE,
-        sat64::FieldElement::from_u64(2),
-        sat64::FieldElement::from_u64(4),
-        sat64::FieldElement::sqrt_ratio_i,
+        FieldElement::ZERO,
+        FieldElement::ONE,
+        FieldElement::from_u64(2),
+        FieldElement::from_u64(4),
+        FieldElement::sqrt_ratio_i,
         |x| x.to_bytes(),
-        "sat64",
+        FieldElement::BACKEND_NAME,
     );
 }
 
@@ -336,8 +314,7 @@ fn sqrt_ratio_edge_cases_both_backends() {
 #[cfg(all(
     target_arch = "x86_64",
     target_feature = "avx512f",
-    target_feature = "avx512ifma",
-    not(feature = "force-field51")
+    target_feature = "avx512ifma"
 ))]
 mod lanes {
     use proptest::prelude::*;
@@ -676,7 +653,8 @@ fn limbs51_round_trip_on_both_backends() {
     samples.push([0; 32]);
     for bytes in &samples {
         let pair = Pair::from_bytes(bytes);
-        // Squaring roams sat64's full `value < 2^256` range.
+        // Squaring roams the saturated backend's full `value < 2^256`
+        // range.
         for pair in [
             pair,
             Pair {
@@ -688,7 +666,7 @@ fn limbs51_round_trip_on_both_backends() {
             assert!(la.iter().chain(&lb).all(|&l| l <= TOP));
             Pair {
                 a: fiat51::FieldElement::from_limbs51(&la),
-                b: sat64::FieldElement::from_limbs51(&lb),
+                b: FieldElement::from_limbs51(&lb),
             }
             .assert_agree("limbs51 round trip");
             assert_eq!(
@@ -697,7 +675,7 @@ fn limbs51_round_trip_on_both_backends() {
             );
             // Each backend reads the other's limbs.
             assert_eq!(
-                sat64::FieldElement::from_limbs51(&la).to_bytes(),
+                FieldElement::from_limbs51(&la).to_bytes(),
                 pair.a.to_bytes()
             );
             assert_eq!(
@@ -709,7 +687,7 @@ fn limbs51_round_trip_on_both_backends() {
     for limbs in [[TOP; 5], [0, 0, 0, 0, TOP], [TOP, 0, TOP, 0, TOP]] {
         Pair {
             a: fiat51::FieldElement::from_limbs51(&limbs),
-            b: sat64::FieldElement::from_limbs51(&limbs),
+            b: FieldElement::from_limbs51(&limbs),
         }
         .assert_agree("limbs at the top of the tight range");
     }

@@ -600,6 +600,18 @@ mod tests {
         assert!(Submission::verify_poks(7, &[]).is_empty());
     }
 
+    /// Peel a baseline onion layer by layer: what a §5 chain does to it,
+    /// bar the shuffle.
+    fn peel_basic(msks: &[Scalar], round: u64, mut ct: Vec<u8>) -> Option<MailboxMessage> {
+        for (layer, msk) in msks.iter().enumerate() {
+            let gx = GroupElement::decode(ct.get(..32)?.try_into().ok()?)?;
+            let key = outer_layer_key(&gx.mul(msk).encode(), round, layer);
+            let nonce = round_nonce(round, domain_outer(layer));
+            ct = xrd_crypto::adec(&key, &nonce, b"", &ct[32..])?;
+        }
+        MailboxMessage::from_bytes(&ct)
+    }
+
     #[test]
     fn basic_onion_peels() {
         let mut rng = StdRng::seed_from_u64(4);
@@ -607,18 +619,36 @@ mod tests {
         let msks: Vec<Scalar> = (0..k).map(|_| Scalar::random(&mut rng)).collect();
         let mpks: Vec<GroupElement> = msks.iter().map(GroupElement::base_mul).collect();
         let msg = test_msg();
-        let mut ct = seal_basic(&mut rng, &mpks, 2, &msg);
+        let ct = seal_basic(&mut rng, &mpks, 2, &msg);
         assert_eq!(ct.len(), basic_onion_len(k));
+        assert_eq!(peel_basic(&msks, 2, ct), Some(msg));
+    }
 
-        for (layer, msk) in msks.iter().enumerate() {
-            let mut gx = [0u8; 32];
-            gx.copy_from_slice(&ct[..32]);
-            let gx = GroupElement::decode(&gx).unwrap();
-            let key = outer_layer_key(&gx.mul(msk).encode(), 2, layer);
-            ct = xrd_crypto::adec(&key, &round_nonce(2, domain_outer(layer)), b"", &ct[32..])
-                .expect("basic layer must decrypt");
-        }
-        assert_eq!(MailboxMessage::from_bytes(&ct).unwrap(), msg);
+    #[test]
+    fn tampering_goes_undetected_in_baseline() {
+        // The §6 motivating attack on the §5 baseline: a malicious first
+        // server drops an honest user's onion, and the rest peel with
+        // nothing raised — the round "succeeds" one message short.  (The
+        // corresponding AHS test shows detection; see `blame::tests`.)
+        let mut rng = StdRng::seed_from_u64(2);
+        let msks: Vec<Scalar> = (0..3).map(|_| Scalar::random(&mut rng)).collect();
+        let mpks: Vec<GroupElement> = msks.iter().map(GroupElement::base_mul).collect();
+        let mut onions: Vec<Vec<u8>> = (0..5u8)
+            .map(|i| {
+                let msg = MailboxMessage {
+                    mailbox: [i; 32],
+                    ..test_msg()
+                };
+                seal_basic(&mut rng, &mpks, 0, &msg)
+            })
+            .collect();
+        onions.remove(2); // the adversary drops user 2's onion
+        let delivered: Vec<MailboxMessage> = onions
+            .into_iter()
+            .map(|ct| peel_basic(&msks, 0, ct).expect("no layer fails"))
+            .collect();
+        assert_eq!(delivered.len(), 4);
+        assert!(!delivered.iter().any(|m| m.mailbox == [2u8; 32]));
     }
 
     #[test]

@@ -1,10 +1,9 @@
 //! # xrd-mixnet
 //!
-//! XRD's mix chains (NSDI 2020, §5-§6): onion encryption, the baseline
-//! decrypt-and-shuffle mixer (Algorithm 1), the **aggregate hybrid
-//! shuffle** (AHS, §6) that defends against active tampering with only
-//! cheap crypto, and the blame protocol (§6.4) that identifies malicious
-//! users without hurting honest users' privacy.
+//! XRD's mix chains (NSDI 2020, §5-§6): onion encryption, the **aggregate
+//! hybrid shuffle** (AHS, §6) that defends against active tampering with
+//! only cheap crypto, and the blame protocol (§6.4) that identifies
+//! malicious users without hurting honest users' privacy.
 //!
 //! Layering:
 //!
@@ -19,15 +18,12 @@
 //! * [`runner`] — a faithful in-process executor for one chain round,
 //!   including blame-and-retry;
 //! * [`par`] — the one fan-out helper every data-parallel phase of a
-//!   round runs on;
-//! * [`basic`] — the unverified baseline mixer, kept for ablations and
-//!   attack demonstrations.
+//!   round runs on.
 
 #![warn(missing_docs)]
 // Hop-position-indexed loops mirror the paper's server-i notation.
 #![allow(clippy::needless_range_loop)]
 
-pub mod basic;
 pub mod blame;
 pub mod chain_keys;
 pub mod client;

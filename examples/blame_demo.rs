@@ -4,9 +4,6 @@
 //! back through every shuffle, and the round completes without the
 //! attacker — honest messages all delivered.
 //!
-//! For contrast, the same attack against the §5 baseline mixer passes
-//! silently.
-//!
 //! ```sh
 //! cargo run --release --example blame_demo
 //! ```
@@ -59,27 +56,4 @@ fn main() {
     );
     assert_eq!(outcome.malicious_users, vec![attacker_index]);
     assert_eq!(outcome.delivered.len(), 8);
-
-    // The baseline (Algorithm 1, no AHS): the same class of attack — a
-    // dropped message — is simply not noticed.
-    use xrd::mixnet::basic::{generate_basic_keys, run_basic_chain};
-    use xrd::mixnet::client::seal_basic;
-    let keys = generate_basic_keys(&mut rng, k);
-    let mut basic_subs: Vec<Vec<u8>> = (0..8)
-        .map(|i| {
-            let msg = MailboxMessage {
-                mailbox: [i as u8; 32],
-                sealed: vec![i as u8; PAYLOAD_LEN + 16],
-            };
-            seal_basic(&mut rng, &keys.mpks, round, &msg)
-        })
-        .collect();
-    basic_subs.remove(2); // a malicious first server drops user 2
-    let delivered = run_basic_chain(&mut rng, &keys, round, basic_subs);
-    println!(
-        "\nbaseline mixer under the same attack: {} of 8 messages delivered, \
-         nobody noticed — this is why AHS exists.",
-        delivered.len()
-    );
-    assert_eq!(delivered.len(), 7);
 }
