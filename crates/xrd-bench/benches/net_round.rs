@@ -1,8 +1,7 @@
 //! Macro-benchmark: a complete round through the *networked* deployment
 //! (loopback TCP daemons) next to the same round in-process — the cost
-//! of the wire — plus the reactor concurrency probe: a connection storm
-//! of concurrent submitters against a single daemon, and the mailbox
-//! tier's ack herd against one persistent shard.
+//! of the wire — plus one chain's mix phase over loopback and the
+//! mailbox tier's ack herd against one persistent shard.
 
 use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion, Throughput};
 use rand::rngs::StdRng;
@@ -14,10 +13,7 @@ use xrd_mixnet::chain_keys::{generate_chain_keys, rotate_inner_keys};
 use xrd_mixnet::{MailboxMessage, MAILBOX_MSG_LEN};
 use xrd_net::swarm::reactor::{drive_sessions, DriveConfig, FetchSession, FETCH_PAGE_MAX};
 use xrd_net::swarm::sealed_submissions;
-use xrd_net::{
-    launch_local, submit_storm, ChainClient, Conn, Frame, MailboxDaemon, MixServerDaemon,
-    StormConfig,
-};
+use xrd_net::{launch_local, ChainClient, Conn, Frame, MailboxDaemon, MixServerDaemon};
 
 fn bench_networked_round(c: &mut Criterion) {
     let mut group = c.benchmark_group("net_round");
@@ -47,59 +43,6 @@ fn bench_networked_round(c: &mut Criterion) {
         });
     }
     group.finish();
-}
-
-/// The event-loop scalability probe: N concurrent submitter
-/// connections (each a real sealed submission, PoK verified by the
-/// daemon) through one submission window plus one mix hop, all served
-/// by a single daemon on one reactor thread.
-fn bench_submit_storm(c: &mut Criterion) {
-    let mut group = c.benchmark_group("net_storm");
-    group.sample_size(10);
-    for &n_conns in &[128usize, 512] {
-        group.throughput(Throughput::Elements(n_conns as u64));
-        group.bench_with_input(
-            BenchmarkId::new("storm", n_conns),
-            &n_conns,
-            |b, &n_conns| {
-                let mut rng = StdRng::seed_from_u64(3);
-                let config = StormConfig {
-                    n_conns,
-                    chain_len: 3,
-                };
-                b.iter(|| submit_storm(&mut rng, &config).expect("storm completes"));
-            },
-        );
-    }
-    group.finish();
-
-    // One un-timed storm whose report is printed from the wire-scraped
-    // registry snapshot: the numbers recorded next to the criterion
-    // output (and into the bench-smoke artifact) are the same series
-    // `xrd-netd stats` serves an operator, not bench-only bookkeeping.
-    let mut rng = StdRng::seed_from_u64(3);
-    let report = submit_storm(&mut rng, &StormConfig::default()).expect("storm completes");
-    let s = &report.stats;
-    println!(
-        "net_storm scrape @ {} conns: {} frames in ({} Submit), {} B in / {} B out",
-        report.n_conns,
-        s.counter("reactor.frames_in"),
-        s.counter("frames.in.Submit"),
-        s.counter("reactor.bytes_in"),
-        s.counter("reactor.bytes_out"),
-    );
-    for name in ["hop.decrypt_blind_us", "hop.shuffle_prove_us"] {
-        if let Some(h) = s.hist(name) {
-            println!(
-                "net_storm scrape {name}: n={} p50 {}µs p95 {}µs p99 {}µs max {}µs",
-                h.count,
-                h.p50(),
-                h.p95(),
-                h.p99(),
-                h.max
-            );
-        }
-    }
 }
 
 /// The hop-pipeline probe: one k=3 chain (three mix daemons on
@@ -204,7 +147,6 @@ fn bench_mailbox_ack(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_networked_round,
-    bench_submit_storm,
     bench_hop_pipeline,
     bench_mailbox_ack
 );

@@ -17,16 +17,16 @@
 //!   fault-injecting relay in front of any daemon, driven by a
 //!   [`FaultPlan`] config file (see
 //!   `docs/FAULTS.md`); with no plan it forwards faithfully;
-//! * `demo [--users N] [--rounds R] [--faults FILE]` — spin a full
-//!   loopback deployment (daemons, coordinator, client swarm) in one
-//!   process and print round latency/throughput; `--faults` inserts a
-//!   fault proxy (running the given plan) in front of every mix
-//!   daemon, turning the demo into a chaos run;
-//! * `stress [--conns N] [--chain-len K]` — storm one mix daemon with
-//!   N concurrent submitter connections (default 1000), all driven
-//!   from one client-reactor thread, and print connect/submit/hop wall
-//!   clock — the connection-scalability probe for the event-driven
-//!   reactor;
+//! * `demo [--servers N] [--chain-len K] [--shards S] [--users U]
+//!   [--rounds R] [--faults FILE]` — spin a full loopback deployment
+//!   (daemons, coordinator, client swarm) in one process and print
+//!   round latency/throughput, every user's delivery checked; `--faults`
+//!   inserts a fault proxy (running the given plan) in front of every
+//!   mix daemon, turning the demo into a chaos run.  `--servers 1
+//!   --chain-len 1 --shards 1 --users N --rounds 2` is the
+//!   connection-scalability probe: N users submitting to one mix
+//!   daemon's reactor, the first round paying every dial and the
+//!   second none;
 //! * `mailbox-storm [--shards S] [--mailboxes M] [--per-box P]
 //!   [--offline F] [--dir DIR] [--seed X]` — drive the mailbox tier at
 //!   paper scale (default 100 000 mailboxes across 4 shards) through
@@ -72,9 +72,9 @@ use rand::{RngCore, SeedableRng};
 use xrd_core::DeploymentConfig;
 use xrd_net::codec::{decode_server_config, encode_server_config};
 use xrd_net::{
-    launch_local, launch_local_faulty, launch_manifest, mailbox_storm, run_swarm, submit_storm,
-    ByzantineMode, FaultPlan, FaultProxy, MailboxDaemon, MailboxStormConfig, Manifest,
-    MixServerDaemon, StormConfig, SwarmConfig, Transport,
+    launch_local, launch_local_faulty_with, launch_manifest, mailbox_storm, run_swarm,
+    ByzantineMode, ConnTimeouts, FaultPlan, FaultProxy, MailboxDaemon, MailboxStormConfig,
+    Manifest, MixServerDaemon, RetryPolicy, SwarmConfig, Transport,
 };
 
 fn usage() -> ExitCode {
@@ -94,7 +94,6 @@ fn usage() -> ExitCode {
          [default] or its successor)\n  \
          xrd-netd scale [--users N[,N...]] [--rounds R] [--servers S] [--chain-len K] \
          [--shards M] [--json FILE]\n  \
-         xrd-netd stress [--conns N] [--chain-len K]\n  \
          xrd-netd stats ADDR"
     );
     ExitCode::FAILURE
@@ -123,7 +122,6 @@ fn main() -> ExitCode {
         "demo" => demo(rest),
         "launch" => launch(rest),
         "scale" => scale(rest),
-        "stress" => stress(rest),
         "stats" => stats(rest),
         _ => usage(),
     }
@@ -162,55 +160,6 @@ fn stats(args: &[String]) -> ExitCode {
             ExitCode::FAILURE
         }
     }
-}
-
-fn stress(args: &[String]) -> ExitCode {
-    let config = StormConfig {
-        n_conns: flag(args, "--conns")
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(1000),
-        chain_len: flag(args, "--chain-len")
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(3),
-    };
-    let mut rng = StdRng::seed_from_u64(rand::rngs::OsRng.next_u64());
-    println!(
-        "stress: {} concurrent submitter connections against one mix daemon (k = {})",
-        config.n_conns, config.chain_len
-    );
-    let report = match submit_storm(&mut rng, &config) {
-        Ok(r) => r,
-        Err(e) => {
-            xrd_obs::error!("stress: storm failed: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    if report.accepted != report.n_conns as u64 {
-        xrd_obs::error!(
-            "stress: only {} of {} submissions accepted",
-            report.accepted,
-            report.n_conns
-        );
-        return ExitCode::FAILURE;
-    }
-    println!(
-        "connect {:.1?} | submit {:.1?} ({:.0} verified submissions/s) | hop {:.1?}",
-        report.connect_elapsed, report.submit_elapsed, report.submits_per_sec, report.hop_elapsed
-    );
-    // The same numbers an operator would get from `xrd-netd stats`,
-    // scraped over the wire while the storm was still connected.
-    let s = &report.stats;
-    println!(
-        "scrape: {} frames in ({} Submit), {} B in / {} B out, \
-         decrypt+blind p95 {}µs, shuffle+prove p95 {}µs",
-        s.counter("reactor.frames_in"),
-        s.counter("frames.in.Submit"),
-        s.counter("reactor.bytes_in"),
-        s.counter("reactor.bytes_out"),
-        s.hist("hop.decrypt_blind_us").map(|h| h.p95()).unwrap_or(0),
-        s.hist("hop.shuffle_prove_us").map(|h| h.p95()).unwrap_or(0),
-    );
-    ExitCode::SUCCESS
 }
 
 fn keygen(args: &[String]) -> ExitCode {
@@ -563,7 +512,13 @@ fn demo(args: &[String]) -> ExitCode {
                 return ExitCode::FAILURE;
             }
         },
-        Some(plan) => match launch_local_faulty(&mut rng, &config, plan) {
+        Some(plan) => match launch_local_faulty_with(
+            &mut rng,
+            &config,
+            plan,
+            ConnTimeouts::default(),
+            RetryPolicy::default(),
+        ) {
             Ok(v) => v,
             Err(e) => {
                 xrd_obs::error!("demo: launch failed: {e}");

@@ -1277,14 +1277,6 @@ pub fn dispute_context(
 /// Why a chunked batch stream failed to assemble.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum StreamError {
-    /// The Start frame's round does not match the round the receiver
-    /// is assembling for.
-    WrongRound {
-        /// Round the Start frame declared.
-        got: u64,
-        /// Round the receiver expected.
-        want: u64,
-    },
     /// The Start frame declared more entries than [`MAX_BATCH`].
     TooLarge {
         /// Declared entry total.
@@ -1312,9 +1304,6 @@ pub enum StreamError {
 impl std::fmt::Display for StreamError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            StreamError::WrongRound { got, want } => {
-                write!(f, "stream for round {got}, expected round {want}")
-            }
             StreamError::TooLarge { declared } => {
                 write!(f, "stream declares {declared} entries, cap {MAX_BATCH}")
             }
@@ -1361,8 +1350,8 @@ impl std::error::Error for StreamError {}
 /// let mut rebuilt = None;
 /// for bytes in stream.frames() {
 ///     match Frame::decode(&bytes[4..]).unwrap() {
-///         Frame::MixBatchStart { round, total } => {
-///             assembler = Some(BatchAssembler::begin(round, total).unwrap());
+///         Frame::MixBatchStart { total, .. } => {
+///             assembler = Some(BatchAssembler::begin(total).unwrap());
 ///         }
 ///         Frame::MixBatchChunk { entries } => {
 ///             assembler.as_mut().unwrap().absorb(entries).unwrap();
@@ -1431,55 +1420,24 @@ impl ChunkedBatch {
 /// digest, so any truncated, duplicated, over-long or re-ordered
 /// stream errors out cleanly instead of assembling a wrong batch.
 pub struct BatchAssembler {
-    round: u64,
     total: usize,
     entries: Vec<MixEntry>,
     digest: StreamDigest,
 }
 
 impl BatchAssembler {
-    /// Begin assembling a stream declared as `total` entries for
-    /// `round` (from [`Frame::MixBatchStart`] /
-    /// [`Frame::HopOutputStart`] fields).
-    pub fn begin(round: u64, total: u32) -> Result<BatchAssembler, StreamError> {
+    /// Begin assembling a stream declared as `total` entries (the
+    /// [`Frame::MixBatchStart`] / [`Frame::HopOutputStart`] field).
+    pub fn begin(total: u32) -> Result<BatchAssembler, StreamError> {
         let total = total as usize;
         if total > MAX_BATCH {
             return Err(StreamError::TooLarge { declared: total });
         }
         Ok(BatchAssembler {
-            round,
             total,
             entries: Vec::with_capacity(total),
             digest: StreamDigest::new(),
         })
-    }
-
-    /// [`BatchAssembler::begin`], additionally checking the stream's
-    /// declared round against the round the receiver is running.
-    pub fn begin_for_round(
-        round: u64,
-        total: u32,
-        want: u64,
-    ) -> Result<BatchAssembler, StreamError> {
-        if round != want {
-            return Err(StreamError::WrongRound { got: round, want });
-        }
-        BatchAssembler::begin(round, total)
-    }
-
-    /// The round this stream belongs to.
-    pub fn round(&self) -> u64 {
-        self.round
-    }
-
-    /// The declared entry total.
-    pub fn total(&self) -> usize {
-        self.total
-    }
-
-    /// Entries received so far.
-    pub fn received(&self) -> usize {
-        self.entries.len()
     }
 
     /// Absorb one chunk.  Returns the chunk's start index within the
@@ -1514,11 +1472,6 @@ impl BatchAssembler {
         }
         self.entries.extend(entries);
         Ok(start)
-    }
-
-    /// The entries assembled so far (in stream order).
-    pub fn assembled(&self) -> &[MixEntry] {
-        &self.entries
     }
 
     /// Close the stream against the End frame's digest, yielding the

@@ -8,12 +8,11 @@
 //! not reading ahead, so *pipelining* — several [`Conn::send`]s before
 //! collecting responses with [`Conn::recv`] — works as long as the
 //! in-flight requests plus their responses fit in the kernel socket
-//! buffers (small frames like `Submit`/`Ok`: the storm driver in
-//! [`crate::swarm`] pipelines a thousand connections this way).  Do
-//! not pipeline behind a request with a large response (`GetBatch`):
-//! the daemon stops reading until that response drains, and a client
-//! still blocked in `send` never reaches `recv` — both sides would
-//! wait on full buffers forever.
+//! buffers (small frames like `Submit`/`Ok`).  Do not pipeline behind
+//! a request with a large response (`GetBatch`): the daemon stops
+//! reading until that response drains, and a client still blocked in
+//! `send` never reaches `recv` — both sides would wait on full buffers
+//! forever.
 //!
 //! A mix hop (`MixBatchStart/Chunk…/End`, [`Conn::stream_hop`]) is the
 //! sanctioned exception to the one-request-one-response shape: many
@@ -207,6 +206,20 @@ pub enum HopReply {
     },
 }
 
+/// Whether a connection between exchanges is fit to carry the next one:
+/// a non-blocking `peek` on `stream` finds nothing to read yet.  EOF,
+/// an error or bytes nobody asked for mean the peer hung up or the
+/// stream is out of step.  `stream` must be in non-blocking mode.
+pub(crate) fn at_rest(stream: &TcpStream) -> bool {
+    match stream.peek(&mut [0u8; 1]) {
+        Err(e) => matches!(
+            e.kind(),
+            std::io::ErrorKind::WouldBlock | std::io::ErrorKind::Interrupted
+        ),
+        Ok(_) => false,
+    }
+}
+
 /// A persistent request/response connection to one daemon.
 pub struct Conn {
     reader: BufReader<TcpStream>,
@@ -255,6 +268,17 @@ impl Conn {
         self.reader = fresh.reader;
         self.writer = fresh.writer;
         Ok(())
+    }
+
+    /// Whether this connection, idle since its last exchange, can carry
+    /// the next one: nothing is buffered unread and its socket is
+    /// [`at_rest`].
+    pub(crate) fn is_at_rest(&self) -> bool {
+        if !self.reader.buffer().is_empty() || self.writer.set_nonblocking(true).is_err() {
+            return false;
+        }
+        let rest = at_rest(&self.writer);
+        self.writer.set_nonblocking(false).is_ok() && rest
     }
 
     /// The daemon's address.
@@ -387,7 +411,7 @@ impl Conn {
                         total: declared,
                     })?;
                 }
-                let assembler = BatchAssembler::begin(round, declared).map_err(bad_stream)?;
+                let assembler = BatchAssembler::begin(declared).map_err(bad_stream)?;
                 (position, assembler)
             }
             Frame::HopFailure {

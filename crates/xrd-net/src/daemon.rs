@@ -38,7 +38,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 
 use rand::rngs::StdRng;
-use rand::{RngCore, SeedableRng};
+use rand::SeedableRng;
 
 use xrd_core::mailbox::{
     shard_of, LogMailboxStore, LogStoreConfig, MailboxError, MailboxHub, MailboxStore,
@@ -354,8 +354,8 @@ fn forward_metrics() -> &'static ForwardMetrics {
 struct ForwardMetrics {
     /// Output batches streamed straight to the next hop.
     batches: &'static xrd_obs::Counter,
-    /// Forward attempts that failed past the reconnect retry (the
-    /// coordinator falls back to relayed streaming).
+    /// Forward attempts that failed (the coordinator falls back to
+    /// relayed streaming).
     failures: &'static xrd_obs::Counter,
 }
 
@@ -380,12 +380,12 @@ struct ForwardCtx {
 
 /// Stream `outputs` to the successor as a normal
 /// `MixBatchStart/Chunk/End` round and await its single ack frame.  The
-/// one reconnect retry is for the *link*: the cached connection may have
-/// idled out between rounds, which shows as a failed send or no answer
-/// at all.  (Streaming again is safe then: a half-received session dies
-/// with the connection it came in on.)  Once the successor has answered
-/// — any frame, an error included — the forward has failed and the
-/// error goes upstream: a refused batch is never sent twice.
+/// cached link is checked *before* anything is sent: one the successor
+/// hung up (or wrote to unasked) while it idled between rounds is
+/// replaced by a fresh dial.  Once the batch has gone out it is never
+/// sent again — a successor that read it may be mixing it — so any
+/// failure after that goes upstream, and the coordinator's relayed
+/// retry heals the round.
 fn forward_batch(
     link: &Mutex<Option<Conn>>,
     successor: SocketAddr,
@@ -393,30 +393,20 @@ fn forward_batch(
     outputs: &[MixEntry],
 ) -> Result<(), NetError> {
     let mut guard = link.lock().expect("forward link poisoned");
-    let mut redialed = false;
-    loop {
-        let mut conn = match guard.take() {
-            Some(conn) => conn,
-            None => {
-                redialed = true;
-                Conn::connect(successor)?
-            }
-        };
-        let sent = conn.send_batch(round, outputs, STREAM_CHUNK);
-        match sent.and_then(|()| conn.recv()) {
-            Ok(Frame::Ok) => {
-                *guard = Some(conn);
-                return Ok(());
-            }
-            Ok(Frame::Error { code, message }) => return Err(NetError::Remote { code, message }),
-            Ok(other) => {
-                return Err(NetError::Protocol(format!(
-                    "expected Ok from next hop, got {other:?}"
-                )))
-            }
-            Err(e) if !redialed && e.retryable() => {}
-            Err(e) => return Err(e),
+    let mut conn = match guard.take() {
+        Some(conn) if conn.is_at_rest() => conn,
+        _ => Conn::connect(successor)?,
+    };
+    conn.send_batch(round, outputs, STREAM_CHUNK)?;
+    match conn.recv()? {
+        Frame::Ok => {
+            *guard = Some(conn);
+            Ok(())
         }
+        Frame::Error { code, message } => Err(NetError::Remote { code, message }),
+        other => Err(NetError::Protocol(format!(
+            "expected Ok from next hop, got {other:?}"
+        ))),
     }
 }
 
@@ -1442,16 +1432,6 @@ impl MixServerDaemon {
                 mode,
             }),
         )
-    }
-
-    /// Spawn with a seed drawn from the OS RNG.
-    pub fn spawn_os_seeded<A: ToSocketAddrs>(
-        addr: A,
-        secrets: ServerSecrets,
-        public: ChainPublicKeys,
-    ) -> std::io::Result<DaemonHandle> {
-        let seed = rand::rngs::OsRng.next_u64();
-        Self::spawn(addr, secrets, public, seed)
     }
 }
 

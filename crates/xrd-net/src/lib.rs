@@ -44,11 +44,11 @@
 //!   state machines (submit → ack, fetch pages → ack) from one epoll
 //!   loop — as a value ([`swarm::reactor::ClientReactor`]) a
 //!   deployment owns, so its users keep their connections across
-//!   rounds — with latency/throughput reporting; [`submit_storm`]
-//!   storms one daemon with tens of thousands of concurrent submitters
-//!   and [`mailbox_storm`] the mailbox shards with 100k+ users, each
-//!   fetching her own mailbox ([`swarm::reactor::fetch_sessions`], the
-//!   one fetch walk — a round's fetch phase runs it too);
+//!   rounds — with latency/throughput reporting; [`run_swarm`] drives
+//!   whole rounds and [`mailbox_storm`] the mailbox shards with 100k+
+//!   users, each fetching her own mailbox
+//!   ([`swarm::reactor::fetch_sessions`], the one fetch walk — a
+//!   round's fetch phase runs it too);
 //! * [`manifest`] — parsed, validated deployment manifests: hosts,
 //!   per-process chain/hop/shard placement, ports, and the
 //!   daemon-to-daemon forwarding links, all checked against the
@@ -87,10 +87,10 @@ pub use faults::{Direction, FaultKind, FaultPlan, FaultProxy, FaultRule};
 pub use launcher::{launch_manifest, LaunchedCluster};
 pub use manifest::{Manifest, ManifestError};
 pub use remote::{
-    launch_local, launch_local_faulty, launch_local_faulty_with, launch_local_with_mailbox_faults,
-    LocalCluster, RemoteDeployment,
+    launch_local, launch_local_faulty_with, launch_local_with_mailbox_faults, LocalCluster,
+    RemoteDeployment,
 };
 pub use swarm::{
-    mailbox_storm, run_swarm, submit_storm, MailboxStormConfig, MailboxStormReport,
-    MailboxStormRound, StormConfig, StormReport, SwarmConfig, SwarmReport, SwarmRoundStats,
+    mailbox_storm, run_swarm, MailboxStormConfig, MailboxStormReport, MailboxStormRound,
+    SwarmConfig, SwarmReport, SwarmRoundStats,
 };

@@ -644,43 +644,20 @@ pub fn launch_local<R: RngCore + ?Sized>(
     rng: &mut R,
     config: &DeploymentConfig,
 ) -> std::io::Result<(LocalCluster, RemoteDeployment)> {
-    let spawned = spawn_cluster(rng, config)?;
-    let deployment = RemoteDeployment::connect(
-        spawned.topo,
-        spawned.chain_addrs,
-        spawned.chain_keys,
-        spawned.mailbox_addrs,
-    )
-    .map_err(|e| std::io::Error::other(format!("connect failed: {e}")))?;
-    Ok((spawned.cluster, deployment))
+    spawn_cluster(rng, config)?.connect(ConnTimeouts::default(), RetryPolicy::default())
 }
 
 /// Like [`launch_local`], but every mix daemon sits behind its own
 /// [`FaultProxy`] running a copy of `plan` (seeds offset per proxy so
-/// corrupt-byte choices differ), and the deployment dials the proxies.
-/// All coordinator and submission traffic crosses the fault layer;
-/// mailbox shards are left unproxied so delivered-mail assertions
-/// measure the mix path, not the fetch path.
+/// corrupt-byte choices differ), and the deployment dials the proxies
+/// with the given coordinator deadlines and retry policy — chaos tests
+/// shrink both so injected stalls and drops are detected in
+/// milliseconds.  All coordinator and submission traffic crosses the
+/// fault layer; mailbox shards are left unproxied so delivered-mail
+/// assertions measure the mix path, not the fetch path.
 ///
 /// Dropping the returned proxies severs the deployment from its
 /// daemons — keep them alive alongside the cluster.
-pub fn launch_local_faulty<R: RngCore + ?Sized>(
-    rng: &mut R,
-    config: &DeploymentConfig,
-    plan: &FaultPlan,
-) -> std::io::Result<(LocalCluster, Vec<FaultProxy>, RemoteDeployment)> {
-    launch_local_faulty_with(
-        rng,
-        config,
-        plan,
-        ConnTimeouts::default(),
-        RetryPolicy::default(),
-    )
-}
-
-/// [`launch_local_faulty`] with explicit coordinator deadlines and
-/// retry policy — chaos tests shrink both so injected stalls and drops
-/// are detected in milliseconds.
 pub fn launch_local_faulty_with<R: RngCore + ?Sized>(
     rng: &mut R,
     config: &DeploymentConfig,
@@ -689,33 +666,17 @@ pub fn launch_local_faulty_with<R: RngCore + ?Sized>(
     retry: RetryPolicy,
 ) -> std::io::Result<(LocalCluster, Vec<FaultProxy>, RemoteDeployment)> {
     let mut spawned = spawn_cluster(rng, config)?;
-    let mut proxies: Vec<FaultProxy> = Vec::new();
-    for chain in &mut spawned.chain_addrs {
-        for addr in chain.iter_mut() {
-            let mut plan = plan.clone();
-            plan.seed = plan.seed.wrapping_add(proxies.len() as u64);
-            let proxy = FaultProxy::spawn("127.0.0.1:0", *addr, plan)?;
-            *addr = proxy.addr();
-            proxies.push(proxy);
-        }
-    }
-    let deployment = RemoteDeployment::connect_with(
-        spawned.topo,
-        spawned.chain_addrs,
-        spawned.chain_keys,
-        spawned.mailbox_addrs,
-        timeouts,
-        retry,
-    )
-    .map_err(|e| std::io::Error::other(format!("connect failed: {e}")))?;
-    Ok((spawned.cluster, proxies, deployment))
+    let proxies = proxy_each(spawned.chain_addrs.iter_mut().flatten(), plan)?;
+    let (cluster, deployment) = spawned.connect(timeouts, retry)?;
+    Ok((cluster, proxies, deployment))
 }
 
 /// Like [`launch_local`], but every **mailbox shard** sits behind its
 /// own [`FaultProxy`] running a copy of `plan` (seeds offset per
 /// proxy), while mix daemons are dialed directly — the mirror image of
-/// [`launch_local_faulty`], for exercising the fetch/delivery path's
-/// loss and duplication tolerance in isolation from the mix path.
+/// [`launch_local_faulty_with`], for exercising the fetch/delivery
+/// path's loss and duplication tolerance in isolation from the mix
+/// path.
 pub fn launch_local_with_mailbox_faults<R: RngCore + ?Sized>(
     rng: &mut R,
     config: &DeploymentConfig,
@@ -724,24 +685,27 @@ pub fn launch_local_with_mailbox_faults<R: RngCore + ?Sized>(
     retry: RetryPolicy,
 ) -> std::io::Result<(LocalCluster, Vec<FaultProxy>, RemoteDeployment)> {
     let mut spawned = spawn_cluster(rng, config)?;
+    let proxies = proxy_each(spawned.mailbox_addrs.iter_mut(), plan)?;
+    let (cluster, deployment) = spawned.connect(timeouts, retry)?;
+    Ok((cluster, proxies, deployment))
+}
+
+/// Put a [`FaultProxy`] running a copy of `plan` in front of each of
+/// `addrs` (seeds offset per proxy), rewriting each address to its
+/// proxy's.
+fn proxy_each<'a>(
+    addrs: impl Iterator<Item = &'a mut SocketAddr>,
+    plan: &FaultPlan,
+) -> std::io::Result<Vec<FaultProxy>> {
     let mut proxies: Vec<FaultProxy> = Vec::new();
-    for addr in spawned.mailbox_addrs.iter_mut() {
+    for addr in addrs {
         let mut plan = plan.clone();
         plan.seed = plan.seed.wrapping_add(proxies.len() as u64);
         let proxy = FaultProxy::spawn("127.0.0.1:0", *addr, plan)?;
         *addr = proxy.addr();
         proxies.push(proxy);
     }
-    let deployment = RemoteDeployment::connect_with(
-        spawned.topo,
-        spawned.chain_addrs,
-        spawned.chain_keys,
-        spawned.mailbox_addrs,
-        timeouts,
-        retry,
-    )
-    .map_err(|e| std::io::Error::other(format!("connect failed: {e}")))?;
-    Ok((spawned.cluster, proxies, deployment))
+    Ok(proxies)
 }
 
 /// The daemons of a loopback deployment before anything connects to
@@ -753,6 +717,27 @@ struct SpawnedCluster {
     chain_addrs: Vec<Vec<SocketAddr>>,
     chain_keys: Vec<ChainPublicKeys>,
     mailbox_addrs: Vec<SocketAddr>,
+}
+
+impl SpawnedCluster {
+    /// Connect a [`RemoteDeployment`] to the (possibly proxied)
+    /// addresses.
+    fn connect(
+        self,
+        timeouts: ConnTimeouts,
+        retry: RetryPolicy,
+    ) -> std::io::Result<(LocalCluster, RemoteDeployment)> {
+        let deployment = RemoteDeployment::connect_with(
+            self.topo,
+            self.chain_addrs,
+            self.chain_keys,
+            self.mailbox_addrs,
+            timeouts,
+            retry,
+        )
+        .map_err(|e| std::io::Error::other(format!("connect failed: {e}")))?;
+        Ok((self.cluster, deployment))
+    }
 }
 
 fn spawn_cluster<R: RngCore + ?Sized>(

@@ -3,14 +3,15 @@
 //! latency and throughput reporting — the reproduction's stand-in for
 //! the paper's §8 client fleet.
 //!
-//! Three drivers live here:
+//! Two entry points live here:
 //!
 //! * [`run_swarm`] — a full-deployment swarm: real users, whole rounds,
-//!   delivery verification;
-//! * [`submit_storm`] — a single-daemon connection storm: N concurrent
-//!   submitter connections (tens of thousands) against *one* mix
-//!   daemon, measuring the submission window plus one mix hop.  This is
-//!   the connection-scalability probe for the event-driven daemons;
+//!   delivery verification.  On a one-server, one-hop, one-shard
+//!   cluster (`xrd-netd demo --servers 1 --chain-len 1 --shards 1`) it
+//!   is also the single-daemon connection probe: the first round's
+//!   window includes every user's dial, later rounds ride the kept
+//!   connections, so the difference between the two rows prices the
+//!   connects;
 //! * [`mailbox_storm`] — the mailbox-tier probe: paper-scale mailbox
 //!   counts delivered to a set of shard daemons and fetched back the
 //!   way a round's users fetch — each mailbox walked and acked over its
@@ -28,14 +29,10 @@ use std::time::{Duration, Instant};
 use rand::RngCore;
 
 use xrd_core::user::{Received, User};
-use xrd_mixnet::chain_keys::{generate_chain_keys, rotate_inner_keys};
 use xrd_mixnet::client::{seal_ahs, Submission};
-use xrd_mixnet::message::{MailboxMessage, MixEntry, MAILBOX_MSG_LEN};
-use xrd_mixnet::server::verify_hop;
+use xrd_mixnet::message::{MailboxMessage, MAILBOX_MSG_LEN};
 
-use crate::codec::{Frame, STREAM_CHUNK};
-use crate::conn::{Conn, HopReply, NetError};
-use crate::daemon::MixServerDaemon;
+use crate::conn::{Conn, NetError};
 use crate::remote::RemoteDeployment;
 
 /// Swarm shape.
@@ -185,62 +182,9 @@ pub fn run_swarm<R: RngCore + ?Sized>(
     })
 }
 
-// ---------------------------------------------------------------------
-// Single-daemon connection storm
-// ---------------------------------------------------------------------
-
-/// Shape of a [`submit_storm`] run.
-#[derive(Clone, Debug)]
-pub struct StormConfig {
-    /// Concurrent submitter connections (one submission each).  All of
-    /// them are open against the daemon at the same time.
-    pub n_conns: usize,
-    /// Chain length `k` the submissions are sealed for.
-    pub chain_len: usize,
-}
-
-impl Default for StormConfig {
-    fn default() -> StormConfig {
-        StormConfig {
-            n_conns: 1000,
-            chain_len: 3,
-        }
-    }
-}
-
-/// What one [`submit_storm`] measured.
-#[derive(Clone, Debug)]
-pub struct StormReport {
-    /// Connections driven (all concurrently open).
-    pub n_conns: usize,
-    /// Size of the daemon's canonical batch after the window closed —
-    /// every accepted submission, deduplicated.
-    pub accepted: u64,
-    /// Wall clock for opening all connections.
-    pub connect_elapsed: Duration,
-    /// Wall clock for the submission phase (every connection submits
-    /// once, with its proof of knowledge verified by the daemon).
-    pub submit_elapsed: Duration,
-    /// Wall clock for one mix hop over the full batch: shipped as
-    /// chunks the daemon starts decrypting on arrival, the output
-    /// streamed back in chunks.
-    pub hop_elapsed: Duration,
-    /// Verified submissions per second during the submission phase.
-    pub submits_per_sec: f64,
-    /// The daemon's metrics, scraped *over the wire* (a
-    /// [`Frame::StatsRequest`] on the control connection) while the
-    /// storm's connections were still open — the very numbers
-    /// `xrd-netd stats` would show an operator mid-storm.  Because the
-    /// storm daemon runs in-process, the registry is process-wide:
-    /// client-side `conn.*` counters appear next to the daemon's
-    /// `reactor.*` and `hop.*` series.
-    pub stats: xrd_obs::Snapshot,
-}
-
 /// `n` distinct, fully valid sealed submissions for `round` (distinct
-/// mailbox → distinct onion).  The fixture builder behind
-/// [`submit_storm`], exported so stress tests drive the daemons with
-/// exactly the storm's submissions.
+/// mailbox → distinct onion) — the fixture tests and benches drive a
+/// daemon's window and hop with.
 pub fn sealed_submissions<R: RngCore + ?Sized>(
     rng: &mut R,
     public: &xrd_mixnet::chain_keys::ChainPublicKeys,
@@ -258,137 +202,6 @@ pub fn sealed_submissions<R: RngCore + ?Sized>(
             seal_ahs(rng, public, round, &msg)
         })
         .collect()
-}
-
-/// Drive `config.n_conns` *concurrent* submitter connections against a
-/// single [`MixServerDaemon`] through one submission window, then run
-/// one mix hop over the accepted batch and verify its attestation —
-/// the per-daemon slice of a round, at paper-scale client counts.
-///
-/// Every submission is a real sealed AHS onion with a valid proof of
-/// knowledge, so the daemon does full verification work per connection.
-/// Returns an error if any connection fails, if the daemon rejects a
-/// submission, or if the hop attestation does not verify.
-pub fn submit_storm<R: RngCore + ?Sized>(
-    rng: &mut R,
-    config: &StormConfig,
-) -> Result<StormReport, NetError> {
-    if config.n_conns == 0 {
-        return Err(NetError::Protocol(
-            "storm needs at least one connection".into(),
-        ));
-    }
-    let k = config.chain_len.max(1);
-    let round = 0u64;
-    let (mut secrets, mut public) = generate_chain_keys(rng, k, 0);
-    rotate_inner_keys(rng, &mut secrets, &mut public, round);
-    let daemon = MixServerDaemon::spawn(
-        "127.0.0.1:0",
-        secrets.remove(0),
-        public.clone(),
-        rng.next_u64(),
-    )?;
-    let addr = daemon.addr();
-
-    let mut control = Conn::connect(addr)?;
-    control.request_ok(&Frame::OpenRound { round })?;
-
-    // One distinct sealed submission per connection, prepared up front
-    // so the timed phases measure the wire and the daemon, not
-    // client-side sealing.
-    let submissions = sealed_submissions(rng, &public, round, config.n_conns);
-
-    // One session machine per emulated user, all driven from *this*
-    // thread by the client reactor.  `connect_first`: the whole
-    // population is concurrently connected before anyone submits.
-    reactor::raise_nofile_limit(config.n_conns as u64 + 256);
-    let sessions: Vec<reactor::SubmitSession> = submissions
-        .iter()
-        .map(|submission| {
-            reactor::SubmitSession::new(vec![(
-                addr,
-                Frame::Submit {
-                    round,
-                    submission: submission.clone(),
-                },
-            )])
-        })
-        .collect();
-    let drive = reactor::DriveConfig {
-        connect_first: true,
-        ..reactor::DriveConfig::default()
-    };
-    let outcome = reactor::drive_sessions(sessions, &drive).map_err(NetError::Io)?;
-    if let Some((i, e)) = outcome.failed.into_iter().next() {
-        return Err(NetError::Protocol(format!(
-            "storm submitter {i} failed: {e}"
-        )));
-    }
-    let connect_elapsed = outcome.connect_elapsed;
-    let submit_elapsed = outcome.drive_elapsed;
-
-    // Close the window: the digest count is the daemon's own statement
-    // of how many distinct submissions landed.
-    let accepted = match control.request(&Frame::CloseSubmissions { round })? {
-        Frame::BatchDigest { count, .. } => count,
-        other => {
-            return Err(NetError::Protocol(format!(
-                "expected BatchDigest, got {other:?}"
-            )))
-        }
-    };
-
-    // One mix hop over the whole batch, attestation verified locally —
-    // the daemon's other per-round duty at this scale.
-    let batch = match control.request(&Frame::GetBatch { round })? {
-        Frame::SubmissionBatch { submissions, .. } => submissions,
-        other => {
-            return Err(NetError::Protocol(format!(
-                "expected SubmissionBatch, got {other:?}"
-            )))
-        }
-    };
-    let entries: Vec<MixEntry> = batch.iter().map(|s| s.to_entry()).collect();
-    let hop_start = Instant::now();
-    let hop = control.stream_hop(round, &entries, STREAM_CHUNK)?;
-    let hop_elapsed = hop_start.elapsed();
-    match hop {
-        HopReply::Output { outputs, proof, .. }
-            if verify_hop(&public, 0, round, &entries, &outputs, &proof) => {}
-        HopReply::Failure { failed, .. } => {
-            return Err(NetError::Protocol(format!(
-                "storm hop failed to decrypt {} entries",
-                failed.len()
-            )));
-        }
-        HopReply::Output { .. } | HopReply::Attested { .. } => {
-            return Err(NetError::Protocol(
-                "storm hop attestation failed verification".into(),
-            ));
-        }
-    }
-
-    // Scrape the daemon before tearing the storm down, over the same
-    // wire path an operator would use.  The report's numbers *are* the
-    // registry's numbers — there is no separate bench-only accounting.
-    let stats = match control.request(&Frame::StatsRequest)? {
-        Frame::StatsReport { snapshot } => *snapshot,
-        other => {
-            return Err(NetError::Protocol(format!(
-                "expected StatsReport, got {other:?}"
-            )))
-        }
-    };
-
-    Ok(StormReport {
-        n_conns: config.n_conns,
-        accepted,
-        connect_elapsed,
-        submit_elapsed,
-        hop_elapsed,
-        submits_per_sec: config.n_conns as f64 / submit_elapsed.as_secs_f64().max(1e-9),
-        stats,
-    })
 }
 
 // ---------------------------------------------------------------------

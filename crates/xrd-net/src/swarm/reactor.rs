@@ -46,7 +46,7 @@ use std::time::{Duration, Instant};
 use xrd_core::mailbox::shard_of;
 
 use crate::codec::{error_code, Frame, FrameDecoder};
-use crate::conn::NetError;
+use crate::conn::{at_rest, NetError};
 use crate::reactor::interest;
 use crate::reactor::sys::Poller;
 
@@ -126,16 +126,6 @@ pub struct DriveConfig {
     /// [`ClientReactor`] that keeps connections has a budget of its own
     /// — parked and live together — and applies the smaller of the two.
     pub max_in_flight: usize,
-    /// Dial every session's first target up front — the whole
-    /// population concurrently connected — before any frame is sent,
-    /// and report the connect wall clock separately.  The connection
-    /// storm measurement mode.  The `max_in_flight` cap applies to the
-    /// up-front dial too; a population beyond it dials the remainder
-    /// during the drive phase.
-    pub connect_first: bool,
-    /// Sessions put on a connection per loop iteration (staggers
-    /// reconnect bursts so the daemon's accept backlog absorbs them).
-    pub connects_per_tick: usize,
 }
 
 impl Default for DriveConfig {
@@ -146,8 +136,6 @@ impl Default for DriveConfig {
             deadline: Duration::from_secs(300),
             exchange_timeout: Duration::from_secs(60),
             max_in_flight: MAX_IN_FLIGHT,
-            connect_first: false,
-            connects_per_tick: 512,
         }
     }
 }
@@ -193,9 +181,6 @@ pub struct RunOutcome<S> {
     pub completed: usize,
     /// `(session index, error)` for every failed session.
     pub failed: Vec<(usize, NetError)>,
-    /// Wall clock dialing the initial population (only meaningful with
-    /// [`DriveConfig::connect_first`]; zero otherwise).
-    pub connect_elapsed: Duration,
     /// Wall clock driving the event loop to quiescence.
     pub drive_elapsed: Duration,
 }
@@ -203,6 +188,10 @@ pub struct RunOutcome<S> {
 /// How long one poller wait may block (shutdown/deadline latency
 /// bound).
 const WAIT_MS: i32 = 100;
+
+/// Sessions put on a connection per loop iteration (staggers reconnect
+/// bursts so the daemon's accept backlog absorbs them).
+const CONNECTS_PER_TICK: usize = 512;
 
 /// Socket read chunk (mailbox pages are the largest client-bound
 /// frames; 64 KiB amortizes syscalls on them).
@@ -459,20 +448,14 @@ impl ClientReactor {
 
     /// The poller reported parked connection `id`.  Only a hang-up is
     /// solicited from it, but readiness is never trusted to be genuine
-    /// (the sweep poller reports everything): ask the socket.  Anything
-    /// but "nothing to read yet" — EOF, an error, bytes nobody asked
-    /// for — ends it.
+    /// (the sweep poller reports everything): ask the socket, and end
+    /// the connection unless it is [`at_rest`].
     fn check_parked(&mut self, id: u64) {
         let Some(parked) = self.parked.get(&id) else {
             return; // stale readiness for a connection since picked up
         };
-        match parked.stream.peek(&mut [0u8; 1]) {
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    std::io::ErrorKind::WouldBlock | std::io::ErrorKind::Interrupted
-                ) => {}
-            _ => self.unpark(id),
+        if !at_rest(&parked.stream) {
+            self.unpark(id);
         }
     }
 
@@ -515,25 +498,6 @@ impl ClientReactor {
             run.enqueue(slot, i);
         }
 
-        // The connection-storm mode: the entire population is connected
-        // (and held) before a single request goes out, so the connect
-        // and request phases are measured separately — without a
-        // barrier in sight.
-        let mut connect_elapsed = Duration::ZERO;
-        if config.connect_first {
-            let connect_start = Instant::now();
-            run.connect_batch(&mut slots, usize::MAX);
-            connect_elapsed = connect_start.elapsed();
-            // The held population spent the connect phase deliberately
-            // silent; the idle clock starts with the drive phase.
-            for slot in &mut slots {
-                if let SlotState::Active(wire) = &mut slot.state {
-                    wire.last_progress = Instant::now();
-                }
-            }
-        }
-
-        let drive_start = Instant::now();
         let mut read_buf = vec![0u8; READ_CHUNK];
         let mut events: Vec<(u64, u32)> = Vec::with_capacity(1024);
         let mut last_sweep = Instant::now();
@@ -550,7 +514,7 @@ impl ClientReactor {
                 run.backoff.pop();
                 run.enqueue(&mut slots[i], i);
             }
-            run.connect_batch(&mut slots, config.connects_per_tick);
+            run.connect_batch(&mut slots);
 
             if run.active == 0 && run.dial_queue.is_empty() && run.backoff.is_empty() {
                 break;
@@ -667,8 +631,7 @@ impl ClientReactor {
             sessions: slots.into_iter().map(|s| s.session).collect(),
             completed,
             failed,
-            connect_elapsed,
-            drive_elapsed: drive_start.elapsed(),
+            drive_elapsed: started.elapsed(),
         })
     }
 }
@@ -761,10 +724,11 @@ impl Run<'_> {
         self.config.max_in_flight.min(self.reactor.conn_cap)
     }
 
-    /// Connect queued sessions, at most `most` of them, while the
-    /// in-flight cap has room — so the wave never outruns the fd budget.
-    fn connect_batch<S: SessionMachine>(&mut self, slots: &mut [Slot<S>], most: usize) {
-        for _ in 0..most {
+    /// Connect queued sessions, at most [`CONNECTS_PER_TICK`] of them,
+    /// while the in-flight cap has room — so the wave never outruns the
+    /// fd budget.
+    fn connect_batch<S: SessionMachine>(&mut self, slots: &mut [Slot<S>]) {
+        for _ in 0..CONNECTS_PER_TICK {
             if self.active >= self.max_active() {
                 break;
             }

@@ -613,8 +613,8 @@ fn reassemble(stream: &ChunkedBatch) -> Result<Vec<MixEntry>, StreamError> {
     let mut out = Err(StreamError::DigestMismatch);
     for (i, bytes) in stream.frames().iter().enumerate() {
         match Frame::decode(&bytes[4..]).expect("built frames decode") {
-            Frame::MixBatchStart { round, total } => {
-                assembler = Some(BatchAssembler::begin(round, total)?);
+            Frame::MixBatchStart { total, .. } => {
+                assembler = Some(BatchAssembler::begin(total)?);
             }
             Frame::MixBatchChunk { entries } => {
                 let a = assembler.as_mut().expect("start first");
@@ -678,7 +678,7 @@ proptest! {
         entries.push(mix_entry(&mut rng)); // ≥ 1 entry, ≥ 1 chunk
         let stream = ChunkedBatch::build(3, &entries, chunk_size);
 
-        let mut assembler = BatchAssembler::begin(3, entries.len() as u32).unwrap();
+        let mut assembler = BatchAssembler::begin(entries.len() as u32).unwrap();
         // Feed every chunk but the last.
         let chunks = stream.frames().len() - 2;
         for bytes in &stream.frames()[1..1 + chunks - 1] {
@@ -699,7 +699,7 @@ proptest! {
         let entries = mix_entries(&mut rng);
         let stream = ChunkedBatch::build(5, &entries, chunk_size);
 
-        let mut assembler = BatchAssembler::begin(5, entries.len() as u32).unwrap();
+        let mut assembler = BatchAssembler::begin(entries.len() as u32).unwrap();
         for bytes in &stream.frames()[1..stream.frames().len() - 1] {
             let Frame::MixBatchChunk { entries } = Frame::decode(&bytes[4..]).unwrap()
             else { panic!("wrong frame") };
@@ -719,7 +719,7 @@ proptest! {
         entries.push(mix_entry(&mut rng));
 
         let mut assembler =
-            BatchAssembler::begin(1, (entries.len() - 1) as u32).unwrap();
+            BatchAssembler::begin((entries.len() - 1) as u32).unwrap();
         prop_assert!(matches!(
             assembler.absorb(entries),
             Err(StreamError::Overrun { .. })
@@ -728,18 +728,9 @@ proptest! {
 }
 
 #[test]
-fn stream_for_the_wrong_round_is_rejected() {
-    assert_eq!(
-        BatchAssembler::begin_for_round(7, 4, 8).err(),
-        Some(StreamError::WrongRound { got: 7, want: 8 })
-    );
-    assert!(BatchAssembler::begin_for_round(8, 4, 8).is_ok());
-}
-
-#[test]
 fn oversized_stream_declaration_rejected() {
     assert!(matches!(
-        BatchAssembler::begin(0, xrd_net::codec::MAX_BATCH as u32 + 1),
+        BatchAssembler::begin(xrd_net::codec::MAX_BATCH as u32 + 1),
         Err(StreamError::TooLarge { .. })
     ));
 }

@@ -304,11 +304,7 @@ fn every_ok_follows_a_sync_that_began_after_its_record() {
             early: Arc::clone(&early),
         })
         .collect();
-    let config = DriveConfig {
-        connect_first: true,
-        ..DriveConfig::default()
-    };
-    let run = drive_sessions(sessions, &config).expect("drives");
+    let run = drive_sessions(sessions, &DriveConfig::default()).expect("drives");
     assert!(run.failed.is_empty(), "sessions failed: {:?}", run.failed);
     assert_eq!(run.completed, n);
     for (i, session) in run.sessions.into_iter().enumerate() {

@@ -18,7 +18,7 @@ use rand::SeedableRng;
 
 use xrd_mixnet::chain_keys::{generate_chain_keys, rotate_inner_keys};
 use xrd_net::codec::{Frame, STREAM_CHUNK};
-use xrd_net::swarm::reactor::{drive_sessions, raise_nofile_limit, DriveConfig, SubmitSession};
+use xrd_net::swarm::reactor::{raise_nofile_limit, ClientReactor, DriveConfig, SubmitSession};
 use xrd_net::swarm::sealed_submissions;
 use xrd_net::{Conn, HopReply, MixServerDaemon};
 
@@ -112,11 +112,13 @@ fn one_daemon_serves_1000_concurrent_submitters_on_o1_io_threads() {
 
 /// The client-side counterpart of the acceptance bar above, at §8
 /// scale: ten thousand emulated users — every one a real verified
-/// submission over its own TCP connection, the whole population
-/// concurrently connected before a single request goes out — driven to
-/// completion by [`drive_sessions`] on the *calling* thread, with the
-/// process's thread count flat.  The pre-reactor swarm needed a worker
-/// thread per concurrent submitter.
+/// submission over its own TCP connection — driven to completion by a
+/// [`ClientReactor`] on the *calling* thread, with the process's thread
+/// count flat.  The reactor keeps what it dials, so when the drive
+/// ends the whole population is parked and open: the daemon's own
+/// `reactor.conns_open` gauge, scraped over the wire, counts all ten
+/// thousand on its one reactor thread.  The pre-reactor swarm needed a
+/// worker thread per concurrent submitter.
 ///
 /// The daemon runs as a real `xrd-netd` child process: the load
 /// generator is measured alone (one descriptor and zero threads per
@@ -179,14 +181,11 @@ fn ten_thousand_user_reactor_runs_on_the_calling_thread() {
         "cannot hold {N} concurrent connections (RLIMIT_NOFILE {got})"
     );
     let baseline = process_threads();
-    let outcome = drive_sessions(
-        sessions,
-        &DriveConfig {
-            connect_first: true,
-            ..Default::default()
-        },
-    )
-    .expect("reactor runs");
+    // The peer is another process: one descriptor per connection here.
+    let mut reactor = ClientReactor::with_conn_cap(N).expect("poller opens");
+    let outcome = reactor
+        .drive(sessions, &DriveConfig::default())
+        .expect("reactor runs");
     let after = process_threads();
 
     assert_eq!(
@@ -196,6 +195,7 @@ fn ten_thousand_user_reactor_runs_on_the_calling_thread() {
         &outcome.failed[..outcome.failed.len().min(3)]
     );
     assert!(outcome.sessions.iter().all(|s| s.acknowledged() == 1));
+    assert_eq!(reactor.parked(), N, "every connection is kept");
     if let (Some(b), Some(a)) = (baseline, after) {
         assert!(
             a <= b + THREAD_SLACK,
@@ -204,8 +204,18 @@ fn ten_thousand_user_reactor_runs_on_the_calling_thread() {
         );
     }
 
-    // The daemon's statement: every one of the 10k submissions was
-    // verified into the canonical batch.
+    // The daemon's statement: all 10k connections are open on it at
+    // once…
+    let open = match control
+        .request(&Frame::StatsRequest)
+        .expect("scrape answered")
+    {
+        Frame::StatsReport { snapshot } => snapshot.gauge("reactor.conns_open").unwrap_or(0),
+        other => panic!("expected StatsReport, got {other:?}"),
+    };
+    assert!(open >= N as i64, "the daemon holds {open} connections");
+    // …and every one of the 10k submissions was verified into the
+    // canonical batch.
     match control
         .request(&Frame::CloseSubmissions { round })
         .expect("window closes")

@@ -209,8 +209,8 @@ fn soak_at_ten_thousand_users_with_transport_parity() {
     );
 }
 
-/// A forwarding hop sends a batch its successor refused **once**: the
-/// reconnect retry is for a link that idled out, not for an answer.  A
+/// A forwarding hop sends a batch its successor refused **once**: a
+/// batch that has gone out is never sent again.  A
 /// bad onion at the last layer makes the last hop refuse hop 1's batch;
 /// hop 1 reports the failure to hop 0 as an error frame, and hop 0 must
 /// pass it up rather than stream to hop 1 again — which (its forwarded

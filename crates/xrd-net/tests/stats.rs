@@ -1,8 +1,8 @@
 //! Wire-scrape acceptance tests for the observability layer: a
 //! [`Frame::StatsRequest`] against a live daemon must return a
 //! [`Frame::StatsReport`] whose counters match the frames *actually
-//! sent* on the wire, and a full connection storm must leave the
-//! registry telling the storm's own story (per-tag frame counts,
+//! sent* on the wire, and a round's submission storm must leave the
+//! registry telling the round's own story (per-tag frame counts,
 //! hop-phase histograms, round spans).
 //!
 //! The metrics registry is process-wide, so these tests serialize on a
@@ -16,8 +16,9 @@ use std::sync::Mutex;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
+use xrd_core::{DeploymentConfig, User};
 use xrd_net::codec::Frame;
-use xrd_net::{mailbox_storm, submit_storm, Conn, MailboxDaemon, MailboxStormConfig, StormConfig};
+use xrd_net::{launch_local, mailbox_storm, Conn, MailboxDaemon, MailboxStormConfig};
 use xrd_obs::Snapshot;
 
 /// Serializes the registry-delta-sensitive tests.
@@ -107,40 +108,54 @@ fn scraped_counters_match_frames_actually_sent() {
     }
 }
 
-/// The mid-storm acceptance test from the issue: scraping a live mix
-/// daemon that just served a full storm (submission window + one mix
-/// hop) returns per-tag frame counters and hop-phase histograms
-/// consistent with the round actually driven.
+/// Scraping a live mix daemon right after a round's submission storm:
+/// N users run one round on a one-chain, one-hop, one-shard loopback
+/// cluster, and the daemon — scraped over the wire while the users'
+/// connections are still parked open — returns per-tag frame counters
+/// and hop-phase histograms that follow exactly from the cluster's
+/// shape.
 #[test]
 fn storm_scrape_tells_the_storm_story() {
     let _guard = REGISTRY_ACCOUNTING.lock().unwrap();
-    let before = xrd_obs::global().snapshot();
-
     const N: usize = 96;
     let mut rng = StdRng::seed_from_u64(23);
-    let config = StormConfig {
-        n_conns: N,
-        chain_len: 3,
+    let config = DeploymentConfig {
+        n_servers: 1,
+        chain_len: Some(1),
+        f: 0.2,
+        n_mailbox_shards: 1,
+        seed: 0,
     };
-    let report = submit_storm(&mut rng, &config).expect("storm completes");
-    assert_eq!(report.accepted, N as u64);
+    let (mut cluster, mut deployment) = launch_local(&mut rng, &config).expect("cluster up");
+    let topo = deployment.topology();
+    let (k, ell) = (topo.chain_len(), topo.ell());
+    assert_eq!((topo.n_chains(), k), (1, 1), "one chain of one hop");
+    let round = deployment.round();
+    let mut users: Vec<User> = (0..N).map(|_| User::new(&mut rng)).collect();
 
-    // `report.stats` was scraped over the wire while the storm's
-    // connections were still open — it must agree with what the storm
-    // drove.  One Submit per connection, exactly once.
-    let s = &report.stats;
-    assert_eq!(delta(s, &before, "frames.in.Submit"), N as u64);
-    // The control connection's round-management traffic.
-    assert_eq!(delta(s, &before, "frames.in.OpenRound"), 1);
-    assert_eq!(delta(s, &before, "frames.in.CloseSubmissions"), 1);
-    assert_eq!(delta(s, &before, "frames.in.MixBatchStart"), 1);
-    // N submitters plus the control connection were accepted.
-    assert_eq!(delta(s, &before, "reactor.accepts"), N as u64 + 1);
+    let before = xrd_obs::global().snapshot();
+    let (report, _) = deployment
+        .run_round(&mut rng, &mut users)
+        .expect("round completes");
+    assert_eq!(report.delivered, N * ell);
+    let s = scrape(&mut Conn::connect(cluster.mix[0][0].addr()).expect("scraper connects"));
+
+    // Every user's every submission reached every hop of its chain,
+    // exactly once.
+    assert_eq!(delta(&s, &before, "frames.in.Submit"), (N * ell * k) as u64);
+    // The coordinator's window and mix traffic: one of each.
+    assert_eq!(delta(&s, &before, "frames.in.OpenRound"), 1);
+    assert_eq!(delta(&s, &before, "frames.in.CloseSubmissions"), 1);
+    assert_eq!(delta(&s, &before, "frames.in.MixBatchStart"), 1);
+    // Each user dialed the mix daemon and the shard once, and the
+    // scraper once more; the users' connections are still open.
+    assert_eq!(delta(&s, &before, "reactor.accepts"), 2 * N as u64 + 1);
+    assert!(s.gauge("reactor.conns_open").unwrap_or(0) >= N as i64);
 
     // Hop-phase accounting: the batch was mixed once, so the kernel
-    // saw N entries…
-    assert_eq!(delta(s, &before, "hop.entries"), N as u64);
-    assert_eq!(delta(s, &before, "hop.err.decrypt_failures"), 0);
+    // saw N·ℓ entries…
+    assert_eq!(delta(&s, &before, "hop.entries"), (N * ell) as u64);
+    assert_eq!(delta(&s, &before, "hop.err.decrypt_failures"), 0);
     // …and both phase histograms recorded real, well-formed samples.
     for name in ["hop.decrypt_blind_us", "hop.shuffle_prove_us"] {
         let h = s.hist(name).expect("hop histogram present");
@@ -157,7 +172,7 @@ fn storm_scrape_tells_the_storm_story() {
     assert!(
         s.spans
             .iter()
-            .any(|e| e.name == "hop.stream" && e.round == 0),
+            .any(|e| e.name == "hop.stream" && e.round == round),
         "span hop.stream missing from the scrape"
     );
     assert!(
@@ -166,6 +181,8 @@ fn storm_scrape_tells_the_storm_story() {
             .all(|e| !e.name.starts_with("hop.") || e.name == "hop.stream"),
         "a second hop span flavor is in the scrape"
     );
+    drop(deployment);
+    cluster.shutdown();
 }
 
 /// The same on a persistent mailbox shard pair: a 500-mailbox storm's

@@ -1,7 +1,12 @@
 //! End-to-end tests for the hop pipeline: chunking-invariance against
 //! the in-process reference, full chain rounds over multi-chunk batches
-//! under both transports (including blame), and the daemon's handling
-//! of malformed streams.
+//! under both transports (including blame), the daemon's handling of
+//! malformed streams, and a forwarding hop's link to its successor.
+
+use std::io::{BufReader, Write};
+use std::net::{Shutdown, SocketAddr, TcpListener};
+use std::sync::mpsc;
+use std::time::Duration;
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -12,11 +17,12 @@ use xrd_mixnet::chain_keys::{generate_chain_keys, rotate_inner_keys};
 use xrd_mixnet::message::MixEntry;
 use xrd_mixnet::server::{verify_hop, MixServer};
 use xrd_net::codec::{
-    encode_hop_output_stream, error_code, ChunkedBatch, Frame, StreamDigest, STREAM_CHUNK,
+    encode_hop_output_stream, error_code, read_frame_with_body, ChunkedBatch, Frame, StreamDigest,
+    STREAM_CHUNK,
 };
 use xrd_net::{
-    launch_local, launch_local_faulty_with, run_swarm, Conn, ConnTimeouts, FaultPlan, HopReply,
-    MixServerDaemon, NetError, RetryPolicy, SwarmConfig, Transport,
+    launch_local, launch_local_faulty_with, run_swarm, Conn, ConnTimeouts, DaemonHandle, FaultPlan,
+    HopReply, MixServerDaemon, NetError, RetryPolicy, SwarmConfig, Transport,
 };
 use xrd_topology::ChainId;
 
@@ -361,7 +367,7 @@ fn disconnect_while_hop_pending_leaves_daemon_serving() {
 /// seed.
 #[test]
 fn half_closing_client_still_receives_deferred_response() {
-    use std::io::{Read, Write};
+    use std::io::Read;
     let round = 0u64;
     let mut rng = StdRng::seed_from_u64(91);
     let (mut secrets, mut public) = generate_chain_keys(&mut rng, 2, 0);
@@ -391,4 +397,131 @@ fn half_closing_client_still_receives_deferred_response() {
         .read_exact(&mut reply)
         .expect("response readable after half-close");
     assert!(reply == expected, "reply differs from the reference hop");
+}
+
+/// What a [`fake_successor`] does once a whole stream has arrived.
+#[derive(Clone, Copy)]
+enum Then {
+    Ack,
+    AckAndHangUp,
+    HangUp,
+}
+
+/// A scripted successor for a forwarding hop: it serves one connection
+/// at a time, reads `MixBatchStart…End` streams off it, and after each
+/// does `script(round)`.  It reports every stream it read
+/// (`Some(round)`, before acting on it) and every connection it closed
+/// (`None`), in order.  Its thread ends with the process; a panic in it
+/// drops the sender, which the test's reads of the events show.
+fn fake_successor(script: fn(u64) -> Then) -> (SocketAddr, mpsc::Receiver<Option<u64>>) {
+    let listener = TcpListener::bind("127.0.0.1:0").expect("binds");
+    let addr = listener.local_addr().expect("bound");
+    let (events, rx) = mpsc::channel();
+    std::thread::spawn(move || {
+        for stream in listener.incoming() {
+            let Ok(mut stream) = stream else { return };
+            let mut reader = BufReader::new(stream.try_clone().expect("clones"));
+            let mut round = None;
+            while let Ok(Some(Ok((frame, _)))) = read_frame_with_body(&mut reader) {
+                match frame {
+                    Frame::MixBatchStart { round: r, .. } => round = Some(r),
+                    Frame::MixBatchEnd { .. } => {
+                        let r = round.take().expect("Start before End");
+                        if events.send(Some(r)).is_err() {
+                            return;
+                        }
+                        let then = script(r);
+                        if matches!(then, Then::Ack | Then::AckAndHangUp) {
+                            stream.write_all(&Frame::Ok.encode()).expect("acks");
+                        }
+                        if !matches!(then, Then::Ack) {
+                            break;
+                        }
+                    }
+                    _ => {}
+                }
+            }
+            let _ = stream.shutdown(Shutdown::Both);
+            if events.send(None).is_err() {
+                return;
+            }
+        }
+    });
+    (addr, rx)
+}
+
+/// Hop 0 of a two-hop chain forwarding to `successor`, the
+/// coordinator's connection to it, and a batch for each of rounds 0
+/// and 1.
+fn forwarding_hop(successor: SocketAddr) -> (DaemonHandle, Conn, [Vec<MixEntry>; 2]) {
+    let mut rng = StdRng::seed_from_u64(61);
+    let (mut secrets, mut public) = generate_chain_keys(&mut rng, 2, 0);
+    rotate_inner_keys(&mut rng, &mut secrets, &mut public, 0);
+    let batches = [0, 1].map(|round| {
+        let subs = xrd_net::swarm::sealed_submissions(&mut rng, &public, round, 4);
+        subs.iter().map(|s| s.to_entry()).collect()
+    });
+    let daemon = MixServerDaemon::spawn_with_successor(
+        "127.0.0.1:0",
+        secrets.remove(0),
+        public,
+        7,
+        Some(successor),
+    )
+    .expect("daemon spawns");
+    let conn = Conn::connect(daemon.addr()).expect("connects");
+    (daemon, conn, batches)
+}
+
+/// One forwarded hop of `round`, driven as the coordinator drives it.
+fn forward(conn: &mut Conn, round: u64, batch: &[MixEntry]) -> Result<HopReply, NetError> {
+    conn.request_ok(&Frame::MixForward { round })?;
+    conn.stream_hop(round, batch, STREAM_CHUNK)
+}
+
+/// A batch that has gone out to the successor is never sent again.
+/// The successor acks round 0 on the cached link, then reads round 1's
+/// whole stream and hangs up without a word — a successor that crashed
+/// mid-hop, or whose ack was lost.  It may already be mixing the batch,
+/// so the hop must not stream it again on a fresh dial: it answers the
+/// coordinator an error (the relayed retry heals the round there), and
+/// the successor has seen round 1 once.
+#[test]
+fn a_forwarded_batch_is_sent_once() {
+    let (successor, events) = fake_successor(|round| match round {
+        0 => Then::Ack,
+        _ => Then::HangUp,
+    });
+    let (_daemon, mut conn, batches) = forwarding_hop(successor);
+    let first = forward(&mut conn, 0, &batches[0]);
+    assert!(matches!(first, Ok(HopReply::Attested { .. })), "{first:?}");
+    match forward(&mut conn, 1, &batches[1]) {
+        Err(NetError::Remote { code, .. }) => assert_eq!(code, error_code::BAD_STATE),
+        other => panic!("expected the forward's failure, got {other:?}"),
+    }
+    let streams: Vec<u64> = events.try_iter().flatten().collect();
+    assert_eq!(streams, [0, 1], "a batch reached the successor twice");
+}
+
+/// The other half of the rule: a cached link the successor closed while
+/// it idled between rounds is found dead *before* the send and replaced
+/// by a fresh dial, so the next round's forward succeeds.
+#[test]
+fn a_forward_link_closed_while_idle_is_redialed() {
+    let (successor, events) = fake_successor(|round| match round {
+        0 => Then::AckAndHangUp,
+        _ => Then::Ack,
+    });
+    let (_daemon, mut conn, batches) = forwarding_hop(successor);
+    let first = forward(&mut conn, 0, &batches[0]);
+    assert!(matches!(first, Ok(HopReply::Attested { .. })), "{first:?}");
+    let wait = Duration::from_secs(10);
+    assert_eq!(events.recv_timeout(wait), Ok(Some(0)));
+    assert_eq!(events.recv_timeout(wait), Ok(None), "the link is closed");
+    let second = forward(&mut conn, 1, &batches[1]);
+    assert!(
+        matches!(second, Ok(HopReply::Attested { .. })),
+        "{second:?}"
+    );
+    assert_eq!(events.recv_timeout(wait), Ok(Some(1)));
 }

@@ -5,86 +5,17 @@
 //!
 //! ```text
 //! cargo run --release --example networked_round [n_users] [rounds]
-//! cargo run --release --example networked_round stress [n_conns]
 //! ```
-//!
-//! The `stress` mode skips the full deployment and instead storms a
-//! *single* mix daemon with `n_conns` concurrent submitter connections
-//! (default 1000) — the connection-scalability probe for the
-//! event-driven daemon reactor.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use xrd::core::DeploymentConfig;
-use xrd_net::{launch_local, run_swarm, submit_storm, StormConfig, SwarmConfig};
-
-fn stress(mut args: impl Iterator<Item = String>) {
-    let n_conns: usize = args.next().and_then(|v| v.parse().ok()).unwrap_or(1000);
-    let config = StormConfig {
-        n_conns,
-        ..Default::default()
-    };
-    println!(
-        "storming one mix daemon with {n_conns} concurrent submitter connections \
-         (chain k = {})…",
-        config.chain_len
-    );
-    let mut rng = StdRng::seed_from_u64(99);
-    let report = submit_storm(&mut rng, &config).expect("submission storm failed");
-    assert_eq!(
-        report.accepted, report.n_conns as u64,
-        "every distinct submission must be accepted"
-    );
-    println!(
-        "connect  : {:>9.1?}  ({} concurrent connections)",
-        report.connect_elapsed, report.n_conns
-    );
-    println!(
-        "submit   : {:>9.1?}  ({:.0} verified submissions/sec)",
-        report.submit_elapsed, report.submits_per_sec
-    );
-    println!(
-        "mix hop  : {:>9.1?}  ({} entries in chunks, attestation verified)",
-        report.hop_elapsed, report.accepted
-    );
-    // The storm scrapes the daemon over the wire before tearing down;
-    // the report's registry snapshot must agree with the storm it just
-    // drove.  CI runs this mode, so a broken scrape path fails loudly.
-    let stats = &report.stats;
-    assert!(
-        stats.counter("frames.in.Submit") >= n_conns as u64,
-        "scrape must count every Submit frame ({} < {n_conns})",
-        stats.counter("frames.in.Submit"),
-    );
-    assert!(
-        stats.counter("reactor.accepts") >= n_conns as u64,
-        "scrape must count every accepted connection"
-    );
-    for (name, h) in &stats.hists {
-        assert!(h.is_well_formed(), "histogram {name} is malformed");
-    }
-    let hop = stats
-        .hist("hop.decrypt_blind_us")
-        .expect("hop kernel histogram present after a mix hop");
-    assert!(hop.count > 0, "hop kernel ran but recorded no samples");
-    println!(
-        "scrape   : {} frames in ({} Submit), decrypt+blind p95 {}µs over {} chunks",
-        stats.counter("reactor.frames_in"),
-        stats.counter("frames.in.Submit"),
-        hop.p95(),
-        hop.count,
-    );
-    println!("STRESS OK: {} submissions accepted", report.accepted);
-}
+use xrd_net::{launch_local, run_swarm, SwarmConfig};
 
 fn main() {
     let mut args = std::env::args().skip(1);
-    let first = args.next();
-    if first.as_deref() == Some("stress") {
-        return stress(args);
-    }
-    let n_users: usize = first.and_then(|v| v.parse().ok()).unwrap_or(200);
+    let n_users: usize = args.next().and_then(|v| v.parse().ok()).unwrap_or(200);
     let rounds: u64 = args.next().and_then(|v| v.parse().ok()).unwrap_or(3);
 
     let mut rng = StdRng::seed_from_u64(42);
