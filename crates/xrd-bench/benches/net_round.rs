@@ -1,49 +1,18 @@
-//! Macro-benchmark: a complete round through the *networked* deployment
-//! (loopback TCP daemons) next to the same round in-process — the cost
-//! of the wire — plus one chain's mix phase over loopback and the
-//! mailbox tier's ack herd against one persistent shard.
+//! Macro-benchmarks of the networked tiers: one chain's mix phase over
+//! loopback and the mailbox tier's ack herd against one persistent
+//! shard.  (Whole rounds, in-process and over TCP, are `xrd-perf`'s
+//! `round_inproc` and `round_tcp` workloads.)
 
 use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion, Throughput};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use xrd_core::mailbox::LogStoreConfig;
-use xrd_core::{Deployment, DeploymentConfig, User};
 use xrd_mixnet::chain_keys::{generate_chain_keys, rotate_inner_keys};
 use xrd_mixnet::{MailboxMessage, MAILBOX_MSG_LEN};
 use xrd_net::swarm::reactor::{drive_sessions, DriveConfig, FetchSession, FETCH_PAGE_MAX};
 use xrd_net::swarm::sealed_submissions;
-use xrd_net::{launch_local, ChainClient, Conn, Frame, MailboxDaemon, MixServerDaemon};
-
-fn bench_networked_round(c: &mut Criterion) {
-    let mut group = c.benchmark_group("net_round");
-    group.sample_size(10);
-    let config = DeploymentConfig::small(4, 3);
-
-    for &n_users in &[8usize, 24] {
-        group.throughput(Throughput::Elements(n_users as u64));
-
-        group.bench_with_input(
-            BenchmarkId::new("in_process", n_users),
-            &n_users,
-            |b, &n| {
-                let mut rng = StdRng::seed_from_u64(1);
-                let mut deployment = Deployment::new(&mut rng, config.clone());
-                let mut users: Vec<User> = (0..n).map(|_| User::new(&mut rng)).collect();
-                b.iter(|| deployment.run_round(&mut rng, &mut users));
-            },
-        );
-
-        group.bench_with_input(BenchmarkId::new("over_tcp", n_users), &n_users, |b, &n| {
-            let mut rng = StdRng::seed_from_u64(1);
-            let (_cluster, mut deployment) =
-                launch_local(&mut rng, &config).expect("cluster launches");
-            let mut users: Vec<User> = (0..n).map(|_| User::new(&mut rng)).collect();
-            b.iter(|| deployment.run_round(&mut rng, &mut users));
-        });
-    }
-    group.finish();
-}
+use xrd_net::{ChainClient, Conn, Frame, MailboxDaemon, MixServerDaemon};
 
 /// The hop-pipeline probe: one k=3 chain (three mix daemons on
 /// loopback), one agreed batch, the complete mix phase — k hops,
@@ -144,10 +113,5 @@ fn bench_mailbox_ack(c: &mut Criterion) {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-criterion_group!(
-    benches,
-    bench_networked_round,
-    bench_hop_pipeline,
-    bench_mailbox_ack
-);
+criterion_group!(benches, bench_hop_pipeline, bench_mailbox_ack);
 criterion_main!(benches);

@@ -13,8 +13,8 @@
 //!   one ([`mailbox::LogMailboxStore`]);
 //! * [`record_log::RecordLog`] — the one crash-safe append-only file
 //!   (checksummed records, torn-tail repair, "a failed append or sync
-//!   is final") under that store's segments and under [`Journal`], the
-//!   mix daemon's control-state journal;
+//!   is final") under that store's segments and under the mix daemon's
+//!   control-state journal (`xrd-net`'s `daemon.rs`);
 //! * [`backend`] — the round, written once: [`backend::run_round`]
 //!   drives a [`backend::RoundState`] through seal → mix → deliver →
 //!   fetch → open → rotate over the four-method [`backend::Cluster`]
@@ -36,7 +36,6 @@ pub mod backend;
 pub mod churn;
 pub mod cost;
 pub mod deployment;
-pub mod journal;
 pub mod mailbox;
 pub mod payload;
 pub mod record_log;
@@ -45,7 +44,6 @@ pub mod user;
 
 pub use backend::{FetchResults, RoundBackend, RoundError, RoundReport};
 pub use deployment::{Deployment, DeploymentConfig};
-pub use journal::Journal;
 pub use mailbox::{
     drain, LogMailboxStore, LogStoreConfig, MailboxError, MailboxHub, MailboxStore, Page, PageEntry,
 };

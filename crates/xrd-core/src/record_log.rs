@@ -1,10 +1,13 @@
 //! [`RecordLog`]: the one crash-safe append-only file under every
-//! durable log in the system — the mix daemon's state
-//! [`Journal`](crate::Journal) and each segment of the mailbox
+//! durable log in the system — the mix daemon's control-state journal
+//! (magic `XRDJRNL1`; its records live in `xrd-net`'s `daemon.rs`) and
+//! each segment of the mailbox
 //! [`LogMailboxStore`](crate::mailbox::LogMailboxStore).  Both are a
 //! record *schema* plus an in-memory index over this file; framing,
 //! replay, torn-tail repair and the failure rules are written here
-//! once.
+//! once.  Both daemons use it the same way: a request handler appends,
+//! and the reactor tick's one commit syncs (or, for the journal after a
+//! key activation, rewrites) before any reply that depends on it leaves.
 //!
 //! ## On-disk layout
 //!
@@ -46,7 +49,8 @@
 //!   ahead of the disk) is refused until the file is reopened; `open`
 //!   cuts the torn record off and keeps everything acknowledged before
 //!   it.  A `rewrite` that fails before its rename leaves the log as it
-//!   was and may be retried.
+//!   was and may be retried (the daemons do not: a failed commit of
+//!   either kind refuses everything after it until a restart).
 
 use std::fs::{File, OpenOptions};
 use std::io::{Error, ErrorKind, Read, Result, Write};
@@ -345,7 +349,7 @@ mod tests {
         (log, records, replay.torn)
     }
 
-    fn append_sync(log: &mut RecordLog, payload: &[u8]) -> u64 {
+    fn append_then_sync(log: &mut RecordLog, payload: &[u8]) -> u64 {
         let at = log.append(&[payload]).expect("append");
         log.sync().expect("sync");
         at
@@ -402,7 +406,7 @@ mod tests {
         {
             let (mut log, _) = RecordLog::open(&golden, MAGIC).unwrap();
             for payload in payloads {
-                append_sync(&mut log, payload);
+                append_then_sync(&mut log, payload);
                 ends.push(log.len_bytes());
             }
         }
@@ -418,7 +422,7 @@ mod tests {
             assert_eq!(torn, !clean, "cut at byte {cut}");
             assert_eq!(log.len_bytes(), ends[kept], "cut at byte {cut}");
 
-            append_sync(&mut log, b"next");
+            append_then_sync(&mut log, b"next");
             let (_, records, torn) = reopen(&work);
             assert_eq!(records[..kept], payloads[..kept], "cut at byte {cut}");
             assert_eq!(records[kept..], [b"next"], "cut at byte {cut}");
@@ -432,11 +436,11 @@ mod tests {
     fn flipped_checksum_byte_drops_exactly_the_damaged_suffix() {
         let path = tmp("flip");
         let (mut log, _) = RecordLog::open(&path, MAGIC).unwrap();
-        append_sync(&mut log, b"keep");
+        append_then_sync(&mut log, b"keep");
         let keep_end = log.len_bytes();
-        append_sync(&mut log, b"damaged");
+        append_then_sync(&mut log, b"damaged");
         let damaged_end = log.len_bytes();
-        append_sync(&mut log, b"behind-it");
+        append_then_sync(&mut log, b"behind-it");
         drop(log);
         let mut bytes = std::fs::read(&path).unwrap();
         bytes[damaged_end as usize - 1] ^= 0xA5;
@@ -471,7 +475,7 @@ mod tests {
     fn failed_append_is_final_until_reopen() {
         let path = tmp("failed-append");
         let (mut log, _) = RecordLog::open(&path, MAGIC).unwrap();
-        append_sync(&mut log, b"prepare");
+        append_then_sync(&mut log, b"prepare");
         log.fault = Some(Fault::Append);
         assert!(log.append(&[b"torn"]).is_err());
         assert_refuses(&mut log);
@@ -482,7 +486,7 @@ mod tests {
         let (mut log, records, torn) = reopen(&path);
         assert_eq!(records, [b"prepare"]);
         assert!(torn);
-        append_sync(&mut log, b"activate");
+        append_then_sync(&mut log, b"activate");
         let (_, records, _) = reopen(&path);
         assert_eq!(records, [&b"prepare"[..], b"activate"]);
         std::fs::remove_file(&path).unwrap();
@@ -494,7 +498,7 @@ mod tests {
     fn failed_sync_is_final_until_reopen() {
         let path = tmp("failed-sync");
         let (mut log, _) = RecordLog::open(&path, MAGIC).unwrap();
-        append_sync(&mut log, b"acknowledged");
+        append_then_sync(&mut log, b"acknowledged");
         log.append(&[b"in flight"]).unwrap();
         log.fault = Some(Fault::Sync);
         assert!(log.sync().is_err());
@@ -503,7 +507,7 @@ mod tests {
         drop(log);
         let (mut log, records, _) = reopen(&path);
         assert_eq!(records[0], b"acknowledged");
-        append_sync(&mut log, b"after");
+        append_then_sync(&mut log, b"after");
         std::fs::remove_file(&path).unwrap();
     }
 
@@ -524,13 +528,13 @@ mod tests {
         std::fs::create_dir(&squatter).unwrap();
         assert!(log.rewrite(&[b"snapshot"]).is_err());
         assert_eq!(log.len_bytes(), before);
-        append_sync(&mut log, &[20; 100]);
+        append_then_sync(&mut log, &[20; 100]);
         assert_eq!(reopen(&path).1.len(), 21);
 
         std::fs::remove_dir(&squatter).unwrap();
         log.rewrite(&[b"snapshot", b"open-round"]).unwrap();
         assert!(log.len_bytes() < before, "compaction must shrink the log");
-        append_sync(&mut log, b"later");
+        append_then_sync(&mut log, b"later");
         let (_, records, torn) = reopen(&path);
         assert_eq!(records, [&b"snapshot"[..], b"open-round", b"later"]);
         assert!(!torn);
@@ -545,7 +549,7 @@ mod tests {
         let (mut log, _) = RecordLog::open(&path, MAGIC).unwrap();
         let err = log.append(&[&vec![0u8; MAX_RECORD], b"+"]).unwrap_err();
         assert_eq!(err.kind(), ErrorKind::InvalidInput);
-        append_sync(&mut log, b"fine");
+        append_then_sync(&mut log, b"fine");
         assert_eq!(reopen(&path).1, [b"fine"]);
         std::fs::remove_file(&path).unwrap();
     }

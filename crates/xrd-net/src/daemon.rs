@@ -10,9 +10,15 @@
 //! * [`MailboxDaemon`] — one mailbox shard: accepts (idempotent,
 //!   batch-deduped) deliveries from the mix layer and serves clients
 //!   paginated, ack-driven fetches over a pluggable
-//!   [`MailboxStore`] — in-memory or log-structured persistent.  Its
-//!   `Ok`s wait for the reactor's commit phase: one sync per loop
-//!   iteration covers every ack and delivery the iteration served.
+//!   [`MailboxStore`] — in-memory or log-structured persistent.
+//!
+//! Both make data durable by one rule: a handler appends and holds its
+//! `Ok` ([`Outcome::ReplyAfterCommit`]); the service's
+//! [`Service::commit`], run once per reactor loop iteration, is the
+//! only place that syncs, so one sync covers every ack, delivery and
+//! control record the iteration served.  A failed commit latches the
+//! reactor (see [`crate::reactor`]): the daemon refuses everything
+//! after it until it is restarted and replays its disk.
 //!
 //! Both daemons are event-driven: all connections of a daemon are
 //! served by **one** reactor thread (see [`crate::reactor`]) running a
@@ -43,14 +49,13 @@ use rand::SeedableRng;
 use xrd_core::mailbox::{
     shard_of, LogMailboxStore, LogStoreConfig, MailboxError, MailboxHub, MailboxStore,
 };
+use xrd_core::RecordLog;
 use xrd_crypto::nizk::{DleqProof, SchnorrProof};
 use xrd_crypto::ristretto::GroupElement;
 use xrd_mixnet::chain_keys::{rotation_share, ChainPublicKeys, ServerSecrets};
 use xrd_mixnet::client::Submission;
 use xrd_mixnet::message::{outer_ct_len, MailboxMessage, MixEntry};
 use xrd_mixnet::server::{input_digest, verify_hop_keys, ChunkKernel, MixError, MixServer};
-
-use xrd_core::Journal;
 
 use crate::codec::{
     decode_server_config, dispute_context, encode_hop_output_stream, encode_server_config,
@@ -261,13 +266,23 @@ struct MixState {
     /// Durable control state (rotation epoch + shares, open window):
     /// what a respawned process must recover to rejoin its chain with
     /// the keys its peers expect.  `None` = this daemon is disposable
-    /// only in the "whole deployment restarts" sense.
-    journal: Option<Journal>,
+    /// only in the "whole deployment restarts" sense.  Handlers append;
+    /// [`Service::commit`] makes the tick's records durable.
+    journal: Option<RecordLog>,
+    /// Records appended since the last commit.
+    unsynced: bool,
+    /// A rotation activated since the last commit, which therefore
+    /// compacts the journal to [`MixState::snapshot`] instead of
+    /// syncing it.
+    activated: bool,
 }
 
-// Journal record kinds for [`MixState`]'s control state.  One byte of
-// kind followed by the payload; unknown kinds are skipped on restore
-// (forward compatibility for rolling restarts).
+/// The journal file's magic.
+const JOURNAL_MAGIC: &[u8; 8] = b"XRDJRNL1";
+
+// The journal's record kinds: one byte of kind followed by the
+// payload; unknown kinds are skipped on restore (forward compatibility
+// for rolling restarts).
 /// `[kind][round:u64]` — a submission window opened.
 const JREC_OPEN_ROUND: u8 = 1;
 /// `[kind][inner_epoch:u64][isk:32]` — a rotation share was prepared
@@ -278,10 +293,55 @@ const JREC_PREPARE: u8 = 2;
 /// replacing launch-time state wholesale on restore.
 const JREC_ACTIVATE: u8 = 3;
 
-fn open_round_record(round: u64) -> [u8; 9] {
-    let mut rec = [JREC_OPEN_ROUND; 9];
-    rec[1..].copy_from_slice(&round.to_le_bytes());
-    rec
+fn open_round_record(round: u64) -> Vec<u8> {
+    [&[JREC_OPEN_ROUND][..], &round.to_le_bytes()].concat()
+}
+
+fn prepare_record(inner_epoch: u64, isk: &xrd_crypto::Scalar) -> Vec<u8> {
+    [
+        &[JREC_PREPARE][..],
+        &inner_epoch.to_le_bytes(),
+        &isk.to_bytes(),
+    ]
+    .concat()
+}
+
+/// State-journal metric handles, resolved once per process.
+fn journal_metrics() -> &'static JournalMetrics {
+    static METRICS: std::sync::OnceLock<JournalMetrics> = std::sync::OnceLock::new();
+    METRICS.get_or_init(|| JournalMetrics {
+        appends: xrd_obs::counter("daemon.journal.appends"),
+        rewrites: xrd_obs::counter("daemon.journal.rewrites"),
+        recovered: xrd_obs::counter("daemon.journal.records_recovered"),
+        torn_tails: xrd_obs::counter("daemon.journal.torn_tails"),
+    })
+}
+
+struct JournalMetrics {
+    /// Records appended (made durable by the tick's commit).
+    appends: &'static xrd_obs::Counter,
+    /// Whole-journal compactions, one per committed activation.
+    rewrites: &'static xrd_obs::Counter,
+    /// Intact records replayed on open.
+    recovered: &'static xrd_obs::Counter,
+    /// Torn tails (or torn headers) cut off on open.
+    torn_tails: &'static xrd_obs::Counter,
+}
+
+/// Open (or create) the journal at `path`: the log, plus the records
+/// it recovered in append order.
+fn open_journal(path: impl Into<std::path::PathBuf>) -> std::io::Result<(RecordLog, Vec<Vec<u8>>)> {
+    let (log, replay) = RecordLog::open(path, JOURNAL_MAGIC)?;
+    let records: Vec<Vec<u8>> = replay.records().map(|(_, rec)| rec.to_vec()).collect();
+    if replay.torn {
+        journal_metrics().torn_tails.incr();
+    }
+    journal_metrics().recovered.add(records.len() as u64);
+    Ok((log, records))
+}
+
+fn storage_err(e: std::io::Error) -> Frame {
+    err(error_code::STORAGE, format!("state journal: {e}"))
 }
 
 /// One connection's in-flight streamed hop.  The session itself holds
@@ -484,20 +544,32 @@ impl MixState {
         self.server.public()
     }
 
-    /// Append one control record durably (fsync) *before* the state
-    /// change it describes is made — write-ahead, so a record that did
-    /// not land leaves memory where the journal is and an idempotence
-    /// shortcut cannot answer the coordinator's retry `Ok` for a
-    /// transition a respawn would not find.  A journal failure is
-    /// answered as a storage error: promising durability we cannot
-    /// deliver would break the respawn contract.
-    fn journal_record(&mut self, payload: &[u8]) -> Option<Frame> {
-        if let Some(j) = &mut self.journal {
-            if let Err(e) = j.append_sync(payload) {
-                return Some(err(error_code::STORAGE, format!("state journal: {e}")));
-            }
-        }
-        None
+    /// Append one control record before the state change it describes
+    /// is made; the tick's commit makes it durable before the reply
+    /// leaves.  A failed append is final for the log, so the commit
+    /// fails too and the reactor refuses everything after it.
+    fn append_record(&mut self, record: &[u8]) -> std::io::Result<()> {
+        let Some(log) = &mut self.journal else {
+            return Ok(());
+        };
+        self.unsynced = true;
+        log.append(&[record])?;
+        journal_metrics().appends.incr();
+        Ok(())
+    }
+
+    /// The journal compacted to this state: the active bundle, then the
+    /// prepared share and the open window if there are any — what
+    /// [`MixServerDaemon::restore`] folds back into exactly this state.
+    fn snapshot(&self) -> Vec<Vec<u8>> {
+        let config = encode_server_config(&self.secrets, self.public());
+        let mut records = vec![[&[JREC_ACTIVATE][..], &config].concat()];
+        records.extend(
+            self.pending_isk
+                .map(|(epoch, isk)| prepare_record(epoch, &isk)),
+        );
+        records.extend(self.open_round.map(open_round_record));
+        records
     }
 
     /// `Submit`: the cheap checks — window, quotas, onion size — then
@@ -582,8 +654,8 @@ impl MixState {
                     // What the old window still has queued gets its
                     // verdict before the window goes.
                     self.screen();
-                    if let Some(e) = self.journal_record(&open_round_record(round)) {
-                        return e;
+                    if let Err(e) = self.append_record(&open_round_record(round)) {
+                        return storage_err(e);
                     }
                     self.open_round = Some(round);
                     self.pending_subs.clear();
@@ -652,11 +724,8 @@ impl MixState {
                 // The share is a promise to the coordinator: if this
                 // process dies before activation, its replacement must
                 // still hold the isk the assembled bundle will carry.
-                let mut rec = vec![JREC_PREPARE];
-                rec.extend_from_slice(&inner_epoch.to_le_bytes());
-                rec.extend_from_slice(&isk.to_bytes());
-                if let Some(e) = self.journal_record(&rec) {
-                    return e;
+                if let Err(e) = self.append_record(&prepare_record(inner_epoch, &isk)) {
+                    return storage_err(e);
                 }
                 self.pending_isk = Some((inner_epoch, isk));
                 Frame::RotationShare { inner_epoch, share }
@@ -668,9 +737,8 @@ impl MixState {
                     // process that restored it from its journal.
                     return Frame::Ok;
                 }
-                // The prepared share stays armed until the activation
-                // is durable: a refusal below, or a journal that would
-                // not take the record, leaves this hop where it was.
+                // The prepared share stays armed unless the activation
+                // is made: a refusal below leaves this hop where it was.
                 let Some((epoch, isk)) = self.pending_isk else {
                     return err(error_code::BAD_ROTATION, "no rotation prepared");
                 };
@@ -688,22 +756,13 @@ impl MixState {
                 }
                 let mut secrets = self.secrets.clone();
                 secrets.isk = isk;
-                // Activation obsoletes every earlier record: compact
-                // the journal down to the new bundle (plus the open
-                // window, if one is in flight).
-                if let Some(j) = &mut self.journal {
-                    let mut act = vec![JREC_ACTIVATE];
-                    act.extend_from_slice(&encode_server_config(&secrets, &keys));
-                    let open = self.open_round.map(open_round_record);
-                    let mut records: Vec<&[u8]> = vec![&act];
-                    records.extend(open.iter().map(|rec| &rec[..]));
-                    if let Err(e) = j.rewrite(&records) {
-                        return err(error_code::STORAGE, format!("state journal: {e}"));
-                    }
-                }
                 self.pending_isk = None;
                 self.server = MixServer::new(secrets.clone(), keys);
                 self.secrets = secrets;
+                // Activation obsoletes every earlier record: its record
+                // is the journal compacted to the new bundle, which the
+                // tick's commit writes.
+                self.activated = true;
                 Frame::Ok
             }
             Frame::Accuse {
@@ -1076,6 +1135,14 @@ impl Service for MixService {
                 output_dhs,
                 proof,
             } => self.defer_dispute(round, accused, input_dhs, output_dhs, proof, None),
+            // Window and key control: the reply waits for the commit
+            // that makes its record durable — a repeat's too, as the
+            // record it repeats may be waiting for that very commit.
+            frame @ (Frame::OpenRound { .. }
+            | Frame::PrepareRotation { .. }
+            | Frame::ActivateRotation { .. }) => {
+                Outcome::ReplyAfterCommit(vec![self.lock().handle(frame)])
+            }
             other => Outcome::reply(self.lock().handle(other)),
         }
     }
@@ -1092,13 +1159,31 @@ impl Service for MixService {
         state.forward_reports.retain(|_, report| *report != conn);
     }
 
-    /// The tick's screening: one batched proof check over every
-    /// submission the iteration queued; the offenders' held `Ok`s
-    /// become their rejections.
+    /// The tick's one commit point: one batched proof check over every
+    /// submission the iteration queued (the offenders' held `Ok`s
+    /// become their rejections), then one journal sync for the control
+    /// records the iteration appended — or, if it activated a
+    /// rotation, one rewrite compacting the journal to the state the
+    /// activation left, which keeps the journal a few records long.
     fn commit(&self) -> Result<Vec<(ConnId, Frame)>, Frame> {
         let mut state = self.lock();
         state.screen();
-        Ok(std::mem::take(&mut state.rejections))
+        let rejections = std::mem::take(&mut state.rejections);
+        let snapshot = std::mem::take(&mut state.activated).then(|| state.snapshot());
+        let unsynced = std::mem::take(&mut state.unsynced);
+        let Some(log) = &mut state.journal else {
+            return Ok(rejections);
+        };
+        match snapshot {
+            Some(records) => {
+                let records: Vec<&[u8]> = records.iter().map(Vec::as_slice).collect();
+                log.rewrite(&records).map_err(storage_err)?;
+                journal_metrics().rewrites.incr();
+            }
+            None if unsynced => log.sync().map_err(storage_err)?,
+            None => {}
+        }
+        Ok(rejections)
     }
 }
 
@@ -1280,7 +1365,7 @@ impl MixServerDaemon {
         public: ChainPublicKeys,
         rng_seed: u64,
         policy: SubmissionPolicy,
-        journal: Option<(Journal, Vec<Vec<u8>>)>,
+        journal: Option<(RecordLog, Vec<Vec<u8>>)>,
     ) -> Arc<Mutex<MixState>> {
         let (journal, records) = match journal {
             Some((j, records)) => (Some(j), records),
@@ -1303,6 +1388,8 @@ impl MixServerDaemon {
             forward_reports: HashMap::new(),
             rng: StdRng::seed_from_u64(rng_seed),
             journal,
+            unsynced: false,
+            activated: false,
         }))
     }
 
@@ -1403,7 +1490,7 @@ impl MixServerDaemon {
         successor: Option<SocketAddr>,
         journal: impl Into<std::path::PathBuf>,
     ) -> std::io::Result<DaemonHandle> {
-        let (journal, records) = Journal::open(journal)?;
+        let (journal, records) = open_journal(journal)?;
         let state = Self::state(
             secrets,
             public,
@@ -1480,14 +1567,13 @@ fn mailbox_err(e: MailboxError) -> Frame {
 
 /// One mailbox shard as a reactor [`Service`].
 ///
-/// Durability rule: a handler appends (`ack`, or
+/// Durability rule (the [module](self)'s): a handler appends (`ack`, or
 /// `begin_batch`/`put`/`commit_batch`) and returns its `Ok` as
 /// [`Outcome::ReplyAfterCommit`]; [`Service::commit`] is the daemon's
-/// only [`MailboxStore::flush`], run by the reactor once per loop
-/// iteration before any held `Ok` is released.  So an `Ok` for a
-/// `FetchAck` or a `Deliver` reaches a socket only after a sync that
-/// began after its record was appended has returned — and every
-/// connection served in that iteration shares the one sync.
+/// only [`MailboxStore::flush`].  So an `Ok` for a `FetchAck` or a
+/// `Deliver` reaches a socket only after a sync that began after its
+/// record was appended has returned — and every connection served in
+/// that iteration shares the one sync.
 struct MailboxService {
     state: Mutex<MailboxState>,
 }
@@ -1502,19 +1588,10 @@ struct MailboxState {
     /// order for eviction.
     seen_batches: HashSet<(u64, u64)>,
     batch_order: VecDeque<(u64, u64)>,
-    /// The refusal of a failed commit, answered to every later request:
-    /// what that commit covered is applied in memory (and remembered in
-    /// `seen_batches`) but not on disk, so a retry must not be
-    /// acknowledged from it.  Cleared only by a restart, which replays
-    /// the log.
-    failed: Option<Frame>,
 }
 
 impl MailboxState {
     fn handle(&mut self, frame: Frame) -> Outcome {
-        if let Some(refusal) = &self.failed {
-            return Outcome::reply(refusal.clone());
-        }
         match frame {
             Frame::Deliver {
                 round,
@@ -1619,11 +1696,8 @@ impl Service for MailboxService {
 
     fn commit(&self) -> Result<Vec<(ConnId, Frame)>, Frame> {
         let mut state = self.state.lock().expect("mailbox state poisoned");
-        state.store.flush().map(|()| Vec::new()).map_err(|e| {
-            let refusal = mailbox_err(e);
-            state.failed = Some(refusal.clone());
-            refusal
-        })
+        state.store.flush().map_err(mailbox_err)?;
+        Ok(Vec::new())
     }
 }
 
@@ -1672,7 +1746,6 @@ impl MailboxDaemon {
             store,
             seen_batches: HashSet::new(),
             batch_order: VecDeque::new(),
-            failed: None,
         });
         spawn_daemon(addr, Arc::new(MailboxService { state }))
     }
@@ -1744,35 +1817,49 @@ mod tests {
         assert!(st.pending_subs.is_empty() && st.submitted.is_empty());
     }
 
-    /// Write-ahead, without a seam: a directory squatting on the
-    /// journal's temp path makes the activation's `rewrite` fail.  The
-    /// hop answers `STORAGE` and has not moved — so the coordinator's
-    /// retry is not waved through by the "already running this bundle"
-    /// shortcut for an `ACTIVATE` a respawn would not find — and once
-    /// the journal takes the record the same frame succeeds and a
-    /// reopen replays the new bundle.
-    #[test]
-    fn activation_is_journaled_before_it_is_made() {
-        use xrd_mixnet::chain_keys::apply_rotation_shares;
-        let path = std::env::temp_dir().join(format!("xrd-wal-{}.journal", std::process::id()));
-        let squatter = std::path::PathBuf::from(format!("{}.tmp", path.display()));
+    /// A fresh journal path for one test, with no temp-file squatter.
+    fn journal_path(name: &str) -> std::path::PathBuf {
+        let path = std::env::temp_dir().join(format!("xrd-{name}-{}.journal", std::process::id()));
         let _ = std::fs::remove_file(&path);
-        let _ = std::fs::remove_dir(&squatter);
+        let _ = std::fs::remove_dir(squatter(&path));
+        path
+    }
 
+    /// The path a compaction writes before its rename; a directory
+    /// there makes the compaction fail, with no seam.
+    fn squatter(path: &std::path::Path) -> std::path::PathBuf {
+        format!("{}.tmp", path.display()).into()
+    }
+
+    /// Hop 0 of a three-hop chain, journaled at `path`: its launch-time
+    /// secrets and bundle, and its service.
+    fn journaled_hop(path: &std::path::Path) -> (ServerSecrets, ChainPublicKeys, MixService) {
         let mut rng = StdRng::seed_from_u64(43);
         let (mut secrets, mut public) = generate_chain_keys(&mut rng, 3, 0);
         rotate_inner_keys(&mut rng, &mut secrets, &mut public, 0);
         let secrets = secrets.remove(0);
-        let journal = Journal::open(&path).expect("fresh journal");
+        let journal = open_journal(path).expect("journal opens");
         let policy = SubmissionPolicy::default();
         let state =
             MixServerDaemon::state(secrets.clone(), public.clone(), 7, policy, Some(journal));
-        let mut st = state.lock().unwrap();
-        assert_eq!(st.handle(Frame::OpenRound { round: 4 }), Frame::Ok);
-        let share = match st.handle(Frame::PrepareRotation { inner_epoch: 1 }) {
-            Frame::RotationShare { share, .. } => share,
-            other => panic!("expected RotationShare, got {other:?}"),
+        (secrets, public, MixService::new(state, None))
+    }
+
+    /// Handle `frame`, demanding the reply be held for the commit.
+    fn held(service: &MixService, frame: Frame) -> Frame {
+        match service.handle(1, frame, &WorkerPool::new(1)) {
+            Outcome::ReplyAfterCommit(mut frames) if frames.len() == 1 => frames.remove(0),
+            _ => panic!("expected one reply held for the commit"),
+        }
+    }
+
+    /// The epoch-1 bundle carrying the share hop 0 answered with.
+    fn bundle_with(public: &ChainPublicKeys, share: Frame) -> ChainPublicKeys {
+        use xrd_mixnet::chain_keys::apply_rotation_shares;
+        let Frame::RotationShare { share, .. } = share else {
+            panic!("expected RotationShare, got {share:?}");
         };
+        let mut rng = StdRng::seed_from_u64(44);
         let shares = [
             share,
             rotation_share(&mut rng, 1, 1).1,
@@ -1780,27 +1867,100 @@ mod tests {
         ];
         let mut keys = public.clone();
         assert!(apply_rotation_shares(&mut keys, 1, &shares));
+        keys
+    }
 
-        std::fs::create_dir(&squatter).expect("squat on the temp path");
-        for attempt in ["first attempt", "coordinator's retry"] {
-            match st.handle(Frame::ActivateRotation { keys: keys.clone() }) {
-                Frame::Error { code, .. } => assert_eq!(code, error_code::STORAGE, "{attempt}"),
-                other => panic!("{attempt}: expected STORAGE, got {other:?}"),
-            }
-            assert_eq!(st.public(), &public, "{attempt}: memory ran ahead");
+    /// Every reply to window and key control — refusals and idempotent
+    /// repeats included — waits for the commit, and the commit that
+    /// follows an activation compacts the journal to it.
+    #[test]
+    fn control_replies_wait_for_the_commit() {
+        let path = journal_path("held-control");
+        let (secrets, public, service) = journaled_hop(&path);
+        let activate_running = Frame::ActivateRotation {
+            keys: public.clone(),
+        };
+        assert_eq!(
+            held(&service, activate_running),
+            Frame::Ok,
+            "already running it"
+        );
+        assert_eq!(held(&service, Frame::OpenRound { round: 4 }), Frame::Ok);
+        assert_eq!(
+            held(&service, Frame::OpenRound { round: 4 }),
+            Frame::Ok,
+            "repeat"
+        );
+        let keys = bundle_with(
+            &public,
+            held(&service, Frame::PrepareRotation { inner_epoch: 1 }),
+        );
+        let mut wrong_epoch = keys.clone();
+        wrong_epoch.inner_epoch = 2;
+        match held(&service, Frame::ActivateRotation { keys: wrong_epoch }) {
+            Frame::Error { code, .. } => assert_eq!(code, error_code::BAD_ROTATION),
+            other => panic!("expected BAD_ROTATION, got {other:?}"),
         }
-        std::fs::remove_dir(&squatter).expect("unsquat");
         let activate = Frame::ActivateRotation { keys: keys.clone() };
-        assert_eq!(st.handle(activate), Frame::Ok);
-        assert_eq!(st.public(), &keys);
-        drop(st);
+        assert_eq!(held(&service, activate.clone()), Frame::Ok);
+        assert_eq!(held(&service, activate), Frame::Ok, "repeat");
+        assert_eq!(service.commit(), Ok(Vec::new()));
 
-        let (_, records) = Journal::open(&path).expect("reopen");
+        let (_, records) = open_journal(&path).expect("reopen");
+        assert_eq!(
+            records.len(),
+            2,
+            "compacted to the bundle and the open window"
+        );
         let (_, restored, pending_isk, open_round) =
             MixServerDaemon::restore(secrets, public, &records);
         assert_eq!(restored, keys, "the respawn rejoins under the new bundle");
         assert!(pending_isk.is_none());
         assert_eq!(open_round, Some(4));
+        let _ = std::fs::remove_file(&path);
+    }
+
+    /// A compaction that fails — here a directory squatting on the
+    /// journal's temp path — fails the commit with `STORAGE`, and the
+    /// disk still holds the hop before the activation: the old bundle
+    /// with the prepared share armed.  So a restart takes the
+    /// coordinator's retried activation.
+    #[test]
+    fn a_failed_compaction_leaves_the_activation_to_a_restart() {
+        let path = journal_path("failed-compaction");
+        let (secrets, public, service) = journaled_hop(&path);
+        assert_eq!(held(&service, Frame::OpenRound { round: 4 }), Frame::Ok);
+        let keys = bundle_with(
+            &public,
+            held(&service, Frame::PrepareRotation { inner_epoch: 1 }),
+        );
+        assert_eq!(service.commit(), Ok(Vec::new()));
+
+        std::fs::create_dir(squatter(&path)).expect("squat on the temp path");
+        let activate = Frame::ActivateRotation { keys: keys.clone() };
+        assert_eq!(held(&service, activate.clone()), Frame::Ok);
+        match service.commit() {
+            Err(Frame::Error { code, .. }) => assert_eq!(code, error_code::STORAGE),
+            other => panic!("expected STORAGE, got {other:?}"),
+        }
+        drop(service);
+
+        let (log, records) = open_journal(&path).expect("reopen");
+        let (_, restored, pending_isk, open_round) =
+            MixServerDaemon::restore(secrets.clone(), public.clone(), &records);
+        assert_eq!(restored, public, "the activation is not on disk");
+        let (epoch, isk) = pending_isk.expect("the prepared share is still armed");
+        assert_eq!(epoch, 1);
+        assert_eq!(keys.ipks[0], xrd_crypto::GroupElement::base_mul(&isk));
+        assert_eq!(open_round, Some(4));
+
+        std::fs::remove_dir(squatter(&path)).expect("unsquat");
+        let policy = SubmissionPolicy::default();
+        let state = MixServerDaemon::state(secrets, public, 7, policy, Some((log, records)));
+        let restarted = MixService::new(state, None);
+        assert_eq!(held(&restarted, activate), Frame::Ok, "the retry is taken");
+        assert_eq!(restarted.commit(), Ok(Vec::new()));
+        assert_eq!(restarted.lock().public(), &keys);
         let _ = std::fs::remove_file(&path);
     }
 }

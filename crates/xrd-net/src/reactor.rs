@@ -40,18 +40,28 @@
 //! (the connection's pending slot is occupied, so its request/response
 //! order is untouched) and, at the end of every loop iteration that held
 //! anything, calls [`Service::commit`] **once** — the service's
-//! once-per-tick point: an `fdatasync` for a persistent mailbox shard,
+//! once-per-tick point: an `fdatasync` for a persistent mailbox shard;
 //! one batched proof-of-knowledge check over every submission the tick
-//! queued for a mix daemon — then releases the held replies.  The commit
-//! may replace individual held replies by connection (the submissions
-//! whose proof failed read their rejection where the others read `Ok`),
-//! or refuse the lot with one error frame (a failed sync).  One iteration
-//! is therefore: readiness → handlers → one `commit` → release.  Nothing
-//! lingers and no batch size is configured: the group is whatever became
-//! readable while the previous commit ran (as many connections as one
-//! poller wait reports — its event buffer holds 256), so a lone request
-//! pays exactly one commit and waits for no company, and a herd shares
-//! its syncs and its multiscalar multiplications.
+//! queued for a mix daemon, plus its journal's sync if it has one — then
+//! releases the held replies.  The commit may replace individual held
+//! replies by connection (the submissions whose proof failed read their
+//! rejection where the others read `Ok`), or refuse the lot with one
+//! error frame (a failed sync).  One iteration is therefore: readiness →
+//! handlers → one `commit` → release.  Nothing lingers and no batch size
+//! is configured: the group is whatever became readable while the
+//! previous commit ran (as many connections as one poller wait reports
+//! — its event buffer holds 256), so a lone request pays exactly one
+//! commit and waits for no company, and a herd shares its syncs and its
+//! multiscalar multiplications.
+//!
+//! A refused commit is final.  What it covered is in the service's
+//! memory but not on its disk, so nothing may be acknowledged from it:
+//! the reactor answers every later request, on every connection, with
+//! the same refusal and never hands the service another frame (counted
+//! as `reactor.err.commit`).  `Ping`, `StatsRequest` and `Shutdown`,
+//! which the reactor answers itself, are still served, so a failed
+//! daemon stays observable.  Recovery is a restart, which replays the
+//! disk.
 //!
 //! A connection that has gone quiet — nothing buffered either way,
 //! blocked on its next request — gives its decode and output buffers
@@ -146,7 +156,8 @@ pub trait Service: Send + Sync + 'static {
     /// reply as it stands except those of the listed connections, which
     /// read the given frame instead (a connection holds at most one
     /// reply, so the id names it); `Err(frame)` sends `frame` in place
-    /// of every held reply.  Default: nothing to settle.
+    /// of every held reply and of every request after them, for good
+    /// (see the [module docs](self)).  Default: nothing to settle.
     // The refusals are the cold path; `Ok(vec![])` is what runs every
     // tick, and an empty vector allocates nothing.
     #[allow(clippy::result_large_err)]
@@ -236,7 +247,7 @@ struct PoolState {
 }
 
 impl WorkerPool {
-    fn new(size: usize) -> Arc<WorkerPool> {
+    pub(crate) fn new(size: usize) -> Arc<WorkerPool> {
         Arc::new(WorkerPool {
             state: Mutex::new(PoolState {
                 queue: VecDeque::new(),
@@ -634,6 +645,9 @@ struct ReactorMetrics {
     commit_held: &'static Histogram,
     /// [`Service::commit`] latency, µs.
     commit_us: &'static Histogram,
+    /// Commits the service refused: each latches the reactor, so this
+    /// reads 1 on a daemon that answers every request with the refusal.
+    err_commit: &'static Counter,
     /// Connections dropped over an unparseable frame (the silent-drop
     /// path: also debug-logged with the peer address).
     err_malformed: &'static Counter,
@@ -661,6 +675,7 @@ impl ReactorMetrics {
             commits: xrd_obs::counter("reactor.commits"),
             commit_held: xrd_obs::hist("reactor.commit.held"),
             commit_us: xrd_obs::hist("reactor.commit_us"),
+            err_commit: xrd_obs::counter("reactor.err.commit"),
             err_malformed: xrd_obs::counter("reactor.err.malformed_frame"),
             err_io: xrd_obs::counter("reactor.err.io"),
             by_tag: [None; 256],
@@ -800,7 +815,8 @@ impl Connection {
     /// repeat.  Deferred jobs the service produced are appended to
     /// `deferred` for the reactor to submit, replies it wants held for
     /// the commit to `held` (either way the connection is already
-    /// marked pending).
+    /// marked pending).  Once a commit has been refused (`failed`), the
+    /// service is not asked again: every request reads that refusal.
     #[allow(clippy::too_many_arguments)]
     fn advance(
         &mut self,
@@ -810,6 +826,7 @@ impl Connection {
         read_buf: &mut [u8],
         deferred: &mut Vec<(ConnId, Job)>,
         held: &mut Vec<Completion>,
+        failed: Option<&Frame>,
         metrics: &mut ReactorMetrics,
     ) -> Action {
         let mut frames_this_visit = 0;
@@ -899,6 +916,10 @@ impl Connection {
                 }
                 Some(Ok(frame)) => {
                     metrics.count_frame(frame.tag());
+                    if let Some(refusal) = failed {
+                        self.queue(refusal);
+                        continue;
+                    }
                     match service.handle(token, frame, workers) {
                         Outcome::Reply(frames) => {
                             for frame in &frames {
@@ -1035,6 +1056,9 @@ pub struct Reactor {
     /// A [`Frame::Shutdown`] is being acknowledged: refuse new
     /// connections while it drains.
     draining: bool,
+    /// The refusal of the commit that failed, answered to every later
+    /// request; cleared only by a restart.
+    failed: Option<Frame>,
     /// Pre-resolved metric handles (global registry) for the loop.
     metrics: ReactorMetrics,
 }
@@ -1088,6 +1112,7 @@ impl Reactor {
             completions,
             stop: Arc::new(AtomicBool::new(false)),
             draining: false,
+            failed: None,
             metrics: ReactorMetrics::new(),
         })
     }
@@ -1237,6 +1262,7 @@ impl Reactor {
                     &mut read_buf,
                     &mut deferred,
                     &mut held,
+                    self.failed.as_ref(),
                     &mut self.metrics,
                 );
                 match action {
@@ -1314,10 +1340,12 @@ impl Reactor {
                         }
                     }
                     Err(frame) => {
+                        self.metrics.err_commit.incr();
                         let refusal = frame.encode();
                         for reply in &mut held {
                             reply.bytes.clone_from(&refusal);
                         }
+                        self.failed = Some(frame);
                     }
                 }
                 released.append(&mut held);

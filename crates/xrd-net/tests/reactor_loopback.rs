@@ -2,10 +2,11 @@
 //! dribblers, desynchronized streams, pipelined clients and graceful
 //! shutdown with connections still open — all over real loopback TCP.
 
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use xrd_net::codec::{error_code, Frame};
+use xrd_net::reactor::{ConnId, Outcome, Reactor, Service, WorkerPool};
 use xrd_net::{Conn, MailboxDaemon, NetError};
 
 fn mailbox_message(byte: u8) -> xrd_mixnet::MailboxMessage {
@@ -191,4 +192,72 @@ fn shutdown_acknowledged_and_open_connections_see_eof() {
             other => panic!("idle conn {i} must see EOF after shutdown, got {other:?}"),
         }
     }
+}
+
+/// A service that holds every reply for the commit and refuses its
+/// first commit, counting the frames it is handed.
+#[derive(Default)]
+struct FailsFirstCommit {
+    handled: AtomicUsize,
+    commits: AtomicUsize,
+}
+
+impl Service for FailsFirstCommit {
+    fn handle(&self, _conn: ConnId, _frame: Frame, _workers: &Arc<WorkerPool>) -> Outcome {
+        self.handled.fetch_add(1, Ordering::SeqCst);
+        Outcome::ReplyAfterCommit(vec![Frame::Ok])
+    }
+
+    fn commit(&self) -> Result<Vec<(ConnId, Frame)>, Frame> {
+        match self.commits.fetch_add(1, Ordering::SeqCst) {
+            0 => Err(Frame::Error {
+                code: error_code::STORAGE,
+                message: "injected sync failure".into(),
+            }),
+            _ => Ok(Vec::new()),
+        }
+    }
+}
+
+/// A refused commit latches the reactor: the held reply reads the
+/// refusal, and so does every later request on any connection, without
+/// the service being asked again — while `Ping`, `StatsRequest` and
+/// `Shutdown` are still answered.
+#[test]
+fn a_failed_commit_refuses_every_later_request() {
+    let service = Arc::new(FailsFirstCommit::default());
+    let reactor = Reactor::bind("127.0.0.1:0", service.clone()).expect("binds");
+    let addr = reactor.local_addr();
+    let thread = std::thread::spawn(move || reactor.run());
+    let refused = |reply: Result<Frame, NetError>, what: &str| match reply {
+        Err(NetError::Remote { code, message }) => {
+            assert_eq!(code, error_code::STORAGE, "{what}");
+            assert_eq!(message, "injected sync failure", "{what}");
+        }
+        other => panic!("{what}: expected the refusal, got {other:?}"),
+    };
+
+    let mut first = Conn::connect(addr).expect("connects");
+    refused(first.request(&Frame::Ok), "the held reply");
+    refused(first.request(&Frame::Ok), "a retry on the same connection");
+    let mut second = Conn::connect(addr).expect("connects");
+    refused(
+        second.request(&Frame::Ok),
+        "a request on a second connection",
+    );
+    assert_eq!(service.handled.load(Ordering::SeqCst), 1);
+    assert_eq!(service.commits.load(Ordering::SeqCst), 1);
+
+    second.ping().expect("a latched daemon answers Ping");
+    match second
+        .request(&Frame::StatsRequest)
+        .expect("stats answered")
+    {
+        Frame::StatsReport { snapshot } => assert_eq!(snapshot.counter("reactor.err.commit"), 1),
+        other => panic!("expected StatsReport, got {other:?}"),
+    }
+    first
+        .request_ok(&Frame::Shutdown)
+        .expect("a latched daemon answers Shutdown");
+    thread.join().expect("the reactor exits");
 }
