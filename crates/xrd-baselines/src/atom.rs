@@ -16,7 +16,7 @@
 //! ElGamal hop itself is runnable ([`crate::elgamal::mix_hop`]) and
 //! benchmarked.
 
-use xrd_sim::{OpCosts, ServerCompute, SimDuration};
+use xrd_sim::{OpCosts, ServerCompute};
 
 /// Atom deployment/model parameters.
 #[derive(Clone, Copy, Debug)]
@@ -82,12 +82,6 @@ impl AtomModel {
     pub fn user_compute_secs(&self, op: &OpCosts) -> f64 {
         op.exp_one_off.scale(self.group_size as u64).as_secs_f64()
     }
-}
-
-/// The per-hop kernel cost used by the model, exposed so benchmarks can
-/// compare the modeled price against the measured `mix_hop`.
-pub fn modeled_hop_cost(batch: u64, op: &OpCosts, compute: &ServerCompute) -> SimDuration {
-    compute.parallel_batch(batch, op.exp.scale(2))
 }
 
 #[cfg(test)]

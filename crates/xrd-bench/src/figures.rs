@@ -18,7 +18,7 @@ use xrd_core::churn::simulate_churn;
 use xrd_core::cost::{PipelineConfig, PipelineModel, UserCostModel};
 use xrd_mixnet::blame::BlameVerdict;
 use xrd_mixnet::client::seal_ahs;
-use xrd_mixnet::{ChainRunner, MailboxMessage, PAYLOAD_LEN};
+use xrd_mixnet::{ChainRoundStats, ChainRunner, MailboxMessage, MixPass, PAYLOAD_LEN};
 use xrd_sim::{OpCosts, ServerCompute};
 use xrd_topology::{chain_length, ell_for_chains, Beacon, Topology};
 
@@ -272,22 +272,20 @@ pub fn fig7(quick: bool) -> (f64, Vec<Fig7Row>) {
         .collect();
     subs[3] = xrd_mixnet::testutil::malicious_submission(&mut rng, chain.public(), round, k - 1);
 
-    // Run hops manually to find the failure, then time blame.
+    // The chain's own pass finds the failing hop, then blame is timed.
+    let entries = subs.iter().map(|s| s.to_entry()).collect();
+    let stats = &mut ChainRoundStats::default();
+    let MixPass::Failed {
+        position: pos,
+        failed,
+    } = chain.mix_pass(&mut rng, round, entries, stats)
+    else {
+        panic!("corruption must be detected");
+    };
+    assert_eq!(pos, k - 1, "the bad layer is the last hop");
+    let idx = failed[0];
     let public = chain.public().clone();
     let servers = chain.servers_mut();
-    let mut entries: Vec<xrd_mixnet::MixEntry> = subs.iter().map(|s| s.to_entry()).collect();
-    let mut failure = None;
-    for (pos, server) in servers.iter_mut().enumerate() {
-        match server.process_round(&mut rng, round, entries.clone()) {
-            Ok(res) => entries = res.outputs,
-            Err(xrd_mixnet::MixError::DecryptFailure(idx)) => {
-                failure = Some((pos, idx[0]));
-                break;
-            }
-            Err(e) => panic!("unexpected: {e:?}"),
-        }
-    }
-    let (pos, idx) = failure.expect("corruption must be detected");
 
     let start = Instant::now();
     let reps = if quick { 1 } else { 4 };

@@ -17,8 +17,20 @@
 //! Each binary first runs [`calibrate::calibrate`] to measure the real
 //! per-operation costs of this repository's crypto on the current
 //! machine, prints the calibration table, then produces the figure's
-//! series next to the paper's reported values.  Criterion
-//! micro/macro-benchmarks live in `benches/`.
+//! series next to the paper's reported values.  Figure 7 times the
+//! blame trace of a failure that the chain's own pass
+//! ([`xrd_mixnet::ChainRunner::mix_pass`]) ran into.
+//!
+//! The criterion benches in `benches/`, each run by CI's `bench-smoke`
+//! job:
+//!
+//! | bench | what it times |
+//! |-------|---------------|
+//! | `batch_crypto` | the batched kernels (hop, lanes, fixed base, encode/decode, batch NIZK checks) against their scalar references |
+//! | `ahs` | one AHS hop, its aggregate proof check, and §6's AHS vs verifiable-shuffle ablation |
+//! | `client_compute` | Figure 3's kernel: sealing for k = 4…32, AHS vs the basic onion |
+//! | `baselines` | the Figure 4 baselines' kernels: Atom's re-encrypt-and-shuffle, Pung's PIR scan |
+//! | `net_round` | one chain's mix phase over loopback, the mailbox ack herd |
 
 #![warn(missing_docs)]
 

@@ -69,7 +69,9 @@ use std::path::{Path, PathBuf};
 
 use xrd_mixnet::MailboxMessage;
 
-use super::{page_bounds, shard_of, store_metrics, MailboxError, MailboxStore, Page, PageEntry};
+use super::{
+    page_bounds, shard_of, store_metrics, BatchWindow, MailboxError, MailboxStore, Page, PageEntry,
+};
 use crate::record_log::RecordLog;
 
 const MAGIC: &[u8; 8] = b"XRDMBOX2";
@@ -80,10 +82,6 @@ const KIND_TXN_COMMIT: u8 = 4;
 const KIND_TXN_ABORT: u8 = 5;
 /// Bytes of a PUT payload ahead of its sealed message.
 const PUT_HEADER: usize = 1 + 32 + 8 + 8;
-/// Committed delivery-batch ids retained for dedup (matches the wire
-/// layer's in-memory window; a sender retries a batch within a few
-/// connection lifetimes, never thousands of batches later).
-const BATCH_DEDUP_WINDOW: usize = 4096;
 
 /// Tuning knobs for a [`LogMailboxStore`].
 #[derive(Clone, Copy, Debug)]
@@ -150,9 +148,8 @@ pub struct LogMailboxStore {
     /// Appends since the last fsync.
     dirty: bool,
     /// Recently committed delivery-batch ids (the durable dedup
-    /// window), plus their order for eviction.
-    committed: HashSet<(u64, u64)>,
-    committed_order: VecDeque<(u64, u64)>,
+    /// window).
+    committed: BatchWindow,
     /// Replay-only: the delivery transaction currently open, with the
     /// PUTs held back since its BEGIN.
     replay_txn: Option<ReplayTxn>,
@@ -300,8 +297,7 @@ impl LogMailboxStore {
             segments: BTreeMap::new(),
             index: HashMap::new(),
             dirty: false,
-            committed: HashSet::new(),
-            committed_order: VecDeque::new(),
+            committed: BatchWindow::default(),
             replay_txn: None,
         };
         for id in ids {
@@ -404,7 +400,7 @@ impl LogMailboxStore {
                                 staged: Vec::new(),
                             })
                         }
-                        KIND_TXN_COMMIT => self.record_committed(round, batch),
+                        KIND_TXN_COMMIT => self.committed.record(round, batch),
                         _ => {}
                     }
                 }
@@ -514,19 +510,6 @@ impl LogMailboxStore {
     ) -> Result<u64, MailboxError> {
         self.append(&[&ack_record(&mailbox, upto)], allow_rotate)?;
         Ok(self.index_ack(mailbox, upto))
-    }
-
-    /// Remember a committed delivery-batch id for dedup, evicting the
-    /// oldest beyond [`BATCH_DEDUP_WINDOW`].
-    fn record_committed(&mut self, round: u64, batch: u64) {
-        if self.committed.insert((round, batch)) {
-            self.committed_order.push_back((round, batch));
-            while self.committed_order.len() > BATCH_DEDUP_WINDOW {
-                if let Some(old) = self.committed_order.pop_front() {
-                    self.committed.remove(&old);
-                }
-            }
-        }
     }
 
     fn read_sealed(&self, loc: &EntryLoc) -> Result<Vec<u8>, MailboxError> {
@@ -686,7 +669,7 @@ impl MailboxStore for LogMailboxStore {
         // Before the dedup answer: an id a failed sync left in the
         // window is not on disk.
         self.check()?;
-        if self.committed.contains(&(round, batch)) {
+        if self.committed.contains(round, batch) {
             return Ok(false); // durably committed: dedup hit
         }
         self.append(&[&txn_record(KIND_TXN_BEGIN, round, batch)], true)?;
@@ -697,7 +680,7 @@ impl MailboxStore for LogMailboxStore {
         // Not durable until the caller's flush(); one fsync covers the
         // whole bracket, and recovery rolls back anything uncommitted.
         self.append(&[&txn_record(KIND_TXN_COMMIT, round, batch)], false)?;
-        self.record_committed(round, batch);
+        self.committed.record(round, batch);
         Ok(())
     }
 

@@ -33,7 +33,7 @@
 //! number): a user reconnecting at round ρ+3 must open a round-ρ entry
 //! with ρ, not ρ+3.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet, VecDeque};
 
 use xrd_crypto::blake2b::Blake2b;
 use xrd_mixnet::MailboxMessage;
@@ -192,24 +192,52 @@ pub trait MailboxStore {
     fn flush(&mut self) -> Result<(), MailboxError>;
 
     /// Open a delivery batch identified by `(round, batch)`.  Returns
-    /// `Ok(false)` if that batch id has already been durably committed
-    /// — a retried delivery the caller must ack without re-storing.
-    /// Backends without durable batch tracking accept every batch.
-    fn begin_batch(&mut self, _round: u64, _batch: u64) -> Result<bool, MailboxError> {
-        Ok(true)
+    /// `Ok(false)` if that batch id is in the store's window of recently
+    /// committed ones — a retried delivery the caller must ack without
+    /// re-storing.
+    fn begin_batch(&mut self, round: u64, batch: u64) -> Result<bool, MailboxError>;
+
+    /// Close the delivery batch opened by [`MailboxStore::begin_batch`],
+    /// entering its id in the dedup window.  Durable once the following
+    /// [`MailboxStore::flush`] returns: a crash before then rolls the
+    /// whole batch back on recovery.
+    fn commit_batch(&mut self, round: u64, batch: u64) -> Result<(), MailboxError>;
+
+    /// Abandon a delivery batch after a mid-batch failure: its id is not
+    /// remembered, and recovery rolls back whatever parts of it reached
+    /// disk.
+    fn abort_batch(&mut self, round: u64, batch: u64) -> Result<(), MailboxError>;
+}
+
+/// How many committed delivery-batch ids a store remembers for retry
+/// dedup ([`MailboxStore::begin_batch`]).  A sender retries a batch
+/// within (at most) a few connection lifetimes, so a small window is
+/// plenty; an id that has aged out of it would only be re-stored if a
+/// sender retried a batch thousands of batches later, which the
+/// coordinator never does.
+pub(crate) const BATCH_DEDUP_WINDOW: usize = 4096;
+
+/// The last [`BATCH_DEDUP_WINDOW`] committed `(round, batch)` ids, the
+/// oldest evicted first.
+#[derive(Clone, Debug, Default)]
+pub(crate) struct BatchWindow {
+    ids: HashSet<(u64, u64)>,
+    order: VecDeque<(u64, u64)>,
+}
+
+impl BatchWindow {
+    pub(crate) fn contains(&self, round: u64, batch: u64) -> bool {
+        self.ids.contains(&(round, batch))
     }
 
-    /// Close the delivery batch opened by [`MailboxStore::begin_batch`].
-    /// Durable once the following [`MailboxStore::flush`] returns: a
-    /// crash before then rolls the whole batch back on recovery.
-    fn commit_batch(&mut self, _round: u64, _batch: u64) -> Result<(), MailboxError> {
-        Ok(())
-    }
-
-    /// Abandon a delivery batch after a mid-batch failure, so recovery
-    /// rolls back whatever parts of it reached disk.
-    fn abort_batch(&mut self, _round: u64, _batch: u64) -> Result<(), MailboxError> {
-        Ok(())
+    pub(crate) fn record(&mut self, round: u64, batch: u64) {
+        if self.ids.insert((round, batch)) {
+            self.order.push_back((round, batch));
+            if self.order.len() > BATCH_DEDUP_WINDOW {
+                let oldest = self.order.pop_front().expect("len checked");
+                self.ids.remove(&oldest);
+            }
+        }
     }
 }
 
@@ -315,6 +343,8 @@ pub struct MailboxHub {
     /// [`MailboxHub::total_pending`] are O(1)).
     load: Vec<usize>,
     cap: Option<usize>,
+    /// Committed delivery batches, for retry dedup.
+    committed: BatchWindow,
 }
 
 impl MailboxHub {
@@ -325,6 +355,7 @@ impl MailboxHub {
             shards: vec![HashMap::new(); n_shards],
             load: vec![0; n_shards],
             cap: None,
+            committed: BatchWindow::default(),
         }
     }
 
@@ -438,6 +469,19 @@ impl MailboxStore for MailboxHub {
     }
 
     fn flush(&mut self) -> Result<(), MailboxError> {
+        Ok(())
+    }
+
+    fn begin_batch(&mut self, round: u64, batch: u64) -> Result<bool, MailboxError> {
+        Ok(!self.committed.contains(round, batch))
+    }
+
+    fn commit_batch(&mut self, round: u64, batch: u64) -> Result<(), MailboxError> {
+        self.committed.record(round, batch);
+        Ok(())
+    }
+
+    fn abort_batch(&mut self, _round: u64, _batch: u64) -> Result<(), MailboxError> {
         Ok(())
     }
 }
@@ -590,6 +634,28 @@ mod tests {
         // round path fetches on behalf of users who may never have
         // been delivered to.
         assert_eq!(drain(&mut hub, &[8u8; 32], 4).unwrap(), Vec::new());
+    }
+
+    #[test]
+    fn delivery_batches_dedup_within_the_window() {
+        let mut hub = MailboxHub::new(1);
+        // A retry after commit is refused.
+        assert_eq!(hub.begin_batch(3, 0), Ok(true));
+        hub.commit_batch(3, 0).unwrap();
+        assert_eq!(hub.begin_batch(3, 0), Ok(false));
+        // An aborted id is not remembered: its retry is stored.
+        assert_eq!(hub.begin_batch(3, 1), Ok(true));
+        hub.abort_batch(3, 1).unwrap();
+        assert_eq!(hub.begin_batch(3, 1), Ok(true));
+        // The id one past the window evicts the oldest, and only it.
+        for batch in 1..BATCH_DEDUP_WINDOW as u64 {
+            hub.commit_batch(3, batch).unwrap();
+        }
+        assert_eq!(hub.begin_batch(3, 0), Ok(false), "the window is full");
+        hub.commit_batch(4, 0).unwrap();
+        assert_eq!(hub.begin_batch(3, 0), Ok(true), "the oldest is evicted");
+        assert_eq!(hub.begin_batch(3, 1), Ok(false));
+        assert_eq!(hub.begin_batch(4, 0), Ok(false));
     }
 
     #[test]

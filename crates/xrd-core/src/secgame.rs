@@ -1,11 +1,13 @@
 //! An executable version of the paper's security game (Appendix B).
 //!
-//! The challenger samples secret conversation pairs, runs a real chain
-//! round over real AHS mixing, and then challenges the adversary to
-//! distinguish the true pairing from a freshly sampled one.  The
-//! adversary sees everything the paper grants it: all submissions, all
-//! inter-hop traffic, and the *internal state (permutations) of the
-//! servers it corrupts*.
+//! The challenger samples secret conversation pairs, mixes them on a
+//! real [`ChainRunner`] — its own pass, every hop proof checked by the
+//! other servers — opens the batch with the revealed inner keys, and
+//! then challenges the adversary to distinguish the true pairing from a
+//! freshly sampled one.  The adversary sees everything the paper grants
+//! it: all submissions, all inter-hop traffic, and the *internal state
+//! (permutations) of the servers it corrupts* — read from the
+//! [`HopState`](xrd_mixnet::server::HopState) each server keeps.
 //!
 //! Two facts the paper proves become *measurable* here:
 //!
@@ -26,7 +28,7 @@ use xrd_crypto::keys::KeyPair;
 use xrd_mixnet::client::seal_ahs;
 use xrd_mixnet::message::DOMAIN_MAILBOX;
 use xrd_mixnet::{
-    generate_chain_keys, open_batch, MailboxMessage, MixEntry, MixServer, PAYLOAD_LEN,
+    open_revealed, ChainRoundStats, ChainRunner, MailboxMessage, MixEntry, MixPass, PAYLOAD_LEN,
 };
 
 /// Which hop positions the adversary controls.
@@ -129,12 +131,8 @@ pub fn play_game<R: RngCore + ?Sized>(
     let mut wins = 0usize;
     for trial in 0..trials {
         let round = trial as u64;
-        // Steps 2-3: chains + keys (fresh per trial).
-        let (secrets, public) = generate_chain_keys(rng, k, round);
-        let mut servers: Vec<MixServer> = secrets
-            .into_iter()
-            .map(|s| MixServer::new(s, public.clone()))
-            .collect();
+        // Steps 2-3: chain + keys (fresh per trial).
+        let mut chain = ChainRunner::new(rng, k, round);
 
         // Step 4-5: users and the secret pairing.
         let users: Vec<KeyPair> = (0..n_users).map(|_| KeyPair::generate(rng)).collect();
@@ -160,26 +158,31 @@ pub fn play_game<R: RngCore + ?Sized>(
                     mailbox: user_mailboxes[dest],
                     sealed,
                 };
-                seal_ahs(rng, &public, round, &msg).to_entry()
+                seal_ahs(rng, chain.public(), round, &msg).to_entry()
             })
             .collect();
 
         // Step 7: mixing (all servers follow the protocol here; active
         // tampering is covered by the AHS tests, and Appendix A shows
         // tampering upstream of the honest server is always caught).
-        let mut batch = entries;
-        for server in servers.iter_mut() {
-            batch = server.process_round(rng, round, batch).unwrap().outputs;
-        }
-        // Step 8: open.
-        let inner: Vec<_> = servers.iter().map(|s| s.reveal_inner_key()).collect();
-        let delivered_mailboxes: Vec<[u8; 32]> = open_batch(&inner, round, &batch)
-            .into_iter()
-            .map(|m| m.expect("honest batch opens").mailbox)
+        let stats = &mut ChainRoundStats::default();
+        let MixPass::Clean(batch) = chain.mix_pass(rng, round, entries, stats) else {
+            panic!("honest onions decrypt at every hop");
+        };
+        // Step 8: open with the revealed inner keys.
+        let inner: Vec<_> = chain
+            .servers_mut()
+            .iter()
+            .map(|s| s.reveal_inner_key())
             .collect();
+        let delivered = open_revealed(chain.public(), round, &inner, &batch)
+            .expect("revealed inner keys verify");
+        assert_eq!(delivered.len(), n_users, "honest batch opens");
+        let delivered_mailboxes: Vec<[u8; 32]> = delivered.iter().map(|m| m.mailbox).collect();
 
         // The adversary's view.
-        let hop_perms: Vec<Option<Vec<usize>>> = servers
+        let hop_perms: Vec<Option<Vec<usize>>> = chain
+            .servers_mut()
             .iter()
             .enumerate()
             .map(|(pos, s)| {

@@ -722,11 +722,6 @@ impl<F: FieldArith> EdwardsPoint<F> {
         acc
     }
 
-    /// Multiply by the cofactor 8.
-    pub fn mul_by_cofactor(&self) -> EdwardsPoint<F> {
-        self.mul_by_pow_2(3)
-    }
-
     /// Variable-time single-scalar multiplication (width-5 NAF).
     ///
     /// **Variable time** — public data only (see

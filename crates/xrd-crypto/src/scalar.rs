@@ -276,11 +276,6 @@ impl Scalar {
         self.0 == [0, 0, 0, 0]
     }
 
-    /// Iterate the 252 bits of the scalar from least to most significant.
-    pub fn bits_le(&self) -> impl Iterator<Item = bool> + '_ {
-        (0..256).map(move |i| (self.0[i / 64] >> (i % 64)) & 1 == 1)
-    }
-
     /// Radix-16 signed digits in [-8, 8), 64 of them, for windowed scalar
     /// multiplication (digit recoding standard for curve25519).
     pub fn to_radix_16(&self) -> [i8; 64] {

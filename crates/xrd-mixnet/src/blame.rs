@@ -335,6 +335,7 @@ mod tests {
     use crate::chain_keys::generate_chain_keys;
     use crate::client::seal_ahs;
     use crate::message::{MailboxMessage, PAYLOAD_LEN};
+    use crate::runner::{ChainRoundStats, ChainRunner, MixPass};
     use crate::server::MixError;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -350,12 +351,44 @@ mod tests {
 
     use crate::testutil::malicious_submission;
 
-    /// Run hops until a failure; returns servers and failing info.
+    /// One chain, its round and the agreed submissions.
     struct ChainHarness {
-        servers: Vec<MixServer>,
+        chain: ChainRunner,
         public: crate::chain_keys::ChainPublicKeys,
         subs: Vec<Submission>,
         round: u64,
+    }
+
+    impl ChainHarness {
+        /// The servers, for the tests that step hops by hand to tamper
+        /// between them.
+        fn servers(&mut self) -> &mut [MixServer] {
+            self.chain.servers_mut()
+        }
+
+        /// One hop stepped by hand.
+        fn hop(
+            &mut self,
+            rng: &mut StdRng,
+            position: usize,
+            entries: Vec<MixEntry>,
+        ) -> Result<crate::server::HopResult, MixError> {
+            let round = self.round;
+            self.servers()[position].process_round(rng, round, entries)
+        }
+
+        fn blame(&mut self, rng: &mut StdRng, position: usize, idx: usize) -> BlameVerdict {
+            let servers = self.chain.servers_mut();
+            run_blame(
+                rng,
+                &self.public,
+                servers,
+                &self.subs,
+                self.round,
+                position,
+                idx,
+            )
+        }
     }
 
     fn harness(rng: &mut StdRng, k: usize, round: u64, n_honest: usize) -> ChainHarness {
@@ -363,37 +396,26 @@ mod tests {
         let subs: Vec<Submission> = (0..n_honest)
             .map(|i| seal_ahs(rng, &public, round, &msg(i as u8)))
             .collect();
-        let servers = secrets
-            .into_iter()
-            .map(|s| MixServer::new(s, public.clone()))
-            .collect();
         ChainHarness {
-            servers,
+            chain: ChainRunner::from_parts(secrets, public.clone()),
             public,
             subs,
             round,
         }
     }
 
-    /// Drive hops; if a decrypt failure occurs at hop h, run blame for
+    /// Run the chain's pass; if a hop fails to decrypt, run blame for
     /// each failed index and return the verdicts.
     fn run_until_blame(rng: &mut StdRng, h: &mut ChainHarness) -> Vec<BlameVerdict> {
-        let mut entries: Vec<MixEntry> = h.subs.iter().map(|s| s.to_entry()).collect();
-        for pos in 0..h.servers.len() {
-            match h.servers[pos].process_round(rng, h.round, entries.clone()) {
-                Ok(result) => entries = result.outputs,
-                Err(MixError::DecryptFailure(indices)) => {
-                    return indices
-                        .into_iter()
-                        .map(|idx| {
-                            run_blame(rng, &h.public, &h.servers, &h.subs, h.round, pos, idx)
-                        })
-                        .collect();
-                }
-                Err(e) => panic!("unexpected mix error: {e:?}"),
-            }
+        let entries = h.subs.iter().map(|s| s.to_entry()).collect();
+        let stats = &mut ChainRoundStats::default();
+        match h.chain.mix_pass(rng, h.round, entries, stats) {
+            MixPass::Clean(_) => vec![],
+            MixPass::Failed { position, failed } => failed
+                .into_iter()
+                .map(|idx| h.blame(rng, position, idx))
+                .collect(),
         }
-        vec![]
     }
 
     #[test]
@@ -470,14 +492,11 @@ mod tests {
         let mut h = harness(&mut rng, 3, 2, 4);
         let mut entries: Vec<MixEntry> = h.subs.iter().map(|s| s.to_entry()).collect();
         for pos in 0..2 {
-            entries = h.servers[pos]
-                .process_round(&mut rng, h.round, entries)
-                .unwrap()
-                .outputs;
+            entries = h.hop(&mut rng, pos, entries).unwrap().outputs;
         }
         // Position-1 server falsely accuses its input slot 0... we let
         // the *next* server (position 1) hold state; accuse from pos 1.
-        let verdict = run_blame(&mut rng, &h.public, &h.servers, &h.subs, h.round, 1, 0);
+        let verdict = h.blame(&mut rng, 1, 0);
         assert_eq!(verdict, BlameVerdict::ServerMisbehaved { position: 1 });
     }
 
@@ -489,23 +508,17 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(6);
         let mut h = harness(&mut rng, 3, 3, 5);
         let mut entries: Vec<MixEntry> = h.subs.iter().map(|s| s.to_entry()).collect();
-        entries = h.servers[0]
-            .process_round(&mut rng, h.round, entries)
-            .unwrap()
-            .outputs;
-        let mut out1 = h.servers[1]
-            .process_round(&mut rng, h.round, entries)
-            .unwrap()
-            .outputs;
+        entries = h.hop(&mut rng, 0, entries).unwrap().outputs;
+        let mut out1 = h.hop(&mut rng, 1, entries).unwrap().outputs;
         // Malicious tampering *after* the hop: flip bytes of output 2 and
         // poison the server's stored state the same way (a consistent
         // cheater).
         out1[2].ct[5] ^= 0xff;
 
-        match h.servers[2].process_round(&mut rng, h.round, out1) {
+        match h.hop(&mut rng, 2, out1) {
             Err(MixError::DecryptFailure(indices)) => {
                 assert_eq!(indices, vec![2]);
-                let verdict = run_blame(&mut rng, &h.public, &h.servers, &h.subs, h.round, 2, 2);
+                let verdict = h.blame(&mut rng, 2, 2);
                 assert_eq!(verdict, BlameVerdict::ServerMisbehaved { position: 1 });
             }
             other => panic!("expected failure, got {other:?}"),
@@ -521,10 +534,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(7);
         let mut h = harness(&mut rng, 2, 4, 6);
         let entries: Vec<MixEntry> = h.subs.iter().map(|s| s.to_entry()).collect();
-        let mut out0 = h.servers[0]
-            .process_round(&mut rng, h.round, entries)
-            .unwrap()
-            .outputs;
+        let mut out0 = h.hop(&mut rng, 0, entries).unwrap().outputs;
         // Shift two keys by T and T^{-1}: the aggregate product (and so
         // the hop proof) is preserved, but both slots' keys are wrong.
         let t = GroupElement::base_mul(&Scalar::random(&mut rng));
@@ -532,16 +542,15 @@ mod tests {
         out0[1].dh = out0[1].dh.sub(&t);
         // Consistent cheater: poison stored state too.
         {
-            let st = h.servers[0].state_mut().unwrap();
+            let st = h.servers()[0].state_mut().unwrap();
             st.output_dhs[0] = out0[0].dh;
             st.output_dhs[1] = out0[1].dh;
         }
-        match h.servers[1].process_round(&mut rng, h.round, out0) {
+        match h.hop(&mut rng, 1, out0) {
             Err(MixError::DecryptFailure(indices)) => {
                 assert_eq!(indices, vec![0, 1]);
                 for idx in indices {
-                    let verdict =
-                        run_blame(&mut rng, &h.public, &h.servers, &h.subs, h.round, 1, idx);
+                    let verdict = h.blame(&mut rng, 1, idx);
                     assert_eq!(verdict, BlameVerdict::ServerMisbehaved { position: 0 });
                 }
             }
@@ -584,11 +593,11 @@ mod tests {
         // can produce a *valid* accusation, then tamper its index.
         let mut bad_entries = entries;
         bad_entries[1].ct[0] ^= 0xff;
-        match h.servers[0].process_round(&mut rng, 0, bad_entries) {
+        match h.hop(&mut rng, 0, bad_entries) {
             Err(MixError::DecryptFailure(idx)) => assert_eq!(idx, vec![1]),
             other => panic!("expected failure, got {other:?}"),
         }
-        let mut accusation = h.servers[0].accuse(&mut rng, 1).expect("accuses");
+        let mut accusation = h.servers()[0].accuse(&mut rng, 1).expect("accuses");
         accusation.input_index = usize::MAX; // adversarial index
         let verdict = trace_blame(&h.public, &h.subs, 0, &accusation, |_, _| {
             panic!("no upstream servers for k = 1")

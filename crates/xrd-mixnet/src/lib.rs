@@ -40,7 +40,9 @@ pub use chain_keys::{
 };
 pub use client::{seal_ahs, seal_basic, ChainSealer, SealRandomness, Submission};
 pub use message::{MailboxMessage, MixEntry, MAILBOX_MSG_LEN, PAYLOAD_LEN};
-pub use runner::{resolve_blame, BlameResolution, ChainRoundOutcome, ChainRoundStats, ChainRunner};
+pub use runner::{
+    resolve_blame, BlameResolution, ChainRoundOutcome, ChainRoundStats, ChainRunner, MixPass,
+};
 pub use server::{
     input_digest, open_batch, open_revealed, verify_hop, verify_hop_keys, verify_hops_batched,
     verify_hops_batched_multi, verify_inner_key, ChainAudit, ChunkKernel, HopRecord, HopResult,

@@ -247,8 +247,8 @@ impl ChainRunner {
         // a server is convicted and the chain halts.
         let mixed: Option<Vec<MixEntry>> = loop {
             match self.mix_pass(rng, round, entries, &mut outcome.stats) {
-                MixPassResult::Clean(outputs) => break Some(outputs),
-                MixPassResult::Blame { position, failed } => {
+                MixPass::Clean(outputs) => break Some(outputs),
+                MixPass::Failed { position, failed } => {
                     // Blame runs against the batch actually mixed (the
                     // active subset); verdict indices are then mapped
                     // back to original submission indices.
@@ -295,15 +295,23 @@ impl ChainRunner {
         outcome
     }
 
-    /// One pass over all hops; returns either the final entries or the
-    /// position/indices of the first decryption failure.
-    fn mix_pass<R: RngCore + ?Sized>(
+    /// One pass of `entries` over all k hops (§6.3): each server mixes
+    /// the previous one's output and each hop proof is verified by the
+    /// other k−1 servers (counted in `stats`).  Stops at the first hop
+    /// whose decryption fails.  Every server that ran keeps its
+    /// [`HopState`](crate::server::HopState) — blame traces it, and the
+    /// caller clears it once the inner keys are out.
+    ///
+    /// This is the chain's one hop loop: [`ChainRunner::run_round`]
+    /// repeats it after blame, and the security game, the blame
+    /// measurements and their tests drive it directly.
+    pub fn mix_pass<R: RngCore + ?Sized>(
         &mut self,
         rng: &mut R,
         round: u64,
         mut entries: Vec<MixEntry>,
         stats: &mut ChainRoundStats,
-    ) -> MixPassResult {
+    ) -> MixPass {
         let k = self.servers.len();
         for pos in 0..k {
             // The hop proof is a statement about the DH keys alone, so
@@ -329,7 +337,7 @@ impl ChainRunner {
                     entries = result.outputs;
                 }
                 Err(MixError::DecryptFailure(failed)) => {
-                    return MixPassResult::Blame {
+                    return MixPass::Failed {
                         position: pos,
                         failed,
                     };
@@ -339,13 +347,24 @@ impl ChainRunner {
                 }
             }
         }
-        MixPassResult::Clean(entries)
+        MixPass::Clean(entries)
     }
 }
 
-enum MixPassResult {
+/// What one [`ChainRunner::mix_pass`] came to.
+#[derive(Clone, Debug)]
+pub enum MixPass {
+    /// Every hop mixed and every hop proof verified: the last hop's
+    /// outputs, ready for the inner-key reveal.
     Clean(Vec<MixEntry>),
-    Blame { position: usize, failed: Vec<usize> },
+    /// The hop at `position` failed to decrypt the input slots `failed`
+    /// (indices into its input batch); blame starts there (§6.4).
+    Failed {
+        /// Hop position of the failing server.
+        position: usize,
+        /// Its input slots that failed authenticated decryption.
+        failed: Vec<usize>,
+    },
 }
 
 #[cfg(test)]

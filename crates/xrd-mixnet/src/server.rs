@@ -358,48 +358,6 @@ impl MixServer {
     pub fn reveal_inner_key(&self) -> Scalar {
         self.secrets.isk
     }
-
-    /// Re-prove the aggregate blinding relation over the batch minus a
-    /// set of removed inputs (step run after blame removes malicious
-    /// ciphertexts, per §6.4: "the servers just have to repeat step 3 of
-    /// §6.3").  `excluded_inputs` are indices into this server's input
-    /// ordering.
-    pub fn reprove_excluding<R: RngCore + ?Sized>(
-        &self,
-        rng: &mut R,
-        excluded_inputs: &[usize],
-    ) -> Option<(GroupElement, GroupElement, DleqProof)> {
-        let state = self.state.as_ref()?;
-        let excluded: std::collections::HashSet<usize> = excluded_inputs.iter().copied().collect();
-        let prod_in = GroupElement::product(
-            state
-                .inputs
-                .iter()
-                .enumerate()
-                .filter(|(j, _)| !excluded.contains(j))
-                .map(|(_, e)| &e.dh),
-        );
-        // Outputs corresponding to kept inputs (through the permutation).
-        let prod_out = GroupElement::product(
-            state
-                .perm
-                .iter()
-                .zip(state.output_dhs.iter())
-                .filter(|(src, _)| !excluded.contains(src))
-                .map(|(_, dh)| dh),
-        );
-        let position = self.secrets.position;
-        let proof = DleqProof::prove(
-            rng,
-            &hop_context(state.round, position),
-            &prod_in,
-            &prod_out,
-            self.public.blinding_base(position),
-            &self.public.bpks[position + 1],
-            &self.secrets.bsk,
-        );
-        Some((prod_in, prod_out, proof))
-    }
 }
 
 /// Verify one hop's aggregate proof (run by every other server in the
@@ -1012,38 +970,5 @@ mod tests {
             proof: proofs[0],
         }];
         assert!(!verify_hops_batched(&public, round, &bad));
-    }
-
-    #[test]
-    fn reprove_excluding_verifies() {
-        let mut rng = StdRng::seed_from_u64(8);
-        let round = 3;
-        let (secrets, public) = generate_chain_keys(&mut rng, 1, round);
-        let subs: Vec<Submission> = (0..6)
-            .map(|i| seal_ahs(&mut rng, &public, round, &msg(i as u8)))
-            .collect();
-        let entries: Vec<MixEntry> = subs.iter().map(|s| s.to_entry()).collect();
-        let mut server = MixServer::new(secrets.into_iter().next().unwrap(), public.clone());
-        server.process_round(&mut rng, round, entries).unwrap();
-
-        let (prod_in, prod_out, proof) = server.reprove_excluding(&mut rng, &[2, 4]).unwrap();
-        assert!(proof.verify(
-            &hop_context(round, 0),
-            &prod_in,
-            &prod_out,
-            public.blinding_base(0),
-            &public.bpks[1],
-        ));
-        // Sanity: products exclude exactly the right entries.
-        let state = server.state().unwrap();
-        let manual_in = GroupElement::product(
-            state
-                .inputs
-                .iter()
-                .enumerate()
-                .filter(|(j, _)| *j != 2 && *j != 4)
-                .map(|(_, e)| &e.dh),
-        );
-        assert_eq!(prod_in, manual_in);
     }
 }

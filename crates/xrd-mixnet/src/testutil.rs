@@ -57,8 +57,7 @@ pub fn malicious_submission<R: RngCore + ?Sized>(
 mod tests {
     use super::*;
     use crate::chain_keys::generate_chain_keys;
-    use crate::message::MixEntry;
-    use crate::server::{MixError, MixServer};
+    use crate::runner::{ChainRoundStats, ChainRunner, MixPass};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -67,28 +66,31 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(1);
         let k = 4;
         for bad_layer in 0..k {
-            let (secrets, public) = generate_chain_keys(&mut rng, k, 0);
-            let sub = malicious_submission(&mut rng, &public, 0, bad_layer);
+            let mut chain = ChainRunner::new(&mut rng, k, 0);
+            let sub = malicious_submission(&mut rng, chain.public(), 0, bad_layer);
             assert!(sub.verify_pok(0), "PoK must look honest");
-            let mut entries = vec![MixEntry {
-                dh: sub.dh,
-                ct: sub.ct.clone(),
-            }];
-            for (pos, secret) in secrets.into_iter().enumerate() {
-                let mut server = MixServer::new(secret, public.clone());
-                match server.process_round(&mut rng, 0, entries.clone()) {
-                    Ok(res) => {
-                        assert!(pos < bad_layer, "survived past layer {bad_layer}?");
-                        entries = res.outputs;
-                    }
-                    Err(MixError::DecryptFailure(idx)) => {
-                        assert_eq!(pos, bad_layer, "failed at {pos}, wanted {bad_layer}");
-                        assert_eq!(idx, vec![0]);
-                        break;
-                    }
-                    Err(e) => panic!("unexpected {e:?}"),
+            let stats = &mut ChainRoundStats::default();
+            match chain.mix_pass(&mut rng, 0, vec![sub.to_entry()], stats) {
+                MixPass::Failed { position, failed } => {
+                    assert_eq!(
+                        position, bad_layer,
+                        "failed at {position}, wanted {bad_layer}"
+                    );
+                    assert_eq!(failed, vec![0]);
                 }
+                MixPass::Clean(_) => panic!("survived past layer {bad_layer}"),
             }
+            // The hops before it proved and were verified; the failing
+            // server keeps its state as blame's evidence; nobody after
+            // it ran.
+            assert_eq!(stats.proofs_generated, bad_layer);
+            assert_eq!(stats.proofs_verified, bad_layer * (k - 1));
+            let servers = chain.servers_mut();
+            let evidence = servers[bad_layer]
+                .state()
+                .expect("failing hop keeps its state");
+            assert_eq!(evidence.inputs.len(), 1);
+            assert!(servers[bad_layer + 1..].iter().all(|s| s.state().is_none()));
         }
     }
 

@@ -341,11 +341,6 @@ impl ChainClient {
         &self.public
     }
 
-    /// The prepared next-round bundle, if any.
-    pub fn pending_public(&self) -> Option<&ChainPublicKeys> {
-        self.pending.as_ref()
-    }
-
     /// Total bytes exchanged with this chain's daemons so far.
     pub fn bytes_on_wire(&self) -> u64 {
         self.conns

@@ -38,7 +38,7 @@
 //! owns the reactor thread and shuts the daemon down when asked (or on
 //! drop).
 
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::HashMap;
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -252,9 +252,6 @@ struct MixState {
     policy: SubmissionPolicy,
     /// Submissions accepted per connection for the open window.
     submitted: HashMap<ConnId, u32>,
-    /// Dispute verdicts gossiped to this server: `(round, accused,
-    /// claim)` triples, retained for operator inspection.
-    verdicts: Vec<(u64, u32, u8)>,
     /// Rounds the coordinator marked for daemon-to-daemon forwarding
     /// ([`Frame::MixForward`]), mapped to the *report* connection —
     /// the coordinator's own connection, where this hop's
@@ -793,7 +790,6 @@ impl MixState {
                     xrd_obs::info!(
                         "dispute verdict: round {round} server {accused} convicted (claim {claim})"
                     );
-                    self.verdicts.push((round, accused, claim));
                 }
                 Frame::Ok
             }
@@ -1033,16 +1029,7 @@ impl MixService {
         let public = self.lock().server.public().clone();
         let state = Arc::clone(&self.state);
         Outcome::Defer(Box::new(move || {
-            let valid = (accused as usize) < public.len()
-                && input_dhs.len() == output_dhs.len()
-                && verify_hop_keys(
-                    &public,
-                    accused as usize,
-                    round,
-                    input_dhs.iter(),
-                    output_dhs.iter(),
-                    &proof,
-                );
+            let valid = attestation_valid(&public, round, accused, &input_dhs, &output_dhs, &proof);
             let upheld = force_upheld.unwrap_or(!valid);
             let ctx = dispute_context(round, accused, upheld, &input_dhs, &output_dhs, &proof);
             let mut guard = state.lock().expect("mix state poisoned");
@@ -1078,19 +1065,34 @@ impl MixService {
     ) -> Outcome {
         let public = self.lock().server.public().clone();
         Outcome::Defer(Box::new(move || {
-            let ok = (position as usize) < public.len()
-                && input_dhs.len() == output_dhs.len()
-                && verify_hop_keys(
-                    &public,
-                    position as usize,
-                    round,
-                    input_dhs.iter(),
-                    output_dhs.iter(),
-                    &proof,
-                );
+            let ok = attestation_valid(&public, round, position, &input_dhs, &output_dhs, &proof);
             Frame::VerifyResult { ok }.encode()
         }))
     }
+}
+
+/// Whether a hop attestation off the wire holds: the position is one of
+/// the chain's, the key columns have one length, and the §6.3 proof
+/// verifies.  The one check behind both `VerifyHopKeys` and a dispute's
+/// re-check.
+fn attestation_valid(
+    public: &ChainPublicKeys,
+    round: u64,
+    position: u32,
+    input_dhs: &[GroupElement],
+    output_dhs: &[GroupElement],
+    proof: &DleqProof,
+) -> bool {
+    (position as usize) < public.len()
+        && input_dhs.len() == output_dhs.len()
+        && verify_hop_keys(
+            public,
+            position as usize,
+            round,
+            input_dhs.iter(),
+            output_dhs.iter(),
+            proof,
+        )
 }
 
 impl Service for MixService {
@@ -1384,7 +1386,6 @@ impl MixServerDaemon {
             streams: HashMap::new(),
             policy,
             submitted: HashMap::new(),
-            verdicts: Vec::new(),
             forward_reports: HashMap::new(),
             rng: StdRng::seed_from_u64(rng_seed),
             journal,
@@ -1526,13 +1527,6 @@ impl MixServerDaemon {
 // Mailbox daemon
 // ---------------------------------------------------------------------
 
-/// How many recent [`Frame::Deliver`] batch ids each shard remembers
-/// for retry dedup.  A sender retries a batch within (at most) a few
-/// connection lifetimes, so a small window is plenty; an id that has
-/// aged out of it would only be re-stored if a sender retried a batch
-/// thousands of batches later, which the coordinator never does.
-const DELIVER_DEDUP_WINDOW: usize = 4096;
-
 /// Mailbox-daemon metric handles, resolved once per process.  (The
 /// store itself counts `mailbox.puts/pages/acks`; these cover the wire
 /// layer in front of it.)
@@ -1584,10 +1578,6 @@ struct MailboxState {
     shard: usize,
     n_shards: usize,
     store: Box<dyn MailboxStore + Send>,
-    /// Recently stored `(round, batch)` Deliver ids, plus their arrival
-    /// order for eviction.
-    seen_batches: HashSet<(u64, u64)>,
-    batch_order: VecDeque<(u64, u64)>,
 }
 
 impl MailboxState {
@@ -1644,11 +1634,6 @@ impl MailboxState {
         batch: u64,
         messages: Vec<MailboxMessage>,
     ) -> Result<(), MailboxError> {
-        if self.seen_batches.contains(&(round, batch)) {
-            // A retry of a batch whose Ok got lost.
-            mailbox_metrics().duplicates.incr();
-            return Ok(());
-        }
         for m in &messages {
             let shard = shard_of(&m.mailbox, self.n_shards);
             if shard != self.shard {
@@ -1658,10 +1643,9 @@ impl MailboxState {
                 });
             }
         }
-        // Open a durable delivery bracket.  A persistent store that
-        // committed this id before a crash-restart answers `false` —
-        // the batch is already on disk even though this process's
-        // in-memory window never saw it.
+        // Open a delivery bracket.  The store answers `false` for an id
+        // in its dedup window: a retry of a batch whose Ok got lost (or,
+        // for a persistent store, one committed before a restart).
         if !self.store.begin_batch(round, batch)? {
             mailbox_metrics().duplicates.incr();
             return Ok(());
@@ -1675,12 +1659,6 @@ impl MailboxState {
             }
         }
         self.store.commit_batch(round, batch)?;
-        self.seen_batches.insert((round, batch));
-        self.batch_order.push_back((round, batch));
-        if self.batch_order.len() > DELIVER_DEDUP_WINDOW {
-            let old = self.batch_order.pop_front().expect("len checked");
-            self.seen_batches.remove(&old);
-        }
         mailbox_metrics().batches.incr();
         Ok(())
     }
@@ -1744,8 +1722,6 @@ impl MailboxDaemon {
             shard,
             n_shards,
             store,
-            seen_batches: HashSet::new(),
-            batch_order: VecDeque::new(),
         });
         spawn_daemon(addr, Arc::new(MailboxService { state }))
     }

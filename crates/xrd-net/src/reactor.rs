@@ -1129,11 +1129,6 @@ impl Reactor {
         Arc::clone(&self.stop)
     }
 
-    /// Number of currently open connections (for tests/introspection).
-    pub fn n_connections(&self) -> usize {
-        self.conns.len()
-    }
-
     /// Run the event loop until the stop flag is set or a peer's
     /// [`Frame::Shutdown`] is acknowledged.  Consumes the reactor; all
     /// sockets close on return (the worker pool is drained and joined

@@ -151,9 +151,18 @@ impl MailboxStore for ProbedStore {
         Ok(())
     }
 
+    fn begin_batch(&mut self, round: u64, batch: u64) -> Result<bool, MailboxError> {
+        self.hub.begin_batch(round, batch)
+    }
+
     fn commit_batch(&mut self, round: u64, batch: u64) -> Result<(), MailboxError> {
+        self.hub.commit_batch(round, batch)?;
         self.probe.record(Call::CommitBatch(round, batch));
         Ok(())
+    }
+
+    fn abort_batch(&mut self, round: u64, batch: u64) -> Result<(), MailboxError> {
+        self.hub.abort_batch(round, batch)
     }
 }
 
