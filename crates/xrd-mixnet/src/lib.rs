@@ -45,6 +45,6 @@ pub use runner::{
 };
 pub use server::{
     input_digest, open_batch, open_revealed, verify_hop, verify_hop_keys, verify_hops_batched,
-    verify_hops_batched_multi, verify_inner_key, ChainAudit, ChunkKernel, HopRecord, HopResult,
-    HopState, MixError, MixServer,
+    verify_hops_batched_multi, verify_inner_key, ChainAudit, ChunkKernel, HopAttestation,
+    HopRecord, HopResult, HopState, MixError, MixServer,
 };

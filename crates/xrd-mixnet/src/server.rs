@@ -424,6 +424,61 @@ pub struct HopRecord<'a> {
     pub proof: DleqProof,
 }
 
+impl HopRecord<'_> {
+    /// Whether this record holds for `round` under `public`: the
+    /// position is one of the chain's, the two columns have one length,
+    /// and the §6.3 proof verifies.  Safe on records off the wire — a
+    /// bad position or length is a `false`, never a panic.
+    pub fn verify(&self, public: &ChainPublicKeys, round: u64) -> bool {
+        self.position < public.len()
+            && self.input_dhs.len() == self.output_dhs.len()
+            && verify_hop_keys(
+                public,
+                self.position,
+                round,
+                self.input_dhs.iter(),
+                self.output_dhs.iter(),
+                &self.proof,
+            )
+    }
+}
+
+/// One hop's §6.3 statement as it crosses the wire: the round, the
+/// prover's position, the DH-key columns it consumed and emitted, and
+/// the proof binding them.  A cross-server check, a forwarding hop's
+/// report and a dispute all carry exactly this.
+#[derive(Clone, Debug, PartialEq)]
+pub struct HopAttestation {
+    /// The round the hop ran in.
+    pub round: u64,
+    /// Hop position of the proving server.
+    pub position: usize,
+    /// DH keys of the hop's inputs in arrival order.
+    pub input_dhs: Vec<GroupElement>,
+    /// DH keys of the hop's outputs in emission order.
+    pub output_dhs: Vec<GroupElement>,
+    /// The aggregate blinding proof for this hop.
+    pub proof: DleqProof,
+}
+
+impl HopAttestation {
+    /// The statement as a [`HopRecord`], borrowing the columns.
+    pub fn record(&self) -> HopRecord<'_> {
+        HopRecord {
+            position: self.position,
+            input_dhs: &self.input_dhs,
+            output_dhs: &self.output_dhs,
+            proof: self.proof,
+        }
+    }
+
+    /// Whether the attestation holds under `public`
+    /// ([`HopRecord::verify`] at its own round).
+    pub fn verify(&self, public: &ChainPublicKeys) -> bool {
+        self.record().verify(public, self.round)
+    }
+}
+
 /// Verify all `k` hop proofs of a chain in a single batched DLEQ call
 /// ([`DleqProof::batch_verify`]): one multiscalar multiplication
 /// replaces `k` sequential proof verifications.  Everything checked
@@ -432,7 +487,7 @@ pub struct HopRecord<'a> {
 /// Returns `false` if any hop's batch is malformed (length mismatch)
 /// or if the combined verification fails (meaning at least one hop
 /// proof is invalid — callers wanting to identify *which* re-check
-/// hops individually with [`verify_hop_keys`]).
+/// hops individually with [`HopRecord::verify`]).
 pub fn verify_hops_batched(public: &ChainPublicKeys, round: u64, hops: &[HopRecord]) -> bool {
     verify_hops_batched_multi(&[ChainAudit {
         public,
@@ -466,7 +521,7 @@ pub struct ChainAudit<'a> {
 ///
 /// Returns `false` if any hop anywhere is malformed or any proof in
 /// the combined batch is invalid.  Callers re-check per chain (or per
-/// hop, [`verify_hop_keys`]) to localize a failure.
+/// hop, [`HopRecord::verify`]) to localize a failure.
 pub fn verify_hops_batched_multi(chains: &[ChainAudit<'_>]) -> bool {
     for chain in chains {
         if chain
@@ -970,5 +1025,25 @@ mod tests {
             proof: proofs[0],
         }];
         assert!(!verify_hops_batched(&public, round, &bad));
+        // One record at a time: the honest ones hold; the short column,
+        // another round and a position off the chain are refused, not a
+        // panic.
+        for record in records(&columns, &proofs) {
+            assert!(record.verify(&public, round));
+        }
+        assert!(!bad[0].verify(&public, round));
+        let mut hop = HopAttestation {
+            round,
+            position: 1,
+            input_dhs: columns[1].clone(),
+            output_dhs: columns[2].clone(),
+            proof: proofs[1],
+        };
+        assert!(hop.verify(&public));
+        hop.round += 1;
+        assert!(!hop.verify(&public));
+        hop.round -= 1;
+        hop.position = public.len();
+        assert!(!hop.verify(&public));
     }
 }

@@ -50,6 +50,7 @@ use xrd_mixnet::blame::{Accusation, BlameReveal};
 use xrd_mixnet::chain_keys::{ChainPublicKeys, RotationShare, ServerKeyProofs};
 use xrd_mixnet::client::Submission;
 use xrd_mixnet::message::{MailboxMessage, MixEntry, MAILBOX_MSG_LEN};
+use xrd_mixnet::server::HopAttestation;
 
 /// Hard cap on one frame's encoded size (tag + payload).  Sized so a
 /// [`MAX_BATCH`]-entry batch of paper-scale onions (k ≈ 32, ~1 KiB per
@@ -523,6 +524,7 @@ wire_structs! {
     BlameReveal { position: u32, input_index: u64, input, output_dh, blind_proof,
                   dec_key, key_proof }
     xrd_obs::SpanEvent { name, round, start_us, dur_us }
+    HopAttestation { round, position: u32, input_dhs, output_dhs, proof }
 }
 
 /// One [`Frame::MailboxPage`] entry: `(delivery_round, sealed)`.
@@ -694,7 +696,7 @@ macro_rules! frames {
         }
 
         /// Every live row's tag byte under its variant's name, for the
-        /// sites that handle raw tag bytes (chunk reframing).
+        /// sites that write raw frames (the chunk encoder).
         #[allow(non_upper_case_globals, dead_code)]
         mod tag {
             $( pub(super) const $name: u8 = $tag; )*
@@ -856,22 +858,20 @@ frames! {
         /// Whether the attestation verified.
         ok: bool,
     },
-    /// Open a hop: the batch for `round` will arrive as
+    /// Open a batch stream: the batch for `round` will arrive as
     /// [`Frame::MixBatchChunk`]s totalling `total` entries, closed by
-    /// [`Frame::MixBatchEnd`] (coordinator → mix).  The daemon starts
-    /// hop crypto on each chunk as it lands, while later chunks are
-    /// still in flight; the response is a [`Frame::HopOutputStart`]
-    /// stream (or [`Frame::HopFailure`]), emitted only after the End.
+    /// [`Frame::MixBatchEnd`].  Sent to a hop, it opens the hop: the
+    /// daemon starts hop crypto on each chunk as it lands, while later
+    /// chunks are still in flight, and answers after the End with a
+    /// [`Frame::HopProof`] followed by its output as the same kind of
+    /// stream (or with [`Frame::HopFailure`]).
     0x25 MixBatchStart {
         /// Round number.
         round: u64,
         /// Total entries the stream will carry (≤ [`MAX_BATCH`]).
         total: u32,
     },
-    /// One chunk of a streamed batch, in stream order.  Payload-
-    /// compatible with [`Frame::HopOutputChunk`] (same bytes, different
-    /// tag), so a relay can forward a received output chunk to the next
-    /// hop by rewriting one byte.
+    /// One chunk of a streamed batch, in stream order.
     0x26 MixBatchChunk {
         /// The chunk's entries.
         entries: Vec<MixEntry>,
@@ -883,31 +883,12 @@ frames! {
         /// Stream digest over all entries.
         digest: [u8; 32],
     },
-    /// Start of a streamed hop response: `total` shuffled output
-    /// entries follow as [`Frame::HopOutputChunk`]s, closed by
-    /// [`Frame::HopOutputEnd`].
-    0x28 HopOutputStart {
-        /// Round number.
-        round: u64,
-        /// The prover's hop position.
-        position: u32,
-        /// Total entries the stream will carry.
-        total: u32,
-    },
-    /// One chunk of a streamed hop output (see [`Frame::MixBatchChunk`]
-    /// for the payload-compatibility guarantee).
-    0x29 HopOutputChunk {
-        /// The chunk's entries.
-        entries: Vec<MixEntry>,
-    },
-    /// End of a streamed hop response: the stream digest over the
-    /// output entries plus the hop's aggregate blinding attestation.
-    0x2A HopOutputEnd {
-        /// Stream digest over all output entries.
-        digest: [u8; 32],
-        /// Aggregate blinding attestation (§6.3 step 3).
-        proof: DleqProof,
-    },
+    // 0x28–0x2A carried a hop's output in a stream format of its own
+    // and are retired: a hop answers with HopProof and then the same
+    // batch stream it was sent, which a relay passes on unchanged.
+    0x28 reserved,
+    0x29 reserved,
+    0x2A reserved,
     /// Ask a server to verify another server's hop attestation from
     /// its DH-key columns (coordinator → mix; answered with
     /// [`Frame::VerifyResult`]).  The §6.3 attestation binds products
@@ -915,24 +896,16 @@ frames! {
     /// columns are all a verifier needs, at ~1/8 the wire cost of the
     /// full entries.  Sent at end of chain, once every hop has emitted.
     0x2B VerifyHopKeys {
-        /// Round number.
-        round: u64,
-        /// The *prover's* position.
-        position: u32,
-        /// DH keys of the prover's inputs, in arrival order.
-        input_dhs: Vec<GroupElement>,
-        /// DH keys of the prover's outputs, in emission order.
-        output_dhs: Vec<GroupElement>,
-        /// The aggregate proof to check.
-        proof: DleqProof,
+        /// The prover's statement to check.
+        attestation: HopAttestation,
     },
     /// Coordinator → every hop of a chain, before streaming the round's
     /// batch to hop 0: run this round in *forwarded* mode.  A hop with
-    /// a configured successor streams its output chunks straight to
-    /// that successor instead of replying with them, and reports only
-    /// its keys-only attestation ([`Frame::HopForwarded`]) on the
+    /// a configured successor streams its output straight to that
+    /// successor instead of replying with it, and reports only its
+    /// keys-only attestation ([`Frame::HopForwarded`]) on the
     /// connection this frame arrived on; the last hop (no successor)
-    /// reports its full output stream there instead.  Answered with
+    /// reports its full reply there instead.  Answered with
     /// [`Frame::Ok`]; the reports follow unsolicited once the hop
     /// completes.
     0x2C MixForward {
@@ -944,15 +917,20 @@ frames! {
     /// (§6.3 binds only the DH-key columns), pushed to the coordinator
     /// while the full entries travel daemon-to-daemon.
     0x2D HopForwarded {
+        /// The reporting hop's statement.
+        attestation: HopAttestation,
+    },
+    /// The opening frame of a hop's reply: its aggregate blinding
+    /// attestation (§6.3 step 3), followed by the hop's output as a
+    /// [`Frame::MixBatchStart`]/[`Frame::MixBatchChunk`]/[`Frame::MixBatchEnd`]
+    /// stream — the very frames a relay sends on to the next hop.
+    0x2E HopProof {
         /// Round number.
         round: u64,
-        /// The reporting hop's position.
+        /// The prover's hop position.
         position: u32,
-        /// DH keys of the hop's inputs, in arrival order.
-        input_dhs: Vec<GroupElement>,
-        /// DH keys of the hop's outputs, in emission order.
-        output_dhs: Vec<GroupElement>,
-        /// Aggregate blinding attestation (§6.3 step 3).
+        /// Aggregate blinding attestation over the batch it was sent
+        /// and the batch that follows.
         proof: DleqProof,
     },
 
@@ -1027,16 +1005,8 @@ frames! {
     /// aggregate DLEQ proof — so each witness re-checks it
     /// independently of its own round state.
     0x44 DisputeOpen {
-        /// Round number.
-        round: u64,
-        /// The accused prover's position.
-        accused: u32,
-        /// DH keys of the accused's inputs, in arrival order.
-        input_dhs: Vec<GroupElement>,
-        /// DH keys of the accused's outputs, in emission order.
-        output_dhs: Vec<GroupElement>,
-        /// The disputed aggregate proof.
-        proof: DleqProof,
+        /// The disputed statement; its position is the accused's.
+        attestation: HopAttestation,
     },
     /// One witness's signed verdict on a disputed attestation.
     0x45 DisputeEvidence {
@@ -1181,7 +1151,7 @@ pub fn decode_server_config(
 // ---------------------------------------------------------------------
 
 /// The running digest a streamed batch is closed with
-/// ([`Frame::MixBatchEnd`] / [`Frame::HopOutputEnd`]): Blake2b-256 over
+/// ([`Frame::MixBatchEnd`]): Blake2b-256 over
 /// the canonical wire encoding of every entry, in stream order.
 ///
 /// Chunking-invariant by construction — the absorbed byte stream is the
@@ -1249,28 +1219,19 @@ impl StreamDigest {
 /// it independently: the witness signs it with its mix secret `msk`,
 /// and any server verifies the signature against the witness's `mpk`,
 /// so evidence is transferable without trusting the party relaying it.
-pub fn dispute_context(
-    round: u64,
-    accused: u32,
-    upheld: bool,
-    input_dhs: &[GroupElement],
-    output_dhs: &[GroupElement],
-    proof: &DleqProof,
-) -> [u8; 32] {
+pub fn dispute_context(attestation: &HopAttestation, upheld: bool) -> [u8; 32] {
     let mut h = xrd_crypto::Blake2b::new(32);
     h.update(b"xrd/dispute-evidence");
-    h.update(&round.to_le_bytes());
-    h.update(&accused.to_le_bytes());
+    h.update(&attestation.round.to_le_bytes());
+    h.update(&(attestation.position as u32).to_le_bytes());
     h.update(&[upheld as u8]);
-    h.update(&(input_dhs.len() as u32).to_le_bytes());
-    for enc in GroupElement::encode_all(input_dhs) {
-        h.update(&enc);
+    for column in [&attestation.input_dhs, &attestation.output_dhs] {
+        h.update(&(column.len() as u32).to_le_bytes());
+        for enc in GroupElement::encode_all(column) {
+            h.update(&enc);
+        }
     }
-    h.update(&(output_dhs.len() as u32).to_le_bytes());
-    for enc in GroupElement::encode_all(output_dhs) {
-        h.update(&enc);
-    }
-    h.update(&proof.to_bytes());
+    h.update(&attestation.proof.to_bytes());
     h.finalize_32()
 }
 
@@ -1380,8 +1341,8 @@ impl ChunkedBatch {
     /// itself must fit [`MAX_BATCH`].
     pub fn build(round: u64, entries: &[MixEntry], chunk_size: usize) -> ChunkedBatch {
         assert!(entries.len() <= MAX_BATCH, "batch exceeds MAX_BATCH");
-        let (chunks, digest) = encode_chunk_frames(tag::MixBatchChunk, entries, chunk_size);
-        let mut frames = Vec::with_capacity(2 + chunks.len());
+        let chunk_size = chunk_size.clamp(1, MAX_BATCH);
+        let mut frames = Vec::with_capacity(2 + entries.len().div_ceil(chunk_size));
         frames.push(
             Frame::MixBatchStart {
                 round,
@@ -1389,7 +1350,15 @@ impl ChunkedBatch {
             }
             .encode(),
         );
-        frames.extend(chunks);
+        let mut digest = StreamDigest::new();
+        for chunk in entries.chunks(chunk_size) {
+            let mut w = Writer::new(tag::MixBatchChunk);
+            w.seq(chunk);
+            let encoded = w.finish();
+            digest.absorb_chunk_payload(&encoded[Self::CHUNK_PAYLOAD_OFFSET..]);
+            frames.push(encoded);
+        }
+        let digest = digest.finalize();
         frames.push(Frame::MixBatchEnd { digest }.encode());
         ChunkedBatch {
             frames,
@@ -1427,7 +1396,7 @@ pub struct BatchAssembler {
 
 impl BatchAssembler {
     /// Begin assembling a stream declared as `total` entries (the
-    /// [`Frame::MixBatchStart`] / [`Frame::HopOutputStart`] field).
+    /// [`Frame::MixBatchStart`] field).
     pub fn begin(total: u32) -> Result<BatchAssembler, StreamError> {
         let total = total as usize;
         if total > MAX_BATCH {
@@ -1490,29 +1459,6 @@ impl BatchAssembler {
     }
 }
 
-/// Encode `entries` as a run of `tag`-framed chunk frames, returning
-/// the encoded frames and the [`StreamDigest`] over their payloads —
-/// the one loop both chunk-stream producers
-/// ([`ChunkedBatch::build`], [`encode_hop_output_stream`]) share, so
-/// the payload layout and digest discipline cannot diverge.
-fn encode_chunk_frames(
-    tag: u8,
-    entries: &[MixEntry],
-    chunk_size: usize,
-) -> (Vec<Vec<u8>>, [u8; 32]) {
-    let chunk_size = chunk_size.clamp(1, MAX_BATCH);
-    let mut frames = Vec::with_capacity(entries.len().div_ceil(chunk_size));
-    let mut digest = StreamDigest::new();
-    for chunk in entries.chunks(chunk_size) {
-        let mut w = Writer::new(tag);
-        w.seq(chunk);
-        let encoded = w.finish();
-        digest.absorb_chunk_payload(&encoded[ChunkedBatch::CHUNK_PAYLOAD_OFFSET..]);
-        frames.push(encoded);
-    }
-    (frames, digest.finalize())
-}
-
 /// Default entries per streamed chunk.  Small enough that the first
 /// chunk of a hop's output reaches the next hop (and its crypto
 /// starts) long before the last chunk is even encoded; large enough
@@ -1520,12 +1466,10 @@ fn encode_chunk_frames(
 /// dispatch) stay well under 1% of the chunk's kernel cost.
 pub const STREAM_CHUNK: usize = 64;
 
-/// Encode a streamed hop response — [`Frame::HopOutputStart`], the
-/// [`Frame::HopOutputChunk`]s, and the closing [`Frame::HopOutputEnd`]
-/// carrying the stream digest plus the hop's aggregate attestation —
-/// as one contiguous byte string (what a deferred daemon job hands
-/// back to the reactor).  Each entry is encoded exactly once; the
-/// digest is derived from the encoded payloads.
+/// Encode a hop's whole reply — [`Frame::HopProof`], then its output
+/// as the [`ChunkedBatch`] stream the next hop is sent — as one
+/// contiguous byte string (what a deferred daemon job hands back to
+/// the reactor).  Each entry is encoded exactly once.
 pub fn encode_hop_output_stream(
     round: u64,
     position: u32,
@@ -1533,41 +1477,16 @@ pub fn encode_hop_output_stream(
     proof: &DleqProof,
     chunk_size: usize,
 ) -> Vec<u8> {
-    let (chunks, digest) = encode_chunk_frames(tag::HopOutputChunk, outputs, chunk_size);
-    let mut wire = Frame::HopOutputStart {
+    let mut wire = Frame::HopProof {
         round,
         position,
-        total: outputs.len() as u32,
+        proof: *proof,
     }
     .encode();
-    for chunk in &chunks {
-        wire.extend_from_slice(chunk);
+    for frame in ChunkedBatch::build(round, outputs, chunk_size).frames() {
+        wire.extend_from_slice(frame);
     }
-    wire.extend_from_slice(
-        &Frame::HopOutputEnd {
-            digest,
-            proof: *proof,
-        }
-        .encode(),
-    );
     wire
-}
-
-/// Rewrite a received [`Frame::HopOutputChunk`] *body* (tag byte plus
-/// payload, as handed back by the raw receive path) into a complete
-/// [`Frame::MixBatchChunk`] wire frame for the next hop — the relay's
-/// forward path.  The two chunk frames are payload-compatible by
-/// construction, so forwarding costs one byte rewrite and no
-/// re-encoding.  Returns `None` if `body` is not a hop-output chunk.
-pub fn reframe_output_chunk(body: &[u8]) -> Option<Vec<u8>> {
-    if body.first() != Some(&tag::HopOutputChunk) {
-        return None;
-    }
-    let mut wire = Vec::with_capacity(4 + body.len());
-    wire.extend_from_slice(&(body.len() as u32).to_le_bytes());
-    wire.push(tag::MixBatchChunk);
-    wire.extend_from_slice(&body[1..]);
-    Some(wire)
 }
 
 // ---------------------------------------------------------------------
@@ -1578,7 +1497,7 @@ pub fn reframe_output_chunk(body: &[u8]) -> Option<Vec<u8>> {
 /// arrive off a socket (in chunks of any size, down to one byte at a
 /// time) and pull complete [`Frame`]s out as they become available.
 ///
-/// This is the event-loop counterpart of [`read_frame_with_body`]:
+/// This is the event-loop counterpart of [`read_frame`]:
 /// where that blocks until a whole frame is buffered, `FrameDecoder`
 /// never blocks and never copies more than once — partial frames stay
 /// buffered until completed by a later `feed`.
@@ -1680,12 +1599,12 @@ impl FrameDecoder {
 }
 
 /// Read one frame from a stream (blocking), returning it together with
-/// its *body* bytes (tag plus payload, without the length prefix) — for
-/// byte accounting, and for relays that forward a frame's payload
-/// verbatim (see [`reframe_output_chunk`]) or digest it without
-/// re-encoding.  Returns `Ok(None)` on a clean EOF at a frame boundary.
+/// its wire bytes (length prefix, tag and payload) — for byte
+/// accounting, and for relays that send a frame on byte for byte or
+/// digest it without re-encoding.  Returns `Ok(None)` on a clean EOF at
+/// a frame boundary.
 #[allow(clippy::type_complexity)] // io error / clean EOF / codec error, nested
-pub fn read_frame_with_body<R: std::io::Read>(
+pub fn read_frame<R: std::io::Read>(
     stream: &mut R,
 ) -> std::io::Result<Option<Result<(Frame, Vec<u8>), CodecError>>> {
     let mut len_bytes = [0u8; 4];
@@ -1709,9 +1628,10 @@ pub fn read_frame_with_body<R: std::io::Read>(
             cap: MAX_FRAME_LEN,
         })));
     }
-    let mut body = vec![0u8; len];
-    stream.read_exact(&mut body)?;
-    Ok(Some(Frame::decode(&body).map(|frame| (frame, body))))
+    let mut wire = vec![0u8; 4 + len];
+    wire[..4].copy_from_slice(&len_bytes);
+    stream.read_exact(&mut wire[4..])?;
+    Ok(Some(Frame::decode(&wire[4..]).map(|frame| (frame, wire))))
 }
 
 #[cfg(test)]
@@ -1759,27 +1679,24 @@ mod tests {
         let wire: Vec<u8> = frames.iter().flat_map(Frame::encode).collect();
         let mut cursor = std::io::Cursor::new(wire);
         for f in &frames {
-            let (got, body) = read_frame_with_body(&mut cursor).unwrap().unwrap().unwrap();
+            let (got, wire) = read_frame(&mut cursor).unwrap().unwrap().unwrap();
             assert_eq!(&got, f);
-            assert_eq!(body, f.encode()[4..]);
+            assert_eq!(wire, f.encode());
         }
-        assert!(
-            read_frame_with_body(&mut cursor).unwrap().is_none(),
-            "clean EOF"
-        );
+        assert!(read_frame(&mut cursor).unwrap().is_none(), "clean EOF");
     }
 
     #[test]
     fn zero_and_oversized_lengths_rejected() {
         let mut zero = std::io::Cursor::new(vec![0u8, 0, 0, 0]);
         assert!(matches!(
-            read_frame_with_body(&mut zero).unwrap().unwrap(),
+            read_frame(&mut zero).unwrap().unwrap(),
             Err(CodecError::Oversized { .. })
         ));
         let huge = (MAX_FRAME_LEN as u32 + 1).to_le_bytes().to_vec();
         let mut huge = std::io::Cursor::new(huge);
         assert!(matches!(
-            read_frame_with_body(&mut huge).unwrap().unwrap(),
+            read_frame(&mut huge).unwrap().unwrap(),
             Err(CodecError::Oversized { .. })
         ));
     }
@@ -1883,6 +1800,6 @@ mod tests {
         let mut wire = 10u32.to_le_bytes().to_vec();
         wire.extend_from_slice(&[1, 2, 3]);
         let mut cursor = std::io::Cursor::new(wire);
-        assert!(read_frame_with_body(&mut cursor).is_err());
+        assert!(read_frame(&mut cursor).is_err());
     }
 }

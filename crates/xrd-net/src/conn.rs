@@ -17,21 +17,22 @@
 //! A mix hop (`MixBatchStart/Chunk…/End`, [`Conn::stream_hop`]) is the
 //! sanctioned exception to the one-request-one-response shape: many
 //! request frames, one multi-frame response that begins only after the
-//! End — so the sender never competes with its own response stream.  These
-//! rules are spec, not implementation detail: see `docs/PROTOCOL.md`
-//! §6 ("Connection semantics, backpressure and pipelining").
+//! End — so the sender never competes with its own response stream.  The
+//! response is a `HopProof` followed by the hop's output in the format
+//! it was sent, so a relay checks each frame and passes its bytes on to
+//! the next hop unchanged ([`Conn::recv_hop_reply`]).  These rules are
+//! spec, not implementation detail: see `docs/PROTOCOL.md` §6
+//! ("Connection semantics, backpressure and pipelining").
 
 use std::io::{BufReader, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::time::Duration;
 
 use xrd_crypto::nizk::DleqProof;
-use xrd_crypto::ristretto::GroupElement;
 use xrd_mixnet::message::MixEntry;
+use xrd_mixnet::server::HopAttestation;
 
-use crate::codec::{
-    reframe_output_chunk, BatchAssembler, ChunkedBatch, CodecError, Frame, StreamError,
-};
+use crate::codec::{BatchAssembler, ChunkedBatch, CodecError, Frame, StreamError};
 
 /// Errors surfaced by wire operations.
 #[derive(Debug)]
@@ -187,16 +188,7 @@ pub enum HopReply {
     /// The hop completed and pushed its outputs straight to its
     /// successor ([`Frame::HopForwarded`]): only the statement comes
     /// back — the DH-key columns it proved over, never the ciphertexts.
-    Attested {
-        /// The prover's hop position.
-        position: u32,
-        /// DH keys of the batch the hop consumed, in arrival order.
-        input_dhs: Vec<GroupElement>,
-        /// DH keys of the batch it emitted, in emission order.
-        output_dhs: Vec<GroupElement>,
-        /// Aggregate blinding attestation (§6.3 step 3).
-        proof: DleqProof,
-    },
+    Attested(HopAttestation),
     /// The hop halted on authentication failures (blame follows).
     Failure {
         /// The halting server's position.
@@ -204,6 +196,18 @@ pub enum HopReply {
         /// Failing indices into the hop's input batch.
         failed: Vec<u64>,
     },
+}
+
+/// A hop reply's frame where another was `expected`: the peer's
+/// [`Frame::Error`] as [`NetError::Remote`], anything else a desync.
+fn unexpected(frame: Frame, expected: &str) -> NetError {
+    match frame {
+        Frame::Error { code, message } => NetError::Remote { code, message },
+        other => NetError::Desync(format!(
+            "expected {expected}, got {}",
+            Frame::tag_name(other.tag()).unwrap_or("?")
+        )),
+    }
 }
 
 /// Whether a connection between exchanges is fit to carry the next one:
@@ -312,15 +316,13 @@ impl Conn {
 
     /// Await one frame.
     pub fn recv(&mut self) -> Result<Frame, NetError> {
-        self.recv_with_body().map(|(frame, _)| frame)
+        self.recv_wire().map(|(frame, _)| frame)
     }
 
-    /// Await one frame, also returning its raw *body* bytes (tag plus
-    /// payload) — what a relay needs to forward the frame's payload to
-    /// another daemon verbatim, or to digest it without re-encoding
-    /// (see [`crate::codec::reframe_output_chunk`]).
-    pub fn recv_with_body(&mut self) -> Result<(Frame, Vec<u8>), NetError> {
-        match crate::codec::read_frame_with_body(&mut self.reader)? {
+    /// Await one frame, also returning its wire bytes (length prefix
+    /// included) — what a relay sends on byte for byte.
+    fn recv_wire(&mut self) -> Result<(Frame, Vec<u8>), NetError> {
+        match crate::codec::read_frame(&mut self.reader)? {
             None => {
                 conn_metrics().err_disconnected.incr();
                 xrd_obs::debug!("peer {} disconnected mid-exchange", self.peer);
@@ -331,9 +333,9 @@ impl Conn {
                 xrd_obs::debug!("peer {} sent an unparseable frame: {e}", self.peer);
                 Err(e.into())
             }
-            Some(Ok((frame, body))) => {
-                self.bytes_received += 4 + body.len() as u64;
-                Ok((frame, body))
+            Some(Ok((frame, wire))) => {
+                self.bytes_received += wire.len() as u64;
+                Ok((frame, wire))
             }
         }
     }
@@ -375,103 +377,84 @@ impl Conn {
         self.recv_hop_reply(round, entries.len(), None)
     }
 
-    /// The receive half of a hop exchange: one
-    /// `HopOutputStart/Chunk…/End` stream for `round` carrying exactly
-    /// `total` entries, reassembled and checked against its digest —
-    /// or the [`Frame::HopForwarded`] (the hop sent its output to its
-    /// successor instead), [`Frame::HopFailure`] or [`Frame::Error`]
-    /// sent in its place.
+    /// The receive half of a hop exchange: a [`Frame::HopProof`] for
+    /// `round`, then the hop's output as one `MixBatchStart/Chunk…/End`
+    /// stream carrying exactly `total` entries, reassembled and checked
+    /// against its digest — or the [`Frame::HopForwarded`] (the hop
+    /// sent its output to its successor instead), [`Frame::HopFailure`]
+    /// or [`Frame::Error`] sent in its place.
     ///
     /// With `next`, the stream is relayed to the chain's next hop as it
-    /// arrives: each output frame goes out as the matching
-    /// `MixBatchStart/Chunk/End` (chunks **verbatim**, a one-byte tag
-    /// rewrite) *before* it is absorbed here, so the next hop's crypto
-    /// starts while this side is still digesting.
+    /// arrives: each batch frame, once checked here, goes out **byte for
+    /// byte** as received — it is already the request the next hop
+    /// expects — so the next hop's crypto starts while this one is
+    /// still emitting.
     pub fn recv_hop_reply(
         &mut self,
         round: u64,
         total: usize,
         mut next: Option<&mut Conn>,
     ) -> Result<HopReply, NetError> {
-        let bad_stream = |e: StreamError| NetError::Desync(format!("hop output stream: {e}"));
-        let (position, mut assembler) = match self.recv()? {
-            Frame::HopOutputStart {
+        let (position, proof) = match self.recv()? {
+            Frame::HopProof {
                 round: r,
                 position,
-                total: declared,
-            } if r == round => {
-                if declared as usize != total {
-                    return Err(NetError::Protocol(format!(
-                        "hop {position} answered {declared} entries to a {total}-entry batch"
-                    )));
-                }
-                if let Some(next) = next.as_deref_mut() {
-                    next.send(&Frame::MixBatchStart {
-                        round,
-                        total: declared,
-                    })?;
-                }
-                let assembler = BatchAssembler::begin(declared).map_err(bad_stream)?;
-                (position, assembler)
-            }
+                proof,
+            } if r == round => (position, proof),
             Frame::HopFailure {
                 round: r,
                 position,
                 failed,
             } if r == round => return Ok(HopReply::Failure { position, failed }),
-            Frame::HopForwarded {
-                round: r,
-                position,
-                input_dhs,
-                output_dhs,
-                proof,
-            } if r == round => {
-                return Ok(HopReply::Attested {
-                    position,
-                    input_dhs,
-                    output_dhs,
-                    proof,
-                })
+            Frame::HopForwarded { attestation } if attestation.round == round => {
+                return Ok(HopReply::Attested(attestation))
             }
-            Frame::Error { code, message } => return Err(NetError::Remote { code, message }),
             other => {
-                return Err(NetError::Desync(format!(
-                    "expected HopOutputStart/HopFailure for round {round}, got {}",
-                    Frame::tag_name(other.tag()).unwrap_or("?")
-                )))
+                let expected = format!("HopProof/HopForwarded/HopFailure for round {round}");
+                return Err(unexpected(other, &expected));
             }
         };
-        loop {
-            match self.recv_with_body()? {
-                (Frame::HopOutputChunk { entries }, body) => {
-                    if let Some(next) = next.as_deref_mut() {
-                        let wire =
-                            reframe_output_chunk(&body).expect("decoded as hop-output chunk");
-                        next.send_encoded(&wire)?;
-                    }
-                    let payload = &body[ChunkedBatch::CHUNK_PAYLOAD_OFFSET - 4..];
-                    assembler.absorb_raw(entries, payload).map_err(bad_stream)?;
+        let bad_stream = |e: StreamError| NetError::Desync(format!("hop output stream: {e}"));
+        let mut relay = |wire: &[u8]| match next.as_deref_mut() {
+            Some(next) => next.send_encoded(wire),
+            None => Ok(()),
+        };
+        let mut assembler = match self.recv_wire()? {
+            (
+                Frame::MixBatchStart {
+                    round: r,
+                    total: declared,
+                },
+                wire,
+            ) if r == round => {
+                if declared as usize != total {
+                    return Err(NetError::Protocol(format!(
+                        "hop {position} answered {declared} entries to a {total}-entry batch"
+                    )));
                 }
-                (Frame::HopOutputEnd { digest, proof }, _) => {
+                let assembler = BatchAssembler::begin(declared).map_err(bad_stream)?;
+                relay(&wire)?;
+                assembler
+            }
+            (other, _) => return Err(unexpected(other, "MixBatchStart")),
+        };
+        loop {
+            match self.recv_wire()? {
+                (Frame::MixBatchChunk { entries }, wire) => {
+                    let payload = &wire[ChunkedBatch::CHUNK_PAYLOAD_OFFSET..];
+                    assembler.absorb_raw(entries, payload).map_err(bad_stream)?;
+                    relay(&wire)?;
+                }
+                (Frame::MixBatchEnd { digest }, wire) => {
                     let outputs = assembler.finish(digest).map_err(bad_stream)?;
-                    if let Some(next) = next.as_deref_mut() {
-                        next.send(&Frame::MixBatchEnd { digest })?;
-                    }
+                    relay(&wire)?;
                     return Ok(HopReply::Output {
                         position,
                         outputs,
                         proof,
                     });
                 }
-                (Frame::Error { code, message }, _) => {
-                    return Err(NetError::Remote { code, message })
-                }
-                (other, _) => {
-                    return Err(NetError::Desync(format!(
-                        "expected HopOutputChunk/End, got {}",
-                        Frame::tag_name(other.tag()).unwrap_or("?")
-                    )))
-                }
+                (other, _) => return Err(unexpected(other, "MixBatchChunk/End")),
             }
         }
     }

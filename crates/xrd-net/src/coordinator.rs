@@ -42,7 +42,6 @@ use std::collections::HashSet;
 use std::net::SocketAddr;
 use std::time::Duration;
 
-use xrd_crypto::nizk::DleqProof;
 use xrd_crypto::ristretto::GroupElement;
 use xrd_crypto::scalar::Scalar;
 use xrd_mixnet::blame::{trace_blame, BlameVerdict};
@@ -50,7 +49,7 @@ use xrd_mixnet::chain_keys::{apply_rotation_shares, ChainPublicKeys, RotationSha
 use xrd_mixnet::client::Submission;
 use xrd_mixnet::message::MixEntry;
 use xrd_mixnet::server::{
-    input_digest, open_revealed, verify_hop_keys, verify_hops_batched, HopRecord,
+    input_digest, open_revealed, verify_hops_batched, HopAttestation, HopRecord,
 };
 use xrd_mixnet::{resolve_blame, BlameResolution, ChainRoundOutcome};
 
@@ -232,11 +231,9 @@ pub enum MixPhase {
 /// proofs are about — key columns — and the final batch; no
 /// intermediate ciphertext batch outlives its hop.
 pub struct PendingChainRound {
-    /// The `k + 1` DH-key columns of the clean pass: `columns[i]`
-    /// entered hop `i` and `columns[i + 1]` left it.
-    columns: Vec<Vec<GroupElement>>,
-    /// Hop `i`'s attestation over `columns[i]` and `columns[i + 1]`.
-    proofs: Vec<DleqProof>,
+    /// Hop `i`'s attestation at index `i`: each input column is the
+    /// previous hop's output column.
+    hops: Vec<HopAttestation>,
     /// The chain's final mixed batch.
     final_entries: Vec<MixEntry>,
     /// The round's ledger through the mix phase: users convicted by
@@ -246,18 +243,10 @@ pub struct PendingChainRound {
 }
 
 impl PendingChainRound {
-    /// Borrow the clean pass's attestations as [`HopRecord`]s (adjacent
-    /// columns and the proof between them), the form
+    /// Borrow the clean pass's attestations as [`HopRecord`]s, the form
     /// [`verify_hops_batched_multi`](xrd_mixnet::verify_hops_batched_multi) consumes.
     pub fn records(&self) -> Vec<HopRecord<'_>> {
-        let hops = self.columns.windows(2).zip(&self.proofs).enumerate();
-        hops.map(|(position, (pair, proof))| HopRecord {
-            position,
-            input_dhs: &pair[0],
-            output_dhs: &pair[1],
-            proof: *proof,
-        })
-        .collect()
+        self.hops.iter().map(HopAttestation::record).collect()
     }
 }
 
@@ -484,10 +473,8 @@ impl ChainClient {
             let forwarded = transport == Transport::Forwarded;
             match self.mix_pass(round, submissions, transport) {
                 // A forwarded pass that fails always downgrades: whatever
-                // broke (a dead successor link, a decrypt failure that
-                // cascaded up the daemons as an error, a column seam),
-                // every hop answers the coordinator directly when it
-                // relays.
+                // broke (a dead successor link, a column seam), every hop
+                // answers the coordinator directly when it relays.
                 Err(e) if (e.retryable() || forwarded) && attempt + 1 < self.retry.attempts => {
                     attempt += 1;
                     coord_metrics().mix_retries.incr();
@@ -526,19 +513,18 @@ impl ChainClient {
     /// The coordinator streams the batch to hop 0 and collects one reply
     /// per hop in chain order.  `transport` decides only where hop `pos`
     /// sent its output: back here — and, relaying, on to hop `pos + 1`
-    /// **verbatim** as it arrives (a one-byte tag rewrite per chunk, no
-    /// re-encode), so the next hop's crypto overlaps this hop's emission
-    /// — or straight to its successor, in which case only its key
-    /// columns come back.  Either reply yields the hop's output column
-    /// and proof, checked against the *running* column (the keys the
+    /// **byte for byte** as it arrives (the reply's stream is the next
+    /// hop's request), so the next hop's crypto overlaps this hop's
+    /// emission — or straight to its successor, in which case only its
+    /// [`HopAttestation`] comes back.  Either reply yields the hop's
+    /// attestation, checked against the *running* column (the keys the
     /// previous hop emitted), so a daemon that mixed another batch than
     /// its predecessor's fails the pass at its seam.
     ///
-    /// A [`Frame::HopFailure`] that reaches the coordinator is blamed in
-    /// place — blame needs the submissions and the servers' reveals,
-    /// never the intermediate batches — and the pass repeats without the
-    /// convicted users; a failure that cascades back up forwarding
-    /// daemons arrives as an error and fails the pass.  A clean pass is
+    /// A [`Frame::HopFailure`] is blamed in place, whichever hop sent it
+    /// and whoever carried its batch — blame needs the submissions and
+    /// the servers' reveals, never the intermediate batches — and the
+    /// pass repeats without the convicted users.  A clean pass is
     /// cross-verified at end of chain (per hop it would re-serialize the
     /// pipeline) over key columns only, and returned for the caller's
     /// audit: nothing is revealed before that.
@@ -554,7 +540,7 @@ impl ChainClient {
         let mut active: Vec<usize> = (0..submissions.len()).collect();
 
         // Mixing with blame-retry: repeat until a clean pass (§6.4).
-        let (columns, proofs, final_entries) = 'retry: loop {
+        let (hops, final_entries) = 'retry: loop {
             let mut current: Vec<MixEntry> =
                 active.iter().map(|&i| submissions[i].to_entry()).collect();
             if forwarded {
@@ -569,8 +555,9 @@ impl ChainClient {
                 self.conns[0].send_encoded(bytes)?;
             }
 
-            let mut columns = vec![dh_column(&current)];
-            let mut proofs = Vec::with_capacity(k);
+            // The running column: the keys entering hop `pos`.
+            let mut running = dh_column(&current);
+            let mut hops: Vec<HopAttestation> = Vec::with_capacity(k);
             for pos in 0..k {
                 // Hop spans overlap under the pipeline: hop `i+1`'s
                 // clock starts while `i` is still emitting.  Each span
@@ -582,36 +569,36 @@ impl ChainClient {
                 let attests = forwarded && pos + 1 < k;
                 let (upto, after) = self.conns.split_at_mut(pos + 1);
                 let next = if forwarded { None } else { after.first_mut() };
-                let running = &columns[pos];
-                let (column, proof) = match upto[pos].recv_hop_reply(round, running.len(), next)? {
+                let hop = match upto[pos].recv_hop_reply(round, running.len(), next)? {
                     HopReply::Output {
                         position,
                         outputs,
                         proof,
                     } if position as usize == pos && !attests => {
                         current = outputs;
-                        (dh_column(&current), proof)
+                        HopAttestation {
+                            round,
+                            position: pos,
+                            input_dhs: running,
+                            output_dhs: dh_column(&current),
+                            proof,
+                        }
                     }
-                    HopReply::Attested {
-                        position,
-                        input_dhs,
-                        output_dhs,
-                        proof,
-                    } if position as usize == pos && attests => {
+                    HopReply::Attested(hop) if hop.position == pos && attests => {
                         // The coordinator did not carry this batch: the
                         // hop must have consumed what the one before it
                         // emitted (hop 0: what the chain agreed on).
-                        if input_dhs != *running {
+                        if hop.input_dhs != running {
                             return Err(NetError::Protocol(format!(
                                 "column seam mismatch entering hop {pos}"
                             )));
                         }
-                        if output_dhs.len() != running.len() {
+                        if hop.output_dhs.len() != running.len() {
                             return Err(NetError::Protocol(format!(
                                 "hop {pos} attested mismatched column lengths"
                             )));
                         }
-                        (output_dhs, proof)
+                        hop
                     }
                     HopReply::Failure { position, failed } if position as usize == pos => {
                         // A failure names the slots that failed; one
@@ -646,29 +633,28 @@ impl ChainClient {
                     }
                 };
                 outcome.stats.proofs_generated += 1;
-                columns.push(column);
-                proofs.push(proof);
+                running = hop.output_dhs.clone();
+                hops.push(hop);
             }
-            break (columns, proofs, current);
+            break (hops, current);
         };
 
         let _span = xrd_obs::span_timer("coord.verify_chain", round);
-        if !self.cross_verify(round, &columns, &proofs, &mut outcome)? {
+        if !self.cross_verify(&hops, &mut outcome)? {
             return Ok(MixPhase::Done(outcome));
         }
         Ok(MixPhase::AwaitingAudit(PendingChainRound {
-            columns,
-            proofs,
+            hops,
             final_entries,
             outcome,
         }))
     }
 
-    /// End-of-chain cross-server verification, keys only: hop `i`'s
-    /// attestation (`columns[i]`, `columns[i + 1]`, `proofs[i]`) is
-    /// encoded once as a [`Frame::VerifyHopKeys`] and broadcast to the
-    /// other `k-1` servers, all requests pipelined before any verdict
-    /// is collected (responses are one byte and cannot clog).
+    /// End-of-chain cross-server verification, keys only: each hop's
+    /// attestation is encoded once as a [`Frame::VerifyHopKeys`] and
+    /// broadcast to the other `k-1` servers, all requests pipelined
+    /// before any verdict is collected (responses are one byte and
+    /// cannot clog).
     ///
     /// Each rejected attestation becomes a dispute rather than an
     /// abort.  `Ok(false)`: the dispute convicted a *prover* (bad proof
@@ -679,19 +665,13 @@ impl ChainClient {
     /// without it.
     fn cross_verify(
         &mut self,
-        round: u64,
-        columns: &[Vec<GroupElement>],
-        proofs: &[DleqProof],
+        hops: &[HopAttestation],
         outcome: &mut ChainRoundOutcome,
     ) -> Result<bool, NetError> {
         let mut expected: Vec<(usize, usize)> = Vec::new(); // (verifier, prover)
-        for (prover, proof) in proofs.iter().enumerate() {
+        for (prover, hop) in hops.iter().enumerate() {
             let wire = Frame::VerifyHopKeys {
-                round,
-                position: prover as u32,
-                input_dhs: columns[prover].clone(),
-                output_dhs: columns[prover + 1].clone(),
-                proof: *proof,
+                attestation: hop.clone(),
             }
             .encode();
             for (verifier, conn) in self.conns.iter_mut().enumerate() {
@@ -720,8 +700,8 @@ impl ChainClient {
         disputed_provers.sort_unstable();
         disputed_provers.dedup();
         for prover in disputed_provers {
-            let (input_dhs, output_dhs) = (&columns[prover], &columns[prover + 1]);
-            let dispute = self.run_dispute(round, prover, input_dhs, output_dhs, &proofs[prover]);
+            let round = hops[prover].round;
+            let dispute = self.run_dispute(&hops[prover]);
             if dispute.proof_invalid {
                 self.announce_verdict(
                     round,
@@ -790,8 +770,7 @@ impl ChainClient {
     ) -> Result<ChainRoundOutcome, NetError> {
         let k = self.conns.len();
         let PendingChainRound {
-            columns,
-            proofs,
+            hops,
             final_entries,
             mut outcome,
         } = pending;
@@ -800,26 +779,18 @@ impl ChainClient {
         // chain's k statements: count them here, once, whatever the
         // verdict — the per-hop re-checks below localize rather than
         // re-audit.
-        outcome.stats.proofs_verified += proofs.len();
+        outcome.stats.proofs_verified += hops.len();
         let mut refuted = false;
         if !audit_ok {
-            for (pos, proof) in proofs.iter().enumerate() {
-                let (input_dhs, output_dhs) = (&columns[pos], &columns[pos + 1]);
-                let holds = verify_hop_keys(
-                    &self.public,
-                    pos,
-                    round,
-                    input_dhs.iter(),
-                    output_dhs.iter(),
-                    proof,
-                );
-                if holds {
+            for hop in &hops {
+                if hop.verify(&self.public) {
                     continue;
                 }
                 // A locally-refuted attestation is put through the
                 // dispute protocol so the conviction rests on gossiped,
                 // signed evidence rather than this coordinator's word.
-                let dispute = self.run_dispute(round, pos, input_dhs, output_dhs, proof);
+                let pos = hop.position;
+                let dispute = self.run_dispute(hop);
                 self.announce_verdict(
                     round,
                     pos,
@@ -894,30 +865,13 @@ impl ChainClient {
     /// party can replay the signatures) and is what the chaos harness
     /// asserts on.  Witness transport failures count as abstentions —
     /// a dispute never turns into a round failure.
-    fn run_dispute(
-        &mut self,
-        round: u64,
-        accused: usize,
-        input_dhs: &[GroupElement],
-        output_dhs: &[GroupElement],
-        proof: &DleqProof,
-    ) -> DisputeOutcome {
+    fn run_dispute(&mut self, hop: &HopAttestation) -> DisputeOutcome {
+        let (round, accused) = (hop.round, hop.position);
         coord_metrics().disputes_opened.incr();
         xrd_obs::info!("round {round}: dispute opened against server {accused}");
-        let proof_invalid = !verify_hop_keys(
-            &self.public,
-            accused,
-            round,
-            input_dhs.iter(),
-            output_dhs.iter(),
-            proof,
-        );
+        let proof_invalid = !hop.verify(&self.public);
         let open = Frame::DisputeOpen {
-            round,
-            accused: accused as u32,
-            input_dhs: input_dhs.to_vec(),
-            output_dhs: output_dhs.to_vec(),
-            proof: *proof,
+            attestation: hop.clone(),
         };
         let mut votes_upheld = 0;
         let mut votes_cast = 0;
@@ -943,8 +897,7 @@ impl ChainClient {
                 }
             };
             if let Some((upheld, sig)) = evidence {
-                let ctx =
-                    dispute_context(round, accused as u32, upheld, input_dhs, output_dhs, proof);
+                let ctx = dispute_context(hop, upheld);
                 // `mpk_i = bpk_i^msk`: verify over the witness's
                 // chained blinding base, not the group generator.
                 let mpk = &self.public.mpks[witness];

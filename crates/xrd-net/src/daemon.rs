@@ -34,9 +34,14 @@
 //! slot holds its place), so the event loop keeps accepting and
 //! verifying submissions while a hop's crypto is in flight.  A hop's
 //! chunks are dispatched to the pool *as they arrive* — its compute
-//! overlaps the remainder of its own transfer.  A [`DaemonHandle`]
-//! owns the reactor thread and shuts the daemon down when asked (or on
-//! drop).
+//! overlaps the remainder of its own transfer.  The hop answers with a
+//! `HopProof` followed by its output in the batch format it was sent
+//! in, so the reply's stream is, byte for byte, the next hop's request;
+//! a hop forwarding to its successor sends that same stream there and
+//! reports to the coordinator instead — its attestation, or a
+//! `HopFailure` for the coordinator to blame, wherever in the chain the
+//! hop stands.  A [`DaemonHandle`] owns the reactor thread and shuts the
+//! daemon down when asked (or on drop).
 
 use std::collections::HashMap;
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
@@ -55,7 +60,7 @@ use xrd_crypto::ristretto::GroupElement;
 use xrd_mixnet::chain_keys::{rotation_share, ChainPublicKeys, ServerSecrets};
 use xrd_mixnet::client::Submission;
 use xrd_mixnet::message::{outer_ct_len, MailboxMessage, MixEntry};
-use xrd_mixnet::server::{input_digest, verify_hop_keys, ChunkKernel, MixError, MixServer};
+use xrd_mixnet::server::{input_digest, ChunkKernel, HopAttestation, MixError, MixServer};
 
 use crate::codec::{
     decode_server_config, dispute_context, encode_hop_output_stream, encode_server_config,
@@ -417,15 +422,16 @@ struct ForwardMetrics {
 }
 
 /// Everything a forwarded hop's End job needs to route its output
-/// onward and its attestation back.
+/// onward and its report back.
 struct ForwardCtx {
     /// Connection the batch arrived on — the coordinator for hop 0,
     /// the predecessor daemon otherwise.  The job's reply goes here,
     /// and the predecessor's own forward blocks on it, so acks (and
-    /// failures) cascade back up the chain.
+    /// forwarding failures) cascade back up the chain.
     inbound: ConnId,
     /// The coordinator's connection (where [`Frame::MixForward`]
-    /// arrived); unsolicited attestations are pushed onto it.
+    /// arrived); the hop's report — attestation, output or
+    /// [`Frame::HopFailure`] — is pushed onto it.
     report: ConnId,
     /// Next hop of the chain (`None` on the last hop).
     successor: Option<SocketAddr>,
@@ -467,31 +473,19 @@ fn forward_batch(
     }
 }
 
-/// Route one forwarded hop's completed output.  Non-last hops stream
-/// it straight to the successor and report a keys-only
-/// [`Frame::HopForwarded`] attestation (the §6.3 statement involves
-/// only DH key columns, so the coordinator audits the chain without
-/// ever seeing the intermediate ciphertexts); the last hop pushes the
-/// full output stream back to the coordinator — its attestation rides
-/// in the stream's End frame.  Returns the bytes to reply on the
-/// inbound connection.
-fn forward_hop_output(
-    fwd: &ForwardCtx,
-    round: u64,
-    position: u32,
-    input_dhs: Vec<GroupElement>,
-    outputs: &[MixEntry],
-    proof: DleqProof,
-) -> Vec<u8> {
-    let Some(successor) = fwd.successor else {
-        let bytes = encode_hop_output_stream(round, position, outputs, &proof, STREAM_CHUNK);
-        forward_metrics().batches.incr();
-        if fwd.report == fwd.inbound {
-            // Single-hop chain: the coordinator streamed to us and is
-            // awaiting this very reply.
-            return bytes;
+impl ForwardCtx {
+    /// Hand the coordinator this hop's `report` and return the bytes to
+    /// answer on the inbound connection.  On hop 0 the coordinator is
+    /// awaiting this very reply, so the report *is* the reply (a
+    /// `HopForwarded` there doubles as the signal that the whole
+    /// downstream cascade acked).  Deeper, it is pushed onto the report
+    /// connection and the predecessor is answered `Ok`: the
+    /// predecessor's forward landed, whatever this hop made of it.
+    fn report(&self, report: Vec<u8>) -> Vec<u8> {
+        if self.report == self.inbound {
+            return report;
         }
-        let Some(handle) = &fwd.handle else {
+        let Some(handle) = &self.handle else {
             forward_metrics().failures.incr();
             return err(
                 error_code::BAD_STATE,
@@ -499,8 +493,30 @@ fn forward_hop_output(
             )
             .encode();
         };
-        handle.push(fwd.report, bytes);
-        return Frame::Ok.encode();
+        handle.push(self.report, report);
+        Frame::Ok.encode()
+    }
+}
+
+/// Route one forwarded hop's completed output.  Non-last hops stream
+/// it straight to the successor and report a keys-only
+/// [`Frame::HopForwarded`] attestation (the §6.3 statement involves
+/// only DH key columns, so the coordinator audits the chain without
+/// ever seeing the intermediate ciphertexts); the last hop reports its
+/// whole reply — [`Frame::HopProof`] and the output stream.  Returns
+/// the bytes to reply on the inbound connection.
+fn forward_hop_output(
+    fwd: &ForwardCtx,
+    round: u64,
+    position: usize,
+    input_dhs: Vec<GroupElement>,
+    outputs: &[MixEntry],
+    proof: DleqProof,
+) -> Vec<u8> {
+    let Some(successor) = fwd.successor else {
+        forward_metrics().batches.incr();
+        let reply = encode_hop_output_stream(round, position as u32, outputs, &proof, STREAM_CHUNK);
+        return fwd.report(reply);
     };
     if let Err(e) = forward_batch(&fwd.link, successor, round, outputs) {
         forward_metrics().failures.incr();
@@ -511,29 +527,14 @@ fn forward_hop_output(
         .encode();
     }
     forward_metrics().batches.incr();
-    let attestation = Frame::HopForwarded {
+    let attestation = HopAttestation {
         round,
         position,
         input_dhs,
         output_dhs: outputs.iter().map(|e| e.dh).collect(),
         proof,
     };
-    if fwd.report == fwd.inbound {
-        // Hop 0: the coordinator is awaiting our reply — the
-        // attestation *is* the reply, and it doubles as the signal
-        // that the whole downstream cascade acked.
-        return attestation.encode();
-    }
-    let Some(handle) = &fwd.handle else {
-        forward_metrics().failures.incr();
-        return err(
-            error_code::BAD_STATE,
-            "no reactor handle for forwarded report",
-        )
-        .encode();
-    };
-    handle.push(fwd.report, attestation.encode());
-    Frame::Ok.encode()
+    fwd.report(Frame::HopForwarded { attestation }.encode())
 }
 
 impl MixState {
@@ -970,7 +971,7 @@ impl MixService {
                 .map(|_| inputs.iter().map(|e| e.dh).collect());
             let mut guard = state.lock().expect("mix state poisoned");
             let st = &mut *guard;
-            let position = st.secrets.position as u32;
+            let position = st.secrets.position;
             match st.server.finish_round(&mut st.rng, round, inputs, slots) {
                 Ok(result) => {
                     // The proof and shuffle are done; release the lock
@@ -989,7 +990,7 @@ impl MixService {
                     let encoding = std::time::Instant::now();
                     let bytes = encode_hop_output_stream(
                         round,
-                        position,
+                        position as u32,
                         &result.outputs,
                         &result.proof,
                         STREAM_CHUNK,
@@ -999,12 +1000,20 @@ impl MixService {
                         .record_duration(encoding.elapsed());
                     bytes
                 }
-                Err(MixError::DecryptFailure(failed)) => Frame::HopFailure {
-                    round,
-                    position,
-                    failed: failed.into_iter().map(|i| i as u64).collect(),
+                Err(MixError::DecryptFailure(failed)) => {
+                    let failure = Frame::HopFailure {
+                        round,
+                        position: position as u32,
+                        failed: failed.into_iter().map(|i| i as u64).collect(),
+                    }
+                    .encode();
+                    // A forwarded hop's failure is the coordinator's to
+                    // blame, wherever the hop stands in the chain.
+                    match forward {
+                        Some(fwd) => fwd.report(failure),
+                        None => failure,
+                    }
                 }
-                .encode(),
                 Err(MixError::Malformed) => err(error_code::BAD_STATE, "malformed batch").encode(),
             }
         }))
@@ -1017,21 +1026,12 @@ impl MixService {
     /// nonce at the end.  `force_upheld` is the byzantine hook: a
     /// lying witness signs a fixed verdict instead of its honest
     /// re-check — producing transferable evidence of its own lie.
-    fn defer_dispute(
-        &self,
-        round: u64,
-        accused: u32,
-        input_dhs: Vec<GroupElement>,
-        output_dhs: Vec<GroupElement>,
-        proof: DleqProof,
-        force_upheld: Option<bool>,
-    ) -> Outcome {
+    fn defer_dispute(&self, attestation: HopAttestation, force_upheld: Option<bool>) -> Outcome {
         let public = self.lock().server.public().clone();
         let state = Arc::clone(&self.state);
         Outcome::Defer(Box::new(move || {
-            let valid = attestation_valid(&public, round, accused, &input_dhs, &output_dhs, &proof);
-            let upheld = force_upheld.unwrap_or(!valid);
-            let ctx = dispute_context(round, accused, upheld, &input_dhs, &output_dhs, &proof);
+            let upheld = force_upheld.unwrap_or_else(|| !attestation.verify(&public));
+            let ctx = dispute_context(&attestation, upheld);
             let mut guard = state.lock().expect("mix state poisoned");
             let st = &mut *guard;
             let position = st.secrets.position as u32;
@@ -1043,9 +1043,9 @@ impl MixService {
             drop(guard);
             mix_metrics().evidence_served.incr();
             Frame::DisputeEvidence {
-                round,
+                round: attestation.round,
                 position,
-                accused,
+                accused: attestation.position as u32,
                 upheld,
                 sig,
             }
@@ -1055,44 +1055,13 @@ impl MixService {
 
     /// `VerifyHopKeys`: pure public-data work off a snapshot of the
     /// bundle — no state lock held in the job at all.
-    fn defer_verify(
-        &self,
-        round: u64,
-        position: u32,
-        input_dhs: Vec<GroupElement>,
-        output_dhs: Vec<GroupElement>,
-        proof: DleqProof,
-    ) -> Outcome {
+    fn defer_verify(&self, attestation: HopAttestation) -> Outcome {
         let public = self.lock().server.public().clone();
         Outcome::Defer(Box::new(move || {
-            let ok = attestation_valid(&public, round, position, &input_dhs, &output_dhs, &proof);
+            let ok = attestation.verify(&public);
             Frame::VerifyResult { ok }.encode()
         }))
     }
-}
-
-/// Whether a hop attestation off the wire holds: the position is one of
-/// the chain's, the key columns have one length, and the §6.3 proof
-/// verifies.  The one check behind both `VerifyHopKeys` and a dispute's
-/// re-check.
-fn attestation_valid(
-    public: &ChainPublicKeys,
-    round: u64,
-    position: u32,
-    input_dhs: &[GroupElement],
-    output_dhs: &[GroupElement],
-    proof: &DleqProof,
-) -> bool {
-    (position as usize) < public.len()
-        && input_dhs.len() == output_dhs.len()
-        && verify_hop_keys(
-            public,
-            position as usize,
-            round,
-            input_dhs.iter(),
-            output_dhs.iter(),
-            proof,
-        )
 }
 
 impl Service for MixService {
@@ -1123,20 +1092,8 @@ impl Service for MixService {
             Frame::MixBatchStart { round, total } => self.stream_start(conn, round, total),
             Frame::MixBatchChunk { entries } => self.stream_chunk(conn, entries, workers),
             Frame::MixBatchEnd { digest } => self.stream_end(conn, digest),
-            Frame::VerifyHopKeys {
-                round,
-                position,
-                input_dhs,
-                output_dhs,
-                proof,
-            } => self.defer_verify(round, position, input_dhs, output_dhs, proof),
-            Frame::DisputeOpen {
-                round,
-                accused,
-                input_dhs,
-                output_dhs,
-                proof,
-            } => self.defer_dispute(round, accused, input_dhs, output_dhs, proof, None),
+            Frame::VerifyHopKeys { attestation } => self.defer_verify(attestation),
+            Frame::DisputeOpen { attestation } => self.defer_dispute(attestation, None),
             // Window and key control: the reply waits for the commit
             // that makes its record durable — a repeat's too, as the
             // record it repeats may be waiting for that very commit.
@@ -1246,7 +1203,7 @@ impl Service for ByzantineService {
     }
 
     fn handle(&self, conn: ConnId, frame: Frame, workers: &Arc<WorkerPool>) -> Outcome {
-        match (self.mode, &frame) {
+        match (self.mode, frame) {
             // A framing verifier: every attestation is "invalid".
             (ByzantineMode::LieVerify, Frame::VerifyHopKeys { .. }) => {
                 Self::metrics().incr();
@@ -1255,24 +1212,13 @@ impl Service for ByzantineService {
             // ... and it perjures itself in disputes, signing `upheld`
             // over statements it knows verify — transferable evidence
             // of the lie.
-            (ByzantineMode::LieVerify, Frame::DisputeOpen { .. }) => {
-                let Frame::DisputeOpen {
-                    round,
-                    accused,
-                    input_dhs,
-                    output_dhs,
-                    proof,
-                } = frame
-                else {
-                    unreachable!()
-                };
+            (ByzantineMode::LieVerify, Frame::DisputeOpen { attestation }) => {
                 Self::metrics().incr();
-                self.inner
-                    .defer_dispute(round, accused, input_dhs, output_dhs, proof, Some(true))
+                self.inner.defer_dispute(attestation, Some(true))
             }
             // An equivocator: its digest never matches the honest
             // majority's.
-            (ByzantineMode::EquivocateDigest, Frame::CloseSubmissions { .. }) => {
+            (ByzantineMode::EquivocateDigest, frame @ Frame::CloseSubmissions { .. }) => {
                 match self.inner.handle(conn, frame, workers) {
                     Outcome::Reply(mut frames) => {
                         for f in &mut frames {
@@ -1291,7 +1237,7 @@ impl Service for ByzantineService {
             // reply stream, so a downstream hop decrypts garbage (blame
             // then traces the mismatch to this server) and, on the last
             // hop, every honest verifier rejects the attestation.
-            (ByzantineMode::CorruptHop, Frame::MixBatchEnd { .. }) => {
+            (ByzantineMode::CorruptHop, frame @ Frame::MixBatchEnd { .. }) => {
                 match self.inner.handle(conn, frame, workers) {
                     Outcome::Defer(job) => Outcome::Defer(Box::new(move || {
                         let bytes = job();
@@ -1306,7 +1252,7 @@ impl Service for ByzantineService {
                     other => other,
                 }
             }
-            _ => self.inner.handle(conn, frame, workers),
+            (_, frame) => self.inner.handle(conn, frame, workers),
         }
     }
 
@@ -1320,8 +1266,8 @@ impl Service for ByzantineService {
 }
 
 /// [`ByzantineMode::CorruptHop`]'s lie: if `reply` is a hop's
-/// `HopOutputStart/Chunk…/End` stream of at least two entries, the same
-/// stream with the first output's DH key overwritten by the second's
+/// `HopProof` and output stream of at least two entries, the same
+/// reply with the first output's DH key overwritten by the second's
 /// (its ciphertext left alone).  Every element still parses, but the
 /// entry no longer decrypts downstream and the key column's product no
 /// longer matches the attestation — a swap would not do: §6.3 proves a
@@ -1331,20 +1277,23 @@ impl Service for ByzantineService {
 fn corrupt_hop_output(reply: &[u8]) -> Option<Vec<u8>> {
     let mut decoder = FrameDecoder::new();
     decoder.feed(reply);
-    let Some(Ok(Frame::HopOutputStart {
-        round, position, ..
+    let Some(Ok(Frame::HopProof {
+        round,
+        position,
+        proof,
     })) = decoder.try_frame()
     else {
         return None;
     };
     let mut outputs: Vec<MixEntry> = Vec::new();
-    let proof = loop {
+    loop {
         match decoder.try_frame()? {
-            Ok(Frame::HopOutputChunk { entries }) => outputs.extend(entries),
-            Ok(Frame::HopOutputEnd { proof, .. }) => break proof,
+            Ok(Frame::MixBatchStart { .. }) => {}
+            Ok(Frame::MixBatchChunk { entries }) => outputs.extend(entries),
+            Ok(Frame::MixBatchEnd { .. }) => break,
             _ => return None,
         }
-    };
+    }
     if outputs.len() < 2 {
         return None;
     }

@@ -6,14 +6,16 @@
 //! paper's EC2 testbed (§8).
 //!
 //! * [`codec`] — the length-prefixed binary wire protocol: submissions,
-//!   mix batches (chunk streams with a running stream digest), hop
-//!   attestations, inner-key reveals and rotations, blame
+//!   mix batches (chunk streams with a running stream digest — one
+//!   format into a hop and out of it), hop attestations, inner-key
+//!   reveals and rotations, blame
 //!   messages, mailbox delivery/fetch; every frame declared once in a
 //!   table its codec is derived from, hard size caps,
 //!   canonical-encoding checks.  Spec: `docs/PROTOCOL.md`;
 //! * [`conn`] — the client side of a connection (request/response with
 //!   byte accounting; [`Conn::stream_hop`], the one hop exchange, whose
-//!   receive half also relays a hop's output to the next hop);
+//!   receive half also relays a hop's output to the next hop, each
+//!   checked frame byte for byte);
 //! * [`reactor`] — the event-driven core: a dependency-free
 //!   epoll-based readiness loop (raw syscalls on Linux/x86-64, sweep
 //!   fallback elsewhere) serving every connection of a daemon from one
@@ -30,8 +32,8 @@
 //!   chunks start hop crypto the moment they arrive;
 //! * [`coordinator`] — [`ChainClient`], driving one chain's round state
 //!   machine over the wire: submission window → k hops (chunk streams,
-//!   pipelined with verbatim next-hop forwarding) → cross-server proof
-//!   verification → blame → inner-key reveal;
+//!   pipelined with byte-for-byte relaying to the next hop) →
+//!   cross-server proof verification → blame → inner-key reveal;
 //! * [`remote`] — [`RemoteDeployment`]: the shared round driver
 //!   (`xrd_core::backend::run_round`) over the networked `Cluster` —
 //!   chain coordinators, mailbox connections and the users' kept

@@ -175,9 +175,7 @@ fn chaos_sweep(seeds: std::ops::Range<u64>) {
         "MixBatchStart",
         "MixBatchChunk",
         "MixBatchEnd",
-        "HopOutputStart",
-        "HopOutputChunk",
-        "HopOutputEnd",
+        "HopProof",
         "VerifyHopKeys",
         "VerifyResult",
         "RevealInnerKey",
@@ -424,15 +422,15 @@ fn corrupting_hop_is_localized_and_other_chains_deliver() {
     }
 }
 
-/// Loss inside a hop's reply stream: every proxy swallows the first
-/// output chunk (or stream opener) its daemon emits, so the coordinator
-/// sees a stream that fails reassembly — or begins mid-stream — instead
-/// of a silent socket.  That is transport trouble like any other
+/// Loss inside a hop's reply: every proxy swallows the first output
+/// chunk (or the opening `HopProof`) its daemon emits, so the
+/// coordinator sees a stream that fails reassembly — or a reply that
+/// begins mid-stream — instead of a silent socket.  That is transport trouble like any other
 /// ([`xrd_net::NetError::Desync`]): the pass is retried on fresh
 /// connections, nobody is convicted, everything delivers.
 #[test]
 fn dropped_output_frames_desync_the_stream_and_are_retried() {
-    for (seed, frame) in [(78, "HopOutputChunk"), (79, "HopOutputStart")] {
+    for (seed, frame) in [(78, "MixBatchChunk"), (79, "HopProof")] {
         let mut rng = StdRng::seed_from_u64(seed);
         let plan = FaultPlan::new(seed).with(
             FaultRule::new(FaultKind::Drop)

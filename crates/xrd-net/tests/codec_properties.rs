@@ -13,6 +13,7 @@ use xrd_crypto::ristretto::GroupElement;
 use xrd_mixnet::chain_keys::{generate_chain_keys, ServerSecrets};
 use xrd_mixnet::client::{seal_ahs, Submission};
 use xrd_mixnet::message::{MailboxMessage, MixEntry, MAILBOX_MSG_LEN};
+use xrd_mixnet::server::HopAttestation;
 use xrd_net::codec::{
     decode_server_config, encode_server_config, BatchAssembler, ChunkedBatch, CodecError, Frame,
     FrameDecoder, StreamError, MAX_BATCH, MAX_BYTES, MAX_FRAME_LEN,
@@ -216,12 +217,12 @@ fn unknown_tag_rejected() {
     assert_eq!(Frame::decode(&[]), Err(CodecError::Truncated));
 }
 
-/// The whole-batch hop frames are retired and their tag bytes
-/// reserved: a stale peer still speaking them gets a clean unknown-tag
-/// error, whatever follows the tag.
+/// The whole-batch hop frames and the hop-output stream frames are
+/// retired and their tag bytes reserved: a stale peer still speaking
+/// them gets a clean unknown-tag error, whatever follows the tag.
 #[test]
 fn retired_hop_tags_decode_as_unknown() {
-    for tag in [0x20u8, 0x21, 0x23] {
+    for tag in [0x20u8, 0x21, 0x23, 0x28, 0x29, 0x2A] {
         assert_eq!(Frame::tag_name(tag), None);
         assert_eq!(Frame::decode(&[tag]), Err(CodecError::UnknownTag(tag)));
         let mut body = vec![tag];
@@ -353,8 +354,8 @@ impl PerItem<'_> {
                     r.ct()
                 })?;
             }
-            // MixBatchChunk, HopOutputChunk: (dh, ct) per entry.
-            0x26 | 0x29 => self.seq(|r| {
+            // MixBatchChunk: (dh, ct) per entry.
+            0x26 => self.seq(|r| {
                 r.point()?;
                 r.ct()
             })?,
@@ -392,8 +393,15 @@ fn point_rows_frame(rng: &mut StdRng, which: usize) -> Frame {
     let n = rng.gen_range(0..20);
     let column =
         |rng: &mut StdRng, n: usize| -> Vec<GroupElement> { (0..n).map(|_| g(rng)).collect() };
-    let (round, position) = (rng.next_u64(), rng.gen_range(0..64u32));
-    match which % 6 {
+    let (round, position) = (rng.next_u64(), rng.gen_range(0..64usize));
+    let attestation = |rng: &mut StdRng, n_in: usize, n_out: usize| HopAttestation {
+        round,
+        position,
+        input_dhs: column(rng, n_in),
+        output_dhs: column(rng, n_out),
+        proof: dleq(rng),
+    };
+    match which % 5 {
         0 => Frame::SubmissionBatch {
             round,
             submissions: (0..n).map(|_| submission(rng)).collect(),
@@ -401,29 +409,14 @@ fn point_rows_frame(rng: &mut StdRng, which: usize) -> Frame {
         1 => Frame::MixBatchChunk {
             entries: (0..n).map(|_| mix_entry(rng)).collect(),
         },
-        2 => Frame::HopOutputChunk {
-            entries: (0..n).map(|_| mix_entry(rng)).collect(),
+        2 => Frame::VerifyHopKeys {
+            attestation: attestation(rng, n, n),
         },
-        3 => Frame::VerifyHopKeys {
-            round,
-            position,
-            input_dhs: column(rng, n),
-            output_dhs: column(rng, n),
-            proof: dleq(rng),
-        },
-        4 => Frame::HopForwarded {
-            round,
-            position,
-            input_dhs: column(rng, n),
-            output_dhs: column(rng, n / 2),
-            proof: dleq(rng),
+        3 => Frame::HopForwarded {
+            attestation: attestation(rng, n, n / 2),
         },
         _ => Frame::DisputeOpen {
-            round,
-            accused: position,
-            input_dhs: column(rng, n / 2),
-            output_dhs: column(rng, n),
-            proof: dleq(rng),
+            attestation: attestation(rng, n / 2, n),
         },
     }
 }
@@ -450,7 +443,7 @@ proptest! {
     #[test]
     fn point_rows_fail_like_a_per_item_parse(
         seed in any::<u64>(),
-        which in 0usize..6,
+        which in 0usize..5,
         mode in 0u8..3,
         point in any::<prop::sample::Index>(),
         how in 0usize..3,

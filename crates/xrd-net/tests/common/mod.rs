@@ -18,6 +18,7 @@ use xrd_mixnet::blame::{Accusation, BlameReveal};
 use xrd_mixnet::chain_keys::{RotationShare, ServerKeyProofs};
 use xrd_mixnet::client::Submission;
 use xrd_mixnet::message::{MailboxMessage, MixEntry, MAILBOX_MSG_LEN};
+use xrd_mixnet::server::HopAttestation;
 use xrd_net::codec::{error_code, Frame, MAX_BATCH};
 
 pub fn g(rng: &mut StdRng) -> GroupElement {
@@ -164,6 +165,17 @@ pub fn groups(rng: &mut StdRng) -> Vec<GroupElement> {
     (0..rng.gen_range(0..6)).map(|_| g(rng)).collect()
 }
 
+/// A random hop attestation with short key columns.
+pub fn attestation(rng: &mut StdRng) -> HopAttestation {
+    HopAttestation {
+        round: rng.next_u64(),
+        position: rng.gen_range(0..64u32) as usize,
+        input_dhs: groups(rng),
+        output_dhs: groups(rng),
+        proof: dleq(rng),
+    }
+}
+
 /// A random well-formed frame with wire tag `tag`, or `None` (drawing
 /// nothing from `rng`) for a tag no arm builds.  One arm per frame row
 /// of `docs/PROTOCOL.md` §2, in tag order.
@@ -221,33 +233,18 @@ pub fn arb_frame(rng: &mut StdRng, tag: u8) -> Option<Frame> {
         0x27 => Frame::MixBatchEnd {
             digest: array32(rng),
         },
-        0x28 => Frame::HopOutputStart {
-            round: rng.next_u64(),
-            position: rng.gen_range(0..64u32),
-            total: rng.gen_range(0..=MAX_BATCH as u32),
-        },
-        0x29 => Frame::HopOutputChunk {
-            entries: mix_entries(rng),
-        },
-        0x2A => Frame::HopOutputEnd {
-            digest: array32(rng),
-            proof: dleq(rng),
-        },
         0x2B => Frame::VerifyHopKeys {
-            round: rng.next_u64(),
-            position: rng.gen_range(0..64u32),
-            input_dhs: groups(rng),
-            output_dhs: groups(rng),
-            proof: dleq(rng),
+            attestation: attestation(rng),
         },
         0x2C => Frame::MixForward {
             round: rng.next_u64(),
         },
         0x2D => Frame::HopForwarded {
+            attestation: attestation(rng),
+        },
+        0x2E => Frame::HopProof {
             round: rng.next_u64(),
             position: rng.gen_range(0..64u32),
-            input_dhs: groups(rng),
-            output_dhs: groups(rng),
             proof: dleq(rng),
         },
         0x30 => Frame::RevealInnerKey {
@@ -290,11 +287,7 @@ pub fn arb_frame(rng: &mut StdRng, tag: u8) -> Option<Frame> {
             },
         },
         0x44 => Frame::DisputeOpen {
-            round: rng.next_u64(),
-            accused: rng.gen_range(0..64u32),
-            input_dhs: groups(rng),
-            output_dhs: groups(rng),
-            proof: dleq(rng),
+            attestation: attestation(rng),
         },
         0x45 => Frame::DisputeEvidence {
             round: rng.next_u64(),

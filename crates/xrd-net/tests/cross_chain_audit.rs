@@ -31,7 +31,7 @@ use xrd_crypto::Scalar;
 use xrd_mixnet::chain_keys::{generate_chain_keys, rotate_inner_keys, ChainPublicKeys};
 use xrd_mixnet::client::Submission;
 use xrd_mixnet::{verify_hops_batched, verify_hops_batched_multi, ChainAudit, HopRecord};
-use xrd_net::codec::{read_frame_with_body, Frame};
+use xrd_net::codec::{read_frame, Frame};
 use xrd_net::swarm::sealed_submissions;
 use xrd_net::{
     ChainClient, Conn, ConnTimeouts, DaemonHandle, MixPhase, MixServerDaemon, NetError,
@@ -78,7 +78,7 @@ impl ScriptedHop {
                 std::thread::spawn(move || {
                     let mut from = BufReader::new(server);
                     let mut to = client;
-                    while let Ok(Some(Ok((frame, _)))) = read_frame_with_body(&mut from) {
+                    while let Ok(Some(Ok((frame, _)))) = read_frame(&mut from) {
                         if to.write_all(&script(frame).encode()).is_err() {
                             break;
                         }
@@ -326,28 +326,24 @@ fn shared_audit_convicts_a_bad_proof(transport: Transport) {
     let mut rng = StdRng::seed_from_u64(8192);
     let honest = launch_chain(&mut rng, 0, K, transport, Vec::new());
     // Hop 0's proof is bent on its way to the coordinator (it rides a
-    // `HopForwarded` or the output stream's End, by transport) and hop 1
+    // `HopForwarded` or the reply's `HopProof`, by transport) and hop 1
     // vouches for whatever it is asked about.
     let bad_proof: Script = Box::new(|frame| match frame {
-        Frame::HopForwarded {
+        Frame::HopForwarded { mut attestation } => {
+            attestation.proof.response = attestation.proof.response.add(&Scalar::ONE);
+            Frame::HopForwarded { attestation }
+        }
+        Frame::HopProof {
             round,
             position,
-            input_dhs,
-            output_dhs,
             mut proof,
         } => {
             proof.response = proof.response.add(&Scalar::ONE);
-            Frame::HopForwarded {
+            Frame::HopProof {
                 round,
                 position,
-                input_dhs,
-                output_dhs,
                 proof,
             }
-        }
-        Frame::HopOutputEnd { digest, mut proof } => {
-            proof.response = proof.response.add(&Scalar::ONE);
-            Frame::HopOutputEnd { digest, proof }
         }
         other => other,
     });
@@ -415,21 +411,9 @@ fn rewrite_attestation(
     rewrite: impl Fn(&mut Vec<GroupElement>, &mut Vec<GroupElement>) + Send + Sync + 'static,
 ) -> Script {
     Box::new(move |frame| match frame {
-        Frame::HopForwarded {
-            round,
-            position,
-            mut input_dhs,
-            mut output_dhs,
-            proof,
-        } => {
-            rewrite(&mut input_dhs, &mut output_dhs);
-            Frame::HopForwarded {
-                round,
-                position,
-                input_dhs,
-                output_dhs,
-                proof,
-            }
+        Frame::HopForwarded { mut attestation } => {
+            rewrite(&mut attestation.input_dhs, &mut attestation.output_dhs);
+            Frame::HopForwarded { attestation }
         }
         other => other,
     })

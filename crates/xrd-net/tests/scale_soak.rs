@@ -209,15 +209,14 @@ fn soak_at_ten_thousand_users_with_transport_parity() {
     );
 }
 
-/// A forwarding hop sends a batch its successor refused **once**: a
-/// batch that has gone out is never sent again.  A
-/// bad onion at the last layer makes the last hop refuse hop 1's batch;
-/// hop 1 reports the failure to hop 0 as an error frame, and hop 0 must
-/// pass it up rather than stream to hop 1 again — which (its forwarded
-/// mark consumed) would run the round's hop a second time as a relayed
-/// one.  Read off each daemon process's own `hop.stream` spans: one per
-/// pass the chain took — forwarded (refused), relayed (blamed), relayed
-/// (clean) on the chain with the onion, one on the others.
+/// A forwarded batch is sent **once**, and a failure deep in a
+/// forwarded chain costs no relayed retry.  A bad onion at the last
+/// layer fails the last hop, which reports its `HopFailure` to the
+/// coordinator and acks hop 1's batch; nothing upstream re-sends a
+/// batch or runs the round's hop a second time.  Read off each daemon
+/// process's own `hop.stream` spans: one per pass the chain took —
+/// forwarded (blamed in place), forwarded (clean) on the chain with the
+/// onion, one on the others.
 #[test]
 fn refused_forward_is_not_resent() {
     let mut rng = StdRng::seed_from_u64(77);
@@ -263,7 +262,7 @@ fn refused_forward_is_not_resent() {
                 .iter()
                 .filter(|s| s.name == "hop.stream" && s.round == 0)
                 .count();
-            let passes = if c == 0 { 3 } else { 1 };
+            let passes = if c == 0 { 2 } else { 1 };
             assert_eq!(
                 hops, passes,
                 "chain {c} hop {pos} ran the round's hop {hops}×"

@@ -17,7 +17,7 @@ use xrd_mixnet::chain_keys::{generate_chain_keys, rotate_inner_keys};
 use xrd_mixnet::message::MixEntry;
 use xrd_mixnet::server::{verify_hop, MixServer};
 use xrd_net::codec::{
-    encode_hop_output_stream, error_code, read_frame_with_body, ChunkedBatch, Frame, StreamDigest,
+    encode_hop_output_stream, error_code, read_frame, ChunkedBatch, Frame, StreamDigest,
     STREAM_CHUNK,
 };
 use xrd_net::{
@@ -131,21 +131,23 @@ fn forwarded_chain_rounds_deliver() {
 }
 
 /// One bad *user* onion never costs a forwarded chain its round,
-/// whichever layer it breaks at, even with a single retry to spend.
-/// At layer 0 the `HopFailure` reaches the coordinator and is blamed in
-/// place; deeper, the failure cascades up the daemons as an error, the
-/// pass is retried relayed on fresh connections — where no hop may still
-/// hold the failed pass's forwarded mark (its report connection is
-/// gone), or it would answer the relayed stream `Ok` and burn the one
-/// retry — and the §6.4 trace convicts the injected submission there.
+/// whichever layer it breaks at.  The failing hop reports its
+/// `HopFailure` to the coordinator — hop 0 as its reply, a deeper hop
+/// on its report connection, acking its predecessor `Ok` — so the §6.4
+/// trace convicts the injected submission in place and the pass repeats
+/// forwarded without it.  No relayed retry is needed: with a single
+/// attempt the round still delivers and `chain.mix_retries` does not
+/// move.
 #[test]
 fn forwarded_chain_survives_a_bad_onion_at_any_layer() {
     let config = DeploymentConfig::small(4, 3);
-    let retry = RetryPolicy {
-        attempts: 2,
-        ..RetryPolicy::default()
-    };
-    for layer in 0..3 {
+    for (attempts, layer) in [(2, 0), (2, 1), (2, 2), (1, 0), (1, 1), (1, 2)] {
+        let retry = RetryPolicy {
+            attempts,
+            ..RetryPolicy::default()
+        };
+        let mix_retries = xrd_obs::counter("chain.mix_retries");
+        let retries_before = mix_retries.get();
         let mut rng = StdRng::seed_from_u64(37 + layer as u64);
         let (mut cluster, _proxies, mut deployment) = launch_local_faulty_with(
             &mut rng,
@@ -188,6 +190,13 @@ fn forwarded_chain_survives_a_bad_onion_at_any_layer() {
         );
         for user in &users {
             assert_eq!(fetched[&user.mailbox_id()].len(), ell);
+        }
+        if attempts == 1 {
+            assert_eq!(
+                mix_retries.get(),
+                retries_before,
+                "layer {layer}: the failure is blamed in place, not retried relayed"
+            );
         }
         cluster.shutdown();
     }
@@ -399,6 +408,65 @@ fn half_closing_client_still_receives_deferred_response() {
     assert!(reply == expected, "reply differs from the reference hop");
 }
 
+/// A relay passes a hop's reply on to the next hop byte for byte: the
+/// next hop receives exactly the reply minus its opening `HopProof` —
+/// the batch stream, as the hop emitted it — and the relay itself gets
+/// back the hop `MixServer::process_round` computes in process.
+#[test]
+fn a_relayed_reply_reaches_the_next_hop_byte_for_byte() {
+    use std::io::Read;
+    let round = 0u64;
+    let mut rng = StdRng::seed_from_u64(19);
+    let (mut secrets, mut public) = generate_chain_keys(&mut rng, 2, 0);
+    rotate_inner_keys(&mut rng, &mut secrets, &mut public, round);
+    let subs = xrd_net::swarm::sealed_submissions(&mut rng, &public, round, 20);
+    let entries: Vec<MixEntry> = subs.iter().map(|s| s.to_entry()).collect();
+    let reference = MixServer::new(secrets.remove(0), public)
+        .process_round(&mut StdRng::seed_from_u64(3), round, entries)
+        .expect("reference hop runs");
+    let reply = encode_hop_output_stream(round, 0, &reference.outputs, &reference.proof, 6);
+
+    // The hop: a peer that answers with the scripted reply.
+    let hop = TcpListener::bind("127.0.0.1:0").expect("binds");
+    let hop_addr = hop.local_addr().expect("bound");
+    let scripted = reply.clone();
+    std::thread::spawn(move || {
+        let (mut stream, _) = hop.accept().expect("relay dials the hop");
+        stream.write_all(&scripted).expect("reply sent");
+        let _ = stream.read_to_end(&mut Vec::new());
+    });
+    // The next hop: a peer that keeps every byte it is sent.
+    let next_hop = TcpListener::bind("127.0.0.1:0").expect("binds");
+    let next_addr = next_hop.local_addr().expect("bound");
+    let (captured, relayed) = mpsc::channel();
+    std::thread::spawn(move || {
+        let (mut stream, _) = next_hop.accept().expect("relay dials the next hop");
+        let mut bytes = Vec::new();
+        stream.read_to_end(&mut bytes).expect("reads to EOF");
+        captured.send(bytes).expect("test awaits the bytes");
+    });
+
+    let mut conn = Conn::connect(hop_addr).expect("connects to the hop");
+    let mut next = Conn::connect(next_addr).expect("connects to the next hop");
+    let got = conn
+        .recv_hop_reply(round, reference.outputs.len(), Some(&mut next))
+        .expect("reply received");
+    drop(next);
+    let proof_frame = 4 + u32::from_le_bytes(reply[..4].try_into().unwrap()) as usize;
+    let relayed = relayed
+        .recv_timeout(Duration::from_secs(10))
+        .expect("next hop saw EOF");
+    assert!(relayed == reply[proof_frame..], "relayed bytes differ");
+    assert_eq!(
+        got,
+        HopReply::Output {
+            position: 0,
+            outputs: reference.outputs,
+            proof: reference.proof,
+        }
+    );
+}
+
 /// What a [`fake_successor`] does once a whole stream has arrived.
 #[derive(Clone, Copy)]
 enum Then {
@@ -422,7 +490,7 @@ fn fake_successor(script: fn(u64) -> Then) -> (SocketAddr, mpsc::Receiver<Option
             let Ok(mut stream) = stream else { return };
             let mut reader = BufReader::new(stream.try_clone().expect("clones"));
             let mut round = None;
-            while let Ok(Some(Ok((frame, _)))) = read_frame_with_body(&mut reader) {
+            while let Ok(Some(Ok((frame, _)))) = read_frame(&mut reader) {
                 match frame {
                     Frame::MixBatchStart { round: r, .. } => round = Some(r),
                     Frame::MixBatchEnd { .. } => {
@@ -494,7 +562,7 @@ fn a_forwarded_batch_is_sent_once() {
     });
     let (_daemon, mut conn, batches) = forwarding_hop(successor);
     let first = forward(&mut conn, 0, &batches[0]);
-    assert!(matches!(first, Ok(HopReply::Attested { .. })), "{first:?}");
+    assert!(matches!(first, Ok(HopReply::Attested(_))), "{first:?}");
     match forward(&mut conn, 1, &batches[1]) {
         Err(NetError::Remote { code, .. }) => assert_eq!(code, error_code::BAD_STATE),
         other => panic!("expected the forward's failure, got {other:?}"),
@@ -514,14 +582,11 @@ fn a_forward_link_closed_while_idle_is_redialed() {
     });
     let (_daemon, mut conn, batches) = forwarding_hop(successor);
     let first = forward(&mut conn, 0, &batches[0]);
-    assert!(matches!(first, Ok(HopReply::Attested { .. })), "{first:?}");
+    assert!(matches!(first, Ok(HopReply::Attested(_))), "{first:?}");
     let wait = Duration::from_secs(10);
     assert_eq!(events.recv_timeout(wait), Ok(Some(0)));
     assert_eq!(events.recv_timeout(wait), Ok(None), "the link is closed");
     let second = forward(&mut conn, 1, &batches[1]);
-    assert!(
-        matches!(second, Ok(HopReply::Attested { .. })),
-        "{second:?}"
-    );
+    assert!(matches!(second, Ok(HopReply::Attested(_))), "{second:?}");
     assert_eq!(events.recv_timeout(wait), Ok(Some(1)));
 }

@@ -106,25 +106,6 @@ impl<E> Engine<E> {
             handler(self, event);
         }
     }
-
-    /// Run until the queue is empty or `deadline` is reached (events at
-    /// exactly the deadline are still delivered).  Returns true if the
-    /// queue drained.
-    pub fn run_until<F: FnMut(&mut Engine<E>, E)>(
-        &mut self,
-        deadline: SimTime,
-        mut handler: F,
-    ) -> bool {
-        loop {
-            match self.queue.peek() {
-                None => return true,
-                Some(Reverse(next)) if next.at > deadline => return false,
-                _ => {}
-            }
-            let event = self.next_event().expect("peeked event exists");
-            handler(self, event);
-        }
-    }
 }
 
 #[cfg(test)]
@@ -178,22 +159,6 @@ mod tests {
         engine.schedule_at(SimTime(10), ());
         engine.next_event();
         engine.schedule_at(SimTime(5), ());
-    }
-
-    #[test]
-    fn run_until_stops_at_deadline() {
-        let mut engine: Engine<u32> = Engine::new();
-        engine.schedule_at(SimTime(10), 1);
-        engine.schedule_at(SimTime(20), 2);
-        engine.schedule_at(SimTime(30), 3);
-        let mut seen = vec![];
-        let drained = engine.run_until(SimTime(20), |_, e| seen.push(e));
-        assert!(!drained);
-        assert_eq!(seen, vec![1, 2]);
-        assert_eq!(engine.pending(), 1);
-        let drained = engine.run_until(SimTime(100), |_, e| seen.push(e));
-        assert!(drained);
-        assert_eq!(seen, vec![1, 2, 3]);
     }
 
     #[test]

@@ -9,8 +9,7 @@
 //! * [`NetworkModel`] — pairwise latency + bandwidth (the `tc` stand-in),
 //! * [`ServerCompute`] / [`OpCosts`] — multi-core makespan modeling with
 //!   per-operation costs calibrated from microbenchmarks of the real
-//!   crypto implementation,
-//! * [`DurationStats`] / [`Counters`] — run metrics.
+//!   crypto implementation.
 //!
 //! Protocol logic never lives here; XRD rounds are simulated by driving
 //! these primitives from `xrd-core`.
@@ -19,12 +18,10 @@
 
 pub mod compute;
 pub mod engine;
-pub mod metrics;
 pub mod net;
 pub mod time;
 
 pub use compute::{OpCosts, ServerCompute};
 pub use engine::Engine;
-pub use metrics::{Counters, DurationStats};
 pub use net::{NetworkModel, NodeId};
 pub use time::{SimDuration, SimTime};

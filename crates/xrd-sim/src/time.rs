@@ -69,12 +69,6 @@ impl SimDuration {
         SimDuration(self.0.saturating_mul(factor))
     }
 
-    /// Scale by a float factor (rounding to nanoseconds).
-    pub fn scale_f64(&self, factor: f64) -> SimDuration {
-        assert!(factor >= 0.0 && factor.is_finite());
-        SimDuration((self.0 as f64 * factor).round() as u64)
-    }
-
     /// Larger of the two.
     pub fn max(self, other: SimDuration) -> SimDuration {
         SimDuration(self.0.max(other.0))
@@ -157,7 +151,6 @@ mod tests {
     fn scaling() {
         let d = SimDuration::from_micros(10);
         assert_eq!(d.scale(3), SimDuration::from_micros(30));
-        assert_eq!(d.scale_f64(0.5), SimDuration::from_micros(5));
     }
 
     #[test]

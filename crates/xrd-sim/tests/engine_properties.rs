@@ -53,24 +53,4 @@ proptest! {
         prop_assert_eq!(engine.events_processed(), delivered);
         prop_assert_eq!(engine.pending(), 0);
     }
-
-    /// run_until never delivers an event past the deadline, and resuming
-    /// delivers the rest.
-    #[test]
-    fn run_until_partitions_cleanly(
-        times in prop::collection::vec(0u64..1000, 1..40),
-        deadline in 0u64..1000,
-    ) {
-        let mut engine: Engine<u64> = Engine::new();
-        for &t in &times {
-            engine.schedule_at(SimTime(t), t);
-        }
-        let mut early: Vec<u64> = Vec::new();
-        engine.run_until(SimTime(deadline), |_, e| early.push(e));
-        prop_assert!(early.iter().all(|&t| t <= deadline));
-        let mut late: Vec<u64> = Vec::new();
-        engine.run(|_, e| late.push(e));
-        prop_assert!(late.iter().all(|&t| t > deadline));
-        prop_assert_eq!(early.len() + late.len(), times.len());
-    }
 }
