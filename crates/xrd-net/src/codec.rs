@@ -1497,12 +1497,12 @@ pub fn encode_hop_output_stream(
 /// arrive off a socket (in chunks of any size, down to one byte at a
 /// time) and pull complete [`Frame`]s out as they become available.
 ///
-/// This is the event-loop counterpart of [`read_frame`]:
-/// where that blocks until a whole frame is buffered, `FrameDecoder`
-/// never blocks and never copies more than once — partial frames stay
-/// buffered until completed by a later `feed`.
+/// It is the crate's one frame decoder: every connection — the
+/// reactors' and the blocking [`crate::Conn`]'s — feeds one (through
+/// `framed.rs`).  It never blocks and never copies more than once —
+/// partial frames stay buffered until completed by a later `feed`.
 ///
-/// Error semantics mirror the blocking reader's:
+/// Errors:
 ///
 /// * a malformed frame *body* (bad tag, bad encoding, trailing bytes)
 ///   is consumed and reported per frame — the stream itself is still
@@ -1573,6 +1573,13 @@ impl FrameDecoder {
     /// * `Some(Err(_))` — a malformed frame (consumed) or a
     ///   desynchronized stream (latched; see type-level docs).
     pub fn try_frame(&mut self) -> Option<Result<Frame, CodecError>> {
+        self.try_frame_wire().map(|r| r.map(|(frame, _)| frame))
+    }
+
+    /// [`FrameDecoder::try_frame`], also lending the frame's wire bytes
+    /// (length prefix, tag and payload) — what a relay sends on byte
+    /// for byte, or digests without re-encoding.
+    pub fn try_frame_wire(&mut self) -> Option<Result<(Frame, &[u8]), CodecError>> {
         if let Some(e) = &self.desynced {
             return Some(Err(e.clone()));
         }
@@ -1592,46 +1599,10 @@ impl FrameDecoder {
         if avail.len() < 4 + len {
             return None;
         }
-        let frame = Frame::decode(&avail[4..4 + len]);
+        let wire = &self.buf[self.pos..self.pos + 4 + len];
         self.pos += 4 + len;
-        Some(frame)
+        Some(Frame::decode(&wire[4..]).map(|frame| (frame, wire)))
     }
-}
-
-/// Read one frame from a stream (blocking), returning it together with
-/// its wire bytes (length prefix, tag and payload) — for byte
-/// accounting, and for relays that send a frame on byte for byte or
-/// digest it without re-encoding.  Returns `Ok(None)` on a clean EOF at
-/// a frame boundary.
-#[allow(clippy::type_complexity)] // io error / clean EOF / codec error, nested
-pub fn read_frame<R: std::io::Read>(
-    stream: &mut R,
-) -> std::io::Result<Option<Result<(Frame, Vec<u8>), CodecError>>> {
-    let mut len_bytes = [0u8; 4];
-    let mut filled = 0;
-    while filled < 4 {
-        match stream.read(&mut len_bytes[filled..])? {
-            0 if filled == 0 => return Ok(None), // clean EOF
-            0 => {
-                return Err(std::io::Error::new(
-                    std::io::ErrorKind::UnexpectedEof,
-                    "EOF inside frame length",
-                ))
-            }
-            n => filled += n,
-        }
-    }
-    let len = u32::from_le_bytes(len_bytes) as usize;
-    if len == 0 || len > MAX_FRAME_LEN {
-        return Ok(Some(Err(CodecError::Oversized {
-            declared: len,
-            cap: MAX_FRAME_LEN,
-        })));
-    }
-    let mut wire = vec![0u8; 4 + len];
-    wire[..4].copy_from_slice(&len_bytes);
-    stream.read_exact(&mut wire[4..])?;
-    Ok(Some(Frame::decode(&wire[4..]).map(|frame| (frame, wire))))
 }
 
 #[cfg(test)]
@@ -1667,38 +1638,25 @@ mod tests {
 
     #[test]
     fn stream_roundtrip() {
-        let frames = vec![
-            Frame::OpenRound { round: 3 },
-            Frame::Ok,
-            Frame::FetchPage {
-                mailbox: [9; 32],
-                cursor: 17,
-                max: 64,
-            },
-        ];
-        let wire: Vec<u8> = frames.iter().flat_map(Frame::encode).collect();
-        let mut cursor = std::io::Cursor::new(wire);
+        let frames = [Frame::OpenRound { round: 3 }, Frame::Ok, Frame::Ping];
+        let mut decoder = FrameDecoder::new();
+        decoder.feed(&frames.iter().flat_map(Frame::encode).collect::<Vec<u8>>());
         for f in &frames {
-            let (got, wire) = read_frame(&mut cursor).unwrap().unwrap().unwrap();
-            assert_eq!(&got, f);
-            assert_eq!(wire, f.encode());
+            let (got, wire) = decoder.try_frame_wire().unwrap().unwrap();
+            assert_eq!((&got, wire), (f, &f.encode()[..]));
         }
-        assert!(read_frame(&mut cursor).unwrap().is_none(), "clean EOF");
+        // At a frame boundary: an EOF here is a clean one.
+        assert_eq!(decoder.buffered(), 0);
     }
 
     #[test]
     fn zero_and_oversized_lengths_rejected() {
-        let mut zero = std::io::Cursor::new(vec![0u8, 0, 0, 0]);
-        assert!(matches!(
-            read_frame(&mut zero).unwrap().unwrap(),
-            Err(CodecError::Oversized { .. })
-        ));
-        let huge = (MAX_FRAME_LEN as u32 + 1).to_le_bytes().to_vec();
-        let mut huge = std::io::Cursor::new(huge);
-        assert!(matches!(
-            read_frame(&mut huge).unwrap().unwrap(),
-            Err(CodecError::Oversized { .. })
-        ));
+        for len in [0, MAX_FRAME_LEN as u32 + 1] {
+            let mut decoder = FrameDecoder::new();
+            decoder.feed(&len.to_le_bytes());
+            let rejected = decoder.try_frame().unwrap();
+            assert!(matches!(rejected, Err(CodecError::Oversized { .. })));
+        }
     }
 
     #[test]
@@ -1792,14 +1750,5 @@ mod tests {
             decoder.try_frame().unwrap().unwrap(),
             Frame::OpenRound { round: 3 }
         );
-    }
-
-    #[test]
-    fn eof_mid_frame_is_io_error() {
-        // Length says 10 bytes, only 3 present.
-        let mut wire = 10u32.to_le_bytes().to_vec();
-        wire.extend_from_slice(&[1, 2, 3]);
-        let mut cursor = std::io::Cursor::new(wire);
-        assert!(read_frame(&mut cursor).is_err());
     }
 }

@@ -2,17 +2,19 @@
 //! stream carrying request/response [`Frame`] pairs, with byte
 //! accounting for throughput reporting.
 //!
-//! The client side stays deliberately simple — blocking sockets, one
-//! [`Conn`] per daemon endpoint.  The event-driven daemons answer a
-//! connection's requests strictly in order and apply backpressure by
-//! not reading ahead, so *pipelining* — several [`Conn::send`]s before
-//! collecting responses with [`Conn::recv`] — works as long as the
-//! in-flight requests plus their responses fit in the kernel socket
-//! buffers (small frames like `Submit`/`Ok`).  Do not pipeline behind
-//! a request with a large response (`GetBatch`): the daemon stops
-//! reading until that response drains, and a client still blocked in
-//! `send` never reaches `recv` — both sides would wait on full buffers
-//! forever.
+//! The client side stays deliberately simple — one [`Conn`] per daemon
+//! endpoint: the crate's one framed socket (`framed.rs`, the one the
+//! reactors drive) over a single blocking descriptor, its reads and
+//! writes bounded by the [`ConnTimeouts`] deadlines.  The event-driven
+//! daemons answer a connection's requests strictly in order and apply
+//! backpressure by not reading ahead, so *pipelining* — several
+//! [`Conn::send`]s before collecting responses with [`Conn::recv`] —
+//! works as long as the in-flight requests plus their responses fit in
+//! the kernel socket buffers (small frames like `Submit`/`Ok`).  Do not
+//! pipeline behind a request with a large response (`GetBatch`): the
+//! daemon stops reading until that response drains, and a client still
+//! blocked in `send` never reaches `recv` — both sides would wait on
+//! full buffers forever.
 //!
 //! A mix hop (`MixBatchStart/Chunk…/End`, [`Conn::stream_hop`]) is the
 //! sanctioned exception to the one-request-one-response shape: many
@@ -24,7 +26,6 @@
 //! spec, not implementation detail: see `docs/PROTOCOL.md` §6
 //! ("Connection semantics, backpressure and pipelining").
 
-use std::io::{BufReader, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::time::Duration;
 
@@ -33,6 +34,7 @@ use xrd_mixnet::message::MixEntry;
 use xrd_mixnet::server::HopAttestation;
 
 use crate::codec::{BatchAssembler, ChunkedBatch, CodecError, Frame, StreamError};
+use crate::framed::{Flush, Framed};
 
 /// Errors surfaced by wire operations.
 #[derive(Debug)]
@@ -128,7 +130,7 @@ pub struct ConnTimeouts {
     /// Deadline for the TCP connect itself.
     pub connect: Duration,
     /// Deadline for each blocking read (time with *no* bytes arriving;
-    /// a slow-but-flowing peer resets it with every buffered refill).
+    /// a slow-but-flowing peer resets it with every read).
     pub read: Duration,
     /// Deadline for each blocking write.
     pub write: Duration,
@@ -210,24 +212,9 @@ fn unexpected(frame: Frame, expected: &str) -> NetError {
     }
 }
 
-/// Whether a connection between exchanges is fit to carry the next one:
-/// a non-blocking `peek` on `stream` finds nothing to read yet.  EOF,
-/// an error or bytes nobody asked for mean the peer hung up or the
-/// stream is out of step.  `stream` must be in non-blocking mode.
-pub(crate) fn at_rest(stream: &TcpStream) -> bool {
-    match stream.peek(&mut [0u8; 1]) {
-        Err(e) => matches!(
-            e.kind(),
-            std::io::ErrorKind::WouldBlock | std::io::ErrorKind::Interrupted
-        ),
-        Ok(_) => false,
-    }
-}
-
 /// A persistent request/response connection to one daemon.
 pub struct Conn {
-    reader: BufReader<TcpStream>,
-    writer: TcpStream,
+    framed: Framed,
     peer: SocketAddr,
     timeouts: ConnTimeouts,
     bytes_sent: u64,
@@ -247,10 +234,8 @@ impl Conn {
         stream.set_nodelay(true)?;
         stream.set_read_timeout(Some(timeouts.read))?;
         stream.set_write_timeout(Some(timeouts.write))?;
-        let reader = BufReader::new(stream.try_clone()?);
         Ok(Conn {
-            reader,
-            writer: stream,
+            framed: Framed::new(stream),
             peer: addr,
             timeouts,
             bytes_sent: 0,
@@ -268,21 +253,16 @@ impl Conn {
     /// after a [`NetError::Timeout`] or codec desync left the old
     /// stream unusable.
     pub fn reconnect(&mut self) -> Result<(), NetError> {
-        let fresh = Conn::connect_with(self.peer, self.timeouts)?;
-        self.reader = fresh.reader;
-        self.writer = fresh.writer;
+        self.framed = Conn::connect_with(self.peer, self.timeouts)?.framed;
         Ok(())
     }
 
     /// Whether this connection, idle since its last exchange, can carry
-    /// the next one: nothing is buffered unread and its socket is
-    /// [`at_rest`].
+    /// the next one (the framed socket's check, its `peek` nonblocking).
     pub(crate) fn is_at_rest(&self) -> bool {
-        if !self.reader.buffer().is_empty() || self.writer.set_nonblocking(true).is_err() {
-            return false;
-        }
-        let rest = at_rest(&self.writer);
-        self.writer.set_nonblocking(false).is_ok() && rest
+        let stream = self.framed.stream();
+        let rest = stream.set_nonblocking(true).is_ok() && self.framed.is_at_rest();
+        stream.set_nonblocking(false).is_ok() && rest
     }
 
     /// The daemon's address.
@@ -295,7 +275,7 @@ impl Conn {
         self.bytes_sent
     }
 
-    /// Bytes read so far (approximate: counted per decoded frame).
+    /// Bytes read so far.
     pub fn bytes_received(&self) -> u64 {
         self.bytes_received
     }
@@ -311,31 +291,46 @@ impl Conn {
                 cap: crate::codec::MAX_FRAME_LEN,
             }));
         }
-        self.send_encoded(&encoded)
+        self.push(encoded)
     }
 
     /// Await one frame.
     pub fn recv(&mut self) -> Result<Frame, NetError> {
-        self.recv_wire().map(|(frame, _)| frame)
+        self.recv_then(|frame, _| Ok(frame))
     }
 
-    /// Await one frame, also returning its wire bytes (length prefix
-    /// included) — what a relay sends on byte for byte.
-    fn recv_wire(&mut self) -> Result<(Frame, Vec<u8>), NetError> {
-        match crate::codec::read_frame(&mut self.reader)? {
-            None => {
-                conn_metrics().err_disconnected.incr();
-                xrd_obs::debug!("peer {} disconnected mid-exchange", self.peer);
-                Err(NetError::Disconnected)
+    /// Await one frame and hand it, with its wire bytes (length prefix
+    /// included — what a relay sends on byte for byte), to `then`.
+    fn recv_then<R>(
+        &mut self,
+        then: impl FnOnce(Frame, &[u8]) -> Result<R, NetError>,
+    ) -> Result<R, NetError> {
+        let mut scratch = [0u8; 8 * 1024]; // on the stack: a `BufReader`'s 8 KiB
+        loop {
+            match self.framed.next_frame_wire() {
+                Some(Ok((frame, wire))) => {
+                    let taken = then(frame, wire);
+                    self.framed.rest(); // an idle `Conn` holds no buffers
+                    return taken;
+                }
+                Some(Err(e)) => {
+                    conn_metrics().err_codec.incr();
+                    xrd_obs::debug!("peer {} sent an unparseable frame: {e}", self.peer);
+                    return Err(e.into());
+                }
+                None => {}
             }
-            Some(Err(e)) => {
-                conn_metrics().err_codec.incr();
-                xrd_obs::debug!("peer {} sent an unparseable frame: {e}", self.peer);
-                Err(e.into())
-            }
-            Some(Ok((frame, wire))) => {
-                self.bytes_received += wire.len() as u64;
-                Ok((frame, wire))
+            match self.framed.read(&mut scratch) {
+                Ok(0) if self.framed.mid_frame() => {
+                    return Err(NetError::Io(std::io::ErrorKind::UnexpectedEof.into()))
+                }
+                Ok(0) => {
+                    conn_metrics().err_disconnected.incr();
+                    xrd_obs::debug!("peer {} disconnected mid-exchange", self.peer);
+                    return Err(NetError::Disconnected);
+                }
+                Ok(n) => self.bytes_received += n as u64,
+                Err(e) => return Err(NetError::from_io(e, "read")),
             }
         }
     }
@@ -345,10 +340,18 @@ impl Conn {
     /// half of the relay's raw-forward path, and of streamed batches
     /// built once with [`crate::codec::ChunkedBatch`].
     pub fn send_encoded(&mut self, bytes: &[u8]) -> Result<(), NetError> {
+        self.push(bytes.to_vec())
+    }
+
+    /// Write `bytes` out, blocking up to the write deadline.
+    fn push(&mut self, bytes: Vec<u8>) -> Result<(), NetError> {
         self.bytes_sent += bytes.len() as u64;
-        self.writer
-            .write_all(bytes)
-            .map_err(|e| NetError::from_io(e, "write"))
+        self.framed.queue_encoded(bytes);
+        match self.framed.flush().0 {
+            Flush::Drained => Ok(()),
+            Flush::Blocked => Err(NetError::Timeout { op: "write" }),
+            Flush::Dead(e) => Err(NetError::from_io(e, "write")),
+        }
     }
 
     /// The send half of a hop exchange: ship `entries` to the daemon as
@@ -419,42 +422,41 @@ impl Conn {
             Some(next) => next.send_encoded(wire),
             None => Ok(()),
         };
-        let mut assembler = match self.recv_wire()? {
-            (
-                Frame::MixBatchStart {
-                    round: r,
-                    total: declared,
-                },
-                wire,
-            ) if r == round => {
+        let mut assembler = self.recv_then(|frame, wire| match frame {
+            Frame::MixBatchStart {
+                round: r,
+                total: declared,
+            } if r == round => {
                 if declared as usize != total {
                     return Err(NetError::Protocol(format!(
                         "hop {position} answered {declared} entries to a {total}-entry batch"
                     )));
                 }
                 let assembler = BatchAssembler::begin(declared).map_err(bad_stream)?;
-                relay(&wire)?;
-                assembler
+                relay(wire)?;
+                Ok(assembler)
             }
-            (other, _) => return Err(unexpected(other, "MixBatchStart")),
-        };
+            other => Err(unexpected(other, "MixBatchStart")),
+        })?;
         loop {
-            match self.recv_wire()? {
-                (Frame::MixBatchChunk { entries }, wire) => {
+            let end = self.recv_then(|frame, wire| match frame {
+                Frame::MixBatchChunk { entries } => {
                     let payload = &wire[ChunkedBatch::CHUNK_PAYLOAD_OFFSET..];
                     assembler.absorb_raw(entries, payload).map_err(bad_stream)?;
-                    relay(&wire)?;
+                    relay(wire)?;
+                    Ok(None)
                 }
-                (Frame::MixBatchEnd { digest }, wire) => {
-                    let outputs = assembler.finish(digest).map_err(bad_stream)?;
-                    relay(&wire)?;
-                    return Ok(HopReply::Output {
-                        position,
-                        outputs,
-                        proof,
-                    });
-                }
-                (other, _) => return Err(unexpected(other, "MixBatchChunk/End")),
+                Frame::MixBatchEnd { digest } => Ok(Some((digest, wire.to_vec()))),
+                other => Err(unexpected(other, "MixBatchChunk/End")),
+            })?;
+            if let Some((digest, wire)) = end {
+                let outputs = assembler.finish(digest).map_err(bad_stream)?;
+                relay(&wire)?;
+                return Ok(HopReply::Output {
+                    position,
+                    outputs,
+                    proof,
+                });
             }
         }
     }
@@ -488,5 +490,36 @@ impl Conn {
             Frame::Pong => Ok(()),
             other => Err(NetError::Protocol(format!("expected Pong, got {other:?}"))),
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::io::{ErrorKind, Write};
+
+    /// A [`Conn`] to a peer that writes `bytes` and hangs up.
+    fn conn_to_peer_writing(bytes: Vec<u8>) -> Conn {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("binds");
+        let addr = listener.local_addr().expect("bound");
+        std::thread::spawn(move || listener.accept().expect("accepts").0.write_all(&bytes));
+        Conn::connect(addr).expect("connects")
+    }
+
+    #[test]
+    fn frames_then_a_clean_eof_is_disconnected() {
+        let wire = [Frame::Ok.encode(), Frame::OpenRound { round: 3 }.encode()].concat();
+        let mut conn = conn_to_peer_writing(wire.clone());
+        assert_eq!(conn.recv().unwrap(), Frame::Ok);
+        assert_eq!(conn.recv().unwrap(), Frame::OpenRound { round: 3 });
+        assert!(matches!(conn.recv(), Err(NetError::Disconnected)));
+        assert_eq!(conn.bytes_received(), wire.len() as u64);
+    }
+
+    #[test]
+    fn eof_mid_frame_is_io_error() {
+        // Length says 10 bytes, only 3 arrive.
+        let got = conn_to_peer_writing(vec![10, 0, 0, 0, 1, 2, 3]).recv();
+        assert!(matches!(got, Err(NetError::Io(e)) if e.kind() == ErrorKind::UnexpectedEof));
     }
 }

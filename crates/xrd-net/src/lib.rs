@@ -15,12 +15,12 @@
 //! * [`conn`] — the client side of a connection (request/response with
 //!   byte accounting; [`Conn::stream_hop`], the one hop exchange, whose
 //!   receive half also relays a hop's output to the next hop, each
-//!   checked frame byte for byte);
+//!   checked frame byte for byte), blocking on a framed socket;
 //! * [`reactor`] — the event-driven core: a dependency-free
 //!   epoll-based readiness loop (raw syscalls on Linux/x86-64, sweep
-//!   fallback elsewhere) serving every connection of a daemon from one
-//!   thread, with per-connection incremental decode/encode state
-//!   machines, plus a small fixed-size worker pool that batch crypto
+//!   fallback elsewhere) serving every connection of a daemon (a
+//!   `framed.rs` socket under a request/response state machine) from
+//!   one thread, plus a small fixed-size worker pool that batch crypto
 //!   is deferred to (a pending response slot per connection keeps the
 //!   loop serving submissions while a hop runs), and a commit phase
 //!   that ends every loop iteration — replies that acknowledge a write
@@ -75,6 +75,7 @@ pub mod conn;
 pub mod coordinator;
 pub mod daemon;
 pub mod faults;
+mod framed;
 pub mod launcher;
 pub mod manifest;
 pub mod reactor;

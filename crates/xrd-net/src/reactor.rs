@@ -11,9 +11,10 @@
 //! * a `Poller` — raw `epoll` syscalls on Linux/x86-64, a degraded
 //!   sweep poller on other unix targets, no external crates either
 //!   way — reports which sockets are ready;
-//! * each connection owns a tiny state machine: an incremental
-//!   [`crate::codec::FrameDecoder`] accumulating request
-//!   bytes and an outbound buffer drained as the socket accepts them.
+//! * each connection is the crate's one framed socket (`framed.rs`: an
+//!   incremental [`crate::codec::FrameDecoder`] accumulating request
+//!   bytes, an outbound buffer drained as the socket accepts them)
+//!   under a tiny request/response state machine.
 //!
 //! A peer that dribbles a frame one byte at a time, stalls mid-frame,
 //! or stops reading its responses costs the daemon nothing but a
@@ -77,7 +78,8 @@ use std::time::Instant;
 
 use xrd_obs::{Counter, Gauge, Histogram};
 
-use crate::codec::{error_code, Frame, FrameDecoder};
+use crate::codec::{error_code, Frame};
+use crate::framed::{Flush, Framed, READ_CHUNK};
 
 /// Identifies one connection for the lifetime of a reactor (tokens are
 /// never reused, so a stale id can never address a newer connection).
@@ -332,12 +334,9 @@ impl WorkerPool {
 }
 
 /// How long one readiness wait may block before re-checking the stop
-/// flag (shutdown latency bound, not a busy-poll interval).
-const WAIT_MS: i32 = 100;
-
-/// Socket read chunk.  One syscall per chunk; 64 KiB amortizes the
-/// syscall cost for batch frames while staying cache-friendly.
-const READ_CHUNK: usize = 64 * 1024;
+/// flag or a deadline (a latency bound, not a busy-poll interval); the
+/// client reactor waits the same.
+pub(crate) const WAIT_MS: i32 = 100;
 
 // ---------------------------------------------------------------------
 // Poller: epoll on Linux/x86-64, a sweep fallback elsewhere
@@ -364,7 +363,8 @@ pub(crate) mod sys {
     //! libc-style crate, and `std` does not expose readiness APIs, so
     //! the three syscalls the reactor needs are issued directly.
     //! `pub(crate)`: the client-side swarm reactor drives its own loop
-    //! over the same poller.
+    //! over the same poller, and raises its descriptor limit through
+    //! the same `syscall4`.
 
     use std::io;
     use std::os::fd::RawFd;
@@ -394,7 +394,7 @@ pub(crate) mod sys {
     /// rdi/rsi/rdx/r10, number in rax, result in rax (negative errno on
     /// failure); rcx and r11 are clobbered by the instruction itself.
     #[inline]
-    unsafe fn syscall4(n: i64, a1: i64, a2: i64, a3: i64, a4: i64) -> i64 {
+    pub unsafe fn syscall4(n: i64, a1: i64, a2: i64, a3: i64, a4: i64) -> i64 {
         let ret;
         std::arch::asm!(
             "syscall",
@@ -699,15 +699,8 @@ impl ReactorMetrics {
 }
 
 struct Connection {
-    stream: TcpStream,
-    decoder: FrameDecoder,
-    /// Encoded-but-unsent response bytes; `outpos` marks the sent
-    /// prefix.
-    outbuf: Vec<u8>,
-    outpos: usize,
-    /// Readiness interest currently registered with the poller.
-    registered: u32,
-    /// Close once `outbuf` drains (protocol error or shutdown ack).
+    framed: Framed,
+    /// Close once the output drains (protocol error or shutdown ack).
     closing: bool,
     /// This connection carried [`Frame::Shutdown`]: stop the daemon
     /// once the acknowledgement is flushed.
@@ -725,28 +718,6 @@ struct Connection {
 }
 
 impl Connection {
-    fn new(stream: TcpStream) -> Connection {
-        Connection {
-            stream,
-            decoder: FrameDecoder::new(),
-            outbuf: Vec::new(),
-            outpos: 0,
-            registered: interest::READ | interest::READ_HANGUP,
-            closing: false,
-            is_shutdown: false,
-            pending: false,
-            read_closed: false,
-        }
-    }
-
-    fn queue(&mut self, frame: &Frame) {
-        self.outbuf.extend_from_slice(&frame.encode());
-    }
-
-    fn has_pending_output(&self) -> bool {
-        self.outpos < self.outbuf.len()
-    }
-
     /// The readiness this connection should be registered for: drain
     /// output first; only solicit (and therefore read) new requests
     /// once the previous response is fully on the wire.  While a
@@ -760,51 +731,12 @@ impl Connection {
         } else {
             interest::READ_HANGUP
         };
-        if self.has_pending_output() {
+        if self.framed.has_pending_output() {
             interest::WRITE | hangup
         } else if self.pending || self.read_closed {
             hangup
         } else {
             interest::READ | hangup
-        }
-    }
-
-    /// Write pending output until it drains (`Ok(true)`) or the socket
-    /// stops taking it (`Ok(false)`); `Err` means the connection is
-    /// dead.
-    fn drain_output(&mut self, metrics: &ReactorMetrics) -> std::io::Result<bool> {
-        while self.has_pending_output() {
-            match self.stream.write(&self.outbuf[self.outpos..]) {
-                Ok(0) => return Err(std::io::ErrorKind::WriteZero.into()),
-                Ok(n) => {
-                    metrics.bytes_out.add(n as u64);
-                    self.outpos += n;
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    metrics.write_stalls.incr();
-                    return Ok(false);
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                Err(e) => {
-                    metrics.err_io.incr();
-                    return Err(e);
-                }
-            }
-        }
-        self.outbuf.clear();
-        self.outpos = 0;
-        Ok(true)
-    }
-
-    /// The connection has gone quiet: everything it was sent is
-    /// answered, every answer is on the wire, and the socket has no
-    /// more for it.  Hand back the buffers its last frames grew — a
-    /// client keeping the connection for the next round costs a socket,
-    /// not the ~1 KiB its last `Submit` occupied.
-    fn rest(&mut self) {
-        if self.decoder.buffered() == 0 {
-            self.decoder = FrameDecoder::new();
-            self.outbuf = Vec::new();
         }
     }
 
@@ -832,10 +764,18 @@ impl Connection {
         let mut frames_this_visit = 0;
         loop {
             // 1. Flush whatever output is pending.
-            match self.drain_output(metrics) {
-                Ok(true) => {}
-                Ok(false) => return Action::Keep,
-                Err(_) => return Action::Drop,
+            let (flushed, written) = self.framed.flush();
+            metrics.bytes_out.add(written as u64);
+            match flushed {
+                Flush::Drained => {}
+                Flush::Blocked => {
+                    metrics.write_stalls.incr();
+                    return Action::Keep;
+                }
+                Flush::Dead(_) => {
+                    metrics.err_io.incr();
+                    return Action::Drop;
+                }
             }
             if self.closing {
                 return if self.is_shutdown {
@@ -844,54 +784,31 @@ impl Connection {
                     Action::Drop
                 };
             }
-            if self.pending {
-                // The response is still being computed on the pool.  A
-                // readiness visit in this state is connection trouble —
-                // we solicit no reads, but the level-triggered poller
-                // keeps re-reporting a hangup until acted on, which
-                // would busy-spin the loop for the length of the job.
-                if self.read_closed {
-                    // Interest is down to the unmaskable ERR/HUP: the
-                    // peer is gone in both directions, the response
-                    // has no reader.  (Its completion is discarded on
-                    // arrival.)
-                    return Action::Drop;
-                }
-                // Probe the socket: a *half*-closing request/response
-                // client (EOF here) still gets its response — only a
-                // write failure ends that connection; stray bytes are
-                // buffered, not processed.
-                return match self.stream.read(read_buf) {
-                    Ok(0) => {
-                        self.read_closed = true;
-                        Action::Keep
-                    }
-                    Ok(n) => {
-                        metrics.bytes_in.add(n as u64);
-                        self.decoder.feed(&read_buf[..n]);
-                        Action::Keep
-                    }
-                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => Action::Keep,
-                    Err(e) if e.kind() == std::io::ErrorKind::Interrupted => Action::Keep,
-                    Err(_) => {
-                        metrics.err_io.incr();
-                        Action::Drop
-                    }
-                };
+            // A pending slot whose peer half-closed solicits only the
+            // unmaskable ERR/HUP: a visit means the response has no reader
+            // (its completion is discarded), and keeping the connection
+            // would busy-spin the loop on the level-triggered hangup.
+            if self.pending && self.read_closed {
+                return Action::Drop;
             }
 
-            // 2. Process one buffered request, if complete — unless
+            // 2. Process one buffered request, if complete — unless the
+            // slot is pending (nothing is processed until it re-opens) or
             // this visit's budget is spent, in which case yield the
             // thread to the other connections and resume next tick.
-            if frames_this_visit >= FRAMES_PER_EVENT {
+            let next = if self.pending {
+                None
+            } else if frames_this_visit >= FRAMES_PER_EVENT {
                 metrics.budget_yields.incr();
                 return Action::Yield;
-            }
-            frames_this_visit += 1;
-            match self.decoder.try_frame() {
+            } else {
+                frames_this_visit += 1;
+                self.framed.next_frame()
+            };
+            match next {
                 Some(Ok(Frame::Shutdown)) => {
                     metrics.count_frame(Frame::Shutdown.tag());
-                    self.queue(&Frame::Ok);
+                    self.framed.queue(&Frame::Ok);
                     self.closing = true;
                     self.is_shutdown = true;
                     continue;
@@ -901,7 +818,7 @@ impl Connection {
                     // "process up and reading its socket" is observable
                     // even while the service is busy in a deferred job.
                     metrics.count_frame(Frame::Ping.tag());
-                    self.queue(&Frame::Pong);
+                    self.framed.queue(&Frame::Pong);
                     continue;
                 }
                 Some(Ok(Frame::StatsRequest)) => {
@@ -909,7 +826,7 @@ impl Connection {
                     // so every daemon kind serves scrapes without its
                     // service knowing the frame exists.
                     metrics.count_frame(Frame::StatsRequest.tag());
-                    self.queue(&Frame::StatsReport {
+                    self.framed.queue(&Frame::StatsReport {
                         snapshot: Box::new(xrd_obs::global().snapshot()),
                     });
                     continue;
@@ -917,14 +834,12 @@ impl Connection {
                 Some(Ok(frame)) => {
                     metrics.count_frame(frame.tag());
                     if let Some(refusal) = failed {
-                        self.queue(refusal);
+                        self.framed.queue(refusal);
                         continue;
                     }
                     match service.handle(token, frame, workers) {
                         Outcome::Reply(frames) => {
-                            for frame in &frames {
-                                self.queue(frame);
-                            }
+                            frames.iter().for_each(|frame| self.framed.queue(frame))
                         }
                         Outcome::Defer(job) => {
                             self.pending = true;
@@ -933,13 +848,9 @@ impl Connection {
                         }
                         Outcome::ReplyAfterCommit(frames) => {
                             self.pending = true;
-                            let mut bytes = Vec::new();
-                            for frame in &frames {
-                                bytes.extend_from_slice(&frame.encode());
-                            }
                             held.push(Completion {
                                 conn: token,
-                                bytes,
+                                bytes: frames.iter().flat_map(Frame::encode).collect(),
                                 reopens_slot: true,
                             });
                             return Action::Held;
@@ -954,9 +865,9 @@ impl Connection {
                     metrics.err_malformed.incr();
                     xrd_obs::debug!(
                         "dropping conn {token} ({:?}): bad frame: {e}",
-                        self.stream.peer_addr()
+                        self.framed.stream().peer_addr()
                     );
-                    self.queue(&crate::daemon::err(
+                    self.framed.queue(&crate::daemon::err(
                         error_code::BAD_STATE,
                         format!("bad frame: {e}"),
                     ));
@@ -966,19 +877,26 @@ impl Connection {
                 None => {}
             }
 
-            // 3. Pull newly arrived bytes off the socket.
-            match self.stream.read(read_buf) {
+            // 3. Pull newly arrived bytes off the socket — for a pending
+            // slot only a probe: a *half*-closing request/response client
+            // (EOF here) still gets its response, and stray bytes are
+            // buffered, not processed.
+            match self.framed.read(read_buf) {
+                Ok(0) if self.pending => {
+                    self.read_closed = true;
+                    return Action::Keep;
+                }
                 Ok(0) => return Action::Drop, // peer hung up
                 Ok(n) => {
                     metrics.bytes_in.add(n as u64);
-                    self.decoder.feed(&read_buf[..n]);
-                    continue;
+                    if self.pending {
+                        return Action::Keep;
+                    }
                 }
                 Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    self.rest();
+                    self.framed.rest();
                     return Action::Keep;
                 }
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
                 Err(_) => {
                     metrics.err_io.incr();
                     return Action::Drop;
@@ -1193,7 +1111,7 @@ impl Reactor {
                 if completion.reopens_slot {
                     conn.pending = false;
                 }
-                conn.outbuf.extend_from_slice(&completion.bytes);
+                conn.framed.queue_encoded(completion.bytes);
                 events.push((completion.conn, 0));
             }
             // Budget-limited connections first (fairness: they were cut
@@ -1203,13 +1121,7 @@ impl Reactor {
                 if token == WAKE_TOKEN {
                     // Drain the self-pipe; the completions it announced
                     // were collected above (or will be next iteration).
-                    loop {
-                        match self.wake_rx.read(&mut read_buf[..64]) {
-                            Ok(0) => break,
-                            Ok(_) => continue,
-                            Err(_) => break,
-                        }
-                    }
+                    while let Ok(1..) = self.wake_rx.read(&mut read_buf[..64]) {}
                     continue;
                 }
                 if token == LISTENER_TOKEN {
@@ -1219,20 +1131,24 @@ impl Reactor {
                     loop {
                         match self.listener.accept() {
                             Ok((stream, _)) => {
-                                if self.draining
-                                    || stream.set_nonblocking(true).is_err()
-                                    || stream.set_nodelay(true).is_err()
-                                {
-                                    self.metrics.accepts_rejected.incr();
-                                    continue; // drop it
-                                }
+                                let framed = match Framed::nonblocking(stream) {
+                                    Ok(framed) if !self.draining => framed,
+                                    _ => {
+                                        self.metrics.accepts_rejected.incr();
+                                        continue; // drop it
+                                    }
+                                };
                                 let token = self.next_token;
                                 self.next_token += 1;
-                                let conn = Connection::new(stream);
-                                if poller
-                                    .add(conn.stream.as_raw_fd(), token, conn.registered)
-                                    .is_ok()
-                                {
+                                let mut conn = Connection {
+                                    framed,
+                                    closing: false,
+                                    is_shutdown: false,
+                                    pending: false,
+                                    read_closed: false,
+                                };
+                                let idle = interest::READ | interest::READ_HANGUP;
+                                if conn.framed.watch(&mut poller, token, idle).is_ok() {
                                     self.conns.insert(token, conn);
                                     self.metrics.accepts.incr();
                                     self.metrics.conns_open.incr();
@@ -1263,13 +1179,7 @@ impl Reactor {
                 match action {
                     Action::Keep => {
                         let wanted = conn.wanted_interest();
-                        if wanted != conn.registered
-                            && poller
-                                .modify(conn.stream.as_raw_fd(), token, wanted)
-                                .is_ok()
-                        {
-                            conn.registered = wanted;
-                        }
+                        let _ = conn.framed.watch(&mut poller, token, wanted);
                         if conn.is_shutdown {
                             self.draining = true;
                         }
@@ -1278,7 +1188,7 @@ impl Reactor {
                     Action::Held => {}
                     Action::Drop => {
                         let conn = self.conns.remove(&token).expect("present");
-                        let _ = poller.remove(conn.stream.as_raw_fd());
+                        conn.framed.deregister(&mut poller);
                         self.metrics.conns_closed.incr();
                         self.metrics.conns_open.decr();
                         self.service.on_close(token);
@@ -1351,8 +1261,9 @@ impl Reactor {
         // takes them without blocking.
         for reply in released {
             if let Some(conn) = self.conns.get_mut(&reply.conn) {
-                conn.outbuf.extend_from_slice(&reply.bytes);
-                let _ = conn.drain_output(&self.metrics);
+                conn.framed.queue_encoded(reply.bytes);
+                let (_, written) = conn.framed.flush();
+                self.metrics.bytes_out.add(written as u64);
             }
         }
         // Let in-flight and queued jobs finish, then join the workers —

@@ -10,11 +10,11 @@
 //!   one decoded response [`Frame`] at a time, answering with what to
 //!   send next ([`Step`]);
 //! * the loop reuses the daemon reactor's syscall layer (`epoll` on
-//!   Linux/x86-64, the sweep poller elsewhere) and the incremental
-//!   [`FrameDecoder`], so a daemon that dribbles responses or stalls
-//!   mid-frame costs the client nothing but a buffer;
-//! * writes are buffered and flushed as the socket accepts them, so a
-//!   full kernel send buffer never blocks the loop;
+//!   Linux/x86-64, the sweep poller elsewhere) and its framed socket
+//!   (`framed.rs`: the incremental [`crate::codec::FrameDecoder`], the
+//!   outbound buffer, the flush and the read), so a daemon that
+//!   dribbles responses or stalls mid-frame costs the client nothing
+//!   but a buffer, and a full kernel send buffer never blocks the loop;
 //! * a session whose machine panics fails *that session* — the loop
 //!   and every other session keep running;
 //! * a session whose connection is lost mid-exchange is retried from
@@ -38,17 +38,16 @@
 
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap, HashMap, VecDeque};
-use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
-use std::os::fd::AsRawFd;
 use std::time::{Duration, Instant};
 
 use xrd_core::mailbox::shard_of;
 
-use crate::codec::{error_code, Frame, FrameDecoder};
-use crate::conn::{at_rest, NetError};
-use crate::reactor::interest;
+use crate::codec::{error_code, Frame};
+use crate::conn::NetError;
+use crate::framed::{Flush, Framed, READ_CHUNK};
 use crate::reactor::sys::Poller;
+use crate::reactor::{interest, WAIT_MS};
 
 /// What a [`SessionMachine`] wants done after handling one frame.
 #[derive(Debug)]
@@ -185,17 +184,9 @@ pub struct RunOutcome<S> {
     pub drive_elapsed: Duration,
 }
 
-/// How long one poller wait may block (shutdown/deadline latency
-/// bound).
-const WAIT_MS: i32 = 100;
-
 /// Sessions put on a connection per loop iteration (staggers reconnect
 /// bursts so the daemon's accept backlog absorbs them).
 const CONNECTS_PER_TICK: usize = 512;
-
-/// Socket read chunk (mailbox pages are the largest client-bound
-/// frames; 64 KiB amortizes syscalls on them).
-const READ_CHUNK: usize = 64 * 1024;
 
 /// Frames one session may consume per visit before yielding the loop
 /// to the other sessions.
@@ -222,13 +213,9 @@ fn guard<T>(f: impl FnOnce() -> T) -> Result<T, NetError> {
 
 /// One live client connection.
 struct Wire {
-    stream: TcpStream,
+    framed: Framed,
     /// The address it is connected to (what it parks under).
     addr: SocketAddr,
-    decoder: FrameDecoder,
-    outbuf: Vec<u8>,
-    outpos: usize,
-    registered: u32,
     /// Last instant any byte moved on this wire (either direction);
     /// the idle sweep compares it against
     /// [`DriveConfig::exchange_timeout`].
@@ -238,37 +225,6 @@ struct Wire {
     /// restarted, proxy dropped it), not in this exchange — replaced by
     /// a fresh dial at no charge to the session's retry budget.
     unproven: bool,
-}
-
-impl Wire {
-    fn new(stream: TcpStream, addr: SocketAddr, unproven: bool) -> Wire {
-        Wire {
-            stream,
-            addr,
-            decoder: FrameDecoder::new(),
-            outbuf: Vec::new(),
-            outpos: 0,
-            registered: 0,
-            last_progress: Instant::now(),
-            unproven,
-        }
-    }
-
-    fn queue(&mut self, frame: &Frame) {
-        self.outbuf.extend_from_slice(&frame.encode());
-    }
-
-    fn has_pending_output(&self) -> bool {
-        self.outpos < self.outbuf.len()
-    }
-
-    fn wanted_interest(&self) -> u32 {
-        if self.has_pending_output() {
-            IDLE_INTEREST | interest::WRITE
-        } else {
-            IDLE_INTEREST
-        }
-    }
 }
 
 /// What a wire with nothing to write is registered for.
@@ -303,12 +259,12 @@ enum Drove {
     Failed(NetError),
 }
 
-/// A connection between exchanges: the socket and what it parks under,
-/// nothing else — its buffers went with its [`Wire`].
+/// A connection between exchanges: the framed socket, its buffers
+/// released, and what it parks under.
 struct Parked {
     lane: usize,
     addr: SocketAddr,
-    stream: TcpStream,
+    framed: Framed,
 }
 
 /// Poller-token bit marking a parked connection (the rest is its
@@ -354,8 +310,11 @@ struct SwarmMetrics {
 /// budget, the least recently parked connection is closed before a
 /// dial, so a population larger than the budget still drains in waves.
 /// A parked connection whose peer hangs up is closed as soon as a
-/// drive's poller reports it; one found dead only on pick-up is
-/// replaced by a fresh dial without charging the session's retries.
+/// drive's poller reports it.  One that is not at rest at pick-up —
+/// dead, or holding bytes nobody asked for, which its hang-up-only
+/// registration never reports — is closed and replaced by a fresh dial
+/// without charging the session's retries, as is one found dead only
+/// once its exchange is under way.
 pub struct ClientReactor {
     poller: Poller,
     /// Parked connections by parking id.  Ids count up, so the first
@@ -400,61 +359,63 @@ impl ClientReactor {
 
     /// Deregister and close a live wire.
     fn close(&mut self, wire: Wire) {
-        let _ = self.poller.remove(wire.stream.as_raw_fd());
+        wire.framed.deregister(&mut self.poller);
     }
 
     /// A lane's exchange ended cleanly: park its connection for the
     /// lane's next exchange with that address — or close it, if this
-    /// reactor does not keep connections or the wire is not at rest
-    /// (bytes nobody asked for would answer the next exchange's
-    /// request).
-    fn park(&mut self, lane: usize, wire: Wire) {
-        let at_rest = !wire.has_pending_output() && wire.decoder.buffered() == 0;
-        if !self.keeps || !at_rest {
+    /// reactor does not keep connections.  Whether it can carry that
+    /// exchange is asked when it is picked up.
+    fn park(&mut self, lane: usize, mut wire: Wire) {
+        if !self.keeps {
             return self.close(wire);
         }
         let id = self.next_parking_id;
-        let fd = wire.stream.as_raw_fd();
-        if self
-            .poller
-            .modify(fd, PARKED | id, interest::READ_HANGUP)
-            .is_err()
-        {
+        let watched = wire
+            .framed
+            .watch(&mut self.poller, PARKED | id, interest::READ_HANGUP);
+        if watched.is_err() {
             return self.close(wire);
         }
         self.next_parking_id += 1;
-        let Wire { stream, addr, .. } = wire;
+        wire.framed.rest();
+        let Wire { framed, addr, .. } = wire;
         let displaced = self.parked_at.insert((lane, addr), id);
         debug_assert!(
             displaced.is_none(),
             "a lane picks its parked connection up before it dials"
         );
-        self.parked.insert(id, Parked { lane, addr, stream });
+        self.parked.insert(id, Parked { lane, addr, framed });
     }
 
-    /// The connection `lane` parked with `addr`, if it still has one.
-    fn pick_up(&mut self, lane: usize, addr: SocketAddr) -> Option<TcpStream> {
+    /// The connection `lane` parked with `addr`, if it still has one
+    /// and it is at rest; one that is not is closed here.
+    fn pick_up(&mut self, lane: usize, addr: SocketAddr) -> Option<Framed> {
         let id = self.parked_at.remove(&(lane, addr))?;
-        self.parked.remove(&id).map(|parked| parked.stream)
+        let parked = self.parked.remove(&id)?;
+        if parked.framed.is_at_rest() {
+            swarm_metrics().conns_reused.incr();
+            return Some(parked.framed);
+        }
+        parked.framed.deregister(&mut self.poller);
+        None
     }
 
     /// Close parked connection `id` and forget it.
     fn unpark(&mut self, id: u64) {
         if let Some(parked) = self.parked.remove(&id) {
             self.parked_at.remove(&(parked.lane, parked.addr));
-            let _ = self.poller.remove(parked.stream.as_raw_fd());
+            parked.framed.deregister(&mut self.poller);
         }
     }
 
     /// The poller reported parked connection `id`.  Only a hang-up is
     /// solicited from it, but readiness is never trusted to be genuine
     /// (the sweep poller reports everything): ask the socket, and end
-    /// the connection unless it is [`at_rest`].
+    /// the connection unless it is at rest.  Readiness for one since
+    /// picked up is stale.
     fn check_parked(&mut self, id: u64) {
-        let Some(parked) = self.parked.get(&id) else {
-            return; // stale readiness for a connection since picked up
-        };
-        if !at_rest(&parked.stream) {
+        if self.parked.get(&id).is_some_and(|p| !p.framed.is_at_rest()) {
             self.unpark(id);
         }
     }
@@ -586,16 +547,11 @@ impl ClientReactor {
                 };
                 match drive_wire(wire, &mut slot.session, &mut read_buf) {
                     Drove::Keep => {
-                        let wanted = wire.wanted_interest();
-                        if wanted != wire.registered
-                            && run
-                                .reactor
-                                .poller
-                                .modify(wire.stream.as_raw_fd(), token, wanted)
-                                .is_ok()
-                        {
-                            wire.registered = wanted;
+                        let mut wanted = IDLE_INTEREST;
+                        if wire.framed.has_pending_output() {
+                            wanted |= interest::WRITE;
                         }
+                        let _ = wire.framed.watch(&mut run.reactor.poller, token, wanted);
                     }
                     Drove::Yield => run.ready.push(token),
                     Drove::StageDone => {
@@ -748,8 +704,8 @@ impl Run<'_> {
         let token = i as u64;
         let kept = self.reactor.pick_up(i, addr);
         let reused = kept.is_some();
-        let stream = match kept {
-            Some(stream) => stream,
+        let framed = match kept {
+            Some(framed) => framed,
             None => {
                 let reactor = &mut *self.reactor;
                 while reactor.parked.len() + self.active >= reactor.conn_cap {
@@ -760,14 +716,10 @@ impl Run<'_> {
                     swarm_metrics().conns_evicted.incr();
                 }
                 swarm_metrics().dials.incr();
-                let dialed = TcpStream::connect_timeout(&addr, self.config.connect_timeout)
-                    .and_then(|s| {
-                        s.set_nonblocking(true)?;
-                        s.set_nodelay(true)?;
-                        Ok(s)
-                    });
-                match dialed {
-                    Ok(stream) => stream,
+                match TcpStream::connect_timeout(&addr, self.config.connect_timeout)
+                    .and_then(Framed::nonblocking)
+                {
+                    Ok(framed) => framed,
                     Err(e) => {
                         let spent = self.config.max_retries - slot.retries_left;
                         let wait = REDIAL_BACKOFF * 2u32.saturating_pow(spent.min(8));
@@ -776,25 +728,25 @@ impl Run<'_> {
                 }
             }
         };
-        let mut wire = Wire::new(stream, addr, reused);
-        let fd = wire.stream.as_raw_fd();
+        let mut wire = Wire {
+            framed,
+            addr,
+            last_progress: Instant::now(),
+            unproven: reused,
+        };
         // Registered as idle, driven as ready: the first pass writes the
         // opening requests without waiting to be told the socket is
         // writable, and only a write that blocks asks for that.
-        let registered = if reused {
-            swarm_metrics().conns_reused.incr();
-            self.reactor.poller.modify(fd, token, IDLE_INTEREST)
-        } else {
-            self.reactor.poller.add(fd, token, IDLE_INTEREST)
-        };
+        let registered = wire
+            .framed
+            .watch(&mut self.reactor.poller, token, IDLE_INTEREST);
         if registered.is_err() {
             self.reactor.close(wire);
             let e = NetError::Protocol("poller registration failed (fd limit?)".into());
             return self.fail(slot, i, e);
         }
-        wire.registered = IDLE_INTEREST;
         match guard(|| slot.session.on_connect()) {
-            Ok(frames) => frames.iter().for_each(|frame| wire.queue(frame)),
+            Ok(frames) => frames.iter().for_each(|frame| wire.framed.queue(frame)),
             Err(e) => {
                 self.reactor.close(wire);
                 return self.fail(slot, i, e);
@@ -827,56 +779,46 @@ fn drive_wire<S: SessionMachine>(wire: &mut Wire, session: &mut S, read_buf: &mu
     let mut frames_this_visit = 0;
     loop {
         // 1. Flush pending output.
-        while wire.has_pending_output() {
-            match wire.stream.write(&wire.outbuf[wire.outpos..]) {
-                Ok(0) => return Drove::Lost(NetError::Disconnected),
-                Ok(n) => {
-                    wire.outpos += n;
-                    wire.last_progress = Instant::now();
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => return Drove::Keep,
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                Err(e) => return Drove::Lost(NetError::Io(e)),
-            }
+        let (flushed, written) = wire.framed.flush();
+        if written > 0 {
+            wire.last_progress = Instant::now();
         }
-        wire.outbuf.clear();
-        wire.outpos = 0;
+        match flushed {
+            Flush::Drained => {}
+            Flush::Blocked => return Drove::Keep,
+            Flush::Dead(e) => return Drove::Lost(NetError::Io(e)),
+        }
 
         // 2. Hand one decoded frame to the machine.
         if frames_this_visit >= FRAMES_PER_VISIT {
             return Drove::Yield;
         }
-        match wire.decoder.try_frame() {
+        match wire.framed.next_frame() {
             Some(Ok(frame)) => {
                 frames_this_visit += 1;
                 match guard(|| session.on_frame(frame)) {
                     Ok(Step::Send(frames)) => {
-                        for frame in &frames {
-                            wire.queue(frame);
-                        }
-                        continue;
+                        frames.iter().for_each(|frame| wire.framed.queue(frame))
                     }
-                    Ok(Step::Continue) => continue,
+                    Ok(Step::Continue) => {}
                     Ok(Step::NextTarget) => return Drove::StageDone,
                     Ok(Step::Fail(e)) => return Drove::Failed(e),
                     Err(e) => return Drove::Failed(e),
                 }
+                continue;
             }
             Some(Err(e)) => return Drove::Failed(NetError::Codec(e)),
             None => {}
         }
 
         // 3. Pull newly arrived bytes off the socket.
-        match wire.stream.read(read_buf) {
+        match wire.framed.read(read_buf) {
             Ok(0) => return Drove::Lost(NetError::Disconnected),
-            Ok(n) => {
-                wire.decoder.feed(&read_buf[..n]);
+            Ok(_) => {
                 wire.last_progress = Instant::now();
                 wire.unproven = false;
-                continue;
             }
             Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => return Drove::Keep,
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
             Err(e) => return Drove::Lost(NetError::Io(e)),
         }
     }
@@ -1096,26 +1038,14 @@ pub fn raise_nofile_limit(want: u64) -> u64 {
         max: u64,
     }
 
-    /// `prlimit64(0, RLIMIT_NOFILE, new, old)` — pid 0 is "this
-    /// process".
-    unsafe fn prlimit(new: *const RLimit64, old: *mut RLimit64) -> i64 {
-        let ret: i64;
-        std::arch::asm!(
-            "syscall",
-            inlateout("rax") SYS_PRLIMIT64 => ret,
-            in("rdi") 0i64,
-            in("rsi") RLIMIT_NOFILE,
-            in("rdx") new as i64,
-            in("r10") old as i64,
-            lateout("rcx") _,
-            lateout("r11") _,
-            options(nostack),
-        );
-        ret
-    }
+    // `prlimit64(0, RLIMIT_NOFILE, new, old)` — pid 0 is "this
+    // process" — on the daemon reactor's syscall layer.
+    let prlimit = |new: *const RLimit64, old: *mut RLimit64| unsafe {
+        crate::reactor::sys::syscall4(SYS_PRLIMIT64, 0, RLIMIT_NOFILE, new as i64, old as i64)
+    };
 
     let mut current = RLimit64 { cur: 0, max: 0 };
-    if unsafe { prlimit(std::ptr::null(), &mut current) } < 0 {
+    if prlimit(std::ptr::null(), &mut current) < 0 {
         return 0;
     }
     if current.cur >= want {
@@ -1134,7 +1064,7 @@ pub fn raise_nofile_limit(want: u64) -> u64 {
         },
     ];
     for attempt in &attempts {
-        if unsafe { prlimit(attempt, std::ptr::null_mut()) } == 0 {
+        if prlimit(attempt, std::ptr::null_mut()) == 0 {
             return attempt.cur;
         }
     }

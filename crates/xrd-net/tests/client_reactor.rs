@@ -736,6 +736,51 @@ fn connection_that_died_parked_is_redialed_without_charging_a_retry() {
     );
 }
 
+/// A parked connection the peer wrote to unasked: its hang-up-only
+/// registration never reports the bytes, so only the socket can tell.
+/// Ridden, the stray `Ok` would answer the next exchange's request (the
+/// answer the peer really gives on that connection is an `Error`).  The
+/// pick-up finds it not at rest and dials afresh **at no charge**.
+#[test]
+fn parked_connection_holding_unread_bytes_is_redialed_without_charging_a_retry() {
+    let (parked_tx, parked_rx) = std::sync::mpsc::channel::<()>();
+    let (stray_tx, stray_rx) = std::sync::mpsc::channel();
+    let (parked_rx, stray_tx) = (Mutex::new(parked_rx), Mutex::new(stray_tx));
+    let (addr, conns) = scripted_peer(move |n, mut stream| {
+        let mut decoder = FrameDecoder::new();
+        let _ = read_frame(&mut stream, &mut decoder);
+        stream.write_all(&Frame::Ok.encode()).expect("ack");
+        if n == 0 {
+            parked_rx.lock().unwrap().recv().expect("test parks");
+            stream.write_all(&Frame::Ok.encode()).expect("stray");
+            stray_tx.lock().unwrap().send(()).expect("test listens");
+            if read_frame_or_eof(&mut stream, &mut decoder).is_some() {
+                let refusal = Frame::Error {
+                    code: 1,
+                    message: "the real answer".into(),
+                };
+                let _ = stream.write_all(&refusal.encode());
+            }
+        }
+        let _ = read_frame_or_eof(&mut stream, &mut decoder);
+    });
+    let no_retries = DriveConfig {
+        max_retries: 0,
+        ..Default::default()
+    };
+    let mut reactor = ClientReactor::new().expect("reactor builds");
+    drive_all(&mut reactor, vec![ping(addr)], &no_retries);
+    parked_tx.send(()).expect("peer listens");
+    stray_rx.recv().expect("peer wrote the stray frame");
+    std::thread::sleep(Duration::from_millis(50));
+    drive_all(&mut reactor, vec![ping(addr)], &no_retries);
+    assert_eq!(
+        conns.load(Ordering::SeqCst),
+        2,
+        "the connection holding a stray frame was replaced by one fresh dial"
+    );
+}
+
 /// The other side of that rule: a kept connection that dies *after* the
 /// first byte of the exchange's answer died in the exchange, and is
 /// charged like any lost connection — with no retries, the session

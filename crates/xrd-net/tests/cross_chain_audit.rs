@@ -18,7 +18,7 @@
 //! coordinator's address list, passes every frame to the real daemon
 //! behind it, and rewrites chosen answers on their way back.
 
-use std::io::{BufReader, Write};
+use std::io::{Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -31,7 +31,7 @@ use xrd_crypto::Scalar;
 use xrd_mixnet::chain_keys::{generate_chain_keys, rotate_inner_keys, ChainPublicKeys};
 use xrd_mixnet::client::Submission;
 use xrd_mixnet::{verify_hops_batched, verify_hops_batched_multi, ChainAudit, HopRecord};
-use xrd_net::codec::{read_frame, Frame};
+use xrd_net::codec::{Frame, FrameDecoder};
 use xrd_net::swarm::sealed_submissions;
 use xrd_net::{
     ChainClient, Conn, ConnTimeouts, DaemonHandle, MixPhase, MixServerDaemon, NetError,
@@ -76,9 +76,20 @@ impl ScriptedHop {
                 // …answers come down through the script.
                 let script = Arc::clone(&script);
                 std::thread::spawn(move || {
-                    let mut from = BufReader::new(server);
-                    let mut to = client;
-                    while let Ok(Some(Ok((frame, _)))) = read_frame(&mut from) {
+                    let (mut from, mut to) = (server, client);
+                    let (mut decoder, mut buf) = (FrameDecoder::new(), [0u8; 8192]);
+                    loop {
+                        let frame = match decoder.try_frame() {
+                            Some(Ok(frame)) => frame,
+                            Some(Err(_)) => break,
+                            None => match from.read(&mut buf) {
+                                Ok(0) | Err(_) => break,
+                                Ok(n) => {
+                                    decoder.feed(&buf[..n]);
+                                    continue;
+                                }
+                            },
+                        };
                         if to.write_all(&script(frame).encode()).is_err() {
                             break;
                         }

@@ -52,6 +52,23 @@ fn byte_dribbling_peer_does_not_stall_other_connections() {
     }
 }
 
+/// A connection's byte counts are exact: every byte it wrote and every
+/// byte it read, length prefixes included — three pipelined pings, three
+/// pongs.
+#[test]
+fn a_connection_counts_exactly_the_bytes_it_moved() {
+    let daemon = MailboxDaemon::spawn("127.0.0.1:0", 0, 1).expect("daemon spawns");
+    let mut conn = Conn::connect(daemon.addr()).expect("connects");
+    for _ in 0..3 {
+        conn.send(&Frame::Ping).expect("ping sent");
+    }
+    for _ in 0..3 {
+        assert_eq!(conn.recv().expect("answered"), Frame::Pong);
+    }
+    assert_eq!(conn.bytes_sent(), 3 * Frame::Ping.encode().len() as u64);
+    assert_eq!(conn.bytes_received(), 3 * Frame::Pong.encode().len() as u64);
+}
+
 /// A well-framed but unparseable body is answered with [`Frame::Error`]
 /// and the connection is closed (the stream may be desynchronized).
 #[test]

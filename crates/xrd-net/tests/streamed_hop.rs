@@ -3,7 +3,7 @@
 //! under both transports (including blame), the daemon's handling of
 //! malformed streams, and a forwarding hop's link to its successor.
 
-use std::io::{BufReader, Write};
+use std::io::{Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener};
 use std::sync::mpsc;
 use std::time::Duration;
@@ -17,7 +17,7 @@ use xrd_mixnet::chain_keys::{generate_chain_keys, rotate_inner_keys};
 use xrd_mixnet::message::MixEntry;
 use xrd_mixnet::server::{verify_hop, MixServer};
 use xrd_net::codec::{
-    encode_hop_output_stream, error_code, read_frame, ChunkedBatch, Frame, StreamDigest,
+    encode_hop_output_stream, error_code, ChunkedBatch, Frame, FrameDecoder, StreamDigest,
     STREAM_CHUNK,
 };
 use xrd_net::{
@@ -488,9 +488,20 @@ fn fake_successor(script: fn(u64) -> Then) -> (SocketAddr, mpsc::Receiver<Option
     std::thread::spawn(move || {
         for stream in listener.incoming() {
             let Ok(mut stream) = stream else { return };
-            let mut reader = BufReader::new(stream.try_clone().expect("clones"));
+            let (mut decoder, mut buf) = (FrameDecoder::new(), [0u8; 8192]);
             let mut round = None;
-            while let Ok(Some(Ok((frame, _)))) = read_frame(&mut reader) {
+            loop {
+                let frame = match decoder.try_frame() {
+                    Some(Ok(frame)) => frame,
+                    Some(Err(_)) => break,
+                    None => match stream.read(&mut buf) {
+                        Ok(0) | Err(_) => break,
+                        Ok(n) => {
+                            decoder.feed(&buf[..n]);
+                            continue;
+                        }
+                    },
+                };
                 match frame {
                     Frame::MixBatchStart { round: r, .. } => round = Some(r),
                     Frame::MixBatchEnd { .. } => {

@@ -1,11 +1,10 @@
-//! Server compute model: multi-core makespan for batches of work.
+//! Server compute model: the time a multi-core server takes over a
+//! batch of identical per-message work.
 //!
 //! The paper's servers are 36-core EC2 instances; each XRD server
 //! participates in ~k chains concurrently and parallelizes per-message
-//! work across cores.  We model a server as `cores` identical cores and
-//! compute the makespan of a set of independent serial tasks using LPT
-//! (longest-processing-time-first) greedy scheduling, which is within
-//! 4/3 of optimal and matches how a work-stealing thread pool behaves.
+//! work across cores.  We model a server as `cores` identical cores
+//! that split a batch evenly, as a work-stealing thread pool does.
 
 use crate::time::SimDuration;
 
@@ -37,25 +36,6 @@ impl ServerCompute {
         }
         let per_core = count.div_ceil(self.cores as u64);
         each.scale(per_core)
-    }
-
-    /// Makespan of a set of heterogeneous serial tasks under LPT greedy
-    /// scheduling.
-    pub fn makespan(&self, tasks: &[SimDuration]) -> SimDuration {
-        if tasks.is_empty() {
-            return SimDuration::ZERO;
-        }
-        let mut sorted: Vec<u64> = tasks.iter().map(|d| d.0).collect();
-        sorted.sort_unstable_by(|a, b| b.cmp(a));
-        // Min-heap of core finish times.
-        use std::cmp::Reverse;
-        use std::collections::BinaryHeap;
-        let mut cores: BinaryHeap<Reverse<u64>> = (0..self.cores).map(|_| Reverse(0u64)).collect();
-        for t in sorted {
-            let Reverse(earliest) = cores.pop().expect("at least one core");
-            cores.push(Reverse(earliest + t));
-        }
-        SimDuration(cores.into_iter().map(|Reverse(t)| t).max().unwrap_or(0))
     }
 }
 
@@ -122,41 +102,6 @@ mod tests {
             s.parallel_batch(10, SimDuration::from_micros(5)),
             SimDuration::from_micros(50)
         );
-    }
-
-    #[test]
-    fn makespan_balances_load() {
-        let s = ServerCompute::with_cores(2);
-        let tasks = [
-            SimDuration(6),
-            SimDuration(4),
-            SimDuration(3),
-            SimDuration(3),
-        ];
-        // LPT: core1 = 6+3, core2 = 4+3+... => 6/4 -> 3 to core2 (7), 3 to
-        // core1 (9)? LPT: sorted 6,4,3,3; 6->c1, 4->c2, 3->c2(7), 3->c1(9).
-        // Optimal is 8 (6+3 / 4+3+... no: 16 total / 2 = 8: {6,3,(one of 3)}
-        // no — 6+3=9,4+3=7 or 6+4=10.. optimal is {6,3}{4,3} = 9/7 -> 9.
-        assert_eq!(s.makespan(&tasks), SimDuration(9));
-    }
-
-    #[test]
-    fn makespan_empty_is_zero() {
-        let s = ServerCompute::c4_8xlarge();
-        assert_eq!(s.makespan(&[]), SimDuration::ZERO);
-    }
-
-    #[test]
-    fn makespan_single_task() {
-        let s = ServerCompute::with_cores(8);
-        assert_eq!(s.makespan(&[SimDuration(42)]), SimDuration(42));
-    }
-
-    #[test]
-    fn makespan_many_cores_is_max() {
-        let s = ServerCompute::with_cores(100);
-        let tasks: Vec<SimDuration> = (1..=10).map(SimDuration).collect();
-        assert_eq!(s.makespan(&tasks), SimDuration(10));
     }
 
     #[test]

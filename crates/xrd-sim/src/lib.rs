@@ -7,7 +7,7 @@
 //!
 //! * [`Engine`] — a deterministic event queue with virtual time,
 //! * [`NetworkModel`] — pairwise latency + bandwidth (the `tc` stand-in),
-//! * [`ServerCompute`] / [`OpCosts`] — multi-core makespan modeling with
+//! * [`ServerCompute`] / [`OpCosts`] — multi-core batch timing with
 //!   per-operation costs calibrated from microbenchmarks of the real
 //!   crypto implementation.
 //!
