@@ -337,6 +337,37 @@ fn bench_batch_verify(c: &mut Criterion) {
     group.finish();
 }
 
+/// Screening's shape: proofs of knowledge of `x` over the base `g`, as
+/// `prove_base_all` seals them, checked as a batch the way a mix daemon
+/// checks a tick's submissions — each public arriving with the encoding
+/// its submission carries.  Throughput is counted in proofs.
+fn bench_submission_pok(c: &mut Criterion) {
+    let mut rng = StdRng::seed_from_u64(6);
+    let g = GroupElement::generator();
+    let mut group = c.benchmark_group("submission_pok");
+    group.sample_size(20);
+    for n in [1usize, 8, 32, 192] {
+        let xs: Vec<Scalar> = (0..n).map(|_| Scalar::random(&mut rng)).collect();
+        let nonces = (0..n).map(|_| Scalar::random(&mut rng)).collect();
+        let proven = SchnorrProof::prove_base_all(b"bench", &xs, nonces);
+        let statements: Vec<SchnorrBatchEntry> = proven
+            .iter()
+            .map(|(public, _, proof)| SchnorrBatchEntry {
+                context: b"bench",
+                base: g,
+                public: *public,
+                proof: *proof,
+            })
+            .collect();
+        let encoded: Vec<[u8; 32]> = proven.iter().map(|(_, encoded, _)| *encoded).collect();
+        group.throughput(criterion::Throughput::Elements(n as u64));
+        group.bench_function(format!("batch_{n}"), |b| {
+            b.iter(|| assert!(SchnorrProof::batch_verify_encoded(&statements, &encoded)))
+        });
+    }
+    group.finish();
+}
+
 /// The hop kernel end to end: a full `MixServer::process_round` over a
 /// sealed batch (tables + AEAD + shuffle + aggregate proof).
 fn bench_hop_end_to_end(c: &mut Criterion) {
@@ -380,6 +411,7 @@ criterion_group!(
     bench_encode_all,
     bench_decode_all,
     bench_batch_verify,
+    bench_submission_pok,
     bench_hop_end_to_end
 );
 criterion_main!(benches);

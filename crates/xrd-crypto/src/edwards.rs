@@ -39,7 +39,9 @@
 //!   scans.
 //! * [`EdwardsPoint::vartime_multiscalar_mul`] — Straus (small n) or
 //!   Pippenger (large n) multi-scalar multiplication, **variable time**:
-//!   only ever used on public data (batched proof verification).
+//!   only ever used on public data (batched proof verification).  Where
+//!   the lane kernel is compiled in, batches of eight terms or more run
+//!   a lane Straus instead (`lanes_vartime_multiscalar_mul`).
 
 use std::sync::OnceLock;
 
@@ -387,23 +389,33 @@ impl<F: FieldArith> LookupTable<F> {
             .add_projective_niels(&self.select(d)))
     }
 
-    /// `d * P` for a digit `d` in `[-8, 8)` per lane ([`scan_row`]).
+    /// `d * P` for a digit `d` in `[-8, 8)` per lane.
     #[inline(always)]
     fn select(&self, d: F::Digit) -> ProjectiveNielsPoint<F> {
-        let (sign, abs) = d.sign_abs();
-        let [y_plus_x, y_minus_x, z, t2d] = scan_row::<F, F, 4>(
-            ProjectiveNielsPoint::IDENTITY.coords(),
-            self.0.iter().map(|entry| entry.coords()),
-            abs,
-        );
-        ProjectiveNielsPoint {
-            y_plus_x,
-            y_minus_x,
-            z,
-            t2d,
-        }
-        .conditional_negate(sign)
+        select_projective(&self.0, d)
     }
+}
+
+/// `d * P` off a row `[1P, ..., 8P]` of projective Niels caches, for a
+/// digit `d` in `[-8, 8)` per lane ([`scan_row`]).
+#[inline(always)]
+fn select_projective<F: FieldArith>(
+    row: &[ProjectiveNielsPoint<F>; 8],
+    d: F::Digit,
+) -> ProjectiveNielsPoint<F> {
+    let (sign, abs) = d.sign_abs();
+    let [y_plus_x, y_minus_x, z, t2d] = scan_row::<F, F, 4>(
+        ProjectiveNielsPoint::IDENTITY.coords(),
+        row.iter().map(|entry| entry.coords()),
+        abs,
+    );
+    ProjectiveNielsPoint {
+        y_plus_x,
+        y_minus_x,
+        z,
+        t2d,
+    }
+    .conditional_negate(sign)
 }
 
 /// `[1P, ..., 8P]` in extended coordinates; even multiples come from
@@ -885,7 +897,9 @@ impl EdwardsPoint {
     target_feature = "avx512ifma"
 ))]
 mod lanes {
-    use super::{EdwardsPoint, FixedBaseTable, LookupTable};
+    use super::{
+        select_projective, EdwardsPoint, FixedBaseTable, LookupTable, ProjectiveNielsPoint,
+    };
     use crate::field::ifma::{Digits8, F51x8};
     use crate::field::{FieldArith, FieldElement, ScanFrom};
     use crate::scalar::Scalar;
@@ -985,6 +999,174 @@ mod lanes {
             self.vartime_scalar_mul(s)
         }
     }
+
+    /// Terms whose tables are alive at once in
+    /// [`EdwardsPoint::lanes_vartime_multiscalar_mul`]: eight lane
+    /// groups, ~80 KB of tables.  Every block pays its own doublings
+    /// (4 lane doublings a window, ~55 µs a full-width block), so a
+    /// smaller block costs time; a bigger one holds more memory on
+    /// every thread that verifies (32-term blocks read no lower peak
+    /// RSS on `round_tcp`).
+    const MSM_BLOCK: usize = 64;
+
+    /// One term of a lane multiscalar multiplication: its scalar, the
+    /// smaller of `s` and `l − s` (`negated` if the latter, when its
+    /// point enters negated), the highest window holding a nonzero
+    /// digit of it, and where its point is.
+    struct Term {
+        scalar: Scalar,
+        negated: bool,
+        top: usize,
+        point: usize,
+    }
+
+    impl Term {
+        fn point(&self, points: &[EdwardsPoint]) -> EdwardsPoint {
+            let p = points[self.point];
+            if self.negated {
+                p.neg()
+            } else {
+                p
+            }
+        }
+    }
+
+    /// Up to eight terms, lane by lane: their digits window by window
+    /// (an idle lane's are zero, over the identity) and the highest
+    /// window any of them starts in.  Their table is the group's eight
+    /// entries of the block's rows.
+    struct Group {
+        digits: [[i8; 8]; 64],
+        top: usize,
+    }
+
+    impl EdwardsPoint {
+        /// `sum_i scalars[i] * points[i]`, **variable time** (the policy
+        /// of [`EdwardsPoint::vartime_multiscalar_mul`]): Straus over
+        /// radix-16 windows, eight terms to a lane group.
+        ///
+        /// A term enters as `s·P` or as `(−s)·(−P)`, whichever scalar is
+        /// smaller, so a negated 128-bit coefficient (`−ρ` of a batched
+        /// proof check) stays 128 bits.  Terms are sorted by their top
+        /// nonzero window and taken [`MSM_BLOCK`] at a time; in a block
+        /// each group of eight builds one projective-Niels table in its
+        /// lanes (no inversion) and every group adds into the block's
+        /// one lane accumulator, window by window, from the window its
+        /// own top digit sits in — so a block of 128-bit terms walks 33
+        /// windows, not 64.  The eight lanes of each block's accumulator
+        /// are summed at the end.  The scan is the masked one of
+        /// [`LookupTable::select`], digits per lane; what varies with
+        /// the scalars is where a group starts adding and the order
+        /// terms are grouped in.
+        pub(crate) fn lanes_vartime_multiscalar_mul(
+            scalars: &[Scalar],
+            points: &[EdwardsPoint],
+        ) -> EdwardsPoint {
+            assert_eq!(scalars.len(), points.len(), "one scalar per point");
+            let mut terms: Vec<Term> = (scalars.iter().enumerate())
+                .filter_map(|(point, s)| {
+                    let neg = s.neg();
+                    // As integers: `l − s` is the smaller.
+                    let negated = neg.0.iter().rev().lt(s.0.iter().rev());
+                    let scalar = if negated { neg } else { *s };
+                    let top = scalar.to_radix_16().iter().rposition(|&d| d != 0)?;
+                    Some(Term {
+                        scalar,
+                        negated,
+                        top,
+                        point,
+                    })
+                })
+                .collect();
+            if terms.is_empty() {
+                return EdwardsPoint::identity();
+            }
+            terms.sort_by_key(|t| std::cmp::Reverse(t.top));
+            // Equal blocks, whole groups each: no block is left with a
+            // handful of terms paying a full block's doublings.
+            let blocks = terms.len().div_ceil(MSM_BLOCK);
+            let per_block = terms.len().div_ceil(blocks).next_multiple_of(8);
+            terms
+                .chunks(per_block)
+                .map(|block| block_sum(block, points))
+                .fold(EdwardsPoint::identity(), |acc, p| acc.add(&p))
+        }
+    }
+
+    /// One block of [`EdwardsPoint::lanes_vartime_multiscalar_mul`]:
+    /// the sum of `terms` (sorted by `top`, highest first).  The tables
+    /// go straight to the heap, entry by entry, and each step below is
+    /// its own frame: this runs on reactor threads, whose stack pages
+    /// stay resident once touched.
+    #[inline(never)]
+    fn block_sum(terms: &[Term], points: &[EdwardsPoint]) -> EdwardsPoint {
+        let mut rows = Vec::with_capacity(terms.len().next_multiple_of(8));
+        let groups: Vec<Group> = terms
+            .chunks(8)
+            .map(|group| {
+                let lanes: [Option<EdwardsPoint>; 8] =
+                    std::array::from_fn(|i| group.get(i).map(|t| t.point(points)));
+                push_rows(&mut rows, &EdwardsPoint::from_lanes(|i| lanes[i].as_ref()));
+                let digits: [[i8; 64]; 8] = std::array::from_fn(|i| {
+                    group.get(i).map_or([0; 64], |t| t.scalar.to_radix_16())
+                });
+                Group {
+                    digits: std::array::from_fn(|w| digits.map(|lane| lane[w])),
+                    top: group[0].top,
+                }
+            })
+            .collect();
+        let top = groups[0].top;
+        let mut acc = EdwardsPoint::<F51x8>::identity();
+        for w in (0..=top).rev() {
+            if w < top {
+                acc = times_16(&acc);
+            }
+            acc = add_window(&acc, &groups, &rows, w);
+        }
+        acc.lanes()
+            .iter()
+            .fold(EdwardsPoint::identity(), |sum, p| sum.add(p))
+    }
+
+    /// A group's table — `1P, ..., 8P` of its lanes, the entries of a
+    /// [`LookupTable`] — pushed onto `rows` one entry at a time, so no
+    /// whole table is ever a stack temporary.
+    #[inline(never)]
+    fn push_rows(rows: &mut Vec<ProjectiveNielsPoint<F51x8>>, p: &EdwardsPoint<F51x8>) {
+        let cached = p.to_projective_niels();
+        rows.push(cached);
+        let mut multiple = *p;
+        for _ in 1..8 {
+            multiple = multiple.add_projective_niels(&cached).to_extended();
+            rows.push(multiple.to_projective_niels());
+        }
+    }
+
+    #[inline(never)]
+    fn times_16(acc: &EdwardsPoint<F51x8>) -> EdwardsPoint<F51x8> {
+        acc.mul_by_pow_2(4)
+    }
+
+    /// Window `w` of every group that has started by it.
+    #[inline(never)]
+    fn add_window(
+        acc: &EdwardsPoint<F51x8>,
+        groups: &[Group],
+        rows: &[ProjectiveNielsPoint<F51x8>],
+        w: usize,
+    ) -> EdwardsPoint<F51x8> {
+        let mut acc = *acc;
+        for (group, row) in groups.iter().zip(rows.chunks_exact(8)) {
+            if group.top < w {
+                break;
+            }
+            let row = row.try_into().expect("a group's table is eight entries");
+            let entry = select_projective(row, Digits8::from_lanes(group.digits[w]));
+            acc = acc.add_projective_niels(&entry).to_extended();
+        }
+        acc
+    }
 }
 
 impl<F: FieldBackend> PartialEq for EdwardsPoint<F> {
@@ -1001,6 +1183,14 @@ impl<F: FieldBackend> Eq for EdwardsPoint<F> {}
 /// Below this point count Straus beats Pippenger (per-point NAF tables
 /// amortize); above it the bucket method wins.  Matches the crossover
 /// measured in `xrd-bench`'s `batch_crypto` bench on 64..512 points.
+///
+/// On a lane build (`FIELD_BACKEND` ends in `+ifma8`) there is no
+/// crossover to Pippenger: from eight terms up
+/// [`GroupElement::vartime_multiscalar_mul`](crate::GroupElement::vartime_multiscalar_mul)
+/// runs the lane Straus (`lanes_vartime_multiscalar_mul`), measured
+/// at ~3.3 µs a full-width term from 16 terms to 2048, where this
+/// Pippenger still costs ~4.5 µs a term.  There the threshold only
+/// splits the generic-backend calls below.
 const PIPPENGER_THRESHOLD: usize = 190;
 
 /// Per-point table of odd multiples `[1P, 3P, 5P, ..., 15P]` for
@@ -1638,6 +1828,61 @@ pub(crate) mod tests {
         let b = vartime_pippenger(&scalars, &points);
         assert!(a.ct_eq(&b));
         assert!(EdwardsPoint::vartime_multiscalar_mul(&scalars, &points).ct_eq(&a));
+    }
+
+    /// The lane Straus against the scalar engine at every length to
+    /// 200 — every group (8) and block (64) boundary, both sides of
+    /// each — over scalars that are 0, 1, 128 bits, minus 128 bits,
+    /// full width or an edge of the NAF, on points that include the
+    /// identity and repeats (one point twice in a group, a point
+    /// beside its negation).
+    #[cfg(all(
+        target_arch = "x86_64",
+        target_feature = "avx512f",
+        target_feature = "avx512ifma"
+    ))]
+    #[test]
+    fn lane_multiscalar_matches_scalar_engine_at_every_length() {
+        let mut rng = StdRng::seed_from_u64(82);
+        let short = |rng: &mut StdRng| {
+            let mut bytes = Scalar::random(rng).to_bytes();
+            bytes[16..].fill(0);
+            Scalar::from_bytes_mod_order(&bytes)
+        };
+        let edges = vartime_edge_scalars();
+        let scalars: Vec<Scalar> = (0..200)
+            .map(|i| match i % 7 {
+                0 => Scalar::random(&mut rng),
+                1 => short(&mut rng),
+                2 => short(&mut rng).neg(),
+                3 => edges[i / 7 % edges.len()],
+                4 => Scalar::ZERO,
+                5 => Scalar::ONE,
+                _ => Scalar::random(&mut rng),
+            })
+            .collect();
+        let mut points: Vec<EdwardsPoint> = (0..200)
+            .map(|i| match i % 11 {
+                3 => EdwardsPoint::identity(),
+                _ => random_point(&mut rng),
+            })
+            .collect();
+        for i in (5..200).step_by(13) {
+            points[i] = points[i - 2];
+            points[i - 1] = points[i - 4].neg();
+        }
+        for n in 0..=200 {
+            let (s, p) = (&scalars[..n], &points[..n]);
+            let lanes = EdwardsPoint::lanes_vartime_multiscalar_mul(s, p);
+            assert!(lanes.is_on_curve(), "n={n}");
+            assert!(
+                lanes.ct_eq(&EdwardsPoint::vartime_multiscalar_mul(s, p)),
+                "n={n}"
+            );
+        }
+        // More than a group of zero scalars: no term survives.
+        let zeros = vec![Scalar::ZERO; 9];
+        assert!(EdwardsPoint::lanes_vartime_multiscalar_mul(&zeros, &points[..9]).is_identity());
     }
 
     #[test]

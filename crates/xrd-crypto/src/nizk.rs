@@ -171,14 +171,16 @@ impl SchnorrProof {
     }
 
     /// [`SchnorrProof::prove`] over the generator for every `x` in
-    /// `xs`, with its public value: `(g^x, proof)` per exponent, the
-    /// proof the one `prove(rng, context, &g, &g^x, x)` returns when
-    /// `rng`'s next scalar is that exponent's entry of `nonces`.  The
-    /// `2n` exponentiations and `2n` encodings go through
+    /// `xs`, with its public value: `(g^x, encoding of g^x, proof)` per
+    /// exponent, the proof the one `prove(rng, context, &g, &g^x, x)`
+    /// returns when `rng`'s next scalar is that exponent's entry of
+    /// `nonces`.  The `2n` exponentiations and `2n` encodings go through
     /// [`GroupElement::base_mul_all`] and [`GroupElement::encode_all`]
     /// (eight per table walk and per inverse square root where the lane
     /// kernel is compiled in), and since `g^x` is computed here from
-    /// `x` there is no statement to re-check, in any build.
+    /// `x` there is no statement to re-check, in any build.  The
+    /// encodings are returned because the challenge already needed
+    /// them, and whoever sends `g^x` sends those bytes.
     ///
     /// The nonces arrive pre-drawn because bulk sealing draws every
     /// message's randomness from its user's RNG *before* it groups
@@ -193,7 +195,7 @@ impl SchnorrProof {
         context: &[u8],
         xs: &[Scalar],
         nonces: Vec<Scalar>,
-    ) -> Vec<(GroupElement, SchnorrProof)> {
+    ) -> Vec<(GroupElement, [u8; 32], SchnorrProof)> {
         assert_eq!(xs.len(), nonces.len(), "one nonce per proof");
         let base = encode_base(&GroupElement::generator());
         let publics = GroupElement::base_mul_all(xs);
@@ -208,7 +210,7 @@ impl SchnorrProof {
                     commitment: commitments[i],
                     response: r.add(&c.mul(&xs[i])),
                 };
-                (publics[i], proof)
+                (publics[i], encoded[i], proof)
             })
             .collect()
     }
@@ -239,13 +241,32 @@ impl SchnorrProof {
     /// probability < n * 2^-128.  All inputs are public wire data, so
     /// the variable-time multiscalar engine is safe here.
     pub fn batch_verify(statements: &[SchnorrBatchEntry<'_>]) -> bool {
+        // The publics are encoded together (an inverse square root each;
+        // `encode_all` takes them eight to a lane group).
+        let publics: Vec<GroupElement> = statements.iter().map(|st| st.public).collect();
+        Self::batch_verify_encoded(statements, &GroupElement::encode_all(&publics))
+    }
+
+    /// [`SchnorrProof::batch_verify`] for statements whose publics come
+    /// with their canonical encodings: `publics[i]` must be
+    /// `statements[i].public.encode()` (checked in debug builds).  A
+    /// submission carries the bytes its `g^x` was sent or decoded as,
+    /// so screening it skips the re-encoding.
+    pub fn batch_verify_encoded(
+        statements: &[SchnorrBatchEntry<'_>],
+        publics: &[[u8; 32]],
+    ) -> bool {
+        assert_eq!(statements.len(), publics.len(), "one encoding per public");
+        debug_assert!(statements
+            .iter()
+            .zip(publics)
+            .all(|(st, encoded)| st.public.encode() == *encoded));
         if statements.is_empty() {
             return true;
         }
         // Per statement: decoded commitment, challenge, base encoding.
-        // The commitments are decoded together and the publics encoded
-        // together (each conversion is an inverse square root;
-        // `decode_all` and `encode_all` take them eight to a lane group).
+        // The commitments are decoded together (`decode_all`, eight to a
+        // lane group).
         let commitments: Vec<[u8; 32]> = statements.iter().map(|st| st.proof.commitment).collect();
         let Some(commitments) = GroupElement::decode_all(&commitments)
             .into_iter()
@@ -253,12 +274,10 @@ impl SchnorrProof {
         else {
             return false;
         };
-        let publics: Vec<GroupElement> = statements.iter().map(|st| st.public).collect();
-        let publics = GroupElement::encode_all(&publics);
         let mut checked = Vec::with_capacity(statements.len());
         let mut seed_t = Transcript::new("xrd/schnorr-batch-verify");
         seed_t.append_u64("n", statements.len() as u64);
-        for ((st, commitment), public) in statements.iter().zip(commitments).zip(&publics) {
+        for ((st, commitment), public) in statements.iter().zip(commitments).zip(publics) {
             let base = encode_base(&st.base);
             let c = Self::challenge(st.context, &base, public, &st.proof.commitment);
             // The challenge binds context, base, public and commitment,
@@ -539,8 +558,9 @@ mod tests {
             let nonces: Vec<Scalar> = (0..n).map(|_| Scalar::random(&mut nonce_rng)).collect();
             let batch = SchnorrProof::prove_base_all(b"ctx", &xs, nonces);
             assert_eq!(batch.len(), n);
-            for (x, (public, proof)) in xs.iter().zip(batch) {
+            for (x, (public, encoded, proof)) in xs.iter().zip(batch) {
                 assert_eq!(public, GroupElement::base_mul(x));
+                assert_eq!(encoded, public.encode());
                 assert_eq!(proof, SchnorrProof::prove(&mut rng, b"ctx", &g, &public, x));
                 assert!(proof.verify(b"ctx", &g, &public));
             }
@@ -852,6 +872,61 @@ mod tests {
                 "trial {trial}"
             );
             assert_eq!(individual, !corrupt);
+        }
+    }
+
+    /// One bad statement among 40 of the screening shape (base `g`,
+    /// proofs from `prove_base_all`: 81 multiscalar terms, two blocks of
+    /// the lane engine), at every position in turn — a wrong response,
+    /// and a proof moved onto another public — rejects the batch.
+    #[test]
+    fn schnorr_batch_rejects_one_bad_proof_at_every_position() {
+        let mut rng = StdRng::seed_from_u64(36);
+        let g = GroupElement::generator();
+        let xs: Vec<Scalar> = (0..40).map(|_| Scalar::random(&mut rng)).collect();
+        let nonces = (0..40).map(|_| Scalar::random(&mut rng)).collect();
+        let proven = SchnorrProof::prove_base_all(b"screen", &xs, nonces);
+        let honest: Vec<SchnorrBatchEntry> = proven
+            .iter()
+            .map(|(public, _, proof)| SchnorrBatchEntry {
+                context: b"screen",
+                base: g,
+                public: *public,
+                proof: *proof,
+            })
+            .collect();
+        assert!(SchnorrProof::batch_verify(&honest));
+        for i in 0..honest.len() {
+            let mut bad = honest.clone();
+            bad[i].proof.response = bad[i].proof.response.add(&Scalar::ONE);
+            assert!(!SchnorrProof::batch_verify(&bad), "response at {i}");
+            let mut bad = honest.clone();
+            bad[i].public = honest[(i + 1) % honest.len()].public;
+            assert!(!SchnorrProof::batch_verify(&bad), "public at {i}");
+        }
+    }
+
+    /// The same for DLEQ: 16 statements on bases of their own (96
+    /// terms, two blocks), each in turn with a wrong response or a
+    /// second public from another statement.
+    #[test]
+    fn dleq_batch_rejects_one_bad_proof_at_every_position() {
+        let mut rng = StdRng::seed_from_u64(37);
+        let stmts = dleq_batch(&mut rng, 16);
+        assert!(DleqProof::batch_verify(&dleq_entries(&stmts)));
+        for i in 0..stmts.len() {
+            let mut bad = stmts.clone();
+            bad[i].4.response = bad[i].4.response.add(&Scalar::ONE);
+            assert!(
+                !DleqProof::batch_verify(&dleq_entries(&bad)),
+                "response at {i}"
+            );
+            let mut bad = stmts.clone();
+            bad[i].3 = stmts[(i + 1) % stmts.len()].3;
+            assert!(
+                !DleqProof::batch_verify(&dleq_entries(&bad)),
+                "public at {i}"
+            );
         }
     }
 

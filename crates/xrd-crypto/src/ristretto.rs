@@ -146,9 +146,16 @@ impl GroupElement {
     /// Only for *public* data: this is the engine of batched proof
     /// verification ([`crate::nizk`]), where every input is a wire
     /// value or a verifier-chosen random coefficient.
+    ///
+    /// Where the eight-lane field kernel is compiled in, eight terms or
+    /// more run a lane Straus instead, at every size: eight terms to a
+    /// lane group, one radix-16 table per group, every group adding
+    /// into one lane accumulator per block of 64 terms (the lane
+    /// digits, like the scalars they come from, are public).  The sum
+    /// is the same group element.
     pub fn vartime_multiscalar_mul(scalars: &[Scalar], points: &[GroupElement]) -> GroupElement {
         let inner: Vec<EdwardsPoint> = points.iter().map(|p| p.0).collect();
-        GroupElement(EdwardsPoint::vartime_multiscalar_mul(scalars, &inner))
+        GroupElement(batch::vartime_multiscalar_mul(scalars, &inner))
     }
 
     /// Group operation (written multiplicatively in the paper; this is
@@ -470,6 +477,24 @@ mod batch {
     /// point.  Only a batch's last group can be this short.
     const LANES_FROM: usize = 3;
 
+    /// A multiscalar multiplication of fewer terms than this keeps the
+    /// scalar Straus: the lane engine's 64 windows of lane doublings
+    /// cost ~55 µs whatever the term count, a scalar term ~6–10 µs and
+    /// a lane term ~3.5 µs, so the two meet at six to eight terms (one
+    /// proof's own check is two).
+    const MSM_LANES_FROM: usize = 8;
+
+    pub(super) fn vartime_multiscalar_mul(
+        scalars: &[Scalar],
+        points: &[EdwardsPoint],
+    ) -> EdwardsPoint {
+        if points.len() < MSM_LANES_FROM {
+            EdwardsPoint::vartime_multiscalar_mul(scalars, points)
+        } else {
+            EdwardsPoint::lanes_vartime_multiscalar_mul(scalars, points)
+        }
+    }
+
     pub(super) fn mul_pair(
         points: &[GroupElement],
         a: &Scalar,
@@ -566,7 +591,14 @@ mod batch {
     target_feature = "avx512ifma"
 )))]
 mod batch {
-    use super::{FixedBaseTable, GroupElement, GroupTable, Scalar};
+    use super::{EdwardsPoint, FixedBaseTable, GroupElement, GroupTable, Scalar};
+
+    pub(super) fn vartime_multiscalar_mul(
+        scalars: &[Scalar],
+        points: &[EdwardsPoint],
+    ) -> EdwardsPoint {
+        EdwardsPoint::vartime_multiscalar_mul(scalars, points)
+    }
 
     pub(super) fn mul_pair(
         points: &[GroupElement],

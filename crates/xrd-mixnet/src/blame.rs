@@ -292,7 +292,7 @@ where
     let Some(submission) = submissions.get(slot_index) else {
         return BlameVerdict::ServerMisbehaved { position: 0 };
     };
-    if submission.dh != expected_dh || submission.ct != expected_ct {
+    if submission.dh() != expected_dh || submission.ct != expected_ct {
         return BlameVerdict::ServerMisbehaved { position: 0 };
     }
 

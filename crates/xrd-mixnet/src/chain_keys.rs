@@ -14,7 +14,7 @@
 
 use rand::RngCore;
 
-use xrd_crypto::nizk::SchnorrProof;
+use xrd_crypto::nizk::{SchnorrBatchEntry, SchnorrProof};
 use xrd_crypto::ristretto::GroupElement;
 use xrd_crypto::scalar::Scalar;
 
@@ -84,7 +84,8 @@ impl ChainPublicKeys {
     }
 
     /// Verify every server's key-knowledge proof (step run by all
-    /// participants before a round starts).
+    /// participants before a round starts): the `3k` proofs as one
+    /// [`SchnorrProof::batch_verify`], which accepts iff each would.
     pub fn verify(&self) -> bool {
         if self.bpks.len() != self.len() + 1
             || self.ipks.len() != self.len()
@@ -92,23 +93,34 @@ impl ChainPublicKeys {
         {
             return false;
         }
-        if self.bpks[0] != GroupElement::generator() {
+        let g = GroupElement::generator();
+        if self.bpks[0] != g {
             return false;
         }
-        let g = GroupElement::generator();
-        for i in 0..self.len() {
-            let ctx = keygen_context(self.epoch, i);
-            let inner_ctx = inner_keygen_context(self.inner_epoch, i);
-            let base = &self.bpks[i];
-            let p = &self.proofs[i];
-            if !p.bsk_pok.verify(&ctx, base, &self.bpks[i + 1])
-                || !p.msk_pok.verify(&ctx, base, &self.mpks[i])
-                || !p.isk_pok.verify(&inner_ctx, &g, &self.ipks[i])
-            {
-                return false;
-            }
-        }
-        true
+        let contexts: Vec<(Vec<u8>, Vec<u8>)> = (0..self.len())
+            .map(|i| {
+                (
+                    keygen_context(self.epoch, i),
+                    inner_keygen_context(self.inner_epoch, i),
+                )
+            })
+            .collect();
+        let statements: Vec<SchnorrBatchEntry> = (contexts.iter().zip(&self.proofs).enumerate())
+            .flat_map(|(i, ((ctx, inner_ctx), p))| {
+                let entry = |context, base, public, proof| SchnorrBatchEntry {
+                    context,
+                    base,
+                    public,
+                    proof,
+                };
+                [
+                    entry(ctx, self.bpks[i], self.bpks[i + 1], p.bsk_pok),
+                    entry(ctx, self.bpks[i], self.mpks[i], p.msk_pok),
+                    entry(inner_ctx, g, self.ipks[i], p.isk_pok),
+                ]
+            })
+            .collect();
+        SchnorrProof::batch_verify(&statements)
     }
 }
 
@@ -161,15 +173,22 @@ pub fn apply_rotation_shares(
     inner_epoch: u64,
     shares: &[RotationShare],
 ) -> bool {
-    if shares.len() != public.len() {
+    if shares.len() != public.len() || (shares.iter().enumerate()).any(|(i, s)| s.position != i) {
         return false;
     }
-    let g = GroupElement::generator();
-    for (i, share) in shares.iter().enumerate() {
-        let ctx = inner_keygen_context(inner_epoch, i);
-        if share.position != i || !share.pok.verify(&ctx, &g, &share.ipk) {
-            return false;
-        }
+    let contexts: Vec<Vec<u8>> = (0..shares.len())
+        .map(|i| inner_keygen_context(inner_epoch, i))
+        .collect();
+    let statements: Vec<SchnorrBatchEntry> = (shares.iter().zip(&contexts))
+        .map(|(share, context)| SchnorrBatchEntry {
+            context,
+            base: GroupElement::generator(),
+            public: share.ipk,
+            proof: share.pok,
+        })
+        .collect();
+    if !SchnorrProof::batch_verify(&statements) {
+        return false;
     }
     public.inner_epoch = inner_epoch;
     for (i, share) in shares.iter().enumerate() {
@@ -309,6 +328,48 @@ mod tests {
         let (_, mut public) = generate_chain_keys(&mut rng, 2, 1);
         public.epoch = 2; // proofs were bound to epoch 1
         assert!(!public.verify());
+    }
+
+    #[test]
+    fn one_bad_proof_anywhere_fails_the_bundle() {
+        // Each of the 3k proofs in turn carries a wrong response; the
+        // bundle as a whole refuses, and takes it back once restored.
+        let mut rng = StdRng::seed_from_u64(7);
+        let (_, mut public) = generate_chain_keys(&mut rng, 3, 0);
+        for i in 0..3 {
+            for which in 0..3 {
+                let honest = public.clone();
+                let p = &mut public.proofs[i];
+                let proof = match which {
+                    0 => &mut p.bsk_pok,
+                    1 => &mut p.msk_pok,
+                    _ => &mut p.isk_pok,
+                };
+                proof.response = proof.response.add(&Scalar::ONE);
+                assert!(!public.verify(), "server {i}, proof {which}");
+                public = honest;
+                assert!(public.verify());
+            }
+        }
+    }
+
+    #[test]
+    fn one_bad_share_anywhere_fails_the_rotation() {
+        let mut rng = StdRng::seed_from_u64(8);
+        let (_, mut public) = generate_chain_keys(&mut rng, 3, 0);
+        let shares: Vec<RotationShare> = (0..3).map(|i| rotation_share(&mut rng, i, 1).1).collect();
+        for bad in 0..3 {
+            let mut tampered = shares.clone();
+            tampered[bad].pok.response = tampered[bad].pok.response.add(&Scalar::ONE);
+            let before = public.clone();
+            assert!(
+                !apply_rotation_shares(&mut public, 1, &tampered),
+                "share {bad}"
+            );
+            assert_eq!(public, before, "a refused rotation leaves the bundle");
+        }
+        assert!(apply_rotation_shares(&mut public, 1, &shares));
+        assert!(public.verify());
     }
 
     #[test]

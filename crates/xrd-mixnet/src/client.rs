@@ -40,10 +40,17 @@ use crate::message::{
 
 /// A user's AHS submission to one chain: `(g^x, c_1)` plus the proof of
 /// knowledge of `x` (§6.2).
+///
+/// `g^x` travels with its canonical encoding, made once where the point
+/// is: the sealer's proof needed it anyway, and the codec holds the
+/// bytes it decoded.  Every copy a client sends, a server's proof check
+/// and the sort of a closed window read those bytes instead of paying
+/// an inverse square root each.  The point and its bytes are private so
+/// they cannot part.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Submission {
-    /// `g^x`.
-    pub dh: GroupElement,
+    dh: GroupElement,
+    encoded_dh: [u8; 32],
     /// Outer onion ciphertext `c_1`.
     pub ct: Vec<u8>,
     /// NIZK PoK of `x` (knowledge-of-discrete-log, \[9\]).
@@ -51,6 +58,45 @@ pub struct Submission {
 }
 
 impl Submission {
+    /// A submission of `dh`, encoded here.
+    pub fn new(dh: GroupElement, ct: Vec<u8>, pok: SchnorrProof) -> Submission {
+        Submission {
+            encoded_dh: dh.encode(),
+            dh,
+            ct,
+            pok,
+        }
+    }
+
+    /// A submission whose `dh` was decoded from `encoded_dh` (the
+    /// codec's, which decodes a row's points together): the bytes are
+    /// kept, not recomputed.  `dh` must be what
+    /// [`GroupElement::decode`] makes of them; debug builds check.
+    pub fn decoded(
+        encoded_dh: [u8; 32],
+        dh: GroupElement,
+        ct: Vec<u8>,
+        pok: SchnorrProof,
+    ) -> Submission {
+        debug_assert_eq!(GroupElement::decode(&encoded_dh), Some(dh));
+        Submission {
+            dh,
+            encoded_dh,
+            ct,
+            pok,
+        }
+    }
+
+    /// `g^x`.
+    pub fn dh(&self) -> GroupElement {
+        self.dh
+    }
+
+    /// The canonical encoding of `g^x`, as it goes on the wire.
+    pub fn encoded_dh(&self) -> &[u8; 32] {
+        &self.encoded_dh
+    }
+
     /// Serialized size in bytes (for the Figure 2 bandwidth accounting).
     pub fn wire_len(&self) -> usize {
         32 + self.ct.len() + SCHNORR_PROOF_LEN
@@ -66,10 +112,11 @@ impl Submission {
     }
 
     /// [`Submission::verify_pok`] for each of `submissions`, as one
-    /// batched check ([`SchnorrProof::batch_verify`]: a single
+    /// batched check ([`SchnorrProof::batch_verify_encoded`]: a single
     /// multiscalar multiplication, the shared base `g` folded into one
-    /// term).  Only if the batch rejects are the proofs checked one by
-    /// one, so the exact offenders are still identified.
+    /// term, each challenge hashing the carried encoding of `g^x`).
+    /// Only if the batch rejects are the proofs checked one by one, so
+    /// the exact offenders are still identified.
     pub fn verify_poks(round: u64, submissions: &[Submission]) -> Vec<bool> {
         let context = submission_context(round);
         let statements: Vec<SchnorrBatchEntry> = submissions
@@ -81,7 +128,8 @@ impl Submission {
                 proof: sub.pok,
             })
             .collect();
-        if SchnorrProof::batch_verify(&statements) {
+        let encoded: Vec<[u8; 32]> = submissions.iter().map(|sub| sub.encoded_dh).collect();
+        if SchnorrProof::batch_verify_encoded(&statements, &encoded) {
             vec![true; submissions.len()]
         } else {
             submissions.iter().map(|s| s.verify_pok(round)).collect()
@@ -96,27 +144,10 @@ impl Submission {
         }
     }
 
-    /// The canonical bytes of a submission: `g^x || PoK || onion`.
+    /// The canonical bytes of a submission: `g^x || PoK || onion` —
+    /// what a mix server sorts a closed window by.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(self.wire_len());
-        out.extend_from_slice(&self.dh.encode());
-        out.extend_from_slice(&self.pok.to_bytes());
-        out.extend_from_slice(&self.ct);
-        out
-    }
-
-    /// [`Submission::to_bytes`] for a whole batch, byte for byte, with
-    /// the batch's DH keys encoded together
-    /// ([`GroupElement::encode_all`]: eight per inverse square root
-    /// where the lane kernel is compiled in) — what a mix server sorts a
-    /// closed window by.
-    pub fn batch_to_bytes(submissions: &[Submission]) -> Vec<Vec<u8>> {
-        let dhs: Vec<GroupElement> = submissions.iter().map(|s| s.dh).collect();
-        submissions
-            .iter()
-            .zip(GroupElement::encode_all(&dhs))
-            .map(|(s, dh)| [&dh[..], &s.pok.to_bytes(), &s.ct].concat())
-            .collect()
+        [&self.encoded_dh[..], &self.pok.to_bytes(), &self.ct].concat()
     }
 }
 
@@ -268,9 +299,14 @@ fn seal_onions(
     SchnorrProof::prove_base_all(&submission_context(round), &xs, nonces)
         .into_iter()
         .zip(cts)
-        .map(|((dh, pok), ct)| {
+        .map(|((dh, encoded_dh, pok), ct)| {
             debug_assert_eq!(ct.len(), outer_ct_len(k));
-            Submission { dh, ct, pok }
+            Submission {
+                dh,
+                encoded_dh,
+                ct,
+                pok,
+            }
         })
         .collect()
 }
@@ -466,7 +502,7 @@ mod tests {
     /// inner secrets.
     fn peel(secrets: &[ServerSecrets], sub: &Submission, round: u64) -> MailboxMessage {
         let mut ct = sub.ct.clone();
-        let mut x_i = sub.dh;
+        let mut x_i = sub.dh();
         for (layer, secret) in secrets.iter().enumerate() {
             let shared = x_i.mul(&secret.msk);
             let key = outer_layer_key(&shared.encode(), round, layer);
@@ -663,19 +699,28 @@ mod tests {
     }
 
     #[test]
-    fn batch_to_bytes_is_to_bytes_per_submission() {
+    fn sealed_submissions_carry_their_encoding() {
+        // One-off or in a batch of any size around the lane width, a
+        // sealed submission's carried bytes are its `g^x` encoded, and
+        // they lead its canonical bytes; `new` encodes the same.
         let mut rng = StdRng::seed_from_u64(6);
         let (_, keys) = generate_chain_keys(&mut rng, 3, 0);
+        let sealer = ChainSealer::new(&keys);
         for n in [0usize, 1, 2, 3, 8, 9] {
-            let subs: Vec<Submission> = (0..n)
+            let mut subs: Vec<Submission> = (0..n)
                 .map(|_| seal_ahs(&mut rng, &keys, 0, &test_msg()))
                 .collect();
-            let one_by_one: Vec<Vec<u8>> = subs.iter().map(Submission::to_bytes).collect();
-            assert_eq!(Submission::batch_to_bytes(&subs), one_by_one, "n={n}");
-            assert!(subs
-                .iter()
-                .zip(&one_by_one)
-                .all(|(s, b)| b.len() == s.wire_len()));
+            let jobs = (0..n)
+                .map(|_| (SealRandomness::draw(&mut rng), test_msg()))
+                .collect();
+            subs.extend(sealer.seal_all(0, jobs));
+            for s in &subs {
+                assert_eq!(*s.encoded_dh(), s.dh().encode(), "n={n}");
+                let bytes = [&s.dh().encode()[..], &s.pok.to_bytes(), &s.ct].concat();
+                assert_eq!(s.to_bytes(), bytes, "n={n}");
+                assert_eq!(bytes.len(), s.wire_len());
+                assert_eq!(Submission::new(s.dh(), s.ct.clone(), s.pok), *s);
+            }
         }
     }
 
@@ -687,6 +732,6 @@ mod tests {
         let s1 = seal_ahs(&mut rng, &keys, 0, &test_msg());
         let s2 = seal_ahs(&mut rng, &keys, 0, &test_msg());
         assert_ne!(s1.ct, s2.ct);
-        assert_ne!(s1.dh, s2.dh);
+        assert_ne!(s1.dh(), s2.dh());
     }
 }

@@ -50,7 +50,7 @@ pub fn malicious_submission<R: RngCore + ?Sized>(
         &dh,
         &x,
     );
-    Submission { dh, ct, pok }
+    Submission::new(dh, ct, pok)
 }
 
 #[cfg(test)]

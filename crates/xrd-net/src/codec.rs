@@ -262,7 +262,7 @@ impl<'a> Reader<'a> {
         &mut self,
         n: usize,
         mut rest: impl FnMut(&mut Self) -> Result<R, CodecError>,
-        item: impl Fn(GroupElement, R) -> T,
+        item: impl Fn([u8; 32], GroupElement, R) -> T,
     ) -> Result<Vec<T>, CodecError> {
         // Every item is at least its point: a hostile count cannot make
         // this allocate more than the frame already holds.
@@ -282,15 +282,13 @@ impl<'a> Reader<'a> {
                 }
             }
         }
-        let points = GroupElement::decode_all(&points)
+        let decoded = GroupElement::decode_all(&points)
             .into_iter()
             .collect::<Option<Vec<_>>>()
             .ok_or(CodecError::InvalidGroupElement)?;
         failed?;
-        Ok(points
-            .into_iter()
-            .zip(rests)
-            .map(|(p, r)| item(p, r))
+        Ok((points.into_iter().zip(decoded).zip(rests))
+            .map(|((bytes, p), r)| item(bytes, p, r))
             .collect())
     }
 
@@ -396,7 +394,7 @@ impl Wire for GroupElement {
         }
     }
     fn get_all(r: &mut Reader<'_>, n: usize) -> Result<Vec<GroupElement>, CodecError> {
-        r.point_led(n, |_| Ok(()), |point, ()| point)
+        r.point_led(n, |_| Ok(()), |_, point, ()| point)
     }
 }
 
@@ -499,7 +497,7 @@ macro_rules! wire_structs {
             r.point_led(
                 n,
                 |r| Ok(($( wire_structs!(@get r $(, $how)?), )*)),
-                |$point, ($($field,)*)| Self { $point, $($field),* },
+                |_, $point, ($($field,)*)| Self { $point, $($field),* },
             )
         }
     };
@@ -517,7 +515,6 @@ macro_rules! wire_structs {
 }
 wire_structs! {
     MixEntry { dh: point, ct: bytes }
-    Submission { dh: point, pok, ct: bytes }
     MailboxMessage { mailbox, sealed: sealed }
     RotationShare { position: u32, ipk, pok }
     Accusation { position: u32, input_index: u64, entry, dec_key, key_proof }
@@ -525,6 +522,30 @@ wire_structs! {
                   dec_key, key_proof }
     xrd_obs::SpanEvent { name, round, start_us, dur_us }
     HopAttestation { round, position: u32, input_dhs, output_dhs, proof }
+}
+
+/// `point pok bytes`, a `wire_structs!` row but for its point: that
+/// goes out as the encoding the submission carries and comes back with
+/// the bytes it was decoded from, so no sender re-encodes it.
+impl Wire for Submission {
+    fn put(&self, w: &mut Writer) {
+        w.raw(self.encoded_dh());
+        self.pok.put(w);
+        w.bytes(&self.ct);
+    }
+    fn get(r: &mut Reader<'_>) -> Result<Submission, CodecError> {
+        let encoded = r.array()?;
+        let dh = GroupElement::decode(&encoded).ok_or(CodecError::InvalidGroupElement)?;
+        let pok = Wire::get(r)?;
+        Ok(Submission::decoded(encoded, dh, r.bytes()?, pok))
+    }
+    fn get_all(r: &mut Reader<'_>, n: usize) -> Result<Vec<Submission>, CodecError> {
+        r.point_led(
+            n,
+            |r| Ok((Wire::get(r)?, r.bytes()?)),
+            |encoded, dh, (pok, ct)| Submission::decoded(encoded, dh, ct, pok),
+        )
+    }
 }
 
 /// One [`Frame::MailboxPage`] entry: `(delivery_round, sealed)`.

@@ -683,13 +683,8 @@ impl MixState {
                 self.open_round = None;
                 // Canonical order: sort by serialized bytes, so every
                 // server that received the same set fixes the same batch.
-                let pending = std::mem::take(&mut self.pending_subs);
-                let mut keyed: Vec<_> = Submission::batch_to_bytes(&pending)
-                    .into_iter()
-                    .zip(pending)
-                    .collect();
-                keyed.sort_by(|a, b| a.0.cmp(&b.0));
-                let mut batch: Vec<Submission> = keyed.into_iter().map(|(_, s)| s).collect();
+                let mut batch = std::mem::take(&mut self.pending_subs);
+                batch.sort_by_cached_key(Submission::to_bytes);
                 batch.dedup();
                 let entries: Vec<_> = batch.iter().map(|s| s.to_entry()).collect();
                 let digest = input_digest(&entries);

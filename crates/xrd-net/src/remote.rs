@@ -109,10 +109,17 @@ impl RemoteDeployment {
                 retry,
             )?);
         }
+        // One `Ping` per shard before returning, as the chains' rotation
+        // exchange does for theirs: a shard has then accepted the
+        // connection, and nothing it counts arrives later than this.
         let mailbox_conns = mailbox_addrs
             .iter()
-            .map(|&a| Conn::connect_with(a, timeouts))
-            .collect::<Result<Vec<_>, _>>()?;
+            .map(|&a| {
+                let mut conn = Conn::connect_with(a, timeouts)?;
+                conn.ping()?;
+                Ok(conn)
+            })
+            .collect::<Result<Vec<_>, NetError>>()?;
         // Pre-publish round-1 inner keys (§5.3.3: covers for ρ+1 are
         // sealed while ρ runs).
         let next_keys = chains

@@ -64,11 +64,7 @@ pub fn mix_entries(rng: &mut StdRng) -> Vec<MixEntry> {
 }
 
 pub fn submission(rng: &mut StdRng) -> Submission {
-    Submission {
-        dh: g(rng),
-        ct: bytes(rng, 600),
-        pok: schnorr(rng),
-    }
+    Submission::new(g(rng), bytes(rng, 600), schnorr(rng))
 }
 
 pub fn mailbox_message(rng: &mut StdRng) -> MailboxMessage {

@@ -360,3 +360,38 @@ fn lying_verifier_still_admits_and_rejects_submissions() {
     );
     assert_eq!(close(&mut conn).1, 2);
 }
+
+/// A submission off the wire carries its point's encoding as it came:
+/// after a `Submit` and after a `SubmissionBatch` round trip (rows
+/// around the lane width), the carried bytes are the point encoded, the
+/// submission is the one sent, and its proof screens.
+#[test]
+fn a_decoded_submission_carries_its_encoding() {
+    let mut rng = StdRng::seed_from_u64(14);
+    let (_, public) = chain_keys(&mut rng);
+    for n in [1usize, 2, 3, 8, 9, 17] {
+        let sent = sealed_submissions(&mut rng, &public, 0, n);
+        let batch = Frame::SubmissionBatch {
+            round: 0,
+            submissions: sent.clone(),
+        };
+        let Ok(Frame::SubmissionBatch { submissions, .. }) = Frame::decode(&batch.encode()[4..])
+        else {
+            panic!("a SubmissionBatch decodes as one");
+        };
+        let mut received = submissions;
+        for submission in &sent {
+            let Ok(Frame::Submit { submission, .. }) =
+                Frame::decode(&submit(submission).encode()[4..])
+            else {
+                panic!("a Submit decodes as one");
+            };
+            received.push(submission);
+        }
+        assert_eq!(received, [&sent[..], &sent[..]].concat(), "n={n}");
+        for submission in &received {
+            assert_eq!(*submission.encoded_dh(), submission.dh().encode(), "n={n}");
+        }
+        assert_eq!(Submission::verify_poks(0, &received), vec![true; 2 * n]);
+    }
+}
