@@ -212,6 +212,14 @@ fn unexpected(frame: Frame, expected: &str) -> NetError {
     }
 }
 
+/// A reply that must be [`Frame::Ok`].
+pub(crate) fn expect_ok(reply: Result<Frame, NetError>) -> Result<(), NetError> {
+    match reply? {
+        Frame::Ok => Ok(()),
+        other => Err(NetError::Protocol(format!("expected Ok, got {other:?}"))),
+    }
+}
+
 /// A persistent request/response connection to one daemon.
 pub struct Conn {
     framed: Framed,
@@ -465,6 +473,12 @@ impl Conn {
     /// turned into [`NetError::Remote`].
     pub fn request(&mut self, frame: &Frame) -> Result<Frame, NetError> {
         self.send(frame)?;
+        self.recv_reply()
+    }
+
+    /// Await the reply to a request already sent, [`Frame::Error`]
+    /// turned into [`NetError::Remote`].
+    pub(crate) fn recv_reply(&mut self) -> Result<Frame, NetError> {
         match self.recv()? {
             Frame::Error { code, message } => {
                 conn_metrics().err_remote.incr();
@@ -477,10 +491,7 @@ impl Conn {
 
     /// Request and insist on [`Frame::Ok`].
     pub fn request_ok(&mut self, frame: &Frame) -> Result<(), NetError> {
-        match self.request(frame)? {
-            Frame::Ok => Ok(()),
-            other => Err(NetError::Protocol(format!("expected Ok, got {other:?}"))),
-        }
+        expect_ok(self.request(frame))
     }
 
     /// One [`Frame::Ping`]→[`Frame::Pong`] liveness probe (served by

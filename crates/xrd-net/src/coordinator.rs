@@ -37,6 +37,10 @@
 //! ([`Frame::VerifyHopKeys`]) and a dispute all read key columns.
 //! Nothing is revealed or delivered until every hop has verified: inner
 //! keys stay sealed unless the whole chain checks out.
+//!
+//! Every other exchange goes through one fan-out, `ask`, so a chain's
+//! daemons work side by side; only the §6.4 blame trace walks them one
+//! by one, since each reveal it asks for depends on the last.
 
 use std::collections::HashSet;
 use std::net::SocketAddr;
@@ -54,7 +58,7 @@ use xrd_mixnet::server::{
 use xrd_mixnet::{resolve_blame, BlameResolution, ChainRoundOutcome};
 
 use crate::codec::{dispute_claim, dispute_context, ChunkedBatch, Frame, STREAM_CHUNK};
-use crate::conn::{Conn, ConnTimeouts, HopReply, NetError};
+use crate::conn::{expect_ok, Conn, ConnTimeouts, HopReply, NetError};
 
 /// Bounded retry-with-backoff for chain exchanges that fail for
 /// *transport* reasons (see [`NetError::retryable`]): the coordinator
@@ -120,34 +124,50 @@ struct CoordMetrics {
     reconnects: &'static xrd_obs::Counter,
 }
 
-/// One request/response exchange with bounded retry: on a retryable
-/// failure the connection is re-dialed and the request repeated.
-/// Only safe for idempotent requests (every coordinator-side exchange
-/// is: window control, digest queries, reveals, rotation shares — and
-/// the mailbox exchanges, which are idempotent by construction:
-/// batch-deduped delivery, non-destructive paging, watermark acks).
-pub(crate) fn request_retry(
-    conn: &mut Conn,
-    frame: &Frame,
+/// No retry: one attempt per exchange.
+pub(crate) const NO_RETRY: RetryPolicy = RetryPolicy {
+    attempts: 1,
+    base_backoff: Duration::ZERO,
+};
+
+/// The coordinator's one way to ask its daemons: `requests[c]`, if any,
+/// is the encoded request for `conns[c]`, and its reply comes back at
+/// index `c`.  Every request is written before any reply is read, so the
+/// daemons work side by side.  [`Frame::Error`] comes back as
+/// [`NetError::Remote`], as from [`Conn::request`].  A connection whose
+/// exchange fails for a retryable reason is redialed and asked again on
+/// its own, under `retry` — so only for idempotent requests, which every
+/// coordinator-side exchange is (a shard deduplicates deliveries).
+pub(crate) fn ask<'w>(
+    conns: &mut [Conn],
+    requests: impl IntoIterator<Item = Option<&'w [u8]>>,
     retry: RetryPolicy,
-) -> Result<Frame, NetError> {
-    let mut attempt = 0;
-    loop {
-        match conn.request(frame) {
-            Err(e) if e.retryable() && attempt + 1 < retry.attempts => {
-                xrd_obs::debug!(
+) -> Vec<Option<Result<Frame, NetError>>> {
+    let sent: Vec<_> = conns
+        .iter_mut()
+        .zip(requests)
+        .map(|(conn, wire)| wire.map(|wire| (wire, conn.send_encoded(wire))))
+        .collect();
+    let replies = conns.iter_mut().zip(sent).map(|(conn, sent)| {
+        let (wire, sent) = sent?;
+        let mut reply = sent.and_then(|()| conn.recv_reply());
+        for attempt in 1..retry.attempts {
+            match &reply {
+                Err(e) if e.retryable() => xrd_obs::debug!(
                     "retrying {} to {} after: {e}",
-                    Frame::tag_name(frame.tag()).unwrap_or("?"),
+                    Frame::tag_name(wire[4]).unwrap_or("?"),
                     conn.peer()
-                );
-                attempt += 1;
-                retry.sleep(attempt);
-                coord_metrics().reconnects.incr();
-                let _ = conn.reconnect();
+                ),
+                _ => break,
             }
-            other => return other,
+            retry.sleep(attempt);
+            coord_metrics().reconnects.incr();
+            let _ = conn.reconnect();
+            reply = conn.send_encoded(wire).and_then(|()| conn.recv_reply());
         }
-    }
+        Some(reply)
+    });
+    replies.collect()
 }
 
 /// Where a hop sends its output: the one parameter of the mix pass.
@@ -340,16 +360,16 @@ impl ChainClient {
 
     /// Open the submission window for `round` on every server.
     pub fn open_round(&mut self, round: u64) -> Result<(), NetError> {
-        let retry = self.retry;
-        for conn in &mut self.conns {
-            match request_retry(conn, &Frame::OpenRound { round }, retry)? {
-                Frame::Ok => {}
-                other => {
-                    return Err(NetError::Protocol(format!("expected Ok, got {other:?}")));
-                }
-            }
-        }
-        Ok(())
+        let replies = self.ask_all(&Frame::OpenRound { round }, self.retry);
+        replies.into_iter().try_for_each(expect_ok)
+    }
+
+    /// Ask every daemon of the chain `frame` at once (see [`ask`]);
+    /// one reply per position, in hop order.
+    fn ask_all(&mut self, frame: &Frame, retry: RetryPolicy) -> Vec<Result<Frame, NetError>> {
+        let wire = frame.encode();
+        let replies = ask(&mut self.conns, std::iter::repeat(Some(&wire[..])), retry);
+        replies.into_iter().flatten().collect()
     }
 
     /// Close the window and run input agreement: every server reports
@@ -361,20 +381,18 @@ impl ChainClient {
     /// from a majority server and re-hashed locally.  Fails only when
     /// no strict majority exists.
     pub fn close_and_agree(&mut self, round: u64) -> Result<Vec<Submission>, NetError> {
-        let retry = self.retry;
-        let mut digests = Vec::with_capacity(self.conns.len());
-        for conn in &mut self.conns {
-            match request_retry(conn, &Frame::CloseSubmissions { round }, retry)? {
+        let digests = self
+            .ask_all(&Frame::CloseSubmissions { round }, self.retry)
+            .into_iter()
+            .map(|reply| match reply? {
                 Frame::BatchDigest {
                     round: r, digest, ..
-                } if r == round => digests.push(digest),
-                other => {
-                    return Err(NetError::Protocol(format!(
-                        "expected BatchDigest, got {other:?}"
-                    )))
-                }
-            }
-        }
+                } if r == round => Ok(digest),
+                other => Err(NetError::Protocol(format!(
+                    "expected BatchDigest, got {other:?}"
+                ))),
+            })
+            .collect::<Result<Vec<_>, _>>()?;
         // Majority digest: the most common value, needing > k/2 votes.
         let majority = digests
             .iter()
@@ -387,29 +405,27 @@ impl ChainClient {
                 "input agreement failed: no majority batch digest".into(),
             ));
         }
-        let dissenters: Vec<usize> = (0..digests.len())
-            .filter(|&i| digests[i] != majority)
-            .collect();
-        for &pos in &dissenters {
+        for pos in (0..digests.len()).filter(|&i| digests[i] != majority) {
             coord_metrics().digest_dissent.incr();
             xrd_obs::info!(
                 "round {round}: server {pos} dissented from the majority input digest (suspect)"
             );
             self.suspected.push(pos);
-        }
-        if !dissenters.is_empty() {
             // Tell the chain who dissented — suspicion, not conviction,
             // so the verdict is announced as not upheld.
-            for &pos in &dissenters {
-                self.announce_verdict(round, pos, dispute_claim::EQUIVOCATION, false, votes as u32);
-            }
+            self.announce_verdict(round, pos, dispute_claim::EQUIVOCATION, false, votes as u32);
         }
         let source = digests
             .iter()
             .position(|d| *d == majority)
             .expect("majority digest came from some server");
-        let batch = match request_retry(&mut self.conns[source], &Frame::GetBatch { round }, retry)?
-        {
+        let get = Frame::GetBatch { round }.encode();
+        let fetched = ask(
+            &mut self.conns[source..=source],
+            [Some(&get[..])],
+            self.retry,
+        );
+        let batch = match fetched.into_iter().flatten().next().expect("asked")? {
             Frame::SubmissionBatch {
                 round: r,
                 submissions,
@@ -546,9 +562,8 @@ impl ChainClient {
             if forwarded {
                 // Mark the round on every hop; each daemon records this
                 // very connection as the round's report channel.
-                for conn in &mut self.conns {
-                    conn.request_ok(&Frame::MixForward { round })?;
-                }
+                let marks = self.ask_all(&Frame::MixForward { round }, NO_RETRY);
+                marks.into_iter().try_for_each(expect_ok)?;
             }
             // Open the pipeline: hop 0's request stream, encoded once.
             for bytes in ChunkedBatch::build(round, &current, STREAM_CHUNK).frames() {
@@ -652,9 +667,8 @@ impl ChainClient {
 
     /// End-of-chain cross-server verification, keys only: each hop's
     /// attestation is encoded once as a [`Frame::VerifyHopKeys`] and
-    /// broadcast to the other `k-1` servers, all requests pipelined
-    /// before any verdict is collected (responses are one byte and
-    /// cannot clog).
+    /// checked by the other `k-1` servers, in `k-1` waves of [`ask`] —
+    /// in each, every verifier checks one hop, all side by side.
     ///
     /// Each rejected attestation becomes a dispute rather than an
     /// abort.  `Ok(false)`: the dispute convicted a *prover* (bad proof
@@ -668,31 +682,36 @@ impl ChainClient {
         hops: &[HopAttestation],
         outcome: &mut ChainRoundOutcome,
     ) -> Result<bool, NetError> {
-        let mut expected: Vec<(usize, usize)> = Vec::new(); // (verifier, prover)
-        for (prover, hop) in hops.iter().enumerate() {
-            let wire = Frame::VerifyHopKeys {
-                attestation: hop.clone(),
-            }
-            .encode();
-            for (verifier, conn) in self.conns.iter_mut().enumerate() {
-                // Verifiers already convicted of lying are out.
-                if verifier != prover && !self.excluded.contains(&verifier) {
-                    conn.send_encoded(&wire)?;
-                    expected.push((verifier, prover));
-                }
-            }
-        }
+        let wires: Vec<Vec<u8>> = hops
+            .iter()
+            .cloned()
+            .map(|attestation| Frame::VerifyHopKeys { attestation }.encode())
+            .collect();
         let mut rejections: Vec<(usize, usize)> = Vec::new(); // (prover, verifier)
-        for (verifier, prover) in expected {
-            outcome.stats.proofs_verified += 1;
-            match self.conns[verifier].recv()? {
-                Frame::VerifyResult { ok: true } => {}
-                Frame::VerifyResult { ok: false } => rejections.push((prover, verifier)),
-                Frame::Error { code, message } => return Err(NetError::Remote { code, message }),
-                other => {
-                    return Err(NetError::Protocol(format!(
-                        "expected VerifyResult, got {other:?}"
-                    )))
+        for wave in 1..hops.len() {
+            // The hop `verifier` checks in this wave; verifiers already
+            // convicted of lying are out.
+            let proving = |verifier: usize| {
+                let mut others = (0..hops.len()).filter(move |&p| p != verifier);
+                others
+                    .nth(wave - 1)
+                    .filter(|_| !self.excluded.contains(&verifier))
+            };
+            let requests = (0..hops.len()).map(|v| proving(v).map(|p| &wires[p][..]));
+            let replies = ask(&mut self.conns, requests, NO_RETRY);
+            for (verifier, reply) in replies.into_iter().enumerate() {
+                let (Some(prover), Some(reply)) = (proving(verifier), reply) else {
+                    continue;
+                };
+                outcome.stats.proofs_verified += 1;
+                match reply? {
+                    Frame::VerifyResult { ok: true } => {}
+                    Frame::VerifyResult { ok: false } => rejections.push((prover, verifier)),
+                    other => {
+                        return Err(NetError::Protocol(format!(
+                            "expected VerifyResult, got {other:?}"
+                        )))
+                    }
                 }
             }
         }
@@ -816,24 +835,16 @@ impl ChainClient {
 
         // Inner-key reveal + verification, then open the envelopes.
         let _span = xrd_obs::span_timer("coord.reveal", round);
-        let retry = self.retry;
         let mut inner_keys: Vec<Scalar> = Vec::with_capacity(k);
-        let mut mislabelled: Option<usize> = None;
-        for pos in 0..k {
-            match request_retry(
-                &mut self.conns[pos],
-                &Frame::RevealInnerKey { round },
-                retry,
-            )? {
+        let reveals = self.ask_all(&Frame::RevealInnerKey { round }, self.retry);
+        for (pos, reply) in reveals.into_iter().enumerate() {
+            match reply? {
                 Frame::InnerKeyReveal { position, isk } if position as usize == pos => {
                     inner_keys.push(isk);
                 }
                 // Answering as another position is as good as a key
                 // that does not verify.
-                Frame::InnerKeyReveal { .. } => {
-                    mislabelled = Some(pos);
-                    break;
-                }
+                Frame::InnerKeyReveal { .. } => break,
                 other => {
                     return Err(NetError::Protocol(format!(
                         "expected InnerKeyReveal, got {other:?}"
@@ -841,10 +852,10 @@ impl ChainClient {
                 }
             }
         }
-        let opened = mislabelled.map_or_else(
-            || open_revealed(&self.public, round, &inner_keys, &final_entries),
-            Err,
-        );
+        let opened = match inner_keys.len() {
+            mislabelled if mislabelled < k => Err(mislabelled),
+            _ => open_revealed(&self.public, round, &inner_keys, &final_entries),
+        };
         match opened {
             Ok(delivered) => outcome.delivered = delivered,
             Err(liar) => {
@@ -872,15 +883,17 @@ impl ChainClient {
         let proof_invalid = !hop.verify(&self.public);
         let open = Frame::DisputeOpen {
             attestation: hop.clone(),
-        };
+        }
+        .encode();
+        let witnesses = (0..self.conns.len())
+            .map(|w| (w != accused && !self.excluded.contains(&w)).then_some(&open[..]));
+        let replies = ask(&mut self.conns, witnesses, NO_RETRY);
         let mut votes_upheld = 0;
         let mut votes_cast = 0;
         let mut upholders: Vec<usize> = Vec::new();
-        for witness in 0..self.conns.len() {
-            if witness == accused || self.excluded.contains(&witness) {
-                continue;
-            }
-            let evidence = match self.conns[witness].request(&open) {
+        for (witness, reply) in replies.into_iter().enumerate() {
+            let Some(reply) = reply else { continue };
+            let evidence = match reply {
                 Ok(Frame::DisputeEvidence {
                     round: r,
                     position,
@@ -946,12 +959,10 @@ impl ChainClient {
             claim,
             upheld,
             votes,
-        };
-        for (pos, conn) in self.conns.iter_mut().enumerate() {
-            if pos != accused {
-                let _ = conn.request_ok(&verdict);
-            }
         }
+        .encode();
+        let told = (0..self.conns.len()).map(|pos| (pos != accused).then_some(&verdict[..]));
+        ask(&mut self.conns, told, NO_RETRY);
     }
 
     /// The §6.4 trace, with each reveal fetched over the wire.
@@ -1022,21 +1033,20 @@ impl ChainClient {
     /// generates a fresh key and the assembled, verified bundle becomes
     /// this chain's pending bundle (what covers are sealed against).
     pub fn prepare_rotation(&mut self, inner_epoch: u64) -> Result<ChainPublicKeys, NetError> {
-        let retry = self.retry;
-        let mut shares: Vec<RotationShare> = Vec::with_capacity(self.conns.len());
-        for (pos, conn) in self.conns.iter_mut().enumerate() {
-            match request_retry(conn, &Frame::PrepareRotation { inner_epoch }, retry)? {
+        let shares = self
+            .ask_all(&Frame::PrepareRotation { inner_epoch }, self.retry)
+            .into_iter()
+            .enumerate()
+            .map(|(pos, reply)| match reply? {
                 Frame::RotationShare {
                     inner_epoch: e,
                     share,
-                } if e == inner_epoch && share.position == pos => shares.push(share),
-                other => {
-                    return Err(NetError::Protocol(format!(
-                        "bad rotation share from position {pos}: {other:?}"
-                    )))
-                }
-            }
-        }
+                } if e == inner_epoch && share.position == pos => Ok(share),
+                other => Err(NetError::Protocol(format!(
+                    "bad rotation share from position {pos}: {other:?}"
+                ))),
+            })
+            .collect::<Result<Vec<RotationShare>, _>>()?;
         let mut next = self.public.clone();
         if !apply_rotation_shares(&mut next, inner_epoch, &shares) {
             return Err(NetError::Protocol(
@@ -1050,18 +1060,12 @@ impl ChainClient {
     /// Activate the pending rotation on every server and switch the
     /// coordinator's active bundle.
     pub fn activate_rotation(&mut self) -> Result<(), NetError> {
-        let retry = self.retry;
         let next = self.pending.take().ok_or_else(|| {
             NetError::Protocol("activate_rotation without prepare_rotation".into())
         })?;
-        for conn in &mut self.conns {
-            match request_retry(conn, &Frame::ActivateRotation { keys: next.clone() }, retry)? {
-                Frame::Ok => {}
-                other => {
-                    return Err(NetError::Protocol(format!("expected Ok, got {other:?}")));
-                }
-            }
-        }
+        let activate = Frame::ActivateRotation { keys: next.clone() };
+        let replies = self.ask_all(&activate, self.retry);
+        replies.into_iter().try_for_each(expect_ok)?;
         self.public = next;
         Ok(())
     }

@@ -758,17 +758,19 @@ impl MixState {
                 self.activated = true;
                 Frame::Ok
             }
-            Frame::Accuse {
-                round: _,
-                input_index,
-            } => match self.server.accuse(&mut self.rng, input_index as usize) {
-                Some(accusation) => Frame::Accusation { accusation },
-                None => err(error_code::NO_BLAME_STATE, "no retained state for slot"),
-            },
-            Frame::RevealSlot {
-                round: _,
-                output_index,
-            } => Frame::SlotReveal {
+            // A blame request is answered for its own round only.
+            Frame::Accuse { round, .. } | Frame::RevealSlot { round, .. }
+                if self.server.state().map(|st| st.round) != Some(round) =>
+            {
+                err(error_code::NO_BLAME_STATE, "no retained state for round")
+            }
+            Frame::Accuse { input_index, .. } => {
+                match self.server.accuse(&mut self.rng, input_index as usize) {
+                    Some(accusation) => Frame::Accusation { accusation },
+                    None => err(error_code::NO_BLAME_STATE, "no retained state for slot"),
+                }
+            }
+            Frame::RevealSlot { output_index, .. } => Frame::SlotReveal {
                 reveal: self
                     .server
                     .blame_reveal(&mut self.rng, output_index as usize)

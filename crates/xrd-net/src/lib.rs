@@ -33,14 +33,16 @@
 //! * [`coordinator`] — [`ChainClient`], driving one chain's round state
 //!   machine over the wire: submission window → k hops (chunk streams,
 //!   pipelined with byte-for-byte relaying to the next hop) →
-//!   cross-server proof verification → blame → inner-key reveal;
+//!   cross-server proof verification → blame → inner-key reveal, each
+//!   phase but the hops and the blame trace asking all daemons at once;
 //! * [`remote`] — [`RemoteDeployment`]: the shared round driver
 //!   (`xrd_core::backend::run_round`) over the networked `Cluster` —
 //!   chain coordinators, mailbox connections and the users' kept
 //!   client reactor — so it is the in-process deployment's round with
 //!   the servers behind sockets, interchangeable with it by
-//!   construction; and [`launch_local`] (a whole deployment on
-//!   loopback, one port per daemon);
+//!   construction, delivering to every shard at once from the calling
+//!   thread; and [`launch_local`] (a whole deployment on loopback, one
+//!   port per daemon);
 //! * [`swarm`] — the emulated client fleet: a single-threaded client
 //!   reactor ([`swarm::reactor`]) pumping 10k–100k per-user connection
 //!   state machines (submit → ack, fetch pages → ack) from one epoll

@@ -5,7 +5,11 @@
 //! `Deployment` by construction — plus [`launch_local`], which spins a
 //! whole deployment up on loopback TCP (one daemon per mix-server hop
 //! and per mailbox shard, each on its own port).
+//!
+//! Each chain mixes on a thread of its own; its daemons, and a round's
+//! mailbox shards, are asked all at once (`coordinator::ask`).
 
+use std::iter::repeat;
 use std::net::SocketAddr;
 
 use rand::RngCore;
@@ -24,8 +28,8 @@ use xrd_mixnet::{verify_hops_batched_multi, ChainAudit, ChainRoundOutcome, HopRe
 use xrd_topology::{Beacon, ChainId, Topology};
 
 use crate::codec::{error_code, Frame, MAX_BATCH};
-use crate::conn::{Conn, ConnTimeouts, NetError};
-use crate::coordinator::{request_retry, ChainClient, MixPhase, RetryPolicy};
+use crate::conn::{expect_ok, Conn, ConnTimeouts, NetError};
+use crate::coordinator::{ask, ChainClient, MixPhase, RetryPolicy, NO_RETRY};
 use crate::daemon::{DaemonHandle, MailboxDaemon, MixServerDaemon};
 use crate::faults::{FaultPlan, FaultProxy};
 use crate::swarm::reactor as client_reactor;
@@ -112,14 +116,18 @@ impl RemoteDeployment {
         // One `Ping` per shard before returning, as the chains' rotation
         // exchange does for theirs: a shard has then accepted the
         // connection, and nothing it counts arrives later than this.
-        let mailbox_conns = mailbox_addrs
+        let mut mailbox_conns = mailbox_addrs
             .iter()
-            .map(|&a| {
-                let mut conn = Conn::connect_with(a, timeouts)?;
-                conn.ping()?;
-                Ok(conn)
-            })
+            .map(|&a| Conn::connect_with(a, timeouts))
             .collect::<Result<Vec<_>, NetError>>()?;
+        let ping = Frame::Ping.encode();
+        let pongs = ask(&mut mailbox_conns, repeat(Some(&ping[..])), NO_RETRY);
+        for pong in pongs.into_iter().flatten() {
+            match pong? {
+                Frame::Pong => {}
+                other => return Err(NetError::Protocol(format!("expected Pong, got {other:?}"))),
+            }
+        }
         // Pre-publish round-1 inner keys (§5.3.3: covers for ρ+1 are
         // sealed while ρ runs).
         let next_keys = chains
@@ -376,14 +384,9 @@ impl Cluster for Wire {
             .collect()
     }
 
-    /// One worker thread per shard.
+    /// Every shard's chunks go out at once (see `deliver_shards`).
     fn deliver(&mut self, round: u64, messages: Vec<MailboxMessage>) -> Result<(), RoundError> {
-        let n_shards = self.mailbox_conns.len();
-        let mut per_shard: Vec<Vec<MailboxMessage>> = vec![Vec::new(); n_shards];
-        for msg in messages {
-            per_shard[shard_of(&msg.mailbox, n_shards)].push(msg);
-        }
-        deliver_shards(&mut self.mailbox_conns, round, per_shard, self.retry).map_err(|e| {
+        deliver_shards(&mut self.mailbox_conns, round, messages, self.retry).map_err(|e| {
             RoundError::Infrastructure {
                 round,
                 message: format!("mailbox delivery: {e}"),
@@ -554,60 +557,43 @@ impl Wire {
     }
 }
 
-/// Deliver every shard's messages, one worker thread per shard
-/// connection (`per_shard[s]` goes to `conns[s]`).
+/// Deliver `messages` to their mailboxes' shards (shard `s` behind
+/// `conns[s]`) in codec-bounded chunks, from the calling thread: each
+/// wave asks every shard with messages left for its next chunk at once,
+/// one request in flight per connection.  Chunk `b` of a shard carries
+/// batch id `b`, unique within the round **on that shard's daemon**, so
+/// a retry after a lost `Ok` is answered from the dedup window instead
+/// of double-storing (which would break the per-user message-count
+/// uniformity the protocol relies on).
 pub(crate) fn deliver_shards(
     conns: &mut [Conn],
-    round: u64,
-    per_shard: Vec<Vec<MailboxMessage>>,
-    retry: RetryPolicy,
-) -> Result<(), NetError> {
-    std::thread::scope(|scope| {
-        let workers: Vec<_> = conns
-            .iter_mut()
-            .zip(per_shard)
-            .map(|(conn, messages)| {
-                scope.spawn(move || deliver_shard(conn, round, messages, retry))
-            })
-            .collect();
-        workers.into_iter().try_for_each(|worker| {
-            worker
-                .join()
-                .unwrap_or_else(|_| Err(NetError::Protocol("delivery worker panicked".into())))
-        })
-    })
-}
-
-/// Deliver one shard's messages, in codec-bounded chunks.  Each chunk
-/// carries a batch id unique within the round **on this shard's
-/// daemon**, so a retry after a lost `Ok` is answered from the dedup
-/// window instead of double-storing (which would break the per-user
-/// message-count uniformity the protocol relies on).
-fn deliver_shard(
-    conn: &mut Conn,
     round: u64,
     messages: Vec<MailboxMessage>,
     retry: RetryPolicy,
 ) -> Result<(), NetError> {
-    let mut messages = messages;
-    let mut batch = 0u64;
-    while !messages.is_empty() {
-        let rest = messages.split_off(messages.len().min(MAX_BATCH));
-        let frame = Frame::Deliver {
-            round,
-            batch,
-            messages,
-        };
-        match request_retry(conn, &frame, retry)? {
-            Frame::Ok => {}
-            other => {
-                return Err(NetError::Protocol(format!(
-                    "expected Ok to Deliver, got {other:?}"
-                )))
-            }
-        }
-        messages = rest;
-        batch += 1;
+    let mut per_shard: Vec<Vec<MailboxMessage>> = vec![Vec::new(); conns.len()];
+    for msg in messages {
+        per_shard[shard_of(&msg.mailbox, conns.len())].push(msg);
+    }
+    let waves = per_shard.iter().map(|m| m.len().div_ceil(MAX_BATCH)).max();
+    for batch in 0..waves.unwrap_or(0) as u64 {
+        let wave: Vec<Option<Vec<u8>>> = per_shard
+            .iter_mut()
+            .map(|left| {
+                let rest = left.split_off(left.len().min(MAX_BATCH));
+                let messages = std::mem::replace(left, rest);
+                (!messages.is_empty()).then(|| {
+                    Frame::Deliver {
+                        round,
+                        batch,
+                        messages,
+                    }
+                    .encode()
+                })
+            })
+            .collect();
+        let replies = ask(conns, wave.iter().map(Option::as_deref), retry);
+        replies.into_iter().flatten().try_for_each(expect_ok)?;
     }
     Ok(())
 }

@@ -75,6 +75,47 @@ fn hop_output_is_invariant_under_chunking() {
     }
 }
 
+/// A daemon answers the §6.4 blame requests only for the round its
+/// retained hop state belongs to: after mixing round 0, `Accuse` and
+/// `RevealSlot` naming round 1 are refused with `NO_BLAME_STATE`, and
+/// the same requests naming round 0 are answered.
+#[test]
+fn blame_requests_are_answered_for_the_retained_round_only() {
+    let mut rng = StdRng::seed_from_u64(13);
+    let (mut secrets, mut public) = generate_chain_keys(&mut rng, 3, 0);
+    rotate_inner_keys(&mut rng, &mut secrets, &mut public, 0);
+    let subs = xrd_net::swarm::sealed_submissions(&mut rng, &public, 0, 4);
+    let entries: Vec<MixEntry> = subs.iter().map(|s| s.to_entry()).collect();
+    let daemon =
+        MixServerDaemon::spawn("127.0.0.1:0", secrets.remove(0), public, 7).expect("daemon spawns");
+    let mut conn = Conn::connect(daemon.addr()).expect("connects");
+    let mixed = conn.stream_hop(0, &entries, STREAM_CHUNK);
+    hop_output(mixed.expect("hop runs"));
+
+    let accuse = |round| Frame::Accuse {
+        round,
+        input_index: 0,
+    };
+    let reveal = |round| Frame::RevealSlot {
+        round,
+        output_index: 0,
+    };
+    for stale in [accuse(1), reveal(1)] {
+        match conn.request(&stale) {
+            Err(NetError::Remote { code, .. }) => assert_eq!(code, error_code::NO_BLAME_STATE),
+            other => panic!("expected NO_BLAME_STATE for {stale:?}, got {other:?}"),
+        }
+    }
+    match conn.request(&accuse(0)) {
+        Ok(Frame::Accusation { accusation }) => assert_eq!(accusation.input_index, 0),
+        other => panic!("expected an accusation, got {other:?}"),
+    }
+    match conn.request(&reveal(0)) {
+        Ok(Frame::SlotReveal { reveal: Some(_) }) => {}
+        other => panic!("expected a slot reveal, got {other:?}"),
+    }
+}
+
 /// Rounds of `n_users` swarm users over a 4-chain, 3-hop loopback
 /// deployment under `transport`: every round (mix, cross-verify, audit,
 /// reveal, delivery, rotation) completes and every chat lands.  The
