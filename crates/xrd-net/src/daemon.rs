@@ -238,6 +238,10 @@ struct MixState {
     pending_isk: Option<(u64, xrd_crypto::Scalar)>,
     /// Round currently accepting submissions.
     open_round: Option<u64>,
+    /// Round of the last window this daemon opened — its open window
+    /// or its newest closed batch; after a respawn, the journal's last
+    /// `JREC_OPEN_ROUND`.  The only round whose inner key it reveals.
+    last_opened: Option<u64>,
     /// Submissions admitted to the open round (arrival order).
     pending_subs: Vec<Submission>,
     /// Submissions of the open round that passed the inline checks but
@@ -656,6 +660,7 @@ impl MixState {
                         return storage_err(e);
                     }
                     self.open_round = Some(round);
+                    self.last_opened = Some(round);
                     self.pending_subs.clear();
                     self.submitted.clear();
                 }
@@ -707,7 +712,10 @@ impl MixState {
                 },
                 None => err(error_code::UNKNOWN_ROUND, "no batch for round"),
             },
-            Frame::RevealInnerKey { round: _ } => Frame::InnerKeyReveal {
+            Frame::RevealInnerKey { round } if self.last_opened != Some(round) => {
+                err(error_code::UNKNOWN_ROUND, "no window opened for round")
+            }
+            Frame::RevealInnerKey { .. } => Frame::InnerKeyReveal {
                 position: self.secrets.position as u32,
                 isk: self.server.reveal_inner_key(),
             },
@@ -1325,6 +1333,7 @@ impl MixServerDaemon {
             secrets,
             pending_isk,
             open_round,
+            last_opened: open_round,
             pending_subs: Vec::new(),
             unscreened: Vec::new(),
             rejections: Vec::new(),

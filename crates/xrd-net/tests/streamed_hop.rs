@@ -116,6 +116,41 @@ fn blame_requests_are_answered_for_the_retained_round_only() {
     }
 }
 
+/// A daemon hands out its inner key only for the round of the last
+/// window it opened: after opening, closing and mixing round 5, a bare
+/// connection asking `RevealInnerKey` for round 6 or 4242 is refused
+/// with `UNKNOWN_ROUND`, and round 5 gets the active key as before.
+#[test]
+fn inner_key_is_revealed_for_the_last_opened_round_only() {
+    let round = 5u64;
+    let mut rng = StdRng::seed_from_u64(17);
+    let (mut secrets, mut public) = generate_chain_keys(&mut rng, 3, 0);
+    rotate_inner_keys(&mut rng, &mut secrets, &mut public, round);
+    let secrets = secrets.remove(0);
+    let isk = secrets.isk;
+    let subs = xrd_net::swarm::sealed_submissions(&mut rng, &public, round, 4);
+    let entries: Vec<MixEntry> = subs.iter().map(|s| s.to_entry()).collect();
+    let daemon = MixServerDaemon::spawn("127.0.0.1:0", secrets, public, 7).expect("daemon spawns");
+    let mut conn = Conn::connect(daemon.addr()).expect("connects");
+    assert_eq!(conn.request(&Frame::OpenRound { round }).ok(), Some(Frame::Ok));
+    match conn.request(&Frame::CloseSubmissions { round }) {
+        Ok(Frame::BatchDigest { count: 0, .. }) => {}
+        other => panic!("expected an empty batch digest, got {other:?}"),
+    }
+    hop_output(conn.stream_hop(round, &entries, STREAM_CHUNK).expect("hop runs"));
+
+    for other in [round + 1, 4242] {
+        match conn.request(&Frame::RevealInnerKey { round: other }) {
+            Err(NetError::Remote { code, .. }) => assert_eq!(code, error_code::UNKNOWN_ROUND),
+            reply => panic!("expected UNKNOWN_ROUND for round {other}, got {reply:?}"),
+        }
+    }
+    match conn.request(&Frame::RevealInnerKey { round }) {
+        Ok(Frame::InnerKeyReveal { position: 0, isk: revealed }) => assert_eq!(revealed, isk),
+        reply => panic!("expected the inner key for round {round}, got {reply:?}"),
+    }
+}
+
 /// Rounds of `n_users` swarm users over a 4-chain, 3-hop loopback
 /// deployment under `transport`: every round (mix, cross-verify, audit,
 /// reveal, delivery, rotation) completes and every chat lands.  The
