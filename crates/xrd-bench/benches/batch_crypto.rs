@@ -402,6 +402,103 @@ fn bench_hop_end_to_end(c: &mut Criterion) {
     group.finish();
 }
 
+/// The symmetric layer's batch forms against their one-message loops,
+/// at a round's shapes: 64 onion layers of one length (a mix entry's
+/// 288-byte ciphertext opened, its 272-byte plaintext sealed), 64
+/// outer-layer keys, and 64 submission challenges behind one prefix.
+fn bench_symmetric(c: &mut Criterion) {
+    use xrd_crypto::{adec, adec_all, aenc, aenc_all, kdf, round_nonce, Transcript};
+    let mut rng = StdRng::seed_from_u64(7);
+    let mut bytes = |len: usize| -> Vec<u8> {
+        let mut out = vec![0u8; len];
+        rand::RngCore::fill_bytes(&mut rng, &mut out);
+        out
+    };
+    let keys: Vec<[u8; 32]> = (0..BATCH)
+        .map(|_| bytes(32).try_into().expect("32 bytes"))
+        .collect();
+    let nonce = round_nonce(1, 2);
+    let plaintexts: Vec<Vec<u8>> = (0..BATCH).map(|_| bytes(272)).collect();
+    let sealed = aenc_all(&keys, &nonce, b"", &plaintexts);
+
+    let mut group = c.benchmark_group("aead_seal_64");
+    group.bench_function("one_at_a_time", |b| {
+        b.iter(|| -> Vec<Vec<u8>> {
+            (keys.iter().zip(&plaintexts))
+                .map(|(key, pt)| aenc(key, &nonce, b"", pt))
+                .collect()
+        })
+    });
+    group.bench_function("batch", |b| {
+        b.iter(|| aenc_all(&keys, &nonce, b"", &plaintexts))
+    });
+    group.finish();
+
+    let mut group = c.benchmark_group("aead_open_64");
+    group.bench_function("one_at_a_time", |b| {
+        b.iter(|| -> Vec<Option<Vec<u8>>> {
+            (keys.iter().zip(&sealed))
+                .map(|(key, ct)| adec(key, &nonce, b"", ct))
+                .collect()
+        })
+    });
+    group.bench_function("batch", |b| {
+        b.iter(|| adec_all(&keys, &nonce, b"", &sealed))
+    });
+    group.finish();
+
+    let shared: Vec<Vec<u8>> = (0..BATCH).map(|_| bytes(32)).collect();
+    let context = bytes(16);
+    let inputs: Vec<[&[u8]; 2]> = shared.iter().map(|s| [&s[..], &context[..]]).collect();
+    let mut group = c.benchmark_group("kdf_64");
+    group.bench_function("one_at_a_time", |b| {
+        b.iter(|| -> Vec<[u8; 32]> {
+            (inputs.iter())
+                .map(|input| kdf::derive_key("xrd/outer-layer", input))
+                .collect()
+        })
+    });
+    group.bench_function("batch", |b| {
+        b.iter(|| kdf::derive_key_all("xrd/outer-layer", &inputs))
+    });
+    group.finish();
+
+    // A Schnorr challenge's transcript: domain, context and base (the
+    // prefix a round's submissions share), then public and commitment.
+    let base = GroupElement::generator().encode();
+    let context = bytes(22);
+    let points: Vec<[Vec<u8>; 2]> = (0..BATCH).map(|_| [bytes(32), bytes(32)]).collect();
+    let mut group = c.benchmark_group("schnorr_challenge_64");
+    group.bench_function("one_at_a_time", |b| {
+        b.iter(|| -> Vec<Scalar> {
+            (points.iter())
+                .map(|[public, commitment]| {
+                    let mut t = Transcript::new("xrd/schnorr-pok");
+                    t.append("context", &context);
+                    t.append("base", &base);
+                    t.append("public", public);
+                    t.append("commitment", commitment);
+                    t.challenge_scalar("c")
+                })
+                .collect()
+        })
+    });
+    group.bench_function("batch", |b| {
+        b.iter(|| {
+            let mut prefix = Transcript::new("xrd/schnorr-pok");
+            prefix.append("context", &context);
+            prefix.append("base", &base);
+            let statements: Vec<[(&str, &[u8]); 2]> = (points.iter())
+                .map(|[public, commitment]| {
+                    [("public", &public[..]), ("commitment", &commitment[..])]
+                })
+                .collect();
+            prefix.challenge_scalars_all(&statements, "c")
+        })
+    });
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_hop_kernel,
@@ -412,6 +509,7 @@ criterion_group!(
     bench_decode_all,
     bench_batch_verify,
     bench_submission_pok,
-    bench_hop_end_to_end
+    bench_hop_end_to_end,
+    bench_symmetric
 );
 criterion_main!(benches);

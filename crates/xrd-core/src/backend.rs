@@ -622,8 +622,9 @@ pub fn open_fetched(
         }
         let sealed = fetch(&user.mailbox_id())?;
         let mut received = Vec::with_capacity(sealed.len());
-        for (delivery_round, blob) in &sealed {
-            received.extend(user.open_mailbox(topo, *delivery_round, std::slice::from_ref(blob)));
+        for delivered in sealed.chunk_by(|a, b| a.0 == b.0) {
+            let blobs: Vec<&[u8]> = delivered.iter().map(|(_, blob)| &blob[..]).collect();
+            received.extend(user.open_mailbox(topo, delivered[0].0, &blobs));
         }
         // Conversation bookkeeping: consume the queued chats that went
         // out this round.

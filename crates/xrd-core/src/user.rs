@@ -13,7 +13,7 @@ use std::collections::HashMap;
 
 use rand::RngCore;
 
-use xrd_crypto::aead::{adec, aenc, round_nonce};
+use xrd_crypto::aead::{adec_first, aenc, round_nonce};
 use xrd_crypto::kdf;
 use xrd_crypto::keys::KeyPair;
 use xrd_crypto::ristretto::GroupElement;
@@ -203,14 +203,16 @@ impl User {
 
     /// Chain-specific loopback key (`s_xA`, "known only to Alice").
     fn loopback_key(&self, chain: ChainId, round: u64) -> [u8; 32] {
-        kdf::derive_key(
-            "xrd/loopback",
-            &[
-                &self.keypair.sk.to_bytes(),
-                &chain.0.to_le_bytes(),
-                &round.to_le_bytes(),
-            ],
-        )
+        self.loopback_keys(&[chain], round)[0]
+    }
+
+    /// [`User::loopback_key`] of every chain, derived together.
+    fn loopback_keys(&self, chains: &[ChainId], round: u64) -> Vec<[u8; 32]> {
+        let sk = self.keypair.sk.to_bytes();
+        let round = round.to_le_bytes();
+        let ids: Vec<_> = chains.iter().map(|chain| chain.0.to_le_bytes()).collect();
+        let inputs: Vec<[&[u8]; 3]> = ids.iter().map(|id| [&sk[..], id, &round]).collect();
+        kdf::derive_key_all("xrd/loopback", &inputs)
     }
 
     /// Build the `ℓ` mailbox-level messages for `round`, in the order of
@@ -317,44 +319,38 @@ impl User {
         }
     }
 
-    /// Decrypt everything fetched from the mailbox.
-    pub fn open_mailbox(
+    /// Decrypt everything fetched from the mailbox, all delivered in
+    /// `round`.  Each message is tried under each partner's incoming
+    /// conversation key, then each chain's loopback key, and the first
+    /// key that opens it says what it is — one trial decryption of the
+    /// whole batch ([`adec_first`]).
+    pub fn open_mailbox<S: AsRef<[u8]>>(
         &self,
         topo: &Topology,
         round: u64,
-        sealed_messages: &[Vec<u8>],
+        sealed_messages: &[S],
     ) -> Vec<Received> {
         let my_chains = topo.chains_of_user(&self.pk_bytes);
+        let keys: Vec<[u8; 32]> = (self.conversations.iter())
+            .map(|conversation| conversation.key_to_me)
+            .chain(self.loopback_keys(my_chains, round))
+            .collect();
         let nonce = round_nonce(round, DOMAIN_MAILBOX);
-        sealed_messages
-            .iter()
-            .map(|sealed| {
-                // Each partner's incoming conversation key.
-                for conversation in &self.conversations {
-                    if let Some(pt) = adec(&conversation.key_to_me, &nonce, b"", sealed) {
-                        return match Payload::decode(&pt) {
-                            Some(Payload::Chat(data)) => Received::Chat {
-                                from: conversation.peer_id,
-                                data,
-                            },
-                            Some(Payload::Offline) => Received::PartnerOffline {
-                                partner: conversation.peer_id,
-                            },
-                            _ => Received::Opaque,
-                        };
+        (adec_first(&keys, &nonce, b"", sealed_messages).into_iter())
+            .map(|opened| match opened {
+                Some((k, pt)) if k < self.conversations.len() => {
+                    let from = self.conversations[k].peer_id;
+                    match Payload::decode(&pt) {
+                        Some(Payload::Chat(data)) => Received::Chat { from, data },
+                        Some(Payload::Offline) => Received::PartnerOffline { partner: from },
+                        _ => Received::Opaque,
                     }
                 }
-                // Then each chain's loopback key.
-                for &chain in my_chains {
-                    let key = self.loopback_key(chain, round);
-                    if let Some(pt) = adec(&key, &nonce, b"", sealed) {
-                        return match Payload::decode(&pt) {
-                            Some(Payload::Dummy) => Received::Loopback,
-                            _ => Received::Opaque,
-                        };
-                    }
-                }
-                Received::Opaque
+                Some((_, pt)) => match Payload::decode(&pt) {
+                    Some(Payload::Dummy) => Received::Loopback,
+                    _ => Received::Opaque,
+                },
+                None => Received::Opaque,
             })
             .collect()
     }

@@ -11,61 +11,207 @@
 //! Nonces in XRD are derived from the round number `ρ` plus a layer/
 //! direction domain tag, so a key is never reused with the same nonce.
 
-use crate::chacha20::{chacha20_block, chacha20_xor};
-use crate::poly1305::Poly1305;
+use crate::chacha20::{chacha20_blocks, BlockJob};
+use crate::poly1305::poly1305_padded_all;
+use crate::util::ct_bytes_eq;
 
 /// Tag length in bytes.
 pub const TAG_LEN: usize = 16;
 
-/// Derive the per-message Poly1305 key (RFC 8439 §2.6).
-fn poly_key(key: &[u8; 32], nonce: &[u8; 12]) -> [u8; 32] {
-    let block = chacha20_block(key, 0, nonce);
-    let mut out = [0u8; 32];
-    out.copy_from_slice(&block[..32]);
+/// The RFC 8439 §2.8 tag of each ciphertext under its Poly1305 key: the
+/// MAC input is associated data and ciphertext, each zero-padded to 16
+/// bytes, then both lengths ([`poly1305_padded_all`]).
+fn tags(poly_keys: &[[u8; 32]], aad: &[u8], ciphertexts: &[&[u8]]) -> Vec<[u8; 16]> {
+    let lengths: Vec<[u8; 16]> = (ciphertexts.iter())
+        .map(|ct| {
+            let mut lengths = [0u8; 16];
+            lengths[..8].copy_from_slice(&(aad.len() as u64).to_le_bytes());
+            lengths[8..].copy_from_slice(&(ct.len() as u64).to_le_bytes());
+            lengths
+        })
+        .collect();
+    let messages: Vec<[&[u8]; 3]> = (ciphertexts.iter().zip(&lengths))
+        .map(|(ct, lengths)| [aad, ct, lengths])
+        .collect();
+    poly1305_padded_all(poly_keys, &messages)
+}
+
+/// The ciphertext of each sealed message whose tag checks under its
+/// Poly1305 key, `None` for the others (a message shorter than a tag
+/// included).
+fn authentic<'s>(
+    poly_keys: &[[u8; 32]],
+    aad: &[u8],
+    sealed: impl IntoIterator<Item = &'s [u8]>,
+) -> Vec<Option<&'s [u8]>> {
+    let split: Vec<(&[u8], &[u8])> = (sealed.into_iter())
+        .map(|sealed| sealed.split_at(sealed.len().saturating_sub(TAG_LEN)))
+        .collect();
+    let ciphertexts: Vec<&[u8]> = split.iter().map(|(ct, _)| *ct).collect();
+    (split.iter().zip(tags(poly_keys, aad, &ciphertexts)))
+        .map(|((ct, tag), expect)| {
+            (tag.len() == TAG_LEN && ct_bytes_eq(&expect, tag)).then_some(*ct)
+        })
+        .collect()
+}
+
+/// The Poly1305 key (RFC 8439 §2.6: the first half of block 0) of each
+/// key in turn, all in one block stream.
+fn poly_keys<'a>(keys: impl IntoIterator<Item = &'a [u8; 32]>, nonce: &[u8; 12]) -> Vec<[u8; 32]> {
+    let mut out = Vec::new();
+    let jobs = (keys.into_iter()).map(|key| {
+        (
+            BlockJob {
+                key,
+                nonce,
+                counter: 0,
+            },
+            (),
+        )
+    });
+    chacha20_blocks(jobs, |(), block| {
+        out.push(*block.first_chunk().expect("32 of 64 bytes"))
+    });
     out
 }
 
-fn compute_tag(poly_key: &[u8; 32], aad: &[u8], ciphertext: &[u8]) -> [u8; 16] {
-    let mut mac = Poly1305::new(poly_key);
-    let zeros = [0u8; 16];
-    mac.update(aad);
-    if !aad.len().is_multiple_of(16) {
-        mac.update(&zeros[..16 - aad.len() % 16]);
-    }
-    mac.update(ciphertext);
-    if !ciphertext.len().is_multiple_of(16) {
-        mac.update(&zeros[..16 - ciphertext.len() % 16]);
-    }
-    mac.update(&(aad.len() as u64).to_le_bytes());
-    mac.update(&(ciphertext.len() as u64).to_le_bytes());
-    mac.finalize()
+/// XOR each buffer in place with its key's keystream from block 1 on
+/// (RFC 8439 §2.8), every buffer's blocks in one block stream.
+fn xor_keystream(nonce: &[u8; 12], bufs: &mut [(&[u8; 32], &mut Vec<u8>)]) {
+    let plan: Vec<(&[u8; 32], usize)> = bufs.iter().map(|(key, buf)| (*key, buf.len())).collect();
+    let jobs = plan.into_iter().enumerate().flat_map(|(m, (key, len))| {
+        (1..=len.div_ceil(64) as u32).map(move |counter| {
+            (
+                BlockJob {
+                    key,
+                    nonce,
+                    counter,
+                },
+                (m, counter),
+            )
+        })
+    });
+    chacha20_blocks(jobs, |(m, counter), block| {
+        let data = &mut bufs[m].1[64 * (counter as usize - 1)..];
+        match data.first_chunk_mut::<64>() {
+            Some(full) => (0..64).for_each(|i| full[i] ^= block[i]),
+            None => (data.iter_mut().zip(block)).for_each(|(byte, ks)| *byte ^= ks),
+        }
+    });
 }
 
 /// `AEnc(s, nonce, m)`: encrypt and authenticate.  Output layout is
-/// `ciphertext || tag` (input length + 16 bytes).
+/// `ciphertext || tag` (input length + 16 bytes).  The batch of one of
+/// [`aenc_all`].
 pub fn aenc(key: &[u8; 32], nonce: &[u8; 12], aad: &[u8], plaintext: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(plaintext.len() + TAG_LEN);
-    out.extend_from_slice(plaintext);
-    chacha20_xor(key, 1, nonce, &mut out);
-    let tag = compute_tag(&poly_key(key, nonce), aad, &out);
-    out.extend_from_slice(&tag);
-    out
+    let mut sealed = aenc_all(std::slice::from_ref(key), nonce, aad, &[plaintext]);
+    sealed.pop().expect("one plaintext in, one ciphertext out")
+}
+
+/// [`aenc`] of `plaintexts[i]` under `keys[i]`, every message under one
+/// nonce and associated data.  The keystream blocks of all messages are
+/// jobs of [`chacha20_blocks`] streams, so blocks of different messages
+/// share a lane pass and the messages may have any lengths; the tags
+/// follow, four Poly1305 chains side by side.
+pub fn aenc_all<P: AsRef<[u8]>>(
+    keys: &[[u8; 32]],
+    nonce: &[u8; 12],
+    aad: &[u8],
+    plaintexts: &[P],
+) -> Vec<Vec<u8>> {
+    assert_eq!(keys.len(), plaintexts.len(), "one key per plaintext");
+    let mut sealed: Vec<Vec<u8>> = (plaintexts.iter())
+        .map(|plaintext| {
+            let plaintext = plaintext.as_ref();
+            let mut out = Vec::with_capacity(plaintext.len() + TAG_LEN);
+            out.extend_from_slice(plaintext);
+            out
+        })
+        .collect();
+    xor_keystream(
+        nonce,
+        &mut keys.iter().zip(sealed.iter_mut()).collect::<Vec<_>>(),
+    );
+    let ciphertexts: Vec<&[u8]> = sealed.iter().map(|ct| &ct[..]).collect();
+    let tags = tags(&poly_keys(keys, nonce), aad, &ciphertexts);
+    for (out, tag) in sealed.iter_mut().zip(tags) {
+        out.extend_from_slice(&tag);
+    }
+    sealed
 }
 
 /// `ADec(s, nonce, c)`: check integrity and decrypt.  Returns `None` if
-/// authentication fails (the paper's `b = 0` case).
+/// authentication fails (the paper's `b = 0` case).  The batch of one
+/// of [`adec_all`].
 pub fn adec(key: &[u8; 32], nonce: &[u8; 12], aad: &[u8], sealed: &[u8]) -> Option<Vec<u8>> {
-    if sealed.len() < TAG_LEN {
-        return None;
+    let mut opened = adec_all(std::slice::from_ref(key), nonce, aad, &[sealed]);
+    opened.pop().expect("one ciphertext in, one verdict out")
+}
+
+/// [`adec`] of `sealed[i]` under `keys[i]`, every message under one
+/// nonce and associated data: `None` exactly where `adec` refuses.  Two
+/// block streams: every message's Poly1305 key block, then — for the
+/// messages whose tag checked — their keystream, so a forged message is
+/// never decrypted.
+pub fn adec_all<S: AsRef<[u8]>>(
+    keys: &[[u8; 32]],
+    nonce: &[u8; 12],
+    aad: &[u8],
+    sealed: &[S],
+) -> Vec<Option<Vec<u8>>> {
+    assert_eq!(keys.len(), sealed.len(), "one key per ciphertext");
+    let checked = authentic(
+        &poly_keys(keys, nonce),
+        aad,
+        sealed.iter().map(AsRef::as_ref),
+    );
+    let mut opened: Vec<Option<Vec<u8>>> = (checked.into_iter())
+        .map(|ct| ct.map(<[u8]>::to_vec))
+        .collect();
+    let mut bufs: Vec<_> = (keys.iter().zip(opened.iter_mut()))
+        .filter_map(|(key, out)| Some((key, out.as_mut()?)))
+        .collect();
+    xor_keystream(nonce, &mut bufs);
+    opened
+}
+
+/// Trial decryption: for each sealed message, the index of the first
+/// of `keys` under which it authenticates and its plaintext — what
+/// trying [`adec`] with each key in turn, stopping at the first that
+/// opens it, returns — or `None` if none does.  The Poly1305 key of
+/// every (message, key) pair comes from one block stream; the tags are
+/// then checked key by key, each key against the messages no earlier
+/// key opened, and only the matched messages are decrypted, in a second
+/// stream.
+pub fn adec_first<S: AsRef<[u8]>>(
+    keys: &[[u8; 32]],
+    nonce: &[u8; 12],
+    aad: &[u8],
+    sealed: &[S],
+) -> Vec<Option<(usize, Vec<u8>)>> {
+    let poly_keys = poly_keys(sealed.iter().flat_map(|_| keys), nonce);
+    let mut opened: Vec<Option<(usize, Vec<u8>)>> = vec![None; sealed.len()];
+    let mut pending: Vec<usize> = (0..sealed.len()).collect();
+    for k in 0..keys.len() {
+        let tried: Vec<[u8; 32]> = pending
+            .iter()
+            .map(|&m| poly_keys[m * keys.len() + k])
+            .collect();
+        let checked = authentic(&tried, aad, pending.iter().map(|&m| sealed[m].as_ref()));
+        let mut unopened = Vec::with_capacity(pending.len());
+        for (m, ct) in pending.into_iter().zip(checked) {
+            match ct {
+                Some(ct) => opened[m] = Some((k, ct.to_vec())),
+                None => unopened.push(m),
+            }
+        }
+        pending = unopened;
     }
-    let (ciphertext, tag) = sealed.split_at(sealed.len() - TAG_LEN);
-    let expect = compute_tag(&poly_key(key, nonce), aad, ciphertext);
-    if !crate::util::ct_bytes_eq(&expect, tag) {
-        return None;
-    }
-    let mut out = ciphertext.to_vec();
-    chacha20_xor(key, 1, nonce, &mut out);
-    Some(out)
+    let mut bufs: Vec<_> = (opened.iter_mut().flatten())
+        .map(|(k, out)| (&keys[*k], out))
+        .collect();
+    xor_keystream(nonce, &mut bufs);
+    opened
 }
 
 /// Build a 12-byte nonce from the XRD round number and a small domain tag

@@ -5,6 +5,8 @@
 //! the XRD prototype builds on; we use it for key derivation, Fiat–Shamir
 //! transcripts, and mailbox/group assignment hashing.
 
+use crate::arx::Arx;
+
 /// BLAKE2b initialization vector (identical to the SHA-512 IV).
 const IV: [u64; 8] = [
     0x6a09e667f3bcc908,
@@ -17,22 +19,12 @@ const IV: [u64; 8] = [
     0x5be0cd19137e2179,
 ];
 
-/// Message schedule permutations for the 12 rounds (rows 10, 11 repeat
-/// rows 0, 1 per the spec: SIGMA[round % 10]).
-const SIGMA: [[usize; 16]; 10] = [
-    [0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15],
-    [14, 10, 4, 8, 9, 15, 13, 6, 1, 12, 0, 2, 11, 7, 5, 3],
-    [11, 8, 12, 0, 5, 2, 15, 13, 10, 14, 3, 6, 7, 1, 9, 4],
-    [7, 9, 3, 1, 13, 12, 11, 14, 2, 6, 5, 10, 4, 0, 15, 8],
-    [9, 0, 5, 7, 2, 4, 10, 15, 14, 1, 11, 12, 6, 8, 3, 13],
-    [2, 12, 6, 10, 0, 11, 8, 3, 4, 13, 7, 5, 15, 14, 1, 9],
-    [12, 5, 1, 15, 14, 13, 4, 10, 0, 7, 6, 3, 9, 2, 8, 11],
-    [13, 11, 7, 14, 12, 1, 3, 9, 5, 0, 15, 4, 8, 6, 2, 10],
-    [6, 15, 14, 9, 11, 3, 0, 8, 12, 2, 13, 7, 1, 4, 10, 5],
-    [10, 2, 8, 4, 7, 6, 1, 5, 15, 11, 9, 14, 3, 12, 13, 0],
-];
-
 const BLOCK_BYTES: usize = 128;
+
+/// A batch of fewer final compressions than this runs on the plain
+/// word: an eight-lane pass, with its transposes in and out, costs
+/// about two.
+pub const BLAKE2B_LANES_FROM: usize = 3;
 
 /// Incremental BLAKE2b hasher.
 #[derive(Clone)]
@@ -46,15 +38,86 @@ pub struct Blake2b {
 }
 
 #[inline(always)]
-fn g(v: &mut [u64; 16], a: usize, b: usize, c: usize, d: usize, x: u64, y: u64) {
-    v[a] = v[a].wrapping_add(v[b]).wrapping_add(x);
-    v[d] = (v[d] ^ v[a]).rotate_right(32);
-    v[c] = v[c].wrapping_add(v[d]);
-    v[b] = (v[b] ^ v[c]).rotate_right(24);
-    v[a] = v[a].wrapping_add(v[b]).wrapping_add(y);
-    v[d] = (v[d] ^ v[a]).rotate_right(16);
-    v[c] = v[c].wrapping_add(v[d]);
-    v[b] = (v[b] ^ v[c]).rotate_right(63);
+fn g<W: Arx>(v: &mut [W; 16], a: usize, b: usize, c: usize, d: usize, x: W, y: W) {
+    v[a] = v[a].add(v[b]).add(x);
+    v[d] = v[d].xor(v[a]).rotr::<32>();
+    v[c] = v[c].add(v[d]);
+    v[b] = v[b].xor(v[c]).rotr::<24>();
+    v[a] = v[a].add(v[b]).add(y);
+    v[d] = v[d].xor(v[a]).rotr::<16>();
+    v[c] = v[c].add(v[d]);
+    v[b] = v[b].xor(v[c]).rotr::<63>();
+}
+
+/// The compression function F (RFC 7693 §3.2): twelve rounds of G over
+/// the σ message schedule, folded into the chaining value `h`.  `t` is
+/// the byte counter after this block and `last` the finalization word
+/// (all ones for the last block, else zero).  The one spelling of the
+/// rounds, for one block (`W = u64`) or eight in lockstep
+/// ([`crate::arx::lanes::U64x8`]).
+#[inline(always)]
+fn compress_words<W: Arx<Word = u64>>(h: &mut [W; 8], m: &[W; 16], t: [W; 2], last: W) {
+    // Message schedule permutations for the 12 rounds (rows 10, 11
+    // repeat rows 0, 1 per the spec: SIGMA[round % 10]).
+    const SIGMA: [[usize; 16]; 10] = [
+        [0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15],
+        [14, 10, 4, 8, 9, 15, 13, 6, 1, 12, 0, 2, 11, 7, 5, 3],
+        [11, 8, 12, 0, 5, 2, 15, 13, 10, 14, 3, 6, 7, 1, 9, 4],
+        [7, 9, 3, 1, 13, 12, 11, 14, 2, 6, 5, 10, 4, 0, 15, 8],
+        [9, 0, 5, 7, 2, 4, 10, 15, 14, 1, 11, 12, 6, 8, 3, 13],
+        [2, 12, 6, 10, 0, 11, 8, 3, 4, 13, 7, 5, 15, 14, 1, 9],
+        [12, 5, 1, 15, 14, 13, 4, 10, 0, 7, 6, 3, 9, 2, 8, 11],
+        [13, 11, 7, 14, 12, 1, 3, 9, 5, 0, 15, 4, 8, 6, 2, 10],
+        [6, 15, 14, 9, 11, 3, 0, 8, 12, 2, 13, 7, 1, 4, 10, 5],
+        [10, 2, 8, 4, 7, 6, 1, 5, 15, 11, 9, 14, 3, 12, 13, 0],
+    ];
+    let mut v = [W::splat(0); 16];
+    v[..8].copy_from_slice(h);
+    for (v, iv) in v[8..].iter_mut().zip(IV) {
+        *v = W::splat(iv);
+    }
+    v[12] = v[12].xor(t[0]);
+    v[13] = v[13].xor(t[1]);
+    v[14] = v[14].xor(last);
+    for round in 0..12 {
+        let s = &SIGMA[round % 10];
+        g(&mut v, 0, 4, 8, 12, m[s[0]], m[s[1]]);
+        g(&mut v, 1, 5, 9, 13, m[s[2]], m[s[3]]);
+        g(&mut v, 2, 6, 10, 14, m[s[4]], m[s[5]]);
+        g(&mut v, 3, 7, 11, 15, m[s[6]], m[s[7]]);
+        g(&mut v, 0, 5, 10, 15, m[s[8]], m[s[9]]);
+        g(&mut v, 1, 6, 11, 12, m[s[10]], m[s[11]]);
+        g(&mut v, 2, 7, 8, 13, m[s[12]], m[s[13]]);
+        g(&mut v, 3, 4, 9, 14, m[s[14]], m[s[15]]);
+    }
+    for i in 0..8 {
+        h[i] = h[i].xor(v[i]).xor(v[i + 8]);
+    }
+}
+
+/// A block's sixteen little-endian message words.
+fn message_words(block: &[u8; BLOCK_BYTES]) -> [u64; 16] {
+    let mut m = [0u64; 16];
+    for (i, word) in m.iter_mut().enumerate() {
+        *word = crate::util::load_u64_le(&block[i * 8..i * 8 + 8]);
+    }
+    m
+}
+
+/// What a hasher's last compression starts from: chaining value, the
+/// zero-padded buffer, byte counter.
+struct FinalBlock {
+    h: [u64; 8],
+    block: [u8; BLOCK_BYTES],
+    t: [u64; 2],
+}
+
+impl FinalBlock {
+    /// The digest's chaining value, on the plain word.
+    fn compress(mut self) -> [u64; 8] {
+        compress_words(&mut self.h, &message_words(&self.block), self.t, !0);
+        self.h
+    }
 }
 
 impl Blake2b {
@@ -92,8 +155,7 @@ impl Blake2b {
         while !data.is_empty() {
             if self.buf_len == BLOCK_BYTES {
                 self.increment_counter(BLOCK_BYTES as u64);
-                let block = self.buf;
-                self.compress(&block, false);
+                compress_words(&mut self.h, &message_words(&self.buf), self.t, 0);
                 self.buf_len = 0;
             }
             let take = (BLOCK_BYTES - self.buf_len).min(data.len());
@@ -104,36 +166,69 @@ impl Blake2b {
         self
     }
 
-    /// Finish and return the digest.
-    pub fn finalize(mut self) -> Vec<u8> {
-        self.increment_counter(self.buf_len as u64);
+    /// The last compression's input: the buffer zero-padded, the
+    /// counter advanced past it.
+    fn final_block(&self) -> FinalBlock {
         let mut block = [0u8; BLOCK_BYTES];
         block[..self.buf_len].copy_from_slice(&self.buf[..self.buf_len]);
-        self.compress(&block, true);
-
-        let mut out = vec![0u8; self.out_len];
-        for (i, chunk) in out.chunks_mut(8).enumerate() {
-            let bytes = self.h[i].to_le_bytes();
-            chunk.copy_from_slice(&bytes[..chunk.len()]);
+        let mut t = self.t;
+        t[0] = t[0].wrapping_add(self.buf_len as u64);
+        if t[0] < self.buf_len as u64 {
+            t[1] = t[1].wrapping_add(1);
         }
+        FinalBlock {
+            h: self.h,
+            block,
+            t,
+        }
+    }
+
+    /// Finish and return the digest.
+    pub fn finalize(self) -> Vec<u8> {
+        let mut out = vec![0u8; self.out_len];
+        write_digest(&self.final_block().compress(), &mut out);
         out
     }
 
     /// Finish into a fixed 32-byte array (requires `out_len == 32`).
     pub fn finalize_32(self) -> [u8; 32] {
         assert_eq!(self.out_len, 32);
-        let v = self.finalize();
         let mut out = [0u8; 32];
-        out.copy_from_slice(&v);
+        write_digest(&self.final_block().compress(), &mut out);
         out
     }
 
     /// Finish into a fixed 64-byte array (requires `out_len == 64`).
     pub fn finalize_64(self) -> [u8; 64] {
         assert_eq!(self.out_len, 64);
-        let v = self.finalize();
         let mut out = [0u8; 64];
-        out.copy_from_slice(&v);
+        write_digest(&self.final_block().compress(), &mut out);
+        out
+    }
+
+    /// [`Blake2b::finalize_32`] of every hasher (each `out_len == 32`).
+    /// Each hasher's last compression is one block whatever it
+    /// absorbed, so the batch runs them eight to a pass where the lane
+    /// kernel is compiled in — each lane with its own chaining value,
+    /// counter and block — and on the plain word below
+    /// [`BLAKE2B_LANES_FROM`].  Same bytes on every build.
+    pub fn finalize_32_all(hashers: &[Blake2b]) -> Vec<[u8; 32]> {
+        let mut out = vec![[0u8; 32]; hashers.len()];
+        for hasher in hashers {
+            assert_eq!(hasher.out_len, 32);
+        }
+        final_chaining_values(hashers, |i, h| write_digest(h, &mut out[i]));
+        out
+    }
+
+    /// [`Blake2b::finalize_64`] of every hasher (each `out_len == 64`),
+    /// in passes as [`Blake2b::finalize_32_all`].
+    pub fn finalize_64_all(hashers: &[Blake2b]) -> Vec<[u8; 64]> {
+        let mut out = vec![[0u8; 64]; hashers.len()];
+        for hasher in hashers {
+            assert_eq!(hasher.out_len, 64);
+        }
+        final_chaining_values(hashers, |i, h| write_digest(h, &mut out[i]));
         out
     }
 
@@ -143,34 +238,73 @@ impl Blake2b {
             self.t[1] = self.t[1].wrapping_add(1);
         }
     }
+}
 
-    fn compress(&mut self, block: &[u8; BLOCK_BYTES], last: bool) {
-        let mut m = [0u64; 16];
-        for (i, limb) in m.iter_mut().enumerate() {
-            *limb = crate::util::load_u64_le(&block[i * 8..i * 8 + 8]);
+/// The first `out.len()` bytes of the little-endian chaining value.
+fn write_digest(h: &[u64; 8], out: &mut [u8]) {
+    for (chunk, word) in out.chunks_mut(8).zip(h) {
+        chunk.copy_from_slice(&word.to_le_bytes()[..chunk.len()]);
+    }
+}
+
+/// Every hasher's chaining value after its last compression, handed to
+/// `sink(i, h)` in order: eight per lane pass where the kernel is
+/// compiled in and the batch reaches [`BLAKE2B_LANES_FROM`].
+fn final_chaining_values(hashers: &[Blake2b], mut sink: impl FnMut(usize, &[u64; 8])) {
+    #[cfg(all(
+        target_arch = "x86_64",
+        target_feature = "avx512f",
+        target_feature = "avx512ifma"
+    ))]
+    {
+        use crate::arx::lanes::{transpose_8, U64x8};
+        // Full groups of eight, and a short last group if it is worth
+        // a pass.
+        let tail = hashers.len() % 8;
+        let lanes = hashers.len() - if tail < BLAKE2B_LANES_FROM { tail } else { 0 };
+        for (group_at, group) in hashers[..lanes].chunks(8).enumerate() {
+            // Row `l` is hasher `l`'s chaining value, or half its block;
+            // transposed, each vector is one word of all eight (an
+            // unfilled lane compresses zeros).
+            let blocks: [Option<FinalBlock>; 8] =
+                std::array::from_fn(|l| group.get(l).map(Blake2b::final_block));
+            fn rows(
+                blocks: &[Option<FinalBlock>; 8],
+                word: impl Fn(&FinalBlock) -> U64x8,
+            ) -> [U64x8; 8] {
+                transpose_8(std::array::from_fn(|l| {
+                    blocks[l].as_ref().map_or(U64x8::splat(0), &word)
+                }))
+            }
+            let mut h = rows(&blocks, |b| U64x8::from_array(b.h));
+            let lo = rows(&blocks, |b| {
+                U64x8::from_le_bytes(*b.block.first_chunk().expect("64 of 128 bytes"))
+            });
+            let hi = rows(&blocks, |b| {
+                U64x8::from_le_bytes(*b.block.last_chunk().expect("64 of 128 bytes"))
+            });
+            let m: [U64x8; 16] = std::array::from_fn(|w| if w < 8 { lo[w] } else { hi[w - 8] });
+            let t: [U64x8; 2] = std::array::from_fn(|i| {
+                U64x8::from_array(std::array::from_fn(|l| {
+                    blocks[l].as_ref().map_or(0, |b| b.t[i])
+                }))
+            });
+            compress_words(&mut h, &m, t, U64x8::splat(!0));
+            for (lane, h) in transpose_8(h).into_iter().take(group.len()).enumerate() {
+                sink(group_at * 8 + lane, &h.to_array());
+            }
         }
-        let mut v = [0u64; 16];
-        v[..8].copy_from_slice(&self.h);
-        v[8..].copy_from_slice(&IV);
-        v[12] ^= self.t[0];
-        v[13] ^= self.t[1];
-        if last {
-            v[14] = !v[14];
+        for (i, hasher) in hashers.iter().enumerate().skip(lanes) {
+            sink(i, &hasher.final_block().compress());
         }
-        for round in 0..12 {
-            let s = &SIGMA[round % 10];
-            g(&mut v, 0, 4, 8, 12, m[s[0]], m[s[1]]);
-            g(&mut v, 1, 5, 9, 13, m[s[2]], m[s[3]]);
-            g(&mut v, 2, 6, 10, 14, m[s[4]], m[s[5]]);
-            g(&mut v, 3, 7, 11, 15, m[s[6]], m[s[7]]);
-            g(&mut v, 0, 5, 10, 15, m[s[8]], m[s[9]]);
-            g(&mut v, 1, 6, 11, 12, m[s[10]], m[s[11]]);
-            g(&mut v, 2, 7, 8, 13, m[s[12]], m[s[13]]);
-            g(&mut v, 3, 4, 9, 14, m[s[14]], m[s[15]]);
-        }
-        for i in 0..8 {
-            self.h[i] ^= v[i] ^ v[i + 8];
-        }
+    }
+    #[cfg(not(all(
+        target_arch = "x86_64",
+        target_feature = "avx512f",
+        target_feature = "avx512ifma"
+    )))]
+    for (i, hasher) in hashers.iter().enumerate() {
+        sink(i, &hasher.final_block().compress());
     }
 }
 

@@ -4,64 +4,179 @@
 //! `AEnc`/`ADec` that XRD assumes (§3.1); the original prototype used
 //! NaCl, which uses the same pair of primitives.
 
+use crate::arx::Arx;
 use crate::util::load_u32_le;
 
 /// "expand 32-byte k"
 const SIGMA: [u32; 4] = [0x61707865, 0x3320646e, 0x79622d32, 0x6b206574];
 
+/// A batch of fewer keystream blocks than this runs on the plain word:
+/// a sixteen-lane pass, with its transposes in and out, costs about
+/// five one-block computations.
+pub const CHACHA_LANES_FROM: usize = 6;
+
 #[inline(always)]
-fn quarter_round(state: &mut [u32; 16], a: usize, b: usize, c: usize, d: usize) {
-    state[a] = state[a].wrapping_add(state[b]);
-    state[d] = (state[d] ^ state[a]).rotate_left(16);
-    state[c] = state[c].wrapping_add(state[d]);
-    state[b] = (state[b] ^ state[c]).rotate_left(12);
-    state[a] = state[a].wrapping_add(state[b]);
-    state[d] = (state[d] ^ state[a]).rotate_left(8);
-    state[c] = state[c].wrapping_add(state[d]);
-    state[b] = (state[b] ^ state[c]).rotate_left(7);
+fn quarter_round<W: Arx>(x: &mut [W; 16], a: usize, b: usize, c: usize, d: usize) {
+    x[a] = x[a].add(x[b]);
+    x[d] = x[d].xor(x[a]).rotl::<16>();
+    x[c] = x[c].add(x[d]);
+    x[b] = x[b].xor(x[c]).rotl::<12>();
+    x[a] = x[a].add(x[b]);
+    x[d] = x[d].xor(x[a]).rotl::<8>();
+    x[c] = x[c].add(x[d]);
+    x[b] = x[b].xor(x[c]).rotl::<7>();
+}
+
+/// The ChaCha20 block function on a 16-word input state: twenty rounds
+/// and the feed-forward.  The one spelling of the rounds, for one block
+/// (`W = u32`) or sixteen in lockstep ([`crate::arx::lanes::U32x16`]).
+#[inline(always)]
+fn block_words<W: Arx<Word = u32>>(state: &[W; 16]) -> [W; 16] {
+    let mut x = *state;
+    for _ in 0..10 {
+        quarter_round(&mut x, 0, 4, 8, 12);
+        quarter_round(&mut x, 1, 5, 9, 13);
+        quarter_round(&mut x, 2, 6, 10, 14);
+        quarter_round(&mut x, 3, 7, 11, 15);
+        quarter_round(&mut x, 0, 5, 10, 15);
+        quarter_round(&mut x, 1, 6, 11, 12);
+        quarter_round(&mut x, 2, 7, 8, 13);
+        quarter_round(&mut x, 3, 4, 9, 14);
+    }
+    for (out, input) in x.iter_mut().zip(state) {
+        *out = out.add(*input);
+    }
+    x
+}
+
+/// One keystream block to compute: key, nonce and block counter.
+#[derive(Clone, Copy)]
+pub struct BlockJob<'a> {
+    /// The 256-bit key.
+    pub key: &'a [u8; 32],
+    /// The 96-bit nonce.
+    pub nonce: &'a [u8; 12],
+    /// The block counter.
+    pub counter: u32,
+}
+
+impl BlockJob<'_> {
+    /// The RFC 8439 §2.3 input state.
+    fn state(&self) -> [u32; 16] {
+        let mut state = [0u32; 16];
+        state[..4].copy_from_slice(&SIGMA);
+        for i in 0..8 {
+            state[4 + i] = load_u32_le(&self.key[4 * i..4 * i + 4]);
+        }
+        state[12] = self.counter;
+        for i in 0..3 {
+            state[13 + i] = load_u32_le(&self.nonce[4 * i..4 * i + 4]);
+        }
+        state
+    }
+
+    /// The block, on the plain word.
+    fn block(&self) -> [u8; 64] {
+        let words = block_words(&self.state());
+        let mut out = [0u8; 64];
+        for (bytes, word) in out.chunks_exact_mut(4).zip(words) {
+            bytes.copy_from_slice(&word.to_le_bytes());
+        }
+        out
+    }
 }
 
 /// Compute one 64-byte ChaCha20 keystream block.
 pub fn chacha20_block(key: &[u8; 32], counter: u32, nonce: &[u8; 12]) -> [u8; 64] {
-    let mut state = [0u32; 16];
-    state[..4].copy_from_slice(&SIGMA);
-    for i in 0..8 {
-        state[4 + i] = load_u32_le(&key[4 * i..4 * i + 4]);
+    BlockJob {
+        key,
+        nonce,
+        counter,
     }
-    state[12] = counter;
-    for i in 0..3 {
-        state[13 + i] = load_u32_le(&nonce[4 * i..4 * i + 4]);
-    }
+    .block()
+}
 
-    let mut working = state;
-    for _ in 0..10 {
-        quarter_round(&mut working, 0, 4, 8, 12);
-        quarter_round(&mut working, 1, 5, 9, 13);
-        quarter_round(&mut working, 2, 6, 10, 14);
-        quarter_round(&mut working, 3, 7, 11, 15);
-        quarter_round(&mut working, 0, 5, 10, 15);
-        quarter_round(&mut working, 1, 6, 11, 12);
-        quarter_round(&mut working, 2, 7, 8, 13);
-        quarter_round(&mut working, 3, 4, 9, 14);
+/// The keystream block of every job, handed to `sink` in job order
+/// with the tag the job came with.  Each job has its own key, nonce and
+/// counter; where the lane kernel is compiled in, sixteen jobs share a
+/// pass, and a tail shorter than [`CHACHA_LANES_FROM`] takes the plain
+/// word.  The blocks are the ones [`chacha20_block`] returns, on every
+/// build.
+pub fn chacha20_blocks<'a, T: Copy>(
+    jobs: impl IntoIterator<Item = (BlockJob<'a>, T)>,
+    mut sink: impl FnMut(T, &[u8; 64]),
+) {
+    let jobs = jobs.into_iter().fuse();
+    #[cfg(all(
+        target_arch = "x86_64",
+        target_feature = "avx512f",
+        target_feature = "avx512ifma"
+    ))]
+    {
+        let mut jobs = jobs;
+        loop {
+            let group: [Option<(BlockJob, T)>; 16] = std::array::from_fn(|_| jobs.next());
+            let filled = group.iter().flatten().count();
+            if filled < CHACHA_LANES_FROM {
+                for (job, tag) in group.into_iter().flatten() {
+                    sink(tag, &job.block());
+                }
+                return;
+            }
+            let blocks = blocks_x16(&group.map(|job| job.map(|(job, _)| job)));
+            for ((_, tag), block) in group.into_iter().flatten().zip(&blocks) {
+                sink(tag, block);
+            }
+            if filled < 16 {
+                return;
+            }
+        }
     }
+    #[cfg(not(all(
+        target_arch = "x86_64",
+        target_feature = "avx512f",
+        target_feature = "avx512ifma"
+    )))]
+    for (job, tag) in jobs {
+        sink(tag, &job.block());
+    }
+}
 
-    let mut out = [0u8; 64];
-    for i in 0..16 {
-        let word = working[i].wrapping_add(state[i]);
-        out[4 * i..4 * i + 4].copy_from_slice(&word.to_le_bytes());
-    }
-    out
+/// Sixteen jobs' blocks in one pass of the lane kernel; an empty slot
+/// computes a block nobody reads.
+#[cfg(all(
+    target_arch = "x86_64",
+    target_feature = "avx512f",
+    target_feature = "avx512ifma"
+))]
+fn blocks_x16(jobs: &[Option<BlockJob<'_>>; 16]) -> [[u8; 64]; 16] {
+    use crate::arx::lanes::{transpose_16, U32x16};
+    // Row `l` is job `l`'s input state; transposed, each vector is one
+    // state word of all sixteen jobs, and transposed back, each is one
+    // job's output block.
+    let rows = jobs.map(|job| U32x16::from_array(job.map_or([0; 16], |job| job.state())));
+    transpose_16(block_words(&transpose_16(rows))).map(U32x16::to_le_bytes)
 }
 
 /// XOR `data` in place with the ChaCha20 keystream starting at block
 /// `counter`.  Encryption and decryption are the same operation.
 pub fn chacha20_xor(key: &[u8; 32], counter: u32, nonce: &[u8; 12], data: &mut [u8]) {
-    for (i, chunk) in data.chunks_mut(64).enumerate() {
-        let block = chacha20_block(key, counter.wrapping_add(i as u32), nonce);
-        for (byte, ks) in chunk.iter_mut().zip(block.iter()) {
+    let jobs = (0..data.len().div_ceil(64)).map(|i| {
+        let counter = counter.wrapping_add(i as u32);
+        (
+            BlockJob {
+                key,
+                nonce,
+                counter,
+            },
+            i,
+        )
+    });
+    chacha20_blocks(jobs, |i, block| {
+        for (byte, ks) in data[64 * i..].iter_mut().zip(block) {
             *byte ^= ks;
         }
-    }
+    });
 }
 
 #[cfg(test)]

@@ -8,16 +8,31 @@ use crate::blake2b::Blake2b;
 use crate::ristretto::GroupElement;
 
 /// Derive a 32-byte key from a label and a list of byte-string inputs.
+/// The batch of one of [`derive_key_all`].
 pub fn derive_key(label: &str, inputs: &[&[u8]]) -> [u8; 32] {
-    let mut h = Blake2b::new(32);
-    h.update(b"xrd-kdf-v1");
-    h.update(&(label.len() as u64).to_le_bytes());
-    h.update(label.as_bytes());
-    for input in inputs {
-        h.update(&(input.len() as u64).to_le_bytes());
-        h.update(input);
-    }
-    h.finalize_32()
+    derive_key_all(label, &[inputs])[0]
+}
+
+/// [`derive_key`] under one label for each entry of `inputs`.  Each
+/// key's hash is absorbed on its own and the last compressions run
+/// together ([`Blake2b::finalize_32_all`]): a key whose framed inputs
+/// fit one 128-byte block — every per-message key of a round does — is
+/// all last compression, eight to a lane pass.
+pub fn derive_key_all<'a, I: AsRef<[&'a [u8]]>>(label: &str, inputs: &[I]) -> Vec<[u8; 32]> {
+    let hashers: Vec<Blake2b> = (inputs.iter())
+        .map(|inputs| {
+            let mut h = Blake2b::new(32);
+            h.update(b"xrd-kdf-v1");
+            h.update(&(label.len() as u64).to_le_bytes());
+            h.update(label.as_bytes());
+            for input in inputs.as_ref() {
+                h.update(&(input.len() as u64).to_le_bytes());
+                h.update(input);
+            }
+            h
+        })
+        .collect();
+    Blake2b::finalize_32_all(&hashers)
 }
 
 /// Derive a symmetric encryption key from a Diffie-Hellman shared group

@@ -31,6 +31,7 @@
 #![allow(clippy::needless_range_loop)]
 
 pub mod aead;
+mod arx;
 pub mod blake2b;
 pub mod chacha20;
 pub mod drbg;
@@ -45,7 +46,7 @@ pub mod scalar;
 pub mod transcript;
 pub mod util;
 
-pub use aead::{adec, aenc, round_nonce, TAG_LEN};
+pub use aead::{adec, adec_all, adec_first, aenc, aenc_all, round_nonce, TAG_LEN};
 pub use blake2b::{blake2b_256, blake2b_512, Blake2b};
 pub use drbg::ChaChaRng;
 pub use keys::{dh, dh_symmetric_key, KeyPair};

@@ -201,11 +201,16 @@ impl SchnorrProof {
         let publics = GroupElement::base_mul_all(xs);
         let commitments = GroupElement::encode_all(&GroupElement::base_mul_all(&nonces));
         let encoded = GroupElement::encode_all(&publics);
+        let challenges = Self::challenges(
+            &(encoded.iter().zip(&commitments))
+                .map(|(public, commitment)| (context, base, public, commitment))
+                .collect::<Vec<_>>(),
+        );
         nonces
             .into_iter()
+            .zip(challenges)
             .enumerate()
-            .map(|(i, r)| {
-                let c = Self::challenge(context, &base, &encoded[i], &commitments[i]);
+            .map(|(i, (r, c))| {
                 let proof = SchnorrProof {
                     commitment: commitments[i],
                     response: r.add(&c.mul(&xs[i])),
@@ -274,12 +279,23 @@ impl SchnorrProof {
         else {
             return false;
         };
+        let inputs: Vec<_> = (statements.iter().zip(publics))
+            .map(|(st, public)| {
+                (
+                    st.context,
+                    encode_base(&st.base),
+                    public,
+                    &st.proof.commitment,
+                )
+            })
+            .collect();
+        let challenges = Self::challenges(&inputs);
         let mut checked = Vec::with_capacity(statements.len());
         let mut seed_t = Transcript::new("xrd/schnorr-batch-verify");
         seed_t.append_u64("n", statements.len() as u64);
-        for ((st, commitment), public) in statements.iter().zip(commitments).zip(publics) {
-            let base = encode_base(&st.base);
-            let c = Self::challenge(st.context, &base, public, &st.proof.commitment);
+        for (((st, commitment), c), (_, base, _, _)) in
+            (statements.iter().zip(commitments).zip(challenges)).zip(inputs)
+        {
             // The challenge binds context, base, public and commitment,
             // so absorbing (challenge, response) binds the statement.
             seed_t.append("challenge", &c.to_bytes());
@@ -305,18 +321,38 @@ impl SchnorrProof {
     /// re-encoding on every verification.  The base arrives encoded
     /// ([`encode_base`]) for the same reason, and the public value so
     /// that a batch prover can encode its publics together.
+    ///
+    /// The batch of one of [`SchnorrProof::challenges`].
     fn challenge(
         context: &[u8],
         base: &[u8; 32],
         public: &[u8; 32],
         commitment: &[u8; 32],
     ) -> Scalar {
-        let mut t = Transcript::new("xrd/schnorr-pok");
-        t.append("context", context);
-        t.append("base", base);
-        t.append("public", public);
-        t.append("commitment", commitment);
-        t.challenge_scalar("c")
+        Self::challenges(&[(context, *base, public, commitment)])[0]
+    }
+
+    /// [`SchnorrProof::challenge`] of every `(context, base, public,
+    /// commitment)`.  The transcript's prefix — domain, context, base —
+    /// is hashed once for each run of statements that share it (a
+    /// round's submissions all do), and the rest steps every statement
+    /// of the run together ([`Transcript::challenge_scalars_all`]).
+    #[allow(clippy::type_complexity)]
+    fn challenges(statements: &[(&[u8], [u8; 32], &[u8; 32], &[u8; 32])]) -> Vec<Scalar> {
+        let mut out = Vec::with_capacity(statements.len());
+        for run in statements.chunk_by(|a, b| a.0 == b.0 && a.1 == b.1) {
+            let (context, base, _, _) = run[0];
+            let mut prefix = Transcript::new("xrd/schnorr-pok");
+            prefix.append("context", context);
+            prefix.append("base", &base);
+            let items: Vec<[(&str, &[u8]); 2]> = (run.iter())
+                .map(|(_, _, public, commitment)| {
+                    [("public", &public[..]), ("commitment", &commitment[..])]
+                })
+                .collect();
+            out.extend(prefix.challenge_scalars_all(&items, "c"));
+        }
+        out
     }
 
     /// Serialize to 64 bytes.
@@ -439,25 +475,34 @@ impl DleqProof {
             return false;
         };
         let commitments = commitments.chunks(2).map(|r| (r[0], r[1]));
-        let publics: Vec<GroupElement> = (statements.iter())
-            .flat_map(|st| [st.public1, st.public2])
+        // Bases and publics encoded together, four per statement.
+        let points: Vec<GroupElement> = (statements.iter())
+            .flat_map(|st| [st.base1, st.public1, st.base2, st.public2])
             .collect();
-        let publics = GroupElement::encode_all(&publics);
+        let encoded = GroupElement::encode_all(&points);
+        let challenges = Self::challenges(
+            &(statements.iter().zip(encoded.chunks(4)))
+                .map(|(st, e)| {
+                    let [b1, p1, b2, p2] = [&e[0], &e[1], &e[2], &e[3]].map(|e| &e[..]);
+                    [
+                        st.context,
+                        b1,
+                        p1,
+                        b2,
+                        p2,
+                        &st.proof.commitment1,
+                        &st.proof.commitment2,
+                    ]
+                })
+                .collect::<Vec<_>>(),
+        );
         let mut checked = Vec::with_capacity(statements.len());
         let mut seed_t = Transcript::new("xrd/dleq-batch-verify");
         seed_t.append_u64("n", statements.len() as u64);
-        for ((st, (r1, r2)), public) in (statements.iter().zip(commitments)).zip(publics.chunks(2))
+        for (((st, (r1, r2)), c), e) in
+            (statements.iter().zip(commitments).zip(challenges)).zip(encoded.chunks(4))
         {
-            let (base1, base2) = (encode_base(&st.base1), encode_base(&st.base2));
-            let c = Self::challenge(
-                st.context,
-                &base1,
-                &public[0],
-                &base2,
-                &public[1],
-                &st.proof.commitment1,
-                &st.proof.commitment2,
-            );
+            let (base1, base2) = (e[0], e[2]);
             seed_t.append("challenge", &c.to_bytes());
             seed_t.append("response", &st.proof.response.to_bytes());
             checked.push((r1, r2, c, base1, base2));
@@ -491,15 +536,27 @@ impl DleqProof {
         c1: &[u8; 32],
         c2: &[u8; 32],
     ) -> Scalar {
-        let mut t = Transcript::new("xrd/chaum-pedersen-dleq");
-        t.append("context", context);
-        t.append("base1", base1);
-        t.append("public1", public1);
-        t.append("base2", base2);
-        t.append("public2", public2);
-        t.append("commitment1", c1);
-        t.append("commitment2", c2);
-        t.challenge_scalar("c")
+        Self::challenges(&[[context, base1, public1, base2, public2, c1, c2]])[0]
+    }
+
+    /// [`DleqProof::challenge`] of every statement, given as its seven
+    /// absorbed byte strings in order: the domain's transcript is
+    /// started once and the statements step together
+    /// ([`Transcript::challenge_scalars_all`]).
+    fn challenges(statements: &[[&[u8]; 7]]) -> Vec<Scalar> {
+        const LABELS: [&str; 7] = [
+            "context",
+            "base1",
+            "public1",
+            "base2",
+            "public2",
+            "commitment1",
+            "commitment2",
+        ];
+        let items: Vec<[(&str, &[u8]); 7]> = (statements.iter())
+            .map(|st| std::array::from_fn(|i| (LABELS[i], st[i])))
+            .collect();
+        Transcript::new("xrd/chaum-pedersen-dleq").challenge_scalars_all(&items, "c")
     }
 
     /// Serialize to 96 bytes.

@@ -1,14 +1,24 @@
 //! The Poly1305 one-time authenticator (RFC 8439), from scratch, using a
-//! five-limb radix-2^26 representation.
+//! three-limb radix-2^44 representation (44 + 44 + 42 bits) whose
+//! products fit `u128`.
+//!
+//! Constant time: the block formula has no branch and no index that
+//! depends on the key or the message, and the final reduction modulo
+//! `2^130 - 5` selects between `h` and `h - p` with a mask.
+
+use crate::util::load_u64_le;
+
+const MASK44: u64 = (1 << 44) - 1;
+const MASK42: u64 = (1 << 42) - 1;
 
 /// Poly1305 MAC state.
 pub struct Poly1305 {
-    /// Clamped `r`, radix 2^26.
-    r: [u32; 5],
-    /// `s` (the final added secret), four 32-bit words.
-    s: [u32; 4],
-    /// Accumulator, radix 2^26.
-    h: [u32; 5],
+    /// Clamped `r`, radix 2^44.
+    r: [u64; 3],
+    /// `s` (the final added secret), two 64-bit words.
+    s: [u64; 2],
+    /// Accumulator, radix 2^44.
+    h: [u64; 3],
     buf: [u8; 16],
     buf_len: usize,
 }
@@ -16,87 +26,13 @@ pub struct Poly1305 {
 impl Poly1305 {
     /// Initialize with a 32-byte one-time key `(r, s)`.
     pub fn new(key: &[u8; 32]) -> Poly1305 {
-        let load = crate::util::load_u32_le;
-        // Clamp r per the RFC.
-        let t0 = load(&key[0..4]);
-        let t1 = load(&key[4..8]);
-        let t2 = load(&key[8..12]);
-        let t3 = load(&key[12..16]);
-        let r = [
-            t0 & 0x03ffffff,
-            ((t0 >> 26) | (t1 << 6)) & 0x03ffff03,
-            ((t1 >> 20) | (t2 << 12)) & 0x03ffc0ff,
-            ((t2 >> 14) | (t3 << 18)) & 0x03f03fff,
-            (t3 >> 8) & 0x000fffff,
-        ];
-        let s = [
-            load(&key[16..20]),
-            load(&key[20..24]),
-            load(&key[24..28]),
-            load(&key[28..32]),
-        ];
         Poly1305 {
-            r,
-            s,
-            h: [0; 5],
+            r: clamp(key),
+            s: secret(key),
+            h: [0; 3],
             buf: [0; 16],
             buf_len: 0,
         }
-    }
-
-    /// Process one 16-byte block; `final_bit` is 1 for full blocks and
-    /// placed past the end for partial final blocks by the caller.
-    fn block(&mut self, block: &[u8; 16], partial_len: Option<usize>) {
-        let load = crate::util::load_u32_le;
-        let t0 = load(&block[0..4]);
-        let t1 = load(&block[4..8]);
-        let t2 = load(&block[8..12]);
-        let t3 = load(&block[12..16]);
-
-        // Append the message block plus the 2^(8*len) pad bit.
-        let hibit: u32 = if partial_len.is_some() { 0 } else { 1 << 24 };
-        self.h[0] = self.h[0].wrapping_add(t0 & 0x03ffffff);
-        self.h[1] = self.h[1].wrapping_add(((t0 >> 26) | (t1 << 6)) & 0x03ffffff);
-        self.h[2] = self.h[2].wrapping_add(((t1 >> 20) | (t2 << 12)) & 0x03ffffff);
-        self.h[3] = self.h[3].wrapping_add(((t2 >> 14) | (t3 << 18)) & 0x03ffffff);
-        self.h[4] = self.h[4].wrapping_add((t3 >> 8) | hibit);
-
-        // h *= r (mod 2^130 - 5)
-        let r = &self.r;
-        let h = &self.h;
-        let s1 = r[1] * 5;
-        let s2 = r[2] * 5;
-        let s3 = r[3] * 5;
-        let s4 = r[4] * 5;
-        let m = |a: u32, b: u32| (a as u64) * (b as u64);
-
-        let d0 = m(h[0], r[0]) + m(h[1], s4) + m(h[2], s3) + m(h[3], s2) + m(h[4], s1);
-        let d1 = m(h[0], r[1]) + m(h[1], r[0]) + m(h[2], s4) + m(h[3], s3) + m(h[4], s2);
-        let d2 = m(h[0], r[2]) + m(h[1], r[1]) + m(h[2], r[0]) + m(h[3], s4) + m(h[4], s3);
-        let d3 = m(h[0], r[3]) + m(h[1], r[2]) + m(h[2], r[1]) + m(h[3], r[0]) + m(h[4], s4);
-        let d4 = m(h[0], r[4]) + m(h[1], r[3]) + m(h[2], r[2]) + m(h[3], r[1]) + m(h[4], r[0]);
-
-        // Carry propagation.
-        let mut c: u64;
-        let mut d = [d0, d1, d2, d3, d4];
-        c = d[0] >> 26;
-        self.h[0] = (d[0] as u32) & 0x03ffffff;
-        d[1] += c;
-        c = d[1] >> 26;
-        self.h[1] = (d[1] as u32) & 0x03ffffff;
-        d[2] += c;
-        c = d[2] >> 26;
-        self.h[2] = (d[2] as u32) & 0x03ffffff;
-        d[3] += c;
-        c = d[3] >> 26;
-        self.h[3] = (d[3] as u32) & 0x03ffffff;
-        d[4] += c;
-        c = d[4] >> 26;
-        self.h[4] = (d[4] as u32) & 0x03ffffff;
-        self.h[0] += (c as u32) * 5;
-        let c2 = self.h[0] >> 26;
-        self.h[0] &= 0x03ffffff;
-        self.h[1] += c2;
     }
 
     /// Absorb message bytes.
@@ -107,20 +43,21 @@ impl Poly1305 {
             self.buf_len += take;
             data = &data[take..];
             if self.buf_len == 16 {
-                let block = self.buf;
-                self.block(&block, None);
+                self.h = absorb(self.h, &self.r, &self.buf, 1);
                 self.buf_len = 0;
             }
         }
-        while data.len() >= 16 {
-            let mut block = [0u8; 16];
-            block.copy_from_slice(&data[..16]);
-            self.block(&block, None);
-            data = &data[16..];
+        // The accumulator stays in registers across the full blocks.
+        let mut blocks = data.chunks_exact(16);
+        let mut h = self.h;
+        for block in &mut blocks {
+            h = absorb(h, &self.r, block.try_into().expect("16 bytes"), 1);
         }
-        if !data.is_empty() {
-            self.buf[..data.len()].copy_from_slice(data);
-            self.buf_len = data.len();
+        self.h = h;
+        let rest = blocks.remainder();
+        if !rest.is_empty() {
+            self.buf[..rest.len()].copy_from_slice(rest);
+            self.buf_len = rest.len();
         }
         self
     }
@@ -133,64 +70,135 @@ impl Poly1305 {
             let mut block = [0u8; 16];
             block[..self.buf_len].copy_from_slice(&self.buf[..self.buf_len]);
             block[self.buf_len] = 1;
-            let len = self.buf_len;
-            self.block(&block, Some(len));
+            self.h = absorb(self.h, &self.r, &block, 0);
         }
 
-        // Full reduction of h mod 2^130 - 5.
-        let mut h = self.h;
-        let mut c = h[1] >> 26;
-        h[1] &= 0x03ffffff;
-        h[2] += c;
-        c = h[2] >> 26;
-        h[2] &= 0x03ffffff;
-        h[3] += c;
-        c = h[3] >> 26;
-        h[3] &= 0x03ffffff;
-        h[4] += c;
-        c = h[4] >> 26;
-        h[4] &= 0x03ffffff;
-        h[0] += c * 5;
-        c = h[0] >> 26;
-        h[0] &= 0x03ffffff;
-        h[1] += c;
-
-        // Compute h + -p = h - (2^130 - 5) and select it if non-negative.
-        let mut g = [0u32; 5];
-        let mut carry = 5u32;
-        for i in 0..4 {
-            let t = h[i].wrapping_add(carry);
-            carry = t >> 26;
-            g[i] = t & 0x03ffffff;
-        }
-        let t = h[4].wrapping_add(carry).wrapping_sub(1 << 26);
-        g[4] = t;
-        let underflow = (t >> 31) & 1; // 1 if h < p
-        let mask = underflow.wrapping_sub(1); // all-ones if h >= p
-        for i in 0..5 {
-            h[i] = (h[i] & !mask) | (g[i] & mask);
-        }
-        // g[4] may have had its high bits set from the wrapping sub; mask.
-        h[4] &= 0x03ffffff;
-
-        // Serialize h to 128 bits and add s mod 2^128.
-        let h0 = h[0] | (h[1] << 26);
-        let h1 = (h[1] >> 6) | (h[2] << 20);
-        let h2 = (h[2] >> 12) | (h[3] << 14);
-        let h3 = (h[3] >> 18) | (h[4] << 8);
-
-        let mut acc: u64;
-        let mut out = [0u8; 16];
-        acc = h0 as u64 + self.s[0] as u64;
-        out[0..4].copy_from_slice(&(acc as u32).to_le_bytes());
-        acc = h1 as u64 + self.s[1] as u64 + (acc >> 32);
-        out[4..8].copy_from_slice(&(acc as u32).to_le_bytes());
-        acc = h2 as u64 + self.s[2] as u64 + (acc >> 32);
-        out[8..12].copy_from_slice(&(acc as u32).to_le_bytes());
-        acc = h3 as u64 + self.s[3] as u64 + (acc >> 32);
-        out[12..16].copy_from_slice(&(acc as u32).to_le_bytes());
-        out
+        finish(self.h, self.s)
     }
+}
+
+/// `r` of a one-time key, clamped per the RFC and split into limbs.
+fn clamp(key: &[u8; 32]) -> [u64; 3] {
+    let t0 = load_u64_le(&key[0..8]);
+    let t1 = load_u64_le(&key[8..16]);
+    [
+        t0 & 0x0ffc_0fff_ffff,
+        ((t0 >> 44) | (t1 << 20)) & 0x0fff_ffc0_ffff,
+        (t1 >> 24) & 0x000f_ffff_fc0f,
+    ]
+}
+
+/// `s` of a one-time key, two little-endian words.
+fn secret(key: &[u8; 32]) -> [u64; 2] {
+    [load_u64_le(&key[16..24]), load_u64_le(&key[24..32])]
+}
+
+/// The tag: `h` fully reduced, plus `s` modulo 2^128.
+fn finish(h: [u64; 3], s: [u64; 2]) -> [u8; 16] {
+    // Full carry of h, twice around, so h < 2^130.
+    let [mut h0, mut h1, mut h2] = h;
+    for _ in 0..2 {
+        h2 += h1 >> 44;
+        h1 &= MASK44;
+        h0 += (h2 >> 42) * 5;
+        h2 &= MASK42;
+        h1 += h0 >> 44;
+        h0 &= MASK44;
+    }
+
+    // g = h - p = h + 5 - 2^130; take it where it does not borrow.
+    let g0 = h0 + 5;
+    let g1 = h1 + (g0 >> 44);
+    let g2 = (h2 + (g1 >> 44)).wrapping_sub(1 << 42);
+    let mask = (g2 >> 63).wrapping_sub(1); // all ones iff h >= p
+    h0 = (h0 & !mask) | (g0 & MASK44 & mask);
+    h1 = (h1 & !mask) | (g1 & MASK44 & mask);
+    h2 = (h2 & !mask) | (g2 & MASK42 & mask);
+
+    // h + s mod 2^128, as two little-endian words.
+    let lo = h0 | (h1 << 44);
+    let hi = (h1 >> 20) | (h2 << 24);
+    let (lo, carry) = lo.overflowing_add(s[0]);
+    let hi = hi.wrapping_add(s[1]).wrapping_add(carry as u64);
+    let mut out = [0u8; 16];
+    out[..8].copy_from_slice(&lo.to_le_bytes());
+    out[8..].copy_from_slice(&hi.to_le_bytes());
+    out
+}
+
+/// Messages whose Poly1305 chains [`poly1305_blocks_all`] runs side by
+/// side: each block waits on its predecessor's multiply-and-carry, so
+/// one chain leaves the multiplier idle most of the time, and four
+/// independent ones fill it.
+const INTERLEAVE: usize = 4;
+
+/// The Poly1305 tag under `keys[m]` of each message `m` given as
+/// segments, each zero-padded to a multiple of 16 bytes — the shape of
+/// every ChaCha20-Poly1305 MAC input (associated data, ciphertext,
+/// lengths) — what [`Poly1305::update`] over the padded bytes returns.
+/// The chains of [`INTERLEAVE`] messages run side by side, block by
+/// block, over the whole blocks all of them have in a segment; the rest
+/// of a segment runs message by message.  One block formula throughout.
+pub fn poly1305_padded_all<const S: usize>(
+    keys: &[[u8; 32]],
+    messages: &[[&[u8]; S]],
+) -> Vec<[u8; 16]> {
+    assert_eq!(keys.len(), messages.len(), "one key per message");
+    let mut tags = Vec::with_capacity(keys.len());
+    for (keys, messages) in keys.chunks(INTERLEAVE).zip(messages.chunks(INTERLEAVE)) {
+        // A short last group is padded with empty messages, which share
+        // no whole block with the others: it runs message by message.
+        let lanes: [[&[u8]; S]; INTERLEAVE] =
+            std::array::from_fn(|k| messages.get(k).copied().unwrap_or([&[]; S]));
+        let r: [[u64; 3]; INTERLEAVE] = std::array::from_fn(|k| keys.get(k).map_or([0; 3], clamp));
+        let mut h = [[0u64; 3]; INTERLEAVE];
+        for s in 0..S {
+            let common = lanes.iter().map(|m| m[s].len() / 16).min().unwrap_or(0);
+            let mut blocks = lanes.map(|m| m[s].chunks_exact(16));
+            for _ in 0..common {
+                for k in 0..INTERLEAVE {
+                    let block = blocks[k].next().expect("a whole block in every lane");
+                    h[k] = absorb(h[k], &r[k], block.try_into().expect("16 bytes"), 1);
+                }
+            }
+            for (k, lane) in lanes.iter().enumerate() {
+                for chunk in lane[s][16 * common..].chunks(16) {
+                    let mut block = [0u8; 16];
+                    block[..chunk.len()].copy_from_slice(chunk);
+                    h[k] = absorb(h[k], &r[k], &block, 1);
+                }
+            }
+        }
+        tags.extend((keys.iter().enumerate()).map(|(k, key)| finish(h[k], secret(key))));
+    }
+    tags
+}
+
+/// The block formula: `(h + block + hibit·2^128) · r  mod 2^130 - 5`,
+/// partially reduced.  `hibit` is 1 for a full block; a padded final
+/// block carries its own 0x01 byte and passes 0.
+#[inline(always)]
+fn absorb(h: [u64; 3], r: &[u64; 3], block: &[u8; 16], hibit: u64) -> [u64; 3] {
+    let t0 = load_u64_le(&block[0..8]);
+    let t1 = load_u64_le(&block[8..16]);
+    let h0 = h[0] + (t0 & MASK44);
+    let h1 = h[1] + (((t0 >> 44) | (t1 << 20)) & MASK44);
+    let h2 = h[2] + (((t1 >> 24) & MASK42) | (hibit << 40));
+
+    // 2^132 ≡ 4·5 (mod p), so the limbs that wrap are scaled by 20.
+    let [r0, r1, r2] = *r;
+    let (s1, s2) = (r1 * 20, r2 * 20);
+    let m = |a: u64, b: u64| (a as u128) * (b as u128);
+    let d0 = m(h0, r0) + m(h1, s2) + m(h2, s1);
+    let mut d1 = m(h0, r1) + m(h1, r0) + m(h2, s2);
+    let mut d2 = m(h0, r2) + m(h1, r1) + m(h2, r0);
+
+    d1 += d0 >> 44;
+    d2 += d1 >> 44;
+    let c = (d2 >> 42) as u64;
+    let h0 = (d0 as u64 & MASK44) + c * 5;
+    let h1 = (d1 as u64 & MASK44) + (h0 >> 44);
+    [h0 & MASK44, h1, d2 as u64 & MASK42]
 }
 
 /// One-shot Poly1305 MAC.
@@ -254,6 +262,40 @@ mod tests {
             assert_ne!(poly1305_mac(&key, &msg), base, "byte {i} ignored");
             msg[i] ^= 1;
         }
+    }
+
+    /// RFC 8439 Appendix A.3 vectors #5, #6, #8 and #9: accumulators
+    /// that end at or just past `p`, where a limb representation that
+    /// reduces only partially, or selects `h - p` wrongly, gives a
+    /// different tag.
+    #[test]
+    fn rfc8439_reduction_vectors() {
+        let key = |r: u8, s: u8| {
+            let mut key = [0u8; 32];
+            key[0] = r;
+            key[16..].fill(s);
+            key
+        };
+        let cat = |parts: &[[u8; 16]]| parts.concat();
+        let ones = [0xffu8; 16];
+        let mut two = [0u8; 16];
+        two[0] = 2;
+        let mut fb = [0xfeu8; 16];
+        fb[0] = 0xfb;
+        let mut fd = [0xffu8; 16];
+        fd[0] = 0xfd;
+        let tag = |first: u8, rest: u8| {
+            let mut t = [rest; 16];
+            t[0] = first;
+            t
+        };
+        assert_eq!(poly1305_mac(&key(2, 0), &ones), tag(3, 0));
+        assert_eq!(poly1305_mac(&key(2, 0xff), &two), tag(3, 0));
+        assert_eq!(
+            poly1305_mac(&key(1, 0), &cat(&[ones, fb, [1u8; 16]])),
+            [0u8; 16]
+        );
+        assert_eq!(poly1305_mac(&key(2, 0), &fd), tag(0xfa, 0xff));
     }
 
     /// Degenerate full-reduction case: h lands exactly on p.

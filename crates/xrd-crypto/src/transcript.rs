@@ -3,6 +3,12 @@
 //! The transcript maintains a 64-byte chaining state; every absorbed item
 //! is framed with its label and length so the mapping from (sequence of
 //! items) to state is injective.
+//!
+//! A challenge folds a ratchet into the state so that successive
+//! challenges differ.  The ratchet is applied when the transcript is
+//! next used, not when the challenge is drawn: a transcript dropped
+//! after its challenge — every proof's — never pays for it, and one
+//! used again gets exactly the state it always had.
 
 use crate::blake2b::Blake2b;
 use crate::scalar::Scalar;
@@ -11,6 +17,29 @@ use crate::scalar::Scalar;
 #[derive(Clone)]
 pub struct Transcript {
     state: [u8; 64],
+    /// A challenge was drawn and its ratchet is not yet in `state`.
+    ratchet_due: bool,
+}
+
+/// The hash that absorbs `(label, data)` into `state`.
+fn append_hasher(state: &[u8; 64], label: &str, data: &[u8]) -> Blake2b {
+    let mut h = Blake2b::new(64);
+    h.update(state);
+    h.update(&(label.len() as u64).to_le_bytes());
+    h.update(label.as_bytes());
+    h.update(&(data.len() as u64).to_le_bytes());
+    h.update(data);
+    h
+}
+
+/// The hash that draws challenge `label` of kind `kind` from `state`.
+fn challenge_hasher(state: &[u8; 64], kind: &[u8], label: &str, out_len: usize) -> Blake2b {
+    let mut h = Blake2b::new(out_len);
+    h.update(state);
+    h.update(kind);
+    h.update(&(label.len() as u64).to_le_bytes());
+    h.update(label.as_bytes());
+    h
 }
 
 impl Transcript {
@@ -22,18 +51,25 @@ impl Transcript {
         h.update(domain.as_bytes());
         Transcript {
             state: h.finalize_64(),
+            ratchet_due: false,
+        }
+    }
+
+    /// Fold in the ratchet of the last challenge, if one is due.
+    fn settle(&mut self) {
+        if self.ratchet_due {
+            let mut h = Blake2b::new(64);
+            h.update(&self.state);
+            h.update(b"ratchet");
+            self.state = h.finalize_64();
+            self.ratchet_due = false;
         }
     }
 
     /// Absorb a labelled message.
     pub fn append(&mut self, label: &str, data: &[u8]) {
-        let mut h = Blake2b::new(64);
-        h.update(&self.state);
-        h.update(&(label.len() as u64).to_le_bytes());
-        h.update(label.as_bytes());
-        h.update(&(data.len() as u64).to_le_bytes());
-        h.update(data);
-        self.state = h.finalize_64();
+        self.settle();
+        self.state = append_hasher(&self.state, label, data).finalize_64();
     }
 
     /// Absorb a u64 (length, round number, index...).
@@ -45,33 +81,53 @@ impl Transcript {
     /// and fold the extraction into the state (so successive challenges
     /// differ).
     pub fn challenge_scalar(&mut self, label: &str) -> Scalar {
-        let mut h = Blake2b::new(64);
-        h.update(&self.state);
-        h.update(b"challenge");
-        h.update(&(label.len() as u64).to_le_bytes());
-        h.update(label.as_bytes());
-        let wide = h.finalize_64();
-        // Ratchet state forward.
-        let mut h2 = Blake2b::new(64);
-        h2.update(&self.state);
-        h2.update(b"ratchet");
-        self.state = h2.finalize_64();
+        self.settle();
+        let wide = challenge_hasher(&self.state, b"challenge", label, 64).finalize_64();
+        self.ratchet_due = true;
         Scalar::from_bytes_mod_order_wide(&wide)
     }
 
     /// Produce 32 challenge bytes (for non-scalar uses).
     pub fn challenge_bytes(&mut self, label: &str) -> [u8; 32] {
-        let mut h = Blake2b::new(32);
-        h.update(&self.state);
-        h.update(b"challenge-bytes");
-        h.update(&(label.len() as u64).to_le_bytes());
-        h.update(label.as_bytes());
-        let out = h.finalize_32();
-        let mut h2 = Blake2b::new(64);
-        h2.update(&self.state);
-        h2.update(b"ratchet");
-        self.state = h2.finalize_64();
+        self.settle();
+        let out = challenge_hasher(&self.state, b"challenge-bytes", label, 32).finalize_32();
+        self.ratchet_due = true;
         out
+    }
+
+    /// For each statement, the challenge scalar `label` that a clone of
+    /// this transcript gives after appending the statement's
+    /// `(label, data)` items in order.  This transcript is the shared
+    /// prefix, hashed once; the statements then step in lockstep, one
+    /// hash per item and one for the challenge, each step a batch of
+    /// last compressions ([`Blake2b::finalize_64_all`]: eight to a lane
+    /// pass where the items fit a block, as every proof's do).
+    pub fn challenge_scalars_all<const M: usize>(
+        &self,
+        statements: &[[(&str, &[u8]); M]],
+        label: &str,
+    ) -> Vec<Scalar> {
+        let mut prefix = self.clone();
+        prefix.settle();
+        let mut states = vec![prefix.state; statements.len()];
+        let mut hashers = Vec::with_capacity(statements.len());
+        for item in 0..M {
+            hashers.clear();
+            hashers.extend((states.iter().zip(statements)).map(|(state, statement)| {
+                let (item_label, data) = statement[item];
+                append_hasher(state, item_label, data)
+            }));
+            states = Blake2b::finalize_64_all(&hashers);
+        }
+        hashers.clear();
+        hashers.extend(
+            states
+                .iter()
+                .map(|state| challenge_hasher(state, b"challenge", label, 64)),
+        );
+        (Blake2b::finalize_64_all(&hashers).iter())
+            .map(Scalar::from_bytes_mod_order_wide)
+            .collect()
     }
 }
 

@@ -26,7 +26,7 @@ use std::sync::Arc;
 
 use rand::RngCore;
 
-use xrd_crypto::aead::{aenc, round_nonce};
+use xrd_crypto::aead::{aenc, aenc_all, round_nonce};
 use xrd_crypto::kdf;
 use xrd_crypto::nizk::{SchnorrBatchEntry, SchnorrProof};
 use xrd_crypto::ristretto::{FixedGroupTable, GroupElement};
@@ -168,19 +168,26 @@ pub(crate) fn outer_layer_context(round: u64, layer: usize) -> Vec<u8> {
 /// Symmetric key for outer layer `layer`, derived from the *encoding*
 /// of the layer's DH shared element; used identically by the user (from
 /// `mpk_i^x`) and server `i` (from `X_i^{msk_i}` — the same element by
-/// the AHS algebra).  Whoever holds many shared elements encodes them
-/// together ([`GroupElement::encode_all`]).
+/// the AHS algebra).  The batch of one of [`outer_layer_keys`].
 pub(crate) fn outer_layer_key(shared: &[u8; 32], round: u64, layer: usize) -> [u8; 32] {
-    kdf::derive_key(
-        "xrd/outer-layer",
-        &[shared, &outer_layer_context(round, layer)],
-    )
+    outer_layer_keys(std::slice::from_ref(shared), round, layer)[0]
 }
 
-/// Symmetric key for the inner envelope, from the encoding of its DH
-/// shared element.
-pub(crate) fn inner_key(shared: &[u8; 32], round: u64) -> [u8; 32] {
-    kdf::derive_key("xrd/inner-envelope", &[shared, &round.to_le_bytes()])
+/// [`outer_layer_key`] of every shared element's encoding (whoever
+/// holds many encodes them together, [`GroupElement::encode_all`], and
+/// derives their keys together, [`kdf::derive_key_all`]).
+pub(crate) fn outer_layer_keys(shared: &[[u8; 32]], round: u64, layer: usize) -> Vec<[u8; 32]> {
+    let context = outer_layer_context(round, layer);
+    let inputs: Vec<[&[u8]; 2]> = shared.iter().map(|s| [&s[..], &context[..]]).collect();
+    kdf::derive_key_all("xrd/outer-layer", &inputs)
+}
+
+/// Symmetric key for the inner envelope of every shared element's
+/// encoding.
+pub(crate) fn inner_keys(shared: &[[u8; 32]], round: u64) -> Vec<[u8; 32]> {
+    let round = round.to_le_bytes();
+    let inputs: Vec<[&[u8]; 2]> = shared.iter().map(|s| [&s[..], &round[..]]).collect();
+    kdf::derive_key_all("xrd/inner-envelope", &inputs)
 }
 
 /// One onion's secret randomness: the inner envelope's exponent `y`,
@@ -247,8 +254,10 @@ impl SealKeys for ChainPublicKeys {
 /// shared elements off the chain's, then every element that is hashed
 /// or sent encoded — so that it runs eight messages per table walk and
 /// per inverse square root where `xrd-crypto`'s lane kernel is compiled
-/// in; what is left per message is symmetric: `k + 1` KDF + AEAD layers
-/// and the proof's challenge hash.  The exponents reach the tables only
+/// in.  The symmetric work is batched the same way, a layer at a time:
+/// each layer's keys in one [`kdf::derive_key_all`], its ciphertexts in
+/// one [`aenc_all`] (every layer of a round has one length), and the
+/// proofs' challenges behind one transcript prefix.  The exponents reach the tables only
 /// through [`FixedGroupTable::mul_all`] / [`GroupElement::mul`] and the
 /// shared elements only through [`GroupElement::encode_all`], all
 /// masked: nothing here branches on a secret.
@@ -265,18 +274,20 @@ fn seal_onions(
     // Inner envelopes: e = (g^y, AEnc(DH(∏ipk, y), ρ, m)).
     let gy = GroupElement::encode_all(&GroupElement::base_mul_all(&ys));
     let inner_shared = GroupElement::encode_all(&keys.inner_shared_all(&ys));
-    let mut nonces: Vec<Scalar> = Vec::with_capacity(jobs.len());
-    let mut cts: Vec<Vec<u8>> = (jobs.into_iter().zip(&gy).zip(&inner_shared))
-        .map(|(((randomness, msg), gy), shared)| {
-            nonces.push(randomness.nonce);
+    let (nonces, messages): (Vec<Scalar>, Vec<Vec<u8>>) = (jobs.into_iter())
+        .map(|(randomness, msg)| (randomness.nonce, msg.to_bytes()))
+        .unzip();
+    let sealed = aenc_all(
+        &inner_keys(&inner_shared, round),
+        &round_nonce(round, DOMAIN_INNER),
+        b"",
+        &messages,
+    );
+    let mut cts: Vec<Vec<u8>> = (gy.iter().zip(sealed))
+        .map(|(gy, sealed)| {
             let mut ct = Vec::with_capacity(inner_envelope_len());
             ct.extend_from_slice(gy);
-            ct.extend_from_slice(&aenc(
-                &inner_key(shared, round),
-                &round_nonce(round, DOMAIN_INNER),
-                b"",
-                &msg.to_bytes(),
-            ));
+            ct.extend_from_slice(&sealed);
             debug_assert_eq!(ct.len(), inner_envelope_len());
             ct
         })
@@ -286,14 +297,12 @@ fn seal_onions(
     // per message.
     for layer in (0..k).rev() {
         let shared = GroupElement::encode_all(&keys.layer_shared_all(layer, &xs));
-        for (ct, shared) in cts.iter_mut().zip(&shared) {
-            *ct = aenc(
-                &outer_layer_key(shared, round, layer),
-                &round_nonce(round, domain_outer(layer)),
-                b"",
-                ct,
-            );
-        }
+        cts = aenc_all(
+            &outer_layer_keys(&shared, round, layer),
+            &round_nonce(round, domain_outer(layer)),
+            b"",
+            &cts,
+        );
     }
 
     SchnorrProof::prove_base_all(&submission_context(round), &xs, nonces)
@@ -515,7 +524,7 @@ mod tests {
         let gy = GroupElement::decode(&gy).unwrap();
         let isk_sum = secrets.iter().fold(Scalar::ZERO, |a, s| a.add(&s.isk));
         let inner = xrd_crypto::adec(
-            &inner_key(&gy.mul(&isk_sum).encode(), round),
+            &inner_keys(&[gy.mul(&isk_sum).encode()], round)[0],
             &round_nonce(round, DOMAIN_INNER),
             b"",
             &ct[32..],

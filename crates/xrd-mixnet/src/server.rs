@@ -15,13 +15,13 @@
 use rand::Rng;
 use rand::RngCore;
 
-use xrd_crypto::aead::{adec, round_nonce};
+use xrd_crypto::aead::{adec_all, round_nonce};
 use xrd_crypto::nizk::{DleqBatchEntry, DleqProof};
 use xrd_crypto::ristretto::GroupElement;
 use xrd_crypto::scalar::Scalar;
 
 use crate::chain_keys::{ChainPublicKeys, ServerSecrets};
-use crate::client::{inner_key, outer_layer_key};
+use crate::client::outer_layer_keys;
 use crate::message::{domain_outer, MailboxMessage, MixEntry, DOMAIN_INNER};
 
 /// Result of one hop of AHS mixing.
@@ -133,27 +133,25 @@ impl ChunkKernel {
         self.round
     }
 
-    /// Finish one entry from its two exponentiations: `shared` is the
-    /// encoding of `X_j^{msk_i}` (step 1, keys the outer layer) and
-    /// `blinded` is `X_j^{bsk_i}` (step 2, the next hop's DH key).
-    /// `None` on authentication failure.
+    /// Finish a chunk from its two exponentiations per entry:
+    /// `shared[j]` is the encoding of `X_j^{msk_i}` (step 1, keys the
+    /// outer layer) and `blinded[j]` is `X_j^{bsk_i}` (step 2, the next
+    /// hop's DH key).  The layer keys are derived together and the
+    /// layers opened together ([`adec_all`]: every onion of a hop has
+    /// one length, so its keystream blocks fill the lanes in lockstep).
+    /// `None` marks an authentication failure.
     fn decrypt_and_blind(
         &self,
-        entry: &MixEntry,
-        shared: &[u8; 32],
-        blinded: GroupElement,
-    ) -> Option<MixEntry> {
-        let key = outer_layer_key(shared, self.round, self.position);
-        let next_ct = adec(
-            &key,
-            &round_nonce(self.round, domain_outer(self.position)),
-            b"",
-            &entry.ct,
-        )?;
-        Some(MixEntry {
-            dh: blinded,
-            ct: next_ct,
-        })
+        entries: &[MixEntry],
+        shared: &[[u8; 32]],
+        blinded: Vec<GroupElement>,
+    ) -> Vec<Option<MixEntry>> {
+        let keys = outer_layer_keys(shared, self.round, self.position);
+        let cts: Vec<&[u8]> = entries.iter().map(|entry| &entry.ct[..]).collect();
+        let nonce = round_nonce(self.round, domain_outer(self.position));
+        (adec_all(&keys, &nonce, b"", &cts).into_iter().zip(blinded))
+            .map(|(next_ct, dh)| Some(MixEntry { dh, ct: next_ct? }))
+            .collect()
     }
 
     /// Run the kernel over a chunk: raise every entry's DH key to `msk`
@@ -172,11 +170,7 @@ impl ChunkKernel {
             GroupElement::batch_mul_pair(&dhs, &self.msk, &self.bsk)
                 .into_iter()
                 .unzip();
-        let slots: Vec<Option<MixEntry>> = entries
-            .iter()
-            .zip(GroupElement::encode_all(&shared).iter().zip(blinded))
-            .map(|(entry, (shared, blinded))| self.decrypt_and_blind(entry, shared, blinded))
-            .collect();
+        let slots = self.decrypt_and_blind(entries, &GroupElement::encode_all(&shared), blinded);
         let m = hop_metrics();
         m.decrypt_blind_us.record_duration(started.elapsed());
         m.entries.add(entries.len() as u64);
@@ -589,15 +583,16 @@ pub fn open_batch(
     // The inner keys are public once revealed (§6.3 broadcasts them),
     // so the variable-time ladder is safe here.
     let shared = GroupElement::encode_all(&GroupElement::batch_vartime_mul(&ephemerals, &isk_sum));
+    let envelopes: Vec<&[u8]> = at.iter().map(|&j| &entries[j].ct[32..]).collect();
+    let plaintexts = adec_all(
+        &crate::client::inner_keys(&shared, round),
+        &round_nonce(round, DOMAIN_INNER),
+        b"",
+        &envelopes,
+    );
     let mut opened = vec![None; entries.len()];
-    for (j, dh) in at.into_iter().zip(&shared) {
-        opened[j] = adec(
-            &inner_key(dh, round),
-            &round_nonce(round, DOMAIN_INNER),
-            b"",
-            &entries[j].ct[32..],
-        )
-        .and_then(|plaintext| MailboxMessage::from_bytes(&plaintext));
+    for (j, plaintext) in at.into_iter().zip(plaintexts) {
+        opened[j] = plaintext.and_then(|plaintext| MailboxMessage::from_bytes(&plaintext));
     }
     opened
 }

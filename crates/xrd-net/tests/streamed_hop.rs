@@ -132,12 +132,18 @@ fn inner_key_is_revealed_for_the_last_opened_round_only() {
     let entries: Vec<MixEntry> = subs.iter().map(|s| s.to_entry()).collect();
     let daemon = MixServerDaemon::spawn("127.0.0.1:0", secrets, public, 7).expect("daemon spawns");
     let mut conn = Conn::connect(daemon.addr()).expect("connects");
-    assert_eq!(conn.request(&Frame::OpenRound { round }).ok(), Some(Frame::Ok));
+    assert_eq!(
+        conn.request(&Frame::OpenRound { round }).ok(),
+        Some(Frame::Ok)
+    );
     match conn.request(&Frame::CloseSubmissions { round }) {
         Ok(Frame::BatchDigest { count: 0, .. }) => {}
         other => panic!("expected an empty batch digest, got {other:?}"),
     }
-    hop_output(conn.stream_hop(round, &entries, STREAM_CHUNK).expect("hop runs"));
+    hop_output(
+        conn.stream_hop(round, &entries, STREAM_CHUNK)
+            .expect("hop runs"),
+    );
 
     for other in [round + 1, 4242] {
         match conn.request(&Frame::RevealInnerKey { round: other }) {
@@ -146,7 +152,10 @@ fn inner_key_is_revealed_for_the_last_opened_round_only() {
         }
     }
     match conn.request(&Frame::RevealInnerKey { round }) {
-        Ok(Frame::InnerKeyReveal { position: 0, isk: revealed }) => assert_eq!(revealed, isk),
+        Ok(Frame::InnerKeyReveal {
+            position: 0,
+            isk: revealed,
+        }) => assert_eq!(revealed, isk),
         reply => panic!("expected the inner key for round {round}, got {reply:?}"),
     }
 }
