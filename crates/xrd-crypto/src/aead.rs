@@ -18,22 +18,19 @@ use crate::util::ct_bytes_eq;
 /// Tag length in bytes.
 pub const TAG_LEN: usize = 16;
 
-/// The RFC 8439 §2.8 tag of each ciphertext under its Poly1305 key: the
-/// MAC input is associated data and ciphertext, each zero-padded to 16
+/// The RFC 8439 §2.8 tag of each `(Poly1305 key, ciphertext)`: the MAC
+/// input is associated data and ciphertext, each zero-padded to 16
 /// bytes, then both lengths ([`poly1305_padded_all`]).
-fn tags(poly_keys: &[[u8; 32]], aad: &[u8], ciphertexts: &[&[u8]]) -> Vec<[u8; 16]> {
-    let lengths: Vec<[u8; 16]> = (ciphertexts.iter())
-        .map(|ct| {
-            let mut lengths = [0u8; 16];
-            lengths[..8].copy_from_slice(&(aad.len() as u64).to_le_bytes());
-            lengths[8..].copy_from_slice(&(ct.len() as u64).to_le_bytes());
-            lengths
-        })
-        .collect();
-    let messages: Vec<[&[u8]; 3]> = (ciphertexts.iter().zip(&lengths))
-        .map(|(ct, lengths)| [aad, ct, lengths])
-        .collect();
-    poly1305_padded_all(poly_keys, &messages)
+fn tags<'a>(
+    aad: &'a [u8],
+    messages: impl IntoIterator<Item = (&'a [u8; 32], &'a [u8])>,
+) -> Vec<[u8; 16]> {
+    poly1305_padded_all(messages.into_iter().map(|(poly_key, ciphertext)| {
+        let mut lengths = [0u8; 16];
+        lengths[..8].copy_from_slice(&(aad.len() as u64).to_le_bytes());
+        lengths[8..].copy_from_slice(&(ciphertext.len() as u64).to_le_bytes());
+        (poly_key, [aad, ciphertext], lengths)
+    }))
 }
 
 /// The ciphertext of each sealed message whose tag checks under its
@@ -42,15 +39,17 @@ fn tags(poly_keys: &[[u8; 32]], aad: &[u8], ciphertexts: &[&[u8]]) -> Vec<[u8; 1
 fn authentic<'s>(
     poly_keys: &[[u8; 32]],
     aad: &[u8],
-    sealed: impl IntoIterator<Item = &'s [u8]>,
+    sealed: impl Iterator<Item = &'s [u8]> + Clone,
 ) -> Vec<Option<&'s [u8]>> {
-    let split: Vec<(&[u8], &[u8])> = (sealed.into_iter())
-        .map(|sealed| sealed.split_at(sealed.len().saturating_sub(TAG_LEN)))
-        .collect();
-    let ciphertexts: Vec<&[u8]> = split.iter().map(|(ct, _)| *ct).collect();
-    (split.iter().zip(tags(poly_keys, aad, &ciphertexts)))
-        .map(|((ct, tag), expect)| {
-            (tag.len() == TAG_LEN && ct_bytes_eq(&expect, tag)).then_some(*ct)
+    let split = |sealed: &'s [u8]| sealed.split_at(sealed.len().saturating_sub(TAG_LEN));
+    let expected = tags(
+        aad,
+        poly_keys.iter().zip(sealed.clone().map(|s| split(s).0)),
+    );
+    (sealed.zip(expected))
+        .map(|(sealed, expect)| {
+            let (ciphertext, tag) = split(sealed);
+            (tag.len() == TAG_LEN && ct_bytes_eq(&expect, tag)).then_some(ciphertext)
         })
         .collect()
 }
@@ -132,8 +131,8 @@ pub fn aenc_all<P: AsRef<[u8]>>(
         nonce,
         &mut keys.iter().zip(sealed.iter_mut()).collect::<Vec<_>>(),
     );
-    let ciphertexts: Vec<&[u8]> = sealed.iter().map(|ct| &ct[..]).collect();
-    let tags = tags(&poly_keys(keys, nonce), aad, &ciphertexts);
+    let poly_keys = poly_keys(keys, nonce);
+    let tags = tags(aad, poly_keys.iter().zip(sealed.iter().map(|ct| &ct[..])));
     for (out, tag) in sealed.iter_mut().zip(tags) {
         out.extend_from_slice(&tag);
     }

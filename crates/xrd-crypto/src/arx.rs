@@ -196,6 +196,14 @@ pub(crate) mod lanes {
     }
 
     impl U32x16 {
+        /// Lane `i` holds little-endian word `i` of `bytes`.
+        #[inline(always)]
+        pub(crate) fn from_le_bytes(bytes: [u8; 64]) -> U32x16 {
+            // SAFETY: 64 bytes of plain integers either way; x86-64 is
+            // little-endian, so lane `i` is bytes `4i..4i + 4` read LE.
+            U32x16(unsafe { std::mem::transmute::<[u8; 64], __m512i>(bytes) })
+        }
+
         /// Lane `i` as little-endian bytes `4i..4i + 4`.
         #[inline(always)]
         pub(crate) fn to_le_bytes(self) -> [u8; 64] {

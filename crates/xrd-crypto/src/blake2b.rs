@@ -110,6 +110,7 @@ struct FinalBlock {
     h: [u64; 8],
     block: [u8; BLOCK_BYTES],
     t: [u64; 2],
+    out_len: usize,
 }
 
 impl FinalBlock {
@@ -180,6 +181,7 @@ impl Blake2b {
             h: self.h,
             block,
             t,
+            out_len: self.out_len,
         }
     }
 
@@ -211,24 +213,27 @@ impl Blake2b {
     /// absorbed, so the batch runs them eight to a pass where the lane
     /// kernel is compiled in — each lane with its own chaining value,
     /// counter and block — and on the plain word below
-    /// [`BLAKE2B_LANES_FROM`].  Same bytes on every build.
-    pub fn finalize_32_all(hashers: &[Blake2b]) -> Vec<[u8; 32]> {
-        let mut out = vec![[0u8; 32]; hashers.len()];
-        for hasher in hashers {
-            assert_eq!(hasher.out_len, 32);
-        }
-        final_chaining_values(hashers, |i, h| write_digest(h, &mut out[i]));
+    /// [`BLAKE2B_LANES_FROM`].  Same bytes on every build.  The hashers
+    /// are taken eight at a time, so a batch never holds more.
+    pub fn finalize_32_all(hashers: impl IntoIterator<Item = Blake2b>) -> Vec<[u8; 32]> {
+        let mut out = Vec::new();
+        final_chaining_values(hashers, |out_len, h| {
+            assert_eq!(out_len, 32);
+            out.push([0u8; 32]);
+            write_digest(h, out.last_mut().expect("just pushed"));
+        });
         out
     }
 
     /// [`Blake2b::finalize_64`] of every hasher (each `out_len == 64`),
     /// in passes as [`Blake2b::finalize_32_all`].
-    pub fn finalize_64_all(hashers: &[Blake2b]) -> Vec<[u8; 64]> {
-        let mut out = vec![[0u8; 64]; hashers.len()];
-        for hasher in hashers {
-            assert_eq!(hasher.out_len, 64);
-        }
-        final_chaining_values(hashers, |i, h| write_digest(h, &mut out[i]));
+    pub fn finalize_64_all(hashers: impl IntoIterator<Item = Blake2b>) -> Vec<[u8; 64]> {
+        let mut out = Vec::new();
+        final_chaining_values(hashers, |out_len, h| {
+            assert_eq!(out_len, 64);
+            out.push([0u8; 64]);
+            write_digest(h, out.last_mut().expect("just pushed"));
+        });
         out
     }
 
@@ -248,54 +253,36 @@ fn write_digest(h: &[u64; 8], out: &mut [u8]) {
 }
 
 /// Every hasher's chaining value after its last compression, handed to
-/// `sink(i, h)` in order: eight per lane pass where the kernel is
-/// compiled in and the batch reaches [`BLAKE2B_LANES_FROM`].
-fn final_chaining_values(hashers: &[Blake2b], mut sink: impl FnMut(usize, &[u64; 8])) {
+/// `sink(out_len, h)` in order: eight per lane pass where the kernel is
+/// compiled in and a group reaches [`BLAKE2B_LANES_FROM`].
+fn final_chaining_values(
+    hashers: impl IntoIterator<Item = Blake2b>,
+    mut sink: impl FnMut(usize, &[u64; 8]),
+) {
+    let hashers = hashers.into_iter().fuse();
     #[cfg(all(
         target_arch = "x86_64",
         target_feature = "avx512f",
         target_feature = "avx512ifma"
     ))]
     {
-        use crate::arx::lanes::{transpose_8, U64x8};
-        // Full groups of eight, and a short last group if it is worth
-        // a pass.
-        let tail = hashers.len() % 8;
-        let lanes = hashers.len() - if tail < BLAKE2B_LANES_FROM { tail } else { 0 };
-        for (group_at, group) in hashers[..lanes].chunks(8).enumerate() {
-            // Row `l` is hasher `l`'s chaining value, or half its block;
-            // transposed, each vector is one word of all eight (an
-            // unfilled lane compresses zeros).
-            let blocks: [Option<FinalBlock>; 8] =
-                std::array::from_fn(|l| group.get(l).map(Blake2b::final_block));
-            fn rows(
-                blocks: &[Option<FinalBlock>; 8],
-                word: impl Fn(&FinalBlock) -> U64x8,
-            ) -> [U64x8; 8] {
-                transpose_8(std::array::from_fn(|l| {
-                    blocks[l].as_ref().map_or(U64x8::splat(0), &word)
-                }))
+        let mut hashers = hashers.map(|hasher| hasher.final_block());
+        loop {
+            let group: [Option<FinalBlock>; 8] = std::array::from_fn(|_| hashers.next());
+            let filled = group.iter().flatten().count();
+            if filled < BLAKE2B_LANES_FROM {
+                for block in group.into_iter().flatten() {
+                    sink(block.out_len, &block.compress());
+                }
+                return;
             }
-            let mut h = rows(&blocks, |b| U64x8::from_array(b.h));
-            let lo = rows(&blocks, |b| {
-                U64x8::from_le_bytes(*b.block.first_chunk().expect("64 of 128 bytes"))
-            });
-            let hi = rows(&blocks, |b| {
-                U64x8::from_le_bytes(*b.block.last_chunk().expect("64 of 128 bytes"))
-            });
-            let m: [U64x8; 16] = std::array::from_fn(|w| if w < 8 { lo[w] } else { hi[w - 8] });
-            let t: [U64x8; 2] = std::array::from_fn(|i| {
-                U64x8::from_array(std::array::from_fn(|l| {
-                    blocks[l].as_ref().map_or(0, |b| b.t[i])
-                }))
-            });
-            compress_words(&mut h, &m, t, U64x8::splat(!0));
-            for (lane, h) in transpose_8(h).into_iter().take(group.len()).enumerate() {
-                sink(group_at * 8 + lane, &h.to_array());
+            let hs = compress_x8(&group);
+            for (block, h) in group.iter().flatten().zip(&hs) {
+                sink(block.out_len, h);
             }
-        }
-        for (i, hasher) in hashers.iter().enumerate().skip(lanes) {
-            sink(i, &hasher.final_block().compress());
+            if filled < 8 {
+                return;
+            }
         }
     }
     #[cfg(not(all(
@@ -303,9 +290,41 @@ fn final_chaining_values(hashers: &[Blake2b], mut sink: impl FnMut(usize, &[u64;
         target_feature = "avx512f",
         target_feature = "avx512ifma"
     )))]
-    for (i, hasher) in hashers.iter().enumerate() {
-        sink(i, &hasher.final_block().compress());
+    for hasher in hashers {
+        let block = hasher.final_block();
+        sink(block.out_len, &block.compress());
     }
+}
+
+/// Eight last compressions in one pass of the lane kernel; an empty
+/// slot compresses zeros nobody reads.  Out of line, so its frame is a
+/// sibling of its caller's rather than part of it.
+#[cfg(all(
+    target_arch = "x86_64",
+    target_feature = "avx512f",
+    target_feature = "avx512ifma"
+))]
+#[inline(never)]
+fn compress_x8(blocks: &[Option<FinalBlock>; 8]) -> [[u64; 8]; 8] {
+    use crate::arx::lanes::{transpose_8, U64x8};
+    // Row `l` is block `l`'s chaining value, or half its message;
+    // transposed, each vector is one word of all eight.
+    let rows = |word: fn(&FinalBlock) -> U64x8| {
+        transpose_8(std::array::from_fn(|l| {
+            blocks[l].as_ref().map_or(U64x8::splat(0), word)
+        }))
+    };
+    let mut h = rows(|b| U64x8::from_array(b.h));
+    let lo = rows(|b| U64x8::from_le_bytes(*b.block.first_chunk().expect("64 of 128 bytes")));
+    let hi = rows(|b| U64x8::from_le_bytes(*b.block.last_chunk().expect("64 of 128 bytes")));
+    let m: [U64x8; 16] = std::array::from_fn(|w| if w < 8 { lo[w] } else { hi[w - 8] });
+    let t: [U64x8; 2] = std::array::from_fn(|i| {
+        U64x8::from_array(std::array::from_fn(|l| {
+            blocks[l].as_ref().map_or(0, |b| b.t[i])
+        }))
+    });
+    compress_words(&mut h, &m, t, U64x8::splat(!0));
+    transpose_8(h).map(U64x8::to_array)
 }
 
 /// One-shot BLAKE2b-512.

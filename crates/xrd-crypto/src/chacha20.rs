@@ -75,6 +75,23 @@ impl BlockJob<'_> {
         state
     }
 
+    /// The input state as its 64 little-endian bytes.
+    #[cfg(all(
+        target_arch = "x86_64",
+        target_feature = "avx512f",
+        target_feature = "avx512ifma"
+    ))]
+    fn state_bytes(&self) -> [u8; 64] {
+        let mut state = [0u8; 64];
+        for (bytes, word) in state.chunks_exact_mut(4).zip(SIGMA) {
+            bytes.copy_from_slice(&word.to_le_bytes());
+        }
+        state[16..48].copy_from_slice(self.key);
+        state[48..52].copy_from_slice(&self.counter.to_le_bytes());
+        state[52..].copy_from_slice(self.nonce);
+        state
+    }
+
     /// The block, on the plain word.
     fn block(&self) -> [u8; 64] {
         let words = block_words(&self.state());
@@ -143,18 +160,20 @@ pub fn chacha20_blocks<'a, T: Copy>(
 }
 
 /// Sixteen jobs' blocks in one pass of the lane kernel; an empty slot
-/// computes a block nobody reads.
+/// computes a block nobody reads.  Out of line, so its frame is a
+/// sibling of its caller's rather than part of it.
 #[cfg(all(
     target_arch = "x86_64",
     target_feature = "avx512f",
     target_feature = "avx512ifma"
 ))]
+#[inline(never)]
 fn blocks_x16(jobs: &[Option<BlockJob<'_>>; 16]) -> [[u8; 64]; 16] {
     use crate::arx::lanes::{transpose_16, U32x16};
     // Row `l` is job `l`'s input state; transposed, each vector is one
     // state word of all sixteen jobs, and transposed back, each is one
     // job's output block.
-    let rows = jobs.map(|job| U32x16::from_array(job.map_or([0; 16], |job| job.state())));
+    let rows = jobs.map(|job| U32x16::from_le_bytes(job.map_or([0; 64], |job| job.state_bytes())));
     transpose_16(block_words(&transpose_16(rows))).map(U32x16::to_le_bytes)
 }
 

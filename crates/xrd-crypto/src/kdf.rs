@@ -19,20 +19,17 @@ pub fn derive_key(label: &str, inputs: &[&[u8]]) -> [u8; 32] {
 /// fit one 128-byte block — every per-message key of a round does — is
 /// all last compression, eight to a lane pass.
 pub fn derive_key_all<'a, I: AsRef<[&'a [u8]]>>(label: &str, inputs: &[I]) -> Vec<[u8; 32]> {
-    let hashers: Vec<Blake2b> = (inputs.iter())
-        .map(|inputs| {
-            let mut h = Blake2b::new(32);
-            h.update(b"xrd-kdf-v1");
-            h.update(&(label.len() as u64).to_le_bytes());
-            h.update(label.as_bytes());
-            for input in inputs.as_ref() {
-                h.update(&(input.len() as u64).to_le_bytes());
-                h.update(input);
-            }
-            h
-        })
-        .collect();
-    Blake2b::finalize_32_all(&hashers)
+    Blake2b::finalize_32_all(inputs.iter().map(|inputs| {
+        let mut h = Blake2b::new(32);
+        h.update(b"xrd-kdf-v1");
+        h.update(&(label.len() as u64).to_le_bytes());
+        h.update(label.as_bytes());
+        for input in inputs.as_ref() {
+            h.update(&(input.len() as u64).to_le_bytes());
+            h.update(input);
+        }
+        h
+    }))
 }
 
 /// Derive a symmetric encryption key from a Diffie-Hellman shared group

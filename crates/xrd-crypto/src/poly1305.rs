@@ -132,25 +132,31 @@ fn finish(h: [u64; 3], s: [u64; 2]) -> [u8; 16] {
 /// independent ones fill it.
 const INTERLEAVE: usize = 4;
 
-/// The Poly1305 tag under `keys[m]` of each message `m` given as
-/// segments, each zero-padded to a multiple of 16 bytes — the shape of
-/// every ChaCha20-Poly1305 MAC input (associated data, ciphertext,
-/// lengths) — what [`Poly1305::update`] over the padded bytes returns.
-/// The chains of [`INTERLEAVE`] messages run side by side, block by
-/// block, over the whole blocks all of them have in a segment; the rest
-/// of a segment runs message by message.  One block formula throughout.
-pub fn poly1305_padded_all<const S: usize>(
-    keys: &[[u8; 32]],
-    messages: &[[&[u8]; S]],
+/// One message for [`poly1305_padded_all`]: its one-time key, its
+/// segments, each zero-padded to a multiple of 16 bytes, and a last
+/// block — the shape of every ChaCha20-Poly1305 MAC input (associated
+/// data, ciphertext, lengths).
+pub type PaddedMessage<'a, const S: usize> = (&'a [u8; 32], [&'a [u8]; S], [u8; 16]);
+
+/// The Poly1305 tag of each message — what [`Poly1305::update`] over
+/// its padded bytes returns.  The chains of [`INTERLEAVE`] messages run
+/// side by side, block by block, over the whole blocks all of them have
+/// in a segment; the rest of a segment and the last block run message
+/// by message.  One block formula throughout, and the messages are
+/// taken [`INTERLEAVE`] at a time.
+pub fn poly1305_padded_all<'a, const S: usize>(
+    messages: impl IntoIterator<Item = PaddedMessage<'a, S>>,
 ) -> Vec<[u8; 16]> {
-    assert_eq!(keys.len(), messages.len(), "one key per message");
-    let mut tags = Vec::with_capacity(keys.len());
-    for (keys, messages) in keys.chunks(INTERLEAVE).zip(messages.chunks(INTERLEAVE)) {
-        // A short last group is padded with empty messages, which share
+    let mut messages = messages.into_iter().fuse();
+    let mut tags = Vec::new();
+    loop {
+        // A short last group is filled with empty messages, which share
         // no whole block with the others: it runs message by message.
-        let lanes: [[&[u8]; S]; INTERLEAVE] =
-            std::array::from_fn(|k| messages.get(k).copied().unwrap_or([&[]; S]));
-        let r: [[u64; 3]; INTERLEAVE] = std::array::from_fn(|k| keys.get(k).map_or([0; 3], clamp));
+        let group: [Option<PaddedMessage<S>>; INTERLEAVE] =
+            std::array::from_fn(|_| messages.next());
+        let filled = group.iter().flatten().count();
+        let lanes = group.map(|m| m.map_or([&[][..]; S], |(_, segments, _)| segments));
+        let r = group.map(|m| m.map_or([0; 3], |(key, _, _)| clamp(key)));
         let mut h = [[0u64; 3]; INTERLEAVE];
         for s in 0..S {
             let common = lanes.iter().map(|m| m[s].len() / 16).min().unwrap_or(0);
@@ -161,7 +167,7 @@ pub fn poly1305_padded_all<const S: usize>(
                     h[k] = absorb(h[k], &r[k], block.try_into().expect("16 bytes"), 1);
                 }
             }
-            for (k, lane) in lanes.iter().enumerate() {
+            for (k, lane) in lanes.iter().enumerate().take(filled) {
                 for chunk in lane[s][16 * common..].chunks(16) {
                     let mut block = [0u8; 16];
                     block[..chunk.len()].copy_from_slice(chunk);
@@ -169,9 +175,13 @@ pub fn poly1305_padded_all<const S: usize>(
                 }
             }
         }
-        tags.extend((keys.iter().enumerate()).map(|(k, key)| finish(h[k], secret(key))));
+        for (k, (key, _, last)) in group.iter().flatten().enumerate() {
+            tags.push(finish(absorb(h[k], &r[k], last, 1), secret(key)));
+        }
+        if filled < INTERLEAVE {
+            return tags;
+        }
     }
-    tags
 }
 
 /// The block formula: `(h + block + hibit·2^128) · r  mod 2^130 - 5`,

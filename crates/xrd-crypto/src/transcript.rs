@@ -110,22 +110,18 @@ impl Transcript {
         let mut prefix = self.clone();
         prefix.settle();
         let mut states = vec![prefix.state; statements.len()];
-        let mut hashers = Vec::with_capacity(statements.len());
         for item in 0..M {
-            hashers.clear();
-            hashers.extend((states.iter().zip(statements)).map(|(state, statement)| {
-                let (item_label, data) = statement[item];
-                append_hasher(state, item_label, data)
-            }));
-            states = Blake2b::finalize_64_all(&hashers);
+            states = Blake2b::finalize_64_all(states.iter().zip(statements).map(
+                |(state, statement)| {
+                    let (item_label, data) = statement[item];
+                    append_hasher(state, item_label, data)
+                },
+            ));
         }
-        hashers.clear();
-        hashers.extend(
-            states
-                .iter()
-                .map(|state| challenge_hasher(state, b"challenge", label, 64)),
-        );
-        (Blake2b::finalize_64_all(&hashers).iter())
+        let hashers = states
+            .iter()
+            .map(|state| challenge_hasher(state, b"challenge", label, 64));
+        (Blake2b::finalize_64_all(hashers).iter())
             .map(Scalar::from_bytes_mod_order_wide)
             .collect()
     }
