@@ -21,17 +21,14 @@ const IV: [u64; 8] = [
 
 const BLOCK_BYTES: usize = 128;
 
-/// A batch of fewer final compressions than this runs on the plain
-/// word: an eight-lane pass, with its transposes in and out, costs
-/// about two.
-pub const BLAKE2B_LANES_FROM: usize = 3;
-
 /// Incremental BLAKE2b hasher.
 #[derive(Clone)]
 pub struct Blake2b {
     h: [u64; 8],
     /// Total bytes compressed so far (128-bit counter, low/high).
     t: [u64; 2],
+    /// Bytes not yet compressed; zero past `buf_len`, so the buffer is
+    /// always the zero-padded block the last compression takes.
     buf: [u8; BLOCK_BYTES],
     buf_len: usize,
     out_len: usize,
@@ -104,23 +101,6 @@ fn message_words(block: &[u8; BLOCK_BYTES]) -> [u64; 16] {
     m
 }
 
-/// What a hasher's last compression starts from: chaining value, the
-/// zero-padded buffer, byte counter.
-struct FinalBlock {
-    h: [u64; 8],
-    block: [u8; BLOCK_BYTES],
-    t: [u64; 2],
-    out_len: usize,
-}
-
-impl FinalBlock {
-    /// The digest's chaining value, on the plain word.
-    fn compress(mut self) -> [u64; 8] {
-        compress_words(&mut self.h, &message_words(&self.block), self.t, !0);
-        self.h
-    }
-}
-
 impl Blake2b {
     /// New unkeyed hasher with `out_len` output bytes (1..=64).
     pub fn new(out_len: usize) -> Blake2b {
@@ -155,8 +135,9 @@ impl Blake2b {
         // the final block needs the "last" flag.
         while !data.is_empty() {
             if self.buf_len == BLOCK_BYTES {
-                self.increment_counter(BLOCK_BYTES as u64);
+                self.t = counter_plus(self.t, BLOCK_BYTES as u64);
                 compress_words(&mut self.h, &message_words(&self.buf), self.t, 0);
+                self.buf = [0; BLOCK_BYTES];
                 self.buf_len = 0;
             }
             let take = (BLOCK_BYTES - self.buf_len).min(data.len());
@@ -167,28 +148,22 @@ impl Blake2b {
         self
     }
 
-    /// The last compression's input: the buffer zero-padded, the
-    /// counter advanced past it.
-    fn final_block(&self) -> FinalBlock {
-        let mut block = [0u8; BLOCK_BYTES];
-        block[..self.buf_len].copy_from_slice(&self.buf[..self.buf_len]);
-        let mut t = self.t;
-        t[0] = t[0].wrapping_add(self.buf_len as u64);
-        if t[0] < self.buf_len as u64 {
-            t[1] = t[1].wrapping_add(1);
-        }
-        FinalBlock {
-            h: self.h,
-            block,
-            t,
-            out_len: self.out_len,
-        }
+    /// The byte counter the last compression takes.
+    fn final_counter(&self) -> [u64; 2] {
+        counter_plus(self.t, self.buf_len as u64)
+    }
+
+    /// The chaining value after the last compression, on the plain word.
+    fn final_chaining_value(mut self) -> [u64; 8] {
+        let t = self.final_counter();
+        compress_words(&mut self.h, &message_words(&self.buf), t, !0);
+        self.h
     }
 
     /// Finish and return the digest.
     pub fn finalize(self) -> Vec<u8> {
         let mut out = vec![0u8; self.out_len];
-        write_digest(&self.final_block().compress(), &mut out);
+        write_digest(&self.final_chaining_value(), &mut out);
         out
     }
 
@@ -196,7 +171,7 @@ impl Blake2b {
     pub fn finalize_32(self) -> [u8; 32] {
         assert_eq!(self.out_len, 32);
         let mut out = [0u8; 32];
-        write_digest(&self.final_block().compress(), &mut out);
+        write_digest(&self.final_chaining_value(), &mut out);
         out
     }
 
@@ -204,7 +179,7 @@ impl Blake2b {
     pub fn finalize_64(self) -> [u8; 64] {
         assert_eq!(self.out_len, 64);
         let mut out = [0u8; 64];
-        write_digest(&self.final_block().compress(), &mut out);
+        write_digest(&self.final_chaining_value(), &mut out);
         out
     }
 
@@ -213,7 +188,7 @@ impl Blake2b {
     /// absorbed, so the batch runs them eight to a pass where the lane
     /// kernel is compiled in — each lane with its own chaining value,
     /// counter and block — and on the plain word below
-    /// [`BLAKE2B_LANES_FROM`].  Same bytes on every build.  The hashers
+    /// `BLAKE2B_LANES_FROM`.  Same bytes on every build.  The hashers
     /// are taken eight at a time, so a batch never holds more.
     pub fn finalize_32_all(hashers: impl IntoIterator<Item = Blake2b>) -> Vec<[u8; 32]> {
         let mut out = Vec::new();
@@ -236,13 +211,12 @@ impl Blake2b {
         });
         out
     }
+}
 
-    fn increment_counter(&mut self, bytes: u64) {
-        self.t[0] = self.t[0].wrapping_add(bytes);
-        if self.t[0] < bytes {
-            self.t[1] = self.t[1].wrapping_add(1);
-        }
-    }
+/// The 128-bit byte counter `t` advanced by `bytes`.
+fn counter_plus(t: [u64; 2], bytes: u64) -> [u64; 2] {
+    let (low, carry) = t[0].overflowing_add(bytes);
+    [low, t[1].wrapping_add(carry as u64)]
 }
 
 /// The first `out.len()` bytes of the little-endian chaining value.
@@ -254,7 +228,7 @@ fn write_digest(h: &[u64; 8], out: &mut [u8]) {
 
 /// Every hasher's chaining value after its last compression, handed to
 /// `sink(out_len, h)` in order: eight per lane pass where the kernel is
-/// compiled in and a group reaches [`BLAKE2B_LANES_FROM`].
+/// compiled in and a group reaches `BLAKE2B_LANES_FROM`.
 fn final_chaining_values(
     hashers: impl IntoIterator<Item = Blake2b>,
     mut sink: impl FnMut(usize, &[u64; 8]),
@@ -266,19 +240,24 @@ fn final_chaining_values(
         target_feature = "avx512ifma"
     ))]
     {
-        let mut hashers = hashers.map(|hasher| hasher.final_block());
+        /// A group of fewer last compressions than this runs on the
+        /// plain word: an eight-lane pass, with its transposes in and
+        /// out, costs about two.
+        const BLAKE2B_LANES_FROM: usize = 3;
+        let mut hashers = hashers;
         loop {
-            let group: [Option<FinalBlock>; 8] = std::array::from_fn(|_| hashers.next());
+            let group: [Option<Blake2b>; 8] = std::array::from_fn(|_| hashers.next());
             let filled = group.iter().flatten().count();
             if filled < BLAKE2B_LANES_FROM {
-                for block in group.into_iter().flatten() {
-                    sink(block.out_len, &block.compress());
+                for hasher in group.into_iter().flatten() {
+                    let out_len = hasher.out_len;
+                    sink(out_len, &hasher.final_chaining_value());
                 }
                 return;
             }
             let hs = compress_x8(&group);
-            for (block, h) in group.iter().flatten().zip(&hs) {
-                sink(block.out_len, h);
+            for (hasher, h) in group.iter().flatten().zip(&hs) {
+                sink(hasher.out_len, h);
             }
             if filled < 8 {
                 return;
@@ -291,8 +270,8 @@ fn final_chaining_values(
         target_feature = "avx512ifma"
     )))]
     for hasher in hashers {
-        let block = hasher.final_block();
-        sink(block.out_len, &block.compress());
+        let out_len = hasher.out_len;
+        sink(out_len, &hasher.final_chaining_value());
     }
 }
 
@@ -305,24 +284,28 @@ fn final_chaining_values(
     target_feature = "avx512ifma"
 ))]
 #[inline(never)]
-fn compress_x8(blocks: &[Option<FinalBlock>; 8]) -> [[u64; 8]; 8] {
+fn compress_x8(hashers: &[Option<Blake2b>; 8]) -> [[u64; 8]; 8] {
     use crate::arx::lanes::{transpose_8, U64x8};
-    // Row `l` is block `l`'s chaining value, or half its message;
-    // transposed, each vector is one word of all eight.
-    let rows = |word: fn(&FinalBlock) -> U64x8| {
+    // Row `l` is hasher `l`'s chaining value, or half its (zero-padded)
+    // buffer; transposed, each vector is one word of all eight.
+    fn rows(hashers: &[Option<Blake2b>; 8], word: impl Fn(&Blake2b) -> U64x8) -> [U64x8; 8] {
         transpose_8(std::array::from_fn(|l| {
-            blocks[l].as_ref().map_or(U64x8::splat(0), word)
+            hashers[l].as_ref().map_or(U64x8::splat(0), &word)
         }))
-    };
-    let mut h = rows(|b| U64x8::from_array(b.h));
-    let lo = rows(|b| U64x8::from_le_bytes(*b.block.first_chunk().expect("64 of 128 bytes")));
-    let hi = rows(|b| U64x8::from_le_bytes(*b.block.last_chunk().expect("64 of 128 bytes")));
-    let m: [U64x8; 16] = std::array::from_fn(|w| if w < 8 { lo[w] } else { hi[w - 8] });
-    let t: [U64x8; 2] = std::array::from_fn(|i| {
-        U64x8::from_array(std::array::from_fn(|l| {
-            blocks[l].as_ref().map_or(0, |b| b.t[i])
-        }))
+    }
+    let mut h = rows(hashers, |b| U64x8::from_array(b.h));
+    let lo = rows(hashers, |b| {
+        U64x8::from_le_bytes(*b.buf.first_chunk().expect("64 of 128 bytes"))
     });
+    let hi = rows(hashers, |b| {
+        U64x8::from_le_bytes(*b.buf.last_chunk().expect("64 of 128 bytes"))
+    });
+    let m: [U64x8; 16] = std::array::from_fn(|w| if w < 8 { lo[w] } else { hi[w - 8] });
+    let counters = hashers
+        .each_ref()
+        .map(|b| b.as_ref().map_or([0; 2], Blake2b::final_counter));
+    let t: [U64x8; 2] =
+        std::array::from_fn(|i| U64x8::from_array(counters.map(|counter| counter[i])));
     compress_words(&mut h, &m, t, U64x8::splat(!0));
     transpose_8(h).map(U64x8::to_array)
 }

@@ -10,11 +10,6 @@ use crate::util::load_u32_le;
 /// "expand 32-byte k"
 const SIGMA: [u32; 4] = [0x61707865, 0x3320646e, 0x79622d32, 0x6b206574];
 
-/// A batch of fewer keystream blocks than this runs on the plain word:
-/// a sixteen-lane pass, with its transposes in and out, costs about
-/// five one-block computations.
-pub const CHACHA_LANES_FROM: usize = 6;
-
 #[inline(always)]
 fn quarter_round<W: Arx>(x: &mut [W; 16], a: usize, b: usize, c: usize, d: usize) {
     x[a] = x[a].add(x[b]);
@@ -61,26 +56,7 @@ pub struct BlockJob<'a> {
 }
 
 impl BlockJob<'_> {
-    /// The RFC 8439 §2.3 input state.
-    fn state(&self) -> [u32; 16] {
-        let mut state = [0u32; 16];
-        state[..4].copy_from_slice(&SIGMA);
-        for i in 0..8 {
-            state[4 + i] = load_u32_le(&self.key[4 * i..4 * i + 4]);
-        }
-        state[12] = self.counter;
-        for i in 0..3 {
-            state[13 + i] = load_u32_le(&self.nonce[4 * i..4 * i + 4]);
-        }
-        state
-    }
-
-    /// The input state as its 64 little-endian bytes.
-    #[cfg(all(
-        target_arch = "x86_64",
-        target_feature = "avx512f",
-        target_feature = "avx512ifma"
-    ))]
+    /// The RFC 8439 §2.3 input state, as its 64 little-endian bytes.
     fn state_bytes(&self) -> [u8; 64] {
         let mut state = [0u8; 64];
         for (bytes, word) in state.chunks_exact_mut(4).zip(SIGMA) {
@@ -94,7 +70,8 @@ impl BlockJob<'_> {
 
     /// The block, on the plain word.
     fn block(&self) -> [u8; 64] {
-        let words = block_words(&self.state());
+        let state = self.state_bytes();
+        let words = block_words(&std::array::from_fn(|i| load_u32_le(&state[4 * i..])));
         let mut out = [0u8; 64];
         for (bytes, word) in out.chunks_exact_mut(4).zip(words) {
             bytes.copy_from_slice(&word.to_le_bytes());
@@ -116,7 +93,7 @@ pub fn chacha20_block(key: &[u8; 32], counter: u32, nonce: &[u8; 12]) -> [u8; 64
 /// The keystream block of every job, handed to `sink` in job order
 /// with the tag the job came with.  Each job has its own key, nonce and
 /// counter; where the lane kernel is compiled in, sixteen jobs share a
-/// pass, and a tail shorter than [`CHACHA_LANES_FROM`] takes the plain
+/// pass, and a tail shorter than `CHACHA_LANES_FROM` takes the plain
 /// word.  The blocks are the ones [`chacha20_block`] returns, on every
 /// build.
 pub fn chacha20_blocks<'a, T: Copy>(
@@ -130,6 +107,10 @@ pub fn chacha20_blocks<'a, T: Copy>(
         target_feature = "avx512ifma"
     ))]
     {
+        /// A group of fewer keystream blocks than this runs on the
+        /// plain word: a sixteen-lane pass, with its transposes in and
+        /// out, costs about five one-block computations.
+        const CHACHA_LANES_FROM: usize = 6;
         let mut jobs = jobs;
         loop {
             let group: [Option<(BlockJob, T)>; 16] = std::array::from_fn(|_| jobs.next());

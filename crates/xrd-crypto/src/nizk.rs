@@ -483,13 +483,12 @@ impl DleqProof {
         let challenges = Self::challenges(
             &(statements.iter().zip(encoded.chunks(4)))
                 .map(|(st, e)| {
-                    let [b1, p1, b2, p2] = [&e[0], &e[1], &e[2], &e[3]].map(|e| &e[..]);
                     [
                         st.context,
-                        b1,
-                        p1,
-                        b2,
-                        p2,
+                        &e[0],
+                        &e[1],
+                        &e[2],
+                        &e[3],
                         &st.proof.commitment1,
                         &st.proof.commitment2,
                     ]

@@ -136,7 +136,7 @@ const INTERLEAVE: usize = 4;
 /// segments, each zero-padded to a multiple of 16 bytes, and a last
 /// block — the shape of every ChaCha20-Poly1305 MAC input (associated
 /// data, ciphertext, lengths).
-pub type PaddedMessage<'a, const S: usize> = (&'a [u8; 32], [&'a [u8]; S], [u8; 16]);
+pub(crate) type PaddedMessage<'a, const S: usize> = (&'a [u8; 32], [&'a [u8]; S], [u8; 16]);
 
 /// The Poly1305 tag of each message — what [`Poly1305::update`] over
 /// its padded bytes returns.  The chains of [`INTERLEAVE`] messages run
@@ -144,7 +144,7 @@ pub type PaddedMessage<'a, const S: usize> = (&'a [u8; 32], [&'a [u8]; S], [u8; 
 /// in a segment; the rest of a segment and the last block run message
 /// by message.  One block formula throughout, and the messages are
 /// taken [`INTERLEAVE`] at a time.
-pub fn poly1305_padded_all<'a, const S: usize>(
+pub(crate) fn poly1305_padded_all<'a, const S: usize>(
     messages: impl IntoIterator<Item = PaddedMessage<'a, S>>,
 ) -> Vec<[u8; 16]> {
     let mut messages = messages.into_iter().fuse();
