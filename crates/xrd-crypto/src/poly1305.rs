@@ -167,10 +167,14 @@ pub(crate) fn poly1305_padded_all<'a, const S: usize>(
                     h[k] = absorb(h[k], &r[k], block.try_into().expect("16 bytes"), 1);
                 }
             }
-            for (k, lane) in lanes.iter().enumerate().take(filled) {
-                for chunk in lane[s][16 * common..].chunks(16) {
+            for (k, blocks) in blocks.iter_mut().enumerate().take(filled) {
+                for block in &mut *blocks {
+                    h[k] = absorb(h[k], &r[k], block.try_into().expect("16 bytes"), 1);
+                }
+                let rest = blocks.remainder();
+                if !rest.is_empty() {
                     let mut block = [0u8; 16];
-                    block[..chunk.len()].copy_from_slice(chunk);
+                    block[..rest.len()].copy_from_slice(rest);
                     h[k] = absorb(h[k], &r[k], &block, 1);
                 }
             }
