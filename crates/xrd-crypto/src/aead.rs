@@ -18,85 +18,80 @@ use crate::util::ct_bytes_eq;
 /// Tag length in bytes.
 pub const TAG_LEN: usize = 16;
 
-/// The RFC 8439 §2.8 tag of each `(Poly1305 key, ciphertext)`: the MAC
-/// input is associated data and ciphertext, each zero-padded to 16
-/// bytes, then both lengths ([`poly1305_padded_all`]).
-fn tags<'a>(
-    aad: &'a [u8],
-    messages: impl IntoIterator<Item = (&'a [u8; 32], &'a [u8])>,
-) -> Vec<[u8; 16]> {
-    poly1305_padded_all(messages.into_iter().map(|(poly_key, ciphertext)| {
-        let mut lengths = [0u8; 16];
-        lengths[..8].copy_from_slice(&(aad.len() as u64).to_le_bytes());
-        lengths[8..].copy_from_slice(&(ciphertext.len() as u64).to_le_bytes());
-        (poly_key, [aad, ciphertext], lengths)
-    }))
+/// Messages the batch forms take at a time: their Poly1305 key blocks
+/// fill one sixteen-lane pass, and the temporaries live on the stack.
+const GROUP: usize = 16;
+
+/// Keystream blocks after the Poly1305 key block for `len` bytes.
+fn keystream_blocks(len: usize) -> u32 {
+    len.div_ceil(64) as u32
 }
 
-/// The ciphertext of each sealed message whose tag checks under its
-/// Poly1305 key, `None` for the others (a message shorter than a tag
-/// included).
-fn authentic<'s>(
-    poly_keys: &[[u8; 32]],
-    aad: &[u8],
-    sealed: impl Iterator<Item = &'s [u8]> + Clone,
-) -> Vec<Option<&'s [u8]>> {
-    let split = |sealed: &'s [u8]| sealed.split_at(sealed.len().saturating_sub(TAG_LEN));
-    let expected = tags(
-        aad,
-        poly_keys.iter().zip(sealed.clone().map(|s| split(s).0)),
-    );
-    (sealed.zip(expected))
-        .map(|(sealed, expect)| {
-            let (ciphertext, tag) = split(sealed);
-            (tag.len() == TAG_LEN && ct_bytes_eq(&expect, tag)).then_some(ciphertext)
-        })
-        .collect()
+/// XOR keystream block `counter` (from 1) into the bytes it covers.
+fn xor_block(data: &mut [u8], counter: u32, block: &[u8; 64]) {
+    let data = &mut data[64 * (counter as usize - 1)..];
+    match data.first_chunk_mut::<64>() {
+        Some(full) => (0..64).for_each(|i| full[i] ^= block[i]),
+        None => (data.iter_mut().zip(block)).for_each(|(byte, ks)| *byte ^= ks),
+    }
 }
 
 /// The Poly1305 key (RFC 8439 §2.6: the first half of block 0) of each
-/// key in turn, all in one block stream.
-fn poly_keys<'a>(keys: impl IntoIterator<Item = &'a [u8; 32]>, nonce: &[u8; 12]) -> Vec<[u8; 32]> {
-    let mut out = Vec::new();
-    let jobs = (keys.into_iter()).map(|key| {
+/// key in turn, in one block stream, into `out`.
+fn poly_keys<'a>(
+    keys: impl IntoIterator<Item = &'a [u8; 32]>,
+    nonce: &[u8; 12],
+    out: &mut [[u8; 32]],
+) {
+    let jobs = (keys.into_iter().enumerate()).map(|(m, key)| {
         (
             BlockJob {
                 key,
                 nonce,
                 counter: 0,
             },
-            (),
+            m,
         )
     });
-    chacha20_blocks(jobs, |(), block| {
-        out.push(*block.first_chunk().expect("32 of 64 bytes"))
+    chacha20_blocks(jobs, |m, block| {
+        out[m] = *block.first_chunk().expect("32 of 64 bytes")
     });
-    out
 }
 
-/// XOR each buffer in place with its key's keystream from block 1 on
-/// (RFC 8439 §2.8), every buffer's blocks in one block stream.
-fn xor_keystream(nonce: &[u8; 12], bufs: &mut [(&[u8; 32], &mut Vec<u8>)]) {
-    let plan: Vec<(&[u8; 32], usize)> = bufs.iter().map(|(key, buf)| (*key, buf.len())).collect();
-    let jobs = plan.into_iter().enumerate().flat_map(|(m, (key, len))| {
-        (1..=len.div_ceil(64) as u32).map(move |counter| {
-            (
-                BlockJob {
-                    key,
-                    nonce,
-                    counter,
-                },
-                (m, counter),
-            )
-        })
+/// The RFC 8439 §2.8 tag of each `(Poly1305 key, ciphertext)`, into
+/// `out`: the MAC input is associated data and ciphertext, each
+/// zero-padded to 16 bytes, then both lengths ([`poly1305_padded_all`]).
+fn tags<'a>(
+    aad: &'a [u8],
+    messages: impl IntoIterator<Item = (&'a [u8; 32], &'a [u8])>,
+    out: &mut [[u8; 16]],
+) {
+    let messages = messages.into_iter().map(|(poly_key, ciphertext)| {
+        let mut lengths = [0u8; 16];
+        lengths[..8].copy_from_slice(&(aad.len() as u64).to_le_bytes());
+        lengths[8..].copy_from_slice(&(ciphertext.len() as u64).to_le_bytes());
+        (poly_key, [aad, ciphertext], lengths)
     });
-    chacha20_blocks(jobs, |(m, counter), block| {
-        let data = &mut bufs[m].1[64 * (counter as usize - 1)..];
-        match data.first_chunk_mut::<64>() {
-            Some(full) => (0..64).for_each(|i| full[i] ^= block[i]),
-            None => (data.iter_mut().zip(block)).for_each(|(byte, ks)| *byte ^= ks),
-        }
-    });
+    poly1305_padded_all(messages, out);
+}
+
+/// A sealed message split into ciphertext and tag; `None` if it is
+/// shorter than a tag.
+fn split(sealed: &[u8]) -> Option<(&[u8], &[u8; TAG_LEN])> {
+    let (ciphertext, tag) = sealed.split_at(sealed.len().checked_sub(TAG_LEN)?);
+    Some((ciphertext, tag.try_into().expect("TAG_LEN bytes")))
+}
+
+/// The ciphertext a sealed message's tag is computed over (none for a
+/// message shorter than a tag, which never opens).
+fn ciphertext(sealed: &[u8]) -> &[u8] {
+    split(sealed).map_or(&[], |(ciphertext, _)| ciphertext)
+}
+
+/// The ciphertext of `sealed` if its tag is `expect`.
+fn authentic<'s>(sealed: &'s [u8], expect: &[u8; 16]) -> Option<&'s [u8]> {
+    let (ciphertext, tag) = split(sealed)?;
+    ct_bytes_eq(expect, tag).then_some(ciphertext)
 }
 
 /// `AEnc(s, nonce, m)`: encrypt and authenticate.  Output layout is
@@ -108,10 +103,11 @@ pub fn aenc(key: &[u8; 32], nonce: &[u8; 12], aad: &[u8], plaintext: &[u8]) -> V
 }
 
 /// [`aenc`] of `plaintexts[i]` under `keys[i]`, every message under one
-/// nonce and associated data.  The keystream blocks of all messages are
-/// jobs of [`chacha20_blocks`] streams, so blocks of different messages
-/// share a lane pass and the messages may have any lengths; the tags
-/// follow, four Poly1305 chains side by side.
+/// nonce and associated data.  [`GROUP`] messages at a time: their
+/// Poly1305 key blocks and keystream blocks are the jobs of one
+/// [`chacha20_blocks`] stream — blocks of different messages share a
+/// lane pass, and the messages may have any lengths — then their tags,
+/// four Poly1305 chains side by side.
 pub fn aenc_all<P: AsRef<[u8]>>(
     keys: &[[u8; 32]],
     nonce: &[u8; 12],
@@ -127,14 +123,38 @@ pub fn aenc_all<P: AsRef<[u8]>>(
             out
         })
         .collect();
-    xor_keystream(
-        nonce,
-        &mut keys.iter().zip(sealed.iter_mut()).collect::<Vec<_>>(),
-    );
-    let poly_keys = poly_keys(keys, nonce);
-    let tags = tags(aad, poly_keys.iter().zip(sealed.iter().map(|ct| &ct[..])));
-    for (out, tag) in sealed.iter_mut().zip(tags) {
-        out.extend_from_slice(&tag);
+    let groups = keys.chunks(GROUP).zip(plaintexts.chunks(GROUP));
+    for (out, (keys, plaintexts)) in sealed.chunks_mut(GROUP).zip(groups) {
+        let mut poly_keys = [[0u8; 32]; GROUP];
+        let jobs = keys
+            .iter()
+            .zip(plaintexts)
+            .enumerate()
+            .flat_map(|(m, (key, plaintext))| {
+                (0..=keystream_blocks(plaintext.as_ref().len())).map(move |counter| {
+                    (
+                        BlockJob {
+                            key,
+                            nonce,
+                            counter,
+                        },
+                        (m, counter),
+                    )
+                })
+            });
+        chacha20_blocks(jobs, |(m, counter), block| match counter {
+            0 => poly_keys[m] = *block.first_chunk().expect("32 of 64 bytes"),
+            _ => xor_block(&mut out[m], counter, block),
+        });
+        let mut tag = [[0u8; 16]; GROUP];
+        tags(
+            aad,
+            poly_keys.iter().zip(out.iter().map(|ct| &ct[..])),
+            &mut tag,
+        );
+        for (out, tag) in out.iter_mut().zip(&tag) {
+            out.extend_from_slice(tag);
+        }
     }
     sealed
 }
@@ -148,10 +168,10 @@ pub fn adec(key: &[u8; 32], nonce: &[u8; 12], aad: &[u8], sealed: &[u8]) -> Opti
 }
 
 /// [`adec`] of `sealed[i]` under `keys[i]`, every message under one
-/// nonce and associated data: `None` exactly where `adec` refuses.  Two
-/// block streams: every message's Poly1305 key block, then — for the
-/// messages whose tag checked — their keystream, so a forged message is
-/// never decrypted.
+/// nonce and associated data: `None` exactly where `adec` refuses.
+/// [`GROUP`] messages at a time, as [`aenc_all`]: one block stream of
+/// their Poly1305 key blocks and keystream, then the tags.  A message
+/// whose tag does not check is dropped with its buffer, never returned.
 pub fn adec_all<S: AsRef<[u8]>>(
     keys: &[[u8; 32]],
     nonce: &[u8; 12],
@@ -159,19 +179,80 @@ pub fn adec_all<S: AsRef<[u8]>>(
     sealed: &[S],
 ) -> Vec<Option<Vec<u8>>> {
     assert_eq!(keys.len(), sealed.len(), "one key per ciphertext");
-    let checked = authentic(
-        &poly_keys(keys, nonce),
-        aad,
-        sealed.iter().map(AsRef::as_ref),
-    );
-    let mut opened: Vec<Option<Vec<u8>>> = (checked.into_iter())
-        .map(|ct| ct.map(<[u8]>::to_vec))
-        .collect();
-    let mut bufs: Vec<_> = (keys.iter().zip(opened.iter_mut()))
-        .filter_map(|(key, out)| Some((key, out.as_mut()?)))
-        .collect();
-    xor_keystream(nonce, &mut bufs);
+    let mut opened: Vec<Option<Vec<u8>>> = Vec::with_capacity(sealed.len());
+    for (keys, sealed) in keys.chunks(GROUP).zip(sealed.chunks(GROUP)) {
+        let start = opened.len();
+        opened.extend((sealed.iter()).map(|sealed| Some(split(sealed.as_ref())?.0.to_vec())));
+        let out = &mut opened[start..];
+        let mut poly_key = [[0u8; 32]; GROUP];
+        let jobs = keys
+            .iter()
+            .zip(sealed)
+            .enumerate()
+            .flat_map(|(m, (key, sealed))| {
+                let blocks =
+                    split(sealed.as_ref()).map_or(0, |(ct, _)| keystream_blocks(ct.len()) + 1);
+                (0..blocks).map(move |counter| {
+                    (
+                        BlockJob {
+                            key,
+                            nonce,
+                            counter,
+                        },
+                        (m, counter),
+                    )
+                })
+            });
+        chacha20_blocks(jobs, |(m, counter), block| match counter {
+            0 => poly_key[m] = *block.first_chunk().expect("32 of 64 bytes"),
+            _ => xor_block(out[m].as_mut().expect("long enough"), counter, block),
+        });
+        let mut expected = [[0u8; 16]; GROUP];
+        let ciphertexts = sealed.iter().map(|sealed| ciphertext(sealed.as_ref()));
+        tags(aad, poly_key.iter().zip(ciphertexts), &mut expected);
+        for ((out, sealed), expect) in out.iter_mut().zip(sealed).zip(&expected) {
+            if authentic(sealed.as_ref(), expect).is_none() {
+                *out = None;
+            }
+        }
+    }
     opened
+}
+
+/// XOR each opened message (`buffer(slot)`; `None` for one that did not
+/// open) with the keystream of its key, `keys[m]` for `slots[m]`, from
+/// block 1 on — [`GROUP`] slots to a block stream.
+fn decrypt<T>(
+    keys: &[[u8; 32]],
+    nonce: &[u8; 12],
+    slots: &mut [T],
+    buffer: impl Fn(&mut T) -> Option<&mut Vec<u8>>,
+) {
+    for (keys, slots) in keys.chunks(GROUP).zip(slots.chunks_mut(GROUP)) {
+        let mut lens = [0usize; GROUP];
+        for (len, slot) in lens.iter_mut().zip(slots.iter_mut()) {
+            *len = buffer(slot).map_or(0, |buf| buf.len());
+        }
+        let jobs = keys
+            .iter()
+            .zip(lens)
+            .enumerate()
+            .flat_map(|(m, (key, len))| {
+                (1..=keystream_blocks(len)).map(move |counter| {
+                    (
+                        BlockJob {
+                            key,
+                            nonce,
+                            counter,
+                        },
+                        (m, counter),
+                    )
+                })
+            });
+        chacha20_blocks(jobs, |(m, counter), block| {
+            xor_block(buffer(&mut slots[m]).expect("opened"), counter, block)
+        });
+    }
 }
 
 /// Trial decryption: for each sealed message, the index of the first
@@ -188,28 +269,33 @@ pub fn adec_first<S: AsRef<[u8]>>(
     aad: &[u8],
     sealed: &[S],
 ) -> Vec<Option<(usize, Vec<u8>)>> {
-    let poly_keys = poly_keys(sealed.iter().flat_map(|_| keys), nonce);
+    let tries = keys.len();
+    let mut poly_key = vec![[0u8; 32]; sealed.len() * tries];
+    poly_keys(sealed.iter().flat_map(|_| keys), nonce, &mut poly_key);
     let mut opened: Vec<Option<(usize, Vec<u8>)>> = vec![None; sealed.len()];
     let mut pending: Vec<usize> = (0..sealed.len()).collect();
-    for k in 0..keys.len() {
-        let tried: Vec<[u8; 32]> = pending
-            .iter()
-            .map(|&m| poly_keys[m * keys.len() + k])
-            .collect();
-        let checked = authentic(&tried, aad, pending.iter().map(|&m| sealed[m].as_ref()));
+    let mut expected = Vec::new();
+    for k in 0..tries {
+        expected.clear();
+        expected.resize(pending.len(), [0u8; 16]);
+        let messages =
+            (pending.iter()).map(|&m| (&poly_key[m * tries + k], ciphertext(sealed[m].as_ref())));
+        tags(aad, messages, &mut expected);
         let mut unopened = Vec::with_capacity(pending.len());
-        for (m, ct) in pending.into_iter().zip(checked) {
-            match ct {
-                Some(ct) => opened[m] = Some((k, ct.to_vec())),
+        for (&m, expect) in pending.iter().zip(&expected) {
+            match authentic(sealed[m].as_ref(), expect) {
+                Some(ciphertext) => opened[m] = Some((k, ciphertext.to_vec())),
                 None => unopened.push(m),
             }
         }
         pending = unopened;
     }
-    let mut bufs: Vec<_> = (opened.iter_mut().flatten())
-        .map(|(k, out)| (&keys[*k], out))
+    let slot_keys: Vec<[u8; 32]> = (opened.iter())
+        .map(|slot| slot.as_ref().map_or([0; 32], |(k, _)| keys[*k]))
         .collect();
-    xor_keystream(nonce, &mut bufs);
+    decrypt(&slot_keys, nonce, &mut opened, |slot| {
+        slot.as_mut().map(|(_, buf)| buf)
+    });
     opened
 }
 

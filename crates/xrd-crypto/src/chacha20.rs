@@ -100,48 +100,42 @@ pub fn chacha20_blocks<'a, T: Copy>(
     jobs: impl IntoIterator<Item = (BlockJob<'a>, T)>,
     mut sink: impl FnMut(T, &[u8; 64]),
 ) {
-    let jobs = jobs.into_iter().fuse();
+    let mut jobs = jobs.into_iter();
     #[cfg(all(
         target_arch = "x86_64",
         target_feature = "avx512f",
         target_feature = "avx512ifma"
     ))]
-    {
+    while let Some(first) = jobs.next() {
         /// A group of fewer keystream blocks than this runs on the
         /// plain word: a sixteen-lane pass, with its transposes in and
-        /// out, costs about five one-block computations.
-        const CHACHA_LANES_FROM: usize = 6;
-        let mut jobs = jobs;
-        loop {
-            let group: [Option<(BlockJob, T)>; 16] = std::array::from_fn(|_| jobs.next());
-            let filled = group.iter().flatten().count();
-            if filled < CHACHA_LANES_FROM {
-                for (job, tag) in group.into_iter().flatten() {
-                    sink(tag, &job.block());
-                }
-                return;
+        /// out, costs about four one-block computations.
+        const CHACHA_LANES_FROM: usize = 5;
+        // Lanes past the last job repeat the first: computed, not read.
+        let mut group = [first; 16];
+        let mut filled = 1;
+        for job in jobs.by_ref().take(15) {
+            group[filled] = job;
+            filled += 1;
+        }
+        if filled < CHACHA_LANES_FROM {
+            for (job, tag) in &group[..filled] {
+                sink(*tag, &job.block());
             }
-            let blocks = blocks_x16(&group.map(|job| job.map(|(job, _)| job)));
-            for ((_, tag), block) in group.into_iter().flatten().zip(&blocks) {
-                sink(tag, block);
-            }
-            if filled < 16 {
-                return;
-            }
+            continue;
+        }
+        let blocks = blocks_x16(&group.map(|(job, _)| job));
+        for ((_, tag), block) in group[..filled].iter().zip(&blocks) {
+            sink(*tag, block);
         }
     }
-    #[cfg(not(all(
-        target_arch = "x86_64",
-        target_feature = "avx512f",
-        target_feature = "avx512ifma"
-    )))]
-    for (job, tag) in jobs {
+    // Every job, where there are no lanes; none left, where there are.
+    for (job, tag) in jobs.by_ref() {
         sink(tag, &job.block());
     }
 }
 
-/// Sixteen jobs' blocks in one pass of the lane kernel; an empty slot
-/// computes a block nobody reads.  Out of line, so its frame is a
+/// Sixteen jobs' blocks in one pass of the lane kernel.  Out of line, so its frame is a
 /// sibling of its caller's rather than part of it.
 #[cfg(all(
     target_arch = "x86_64",
@@ -149,12 +143,12 @@ pub fn chacha20_blocks<'a, T: Copy>(
     target_feature = "avx512ifma"
 ))]
 #[inline(never)]
-fn blocks_x16(jobs: &[Option<BlockJob<'_>>; 16]) -> [[u8; 64]; 16] {
+fn blocks_x16(jobs: &[BlockJob<'_>; 16]) -> [[u8; 64]; 16] {
     use crate::arx::lanes::{transpose_16, U32x16};
     // Row `l` is job `l`'s input state; transposed, each vector is one
     // state word of all sixteen jobs, and transposed back, each is one
     // job's output block.
-    let rows = jobs.map(|job| U32x16::from_le_bytes(job.map_or([0; 64], |job| job.state_bytes())));
+    let rows = jobs.map(|job| U32x16::from_le_bytes(job.state_bytes()));
     transpose_16(block_words(&transpose_16(rows))).map(U32x16::to_le_bytes)
 }
 

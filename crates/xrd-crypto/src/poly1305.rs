@@ -138,17 +138,18 @@ const INTERLEAVE: usize = 4;
 /// data, ciphertext, lengths).
 pub(crate) type PaddedMessage<'a, const S: usize> = (&'a [u8; 32], [&'a [u8]; S], [u8; 16]);
 
-/// The Poly1305 tag of each message — what [`Poly1305::update`] over
-/// its padded bytes returns.  The chains of [`INTERLEAVE`] messages run
+/// The Poly1305 tag of each message, into `tags` in order — what
+/// [`Poly1305::update`] over its padded bytes returns.  The chains of [`INTERLEAVE`] messages run
 /// side by side, block by block, over the whole blocks all of them have
 /// in a segment; the rest of a segment and the last block run message
 /// by message.  One block formula throughout, and the messages are
 /// taken [`INTERLEAVE`] at a time.
 pub(crate) fn poly1305_padded_all<'a, const S: usize>(
     messages: impl IntoIterator<Item = PaddedMessage<'a, S>>,
-) -> Vec<[u8; 16]> {
+    tags: &mut [[u8; 16]],
+) {
     let mut messages = messages.into_iter().fuse();
-    let mut tags = Vec::new();
+    let mut tags = tags.iter_mut();
     loop {
         // A short last group is filled with empty messages, which share
         // no whole block with the others: it runs message by message.
@@ -180,10 +181,11 @@ pub(crate) fn poly1305_padded_all<'a, const S: usize>(
             }
         }
         for (k, (key, _, last)) in group.iter().flatten().enumerate() {
-            tags.push(finish(absorb(h[k], &r[k], last, 1), secret(key)));
+            *tags.next().expect("a tag slot per message") =
+                finish(absorb(h[k], &r[k], last, 1), secret(key));
         }
         if filled < INTERLEAVE {
-            return tags;
+            return;
         }
     }
 }

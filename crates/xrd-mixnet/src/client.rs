@@ -257,10 +257,11 @@ impl SealKeys for ChainPublicKeys {
 /// in.  The symmetric work is batched the same way, a layer at a time:
 /// each layer's keys in one [`kdf::derive_key_all`], its ciphertexts in
 /// one [`aenc_all`] (every layer of a round has one length), and the
-/// proofs' challenges behind one transcript prefix.  The exponents reach the tables only
-/// through [`FixedGroupTable::mul_all`] / [`GroupElement::mul`] and the
-/// shared elements only through [`GroupElement::encode_all`], all
-/// masked: nothing here branches on a secret.
+/// proofs' challenges behind one transcript prefix.  The exponents
+/// reach the tables only through [`FixedGroupTable::mul_all`] /
+/// [`GroupElement::mul`] and the shared elements only through
+/// [`GroupElement::encode_all`], all masked: nothing here branches on a
+/// secret.
 fn seal_onions(
     keys: &impl SealKeys,
     round: u64,
