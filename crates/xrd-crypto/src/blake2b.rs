@@ -183,30 +183,21 @@ impl Blake2b {
         out
     }
 
-    /// [`Blake2b::finalize_32`] of every hasher (each `out_len == 32`).
+    /// The `N`-byte digest of every hasher (each `out_len == N`): what
+    /// [`Blake2b::finalize_32`] or [`Blake2b::finalize_64`] returns.
     /// Each hasher's last compression is one block whatever it
     /// absorbed, so the batch runs them eight to a pass where the lane
     /// kernel is compiled in — each lane with its own chaining value,
     /// counter and block — and on the plain word below
     /// `BLAKE2B_LANES_FROM`.  Same bytes on every build.  The hashers
     /// are taken eight at a time, so a batch never holds more.
-    pub fn finalize_32_all(hashers: impl IntoIterator<Item = Blake2b>) -> Vec<[u8; 32]> {
+    pub fn finalize_all<const N: usize>(
+        hashers: impl IntoIterator<Item = Blake2b>,
+    ) -> Vec<[u8; N]> {
         let mut out = Vec::new();
         final_chaining_values(hashers, |out_len, h| {
-            assert_eq!(out_len, 32);
-            out.push([0u8; 32]);
-            write_digest(h, out.last_mut().expect("just pushed"));
-        });
-        out
-    }
-
-    /// [`Blake2b::finalize_64`] of every hasher (each `out_len == 64`),
-    /// in passes as [`Blake2b::finalize_32_all`].
-    pub fn finalize_64_all(hashers: impl IntoIterator<Item = Blake2b>) -> Vec<[u8; 64]> {
-        let mut out = Vec::new();
-        final_chaining_values(hashers, |out_len, h| {
-            assert_eq!(out_len, 64);
-            out.push([0u8; 64]);
+            assert_eq!(out_len, N);
+            out.push([0u8; N]);
             write_digest(h, out.last_mut().expect("just pushed"));
         });
         out

@@ -15,11 +15,11 @@ pub fn derive_key(label: &str, inputs: &[&[u8]]) -> [u8; 32] {
 
 /// [`derive_key`] under one label for each entry of `inputs`.  Each
 /// key's hash is absorbed on its own and the last compressions run
-/// together ([`Blake2b::finalize_32_all`]): a key whose framed inputs
+/// together ([`Blake2b::finalize_all`]): a key whose framed inputs
 /// fit one 128-byte block — every per-message key of a round does — is
 /// all last compression, eight to a lane pass.
 pub fn derive_key_all<'a, I: AsRef<[&'a [u8]]>>(label: &str, inputs: &[I]) -> Vec<[u8; 32]> {
-    Blake2b::finalize_32_all(inputs.iter().map(|inputs| {
+    Blake2b::finalize_all(inputs.iter().map(|inputs| {
         let mut h = Blake2b::new(32);
         h.update(b"xrd-kdf-v1");
         h.update(&(label.len() as u64).to_le_bytes());

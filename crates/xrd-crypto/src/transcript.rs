@@ -100,7 +100,7 @@ impl Transcript {
     /// `(label, data)` items in order.  This transcript is the shared
     /// prefix, hashed once; the statements then step in lockstep, one
     /// hash per item and one for the challenge, each step a batch of
-    /// last compressions ([`Blake2b::finalize_64_all`]: eight to a lane
+    /// last compressions ([`Blake2b::finalize_all`]: eight to a lane
     /// pass where the items fit a block, as every proof's do).
     pub fn challenge_scalars_all<const M: usize>(
         &self,
@@ -111,7 +111,7 @@ impl Transcript {
         prefix.settle();
         let mut states = vec![prefix.state; statements.len()];
         for item in 0..M {
-            states = Blake2b::finalize_64_all(states.iter().zip(statements).map(
+            states = Blake2b::finalize_all::<64>(states.iter().zip(statements).map(
                 |(state, statement)| {
                     let (item_label, data) = statement[item];
                     append_hasher(state, item_label, data)
@@ -121,7 +121,7 @@ impl Transcript {
         let hashers = states
             .iter()
             .map(|state| challenge_hasher(state, b"challenge", label, 64));
-        (Blake2b::finalize_64_all(hashers).iter())
+        (Blake2b::finalize_all::<64>(hashers).iter())
             .map(Scalar::from_bytes_mod_order_wide)
             .collect()
     }

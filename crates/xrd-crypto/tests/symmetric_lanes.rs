@@ -176,10 +176,10 @@ fn batched_last_compressions_match_finalize() {
         };
         let h32 = hashers(32, &mut inputs);
         let expected: Vec<[u8; 32]> = h32.iter().cloned().map(Blake2b::finalize_32).collect();
-        assert_eq!(Blake2b::finalize_32_all(h32), expected, "n {n}");
+        assert_eq!(Blake2b::finalize_all::<32>(h32), expected, "n {n}");
         let h64 = hashers(64, &mut inputs);
         let expected: Vec<[u8; 64]> = h64.iter().cloned().map(Blake2b::finalize_64).collect();
-        assert_eq!(Blake2b::finalize_64_all(h64), expected, "n {n}");
+        assert_eq!(Blake2b::finalize_all::<64>(h64), expected, "n {n}");
     }
 }
 
