@@ -215,13 +215,16 @@ fn bench_batch_invert(c: &mut Criterion) {
     group.finish();
 }
 
-/// Ristretto encoding of a 256-point batch: `encode_all` against the
-/// per-point map it equals byte for byte.  Each encoding is one inverse
-/// square root — nothing Montgomery's trick can share (PR 2's
-/// shared-inversion variant measured 0.98× and was removed) — but a
-/// fixed schedule of squarings, which the lane kernel runs for eight
-/// points at once; on a build without it the two rows are the same
-/// code and read the same.
+/// Ristretto encoding of a 256-point and a 32-point batch (a hop
+/// chunk's): `encode_all` against the per-point map it equals byte for
+/// byte, and `double_encode_all` — the encodings of the doubles, what
+/// every caller that computed its points encodes instead.  An encoding
+/// of a point nobody halved is one inverse square root, nothing
+/// Montgomery's trick can share, but a fixed schedule of squarings,
+/// which the lane kernel runs for eight points at once (on a build
+/// without it the first two rows are the same code).  The encoding of
+/// a double needs no square root, only an inversion, and the batch
+/// shares one.
 fn bench_encode_all(c: &mut Criterion) {
     let mut rng = StdRng::seed_from_u64(3);
     let points: Vec<GroupElement> = (0..256).map(|_| GroupElement::random(&mut rng)).collect();
@@ -231,6 +234,16 @@ fn bench_encode_all(c: &mut Criterion) {
     });
     group.bench_function("encode_all", |b| {
         b.iter(|| GroupElement::encode_all(&points))
+    });
+    group.bench_function("double_encode_all", |b| {
+        b.iter(|| GroupElement::double_encode_all(&points))
+    });
+    group.finish();
+    let chunk = &points[..32];
+    let mut group = c.benchmark_group("encode_32");
+    group.bench_function("encode_all", |b| b.iter(|| GroupElement::encode_all(chunk)));
+    group.bench_function("double_encode_all", |b| {
+        b.iter(|| GroupElement::double_encode_all(chunk))
     });
     group.finish();
 }

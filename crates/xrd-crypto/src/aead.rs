@@ -103,7 +103,7 @@ pub fn aenc(key: &[u8; 32], nonce: &[u8; 12], aad: &[u8], plaintext: &[u8]) -> V
 }
 
 /// [`aenc`] of `plaintexts[i]` under `keys[i]`, every message under one
-/// nonce and associated data.  [`GROUP`] messages at a time: their
+/// nonce and associated data.  Sixteen messages (`GROUP`) at a time: their
 /// Poly1305 key blocks and keystream blocks are the jobs of one
 /// [`chacha20_blocks`] stream — blocks of different messages share a
 /// lane pass, and the messages may have any lengths — then their tags,
@@ -169,7 +169,7 @@ pub fn adec(key: &[u8; 32], nonce: &[u8; 12], aad: &[u8], sealed: &[u8]) -> Opti
 
 /// [`adec`] of `sealed[i]` under `keys[i]`, every message under one
 /// nonce and associated data: `None` exactly where `adec` refuses.
-/// [`GROUP`] messages at a time, as [`aenc_all`]: one block stream of
+/// Sixteen messages (`GROUP`) at a time, as [`aenc_all`]: one block stream of
 /// their Poly1305 key blocks and keystream, then the tags.  A message
 /// whose tag does not check is dropped with its buffer, never returned.
 pub fn adec_all<S: AsRef<[u8]>>(

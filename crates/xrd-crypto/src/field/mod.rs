@@ -78,10 +78,7 @@ macro_rules! impl_field_shared {
 
             /// Multiplicative inverse: `self^(p-2)`.  Returns zero for zero.
             pub fn invert(&self) -> $fe {
-                use crate::field::FieldLanes;
-                let (t19, t3) = self.pow22501();
-                let t20 = FieldLanes::pow2k(&t19, 5); // 2^255 - 2^5
-                t20.mul(&t3) // 2^255 - 21 = p - 2
+                crate::field::FieldLanes::invert(self)
             }
 
             /// Generic (variable-time) exponentiation by a 256-bit
@@ -162,38 +159,13 @@ macro_rules! impl_field_shared {
 
             /// Montgomery batch inversion: invert every element of
             /// `elements` in place using a single field inversion plus
-            /// `3n` multiplications (instead of `n` inversions).
-            ///
-            /// Zeros are left as zeros (matching `invert`).  The
-            /// zero-masking uses constant-time selects, but callers on
-            /// the XRD hot paths only ever pass public data (projective
-            /// `Z` coordinates of wire-visible points, encoding
-            /// denominators).
+            /// `3n` multiplications (instead of `n` inversions) —
+            /// [`FieldLanes::batch_invert_with`](crate::field::FieldLanes::batch_invert_with)
+            /// with its scratch on the heap.  Zeros are left as zeros
+            /// (matching `invert`), masked with constant-time selects.
             pub fn batch_invert(elements: &mut [$fe]) {
-                if elements.is_empty() {
-                    return;
-                }
-                // Replace zeros by one so the running product stays
-                // invertible; remember where they were to restore them
-                // at the end.
-                let zero_mask: Vec<u64> = elements.iter().map(|e| e.is_zero() as u64).collect();
-                // prefix[i] = product of (masked) elements[0..=i]
-                let mut prefix = Vec::with_capacity(elements.len());
-                let mut acc = $fe::ONE;
-                for (e, &z) in elements.iter().zip(&zero_mask) {
-                    let masked = $fe::select(e, &$fe::ONE, z);
-                    acc = acc.mul(&masked);
-                    prefix.push(acc);
-                }
-                // One inversion of the total product...
-                let mut inv = acc.invert();
-                // ...then walk backwards peeling one element per step.
-                for i in (0..elements.len()).rev() {
-                    let masked = $fe::select(&elements[i], &$fe::ONE, zero_mask[i]);
-                    let this_inv = if i == 0 { inv } else { prefix[i - 1].mul(&inv) };
-                    inv = inv.mul(&masked);
-                    elements[i] = $fe::select(&this_inv, &$fe::ZERO, zero_mask[i]);
-                }
+                let mut prefix = vec![$fe::ZERO; elements.len()];
+                crate::field::FieldLanes::batch_invert_with(elements, &mut prefix);
             }
 
             /// `1/sqrt(self)` (Ristretto convention; see `sqrt_ratio_i`).
@@ -289,9 +261,6 @@ macro_rules! impl_field_shared {
             }
             fn is_zero(&self) -> bool {
                 $fe::is_zero(self)
-            }
-            fn invert(&self) -> Self {
-                $fe::invert(self)
             }
             fn batch_invert(elements: &mut [Self]) {
                 $fe::batch_invert(elements)
@@ -518,6 +487,39 @@ pub trait FieldLanes: FieldArith {
         (t19, t3)
     }
 
+    /// Multiplicative inverse per lane: `self^(p-2)`, zero for zero.
+    fn invert(&self) -> Self {
+        let (t19, t3) = self.pow22501();
+        let t20 = t19.pow2k(5); // 2^255 - 2^5
+        t20.mul(&t3) // 2^255 - 21 = p - 2
+    }
+
+    /// Montgomery batch inversion, per lane: every element of
+    /// `elements` inverted in place with one [`FieldLanes::invert`] and
+    /// `3n` multiplications, `prefix` (at least as long) holding the
+    /// running products.  A zero lane stays zero (matching `invert`):
+    /// it enters the running product as one and leaves as zero, both
+    /// under a lane-mask select, so nothing branches on which lanes are
+    /// zero and the inputs may be secret.
+    fn batch_invert_with(elements: &mut [Self], prefix: &mut [Self]) {
+        let prefix = &mut prefix[..elements.len()];
+        let mut acc = Self::ONE;
+        for (e, p) in elements.iter().zip(prefix.iter_mut()) {
+            *p = acc;
+            acc = acc.mul(&Self::select(e, &Self::ONE, e.ct_eq(&Self::ZERO)));
+        }
+        // One inversion of the total product, then walk back peeling
+        // one element per step: `prefix[i]·inv` is element `i`'s
+        // inverse while `inv` is that of the product up to `i`.
+        let mut inv = acc.invert();
+        for (e, p) in elements.iter_mut().zip(prefix.iter()).rev() {
+            let zero = e.ct_eq(&Self::ZERO);
+            let e_inv = p.mul(&inv);
+            inv = inv.mul(&Self::select(e, &Self::ONE, zero));
+            *e = Self::select(&e_inv, &Self::ZERO, zero);
+        }
+    }
+
     /// `self^((p-5)/8) = self^(2^252 - 3)`, used by `sqrt_ratio_i`.
     #[doc(hidden)]
     fn pow_p58(&self) -> Self {
@@ -571,7 +573,6 @@ pub trait FieldBackend: FieldLanes<Choice = u64, Digit = i8> + PartialEq + Eq {
     fn from_bytes(bytes: &[u8; 32]) -> Self;
     fn to_bytes(&self) -> [u8; 32];
     fn is_zero(&self) -> bool;
-    fn invert(&self) -> Self;
     fn batch_invert(elements: &mut [Self]);
     /// The curve constant `d = -121665/121666` (per-backend cached).
     fn edwards_d() -> &'static Self;
@@ -619,6 +620,7 @@ pub use fiat51::FieldElement;
 /// [`GroupElement::batch_vartime_mul`](crate::GroupElement::batch_vartime_mul),
 /// [`GroupElement::base_mul_all`](crate::GroupElement::base_mul_all),
 /// [`GroupElement::encode_all`](crate::GroupElement::encode_all),
+/// [`GroupElement::double_encode_all`](crate::GroupElement::double_encode_all),
 /// [`GroupElement::decode_all`](crate::GroupElement::decode_all))
 /// run on it.
 pub const FIELD_BACKEND: &str = if cfg!(all(

@@ -174,13 +174,16 @@ impl SchnorrProof {
     /// `xs`, with its public value: `(g^x, encoding of g^x, proof)` per
     /// exponent, the proof the one `prove(rng, context, &g, &g^x, x)`
     /// returns when `rng`'s next scalar is that exponent's entry of
-    /// `nonces`.  The `2n` exponentiations and `2n` encodings go through
-    /// [`GroupElement::base_mul_all`] and [`GroupElement::encode_all`]
-    /// (eight per table walk and per inverse square root where the lane
-    /// kernel is compiled in), and since `g^x` is computed here from
-    /// `x` there is no statement to re-check, in any build.  The
-    /// encodings are returned because the challenge already needed
-    /// them, and whoever sends `g^x` sends those bytes.
+    /// `nonces`.  The `2n` exponentiations go through
+    /// [`GroupElement::base_mul_all`] at the halved exponents
+    /// ([`Scalar::half`]), and the `2n` encodings of their doubles —
+    /// `g^x` and `g^r` — through one
+    /// [`GroupElement::double_encode_all`], which shares one field
+    /// inversion and hands back the `g^x` points from the same
+    /// doubling.  Since `g^x` is computed here from `x` there is no
+    /// statement to re-check, in any build.  The encodings are returned
+    /// because the challenge already needed them, and whoever sends
+    /// `g^x` sends those bytes.
     ///
     /// The nonces arrive pre-drawn because bulk sealing draws every
     /// message's randomness from its user's RNG *before* it groups
@@ -198,9 +201,11 @@ impl SchnorrProof {
     ) -> Vec<(GroupElement, [u8; 32], SchnorrProof)> {
         assert_eq!(xs.len(), nonces.len(), "one nonce per proof");
         let base = encode_base(&GroupElement::generator());
-        let publics = GroupElement::base_mul_all(xs);
-        let commitments = GroupElement::encode_all(&GroupElement::base_mul_all(&nonces));
-        let encoded = GroupElement::encode_all(&publics);
+        let halves: Vec<Scalar> = xs.iter().chain(&nonces).map(Scalar::half).collect();
+        let (mut publics, mut encoded) =
+            GroupElement::double_all_encoded(&GroupElement::base_mul_all(&halves));
+        let commitments = encoded.split_off(xs.len());
+        publics.truncate(xs.len());
         let challenges = Self::challenges(
             &(encoded.iter().zip(&commitments))
                 .map(|(public, commitment)| (context, base, public, commitment))

@@ -193,8 +193,12 @@ impl GroupElement {
     /// Montgomery's product trick the way inversions do (`sqrt(ab)`
     /// relates to `sqrt(a)sqrt(b)` only up to a quadratic character,
     /// which costs another per-element exponentiation to resolve), so
-    /// no *algebraic* batching exists — but a fixed schedule of
-    /// squarings is ideal lane work.  Where the eight-lane field kernel
+    /// for points the caller did not compute — the codec's, digests' —
+    /// no *algebraic* batching exists.  (A caller that computed its
+    /// points as `P^x` computes `P^(x/2)` and calls
+    /// [`GroupElement::double_encode_all`], which needs no square root
+    /// and shares one inversion.)  A fixed schedule of squarings is
+    /// ideal lane work, though.  Where the eight-lane field kernel
     /// is compiled in ([`crate::field::FIELD_BACKEND`] ends in
     /// `+ifma8`) the points are taken eight at a time, one per lane,
     /// through the same formula [`GroupElement::encode`] runs
@@ -206,6 +210,41 @@ impl GroupElement {
     /// identity.  Everywhere else this is the per-point map.
     pub fn encode_all(points: &[GroupElement]) -> Vec<[u8; 32]> {
         batch::encode_all(points)
+    }
+
+    /// The encoding of `2·points[i]` for every `i`, in order:
+    /// `points[i].add(&points[i]).encode()`, byte for byte.
+    ///
+    /// Whoever computed a point as `P^x` can compute `P^(x/2)` instead
+    /// ([`Scalar::half`]) and encode its double here.  The encoding of
+    /// a double needs no square root — the root it would take is a
+    /// rational function of the point it doubles — only the inverse of
+    /// two products of the doubling's factors (`eg` and `fh`, see
+    /// `Doubling`), and inverses combine under Montgomery's trick.  So
+    /// a batch shares one field inversion per 128 points where
+    /// [`GroupElement::encode_all`] pays one exponentiation per point
+    /// or per lane group.  It is the formula behind curve25519-dalek's
+    /// `double_and_compress_batch`.
+    ///
+    /// Where the eight-lane field kernel is compiled in the points are
+    /// taken eight to a lane group and the batch inversion runs over
+    /// the groups lane-wise; everywhere else (and for fewer than three
+    /// points) it runs over single elements.  Secret points are safe:
+    /// a zero product (the identity, a short last group's idle lanes)
+    /// is masked in the inversion as [`FieldElement::batch_invert`]
+    /// masks it, and both sign tests of the formula are lane masks
+    /// feeding selects — no branch or address depends on a point.
+    pub fn double_encode_all(points: &[GroupElement]) -> Vec<[u8; 32]> {
+        batch::double_encode_all::<false>(points).1
+    }
+
+    /// [`GroupElement::double_encode_all`] that also returns every
+    /// `2·points[i]` itself, read off the same doubling (the point's
+    /// four coordinates are products of its factors).
+    pub(crate) fn double_all_encoded(
+        points: &[GroupElement],
+    ) -> (Vec<GroupElement>, Vec<[u8; 32]>) {
+        batch::double_encode_all::<true>(points)
     }
 
     /// Decode a canonical 32-byte encoding; `None` for invalid encodings.
@@ -416,6 +455,143 @@ fn encode_field<F: FieldLanes>(point: &EdwardsPoint<F>) -> F {
     den_inv.mul(&z0.sub(&y)).abs()
 }
 
+/// What the batched double-and-encode keeps of a point `P = (X:Y:Z:T)`
+/// (or of a lane group of them): the four factors of its double,
+/// `e = 2XY`, `f = Z² + dT²`, `g = Y² + X²`, `h = Z² - dT²`, so that
+/// `2P = (e/f, g/h) = (eh : fg : fh : eg)`, and the two products `eg`
+/// and `fh` — `2P`'s `T` and `Z`, whose inverses the finish needs and
+/// the batch shares.  Written once over the lane-mask tier, like
+/// [`encode_field`]: one element for a batch of one or two and on
+/// builds without lanes, eight per lane group elsewhere.
+struct Doubling<F> {
+    e: F,
+    f: F,
+    g: F,
+    h: F,
+    eg: F,
+    fh: F,
+}
+
+impl<F: FieldLanes> Doubling<F> {
+    /// The factors of `2P`: four squarings, four multiplications.
+    /// Out of line, like the ladders, so its temporaries are not added
+    /// to the batch's frame.
+    #[inline(never)]
+    fn new(p: &EdwardsPoint<F>) -> Doubling<F> {
+        let xx = p.x.square();
+        let yy = p.y.square();
+        let zz = p.z.square();
+        let dtt = p.t.square().mul(&F::splat(edwards_d()));
+        let e = p.x.mul(&p.y.add(&p.y));
+        let f = zz.add(&dtt);
+        let g = yy.add(&xx);
+        let h = zz.sub(&dtt);
+        Doubling {
+            e,
+            f,
+            g,
+            h,
+            eg: e.mul(&g),
+            fh: f.mul(&h),
+        }
+    }
+
+    /// `2P` in extended coordinates.
+    #[inline(always)]
+    fn point(&self) -> EdwardsPoint<F> {
+        EdwardsPoint {
+            x: self.e.mul(&self.h),
+            y: self.f.mul(&self.g),
+            z: self.fh,
+            t: self.eg,
+        }
+    }
+
+    /// The `s` coordinate of `2P` (non-negative, so its bytes are the
+    /// encoding), given `inv = 1/(eg·fh)` — zero where `eg·fh` is, which
+    /// is exactly where `2P` is the identity (`e = 0`) and then `s` is
+    /// zero too.  The encode formula with `1/Z = eg·inv`, `1/T =
+    /// fh·inv`, and with the inverse square root it would take replaced
+    /// by `1/(e·sqrt(a - d))` (or, rotated, `i/g`): two sign tests as
+    /// lane masks, their selects, one `abs`.  Out of line, as `new`.
+    #[inline(never)]
+    fn encode(&self, inv: &F) -> F {
+        let c = constants();
+        let i = F::splat(FieldElement::sqrt_m1());
+        let z_inv = self.eg.mul(inv);
+        let t_inv = self.fh.mul(inv);
+        let rotate = self.eg.mul(&z_inv).is_negative();
+
+        let e = F::select(&self.e, &self.g, rotate);
+        let g = F::select(&self.g, &self.e.neg(), rotate);
+        let h = F::select(&self.h, &self.f.mul(&i), rotate);
+        let magic = F::select(&F::splat(&c.invsqrt_a_minus_d), &i, rotate);
+
+        let g = g.conditional_negate(h.mul(&e).mul(&z_inv).is_negative());
+        h.sub(&g).mul(&magic.mul(&g.mul(&t_inv))).abs()
+    }
+}
+
+/// Points per shared inversion of a batched double-and-encode: a hop
+/// or open chunk's 32 secrets and a sealing unit's 64 proof points take
+/// one, its 160 shared elements two.  The batch's slots sit on the
+/// stack (two field elements a slot, one slot per lane group where the
+/// lanes are compiled in), so this also bounds the frame: 10 KB of
+/// slots, within the depth the hop kernel's ladders already reach.  A
+/// deeper frame shows in `peak_rss_mb` — every thread that encodes
+/// keeps its stack pages.
+const DOUBLE_ENCODE_BATCH: usize = 128;
+
+/// The batched double-and-encode over `n <= N` slots, written once over
+/// the lane-mask tier: one [`FieldLanes::batch_invert_with`] of every
+/// slot's `eg·fh` (slot `j`'s [`Doubling`] of `point(j)`), then
+/// `done(doubling, s)` slot by slot.  Only the products and their
+/// running products are kept, two field elements a slot on the stack:
+/// each slot's doubling is formed again for its finish rather than
+/// held, so the frame stays as shallow as the ladders' and a thread
+/// that encodes keeps no more stack than one that multiplies.
+#[inline(always)]
+fn double_encode_field<F: FieldLanes, const N: usize>(
+    n: usize,
+    point: impl Fn(usize) -> EdwardsPoint<F>,
+    mut done: impl FnMut(&Doubling<F>, &F),
+) {
+    let mut inverses = [F::ZERO; N];
+    let mut prefix = [F::ZERO; N];
+    for (j, product) in inverses[..n].iter_mut().enumerate() {
+        let doubling = Doubling::new(&point(j));
+        *product = doubling.eg.mul(&doubling.fh);
+    }
+    F::batch_invert_with(&mut inverses[..n], &mut prefix);
+    for (j, inv) in inverses[..n].iter().enumerate() {
+        let doubling = Doubling::new(&point(j));
+        done(&doubling, &doubling.encode(inv));
+    }
+}
+
+/// The batched double-and-encode one point per slot, `N` points per
+/// shared inversion: the body of builds without lanes, and of batches
+/// too short for them.  The doubled points too when `POINTS` is set.
+fn double_encode_serial<const POINTS: bool, const N: usize>(
+    points: &[GroupElement],
+) -> (Vec<GroupElement>, Vec<[u8; 32]>) {
+    let mut encodings = Vec::with_capacity(points.len());
+    let mut doubled = Vec::with_capacity(if POINTS { points.len() } else { 0 });
+    for chunk in points.chunks(N) {
+        double_encode_field::<FieldElement, N>(
+            chunk.len(),
+            |j| chunk[j].0,
+            |doubling, s| {
+                encodings.push(s.to_bytes());
+                if POINTS {
+                    doubled.push(GroupElement(doubling.point()));
+                }
+            },
+        );
+    }
+    (doubled, encodings)
+}
+
 /// The `s` an encoding names, if `bytes` is its canonical encoding
 /// and `s` is non-negative: the checks [`GroupElement::decode`] and
 /// every lane of [`GroupElement::decode_all`] run per element, on the
@@ -464,7 +640,7 @@ fn decode_field<F: FieldLanes>(s: &F) -> (EdwardsPoint<F>, F::Choice) {
     target_feature = "avx512ifma"
 ))]
 mod batch {
-    use super::{EdwardsPoint, FixedBaseTable, GroupElement, Scalar};
+    use super::{Doubling, EdwardsPoint, FixedBaseTable, GroupElement, Scalar};
     use crate::field::ifma::{F51x8, LaneMask};
     use crate::field::FieldElement;
 
@@ -557,6 +733,50 @@ mod batch {
         out
     }
 
+    /// Lane groups per shared inversion.
+    const DOUBLE_ENCODE_GROUPS: usize = super::DOUBLE_ENCODE_BATCH / 8;
+
+    pub(super) fn double_encode_all<const POINTS: bool>(
+        points: &[GroupElement],
+    ) -> (Vec<GroupElement>, Vec<[u8; 32]>) {
+        if points.len() < LANES_FROM {
+            return super::double_encode_serial::<POINTS, LANES_FROM>(points);
+        }
+        let mut encodings = Vec::with_capacity(points.len());
+        let mut doubled = Vec::with_capacity(if POINTS { points.len() } else { 0 });
+        for batch in points.chunks(super::DOUBLE_ENCODE_BATCH) {
+            let mut group = batch.chunks(8);
+            batch_double_encode(batch, |doubling, s| {
+                let n = group.next().expect("one group per slot").len();
+                encodings.extend(
+                    s.to_lanes()[..n]
+                        .iter()
+                        .map(|limbs| FieldElement::from_limbs51(limbs).to_bytes()),
+                );
+                if POINTS {
+                    doubled.extend(
+                        doubling.point().lanes()[..n]
+                            .iter()
+                            .copied()
+                            .map(GroupElement),
+                    );
+                }
+            });
+        }
+        (doubled, encodings)
+    }
+
+    /// One shared inversion's batch, eight points to a slot: a sibling
+    /// of the transposes, as `encode8` is, holding the batch's slots.
+    #[inline(never)]
+    fn batch_double_encode(batch: &[GroupElement], done: impl FnMut(&Doubling<F51x8>, &F51x8)) {
+        super::double_encode_field::<F51x8, DOUBLE_ENCODE_GROUPS>(
+            batch.len().div_ceil(8),
+            |j| EdwardsPoint::from_lanes(|i| batch.get(8 * j + i).map(|p| &p.0)),
+            done,
+        );
+    }
+
     pub(super) fn decode_all(encodings: &[[u8; 32]]) -> Vec<Option<GroupElement>> {
         // A sibling of the transposes, as `encode8` is.
         #[inline(never)]
@@ -621,6 +841,12 @@ mod batch {
 
     pub(super) fn encode_all(points: &[GroupElement]) -> Vec<[u8; 32]> {
         points.iter().map(|p| p.encode()).collect()
+    }
+
+    pub(super) fn double_encode_all<const POINTS: bool>(
+        points: &[GroupElement],
+    ) -> (Vec<GroupElement>, Vec<[u8; 32]>) {
+        super::double_encode_serial::<POINTS, { super::DOUBLE_ENCODE_BATCH }>(points)
     }
 
     pub(super) fn decode_all(encodings: &[[u8; 32]]) -> Vec<Option<GroupElement>> {
@@ -1072,6 +1298,106 @@ mod tests {
             assert_eq!(GroupElement::decode_all(&mixed), expected, "mixed, {len}");
         }
         assert!(GroupElement::decode_all(&[]).is_empty());
+    }
+
+    /// `double_encode_all(P)[i] == (P_i + P_i).encode()` at every batch
+    /// size from 0 to 40 (a batch of one, the lane groups' idle lanes,
+    /// full groups and stragglers) and across a shared inversion's
+    /// boundary; the doubled points kept for a caller are `P_i + P_i`.
+    #[test]
+    fn double_encode_all_is_encode_of_double_at_every_size() {
+        let mut rng = StdRng::seed_from_u64(28);
+        let pool: Vec<GroupElement> = (0..DOUBLE_ENCODE_BATCH + 9)
+            .map(|_| GroupElement::random(&mut rng))
+            .collect();
+        for len in (0..=40).chain([DOUBLE_ENCODE_BATCH + 9]) {
+            let points = &pool[..len];
+            let expected: Vec<[u8; 32]> = points.iter().map(|p| p.add(p).encode()).collect();
+            assert_eq!(
+                GroupElement::double_encode_all(points),
+                expected,
+                "len {len}"
+            );
+            let (doubled, encodings) = GroupElement::double_all_encoded(points);
+            assert_eq!(encodings, expected, "len {len}, with points");
+            for (d, p) in doubled.iter().zip(points) {
+                assert!(d.0.is_on_curve());
+                assert_eq!(*d, p.add(p));
+            }
+        }
+    }
+
+    /// The identity — the one point whose `eg·fh` is zero — at every
+    /// position of batches around the lane width, alone, in pairs and
+    /// filling the batch: it encodes as zero bytes and its neighbours do
+    /// not move.
+    #[test]
+    fn double_encode_all_masks_the_identity_at_every_position() {
+        let mut rng = StdRng::seed_from_u64(29);
+        let identity = GroupElement::identity();
+        for len in [1usize, 2, 3, 7, 8, 9, 16, 17, 40] {
+            let base: Vec<GroupElement> =
+                (0..len).map(|_| GroupElement::random(&mut rng)).collect();
+            for at in 0..len {
+                for also in [None, Some((at + 5) % len)] {
+                    let mut points = base.clone();
+                    points[at] = identity;
+                    if let Some(j) = also {
+                        points[j] = identity;
+                    }
+                    let expected: Vec<[u8; 32]> =
+                        points.iter().map(|p| p.add(p).encode()).collect();
+                    assert_eq!(expected[at], [0u8; 32]);
+                    assert_eq!(
+                        GroupElement::double_encode_all(&points),
+                        expected,
+                        "identity at {at} (and {also:?}) of {len}"
+                    );
+                }
+            }
+            let all = vec![identity; len];
+            assert_eq!(GroupElement::double_encode_all(&all), vec![[0u8; 32]; len]);
+        }
+    }
+
+    /// A point shifted by each 4-torsion point is the same group
+    /// element, so its double encodes the same whichever representative
+    /// the batch is handed — side by side in one lane group, or spread
+    /// over several — and over a sample of points both sign tests of
+    /// the formula go each way.
+    #[test]
+    fn double_encode_all_is_the_same_for_every_representative() {
+        let mut rng = StdRng::seed_from_u64(30);
+        let mut points = Vec::new();
+        let mut branches = std::collections::HashSet::new();
+        for _ in 0..10 {
+            let p = GroupElement::random(&mut rng);
+            let coset = coset_representatives(&p);
+            for q in &coset {
+                branches.insert(encode_branches(&q.add(q)));
+            }
+            points.extend(coset);
+        }
+        points.extend(coset_representatives(&GroupElement::identity()));
+        assert_eq!(branches.len(), 4, "every (rotate, sign) combination");
+        let expected: Vec<[u8; 32]> = points.iter().map(|q| q.add(q).encode()).collect();
+        for stride in [1usize, 3, 7] {
+            let order: Vec<usize> = (0..points.len())
+                .map(|i| (i * stride) % points.len())
+                .collect();
+            let shuffled: Vec<GroupElement> = order.iter().map(|&i| points[i]).collect();
+            let want: Vec<[u8; 32]> = order.iter().map(|&i| expected[i]).collect();
+            assert_eq!(
+                GroupElement::double_encode_all(&shuffled),
+                want,
+                "stride {stride}"
+            );
+        }
+        for coset in points.chunks(4) {
+            let encodings = GroupElement::double_encode_all(coset);
+            assert!(encodings.iter().all(|e| *e == encodings[0]));
+            assert_eq!(encodings[0], coset[0].add(&coset[0]).encode());
+        }
     }
 
     #[test]

@@ -248,6 +248,28 @@ impl Scalar {
         Scalar::ZERO.sub(self)
     }
 
+    /// `self / 2 mod l`, i.e. `self · 2⁻¹`: `self` halved if even,
+    /// `self + l` halved if odd (`l` is odd).  Constant time: `l` is
+    /// added under a mask of the low bit, and the sum (below `2l <
+    /// 2^254`) is shifted right by one, so a secret exponent may be
+    /// halved.  What the batched double-and-encode
+    /// ([`GroupElement::double_encode_all`](crate::GroupElement::double_encode_all))
+    /// is fed: the encoding of `P^x` is that of `2·P^(x/2)`.
+    pub fn half(&self) -> Scalar {
+        let odd = (self.0[0] & 1).wrapping_neg();
+        let mut sum = [0u64; 4];
+        let mut carry = 0u64;
+        for i in 0..4 {
+            let (s, c) = adc(self.0[i], L[i] & odd, carry);
+            sum[i] = s;
+            carry = c;
+        }
+        debug_assert_eq!(carry, 0, "inputs must be canonical");
+        Scalar(std::array::from_fn(|i| {
+            sum[i] >> 1 | sum.get(i + 1).map_or(0, |next| next << 63)
+        }))
+    }
+
     /// Multiplication mod `l`.
     pub fn mul(&self, rhs: &Scalar) -> Scalar {
         // (a*b/R) * RR / R = a*b mod l
@@ -468,6 +490,23 @@ mod tests {
             for &d in digits.iter() {
                 assert!((-8..=8).contains(&d));
             }
+        }
+    }
+
+    /// `half(x) + half(x) == x` at both ends of the range and on random
+    /// scalars, and `half` is canonical (`x · 2⁻¹`, below `l`).
+    #[test]
+    fn half_doubles_back() {
+        let mut rng = StdRng::seed_from_u64(11);
+        let l_minus_1 = Scalar::ZERO.sub(&Scalar::ONE);
+        let mut xs = vec![Scalar::ZERO, Scalar::ONE, s(2), s(3), l_minus_1];
+        xs.extend((0..64).map(|_| Scalar::random(&mut rng)));
+        let two_inv = s(2).invert();
+        for x in xs {
+            let h = x.half();
+            assert_eq!(h.add(&h), x, "{x:?}");
+            assert_eq!(h, x.mul(&two_inv), "{x:?}");
+            assert!(lt(&h.0, &L), "{x:?}");
         }
     }
 

@@ -575,6 +575,35 @@ mod lanes {
             Lanes { reference: expected.map(|(_, r)| r), vector: root }.assert_agree("sqrt_ratio_i");
         }
 
+        /// Montgomery batch inversion in lanes — one lane-wise
+        /// inversion for the whole run of vectors — against the
+        /// reference's per-element inverse, with zero lanes (which must
+        /// stay zero without disturbing their neighbours) spliced in.
+        #[test]
+        fn lane_batch_invert_matches_fiat51(
+            inputs in prop::collection::vec(prop::array::uniform32(any::<u8>()), 8..41),
+            zero_at in prop::collection::vec(any::<prop::sample::Index>(), 0..6),
+        ) {
+            let mut limbs: Vec<[[u64; 5]; 8]> = inputs
+                .chunks_exact(8)
+                .map(|chunk| std::array::from_fn(|i| Fe51::from_bytes(&chunk[i]).to_limbs51()))
+                .collect();
+            for at in &zero_at {
+                let lane = at.index(8 * limbs.len());
+                limbs[lane / 8][lane % 8] = [0; 5];
+            }
+            let mut vectors: Vec<F51x8> = limbs.iter().map(F51x8::from_lanes).collect();
+            let mut prefix = vec![F51x8::ZERO; vectors.len()];
+            F51x8::batch_invert_with(&mut vectors, &mut prefix);
+            for (v, l) in vectors.iter().zip(&limbs) {
+                Lanes {
+                    reference: l.map(|x| Fe51::from_limbs51(&x).invert()),
+                    vector: *v,
+                }
+                .assert_agree("batch_invert_with");
+            }
+        }
+
         /// Random op sequences over vectors of eight different random
         /// values (an edge value spliced into one lane): byte-identical
         /// to the reference after every step, not just at the end.

@@ -174,8 +174,9 @@ pub(crate) fn outer_layer_key(shared: &[u8; 32], round: u64, layer: usize) -> [u
 }
 
 /// [`outer_layer_key`] of every shared element's encoding (whoever
-/// holds many encodes them together, [`GroupElement::encode_all`], and
-/// derives their keys together, [`kdf::derive_key_all`]).
+/// computes many encodes them together, as doubles of their halves
+/// with [`GroupElement::double_encode_all`], and derives their keys
+/// together, [`kdf::derive_key_all`]).
 pub(crate) fn outer_layer_keys(shared: &[[u8; 32]], round: u64, layer: usize) -> Vec<[u8; 32]> {
     let context = outer_layer_context(round, layer);
     let inputs: Vec<[&[u8]; 2]> = shared.iter().map(|s| [&s[..], &context[..]]).collect();
@@ -249,19 +250,23 @@ impl SealKeys for ChainPublicKeys {
 /// seals `jobs[i]`'s message under `jobs[i]`'s randomness and depends on
 /// nothing else in the batch.
 ///
-/// All public-key work is done across the batch first — `g^y`, `g^x`
-/// and the proof commitments off the generator's table, the `k + 1`
-/// shared elements off the chain's, then every element that is hashed
-/// or sent encoded — so that it runs eight messages per table walk and
-/// per inverse square root where `xrd-crypto`'s lane kernel is compiled
-/// in.  The symmetric work is batched the same way, a layer at a time:
-/// each layer's keys in one [`kdf::derive_key_all`], its ciphertexts in
-/// one [`aenc_all`] (every layer of a round has one length), and the
-/// proofs' challenges behind one transcript prefix.  The exponents
-/// reach the tables only through [`FixedGroupTable::mul_all`] /
-/// [`GroupElement::mul`] and the shared elements only through
-/// [`GroupElement::encode_all`], all masked: nothing here branches on a
-/// secret.
+/// All public-key work is done across the batch first — `g^y` off the
+/// generator's table and the `k + 1` shared elements off the chain's,
+/// each at the *halved* exponent ([`Scalar::half`]), then the
+/// encodings of their doubles (the elements themselves) in one
+/// [`GroupElement::double_encode_all`] over all `(k + 2)·n` of them,
+/// which shares one field inversion per 128 elements instead of paying
+/// an inverse square root per element; `g^x` and the proof commitments go the
+/// same way inside [`SchnorrProof::prove_base_all`].  The table walks
+/// run eight messages to a walk where `xrd-crypto`'s lane kernel is
+/// compiled in.  The symmetric work is batched the same way, a layer
+/// at a time: each layer's keys in one [`kdf::derive_key_all`], its
+/// ciphertexts in one [`aenc_all`] (every layer of a round has one
+/// length), and the proofs' challenges behind one transcript prefix.
+/// The exponents reach the tables only through
+/// [`FixedGroupTable::mul_all`] / [`GroupElement::mul`] and the shared
+/// elements only through [`GroupElement::double_encode_all`], all
+/// masked: nothing here branches on a secret.
 fn seal_onions(
     keys: &impl SealKeys,
     round: u64,
@@ -269,17 +274,33 @@ fn seal_onions(
 ) -> Vec<Submission> {
     let k = keys.chain_len();
     assert!(k >= 1, "chain must have at least one server");
-    let ys: Vec<Scalar> = jobs.iter().map(|(r, _)| r.y).collect();
+    let n = jobs.len();
+    if n == 0 {
+        return Vec::new();
+    }
+    let half_ys: Vec<Scalar> = jobs.iter().map(|(r, _)| r.y.half()).collect();
     let xs: Vec<Scalar> = jobs.iter().map(|(r, _)| r.x).collect();
+    let half_xs: Vec<Scalar> = xs.iter().map(Scalar::half).collect();
+
+    // Every encoded element, at half its exponent: `g^y`, `(∏ipk)^y`,
+    // then `mpk_layer^x` for layers k-1 down to 0.
+    let mut halves = Vec::with_capacity((k + 2) * n);
+    halves.extend(GroupElement::base_mul_all(&half_ys));
+    halves.extend(keys.inner_shared_all(&half_ys));
+    for layer in (0..k).rev() {
+        halves.extend(keys.layer_shared_all(layer, &half_xs));
+    }
+    let encoded = GroupElement::double_encode_all(&halves);
+    let mut encoded = encoded.chunks_exact(n);
 
     // Inner envelopes: e = (g^y, AEnc(DH(∏ipk, y), ρ, m)).
-    let gy = GroupElement::encode_all(&GroupElement::base_mul_all(&ys));
-    let inner_shared = GroupElement::encode_all(&keys.inner_shared_all(&ys));
+    let gy = encoded.next().expect("g^y of every message");
+    let inner_shared = encoded.next().expect("(∏ipk)^y of every message");
     let (nonces, messages): (Vec<Scalar>, Vec<Vec<u8>>) = (jobs.into_iter())
         .map(|(randomness, msg)| (randomness.nonce, msg.to_bytes()))
         .unzip();
     let sealed = aenc_all(
-        &inner_keys(&inner_shared, round),
+        &inner_keys(inner_shared, round),
         &round_nonce(round, DOMAIN_INNER),
         b"",
         &messages,
@@ -297,9 +318,9 @@ fn seal_onions(
     // Outer layers, innermost (layer k-1) first: a single exponent x
     // per message.
     for layer in (0..k).rev() {
-        let shared = GroupElement::encode_all(&keys.layer_shared_all(layer, &xs));
+        let shared = encoded.next().expect("mpk^x of every message, per layer");
         cts = aenc_all(
-            &outer_layer_keys(&shared, round, layer),
+            &outer_layer_keys(shared, round, layer),
             &round_nonce(round, domain_outer(layer)),
             b"",
             &cts,

@@ -108,7 +108,7 @@ pub fn hop_context(round: u64, position: usize) -> Vec<u8> {
 /// flight — the compute half of a streamed hop.
 ///
 /// A kernel is a snapshot of one server's per-round hop parameters
-/// (`msk`, `bsk`, position, round); chunk results are position-stable
+/// (`msk / 2`, `bsk`, position, round); chunk results are position-stable
 /// (`process` returns slots in input order, `None` marking a decrypt
 /// failure), so any partition of a batch into chunks reassembles into
 /// exactly the serial result.  Feed the collected slots back through
@@ -116,7 +116,9 @@ pub fn hop_context(round: u64, position: usize) -> Vec<u8> {
 /// state.
 #[derive(Clone)]
 pub struct ChunkKernel {
-    msk: Scalar,
+    /// `msk · 2⁻¹`: the kernel raises to half the mixing key and
+    /// encodes the double ([`GroupElement::double_encode_all`]).
+    half_msk: Scalar,
     bsk: Scalar,
     position: usize,
     round: u64,
@@ -154,23 +156,26 @@ impl ChunkKernel {
             .collect()
     }
 
-    /// Run the kernel over a chunk: raise every entry's DH key to `msk`
-    /// and `bsk` in one batch ([`GroupElement::batch_mul_pair`]: masked
-    /// constant-time scans, eight entries per field-lane vector where
-    /// the lane kernel is compiled in, shared-inversion window tables
-    /// elsewhere), encode the chunk's layer-key elements together
-    /// ([`GroupElement::encode_all`], masked the same way — they are
-    /// secret), then open each entry's outer layer.  Slot `j` of the
-    /// result corresponds to `entries[j]`; `None` marks an
-    /// authentication failure at that index.
+    /// Run the kernel over a chunk: raise every entry's DH key to
+    /// `msk / 2` and `bsk` in one batch ([`GroupElement::batch_mul_pair`]:
+    /// masked constant-time scans, eight entries per field-lane vector
+    /// where the lane kernel is compiled in, shared-inversion window
+    /// tables elsewhere), encode the doubles of the halves — the
+    /// layer-key elements `X^msk` — together
+    /// ([`GroupElement::double_encode_all`]: one shared field inversion,
+    /// masked the same way — they are secret), then open each entry's
+    /// outer layer.  Slot `j` of the result corresponds to
+    /// `entries[j]`; `None` marks an authentication failure at that
+    /// index.
     pub fn process(&self, entries: &[MixEntry]) -> Vec<Option<MixEntry>> {
         let started = std::time::Instant::now();
         let dhs: Vec<GroupElement> = entries.iter().map(|e| e.dh).collect();
-        let (shared, blinded): (Vec<GroupElement>, Vec<GroupElement>) =
-            GroupElement::batch_mul_pair(&dhs, &self.msk, &self.bsk)
+        let (halves, blinded): (Vec<GroupElement>, Vec<GroupElement>) =
+            GroupElement::batch_mul_pair(&dhs, &self.half_msk, &self.bsk)
                 .into_iter()
                 .unzip();
-        let slots = self.decrypt_and_blind(entries, &GroupElement::encode_all(&shared), blinded);
+        let shared = GroupElement::double_encode_all(&halves);
+        let slots = self.decrypt_and_blind(entries, &shared, blinded);
         let m = hop_metrics();
         m.decrypt_blind_us.record_duration(started.elapsed());
         m.entries.add(entries.len() as u64);
@@ -239,7 +244,7 @@ impl MixServer {
     /// time) processing off the serving thread.
     pub fn chunk_kernel(&self, round: u64) -> ChunkKernel {
         ChunkKernel {
-            msk: self.secrets.msk,
+            half_msk: self.secrets.msk.half(),
             bsk: self.secrets.bsk,
             position: self.secrets.position,
             round,
@@ -560,6 +565,11 @@ pub fn verify_inner_key(public: &ChainPublicKeys, position: usize, isk: &Scalar)
 /// (last step of §6.3).  Entries whose envelope fails to parse or
 /// decrypt yield `None` (possible only for malicious submissions — an
 /// honest user's envelope always opens).
+///
+/// Each envelope's key comes from the encoding of `g^(y·isk_sum)`: the
+/// batch raises every `g^y` to `isk_sum / 2` and encodes the doubles
+/// together ([`GroupElement::double_encode_all`], one shared field
+/// inversion for the chunk).
 pub fn open_batch(
     inner_keys: &[Scalar],
     round: u64,
@@ -582,7 +592,8 @@ pub fn open_batch(
         .unzip();
     // The inner keys are public once revealed (§6.3 broadcasts them),
     // so the variable-time ladder is safe here.
-    let shared = GroupElement::encode_all(&GroupElement::batch_vartime_mul(&ephemerals, &isk_sum));
+    let halves = GroupElement::batch_vartime_mul(&ephemerals, &isk_sum.half());
+    let shared = GroupElement::double_encode_all(&halves);
     let envelopes: Vec<&[u8]> = at.iter().map(|&j| &entries[j].ct[32..]).collect();
     let plaintexts = adec_all(
         &crate::client::inner_keys(&shared, round),
