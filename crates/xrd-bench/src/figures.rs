@@ -18,7 +18,7 @@ use xrd_core::churn::simulate_churn;
 use xrd_core::cost::{PipelineConfig, PipelineModel, UserCostModel};
 use xrd_mixnet::blame::BlameVerdict;
 use xrd_mixnet::client::seal_ahs;
-use xrd_mixnet::{ChainRoundStats, ChainRunner, MailboxMessage, MixPass, PAYLOAD_LEN};
+use xrd_mixnet::{ChainParty, ChainRunner, MailboxMessage, PAYLOAD_LEN};
 use xrd_sim::{OpCosts, ServerCompute};
 use xrd_topology::{chain_length, ell_for_chains, Beacon, Topology};
 
@@ -272,25 +272,19 @@ pub fn fig7(quick: bool) -> (f64, Vec<Fig7Row>) {
         .collect();
     subs[3] = xrd_mixnet::testutil::malicious_submission(&mut rng, chain.public(), round, k - 1);
 
-    // The chain's own pass finds the failing hop, then blame is timed.
+    // The chain's own mix wave finds the failing hop, then blame is
+    // timed.
     let entries = subs.iter().map(|s| s.to_entry()).collect();
-    let stats = &mut ChainRoundStats::default();
-    let MixPass::Failed {
-        position: pos,
-        failed,
-    } = chain.mix_pass(&mut rng, round, entries, stats)
-    else {
-        panic!("corruption must be detected");
-    };
+    let mut pass = chain.pass(&mut rng, round);
+    let (hops, end) = pass.party.mix(round, entries).expect("in process");
+    let (pos, failed) = (hops.len(), end.expect_err("corruption must be detected"));
     assert_eq!(pos, k - 1, "the bad layer is the last hop");
     let idx = failed[0];
-    let public = chain.public().clone();
-    let servers = chain.servers_mut();
 
     let start = Instant::now();
     let reps = if quick { 1 } else { 4 };
     for _ in 0..reps {
-        let verdict = xrd_mixnet::run_blame(&mut rng, &public, servers, &subs, round, pos, idx);
+        let verdict = pass.blame(&subs, pos, idx).expect("in process");
         assert_eq!(
             verdict,
             BlameVerdict::MaliciousUser {

@@ -18,8 +18,8 @@
 //! per-operation costs of this repository's crypto on the current
 //! machine, prints the calibration table, then produces the figure's
 //! series next to the paper's reported values.  Figure 7 times the
-//! blame trace of a failure that the chain's own pass
-//! ([`xrd_mixnet::ChainRunner::mix_pass`]) ran into.
+//! blame trace ([`xrd_mixnet::ChainPass::blame`]) of a failure that the
+//! chain's own mix wave ran into.
 //!
 //! The criterion benches in `benches/`, each run by CI's `bench-smoke`
 //! job:

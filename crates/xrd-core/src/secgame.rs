@@ -1,8 +1,9 @@
 //! An executable version of the paper's security game (Appendix B).
 //!
 //! The challenger samples secret conversation pairs, mixes them on a
-//! real [`ChainRunner`] — its own pass, every hop proof checked by the
-//! other servers — opens the batch with the revealed inner keys, and
+//! real [`ChainRunner`] — its own chain pass, every hop proof checked by
+//! the other servers and audited — opens the batch with the revealed
+//! inner keys, and
 //! then challenges the adversary to distinguish the true pairing from a
 //! freshly sampled one.  The adversary sees everything the paper grants
 //! it: all submissions, all inter-hop traffic, and the *internal state
@@ -28,7 +29,7 @@ use xrd_crypto::keys::KeyPair;
 use xrd_mixnet::client::seal_ahs;
 use xrd_mixnet::message::DOMAIN_MAILBOX;
 use xrd_mixnet::{
-    open_revealed, ChainRoundStats, ChainRunner, MailboxMessage, MixEntry, MixPass, PAYLOAD_LEN,
+    verify_hops_batched, ChainRunner, MailboxMessage, MixPhase, Submission, PAYLOAD_LEN,
 };
 
 /// Which hop positions the adversary controls.
@@ -140,7 +141,7 @@ pub fn play_game<R: RngCore + ?Sized>(
         let pairing = sample_pairing(rng, n_users);
 
         // Each user sends one message to her partner's mailbox.
-        let entries: Vec<MixEntry> = (0..n_users)
+        let submissions: Vec<Submission> = (0..n_users)
             .map(|i| {
                 let dest = pairing[i];
                 let key = xrd_crypto::kdf::derive_from_dh(
@@ -158,41 +159,31 @@ pub fn play_game<R: RngCore + ?Sized>(
                     mailbox: user_mailboxes[dest],
                     sealed,
                 };
-                seal_ahs(rng, chain.public(), round, &msg).to_entry()
+                seal_ahs(rng, chain.public(), round, &msg)
             })
             .collect();
 
         // Step 7: mixing (all servers follow the protocol here; active
         // tampering is covered by the AHS tests, and Appendix A shows
         // tampering upstream of the honest server is always caught).
-        let stats = &mut ChainRoundStats::default();
-        let MixPass::Clean(batch) = chain.mix_pass(rng, round, entries, stats) else {
+        let mut pass = chain.pass(rng, round);
+        let Ok(MixPhase::AwaitingAudit(pending)) = pass.mix(&submissions, (0..n_users).collect())
+        else {
             panic!("honest onions decrypt at every hop");
         };
-        // Step 8: open with the revealed inner keys.
-        let inner: Vec<_> = chain
-            .servers_mut()
-            .iter()
-            .map(|s| s.reveal_inner_key())
-            .collect();
-        let delivered = open_revealed(chain.public(), round, &inner, &batch)
-            .expect("revealed inner keys verify");
-        assert_eq!(delivered.len(), n_users, "honest batch opens");
-        let delivered_mailboxes: Vec<[u8; 32]> = delivered.iter().map(|m| m.mailbox).collect();
-
-        // The adversary's view.
-        let hop_perms: Vec<Option<Vec<usize>>> = chain
-            .servers_mut()
-            .iter()
-            .enumerate()
+        // The adversary's view, read before the reveal releases it.
+        let hop_perms: Vec<Option<Vec<usize>>> = (pass.party.servers.iter().enumerate())
             .map(|(pos, s)| {
-                if corruption.corrupt_positions.contains(&pos) {
-                    Some(s.state().expect("ran this round").perm.clone())
-                } else {
-                    None
-                }
+                let corrupt = corruption.corrupt_positions.contains(&pos);
+                corrupt.then(|| s.state().expect("ran this round").perm.clone())
             })
             .collect();
+        // Step 8: audit, reveal the inner keys and open.
+        let audit_ok = verify_hops_batched(pass.public, round, &pending.records());
+        let outcome = pass.conclude(pending, audit_ok).expect("in process");
+        assert_eq!(outcome.delivered.len(), n_users, "honest batch opens");
+        let delivered_mailboxes: Vec<[u8; 32]> =
+            outcome.delivered.iter().map(|m| m.mailbox).collect();
         let view = AdversaryView {
             n_users,
             delivered_mailboxes,

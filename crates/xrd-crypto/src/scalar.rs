@@ -63,7 +63,8 @@ fn mac(a: u64, b: u64, c: u64, carry: u64) -> (u64, u64) {
     (t as u64, (t >> 64) as u64)
 }
 
-/// `a < b` on 4-limb little-endian values.
+/// `a < b` on 4-limb little-endian values.  Variable time: for public
+/// input only (`from_canonical_bytes`).
 fn lt(a: &[u64; 4], b: &[u64; 4]) -> bool {
     for i in (0..4).rev() {
         if a[i] < b[i] {
@@ -76,19 +77,27 @@ fn lt(a: &[u64; 4], b: &[u64; 4]) -> bool {
     false
 }
 
-/// Subtract `l` once if the value is `>= l`.
-fn reduce_once(limbs: [u64; 4]) -> [u64; 4] {
-    if lt(&limbs, &L) {
-        return limbs;
+/// `limbs + (l & mask)` modulo `2^256`: `l` is added where `mask` is all
+/// ones and nothing where it is zero, with no branch on the mask.
+fn add_l_masked(limbs: &[u64; 4], mask: u64) -> [u64; 4] {
+    let mut sum = [0u64; 4];
+    let mut carry = 0u64;
+    for i in 0..4 {
+        (sum[i], carry) = adc(limbs[i], L[i] & mask, carry);
     }
-    let mut out = [0u64; 4];
+    sum
+}
+
+/// Subtract `l` once if the value is `>= l`.  Constant time: `l` is
+/// always subtracted, and the borrow out (all ones iff the value was
+/// below `l`) selects the original limbs back by mask.
+fn reduce_once(limbs: [u64; 4]) -> [u64; 4] {
+    let mut diff = [0u64; 4];
     let mut borrow = 0u64;
     for i in 0..4 {
-        let (d, b) = sbb(limbs[i], L[i], borrow);
-        out[i] = d;
-        borrow = b;
+        (diff[i], borrow) = sbb(limbs[i], L[i], borrow);
     }
-    out
+    std::array::from_fn(|i| (limbs[i] & borrow) | (diff[i] & !borrow))
 }
 
 /// Montgomery reduction of a 512-bit value `t` (as 8 limbs):
@@ -105,14 +114,10 @@ fn montgomery_reduce(t: &[u64; 8]) -> Scalar {
             t9[i + j] = lo;
             carry = hi;
         }
-        // Cascade the final carry into the upper limbs.
+        // Cascade the final carry through every upper limb: adding a
+        // zero carry changes nothing, so no limb is skipped on its value.
         for limb in t9.iter_mut().skip(i + 4) {
-            let (lo, hi) = adc(*limb, carry, 0);
-            *limb = lo;
-            carry = hi;
-            if carry == 0 {
-                break;
-            }
+            (*limb, carry) = adc(*limb, carry, 0);
         }
     }
     // Result is t9[4..8] (t9[8] can be nonzero only if input >= l*2^256,
@@ -222,25 +227,16 @@ impl Scalar {
         Scalar(reduce_once(limbs))
     }
 
-    /// Subtraction mod `l`.
+    /// Subtraction mod `l`.  Constant time: `l` is added back under
+    /// the borrow out, a mask that is all ones iff the difference
+    /// underflowed.
     pub fn sub(&self, rhs: &Scalar) -> Scalar {
         let mut limbs = [0u64; 4];
         let mut borrow = 0u64;
         for i in 0..4 {
-            let (d, b) = sbb(self.0[i], rhs.0[i], borrow);
-            limbs[i] = d;
-            borrow = b;
+            (limbs[i], borrow) = sbb(self.0[i], rhs.0[i], borrow);
         }
-        if borrow != 0 {
-            // Underflowed: add l back.
-            let mut carry = 0u64;
-            for i in 0..4 {
-                let (s, c) = adc(limbs[i], L[i], carry);
-                limbs[i] = s;
-                carry = c;
-            }
-        }
-        Scalar(limbs)
+        Scalar(add_l_masked(&limbs, borrow))
     }
 
     /// Negation mod `l`.
@@ -256,15 +252,7 @@ impl Scalar {
     /// ([`GroupElement::double_encode_all`](crate::GroupElement::double_encode_all))
     /// is fed: the encoding of `P^x` is that of `2·P^(x/2)`.
     pub fn half(&self) -> Scalar {
-        let odd = (self.0[0] & 1).wrapping_neg();
-        let mut sum = [0u64; 4];
-        let mut carry = 0u64;
-        for i in 0..4 {
-            let (s, c) = adc(self.0[i], L[i] & odd, carry);
-            sum[i] = s;
-            carry = c;
-        }
-        debug_assert_eq!(carry, 0, "inputs must be canonical");
+        let sum = add_l_masked(&self.0, (self.0[0] & 1).wrapping_neg());
         Scalar(std::array::from_fn(|i| {
             sum[i] >> 1 | sum.get(i + 1).map_or(0, |next| next << 63)
         }))
@@ -508,6 +496,45 @@ mod tests {
             assert_eq!(h, x.mul(&two_inv), "{x:?}");
             assert!(lt(&h.0, &L), "{x:?}");
         }
+    }
+
+    /// `add`, `sub`, `mul` and `neg` at the edges of the range (0, 1,
+    /// ℓ−1, ℓ−2), where the masked reduction and the masked add-back
+    /// of `ℓ` switch, and at random values, held to identities rather
+    /// than to the code under test.
+    #[test]
+    fn edge_values_satisfy_identities() {
+        let mut rng = StdRng::seed_from_u64(12);
+        let l_minus_1 = Scalar::ZERO.sub(&Scalar::ONE);
+        let l_minus_2 = l_minus_1.sub(&Scalar::ONE);
+        assert_eq!(l_minus_1.0, [L[0] - 1, L[1], L[2], L[3]]);
+        assert_eq!(l_minus_2.0, [L[0] - 2, L[1], L[2], L[3]]);
+        let mut xs = vec![Scalar::ZERO, Scalar::ONE, l_minus_1, l_minus_2];
+        xs.extend((0..16).map(|_| Scalar::random(&mut rng)));
+        for a in &xs {
+            assert_eq!(a.add(&a.neg()), Scalar::ZERO, "{a:?}");
+            assert_eq!(a.neg().neg(), *a, "{a:?}");
+            if !a.is_zero() {
+                assert_eq!(a.mul(&a.invert()), Scalar::ONE, "{a:?}");
+            }
+            for b in &xs {
+                let (sum, diff, prod) = (a.add(b), a.sub(b), a.mul(b));
+                for r in [sum, diff, prod] {
+                    assert!(lt(&r.0, &L), "{a:?} {b:?}");
+                }
+                assert_eq!(diff.add(b), *a, "(a-b)+b, {a:?} {b:?}");
+                assert_eq!(sum.sub(b), *a, "(a+b)-b, {a:?} {b:?}");
+                assert_eq!(sum, b.add(a), "{a:?} {b:?}");
+                assert_eq!(prod, b.mul(a), "{a:?} {b:?}");
+                assert_eq!(a.sub(b), b.sub(a).neg(), "{a:?} {b:?}");
+            }
+        }
+        // The edges against small integers: ℓ−1 = −1 and ℓ−2 = −2.
+        assert_eq!(l_minus_1.add(&Scalar::ONE), Scalar::ZERO);
+        assert_eq!(l_minus_2.add(&s(2)), Scalar::ZERO);
+        assert_eq!(l_minus_1.mul(&l_minus_1), Scalar::ONE);
+        assert_eq!(l_minus_1.mul(&l_minus_2), s(2));
+        assert_eq!(l_minus_2.mul(&l_minus_2), s(4));
     }
 
     #[test]

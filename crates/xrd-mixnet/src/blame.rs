@@ -16,6 +16,12 @@
 //! Privacy is preserved throughout: only the single problem slot is
 //! traced, and the revealed ciphertexts stay encrypted under the honest
 //! server's mixing or inner keys (see §6.4's analysis).
+//!
+//! This module holds the evidence and its check: a server's
+//! [`Accusation`] and [`BlameReveal`]s, and [`trace_blame`], which
+//! judges them.  Who is asked for them, and what a verdict does to the
+//! round, is decided once, in [`ChainPass::blame`](crate::ChainPass::blame)
+//! and the pass's blame-retry loop.
 
 use rand::RngCore;
 
@@ -99,27 +105,17 @@ impl MixServer {
         let input_index = *state.perm.get(output_index)?;
         let input = state.inputs[input_index].clone();
         let output_dh = state.output_dhs[output_index];
-        let position = self.position();
-        let ctx = blame_context(state.round, position);
-        let dec_key = input.dh.mul(&self.secrets().msk);
+        let (position, public) = (self.position(), self.public());
         let blind_proof = DleqProof::prove(
             rng,
-            &ctx,
+            &blame_context(state.round, position),
             &input.dh,
             &output_dh,
-            self.public().blinding_base(position),
-            &self.public().bpks[position + 1],
+            public.blinding_base(position),
+            &public.bpks[position + 1],
             &self.secrets().bsk,
         );
-        let key_proof = DleqProof::prove(
-            rng,
-            &ctx,
-            &input.dh,
-            &dec_key,
-            self.public().blinding_base(position),
-            &self.public().mpks[position],
-            &self.secrets().msk,
-        );
+        let (dec_key, key_proof) = self.layer_key(rng, state.round, &input.dh);
         Some(BlameReveal {
             position,
             input_index,
@@ -140,32 +136,62 @@ impl MixServer {
     ) -> Option<Accusation> {
         let state = self.state()?;
         let entry = state.inputs.get(input_index)?.clone();
-        let position = self.position();
-        let ctx = blame_context(state.round, position);
-        let dec_key = entry.dh.mul(&self.secrets().msk);
-        let key_proof = DleqProof::prove(
-            rng,
-            &ctx,
-            &entry.dh,
-            &dec_key,
-            self.public().blinding_base(position),
-            &self.public().mpks[position],
-            &self.secrets().msk,
-        );
+        let (dec_key, key_proof) = self.layer_key(rng, state.round, &entry.dh);
         Some(Accusation {
-            position,
+            position: self.position(),
             input_index,
             entry,
             dec_key,
             key_proof,
         })
     }
+
+    /// This server's outer-layer key for the key `dh`, `dh^msk`, with
+    /// the proof that it was computed with the real `msk` (§6.4 steps 2
+    /// and 4).
+    fn layer_key<R: RngCore + ?Sized>(
+        &self,
+        rng: &mut R,
+        round: u64,
+        dh: &GroupElement,
+    ) -> (GroupElement, DleqProof) {
+        let (position, public, msk) = (self.position(), self.public(), &self.secrets().msk);
+        let dec_key = dh.mul(msk);
+        let ctx = blame_context(round, position);
+        let base = public.blinding_base(position);
+        let proof = DleqProof::prove(rng, &ctx, dh, &dec_key, base, &public.mpks[position], msk);
+        (dec_key, proof)
+    }
+}
+
+/// Open `entry`'s outer layer at `position` with a revealed layer key:
+/// `None` if the key's proof does not hold, else the decryption
+/// (itself `None` when authentication fails).
+fn open_layer(
+    public: &ChainPublicKeys,
+    round: u64,
+    position: usize,
+    entry: &MixEntry,
+    dec_key: &GroupElement,
+    proof: &DleqProof,
+) -> Option<Option<Vec<u8>>> {
+    let (ctx, base) = (
+        blame_context(round, position),
+        public.blinding_base(position),
+    );
+    if !proof.verify(&ctx, &entry.dh, dec_key, base, &public.mpks[position]) {
+        return None;
+    }
+    let key = outer_layer_key(&dec_key.encode(), round, position);
+    let nonce = round_nonce(round, domain_outer(position));
+    Some(adec(&key, &nonce, b"", &entry.ct))
 }
 
 /// Verify a [`BlameReveal`] against the chain public keys and the
-/// expected downstream values, returning the upstream `(X_i, c_i)` to
-/// continue the trace, or `None` if the reveal is inconsistent (server
-/// misbehaved).
+/// expected downstream values: the revealed output key is the
+/// downstream one, it was blinded correctly (`X_{i+1} = X_i^{bsk_i}`),
+/// and the proven layer key opens the revealed ciphertext to the
+/// downstream one.  `false`: the server misbehaved.
 fn check_reveal(
     public: &ChainPublicKeys,
     round: u64,
@@ -173,54 +199,35 @@ fn check_reveal(
     expected_dh: &GroupElement,
     expected_ct: &[u8],
 ) -> bool {
-    let ctx = blame_context(round, reveal.position);
-    // The revealed output key must match the downstream entry.
-    if reveal.output_dh != *expected_dh {
-        return false;
-    }
-    // Blinding correctness: X_{i+1} = X_i^{bsk_i}.
-    if !reveal.blind_proof.verify(
-        &ctx,
-        &reveal.input.dh,
-        &reveal.output_dh,
-        public.blinding_base(reveal.position),
-        &public.bpks[reveal.position + 1],
-    ) {
-        return false;
-    }
-    // Key correctness: dec_key = X_i^{msk_i}.
-    if !reveal.key_proof.verify(
-        &ctx,
-        &reveal.input.dh,
+    let (position, input) = (reveal.position, &reveal.input);
+    let ctx = blame_context(round, position);
+    let (base, blinded) = (public.blinding_base(position), &public.bpks[position + 1]);
+    let opened = open_layer(
+        public,
+        round,
+        position,
+        input,
         &reveal.dec_key,
-        public.blinding_base(reveal.position),
-        &public.mpks[reveal.position],
-    ) {
-        return false;
-    }
-    // Decryption correctness: ADec(dec_key, c_i) == c_{i+1}.
-    let key = outer_layer_key(&reveal.dec_key.encode(), round, reveal.position);
-    match adec(
-        &key,
-        &round_nonce(round, domain_outer(reveal.position)),
-        b"",
-        &reveal.input.ct,
-    ) {
-        Some(pt) => pt == expected_ct,
-        None => false,
-    }
+        &reveal.key_proof,
+    );
+    reveal.output_dh == *expected_dh
+        && reveal
+            .blind_proof
+            .verify(&ctx, &input.dh, &reveal.output_dh, base, blinded)
+        && opened.flatten().is_some_and(|pt| pt == expected_ct)
 }
 
 /// Run the full blame protocol for one problem slot, given the
 /// accusation and a way to obtain each upstream server's reveal.
 ///
 /// This is the *verifier's* side of §6.4, independent of where the
-/// servers live: the in-process [`run_blame`] passes a closure over
-/// local [`MixServer`]s, while a networked coordinator passes one that
-/// performs the reveal request over the wire.  `fetch_reveal(position,
-/// output_index)` must return the reveal of the server at `position`
-/// for the slot that left it at `output_index` (or `None` if the server
-/// refuses — which convicts it).
+/// servers live: [`ChainPass::blame`](crate::ChainPass::blame) obtains
+/// the accusation and passes a closure that asks its party for each
+/// reveal — a call on a local [`MixServer`] or a request over the
+/// wire.  `fetch_reveal(position, output_index)` must return the reveal
+/// of the server at `position` for the slot that left it at
+/// `output_index` (or `None` if the server refuses — which convicts
+/// it).
 pub fn trace_blame<F>(
     public: &ChainPublicKeys,
     submissions: &[Submission],
@@ -234,30 +241,17 @@ where
     let accuser_position = accusation.position;
 
     // Step 4 (checked first; order does not matter for soundness): the
-    // accuser's key must be proven correct, and decryption must fail.
-    let ctx = blame_context(round, accuser_position);
-    let key_ok = accusation.key_proof.verify(
-        &ctx,
-        &accusation.entry.dh,
+    // accuser's key must be proven correct, and decryption must fail —
+    // a ciphertext that decrypts fine is a false accusation.
+    if open_layer(
+        public,
+        round,
+        accuser_position,
+        &accusation.entry,
         &accusation.dec_key,
-        public.blinding_base(accuser_position),
-        &public.mpks[accuser_position],
-    );
-    if !key_ok {
-        return BlameVerdict::ServerMisbehaved {
-            position: accuser_position,
-        };
-    }
-    let key = outer_layer_key(&accusation.dec_key.encode(), round, accuser_position);
-    if adec(
-        &key,
-        &round_nonce(round, domain_outer(accuser_position)),
-        b"",
-        &accusation.entry.ct,
-    )
-    .is_some()
+        &accusation.key_proof,
+    ) != Some(None)
     {
-        // False accusation: the ciphertext decrypts fine.
         return BlameVerdict::ServerMisbehaved {
             position: accuser_position,
         };
@@ -301,41 +295,14 @@ where
     }
 }
 
-/// Run the full blame protocol for one problem slot found by the server
-/// at `accuser_position` (input index `problem_index` in its order).
-///
-/// `servers` must contain the chain's servers in hop order with their
-/// retained round state; `submissions` is the agreed-upon input set.
-pub fn run_blame<R: RngCore + ?Sized>(
-    rng: &mut R,
-    public: &ChainPublicKeys,
-    servers: &[MixServer],
-    submissions: &[Submission],
-    round: u64,
-    accuser_position: usize,
-    problem_index: usize,
-) -> BlameVerdict {
-    let accuser = &servers[accuser_position];
-    let accusation = match accuser.accuse(rng, problem_index) {
-        Some(a) => a,
-        None => {
-            return BlameVerdict::ServerMisbehaved {
-                position: accuser_position,
-            }
-        }
-    };
-    trace_blame(public, submissions, round, &accusation, |position, slot| {
-        servers[position].blame_reveal(rng, slot)
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::chain_keys::generate_chain_keys;
     use crate::client::seal_ahs;
     use crate::message::{MailboxMessage, PAYLOAD_LEN};
-    use crate::runner::{ChainRoundStats, ChainRunner, MixPass};
+    use crate::pass::ChainParty;
+    use crate::runner::ChainRunner;
     use crate::server::MixError;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -378,16 +345,8 @@ mod tests {
         }
 
         fn blame(&mut self, rng: &mut StdRng, position: usize, idx: usize) -> BlameVerdict {
-            let servers = self.chain.servers_mut();
-            run_blame(
-                rng,
-                &self.public,
-                servers,
-                &self.subs,
-                self.round,
-                position,
-                idx,
-            )
+            let mut pass = self.chain.pass(rng, self.round);
+            pass.blame(&self.subs, position, idx).expect("in process")
         }
     }
 
@@ -404,16 +363,21 @@ mod tests {
         }
     }
 
-    /// Run the chain's pass; if a hop fails to decrypt, run blame for
-    /// each failed index and return the verdicts.
+    /// Run the chain's mix wave; if a hop fails to decrypt, run blame
+    /// for each failed index and return the verdicts.
     fn run_until_blame(rng: &mut StdRng, h: &mut ChainHarness) -> Vec<BlameVerdict> {
         let entries = h.subs.iter().map(|s| s.to_entry()).collect();
-        let stats = &mut ChainRoundStats::default();
-        match h.chain.mix_pass(rng, h.round, entries, stats) {
-            MixPass::Clean(_) => vec![],
-            MixPass::Failed { position, failed } => failed
+        let (hops, end) = h
+            .chain
+            .pass(rng, h.round)
+            .party
+            .mix(h.round, entries)
+            .unwrap();
+        match end {
+            Ok(_) => vec![],
+            Err(failed) => failed
                 .into_iter()
-                .map(|idx| h.blame(rng, position, idx))
+                .map(|idx| h.blame(rng, hops.len(), idx))
                 .collect(),
         }
     }

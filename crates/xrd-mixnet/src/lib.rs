@@ -15,8 +15,10 @@
 //! * [`server`] — the AHS hop: decrypt, blind, shuffle, prove (§6.3);
 //! * [`blame`] — tracing misauthenticated ciphertexts to their origin
 //!   (§6.4);
-//! * [`runner`] — a faithful in-process executor for one chain round,
-//!   including blame-and-retry;
+//! * [`pass`] — the chain protocol of §6.3–§6.4, decided once and
+//!   answered by a [`ChainParty`]: mixing, cross-verification,
+//!   disputes, blame-and-retry, audit localization and the reveal;
+//! * [`runner`] — the chain's servers in one process as that party;
 //! * [`par`] — the one fan-out helper every data-parallel phase of a
 //!   round runs on.
 
@@ -29,22 +31,25 @@ pub mod chain_keys;
 pub mod client;
 pub mod message;
 pub mod par;
+pub mod pass;
 pub mod runner;
 pub mod server;
 pub mod testutil;
 
-pub use blame::{run_blame, trace_blame, Accusation, BlameReveal, BlameVerdict};
+pub use blame::{trace_blame, Accusation, BlameReveal, BlameVerdict};
 pub use chain_keys::{
     apply_rotation_shares, generate_chain_keys, rotation_share, ChainPublicKeys, RotationShare,
     ServerKeyProofs, ServerSecrets,
 };
 pub use client::{seal_ahs, seal_basic, ChainSealer, SealRandomness, Submission};
 pub use message::{MailboxMessage, MixEntry, MAILBOX_MSG_LEN, PAYLOAD_LEN};
-pub use runner::{
-    resolve_blame, BlameResolution, ChainRoundOutcome, ChainRoundStats, ChainRunner, MixPass,
+pub use pass::{
+    Breach, ChainParty, ChainPass, ChainRoundOutcome, ChainRoundStats, MixPhase, MixWave,
+    PendingChainRound,
 };
+pub use runner::{ChainRunner, LocalParty};
 pub use server::{
-    input_digest, open_batch, open_revealed, verify_hop, verify_hop_keys, verify_hops_batched,
+    input_digest, open_batch, open_revealed, verify_hop, verify_hops_batched,
     verify_hops_batched_multi, verify_inner_key, ChainAudit, ChunkKernel, HopAttestation,
     HopRecord, HopResult, HopState, MixError, MixServer,
 };

@@ -1,106 +1,109 @@
-//! In-process execution of the complete per-chain protocol:
-//! submission validation → k hops of AHS mixing with verification →
-//! inner-key reveal → envelope opening — with the blame protocol and
-//! malicious-submission removal woven in (§6.3 + §6.4).
+//! The chain round in one process: a chain's servers as the
+//! [`LocalParty`] of the one chain pass ([`crate::pass`]).
 //!
-//! This is the reference executor used by tests, examples, and the
-//! real (thread-backed) deployment in `xrd-core`.  It is written as a
-//! faithful single-trust-domain execution of the multi-party protocol:
-//! every proof that the paper says "all other servers verify" *is*
-//! verified here (and counted, so benchmarks can attribute cost).
+//! [`ChainRunner`] holds a chain's servers and keys, screens the
+//! submissions' proofs of knowledge (§6.2), and hands the rest to
+//! [`ChainPass::run`] — the same protocol a networked coordinator runs
+//! over the wire, with every wave answered by a call on these servers:
+//! every hop proof is verified by the `k−1` other servers and audited
+//! once more, a rejected proof is disputed, a decryption failure is
+//! blamed, and a lying reveal convicts its server.  This is the
+//! executor used by tests, examples and the in-process deployment in
+//! `xrd-core`; [`ChainRunner::pass`] hands out the pass itself, for the
+//! security game and the blame measurements that step through it.
+
+use std::collections::HashSet;
 
 use rand::RngCore;
 
-use xrd_crypto::ristretto::GroupElement;
 use xrd_crypto::scalar::Scalar;
 
-use crate::blame::{run_blame, BlameVerdict};
+use crate::blame::{Accusation, BlameReveal};
 use crate::chain_keys::{generate_chain_keys, ChainPublicKeys, ServerSecrets};
 use crate::client::Submission;
-use crate::message::{MailboxMessage, MixEntry};
+use crate::message::MixEntry;
 use crate::par;
-use crate::server::{input_digest, open_revealed, verify_hop_keys, MixError, MixServer};
+use crate::pass::{Breach, ChainParty, ChainPass, ChainRoundOutcome, Evidence, MixWave};
+use crate::server::{input_digest, HopAttestation, HopResult, MixError, MixServer};
 
-/// Statistics from one chain-round execution.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct ChainRoundStats {
-    /// Submissions rejected up front (bad PoK).
-    pub rejected_pok: usize,
-    /// Users removed by the blame protocol.
-    pub removed_by_blame: usize,
-    /// Number of times the hop pipeline was restarted after blame.
-    pub blame_rounds: usize,
-    /// Hop proofs generated (== hops completed).
-    pub proofs_generated: usize,
-    /// Hop proof verifications performed (each of the other k-1 servers
-    /// verifies every hop).
-    pub proofs_verified: usize,
+/// A chain's servers in this process, as the pass asks them: each wave
+/// a call on the servers themselves, drawing what it needs from the
+/// chain's RNG in wave order.  Nothing here can fail; a [`Breach`] is
+/// what the pass finds in the answers.
+pub struct LocalParty<'a, R: ?Sized> {
+    /// The chain's servers in hop order.
+    pub servers: &'a mut [MixServer],
+    /// The chain's RNG: shuffles, proof nonces, blame proofs and
+    /// dispute signatures.
+    pub rng: &'a mut R,
 }
 
-/// Outcome of a chain round.  Also the round's running ledger: the
-/// executors start from `default()` and fill it in as verdicts fall.
-#[derive(Clone, Debug, Default)]
-pub struct ChainRoundOutcome {
-    /// Messages ready for mailbox delivery, in shuffled order.
-    pub delivered: Vec<MailboxMessage>,
-    /// Submission indices identified as malicious and removed.
-    pub malicious_users: Vec<usize>,
-    /// Servers caught misbehaving (empty in an honest deployment).
-    pub misbehaving_servers: Vec<usize>,
-    /// Execution statistics.
-    pub stats: ChainRoundStats,
-}
+impl<R: RngCore + ?Sized> ChainParty for LocalParty<'_, R> {
+    type Error = Breach;
 
-/// What one hop's decryption failures resolved to ([`resolve_blame`]).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum BlameResolution {
-    /// Only users were convicted and they are out of the active set:
-    /// mix again without them.
-    Retry,
-    /// A server was convicted: the chain halts with nothing delivered
-    /// (§6.4: servers delete their inner keys).
-    Abort,
-}
-
-/// The verdict bookkeeping of one failed hop, the same wherever the
-/// servers live: run `blame` on every failed input slot (an index into
-/// the batch just mixed, i.e. into `active`), record each convicted
-/// server in `outcome`, and — only if no server was convicted — move
-/// the convicted users from `active` to `outcome.malicious_users`.
-///
-/// `active` holds the original submission indices still in the batch;
-/// a [`BlameVerdict::MaliciousUser`] indexes into it.  `failed` must
-/// not be empty (a failure names the slots that failed), so some party
-/// is always identified.
-pub fn resolve_blame<E>(
-    outcome: &mut ChainRoundOutcome,
-    active: &mut Vec<usize>,
-    failed: impl IntoIterator<Item = usize>,
-    mut blame: impl FnMut(usize) -> Result<BlameVerdict, E>,
-) -> Result<BlameResolution, E> {
-    outcome.stats.blame_rounds += 1;
-    let mut to_remove: Vec<usize> = Vec::new();
-    for idx in failed {
-        match blame(idx)? {
-            BlameVerdict::MaliciousUser { submission_index } => {
-                to_remove.push(active[submission_index]);
-            }
-            BlameVerdict::ServerMisbehaved { position } => {
-                outcome.misbehaving_servers.push(position);
-            }
+    fn mix(&mut self, round: u64, mut batch: Vec<MixEntry>) -> Result<MixWave, Breach> {
+        let mut hops = Vec::with_capacity(self.servers.len());
+        for server in self.servers.iter_mut() {
+            let input_dhs = batch.iter().map(|e| e.dh).collect();
+            let HopResult { outputs, proof } = match server.process_round(self.rng, round, batch) {
+                Ok(result) => result,
+                Err(MixError::DecryptFailure(failed)) => return Ok((hops, Err(failed))),
+                Err(MixError::Malformed) => unreachable!("a hop is handed its predecessor's batch"),
+            };
+            hops.push(HopAttestation {
+                round,
+                position: server.position(),
+                input_dhs,
+                output_dhs: outputs.iter().map(|e| e.dh).collect(),
+                proof,
+            });
+            batch = outputs;
         }
+        Ok((hops, Ok(batch)))
     }
-    if !outcome.misbehaving_servers.is_empty() {
-        return Ok(BlameResolution::Abort);
+
+    fn verify(
+        &mut self,
+        hops: &[HopAttestation],
+        asks: &[Option<usize>],
+    ) -> Result<Vec<Option<bool>>, Breach> {
+        let verifiers = self.servers.iter().zip(asks);
+        Ok(verifiers
+            .map(|(verifier, ask)| ask.map(|prover| hops[prover].verify(verifier.public())))
+            .collect())
     }
-    assert!(
-        !to_remove.is_empty(),
-        "blame must identify at least one party"
-    );
-    outcome.stats.removed_by_blame += to_remove.len();
-    active.retain(|i| !to_remove.contains(i));
-    outcome.malicious_users.extend(to_remove);
-    Ok(BlameResolution::Retry)
+
+    fn dispute(&mut self, hop: &HopAttestation, witnesses: &[bool]) -> Vec<Option<Evidence>> {
+        let (servers, rng) = (self.servers.iter(), &mut *self.rng);
+        let mut verdict = |witness: &MixServer| {
+            let upheld = !hop.verify(witness.public());
+            (upheld, hop.sign_verdict(rng, witness, upheld))
+        };
+        let asked = servers.zip(witnesses).map(|(w, &asked)| asked.then_some(w));
+        asked.map(|witness| witness.map(&mut verdict)).collect()
+    }
+
+    /// In process the verdict is the outcome's: nobody else to tell.
+    fn announce(&mut self, _: u64, _: usize, _: u8, _: bool, _: u32) {}
+
+    fn accuse(&mut self, _: u64, at: usize, slot: usize) -> Result<Option<Accusation>, Breach> {
+        Ok(self.servers[at].accuse(self.rng, slot))
+    }
+
+    fn reveal(&mut self, _: u64, at: usize, slot: usize) -> Result<Option<BlameReveal>, Breach> {
+        Ok(self.servers[at].blame_reveal(self.rng, slot))
+    }
+
+    /// The keys go out, so blame can no longer run for the round: each
+    /// server releases its per-hop copy of the batch blame would have
+    /// traced.
+    fn reveal_inner_keys(&mut self, _round: u64) -> Result<Vec<(usize, Scalar)>, Breach> {
+        let reveal = |server: &mut MixServer| {
+            server.clear_state();
+            (server.position(), server.reveal_inner_key())
+        };
+        Ok(self.servers.iter_mut().map(reveal).collect())
+    }
 }
 
 /// A whole chain executing in one process: the servers plus shared
@@ -113,6 +116,8 @@ pub struct ChainRunner {
     /// round ρ+1 must be published while round ρ runs, because users
     /// seal their §5.3.3 cover messages for ρ+1 one round in advance.
     pending: Option<(Vec<ServerSecrets>, ChainPublicKeys)>,
+    /// Verifiers convicted of a false verdict ([`ChainPass::excluded`]).
+    excluded: HashSet<usize>,
 }
 
 impl ChainRunner {
@@ -125,16 +130,15 @@ impl ChainRunner {
 
     /// Assemble from externally generated parts.
     pub fn from_parts(secrets: Vec<ServerSecrets>, public: ChainPublicKeys) -> ChainRunner {
-        let servers = secrets
-            .iter()
-            .map(|s| MixServer::new(s.clone(), public.clone()))
-            .collect();
-        ChainRunner {
+        let mut chain = ChainRunner {
             secrets,
-            servers,
+            servers: Vec::new(),
             public,
             pending: None,
-        }
+            excluded: HashSet::new(),
+        };
+        chain.rebuild_servers();
+        chain
     }
 
     /// Rotate the per-round inner keys to `inner_epoch` (§6.1) and reset
@@ -201,6 +205,26 @@ impl ChainRunner {
         &mut self.servers
     }
 
+    /// This chain's servers as one [`ChainPass`] for `round`, drawing
+    /// from `rng`: what [`ChainRunner::run_round`] runs, and what the
+    /// security game, the blame measurements and their tests step
+    /// through wave by wave.
+    pub fn pass<'a, R: RngCore + ?Sized>(
+        &'a mut self,
+        rng: &'a mut R,
+        round: u64,
+    ) -> ChainPass<'a, LocalParty<'a, R>> {
+        ChainPass {
+            party: LocalParty {
+                servers: &mut self.servers,
+                rng,
+            },
+            public: &self.public,
+            round,
+            excluded: &mut self.excluded,
+        }
+    }
+
     /// Execute one full round for this chain (§6.3 with §6.4 fallback).
     ///
     /// Returns the delivered mailbox messages together with the list of
@@ -214,164 +238,37 @@ impl ChainRunner {
         submissions: &[Submission],
     ) -> ChainRoundOutcome {
         let started = std::time::Instant::now();
-        let mut outcome = ChainRoundOutcome::default();
 
         // Submission screening: verify each PoK (§6.2 step 2); a bad
         // proof identifies the submitter immediately (§6.4).  Batched
         // per chunk; a chunk holding a bad proof falls back to
         // per-proof checks, so exactly the offenders are rejected.
         let pok_ok = par::map_entries(submissions, |chunk| Submission::verify_poks(round, chunk));
-        let mut active: Vec<usize> = Vec::with_capacity(submissions.len());
-        for (i, ok) in pok_ok.into_iter().enumerate() {
-            if ok {
-                active.push(i);
-            } else {
-                outcome.stats.rejected_pok += 1;
-                outcome.malicious_users.push(i);
-            }
-        }
-
-        // The agreed batch as the first hop's entries, built once: what
-        // input agreement hashes is what the first pass mixes.
-        let to_entries = |active: &[usize]| -> Vec<MixEntry> {
-            active.iter().map(|&i| submissions[i].to_entry()).collect()
-        };
-        let mut entries = to_entries(&active);
+        let (active, rejected): (Vec<usize>, Vec<usize>) =
+            (0..submissions.len()).partition(|&i| pok_ok[i]);
 
         // Input agreement: all servers hash the agreed submission set.
         // (With one process there is nothing to compare against, but the
         // digest is computed as the protocol prescribes.)
-        input_digest(&entries);
+        let agreed: Vec<MixEntry> = active.iter().map(|&i| submissions[i].to_entry()).collect();
+        input_digest(&agreed);
 
-        // Mixing with blame-retry: repeat until a clean pass, or until
-        // a server is convicted and the chain halts.
-        let mixed: Option<Vec<MixEntry>> = loop {
-            match self.mix_pass(rng, round, entries, &mut outcome.stats) {
-                MixPass::Clean(outputs) => break Some(outputs),
-                MixPass::Failed { position, failed } => {
-                    // Blame runs against the batch actually mixed (the
-                    // active subset); verdict indices are then mapped
-                    // back to original submission indices.
-                    let active_subs: Vec<Submission> =
-                        active.iter().map(|&i| submissions[i].clone()).collect();
-                    let blame = |idx| -> Result<BlameVerdict, std::convert::Infallible> {
-                        Ok(run_blame(
-                            rng,
-                            &self.public,
-                            &self.servers,
-                            &active_subs,
-                            round,
-                            position,
-                            idx,
-                        ))
-                    };
-                    let Ok(resolution) = resolve_blame(&mut outcome, &mut active, failed, blame);
-                    if resolution == BlameResolution::Abort {
-                        // The servers keep their hop state: it is the
-                        // evidence.
-                        break None;
-                    }
-                    entries = to_entries(&active);
-                }
-            }
-        };
-
-        if let Some(delivered_entries) = mixed {
-            // Inner key reveal + verification, then open.
-            let inner_keys: Vec<Scalar> =
-                self.servers.iter().map(|s| s.reveal_inner_key()).collect();
-            // The keys are out, so blame can no longer run for this
-            // round: release the per-hop copies of the batch it would
-            // have traced.
-            for server in &mut self.servers {
-                server.clear_state();
-            }
-            outcome.delivered = open_revealed(&self.public, round, &inner_keys, &delivered_entries)
-                .expect("inner key reveal must verify");
-        }
+        let mut outcome = (self.pass(rng, round).run(submissions, active))
+            .unwrap_or_else(|breach| panic!("an in-process chain broke its own pass: {breach}"));
+        outcome.stats.rejected_pok = rejected.len();
+        outcome.malicious_users.splice(0..0, rejected);
         // One sample per chain round: beside the deployment's `round.mix`
         // span, their sum says how much of the chains' work overlapped.
         xrd_obs::hist("chain.round_us").record_duration(started.elapsed());
         outcome
     }
-
-    /// One pass of `entries` over all k hops (§6.3): each server mixes
-    /// the previous one's output and each hop proof is verified by the
-    /// other k−1 servers (counted in `stats`).  Stops at the first hop
-    /// whose decryption fails.  Every server that ran keeps its
-    /// [`HopState`](crate::server::HopState) — blame traces it, and the
-    /// caller clears it once the inner keys are out.
-    ///
-    /// This is the chain's one hop loop: [`ChainRunner::run_round`]
-    /// repeats it after blame, and the security game, the blame
-    /// measurements and their tests drive it directly.
-    pub fn mix_pass<R: RngCore + ?Sized>(
-        &mut self,
-        rng: &mut R,
-        round: u64,
-        mut entries: Vec<MixEntry>,
-        stats: &mut ChainRoundStats,
-    ) -> MixPass {
-        let k = self.servers.len();
-        for pos in 0..k {
-            // The hop proof is a statement about the DH keys alone, so
-            // the input's key column is all a verifier keeps of it.
-            let input_dhs: Vec<GroupElement> = entries.iter().map(|e| e.dh).collect();
-            match self.servers[pos].process_round(rng, round, entries) {
-                Ok(result) => {
-                    stats.proofs_generated += 1;
-                    // Every other server verifies the hop proof.
-                    let mut ok = result.outputs.len() == input_dhs.len();
-                    for _verifier in 0..k.saturating_sub(1) {
-                        ok &= verify_hop_keys(
-                            &self.public,
-                            pos,
-                            round,
-                            input_dhs.iter(),
-                            result.outputs.iter().map(|e| &e.dh),
-                            &result.proof,
-                        );
-                        stats.proofs_verified += 1;
-                    }
-                    assert!(ok, "honest hop proof must verify");
-                    entries = result.outputs;
-                }
-                Err(MixError::DecryptFailure(failed)) => {
-                    return MixPass::Failed {
-                        position: pos,
-                        failed,
-                    };
-                }
-                Err(MixError::Malformed) => {
-                    panic!("malformed batch in in-process execution");
-                }
-            }
-        }
-        MixPass::Clean(entries)
-    }
-}
-
-/// What one [`ChainRunner::mix_pass`] came to.
-#[derive(Clone, Debug)]
-pub enum MixPass {
-    /// Every hop mixed and every hop proof verified: the last hop's
-    /// outputs, ready for the inner-key reveal.
-    Clean(Vec<MixEntry>),
-    /// The hop at `position` failed to decrypt the input slots `failed`
-    /// (indices into its input batch); blame starts there (§6.4).
-    Failed {
-        /// Hop position of the failing server.
-        position: usize,
-        /// Its input slots that failed authenticated decryption.
-        failed: Vec<usize>,
-    },
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::client::seal_ahs;
-    use crate::message::PAYLOAD_LEN;
+    use crate::message::{MailboxMessage, PAYLOAD_LEN};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use xrd_crypto::TAG_LEN;
@@ -397,7 +294,7 @@ mod tests {
         assert!(outcome.misbehaving_servers.is_empty());
         assert_eq!(outcome.delivered.len(), 10);
         assert_eq!(outcome.stats.proofs_generated, 3);
-        assert_eq!(outcome.stats.proofs_verified, 3 * 2);
+        assert_eq!(outcome.stats.proofs_verified, 3 * 2 + 3);
         let mut mailboxes: Vec<[u8; 32]> = outcome.delivered.iter().map(|m| m.mailbox).collect();
         mailboxes.sort();
         assert_eq!(

@@ -16,7 +16,7 @@ use rand::Rng;
 use rand::RngCore;
 
 use xrd_crypto::aead::{adec_all, round_nonce};
-use xrd_crypto::nizk::{DleqBatchEntry, DleqProof};
+use xrd_crypto::nizk::{DleqBatchEntry, DleqProof, SchnorrProof};
 use xrd_crypto::ristretto::GroupElement;
 use xrd_crypto::scalar::Scalar;
 
@@ -181,15 +181,6 @@ impl ChunkKernel {
         m.entries.add(entries.len() as u64);
         slots
     }
-
-    /// [`ChunkKernel::process`] chunk by chunk through
-    /// [`crate::par::map_entries`]: large batches are handed out across
-    /// the cores (the per-entry work is embarrassingly parallel — two
-    /// scalar multiplications plus one AEAD open, no shared state),
-    /// small ones run on the calling thread.
-    pub fn process_parallel(&self, entries: &[MixEntry]) -> Vec<Option<MixEntry>> {
-        crate::par::map_entries(entries, |chunk| self.process(chunk))
-    }
 }
 
 impl MixServer {
@@ -258,9 +249,9 @@ impl MixServer {
     ///
     /// The per-entry decrypt+blind work is embarrassingly parallel (two
     /// scalar multiplications plus one AEAD open per entry, no shared
-    /// state), so batches are chunked across the cores
-    /// ([`ChunkKernel::process_parallel`]) — the in-process analogue of
-    /// a real server's worker cores.
+    /// state), so [`ChunkKernel::process`] runs chunk by chunk through
+    /// [`crate::par::map_entries`] — the in-process analogue of a real
+    /// server's worker cores.
     pub fn process_round<R: RngCore + ?Sized>(
         &mut self,
         rng: &mut R,
@@ -269,7 +260,8 @@ impl MixServer {
     ) -> Result<HopResult, MixError> {
         // Per-entry results in input order; `None` marks a decrypt
         // failure at that index.
-        let slots = self.chunk_kernel(round).process_parallel(&inputs);
+        let kernel = self.chunk_kernel(round);
+        let slots = crate::par::map_entries(&inputs, |chunk| kernel.process(chunk));
         self.finish_round(rng, round, inputs, slots)
     }
 
@@ -360,7 +352,11 @@ impl MixServer {
 }
 
 /// Verify one hop's aggregate proof (run by every other server in the
-/// chain, §6.3 step 3).
+/// chain, §6.3 step 3) over full entries.  The statement is a relation
+/// between the *products of the DH keys* only — the ciphertexts never
+/// enter it — so this is [`HopRecord::verify`] over the entries' key
+/// columns, which is all a verifier on the wire receives (~8× fewer
+/// bytes than full entries).
 pub fn verify_hop(
     public: &ChainPublicKeys,
     position: usize,
@@ -369,42 +365,16 @@ pub fn verify_hop(
     outputs: &[MixEntry],
     proof: &DleqProof,
 ) -> bool {
-    if inputs.len() != outputs.len() {
-        return false;
-    }
-    verify_hop_keys(
-        public,
+    let column =
+        |entries: &[MixEntry]| -> Vec<GroupElement> { entries.iter().map(|e| e.dh).collect() };
+    let (input_dhs, output_dhs) = (column(inputs), column(outputs));
+    let record = HopRecord {
         position,
-        round,
-        inputs.iter().map(|e| &e.dh),
-        outputs.iter().map(|e| &e.dh),
-        proof,
-    )
-}
-
-/// [`verify_hop`] over bare DH keys.  The §6.3 aggregate attestation
-/// states a relation between the *products of the DH keys* only — the
-/// ciphertexts never enter the proof statement — so a verifier that
-/// receives just the input/output key columns (what the streamed wire
-/// protocol ships, ~8× fewer bytes than full entries) checks exactly
-/// the same statement as one holding full entries.
-pub fn verify_hop_keys<'a>(
-    public: &ChainPublicKeys,
-    position: usize,
-    round: u64,
-    input_dhs: impl Iterator<Item = &'a GroupElement>,
-    output_dhs: impl Iterator<Item = &'a GroupElement>,
-    proof: &DleqProof,
-) -> bool {
-    let prod_in = GroupElement::product(input_dhs);
-    let prod_out = GroupElement::product(output_dhs);
-    proof.verify(
-        &hop_context(round, position),
-        &prod_in,
-        &prod_out,
-        public.blinding_base(position),
-        &public.bpks[position + 1],
-    )
+        input_dhs: &input_dhs,
+        output_dhs: &output_dhs,
+        proof: *proof,
+    };
+    record.verify(public, round)
 }
 
 /// One hop's attestation record for batched verification: the two DH-key
@@ -431,13 +401,12 @@ impl HopRecord<'_> {
     pub fn verify(&self, public: &ChainPublicKeys, round: u64) -> bool {
         self.position < public.len()
             && self.input_dhs.len() == self.output_dhs.len()
-            && verify_hop_keys(
-                public,
-                self.position,
-                round,
-                self.input_dhs.iter(),
-                self.output_dhs.iter(),
-                &self.proof,
+            && self.proof.verify(
+                &hop_context(round, self.position),
+                &GroupElement::product(self.input_dhs),
+                &GroupElement::product(self.output_dhs),
+                public.blinding_base(self.position),
+                &public.bpks[self.position + 1],
             )
     }
 }
@@ -475,6 +444,68 @@ impl HopAttestation {
     /// ([`HopRecord::verify`] at its own round).
     pub fn verify(&self, public: &ChainPublicKeys) -> bool {
         self.record().verify(public, self.round)
+    }
+
+    /// A witness's verdict on this attestation in a dispute, signed:
+    /// `upheld` means the witness found that it does not verify.  The
+    /// signature is a Schnorr proof of the witness's mix secret `msk`
+    /// over a hash of the verdict bit and the whole attestation (round,
+    /// position, both key columns, the proof), so the evidence is
+    /// transferable — any party checks it with
+    /// [`HopAttestation::verdict_signed`] without trusting whoever
+    /// relayed it.
+    pub fn sign_verdict<R: RngCore + ?Sized>(
+        &self,
+        rng: &mut R,
+        witness: &MixServer,
+        upheld: bool,
+    ) -> SchnorrProof {
+        let (position, public) = (witness.position(), witness.public());
+        // `mpk_i = bpk_i^msk`: the mix key lives over the witness's
+        // chained blinding base, not the group generator.
+        SchnorrProof::prove(
+            rng,
+            &self.dispute_context(upheld),
+            public.blinding_base(position),
+            &public.mpks[position],
+            &witness.secrets.msk,
+        )
+    }
+
+    /// Whether `sig` is the server at `witness`'s signature on the
+    /// verdict `upheld` about this attestation
+    /// ([`HopAttestation::sign_verdict`]).  Safe on wire values: a
+    /// position outside the chain is a `false`.
+    pub fn verdict_signed(
+        &self,
+        public: &ChainPublicKeys,
+        witness: usize,
+        upheld: bool,
+        sig: &SchnorrProof,
+    ) -> bool {
+        let ctx = self.dispute_context(upheld);
+        witness < public.len()
+            && sig.verify(&ctx, public.blinding_base(witness), &public.mpks[witness])
+    }
+
+    /// The signed statement of a dispute verdict: a domain-separated
+    /// hash binding the verdict bit to the exact disputed statement —
+    /// round, accused position and the full attestation (key columns
+    /// plus proof).
+    fn dispute_context(&self, upheld: bool) -> [u8; 32] {
+        let mut h = xrd_crypto::Blake2b::new(32);
+        h.update(b"xrd/dispute-evidence");
+        h.update(&self.round.to_le_bytes());
+        h.update(&(self.position as u32).to_le_bytes());
+        h.update(&[upheld as u8]);
+        for column in [&self.input_dhs, &self.output_dhs] {
+            h.update(&(column.len() as u32).to_le_bytes());
+            for enc in GroupElement::encode_all(column) {
+                h.update(&enc);
+            }
+        }
+        h.update(&self.proof.to_bytes());
+        h.finalize_32()
     }
 }
 

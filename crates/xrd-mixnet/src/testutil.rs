@@ -57,7 +57,8 @@ pub fn malicious_submission<R: RngCore + ?Sized>(
 mod tests {
     use super::*;
     use crate::chain_keys::generate_chain_keys;
-    use crate::runner::{ChainRoundStats, ChainRunner, MixPass};
+    use crate::pass::ChainParty;
+    use crate::runner::ChainRunner;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -69,22 +70,20 @@ mod tests {
             let mut chain = ChainRunner::new(&mut rng, k, 0);
             let sub = malicious_submission(&mut rng, chain.public(), 0, bad_layer);
             assert!(sub.verify_pok(0), "PoK must look honest");
-            let stats = &mut ChainRoundStats::default();
-            match chain.mix_pass(&mut rng, 0, vec![sub.to_entry()], stats) {
-                MixPass::Failed { position, failed } => {
-                    assert_eq!(
-                        position, bad_layer,
-                        "failed at {position}, wanted {bad_layer}"
-                    );
-                    assert_eq!(failed, vec![0]);
-                }
-                MixPass::Clean(_) => panic!("survived past layer {bad_layer}"),
-            }
-            // The hops before it proved and were verified; the failing
-            // server keeps its state as blame's evidence; nobody after
-            // it ran.
-            assert_eq!(stats.proofs_generated, bad_layer);
-            assert_eq!(stats.proofs_verified, bad_layer * (k - 1));
+            let (hops, end) = chain
+                .pass(&mut rng, 0)
+                .party
+                .mix(0, vec![sub.to_entry()])
+                .unwrap();
+            assert_eq!(
+                hops.len(),
+                bad_layer,
+                "failed at {}, wanted {bad_layer}",
+                hops.len()
+            );
+            assert_eq!(end.expect_err("fails at its layer"), vec![0]);
+            // The hops before it proved; the failing server keeps its
+            // state as blame's evidence; nobody after it ran.
             let servers = chain.servers_mut();
             let evidence = servers[bad_layer]
                 .state()

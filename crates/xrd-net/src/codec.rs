@@ -148,17 +148,8 @@ pub mod error_code {
 }
 
 /// Claim codes carried by [`Frame::DisputeVerdict`]: what the accused
-/// is alleged to have done.
-pub mod dispute_claim {
-    /// The accused published a hop attestation that does not verify.
-    pub const BAD_PROOF: u8 = 0;
-    /// The accused, acting as a verifier, rejected a valid attestation.
-    pub const FALSE_VERDICT: u8 = 1;
-    /// The accused's input-agreement digest dissented from the
-    /// majority (equivocation, or a lossy submission link — digest
-    /// evidence alone never convicts; see `docs/FAULTS.md`).
-    pub const EQUIVOCATION: u8 = 2;
-}
+/// is alleged to have done (decided by the chain pass).
+pub use xrd_mixnet::pass::dispute_claim;
 
 // ---------------------------------------------------------------------
 // Writer / Reader: the byte sink and source every layout is written in
@@ -1042,7 +1033,7 @@ frames! {
         upheld: bool,
         /// Schnorr signature under the witness's mix key `mpk` over
         /// the dispute statement (see
-        /// [`dispute_context`]) — transferable evidence
+        /// [`HopAttestation::sign_verdict`]) — transferable evidence
         /// another server can verify without trusting the collector.
         sig: SchnorrProof,
     },
@@ -1231,29 +1222,6 @@ impl StreamDigest {
     pub fn finalize(self) -> [u8; 32] {
         self.h.finalize_32()
     }
-}
-
-/// The signing context for [`Frame::DisputeEvidence`]: a
-/// domain-separated hash binding the witness's verdict to the exact
-/// disputed statement — round, accused position, the verdict bit, and
-/// the full attestation (key columns plus proof).  Both sides derive
-/// it independently: the witness signs it with its mix secret `msk`,
-/// and any server verifies the signature against the witness's `mpk`,
-/// so evidence is transferable without trusting the party relaying it.
-pub fn dispute_context(attestation: &HopAttestation, upheld: bool) -> [u8; 32] {
-    let mut h = xrd_crypto::Blake2b::new(32);
-    h.update(b"xrd/dispute-evidence");
-    h.update(&attestation.round.to_le_bytes());
-    h.update(&(attestation.position as u32).to_le_bytes());
-    h.update(&[upheld as u8]);
-    for column in [&attestation.input_dhs, &attestation.output_dhs] {
-        h.update(&(column.len() as u32).to_le_bytes());
-        for enc in GroupElement::encode_all(column) {
-            h.update(&enc);
-        }
-    }
-    h.update(&attestation.proof.to_bytes());
-    h.finalize_32()
 }
 
 /// Why a chunked batch stream failed to assemble.

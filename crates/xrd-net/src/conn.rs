@@ -95,6 +95,14 @@ impl NetError {
     }
 }
 
+/// What the chain pass found wrong in the daemons' answers (a column
+/// seam, a failure naming no slot): a protocol violation.
+impl From<xrd_mixnet::Breach> for NetError {
+    fn from(breach: xrd_mixnet::Breach) -> NetError {
+        NetError::Protocol(breach.to_string())
+    }
+}
+
 impl std::fmt::Display for NetError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {

@@ -55,7 +55,7 @@ use xrd_core::mailbox::{
     shard_of, LogMailboxStore, LogStoreConfig, MailboxError, MailboxHub, MailboxStore,
 };
 use xrd_core::RecordLog;
-use xrd_crypto::nizk::{DleqProof, SchnorrProof};
+use xrd_crypto::nizk::DleqProof;
 use xrd_crypto::ristretto::GroupElement;
 use xrd_mixnet::chain_keys::{rotation_share, ChainPublicKeys, ServerSecrets};
 use xrd_mixnet::client::Submission;
@@ -63,8 +63,8 @@ use xrd_mixnet::message::{outer_ct_len, MailboxMessage, MixEntry};
 use xrd_mixnet::server::{input_digest, ChunkKernel, HopAttestation, MixError, MixServer};
 
 use crate::codec::{
-    decode_server_config, dispute_context, encode_hop_output_stream, encode_server_config,
-    error_code, Frame, FrameDecoder, StreamDigest, StreamError, STREAM_CHUNK,
+    decode_server_config, encode_hop_output_stream, encode_server_config, error_code, Frame,
+    FrameDecoder, StreamDigest, StreamError, STREAM_CHUNK,
 };
 use crate::conn::{Conn, NetError};
 use crate::reactor::{ConnId, Outcome, Reactor, ReactorHandle, Service, WorkerPool};
@@ -1026,9 +1026,9 @@ impl MixService {
 
     /// `DisputeOpen`: re-check the disputed attestation against this
     /// server's copy of the public bundle and answer with signed
-    /// evidence.  The verification is pure public-data work off a
-    /// bundle snapshot; the state lock is taken only for the signing
-    /// nonce at the end.  `force_upheld` is the byzantine hook: a
+    /// evidence ([`HopAttestation::sign_verdict`]).  The verification is
+    /// pure public-data work off a bundle snapshot; the state lock is
+    /// taken only to sign.  `force_upheld` is the byzantine hook: a
     /// lying witness signs a fixed verdict instead of its honest
     /// re-check — producing transferable evidence of its own lie.
     fn defer_dispute(&self, attestation: HopAttestation, force_upheld: Option<bool>) -> Outcome {
@@ -1036,15 +1036,10 @@ impl MixService {
         let state = Arc::clone(&self.state);
         Outcome::Defer(Box::new(move || {
             let upheld = force_upheld.unwrap_or_else(|| !attestation.verify(&public));
-            let ctx = dispute_context(&attestation, upheld);
             let mut guard = state.lock().expect("mix state poisoned");
             let st = &mut *guard;
             let position = st.secrets.position as u32;
-            // `mpk_i = bpk_i^msk` — the mix key lives over the chained
-            // blinding base for this position, not the group generator.
-            let mpk = st.server.public().mpks[st.secrets.position];
-            let base = st.server.public().bpks[st.secrets.position];
-            let sig = SchnorrProof::prove(&mut st.rng, &ctx, &base, &mpk, &st.secrets.msk);
+            let sig = attestation.sign_verdict(&mut st.rng, &st.server, upheld);
             drop(guard);
             mix_metrics().evidence_served.incr();
             Frame::DisputeEvidence {

@@ -10,7 +10,7 @@ use xrd::crypto::scalar::Scalar;
 use xrd::mixnet::blame::BlameVerdict;
 use xrd::mixnet::client::seal_ahs;
 use xrd::mixnet::testutil::malicious_submission;
-use xrd::mixnet::{run_blame, ChainRunner, MailboxMessage, MixError, Submission, PAYLOAD_LEN};
+use xrd::mixnet::{ChainRunner, MailboxMessage, MixError, Submission, PAYLOAD_LEN};
 
 fn honest_submission(rng: &mut StdRng, chain: &ChainRunner, round: u64, tag: u8) -> Submission {
     let msg = MailboxMessage {
@@ -142,8 +142,9 @@ fn appendix_a_product_preserving_attack_is_pinned_by_blame() {
         Err(MixError::DecryptFailure(bad)) => {
             assert_eq!(bad, vec![0, 4]);
             // ...and blame pins the server, never a user.
+            let mut pass = chain.pass(&mut rng, round);
             for idx in bad {
-                let verdict = run_blame(&mut rng, &public, servers, &subs, round, 1, idx);
+                let verdict = pass.blame(&subs, 1, idx).expect("in process");
                 assert_eq!(verdict, BlameVerdict::ServerMisbehaved { position: 0 });
             }
         }
@@ -178,11 +179,10 @@ fn chain_halts_without_delivery_when_server_misbehaves() {
     };
     // Resume via the runner-level API on a fresh runner is not possible
     // (state is consumed); instead verify at the protocol level:
-    let public = chain.public().clone();
-    let servers = chain.servers_mut();
-    match servers[1].process_round(&mut rng, round, tampered) {
+    match chain.servers_mut()[1].process_round(&mut rng, round, tampered) {
         Err(MixError::DecryptFailure(bad)) => {
-            let verdict = run_blame(&mut rng, &public, servers, &subs, round, 1, bad[0]);
+            let verdict = chain.pass(&mut rng, round).blame(&subs, 1, bad[0]);
+            let verdict = verdict.expect("in process");
             assert_eq!(verdict, BlameVerdict::ServerMisbehaved { position: 0 });
         }
         other => panic!("expected failure, got {other:?}"),
