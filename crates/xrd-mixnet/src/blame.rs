@@ -128,7 +128,7 @@ impl MixServer {
     }
 
     /// Open an accusation for a problem entry at `input_index` (the
-    /// accuser's own input order).
+    /// accuser's own input order).  A lying accuser tells its lie here.
     pub fn accuse<R: RngCore + ?Sized>(
         &self,
         rng: &mut R,
@@ -137,13 +137,14 @@ impl MixServer {
         let state = self.state()?;
         let entry = state.inputs.get(input_index)?.clone();
         let (dec_key, key_proof) = self.layer_key(rng, state.round, &entry.dh);
-        Some(Accusation {
+        let accusation = Accusation {
             position: self.position(),
             input_index,
             entry,
             dec_key,
             key_proof,
-        })
+        };
+        crate::lie::accusation(self.lie(), accusation)
     }
 
     /// This server's outer-layer key for the key `dh`, `dh^msk`, with
@@ -306,7 +307,6 @@ mod tests {
     use crate::server::MixError;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
-    use xrd_crypto::scalar::Scalar;
     use xrd_crypto::TAG_LEN;
 
     fn msg(tag: u8) -> MailboxMessage {
@@ -498,18 +498,11 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(7);
         let mut h = harness(&mut rng, 2, 4, 6);
         let entries: Vec<MixEntry> = h.subs.iter().map(|s| s.to_entry()).collect();
-        let mut out0 = h.hop(&mut rng, 0, entries).unwrap().outputs;
-        // Shift two keys by T and T^{-1}: the aggregate product (and so
-        // the hop proof) is preserved, but both slots' keys are wrong.
-        let t = GroupElement::base_mul(&Scalar::random(&mut rng));
-        out0[0].dh = out0[0].dh.add(&t);
-        out0[1].dh = out0[1].dh.sub(&t);
-        // Consistent cheater: poison stored state too.
-        {
-            let st = h.servers()[0].state_mut().unwrap();
-            st.output_dhs[0] = out0[0].dh;
-            st.output_dhs[1] = out0[1].dh;
-        }
+        // Server 0 shifts two keys by T and T^{-1}: the aggregate product
+        // (and so the hop proof) is preserved, but both slots' keys are
+        // wrong; it keeps its stored state consistent with them.
+        h.servers()[0].set_lie(Some(crate::Lie::ShiftKeys));
+        let out0 = h.hop(&mut rng, 0, entries).unwrap().outputs;
         match h.hop(&mut rng, 1, out0) {
             Err(MixError::DecryptFailure(indices)) => {
                 assert_eq!(indices, vec![0, 1]);

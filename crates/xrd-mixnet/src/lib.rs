@@ -19,6 +19,8 @@
 //!   answered by a [`ChainParty`]: mixing, cross-verification,
 //!   disputes, blame-and-retry, audit localization and the reveal;
 //! * [`runner`] — the chain's servers in one process as that party;
+//! * [`lie`] — the one table of server lies, told by a lying
+//!   [`MixServer`] the same way in process and on the wire;
 //! * [`par`] — the one fan-out helper every data-parallel phase of a
 //!   round runs on.
 
@@ -29,6 +31,7 @@
 pub mod blame;
 pub mod chain_keys;
 pub mod client;
+pub mod lie;
 pub mod message;
 pub mod par;
 pub mod pass;
@@ -42,6 +45,7 @@ pub use chain_keys::{
     ServerKeyProofs, ServerSecrets,
 };
 pub use client::{seal_ahs, seal_basic, ChainSealer, SealRandomness, Submission};
+pub use lie::Lie;
 pub use message::{MailboxMessage, MixEntry, MAILBOX_MSG_LEN, PAYLOAD_LEN};
 pub use pass::{
     Breach, ChainParty, ChainPass, ChainRoundOutcome, ChainRoundStats, MixPhase, MixWave,

@@ -23,9 +23,9 @@
 //! * the networked coordinator's party (`xrd-net`), each wave one
 //!   fan-out of frames to the chain's daemons.
 //!
-//! So a lie a daemon can tell on the wire is a lie a test can tell in
-//! process, by wrapping the local party, and both are convicted by the
-//! same lines.  Routing — who carries a batch between hops, streaming,
+//! A lying server ([`Lie`](crate::Lie)) tells its lie in the server
+//! functions both parties call, so a lie is told by the same lines in
+//! process and on the wire, and convicted by the same lines here.  Routing — who carries a batch between hops, streaming,
 //! retries — is the party's business: §6.3 proves statements over DH-key
 //! columns, so the pass never sees how a batch travelled.
 
@@ -502,12 +502,14 @@ fn check_seams(agreed: &[GroupElement], hops: &[HopAttestation]) -> Result<(), B
 
 #[cfg(test)]
 mod tests {
-    //! Every lie a daemon can tell on the wire, told in process by a
-    //! party that wraps the honest [`LocalParty`] and lies at one wave.
+    //! Every lie a server can tell, told in process: the lie is set on
+    //! the [`LocalParty`]'s servers, which tell it in the functions a
+    //! mix daemon calls too.
 
     use super::*;
     use crate::chain_keys::generate_chain_keys;
     use crate::client::seal_ahs;
+    use crate::lie::Lie;
     use crate::message::PAYLOAD_LEN;
     use crate::runner::LocalParty;
     use crate::server::MixServer;
@@ -519,134 +521,12 @@ mod tests {
     const ROUND: u64 = 3;
     const USERS: usize = 6;
 
-    /// The one wave a [`Liar`] lies at.
-    #[derive(Clone, Copy, Debug)]
-    enum Lie {
-        /// None: the honest chain.
-        Honest,
-        /// This verifier rejects every hop it checks and upholds the
-        /// rejection under oath.
-        RejectsAndUpholds(usize),
-        /// This verifier rejects every hop it checks and recants under
-        /// oath.
-        RejectsAndRecants(usize),
-        /// This hop's proof is bent on its way out; the verifiers check
-        /// honestly.
-        BadProof(usize),
-        /// This hop's proof is bent and every verifier vouches for it:
-        /// only the audit can catch it.
-        CoveredBadProof(usize),
-        /// This hop attests an input column with two keys swapped.
-        Seam(usize),
-        /// The accuser refuses to accuse.
-        AccuserRefuses,
-        /// The accuser accuses as the next position.
-        AccuserAsAnother,
-        /// This server reveals its inner key as another position.
-        KeyAsAnother(usize),
-        /// This server reveals a key that is not its published one.
-        WrongKey(usize),
-    }
-
-    struct Liar<'a> {
-        honest: LocalParty<'a, StdRng>,
-        lie: Lie,
-    }
-
-    impl ChainParty for Liar<'_> {
-        type Error = Breach;
-
-        fn mix(&mut self, round: u64, batch: Vec<MixEntry>) -> Result<MixWave, Breach> {
-            let (mut hops, end) = self.honest.mix(round, batch)?;
-            match self.lie {
-                Lie::BadProof(hop) | Lie::CoveredBadProof(hop) => {
-                    let proof = &mut hops[hop].proof;
-                    proof.response = proof.response.add(&Scalar::ONE);
-                }
-                Lie::Seam(hop) => hops[hop].input_dhs.swap(0, 1),
-                _ => {}
-            }
-            Ok((hops, end))
-        }
-
-        fn verify(
-            &mut self,
-            hops: &[HopAttestation],
-            asks: &[Option<usize>],
-        ) -> Result<Vec<Option<bool>>, Breach> {
-            let mut verdicts = self.honest.verify(hops, asks)?;
-            for (verifier, verdict) in verdicts.iter_mut().enumerate() {
-                *verdict = match self.lie {
-                    Lie::RejectsAndUpholds(liar) | Lie::RejectsAndRecants(liar)
-                        if liar == verifier =>
-                    {
-                        verdict.map(|_| false)
-                    }
-                    Lie::CoveredBadProof(_) => verdict.map(|_| true),
-                    _ => *verdict,
-                };
-            }
-            Ok(verdicts)
-        }
-
-        fn dispute(&mut self, hop: &HopAttestation, witnesses: &[bool]) -> Vec<Option<Evidence>> {
-            let mut evidence = self.honest.dispute(hop, witnesses);
-            if let Lie::RejectsAndUpholds(liar) = self.lie {
-                if witnesses[liar] {
-                    let LocalParty { servers, rng } = &mut self.honest;
-                    evidence[liar] = Some((true, hop.sign_verdict(*rng, &servers[liar], true)));
-                }
-            }
-            evidence
-        }
-
-        fn announce(&mut self, round: u64, accused: usize, claim: u8, upheld: bool, votes: u32) {
-            self.honest.announce(round, accused, claim, upheld, votes)
-        }
-
-        fn accuse(
-            &mut self,
-            round: u64,
-            at: usize,
-            slot: usize,
-        ) -> Result<Option<Accusation>, Breach> {
-            let accusation = self.honest.accuse(round, at, slot)?;
-            Ok(match self.lie {
-                Lie::AccuserRefuses => None,
-                Lie::AccuserAsAnother => accusation.map(|mut a| {
-                    a.position += 1;
-                    a
-                }),
-                _ => accusation,
-            })
-        }
-
-        fn reveal(
-            &mut self,
-            round: u64,
-            at: usize,
-            slot: usize,
-        ) -> Result<Option<BlameReveal>, Breach> {
-            self.honest.reveal(round, at, slot)
-        }
-
-        fn reveal_inner_keys(&mut self, round: u64) -> Result<Vec<(usize, Scalar)>, Breach> {
-            let mut keys = self.honest.reveal_inner_keys(round)?;
-            match self.lie {
-                Lie::KeyAsAnother(liar) => keys[liar].0 += 1,
-                Lie::WrongKey(liar) => keys[liar].1 = keys[liar].1.add(&Scalar::ONE),
-                _ => {}
-            }
-            Ok(keys)
-        }
-    }
-
     /// One round of a `k`-server chain over [`USERS`] honest users —
     /// one of them replaced by an onion that fails at `bad_layer`, if
-    /// any — with `lie` told.  Every case runs on its own seed-fixed
-    /// chain.
+    /// any — with the server at each `(position, lie)` of `lies` lying.
+    /// Every case runs on its own seed-fixed chain.
     fn round_with(
-        lie: Lie,
+        lies: &[(usize, Lie)],
         k: usize,
         bad_layer: Option<usize>,
     ) -> Result<ChainRoundOutcome, Breach> {
@@ -655,6 +535,9 @@ mod tests {
         let mut servers: Vec<MixServer> = (secrets.into_iter())
             .map(|s| MixServer::new(s, public.clone()))
             .collect();
+        for &(liar, lie) in lies {
+            servers[liar].set_lie(Some(lie));
+        }
         let mut subs: Vec<Submission> = (0..USERS as u8)
             .map(|tag| {
                 let msg = MailboxMessage {
@@ -673,7 +556,7 @@ mod tests {
             rng: &mut rng,
         };
         let mut pass = ChainPass {
-            party: Liar { honest: party, lie },
+            party,
             public: &public,
             round: ROUND,
             excluded: &mut excluded,
@@ -691,13 +574,13 @@ mod tests {
 
     #[test]
     fn the_honest_chain_verifies_every_hop_k_minus_1_times_and_audits_it() {
-        let outcome = round_with(Lie::Honest, 3, None).expect("runs");
+        let outcome = round_with(&[], 3, None).expect("runs");
         assert_eq!(outcome.delivered.len(), USERS);
         assert!(outcome.misbehaving_servers.is_empty() && outcome.malicious_users.is_empty());
         assert_eq!(outcome.stats.proofs_generated, 3);
         assert_eq!(outcome.stats.proofs_verified, 3 * 2 + 3);
         // A user's bad onion is blamed on the user, never on a server.
-        let (delivered, servers, users) = ledger(round_with(Lie::Honest, 3, Some(2)));
+        let (delivered, servers, users) = ledger(round_with(&[], 3, Some(2)));
         assert_eq!((delivered, servers, users), (USERS - 1, vec![], vec![1]));
     }
 
@@ -705,7 +588,7 @@ mod tests {
     fn a_verifier_who_upholds_a_false_rejection_is_convicted_excluded_and_the_round_delivers() {
         for liar in 0..3 {
             let (delivered, servers, users) =
-                ledger(round_with(Lie::RejectsAndUpholds(liar), 3, None));
+                ledger(round_with(&[(liar, Lie::RejectsAndUpholds)], 3, None));
             assert_eq!((delivered, users), (USERS, vec![]), "liar {liar}");
             assert_eq!(
                 servers,
@@ -717,14 +600,15 @@ mod tests {
 
     #[test]
     fn a_verifier_who_recants_is_not_convicted() {
-        let (delivered, servers, users) = ledger(round_with(Lie::RejectsAndRecants(1), 3, None));
+        let (delivered, servers, users) =
+            ledger(round_with(&[(1, Lie::RejectsAndRecants)], 3, None));
         assert_eq!((delivered, servers, users), (USERS, vec![], vec![]));
     }
 
     #[test]
     fn a_bad_hop_proof_is_convicted_through_the_dispute() {
         for hop in 0..3 {
-            let outcome = round_with(Lie::BadProof(hop), 3, None).expect("runs");
+            let outcome = round_with(&[(hop, Lie::BadProof)], 3, None).expect("runs");
             assert_eq!(outcome.misbehaving_servers, vec![hop], "hop {hop}");
             assert!(outcome.delivered.is_empty(), "hop {hop}: nothing revealed");
             // Convicted at the dispute, before any audit.
@@ -735,7 +619,8 @@ mod tests {
     #[test]
     fn a_bad_proof_every_verifier_covers_for_is_localized_by_the_audit() {
         for hop in 0..2 {
-            let outcome = round_with(Lie::CoveredBadProof(hop), 2, None).expect("runs");
+            let outcome = round_with(&[(hop, Lie::BadProof), (1 - hop, Lie::Vouches)], 2, None)
+                .expect("runs");
             assert_eq!(outcome.misbehaving_servers, vec![hop], "hop {hop}");
             assert!(outcome.delivered.is_empty(), "hop {hop}: nothing revealed");
             assert_eq!(outcome.stats.proofs_verified, 2 + 2, "hop {hop}");
@@ -745,7 +630,7 @@ mod tests {
     #[test]
     fn a_seam_mismatch_fails_the_pass() {
         for hop in 0..3 {
-            let failure = round_with(Lie::Seam(hop), 3, None).expect_err("the seam breaks");
+            let failure = round_with(&[(hop, Lie::Seam)], 3, None).expect_err("the seam breaks");
             assert_eq!(failure, Breach::Seam(hop));
             assert_eq!(
                 failure.to_string(),
@@ -758,7 +643,8 @@ mod tests {
     fn an_accuser_who_refuses_or_accuses_as_another_position_is_convicted() {
         for lie in [Lie::AccuserRefuses, Lie::AccuserAsAnother] {
             for layer in 0..2 {
-                let (delivered, servers, users) = ledger(round_with(lie, 3, Some(layer)));
+                let (delivered, servers, users) =
+                    ledger(round_with(&[(layer, lie)], 3, Some(layer)));
                 assert_eq!(servers, vec![layer], "{lie:?} at {layer}: the accuser");
                 assert_eq!((delivered, users), (0, vec![]), "{lie:?} at {layer}");
             }
@@ -768,13 +654,62 @@ mod tests {
     #[test]
     fn an_inner_key_revealed_as_another_position_or_not_verifying_is_convicted() {
         for liar in 0..3 {
-            for lie in [Lie::KeyAsAnother(liar), Lie::WrongKey(liar)] {
-                let (delivered, servers, users) = ledger(round_with(lie, 3, None));
+            for lie in [Lie::KeyAsAnother, Lie::WrongKey] {
+                let (delivered, servers, users) = ledger(round_with(&[(liar, lie)], 3, None));
                 assert_eq!(
                     (delivered, servers, users),
                     (0, vec![liar], vec![]),
                     "{lie:?}"
                 );
+            }
+        }
+    }
+
+    /// The table of lies, in process: for chains of 2, 3 and 4 servers,
+    /// every single server lying at every position gets its row of
+    /// `docs/FAULTS.md` §2 — the liar alone is convicted or no one is, no
+    /// user is blamed but the one an accuser lie needs seeded, every
+    /// honest message is delivered or none is, and a seam lie fails the
+    /// pass there.
+    #[test]
+    fn every_lie_at_every_position_gets_its_ledger() {
+        for k in 2..=4 {
+            for liar in 0..k {
+                for (name, lie) in Lie::NAMED {
+                    // Not convicted yet (ROADMAP item 1): the last hop's
+                    // output keys are not used to open anything, and a
+                    // bent last-hop envelope just fails to open.
+                    if liar + 1 == k && matches!(lie, Lie::ShiftKeys | Lie::FlipCiphertext) {
+                        continue;
+                    }
+                    let case = format!("{name} at {liar} of {k}");
+                    let accuses = matches!(lie, Lie::AccuserRefuses | Lie::AccuserAsAnother);
+                    let outcome = round_with(&[(liar, lie)], k, accuses.then_some(liar));
+                    if lie == Lie::Seam {
+                        assert_eq!(outcome.err(), Some(Breach::Seam(liar)), "{case}");
+                        continue;
+                    }
+                    let (delivered, servers, users) = ledger(outcome);
+                    assert_eq!(users, vec![], "{case}: no user is blamed");
+                    match lie {
+                        // Nobody is framed, nobody is hurt: a recanted
+                        // rejection, a vouch for a valid hop, and a
+                        // digest lie only a daemon's window can tell.
+                        Lie::RejectsAndRecants | Lie::Vouches | Lie::EquivocateDigest => {
+                            assert_eq!((delivered, servers), (USERS, vec![]), "{case}")
+                        }
+                        // The perjured verifier is excluded; the round goes on.
+                        Lie::RejectsAndUpholds => {
+                            assert_eq!((delivered, servers), (USERS, vec![liar]), "{case}")
+                        }
+                        // A convicted server halts its chain.
+                        _ => {
+                            assert_eq!(delivered, 0, "{case}: nothing is delivered");
+                            assert!(!servers.is_empty(), "{case}: somebody is convicted");
+                            assert!(servers.iter().all(|&s| s == liar), "{case}: {servers:?}");
+                        }
+                    }
+                }
             }
         }
     }

@@ -21,15 +21,17 @@ use xrd_crypto::scalar::Scalar;
 use crate::blame::{Accusation, BlameReveal};
 use crate::chain_keys::{generate_chain_keys, ChainPublicKeys, ServerSecrets};
 use crate::client::Submission;
+use crate::lie::{attestation, upheld, verdict};
 use crate::message::MixEntry;
 use crate::par;
 use crate::pass::{Breach, ChainParty, ChainPass, ChainRoundOutcome, Evidence, MixWave};
-use crate::server::{input_digest, HopAttestation, HopResult, MixError, MixServer};
+use crate::server::{HopAttestation, HopResult, MixError, MixServer};
 
 /// A chain's servers in this process, as the pass asks them: each wave
-/// a call on the servers themselves, drawing what it needs from the
-/// chain's RNG in wave order.  Nothing here can fail; a [`Breach`] is
-/// what the pass finds in the answers.
+/// a call on the servers themselves — the functions a mix daemon calls
+/// too, so a server's [`Lie`](crate::Lie) is told here as on the wire —
+/// drawing what it needs from the chain's RNG in wave order.  Nothing
+/// here can fail; a [`Breach`] is what the pass finds in the answers.
 pub struct LocalParty<'a, R: ?Sized> {
     /// The chain's servers in hop order.
     pub servers: &'a mut [MixServer],
@@ -50,13 +52,15 @@ impl<R: RngCore + ?Sized> ChainParty for LocalParty<'_, R> {
                 Err(MixError::DecryptFailure(failed)) => return Ok((hops, Err(failed))),
                 Err(MixError::Malformed) => unreachable!("a hop is handed its predecessor's batch"),
             };
-            hops.push(HopAttestation {
+            let position = server.position();
+            hops.push(attestation(
+                server.lie(),
                 round,
-                position: server.position(),
+                position,
                 input_dhs,
-                output_dhs: outputs.iter().map(|e| e.dh).collect(),
+                &outputs,
                 proof,
-            });
+            ));
             batch = outputs;
         }
         Ok((hops, Ok(batch)))
@@ -68,19 +72,20 @@ impl<R: RngCore + ?Sized> ChainParty for LocalParty<'_, R> {
         asks: &[Option<usize>],
     ) -> Result<Vec<Option<bool>>, Breach> {
         let verifiers = self.servers.iter().zip(asks);
+        let check = |v: &MixServer, prover: usize| verdict(v.lie(), v.public(), &hops[prover]);
         Ok(verifiers
-            .map(|(verifier, ask)| ask.map(|prover| hops[prover].verify(verifier.public())))
+            .map(|(verifier, ask)| ask.map(|prover| check(verifier, prover)))
             .collect())
     }
 
     fn dispute(&mut self, hop: &HopAttestation, witnesses: &[bool]) -> Vec<Option<Evidence>> {
         let (servers, rng) = (self.servers.iter(), &mut *self.rng);
-        let mut verdict = |witness: &MixServer| {
-            let upheld = !hop.verify(witness.public());
+        let mut testify = |witness: &MixServer| {
+            let upheld = upheld(witness.lie(), witness.public(), hop);
             (upheld, hop.sign_verdict(rng, witness, upheld))
         };
         let asked = servers.zip(witnesses).map(|(w, &asked)| asked.then_some(w));
-        asked.map(|witness| witness.map(&mut verdict)).collect()
+        asked.map(|witness| witness.map(&mut testify)).collect()
     }
 
     /// In process the verdict is the outcome's: nobody else to tell.
@@ -100,7 +105,7 @@ impl<R: RngCore + ?Sized> ChainParty for LocalParty<'_, R> {
     fn reveal_inner_keys(&mut self, _round: u64) -> Result<Vec<(usize, Scalar)>, Breach> {
         let reveal = |server: &mut MixServer| {
             server.clear_state();
-            (server.position(), server.reveal_inner_key())
+            server.inner_key_reveal()
         };
         Ok(self.servers.iter_mut().map(reveal).collect())
     }
@@ -130,15 +135,16 @@ impl ChainRunner {
 
     /// Assemble from externally generated parts.
     pub fn from_parts(secrets: Vec<ServerSecrets>, public: ChainPublicKeys) -> ChainRunner {
-        let mut chain = ChainRunner {
+        let servers = (secrets.iter())
+            .map(|s| MixServer::new(s.clone(), public.clone()))
+            .collect();
+        ChainRunner {
             secrets,
-            servers: Vec::new(),
+            servers,
             public,
             pending: None,
             excluded: HashSet::new(),
-        };
-        chain.rebuild_servers();
-        chain
+        }
     }
 
     /// Rotate the per-round inner keys to `inner_epoch` (§6.1) and reset
@@ -176,12 +182,12 @@ impl ChainRunner {
         self.rebuild_servers();
     }
 
+    /// Re-key every server from the chain's secrets and bundle; a
+    /// server's lie survives ([`MixServer::rekey`]).
     fn rebuild_servers(&mut self) {
-        self.servers = self
-            .secrets
-            .iter()
-            .map(|s| MixServer::new(s.clone(), self.public.clone()))
-            .collect();
+        for (server, secrets) in self.servers.iter_mut().zip(&self.secrets) {
+            server.rekey(secrets.clone(), self.public.clone());
+        }
     }
 
     /// The chain's public key bundle (what users encrypt against).
@@ -199,7 +205,8 @@ impl ChainRunner {
         self.servers.is_empty()
     }
 
-    /// Access the servers (for fault-injection in tests).
+    /// Access the servers: to set a server's [`Lie`](crate::Lie), or to
+    /// step its hops by hand.
     #[doc(hidden)]
     pub fn servers_mut(&mut self) -> &mut [MixServer] {
         &mut self.servers
@@ -246,12 +253,6 @@ impl ChainRunner {
         let pok_ok = par::map_entries(submissions, |chunk| Submission::verify_poks(round, chunk));
         let (active, rejected): (Vec<usize>, Vec<usize>) =
             (0..submissions.len()).partition(|&i| pok_ok[i]);
-
-        // Input agreement: all servers hash the agreed submission set.
-        // (With one process there is nothing to compare against, but the
-        // digest is computed as the protocol prescribes.)
-        let agreed: Vec<MixEntry> = active.iter().map(|&i| submissions[i].to_entry()).collect();
-        input_digest(&agreed);
 
         let mut outcome = (self.pass(rng, round).run(submissions, active))
             .unwrap_or_else(|breach| panic!("an in-process chain broke its own pass: {breach}"));
@@ -379,6 +380,22 @@ mod tests {
             let state = server.state().expect("evidence retained");
             assert_eq!(state.inputs.len(), subs.len());
         }
+    }
+
+    #[test]
+    fn a_lie_survives_the_rotation() {
+        // The rotation re-keys the servers; server 1 still reveals a
+        // key that is not its published one, and is convicted for it.
+        let mut rng = StdRng::seed_from_u64(22);
+        let mut chain = ChainRunner::new(&mut rng, 3, 0);
+        chain.servers_mut()[1].set_lie(Some(crate::Lie::WrongKey));
+        chain.rotate_inner_keys(&mut rng, 1);
+        let subs: Vec<Submission> = (0..4)
+            .map(|i| seal_ahs(&mut rng, chain.public(), 1, &msg(i)))
+            .collect();
+        let outcome = chain.run_round(&mut rng, 1, &subs);
+        assert_eq!(outcome.misbehaving_servers, vec![1]);
+        assert!(outcome.delivered.is_empty());
     }
 
     #[test]

@@ -22,6 +22,7 @@ use xrd_crypto::scalar::Scalar;
 
 use crate::chain_keys::{ChainPublicKeys, ServerSecrets};
 use crate::client::outer_layer_keys;
+use crate::lie::{bend_hop, inner_key, Lie};
 use crate::message::{domain_outer, MailboxMessage, MixEntry, DOMAIN_INNER};
 
 /// Result of one hop of AHS mixing.
@@ -62,11 +63,13 @@ pub struct HopState {
     pub perm: Vec<usize>,
 }
 
-/// A mix server for one chain position.
+/// A mix server for one chain position: honest, or telling one
+/// [`Lie`] wherever that lie's wave asks it.
 pub struct MixServer {
     secrets: ServerSecrets,
     public: ChainPublicKeys,
     state: Option<HopState>,
+    lie: Option<Lie>,
 }
 
 /// Hop-kernel metric handles, resolved once per process (the kernels
@@ -190,7 +193,24 @@ impl MixServer {
             secrets,
             public,
             state: None,
+            lie: None,
         }
+    }
+
+    /// The lie this server tells (`None`: it is honest).
+    pub fn lie(&self) -> Option<Lie> {
+        self.lie
+    }
+
+    /// Make this server tell `lie` from now on (`None`: honest).
+    pub fn set_lie(&mut self, lie: Option<Lie>) {
+        self.lie = lie;
+    }
+
+    /// Run under new keys with no hop state, the lie kept: what a key
+    /// rotation makes of the server.
+    pub fn rekey(&mut self, secrets: ServerSecrets, public: ChainPublicKeys) {
+        (self.secrets, self.public, self.state) = (secrets, public, None);
     }
 
     /// This server's hop position.
@@ -206,14 +226,6 @@ impl MixServer {
     /// Retained hop state (after a successful `process_round`).
     pub fn state(&self) -> Option<&HopState> {
         self.state.as_ref()
-    }
-
-    /// Mutable access to the retained state.  Exposed for fault-injection
-    /// tests (simulating a server that tampers with its own records); a
-    /// deployment never calls this.
-    #[doc(hidden)]
-    pub fn state_mut(&mut self) -> Option<&mut HopState> {
-        self.state.as_mut()
     }
 
     /// Drop the retained hop state.  Called once the chain's round has
@@ -273,7 +285,8 @@ impl MixServer {
     /// input order.  Shuffles, proves the aggregate blinding relation,
     /// and retains the hop state for blame — exactly as
     /// [`MixServer::process_round`] would have (which is implemented on
-    /// top of this).
+    /// top of this).  A lying server tells its mix lie here, after
+    /// proving.
     pub fn finish_round<R: RngCore + ?Sized>(
         &mut self,
         rng: &mut R,
@@ -333,21 +346,30 @@ impl MixServer {
         // The state shares no ciphertexts with the result: it records
         // only the blinded keys (all blame ever needs), so the round's
         // onions are materialized exactly once.
-        self.state = Some(HopState {
+        let mut state = HopState {
             round,
             inputs,
             output_dhs: outputs.iter().map(|e| e.dh).collect(),
             perm,
-        });
+        };
+        let mut result = HopResult { outputs, proof };
+        bend_hop(self.lie, &mut result, &mut state);
+        self.state = Some(state);
         hop_metrics()
             .shuffle_prove_us
             .record_duration(started.elapsed());
-        Ok(HopResult { outputs, proof })
+        Ok(result)
     }
 
-    /// Reveal the per-round inner key (§6.3, after the last hop verifies).
+    /// This server's per-round inner key (§6.3), honestly.
     pub fn reveal_inner_key(&self) -> Scalar {
         self.secrets.isk
+    }
+
+    /// What this server answers when the chain asks for its inner key
+    /// (§6.3, after the last hop verifies): `(position, isk)`.
+    pub fn inner_key_reveal(&self) -> (usize, Scalar) {
+        inner_key(self.lie, self.position(), self.secrets.isk)
     }
 }
 

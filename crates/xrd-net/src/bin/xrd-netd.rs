@@ -9,10 +9,12 @@
 //! * `mix --config FILE [--listen ADDR] [--journal FILE]` — serve one
 //!   mix hop, optionally with a durable state journal it resumes from
 //!   after a crash;
-//! * `byzantine --config FILE --mode MODE [--listen ADDR]` — serve one
-//!   *misbehaving* mix hop (`lie-verify`, `equivocate-digest`,
-//!   `corrupt-hop`) for adversarial deployments; honest coordinators
-//!   are expected to localize and convict it via the dispute path;
+//! * `byzantine --config FILE --lie LIE [--listen ADDR]` — serve one
+//!   *lying* mix hop for adversarial deployments: the honest protocol
+//!   with one `xrd_mixnet::Lie`, named as in `Lie::NAMED` (`lie-verify`,
+//!   `equivocate-digest`, `corrupt-hop`, `bad-proof`, …; the table is
+//!   `docs/FAULTS.md` §2); honest coordinators are expected to localize
+//!   it — convict it, or suspect it for a digest lie;
 //! * `proxy --upstream ADDR [--listen ADDR] [--plan FILE]` — a
 //!   fault-injecting relay in front of any daemon, driven by a
 //!   [`FaultPlan`] config file (see
@@ -70,19 +72,21 @@ use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
 
 use xrd_core::DeploymentConfig;
+use xrd_mixnet::chain_keys::{ChainPublicKeys, ServerSecrets};
+use xrd_mixnet::Lie;
 use xrd_net::codec::{decode_server_config, encode_server_config};
 use xrd_net::{
     launch_local, launch_local_faulty_with, launch_manifest, mailbox_storm, run_swarm,
-    ByzantineMode, ConnTimeouts, FaultPlan, FaultProxy, MailboxDaemon, MailboxStormConfig,
-    Manifest, MixServerDaemon, RetryPolicy, SwarmConfig, Transport,
+    ConnTimeouts, FaultPlan, FaultProxy, MailboxDaemon, MailboxStormConfig, Manifest,
+    MixServerDaemon, RetryPolicy, SwarmConfig, Transport,
 };
 
 fn usage() -> ExitCode {
     eprintln!(
         "usage:\n  xrd-netd keygen --chain-len K [--epoch E] --out-dir DIR\n  \
          xrd-netd mix --config FILE [--listen ADDR] [--successor ADDR] [--journal FILE]\n  \
-         xrd-netd byzantine --config FILE --mode lie-verify|equivocate-digest|corrupt-hop \
-         [--listen ADDR]\n  \
+         xrd-netd byzantine --config FILE --lie LIE [--listen ADDR] (LIE: lie-verify, \
+         equivocate-digest, corrupt-hop, ... — docs/FAULTS.md §2)\n  \
          xrd-netd proxy --upstream ADDR [--listen ADDR] [--plan FILE]\n  \
          xrd-netd mailbox --shard S --shards N [--listen ADDR] [--dir DIR]\n  \
          xrd-netd mailbox-storm [--shards S] [--mailboxes M] [--per-box P] [--offline F] \
@@ -207,19 +211,8 @@ fn mix(args: &[String]) -> ExitCode {
             }
         },
     };
-    let blob = match std::fs::read(&config_path) {
-        Ok(b) => b,
-        Err(e) => {
-            xrd_obs::error!("mix: cannot read {config_path}: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let (secrets, public) = match decode_server_config(&blob) {
-        Ok(v) => v,
-        Err(e) => {
-            xrd_obs::error!("mix: bad config: {e}");
-            return ExitCode::FAILURE;
-        }
+    let Some((secrets, public)) = read_config("mix", &config_path) else {
+        return ExitCode::FAILURE;
     };
     let daemon = match flag(args, "--journal") {
         Some(journal) => MixServerDaemon::spawn_with_journal(
@@ -238,63 +231,36 @@ fn mix(args: &[String]) -> ExitCode {
             successor,
         ),
     };
-    let daemon = match daemon {
-        Ok(d) => d,
-        Err(e) => {
-            xrd_obs::error!("mix: cannot listen on {listen}: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    announce(daemon.addr());
-    park(daemon)
+    serve("mix", &listen, daemon)
+}
+
+/// A server's config file (`keygen`'s output), read for the subcommand
+/// `cmd`: `None` once the failure is logged.
+fn read_config(cmd: &str, path: &str) -> Option<(ServerSecrets, ChainPublicKeys)> {
+    let blob = std::fs::read(path)
+        .map_err(|e| xrd_obs::error!("{cmd}: cannot read {path}: {e}"))
+        .ok()?;
+    decode_server_config(&blob)
+        .map_err(|e| xrd_obs::error!("{cmd}: bad config: {e}"))
+        .ok()
 }
 
 /// Serve one deliberately-misbehaving mix hop: the adversary side of
-/// the chaos harness.  Same config as `mix`, plus `--mode`.
+/// the chaos harness.  Same config as `mix`, plus `--lie`.
 fn byzantine(args: &[String]) -> ExitCode {
-    let Some(config_path) = flag(args, "--config") else {
+    let (Some(config_path), Some(lie)) = (flag(args, "--config"), flag(args, "--lie")) else {
         return usage();
     };
-    let Some(mode) = flag(args, "--mode") else {
+    let Ok(lie) = (lie.parse::<Lie>()).map_err(|e| xrd_obs::error!("byzantine: {e}")) else {
         return usage();
-    };
-    let mode: ByzantineMode = match mode.parse() {
-        Ok(m) => m,
-        Err(e) => {
-            xrd_obs::error!("byzantine: {e}");
-            return usage();
-        }
     };
     let listen = flag(args, "--listen").unwrap_or_else(|| "127.0.0.1:0".into());
-    let blob = match std::fs::read(&config_path) {
-        Ok(b) => b,
-        Err(e) => {
-            xrd_obs::error!("byzantine: cannot read {config_path}: {e}");
-            return ExitCode::FAILURE;
-        }
+    let Some((secrets, public)) = read_config("byzantine", &config_path) else {
+        return ExitCode::FAILURE;
     };
-    let (secrets, public) = match decode_server_config(&blob) {
-        Ok(v) => v,
-        Err(e) => {
-            xrd_obs::error!("byzantine: bad config: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let daemon = match MixServerDaemon::spawn_byzantine(
-        listen.as_str(),
-        secrets,
-        public,
-        rand::rngs::OsRng.next_u64(),
-        mode,
-    ) {
-        Ok(d) => d,
-        Err(e) => {
-            xrd_obs::error!("byzantine: cannot listen on {listen}: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    announce(daemon.addr());
-    park(daemon)
+    let seed = rand::rngs::OsRng.next_u64();
+    let daemon = MixServerDaemon::spawn_byzantine(listen.as_str(), secrets, public, seed, lie);
+    serve("byzantine", &listen, daemon)
 }
 
 /// Relay all traffic for one daemon through a fault-injection plan.
@@ -363,15 +329,7 @@ fn mailbox(args: &[String]) -> ExitCode {
         ),
         None => MailboxDaemon::spawn(listen.as_str(), shard, shards),
     };
-    let daemon = match daemon {
-        Ok(d) => d,
-        Err(e) => {
-            xrd_obs::error!("mailbox: cannot listen on {listen}: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    announce(daemon.addr());
-    park(daemon)
+    serve("mailbox", &listen, daemon)
 }
 
 fn mailbox_storm_cmd(args: &[String]) -> ExitCode {
@@ -454,10 +412,21 @@ fn announce(addr: std::net::SocketAddr) {
     let _ = std::io::stdout().flush();
 }
 
-/// Keep the process alive until the daemon is shut down over the wire.
-fn park(mut daemon: xrd_net::DaemonHandle) -> ExitCode {
-    daemon.wait();
-    ExitCode::SUCCESS
+/// Announce a daemon that bound `listen` and keep the process alive
+/// until it is shut down over the wire — or log, for the subcommand
+/// `cmd`, why it could not listen.
+fn serve(cmd: &str, listen: &str, daemon: std::io::Result<xrd_net::DaemonHandle>) -> ExitCode {
+    match daemon {
+        Ok(mut daemon) => {
+            announce(daemon.addr());
+            daemon.wait();
+            ExitCode::SUCCESS
+        }
+        Err(e) => {
+            xrd_obs::error!("{cmd}: cannot listen on {listen}: {e}");
+            ExitCode::FAILURE
+        }
+    }
 }
 
 fn demo(args: &[String]) -> ExitCode {

@@ -59,12 +59,13 @@ use xrd_crypto::nizk::DleqProof;
 use xrd_crypto::ristretto::GroupElement;
 use xrd_mixnet::chain_keys::{rotation_share, ChainPublicKeys, ServerSecrets};
 use xrd_mixnet::client::Submission;
+use xrd_mixnet::lie::{attestation, upheld, verdict, window_digest, Lie};
 use xrd_mixnet::message::{outer_ct_len, MailboxMessage, MixEntry};
-use xrd_mixnet::server::{input_digest, ChunkKernel, HopAttestation, MixError, MixServer};
+use xrd_mixnet::server::{ChunkKernel, HopAttestation, MixError, MixServer};
 
 use crate::codec::{
     decode_server_config, encode_hop_output_stream, encode_server_config, error_code, Frame,
-    FrameDecoder, StreamDigest, StreamError, STREAM_CHUNK,
+    StreamDigest, StreamError, STREAM_CHUNK,
 };
 use crate::conn::{Conn, NetError};
 use crate::reactor::{ConnId, Outcome, Reactor, ReactorHandle, Service, WorkerPool};
@@ -508,11 +509,13 @@ impl ForwardCtx {
 /// only DH key columns, so the coordinator audits the chain without
 /// ever seeing the intermediate ciphertexts); the last hop reports its
 /// whole reply — [`Frame::HopProof`] and the output stream.  Returns
-/// the bytes to reply on the inbound connection.
+/// the bytes to reply on the inbound connection.  The attestation is the
+/// server's ([`attestation`]), its `lie` and all.
 fn forward_hop_output(
     fwd: &ForwardCtx,
     round: u64,
     position: usize,
+    lie: Option<Lie>,
     input_dhs: Vec<GroupElement>,
     outputs: &[MixEntry],
     proof: DleqProof,
@@ -531,13 +534,7 @@ fn forward_hop_output(
         .encode();
     }
     forward_metrics().batches.incr();
-    let attestation = HopAttestation {
-        round,
-        position,
-        input_dhs,
-        output_dhs: outputs.iter().map(|e| e.dh).collect(),
-        proof,
-    };
+    let attestation = attestation(lie, round, position, input_dhs, outputs, proof);
     fwd.report(Frame::HopForwarded { attestation }.encode())
 }
 
@@ -675,7 +672,7 @@ impl MixState {
                         let entries: Vec<_> = batch.iter().map(|s| s.to_entry()).collect();
                         return Frame::BatchDigest {
                             round,
-                            digest: input_digest(&entries),
+                            digest: window_digest(self.server.lie(), &entries),
                             count: batch.len() as u64,
                         };
                     }
@@ -692,7 +689,7 @@ impl MixState {
                 batch.sort_by_cached_key(Submission::to_bytes);
                 batch.dedup();
                 let entries: Vec<_> = batch.iter().map(|s| s.to_entry()).collect();
-                let digest = input_digest(&entries);
+                let digest = window_digest(self.server.lie(), &entries);
                 let count = batch.len() as u64;
                 self.batches.insert(round, batch);
                 // Only the current and previous rounds are ever fetched
@@ -715,10 +712,13 @@ impl MixState {
             Frame::RevealInnerKey { round } if self.last_opened != Some(round) => {
                 err(error_code::UNKNOWN_ROUND, "no window opened for round")
             }
-            Frame::RevealInnerKey { .. } => Frame::InnerKeyReveal {
-                position: self.secrets.position as u32,
-                isk: self.server.reveal_inner_key(),
-            },
+            Frame::RevealInnerKey { .. } => {
+                let (position, isk) = self.server.inner_key_reveal();
+                Frame::InnerKeyReveal {
+                    position: position as u32,
+                    isk,
+                }
+            }
             Frame::PrepareRotation { inner_epoch } => {
                 let (isk, share) =
                     rotation_share(&mut self.rng, self.secrets.position, inner_epoch);
@@ -758,7 +758,7 @@ impl MixState {
                 let mut secrets = self.secrets.clone();
                 secrets.isk = isk;
                 self.pending_isk = None;
-                self.server = MixServer::new(secrets.clone(), keys);
+                self.server.rekey(secrets.clone(), keys);
                 self.secrets = secrets;
                 // Activation obsoletes every earlier record: its record
                 // is the journal compacted to the new bundle, which the
@@ -976,7 +976,7 @@ impl MixService {
                 .map(|_| inputs.iter().map(|e| e.dh).collect());
             let mut guard = state.lock().expect("mix state poisoned");
             let st = &mut *guard;
-            let position = st.secrets.position;
+            let (position, lie) = (st.secrets.position, st.server.lie());
             match st.server.finish_round(&mut st.rng, round, inputs, slots) {
                 Ok(result) => {
                     // The proof and shuffle are done; release the lock
@@ -987,6 +987,7 @@ impl MixService {
                             &fwd,
                             round,
                             position,
+                            lie,
                             input_dhs.unwrap_or_default(),
                             &result.outputs,
                             result.proof,
@@ -1024,18 +1025,22 @@ impl MixService {
         }))
     }
 
+    /// The server's bundle and lie, for a check run off the state lock.
+    fn verifier(&self) -> (ChainPublicKeys, Option<Lie>) {
+        let state = self.lock();
+        (state.server.public().clone(), state.server.lie())
+    }
+
     /// `DisputeOpen`: re-check the disputed attestation against this
     /// server's copy of the public bundle and answer with signed
-    /// evidence ([`HopAttestation::sign_verdict`]).  The verification is
-    /// pure public-data work off a bundle snapshot; the state lock is
-    /// taken only to sign.  `force_upheld` is the byzantine hook: a
-    /// lying witness signs a fixed verdict instead of its honest
-    /// re-check — producing transferable evidence of its own lie.
-    fn defer_dispute(&self, attestation: HopAttestation, force_upheld: Option<bool>) -> Outcome {
-        let public = self.lock().server.public().clone();
+    /// evidence ([`upheld`], [`HopAttestation::sign_verdict`]).  The
+    /// verification is pure public-data work off a snapshot of the
+    /// bundle and the lie; the state lock is taken only to sign.
+    fn defer_dispute(&self, attestation: HopAttestation) -> Outcome {
+        let (public, lie) = self.verifier();
         let state = Arc::clone(&self.state);
         Outcome::Defer(Box::new(move || {
-            let upheld = force_upheld.unwrap_or_else(|| !attestation.verify(&public));
+            let upheld = upheld(lie, &public, &attestation);
             let mut guard = state.lock().expect("mix state poisoned");
             let st = &mut *guard;
             let position = st.secrets.position as u32;
@@ -1053,12 +1058,13 @@ impl MixService {
         }))
     }
 
-    /// `VerifyHopKeys`: pure public-data work off a snapshot of the
-    /// bundle — no state lock held in the job at all.
+    /// `VerifyHopKeys`: the server's [`verdict`], pure public-data work
+    /// off a snapshot of the bundle and the lie — no state lock held in
+    /// the job at all.
     fn defer_verify(&self, attestation: HopAttestation) -> Outcome {
-        let public = self.lock().server.public().clone();
+        let (public, lie) = self.verifier();
         Outcome::Defer(Box::new(move || {
-            let ok = attestation.verify(&public);
+            let ok = verdict(lie, &public, &attestation);
             Frame::VerifyResult { ok }.encode()
         }))
     }
@@ -1093,7 +1099,7 @@ impl Service for MixService {
             Frame::MixBatchChunk { entries } => self.stream_chunk(conn, entries, workers),
             Frame::MixBatchEnd { digest } => self.stream_end(conn, digest),
             Frame::VerifyHopKeys { attestation } => self.defer_verify(attestation),
-            Frame::DisputeOpen { attestation } => self.defer_dispute(attestation, None),
+            Frame::DisputeOpen { attestation } => self.defer_dispute(attestation),
             // Window and key control: the reply waits for the commit
             // that makes its record durable — a repeat's too, as the
             // record it repeats may be waiting for that very commit.
@@ -1146,167 +1152,6 @@ impl Service for MixService {
     }
 }
 
-/// How a byzantine mix daemon misbehaves (see `docs/FAULTS.md`).
-///
-/// Each mode is one concrete lie the dispute machinery must localize:
-/// the daemon otherwise runs the full honest protocol, so the lie is
-/// the *only* divergence a test observes.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum ByzantineMode {
-    /// Answer every attestation check with `ok: false`, and uphold
-    /// every dispute regardless of the evidence — a verifier trying
-    /// to frame honest provers.
-    LieVerify,
-    /// Corrupt the daemon's input-agreement digest, simulating a
-    /// server that equivocates about the batch it fixed.
-    EquivocateDigest,
-    /// Tamper with the daemon's own hop output after proving, so its
-    /// emitted key column no longer matches its attestation.
-    CorruptHop,
-}
-
-impl std::str::FromStr for ByzantineMode {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<ByzantineMode, String> {
-        match s {
-            "lie-verify" => Ok(ByzantineMode::LieVerify),
-            "equivocate-digest" => Ok(ByzantineMode::EquivocateDigest),
-            "corrupt-hop" => Ok(ByzantineMode::CorruptHop),
-            other => Err(format!(
-                "unknown byzantine mode {other:?} \
-                 (expected lie-verify, equivocate-digest or corrupt-hop)"
-            )),
-        }
-    }
-}
-
-/// A [`MixService`] wrapper that injects one [`ByzantineMode`]'s lie
-/// and delegates everything else — the honest protocol with exactly
-/// one strategic deviation.
-struct ByzantineService {
-    inner: MixService,
-    mode: ByzantineMode,
-}
-
-impl ByzantineService {
-    /// Lies told so far (`byzantine.lies` counter).
-    fn metrics() -> &'static xrd_obs::Counter {
-        static LIES: std::sync::OnceLock<&'static xrd_obs::Counter> = std::sync::OnceLock::new();
-        LIES.get_or_init(|| xrd_obs::counter("byzantine.lies"))
-    }
-}
-
-impl Service for ByzantineService {
-    fn attach(&self, handle: ReactorHandle) {
-        self.inner.attach(handle);
-    }
-
-    fn handle(&self, conn: ConnId, frame: Frame, workers: &Arc<WorkerPool>) -> Outcome {
-        match (self.mode, frame) {
-            // A framing verifier: every attestation is "invalid".
-            (ByzantineMode::LieVerify, Frame::VerifyHopKeys { .. }) => {
-                Self::metrics().incr();
-                Outcome::reply(Frame::VerifyResult { ok: false })
-            }
-            // ... and it perjures itself in disputes, signing `upheld`
-            // over statements it knows verify — transferable evidence
-            // of the lie.
-            (ByzantineMode::LieVerify, Frame::DisputeOpen { attestation }) => {
-                Self::metrics().incr();
-                self.inner.defer_dispute(attestation, Some(true))
-            }
-            // An equivocator: its digest never matches the honest
-            // majority's.
-            (ByzantineMode::EquivocateDigest, frame @ Frame::CloseSubmissions { .. }) => {
-                match self.inner.handle(conn, frame, workers) {
-                    Outcome::Reply(mut frames) => {
-                        for f in &mut frames {
-                            if let Frame::BatchDigest { digest, .. } = f {
-                                Self::metrics().incr();
-                                digest[0] ^= 0xFF;
-                            }
-                        }
-                        Outcome::Reply(frames)
-                    }
-                    other => other,
-                }
-            }
-            // A tampering prover: its emitted key column diverges from
-            // the column it proved over.  The lie rides the hop's own
-            // reply stream, so a downstream hop decrypts garbage (blame
-            // then traces the mismatch to this server) and, on the last
-            // hop, every honest verifier rejects the attestation.
-            (ByzantineMode::CorruptHop, frame @ Frame::MixBatchEnd { .. }) => {
-                match self.inner.handle(conn, frame, workers) {
-                    Outcome::Defer(job) => Outcome::Defer(Box::new(move || {
-                        let bytes = job();
-                        match corrupt_hop_output(&bytes) {
-                            Some(tampered) => {
-                                Self::metrics().incr();
-                                tampered
-                            }
-                            None => bytes,
-                        }
-                    })),
-                    other => other,
-                }
-            }
-            (_, frame) => self.inner.handle(conn, frame, workers),
-        }
-    }
-
-    fn on_close(&self, conn: ConnId) {
-        self.inner.on_close(conn);
-    }
-
-    fn commit(&self) -> Result<Vec<(ConnId, Frame)>, Frame> {
-        self.inner.commit()
-    }
-}
-
-/// [`ByzantineMode::CorruptHop`]'s lie: if `reply` is a hop's
-/// `HopProof` and output stream of at least two entries, the same
-/// reply with the first output's DH key overwritten by the second's
-/// (its ciphertext left alone).  Every element still parses, but the
-/// entry no longer decrypts downstream and the key column's product no
-/// longer matches the attestation — a swap would not do: §6.3 proves a
-/// relation between *products*, which a permutation preserves.
-/// Re-encoded whole, so the stream digest is consistent and only the
-/// content lies.
-fn corrupt_hop_output(reply: &[u8]) -> Option<Vec<u8>> {
-    let mut decoder = FrameDecoder::new();
-    decoder.feed(reply);
-    let Some(Ok(Frame::HopProof {
-        round,
-        position,
-        proof,
-    })) = decoder.try_frame()
-    else {
-        return None;
-    };
-    let mut outputs: Vec<MixEntry> = Vec::new();
-    loop {
-        match decoder.try_frame()? {
-            Ok(Frame::MixBatchStart { .. }) => {}
-            Ok(Frame::MixBatchChunk { entries }) => outputs.extend(entries),
-            Ok(Frame::MixBatchEnd { .. }) => break,
-            _ => return None,
-        }
-    }
-    if outputs.len() < 2 {
-        return None;
-    }
-    outputs[0].dh = outputs[1].dh;
-    Some(encode_hop_output_stream(
-        round,
-        position,
-        &outputs,
-        &proof,
-        STREAM_CHUNK,
-    ))
-}
-
 /// A running mix-server daemon for one `(chain, position)`.
 pub struct MixServerDaemon;
 
@@ -1317,14 +1162,17 @@ impl MixServerDaemon {
         rng_seed: u64,
         policy: SubmissionPolicy,
         journal: Option<(RecordLog, Vec<Vec<u8>>)>,
+        lie: Option<Lie>,
     ) -> Arc<Mutex<MixState>> {
         let (journal, records) = match journal {
             Some((j, records)) => (Some(j), records),
             None => (None, Vec::new()),
         };
         let (secrets, public, pending_isk, open_round) = Self::restore(secrets, public, &records);
+        let mut server = MixServer::new(secrets.clone(), public);
+        server.set_lie(lie);
         Arc::new(Mutex::new(MixState {
-            server: MixServer::new(secrets.clone(), public),
+            server,
             secrets,
             pending_isk,
             open_round,
@@ -1408,7 +1256,7 @@ impl MixServerDaemon {
         rng_seed: u64,
         policy: SubmissionPolicy,
     ) -> std::io::Result<DaemonHandle> {
-        let state = Self::state(secrets, public, rng_seed, policy, None);
+        let state = Self::state(secrets, public, rng_seed, policy, None, None);
         spawn_daemon(addr, Arc::new(MixService::new(state, None)))
     }
 
@@ -1424,7 +1272,8 @@ impl MixServerDaemon {
         rng_seed: u64,
         successor: Option<SocketAddr>,
     ) -> std::io::Result<DaemonHandle> {
-        let state = Self::state(secrets, public, rng_seed, SubmissionPolicy::default(), None);
+        let policy = SubmissionPolicy::default();
+        let state = Self::state(secrets, public, rng_seed, policy, None, None);
         spawn_daemon(addr, Arc::new(MixService::new(state, successor)))
     }
 
@@ -1448,28 +1297,24 @@ impl MixServerDaemon {
             rng_seed,
             SubmissionPolicy::default(),
             Some((journal, records)),
+            None,
         );
         spawn_daemon(addr, Arc::new(MixService::new(state, successor)))
     }
 
     /// Spawn a *byzantine* daemon: the honest protocol with exactly
-    /// one strategic lie injected (fault harness; see
-    /// [`ByzantineMode`] and `docs/FAULTS.md`).
+    /// one [`Lie`], told by its server wherever that lie's wave asks it
+    /// (see `docs/FAULTS.md` §2).
     pub fn spawn_byzantine<A: ToSocketAddrs>(
         addr: A,
         secrets: ServerSecrets,
         public: ChainPublicKeys,
         rng_seed: u64,
-        mode: ByzantineMode,
+        lie: Lie,
     ) -> std::io::Result<DaemonHandle> {
-        let state = Self::state(secrets, public, rng_seed, SubmissionPolicy::default(), None);
-        spawn_daemon(
-            addr,
-            Arc::new(ByzantineService {
-                inner: MixService::new(state, None),
-                mode,
-            }),
-        )
+        let policy = SubmissionPolicy::default();
+        let state = Self::state(secrets, public, rng_seed, policy, None, Some(lie));
+        spawn_daemon(addr, Arc::new(MixService::new(state, None)))
     }
 }
 
@@ -1692,7 +1537,7 @@ mod tests {
         let mut submissions = crate::swarm::sealed_submissions(&mut rng, &public, 0, 4);
         submissions[2] = crate::swarm::sealed_submissions(&mut rng, &public, 9, 1).remove(0);
         let policy = SubmissionPolicy::default();
-        let state = MixServerDaemon::state(secrets.remove(0), public, 7, policy, None);
+        let state = MixServerDaemon::state(secrets.remove(0), public, 7, policy, None, None);
         {
             let mut st = state.lock().unwrap();
             assert_eq!(st.handle(Frame::OpenRound { round: 0 }), Frame::Ok);
@@ -1766,8 +1611,14 @@ mod tests {
         let secrets = secrets.remove(0);
         let journal = open_journal(path).expect("journal opens");
         let policy = SubmissionPolicy::default();
-        let state =
-            MixServerDaemon::state(secrets.clone(), public.clone(), 7, policy, Some(journal));
+        let state = MixServerDaemon::state(
+            secrets.clone(),
+            public.clone(),
+            7,
+            policy,
+            Some(journal),
+            None,
+        );
         (secrets, public, MixService::new(state, None))
     }
 
@@ -1794,6 +1645,27 @@ mod tests {
         let mut keys = public.clone();
         assert!(apply_rotation_shares(&mut keys, 1, &shares));
         keys
+    }
+
+    /// A byzantine hop keeps its lie across a key rotation: the
+    /// activation re-keys its server, and the next round's reveal still
+    /// answers as another position.
+    #[test]
+    fn a_lie_survives_the_rotation() {
+        let mut rng = StdRng::seed_from_u64(45);
+        let (mut secrets, mut public) = generate_chain_keys(&mut rng, 3, 0);
+        rotate_inner_keys(&mut rng, &mut secrets, &mut public, 0);
+        let (policy, lie) = (SubmissionPolicy::default(), Some(Lie::KeyAsAnother));
+        let state = MixServerDaemon::state(secrets.remove(0), public.clone(), 7, policy, None, lie);
+        let mut st = state.lock().unwrap();
+        let share = st.handle(Frame::PrepareRotation { inner_epoch: 1 });
+        let keys = bundle_with(&public, share);
+        assert_eq!(st.handle(Frame::ActivateRotation { keys }), Frame::Ok);
+        assert_eq!(st.handle(Frame::OpenRound { round: 1 }), Frame::Ok);
+        match st.handle(Frame::RevealInnerKey { round: 1 }) {
+            Frame::InnerKeyReveal { position, .. } => assert_eq!(position, 1, "told as hop 1"),
+            other => panic!("expected InnerKeyReveal, got {other:?}"),
+        }
     }
 
     /// Every reply to window and key control — refusals and idempotent
@@ -1882,7 +1754,7 @@ mod tests {
 
         std::fs::remove_dir(squatter(&path)).expect("unsquat");
         let policy = SubmissionPolicy::default();
-        let state = MixServerDaemon::state(secrets, public, 7, policy, Some((log, records)));
+        let state = MixServerDaemon::state(secrets, public, 7, policy, Some((log, records)), None);
         let restarted = MixService::new(state, None);
         assert_eq!(held(&restarted, activate), Frame::Ok, "the retry is taken");
         assert_eq!(restarted.commit(), Ok(Vec::new()));

@@ -63,8 +63,9 @@
 //!   `docs/DEPLOYMENT.md`;
 //! * [`faults`] — the adversarial deployment harness: a seeded,
 //!   frame-aware fault-injecting TCP proxy ([`FaultProxy`]) for chaos
-//!   testing, complementing the byzantine daemon modes of [`daemon`]
-//!   and the dispute-based liar localization in [`coordinator`].  See
+//!   testing, complementing the byzantine daemons of [`daemon`] (each
+//!   a server telling one `xrd_mixnet::Lie`) and the dispute-based liar
+//!   localization in [`coordinator`].  See
 //!   `docs/FAULTS.md`.
 //!
 //! The `xrd-netd` binary wraps the daemons for standalone (multi-
@@ -87,7 +88,7 @@ pub mod swarm;
 pub use codec::{BatchAssembler, ChunkedBatch, CodecError, Frame, StreamDigest, StreamError};
 pub use conn::{Conn, ConnTimeouts, HopReply, NetError};
 pub use coordinator::{ChainClient, MixPhase, PendingChainRound, RetryPolicy, Transport};
-pub use daemon::{ByzantineMode, DaemonHandle, MailboxDaemon, MixServerDaemon, SubmissionPolicy};
+pub use daemon::{DaemonHandle, MailboxDaemon, MixServerDaemon, SubmissionPolicy};
 pub use faults::{Direction, FaultKind, FaultPlan, FaultProxy, FaultRule};
 pub use launcher::{launch_manifest, LaunchedCluster};
 pub use manifest::{Manifest, ManifestError};

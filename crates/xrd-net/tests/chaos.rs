@@ -7,7 +7,7 @@
 //!   connections between the coordinator and honest daemons must be
 //!   absorbed by deadlines + retry-with-reconnect, with **zero**
 //!   convictions (nobody lied);
-//! * the byzantine daemon modes — a server that lies in verification,
+//! * the byzantine daemons — a server that lies in verification,
 //!   equivocates its batch digest, or corrupts its hop output must be
 //!   localized (convicted or suspected) by the dispute path while the
 //!   round, wherever possible, still delivers;
@@ -26,11 +26,11 @@ use rand::{Rng, RngCore, SeedableRng};
 use xrd_core::user::User;
 use xrd_core::{DeploymentConfig, RoundError};
 use xrd_mixnet::chain_keys::{generate_chain_keys, rotate_inner_keys};
+use xrd_mixnet::Lie;
 use xrd_net::codec::{error_code, Frame, STREAM_CHUNK};
 use xrd_net::{
-    launch_local_faulty_with, ByzantineMode, Conn, ConnTimeouts, DaemonHandle, Direction,
-    FaultKind, FaultPlan, FaultRule, MailboxDaemon, MixServerDaemon, RemoteDeployment, RetryPolicy,
-    SubmissionPolicy,
+    launch_local_faulty_with, Conn, ConnTimeouts, DaemonHandle, Direction, FaultKind, FaultPlan,
+    FaultRule, MailboxDaemon, MixServerDaemon, RemoteDeployment, RetryPolicy, SubmissionPolicy,
 };
 use xrd_topology::{Beacon, Topology};
 
@@ -78,12 +78,12 @@ fn users_with_chat(rng: &mut StdRng, n: usize) -> Vec<User> {
 }
 
 /// A deployment like `launch_local`, but with chosen hops replaced by
-/// byzantine daemons (`byz` holds `(chain, hop, mode)`) and fast
+/// byzantine daemons (`byz` holds `(chain, hop, lie)`) and fast
 /// coordinator deadlines.
 fn launch_byzantine(
     rng: &mut StdRng,
     config: &DeploymentConfig,
-    byz: &[(usize, usize, ByzantineMode)],
+    byz: &[(usize, usize, Lie)],
 ) -> (Vec<Vec<DaemonHandle>>, Vec<DaemonHandle>, RemoteDeployment) {
     let beacon = Beacon::from_u64(config.seed);
     let k = config.chain_len.expect("explicit chain length");
@@ -98,23 +98,23 @@ fn launch_byzantine(
         let mut daemons = Vec::new();
         let mut addrs = Vec::new();
         for (hop, server_secrets) in secrets.into_iter().enumerate() {
-            let mode = byz
+            let lie = byz
                 .iter()
                 .find(|&&(bc, bh, _)| bc == c && bh == hop)
-                .map(|&(_, _, m)| m);
-            let daemon = match mode {
+                .map(|&(_, _, lie)| lie);
+            let daemon = match lie {
                 None => MixServerDaemon::spawn(
                     "127.0.0.1:0",
                     server_secrets,
                     public.clone(),
                     rng.next_u64(),
                 ),
-                Some(mode) => MixServerDaemon::spawn_byzantine(
+                Some(lie) => MixServerDaemon::spawn_byzantine(
                     "127.0.0.1:0",
                     server_secrets,
                     public.clone(),
                     rng.next_u64(),
-                    mode,
+                    lie,
                 ),
             }
             .expect("daemon spawns");
@@ -264,7 +264,7 @@ fn lying_verifier_is_convicted_and_round_delivers() {
     let mut rng = StdRng::seed_from_u64(71);
     let config = DeploymentConfig::small(3, 3);
     let (mut mix, mut mailboxes, mut deployment) =
-        launch_byzantine(&mut rng, &config, &[(0, 1, ByzantineMode::LieVerify)]);
+        launch_byzantine(&mut rng, &config, &[(0, 1, Lie::RejectsAndUpholds)]);
     let ell = deployment.topology().ell();
     let mut users = users_with_chat(&mut rng, 6);
 
@@ -322,11 +322,8 @@ fn lying_verifier_is_convicted_and_round_delivers() {
 fn equivocating_digest_is_suspected_and_majority_continues() {
     let mut rng = StdRng::seed_from_u64(72);
     let config = DeploymentConfig::small(3, 3);
-    let (mut mix, mut mailboxes, mut deployment) = launch_byzantine(
-        &mut rng,
-        &config,
-        &[(0, 2, ByzantineMode::EquivocateDigest)],
-    );
+    let (mut mix, mut mailboxes, mut deployment) =
+        launch_byzantine(&mut rng, &config, &[(0, 2, Lie::EquivocateDigest)]);
     let ell = deployment.topology().ell();
     let mut users = users_with_chat(&mut rng, 6);
 
@@ -373,11 +370,8 @@ fn corrupting_hop_is_localized_and_other_chains_deliver() {
         let case = format!("corrupt hop {position}, {n_users} users");
         let mut rng = StdRng::seed_from_u64(73);
         let config = DeploymentConfig::small(3, K);
-        let (mut mix, mut mailboxes, mut deployment) = launch_byzantine(
-            &mut rng,
-            &config,
-            &[(0, position, ByzantineMode::CorruptHop)],
-        );
+        let (mut mix, mut mailboxes, mut deployment) =
+            launch_byzantine(&mut rng, &config, &[(0, position, Lie::CorruptHop)]);
         let mut users = users_with_chat(&mut rng, n_users);
         let on_chain = |chain: u32| -> usize {
             users

@@ -11,7 +11,7 @@
 
 use std::io::{BufRead, Write};
 use std::net::TcpStream;
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -24,6 +24,15 @@ use xrd_net::{Conn, HopReply, MixServerDaemon};
 
 /// Serializes the thread-count-sensitive tests.
 static THREAD_ACCOUNTING: Mutex<()> = Mutex::new(());
+
+/// Take [`THREAD_ACCOUNTING`].  A test that panics holding it poisons
+/// it; the others take the guard back anyway, so a failure is reported
+/// once, by the test that failed.
+fn thread_accounting() -> MutexGuard<'static, ()> {
+    THREAD_ACCOUNTING
+        .lock()
+        .unwrap_or_else(PoisonError::into_inner)
+}
 
 /// Threads in this process right now (`None` off Linux).
 fn process_threads() -> Option<usize> {
@@ -45,7 +54,7 @@ const THREAD_SLACK: usize = 8;
 /// connection and sat near 1000 extra threads at this point.
 #[test]
 fn one_daemon_serves_1000_concurrent_submitters_on_o1_io_threads() {
-    let _guard = THREAD_ACCOUNTING.lock().unwrap();
+    let _guard = thread_accounting();
     const N: usize = 1000;
     let round = 0u64;
     let mut rng = StdRng::seed_from_u64(17);
@@ -126,7 +135,7 @@ fn one_daemon_serves_1000_concurrent_submitters_on_o1_io_threads() {
 /// deployment.
 #[test]
 fn ten_thousand_user_reactor_runs_on_the_calling_thread() {
-    let _guard = THREAD_ACCOUNTING.lock().unwrap();
+    let _guard = thread_accounting();
     const N: usize = 10_000;
     let round = 0u64;
     let mut rng = StdRng::seed_from_u64(21);
@@ -235,7 +244,7 @@ fn ten_thousand_user_reactor_runs_on_the_calling_thread() {
 /// then completes the round's window normally.
 #[test]
 fn churned_connections_leave_daemon_serving_and_thread_count_flat() {
-    let _guard = THREAD_ACCOUNTING.lock().unwrap();
+    let _guard = thread_accounting();
     let round = 0u64;
     let mut rng = StdRng::seed_from_u64(18);
     let (mut secrets, mut public) = generate_chain_keys(&mut rng, 3, 0);
@@ -309,7 +318,7 @@ fn churned_connections_leave_daemon_serving_and_thread_count_flat() {
 /// hop) — still O(1) in the number of clients.
 #[test]
 fn submissions_served_while_hop_crypto_in_flight() {
-    let _guard = THREAD_ACCOUNTING.lock().unwrap();
+    let _guard = thread_accounting();
     const N: usize = 1000;
     let mut rng = StdRng::seed_from_u64(19);
     let (mut secrets, mut public) = generate_chain_keys(&mut rng, 3, 0);

@@ -13,9 +13,10 @@ use xrd_mixnet::chain_keys::{
     generate_chain_keys, rotate_inner_keys, ChainPublicKeys, ServerSecrets,
 };
 use xrd_mixnet::client::Submission;
+use xrd_mixnet::Lie;
 use xrd_net::codec::{error_code, Frame};
 use xrd_net::swarm::sealed_submissions;
-use xrd_net::{ByzantineMode, Conn, MixServerDaemon, NetError, SubmissionPolicy};
+use xrd_net::{Conn, MixServerDaemon, NetError, SubmissionPolicy};
 
 /// A k = 3 chain's keys, inner keys rotated to round 0.
 fn chain_keys(rng: &mut StdRng) -> (Vec<ServerSecrets>, ChainPublicKeys) {
@@ -332,8 +333,9 @@ fn quotas_are_exact_at_the_boundary() {
 }
 
 /// A byzantine daemon lies about *attestations*; towards submitters it
-/// runs the honest protocol, screening included — the wrapper forwards
-/// the once-per-tick commit along with everything else.
+/// runs the honest protocol, screening included — its server tells the
+/// lie, and the service around it, once-per-tick commit and all, is the
+/// honest one.
 #[test]
 fn lying_verifier_still_admits_and_rejects_submissions() {
     let mut rng = StdRng::seed_from_u64(34);
@@ -343,7 +345,7 @@ fn lying_verifier_still_admits_and_rejects_submissions() {
         secrets.remove(0),
         public.clone(),
         7,
-        ByzantineMode::LieVerify,
+        Lie::RejectsAndUpholds,
     )
     .expect("daemon spawns");
     let mut conn = Conn::connect(daemon.addr()).expect("connects");

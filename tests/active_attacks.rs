@@ -1,16 +1,15 @@
 //! Integration tests of the active-attack story (§6 + Appendix A):
-//! tampering servers and malicious users against the full chain
-//! protocol, exercised across crate boundaries.
+//! lying servers (a [`Lie`] set on one of the chain's servers) and
+//! malicious users against the full chain protocol, exercised across
+//! crate boundaries.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use xrd::crypto::ristretto::GroupElement;
-use xrd::crypto::scalar::Scalar;
 use xrd::mixnet::blame::BlameVerdict;
 use xrd::mixnet::client::seal_ahs;
 use xrd::mixnet::testutil::malicious_submission;
-use xrd::mixnet::{ChainRunner, MailboxMessage, MixError, Submission, PAYLOAD_LEN};
+use xrd::mixnet::{ChainParty, ChainRunner, Lie, MailboxMessage, Submission, PAYLOAD_LEN};
 
 fn honest_submission(rng: &mut StdRng, chain: &ChainRunner, round: u64, tag: u8) -> Submission {
     let msg = MailboxMessage {
@@ -67,34 +66,23 @@ fn mixed_honest_and_multiple_attackers() {
 
 #[test]
 fn tampering_server_detected_by_aggregate_proof() {
-    // A server that swaps an entry outright breaks the product relation:
-    // the other servers' verification fails immediately.
+    // The last server overwrites one output key after proving: the
+    // product relation breaks, so the other server's verification
+    // rejects the hop and the dispute convicts it — nobody else, and
+    // nothing is delivered.
     let mut rng = StdRng::seed_from_u64(3);
     let round = 0;
-    let (secrets, public) = xrd::mixnet::generate_chain_keys(&mut rng, 2, round);
+    let mut chain = ChainRunner::new(&mut rng, 2, round);
     let subs: Vec<Submission> = (0..5)
-        .map(|i| {
-            let msg = MailboxMessage {
-                mailbox: [i; 32],
-                sealed: vec![i; PAYLOAD_LEN + 16],
-            };
-            seal_ahs(&mut rng, &public, round, &msg)
-        })
+        .map(|i| honest_submission(&mut rng, &chain, round, i))
         .collect();
-    let entries: Vec<xrd::mixnet::MixEntry> = subs.iter().map(|s| s.to_entry()).collect();
-    let mut server0 = xrd::mixnet::MixServer::new(secrets[0].clone(), public.clone());
-    let mut result = server0
-        .process_round(&mut rng, round, entries.clone())
-        .unwrap();
-    // Replace one output with an entry of the adversary's own making.
-    result.outputs[2] = xrd::mixnet::MixEntry {
-        dh: GroupElement::base_mul(&Scalar::random(&mut rng)),
-        ct: result.outputs[2].ct.clone(),
-    };
-    assert!(
-        !xrd::mixnet::verify_hop(&public, 0, round, &entries, &result.outputs, &result.proof),
-        "replacement must break the aggregate proof"
-    );
+    chain.servers_mut()[1].set_lie(Some(Lie::CorruptHop));
+    let outcome = chain.run_round(&mut rng, round, &subs);
+    assert_eq!(outcome.misbehaving_servers, vec![1]);
+    assert!(outcome.malicious_users.is_empty());
+    assert!(outcome.delivered.is_empty());
+    // Convicted at the cross-check's dispute, before any audit.
+    assert_eq!(outcome.stats.proofs_verified, 2);
 }
 
 #[test]
@@ -109,46 +97,23 @@ fn appendix_a_product_preserving_attack_is_pinned_by_blame() {
     let subs: Vec<Submission> = (0..6)
         .map(|i| honest_submission(&mut rng, &chain, round, i))
         .collect();
-
-    let public = chain.public().clone();
-    let servers = chain.servers_mut();
-    let entries: Vec<xrd::mixnet::MixEntry> = subs.iter().map(|s| s.to_entry()).collect();
-
-    let mut out0 = servers[0]
-        .process_round(&mut rng, round, entries.clone())
-        .unwrap();
-    // Shift two keys by T and T^{-1}: the aggregate product is
-    // unchanged, but both slots' keys are now wrong.
-    let t = GroupElement::base_mul(&Scalar::random(&mut rng));
-    out0.outputs[0].dh = out0.outputs[0].dh.add(&t);
-    out0.outputs[4].dh = out0.outputs[4].dh.sub(&t);
-    {
-        let st = servers[0].state_mut().unwrap();
-        st.output_dhs[0] = out0.outputs[0].dh;
-        st.output_dhs[4] = out0.outputs[4].dh;
-    }
+    // Server 0 shifts its output keys 0 and 1 by T and T^{-1}, its
+    // retained records kept consistent.
+    chain.servers_mut()[0].set_lie(Some(Lie::ShiftKeys));
+    let entries = subs.iter().map(|s| s.to_entry()).collect();
+    let mut pass = chain.pass(&mut rng, round);
+    let (hops, end) = pass.party.mix(round, entries).expect("in process");
     // The aggregate proof still verifies — the attack is invisible here.
-    assert!(xrd::mixnet::verify_hop(
-        &public,
-        0,
-        round,
-        &entries,
-        &out0.outputs,
-        &out0.proof
-    ));
+    assert!(hops[0].verify(pass.public));
 
     // But the next hop fails on exactly the tampered slots...
-    match servers[1].process_round(&mut rng, round, out0.outputs) {
-        Err(MixError::DecryptFailure(bad)) => {
-            assert_eq!(bad, vec![0, 4]);
-            // ...and blame pins the server, never a user.
-            let mut pass = chain.pass(&mut rng, round);
-            for idx in bad {
-                let verdict = pass.blame(&subs, 1, idx).expect("in process");
-                assert_eq!(verdict, BlameVerdict::ServerMisbehaved { position: 0 });
-            }
-        }
-        other => panic!("expected decrypt failure, got {other:?}"),
+    assert_eq!(hops.len(), 1, "hop 1 fails");
+    let bad = end.expect_err("hop 1 fails to decrypt");
+    assert_eq!(bad, vec![0, 1]);
+    // ...and blame pins the server, never a user.
+    for idx in bad {
+        let verdict = pass.blame(&subs, 1, idx).expect("in process");
+        assert_eq!(verdict, BlameVerdict::ServerMisbehaved { position: 0 });
     }
 }
 
@@ -156,37 +121,21 @@ fn appendix_a_product_preserving_attack_is_pinned_by_blame() {
 fn chain_halts_without_delivery_when_server_misbehaves() {
     // When blame identifies a server, the chain aborts: no messages are
     // delivered (the servers delete their inner keys, §6.4) and privacy
-    // is preserved.
+    // is preserved.  Server 0 flips a ciphertext byte in what it
+    // forwards; its retained state only records the blinded keys, which
+    // stay consistent with the tampered batch.
     let mut rng = StdRng::seed_from_u64(5);
     let round = 0;
     let mut chain = ChainRunner::new(&mut rng, 2, round);
     let subs: Vec<Submission> = (0..4)
         .map(|i| honest_submission(&mut rng, &chain, round, i))
         .collect();
-
-    // Manually drive: server 0 processes then tampers a ciphertext
-    // (consistently with its own records — a deliberate cheater).
-    let tampered = {
-        let servers = chain.servers_mut();
-        let entries: Vec<xrd::mixnet::MixEntry> = subs.iter().map(|s| s.to_entry()).collect();
-        let result = servers[0].process_round(&mut rng, round, entries).unwrap();
-        // The cheater flips ciphertext bytes in what it forwards; its
-        // retained state only records the blinded keys, which stay
-        // consistent with the tampered batch.
-        let mut outputs = result.outputs;
-        outputs[1].ct[0] ^= 0xff;
-        outputs
-    };
-    // Resume via the runner-level API on a fresh runner is not possible
-    // (state is consumed); instead verify at the protocol level:
-    match chain.servers_mut()[1].process_round(&mut rng, round, tampered) {
-        Err(MixError::DecryptFailure(bad)) => {
-            let verdict = chain.pass(&mut rng, round).blame(&subs, 1, bad[0]);
-            let verdict = verdict.expect("in process");
-            assert_eq!(verdict, BlameVerdict::ServerMisbehaved { position: 0 });
-        }
-        other => panic!("expected failure, got {other:?}"),
-    }
+    chain.servers_mut()[0].set_lie(Some(Lie::FlipCiphertext));
+    let outcome = chain.run_round(&mut rng, round, &subs);
+    assert_eq!(outcome.misbehaving_servers, vec![0]);
+    assert!(outcome.malicious_users.is_empty());
+    assert!(outcome.delivered.is_empty());
+    assert_eq!(outcome.stats.blame_rounds, 1);
 }
 
 #[test]
