@@ -274,9 +274,8 @@ pub fn fig7(quick: bool) -> (f64, Vec<Fig7Row>) {
 
     // The chain's own mix wave finds the failing hop, then blame is
     // timed.
-    let entries = subs.iter().map(|s| s.to_entry()).collect();
     let mut pass = chain.pass(&mut rng, round);
-    let (hops, end) = pass.party.mix(round, entries).expect("in process");
+    let (hops, end) = pass.party.mix(round, subs.clone()).expect("in process");
     let (pos, failed) = (hops.len(), end.expect_err("corruption must be detected"));
     assert_eq!(pos, k - 1, "the bad layer is the last hop");
     let idx = failed[0];

@@ -366,12 +366,11 @@ mod tests {
     /// Run the chain's mix wave; if a hop fails to decrypt, run blame
     /// for each failed index and return the verdicts.
     fn run_until_blame(rng: &mut StdRng, h: &mut ChainHarness) -> Vec<BlameVerdict> {
-        let entries = h.subs.iter().map(|s| s.to_entry()).collect();
         let (hops, end) = h
             .chain
             .pass(rng, h.round)
             .party
-            .mix(h.round, entries)
+            .mix(h.round, h.subs.clone())
             .unwrap();
         match end {
             Ok(_) => vec![],

@@ -43,13 +43,19 @@ use crate::message::{
 ///
 /// `g^x` travels with its canonical encoding, made once where the point
 /// is: the sealer's proof needed it anyway, and the codec holds the
-/// bytes it decoded.  Every copy a client sends, a server's proof check
-/// and the sort of a closed window read those bytes instead of paying
-/// an inverse square root each.  The point and its bytes are private so
-/// they cannot part.
-#[derive(Clone, Debug, PartialEq, Eq)]
+/// bytes it read.  Every copy a client sends, a server's proof check,
+/// the sort and digest of a closed window and the first hop's request
+/// stream read those bytes instead of paying an inverse square root
+/// each.  A submission off a `Submit` frame holds the bytes alone until
+/// its server screens it: [`Submission::decode_points`] decodes a
+/// screening's worth together.  The point and its bytes are private so
+/// they cannot part, and a submission *is* its bytes: equality and
+/// order are the canonical bytes' ([`Submission::to_bytes`]).
+#[derive(Clone, Debug)]
 pub struct Submission {
-    dh: GroupElement,
+    /// `g^x`, once decoded (always, unless the submission came off a
+    /// `Submit` frame and has not been screened).
+    dh: Option<GroupElement>,
     encoded_dh: [u8; 32],
     /// Outer onion ciphertext `c_1`.
     pub ct: Vec<u8>,
@@ -62,7 +68,7 @@ impl Submission {
     pub fn new(dh: GroupElement, ct: Vec<u8>, pok: SchnorrProof) -> Submission {
         Submission {
             encoded_dh: dh.encode(),
-            dh,
+            dh: Some(dh),
             ct,
             pok,
         }
@@ -80,16 +86,47 @@ impl Submission {
     ) -> Submission {
         debug_assert_eq!(GroupElement::decode(&encoded_dh), Some(dh));
         Submission {
-            dh,
+            dh: Some(dh),
             encoded_dh,
             ct,
             pok,
         }
     }
 
-    /// `g^x`.
+    /// A submission as a `Submit` frame carries it: `g^x` as bytes,
+    /// not yet decoded — not yet known to be a point at all.  Its
+    /// server decodes it with the rest of its screening
+    /// ([`Submission::decode_points`]).
+    pub fn undecoded(encoded_dh: [u8; 32], ct: Vec<u8>, pok: SchnorrProof) -> Submission {
+        Submission {
+            dh: None,
+            encoded_dh,
+            ct,
+            pok,
+        }
+    }
+
+    /// Decode, in one [`GroupElement::decode_all`], the point of every
+    /// submission that holds only its bytes.  `valid[i]` says whether
+    /// `submissions[i]` holds its point now; `false` means its bytes are
+    /// no canonical encoding, and the submission stays undecoded.
+    pub fn decode_points(submissions: &mut [Submission]) -> Vec<bool> {
+        let mut undecoded: Vec<&mut Submission> =
+            submissions.iter_mut().filter(|s| s.dh.is_none()).collect();
+        let encoded: Vec<[u8; 32]> = undecoded.iter().map(|s| s.encoded_dh).collect();
+        for (sub, dh) in undecoded.iter_mut().zip(GroupElement::decode_all(&encoded)) {
+            sub.dh = dh;
+        }
+        submissions.iter().map(|s| s.dh.is_some()).collect()
+    }
+
+    /// `g^x`.  A submission still holding only its bytes
+    /// ([`Submission::undecoded`]) decodes them here, one point at one
+    /// inverse square root's price; it panics if they are no point.
     pub fn dh(&self) -> GroupElement {
-        self.dh
+        self.dh.unwrap_or_else(|| {
+            GroupElement::decode(&self.encoded_dh).expect("g^x is a canonical encoding")
+        })
     }
 
     /// The canonical encoding of `g^x`, as it goes on the wire.
@@ -104,11 +141,11 @@ impl Submission {
 
     /// Verify the knowledge proof (run by every server on submission).
     pub fn verify_pok(&self, round: u64) -> bool {
-        self.pok.verify(
-            &submission_context(round),
-            &GroupElement::generator(),
-            &self.dh,
-        )
+        let Some(dh) = self.dh.or_else(|| GroupElement::decode(&self.encoded_dh)) else {
+            return false;
+        };
+        let context = submission_context(round);
+        self.pok.verify(&context, &GroupElement::generator(), &dh)
     }
 
     /// [`Submission::verify_pok`] for each of `submissions`, as one
@@ -116,31 +153,50 @@ impl Submission {
     /// multiscalar multiplication, the shared base `g` folded into one
     /// term, each challenge hashing the carried encoding of `g^x`).
     /// Only if the batch rejects are the proofs checked one by one, so
-    /// the exact offenders are still identified.
+    /// the exact offenders are still identified.  Points still held as
+    /// bytes are decoded together first; one that is no point fails.
     pub fn verify_poks(round: u64, submissions: &[Submission]) -> Vec<bool> {
-        let context = submission_context(round);
-        let statements: Vec<SchnorrBatchEntry> = submissions
-            .iter()
-            .map(|sub| SchnorrBatchEntry {
-                context: &context,
-                base: GroupElement::generator(),
-                public: sub.dh,
-                proof: sub.pok,
-            })
-            .collect();
-        let encoded: Vec<[u8; 32]> = submissions.iter().map(|sub| sub.encoded_dh).collect();
-        if SchnorrProof::batch_verify_encoded(&statements, &encoded) {
-            vec![true; submissions.len()]
-        } else {
-            submissions.iter().map(|s| s.verify_pok(round)).collect()
+        let mut submissions = std::borrow::Cow::Borrowed(submissions);
+        if submissions.iter().any(|s| s.dh.is_none()) {
+            Submission::decode_points(submissions.to_mut());
         }
+        let context = submission_context(round);
+        let (at, statements): (Vec<usize>, Vec<SchnorrBatchEntry>) = (submissions.iter())
+            .enumerate()
+            .filter_map(|(i, sub)| {
+                let statement = SchnorrBatchEntry {
+                    context: &context,
+                    base: GroupElement::generator(),
+                    public: sub.dh?,
+                    proof: sub.pok,
+                };
+                Some((i, statement))
+            })
+            .unzip();
+        let encoded: Vec<[u8; 32]> = at.iter().map(|&i| submissions[i].encoded_dh).collect();
+        let mut verdicts = vec![false; submissions.len()];
+        if SchnorrProof::batch_verify_encoded(&statements, &encoded) {
+            at.iter().for_each(|&i| verdicts[i] = true);
+        } else {
+            at.iter()
+                .for_each(|&i| verdicts[i] = submissions[i].verify_pok(round));
+        }
+        verdicts
     }
 
     /// View as the first hop's mix entry.
     pub fn to_entry(&self) -> MixEntry {
         MixEntry {
-            dh: self.dh,
+            dh: self.dh(),
             ct: self.ct.clone(),
+        }
+    }
+
+    /// The first hop's mix entry, the onion moved, not copied.
+    pub fn into_entry(self) -> MixEntry {
+        MixEntry {
+            dh: self.dh(),
+            ct: self.ct,
         }
     }
 
@@ -148,6 +204,35 @@ impl Submission {
     /// what a mix server sorts a closed window by.
     pub fn to_bytes(&self) -> Vec<u8> {
         [&self.encoded_dh[..], &self.pok.to_bytes(), &self.ct].concat()
+    }
+}
+
+/// Submissions are equal when their canonical bytes are, whether or not
+/// `g^x` has been decoded yet (the point is a function of its bytes).
+impl PartialEq for Submission {
+    fn eq(&self, other: &Submission) -> bool {
+        self.cmp(other).is_eq()
+    }
+}
+
+impl Eq for Submission {}
+
+/// The order of the canonical bytes ([`Submission::to_bytes`]), compared
+/// field by field without building them: `g^x` and the proof are of
+/// fixed length, so the first difference falls where it falls in the
+/// concatenation.
+impl Ord for Submission {
+    fn cmp(&self, other: &Submission) -> std::cmp::Ordering {
+        let key = |s: &Submission| (s.encoded_dh, s.pok.to_bytes());
+        key(self)
+            .cmp(&key(other))
+            .then_with(|| self.ct.cmp(&other.ct))
+    }
+}
+
+impl PartialOrd for Submission {
+    fn partial_cmp(&self, other: &Submission) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
     }
 }
 
@@ -333,7 +418,7 @@ fn seal_onions(
         .map(|((dh, encoded_dh, pok), ct)| {
             debug_assert_eq!(ct.len(), outer_ct_len(k));
             Submission {
-                dh,
+                dh: Some(dh),
                 encoded_dh,
                 ct,
                 pok,
@@ -753,6 +838,45 @@ mod tests {
                 assert_eq!(Submission::new(s.dh(), s.ct.clone(), s.pok), *s);
             }
         }
+    }
+
+    /// A submission's order is its canonical bytes' — ties on `g^x` and
+    /// the proof broken by the onion, a prefix first — and equality
+    /// does not depend on whether `g^x` has been decoded.
+    #[test]
+    fn submissions_order_as_their_bytes() {
+        let mut rng = StdRng::seed_from_u64(8);
+        let (_, keys) = generate_chain_keys(&mut rng, 1, 0);
+        let s = seal_ahs(&mut rng, &keys, 0, &test_msg());
+        let t = seal_ahs(&mut rng, &keys, 0, &test_msg());
+        let with_ct = |s: &Submission, ct: &[u8]| Submission::new(s.dh(), ct.to_vec(), s.pok);
+        let mut subs = vec![
+            s.clone(),
+            t.clone(),
+            with_ct(&s, &s.ct[..10]),
+            with_ct(&s, b""),
+            with_ct(&t, &[0xff; 3]),
+            Submission::new(s.dh(), s.ct.clone(), t.pok),
+        ];
+        let mut by_bytes = subs.clone();
+        by_bytes.sort_by_key(Submission::to_bytes);
+        subs.sort();
+        assert_eq!(subs, by_bytes);
+        assert!(subs.windows(2).all(|w| w[0].to_bytes() < w[1].to_bytes()));
+
+        let mut undecoded = Submission::undecoded(*s.encoded_dh(), s.ct.clone(), s.pok);
+        assert_eq!(undecoded, s);
+        assert_eq!(
+            Submission::decode_points(std::slice::from_mut(&mut undecoded)),
+            [true]
+        );
+        assert_eq!((undecoded.dh(), &undecoded), (s.dh(), &s));
+        let mut garbage = Submission::undecoded([0xff; 32], s.ct.clone(), s.pok);
+        assert_eq!(
+            Submission::decode_points(std::slice::from_mut(&mut garbage)),
+            [false]
+        );
+        assert_eq!(Submission::verify_poks(0, &[s, garbage]), [true, false]);
     }
 
     #[test]

@@ -28,8 +28,8 @@ use xrd_crypto::scalar::Scalar;
 
 use crate::blame::Accusation;
 use crate::chain_keys::ChainPublicKeys;
-use crate::message::MixEntry;
-use crate::server::{input_digest, HopAttestation, HopResult, HopState};
+use crate::client::Submission;
+use crate::server::{input_digest, DhColumn, HopAttestation, HopResult, HopState};
 
 /// One lie a mix server tells, at one wave of the chain protocol.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -130,8 +130,8 @@ pub fn attestation(
     lie: Option<Lie>,
     round: u64,
     position: usize,
-    mut input_dhs: Vec<GroupElement>,
-    outputs: &[MixEntry],
+    mut input_dhs: DhColumn,
+    output_dhs: DhColumn,
     proof: DleqProof,
 ) -> HopAttestation {
     if lie == Some(Lie::Seam) && input_dhs.len() >= 2 {
@@ -142,7 +142,7 @@ pub fn attestation(
         round,
         position,
         input_dhs,
-        output_dhs: outputs.iter().map(|e| e.dh).collect(),
+        output_dhs,
         proof,
     }
 }
@@ -192,8 +192,8 @@ pub(crate) fn inner_key(lie: Option<Lie>, position: usize, isk: Scalar) -> (usiz
 
 /// The input-agreement digest a daemon answers for the batch it fixed
 /// (§6.3, [`input_digest`]) — or, equivocating, another one.
-pub fn window_digest(lie: Option<Lie>, entries: &[MixEntry]) -> [u8; 32] {
-    let mut digest = input_digest(entries);
+pub fn window_digest(lie: Option<Lie>, batch: &[Submission]) -> [u8; 32] {
+    let mut digest = input_digest(batch);
     if lie == Some(Lie::EquivocateDigest) {
         digest[0] ^= told(0xFF);
     }

@@ -82,19 +82,6 @@ impl MixEntry {
         out.extend_from_slice(&self.ct);
         out
     }
-
-    /// Serialize a whole batch: [`MixEntry::to_bytes`] per entry, byte
-    /// for byte, with the batch's DH keys encoded together
-    /// ([`GroupElement::encode_all`]: eight per inverse square root
-    /// where the lane kernel is compiled in).
-    pub fn batch_to_bytes(entries: &[MixEntry]) -> Vec<Vec<u8>> {
-        let dhs: Vec<GroupElement> = entries.iter().map(|e| e.dh).collect();
-        entries
-            .iter()
-            .zip(GroupElement::encode_all(&dhs))
-            .map(|(entry, dh)| [&dh[..], &entry.ct].concat())
-            .collect()
-    }
 }
 
 /// Expected onion ciphertext length after peeling `layers_remaining`
@@ -112,9 +99,6 @@ pub fn inner_envelope_len() -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
-    use xrd_crypto::Scalar;
 
     #[test]
     fn mailbox_message_roundtrip() {
@@ -131,25 +115,6 @@ mod tests {
     fn mailbox_message_rejects_wrong_len() {
         assert!(MailboxMessage::from_bytes(&[0u8; 10]).is_none());
         assert!(MailboxMessage::from_bytes(&vec![0u8; MAILBOX_MSG_LEN + 1]).is_none());
-    }
-
-    #[test]
-    fn batch_to_bytes_is_to_bytes_per_entry() {
-        let mut rng = StdRng::seed_from_u64(1);
-        for n in [0usize, 1, 2, 3, 8, 9] {
-            let entries: Vec<MixEntry> = (0..n)
-                .map(|i| MixEntry {
-                    dh: GroupElement::base_mul(&Scalar::random(&mut rng)),
-                    ct: vec![i as u8; 100 + i],
-                })
-                .collect();
-            let one_by_one: Vec<Vec<u8>> = entries.iter().map(MixEntry::to_bytes).collect();
-            assert_eq!(MixEntry::batch_to_bytes(&entries), one_by_one, "n={n}");
-            assert!(entries
-                .iter()
-                .zip(&one_by_one)
-                .all(|(e, b)| b.len() == e.wire_len()));
-        }
     }
 
     #[test]

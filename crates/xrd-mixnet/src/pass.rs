@@ -126,11 +126,12 @@ pub trait ChainParty {
     /// ends it the same way.
     type Error: From<Breach>;
 
-    /// Mix `batch` through the chain's hops in order, each hop taking
-    /// the one before it's output, until the last hop emits or one fails
-    /// to decrypt — naming at least one slot.  The servers keep their
-    /// hop state for blame.
-    fn mix(&mut self, round: u64, batch: Vec<MixEntry>) -> Result<MixWave, Self::Error>;
+    /// Mix `batch` through the chain's hops in order — hop 0 taking the
+    /// submissions' entries ([`Submission::to_entry`]), each later hop
+    /// the one before it's output — until the last hop emits or one
+    /// fails to decrypt, naming at least one slot.  The servers keep
+    /// their hop state for blame.
+    fn mix(&mut self, round: u64, batch: Vec<Submission>) -> Result<MixWave, Self::Error>;
 
     /// One verification wave: server `v` checks `hops[p]` where
     /// `asks[v]` is `Some(p)`.  Its answer is at index `v`.
@@ -262,8 +263,8 @@ impl<P: ChainParty> ChainPass<'_, P> {
     ) -> Result<MixPhase, P::Error> {
         let mut outcome = ChainRoundOutcome::default();
         let (hops, outputs) = loop {
-            let batch: Vec<MixEntry> = active.iter().map(|&i| submissions[i].to_entry()).collect();
-            let agreed: Vec<GroupElement> = batch.iter().map(|e| e.dh).collect();
+            let batch: Vec<Submission> = active.iter().map(|&i| submissions[i].clone()).collect();
+            let agreed: Vec<GroupElement> = batch.iter().map(Submission::dh).collect();
             let (hops, end) = self.party.mix(self.round, batch)?;
             check_seams(&agreed, &hops)?;
             outcome.stats.proofs_generated += hops.len();
@@ -489,7 +490,7 @@ impl<P: ChainParty> ChainPass<'_, P> {
 fn check_seams(agreed: &[GroupElement], hops: &[HopAttestation]) -> Result<(), Breach> {
     let mut entering = agreed;
     for (position, hop) in hops.iter().enumerate() {
-        if hop.input_dhs != entering {
+        if hop.input_dhs[..] != *entering {
             return Err(Breach::Seam(position));
         }
         if hop.output_dhs.len() != entering.len() {

@@ -43,7 +43,8 @@ pub struct LocalParty<'a, R: ?Sized> {
 impl<R: RngCore + ?Sized> ChainParty for LocalParty<'_, R> {
     type Error = Breach;
 
-    fn mix(&mut self, round: u64, mut batch: Vec<MixEntry>) -> Result<MixWave, Breach> {
+    fn mix(&mut self, round: u64, batch: Vec<Submission>) -> Result<MixWave, Breach> {
+        let mut batch: Vec<MixEntry> = batch.into_iter().map(Submission::into_entry).collect();
         let mut hops = Vec::with_capacity(self.servers.len());
         for server in self.servers.iter_mut() {
             let input_dhs = batch.iter().map(|e| e.dh).collect();
@@ -53,12 +54,13 @@ impl<R: RngCore + ?Sized> ChainParty for LocalParty<'_, R> {
                 Err(MixError::Malformed) => unreachable!("a hop is handed its predecessor's batch"),
             };
             let position = server.position();
+            let output_dhs = outputs.iter().map(|e| e.dh).collect();
             hops.push(attestation(
                 server.lie(),
                 round,
                 position,
                 input_dhs,
-                &outputs,
+                output_dhs,
                 proof,
             ));
             batch = outputs;

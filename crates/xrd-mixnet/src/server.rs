@@ -21,7 +21,7 @@ use xrd_crypto::ristretto::GroupElement;
 use xrd_crypto::scalar::Scalar;
 
 use crate::chain_keys::{ChainPublicKeys, ServerSecrets};
-use crate::client::outer_layer_keys;
+use crate::client::{outer_layer_keys, Submission};
 use crate::lie::{bend_hop, inner_key, Lie};
 use crate::message::{domain_outer, MailboxMessage, MixEntry, DOMAIN_INNER};
 
@@ -433,6 +433,77 @@ impl HopRecord<'_> {
     }
 }
 
+/// A column of DH keys — one side of a hop's §6.3 statement — and,
+/// when the keys came off the wire or were encoded once on their way
+/// out, their canonical encodings beside them: whoever sends the column
+/// on (the coordinator's cross-checks, a forwarding hop's report, a
+/// dispute) writes those bytes instead of encoding every key again.  A
+/// column built in process from computed keys carries none, and nothing
+/// encodes it unless it goes on the wire.
+///
+/// It reads as the `Vec` of keys it holds.  A mutable borrow drops the
+/// encodings — the keys may change under it — so keys and bytes cannot
+/// part.
+#[derive(Clone, Debug, Default)]
+pub struct DhColumn {
+    points: Vec<GroupElement>,
+    encoded: Option<Vec<[u8; 32]>>,
+}
+
+impl DhColumn {
+    /// `points` with their encodings: `encoded[i]` must be
+    /// `points[i].encode()` (debug builds check).
+    pub fn with_encodings(points: Vec<GroupElement>, encoded: Vec<[u8; 32]>) -> DhColumn {
+        debug_assert_eq!(GroupElement::encode_all(&points), encoded);
+        DhColumn {
+            points,
+            encoded: Some(encoded),
+        }
+    }
+
+    /// The keys' encodings, if the column carries them.
+    pub fn encodings(&self) -> Option<&[[u8; 32]]> {
+        self.encoded.as_deref()
+    }
+}
+
+/// A column of computed keys, carrying no encodings.
+impl From<Vec<GroupElement>> for DhColumn {
+    fn from(points: Vec<GroupElement>) -> DhColumn {
+        DhColumn {
+            points,
+            encoded: None,
+        }
+    }
+}
+
+impl FromIterator<GroupElement> for DhColumn {
+    fn from_iter<I: IntoIterator<Item = GroupElement>>(points: I) -> DhColumn {
+        DhColumn::from(points.into_iter().collect::<Vec<_>>())
+    }
+}
+
+impl std::ops::Deref for DhColumn {
+    type Target = Vec<GroupElement>;
+    fn deref(&self) -> &Vec<GroupElement> {
+        &self.points
+    }
+}
+
+impl std::ops::DerefMut for DhColumn {
+    fn deref_mut(&mut self) -> &mut Vec<GroupElement> {
+        self.encoded = None;
+        &mut self.points
+    }
+}
+
+/// Columns are equal when their keys are, carried bytes or not.
+impl PartialEq for DhColumn {
+    fn eq(&self, other: &DhColumn) -> bool {
+        self.points == other.points
+    }
+}
+
 /// One hop's §6.3 statement as it crosses the wire: the round, the
 /// prover's position, the DH-key columns it consumed and emitted, and
 /// the proof binding them.  A cross-server check, a forwarding hop's
@@ -444,9 +515,9 @@ pub struct HopAttestation {
     /// Hop position of the proving server.
     pub position: usize,
     /// DH keys of the hop's inputs in arrival order.
-    pub input_dhs: Vec<GroupElement>,
+    pub input_dhs: DhColumn,
     /// DH keys of the hop's outputs in emission order.
-    pub output_dhs: Vec<GroupElement>,
+    pub output_dhs: DhColumn,
     /// The aggregate blinding proof for this hop.
     pub proof: DleqProof,
 }
@@ -522,8 +593,12 @@ impl HopAttestation {
         h.update(&[upheld as u8]);
         for column in [&self.input_dhs, &self.output_dhs] {
             h.update(&(column.len() as u32).to_le_bytes());
-            for enc in GroupElement::encode_all(column) {
-                h.update(&enc);
+            let encoded = match column.encodings() {
+                Some(carried) => std::borrow::Cow::Borrowed(carried),
+                None => std::borrow::Cow::Owned(GroupElement::encode_all(column)),
+            };
+            for enc in encoded.iter() {
+                h.update(enc);
             }
         }
         h.update(&self.proof.to_bytes());
@@ -685,15 +760,22 @@ pub fn open_revealed(
 }
 
 /// Digest of a batch for input agreement (§6.3: "sorting the users'
-/// ciphertexts, hashing them ... and comparing the hashes").
-pub fn input_digest(entries: &[MixEntry]) -> [u8; 32] {
-    let mut serialized: Vec<Vec<u8>> = MixEntry::batch_to_bytes(entries);
-    serialized.sort();
+/// ciphertexts, hashing them ... and comparing the hashes"): each
+/// submission's first-hop entry as it crosses the wire, `g^x ‖ c_1`, in
+/// sorted order.  Read off the bytes the submissions carry — nothing is
+/// encoded or copied.  (`g^x` is of fixed length, so sorting the pairs
+/// sorts the concatenations.)
+pub fn input_digest(submissions: &[Submission]) -> [u8; 32] {
+    let mut entries: Vec<(&[u8; 32], &[u8])> = (submissions.iter())
+        .map(|s| (s.encoded_dh(), &s.ct[..]))
+        .collect();
+    entries.sort_unstable();
     let mut h = xrd_crypto::Blake2b::new(32);
     h.update(b"xrd/input-agreement");
-    h.update(&(serialized.len() as u64).to_le_bytes());
-    for s in &serialized {
-        h.update(s);
+    h.update(&(entries.len() as u64).to_le_bytes());
+    for (dh, ct) in entries {
+        h.update(dh);
+        h.update(ct);
     }
     h.finalize_32()
 }
@@ -1006,12 +1088,11 @@ mod tests {
         let subs: Vec<Submission> = (0..3)
             .map(|i| seal_ahs(&mut rng, &public, 0, &msg(i as u8)))
             .collect();
-        let entries: Vec<MixEntry> = subs.iter().map(|s| s.to_entry()).collect();
-        let mut reversed = entries.clone();
+        let mut reversed = subs.clone();
         reversed.reverse();
-        assert_eq!(input_digest(&entries), input_digest(&reversed));
+        assert_eq!(input_digest(&subs), input_digest(&reversed));
         // but content-dependent
-        assert_ne!(input_digest(&entries), input_digest(&entries[..2]));
+        assert_ne!(input_digest(&subs), input_digest(&subs[..2]));
     }
 
     #[test]
@@ -1094,8 +1175,8 @@ mod tests {
         let mut hop = HopAttestation {
             round,
             position: 1,
-            input_dhs: columns[1].clone(),
-            output_dhs: columns[2].clone(),
+            input_dhs: columns[1].clone().into(),
+            output_dhs: columns[2].clone().into(),
             proof: proofs[1],
         };
         assert!(hop.verify(&public));

@@ -73,7 +73,7 @@ mod tests {
             let (hops, end) = chain
                 .pass(&mut rng, 0)
                 .party
-                .mix(0, vec![sub.to_entry()])
+                .mix(0, vec![sub.clone()])
                 .unwrap();
             assert_eq!(
                 hops.len(),

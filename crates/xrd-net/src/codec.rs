@@ -50,7 +50,7 @@ use xrd_mixnet::blame::{Accusation, BlameReveal};
 use xrd_mixnet::chain_keys::{ChainPublicKeys, RotationShare, ServerKeyProofs};
 use xrd_mixnet::client::Submission;
 use xrd_mixnet::message::{MailboxMessage, MixEntry, MAILBOX_MSG_LEN};
-use xrd_mixnet::server::HopAttestation;
+use xrd_mixnet::server::{DhColumn, HopAttestation};
 
 /// Hard cap on one frame's encoded size (tag + payload).  Sized so a
 /// [`MAX_BATCH`]-entry batch of paper-scale onions (k ≈ 32, ~1 KiB per
@@ -150,6 +150,49 @@ pub mod error_code {
 /// Claim codes carried by [`Frame::DisputeVerdict`]: what the accused
 /// is alleged to have done (decided by the chain pass).
 pub use xrd_mixnet::pass::dispute_claim;
+
+// ---------------------------------------------------------------------
+// Point work: every Ristretto decode and encode this crate pays, counted
+// ---------------------------------------------------------------------
+
+/// Point-work counters, resolved once per process.
+fn point_metrics() -> &'static PointMetrics {
+    static METRICS: std::sync::OnceLock<PointMetrics> = std::sync::OnceLock::new();
+    METRICS.get_or_init(|| PointMetrics {
+        decoded: xrd_obs::counter("codec.points_decoded"),
+        encoded: xrd_obs::counter("codec.points_encoded"),
+    })
+}
+
+struct PointMetrics {
+    /// Ristretto points decoded from wire bytes.
+    decoded: &'static xrd_obs::Counter,
+    /// Ristretto points encoded for the wire.
+    encoded: &'static xrd_obs::Counter,
+}
+
+/// Decode wire points, all in one [`GroupElement::decode_all`]: the one
+/// way this crate turns bytes into points (a `Submit`'s is decoded by
+/// its daemon's screening, [`Submission::decode_points`], and counted
+/// there through [`count_decoded`]).
+pub(crate) fn decode_points(encoded: &[[u8; 32]]) -> Vec<Option<GroupElement>> {
+    count_decoded(encoded.len());
+    GroupElement::decode_all(encoded)
+}
+
+/// Count `n` points decoded.
+pub(crate) fn count_decoded(n: usize) {
+    point_metrics().decoded.add(n as u64);
+}
+
+/// Encode points for the wire, all in one [`GroupElement::encode_all`]:
+/// the one way this crate turns points into bytes.  Only a point the
+/// process computed gets here; one that arrived as bytes travels on as
+/// them.
+pub(crate) fn encode_points(points: &[GroupElement]) -> Vec<[u8; 32]> {
+    point_metrics().encoded.add(points.len() as u64);
+    GroupElement::encode_all(points)
+}
 
 // ---------------------------------------------------------------------
 // Writer / Reader: the byte sink and source every layout is written in
@@ -273,7 +316,7 @@ impl<'a> Reader<'a> {
                 }
             }
         }
-        let decoded = GroupElement::decode_all(&points)
+        let decoded = decode_points(&points)
             .into_iter()
             .collect::<Option<Vec<_>>>()
             .ok_or(CodecError::InvalidGroupElement)?;
@@ -304,11 +347,12 @@ impl<'a> Reader<'a> {
 ///
 /// A sequence goes through `put_all`/`get_all`: by default `put`/`get`
 /// per item, overridden by the types that hold a group element
-/// ([`GroupElement`] itself and the `point`-led composites below) so a
-/// sequence's points are encoded in one [`GroupElement::encode_all`]
-/// and decoded in one [`GroupElement::decode_all`].  Same bytes, same
-/// error: the first failing item's, and within an item its point's
-/// before any later field's.
+/// ([`GroupElement`] itself and the point-led composites below) so a
+/// sequence's points are encoded in one [`GroupElement::encode_all`] —
+/// unless it carries their encodings, which go out as they are — and
+/// decoded in one [`GroupElement::decode_all`].  Same bytes, same error:
+/// the first failing item's, and within an item its point's before any
+/// later field's.
 trait Wire: Sized {
     fn put(&self, w: &mut Writer);
     fn get(r: &mut Reader<'_>) -> Result<Self, CodecError>;
@@ -374,13 +418,14 @@ impl Wire for String {
 
 impl Wire for GroupElement {
     fn put(&self, w: &mut Writer) {
-        w.raw(&self.encode());
+        GroupElement::put_all(std::slice::from_ref(self), w);
     }
     fn get(r: &mut Reader<'_>) -> Result<GroupElement, CodecError> {
-        GroupElement::decode(&r.array()?).ok_or(CodecError::InvalidGroupElement)
+        let mut point = Self::get_all(r, 1)?;
+        Ok(point.pop().expect("one point read"))
     }
     fn put_all(points: &[GroupElement], w: &mut Writer) {
-        for encoding in GroupElement::encode_all(points) {
+        for encoding in encode_points(points) {
             w.raw(&encoding);
         }
     }
@@ -423,10 +468,8 @@ impl<T: Wire> Wire for Vec<T> {
     fn put(&self, w: &mut Writer) {
         // The items go out through `T::put_all`, so a row of points (or
         // of point-led entries) pays one `encode_all` — eight per inverse
-        // square root on a lane build — not one encode per point.
-        // Senders that hold already-encoded wire bytes should still
-        // forward those instead (the streamed relay path does exactly
-        // that).
+        // square root on a lane build — not one encode per point, and a
+        // row that carries its encodings pays none.
         debug_assert!(self.len() <= MAX_BATCH);
         w.seq(self);
     }
@@ -461,9 +504,7 @@ impl<T: Wire> Wire for Box<T> {
 /// Composite layouts, each declared once: the fields in wire order,
 /// carried by their own `Wire` impl unless marked `bytes` (a byte string
 /// under [`MAX_BYTES`]), `sealed` (one of exactly the sealed mailbox
-/// payload size), `u32`/`u64` (a `usize` index at that wire width) or
-/// `point` (a group element opening the layout: a sequence of the type
-/// encodes and decodes its points together, `Wire::put_all`/`get_all`).
+/// payload size) or `u32`/`u64` (a `usize` index at that wire width).
 macro_rules! wire_structs {
     ($($ty:path { $($field:ident $(: $how:ident)?),* })*) => {$(
         impl Wire for $ty {
@@ -473,39 +514,18 @@ macro_rules! wire_structs {
             fn get(r: &mut Reader<'_>) -> Result<Self, CodecError> {
                 Ok(Self { $( $field: wire_structs!(@get r $(, $how)?) ),* })
             }
-            wire_structs!(@all $($field $(: $how)?),*);
         }
     )*};
-    (@all $point:ident: point, $($field:ident $(: $how:ident)?),*) => {
-        fn put_all(items: &[Self], w: &mut Writer) {
-            let points: Vec<GroupElement> = items.iter().map(|item| item.$point).collect();
-            for (item, point) in items.iter().zip(GroupElement::encode_all(&points)) {
-                w.raw(&point);
-                $( wire_structs!(@put w, item.$field $(, $how)?); )*
-            }
-        }
-        fn get_all(r: &mut Reader<'_>, n: usize) -> Result<Vec<Self>, CodecError> {
-            r.point_led(
-                n,
-                |r| Ok(($( wire_structs!(@get r $(, $how)?), )*)),
-                |_, $point, ($($field,)*)| Self { $point, $($field),* },
-            )
-        }
-    };
-    (@all $($fields:tt)*) => {};
     (@put $w:ident, $v:expr) => { $v.put($w) };
-    (@put $w:ident, $v:expr, point) => { $v.put($w) };
     (@put $w:ident, $v:expr, bytes) => { $w.bytes(&$v) };
     (@put $w:ident, $v:expr, sealed) => { $w.bytes(&$v) };
     (@put $w:ident, $v:expr, $int:ident) => { ($v as $int).put($w) };
     (@get $r:ident) => { Wire::get($r)? };
-    (@get $r:ident, point) => { GroupElement::get($r)? };
     (@get $r:ident, bytes) => { $r.bytes()? };
     (@get $r:ident, sealed) => { $r.sealed()? };
     (@get $r:ident, $int:ident) => { <$int>::get($r)? as usize };
 }
 wire_structs! {
-    MixEntry { dh: point, ct: bytes }
     MailboxMessage { mailbox, sealed: sealed }
     RotationShare { position: u32, ipk, pok }
     Accusation { position: u32, input_index: u64, entry, dec_key, key_proof }
@@ -515,9 +535,43 @@ wire_structs! {
     HopAttestation { round, position: u32, input_dhs, output_dhs, proof }
 }
 
-/// `point pok bytes`, a `wire_structs!` row but for its point: that
-/// goes out as the encoding the submission carries and comes back with
-/// the bytes it was decoded from, so no sender re-encodes it.
+/// `point bytes`: a batch entry, the layout every chunk of a batch
+/// stream carries ([`StreamEntry`]).  A row's keys are encoded together
+/// and decoded together.
+impl Wire for MixEntry {
+    fn put(&self, w: &mut Writer) {
+        MixEntry::put_all(std::slice::from_ref(self), w);
+    }
+    fn get(r: &mut Reader<'_>) -> Result<MixEntry, CodecError> {
+        let mut entry = MixEntry::get_all(r, 1)?;
+        Ok(entry.pop().expect("one entry read"))
+    }
+    fn put_all(entries: &[MixEntry], w: &mut Writer) {
+        put_entries(entries, w);
+    }
+    fn get_all(r: &mut Reader<'_>, n: usize) -> Result<Vec<MixEntry>, CodecError> {
+        r.point_led(n, Reader::bytes, |_, dh, ct| MixEntry { dh, ct })
+    }
+}
+
+/// Write `entries` in the batch-entry layout, `point bytes` — their keys
+/// encoded, or read off the bytes they carry ([`StreamEntry`]) — and
+/// return the keys' encodings.
+fn put_entries<E: StreamEntry>(entries: &[E], w: &mut Writer) -> Vec<[u8; 32]> {
+    let dhs = E::dh_encodings(entries);
+    for (entry, dh) in entries.iter().zip(&dhs) {
+        w.raw(dh);
+        w.bytes(entry.ct());
+    }
+    dhs
+}
+
+/// `point pok bytes`.  The point goes out as the encoding the
+/// submission carries.  Read back, a `SubmissionBatch` row's points are
+/// decoded together and kept beside their bytes; a lone `Submit`'s are
+/// not decoded at all — the daemon that screens it decodes a tick's
+/// worth together ([`Submission::decode_points`]) and refuses one that
+/// is no point.
 impl Wire for Submission {
     fn put(&self, w: &mut Writer) {
         w.raw(self.encoded_dh());
@@ -526,9 +580,8 @@ impl Wire for Submission {
     }
     fn get(r: &mut Reader<'_>) -> Result<Submission, CodecError> {
         let encoded = r.array()?;
-        let dh = GroupElement::decode(&encoded).ok_or(CodecError::InvalidGroupElement)?;
         let pok = Wire::get(r)?;
-        Ok(Submission::decoded(encoded, dh, r.bytes()?, pok))
+        Ok(Submission::undecoded(encoded, r.bytes()?, pok))
     }
     fn get_all(r: &mut Reader<'_>, n: usize) -> Result<Vec<Submission>, CodecError> {
         r.point_led(
@@ -536,6 +589,29 @@ impl Wire for Submission {
             |r| Ok((Wire::get(r)?, r.bytes()?)),
             |encoded, dh, (pok, ct)| Submission::decoded(encoded, dh, ct, pok),
         )
+    }
+}
+
+/// `seq<point>`, written as the encodings the column carries (a column
+/// of computed keys is encoded here, together) and read back with its
+/// encodings beside its keys — so a column received is sent on as the
+/// bytes it came in.
+impl Wire for DhColumn {
+    fn put(&self, w: &mut Writer) {
+        match self.encodings() {
+            Some(encoded) => {
+                debug_assert!(encoded.len() <= MAX_BATCH);
+                (encoded.len() as u32).put(w);
+                encoded.iter().for_each(|dh| w.raw(dh));
+            }
+            None => w.seq(&self[..]),
+        }
+    }
+    fn get(r: &mut Reader<'_>) -> Result<DhColumn, CodecError> {
+        let n = r.count(MAX_BATCH)?;
+        let keys = r.point_led(n, |_| Ok(()), |encoded, dh, ()| (dh, encoded))?;
+        let (points, encoded) = keys.into_iter().unzip();
+        Ok(DhColumn::with_encodings(points, encoded))
     }
 }
 
@@ -1168,11 +1244,10 @@ pub fn decode_server_config(
 ///
 /// Chunking-invariant by construction — the absorbed byte stream is the
 /// concatenation of per-entry encodings (`dh ‖ u32 ct-len ‖ ct`), which
-/// is independent of how the entries were cut into chunks.  A sender
-/// or relay that holds the encoded chunk frames absorbs their payload
-/// bytes for free ([`StreamDigest::absorb_chunk_payload`]); a receiver
-/// that only holds decoded entries re-derives the same bytes
-/// ([`StreamDigest::absorb_entries`], one batched encoding pass).
+/// is independent of how the entries were cut into chunks.  Sender,
+/// relay and receiver all hold the encoded chunk frames, and absorb
+/// their payload bytes ([`StreamDigest::absorb_chunk_payload`]): the
+/// digest never costs an encoding.
 ///
 /// This is a *transport* integrity check (truncated, duplicated or
 /// re-ordered chunks fail fast, before any blame machinery engages);
@@ -1196,24 +1271,9 @@ impl StreamDigest {
         StreamDigest { h }
     }
 
-    /// Absorb entries by re-deriving their canonical encodings (their
-    /// DH keys in one [`GroupElement::encode_all`]; prefer
-    /// [`BatchAssembler::absorb_raw`] wherever the already-encoded wire
-    /// bytes are at hand).
-    pub fn absorb_entries(&mut self, entries: &[MixEntry]) {
-        let dhs: Vec<GroupElement> = entries.iter().map(|e| e.dh).collect();
-        for (e, dh) in entries.iter().zip(GroupElement::encode_all(&dhs)) {
-            self.h.update(&dh);
-            self.h.update(&(e.ct.len() as u32).to_le_bytes());
-            self.h.update(&e.ct);
-        }
-    }
-
     /// Absorb the payload bytes of an already-encoded chunk frame (the
     /// bytes after the tag and entry count — see
-    /// [`ChunkedBatch::CHUNK_PAYLOAD_OFFSET`]).  Byte-identical to
-    /// [`StreamDigest::absorb_entries`] on the decoded entries, because
-    /// the wire only ever carries canonical encodings.
+    /// [`ChunkedBatch::CHUNK_PAYLOAD_OFFSET`]).
     pub fn absorb_chunk_payload(&mut self, payload: &[u8]) {
         self.h.update(payload);
     }
@@ -1275,9 +1335,10 @@ impl std::error::Error for StreamError {}
 /// closing [`Frame::MixBatchEnd`] carrying the stream digest — the
 /// sender half of a streamed hop.
 ///
-/// Building encodes each entry exactly once and derives the digest
-/// from the already-encoded chunk payloads, so the digest costs the
-/// sender no second encoding pass.
+/// Building encodes each entry's key at most once — a hop's outputs a
+/// chunk at a time, hop 0's submissions not at all ([`StreamEntry`]) —
+/// and derives the digest from the encoded chunk payloads, so the
+/// digest costs the sender no second encoding pass.
 ///
 /// ```
 /// use xrd_net::codec::{ChunkedBatch, BatchAssembler, Frame};
@@ -1304,7 +1365,8 @@ impl std::error::Error for StreamError {}
 ///             assembler = Some(BatchAssembler::begin(total).unwrap());
 ///         }
 ///         Frame::MixBatchChunk { entries } => {
-///             assembler.as_mut().unwrap().absorb(entries).unwrap();
+///             let payload = &bytes[ChunkedBatch::CHUNK_PAYLOAD_OFFSET..];
+///             assembler.as_mut().unwrap().absorb(entries, payload).unwrap();
 ///         }
 ///         Frame::MixBatchEnd { digest } => {
 ///             rebuilt = Some(assembler.take().unwrap().finish(digest).unwrap());
@@ -1317,7 +1379,39 @@ impl std::error::Error for StreamError {}
 pub struct ChunkedBatch {
     frames: Vec<Vec<u8>>,
     digest: [u8; 32],
-    total: usize,
+    /// The entries' DH-key encodings, as the chunks carry them.
+    dhs: Vec<[u8; 32]>,
+}
+
+/// An entry a batch stream carries, in the [`MixEntry`] layout `point
+/// bytes` ([`ChunkedBatch::build`]).  A [`MixEntry`] — a hop's output,
+/// keys the hop computed — has its keys encoded, a chunk's in one
+/// [`GroupElement::encode_all`]; a [`Submission`] — hop 0's input —
+/// writes the encoding it carries.
+pub trait StreamEntry: Sized {
+    /// The encodings of `entries`' DH keys, in order.
+    fn dh_encodings(entries: &[Self]) -> Vec<[u8; 32]>;
+    /// The entry's onion.
+    fn ct(&self) -> &[u8];
+}
+
+impl StreamEntry for MixEntry {
+    fn dh_encodings(entries: &[MixEntry]) -> Vec<[u8; 32]> {
+        let dhs: Vec<GroupElement> = entries.iter().map(|e| e.dh).collect();
+        encode_points(&dhs)
+    }
+    fn ct(&self) -> &[u8] {
+        &self.ct
+    }
+}
+
+impl StreamEntry for Submission {
+    fn dh_encodings(submissions: &[Submission]) -> Vec<[u8; 32]> {
+        submissions.iter().map(|s| *s.encoded_dh()).collect()
+    }
+    fn ct(&self) -> &[u8] {
+        &self.ct
+    }
 }
 
 impl ChunkedBatch {
@@ -1328,7 +1422,7 @@ impl ChunkedBatch {
     /// Cut `entries` into `chunk_size`-entry streaming frames for
     /// `round`.  `chunk_size` is clamped to `1..=MAX_BATCH`; the batch
     /// itself must fit [`MAX_BATCH`].
-    pub fn build(round: u64, entries: &[MixEntry], chunk_size: usize) -> ChunkedBatch {
+    pub fn build<E: StreamEntry>(round: u64, entries: &[E], chunk_size: usize) -> ChunkedBatch {
         assert!(entries.len() <= MAX_BATCH, "batch exceeds MAX_BATCH");
         let chunk_size = chunk_size.clamp(1, MAX_BATCH);
         let mut frames = Vec::with_capacity(2 + entries.len().div_ceil(chunk_size));
@@ -1340,9 +1434,11 @@ impl ChunkedBatch {
             .encode(),
         );
         let mut digest = StreamDigest::new();
+        let mut dhs = Vec::with_capacity(entries.len());
         for chunk in entries.chunks(chunk_size) {
             let mut w = Writer::new(tag::MixBatchChunk);
-            w.seq(chunk);
+            (chunk.len() as u32).put(&mut w);
+            dhs.extend(put_entries(chunk, &mut w));
             let encoded = w.finish();
             digest.absorb_chunk_payload(&encoded[Self::CHUNK_PAYLOAD_OFFSET..]);
             frames.push(encoded);
@@ -1352,8 +1448,24 @@ impl ChunkedBatch {
         ChunkedBatch {
             frames,
             digest,
-            total: entries.len(),
+            dhs,
         }
+    }
+
+    /// The DH-key encodings inside one chunk's `payload` (what follows
+    /// [`ChunkedBatch::CHUNK_PAYLOAD_OFFSET`] in its frame), `entries`
+    /// being that chunk decoded: read where they lie in the `point
+    /// bytes` records, nothing decoded or encoded.
+    pub fn payload_dhs<'p>(
+        entries: &'p [MixEntry],
+        payload: &'p [u8],
+    ) -> impl Iterator<Item = [u8; 32]> + 'p {
+        let mut at = 0;
+        entries.iter().map(move |entry| {
+            let dh = payload[at..at + 32].try_into();
+            at += 32 + 4 + entry.ct.len();
+            dh.expect("a record opens with its key")
+        })
     }
 
     /// The encoded frames (length prefix included), in send order.
@@ -1368,7 +1480,13 @@ impl ChunkedBatch {
 
     /// Total entries across all chunks.
     pub fn total(&self) -> usize {
-        self.total
+        self.dhs.len()
+    }
+
+    /// The entries' DH-key encodings, in stream order, as the chunks
+    /// carry them.
+    pub fn dh_encodings(&self) -> &[[u8; 32]] {
+        &self.dhs
     }
 }
 
@@ -1398,29 +1516,13 @@ impl BatchAssembler {
         })
     }
 
-    /// Absorb one chunk.  Returns the chunk's start index within the
-    /// assembled batch (so callers can hand the exact slice to a
-    /// worker while the stream continues).
-    pub fn absorb(&mut self, entries: Vec<MixEntry>) -> Result<usize, StreamError> {
-        self.digest.absorb_entries(&entries);
-        self.absorb_predigested(entries)
-    }
-
-    /// [`BatchAssembler::absorb`] for callers that already hold the
-    /// chunk's raw payload bytes (a relay): absorbs those into the
-    /// digest instead of re-encoding the entries.  The caller is
-    /// responsible for `payload` actually being the encoding of
-    /// `entries` (true by construction when both came off one frame).
-    pub fn absorb_raw(
-        &mut self,
-        entries: Vec<MixEntry>,
-        payload: &[u8],
-    ) -> Result<usize, StreamError> {
-        self.digest.absorb_chunk_payload(payload);
-        self.absorb_predigested(entries)
-    }
-
-    fn absorb_predigested(&mut self, entries: Vec<MixEntry>) -> Result<usize, StreamError> {
+    /// Absorb one chunk: its decoded `entries` and its raw `payload`
+    /// bytes, what follows [`ChunkedBatch::CHUNK_PAYLOAD_OFFSET`] in the
+    /// frame they came off (the digest reads those, never re-encoding
+    /// the entries).  Returns the chunk's start index within the
+    /// assembled batch (so callers can hand the exact slice to a worker
+    /// while the stream continues).
+    pub fn absorb(&mut self, entries: Vec<MixEntry>, payload: &[u8]) -> Result<usize, StreamError> {
         let start = self.entries.len();
         if start + entries.len() > self.total {
             return Err(StreamError::Overrun {
@@ -1428,6 +1530,7 @@ impl BatchAssembler {
                 total: self.total,
             });
         }
+        self.digest.absorb_chunk_payload(payload);
         self.entries.extend(entries);
         Ok(start)
     }

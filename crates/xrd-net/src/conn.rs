@@ -371,17 +371,19 @@ impl Conn {
     }
 
     /// The send half of a hop exchange: ship `entries` to the daemon as
-    /// a `chunk`-entry [`ChunkedBatch`] stream for `round`.
+    /// a `chunk`-entry [`ChunkedBatch`] stream for `round`.  Returns the
+    /// encodings of the entries' DH keys as the stream carried them.
     pub fn send_batch(
         &mut self,
         round: u64,
         entries: &[MixEntry],
         chunk: usize,
-    ) -> Result<(), NetError> {
-        for bytes in ChunkedBatch::build(round, entries, chunk).frames() {
+    ) -> Result<Vec<[u8; 32]>, NetError> {
+        let stream = ChunkedBatch::build(round, entries, chunk);
+        for bytes in stream.frames() {
             self.send_encoded(bytes)?;
         }
-        Ok(())
+        Ok(stream.dh_encodings().to_vec())
     }
 
     /// One whole hop exchange: [`Conn::send_batch`], then collect the
@@ -412,8 +414,23 @@ impl Conn {
         &mut self,
         round: u64,
         total: usize,
-        mut next: Option<&mut Conn>,
+        next: Option<&mut Conn>,
     ) -> Result<HopReply, NetError> {
+        let (reply, _) = self.recv_hop_output(round, total, next)?;
+        Ok(reply)
+    }
+
+    /// [`Conn::recv_hop_reply`], also returning the encodings of the
+    /// output entries' DH keys as they arrived (read off the chunk
+    /// payloads, in stream order; empty unless the reply is an
+    /// [`HopReply::Output`]) — the hop's output column, to go on the
+    /// wire again without an encode.
+    pub(crate) fn recv_hop_output(
+        &mut self,
+        round: u64,
+        total: usize,
+        mut next: Option<&mut Conn>,
+    ) -> Result<(HopReply, Vec<[u8; 32]>), NetError> {
         let (position, proof) = match self.recv()? {
             Frame::HopProof {
                 round: r,
@@ -424,9 +441,9 @@ impl Conn {
                 round: r,
                 position,
                 failed,
-            } if r == round => return Ok(HopReply::Failure { position, failed }),
+            } if r == round => return Ok((HopReply::Failure { position, failed }, Vec::new())),
             Frame::HopForwarded { attestation } if attestation.round == round => {
-                return Ok(HopReply::Attested(attestation))
+                return Ok((HopReply::Attested(attestation), Vec::new()))
             }
             other => {
                 let expected = format!("HopProof/HopForwarded/HopFailure for round {round}");
@@ -454,11 +471,13 @@ impl Conn {
             }
             other => Err(unexpected(other, "MixBatchStart")),
         })?;
+        let mut encoded = Vec::with_capacity(total);
         loop {
             let end = self.recv_then(|frame, wire| match frame {
                 Frame::MixBatchChunk { entries } => {
                     let payload = &wire[ChunkedBatch::CHUNK_PAYLOAD_OFFSET..];
-                    assembler.absorb_raw(entries, payload).map_err(bad_stream)?;
+                    encoded.extend(ChunkedBatch::payload_dhs(&entries, payload));
+                    assembler.absorb(entries, payload).map_err(bad_stream)?;
                     relay(wire)?;
                     Ok(None)
                 }
@@ -468,11 +487,12 @@ impl Conn {
             if let Some((digest, wire)) = end {
                 let outputs = assembler.finish(digest).map_err(bad_stream)?;
                 relay(&wire)?;
-                return Ok(HopReply::Output {
+                let reply = HopReply::Output {
                     position,
                     outputs,
                     proof,
-                });
+                };
+                return Ok((reply, encoded));
             }
         }
     }

@@ -40,7 +40,6 @@ use std::iter::repeat;
 use std::net::SocketAddr;
 use std::time::Duration;
 
-use xrd_crypto::ristretto::GroupElement;
 use xrd_crypto::scalar::Scalar;
 use xrd_mixnet::blame::{Accusation, BlameReveal};
 use xrd_mixnet::chain_keys::{apply_rotation_shares, ChainPublicKeys, RotationShare};
@@ -48,7 +47,7 @@ use xrd_mixnet::client::Submission;
 use xrd_mixnet::message::MixEntry;
 use xrd_mixnet::pass::dispute_claim;
 use xrd_mixnet::pass::Evidence;
-use xrd_mixnet::server::{input_digest, verify_hops_batched, HopAttestation};
+use xrd_mixnet::server::{input_digest, verify_hops_batched, DhColumn, HopAttestation};
 use xrd_mixnet::{ChainParty, ChainPass, ChainRoundOutcome, MixWave};
 pub use xrd_mixnet::{MixPhase, PendingChainRound};
 
@@ -160,10 +159,11 @@ pub enum Transport {
     Forwarded,
 }
 
-/// The DH keys of a batch, in order: the only part of it §6.3 proves
-/// anything about.
-fn dh_column(entries: &[MixEntry]) -> Vec<GroupElement> {
-    entries.iter().map(|e| e.dh).collect()
+/// The DH keys of `entries`, in order — the only part of a batch §6.3
+/// proves anything about — beside the encodings they crossed the wire
+/// as.
+fn dh_column(entries: &[MixEntry], encoded: Vec<[u8; 32]>) -> DhColumn {
+    DhColumn::with_encodings(entries.iter().map(|e| e.dh).collect(), encoded)
 }
 
 /// Coordinator-side handle for one chain: persistent connections to its
@@ -350,9 +350,9 @@ impl ChainClient {
             other => return Err(unexpected("SubmissionBatch", other)),
         };
         // Never trust one server's transcript blindly: re-derive the
-        // digest locally and compare against the agreed one.
-        let entries: Vec<MixEntry> = batch.iter().map(|s| s.to_entry()).collect();
-        if input_digest(&entries) != majority {
+        // digest locally (off the bytes the batch arrived as) and
+        // compare against the agreed one.
+        if input_digest(&batch) != majority {
             return Err(NetError::Protocol(format!(
                 "server {source} returned a batch that does not match the agreed digest"
             )));
@@ -551,7 +551,7 @@ impl ChainParty for Wire<'_> {
     /// hop's emission — or straight to its successor, in which case only
     /// its [`HopAttestation`] comes back.  A [`Frame::HopFailure`] ends
     /// the wave, whichever hop sent it and whoever carried its batch.
-    fn mix(&mut self, round: u64, batch: Vec<MixEntry>) -> Result<MixWave, NetError> {
+    fn mix(&mut self, round: u64, batch: Vec<Submission>) -> Result<MixWave, NetError> {
         let k = self.conns.len();
         let forwarded = self.transport == Transport::Forwarded;
         if forwarded {
@@ -561,10 +561,15 @@ impl ChainParty for Wire<'_> {
             let marks = ask(self.conns, repeat(Some(&mark[..])), NO_RETRY);
             marks.into_iter().flatten().try_for_each(expect_ok)?;
         }
-        // Open the pipeline: hop 0's request stream, encoded once.
+        // Open the pipeline: hop 0's request stream, written from the
+        // bytes the submissions carry.
         for bytes in ChunkedBatch::build(round, &batch, STREAM_CHUNK).frames() {
             self.conns[0].send_encoded(bytes)?;
         }
+        let agreed = DhColumn::with_encodings(
+            batch.iter().map(Submission::dh).collect(),
+            batch.iter().map(|s| *s.encoded_dh()).collect(),
+        );
         let mut hops: Vec<HopAttestation> = Vec::with_capacity(k);
         let mut last = None;
         for pos in 0..k {
@@ -578,7 +583,8 @@ impl ChainParty for Wire<'_> {
             let attests = forwarded && pos + 1 < k;
             let (upto, after) = self.conns.split_at_mut(pos + 1);
             let next = if forwarded { None } else { after.first_mut() };
-            let hop = match upto[pos].recv_hop_reply(round, batch.len(), next)? {
+            let (reply, encoded) = upto[pos].recv_hop_output(round, batch.len(), next)?;
+            let hop = match reply {
                 HopReply::Output {
                     position,
                     outputs,
@@ -586,9 +592,9 @@ impl ChainParty for Wire<'_> {
                 } if position as usize == pos && !attests => {
                     // What entered this hop: the batch the coordinator
                     // carried, or what the hop before it attested.
-                    let entered = hops.last().map(|h| h.output_dhs.clone());
-                    let input_dhs = entered.unwrap_or_else(|| dh_column(&batch));
-                    let output_dhs = dh_column(last.insert(outputs));
+                    let entered = hops.last().map(|h| &h.output_dhs);
+                    let input_dhs = entered.unwrap_or(&agreed).clone();
+                    let output_dhs = dh_column(last.insert(outputs), encoded);
                     HopAttestation {
                         round,
                         position: pos,

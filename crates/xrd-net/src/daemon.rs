@@ -56,19 +56,18 @@ use xrd_core::mailbox::{
 };
 use xrd_core::RecordLog;
 use xrd_crypto::nizk::DleqProof;
-use xrd_crypto::ristretto::GroupElement;
 use xrd_mixnet::chain_keys::{rotation_share, ChainPublicKeys, ServerSecrets};
 use xrd_mixnet::client::Submission;
 use xrd_mixnet::lie::{attestation, upheld, verdict, window_digest, Lie};
 use xrd_mixnet::message::{outer_ct_len, MailboxMessage, MixEntry};
-use xrd_mixnet::server::{ChunkKernel, HopAttestation, MixError, MixServer};
+use xrd_mixnet::server::{ChunkKernel, DhColumn, HopAttestation, MixError, MixServer};
 
 use crate::codec::{
-    decode_server_config, encode_hop_output_stream, encode_server_config, error_code, Frame,
-    StreamDigest, StreamError, STREAM_CHUNK,
+    count_decoded, decode_server_config, encode_hop_output_stream, encode_server_config,
+    error_code, ChunkedBatch, CodecError, Frame, StreamDigest, StreamError, STREAM_CHUNK,
 };
 use crate::conn::{Conn, NetError};
-use crate::reactor::{ConnId, Outcome, Reactor, ReactorHandle, Service, WorkerPool};
+use crate::reactor::{ConnId, Outcome, Reactor, ReactorHandle, Service, Settled, WorkerPool};
 
 // ---------------------------------------------------------------------
 // Generic daemon plumbing
@@ -245,15 +244,15 @@ struct MixState {
     last_opened: Option<u64>,
     /// Submissions admitted to the open round (arrival order).
     pending_subs: Vec<Submission>,
-    /// Submissions of the open round that passed the inline checks but
-    /// whose proof of knowledge is not yet checked, with the connection
-    /// each `Ok` is held on.  [`MixState::screen`] empties it once per
-    /// reactor tick, and before anything that reads or resets the
-    /// window.
-    unscreened: Vec<(ConnId, Submission)>,
+    /// `Submit`s received since the last screening, as their frames
+    /// carried them — the point still bytes — with the round each
+    /// names and the connection its `Ok` is held on.
+    /// [`MixState::screen`] empties it once per reactor tick, and before
+    /// anything that reads or resets the window.
+    unscreened: Vec<(ConnId, u64, Submission)>,
     /// Verdicts of screened-out submissions, for the tick's commit to
-    /// put in place of their held `Ok`.
-    rejections: Vec<(ConnId, Frame)>,
+    /// settle their held `Ok` with.
+    rejections: Vec<(ConnId, Settled)>,
     /// Canonical (sorted) batches per closed round.
     batches: HashMap<u64, Vec<Submission>>,
     /// In-flight streamed hop sessions, one per connection.
@@ -354,12 +353,19 @@ fn storage_err(e: std::io::Error) -> Frame {
 /// One connection's in-flight streamed hop.  The session itself holds
 /// only bookkeeping — every chunk's entries are *moved* into its
 /// worker job (no copy on the reactor thread) and handed back through
-/// the [`ChunkWork`] latch alongside the computed slots.
+/// the [`ChunkWork`] latch alongside the computed slots — and what it
+/// reads off the chunks' wire bytes as they arrive: the stream digest
+/// and the input keys' encodings.
 struct HopStreamSession {
     /// Entries the Start frame declared.
     total: usize,
     /// Entries received across chunks so far (overrun enforcement).
     received: usize,
+    /// Running digest over the chunk payloads, in arrival order.
+    digest: StreamDigest,
+    /// The input keys' encodings as the chunks carried them (a
+    /// forwarded hop's attestation reports its input column in them).
+    input_dhs: Vec<[u8; 32]>,
     kernel: ChunkKernel,
     work: Arc<ChunkWork>,
     /// Chunk jobs dispatched so far (what the End job's latch waits
@@ -447,7 +453,8 @@ struct ForwardCtx {
 }
 
 /// Stream `outputs` to the successor as a normal
-/// `MixBatchStart/Chunk/End` round and await its single ack frame.  The
+/// `MixBatchStart/Chunk/End` round and await its single ack frame;
+/// the keys' encodings the stream carried come back.  The
 /// cached link is checked *before* anything is sent: one the successor
 /// hung up (or wrote to unasked) while it idled between rounds is
 /// replaced by a fresh dial.  Once the batch has gone out it is never
@@ -459,17 +466,17 @@ fn forward_batch(
     successor: SocketAddr,
     round: u64,
     outputs: &[MixEntry],
-) -> Result<(), NetError> {
+) -> Result<Vec<[u8; 32]>, NetError> {
     let mut guard = link.lock().expect("forward link poisoned");
     let mut conn = match guard.take() {
         Some(conn) if conn.is_at_rest() => conn,
         _ => Conn::connect(successor)?,
     };
-    conn.send_batch(round, outputs, STREAM_CHUNK)?;
+    let encoded = conn.send_batch(round, outputs, STREAM_CHUNK)?;
     match conn.recv()? {
         Frame::Ok => {
             *guard = Some(conn);
-            Ok(())
+            Ok(encoded)
         }
         Frame::Error { code, message } => Err(NetError::Remote { code, message }),
         other => Err(NetError::Protocol(format!(
@@ -510,13 +517,14 @@ impl ForwardCtx {
 /// ever seeing the intermediate ciphertexts); the last hop reports its
 /// whole reply — [`Frame::HopProof`] and the output stream.  Returns
 /// the bytes to reply on the inbound connection.  The attestation is the
-/// server's ([`attestation`]), its `lie` and all.
+/// server's ([`attestation`]), its `lie` and all; its columns go out as
+/// the bytes the input arrived as and the output was sent as.
 fn forward_hop_output(
     fwd: &ForwardCtx,
     round: u64,
     position: usize,
     lie: Option<Lie>,
-    input_dhs: Vec<GroupElement>,
+    input_dhs: DhColumn,
     outputs: &[MixEntry],
     proof: DleqProof,
 ) -> Vec<u8> {
@@ -525,16 +533,20 @@ fn forward_hop_output(
         let reply = encode_hop_output_stream(round, position as u32, outputs, &proof, STREAM_CHUNK);
         return fwd.report(reply);
     };
-    if let Err(e) = forward_batch(&fwd.link, successor, round, outputs) {
-        forward_metrics().failures.incr();
-        return err(
-            error_code::BAD_STATE,
-            format!("forward to next hop {successor} failed: {e}"),
-        )
-        .encode();
-    }
+    let sent = match forward_batch(&fwd.link, successor, round, outputs) {
+        Ok(sent) => sent,
+        Err(e) => {
+            forward_metrics().failures.incr();
+            return err(
+                error_code::BAD_STATE,
+                format!("forward to next hop {successor} failed: {e}"),
+            )
+            .encode();
+        }
+    };
     forward_metrics().batches.incr();
-    let attestation = attestation(lie, round, position, input_dhs, outputs, proof);
+    let output_dhs = DhColumn::with_encodings(outputs.iter().map(|e| e.dh).collect(), sent);
+    let attestation = attestation(lie, round, position, input_dhs, output_dhs, proof);
     fwd.report(Frame::HopForwarded { attestation }.encode())
 }
 
@@ -571,25 +583,30 @@ impl MixState {
         records
     }
 
-    /// `Submit`: the cheap checks — window, quotas, onion size — then
-    /// queue the submission for the tick's screening.  Returns the
-    /// refusal if a check failed; `None` means the submission is queued
-    /// and its `Ok` is to be held for the commit, which may still turn
-    /// it into a rejection — the proof of knowledge is not checked
-    /// here.  Queued submissions count against the window cap as if
-    /// admitted, so the cap is never overshot (a connection has at most
-    /// one queued — its pending slot is taken — so its own quota needs
-    /// no such allowance).
-    fn queue_submission(
-        &mut self,
+    /// `Submit`: queue the submission for the tick's screening, which
+    /// decides it; its `Ok` is held for the commit meanwhile.
+    fn queue_submission(&mut self, conn: ConnId, round: u64, submission: Submission) {
+        self.unscreened.push((conn, round, submission));
+    }
+
+    /// The cheap checks of a submission whose point decoded — window,
+    /// quotas, onion size — with `queued` submissions of this screening
+    /// ahead of it already admitted to its proof check (they count
+    /// against the window cap as if admitted, so the cap is never
+    /// overshot; a connection has at most one queued — its pending slot
+    /// is taken — so its own quota needs no such allowance).  The
+    /// refusal, if a check fails.
+    fn admission(
+        &self,
         conn: ConnId,
         round: u64,
-        submission: Submission,
+        submission: &Submission,
+        queued: usize,
     ) -> Option<Frame> {
         if self.open_round != Some(round) {
             return Some(err(error_code::UNKNOWN_ROUND, "no submission window open"));
         }
-        if self.pending_subs.len() + self.unscreened.len() >= self.policy.max_pending {
+        if self.pending_subs.len() + queued >= self.policy.max_pending {
             mix_metrics().rejected_quota.incr();
             return Some(err(error_code::QUOTA_EXCEEDED, "submission window full"));
         }
@@ -603,27 +620,51 @@ impl MixState {
         if submission.ct.len() != outer_ct_len(self.public().len()) {
             return Some(err(error_code::REJECTED_SUBMISSION, "wrong onion size"));
         }
-        self.unscreened.push((conn, submission));
         None
     }
 
-    /// Check the proof of knowledge of everything queued since the last
-    /// screening in **one** batched verification
-    /// ([`Submission::verify_poks`]: one multiscalar multiplication; a
-    /// rejecting batch falls back to per-proof checks, so exactly the
-    /// proofs a single check refuses are refused).  Passers are
-    /// admitted to the window in arrival order; each offender's
-    /// rejection waits in `rejections` for the tick's commit.
+    /// Decide everything queued since the last screening, in arrival
+    /// order.  Its points are decoded first, all in **one**
+    /// [`decode_all`](xrd_crypto::GroupElement::decode_all) ([`Submission::decode_points`]): one
+    /// that is no point is refused as the frame that does not parse it
+    /// was before any other check ([`Settled::Malformed`]).  The rest
+    /// pass the cheap checks ([`MixState::admission`]) or are refused;
+    /// what passes has its proof of knowledge checked in **one** batched
+    /// verification ([`Submission::verify_poks`]: one multiscalar
+    /// multiplication; a rejecting batch falls back to per-proof checks,
+    /// so exactly the proofs a single check refuses are refused).
+    /// Passers are admitted to the window in arrival order; each
+    /// refusal waits in `rejections` for the tick's commit.
     fn screen(&mut self) {
         if self.unscreened.is_empty() {
             return;
         }
-        let round = self
-            .open_round
-            .expect("submissions queue only for the open window, which screens before it changes");
         let started = std::time::Instant::now();
-        let (conns, submissions): (Vec<ConnId>, Vec<Submission>) =
-            std::mem::take(&mut self.unscreened).into_iter().unzip();
+        let (requests, mut submissions): (Vec<(ConnId, u64)>, Vec<Submission>) =
+            (std::mem::take(&mut self.unscreened).into_iter())
+                .map(|(conn, round, submission)| ((conn, round), submission))
+                .unzip();
+        // Every queued submission came off a `Submit` frame undecoded.
+        count_decoded(submissions.len());
+        let points = Submission::decode_points(&mut submissions);
+        let mut candidates: Vec<(ConnId, Submission)> = Vec::with_capacity(submissions.len());
+        for (((conn, round), submission), point) in
+            requests.into_iter().zip(submissions).zip(points)
+        {
+            let refusal = match point {
+                false => Some(Settled::Malformed(CodecError::InvalidGroupElement)),
+                true => (self.admission(conn, round, &submission, candidates.len()))
+                    .map(Settled::Instead),
+            };
+            match refusal {
+                Some(refusal) => self.rejections.push((conn, refusal)),
+                None => candidates.push((conn, submission)),
+            }
+        }
+        let Some(round) = self.open_round.filter(|_| !candidates.is_empty()) else {
+            return;
+        };
+        let (conns, submissions): (Vec<ConnId>, Vec<Submission>) = candidates.into_iter().unzip();
         let verdicts = Submission::verify_poks(round, &submissions);
         let metrics = mix_metrics();
         metrics.screen_batch.record(submissions.len() as u64);
@@ -636,7 +677,7 @@ impl MixState {
                 self.pending_subs.push(submission);
             } else {
                 let refusal = err(error_code::REJECTED_SUBMISSION, "invalid PoK");
-                self.rejections.push((conn, refusal));
+                self.rejections.push((conn, Settled::Instead(refusal)));
             }
         }
         metrics.screen_us.record_duration(started.elapsed());
@@ -669,10 +710,9 @@ impl MixState {
                     // window already fixed re-answers its digest (the
                     // first response may have been lost in flight).
                     if let Some(batch) = self.batches.get(&round) {
-                        let entries: Vec<_> = batch.iter().map(|s| s.to_entry()).collect();
                         return Frame::BatchDigest {
                             round,
-                            digest: window_digest(self.server.lie(), &entries),
+                            digest: window_digest(self.server.lie(), batch),
                             count: batch.len() as u64,
                         };
                     }
@@ -683,13 +723,13 @@ impl MixState {
                 // of the close is screened into it first.
                 self.screen();
                 self.open_round = None;
-                // Canonical order: sort by serialized bytes, so every
-                // server that received the same set fixes the same batch.
+                // Canonical order: sort by serialized bytes (a
+                // submission's order), so every server that received the
+                // same set fixes the same batch.
                 let mut batch = std::mem::take(&mut self.pending_subs);
-                batch.sort_by_cached_key(Submission::to_bytes);
+                batch.sort_unstable();
                 batch.dedup();
-                let entries: Vec<_> = batch.iter().map(|s| s.to_entry()).collect();
-                let digest = window_digest(self.server.lie(), &entries);
+                let digest = window_digest(self.server.lie(), &batch);
                 let count = batch.len() as u64;
                 self.batches.insert(round, batch);
                 // Only the current and previous rounds are ever fetched
@@ -866,6 +906,8 @@ impl MixService {
             HopStreamSession {
                 total,
                 received: 0,
+                digest: StreamDigest::new(),
+                input_dhs: Vec::new(),
                 kernel,
                 work: Arc::new(ChunkWork::default()),
                 jobs: 0,
@@ -876,14 +918,16 @@ impl MixService {
 
     /// `MixBatchChunk`: dispatch the chunk's decrypt-and-blind to the
     /// pool immediately — compute overlaps the rest of the transfer.
-    /// The entries move into the job (the reactor thread does only the
-    /// overrun bookkeeping) and come back through the session latch
-    /// for the End job to reassemble; the stream digest is likewise
-    /// verified there, off this thread.
+    /// The entries move into the job and come back through the session
+    /// latch for the End job to reassemble; the reactor thread does the
+    /// overrun bookkeeping and reads the chunk's `wire` bytes — the
+    /// digest absorbs its payload, the session keeps its keys'
+    /// encodings — so nothing here is encoded again.
     fn stream_chunk(
         &self,
         conn: ConnId,
         entries: Vec<MixEntry>,
+        wire: &[u8],
         workers: &Arc<WorkerPool>,
     ) -> Outcome {
         let mut state = self.lock();
@@ -900,6 +944,10 @@ impl MixService {
         }
         let start = session.received;
         session.received += entries.len();
+        let payload = &wire[ChunkedBatch::CHUNK_PAYLOAD_OFFSET..];
+        session.digest.absorb_chunk_payload(payload);
+        let input_dhs = ChunkedBatch::payload_dhs(&entries, payload);
+        session.input_dhs.extend(input_dhs);
         session.jobs += 1;
         let kernel = session.kernel.clone();
         let work = Arc::clone(&session.work);
@@ -926,11 +974,14 @@ impl MixService {
         };
         let HopStreamSession {
             total,
+            digest: computed,
+            input_dhs,
             kernel,
             work,
             jobs,
             ..
         } = session;
+        let digest_ok = computed.finalize() == digest;
         // Forwarded round?  Claim the report connection now (on the
         // reactor thread, under the state lock) so a duplicate End
         // cannot double-forward.
@@ -960,20 +1011,18 @@ impl MixService {
                 };
                 return err(error_code::BAD_STATE, format!("stream rejected: {e}")).encode();
             }
-            let mut computed = StreamDigest::new();
-            computed.absorb_entries(&inputs);
-            if computed.finalize() != digest {
+            if !digest_ok {
                 let e = StreamError::DigestMismatch;
                 return err(error_code::BAD_STATE, format!("stream rejected: {e}")).encode();
             }
             let round = kernel.round();
             // Forwarded mode attests over key columns only (§6.3 —
             // the statement never involves ciphertexts), so the input
-            // DH column is the one thing to save before the batch
-            // moves into `finish_round`.
-            let input_dhs: Option<Vec<GroupElement>> = forward
-                .as_ref()
-                .map(|_| inputs.iter().map(|e| e.dh).collect());
+            // DH column — keys and the bytes they came as — is the one
+            // thing to save before the batch moves into `finish_round`.
+            let input_dhs = forward.as_ref().map(|_| {
+                DhColumn::with_encodings(inputs.iter().map(|e| e.dh).collect(), input_dhs)
+            });
             let mut guard = state.lock().expect("mix state poisoned");
             let st = &mut *guard;
             let (position, lie) = (st.secrets.position, st.server.lie());
@@ -1075,7 +1124,13 @@ impl Service for MixService {
         *self.handle.lock().expect("handle poisoned") = Some(handle);
     }
 
-    fn handle(&self, conn: ConnId, frame: Frame, workers: &Arc<WorkerPool>) -> Outcome {
+    fn handle(
+        &self,
+        conn: ConnId,
+        frame: Frame,
+        wire: &[u8],
+        workers: &Arc<WorkerPool>,
+    ) -> Outcome {
         match frame {
             Frame::MixForward { round } => {
                 // The coordinator marks the round as forwarded; this
@@ -1090,13 +1145,11 @@ impl Service for MixService {
             // The `Ok` waits for the tick's screening: every submission
             // gets its verdict before its acknowledgement.
             Frame::Submit { round, submission } => {
-                match self.lock().queue_submission(conn, round, submission) {
-                    None => Outcome::ReplyAfterCommit(vec![Frame::Ok]),
-                    Some(refusal) => Outcome::reply(refusal),
-                }
+                self.lock().queue_submission(conn, round, submission);
+                Outcome::ReplyAfterCommit(vec![Frame::Ok])
             }
             Frame::MixBatchStart { round, total } => self.stream_start(conn, round, total),
-            Frame::MixBatchChunk { entries } => self.stream_chunk(conn, entries, workers),
+            Frame::MixBatchChunk { entries } => self.stream_chunk(conn, entries, wire, workers),
             Frame::MixBatchEnd { digest } => self.stream_end(conn, digest),
             Frame::VerifyHopKeys { attestation } => self.defer_verify(attestation),
             Frame::DisputeOpen { attestation } => self.defer_dispute(attestation),
@@ -1124,13 +1177,13 @@ impl Service for MixService {
         state.forward_reports.retain(|_, report| *report != conn);
     }
 
-    /// The tick's one commit point: one batched proof check over every
-    /// submission the iteration queued (the offenders' held `Ok`s
-    /// become their rejections), then one journal sync for the control
+    /// The tick's one commit point: one screening of every submission
+    /// the iteration queued (the offenders' held `Ok`s become their
+    /// refusals), then one journal sync for the control
     /// records the iteration appended — or, if it activated a
     /// rotation, one rewrite compacting the journal to the state the
     /// activation left, which keeps the journal a few records long.
-    fn commit(&self) -> Result<Vec<(ConnId, Frame)>, Frame> {
+    fn commit(&self) -> Result<Vec<(ConnId, Settled)>, Frame> {
         let mut state = self.lock();
         state.screen();
         let rejections = std::mem::take(&mut state.rejections);
@@ -1460,14 +1513,20 @@ impl MailboxState {
 }
 
 impl Service for MailboxService {
-    fn handle(&self, _conn: ConnId, frame: Frame, _workers: &Arc<WorkerPool>) -> Outcome {
+    fn handle(
+        &self,
+        _conn: ConnId,
+        frame: Frame,
+        _wire: &[u8],
+        _workers: &Arc<WorkerPool>,
+    ) -> Outcome {
         self.state
             .lock()
             .expect("mailbox state poisoned")
             .handle(frame)
     }
 
-    fn commit(&self) -> Result<Vec<(ConnId, Frame)>, Frame> {
+    fn commit(&self) -> Result<Vec<(ConnId, Settled)>, Frame> {
         let mut state = self.state.lock().expect("mailbox state poisoned");
         state.store.flush().map_err(mailbox_err)?;
         Ok(Vec::new())
@@ -1542,7 +1601,7 @@ mod tests {
             let mut st = state.lock().unwrap();
             assert_eq!(st.handle(Frame::OpenRound { round: 0 }), Frame::Ok);
             for (conn, submission) in (10..).zip(submissions) {
-                assert_eq!(st.queue_submission(conn, 0, submission), None);
+                st.queue_submission(conn, 0, submission);
             }
             assert!(st.pending_subs.is_empty(), "nothing is admitted unscreened");
         }
@@ -1553,7 +1612,7 @@ mod tests {
     fn assert_only_conn_12_rejected(st: &MixState) {
         assert!(st.unscreened.is_empty());
         match &st.rejections[..] {
-            [(12, Frame::Error { code, .. })] => {
+            [(12, Settled::Instead(Frame::Error { code, .. }))] => {
                 assert_eq!(*code, error_code::REJECTED_SUBMISSION)
             }
             other => panic!("expected connection 12's rejection alone, got {other:?}"),
@@ -1624,7 +1683,7 @@ mod tests {
 
     /// Handle `frame`, demanding the reply be held for the commit.
     fn held(service: &MixService, frame: Frame) -> Frame {
-        match service.handle(1, frame, &WorkerPool::new(1)) {
+        match service.handle(1, frame, &[], &WorkerPool::new(1)) {
             Outcome::ReplyAfterCommit(mut frames) if frames.len() == 1 => frames.remove(0),
             _ => panic!("expected one reply held for the commit"),
         }

@@ -182,11 +182,20 @@ impl LaunchedCluster {
     /// Wait until process `index` answers a wire [`Frame::Ping`]
     /// again, up to `timeout`.  Returns the time it took — the
     /// kill-to-liveness recovery latency — or `None` on timeout.
+    ///
+    /// Only the process the launcher has recorded counts: a
+    /// replacement answers pings before the supervisor records it, and
+    /// until then a [`LaunchedCluster::kill_process`] would still hit
+    /// the one it replaced.
     pub fn await_live(&self, index: usize, timeout: Duration) -> Option<Duration> {
-        let addr = self.process_addr(index);
         let start = Instant::now();
         while start.elapsed() < timeout {
-            if let Ok(mut conn) = Conn::connect(addr) {
+            let recorded = {
+                let mut procs = self.processes.lock().expect("launcher lock");
+                let p = &mut procs[index];
+                matches!(p.child.try_wait(), Ok(None)).then_some(p.addr)
+            };
+            if let Some(mut conn) = recorded.and_then(|addr| Conn::connect(addr).ok()) {
                 if conn.ping().is_ok() {
                     return Some(start.elapsed());
                 }

@@ -44,15 +44,17 @@
 //! once-per-tick point: an `fdatasync` for a persistent mailbox shard;
 //! one batched proof-of-knowledge check over every submission the tick
 //! queued for a mix daemon, plus its journal's sync if it has one — then
-//! releases the held replies.  The commit may replace individual held
-//! replies by connection (the submissions whose proof failed read their
-//! rejection where the others read `Ok`), or refuse the lot with one
-//! error frame (a failed sync).  One iteration is therefore: readiness →
-//! handlers → one `commit` → release.  Nothing lingers and no batch size
-//! is configured: the group is whatever became readable while the
-//! previous commit ran (as many connections as one poller wait reports
-//! — its event buffer holds 256), so a lone request pays exactly one
-//! commit and waits for no company, and a herd shares its syncs and its
+//! releases the held replies.  The commit may settle individual held
+//! replies by connection ([`Settled`]: the submissions whose proof
+//! failed read their rejection where the others read `Ok`, and one
+//! whose point did not decode is answered and closed as an unparseable
+//! frame), or refuse the lot with one error frame (a failed sync).  One
+//! iteration is therefore: readiness → handlers → one `commit` →
+//! release.  Nothing lingers and no batch size is configured: the group
+//! is whatever became readable while the previous commit ran (as many
+//! connections as one poller wait reports — its event buffer holds
+//! 256), so a lone request pays exactly one commit and waits for no
+//! company, and a herd shares its syncs, its point decodes and its
 //! multiscalar multiplications.
 //!
 //! A refused commit is final.  What it covered is in the service's
@@ -78,7 +80,7 @@ use std::time::Instant;
 
 use xrd_obs::{Counter, Gauge, Histogram};
 
-use crate::codec::{error_code, Frame};
+use crate::codec::{error_code, CodecError, Frame};
 use crate::framed::{Flush, Framed, READ_CHUNK};
 
 /// Identifies one connection for the lifetime of a reactor (tokens are
@@ -131,8 +133,12 @@ impl Outcome {
 /// fire-and-forget side jobs (chunk crypto) that feed its own state
 /// rather than producing response frames.
 pub trait Service: Send + Sync + 'static {
-    /// Handle one request frame from connection `conn`.
-    fn handle(&self, conn: ConnId, frame: Frame, workers: &Arc<WorkerPool>) -> Outcome;
+    /// Handle one request frame from connection `conn`.  `wire` is the
+    /// frame as it arrived — length prefix, tag and payload — for a
+    /// service that digests or passes on its bytes rather than encode
+    /// the frame again.
+    fn handle(&self, conn: ConnId, frame: Frame, wire: &[u8], workers: &Arc<WorkerPool>)
+        -> Outcome;
 
     /// Connection `conn` is gone (peer hung up, protocol error, or
     /// reactor shutdown).  Drop any per-connection state.
@@ -154,18 +160,38 @@ pub trait Service: Send + Sync + 'static {
     /// [`Outcome::ReplyAfterCommit`] — sync what they wrote, screen what
     /// they queued.  Called once at the end of every iteration in which
     /// a handler returned one, on the reactor thread, before any of
-    /// those replies is released.  `Ok(replaced)` releases every held
+    /// those replies is released.  `Ok(settled)` releases every held
     /// reply as it stands except those of the listed connections, which
-    /// read the given frame instead (a connection holds at most one
+    /// are settled as [`Settled`] says (a connection holds at most one
     /// reply, so the id names it); `Err(frame)` sends `frame` in place
     /// of every held reply and of every request after them, for good
     /// (see the [module docs](self)).  Default: nothing to settle.
     // The refusals are the cold path; `Ok(vec![])` is what runs every
     // tick, and an empty vector allocates nothing.
     #[allow(clippy::result_large_err)]
-    fn commit(&self) -> Result<Vec<(ConnId, Frame)>, Frame> {
+    fn commit(&self) -> Result<Vec<(ConnId, Settled)>, Frame> {
         Ok(Vec::new())
     }
+}
+
+/// How a commit settles a held reply other than releasing it as held.
+// A cold path, one per refused request: no box for the frame.
+#[allow(clippy::large_enum_variant)]
+#[derive(Clone, Debug, PartialEq)]
+pub enum Settled {
+    /// Send this frame instead (a refused submission).
+    Instead(Frame),
+    /// The request turned out not to parse — a check the codec leaves
+    /// to the service (a `Submit`'s point, decoded by the tick's
+    /// screening): answered and closed exactly as a frame that fails
+    /// to decode on arrival.
+    Malformed(CodecError),
+}
+
+/// The reply to a frame that does not parse; the connection closes
+/// once it drains (the stream may be desynchronized).
+fn bad_frame(e: &CodecError) -> Frame {
+    crate::daemon::err(error_code::BAD_STATE, format!("bad frame: {e}"))
 }
 
 /// Pushes encoded frames to a reactor connection from any thread.
@@ -194,6 +220,7 @@ impl ReactorHandle {
                 conn,
                 bytes,
                 reopens_slot: false,
+                closes: false,
             });
         self.waker.wake();
     }
@@ -207,7 +234,13 @@ where
 {
     struct ServiceFn<F>(F);
     impl<F: Fn(Frame) -> Frame + Send + Sync + 'static> Service for ServiceFn<F> {
-        fn handle(&self, _conn: ConnId, frame: Frame, _workers: &Arc<WorkerPool>) -> Outcome {
+        fn handle(
+            &self,
+            _conn: ConnId,
+            frame: Frame,
+            _wire: &[u8],
+            _workers: &Arc<WorkerPool>,
+        ) -> Outcome {
             Outcome::reply((self.0)(frame))
         }
     }
@@ -740,6 +773,16 @@ impl Connection {
         }
     }
 
+    /// Count and log a request that did not parse; the caller answers
+    /// it with [`bad_frame`] and closes the connection after.
+    fn malformed(&self, token: ConnId, e: &CodecError, metrics: &ReactorMetrics) {
+        metrics.err_malformed.incr();
+        xrd_obs::debug!(
+            "dropping conn {token} ({:?}): bad frame: {e}",
+            self.framed.stream().peer_addr()
+        );
+    }
+
     /// Drive this connection as far as the socket allows or the frame
     /// budget permits: flush pending output, process buffered frames
     /// (one at a time — the next request is handled only after the
@@ -803,17 +846,17 @@ impl Connection {
                 return Action::Yield;
             } else {
                 frames_this_visit += 1;
-                self.framed.next_frame()
+                self.framed.next_frame_wire()
             };
             match next {
-                Some(Ok(Frame::Shutdown)) => {
+                Some(Ok((Frame::Shutdown, _))) => {
                     metrics.count_frame(Frame::Shutdown.tag());
                     self.framed.queue(&Frame::Ok);
                     self.closing = true;
                     self.is_shutdown = true;
                     continue;
                 }
-                Some(Ok(Frame::Ping)) => {
+                Some(Ok((Frame::Ping, _))) => {
                     // Liveness probe, answered by the reactor itself so
                     // "process up and reading its socket" is observable
                     // even while the service is busy in a deferred job.
@@ -821,7 +864,7 @@ impl Connection {
                     self.framed.queue(&Frame::Pong);
                     continue;
                 }
-                Some(Ok(Frame::StatsRequest)) => {
+                Some(Ok((Frame::StatsRequest, _))) => {
                     // Answered by the reactor itself — like Shutdown —
                     // so every daemon kind serves scrapes without its
                     // service knowing the frame exists.
@@ -831,13 +874,13 @@ impl Connection {
                     });
                     continue;
                 }
-                Some(Ok(frame)) => {
+                Some(Ok((frame, wire))) => {
                     metrics.count_frame(frame.tag());
                     if let Some(refusal) = failed {
                         self.framed.queue(refusal);
                         continue;
                     }
-                    match service.handle(token, frame, workers) {
+                    match service.handle(token, frame, wire, workers) {
                         Outcome::Reply(frames) => {
                             frames.iter().for_each(|frame| self.framed.queue(frame))
                         }
@@ -852,6 +895,7 @@ impl Connection {
                                 conn: token,
                                 bytes: frames.iter().flat_map(Frame::encode).collect(),
                                 reopens_slot: true,
+                                closes: false,
                             });
                             return Action::Held;
                         }
@@ -862,15 +906,8 @@ impl Connection {
                     // Unparseable bytes: count, log the peer, report,
                     // and close (the stream may be desynchronized) —
                     // after the report drains.
-                    metrics.err_malformed.incr();
-                    xrd_obs::debug!(
-                        "dropping conn {token} ({:?}): bad frame: {e}",
-                        self.framed.stream().peer_addr()
-                    );
-                    self.framed.queue(&crate::daemon::err(
-                        error_code::BAD_STATE,
-                        format!("bad frame: {e}"),
-                    ));
+                    self.malformed(token, &e, metrics);
+                    self.framed.queue(&bad_frame(&e));
                     self.closing = true;
                     continue;
                 }
@@ -950,6 +987,9 @@ struct Completion {
     conn: ConnId,
     bytes: Vec<u8>,
     reopens_slot: bool,
+    /// The connection closes once these bytes drain (a commit found
+    /// its request malformed).
+    closes: bool,
 }
 
 /// Completed deferred jobs and handle pushes awaiting delivery.
@@ -1111,6 +1151,7 @@ impl Reactor {
                 if completion.reopens_slot {
                     conn.pending = false;
                 }
+                conn.closing |= completion.closes;
                 conn.framed.queue_encoded(completion.bytes);
                 events.push((completion.conn, 0));
             }
@@ -1221,6 +1262,7 @@ impl Reactor {
                                 conn: token,
                                 bytes,
                                 reopens_slot: true,
+                                closes: false,
                             });
                         waker.wake();
                     });
@@ -1235,13 +1277,22 @@ impl Reactor {
                 self.metrics.commits.incr();
                 self.metrics.commit_held.record(held.len() as u64);
                 match committed {
-                    Ok(replaced) if replaced.is_empty() => {}
-                    Ok(replaced) => {
-                        let mut replaced: HashMap<ConnId, Frame> = replaced.into_iter().collect();
+                    Ok(settled) if settled.is_empty() => {}
+                    Ok(settled) => {
+                        let mut settled: HashMap<ConnId, Settled> = settled.into_iter().collect();
                         for reply in &mut held {
-                            if let Some(frame) = replaced.remove(&reply.conn) {
-                                reply.bytes = frame.encode();
-                            }
+                            let frame = match settled.remove(&reply.conn) {
+                                None => continue,
+                                Some(Settled::Instead(frame)) => frame,
+                                Some(Settled::Malformed(e)) => {
+                                    if let Some(conn) = self.conns.get(&reply.conn) {
+                                        conn.malformed(reply.conn, &e, &self.metrics);
+                                    }
+                                    reply.closes = true;
+                                    bad_frame(&e)
+                                }
+                            };
+                            reply.bytes = frame.encode();
                         }
                     }
                     Err(frame) => {

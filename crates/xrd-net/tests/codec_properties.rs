@@ -265,13 +265,9 @@ fn non_canonical_group_encoding_rejected() {
     body.extend_from_slice(&[0xff; 32]);
     assert_eq!(Frame::decode(&body), Err(CodecError::InvalidScalar));
 
-    // And a Submit whose DH key is not a canonical ristretto encoding.
-    let mut body = vec![0x11]; // TAG_SUBMIT
-    body.extend_from_slice(&0u64.to_le_bytes());
-    body.extend_from_slice(&[0xff; 32]); // dh: invalid encoding
-    body.extend_from_slice(&[0u8; 64]); // pok
-    body.extend_from_slice(&0u32.to_le_bytes()); // empty ct
-    assert_eq!(Frame::decode(&body), Err(CodecError::InvalidGroupElement));
+    // (A `Submit` whose DH key is no canonical encoding parses: its
+    // point is decoded, and refused, by the daemon's screening —
+    // `submit_screening::an_invalid_point_is_refused_as_a_bad_frame_and_closes_its_connection`.)
 }
 
 #[test]
@@ -397,8 +393,8 @@ fn point_rows_frame(rng: &mut StdRng, which: usize) -> Frame {
     let attestation = |rng: &mut StdRng, n_in: usize, n_out: usize| HopAttestation {
         round,
         position,
-        input_dhs: column(rng, n_in),
-        output_dhs: column(rng, n_out),
+        input_dhs: column(rng, n_in).into(),
+        output_dhs: column(rng, n_out).into(),
         proof: dleq(rng),
     };
     match which % 5 {
@@ -535,10 +531,10 @@ fn submission_fields_fail_in_wire_order() {
 /// A real sealed submission crosses the wire whole — alone in a
 /// `Submit` and eight to a `SubmissionBatch` — and its proof still
 /// verifies after the trip; a ciphertext shorter or longer than its
-/// declared length, or a point that is not a canonical encoding, is
-/// refused.  (The codec is the only parser of wire input: these are the
-/// cases the retired `Submission::from_bytes`/`MixEntry::from_bytes`
-/// were tested on.)
+/// declared length, or a mix entry's point that is not a canonical
+/// encoding, is refused.  (The codec is the only parser of wire input:
+/// these are the cases the retired `Submission::from_bytes`/
+/// `MixEntry::from_bytes` were tested on.)
 #[test]
 fn sealed_submissions_cross_the_wire_whole() {
     let mut rng = StdRng::seed_from_u64(6);
@@ -581,9 +577,8 @@ fn sealed_submissions_cross_the_wire_whole() {
     let mut long = body.clone();
     long.push(0);
     assert_eq!(Frame::decode(&long), Err(CodecError::TrailingBytes));
-    let mut bad_dh = body.clone();
-    bad_dh[9..41].fill(0xff);
-    assert_eq!(Frame::decode(&bad_dh), Err(CodecError::InvalidGroupElement));
+    // A `Submit` whose point is no canonical encoding is refused by the
+    // daemon that screens it, not here (`submit_screening`).
 
     // A mix entry whose key is 31 bytes of 0xff under a clear top bit:
     // `s ≥ p`, not a canonical encoding.
@@ -598,25 +593,24 @@ fn sealed_submissions_cross_the_wire_whole() {
 
 // ---- streamed-batch chunking properties ----
 
-/// Decode a [`ChunkedBatch`]'s frames and reassemble them, exercising
-/// both digest paths (re-encode and raw payload) deterministically by
-/// chunk index.
+/// The digested payload of an encoded chunk frame.
+fn payload(bytes: &[u8]) -> &[u8] {
+    &bytes[ChunkedBatch::CHUNK_PAYLOAD_OFFSET..]
+}
+
+/// Decode a [`ChunkedBatch`]'s frames and reassemble them, the digest
+/// read off each chunk's payload as it arrived.
 fn reassemble(stream: &ChunkedBatch) -> Result<Vec<MixEntry>, StreamError> {
     let mut assembler: Option<BatchAssembler> = None;
     let mut out = Err(StreamError::DigestMismatch);
-    for (i, bytes) in stream.frames().iter().enumerate() {
+    for bytes in stream.frames() {
         match Frame::decode(&bytes[4..]).expect("built frames decode") {
             Frame::MixBatchStart { total, .. } => {
                 assembler = Some(BatchAssembler::begin(total)?);
             }
             Frame::MixBatchChunk { entries } => {
                 let a = assembler.as_mut().expect("start first");
-                if i % 2 == 0 {
-                    a.absorb(entries)?;
-                } else {
-                    // The relay path: digest from the raw payload.
-                    a.absorb_raw(entries, &bytes[ChunkedBatch::CHUNK_PAYLOAD_OFFSET..])?;
-                }
+                a.absorb(entries, payload(bytes))?;
             }
             Frame::MixBatchEnd { digest } => {
                 out = assembler.take().expect("start first").finish(digest);
@@ -677,7 +671,7 @@ proptest! {
         for bytes in &stream.frames()[1..1 + chunks - 1] {
             let Frame::MixBatchChunk { entries } = Frame::decode(&bytes[4..]).unwrap()
             else { panic!("wrong frame") };
-            assembler.absorb(entries).unwrap();
+            assembler.absorb(entries, payload(bytes)).unwrap();
         }
         prop_assert!(matches!(
             assembler.finish(stream.digest()),
@@ -696,7 +690,7 @@ proptest! {
         for bytes in &stream.frames()[1..stream.frames().len() - 1] {
             let Frame::MixBatchChunk { entries } = Frame::decode(&bytes[4..]).unwrap()
             else { panic!("wrong frame") };
-            assembler.absorb(entries).unwrap();
+            assembler.absorb(entries, payload(bytes)).unwrap();
         }
         let mut digest = stream.digest();
         digest[seed as usize % 32] ^= 1;
@@ -711,10 +705,11 @@ proptest! {
         let mut entries = mix_entries(&mut rng);
         entries.push(mix_entry(&mut rng));
 
+        let chunk = Frame::MixBatchChunk { entries: entries.clone() }.encode();
         let mut assembler =
             BatchAssembler::begin((entries.len() - 1) as u32).unwrap();
         prop_assert!(matches!(
-            assembler.absorb(entries),
+            assembler.absorb(entries, payload(&chunk)),
             Err(StreamError::Overrun { .. })
         ));
     }

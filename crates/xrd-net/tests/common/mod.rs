@@ -166,8 +166,8 @@ pub fn attestation(rng: &mut StdRng) -> HopAttestation {
     HopAttestation {
         round: rng.next_u64(),
         position: rng.gen_range(0..64u32) as usize,
-        input_dhs: groups(rng),
-        output_dhs: groups(rng),
+        input_dhs: groups(rng).into(),
+        output_dhs: groups(rng).into(),
         proof: dleq(rng),
     }
 }

@@ -6,7 +6,7 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use xrd_net::codec::{error_code, Frame};
-use xrd_net::reactor::{ConnId, Outcome, Reactor, Service, WorkerPool};
+use xrd_net::reactor::{ConnId, Outcome, Reactor, Service, Settled, WorkerPool};
 use xrd_net::{Conn, MailboxDaemon, NetError};
 
 fn mailbox_message(byte: u8) -> xrd_mixnet::MailboxMessage {
@@ -220,12 +220,18 @@ struct FailsFirstCommit {
 }
 
 impl Service for FailsFirstCommit {
-    fn handle(&self, _conn: ConnId, _frame: Frame, _workers: &Arc<WorkerPool>) -> Outcome {
+    fn handle(
+        &self,
+        _conn: ConnId,
+        _frame: Frame,
+        _wire: &[u8],
+        _workers: &Arc<WorkerPool>,
+    ) -> Outcome {
         self.handled.fetch_add(1, Ordering::SeqCst);
         Outcome::ReplyAfterCommit(vec![Frame::Ok])
     }
 
-    fn commit(&self) -> Result<Vec<(ConnId, Frame)>, Frame> {
+    fn commit(&self) -> Result<Vec<(ConnId, Settled)>, Frame> {
         match self.commits.fetch_add(1, Ordering::SeqCst) {
             0 => Err(Frame::Error {
                 code: error_code::STORAGE,

@@ -17,10 +17,10 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use xrd_mixnet::chain_keys::{generate_chain_keys, rotate_inner_keys};
-use xrd_net::codec::{Frame, STREAM_CHUNK};
+use xrd_net::codec::{Frame, FrameDecoder, STREAM_CHUNK};
 use xrd_net::swarm::reactor::{raise_nofile_limit, ClientReactor, DriveConfig, SubmitSession};
 use xrd_net::swarm::sealed_submissions;
-use xrd_net::{Conn, HopReply, MixServerDaemon};
+use xrd_net::{Conn, MixServerDaemon};
 
 /// Serializes the thread-count-sensitive tests.
 static THREAD_ACCOUNTING: Mutex<()> = Mutex::new(());
@@ -41,6 +41,28 @@ fn process_threads() -> Option<usize> {
         .lines()
         .find_map(|l| l.strip_prefix("Threads:"))
         .and_then(|v| v.trim().parse().ok())
+}
+
+/// Read a hop's reply off `socket` — its `HopProof`, then the output
+/// stream — and return how many entries the stream carried.
+fn hop_output_entries(socket: &mut TcpStream) -> usize {
+    use std::io::Read;
+    let mut decoder = FrameDecoder::new();
+    let mut entries = 0;
+    let mut buf = [0u8; 16 * 1024];
+    loop {
+        while let Some(frame) = decoder.try_frame() {
+            match frame.expect("the reply's frames decode") {
+                Frame::HopProof { .. } | Frame::MixBatchStart { .. } => {}
+                Frame::MixBatchChunk { entries: chunk } => entries += chunk.len(),
+                Frame::MixBatchEnd { .. } => return entries,
+                other => panic!("expected the hop's output, got {other:?}"),
+            }
+        }
+        let n = socket.read(&mut buf).expect("reply reads");
+        assert!(n > 0, "the daemon hung up mid-reply");
+        decoder.feed(&buf[..n]);
+    }
 }
 
 /// Test-thread scheduling in the harness can add a couple of parked
@@ -309,9 +331,11 @@ fn churned_connections_leave_daemon_serving_and_thread_count_flat() {
 /// The handler-offload acceptance bar: while a large hop's crypto is
 /// in flight on the daemon's worker pool, the reactor thread keeps
 /// serving — a submission fired mid-hop on another connection is
-/// verified and acknowledged long before the hop's response lands.
-/// A daemon running hop crypto inline on the reactor thread would make
-/// the submission wait out the whole hop.
+/// verified and acknowledged while the hop's reply has not yet come
+/// back, an ordering read off the hop's socket (nothing readable on it
+/// when the submission's `Ok` arrives), not off a clock.  A daemon
+/// running hop crypto inline on the reactor thread would make the
+/// submission wait out the whole hop.
 ///
 /// The O(1)-thread assertion allows for the offload: the daemon holds
 /// its fixed-size worker pool (≤ 4 threads, spawned lazily at the first
@@ -360,38 +384,38 @@ fn submissions_served_while_hop_crypto_in_flight() {
         .request_ok(&Frame::OpenRound { round: 1 })
         .expect("window reopens");
 
-    // Fire the hop on one connection without reading its response…
+    // Fire the hop on a socket of its own without reading its
+    // response…
     let stream = xrd_net::codec::ChunkedBatch::build(0, &entries, STREAM_CHUNK);
-    let hop_start = std::time::Instant::now();
+    let mut hop = TcpStream::connect(addr).expect("hop connects");
     for bytes in stream.frames() {
-        control.send_encoded(bytes).expect("hop fires");
+        hop.write_all(bytes).expect("hop fires");
     }
 
-    // …and submit on another connection while the hop is in flight.
+    // …and submit on another connection while the hop is in flight:
+    // its `Ok` is back while the hop's reply — sent whole once the hop
+    // is done — has not reached the hop's socket.
     let mut submitter = Conn::connect(addr).expect("submitter connects");
-    let submit_start = std::time::Instant::now();
     submitter
         .request_ok(&Frame::Submit {
             round: 1,
             submission: extra[0].clone(),
         })
         .expect("mid-hop submission accepted");
-    let submit_elapsed = submit_start.elapsed();
+    hop.set_nonblocking(true).expect("nonblocking peek");
+    match hop.peek(&mut [0u8; 1]) {
+        Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {}
+        other => panic!(
+            "the hop's reply came back before the mid-hop submission's Ok ({other:?}) \
+             — hop crypto is blocking the reactor thread"
+        ),
+    }
 
     let threads_mid_hop = process_threads();
 
     // Collect the hop.
-    match control.recv_hop_reply(0, N, None).expect("hop response") {
-        HopReply::Output { outputs, .. } => assert_eq!(outputs.len(), N),
-        other => panic!("expected the hop's output, got {other:?}"),
-    }
-    let hop_elapsed = hop_start.elapsed();
-
-    assert!(
-        submit_elapsed < hop_elapsed / 2,
-        "submission waited out the hop: submit {submit_elapsed:?} vs hop {hop_elapsed:?} \
-         — hop crypto is blocking the reactor thread"
-    );
+    hop.set_nonblocking(false).expect("blocking reads");
+    assert_eq!(hop_output_entries(&mut hop), N);
 
     if let (Some(b), Some(mid)) = (baseline, threads_mid_hop) {
         // Worker pool (≤ 4), never O(clients).

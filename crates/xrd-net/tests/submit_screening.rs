@@ -397,3 +397,55 @@ fn a_decoded_submission_carries_its_encoding() {
         assert_eq!(Submission::verify_poks(0, &received), vec![true; 2 * n]);
     }
 }
+
+/// A `Submit` whose `g^x` is no canonical encoding is answered as a
+/// frame that does not parse — `BAD_STATE` "bad frame: invalid group
+/// element encoding" — and its connection is closed, with or without a
+/// window open for it.  The daemon keeps serving everyone else, and the
+/// window fixes only the valid submission.
+#[test]
+fn an_invalid_point_is_refused_as_a_bad_frame_and_closes_its_connection() {
+    let mut rng = StdRng::seed_from_u64(15);
+    let (mut secrets, public) = chain_keys(&mut rng);
+    let daemon = MixServerDaemon::spawn("127.0.0.1:0", secrets.remove(0), public.clone(), 3)
+        .expect("daemon spawns");
+    let valid = sealed_submissions(&mut rng, &public, 0, 2);
+    // Length prefix, tag and round come before the point: 32 bytes of
+    // 0xff are never a canonical encoding.
+    let mut bad = submit(&valid[1]).encode();
+    bad[13..45].fill(0xff);
+
+    let mut control = Conn::connect(daemon.addr()).expect("control connects");
+    for window_open in [false, true] {
+        if window_open {
+            control
+                .request_ok(&Frame::OpenRound { round: 0 })
+                .expect("window opens");
+        }
+        let mut conn = Conn::connect(daemon.addr()).expect("submitter connects");
+        conn.send_encoded(&bad).expect("the bad frame sends");
+        match conn.recv() {
+            Ok(Frame::Error { code, message }) => assert_eq!(
+                (code, message.as_str()),
+                (
+                    error_code::BAD_STATE,
+                    "bad frame: invalid group element encoding"
+                ),
+                "window open: {window_open}"
+            ),
+            other => panic!("expected the bad-frame refusal, got {other:?}"),
+        }
+        match conn.recv() {
+            Err(NetError::Disconnected) | Err(NetError::Io(_)) => {}
+            other => panic!("expected EOF after the refusal, got {other:?}"),
+        }
+    }
+    control
+        .request_ok(&submit(&valid[0]))
+        .expect("a valid submission is still accepted");
+    assert_eq!(
+        close(&mut control).1,
+        1,
+        "only the valid submission is batched"
+    );
+}
