@@ -12,8 +12,9 @@
 //!
 //! * the mix lies, in [`MixServer::finish_round`](crate::MixServer::finish_round);
 //! * the attestation a hop builds, [`attestation`] (`Seam`);
-//! * a verifier's check, [`verdict`], and a witness's dispute verdict,
-//!   [`upheld`];
+//! * a verifier's verdicts, `cross_verdicts` (told at the end of its
+//!   [`Verifier::check`](crate::server::Verifier::check)), and a
+//!   witness's dispute verdict, [`upheld`];
 //! * the accuser's, in [`MixServer::accuse`](crate::MixServer::accuse);
 //! * the inner-key reveal, [`MixServer::inner_key_reveal`](crate::MixServer::inner_key_reveal);
 //! * the submission window's digest, [`window_digest`] (a daemon's
@@ -147,13 +148,15 @@ pub fn attestation(
     }
 }
 
-/// A verifier's answer to a cross-check of `hop` (§6.3 step 3): whether
-/// it holds under `public` — unless the verifier lies.
-pub fn verdict(lie: Option<Lie>, public: &ChainPublicKeys, hop: &HopAttestation) -> bool {
+/// A verifier's verdicts on the other hops of its chain (§6.3 step 3),
+/// `honest` as its [`Verifier::check`](crate::server::Verifier::check) found
+/// them — unless the verifier lies, one lie per verdict.
+pub(crate) fn cross_verdicts(lie: Option<Lie>, honest: Vec<bool>) -> Vec<bool> {
+    let tell = |verdict: bool| honest.iter().map(|_| told(verdict)).collect();
     match lie {
-        Some(Lie::RejectsAndUpholds | Lie::RejectsAndRecants) => told(false),
-        Some(Lie::Vouches) => told(true),
-        _ => hop.verify(public),
+        Some(Lie::RejectsAndUpholds | Lie::RejectsAndRecants) => tell(false),
+        Some(Lie::Vouches) => tell(true),
+        _ => honest,
     }
 }
 

@@ -10,9 +10,9 @@
 //!
 //! [`ChainPass`] is that conversation as straight-line code.  Every
 //! protocol decision is made here: the column seams between hops, the
-//! `k−1` verification waves, who a dispute convicts, the blame-retry
-//! loop and the accuser's position, the localization of a failed audit,
-//! and the inner-key reveal's checks.  What it asks the servers goes
+//! one verification wave, who a dispute convicts, the blame-retry loop
+//! and the accuser's position, the localization of a failed audit, and
+//! the inner-key reveal's checks.  What it asks the servers goes
 //! through a [`ChainParty`], one method per *wave*, and two parties
 //! answer:
 //!
@@ -133,13 +133,17 @@ pub trait ChainParty {
     /// their hop state for blame.
     fn mix(&mut self, round: u64, batch: Vec<Submission>) -> Result<MixWave, Self::Error>;
 
-    /// One verification wave: server `v` checks `hops[p]` where
-    /// `asks[v]` is `Some(p)`.  Its answer is at index `v`.
+    /// The verification wave: every server `v` with `verifiers[v]`
+    /// checks all the other hops of `hops` at once, against the two key
+    /// columns it holds of its own
+    /// ([`Verifier::check`](crate::server::Verifier::check)).  Its
+    /// answer, at index `v`, is one verdict per other hop in hop order.
     fn verify(
         &mut self,
+        round: u64,
         hops: &[HopAttestation],
-        asks: &[Option<usize>],
-    ) -> Result<Vec<Option<bool>>, Self::Error>;
+        verifiers: &[bool],
+    ) -> Result<Vec<Option<Vec<bool>>>, Self::Error>;
 
     /// Ask every server `w` with `witnesses[w]` for its signed verdict on
     /// `hop` — `(upheld, signature)`, where upheld means the attestation
@@ -253,9 +257,9 @@ impl<P: ChainParty> ChainPass<'_, P> {
     /// the pass fails with a [`Breach`].  A hop that failed to decrypt
     /// is blamed slot by slot: convicted users leave `active` and the
     /// batch is mixed again; a convicted server ends the round with
-    /// nothing delivered.  A clean pass goes through `k−1` verification
-    /// waves and any disputes they raise, and is returned for the
-    /// caller's audit: nothing is revealed before that.
+    /// nothing delivered.  A clean pass goes through the verification
+    /// wave and any disputes it raises, and is returned for the caller's
+    /// audit: nothing is revealed before that.
     pub fn mix(
         &mut self,
         submissions: &[Submission],
@@ -393,9 +397,9 @@ impl<P: ChainParty> ChainPass<'_, P> {
         failure.map_or(Ok(verdict), Err)
     }
 
-    /// End-of-chain cross-server verification: `k−1` waves, in each of
-    /// which every verifier not yet excluded checks one other hop, all
-    /// side by side.  Each rejected attestation becomes a dispute.
+    /// End-of-chain cross-server verification: one wave, in which every
+    /// verifier not yet excluded checks the `k−1` other hops, all side by
+    /// side.  Each rejected attestation becomes a dispute.
     /// `Ok(false)`: the dispute convicted a *prover* (a bad proof) and
     /// the chain halts with nothing delivered.  `Ok(true)`: every
     /// attestation stands — and a verifier that rejected a valid one is
@@ -408,18 +412,18 @@ impl<P: ChainParty> ChainPass<'_, P> {
         outcome: &mut ChainRoundOutcome,
     ) -> Result<bool, P::Error> {
         let k = hops.len();
+        // A chain of one has no other hop to check.
+        let asked: Vec<bool> = (0..k)
+            .map(|v| k > 1 && !self.excluded.contains(&v))
+            .collect();
+        if !asked.contains(&true) {
+            return Ok(true);
+        }
         let mut rejections: Vec<(usize, usize)> = Vec::new(); // (prover, verifier)
-        for wave in 1..k {
-            // In wave `w`, verifier `v` checks the `w`-th hop other than
-            // its own.
-            let asks: Vec<Option<usize>> = (0..k)
-                .map(|v| (!self.excluded.contains(&v)).then_some(wave - usize::from(wave <= v)))
-                .collect();
-            let verdicts = self.party.verify(hops, &asks)?;
-            for (verifier, (ask, ok)) in asks.into_iter().zip(verdicts).enumerate() {
-                let (Some(prover), Some(ok)) = (ask, ok) else {
-                    continue;
-                };
+        let verdicts = self.party.verify(self.round, hops, &asked)?;
+        for (verifier, (verdicts, asked)) in verdicts.into_iter().zip(asked).enumerate() {
+            let provers = (0..k).filter(|&p| p != verifier);
+            for (prover, ok) in provers.zip(verdicts.filter(|_| asked).unwrap_or_default()) {
                 outcome.stats.proofs_verified += 1;
                 if !ok {
                     rejections.push((prover, verifier));

@@ -21,11 +21,11 @@ use xrd_crypto::scalar::Scalar;
 use crate::blame::{Accusation, BlameReveal};
 use crate::chain_keys::{generate_chain_keys, ChainPublicKeys, ServerSecrets};
 use crate::client::Submission;
-use crate::lie::{attestation, upheld, verdict};
+use crate::lie::{attestation, upheld};
 use crate::message::MixEntry;
 use crate::par;
 use crate::pass::{Breach, ChainParty, ChainPass, ChainRoundOutcome, Evidence, MixWave};
-use crate::server::{HopAttestation, HopResult, MixError, MixServer};
+use crate::server::{CrossCheck, HopAttestation, HopResult, MixError, MixServer};
 
 /// A chain's servers in this process, as the pass asks them: each wave
 /// a call on the servers themselves — the functions a mix daemon calls
@@ -68,15 +68,21 @@ impl<R: RngCore + ?Sized> ChainParty for LocalParty<'_, R> {
         Ok((hops, Ok(batch)))
     }
 
+    /// Each verifier is handed what a mix daemon is sent.
     fn verify(
         &mut self,
+        round: u64,
         hops: &[HopAttestation],
-        asks: &[Option<usize>],
-    ) -> Result<Vec<Option<bool>>, Breach> {
-        let verifiers = self.servers.iter().zip(asks);
-        let check = |v: &MixServer, prover: usize| verdict(v.lie(), v.public(), &hops[prover]);
+        verifiers: &[bool],
+    ) -> Result<Vec<Option<Vec<bool>>>, Breach> {
+        let check = |server: &MixServer| {
+            let request = CrossCheck::of(round, hops, server.position());
+            let verdicts = server.verifier(round).map(|v| v.check(&request));
+            verdicts.expect("it mixed").expect("a request in shape")
+        };
+        let verifiers = self.servers.iter().zip(verifiers);
         Ok(verifiers
-            .map(|(verifier, ask)| ask.map(|prover| check(verifier, prover)))
+            .map(|(server, &asked)| asked.then(|| check(server)))
             .collect())
     }
 
@@ -304,6 +310,23 @@ mod tests {
             mailboxes,
             (0..10).map(|i| [i as u8; 32]).collect::<Vec<_>>()
         );
+    }
+
+    #[test]
+    fn every_honest_verifier_vouches_for_every_other_hop_in_one_wave() {
+        let mut rng = StdRng::seed_from_u64(9);
+        let (k, round) = (4, 2);
+        let mut chain = ChainRunner::new(&mut rng, k, round);
+        let subs: Vec<Submission> = (0..5)
+            .map(|i| seal_ahs(&mut rng, chain.public(), round, &msg(i)))
+            .collect();
+        let mut party = chain.pass(&mut rng, round).party;
+        let (hops, end) = party.mix(round, subs).expect("in process");
+        assert!(end.is_ok(), "a clean pass");
+        let verdicts = party.verify(round, &hops, &[true, false, true, true]);
+        let all_true = Some(vec![true; k - 1]);
+        let expected = vec![all_true.clone(), None, all_true.clone(), all_true];
+        assert_eq!(verdicts, Ok(expected));
     }
 
     #[test]

@@ -22,7 +22,7 @@ use xrd_crypto::scalar::Scalar;
 
 use crate::chain_keys::{ChainPublicKeys, ServerSecrets};
 use crate::client::{outer_layer_keys, Submission};
-use crate::lie::{bend_hop, inner_key, Lie};
+use crate::lie::{bend_hop, cross_verdicts, inner_key, Lie};
 use crate::message::{domain_outer, MailboxMessage, MixEntry, DOMAIN_INNER};
 
 /// Result of one hop of AHS mixing.
@@ -226,6 +226,19 @@ impl MixServer {
     /// Retained hop state (after a successful `process_round`).
     pub fn state(&self) -> Option<&HopState> {
         self.state.as_ref()
+    }
+
+    /// This server as the verifier of its hop in `round`, or `None` if
+    /// it holds no hop state for that round.
+    pub fn verifier(&self, round: u64) -> Option<Verifier> {
+        let state = self.state.as_ref().filter(|state| state.round == round)?;
+        let consumed = state.inputs.iter().map(|e| e.dh).collect();
+        Some(Verifier {
+            public: self.public.clone(),
+            lie: self.lie,
+            position: self.position(),
+            held: [consumed, state.output_dhs.clone()],
+        })
     }
 
     /// Drop the retained hop state.  Called once the chain's round has
@@ -603,6 +616,86 @@ impl HopAttestation {
         }
         h.update(&self.proof.to_bytes());
         h.finalize_32()
+    }
+}
+
+/// What the verifier at position `v` is sent to check the other `k−1`
+/// hops of a seamless pass (§6.3 step 3, [`Verifier::check`]): their
+/// proofs, and the chain's key columns `c_0 … c_k` — hop `i` consumed
+/// `c_i` and emitted `c_{i+1}` — each once, but for the two `v` holds
+/// itself.
+#[derive(Clone, Debug, PartialEq)]
+pub struct CrossCheck {
+    /// The round the pass ran in.
+    pub round: u64,
+    /// The other hops' proofs, in hop order.
+    pub proofs: Vec<DleqProof>,
+    /// `c_0 … c_k`, `None` at `v` and `v + 1`.
+    pub columns: Vec<Option<DhColumn>>,
+}
+
+impl CrossCheck {
+    /// What verifier `v` is sent of the pass `hops` in `round`.
+    pub fn of(round: u64, hops: &[HopAttestation], v: usize) -> CrossCheck {
+        let inputs = hops.iter().take(1).map(|hop| &hop.input_dhs);
+        let columns = inputs.chain(hops.iter().map(|hop| &hop.output_dhs));
+        let sent = |(i, column): (usize, &DhColumn)| (i != v && i != v + 1).then(|| column.clone());
+        let others = hops.iter().filter(|hop| hop.position != v);
+        CrossCheck {
+            round,
+            proofs: others.map(|hop| hop.proof).collect(),
+            columns: columns.enumerate().map(sent).collect(),
+        }
+    }
+}
+
+/// A server as it checks the other hops of its chain: the bundle, its
+/// lie, and the key columns its own hop at position `v` consumed
+/// (`c_v`) and emitted (`c_{v+1}`) — copied out of the server
+/// ([`MixServer::verifier`]), so a daemon checks off its state lock.
+pub struct Verifier {
+    public: ChainPublicKeys,
+    lie: Option<Lie>,
+    position: usize,
+    held: [Vec<GroupElement>; 2],
+}
+
+impl Verifier {
+    /// The check every verifier runs, in process and on the wire: put
+    /// its own two columns in place of `c_v` and `c_{v+1}`, so that no
+    /// column it consumed or emitted can be swapped under it; verify the
+    /// `k−1` proofs in one batch ([`verify_hops_batched`]) and, only if
+    /// the batch fails, one by one, so each hop gets its own verdict;
+    /// then tell its lie, if it has one.
+    ///
+    /// One verdict per other hop, in hop order; `Err` for a request out
+    /// of shape — a column the verifier holds sent, any other missing,
+    /// or not one proof per other hop.
+    pub fn check(&self, request: &CrossCheck) -> Result<Vec<bool>, &'static str> {
+        let (k, v, columns) = (self.public.len(), self.position, &request.columns);
+        let sent = (0..=k).map(|i| i != v && i != v + 1);
+        if request.proofs.len() + 1 != k || !columns.iter().map(Option::is_some).eq(sent) {
+            return Err("not the other hops' proofs and the columns it does not hold");
+        }
+        let column = |i: usize| match i.checked_sub(v) {
+            Some(j @ 0..=1) => &self.held[j][..],
+            _ => columns[i].as_deref().map_or(&[][..], Vec::as_slice),
+        };
+        let others = (0..k).filter(|&p| p != v).zip(&request.proofs);
+        let records: Vec<HopRecord> = others
+            .map(|(position, proof)| HopRecord {
+                position,
+                input_dhs: column(position),
+                output_dhs: column(position + 1),
+                proof: *proof,
+            })
+            .collect();
+        let (public, round) = (&self.public, request.round);
+        let verdicts = match verify_hops_batched(public, round, &records) {
+            true => vec![true; records.len()],
+            false => records.iter().map(|r| r.verify(public, round)).collect(),
+        };
+        Ok(cross_verdicts(self.lie, verdicts))
     }
 }
 
@@ -1185,5 +1278,83 @@ mod tests {
         hop.round -= 1;
         hop.position = public.len();
         assert!(!hop.verify(&public));
+    }
+
+    /// One chain's pass over `subs` (its servers keep their hop state)
+    /// and its attestations.
+    fn mixed_chain(
+        rng: &mut StdRng,
+        secrets: &[ServerSecrets],
+        public: &ChainPublicKeys,
+        round: u64,
+        subs: &[Submission],
+    ) -> (crate::ChainRunner, Vec<HopAttestation>) {
+        use crate::pass::ChainParty;
+        let mut chain = crate::ChainRunner::from_parts(secrets.to_vec(), public.clone());
+        let (hops, end) = chain
+            .pass(rng, round)
+            .party
+            .mix(round, subs.to_vec())
+            .unwrap();
+        assert!(end.is_ok(), "a clean pass");
+        (chain, hops)
+    }
+
+    /// `server`'s check of `hops`, as `tamper` leaves what it is sent.
+    fn check_as_sent(
+        server: &MixServer,
+        round: u64,
+        hops: &[HopAttestation],
+        tamper: impl FnOnce(&mut CrossCheck),
+    ) -> Result<Vec<bool>, &'static str> {
+        let mut request = CrossCheck::of(round, hops, server.position());
+        tamper(&mut request);
+        server.verifier(round).expect("it mixed").check(&request)
+    }
+
+    /// Two chains under one bundle mix different batches.  Chain B's
+    /// hop-0 attestation holds on its own, so a verifier handed it whole
+    /// would vouch for it; verifier 1 of chain A, handed B's hop-0 proof
+    /// and input column in place of A's, checks them against the column
+    /// it consumed itself, which is not B's, and rejects.
+    #[test]
+    fn a_verifier_checks_the_hop_before_it_against_the_column_it_consumed() {
+        let mut rng = StdRng::seed_from_u64(70);
+        let (k, round) = (3, 5);
+        let (secrets, public) = generate_chain_keys(&mut rng, k, round);
+        let mut batch = |tag: u8| -> Vec<Submission> {
+            (0..4)
+                .map(|i| seal_ahs(&mut rng, &public, round, &msg(tag + i)))
+                .collect()
+        };
+        let (a_subs, b_subs) = (batch(0), batch(10));
+        let (mut a, a_hops) = mixed_chain(&mut rng, &secrets, &public, round, &a_subs);
+        let (_, b_hops) = mixed_chain(&mut rng, &secrets, &public, round, &b_subs);
+        let a = a.servers_mut();
+        assert!(b_hops[0].verify(&public), "B's hop 0 holds as sent");
+
+        let honest = check_as_sent(&a[1], round, &a_hops, |_| {});
+        assert_eq!(honest, Ok(vec![true, true]));
+        let swapped = check_as_sent(&a[1], round, &a_hops, |request| {
+            request.proofs[0] = b_hops[0].proof;
+            request.columns[0] = Some(b_hops[0].input_dhs.clone());
+        });
+        assert_eq!(
+            swapped,
+            Ok(vec![false, true]),
+            "hop 0 rejected, hop 2 stands"
+        );
+
+        // A request out of shape is refused, not judged.
+        let refused = [
+            check_as_sent(&a[1], round, &a_hops, |request| {
+                request.columns[1] = Some(a_hops[0].output_dhs.clone())
+            }),
+            check_as_sent(&a[1], round, &a_hops, |request| request.columns[3] = None),
+            check_as_sent(&a[1], round, &a_hops, |request| {
+                request.proofs.pop();
+            }),
+        ];
+        assert!(refused.iter().all(Result::is_err), "{refused:?}");
     }
 }

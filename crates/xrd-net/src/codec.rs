@@ -50,7 +50,7 @@ use xrd_mixnet::blame::{Accusation, BlameReveal};
 use xrd_mixnet::chain_keys::{ChainPublicKeys, RotationShare, ServerKeyProofs};
 use xrd_mixnet::client::Submission;
 use xrd_mixnet::message::{MailboxMessage, MixEntry, MAILBOX_MSG_LEN};
-use xrd_mixnet::server::{DhColumn, HopAttestation};
+use xrd_mixnet::server::{CrossCheck, DhColumn, HopAttestation};
 
 /// Hard cap on one frame's encoded size (tag + payload).  Sized so a
 /// [`MAX_BATCH`]-entry batch of paper-scale onions (k ≈ 32, ~1 KiB per
@@ -533,6 +533,7 @@ wire_structs! {
                   dec_key, key_proof }
     xrd_obs::SpanEvent { name, round, start_us, dur_us }
     HopAttestation { round, position: u32, input_dhs, output_dhs, proof }
+    CrossCheck { round, proofs, columns }
 }
 
 /// `point bytes`: a batch entry, the layout every chunk of a batch
@@ -941,10 +942,10 @@ frames! {
         failed: Vec<u64>,
     },
     0x23 reserved,
-    /// The verdict of a [`Frame::VerifyHopKeys`] request.
+    /// A verifier's answer to [`Frame::VerifyHopKeys`].
     0x24 VerifyResult {
-        /// Whether the attestation verified.
-        ok: bool,
+        /// Whether each other hop of the chain verified, in hop order.
+        verdicts: Vec<bool>,
     },
     /// Open a batch stream: the batch for `round` will arrive as
     /// [`Frame::MixBatchChunk`]s totalling `total` entries, closed by
@@ -977,15 +978,19 @@ frames! {
     0x28 reserved,
     0x29 reserved,
     0x2A reserved,
-    /// Ask a server to verify another server's hop attestation from
-    /// its DH-key columns (coordinator → mix; answered with
+    /// Ask the server at position `v` to verify the other hops of its
+    /// chain at once (coordinator → mix; answered with
     /// [`Frame::VerifyResult`]).  The §6.3 attestation binds products
     /// of the DH keys — ciphertexts never enter the statement — so the
-    /// columns are all a verifier needs, at ~1/8 the wire cost of the
-    /// full entries.  Sent at end of chain, once every hop has emitted.
+    /// key columns are all a verifier needs, at ~1/8 the wire cost of
+    /// the full entries, and it holds two of them itself: the columns
+    /// its own hop consumed and emitted, which it checks the hops on
+    /// either side against.  Sent at end of chain, once every hop has
+    /// emitted.
     0x2B VerifyHopKeys {
-        /// The prover's statement to check.
-        attestation: HopAttestation,
+        /// The round, the other hops' proofs and the key columns the
+        /// verifier does not hold.
+        check: CrossCheck,
     },
     /// Coordinator → every hop of a chain, before streaming the round's
     /// batch to hop 0: run this round in *forwarded* mode.  A hop with
@@ -1001,9 +1006,8 @@ frames! {
         round: u64,
     },
     /// A forwarding hop's keys-only attestation for a round it ran in
-    /// forwarded mode: the same statement as [`Frame::VerifyHopKeys`]
-    /// (§6.3 binds only the DH-key columns), pushed to the coordinator
-    /// while the full entries travel daemon-to-daemon.
+    /// forwarded mode (§6.3 binds only the DH-key columns), pushed to
+    /// the coordinator while the full entries travel daemon-to-daemon.
     0x2D HopForwarded {
         /// The reporting hop's statement.
         attestation: HopAttestation,

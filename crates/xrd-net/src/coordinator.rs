@@ -27,7 +27,8 @@
 //! written once, with the successor as its parameter, and what it keeps
 //! of a hop is what §6.3 proves: a statement over products of DH keys,
 //! never ciphertexts — so the audit, the cross-server checks
-//! ([`Frame::VerifyHopKeys`]) and a dispute all read key columns.
+//! ([`Frame::VerifyHopKeys`], one per verifier) and a dispute all read
+//! key columns.
 //! Whether the columns chain from hop to hop is the pass's to check;
 //! which transport a retried pass uses is the coordinator's.
 //!
@@ -47,7 +48,7 @@ use xrd_mixnet::client::Submission;
 use xrd_mixnet::message::MixEntry;
 use xrd_mixnet::pass::dispute_claim;
 use xrd_mixnet::pass::Evidence;
-use xrd_mixnet::server::{input_digest, verify_hops_batched, DhColumn, HopAttestation};
+use xrd_mixnet::server::{input_digest, verify_hops_batched, CrossCheck, DhColumn, HopAttestation};
 use xrd_mixnet::{ChainParty, ChainPass, ChainRoundOutcome, MixWave};
 pub use xrd_mixnet::{MixPhase, PendingChainRound};
 
@@ -112,6 +113,7 @@ pub(crate) fn ask<'w>(
     requests: impl IntoIterator<Item = Option<&'w [u8]>>,
     retry: RetryPolicy,
 ) -> Vec<Option<Result<Frame, NetError>>> {
+    xrd_obs::counter("net.coordinator.waves").incr();
     let sent: Vec<_> = conns
         .iter_mut()
         .zip(requests)
@@ -174,11 +176,8 @@ pub struct ChainClient {
     pending: Option<ChainPublicKeys>,
     transport: Transport,
     retry: RetryPolicy,
-    /// Positions convicted by the chain pass since the last
-    /// [`ChainClient::take_round_verdicts`].
-    convicted: Vec<usize>,
     /// Positions whose input-agreement digest dissented from the
-    /// majority since the last [`ChainClient::take_round_verdicts`] —
+    /// majority since the last [`ChainClient::take_suspects`] —
     /// suspects, not convictions (a dropped `Submit` frame produces
     /// the same divergence as byzantine equivocation).
     suspected: Vec<usize>,
@@ -217,21 +216,17 @@ impl ChainClient {
             pending: None,
             transport: Transport::default(),
             retry,
-            convicted: Vec::new(),
             suspected: Vec::new(),
             excluded: HashSet::new(),
         })
     }
 
-    /// Drain the verdicts accumulated since the last call: positions
-    /// convicted (dispute or blame) and positions suspected (digest
-    /// dissent), in the order they fell — a position can repeat.  The
-    /// round driver folds these into the round report.
-    pub fn take_round_verdicts(&mut self) -> (Vec<usize>, Vec<usize>) {
-        (
-            std::mem::take(&mut self.convicted),
-            std::mem::take(&mut self.suspected),
-        )
+    /// Drain the positions suspected (digest dissent) since the last
+    /// call, in the order they fell — a position can repeat.  The round
+    /// driver folds these into the round report beside the convictions,
+    /// which it reads off the chain's outcome.
+    pub fn take_suspects(&mut self) -> Vec<usize> {
+        std::mem::take(&mut self.suspected)
     }
 
     /// Re-dial every daemon connection (same peers, same deadlines).
@@ -432,15 +427,7 @@ impl ChainClient {
                         self.retry.sleep(attempt);
                     }
                 }
-                Ok(phase) => {
-                    let ledger = match &phase {
-                        MixPhase::Done(outcome) => outcome,
-                        MixPhase::AwaitingAudit(pending) => &pending.outcome,
-                    };
-                    self.convicted.extend(&ledger.misbehaving_servers);
-                    return Ok(phase);
-                }
-                Err(e) => return Err(e),
+                result => return result,
             }
         }
     }
@@ -461,13 +448,7 @@ impl ChainClient {
         pending: PendingChainRound,
         audit_ok: bool,
     ) -> Result<ChainRoundOutcome, NetError> {
-        // Verdicts of the mix phase were taken when it ended.
-        let entered = pending.outcome.misbehaving_servers.len();
-        let mut pass = self.pass(round, self.transport);
-        let outcome = pass.conclude(pending, audit_ok)?;
-        let convicted = &outcome.misbehaving_servers[entered..];
-        self.convicted.extend(convicted);
-        Ok(outcome)
+        self.pass(round, self.transport).conclude(pending, audit_ok)
     }
 
     /// The chain pass for `round` with this chain's daemons as its
@@ -478,7 +459,6 @@ impl ChainClient {
                 conns: &mut self.conns,
                 transport,
                 retry: self.retry,
-                verify_frames: Vec::new(),
             },
             public: &self.public,
             round,
@@ -535,9 +515,6 @@ struct Wire<'a> {
     conns: &'a mut [Conn],
     transport: Transport,
     retry: RetryPolicy,
-    /// Each hop's [`Frame::VerifyHopKeys`], encoded at the pass's first
-    /// verification wave and sent at every one.
-    verify_frames: Vec<Vec<u8>>,
 }
 
 impl ChainParty for Wire<'_> {
@@ -623,27 +600,27 @@ impl ChainParty for Wire<'_> {
         Ok((hops, Ok(outputs)))
     }
 
+    /// One [`Frame::VerifyHopKeys`] per verifier, its columns written as
+    /// the bytes they carry; the frames go with the wave.
     fn verify(
         &mut self,
+        round: u64,
         hops: &[HopAttestation],
-        asks: &[Option<usize>],
-    ) -> Result<Vec<Option<bool>>, NetError> {
-        if self.verify_frames.is_empty() {
-            let frames = hops
-                .iter()
-                .cloned()
-                .map(|attestation| Frame::VerifyHopKeys { attestation });
-            self.verify_frames = frames.map(|frame| frame.encode()).collect();
-        }
-        let frames = &self.verify_frames;
-        let requests = asks.iter().map(|ask| ask.map(|prover| &frames[prover][..]));
-        let verdict = |reply: Result<Frame, NetError>| match reply? {
-            Frame::VerifyResult { ok } => Ok(ok),
-            other => Err(unexpected("VerifyResult", other)),
+        verifiers: &[bool],
+    ) -> Result<Vec<Option<Vec<bool>>>, NetError> {
+        let frame = |v| Frame::VerifyHopKeys {
+            check: CrossCheck::of(round, hops, v),
         };
-        let replies = ask(self.conns, requests, NO_RETRY).into_iter();
-        replies
-            .map(|reply| reply.map(verdict).transpose())
+        let frames: Vec<Option<Vec<u8>>> = (verifiers.iter().enumerate())
+            .map(|(v, &asked)| asked.then(|| frame(v).encode()))
+            .collect();
+        let verdicts = |reply: Result<Frame, NetError>| match reply? {
+            Frame::VerifyResult { verdicts } if verdicts.len() + 1 == hops.len() => Ok(verdicts),
+            other => Err(unexpected("a VerifyResult for every other hop", other)),
+        };
+        let replies = ask(self.conns, frames.iter().map(Option::as_deref), NO_RETRY);
+        (replies.into_iter())
+            .map(|reply| reply.map(verdicts).transpose())
             .collect()
     }
 
@@ -753,4 +730,67 @@ fn ask_one(
 /// A reply that is not the `expected` frame: a protocol violation.
 fn unexpected(expected: &str, got: Frame) -> NetError {
     NetError::Protocol(format!("expected {expected}, got {got:?}"))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::codec::error_code;
+    use crate::{DaemonHandle, MixServerDaemon};
+    use rand::rngs::StdRng;
+    use rand::{RngCore, SeedableRng};
+    use xrd_mixnet::chain_keys::{generate_chain_keys, rotate_inner_keys};
+
+    /// The coordinator's party over three honest daemons: in the one
+    /// verification wave every verifier asked vouches for every other
+    /// hop, and a daemon refuses a request out of shape or for a round
+    /// it holds no hop of.
+    #[test]
+    fn honest_daemons_vouch_for_every_other_hop_in_one_wave() {
+        let (k, round) = (3, 0);
+        let mut rng = StdRng::seed_from_u64(43);
+        let (mut secrets, mut public) = generate_chain_keys(&mut rng, k, 0);
+        rotate_inner_keys(&mut rng, &mut secrets, &mut public, round);
+        let daemons: Vec<DaemonHandle> = (secrets.into_iter())
+            .map(|s| MixServerDaemon::spawn("127.0.0.1:0", s, public.clone(), rng.next_u64()))
+            .collect::<Result<_, _>>()
+            .expect("daemons spawn");
+        let addrs: Vec<SocketAddr> = daemons.iter().map(DaemonHandle::addr).collect();
+        let mut client = ChainClient::connect(&addrs, public.clone()).expect("connects");
+        client.open_round(round).expect("window opens");
+        let mut conns: Vec<Conn> = (addrs.iter())
+            .map(|&addr| Conn::connect(addr).expect("connects"))
+            .collect();
+        for submission in crate::swarm::sealed_submissions(&mut rng, &public, round, 5) {
+            let submit = Frame::Submit { round, submission }.encode();
+            let replies = ask(&mut conns, repeat(Some(&submit[..])), NO_RETRY);
+            replies
+                .into_iter()
+                .flatten()
+                .try_for_each(expect_ok)
+                .expect("accepted");
+        }
+        let batch = client.close_and_agree(round).expect("agreement");
+        let mut pass = client.pass(round, Transport::Streamed);
+        let (hops, end) = pass.party.mix(round, batch).expect("mixes");
+        assert!(end.is_ok(), "a clean pass");
+        let verdicts = pass.party.verify(round, &hops, &[true, false, true]);
+        let all_true = Some(vec![true; k - 1]);
+        assert_eq!(verdicts.ok(), Some(vec![all_true.clone(), None, all_true]));
+
+        let check = CrossCheck::of(round, &hops, 1);
+        let mut holds = check.clone();
+        holds.columns[1] = Some(hops[0].output_dhs.clone());
+        let another_round = CrossCheck {
+            round: round + 1,
+            ..check
+        };
+        let mut refusal =
+            |check| match ask_one(&mut conns, 1, &Frame::VerifyHopKeys { check }, NO_RETRY) {
+                Err(NetError::Remote { code, .. }) => code,
+                other => panic!("expected a refusal, got {other:?}"),
+            };
+        assert_eq!(refusal(holds), error_code::BAD_STATE);
+        assert_eq!(refusal(another_round), error_code::UNKNOWN_ROUND);
+    }
 }

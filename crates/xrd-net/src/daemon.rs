@@ -28,8 +28,9 @@
 //! count.
 //!
 //! Batch-boundary crypto never runs on the reactor thread: hops
-//! (`MixBatchStart/Chunk/End` sessions), `VerifyHopKeys` attestation
-//! checks and dispute re-checks are **deferred** to the reactor's
+//! (`MixBatchStart/Chunk/End` sessions), the `VerifyHopKeys` check of
+//! the chain's other hops against this hop's own two key columns, and
+//! dispute re-checks are **deferred** to the reactor's
 //! small fixed-size worker pool (the connection's pending response
 //! slot holds its place), so the event loop keeps accepting and
 //! verifying submissions while a hop's crypto is in flight.  A hop's
@@ -58,9 +59,9 @@ use xrd_core::RecordLog;
 use xrd_crypto::nizk::DleqProof;
 use xrd_mixnet::chain_keys::{rotation_share, ChainPublicKeys, ServerSecrets};
 use xrd_mixnet::client::Submission;
-use xrd_mixnet::lie::{attestation, upheld, verdict, window_digest, Lie};
+use xrd_mixnet::lie::{attestation, upheld, window_digest, Lie};
 use xrd_mixnet::message::{outer_ct_len, MailboxMessage, MixEntry};
-use xrd_mixnet::server::{ChunkKernel, DhColumn, HopAttestation, MixError, MixServer};
+use xrd_mixnet::server::{ChunkKernel, CrossCheck, DhColumn, HopAttestation, MixError, MixServer};
 
 use crate::codec::{
     count_decoded, decode_server_config, encode_hop_output_stream, encode_server_config,
@@ -1074,19 +1075,16 @@ impl MixService {
         }))
     }
 
-    /// The server's bundle and lie, for a check run off the state lock.
-    fn verifier(&self) -> (ChainPublicKeys, Option<Lie>) {
-        let state = self.lock();
-        (state.server.public().clone(), state.server.lie())
-    }
-
     /// `DisputeOpen`: re-check the disputed attestation against this
     /// server's copy of the public bundle and answer with signed
     /// evidence ([`upheld`], [`HopAttestation::sign_verdict`]).  The
     /// verification is pure public-data work off a snapshot of the
     /// bundle and the lie; the state lock is taken only to sign.
     fn defer_dispute(&self, attestation: HopAttestation) -> Outcome {
-        let (public, lie) = self.verifier();
+        let (public, lie) = {
+            let state = self.lock();
+            (state.server.public().clone(), state.server.lie())
+        };
         let state = Arc::clone(&self.state);
         Outcome::Defer(Box::new(move || {
             let upheld = upheld(lie, &public, &attestation);
@@ -1107,14 +1105,18 @@ impl MixService {
         }))
     }
 
-    /// `VerifyHopKeys`: the server's [`verdict`], pure public-data work
-    /// off a snapshot of the bundle and the lie — no state lock held in
-    /// the job at all.
-    fn defer_verify(&self, attestation: HopAttestation) -> Outcome {
-        let (public, lie) = self.verifier();
-        Outcome::Defer(Box::new(move || {
-            let ok = verdict(lie, &public, &attestation);
-            Frame::VerifyResult { ok }.encode()
+    /// `VerifyHopKeys`: the server's check of the other hops against
+    /// its own hop of the round
+    /// ([`Verifier::check`](xrd_mixnet::server::Verifier::check)).  The
+    /// bundle, the lie and the hop's two columns are copied under the
+    /// state lock; the check runs off it.
+    fn defer_cross_check(&self, check: CrossCheck) -> Outcome {
+        let Some(verifier) = self.lock().server.verifier(check.round) else {
+            return Outcome::reply(err(error_code::UNKNOWN_ROUND, "no hop state for round"));
+        };
+        Outcome::Defer(Box::new(move || match verifier.check(&check) {
+            Ok(verdicts) => Frame::VerifyResult { verdicts }.encode(),
+            Err(why) => err(error_code::BAD_STATE, format!("check refused: {why}")).encode(),
         }))
     }
 }
@@ -1151,7 +1153,7 @@ impl Service for MixService {
             Frame::MixBatchStart { round, total } => self.stream_start(conn, round, total),
             Frame::MixBatchChunk { entries } => self.stream_chunk(conn, entries, wire, workers),
             Frame::MixBatchEnd { digest } => self.stream_end(conn, digest),
-            Frame::VerifyHopKeys { attestation } => self.defer_verify(attestation),
+            Frame::VerifyHopKeys { check } => self.defer_cross_check(check),
             Frame::DisputeOpen { attestation } => self.defer_dispute(attestation),
             // Window and key control: the reply waits for the commit
             // that makes its record durable — a repeat's too, as the

@@ -152,11 +152,6 @@ impl LaunchedCluster {
             .collect()
     }
 
-    /// Listening address of process `index` (spawn order).
-    pub fn process_addr(&self, index: usize) -> SocketAddr {
-        self.processes.lock().expect("launcher lock")[index].addr
-    }
-
     /// Address of the launcher's loopback stats listener, if the
     /// cluster is supervised.  A wire [`Frame::StatsRequest`] here
     /// returns the launcher process's counters — including

@@ -316,10 +316,14 @@ impl Cluster for Wire {
             Ok((batch.len(), chain.mix_round_deferred(round, &batch)?))
         });
         drop(mix_span);
+        // Convicted on evidence, per chain: the mix phase's verdicts
+        // stand even if the conclusion then fails.
+        let mut convicted: Vec<Vec<usize>> = vec![Vec::new(); slots.len()];
         let mut pendings = Vec::new();
         for (c, result) in mixed {
             match result {
                 Ok((entered, MixPhase::AwaitingAudit(pending))) => {
+                    convicted[c].clone_from(&pending.outcome.misbehaving_servers);
                     pendings.push((c, (entered, pending)))
                 }
                 Ok((entered, MixPhase::Done(outcome))) => slots[c] = Some(Ok((entered, outcome))),
@@ -358,27 +362,25 @@ impl Cluster for Wire {
             slots[c] = Some(concluded);
         }
 
-        self.chains
-            .iter_mut()
-            .zip(slots)
-            .zip(bad_poks)
-            .map(|((chain, slot), bad_poks)| {
-                // Chains that failed still localized their liars.
-                let (convicted, suspected) = chain.take_round_verdicts();
+        let chains = self.chains.iter_mut().zip(slots).zip(bad_poks);
+        chains
+            .zip(convicted)
+            .map(|(((chain, slot), bad_poks), mut convicted)| {
                 let mut result =
                     slot.unwrap_or_else(|| Err("neither concluded nor failed".to_string()));
-                // What the daemons refused at the window for a bad proof
-                // of knowledge never reached the coordinator: enter it
-                // in the chain's ledger here, where `ChainRunner` enters
-                // its own screening's rejects.
                 if let Ok((_, outcome)) = &mut result {
+                    convicted.clone_from(&outcome.misbehaving_servers);
+                    // What the daemons refused at the window for a bad
+                    // proof of knowledge never reached the coordinator:
+                    // enter it in the chain's ledger here, where
+                    // `ChainRunner` enters its own screening's rejects.
                     outcome.stats.rejected_pok += bad_poks.len();
                     outcome.malicious_users.extend(bad_poks);
                 }
                 ChainMixed {
                     result,
                     convicted,
-                    suspected,
+                    suspected: chain.take_suspects(),
                 }
             })
             .collect()

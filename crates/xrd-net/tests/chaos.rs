@@ -48,7 +48,7 @@ fn fast_retry() -> RetryPolicy {
     // Every proxy carries its own copy of the fault schedule, and a
     // rule fires on `count` = 1 matching frame per proxy however many
     // frames a hop takes (Start, a chunk per 64 entries, End, each way;
-    // k-1 `VerifyHopKeys` and their verdicts per daemon): at most one
+    // one `VerifyHopKeys` and its verdicts per daemon): at most one
     // failed pass per rule per hop.  A mix retry restarts the pass from
     // hop 0, so with k=3 hops and up to two rules a chain may need 2·3
     // failed passes before a clean one.

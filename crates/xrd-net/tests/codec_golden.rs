@@ -22,7 +22,7 @@ use xrd_net::codec::Frame;
 /// Blake2b-256 over the concatenated `encode()` outputs of every frame
 /// [`common::arb_frame`] builds — tags ascending within a seed, seeds
 /// `0..8`.
-const GOLDEN_DIGEST: &str = "603f8d05a303ae1ff46eb0657b5a948ece46a95579511d2773195a53c4b95dcf";
+const GOLDEN_DIGEST: &str = "08b148693cbfa56f92a39fb4b127b89c54627d222ba54acf0b05bfe68525a8c5";
 
 #[test]
 fn every_frame_encodes_to_the_golden_bytes() {
@@ -69,8 +69,10 @@ fn protocol_doc_examples_are_byte_exact() {
             ],
         ),
         (
-            Frame::VerifyResult { ok: true },
-            &[0x02, 0, 0, 0, 0x24, 0x01],
+            Frame::VerifyResult {
+                verdicts: vec![true, false],
+            },
+            &[0x07, 0, 0, 0, 0x24, 0x02, 0, 0, 0, 0x01, 0x00],
         ),
         (
             Frame::MixBatchStart {

@@ -13,7 +13,7 @@ use xrd_crypto::ristretto::GroupElement;
 use xrd_mixnet::chain_keys::{generate_chain_keys, ServerSecrets};
 use xrd_mixnet::client::{seal_ahs, Submission};
 use xrd_mixnet::message::{MailboxMessage, MixEntry, MAILBOX_MSG_LEN};
-use xrd_mixnet::server::HopAttestation;
+use xrd_mixnet::server::{CrossCheck, HopAttestation};
 use xrd_net::codec::{
     decode_server_config, encode_server_config, BatchAssembler, ChunkedBatch, CodecError, Frame,
     FrameDecoder, StreamError, MAX_BATCH, MAX_BYTES, MAX_FRAME_LEN,
@@ -355,9 +355,20 @@ impl PerItem<'_> {
                 r.point()?;
                 r.ct()
             })?,
-            // VerifyHopKeys, HopForwarded, DisputeOpen: round, position,
-            // two key columns, the proof.
-            0x2B | 0x2D | 0x44 => {
+            // VerifyHopKeys: round, the proofs, the key columns each
+            // present or not.
+            0x2B => {
+                self.take(8)?;
+                self.seq(|r| r.proof(DLEQ_PROOF_LEN, |b| DleqProof::from_bytes(b).is_some()))?;
+                self.seq(|r| match r.take(1)?[0] {
+                    0 => Ok(()),
+                    1 => r.seq(Self::point),
+                    _ => Err(CodecError::BadLength),
+                })?;
+            }
+            // HopForwarded, DisputeOpen: round, position, two key
+            // columns, the proof.
+            0x2D | 0x44 => {
                 self.take(12)?;
                 self.seq(Self::point)?;
                 self.seq(Self::point)?;
@@ -406,7 +417,13 @@ fn point_rows_frame(rng: &mut StdRng, which: usize) -> Frame {
             entries: (0..n).map(|_| mix_entry(rng)).collect(),
         },
         2 => Frame::VerifyHopKeys {
-            attestation: attestation(rng, n, n),
+            check: CrossCheck {
+                round,
+                proofs: vec![dleq(rng); position % 4],
+                columns: (0..4)
+                    .map(|i| (i != position % 4).then(|| column(rng, n).into()))
+                    .collect(),
+            },
         },
         3 => Frame::HopForwarded {
             attestation: attestation(rng, n, n / 2),

@@ -18,7 +18,7 @@ use xrd_mixnet::blame::{Accusation, BlameReveal};
 use xrd_mixnet::chain_keys::{RotationShare, ServerKeyProofs};
 use xrd_mixnet::client::Submission;
 use xrd_mixnet::message::{MailboxMessage, MixEntry, MAILBOX_MSG_LEN};
-use xrd_mixnet::server::HopAttestation;
+use xrd_mixnet::server::{CrossCheck, HopAttestation};
 use xrd_net::codec::{error_code, Frame, MAX_BATCH};
 
 pub fn g(rng: &mut StdRng) -> GroupElement {
@@ -217,7 +217,9 @@ pub fn arb_frame(rng: &mut StdRng, tag: u8) -> Option<Frame> {
             failed: (0..rng.gen_range(0..8)).map(|_| rng.next_u64()).collect(),
         },
         0x24 => Frame::VerifyResult {
-            ok: rng.gen_bool(0.5),
+            verdicts: (0..rng.gen_range(0..5))
+                .map(|_| rng.gen_bool(0.5))
+                .collect(),
         },
         0x25 => Frame::MixBatchStart {
             round: rng.next_u64(),
@@ -230,7 +232,13 @@ pub fn arb_frame(rng: &mut StdRng, tag: u8) -> Option<Frame> {
             digest: array32(rng),
         },
         0x2B => Frame::VerifyHopKeys {
-            attestation: attestation(rng),
+            check: CrossCheck {
+                round: rng.next_u64(),
+                proofs: (0..rng.gen_range(0..4)).map(|_| dleq(rng)).collect(),
+                columns: (0..rng.gen_range(0..5))
+                    .map(|_| rng.gen_bool(0.5).then(|| groups(rng).into()))
+                    .collect(),
+            },
         },
         0x2C => Frame::MixForward {
             round: rng.next_u64(),

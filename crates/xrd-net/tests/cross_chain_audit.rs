@@ -361,7 +361,9 @@ fn shared_audit_convicts_a_bad_proof(transport: Transport) {
     let evidence_seen = Arc::new(AtomicUsize::new(0));
     let seen = Arc::clone(&evidence_seen);
     let covers: Script = Box::new(move |frame| match frame {
-        Frame::VerifyResult { .. } => Frame::VerifyResult { ok: true },
+        Frame::VerifyResult { verdicts } => Frame::VerifyResult {
+            verdicts: vec![true; verdicts.len()],
+        },
         Frame::DisputeEvidence { .. } => {
             seen.fetch_add(1, Ordering::SeqCst);
             frame
@@ -389,18 +391,17 @@ fn shared_audit_convicts_a_bad_proof(transport: Transport) {
             .client
             .conclude_audited(ROUND, pending, audit_ok)
             .expect("conclusion runs");
-        outcomes.push((outcome, chain.client.take_round_verdicts().0));
+        outcomes.push(outcome);
     }
-    let (honest, honest_convicted) = &outcomes[0];
-    assert!(honest.misbehaving_servers.is_empty() && honest_convicted.is_empty());
+    let honest = &outcomes[0];
+    assert!(honest.misbehaving_servers.is_empty());
     assert_eq!(
         honest.delivered.len(),
         USERS,
         "the honest chain still reveals"
     );
-    let (crooked, crooked_convicted) = &outcomes[1];
-    assert_eq!(crooked.misbehaving_servers, vec![0]);
-    assert_eq!(crooked_convicted, &vec![0], "hop 0 is convicted");
+    let crooked = &outcomes[1];
+    assert_eq!(crooked.misbehaving_servers, vec![0], "hop 0 is convicted");
     assert!(
         crooked.delivered.is_empty(),
         "a convicted chain reveals nothing"

@@ -299,3 +299,93 @@ fn netd_process_serves_mailbox() {
     let status = child.wait().expect("daemon exits");
     assert!(status.success());
 }
+
+/// A chain whose conclusion fails still reports the convictions of its
+/// mix phase.  Chain 0's hop 1 rejects every hop it checks and upholds
+/// the rejections, so the verification wave convicts it; then every
+/// `RevealInnerKey` to chain 0's hop 0 cuts its connection, so the
+/// chain fails after its verdicts fell.  The round reports both.
+#[test]
+fn a_failed_conclusion_keeps_the_mix_phase_convictions() {
+    use rand::RngCore;
+    use xrd_mixnet::chain_keys::{generate_chain_keys, rotate_inner_keys};
+    use xrd_mixnet::Lie;
+    use xrd_net::codec::Frame;
+    use xrd_net::{
+        ConnTimeouts, DaemonHandle, Direction, FaultKind, FaultPlan, FaultProxy, FaultRule,
+        MailboxDaemon, MixServerDaemon, RemoteDeployment, RetryPolicy,
+    };
+    use xrd_topology::{Beacon, Topology};
+
+    let mut rng = StdRng::seed_from_u64(74);
+    let (n_servers, k) = (3, 3);
+    let topo = Topology::build_with(&Beacon::from_u64(0), 0, n_servers, n_servers, k, 0.2);
+    let reveal = (0..=u8::MAX).find(|&t| Frame::tag_name(t) == Some("RevealInnerKey"));
+    let cut_reveals = FaultPlan::new(74).with(
+        FaultRule::new(FaultKind::Disconnect)
+            .tag(reveal.expect("a RevealInnerKey tag"))
+            .count(u32::MAX)
+            .dir(Direction::Up),
+    );
+    let (mut daemons, mut proxies): (Vec<DaemonHandle>, Vec<FaultProxy>) = (vec![], vec![]);
+    let (mut chain_addrs, mut chain_keys) = (vec![], vec![]);
+    for chain in 0..topo.n_chains() {
+        let (mut secrets, mut public) = generate_chain_keys(&mut rng, k, chain as u64);
+        rotate_inner_keys(&mut rng, &mut secrets, &mut public, 0);
+        let mut addrs = vec![];
+        for (hop, secrets) in secrets.into_iter().enumerate() {
+            let (seed, public) = (rng.next_u64(), public.clone());
+            let daemon = match (chain, hop) {
+                (0, 1) => MixServerDaemon::spawn_byzantine(
+                    "127.0.0.1:0",
+                    secrets,
+                    public,
+                    seed,
+                    Lie::RejectsAndUpholds,
+                ),
+                _ => MixServerDaemon::spawn("127.0.0.1:0", secrets, public, seed),
+            }
+            .expect("daemon spawns");
+            let mut addr = daemon.addr();
+            if (chain, hop) == (0, 0) {
+                let proxy = FaultProxy::spawn("127.0.0.1:0", addr, cut_reveals.clone());
+                let proxy = proxy.expect("proxy spawns");
+                addr = proxy.addr();
+                proxies.push(proxy);
+            }
+            addrs.push(addr);
+            daemons.push(daemon);
+        }
+        chain_addrs.push(addrs);
+        chain_keys.push(public);
+    }
+    let mailboxes: Vec<DaemonHandle> = (0..2)
+        .map(|shard| MailboxDaemon::spawn("127.0.0.1:0", shard, 2).expect("mailbox spawns"))
+        .collect();
+    let retry = RetryPolicy {
+        attempts: 2,
+        base_backoff: std::time::Duration::from_millis(5),
+    };
+    let mailbox_addrs = mailboxes.iter().map(DaemonHandle::addr).collect();
+    let mut deployment = RemoteDeployment::connect_with(
+        topo,
+        chain_addrs,
+        chain_keys,
+        mailbox_addrs,
+        ConnTimeouts::default(),
+        retry,
+    )
+    .expect("deployment connects");
+    let mut users: Vec<User> = (0..6).map(|_| User::new(&mut rng)).collect();
+    let (report, _) = deployment
+        .run_round(&mut rng, &mut users)
+        .expect("the other chain carries the round");
+    assert_eq!(report.failed_chains, vec![0], "chain 0 cannot reveal");
+    assert_eq!(
+        report.convicted_by_chain.get(&0),
+        Some(&vec![1]),
+        "the liar stays convicted: {:?}",
+        report.convicted_by_chain
+    );
+    drop(proxies);
+}

@@ -23,7 +23,7 @@ use xrd_mixnet::chain_keys::{
 };
 use xrd_mixnet::client::{seal_ahs, ChainSealer, SealRandomness, Submission};
 use xrd_mixnet::message::{MailboxMessage, MixEntry, MAILBOX_MSG_LEN};
-use xrd_mixnet::server::{DhColumn, HopAttestation};
+use xrd_mixnet::server::{CrossCheck, DhColumn};
 use xrd_net::codec::{ChunkedBatch, Frame};
 use xrd_net::swarm::sealed_submissions;
 use xrd_net::{ChainClient, Conn, Transport};
@@ -131,17 +131,23 @@ fn submit_all(daemons: &[ChildDaemon], round: u64, submissions: &[Submission]) {
     }
 }
 
+fn waves() -> u64 {
+    xrd_obs::counter("net.coordinator.waves").get()
+}
+
 /// One clean round for `transport`: per daemon and for the coordinator,
-/// how many points it decoded and encoded.
+/// how many points it decoded and encoded; and how many waves the
+/// coordinator asked.
 fn round_work(
     rng: &mut StdRng,
     daemons: &[ChildDaemon],
     client: &mut ChainClient,
     round: u64,
     transport: Transport,
-) -> (Vec<(u64, u64)>, (u64, u64)) {
+) -> (Vec<(u64, u64)>, (u64, u64), u64) {
     let daemons_before: Vec<_> = daemons.iter().map(|d| daemon_work(d.addr)).collect();
     let coordinator_before = point_work(&xrd_obs::global().snapshot());
+    let waves_before = waves();
 
     client.set_transport(transport);
     client.open_round(round).expect("window opens");
@@ -153,6 +159,7 @@ fn round_work(
     assert_eq!(outcome.delivered.len() as u64, N, "{transport:?}");
     assert!(outcome.misbehaving_servers.is_empty());
 
+    let waves = waves() - waves_before;
     let minus = |(d1, e1): (u64, u64), (d0, e0): (u64, u64)| (d1 - d0, e1 - e0);
     let daemons_after = daemons.iter().map(|d| daemon_work(d.addr));
     let per_daemon = daemons_after.zip(daemons_before).map(|(a, b)| minus(a, b));
@@ -160,17 +167,22 @@ fn round_work(
         point_work(&xrd_obs::global().snapshot()),
         coordinator_before,
     );
-    (per_daemon.collect(), coordinator)
+    (per_daemon.collect(), coordinator, waves)
 }
 
 /// The minimum, pinned.  A daemon decodes each submission's `g^x` once
 /// (its screening, in batches), its hop input once (the chunks), and
-/// the two columns of each of the k − 1 hops it cross-checks; it
-/// encodes exactly its hop's N computed outputs — never a window entry
-/// or a hop input again, and a forwarding hop's report reuses the
-/// bytes it streamed.  The coordinator decodes the agreed batch and
-/// what each hop sends back, and encodes nothing: hop 0's stream and
-/// every attestation column go out as the bytes they came in.
+/// the chain's k + 1 key columns but the two its own hop consumed and
+/// emitted, which it checks the other hops against; it encodes exactly
+/// its hop's N computed outputs — never a window entry or a hop input
+/// again, and a forwarding hop's report reuses the bytes it streamed.
+/// The coordinator decodes the agreed batch and what each hop sends
+/// back, and encodes nothing: hop 0's stream and every attestation
+/// column go out as the bytes they came in.
+///
+/// It asks its daemons in five waves — open, close, fetch the batch,
+/// the one verification wave, reveal — and a sixth to mark a forwarded
+/// round.
 #[test]
 fn a_round_decodes_each_wire_point_once_and_encodes_only_computed_ones() {
     let _counters = counters();
@@ -189,16 +201,18 @@ fn a_round_decodes_each_wire_point_once_and_encodes_only_computed_ones() {
     let addrs: Vec<_> = daemons.iter().map(|d| d.addr).collect();
     let mut client = ChainClient::connect(&addrs, public.clone()).expect("coordinator connects");
 
-    let cross_checks = 2 * N * (K as u64 - 1);
-    let (daemon_work, coordinator) =
+    let cross_checks = N * (K as u64 - 1);
+    let (daemon_work, coordinator, waves) =
         round_work(&mut rng, &daemons, &mut client, 0, Transport::Streamed);
+    assert_eq!(waves, 5, "streamed: waves");
     for (pos, work) in daemon_work.into_iter().enumerate() {
         assert_eq!(work, (N + N + cross_checks, N), "streamed: daemon {pos}");
     }
     assert_eq!(coordinator, (N + K as u64 * N, 0), "streamed: coordinator");
 
-    let (daemon_work, coordinator) =
+    let (daemon_work, coordinator, waves) =
         round_work(&mut rng, &daemons, &mut client, 1, Transport::Forwarded);
+    assert_eq!(waves, 6, "forwarded: waves");
     for (pos, work) in daemon_work.into_iter().enumerate() {
         assert_eq!(work, (N + N + cross_checks, N), "forwarded: daemon {pos}");
     }
@@ -292,17 +306,14 @@ proptest! {
         }
 
         // A column off the wire carries its keys' encodings.
-        let attestation = HopAttestation {
+        let check = CrossCheck {
             round: 0,
-            position: 1,
-            input_dhs: DhColumn::from(dhs.clone()),
-            output_dhs: dhs.iter().rev().copied().collect(),
-            proof: common::dleq(&mut rng),
+            proofs: vec![common::dleq(&mut rng)],
+            columns: vec![Some(DhColumn::from(dhs.clone())), None, Some(dhs.iter().rev().copied().collect())],
         };
-        let (Frame::VerifyHopKeys { attestation: got }, _) =
-            reencoded(&Frame::VerifyHopKeys { attestation })
+        let (Frame::VerifyHopKeys { check: got }, _) = reencoded(&Frame::VerifyHopKeys { check })
         else { panic!("VerifyHopKeys decodes as one") };
-        for column in [&got.input_dhs, &got.output_dhs] {
+        for column in got.columns.iter().flatten() {
             prop_assert_eq!(column.encodings(), Some(&encoded(column)[..]));
         }
     }
