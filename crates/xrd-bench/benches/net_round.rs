@@ -15,7 +15,7 @@ use xrd_net::swarm::sealed_submissions;
 use xrd_net::{ChainClient, Conn, Frame, MailboxDaemon, MixServerDaemon};
 
 /// The hop-pipeline probe: one k=3 chain (three mix daemons on
-/// loopback), one agreed batch, the complete mix phase — k hops,
+/// loopback), one agreed window, the complete mix phase — k hops,
 /// cross-server verification, the coordinator's batched audit,
 /// inner-key reveal and envelope opening.  The coordinator forwards
 /// output chunks to the next hop as they arrive, daemons start hop
@@ -43,10 +43,20 @@ fn bench_hop_pipeline(c: &mut Criterion) {
 
     group.bench_function(BenchmarkId::new("streamed", N), |b| {
         let mut chain = ChainClient::connect(&addrs, public.clone()).expect("coordinator connects");
+        // The window is set-up, not timed: every daemon holds the batch,
+        // and hop 0 mixes its own window each iteration.
+        chain.open_round(round).expect("window opens");
+        for &addr in &addrs {
+            let mut conn = Conn::connect(addr).expect("submitter connects");
+            for submission in &submissions {
+                let submission = submission.clone();
+                conn.request_ok(&Frame::Submit { round, submission })
+                    .expect("submission accepted");
+            }
+        }
+        let agreement = chain.agree(round).expect("input agreement");
         b.iter(|| {
-            let outcome = chain
-                .mix_round(round, &submissions)
-                .expect("mix round runs");
+            let outcome = chain.mix_round(round, &agreement).expect("mix round runs");
             assert_eq!(outcome.delivered.len(), N);
             outcome
         });

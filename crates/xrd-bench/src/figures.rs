@@ -274,8 +274,9 @@ pub fn fig7(quick: bool) -> (f64, Vec<Fig7Row>) {
 
     // The chain's own mix wave finds the failing hop, then blame is
     // timed.
-    let mut pass = chain.pass(&mut rng, round);
-    let (hops, end) = pass.party.mix(round, subs.clone()).expect("in process");
+    let all: Vec<usize> = (0..subs.len()).collect();
+    let mut pass = chain.pass(&mut rng, round, &subs);
+    let (hops, end) = pass.party.mix(round, &all).expect("in process");
     let (pos, failed) = (hops.len(), end.expect_err("corruption must be detected"));
     assert_eq!(pos, k - 1, "the bad layer is the last hop");
     let idx = failed[0];

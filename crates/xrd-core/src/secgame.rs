@@ -29,7 +29,8 @@ use xrd_crypto::keys::KeyPair;
 use xrd_mixnet::client::seal_ahs;
 use xrd_mixnet::message::DOMAIN_MAILBOX;
 use xrd_mixnet::{
-    verify_hops_batched, ChainRunner, MailboxMessage, MixPhase, Submission, PAYLOAD_LEN,
+    agreed_column, verify_hops_batched, ChainRunner, MailboxMessage, MixPhase, Submission,
+    PAYLOAD_LEN,
 };
 
 /// Which hop positions the adversary controls.
@@ -166,9 +167,10 @@ pub fn play_game<R: RngCore + ?Sized>(
         // Step 7: mixing (all servers follow the protocol here; active
         // tampering is covered by the AHS tests, and Appendix A shows
         // tampering upstream of the honest server is always caught).
-        let mut pass = chain.pass(rng, round);
-        let Ok(MixPhase::AwaitingAudit(pending)) = pass.mix(&submissions, (0..n_users).collect())
-        else {
+        let active: Vec<usize> = (0..n_users).collect();
+        let agreed = agreed_column(&submissions, &active);
+        let mut pass = chain.pass(rng, round, &submissions);
+        let Ok(MixPhase::AwaitingAudit(pending)) = pass.mix(agreed, active) else {
             panic!("honest onions decrypt at every hop");
         };
         // The adversary's view, read before the reveal releases it.

@@ -345,7 +345,7 @@ mod tests {
         }
 
         fn blame(&mut self, rng: &mut StdRng, position: usize, idx: usize) -> BlameVerdict {
-            let mut pass = self.chain.pass(rng, self.round);
+            let mut pass = self.chain.pass(rng, self.round, &self.subs);
             pass.blame(&self.subs, position, idx).expect("in process")
         }
     }
@@ -366,11 +366,12 @@ mod tests {
     /// Run the chain's mix wave; if a hop fails to decrypt, run blame
     /// for each failed index and return the verdicts.
     fn run_until_blame(rng: &mut StdRng, h: &mut ChainHarness) -> Vec<BlameVerdict> {
+        let all: Vec<usize> = (0..h.subs.len()).collect();
         let (hops, end) = h
             .chain
-            .pass(rng, h.round)
+            .pass(rng, h.round, &h.subs)
             .party
-            .mix(h.round, h.subs.clone())
+            .mix(h.round, &all)
             .unwrap();
         match end {
             Ok(_) => vec![],

@@ -192,14 +192,6 @@ impl Submission {
         }
     }
 
-    /// The first hop's mix entry, the onion moved, not copied.
-    pub fn into_entry(self) -> MixEntry {
-        MixEntry {
-            dh: self.dh(),
-            ct: self.ct,
-        }
-    }
-
     /// The canonical bytes of a submission: `g^x || PoK || onion` —
     /// what a mix server sorts a closed window by.
     pub fn to_bytes(&self) -> Vec<u8> {

@@ -48,12 +48,12 @@ pub use client::{seal_ahs, seal_basic, ChainSealer, SealRandomness, Submission};
 pub use lie::Lie;
 pub use message::{MailboxMessage, MixEntry, MAILBOX_MSG_LEN, PAYLOAD_LEN};
 pub use pass::{
-    Breach, ChainParty, ChainPass, ChainRoundOutcome, ChainRoundStats, MixPhase, MixWave,
-    PendingChainRound,
+    agreed_column, Breach, ChainParty, ChainPass, ChainRoundOutcome, ChainRoundStats, MixPhase,
+    MixWave, PendingChainRound,
 };
 pub use runner::{ChainRunner, LocalParty};
 pub use server::{
-    input_digest, open_batch, open_revealed, verify_hop, verify_hops_batched,
+    column_digest, input_digest, open_batch, open_revealed, verify_hop, verify_hops_batched,
     verify_hops_batched_multi, verify_inner_key, ChainAudit, ChunkKernel, HopAttestation,
-    HopRecord, HopResult, HopState, MixError, MixServer,
+    HopRecord, HopResult, HopState, MixError, MixServer, WindowDigest,
 };

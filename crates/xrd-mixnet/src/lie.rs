@@ -17,8 +17,9 @@
 //!   witness's dispute verdict, [`upheld`];
 //! * the accuser's, in [`MixServer::accuse`](crate::MixServer::accuse);
 //! * the inner-key reveal, [`MixServer::inner_key_reveal`](crate::MixServer::inner_key_reveal);
-//! * the submission window's digest, [`window_digest`] (a daemon's
-//!   alone: nothing else runs a window).
+//! * the submission window's digests, [`window_digest`] (a daemon's
+//!   alone: nothing else closes a window);
+//! * what hop 0 mixes of its window, [`window_submissions`].
 //!
 //! Each lie told adds one to the `byzantine.lies` counter.  The
 //! expected ledger of each lie is `docs/FAULTS.md` §2.
@@ -30,7 +31,7 @@ use xrd_crypto::scalar::Scalar;
 use crate::blame::Accusation;
 use crate::chain_keys::ChainPublicKeys;
 use crate::client::Submission;
-use crate::server::{input_digest, DhColumn, HopAttestation, HopResult, HopState};
+use crate::server::{DhColumn, HopAttestation, HopResult, HopState, WindowDigest};
 
 /// One lie a mix server tells, at one wave of the chain protocol.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -63,15 +64,19 @@ pub enum Lie {
     KeyAsAnother,
     /// Reveals an inner key that is not its published one.
     WrongKey,
-    /// Answers the submission window's close with a digest other than
+    /// Answers the submission window's close with digests other than
     /// the batch's (`equivocate-digest`).
     EquivocateDigest,
+    /// As hop 0, mixes its window without the window's first
+    /// submission (`drop-from-window`).  Only hop 0 mixes a window, so
+    /// at any other position the lie is never told.
+    DropsFromWindow,
 }
 
 impl Lie {
     /// Every lie under its name on the command line
     /// (`xrd-netd byzantine --lie NAME`).
-    pub const NAMED: [(&'static str, Lie); 13] = [
+    pub const NAMED: [(&'static str, Lie); 14] = [
         ("lie-verify", Lie::RejectsAndUpholds),
         ("recant-verify", Lie::RejectsAndRecants),
         ("vouch", Lie::Vouches),
@@ -85,6 +90,7 @@ impl Lie {
         ("key-as-another", Lie::KeyAsAnother),
         ("wrong-key", Lie::WrongKey),
         ("equivocate-digest", Lie::EquivocateDigest),
+        ("drop-from-window", Lie::DropsFromWindow),
     ];
 }
 
@@ -193,12 +199,28 @@ pub(crate) fn inner_key(lie: Option<Lie>, position: usize, isk: Scalar) -> (usiz
     }
 }
 
-/// The input-agreement digest a daemon answers for the batch it fixed
-/// (§6.3, [`input_digest`]) — or, equivocating, another one.
-pub fn window_digest(lie: Option<Lie>, batch: &[Submission]) -> [u8; 32] {
-    let mut digest = input_digest(batch);
+/// The input-agreement digests a daemon answers for the batch it fixed
+/// (§6.3, [`WindowDigest::of`]) — or, equivocating, others.
+pub fn window_digest(lie: Option<Lie>, batch: &[Submission]) -> WindowDigest {
+    let mut digest = WindowDigest::of(batch);
     if lie == Some(Lie::EquivocateDigest) {
-        digest[0] ^= told(0xFF);
+        digest.batch[0] ^= told(0xFF);
+        digest.column[0] ^= 0xFF;
     }
     digest
+}
+
+/// What hop 0 mixes of its window, the agreed `batch`: the submissions
+/// at `active`, in order — less the first, from a `DropsFromWindow`
+/// liar.
+pub fn window_submissions<'b>(
+    lie: Option<Lie>,
+    batch: &'b [Submission],
+    active: &[usize],
+) -> Vec<&'b Submission> {
+    let mut mixed: Vec<&Submission> = active.iter().map(|&i| &batch[i]).collect();
+    if lie == Some(Lie::DropsFromWindow) && !mixed.is_empty() {
+        told(mixed.remove(0));
+    }
+    mixed
 }

@@ -9,7 +9,8 @@
 //! audited — reveal the inner keys and open the envelopes.
 //!
 //! [`ChainPass`] is that conversation as straight-line code.  Every
-//! protocol decision is made here: the column seams between hops, the
+//! protocol decision is made here: the anchor of hop 0's input column
+//! in the agreed batch and the column seams between hops, the
 //! one verification wave, who a dispute convicts, the blame-retry loop
 //! and the accuser's position, the localization of a failed audit, and
 //! the inner-key reveal's checks.  What it asks the servers goes
@@ -32,14 +33,15 @@
 use std::collections::HashSet;
 
 use xrd_crypto::nizk::SchnorrProof;
-use xrd_crypto::ristretto::GroupElement;
 use xrd_crypto::scalar::Scalar;
 
 use crate::blame::{trace_blame, Accusation, BlameReveal, BlameVerdict};
 use crate::chain_keys::ChainPublicKeys;
 use crate::client::Submission;
 use crate::message::{MailboxMessage, MixEntry};
-use crate::server::{open_revealed, verify_hops_batched, HopAttestation, HopRecord};
+use crate::server::{
+    column_digest, open_revealed, verify_hops_batched, DhColumn, HopAttestation, HopRecord,
+};
 use dispute_claim::{BAD_PROOF, FALSE_VERDICT};
 
 /// Claim codes of an announced verdict ([`ChainParty::announce`]): what
@@ -99,7 +101,8 @@ pub type MixWave = (Vec<HopAttestation>, Result<Vec<MixEntry>, Vec<usize>>);
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum Breach {
     /// The hop at this position attested an input column other than the
-    /// one the hop before it emitted (hop 0: the agreed batch's).
+    /// one the hop before it emitted (hop 0: one that does not hash to
+    /// the agreed batch's column).
     Seam(usize),
     /// The hop at this position attested input and output columns of
     /// different lengths.
@@ -126,12 +129,18 @@ pub trait ChainParty {
     /// ends it the same way.
     type Error: From<Breach>;
 
-    /// Mix `batch` through the chain's hops in order — hop 0 taking the
-    /// submissions' entries ([`Submission::to_entry`]), each later hop
-    /// the one before it's output — until the last hop emits or one
-    /// fails to decrypt, naming at least one slot.  The servers keep
+    /// Mix the agreed batch's submissions at `active` — indices into the
+    /// batch in its canonical order, ascending — through the chain's
+    /// hops in order: hop 0 takes them from the window it holds
+    /// ([`window_submissions`](crate::lie::window_submissions)), each
+    /// later hop the one before it's output, until the last hop emits or
+    /// one fails to decrypt, naming at least one slot.  The servers keep
     /// their hop state for blame.
-    fn mix(&mut self, round: u64, batch: Vec<Submission>) -> Result<MixWave, Self::Error>;
+    fn mix(&mut self, round: u64, active: &[usize]) -> Result<MixWave, Self::Error>;
+
+    /// The agreed batch, in canonical order: what blame traces a failed
+    /// slot back to.
+    fn batch(&mut self, round: u64) -> Result<Vec<Submission>, Self::Error>;
 
     /// The verification wave: every server `v` with `verifiers[v]`
     /// checks all the other hops of `hops` at once, against the two key
@@ -232,17 +241,25 @@ pub struct ChainPass<'a, P> {
     pub excluded: &'a mut HashSet<usize>,
 }
 
+/// The digest hop 0's input column must have when the agreed `batch`'s
+/// submissions at `active` enter the mix: their `g^x` column, in order
+/// ([`column_digest`]).
+pub fn agreed_column(batch: &[Submission], active: &[usize]) -> [u8; 32] {
+    column_digest(active.iter().map(|&i| batch[i].encoded_dh()))
+}
+
 impl<P: ChainParty> ChainPass<'_, P> {
-    /// The whole chain round over the agreed `submissions`, of which the
-    /// indices `active` enter the mix: [`ChainPass::mix`], the chain's
-    /// own audit of its `k` proofs ([`verify_hops_batched`]), then
+    /// The whole chain round over the agreed batch, of which the indices
+    /// `active` enter the mix, hop 0's input column hashing to `agreed`
+    /// ([`agreed_column`]): [`ChainPass::mix`], the chain's own audit of
+    /// its `k` proofs ([`verify_hops_batched`]), then
     /// [`ChainPass::conclude`].
     pub fn run(
         &mut self,
-        submissions: &[Submission],
+        agreed: [u8; 32],
         active: Vec<usize>,
     ) -> Result<ChainRoundOutcome, P::Error> {
-        match self.mix(submissions, active)? {
+        match self.mix(agreed, active)? {
             MixPhase::Done(outcome) => Ok(outcome),
             MixPhase::AwaitingAudit(pending) => {
                 let audit_ok = verify_hops_batched(self.public, self.round, &pending.records());
@@ -253,23 +270,20 @@ impl<P: ChainParty> ChainPass<'_, P> {
 
     /// Mix with blame-retry until a clean pass (§6.3–§6.4), then
     /// cross-verify it.  Each mix wave's attestations must chain — hop
-    /// `i` consumed what hop `i−1` emitted, hop 0 the agreed batch — or
-    /// the pass fails with a [`Breach`].  A hop that failed to decrypt
-    /// is blamed slot by slot: convicted users leave `active` and the
-    /// batch is mixed again; a convicted server ends the round with
+    /// 0's input column hash to `agreed`, hop `i` consume what hop `i−1`
+    /// emitted — or the pass fails with a [`Breach`].  A hop that failed
+    /// to decrypt is blamed slot by slot, against the agreed batch
+    /// ([`ChainParty::batch`], asked for once): convicted users leave
+    /// `active`, hop 0's column must now be that batch's less them, and
+    /// the batch is mixed again; a convicted server ends the round with
     /// nothing delivered.  A clean pass goes through the verification
     /// wave and any disputes it raises, and is returned for the caller's
     /// audit: nothing is revealed before that.
-    pub fn mix(
-        &mut self,
-        submissions: &[Submission],
-        mut active: Vec<usize>,
-    ) -> Result<MixPhase, P::Error> {
+    pub fn mix(&mut self, agreed: [u8; 32], mut active: Vec<usize>) -> Result<MixPhase, P::Error> {
         let mut outcome = ChainRoundOutcome::default();
+        let (mut agreed, mut batch): (_, Option<Vec<Submission>>) = (agreed, None);
         let (hops, outputs) = loop {
-            let batch: Vec<Submission> = active.iter().map(|&i| submissions[i].clone()).collect();
-            let agreed: Vec<GroupElement> = batch.iter().map(Submission::dh).collect();
-            let (hops, end) = self.party.mix(self.round, batch)?;
+            let (hops, end) = self.party.mix(self.round, &active)?;
             check_seams(&agreed, &hops)?;
             outcome.stats.proofs_generated += hops.len();
             let failed = match end {
@@ -279,7 +293,11 @@ impl<P: ChainParty> ChainPass<'_, P> {
             // Blame runs against the batch actually mixed; a user's
             // verdict indexes into `active`.
             outcome.stats.blame_rounds += 1;
-            let mixed: Vec<Submission> = active.iter().map(|&i| submissions[i].clone()).collect();
+            let batch = match &mut batch {
+                Some(batch) => batch,
+                empty => empty.insert(self.party.batch(self.round)?),
+            };
+            let mixed: Vec<Submission> = active.iter().map(|&i| batch[i].clone()).collect();
             let mut users = Vec::new();
             for slot in failed {
                 match self.blame(&mixed, hops.len(), slot)? {
@@ -300,6 +318,7 @@ impl<P: ChainParty> ChainPass<'_, P> {
             assert!(!users.is_empty(), "blame must identify at least one party");
             outcome.stats.removed_by_blame += users.len();
             active.retain(|i| !users.contains(i));
+            agreed = agreed_column(batch, &active);
             outcome.malicious_users.extend(users);
         };
         let _span = xrd_obs::span_timer("chain.verify", self.round);
@@ -489,18 +508,22 @@ impl<P: ChainParty> ChainPass<'_, P> {
     }
 }
 
-/// Hop `i`'s input column must be what hop `i−1` emitted (hop 0's: the
-/// `agreed` batch's), and each hop's two columns one length.
-fn check_seams(agreed: &[GroupElement], hops: &[HopAttestation]) -> Result<(), Breach> {
-    let mut entering = agreed;
+/// Hop 0's input column must hash to the `agreed` one, hop `i`'s be
+/// what hop `i−1` emitted, and each hop's two columns one length.
+fn check_seams(agreed: &[u8; 32], hops: &[HopAttestation]) -> Result<(), Breach> {
+    let mut emitted: Option<&DhColumn> = None;
     for (position, hop) in hops.iter().enumerate() {
-        if hop.input_dhs[..] != *entering {
+        let seamless = match emitted {
+            None => hop.input_dhs.digest() == *agreed,
+            Some(emitted) => hop.input_dhs == *emitted,
+        };
+        if !seamless {
             return Err(Breach::Seam(position));
         }
-        if hop.output_dhs.len() != entering.len() {
+        if hop.output_dhs.len() != hop.input_dhs.len() {
             return Err(Breach::ColumnLengths(position));
         }
-        entering = &hop.output_dhs;
+        emitted = Some(&hop.output_dhs);
     }
     Ok(())
 }
@@ -559,6 +582,7 @@ mod tests {
         let party = LocalParty {
             servers: &mut servers,
             rng: &mut rng,
+            batch: &subs,
         };
         let mut pass = ChainPass {
             party,
@@ -566,7 +590,8 @@ mod tests {
             round: ROUND,
             excluded: &mut excluded,
         };
-        pass.run(&subs, (0..USERS).collect())
+        let active: Vec<usize> = (0..USERS).collect();
+        pass.run(agreed_column(&subs, &active), active)
     }
 
     /// `(delivered, misbehaving_servers, malicious_users)` of a round
@@ -674,8 +699,8 @@ mod tests {
     /// every single server lying at every position gets its row of
     /// `docs/FAULTS.md` §2 — the liar alone is convicted or no one is, no
     /// user is blamed but the one an accuser lie needs seeded, every
-    /// honest message is delivered or none is, and a seam lie fails the
-    /// pass there.
+    /// honest message is delivered or none is, a seam lie fails the
+    /// pass there, and so does hop 0 mixing other than its window.
     #[test]
     fn every_lie_at_every_position_gets_its_ledger() {
         for k in 2..=4 {
@@ -690,7 +715,7 @@ mod tests {
                     let case = format!("{name} at {liar} of {k}");
                     let accuses = matches!(lie, Lie::AccuserRefuses | Lie::AccuserAsAnother);
                     let outcome = round_with(&[(liar, lie)], k, accuses.then_some(liar));
-                    if lie == Lie::Seam {
+                    if lie == Lie::Seam || (lie, liar) == (Lie::DropsFromWindow, 0) {
                         assert_eq!(outcome.err(), Some(Breach::Seam(liar)), "{case}");
                         continue;
                     }
@@ -698,9 +723,13 @@ mod tests {
                     assert_eq!(users, vec![], "{case}: no user is blamed");
                     match lie {
                         // Nobody is framed, nobody is hurt: a recanted
-                        // rejection, a vouch for a valid hop, and a
-                        // digest lie only a daemon's window can tell.
-                        Lie::RejectsAndRecants | Lie::Vouches | Lie::EquivocateDigest => {
+                        // rejection, a vouch for a valid hop, a digest
+                        // lie only a daemon's window can tell, and a
+                        // window lie past hop 0, which holds no window.
+                        Lie::RejectsAndRecants
+                        | Lie::Vouches
+                        | Lie::EquivocateDigest
+                        | Lie::DropsFromWindow => {
                             assert_eq!((delivered, servers), (USERS, vec![]), "{case}")
                         }
                         // The perjured verifier is excluded; the round goes on.

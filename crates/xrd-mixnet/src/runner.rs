@@ -21,11 +21,13 @@ use xrd_crypto::scalar::Scalar;
 use crate::blame::{Accusation, BlameReveal};
 use crate::chain_keys::{generate_chain_keys, ChainPublicKeys, ServerSecrets};
 use crate::client::Submission;
-use crate::lie::{attestation, upheld};
+use crate::lie::{attestation, upheld, window_submissions};
 use crate::message::MixEntry;
 use crate::par;
-use crate::pass::{Breach, ChainParty, ChainPass, ChainRoundOutcome, Evidence, MixWave};
-use crate::server::{CrossCheck, HopAttestation, HopResult, MixError, MixServer};
+use crate::pass::{
+    agreed_column, Breach, ChainParty, ChainPass, ChainRoundOutcome, Evidence, MixWave,
+};
+use crate::server::{CrossCheck, DhColumn, HopAttestation, HopResult, MixError, MixServer};
 
 /// A chain's servers in this process, as the pass asks them: each wave
 /// a call on the servers themselves — the functions a mix daemon calls
@@ -38,16 +40,26 @@ pub struct LocalParty<'a, R: ?Sized> {
     /// The chain's RNG: shuffles, proof nonces, blame proofs and
     /// dispute signatures.
     pub rng: &'a mut R,
+    /// The agreed batch, in canonical order: the window hop 0 mixes.
+    pub batch: &'a [Submission],
 }
 
 impl<R: RngCore + ?Sized> ChainParty for LocalParty<'_, R> {
     type Error = Breach;
 
-    fn mix(&mut self, round: u64, batch: Vec<Submission>) -> Result<MixWave, Breach> {
-        let mut batch: Vec<MixEntry> = batch.into_iter().map(Submission::into_entry).collect();
+    /// Hop 0 takes its window's entries, its input column carrying the
+    /// bytes the submissions came in.
+    fn mix(&mut self, round: u64, active: &[usize]) -> Result<MixWave, Breach> {
+        let window = window_submissions(self.servers[0].lie(), self.batch, active);
+        let mut entering = Some(DhColumn::with_encodings(
+            window.iter().map(|s| s.dh()).collect(),
+            window.iter().map(|s| *s.encoded_dh()).collect(),
+        ));
+        let mut batch: Vec<MixEntry> = window.into_iter().map(Submission::to_entry).collect();
         let mut hops = Vec::with_capacity(self.servers.len());
         for server in self.servers.iter_mut() {
-            let input_dhs = batch.iter().map(|e| e.dh).collect();
+            let input_dhs = entering.take();
+            let input_dhs = input_dhs.unwrap_or_else(|| batch.iter().map(|e| e.dh).collect());
             let HopResult { outputs, proof } = match server.process_round(self.rng, round, batch) {
                 Ok(result) => result,
                 Err(MixError::DecryptFailure(failed)) => return Ok((hops, Err(failed))),
@@ -66,6 +78,10 @@ impl<R: RngCore + ?Sized> ChainParty for LocalParty<'_, R> {
             batch = outputs;
         }
         Ok((hops, Ok(batch)))
+    }
+
+    fn batch(&mut self, _round: u64) -> Result<Vec<Submission>, Breach> {
+        Ok(self.batch.to_vec())
     }
 
     /// Each verifier is handed what a mix daemon is sent.
@@ -220,19 +236,21 @@ impl ChainRunner {
         &mut self.servers
     }
 
-    /// This chain's servers as one [`ChainPass`] for `round`, drawing
-    /// from `rng`: what [`ChainRunner::run_round`] runs, and what the
-    /// security game, the blame measurements and their tests step
-    /// through wave by wave.
+    /// This chain's servers as one [`ChainPass`] for `round` over the
+    /// agreed `batch`, drawing from `rng`: what
+    /// [`ChainRunner::run_round`] runs, and what the security game, the
+    /// blame measurements and their tests step through wave by wave.
     pub fn pass<'a, R: RngCore + ?Sized>(
         &'a mut self,
         rng: &'a mut R,
         round: u64,
+        batch: &'a [Submission],
     ) -> ChainPass<'a, LocalParty<'a, R>> {
         ChainPass {
             party: LocalParty {
                 servers: &mut self.servers,
                 rng,
+                batch,
             },
             public: &self.public,
             round,
@@ -262,7 +280,8 @@ impl ChainRunner {
         let (active, rejected): (Vec<usize>, Vec<usize>) =
             (0..submissions.len()).partition(|&i| pok_ok[i]);
 
-        let mut outcome = (self.pass(rng, round).run(submissions, active))
+        let agreed = agreed_column(submissions, &active);
+        let mut outcome = (self.pass(rng, round, submissions).run(agreed, active))
             .unwrap_or_else(|breach| panic!("an in-process chain broke its own pass: {breach}"));
         outcome.stats.rejected_pok = rejected.len();
         outcome.malicious_users.splice(0..0, rejected);
@@ -320,8 +339,8 @@ mod tests {
         let subs: Vec<Submission> = (0..5)
             .map(|i| seal_ahs(&mut rng, chain.public(), round, &msg(i)))
             .collect();
-        let mut party = chain.pass(&mut rng, round).party;
-        let (hops, end) = party.mix(round, subs).expect("in process");
+        let mut party = chain.pass(&mut rng, round, &subs).party;
+        let (hops, end) = party.mix(round, &[0, 1, 2, 3, 4]).expect("in process");
         assert!(end.is_ok(), "a clean pass");
         let verdicts = party.verify(round, &hops, &[true, false, true, true]);
         let all_true = Some(vec![true; k - 1]);

@@ -311,15 +311,9 @@ impl MixServer {
             return Err(MixError::Malformed);
         }
         let position = self.secrets.position;
-        let mut processed = Vec::with_capacity(inputs.len());
-        let mut failures = Vec::new();
-        for (j, slot) in slots.into_iter().enumerate() {
-            match slot {
-                Some(entry) => processed.push(entry),
-                None => failures.push(j),
-            }
-        }
-
+        let failures: Vec<usize> = (slots.iter().enumerate())
+            .filter_map(|(j, slot)| slot.is_none().then_some(j))
+            .collect();
         if !failures.is_empty() {
             hop_metrics().decrypt_failures.add(failures.len() as u64);
             // Halt: retain inputs so blame can run against them.
@@ -333,14 +327,18 @@ impl MixServer {
         }
         let started = std::time::Instant::now();
 
-        // Step 3: shuffle keys and ciphertexts with one permutation.
-        let mut perm: Vec<usize> = (0..processed.len()).collect();
+        // Step 3: shuffle keys and ciphertexts with one permutation,
+        // each entry moved out of its slot, never copied.
+        let mut slots = slots;
+        let mut perm: Vec<usize> = (0..slots.len()).collect();
         // Fisher-Yates.
         for i in (1..perm.len()).rev() {
             let j = rng.gen_range(0..=i);
             perm.swap(i, j);
         }
-        let outputs: Vec<MixEntry> = perm.iter().map(|&src| processed[src].clone()).collect();
+        let outputs: Vec<MixEntry> = (perm.iter())
+            .map(|&src| slots[src].take().expect("no slot failed"))
+            .collect();
 
         // Step 4: aggregate blinding proof.
         let prod_in = GroupElement::product(inputs.iter().map(|e| &e.dh));
@@ -477,6 +475,15 @@ impl DhColumn {
     /// The keys' encodings, if the column carries them.
     pub fn encodings(&self) -> Option<&[[u8; 32]]> {
         self.encoded.as_deref()
+    }
+
+    /// The column's [`column_digest`], off the encodings it carries (a
+    /// column of computed keys is encoded for it).
+    pub fn digest(&self) -> [u8; 32] {
+        match self.encodings() {
+            Some(carried) => column_digest(carried),
+            None => column_digest(&GroupElement::encode_all(&self.points)),
+        }
     }
 }
 
@@ -850,6 +857,43 @@ pub fn open_revealed(
     }
     let opened = crate::par::map_entries(entries, |chunk| open_batch(inner_keys, round, chunk));
     Ok(opened.into_iter().flatten().collect())
+}
+
+/// What a server fixes its submission window under, for input
+/// agreement (§6.3): the batch's digest ([`input_digest`]) and the
+/// digest of its key column in the batch's canonical order
+/// ([`column_digest`]) — the column hop 0 consumes, `c_0`.  The second
+/// is what anchors `c_0` when hop 0 mixes its own window: the pass
+/// refuses a hop-0 input column that does not hash to the agreed one.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct WindowDigest {
+    /// [`input_digest`] of the batch.
+    pub batch: [u8; 32],
+    /// [`column_digest`] of the batch's `g^x` column, in its order.
+    pub column: [u8; 32],
+}
+
+impl WindowDigest {
+    /// The digests of `batch`, in its order.
+    pub fn of(batch: &[Submission]) -> WindowDigest {
+        WindowDigest {
+            batch: input_digest(batch),
+            column: column_digest(batch.iter().map(Submission::encoded_dh)),
+        }
+    }
+}
+
+/// Digest of a key column, in order, off its keys' encodings: hop 0's
+/// input column as the agreement fixed it ([`WindowDigest`]), and as
+/// the pass checks hop 0's attestation against it
+/// ([`DhColumn::digest`]).
+pub fn column_digest<'a>(encodings: impl IntoIterator<Item = &'a [u8; 32]>) -> [u8; 32] {
+    let mut h = xrd_crypto::Blake2b::new(32);
+    h.update(b"xrd/input-column");
+    for dh in encodings {
+        h.update(dh);
+    }
+    h.finalize_32()
 }
 
 /// Digest of a batch for input agreement (§6.3: "sorting the users'
@@ -1291,11 +1335,8 @@ mod tests {
     ) -> (crate::ChainRunner, Vec<HopAttestation>) {
         use crate::pass::ChainParty;
         let mut chain = crate::ChainRunner::from_parts(secrets.to_vec(), public.clone());
-        let (hops, end) = chain
-            .pass(rng, round)
-            .party
-            .mix(round, subs.to_vec())
-            .unwrap();
+        let all: Vec<usize> = (0..subs.len()).collect();
+        let (hops, end) = chain.pass(rng, round, subs).party.mix(round, &all).unwrap();
         assert!(end.is_ok(), "a clean pass");
         (chain, hops)
     }

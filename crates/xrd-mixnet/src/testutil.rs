@@ -71,9 +71,9 @@ mod tests {
             let sub = malicious_submission(&mut rng, chain.public(), 0, bad_layer);
             assert!(sub.verify_pok(0), "PoK must look honest");
             let (hops, end) = chain
-                .pass(&mut rng, 0)
+                .pass(&mut rng, 0, std::slice::from_ref(&sub))
                 .party
-                .mix(0, vec![sub.clone()])
+                .mix(0, &[0])
                 .unwrap();
             assert_eq!(
                 hops.len(),

@@ -904,16 +904,21 @@ frames! {
         /// Round number.
         round: u64,
     },
-    /// The daemon's input-agreement digest over its canonical batch.
+    /// The daemon's input-agreement digests over its canonical batch
+    /// ([`WindowDigest`](xrd_mixnet::server::WindowDigest)).
     0x13 BatchDigest {
         /// Round number.
         round: u64,
         /// `input_digest` over the batch entries.
         digest: [u8; 32],
+        /// `column_digest` over the batch's `g^x`, in canonical order:
+        /// what hop 0's input column must hash to.
+        column: [u8; 32],
         /// Batch size.
         count: u64,
     },
-    /// Request the canonical batch (coordinator → mix).
+    /// Request the canonical batch (coordinator → mix): for blame, or
+    /// to stream it to a hop 0 that holds no window for the round.
     0x14 GetBatch {
         /// Round number.
         round: u64,
@@ -924,6 +929,26 @@ frames! {
         round: u64,
         /// Submissions in canonical order.
         submissions: Vec<Submission>,
+    },
+    /// Ask hop 0 to mix the batch its window fixed for `round`, less
+    /// the users blame `removed` (coordinator → mix).  Answered with
+    /// [`Frame::WindowColumn`], then what a [`Frame::MixBatchStart`]
+    /// stream is answered with; a daemon holding no window for the
+    /// round answers [`error_code::UNKNOWN_ROUND`] alone.
+    0x16 MixWindow {
+        /// Round number.
+        round: u64,
+        /// Indices into the canonical batch, ascending.
+        removed: Vec<u64>,
+    },
+    /// The head of hop 0's reply to [`Frame::MixWindow`]: the key
+    /// column `c_0` of what it mixes, as the bytes its window's
+    /// submissions came in.
+    0x17 WindowColumn {
+        /// Round number.
+        round: u64,
+        /// `g^x` of each submission mixed, in mix order.
+        column: DhColumn,
     },
 
     // ---- Mixing (0x2*) ----

@@ -31,7 +31,7 @@ use std::time::Duration;
 
 use xrd_crypto::nizk::DleqProof;
 use xrd_mixnet::message::MixEntry;
-use xrd_mixnet::server::HopAttestation;
+use xrd_mixnet::server::{DhColumn, HopAttestation};
 
 use crate::codec::{BatchAssembler, ChunkedBatch, CodecError, Frame, StreamError};
 use crate::framed::{Flush, Framed};
@@ -418,6 +418,20 @@ impl Conn {
     ) -> Result<HopReply, NetError> {
         let (reply, _) = self.recv_hop_output(round, total, next)?;
         Ok(reply)
+    }
+
+    /// The head of hop 0's reply to [`Frame::MixWindow`]: the key column
+    /// of what it mixes ([`Frame::WindowColumn`]), its encodings beside
+    /// its keys.  A refusal comes back as [`NetError::Remote`]; the hop
+    /// reply follows as to a stream ([`Conn::recv_hop_reply`]).
+    pub(crate) fn recv_window_column(&mut self, round: u64) -> Result<DhColumn, NetError> {
+        match self.recv()? {
+            Frame::WindowColumn { round: r, column } if r == round => Ok(column),
+            other => Err(unexpected(
+                other,
+                &format!("WindowColumn for round {round}"),
+            )),
+        }
     }
 
     /// [`Conn::recv_hop_reply`], also returning the encodings of the

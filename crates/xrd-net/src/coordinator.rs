@@ -4,8 +4,9 @@
 //!
 //! 1. **submission window** — open the window on every server, let
 //!    clients submit (to *all* servers of the chain, per the paper's
-//!    input-agreement step), close it, and check that every server
-//!    fixed the same canonical batch (digest comparison, §6.3);
+//!    input-agreement step), close it, and check that a majority of the
+//!    servers fixed the same canonical batch (digest comparison, §6.3):
+//!    an [`Agreement`], which holds no submission;
 //! 2. **the chain pass** — mixing, cross-server verification, disputes,
 //!    blame and retry, the audit's localization and the inner-key
 //!    reveal: [`xrd_mixnet::ChainPass`], the same code that runs the
@@ -18,6 +19,13 @@
 //! themselves, and any party can replay the coordinator's checks.
 //!
 //! # The mix wave
+//!
+//! Hop 0 mixes the window it holds — the batch it fixed at the close,
+//! less the users blame removed — and names the column it consumed
+//! ([`Frame::MixWindow`], [`Frame::WindowColumn`]): the agreed batch
+//! crosses the coordinator's wire only when blame needs it, or to a
+//! hop 0 that dissented or holds no window (one respawned since the
+//! close), which is streamed it.
 //!
 //! Batches travel as *chunk streams* and the chain is a pipeline: hop
 //! `i + 1` is decrypting while hop `i` is still emitting, whoever carries
@@ -48,11 +56,13 @@ use xrd_mixnet::client::Submission;
 use xrd_mixnet::message::MixEntry;
 use xrd_mixnet::pass::dispute_claim;
 use xrd_mixnet::pass::Evidence;
-use xrd_mixnet::server::{input_digest, verify_hops_batched, CrossCheck, DhColumn, HopAttestation};
+use xrd_mixnet::server::{
+    column_digest, verify_hops_batched, CrossCheck, DhColumn, HopAttestation, WindowDigest,
+};
 use xrd_mixnet::{ChainParty, ChainPass, ChainRoundOutcome, MixWave};
 pub use xrd_mixnet::{MixPhase, PendingChainRound};
 
-use crate::codec::{ChunkedBatch, Frame, STREAM_CHUNK};
+use crate::codec::{error_code, ChunkedBatch, Frame, STREAM_CHUNK};
 use crate::conn::{expect_ok, Conn, ConnTimeouts, HopReply, NetError};
 
 /// Bounded retry-with-backoff for chain exchanges that fail for
@@ -166,6 +176,150 @@ pub enum Transport {
 /// as.
 fn dh_column(entries: &[MixEntry], encoded: Vec<[u8; 32]>) -> DhColumn {
     DhColumn::with_encodings(entries.iter().map(|e| e.dh).collect(), encoded)
+}
+
+/// A chain's input agreement for one round (§6.3): the digests a strict
+/// majority of its daemons fixed their window under, and which daemons
+/// those are ([`ChainClient::agree`]).  It holds no submission: hop 0
+/// mixes its own window ([`ChainClient::mix_round_deferred`]).
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct Agreement {
+    round: u64,
+    digest: WindowDigest,
+    count: usize,
+    /// The positions whose window is the majority's, in hop order.
+    holders: Vec<usize>,
+}
+
+impl Agreement {
+    /// Submissions agreed on.
+    pub fn len(&self) -> usize {
+        self.count
+    }
+
+    /// True if the window closed empty.
+    pub fn is_empty(&self) -> bool {
+        self.count == 0
+    }
+}
+
+/// What a chain mixes ([`ChainClient::mix_round_deferred`]): the agreed
+/// batch, known by its digests or in hand.
+#[derive(Clone, Copy, Debug)]
+pub enum Agreed<'a> {
+    /// Known by its [`Agreement`]: hop 0 mixes its own window, and the
+    /// batch is fetched only for blame or for a hop 0 with no window.
+    Window(&'a Agreement),
+    /// In hand, in canonical order — what
+    /// [`ChainClient::close_and_agree`] fetched, or a batch for daemons
+    /// that opened no window.  Hop 0 is still asked to mix its own
+    /// window; one holding none for the round is streamed this batch.
+    Held(&'a [Submission]),
+}
+
+impl<'a> From<&'a Agreement> for Agreed<'a> {
+    fn from(agreement: &'a Agreement) -> Agreed<'a> {
+        Agreed::Window(agreement)
+    }
+}
+
+impl<'a> From<&'a Vec<Submission>> for Agreed<'a> {
+    fn from(batch: &'a Vec<Submission>) -> Agreed<'a> {
+        Agreed::Held(batch)
+    }
+}
+
+/// The agreed batch as the coordinator's party reaches it, across one
+/// round's passes.
+struct Input<'a> {
+    agreed: Agreed<'a>,
+    /// Submissions agreed on.
+    count: usize,
+    /// What hop 0's input column hashes to in a pass before blame.
+    column: [u8; 32],
+    /// Hop 0 is asked to mix its own window: as far as the coordinator
+    /// knows, it holds the agreed one.
+    at_hop0: bool,
+    /// The batch, once fetched.
+    fetched: Option<Vec<Submission>>,
+}
+
+impl<'a> Input<'a> {
+    fn new(agreed: Agreed<'a>) -> Input<'a> {
+        let (count, column, at_hop0) = match agreed {
+            Agreed::Window(agreement) => (
+                agreement.count,
+                agreement.digest.column,
+                agreement.holders.contains(&0),
+            ),
+            Agreed::Held(batch) => (
+                batch.len(),
+                column_digest(batch.iter().map(Submission::encoded_dh)),
+                true,
+            ),
+        };
+        Input {
+            agreed,
+            count,
+            column,
+            at_hop0,
+            fetched: None,
+        }
+    }
+
+    /// The agreed batch: in hand, or fetched the first time it is
+    /// needed ([`fetch`]).
+    fn batch(&mut self, conns: &mut [Conn], retry: RetryPolicy) -> Result<&[Submission], NetError> {
+        let agreement = match self.agreed {
+            Agreed::Held(batch) => return Ok(batch),
+            Agreed::Window(agreement) => agreement,
+        };
+        let fetched = match &mut self.fetched {
+            Some(fetched) => fetched,
+            empty => empty.insert(fetch(conns, agreement, retry)?),
+        };
+        Ok(fetched)
+    }
+}
+
+/// The agreed batch, fetched from the daemons whose window is the
+/// agreed one — each in turn, until one answers with it (a daemon
+/// respawned since its digest keeps no window) — put in canonical order
+/// and checked against both agreed digests: one server's transcript is
+/// never trusted blindly.  The one place the batch is fetched: for
+/// blame, and for a hop 0 that holds no window.
+fn fetch(
+    conns: &mut [Conn],
+    agreement: &Agreement,
+    retry: RetryPolicy,
+) -> Result<Vec<Submission>, NetError> {
+    let round = agreement.round;
+    let get = Frame::GetBatch { round };
+    let mut failure = None;
+    for &source in &agreement.holders {
+        let why = match ask_one(conns, source, &get, retry) {
+            Ok(Frame::SubmissionBatch {
+                round: r,
+                mut submissions,
+            }) if r == round => {
+                submissions.sort_unstable();
+                submissions.dedup();
+                if WindowDigest::of(&submissions) == agreement.digest {
+                    return Ok(submissions);
+                }
+                NetError::Protocol(format!(
+                    "server {source} returned a batch that does not match the agreed digest"
+                ))
+            }
+            Ok(other) => unexpected("SubmissionBatch", other),
+            Err(e) => e,
+        };
+        xrd_obs::info!(
+            "round {round}: the agreed batch could not be fetched from server {source}: {why}"
+        );
+        failure = Some(why);
+    }
+    Err(failure.expect("a strict majority holds the agreed batch"))
 }
 
 /// Coordinator-side handle for one chain: persistent connections to its
@@ -285,21 +439,30 @@ impl ChainClient {
     }
 
     /// Close the window and run input agreement: every server reports
-    /// its canonical-batch digest and the *majority* digest wins.  A
-    /// dissenting server is recorded as suspected (equivocation and a
-    /// dropped `Submit` frame are indistinguishable from here, so this
-    /// never convicts) and announced to the chain as an un-upheld
-    /// [`Frame::DisputeVerdict`].  Returns the agreed batch, fetched
-    /// from a majority server and re-hashed locally.  Fails only when
+    /// the digests of its canonical batch and of that batch's key column
+    /// ([`WindowDigest`]) and the *majority* wins.  A dissenting server
+    /// is recorded as suspected (equivocation and a dropped `Submit`
+    /// frame are indistinguishable from here, so this never convicts)
+    /// and announced to the chain as an un-upheld
+    /// [`Frame::DisputeVerdict`].  Nothing is fetched.  Fails only when
     /// no strict majority exists.
-    pub fn close_and_agree(&mut self, round: u64) -> Result<Vec<Submission>, NetError> {
+    pub fn agree(&mut self, round: u64) -> Result<Agreement, NetError> {
         let digests = self
             .ask_all(&Frame::CloseSubmissions { round }, self.retry)
             .into_iter()
             .map(|reply| match reply? {
                 Frame::BatchDigest {
-                    round: r, digest, ..
-                } if r == round => Ok(digest),
+                    round: r,
+                    digest,
+                    column,
+                    count,
+                } if r == round => Ok((
+                    WindowDigest {
+                        batch: digest,
+                        column,
+                    },
+                    count,
+                )),
                 other => Err(unexpected("BatchDigest", other)),
             })
             .collect::<Result<Vec<_>, _>>()?;
@@ -324,38 +487,34 @@ impl ChainClient {
             // Tell the chain who dissented — suspicion, not conviction,
             // so the verdict is announced as not upheld.
             let claim = dispute_claim::EQUIVOCATION;
-            self.pass(round, self.transport)
-                .party
-                .announce(round, pos, claim, false, votes as u32);
+            self.pass(round, self.transport, None).party.announce(
+                round,
+                pos,
+                claim,
+                false,
+                votes as u32,
+            );
         }
-        let source = digests
-            .iter()
-            .position(|d| *d == majority)
-            .expect("majority digest came from some server");
-        let batch = match ask_one(
-            &mut self.conns,
-            source,
-            &Frame::GetBatch { round },
-            self.retry,
-        )? {
-            Frame::SubmissionBatch {
-                round: r,
-                submissions,
-            } if r == round => submissions,
-            other => return Err(unexpected("SubmissionBatch", other)),
-        };
-        // Never trust one server's transcript blindly: re-derive the
-        // digest locally (off the bytes the batch arrived as) and
-        // compare against the agreed one.
-        if input_digest(&batch) != majority {
-            return Err(NetError::Protocol(format!(
-                "server {source} returned a batch that does not match the agreed digest"
-            )));
-        }
-        Ok(batch)
+        let (digest, count) = majority;
+        Ok(Agreement {
+            round,
+            digest,
+            count: count as usize,
+            holders: (0..digests.len())
+                .filter(|&i| digests[i] == majority)
+                .collect(),
+        })
     }
 
-    /// Drive the chain pass for an agreed batch and return the outcome
+    /// [`ChainClient::agree`], then the agreed batch fetched and checked
+    /// against it, for a caller that wants it in hand.  Mixing it
+    /// ([`Agreed::Held`]) still has hop 0 mix its own window.
+    pub fn close_and_agree(&mut self, round: u64) -> Result<Vec<Submission>, NetError> {
+        let agreement = self.agree(round)?;
+        fetch(&mut self.conns, &agreement, self.retry)
+    }
+
+    /// Drive the chain pass for the `agreed` batch and return the outcome
     /// (delivered messages still need mailbox delivery, which is
     /// deployment-level): [`ChainClient::mix_round_deferred`], the
     /// chain's own audit of its `k` proofs, then
@@ -364,12 +523,12 @@ impl ChainClient {
     /// multiscalar mul
     /// ([`verify_hops_batched_multi`](xrd_mixnet::verify_hops_batched_multi))
     /// before concluding each chain.
-    pub fn mix_round(
+    pub fn mix_round<'b>(
         &mut self,
         round: u64,
-        submissions: &[Submission],
+        agreed: impl Into<Agreed<'b>>,
     ) -> Result<ChainRoundOutcome, NetError> {
-        match self.mix_round_deferred(round, submissions)? {
+        match self.mix_round_deferred(round, agreed)? {
             MixPhase::Done(outcome) => Ok(outcome),
             MixPhase::AwaitingAudit(pending) => {
                 let ok = verify_hops_batched(&self.public, round, &pending.records());
@@ -383,22 +542,28 @@ impl ChainClient {
     /// [`PendingChainRound`] holding the clean pass's attestations,
     /// which the caller audits — typically across every chain of the
     /// round at once — before [`ChainClient::conclude_audited`] reveals.
+    /// `agreed` is what input agreement fixed ([`Agreed`]): an
+    /// [`Agreement`], or the agreed batch in hand.
     ///
     /// A pass that fails for a transport reason is run again on fresh
     /// connections, within the retry policy; a forwarded pass that fails
     /// for any reason (a dead successor link, a column seam) is run again
     /// relayed, where every hop answers the coordinator directly.
-    pub fn mix_round_deferred(
+    pub fn mix_round_deferred<'b>(
         &mut self,
         round: u64,
-        submissions: &[Submission],
+        agreed: impl Into<Agreed<'b>>,
     ) -> Result<MixPhase, NetError> {
+        let mut input = Input::new(agreed.into());
         let mut attempt = 0;
         let mut transport = self.transport;
         loop {
             let forwarded = transport == Transport::Forwarded;
-            let active = (0..submissions.len()).collect();
-            match self.pass(round, transport).mix(submissions, active) {
+            let (column, active) = (input.column, (0..input.count).collect());
+            match self
+                .pass(round, transport, Some(&mut input))
+                .mix(column, active)
+            {
                 Err(e) if (e.retryable() || forwarded) && attempt + 1 < self.retry.attempts => {
                     attempt += 1;
                     xrd_obs::counter("chain.mix_retries").incr();
@@ -448,17 +613,25 @@ impl ChainClient {
         pending: PendingChainRound,
         audit_ok: bool,
     ) -> Result<ChainRoundOutcome, NetError> {
-        self.pass(round, self.transport).conclude(pending, audit_ok)
+        self.pass(round, self.transport, None)
+            .conclude(pending, audit_ok)
     }
 
     /// The chain pass for `round` with this chain's daemons as its
-    /// party, hops sending their output per `transport`.
-    fn pass(&mut self, round: u64, transport: Transport) -> ChainPass<'_, Wire<'_>> {
+    /// party, hops sending their output per `transport`, mixing `input`
+    /// (`None`: a pass asked no mix wave).
+    fn pass<'s, 'b>(
+        &'s mut self,
+        round: u64,
+        transport: Transport,
+        input: Option<&'s mut Input<'b>>,
+    ) -> ChainPass<'s, Wire<'s, 'b>> {
         ChainPass {
             party: Wire {
                 conns: &mut self.conns,
                 transport,
                 retry: self.retry,
+                input,
             },
             public: &self.public,
             round,
@@ -511,24 +684,29 @@ impl ChainClient {
 /// A chain's daemons as the pass asks them: each wave one [`ask`] of
 /// the daemons it concerns, except the mix wave, which is one pipelined
 /// pass of the batch through the hops.
-struct Wire<'a> {
+struct Wire<'a, 'b> {
     conns: &'a mut [Conn],
     transport: Transport,
     retry: RetryPolicy,
+    /// The batch a mix wave mixes.
+    input: Option<&'a mut Input<'b>>,
 }
 
-impl ChainParty for Wire<'_> {
+impl ChainParty for Wire<'_, '_> {
     type Error = NetError;
 
-    /// The coordinator streams the batch to hop 0 and collects one reply
-    /// per hop in chain order.  The transport decides only where hop
-    /// `pos` sent its output: back here — and, relaying, on to hop
-    /// `pos + 1` **byte for byte** as it arrives (the reply's stream is
-    /// the next hop's request), so the next hop's crypto overlaps this
-    /// hop's emission — or straight to its successor, in which case only
-    /// its [`HopAttestation`] comes back.  A [`Frame::HopFailure`] ends
-    /// the wave, whichever hop sent it and whoever carried its batch.
-    fn mix(&mut self, round: u64, batch: Vec<Submission>) -> Result<MixWave, NetError> {
+    /// Hop 0 mixes its own window, less the users outside `active`, and
+    /// names the column it consumed, `c_0` ([`Frame::MixWindow`]); to a
+    /// hop 0 that holds no window for the round the coordinator streams
+    /// the agreed batch instead.  It collects one reply per hop in chain
+    /// order.  The transport decides only where hop `pos` sent its
+    /// output: back here — and, relaying, on to hop `pos + 1` **byte for
+    /// byte** as it arrives (the reply's stream is the next hop's
+    /// request), so the next hop's crypto overlaps this hop's emission —
+    /// or straight to its successor, in which case only its
+    /// [`HopAttestation`] comes back.  A [`Frame::HopFailure`] ends the
+    /// wave, whichever hop sent it and whoever carried its batch.
+    fn mix(&mut self, round: u64, active: &[usize]) -> Result<MixWave, NetError> {
         let k = self.conns.len();
         let forwarded = self.transport == Transport::Forwarded;
         if forwarded {
@@ -538,15 +716,41 @@ impl ChainParty for Wire<'_> {
             let marks = ask(self.conns, repeat(Some(&mark[..])), NO_RETRY);
             marks.into_iter().flatten().try_for_each(expect_ok)?;
         }
-        // Open the pipeline: hop 0's request stream, written from the
-        // bytes the submissions carry.
-        for bytes in ChunkedBatch::build(round, &batch, STREAM_CHUNK).frames() {
-            self.conns[0].send_encoded(bytes)?;
+        let input = self.input.as_deref_mut().expect("a mix wave has a batch");
+        // Open the pipeline: hop 0 mixes its window, or is streamed the
+        // batch if it holds none.
+        let mut c0 = None;
+        if input.at_hop0 {
+            let removed = (0..input.count)
+                .filter(|i| active.binary_search(i).is_err())
+                .map(|i| i as u64)
+                .collect();
+            self.conns[0].send_encoded(&Frame::MixWindow { round, removed }.encode())?;
+            match self.conns[0].recv_window_column(round) {
+                Err(NetError::Remote {
+                    code: error_code::UNKNOWN_ROUND,
+                    ..
+                }) => input.at_hop0 = false,
+                column => c0 = Some(column?),
+            }
         }
-        let agreed = DhColumn::with_encodings(
-            batch.iter().map(Submission::dh).collect(),
-            batch.iter().map(|s| *s.encoded_dh()).collect(),
-        );
+        let c0 = match c0 {
+            Some(c0) => c0,
+            // The fallback: hop 0 dissented, or holds no window (it was
+            // respawned since the close).  Its request stream is written
+            // from the bytes the fetched submissions carry.
+            None => {
+                let batch = input.batch(self.conns, self.retry)?;
+                let streamed: Vec<Submission> = active.iter().map(|&i| batch[i].clone()).collect();
+                for bytes in ChunkedBatch::build(round, &streamed, STREAM_CHUNK).frames() {
+                    self.conns[0].send_encoded(bytes)?;
+                }
+                DhColumn::with_encodings(
+                    streamed.iter().map(Submission::dh).collect(),
+                    streamed.iter().map(|s| *s.encoded_dh()).collect(),
+                )
+            }
+        };
         let mut hops: Vec<HopAttestation> = Vec::with_capacity(k);
         let mut last = None;
         for pos in 0..k {
@@ -560,17 +764,17 @@ impl ChainParty for Wire<'_> {
             let attests = forwarded && pos + 1 < k;
             let (upto, after) = self.conns.split_at_mut(pos + 1);
             let next = if forwarded { None } else { after.first_mut() };
-            let (reply, encoded) = upto[pos].recv_hop_output(round, batch.len(), next)?;
+            let (reply, encoded) = upto[pos].recv_hop_output(round, c0.len(), next)?;
             let hop = match reply {
                 HopReply::Output {
                     position,
                     outputs,
                     proof,
                 } if position as usize == pos && !attests => {
-                    // What entered this hop: the batch the coordinator
-                    // carried, or what the hop before it attested.
+                    // What entered this hop: the column hop 0 named, or
+                    // what the hop before it attested.
                     let entered = hops.last().map(|h| &h.output_dhs);
-                    let input_dhs = entered.unwrap_or(&agreed).clone();
+                    let input_dhs = entered.unwrap_or(&c0).clone();
                     let output_dhs = dh_column(last.insert(outputs), encoded);
                     HopAttestation {
                         round,
@@ -598,6 +802,11 @@ impl ChainParty for Wire<'_> {
         }
         let outputs = last.expect("the last hop answers with its output");
         Ok((hops, Ok(outputs)))
+    }
+
+    fn batch(&mut self, _round: u64) -> Result<Vec<Submission>, NetError> {
+        let input = self.input.as_deref_mut().expect("blame follows a mix wave");
+        Ok(input.batch(self.conns, self.retry)?.to_vec())
     }
 
     /// One [`Frame::VerifyHopKeys`] per verifier, its columns written as
@@ -770,9 +979,10 @@ mod tests {
                 .try_for_each(expect_ok)
                 .expect("accepted");
         }
-        let batch = client.close_and_agree(round).expect("agreement");
-        let mut pass = client.pass(round, Transport::Streamed);
-        let (hops, end) = pass.party.mix(round, batch).expect("mixes");
+        let agreement = client.agree(round).expect("agreement");
+        let mut input = Input::new(Agreed::Window(&agreement));
+        let mut pass = client.pass(round, Transport::Streamed, Some(&mut input));
+        let (hops, end) = pass.party.mix(round, &[0, 1, 2, 3, 4]).expect("mixes");
         assert!(end.is_ok(), "a clean pass");
         let verdicts = pass.party.verify(round, &hops, &[true, false, true]);
         let all_true = Some(vec![true; k - 1]);

@@ -4,7 +4,8 @@
 //! * [`MixServerDaemon`] — one hop position of one mix chain: accepts
 //!   user submissions during the round window (their proofs of
 //!   knowledge checked a reactor tick at a time, in one batched
-//!   verification per tick), fixes the canonical batch, runs AHS hops,
+//!   verification per tick), fixes the canonical batch, runs AHS hops
+//!   (hop 0 over the batch its own window fixed),
 //!   verifies other servers' hop attestations, answers blame requests,
 //!   reveals inner keys and rotates them.
 //! * [`MailboxDaemon`] — one mailbox shard: accepts (idempotent,
@@ -59,7 +60,7 @@ use xrd_core::RecordLog;
 use xrd_crypto::nizk::DleqProof;
 use xrd_mixnet::chain_keys::{rotation_share, ChainPublicKeys, ServerSecrets};
 use xrd_mixnet::client::Submission;
-use xrd_mixnet::lie::{attestation, upheld, window_digest, Lie};
+use xrd_mixnet::lie::{attestation, upheld, window_digest, window_submissions, Lie};
 use xrd_mixnet::message::{outer_ct_len, MailboxMessage, MixEntry};
 use xrd_mixnet::server::{ChunkKernel, CrossCheck, DhColumn, HopAttestation, MixError, MixServer};
 
@@ -372,6 +373,41 @@ struct HopStreamSession {
     /// Chunk jobs dispatched so far (what the End job's latch waits
     /// for).
     jobs: usize,
+}
+
+impl HopStreamSession {
+    /// A session for a hop of `total` entries under `kernel`.
+    fn new(kernel: ChunkKernel, total: usize) -> HopStreamSession {
+        HopStreamSession {
+            total,
+            received: 0,
+            digest: StreamDigest::new(),
+            input_dhs: Vec::new(),
+            kernel,
+            work: Arc::new(ChunkWork::default()),
+            jobs: 0,
+        }
+    }
+
+    /// Hand the next chunk's decrypt-and-blind to the pool: the entries
+    /// move into the job and come back through the session latch for
+    /// the End job to reassemble.
+    fn dispatch(&mut self, entries: Vec<MixEntry>, workers: &Arc<WorkerPool>) {
+        let start = self.received;
+        self.received += entries.len();
+        self.jobs += 1;
+        let kernel = self.kernel.clone();
+        let work = Arc::clone(&self.work);
+        workers.spawn_job(move || {
+            // A panicking kernel must still release the End job's
+            // latch: empty slots make the hop report a malformed batch
+            // (never blame) instead of wedging the session.
+            let slots =
+                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| kernel.process(&entries)))
+                    .unwrap_or_default();
+            work.push(start, entries, slots);
+        });
+    }
 }
 
 /// Results of a session's chunk jobs: `(entry offset, entries, slots)`
@@ -711,9 +747,11 @@ impl MixState {
                     // window already fixed re-answers its digest (the
                     // first response may have been lost in flight).
                     if let Some(batch) = self.batches.get(&round) {
+                        let digest = window_digest(self.server.lie(), batch);
                         return Frame::BatchDigest {
                             round,
-                            digest: window_digest(self.server.lie(), batch),
+                            digest: digest.batch,
+                            column: digest.column,
                             count: batch.len() as u64,
                         };
                     }
@@ -733,13 +771,14 @@ impl MixState {
                 let digest = window_digest(self.server.lie(), &batch);
                 let count = batch.len() as u64;
                 self.batches.insert(round, batch);
-                // Only the current and previous rounds are ever fetched
-                // or blamed; pruning older batches bounds daemon memory
-                // over a long-lived deployment.
+                // Only the current and previous rounds are ever mixed,
+                // fetched or blamed; pruning older batches bounds daemon
+                // memory over a long-lived deployment.
                 self.batches.retain(|&r, _| r + 1 >= round);
                 Frame::BatchDigest {
                     round,
-                    digest,
+                    digest: digest.batch,
+                    column: digest.column,
                     count,
                 }
             }
@@ -902,25 +941,15 @@ impl MixService {
         }
         let mut state = self.lock();
         let kernel = state.server.chunk_kernel(round);
-        state.streams.insert(
-            conn,
-            HopStreamSession {
-                total,
-                received: 0,
-                digest: StreamDigest::new(),
-                input_dhs: Vec::new(),
-                kernel,
-                work: Arc::new(ChunkWork::default()),
-                jobs: 0,
-            },
-        );
+        state
+            .streams
+            .insert(conn, HopStreamSession::new(kernel, total));
         Outcome::Reply(Vec::new())
     }
 
     /// `MixBatchChunk`: dispatch the chunk's decrypt-and-blind to the
-    /// pool immediately — compute overlaps the rest of the transfer.
-    /// The entries move into the job and come back through the session
-    /// latch for the End job to reassemble; the reactor thread does the
+    /// pool immediately — compute overlaps the rest of the transfer
+    /// ([`HopStreamSession::dispatch`]).  The reactor thread does the
     /// overrun bookkeeping and reads the chunk's `wire` bytes — the
     /// digest absorbs its payload, the session keeps its keys'
     /// encodings — so nothing here is encoded again.
@@ -943,25 +972,56 @@ impl MixService {
             state.streams.remove(&conn);
             return Outcome::reply(err(error_code::BAD_STATE, format!("stream rejected: {e}")));
         }
-        let start = session.received;
-        session.received += entries.len();
         let payload = &wire[ChunkedBatch::CHUNK_PAYLOAD_OFFSET..];
         session.digest.absorb_chunk_payload(payload);
         let input_dhs = ChunkedBatch::payload_dhs(&entries, payload);
         session.input_dhs.extend(input_dhs);
-        session.jobs += 1;
-        let kernel = session.kernel.clone();
-        let work = Arc::clone(&session.work);
-        workers.spawn_job(move || {
-            // A panicking kernel must still release the End job's
-            // latch: empty slots make the hop report a malformed batch
-            // (never blame) instead of wedging the session.
-            let slots =
-                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| kernel.process(&entries)))
-                    .unwrap_or_default();
-            work.push(start, entries, slots);
-        });
+        session.dispatch(entries, workers);
         Outcome::Reply(Vec::new())
+    }
+
+    /// `MixWindow`: hop 0 mixes the batch its window fixed for `round`,
+    /// less the `removed` users — submissions already screened, their
+    /// points decoded once — through the same chunk jobs and the same
+    /// End job as a streamed hop.  Its reply opens with the column it
+    /// mixes ([`Frame::WindowColumn`]), written as the bytes the
+    /// submissions came in.  A daemon that is not hop 0, or holds no
+    /// window for the round, refuses.
+    fn mix_window(
+        &self,
+        conn: ConnId,
+        round: u64,
+        removed: Vec<u64>,
+        workers: &Arc<WorkerPool>,
+    ) -> Outcome {
+        let state = self.lock();
+        if state.secrets.position != 0 {
+            return Outcome::reply(err(error_code::BAD_STATE, "only hop 0 mixes its window"));
+        }
+        let Some(batch) = state.batches.get(&round) else {
+            return Outcome::reply(err(error_code::UNKNOWN_ROUND, "no window for round"));
+        };
+        let mut removed = removed;
+        removed.sort_unstable();
+        if removed.last().is_some_and(|&i| i as usize >= batch.len()) {
+            return Outcome::reply(err(error_code::BAD_STATE, "removes a user out of range"));
+        }
+        let active: Vec<usize> = (0..batch.len())
+            .filter(|&i| removed.binary_search(&(i as u64)).is_err())
+            .collect();
+        let mixed = window_submissions(state.server.lie(), batch, &active);
+        let column = DhColumn::with_encodings(
+            mixed.iter().map(|s| s.dh()).collect(),
+            mixed.iter().map(|s| *s.encoded_dh()).collect(),
+        );
+        let mut session = HopStreamSession::new(state.server.chunk_kernel(round), mixed.len());
+        for chunk in mixed.chunks(STREAM_CHUNK) {
+            session.dispatch(chunk.iter().map(|s| s.to_entry()).collect(), workers);
+        }
+        session.input_dhs = column.encodings().expect("carried").to_vec();
+        drop(state);
+        let head = Frame::WindowColumn { round, column }.encode();
+        self.finish(conn, session, true, head)
     }
 
     /// `MixBatchEnd`: defer the hop's assembly — the job waits for the
@@ -970,19 +1030,31 @@ impl MixService {
     /// in forwarded mode — pushes it straight to the chain's next hop,
     /// reporting only the keys-only attestation to the coordinator.
     fn stream_end(&self, conn: ConnId, digest: [u8; 32]) -> Outcome {
-        let Some(session) = self.lock().streams.remove(&conn) else {
+        let Some(mut session) = self.lock().streams.remove(&conn) else {
             return Outcome::reply(err(error_code::BAD_STATE, "end without MixBatchStart"));
         };
+        let computed = std::mem::take(&mut session.digest);
+        self.finish(conn, session, computed.finalize() == digest, Vec::new())
+    }
+
+    /// The End job of a hop whose chunk jobs `session` dispatched: it
+    /// waits for them, shuffles, proves and answers — its reply opened
+    /// by `head` — or, forwarding, routes the output onward.
+    fn finish(
+        &self,
+        conn: ConnId,
+        session: HopStreamSession,
+        digest_ok: bool,
+        head: Vec<u8>,
+    ) -> Outcome {
         let HopStreamSession {
             total,
-            digest: computed,
             input_dhs,
             kernel,
             work,
             jobs,
             ..
         } = session;
-        let digest_ok = computed.finalize() == digest;
         // Forwarded round?  Claim the report connection now (on the
         // reactor thread, under the state lock) so a duplicate End
         // cannot double-forward.
@@ -998,7 +1070,7 @@ impl MixService {
                 handle: self.handle.lock().expect("handle poisoned").clone(),
             });
         let state = Arc::clone(&self.state);
-        Outcome::Defer(Box::new(move || {
+        let hop = move || {
             let _span = xrd_obs::span_timer("hop.stream", kernel.round());
             let waited = std::time::Instant::now();
             let (inputs, slots) = work.wait_collect(jobs);
@@ -1072,6 +1144,10 @@ impl MixService {
                 }
                 Err(MixError::Malformed) => err(error_code::BAD_STATE, "malformed batch").encode(),
             }
+        };
+        Outcome::Defer(Box::new(move || match head.is_empty() {
+            true => hop(),
+            false => [head, hop()].concat(),
         }))
     }
 
@@ -1153,6 +1229,7 @@ impl Service for MixService {
             Frame::MixBatchStart { round, total } => self.stream_start(conn, round, total),
             Frame::MixBatchChunk { entries } => self.stream_chunk(conn, entries, wire, workers),
             Frame::MixBatchEnd { digest } => self.stream_end(conn, digest),
+            Frame::MixWindow { round, removed } => self.mix_window(conn, round, removed, workers),
             Frame::VerifyHopKeys { check } => self.defer_cross_check(check),
             Frame::DisputeOpen { attestation } => self.defer_dispute(attestation),
             // Window and key control: the reply waits for the commit

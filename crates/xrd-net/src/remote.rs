@@ -312,8 +312,11 @@ impl Cluster for Wire {
             .map(|c| (c, ()))
             .collect();
         let mixed = each_chain(&mut self.chains, "mix phase", live, |chain, ()| {
-            let batch = chain.close_and_agree(round)?;
-            Ok((batch.len(), chain.mix_round_deferred(round, &batch)?))
+            let agreement = chain.agree(round)?;
+            Ok((
+                agreement.len(),
+                chain.mix_round_deferred(round, &agreement)?,
+            ))
         });
         drop(mix_span);
         // Convicted on evidence, per chain: the mix phase's verdicts

@@ -22,7 +22,7 @@ use xrd_net::codec::Frame;
 /// Blake2b-256 over the concatenated `encode()` outputs of every frame
 /// [`common::arb_frame`] builds — tags ascending within a seed, seeds
 /// `0..8`.
-const GOLDEN_DIGEST: &str = "08b148693cbfa56f92a39fb4b127b89c54627d222ba54acf0b05bfe68525a8c5";
+const GOLDEN_DIGEST: &str = "cecb26d134c7f090730cdbca943a37bc935639fbed6cdd97b6aca4fd216d0069";
 
 #[test]
 fn every_frame_encodes_to_the_golden_bytes() {
@@ -52,7 +52,7 @@ fn every_frame_encodes_to_the_golden_bytes() {
 /// `docs/PROTOCOL.md` §3, byte for byte, in both directions.
 #[test]
 fn protocol_doc_examples_are_byte_exact() {
-    let examples: [(Frame, &[u8]); 5] = [
+    let examples: [(Frame, &[u8]); 6] = [
         (Frame::Ping, &[0x01, 0, 0, 0, 0x03]),
         (
             Frame::OpenRound { round: 7 },
@@ -73,6 +73,13 @@ fn protocol_doc_examples_are_byte_exact() {
                 verdicts: vec![true, false],
             },
             &[0x07, 0, 0, 0, 0x24, 0x02, 0, 0, 0, 0x01, 0x00],
+        ),
+        (
+            Frame::MixWindow {
+                round: 1,
+                removed: vec![],
+            },
+            &[0x0D, 0, 0, 0, 0x16, 0x01, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0],
         ),
         (
             Frame::MixBatchStart {

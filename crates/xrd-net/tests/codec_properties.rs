@@ -350,6 +350,11 @@ impl PerItem<'_> {
                     r.ct()
                 })?;
             }
+            // WindowColumn: round, then the key column.
+            0x17 => {
+                self.take(8)?;
+                self.seq(Self::point)?;
+            }
             // MixBatchChunk: (dh, ct) per entry.
             0x26 => self.seq(|r| {
                 r.point()?;
@@ -408,7 +413,7 @@ fn point_rows_frame(rng: &mut StdRng, which: usize) -> Frame {
         output_dhs: column(rng, n_out).into(),
         proof: dleq(rng),
     };
-    match which % 5 {
+    match which % 6 {
         0 => Frame::SubmissionBatch {
             round,
             submissions: (0..n).map(|_| submission(rng)).collect(),
@@ -427,6 +432,10 @@ fn point_rows_frame(rng: &mut StdRng, which: usize) -> Frame {
         },
         3 => Frame::HopForwarded {
             attestation: attestation(rng, n, n / 2),
+        },
+        4 => Frame::WindowColumn {
+            round,
+            column: column(rng, n).into(),
         },
         _ => Frame::DisputeOpen {
             attestation: attestation(rng, n / 2, n),
@@ -456,7 +465,7 @@ proptest! {
     #[test]
     fn point_rows_fail_like_a_per_item_parse(
         seed in any::<u64>(),
-        which in 0usize..5,
+        which in 0usize..6,
         mode in 0u8..3,
         point in any::<prop::sample::Index>(),
         how in 0usize..3,

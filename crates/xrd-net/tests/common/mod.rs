@@ -202,6 +202,7 @@ pub fn arb_frame(rng: &mut StdRng, tag: u8) -> Option<Frame> {
         0x13 => Frame::BatchDigest {
             round: rng.next_u64(),
             digest: array32(rng),
+            column: array32(rng),
             count: rng.next_u64(),
         },
         0x14 => Frame::GetBatch {
@@ -210,6 +211,14 @@ pub fn arb_frame(rng: &mut StdRng, tag: u8) -> Option<Frame> {
         0x15 => Frame::SubmissionBatch {
             round: rng.next_u64(),
             submissions: (0..rng.gen_range(0..5)).map(|_| submission(rng)).collect(),
+        },
+        0x16 => Frame::MixWindow {
+            round: rng.next_u64(),
+            removed: (0..rng.gen_range(0..8)).map(|_| rng.next_u64()).collect(),
+        },
+        0x17 => Frame::WindowColumn {
+            round: rng.next_u64(),
+            column: groups(rng).into(),
         },
         0x22 => Frame::HopFailure {
             round: rng.next_u64(),

@@ -389,3 +389,165 @@ fn a_failed_conclusion_keeps_the_mix_phase_convictions() {
     );
     drop(proxies);
 }
+
+/// Hop 0 mixing its own window, on the wire: a k = 3 chain of
+/// in-process daemons, hop 0 telling `lie` if any.  Returns the
+/// daemons, their addresses and the chain's bundle for round 0.
+fn window_chain(
+    rng: &mut StdRng,
+    lie: Option<xrd_mixnet::Lie>,
+) -> (
+    Vec<xrd_net::DaemonHandle>,
+    Vec<std::net::SocketAddr>,
+    xrd_mixnet::ChainPublicKeys,
+) {
+    use rand::RngCore;
+    use xrd_mixnet::chain_keys::{generate_chain_keys, rotate_inner_keys};
+    use xrd_net::MixServerDaemon;
+
+    let (mut secrets, mut public) = generate_chain_keys(rng, 3, 0);
+    rotate_inner_keys(rng, &mut secrets, &mut public, 0);
+    let daemons: Vec<xrd_net::DaemonHandle> = (secrets.into_iter().enumerate())
+        .map(|(hop, secrets)| {
+            let (seed, public) = (rng.next_u64(), public.clone());
+            match lie.filter(|_| hop == 0) {
+                Some(lie) => {
+                    MixServerDaemon::spawn_byzantine("127.0.0.1:0", secrets, public, seed, lie)
+                }
+                None => MixServerDaemon::spawn("127.0.0.1:0", secrets, public, seed),
+            }
+            .expect("daemon spawns")
+        })
+        .collect();
+    let addrs = daemons.iter().map(xrd_net::DaemonHandle::addr).collect();
+    (daemons, addrs, public)
+}
+
+/// Submit each of `subs` for `round` to every address, each on its own
+/// connection; an exchange that fails (a dropped frame) is given up.
+fn submit_everywhere(addrs: &[std::net::SocketAddr], round: u64, subs: &[xrd_mixnet::Submission]) {
+    use xrd_net::codec::Frame;
+    use xrd_net::{Conn, ConnTimeouts};
+    let timeouts = ConnTimeouts {
+        read: std::time::Duration::from_millis(300),
+        ..ConnTimeouts::default()
+    };
+    for &addr in addrs {
+        for submission in subs {
+            let mut conn = Conn::connect_with(addr, timeouts).expect("submitter connects");
+            let submit = Frame::Submit {
+                round,
+                submission: submission.clone(),
+            };
+            let _ = conn.request_ok(&submit);
+        }
+    }
+}
+
+/// Hop 0 that mixes other than its window — its window less the first
+/// submission — attests a column that does not hash to the agreed one:
+/// the pass is refused at the seam entering hop 0, before anything is
+/// verified or revealed, and nobody is convicted or suspected.
+#[test]
+fn hop_0_mixing_other_than_its_window_is_refused_at_the_seam() {
+    use xrd_net::{ChainClient, NetError};
+    let mut rng = StdRng::seed_from_u64(80);
+    let (_daemons, addrs, public) = window_chain(&mut rng, Some(xrd_mixnet::Lie::DropsFromWindow));
+    let mut client = ChainClient::connect(&addrs, public.clone()).expect("client connects");
+    client.open_round(0).expect("window opens");
+    let subs = xrd_net::swarm::sealed_submissions(&mut rng, &public, 0, 6);
+    submit_everywhere(&addrs, 0, &subs);
+    let agreement = client.agree(0).expect("its digests are honest");
+    assert_eq!(agreement.len(), 6);
+    match client.mix_round(0, &agreement) {
+        Err(NetError::Protocol(why)) => assert_eq!(why, "column seam mismatch entering hop 0"),
+        Err(other) => panic!("expected the seam breach, got {other}"),
+        Ok(outcome) => panic!("the pass went through: {outcome:?}"),
+    }
+    assert!(client.take_suspects().is_empty(), "nobody is suspected");
+}
+
+/// A lost `Submit` makes hop 0's window dissent: the majority still
+/// agrees, hop 0 is only suspected, and the round delivers every
+/// message through the fallback — the batch fetched from a majority
+/// daemon and streamed to hop 0.
+#[test]
+fn a_dissenting_hop_0_is_streamed_the_agreed_batch() {
+    use xrd_net::codec::Frame;
+    use xrd_net::{ChainClient, Direction, FaultKind, FaultPlan, FaultProxy, FaultRule};
+    let mut rng = StdRng::seed_from_u64(81);
+    let (_daemons, mut addrs, public) = window_chain(&mut rng, None);
+    let submit = (0..=u8::MAX).find(|&t| Frame::tag_name(t) == Some("Submit"));
+    let drop_one = FaultPlan::new(81).with(
+        FaultRule::new(FaultKind::Drop)
+            .tag(submit.expect("a Submit tag"))
+            .count(1)
+            .dir(Direction::Up),
+    );
+    let proxy = FaultProxy::spawn("127.0.0.1:0", addrs[0], drop_one).expect("proxy spawns");
+    addrs[0] = proxy.addr();
+    let mut client = ChainClient::connect(&addrs, public.clone()).expect("client connects");
+    client.open_round(0).expect("window opens");
+    let subs = xrd_net::swarm::sealed_submissions(&mut rng, &public, 0, 6);
+    submit_everywhere(&addrs, 0, &subs);
+    let agreement = client.agree(0).expect("hops 1 and 2 agree");
+    assert_eq!(agreement.len(), 6);
+    assert_eq!(client.take_suspects(), vec![0], "hop 0 dissented");
+    let outcome = client.mix_round(0, &agreement).expect("the fallback mixes");
+    assert_eq!(outcome.delivered.len(), 6, "every message, exactly");
+    assert!(outcome.misbehaving_servers.is_empty() && outcome.malicious_users.is_empty());
+    drop(proxy);
+}
+
+/// A daemon holding no window for a round refuses to mix one
+/// (`UNKNOWN_ROUND`; any position but 0 refuses any window), and the
+/// pass then falls back: hop 0, having closed two later windows, keeps
+/// no window for round 0 nor its batch, so the coordinator fetches the
+/// batch from the next majority daemon and streams it.  (Hop 0 has
+/// opened later windows, so it would not reveal round 0's key: the mix
+/// phase is what is checked.)
+#[test]
+fn a_hop_0_without_the_window_is_streamed_the_batch_fetched_elsewhere() {
+    use xrd_net::codec::{error_code, Frame};
+    use xrd_net::{ChainClient, Conn, MixPhase, NetError};
+    let mut rng = StdRng::seed_from_u64(82);
+    let (_daemons, addrs, public) = window_chain(&mut rng, None);
+    let refusal = |at: std::net::SocketAddr, round: u64| {
+        let mut conn = Conn::connect(at).expect("connects");
+        match conn.request(&Frame::MixWindow {
+            round,
+            removed: vec![],
+        }) {
+            Err(NetError::Remote { code, .. }) => code,
+            other => panic!("expected a refusal, got {other:?}"),
+        }
+    };
+    assert_eq!(refusal(addrs[0], 7), error_code::UNKNOWN_ROUND);
+
+    let mut client = ChainClient::connect(&addrs, public.clone()).expect("client connects");
+    client.open_round(0).expect("window opens");
+    let subs = xrd_net::swarm::sealed_submissions(&mut rng, &public, 0, 6);
+    submit_everywhere(&addrs, 0, &subs);
+    let agreement = client.agree(0).expect("agreement");
+    assert_eq!(
+        refusal(addrs[1], 0),
+        error_code::BAD_STATE,
+        "only hop 0 mixes"
+    );
+    let mut side = Conn::connect(addrs[0]).expect("connects");
+    for round in [1, 2] {
+        side.request_ok(&Frame::OpenRound { round }).expect("opens");
+        side.request(&Frame::CloseSubmissions { round })
+            .expect("closes");
+    }
+    assert_eq!(refusal(addrs[0], 0), error_code::UNKNOWN_ROUND);
+    match client.mix_round_deferred(0, &agreement) {
+        Ok(MixPhase::AwaitingAudit(pending)) => {
+            assert_eq!(pending.outputs.len(), 6);
+            let audit = xrd_mixnet::verify_hops_batched(&public, 0, &pending.records());
+            assert!(audit, "a clean, verified pass");
+        }
+        Ok(MixPhase::Done(outcome)) => panic!("a clean pass awaits its audit: {outcome:?}"),
+        Err(e) => panic!("the fallback mixes: {e}"),
+    }
+}

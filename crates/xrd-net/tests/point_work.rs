@@ -153,9 +153,11 @@ fn round_work(
     client.open_round(round).expect("window opens");
     let submissions = sealed_submissions(rng, client.public(), round, N as usize);
     submit_all(daemons, round, &submissions);
-    let batch = client.close_and_agree(round).expect("input agreement");
-    assert_eq!(batch.len() as u64, N);
-    let outcome = client.mix_round(round, &batch).expect("the round mixes");
+    let agreement = client.agree(round).expect("input agreement");
+    assert_eq!(agreement.len() as u64, N);
+    let outcome = client
+        .mix_round(round, &agreement)
+        .expect("the round mixes");
     assert_eq!(outcome.delivered.len() as u64, N, "{transport:?}");
     assert!(outcome.misbehaving_servers.is_empty());
 
@@ -171,18 +173,19 @@ fn round_work(
 }
 
 /// The minimum, pinned.  A daemon decodes each submission's `g^x` once
-/// (its screening, in batches), its hop input once (the chunks), and
-/// the chain's k + 1 key columns but the two its own hop consumed and
-/// emitted, which it checks the other hops against; it encodes exactly
-/// its hop's N computed outputs — never a window entry or a hop input
-/// again, and a forwarding hop's report reuses the bytes it streamed.
-/// The coordinator decodes the agreed batch and what each hop sends
-/// back, and encodes nothing: hop 0's stream and every attestation
-/// column go out as the bytes they came in.
+/// (its screening, in batches), its hop input once (the chunks) unless
+/// it is hop 0, which mixes its screened window, and the chain's k + 1
+/// key columns but the two its own hop consumed and emitted, which it
+/// checks the other hops against; it encodes exactly its hop's N
+/// computed outputs — never a window entry or a hop input again, and a
+/// forwarding hop's report reuses the bytes it streamed.  The
+/// coordinator decodes the column hop 0 names and what each hop sends
+/// back, and encodes nothing: every attestation column goes out as the
+/// bytes it came in.
 ///
-/// It asks its daemons in five waves — open, close, fetch the batch,
-/// the one verification wave, reveal — and a sixth to mark a forwarded
-/// round.
+/// It asks its daemons in four waves — open, close, the one
+/// verification wave, reveal — and a fifth to mark a forwarded round;
+/// the batch is never fetched.
 #[test]
 fn a_round_decodes_each_wire_point_once_and_encodes_only_computed_ones() {
     let _counters = counters();
@@ -202,22 +205,24 @@ fn a_round_decodes_each_wire_point_once_and_encodes_only_computed_ones() {
     let mut client = ChainClient::connect(&addrs, public.clone()).expect("coordinator connects");
 
     let cross_checks = N * (K as u64 - 1);
+    // Hop 0 decodes no hop input: its window was decoded at screening.
+    let decoded = |pos: usize| N + if pos == 0 { 0 } else { N } + cross_checks;
     let (daemon_work, coordinator, waves) =
         round_work(&mut rng, &daemons, &mut client, 0, Transport::Streamed);
-    assert_eq!(waves, 5, "streamed: waves");
+    assert_eq!(waves, 4, "streamed: waves");
     for (pos, work) in daemon_work.into_iter().enumerate() {
-        assert_eq!(work, (N + N + cross_checks, N), "streamed: daemon {pos}");
+        assert_eq!(work, (decoded(pos), N), "streamed: daemon {pos}");
     }
     assert_eq!(coordinator, (N + K as u64 * N, 0), "streamed: coordinator");
 
     let (daemon_work, coordinator, waves) =
         round_work(&mut rng, &daemons, &mut client, 1, Transport::Forwarded);
-    assert_eq!(waves, 6, "forwarded: waves");
+    assert_eq!(waves, 5, "forwarded: waves");
     for (pos, work) in daemon_work.into_iter().enumerate() {
-        assert_eq!(work, (N + N + cross_checks, N), "forwarded: daemon {pos}");
+        assert_eq!(work, (decoded(pos), N), "forwarded: daemon {pos}");
     }
-    // The agreed batch, each forwarding hop's two columns, the last
-    // hop's output.
+    // The column hop 0 names, each forwarding hop's two columns, the
+    // last hop's output.
     let attested = 2 * N * (K as u64 - 1);
     assert_eq!(coordinator, (N + attested + N, 0), "forwarded: coordinator");
     let _ = std::fs::remove_dir_all(&dir);

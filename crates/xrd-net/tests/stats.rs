@@ -143,10 +143,13 @@ fn storm_scrape_tells_the_storm_story() {
     // Every user's every submission reached every hop of its chain,
     // exactly once.
     assert_eq!(delta(&s, &before, "frames.in.Submit"), (N * ell * k) as u64);
-    // The coordinator's window and mix traffic: one of each.
+    // The coordinator's window and mix traffic: one of each — hop 0
+    // mixes its own window, so no batch is streamed to it or fetched.
     assert_eq!(delta(&s, &before, "frames.in.OpenRound"), 1);
     assert_eq!(delta(&s, &before, "frames.in.CloseSubmissions"), 1);
-    assert_eq!(delta(&s, &before, "frames.in.MixBatchStart"), 1);
+    assert_eq!(delta(&s, &before, "frames.in.MixWindow"), 1);
+    assert_eq!(delta(&s, &before, "frames.in.MixBatchStart"), 0);
+    assert_eq!(delta(&s, &before, "frames.in.GetBatch"), 0);
     // Each user dialed the mix daemon and the shard once, and the
     // scraper once more; the users' connections are still open.
     assert_eq!(delta(&s, &before, "reactor.accepts"), 2 * N as u64 + 1);

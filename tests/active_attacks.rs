@@ -100,8 +100,9 @@ fn appendix_a_product_preserving_attack_is_pinned_by_blame() {
     // Server 0 shifts its output keys 0 and 1 by T and T^{-1}, its
     // retained records kept consistent.
     chain.servers_mut()[0].set_lie(Some(Lie::ShiftKeys));
-    let mut pass = chain.pass(&mut rng, round);
-    let (hops, end) = pass.party.mix(round, subs.clone()).expect("in process");
+    let all: Vec<usize> = (0..subs.len()).collect();
+    let mut pass = chain.pass(&mut rng, round, &subs);
+    let (hops, end) = pass.party.mix(round, &all).expect("in process");
     // The aggregate proof still verifies — the attack is invisible here.
     assert!(hops[0].verify(pass.public));
 
