@@ -54,7 +54,7 @@ fn bench_hop_pipeline(c: &mut Criterion) {
                     .expect("submission accepted");
             }
         }
-        let agreement = chain.agree(round).expect("input agreement");
+        let agreement = chain.close_and_agree(round).expect("input agreement");
         b.iter(|| {
             let outcome = chain.mix_round(round, &agreement).expect("mix round runs");
             assert_eq!(outcome.delivered.len(), N);

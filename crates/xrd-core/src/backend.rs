@@ -389,7 +389,7 @@ pub fn run_round<C: Cluster, R: RngCore + ?Sized>(
                 delivered.extend(outcome.delivered);
             }
             Err(why) => {
-                xrd_obs::counter("round.chain_failures").incr();
+                xrd_obs::counter!("round.chain_failures").incr();
                 xrd_obs::error!("round {round}: chain {chain} failed: {why}");
                 report.failed_chains.push(chain);
             }
@@ -398,7 +398,7 @@ pub fn run_round<C: Cluster, R: RngCore + ?Sized>(
     // An entirely failed round is an error, before the shared mailbox
     // tier is touched; a partially failed one only degrades.
     if !report.failed_chains.is_empty() {
-        xrd_obs::counter("round.degraded").incr();
+        xrd_obs::counter!("round.degraded").incr();
         if report.failed_chains.len() == n_chains {
             return Err(RoundError::AllChainsFailed { round });
         }
@@ -437,7 +437,7 @@ pub fn run_round<C: Cluster, R: RngCore + ?Sized>(
                 state.current_keys[chain] = std::mem::replace(&mut state.next_keys[chain], next);
             }
             Err(why) => {
-                xrd_obs::counter("round.chain_failures").incr();
+                xrd_obs::counter!("round.chain_failures").incr();
                 xrd_obs::error!("round {round}: chain {chain} failed to rotate, now dead: {why}");
                 state.dead[chain] = true;
                 if !report.failed_chains.contains(&(chain as u32)) {

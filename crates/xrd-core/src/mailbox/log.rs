@@ -69,9 +69,7 @@ use std::path::{Path, PathBuf};
 
 use xrd_mixnet::MailboxMessage;
 
-use super::{
-    page_bounds, shard_of, store_metrics, BatchWindow, MailboxError, MailboxStore, Page, PageEntry,
-};
+use super::{page_bounds, shard_of, BatchWindow, MailboxError, MailboxStore, Page, PageEntry};
 use crate::record_log::RecordLog;
 
 const MAGIC: &[u8; 8] = b"XRDMBOX2";
@@ -160,39 +158,6 @@ struct ReplayTxn {
     round: u64,
     batch: u64,
     staged: Vec<([u8; 32], EntryLoc)>,
-}
-
-/// Persistence metric handles, resolved once per process.
-fn log_metrics() -> &'static LogMetrics {
-    static METRICS: std::sync::OnceLock<LogMetrics> = std::sync::OnceLock::new();
-    METRICS.get_or_init(|| LogMetrics {
-        rotations: xrd_obs::counter("mailbox.segment_rotations"),
-        compactions: xrd_obs::counter("mailbox.compactions"),
-        recovery_us: xrd_obs::hist("mailbox.recovery_us"),
-        torn_tails: xrd_obs::counter("mailbox.recovery.torn_tails"),
-        aborted_batches: xrd_obs::counter("mailbox.recovery.aborted_batches"),
-        fsyncs: xrd_obs::counter("mailbox.log.fsyncs"),
-        fsync_us: xrd_obs::hist("mailbox.log.fsync_us"),
-    })
-}
-
-struct LogMetrics {
-    /// Active-segment rotations.
-    rotations: &'static xrd_obs::Counter,
-    /// Sealed segments compacted away.
-    compactions: &'static xrd_obs::Counter,
-    /// Index-rebuild time on open, µs.
-    recovery_us: &'static xrd_obs::Histogram,
-    /// Torn segment tails (or headers) cut off during recovery.
-    torn_tails: &'static xrd_obs::Counter,
-    /// Delivery batches rolled back during recovery (crash before
-    /// their COMMIT landed; the sender's retry re-stores them).
-    aborted_batches: &'static xrd_obs::Counter,
-    /// `fdatasync` calls covering appended records (flushes, and the
-    /// one sealing a rotated segment).
-    fsyncs: &'static xrd_obs::Counter,
-    /// Latency of each, µs.
-    fsync_us: &'static xrd_obs::Histogram,
 }
 
 fn io_err(what: &str, e: std::io::Error) -> MailboxError {
@@ -309,10 +274,10 @@ impl LogMailboxStore {
         // an ABORT record is appended so the dangling BEGIN can never
         // resurrect them on a later recovery.
         if let Some(txn) = store.replay_txn.take() {
-            log_metrics().aborted_batches.incr();
+            xrd_obs::counter!("mailbox.recovery.aborted_batches").incr();
             store.abort_batch(txn.round, txn.batch)?;
         }
-        log_metrics().recovery_us.record_duration(start.elapsed());
+        xrd_obs::hist!("mailbox.recovery_us").record_duration(start.elapsed());
         Ok(store)
     }
 
@@ -354,7 +319,7 @@ impl LogMailboxStore {
         let path = self.dir.join(format!("seg-{id:016x}.log"));
         let (log, replay) = RecordLog::open(path, MAGIC).map_err(|e| io_err("open segment", e))?;
         if replay.torn {
-            log_metrics().torn_tails.incr();
+            xrd_obs::counter!("mailbox.recovery.torn_tails").incr();
         }
         let segment = Segment {
             log,
@@ -472,7 +437,7 @@ impl LogMailboxStore {
             // Seal the active segment and start a fresh one.
             self.flush()?;
             self.open_segment(self.active_id + 1)?;
-            log_metrics().rotations.incr();
+            xrd_obs::counter!("mailbox.segment_rotations").incr();
         }
         let at = self.active_mut().log.append(parts);
         let at = at.map_err(|e| io_err("append record", e))?;
@@ -565,7 +530,7 @@ impl LogMailboxStore {
         seg.log
             .delete()
             .map_err(|e| io_err("delete compacted segment", e))?;
-        log_metrics().compactions.incr();
+        xrd_obs::counter!("mailbox.compactions").incr();
         Ok(())
     }
 }
@@ -581,7 +546,7 @@ impl MailboxStore for LogMailboxStore {
         }
         let seq = self.index.get(&msg.mailbox).map_or(0, |b| b.next);
         self.log_put(msg.mailbox, seq, round, &msg.sealed, true)?;
-        store_metrics().puts.incr();
+        xrd_obs::counter!("mailbox.puts").incr();
         Ok(seq)
     }
 
@@ -614,7 +579,7 @@ impl MailboxStore for LogMailboxStore {
                 })
             })
             .collect::<Result<_, MailboxError>>()?;
-        store_metrics().pages.incr();
+        xrd_obs::counter!("mailbox.pages").incr();
         Ok(Page {
             entries,
             next_cursor,
@@ -640,7 +605,7 @@ impl MailboxStore for LogMailboxStore {
             return Ok(0); // idempotent replay of an old ack
         }
         let retired = self.log_ack(*mailbox, upto, true)?;
-        store_metrics().acks.add(retired);
+        xrd_obs::counter!("mailbox.acks").add(retired);
         self.compact_eligible()?;
         Ok(retired)
     }
@@ -658,8 +623,8 @@ impl MailboxStore for LogMailboxStore {
         if std::mem::take(&mut self.dirty) {
             let started = std::time::Instant::now();
             let synced = self.active_mut().log.sync();
-            log_metrics().fsyncs.incr();
-            log_metrics().fsync_us.record_duration(started.elapsed());
+            xrd_obs::counter!("mailbox.log.fsyncs").incr();
+            xrd_obs::hist!("mailbox.log.fsync_us").record_duration(started.elapsed());
             synced.map_err(|e| io_err("fsync segment", e))?;
         }
         Ok(())

@@ -273,25 +273,6 @@ pub fn drain(
     Ok(out)
 }
 
-/// Store-wide metric handles, resolved once per process.
-pub(crate) fn store_metrics() -> &'static StoreMetrics {
-    static METRICS: std::sync::OnceLock<StoreMetrics> = std::sync::OnceLock::new();
-    METRICS.get_or_init(|| StoreMetrics {
-        puts: xrd_obs::counter("mailbox.puts"),
-        pages: xrd_obs::counter("mailbox.pages"),
-        acks: xrd_obs::counter("mailbox.acks"),
-    })
-}
-
-pub(crate) struct StoreMetrics {
-    /// Messages delivered into mailboxes (both backends).
-    pub puts: &'static xrd_obs::Counter,
-    /// Pages served by `fetch_page`.
-    pub pages: &'static xrd_obs::Counter,
-    /// Entries retired by `ack`.
-    pub acks: &'static xrd_obs::Counter,
-}
-
 /// One mailbox's in-memory state: the un-acked tail of its sequence
 /// space.  `entries` is sorted by `seq` (append-only puts keep it so).
 #[derive(Clone, Debug, Default)]
@@ -397,7 +378,7 @@ impl MailboxStore for MailboxHub {
         mbox.next += 1;
         mbox.entries.push_back((seq, round, msg.sealed));
         self.load[shard] += 1;
-        store_metrics().puts.incr();
+        xrd_obs::counter!("mailbox.puts").incr();
         Ok(seq)
     }
 
@@ -430,7 +411,7 @@ impl MailboxStore for MailboxHub {
                 sealed: sealed.clone(),
             })
             .collect();
-        store_metrics().pages.incr();
+        xrd_obs::counter!("mailbox.pages").incr();
         Ok(Page {
             entries,
             next_cursor,
@@ -456,7 +437,7 @@ impl MailboxStore for MailboxHub {
         }
         mbox.acked = mbox.acked.max(upto);
         self.load[shard] -= retired as usize;
-        store_metrics().acks.add(retired);
+        xrd_obs::counter!("mailbox.acks").add(retired);
         Ok(retired)
     }
 

@@ -108,7 +108,7 @@ impl std::str::FromStr for Lie {
 
 /// Count one lie told, whose told value is `value`.
 fn told<T>(value: T) -> T {
-    xrd_obs::counter("byzantine.lies").incr();
+    xrd_obs::counter!("byzantine.lies").incr();
     value
 }
 

@@ -479,7 +479,7 @@ impl<P: ChainParty> ChainPass<'_, P> {
     /// re-check of the statement decides the verdict.
     fn dispute(&mut self, hop: &HopAttestation) -> (Vec<usize>, usize) {
         let (round, accused) = (self.round, hop.position);
-        xrd_obs::counter("dispute.opened").incr();
+        xrd_obs::counter!("dispute.opened").incr();
         xrd_obs::info!("round {round}: dispute opened against server {accused}");
         let witnesses: Vec<bool> = (0..self.public.len())
             .map(|w| w != accused && !self.excluded.contains(&w))
@@ -501,7 +501,7 @@ impl<P: ChainParty> ChainPass<'_, P> {
     /// Convict `accused` on `claim`: announce it and enter it.
     fn convict(&mut self, ledger: &mut ChainRoundOutcome, accused: usize, claim: u8, votes: usize) {
         let (round, votes) = (self.round, votes as u32);
-        xrd_obs::counter("dispute.convicted").incr();
+        xrd_obs::counter!("dispute.convicted").incr();
         xrd_obs::info!("round {round}: server {accused} convicted (claim {claim}, {votes} votes)");
         self.party.announce(round, accused, claim, true, votes);
         ledger.misbehaving_servers.push(accused);

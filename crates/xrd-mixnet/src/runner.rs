@@ -287,7 +287,7 @@ impl ChainRunner {
         outcome.malicious_users.splice(0..0, rejected);
         // One sample per chain round: beside the deployment's `round.mix`
         // span, their sum says how much of the chains' work overlapped.
-        xrd_obs::hist("chain.round_us").record_duration(started.elapsed());
+        xrd_obs::hist!("chain.round_us").record_duration(started.elapsed());
         outcome
     }
 }

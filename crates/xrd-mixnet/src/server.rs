@@ -72,31 +72,6 @@ pub struct MixServer {
     lie: Option<Lie>,
 }
 
-/// Hop-kernel metric handles, resolved once per process (the kernels
-/// are cloned into worker threads per chunk; a registry lookup per
-/// chunk would serialize them on the registry mutex).
-fn hop_metrics() -> &'static HopMetrics {
-    static METRICS: std::sync::OnceLock<HopMetrics> = std::sync::OnceLock::new();
-    METRICS.get_or_init(|| HopMetrics {
-        decrypt_blind_us: xrd_obs::hist("hop.decrypt_blind_us"),
-        shuffle_prove_us: xrd_obs::hist("hop.shuffle_prove_us"),
-        entries: xrd_obs::counter("hop.entries"),
-        decrypt_failures: xrd_obs::counter("hop.err.decrypt_failures"),
-    })
-}
-
-struct HopMetrics {
-    /// Per-chunk decrypt-and-blind latency ([`ChunkKernel::process`]).
-    decrypt_blind_us: &'static xrd_obs::Histogram,
-    /// Shuffle + aggregate-proof latency per completed hop
-    /// ([`MixServer::finish_round`]).
-    shuffle_prove_us: &'static xrd_obs::Histogram,
-    /// Entries decrypted-and-blinded, total (rate = entries/s).
-    entries: &'static xrd_obs::Counter,
-    /// Entries whose authenticated decryption failed (blame triggers).
-    decrypt_failures: &'static xrd_obs::Counter,
-}
-
 /// Fiat–Shamir context for hop proofs: binds round and position.
 pub fn hop_context(round: u64, position: usize) -> Vec<u8> {
     let mut ctx = b"xrd/ahs-hop".to_vec();
@@ -179,9 +154,8 @@ impl ChunkKernel {
                 .unzip();
         let shared = GroupElement::double_encode_all(&halves);
         let slots = self.decrypt_and_blind(entries, &shared, blinded);
-        let m = hop_metrics();
-        m.decrypt_blind_us.record_duration(started.elapsed());
-        m.entries.add(entries.len() as u64);
+        xrd_obs::hist!("hop.decrypt_blind_us").record_duration(started.elapsed());
+        xrd_obs::counter!("hop.entries").add(entries.len() as u64);
         slots
     }
 }
@@ -315,7 +289,7 @@ impl MixServer {
             .filter_map(|(j, slot)| slot.is_none().then_some(j))
             .collect();
         if !failures.is_empty() {
-            hop_metrics().decrypt_failures.add(failures.len() as u64);
+            xrd_obs::counter!("hop.err.decrypt_failures").add(failures.len() as u64);
             // Halt: retain inputs so blame can run against them.
             self.state = Some(HopState {
                 round,
@@ -366,9 +340,7 @@ impl MixServer {
         let mut result = HopResult { outputs, proof };
         bend_hop(self.lie, &mut result, &mut state);
         self.state = Some(state);
-        hop_metrics()
-            .shuffle_prove_us
-            .record_duration(started.elapsed());
+        xrd_obs::hist!("hop.shuffle_prove_us").record_duration(started.elapsed());
         Ok(result)
     }
 

@@ -155,22 +155,6 @@ pub use xrd_mixnet::pass::dispute_claim;
 // Point work: every Ristretto decode and encode this crate pays, counted
 // ---------------------------------------------------------------------
 
-/// Point-work counters, resolved once per process.
-fn point_metrics() -> &'static PointMetrics {
-    static METRICS: std::sync::OnceLock<PointMetrics> = std::sync::OnceLock::new();
-    METRICS.get_or_init(|| PointMetrics {
-        decoded: xrd_obs::counter("codec.points_decoded"),
-        encoded: xrd_obs::counter("codec.points_encoded"),
-    })
-}
-
-struct PointMetrics {
-    /// Ristretto points decoded from wire bytes.
-    decoded: &'static xrd_obs::Counter,
-    /// Ristretto points encoded for the wire.
-    encoded: &'static xrd_obs::Counter,
-}
-
 /// Decode wire points, all in one [`GroupElement::decode_all`]: the one
 /// way this crate turns bytes into points (a `Submit`'s is decoded by
 /// its daemon's screening, [`Submission::decode_points`], and counted
@@ -182,7 +166,7 @@ pub(crate) fn decode_points(encoded: &[[u8; 32]]) -> Vec<Option<GroupElement>> {
 
 /// Count `n` points decoded.
 pub(crate) fn count_decoded(n: usize) {
-    point_metrics().decoded.add(n as u64);
+    xrd_obs::counter!("codec.points_decoded").add(n as u64);
 }
 
 /// Encode points for the wire, all in one [`GroupElement::encode_all`]:
@@ -190,7 +174,7 @@ pub(crate) fn count_decoded(n: usize) {
 /// process computed gets here; one that arrived as bytes travels on as
 /// them.
 pub(crate) fn encode_points(points: &[GroupElement]) -> Vec<[u8; 32]> {
-    point_metrics().encoded.add(points.len() as u64);
+    xrd_obs::counter!("codec.points_encoded").add(points.len() as u64);
     GroupElement::encode_all(points)
 }
 

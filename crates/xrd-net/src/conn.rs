@@ -160,28 +160,6 @@ impl From<CodecError> for NetError {
     }
 }
 
-/// Client-side error counters, resolved once per process.  Every path
-/// that gives up on a connection (or a request) is counted by cause
-/// and debug-logs the peer — a client that silently drops a daemon
-/// connection is as opaque as a daemon that silently drops a client.
-fn conn_metrics() -> &'static ConnMetrics {
-    static METRICS: std::sync::OnceLock<ConnMetrics> = std::sync::OnceLock::new();
-    METRICS.get_or_init(|| ConnMetrics {
-        err_codec: xrd_obs::counter("conn.err.codec"),
-        err_disconnected: xrd_obs::counter("conn.err.disconnected"),
-        err_remote: xrd_obs::counter("conn.err.remote"),
-    })
-}
-
-struct ConnMetrics {
-    /// Responses that did not parse as a frame (stream desync).
-    err_codec: &'static xrd_obs::Counter,
-    /// Peers that hung up mid-exchange.
-    err_disconnected: &'static xrd_obs::Counter,
-    /// [`Frame::Error`] responses received.
-    err_remote: &'static xrd_obs::Counter,
-}
-
 /// What a mix daemon answered to one hop's batch stream.
 #[derive(Clone, Debug, PartialEq)]
 pub enum HopReply {
@@ -330,7 +308,7 @@ impl Conn {
                     return taken;
                 }
                 Some(Err(e)) => {
-                    conn_metrics().err_codec.incr();
+                    xrd_obs::counter!("conn.err.codec").incr();
                     xrd_obs::debug!("peer {} sent an unparseable frame: {e}", self.peer);
                     return Err(e.into());
                 }
@@ -341,7 +319,7 @@ impl Conn {
                     return Err(NetError::Io(std::io::ErrorKind::UnexpectedEof.into()))
                 }
                 Ok(0) => {
-                    conn_metrics().err_disconnected.incr();
+                    xrd_obs::counter!("conn.err.disconnected").incr();
                     xrd_obs::debug!("peer {} disconnected mid-exchange", self.peer);
                     return Err(NetError::Disconnected);
                 }
@@ -523,7 +501,7 @@ impl Conn {
     pub(crate) fn recv_reply(&mut self) -> Result<Frame, NetError> {
         match self.recv()? {
             Frame::Error { code, message } => {
-                conn_metrics().err_remote.incr();
+                xrd_obs::counter!("conn.err.remote").incr();
                 xrd_obs::debug!("peer {} answered error {code}: {message}", self.peer);
                 Err(NetError::Remote { code, message })
             }

@@ -56,9 +56,7 @@ use xrd_mixnet::client::Submission;
 use xrd_mixnet::message::MixEntry;
 use xrd_mixnet::pass::dispute_claim;
 use xrd_mixnet::pass::Evidence;
-use xrd_mixnet::server::{
-    column_digest, verify_hops_batched, CrossCheck, DhColumn, HopAttestation, WindowDigest,
-};
+use xrd_mixnet::server::{verify_hops_batched, CrossCheck, DhColumn, HopAttestation, WindowDigest};
 use xrd_mixnet::{ChainParty, ChainPass, ChainRoundOutcome, MixWave};
 pub use xrd_mixnet::{MixPhase, PendingChainRound};
 
@@ -123,7 +121,7 @@ pub(crate) fn ask<'w>(
     requests: impl IntoIterator<Item = Option<&'w [u8]>>,
     retry: RetryPolicy,
 ) -> Vec<Option<Result<Frame, NetError>>> {
-    xrd_obs::counter("net.coordinator.waves").incr();
+    xrd_obs::counter!("net.coordinator.waves").incr();
     let sent: Vec<_> = conns
         .iter_mut()
         .zip(requests)
@@ -142,7 +140,7 @@ pub(crate) fn ask<'w>(
                 _ => break,
             }
             retry.sleep(attempt);
-            xrd_obs::counter("chain.reconnects").incr();
+            xrd_obs::counter!("chain.reconnects").incr();
             let _ = conn.reconnect();
             reply = conn.send_encoded(wire).and_then(|()| conn.recv_reply());
         }
@@ -180,8 +178,9 @@ fn dh_column(entries: &[MixEntry], encoded: Vec<[u8; 32]>) -> DhColumn {
 
 /// A chain's input agreement for one round (§6.3): the digests a strict
 /// majority of its daemons fixed their window under, and which daemons
-/// those are ([`ChainClient::agree`]).  It holds no submission: hop 0
-/// mixes its own window ([`ChainClient::mix_round_deferred`]).
+/// those are ([`ChainClient::close_and_agree`]).  It holds no
+/// submission: hop 0 mixes its own window
+/// ([`ChainClient::mix_round_deferred`]).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Agreement {
     round: u64,
@@ -203,40 +202,10 @@ impl Agreement {
     }
 }
 
-/// What a chain mixes ([`ChainClient::mix_round_deferred`]): the agreed
-/// batch, known by its digests or in hand.
-#[derive(Clone, Copy, Debug)]
-pub enum Agreed<'a> {
-    /// Known by its [`Agreement`]: hop 0 mixes its own window, and the
-    /// batch is fetched only for blame or for a hop 0 with no window.
-    Window(&'a Agreement),
-    /// In hand, in canonical order — what
-    /// [`ChainClient::close_and_agree`] fetched, or a batch for daemons
-    /// that opened no window.  Hop 0 is still asked to mix its own
-    /// window; one holding none for the round is streamed this batch.
-    Held(&'a [Submission]),
-}
-
-impl<'a> From<&'a Agreement> for Agreed<'a> {
-    fn from(agreement: &'a Agreement) -> Agreed<'a> {
-        Agreed::Window(agreement)
-    }
-}
-
-impl<'a> From<&'a Vec<Submission>> for Agreed<'a> {
-    fn from(batch: &'a Vec<Submission>) -> Agreed<'a> {
-        Agreed::Held(batch)
-    }
-}
-
 /// The agreed batch as the coordinator's party reaches it, across one
 /// round's passes.
 struct Input<'a> {
-    agreed: Agreed<'a>,
-    /// Submissions agreed on.
-    count: usize,
-    /// What hop 0's input column hashes to in a pass before blame.
-    column: [u8; 32],
+    agreement: &'a Agreement,
     /// Hop 0 is asked to mix its own window: as far as the coordinator
     /// knows, it holds the agreed one.
     at_hop0: bool,
@@ -245,38 +214,20 @@ struct Input<'a> {
 }
 
 impl<'a> Input<'a> {
-    fn new(agreed: Agreed<'a>) -> Input<'a> {
-        let (count, column, at_hop0) = match agreed {
-            Agreed::Window(agreement) => (
-                agreement.count,
-                agreement.digest.column,
-                agreement.holders.contains(&0),
-            ),
-            Agreed::Held(batch) => (
-                batch.len(),
-                column_digest(batch.iter().map(Submission::encoded_dh)),
-                true,
-            ),
-        };
+    fn new(agreement: &'a Agreement) -> Input<'a> {
         Input {
-            agreed,
-            count,
-            column,
-            at_hop0,
+            agreement,
+            at_hop0: agreement.holders.contains(&0),
             fetched: None,
         }
     }
 
-    /// The agreed batch: in hand, or fetched the first time it is
-    /// needed ([`fetch`]).
+    /// The agreed batch, fetched the first time it is needed
+    /// ([`fetch`]).
     fn batch(&mut self, conns: &mut [Conn], retry: RetryPolicy) -> Result<&[Submission], NetError> {
-        let agreement = match self.agreed {
-            Agreed::Held(batch) => return Ok(batch),
-            Agreed::Window(agreement) => agreement,
-        };
         let fetched = match &mut self.fetched {
             Some(fetched) => fetched,
-            empty => empty.insert(fetch(conns, agreement, retry)?),
+            empty => empty.insert(fetch(conns, self.agreement, retry)?),
         };
         Ok(fetched)
     }
@@ -389,7 +340,7 @@ impl ChainClient {
     /// pass restarts clean.
     fn reconnect_all(&mut self) -> Result<(), NetError> {
         for conn in &mut self.conns {
-            xrd_obs::counter("chain.reconnects").incr();
+            xrd_obs::counter!("chain.reconnects").incr();
             conn.reconnect()?;
         }
         Ok(())
@@ -444,9 +395,9 @@ impl ChainClient {
     /// is recorded as suspected (equivocation and a dropped `Submit`
     /// frame are indistinguishable from here, so this never convicts)
     /// and announced to the chain as an un-upheld
-    /// [`Frame::DisputeVerdict`].  Nothing is fetched.  Fails only when
-    /// no strict majority exists.
-    pub fn agree(&mut self, round: u64) -> Result<Agreement, NetError> {
+    /// [`Frame::DisputeVerdict`].  Nothing is fetched: hop 0 mixes its
+    /// own window.  Fails only when no strict majority exists.
+    pub fn close_and_agree(&mut self, round: u64) -> Result<Agreement, NetError> {
         let digests = self
             .ask_all(&Frame::CloseSubmissions { round }, self.retry)
             .into_iter()
@@ -479,7 +430,7 @@ impl ChainClient {
             ));
         }
         for pos in (0..digests.len()).filter(|&i| digests[i] != majority) {
-            xrd_obs::counter("dispute.digest_dissent").incr();
+            xrd_obs::counter!("dispute.digest_dissent").incr();
             xrd_obs::info!(
                 "round {round}: server {pos} dissented from the majority input digest (suspect)"
             );
@@ -506,15 +457,7 @@ impl ChainClient {
         })
     }
 
-    /// [`ChainClient::agree`], then the agreed batch fetched and checked
-    /// against it, for a caller that wants it in hand.  Mixing it
-    /// ([`Agreed::Held`]) still has hop 0 mix its own window.
-    pub fn close_and_agree(&mut self, round: u64) -> Result<Vec<Submission>, NetError> {
-        let agreement = self.agree(round)?;
-        fetch(&mut self.conns, &agreement, self.retry)
-    }
-
-    /// Drive the chain pass for the `agreed` batch and return the outcome
+    /// Drive the chain pass for the agreed batch and return the outcome
     /// (delivered messages still need mailbox delivery, which is
     /// deployment-level): [`ChainClient::mix_round_deferred`], the
     /// chain's own audit of its `k` proofs, then
@@ -523,12 +466,12 @@ impl ChainClient {
     /// multiscalar mul
     /// ([`verify_hops_batched_multi`](xrd_mixnet::verify_hops_batched_multi))
     /// before concluding each chain.
-    pub fn mix_round<'b>(
+    pub fn mix_round(
         &mut self,
         round: u64,
-        agreed: impl Into<Agreed<'b>>,
+        agreement: &Agreement,
     ) -> Result<ChainRoundOutcome, NetError> {
-        match self.mix_round_deferred(round, agreed)? {
+        match self.mix_round_deferred(round, agreement)? {
             MixPhase::Done(outcome) => Ok(outcome),
             MixPhase::AwaitingAudit(pending) => {
                 let ok = verify_hops_batched(&self.public, round, &pending.records());
@@ -542,31 +485,30 @@ impl ChainClient {
     /// [`PendingChainRound`] holding the clean pass's attestations,
     /// which the caller audits — typically across every chain of the
     /// round at once — before [`ChainClient::conclude_audited`] reveals.
-    /// `agreed` is what input agreement fixed ([`Agreed`]): an
-    /// [`Agreement`], or the agreed batch in hand.
+    /// `agreement` is what input agreement fixed.
     ///
     /// A pass that fails for a transport reason is run again on fresh
     /// connections, within the retry policy; a forwarded pass that fails
     /// for any reason (a dead successor link, a column seam) is run again
     /// relayed, where every hop answers the coordinator directly.
-    pub fn mix_round_deferred<'b>(
+    pub fn mix_round_deferred(
         &mut self,
         round: u64,
-        agreed: impl Into<Agreed<'b>>,
+        agreement: &Agreement,
     ) -> Result<MixPhase, NetError> {
-        let mut input = Input::new(agreed.into());
+        let mut input = Input::new(agreement);
         let mut attempt = 0;
         let mut transport = self.transport;
         loop {
             let forwarded = transport == Transport::Forwarded;
-            let (column, active) = (input.column, (0..input.count).collect());
+            let (column, active) = (agreement.digest.column, (0..agreement.count).collect());
             match self
                 .pass(round, transport, Some(&mut input))
                 .mix(column, active)
             {
                 Err(e) if (e.retryable() || forwarded) && attempt + 1 < self.retry.attempts => {
                     attempt += 1;
-                    xrd_obs::counter("chain.mix_retries").incr();
+                    xrd_obs::counter!("chain.mix_retries").incr();
                     transport = Transport::Streamed;
                     xrd_obs::info!(
                         "round {round}: mix pass failed ({e}), reconnecting for relayed attempt {}",
@@ -721,7 +663,7 @@ impl ChainParty for Wire<'_, '_> {
         // batch if it holds none.
         let mut c0 = None;
         if input.at_hop0 {
-            let removed = (0..input.count)
+            let removed = (0..input.agreement.count)
                 .filter(|i| active.binary_search(i).is_err())
                 .map(|i| i as u64)
                 .collect();
@@ -979,8 +921,8 @@ mod tests {
                 .try_for_each(expect_ok)
                 .expect("accepted");
         }
-        let agreement = client.agree(round).expect("agreement");
-        let mut input = Input::new(Agreed::Window(&agreement));
+        let agreement = client.close_and_agree(round).expect("agreement");
+        let mut input = Input::new(&agreement);
         let mut pass = client.pass(round, Transport::Streamed, Some(&mut input));
         let (hops, end) = pass.party.mix(round, &[0, 1, 2, 3, 4]).expect("mixes");
         assert!(end.is_ok(), "a clean pass");

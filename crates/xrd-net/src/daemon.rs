@@ -134,26 +134,6 @@ pub(crate) fn spawn_daemon<A: ToSocketAddrs>(
     })
 }
 
-/// Hop-job metric handles, resolved once per process (the jobs run as
-/// move closures on the worker pool, so they cannot borrow handles
-/// from the service).
-fn hop_job_metrics() -> &'static HopJobMetrics {
-    static METRICS: std::sync::OnceLock<HopJobMetrics> = std::sync::OnceLock::new();
-    METRICS.get_or_init(|| HopJobMetrics {
-        wait_chunks_us: xrd_obs::hist("hop.wait_chunks_us"),
-        encode_us: xrd_obs::hist("hop.encode_us"),
-    })
-}
-
-struct HopJobMetrics {
-    /// How long a streamed hop's End job waited for the session's chunk
-    /// jobs to land (tail of the decrypt/blind phase still in flight
-    /// when the End frame arrived).
-    wait_chunks_us: &'static xrd_obs::Histogram,
-    /// Output-encoding latency per completed hop.
-    encode_us: &'static xrd_obs::Histogram,
-}
-
 pub(crate) fn err(code: u16, message: impl Into<String>) -> Frame {
     let mut message = message.into();
     // Error detail is advisory; keep it far below the codec's byte-string
@@ -198,36 +178,6 @@ impl Default for SubmissionPolicy {
             max_pending: crate::codec::MAX_BATCH,
         }
     }
-}
-
-/// Mix-daemon metric handles, resolved once per process.
-fn mix_metrics() -> &'static MixMetrics {
-    static METRICS: std::sync::OnceLock<MixMetrics> = std::sync::OnceLock::new();
-    METRICS.get_or_init(|| MixMetrics {
-        rejected_quota: xrd_obs::counter("submit.rejected.quota"),
-        screen_batch: xrd_obs::hist("submit.screen_batch"),
-        screen_us: xrd_obs::hist("submit.screen_us"),
-        screen_fallbacks: xrd_obs::counter("submit.screen_fallbacks"),
-        evidence_served: xrd_obs::counter("dispute.evidence.served"),
-        verdicts_heard: xrd_obs::counter("dispute.verdicts.heard"),
-    })
-}
-
-struct MixMetrics {
-    /// Submissions rejected by [`SubmissionPolicy`].
-    rejected_quota: &'static xrd_obs::Counter,
-    /// Submissions per screening — how many proofs of knowledge shared
-    /// one batched check (sums to the submissions received).
-    screen_batch: &'static xrd_obs::Histogram,
-    /// Latency of one screening, µs.
-    screen_us: &'static xrd_obs::Histogram,
-    /// Screenings whose batch rejected and fell back to per-proof
-    /// checks to name the offenders (0 on an honest window).
-    screen_fallbacks: &'static xrd_obs::Counter,
-    /// [`Frame::DisputeOpen`]s answered with signed evidence.
-    evidence_served: &'static xrd_obs::Counter,
-    /// [`Frame::DisputeVerdict`]s received and recorded.
-    verdicts_heard: &'static xrd_obs::Counter,
 }
 
 /// Mutable state of one mix-server daemon.
@@ -314,37 +264,15 @@ fn prepare_record(inner_epoch: u64, isk: &xrd_crypto::Scalar) -> Vec<u8> {
     .concat()
 }
 
-/// State-journal metric handles, resolved once per process.
-fn journal_metrics() -> &'static JournalMetrics {
-    static METRICS: std::sync::OnceLock<JournalMetrics> = std::sync::OnceLock::new();
-    METRICS.get_or_init(|| JournalMetrics {
-        appends: xrd_obs::counter("daemon.journal.appends"),
-        rewrites: xrd_obs::counter("daemon.journal.rewrites"),
-        recovered: xrd_obs::counter("daemon.journal.records_recovered"),
-        torn_tails: xrd_obs::counter("daemon.journal.torn_tails"),
-    })
-}
-
-struct JournalMetrics {
-    /// Records appended (made durable by the tick's commit).
-    appends: &'static xrd_obs::Counter,
-    /// Whole-journal compactions, one per committed activation.
-    rewrites: &'static xrd_obs::Counter,
-    /// Intact records replayed on open.
-    recovered: &'static xrd_obs::Counter,
-    /// Torn tails (or torn headers) cut off on open.
-    torn_tails: &'static xrd_obs::Counter,
-}
-
 /// Open (or create) the journal at `path`: the log, plus the records
 /// it recovered in append order.
 fn open_journal(path: impl Into<std::path::PathBuf>) -> std::io::Result<(RecordLog, Vec<Vec<u8>>)> {
     let (log, replay) = RecordLog::open(path, JOURNAL_MAGIC)?;
     let records: Vec<Vec<u8>> = replay.records().map(|(_, rec)| rec.to_vec()).collect();
     if replay.torn {
-        journal_metrics().torn_tails.incr();
+        xrd_obs::counter!("daemon.journal.torn_tails").incr();
     }
-    journal_metrics().recovered.add(records.len() as u64);
+    xrd_obs::counter!("daemon.journal.records_recovered").add(records.len() as u64);
     Ok((log, records))
 }
 
@@ -452,23 +380,6 @@ impl ChunkWork {
     }
 }
 
-/// Forwarding metric handles, resolved once per process.
-fn forward_metrics() -> &'static ForwardMetrics {
-    static METRICS: std::sync::OnceLock<ForwardMetrics> = std::sync::OnceLock::new();
-    METRICS.get_or_init(|| ForwardMetrics {
-        batches: xrd_obs::counter("forward.batches"),
-        failures: xrd_obs::counter("forward.failures"),
-    })
-}
-
-struct ForwardMetrics {
-    /// Output batches streamed straight to the next hop.
-    batches: &'static xrd_obs::Counter,
-    /// Forward attempts that failed (the coordinator falls back to
-    /// relayed streaming).
-    failures: &'static xrd_obs::Counter,
-}
-
 /// Everything a forwarded hop's End job needs to route its output
 /// onward and its report back.
 struct ForwardCtx {
@@ -535,7 +446,7 @@ impl ForwardCtx {
             return report;
         }
         let Some(handle) = &self.handle else {
-            forward_metrics().failures.incr();
+            xrd_obs::counter!("forward.failures").incr();
             return err(
                 error_code::BAD_STATE,
                 "no reactor handle for forwarded report",
@@ -566,14 +477,14 @@ fn forward_hop_output(
     proof: DleqProof,
 ) -> Vec<u8> {
     let Some(successor) = fwd.successor else {
-        forward_metrics().batches.incr();
+        xrd_obs::counter!("forward.batches").incr();
         let reply = encode_hop_output_stream(round, position as u32, outputs, &proof, STREAM_CHUNK);
         return fwd.report(reply);
     };
     let sent = match forward_batch(&fwd.link, successor, round, outputs) {
         Ok(sent) => sent,
         Err(e) => {
-            forward_metrics().failures.incr();
+            xrd_obs::counter!("forward.failures").incr();
             return err(
                 error_code::BAD_STATE,
                 format!("forward to next hop {successor} failed: {e}"),
@@ -581,7 +492,7 @@ fn forward_hop_output(
             .encode();
         }
     };
-    forward_metrics().batches.incr();
+    xrd_obs::counter!("forward.batches").incr();
     let output_dhs = DhColumn::with_encodings(outputs.iter().map(|e| e.dh).collect(), sent);
     let attestation = attestation(lie, round, position, input_dhs, output_dhs, proof);
     fwd.report(Frame::HopForwarded { attestation }.encode())
@@ -602,7 +513,7 @@ impl MixState {
         };
         self.unsynced = true;
         log.append(&[record])?;
-        journal_metrics().appends.incr();
+        xrd_obs::counter!("daemon.journal.appends").incr();
         Ok(())
     }
 
@@ -644,11 +555,11 @@ impl MixState {
             return Some(err(error_code::UNKNOWN_ROUND, "no submission window open"));
         }
         if self.pending_subs.len() + queued >= self.policy.max_pending {
-            mix_metrics().rejected_quota.incr();
+            xrd_obs::counter!("submit.rejected.quota").incr();
             return Some(err(error_code::QUOTA_EXCEEDED, "submission window full"));
         }
         if self.submitted.get(&conn).copied().unwrap_or(0) >= self.policy.max_per_conn {
-            mix_metrics().rejected_quota.incr();
+            xrd_obs::counter!("submit.rejected.quota").incr();
             return Some(err(
                 error_code::QUOTA_EXCEEDED,
                 "per-connection quota exhausted",
@@ -703,10 +614,9 @@ impl MixState {
         };
         let (conns, submissions): (Vec<ConnId>, Vec<Submission>) = candidates.into_iter().unzip();
         let verdicts = Submission::verify_poks(round, &submissions);
-        let metrics = mix_metrics();
-        metrics.screen_batch.record(submissions.len() as u64);
+        xrd_obs::hist!("submit.screen_batch").record(submissions.len() as u64);
         if verdicts.contains(&false) {
-            metrics.screen_fallbacks.incr();
+            xrd_obs::counter!("submit.screen_fallbacks").incr();
         }
         for ((conn, submission), valid) in conns.into_iter().zip(submissions).zip(verdicts) {
             if valid {
@@ -717,7 +627,7 @@ impl MixState {
                 self.rejections.push((conn, Settled::Instead(refusal)));
             }
         }
-        metrics.screen_us.record_duration(started.elapsed());
+        xrd_obs::hist!("submit.screen_us").record_duration(started.elapsed());
     }
 
     fn handle(&mut self, frame: Frame) -> Frame {
@@ -871,7 +781,7 @@ impl MixState {
                 upheld,
                 votes: _,
             } => {
-                mix_metrics().verdicts_heard.incr();
+                xrd_obs::counter!("dispute.verdicts.heard").incr();
                 if upheld {
                     xrd_obs::info!(
                         "dispute verdict: round {round} server {accused} convicted (claim {claim})"
@@ -1074,9 +984,7 @@ impl MixService {
             let _span = xrd_obs::span_timer("hop.stream", kernel.round());
             let waited = std::time::Instant::now();
             let (inputs, slots) = work.wait_collect(jobs);
-            hop_job_metrics()
-                .wait_chunks_us
-                .record_duration(waited.elapsed());
+            xrd_obs::hist!("hop.wait_chunks_us").record_duration(waited.elapsed());
             if inputs.len() != total {
                 let e = StreamError::Incomplete {
                     received: inputs.len(),
@@ -1123,9 +1031,7 @@ impl MixService {
                         &result.proof,
                         STREAM_CHUNK,
                     );
-                    hop_job_metrics()
-                        .encode_us
-                        .record_duration(encoding.elapsed());
+                    xrd_obs::hist!("hop.encode_us").record_duration(encoding.elapsed());
                     bytes
                 }
                 Err(MixError::DecryptFailure(failed)) => {
@@ -1169,7 +1075,7 @@ impl MixService {
             let position = st.secrets.position as u32;
             let sig = attestation.sign_verdict(&mut st.rng, &st.server, upheld);
             drop(guard);
-            mix_metrics().evidence_served.incr();
+            xrd_obs::counter!("dispute.evidence.served").incr();
             Frame::DisputeEvidence {
                 round: attestation.round,
                 position,
@@ -1275,7 +1181,7 @@ impl Service for MixService {
             Some(records) => {
                 let records: Vec<&[u8]> = records.iter().map(Vec::as_slice).collect();
                 log.rewrite(&records).map_err(storage_err)?;
-                journal_metrics().rewrites.incr();
+                xrd_obs::counter!("daemon.journal.rewrites").incr();
             }
             None if unsynced => log.sync().map_err(storage_err)?,
             None => {}
@@ -1454,25 +1360,6 @@ impl MixServerDaemon {
 // Mailbox daemon
 // ---------------------------------------------------------------------
 
-/// Mailbox-daemon metric handles, resolved once per process.  (The
-/// store itself counts `mailbox.puts/pages/acks`; these cover the wire
-/// layer in front of it.)
-fn mailbox_metrics() -> &'static MailboxMetrics {
-    static METRICS: std::sync::OnceLock<MailboxMetrics> = std::sync::OnceLock::new();
-    METRICS.get_or_init(|| MailboxMetrics {
-        batches: xrd_obs::counter("mailbox.deliver.batches"),
-        duplicates: xrd_obs::counter("mailbox.deliver.duplicates"),
-    })
-}
-
-struct MailboxMetrics {
-    /// Deliver batches stored.
-    batches: &'static xrd_obs::Counter,
-    /// Deliver batches answered from the dedup window (a retry whose
-    /// original reply was lost).
-    duplicates: &'static xrd_obs::Counter,
-}
-
 /// Map a store refusal onto the wire's error vocabulary.
 fn mailbox_err(e: MailboxError) -> Frame {
     let code = match e {
@@ -1574,7 +1461,7 @@ impl MailboxState {
         // in its dedup window: a retry of a batch whose Ok got lost (or,
         // for a persistent store, one committed before a restart).
         if !self.store.begin_batch(round, batch)? {
-            mailbox_metrics().duplicates.incr();
+            xrd_obs::counter!("mailbox.deliver.duplicates").incr();
             return Ok(());
         }
         for m in messages {
@@ -1586,7 +1473,7 @@ impl MailboxState {
             }
         }
         self.store.commit_batch(round, batch)?;
-        mailbox_metrics().batches.incr();
+        xrd_obs::counter!("mailbox.deliver.batches").incr();
         Ok(())
     }
 }

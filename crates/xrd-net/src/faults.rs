@@ -326,29 +326,16 @@ impl PlanState {
     }
 }
 
-/// Fault-injection metric handles, resolved once per process.
+/// The `fault.injected.<kind>` counter.
 fn fault_counter(kind: FaultKind) -> &'static xrd_obs::Counter {
-    static METRICS: std::sync::OnceLock<[&'static xrd_obs::Counter; 7]> =
-        std::sync::OnceLock::new();
-    let all = METRICS.get_or_init(|| {
-        [
-            xrd_obs::counter("fault.injected.drop"),
-            xrd_obs::counter("fault.injected.corrupt"),
-            xrd_obs::counter("fault.injected.delay"),
-            xrd_obs::counter("fault.injected.truncate"),
-            xrd_obs::counter("fault.injected.reorder"),
-            xrd_obs::counter("fault.injected.stall"),
-            xrd_obs::counter("fault.injected.disconnect"),
-        ]
-    });
     match kind {
-        FaultKind::Drop => all[0],
-        FaultKind::Corrupt => all[1],
-        FaultKind::Delay => all[2],
-        FaultKind::Truncate => all[3],
-        FaultKind::Reorder => all[4],
-        FaultKind::Stall => all[5],
-        FaultKind::Disconnect => all[6],
+        FaultKind::Drop => xrd_obs::counter!("fault.injected.drop"),
+        FaultKind::Corrupt => xrd_obs::counter!("fault.injected.corrupt"),
+        FaultKind::Delay => xrd_obs::counter!("fault.injected.delay"),
+        FaultKind::Truncate => xrd_obs::counter!("fault.injected.truncate"),
+        FaultKind::Reorder => xrd_obs::counter!("fault.injected.reorder"),
+        FaultKind::Stall => xrd_obs::counter!("fault.injected.stall"),
+        FaultKind::Disconnect => xrd_obs::counter!("fault.injected.disconnect"),
     }
 }
 

@@ -61,22 +61,6 @@ use crate::daemon::DaemonHandle;
 use crate::manifest::{Manifest, ProcessSpec, Role};
 use crate::remote::RemoteDeployment;
 
-/// Supervisor metric handles, resolved once per process.
-fn supervisor_metrics() -> &'static SupervisorMetrics {
-    static METRICS: std::sync::OnceLock<SupervisorMetrics> = std::sync::OnceLock::new();
-    METRICS.get_or_init(|| SupervisorMetrics {
-        restarts: xrd_obs::counter("supervisor.restarts"),
-        crashes: xrd_obs::counter("supervisor.crashes"),
-    })
-}
-
-struct SupervisorMetrics {
-    /// Crashed children successfully respawned.
-    restarts: &'static xrd_obs::Counter,
-    /// Children that exited with a failure status (or a signal).
-    crashes: &'static xrd_obs::Counter,
-}
-
 /// One spawned daemon process, where it is actually listening, and
 /// everything the supervisor needs to respawn it in place.
 struct ManagedProcess {
@@ -534,7 +518,7 @@ fn spawn_supervisor(
                             p.done = true;
                             continue;
                         }
-                        supervisor_metrics().crashes.incr();
+                        xrd_obs::counter!("supervisor.crashes").incr();
                         if p.restarts >= budget {
                             xrd_obs::warn!(
                                 "supervisor: {} crashed ({status}); restart budget ({budget}) exhausted",
@@ -567,7 +551,7 @@ fn spawn_supervisor(
                 std::thread::sleep(backoff);
                 match spawn_process(&program, &args, &label) {
                     Ok((child, addr)) => {
-                        supervisor_metrics().restarts.incr();
+                        xrd_obs::counter!("supervisor.restarts").incr();
                         let mut procs = processes.lock().expect("launcher lock");
                         let p = &mut procs[i];
                         p.child = child;

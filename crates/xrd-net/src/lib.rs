@@ -88,7 +88,7 @@ pub mod swarm;
 pub use codec::{BatchAssembler, ChunkedBatch, CodecError, Frame, StreamDigest, StreamError};
 pub use conn::{Conn, ConnTimeouts, HopReply, NetError};
 pub use coordinator::{
-    Agreed, Agreement, ChainClient, MixPhase, PendingChainRound, RetryPolicy, Transport,
+    Agreement, ChainClient, MixPhase, PendingChainRound, RetryPolicy, Transport,
 };
 pub use daemon::{DaemonHandle, MailboxDaemon, MixServerDaemon, SubmissionPolicy};
 pub use faults::{Direction, FaultKind, FaultPlan, FaultProxy, FaultRule};

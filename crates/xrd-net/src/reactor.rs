@@ -78,7 +78,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Instant;
 
-use xrd_obs::{Counter, Gauge, Histogram};
+use xrd_obs::Counter;
 
 use crate::codec::{error_code, CodecError, Frame};
 use crate::framed::{Flush, Framed, READ_CHUNK};
@@ -264,12 +264,6 @@ pub struct WorkerPool {
     state: Mutex<PoolState>,
     cv: Condvar,
     size: usize,
-    /// Jobs enqueued but not yet dequeued by a worker.
-    queue_depth: &'static Gauge,
-    /// Enqueue → dequeue latency, µs.
-    job_wait_us: &'static Histogram,
-    /// Dequeue → completion latency, µs.
-    job_run_us: &'static Histogram,
 }
 
 struct PoolState {
@@ -292,9 +286,6 @@ impl WorkerPool {
             }),
             cv: Condvar::new(),
             size: size.max(1),
-            queue_depth: xrd_obs::gauge("pool.queue_depth"),
-            job_wait_us: xrd_obs::hist("pool.job_wait_us"),
-            job_run_us: xrd_obs::hist("pool.job_run_us"),
         })
     }
 
@@ -319,7 +310,7 @@ impl WorkerPool {
             }
         }
         state.queue.push_back((Instant::now(), Box::new(job)));
-        self.queue_depth.incr();
+        xrd_obs::gauge!("pool.queue_depth").incr();
         drop(state);
         self.cv.notify_one();
     }
@@ -338,8 +329,8 @@ impl WorkerPool {
                     state = self.cv.wait(state).expect("pool poisoned");
                 }
             };
-            self.queue_depth.decr();
-            self.job_wait_us.record_duration(enqueued.elapsed());
+            xrd_obs::gauge!("pool.queue_depth").decr();
+            xrd_obs::hist!("pool.job_wait_us").record_duration(enqueued.elapsed());
             let started = Instant::now();
             // A panicking job must not take the worker thread with it:
             // a shrunken pool would strand queued jobs forever (and
@@ -347,7 +338,7 @@ impl WorkerPool {
             // additionally wrapped by the reactor so the waiting
             // connection gets an error response.
             let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(job));
-            self.job_run_us.record_duration(started.elapsed());
+            xrd_obs::hist!("pool.job_run_us").record_duration(started.elapsed());
         }
     }
 
@@ -639,91 +630,21 @@ enum Action {
 /// starving every other connection.
 const FRAMES_PER_EVENT: usize = 64;
 
-/// The reactor's metric handles, resolved once at bind time so the
-/// per-event hot path is a relaxed atomic bump — never a registry
-/// lookup.  Per-tag frame counters are cached in a tag-indexed table,
-/// filled on first sight of each tag (one registry lookup per tag per
-/// reactor, ever).
-struct ReactorMetrics {
-    /// Poller wait returns.
-    wakes: &'static Counter,
-    /// Readiness events reported across all waits (events/wake =
-    /// `ready_events / wakes`).
-    ready_events: &'static Counter,
-    /// Connections accepted and registered.
-    accepts: &'static Counter,
-    /// Connections refused (draining, or socket setup failed).
-    accepts_rejected: &'static Counter,
-    /// Currently open connections.
-    conns_open: &'static Gauge,
-    /// Connections closed (any reason).
-    conns_closed: &'static Counter,
-    /// Payload bytes read off sockets.
-    bytes_in: &'static Counter,
-    /// Payload bytes written to sockets.
-    bytes_out: &'static Counter,
-    /// Complete frames decoded (sum of the per-tag counters).
-    frames_in: &'static Counter,
-    /// Visits that exhausted [`FRAMES_PER_EVENT`] and yielded.
-    budget_yields: &'static Counter,
-    /// Writes that hit `WouldBlock` — the peer is not draining its
-    /// responses and TCP backpressure is holding the connection.
-    write_stalls: &'static Counter,
-    /// Jobs deferred to the worker pool on behalf of a connection.
-    deferred_jobs: &'static Counter,
-    /// [`Service::commit`] calls (loop iterations that held a reply).
-    commits: &'static Counter,
-    /// Replies released per commit — how many acknowledgements shared
-    /// one sync.
-    commit_held: &'static Histogram,
-    /// [`Service::commit`] latency, µs.
-    commit_us: &'static Histogram,
-    /// Commits the service refused: each latches the reactor, so this
-    /// reads 1 on a daemon that answers every request with the refusal.
-    err_commit: &'static Counter,
-    /// Connections dropped over an unparseable frame (the silent-drop
-    /// path: also debug-logged with the peer address).
-    err_malformed: &'static Counter,
-    /// Connections dropped on a socket read/write error.
-    err_io: &'static Counter,
-    /// Per-tag `frames.in.<TagName>` counters, tag-indexed.
-    by_tag: [Option<&'static Counter>; 256],
-}
+/// The per-tag `frames.in.<TagName>` counters, tag-indexed: their
+/// names are computed, so each is looked up on first sight of its tag
+/// (once per tag per reactor) and kept here.
+struct FramesByTag([Option<&'static Counter>; 256]);
 
-impl ReactorMetrics {
-    fn new() -> ReactorMetrics {
-        ReactorMetrics {
-            wakes: xrd_obs::counter("reactor.wakes"),
-            ready_events: xrd_obs::counter("reactor.ready_events"),
-            accepts: xrd_obs::counter("reactor.accepts"),
-            accepts_rejected: xrd_obs::counter("reactor.accepts_rejected"),
-            conns_open: xrd_obs::gauge("reactor.conns_open"),
-            conns_closed: xrd_obs::counter("reactor.conns_closed"),
-            bytes_in: xrd_obs::counter("reactor.bytes_in"),
-            bytes_out: xrd_obs::counter("reactor.bytes_out"),
-            frames_in: xrd_obs::counter("reactor.frames_in"),
-            budget_yields: xrd_obs::counter("reactor.budget_yields"),
-            write_stalls: xrd_obs::counter("reactor.write_stalls"),
-            deferred_jobs: xrd_obs::counter("reactor.deferred_jobs"),
-            commits: xrd_obs::counter("reactor.commits"),
-            commit_held: xrd_obs::hist("reactor.commit.held"),
-            commit_us: xrd_obs::hist("reactor.commit_us"),
-            err_commit: xrd_obs::counter("reactor.err.commit"),
-            err_malformed: xrd_obs::counter("reactor.err.malformed_frame"),
-            err_io: xrd_obs::counter("reactor.err.io"),
-            by_tag: [None; 256],
-        }
-    }
-
+impl FramesByTag {
     /// Count one decoded frame, total and per tag.
-    fn count_frame(&mut self, tag: u8) {
-        self.frames_in.incr();
-        let counter = match self.by_tag[tag as usize] {
+    fn count(&mut self, tag: u8) {
+        xrd_obs::counter!("reactor.frames_in").incr();
+        let counter = match self.0[tag as usize] {
             Some(c) => c,
             None => {
                 let name = Frame::tag_name(tag).unwrap_or("Unknown");
                 let c = xrd_obs::counter(&format!("frames.in.{name}"));
-                self.by_tag[tag as usize] = Some(c);
+                self.0[tag as usize] = Some(c);
                 c
             }
         };
@@ -775,8 +696,8 @@ impl Connection {
 
     /// Count and log a request that did not parse; the caller answers
     /// it with [`bad_frame`] and closes the connection after.
-    fn malformed(&self, token: ConnId, e: &CodecError, metrics: &ReactorMetrics) {
-        metrics.err_malformed.incr();
+    fn malformed(&self, token: ConnId, e: &CodecError) {
+        xrd_obs::counter!("reactor.err.malformed_frame").incr();
         xrd_obs::debug!(
             "dropping conn {token} ({:?}): bad frame: {e}",
             self.framed.stream().peer_addr()
@@ -802,21 +723,21 @@ impl Connection {
         deferred: &mut Vec<(ConnId, Job)>,
         held: &mut Vec<Completion>,
         failed: Option<&Frame>,
-        metrics: &mut ReactorMetrics,
+        frames_in: &mut FramesByTag,
     ) -> Action {
         let mut frames_this_visit = 0;
         loop {
             // 1. Flush whatever output is pending.
             let (flushed, written) = self.framed.flush();
-            metrics.bytes_out.add(written as u64);
+            xrd_obs::counter!("reactor.bytes_out").add(written as u64);
             match flushed {
                 Flush::Drained => {}
                 Flush::Blocked => {
-                    metrics.write_stalls.incr();
+                    xrd_obs::counter!("reactor.write_stalls").incr();
                     return Action::Keep;
                 }
                 Flush::Dead(_) => {
-                    metrics.err_io.incr();
+                    xrd_obs::counter!("reactor.err.io").incr();
                     return Action::Drop;
                 }
             }
@@ -842,7 +763,7 @@ impl Connection {
             let next = if self.pending {
                 None
             } else if frames_this_visit >= FRAMES_PER_EVENT {
-                metrics.budget_yields.incr();
+                xrd_obs::counter!("reactor.budget_yields").incr();
                 return Action::Yield;
             } else {
                 frames_this_visit += 1;
@@ -850,7 +771,7 @@ impl Connection {
             };
             match next {
                 Some(Ok((Frame::Shutdown, _))) => {
-                    metrics.count_frame(Frame::Shutdown.tag());
+                    frames_in.count(Frame::Shutdown.tag());
                     self.framed.queue(&Frame::Ok);
                     self.closing = true;
                     self.is_shutdown = true;
@@ -860,7 +781,7 @@ impl Connection {
                     // Liveness probe, answered by the reactor itself so
                     // "process up and reading its socket" is observable
                     // even while the service is busy in a deferred job.
-                    metrics.count_frame(Frame::Ping.tag());
+                    frames_in.count(Frame::Ping.tag());
                     self.framed.queue(&Frame::Pong);
                     continue;
                 }
@@ -868,14 +789,14 @@ impl Connection {
                     // Answered by the reactor itself — like Shutdown —
                     // so every daemon kind serves scrapes without its
                     // service knowing the frame exists.
-                    metrics.count_frame(Frame::StatsRequest.tag());
+                    frames_in.count(Frame::StatsRequest.tag());
                     self.framed.queue(&Frame::StatsReport {
                         snapshot: Box::new(xrd_obs::global().snapshot()),
                     });
                     continue;
                 }
                 Some(Ok((frame, wire))) => {
-                    metrics.count_frame(frame.tag());
+                    frames_in.count(frame.tag());
                     if let Some(refusal) = failed {
                         self.framed.queue(refusal);
                         continue;
@@ -886,7 +807,7 @@ impl Connection {
                         }
                         Outcome::Defer(job) => {
                             self.pending = true;
-                            metrics.deferred_jobs.incr();
+                            xrd_obs::counter!("reactor.deferred_jobs").incr();
                             deferred.push((token, job));
                         }
                         Outcome::ReplyAfterCommit(frames) => {
@@ -906,7 +827,7 @@ impl Connection {
                     // Unparseable bytes: count, log the peer, report,
                     // and close (the stream may be desynchronized) —
                     // after the report drains.
-                    self.malformed(token, &e, metrics);
+                    self.malformed(token, &e);
                     self.framed.queue(&bad_frame(&e));
                     self.closing = true;
                     continue;
@@ -925,7 +846,7 @@ impl Connection {
                 }
                 Ok(0) => return Action::Drop, // peer hung up
                 Ok(n) => {
-                    metrics.bytes_in.add(n as u64);
+                    xrd_obs::counter!("reactor.bytes_in").add(n as u64);
                     if self.pending {
                         return Action::Keep;
                     }
@@ -935,7 +856,7 @@ impl Connection {
                     return Action::Keep;
                 }
                 Err(_) => {
-                    metrics.err_io.incr();
+                    xrd_obs::counter!("reactor.err.io").incr();
                     return Action::Drop;
                 }
             }
@@ -1017,8 +938,8 @@ pub struct Reactor {
     /// The refusal of the commit that failed, answered to every later
     /// request; cleared only by a restart.
     failed: Option<Frame>,
-    /// Pre-resolved metric handles (global registry) for the loop.
-    metrics: ReactorMetrics,
+    /// The per-tag frame counters.
+    frames_in: FramesByTag,
 }
 
 impl Reactor {
@@ -1071,7 +992,7 @@ impl Reactor {
             stop: Arc::new(AtomicBool::new(false)),
             draining: false,
             failed: None,
-            metrics: ReactorMetrics::new(),
+            frames_in: FramesByTag([None; 256]),
         })
     }
 
@@ -1135,8 +1056,8 @@ impl Reactor {
             if poller.wait(&mut events, timeout).is_err() {
                 break;
             }
-            self.metrics.wakes.incr();
-            self.metrics.ready_events.add(events.len() as u64);
+            xrd_obs::counter!("reactor.wakes").incr();
+            xrd_obs::counter!("reactor.ready_events").add(events.len() as u64);
             // Deliver completed deferred responses and committed replies
             // (re-opening each connection's pending slot) and handle
             // pushes (which ride alongside): queue the bytes and drive
@@ -1175,7 +1096,7 @@ impl Reactor {
                                 let framed = match Framed::nonblocking(stream) {
                                     Ok(framed) if !self.draining => framed,
                                     _ => {
-                                        self.metrics.accepts_rejected.incr();
+                                        xrd_obs::counter!("reactor.accepts_rejected").incr();
                                         continue; // drop it
                                     }
                                 };
@@ -1191,10 +1112,10 @@ impl Reactor {
                                 let idle = interest::READ | interest::READ_HANGUP;
                                 if conn.framed.watch(&mut poller, token, idle).is_ok() {
                                     self.conns.insert(token, conn);
-                                    self.metrics.accepts.incr();
-                                    self.metrics.conns_open.incr();
+                                    xrd_obs::counter!("reactor.accepts").incr();
+                                    xrd_obs::gauge!("reactor.conns_open").incr();
                                 } else {
-                                    self.metrics.accepts_rejected.incr();
+                                    xrd_obs::counter!("reactor.accepts_rejected").incr();
                                 }
                             }
                             Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
@@ -1215,7 +1136,7 @@ impl Reactor {
                     &mut deferred,
                     &mut held,
                     self.failed.as_ref(),
-                    &mut self.metrics,
+                    &mut self.frames_in,
                 );
                 match action {
                     Action::Keep => {
@@ -1230,8 +1151,8 @@ impl Reactor {
                     Action::Drop => {
                         let conn = self.conns.remove(&token).expect("present");
                         conn.framed.deregister(&mut poller);
-                        self.metrics.conns_closed.incr();
-                        self.metrics.conns_open.decr();
+                        xrd_obs::counter!("reactor.conns_closed").incr();
+                        xrd_obs::gauge!("reactor.conns_open").decr();
                         self.service.on_close(token);
                     }
                     Action::Stop => {
@@ -1273,9 +1194,9 @@ impl Reactor {
             if !held.is_empty() {
                 let started = Instant::now();
                 let committed = self.service.commit();
-                self.metrics.commit_us.record_duration(started.elapsed());
-                self.metrics.commits.incr();
-                self.metrics.commit_held.record(held.len() as u64);
+                xrd_obs::hist!("reactor.commit_us").record_duration(started.elapsed());
+                xrd_obs::counter!("reactor.commits").incr();
+                xrd_obs::hist!("reactor.commit.held").record(held.len() as u64);
                 match committed {
                     Ok(settled) if settled.is_empty() => {}
                     Ok(settled) => {
@@ -1286,7 +1207,7 @@ impl Reactor {
                                 Some(Settled::Instead(frame)) => frame,
                                 Some(Settled::Malformed(e)) => {
                                     if let Some(conn) = self.conns.get(&reply.conn) {
-                                        conn.malformed(reply.conn, &e, &self.metrics);
+                                        conn.malformed(reply.conn, &e);
                                     }
                                     reply.closes = true;
                                     bad_frame(&e)
@@ -1296,7 +1217,7 @@ impl Reactor {
                         }
                     }
                     Err(frame) => {
-                        self.metrics.err_commit.incr();
+                        xrd_obs::counter!("reactor.err.commit").incr();
                         let refusal = frame.encode();
                         for reply in &mut held {
                             reply.bytes.clone_from(&refusal);
@@ -1314,7 +1235,7 @@ impl Reactor {
             if let Some(conn) = self.conns.get_mut(&reply.conn) {
                 conn.framed.queue_encoded(reply.bytes);
                 let (_, written) = conn.framed.flush();
-                self.metrics.bytes_out.add(written as u64);
+                xrd_obs::counter!("reactor.bytes_out").add(written as u64);
             }
         }
         // Let in-flight and queued jobs finish, then join the workers —
@@ -1325,8 +1246,8 @@ impl Reactor {
         }
         // The process-wide gauge must not keep counting sockets this
         // (possibly in-process, as in tests) reactor is about to close.
-        self.metrics.conns_open.add(-(self.conns.len() as i64));
-        self.metrics.conns_closed.add(self.conns.len() as u64);
+        xrd_obs::gauge!("reactor.conns_open").add(-(self.conns.len() as i64));
+        xrd_obs::counter!("reactor.conns_closed").add(self.conns.len() as u64);
         // Dropping `self.conns` and the listener closes every socket;
         // peers see EOF.
     }

@@ -312,7 +312,7 @@ impl Cluster for Wire {
             .map(|c| (c, ()))
             .collect();
         let mixed = each_chain(&mut self.chains, "mix phase", live, |chain, ()| {
-            let agreement = chain.agree(round)?;
+            let agreement = chain.close_and_agree(round)?;
             Ok((
                 agreement.len(),
                 chain.mix_round_deferred(round, &agreement)?,

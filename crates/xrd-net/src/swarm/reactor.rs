@@ -271,25 +271,6 @@ struct Parked {
 /// parking id); a live wire's token is its slot index.
 const PARKED: u64 = 1 << 63;
 
-/// Client-reactor metric handles, resolved once per process.
-fn swarm_metrics() -> &'static SwarmMetrics {
-    static METRICS: std::sync::OnceLock<SwarmMetrics> = std::sync::OnceLock::new();
-    METRICS.get_or_init(|| SwarmMetrics {
-        dials: xrd_obs::counter("swarm.dials"),
-        conns_reused: xrd_obs::counter("swarm.conns_reused"),
-        conns_evicted: xrd_obs::counter("swarm.conns_evicted"),
-    })
-}
-
-struct SwarmMetrics {
-    /// TCP connects attempted.
-    dials: &'static xrd_obs::Counter,
-    /// Exchanges that rode a connection parked by an earlier one.
-    conns_reused: &'static xrd_obs::Counter,
-    /// Parked connections closed to make room for a dial.
-    conns_evicted: &'static xrd_obs::Counter,
-}
-
 /// The client event loop as a value that outlives one drive: it owns
 /// the poller and the connections, so a deployment that drives its
 /// users' sessions through the same reactor every round keeps their
@@ -394,7 +375,7 @@ impl ClientReactor {
         let id = self.parked_at.remove(&(lane, addr))?;
         let parked = self.parked.remove(&id)?;
         if parked.framed.is_at_rest() {
-            swarm_metrics().conns_reused.incr();
+            xrd_obs::counter!("swarm.conns_reused").incr();
             return Some(parked.framed);
         }
         parked.framed.deregister(&mut self.poller);
@@ -713,9 +694,9 @@ impl Run<'_> {
                         break;
                     };
                     reactor.unpark(oldest);
-                    swarm_metrics().conns_evicted.incr();
+                    xrd_obs::counter!("swarm.conns_evicted").incr();
                 }
-                swarm_metrics().dials.incr();
+                xrd_obs::counter!("swarm.dials").incr();
                 match TcpStream::connect_timeout(&addr, self.config.connect_timeout)
                     .and_then(Framed::nonblocking)
                 {

@@ -211,6 +211,83 @@ fn protocol_doc_tag_tables_match_the_codec() {
     assert_eq!(documented, Frame::TAGS, "PROTOCOL.md rows, in order");
 }
 
+/// `docs/OBSERVABILITY.md`'s metric catalog and the code agree, kind
+/// and name: every series a program file records through
+/// `xrd_obs::counter!`, `gauge!` or `hist!` has a catalog row marked
+/// with its kind — (g) a gauge, (h) or *(histogram)* a histogram,
+/// otherwise a counter — and every catalog series is recorded.  Only a
+/// computed family (`frames.in.<Tag>`) is named in the catalog alone;
+/// spans are not series.
+#[test]
+fn observability_doc_catalog_matches_the_recorded_series() {
+    let root = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
+    let doc = std::fs::read_to_string(format!("{root}/docs/OBSERVABILITY.md"))
+        .expect("docs/OBSERVABILITY.md is readable");
+    let catalog = doc
+        .split("\n## Metric catalog\n")
+        .nth(1)
+        .and_then(|rest| rest.split("\n## ").next())
+        .expect("a Metric catalog section");
+    let mut documented = std::collections::BTreeSet::new();
+    for line in catalog.lines() {
+        let first_cell = line.strip_prefix("| ").and_then(|l| l.split(" |").next());
+        let Some(series) = first_cell.filter(|cell| cell.starts_with('`')) else {
+            continue;
+        };
+        let kind = if series.contains("(g)") {
+            "gauge"
+        } else if series.contains("(h)") || series.contains("(histogram") {
+            "hist"
+        } else {
+            "counter"
+        };
+        let names = series.split('`').skip(1).step_by(2);
+        for name in names.filter(|name| !name.contains('<')) {
+            documented.insert((kind, name.to_string()));
+        }
+    }
+
+    let mut sources = Vec::new();
+    let mut dirs = vec![std::path::PathBuf::from(format!("{root}/crates"))];
+    while let Some(dir) = dirs.pop() {
+        for entry in std::fs::read_dir(&dir).expect("source tree is readable") {
+            let path = entry.expect("directory entry").path();
+            if path.is_dir() && !path.ends_with("target") {
+                dirs.push(path);
+            } else if path.extension().is_some_and(|e| e == "rs")
+                && path.components().any(|c| c.as_os_str() == "src")
+            {
+                sources.push(std::fs::read_to_string(&path).expect("source is readable"));
+            }
+        }
+    }
+    let mut recorded = std::collections::BTreeSet::new();
+    for source in &sources {
+        // Program code: a file's test module and comments aside.
+        let program = source
+            .lines()
+            .take_while(|l| !l.starts_with("#[cfg(test)]"))
+            .filter(|l| !l.trim_start().starts_with("//"));
+        for line in program {
+            for kind in ["counter", "gauge", "hist"] {
+                let call = format!("xrd_obs::{kind}!(\"");
+                for (at, _) in line.match_indices(&call) {
+                    let name = line[at + call.len()..].split('"').next();
+                    recorded.insert((kind, name.expect("a name").to_string()));
+                }
+            }
+        }
+    }
+    assert!(!recorded.is_empty(), "the crates record series");
+    let undocumented: Vec<_> = recorded.difference(&documented).collect();
+    let unrecorded: Vec<_> = documented.difference(&recorded).collect();
+    assert!(
+        undocumented.is_empty() && unrecorded.is_empty(),
+        "recorded without a catalog row: {undocumented:?}; \
+         catalogued but never recorded: {unrecorded:?}"
+    );
+}
+
 #[test]
 fn unknown_tag_rejected() {
     assert_eq!(Frame::decode(&[0xee]), Err(CodecError::UnknownTag(0xee)));

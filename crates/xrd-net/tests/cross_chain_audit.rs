@@ -29,12 +29,11 @@ use rand::SeedableRng;
 use xrd_crypto::ristretto::GroupElement;
 use xrd_crypto::Scalar;
 use xrd_mixnet::chain_keys::{generate_chain_keys, rotate_inner_keys, ChainPublicKeys};
-use xrd_mixnet::client::Submission;
 use xrd_mixnet::{verify_hops_batched, verify_hops_batched_multi, ChainAudit, HopRecord};
 use xrd_net::codec::{Frame, FrameDecoder};
 use xrd_net::swarm::sealed_submissions;
 use xrd_net::{
-    ChainClient, Conn, ConnTimeouts, DaemonHandle, MixPhase, MixServerDaemon, NetError,
+    Agreement, ChainClient, Conn, ConnTimeouts, DaemonHandle, MixPhase, MixServerDaemon, NetError,
     RetryPolicy, Transport,
 };
 
@@ -192,7 +191,7 @@ fn launch_chain(
 
 /// Open the window, submit to every daemon (input agreement fan-out)
 /// and agree on the batch.
-fn agree(rng: &mut StdRng, chain: &mut TestChain) -> Vec<Submission> {
+fn agree(rng: &mut StdRng, chain: &mut TestChain) -> Agreement {
     chain.client.open_round(ROUND).expect("window opens");
     let subs = sealed_submissions(rng, &chain.public, ROUND, USERS);
     for addr in &chain.daemon_addrs {
@@ -205,17 +204,17 @@ fn agree(rng: &mut StdRng, chain: &mut TestChain) -> Vec<Submission> {
             .expect("submission accepted");
         }
     }
-    let batch = chain.client.close_and_agree(ROUND).expect("agreement");
-    assert_eq!(batch.len(), USERS);
-    batch
+    let agreement = chain.client.close_and_agree(ROUND).expect("agreement");
+    assert_eq!(agreement.len(), USERS);
+    agreement
 }
 
 /// [`agree`], then run the mix with the audit deferred.
 fn mix_deferred(rng: &mut StdRng, chain: &mut TestChain) -> MixPhase {
-    let batch = agree(rng, chain);
+    let agreement = agree(rng, chain);
     chain
         .client
-        .mix_round_deferred(ROUND, &batch)
+        .mix_round_deferred(ROUND, &agreement)
         .expect("mix runs")
 }
 
@@ -463,11 +462,11 @@ fn column_seam_mismatch_fails_the_forwarded_pass_and_the_relayed_retry_delivers(
             Transport::Forwarded,
             vec![(pos, script)],
         );
-        let batch = agree(&mut rng, &mut chain);
+        let agreement = agree(&mut rng, &mut chain);
 
         // With a single attempt the failure is the caller's to see.
         let mut once = coordinator(&chain.addrs, &chain.public, Transport::Forwarded, 1);
-        match once.mix_round_deferred(ROUND, &batch) {
+        match once.mix_round_deferred(ROUND, &agreement) {
             Err(NetError::Protocol(msg)) => assert_eq!(msg, expected),
             Err(other) => panic!("expected `{expected}`, got {other}"),
             Ok(_) => panic!("expected `{expected}`, but the pass went through"),
@@ -476,7 +475,7 @@ fn column_seam_mismatch_fails_the_forwarded_pass_and_the_relayed_retry_delivers(
         // way and the relayed one delivers.
         let mut twice = coordinator(&chain.addrs, &chain.public, Transport::Forwarded, 2);
         let outcome = twice
-            .mix_round(ROUND, &batch)
+            .mix_round(ROUND, &agreement)
             .expect("the relayed retry runs");
         assert!(outcome.misbehaving_servers.is_empty(), "{expected}");
         assert_eq!(outcome.delivered.len(), USERS, "{expected}");

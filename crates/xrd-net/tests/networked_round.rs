@@ -457,7 +457,7 @@ fn hop_0_mixing_other_than_its_window_is_refused_at_the_seam() {
     client.open_round(0).expect("window opens");
     let subs = xrd_net::swarm::sealed_submissions(&mut rng, &public, 0, 6);
     submit_everywhere(&addrs, 0, &subs);
-    let agreement = client.agree(0).expect("its digests are honest");
+    let agreement = client.close_and_agree(0).expect("its digests are honest");
     assert_eq!(agreement.len(), 6);
     match client.mix_round(0, &agreement) {
         Err(NetError::Protocol(why)) => assert_eq!(why, "column seam mismatch entering hop 0"),
@@ -490,7 +490,7 @@ fn a_dissenting_hop_0_is_streamed_the_agreed_batch() {
     client.open_round(0).expect("window opens");
     let subs = xrd_net::swarm::sealed_submissions(&mut rng, &public, 0, 6);
     submit_everywhere(&addrs, 0, &subs);
-    let agreement = client.agree(0).expect("hops 1 and 2 agree");
+    let agreement = client.close_and_agree(0).expect("hops 1 and 2 agree");
     assert_eq!(agreement.len(), 6);
     assert_eq!(client.take_suspects(), vec![0], "hop 0 dissented");
     let outcome = client.mix_round(0, &agreement).expect("the fallback mixes");
@@ -528,7 +528,7 @@ fn a_hop_0_without_the_window_is_streamed_the_batch_fetched_elsewhere() {
     client.open_round(0).expect("window opens");
     let subs = xrd_net::swarm::sealed_submissions(&mut rng, &public, 0, 6);
     submit_everywhere(&addrs, 0, &subs);
-    let agreement = client.agree(0).expect("agreement");
+    let agreement = client.close_and_agree(0).expect("agreement");
     assert_eq!(
         refusal(addrs[1], 0),
         error_code::BAD_STATE,

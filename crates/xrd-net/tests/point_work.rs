@@ -100,12 +100,16 @@ fn point_work(snapshot: &xrd_obs::Snapshot) -> (u64, u64) {
     )
 }
 
-fn daemon_work(addr: std::net::SocketAddr) -> (u64, u64) {
+fn scrape(addr: std::net::SocketAddr) -> xrd_obs::Snapshot {
     let mut conn = Conn::connect(addr).expect("scrape connects");
     match conn.request(&Frame::StatsRequest).expect("scrape") {
-        Frame::StatsReport { snapshot } => point_work(&snapshot),
+        Frame::StatsReport { snapshot } => *snapshot,
         other => panic!("expected StatsReport, got {other:?}"),
     }
+}
+
+fn daemon_work(addr: std::net::SocketAddr) -> (u64, u64) {
+    point_work(&scrape(addr))
 }
 
 /// Every submission to every daemon, one connection each, all written
@@ -153,13 +157,17 @@ fn round_work(
     client.open_round(round).expect("window opens");
     let submissions = sealed_submissions(rng, client.public(), round, N as usize);
     submit_all(daemons, round, &submissions);
-    let agreement = client.agree(round).expect("input agreement");
+    let agreement = client.close_and_agree(round).expect("input agreement");
     assert_eq!(agreement.len() as u64, N);
     let outcome = client
         .mix_round(round, &agreement)
         .expect("the round mixes");
     assert_eq!(outcome.delivered.len() as u64, N, "{transport:?}");
     assert!(outcome.misbehaving_servers.is_empty());
+    for daemon in daemons {
+        let fetches = scrape(daemon.addr).counter("frames.in.GetBatch");
+        assert_eq!(fetches, 0, "{transport:?}: a clean round fetches no batch");
+    }
 
     let waves = waves() - waves_before;
     let minus = |(d1, e1): (u64, u64), (d0, e0): (u64, u64)| (d1 - d0, e1 - e0);

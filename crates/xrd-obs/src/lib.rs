@@ -24,10 +24,14 @@
 //!   [`debug!`] macros) driven by `XRD_LOG`.
 //!
 //! Hot-path cost discipline: recording is one or two relaxed atomic
-//! RMWs; name lookup happens once at component construction (handles
-//! are `&'static`), never per event. Building with the `noop` feature
-//! compiles all recording to nothing so the overhead itself can be
-//! measured (see `BENCH_net.json`).
+//! RMWs, and a fixed-name series is recorded through [`counter!`],
+//! [`gauge!`] or [`hist!`], which look its name up once per call site
+//! (the first time that site runs) and then read the `&'static` handle
+//! from the site's own `OnceLock` — never the registry's mutex.  The
+//! functions [`counter()`], [`gauge()`] and [`hist()`] are for names
+//! computed at run time, whose caller keeps the handle.  Building with the
+//! `noop` feature compiles all recording to nothing; the registry,
+//! snapshots and scrapes keep working (and read zero).
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -46,19 +50,69 @@ pub use registry::{global, Registry, SpanTimer};
 pub use snapshot::{HistSnapshot, Snapshot};
 pub use span::{SpanEvent, SpanRecorder};
 
-/// Get-or-create a counter in the [`global()`] registry.
+/// Get-or-create a counter in the [`global()`] registry.  A fixed name
+/// is recorded through [`counter!`] instead.
 pub fn counter(name: &str) -> &'static Counter {
     global().counter(name)
 }
 
-/// Get-or-create a gauge in the [`global()`] registry.
+/// Get-or-create a gauge in the [`global()`] registry.  A fixed name is
+/// recorded through [`gauge!`] instead.
 pub fn gauge(name: &str) -> &'static Gauge {
     global().gauge(name)
 }
 
-/// Get-or-create a histogram in the [`global()`] registry.
+/// Get-or-create a histogram in the [`global()`] registry.  A fixed
+/// name is recorded through [`hist!`] instead.
 pub fn hist(name: &str) -> &'static Histogram {
     global().hist(name)
+}
+
+/// The [`global()`] registry's counter named by a string literal, the
+/// same `&'static` handle [`counter()`] returns: the name is looked up
+/// the first time this call site runs and the handle kept in the site's
+/// own `OnceLock`.
+///
+/// ```
+/// xrd_obs::counter!("doc.example.events").incr();
+/// assert!(std::ptr::eq(
+///     xrd_obs::counter!("doc.example.events"),
+///     xrd_obs::counter("doc.example.events"),
+/// ));
+/// ```
+#[macro_export]
+macro_rules! counter {
+    ($name:literal) => {
+        $crate::__handle!(counter, Counter, $name)
+    };
+}
+
+/// The [`global()`] registry's gauge named by a string literal, resolved
+/// once per call site (see [`counter!`]).
+#[macro_export]
+macro_rules! gauge {
+    ($name:literal) => {
+        $crate::__handle!(gauge, Gauge, $name)
+    };
+}
+
+/// The [`global()`] registry's histogram named by a string literal,
+/// resolved once per call site (see [`counter!`]).
+#[macro_export]
+macro_rules! hist {
+    ($name:literal) => {
+        $crate::__handle!(hist, Histogram, $name)
+    };
+}
+
+/// The body of [`counter!`], [`gauge!`] and [`hist!`].
+#[doc(hidden)]
+#[macro_export]
+macro_rules! __handle {
+    ($get:ident, $kind:ident, $name:literal) => {{
+        static HANDLE: ::std::sync::OnceLock<&'static $crate::$kind> = ::std::sync::OnceLock::new();
+        *HANDLE.get_or_init(|| $crate::$get($name))
+    }};
 }
 
 /// Record a completed span in the [`global()`] registry's ring.

@@ -15,9 +15,10 @@ const GLOBAL_SPAN_CAPACITY: usize = 1024;
 /// A set of named metrics.
 ///
 /// Registration (`counter`/`gauge`/`hist`) takes a mutex and allocates
-/// once per name — components resolve their handles at construction
-/// time and hold the returned `&'static` references, so the per-event
-/// hot path never touches the registry. Metric storage is intentionally
+/// once per name — a call site resolves its handle once (the
+/// [`counter!`](crate::counter!) macros) and holds the returned
+/// `&'static` reference, so the per-event hot path never touches the
+/// registry. Metric storage is intentionally
 /// leaked: a metric, once created, lives for the process (that is what
 /// makes the handles `'static` and lock-free to use).
 pub struct Registry {

@@ -132,3 +132,59 @@ fn registry_snapshot_sees_every_kind() {
     assert_eq!(snap.spans[0].round, 5);
     assert!(snap.render().contains("round.window"));
 }
+
+/// A macro's handle is the global registry's own, the one the function
+/// form returns for the same name, and a series enters a snapshot at
+/// its first record.
+#[test]
+fn a_macro_handle_is_the_registrys_handle() {
+    let unrecorded = xrd_obs::global().snapshot();
+    assert_eq!(unrecorded.counter("macro.same_handle"), 0);
+    assert_eq!(unrecorded.gauge("macro.same_handle_g"), None);
+    assert!(unrecorded.hist("macro.same_handle_h").is_none());
+    assert!(std::ptr::eq(
+        xrd_obs::counter!("macro.same_handle"),
+        xrd_obs::counter("macro.same_handle")
+    ));
+    assert!(std::ptr::eq(
+        xrd_obs::gauge!("macro.same_handle_g"),
+        xrd_obs::gauge("macro.same_handle_g")
+    ));
+    assert!(std::ptr::eq(
+        xrd_obs::hist!("macro.same_handle_h"),
+        xrd_obs::hist("macro.same_handle_h")
+    ));
+}
+
+/// Two call sites naming one series record into it, each resolving its
+/// handle once however often it runs.
+#[test]
+fn two_call_sites_record_into_one_series() {
+    fn here() {
+        xrd_obs::counter!("macro.two_sites").incr();
+    }
+    fn there(n: u64) {
+        xrd_obs::counter!("macro.two_sites").add(n);
+    }
+    for _ in 0..3 {
+        here();
+        there(10);
+    }
+    assert_eq!(xrd_obs::global().snapshot().counter("macro.two_sites"), 33);
+}
+
+/// A gauge or histogram call site records as the handle does.
+#[test]
+fn gauge_and_histogram_sites_record() {
+    for depth in [4, -1, 2] {
+        xrd_obs::gauge!("macro.depth").add(depth);
+    }
+    for us in [10, 20, 40] {
+        xrd_obs::hist!("macro.latency_us").record(us);
+    }
+    let snap = xrd_obs::global().snapshot();
+    assert_eq!(snap.gauge("macro.depth"), Some(5));
+    let latency = snap.hist("macro.latency_us").expect("recorded");
+    assert_eq!((latency.count, latency.sum), (3, 70));
+    assert_eq!((latency.min, latency.max), (10, 40));
+}
