@@ -11,7 +11,9 @@
 //! the wire, and every wave has one such function:
 //!
 //! * the mix lies, in [`MixServer::finish_round`](crate::MixServer::finish_round);
-//! * the attestation a hop builds, [`attestation`] (`Seam`);
+//! * the attestation a hop builds, [`attestation`] (`Seam`; in process
+//!   only — on the wire the coordinator builds every hop's columns from
+//!   the batches it relayed, so no daemon attests its own);
 //! * a verifier's verdicts, `cross_verdicts` (told at the end of its
 //!   [`Verifier::check`](crate::server::Verifier::check)), and a
 //!   witness's dispute verdict, [`upheld`];

@@ -419,7 +419,7 @@ impl HopRecord<'_> {
 /// A column of DH keys — one side of a hop's §6.3 statement — and,
 /// when the keys came off the wire or were encoded once on their way
 /// out, their canonical encodings beside them: whoever sends the column
-/// on (the coordinator's cross-checks, a forwarding hop's report, a
+/// on (hop 0's window column, the coordinator's cross-checks, a
 /// dispute) writes those bytes instead of encoding every key again.  A
 /// column built in process from computed keys carries none, and nothing
 /// encodes it unless it goes on the wire.
@@ -498,8 +498,8 @@ impl PartialEq for DhColumn {
 
 /// One hop's §6.3 statement as it crosses the wire: the round, the
 /// prover's position, the DH-key columns it consumed and emitted, and
-/// the proof binding them.  A cross-server check, a forwarding hop's
-/// report and a dispute all carry exactly this.
+/// the proof binding them.  A cross-server check and a dispute both
+/// carry exactly this.
 #[derive(Clone, Debug, PartialEq)]
 pub struct HopAttestation {
     /// The round the hop ran in.

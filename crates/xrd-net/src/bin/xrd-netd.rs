@@ -39,21 +39,16 @@
 //!   entry, and with `--dir` (persistent shards) prints acks, fsyncs
 //!   and acks per fsync and fails if 1 000+ mailboxes paid a sync per
 //!   ack;
-//! * `launch --manifest FILE [--users N] [--rounds R] [--transport T]`
-//!   — spawn the deployment a manifest describes as real `xrd-netd`
-//!   child processes (key ceremony, config files, daemon-to-daemon
-//!   `--successor` wiring), drive a client-reactor swarm against it,
-//!   print per-round latency/throughput, and shut everything down over
-//!   the wire (see `docs/DEPLOYMENT.md`).  `--transport` says where a
-//!   hop sends its output: `streamed` (to the coordinator, which relays
-//!   it — the default, like every other entry point) or `forwarded` (to
-//!   its successor daemon); the mix pass is the same either way;
+//! * `launch --manifest FILE [--users N] [--rounds R]` — spawn the
+//!   deployment a manifest describes as real `xrd-netd` child
+//!   processes (key ceremony, config files), drive a client-reactor
+//!   swarm against it, print per-round latency/throughput, and shut
+//!   everything down over the wire (see `docs/DEPLOYMENT.md`);
 //! * `scale [--users N[,N...]] [--rounds R]` — the §8 scaling curve:
 //!   for each population size, launch a fresh multi-process deployment
-//!   and drive the emulated-user swarm through `R` rounds under the
-//!   forwarded transport and again under coordinator-relayed
-//!   streaming, emitting one JSON object per size (round latency,
-//!   msgs/s, per-phase span timings).  Multiple sizes re-invoke this
+//!   and drive the emulated-user swarm through `R` rounds, emitting one
+//!   JSON object per size (round latency, msgs/s, per-phase span
+//!   timings).  Multiple sizes re-invoke this
 //!   binary once per size so each measurement gets a clean process-
 //!   global metrics registry;
 //! * `stats ADDR` — scrape any running daemon's metrics over the wire
@@ -78,13 +73,13 @@ use xrd_net::codec::{decode_server_config, encode_server_config};
 use xrd_net::{
     launch_local, launch_local_faulty_with, launch_manifest, mailbox_storm, run_swarm,
     ConnTimeouts, FaultPlan, FaultProxy, MailboxDaemon, MailboxStormConfig, Manifest,
-    MixServerDaemon, RetryPolicy, SwarmConfig, Transport,
+    MixServerDaemon, RetryPolicy, SwarmConfig,
 };
 
 fn usage() -> ExitCode {
     eprintln!(
         "usage:\n  xrd-netd keygen --chain-len K [--epoch E] --out-dir DIR\n  \
-         xrd-netd mix --config FILE [--listen ADDR] [--successor ADDR] [--journal FILE]\n  \
+         xrd-netd mix --config FILE [--listen ADDR] [--journal FILE]\n  \
          xrd-netd byzantine --config FILE --lie LIE [--listen ADDR] (LIE: lie-verify, \
          equivocate-digest, corrupt-hop, ... — docs/FAULTS.md §2)\n  \
          xrd-netd proxy --upstream ADDR [--listen ADDR] [--plan FILE]\n  \
@@ -93,9 +88,7 @@ fn usage() -> ExitCode {
          [--dir DIR] [--seed X]\n  \
          xrd-netd demo [--servers N] [--chain-len K] [--shards S] [--users U] [--rounds R] \
          [--faults FILE]\n  \
-         xrd-netd launch --manifest FILE [--users N] [--rounds R] \
-         [--transport streamed|forwarded] (where a hop sends its output: the coordinator \
-         [default] or its successor)\n  \
+         xrd-netd launch --manifest FILE [--users N] [--rounds R]\n  \
          xrd-netd scale [--users N[,N...]] [--rounds R] [--servers S] [--chain-len K] \
          [--shards M] [--json FILE]\n  \
          xrd-netd stats ADDR"
@@ -201,16 +194,6 @@ fn mix(args: &[String]) -> ExitCode {
         return usage();
     };
     let listen = flag(args, "--listen").unwrap_or_else(|| "127.0.0.1:0".into());
-    let successor = match flag(args, "--successor") {
-        None => None,
-        Some(addr) => match addr.parse::<std::net::SocketAddr>() {
-            Ok(a) => Some(a),
-            Err(e) => {
-                xrd_obs::error!("mix: bad successor address {addr}: {e}");
-                return ExitCode::FAILURE;
-            }
-        },
-    };
     let Some((secrets, public)) = read_config("mix", &config_path) else {
         return ExitCode::FAILURE;
     };
@@ -220,15 +203,13 @@ fn mix(args: &[String]) -> ExitCode {
             secrets,
             public,
             rand::rngs::OsRng.next_u64(),
-            successor,
             journal,
         ),
-        None => MixServerDaemon::spawn_with_successor(
+        None => MixServerDaemon::spawn(
             listen.as_str(),
             secrets,
             public,
             rand::rngs::OsRng.next_u64(),
-            successor,
         ),
     };
     serve("mix", &listen, daemon)
@@ -589,14 +570,6 @@ fn launch(args: &[String]) -> ExitCode {
     let rounds = flag(args, "--rounds")
         .and_then(|v| v.parse().ok())
         .unwrap_or(2u64);
-    let transport = match flag(args, "--transport").as_deref() {
-        None | Some("streamed") => Transport::Streamed,
-        Some("forwarded") => Transport::Forwarded,
-        Some(other) => {
-            xrd_obs::error!("launch: unknown transport `{other}` (streamed|forwarded)");
-            return usage();
-        }
-    };
     let text = match std::fs::read_to_string(&path) {
         Ok(t) => t,
         Err(e) => {
@@ -641,7 +614,6 @@ fn launch(args: &[String]) -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    deployment.set_transport(transport);
     let report = match run_swarm(
         &mut rng,
         &mut deployment,
@@ -695,10 +667,10 @@ fn json_f64s(v: &[f64]) -> String {
     format!("[{}]", items.join(", "))
 }
 
-/// One transport pass's measurements as a JSON object.  `stats` is the
-/// snapshot to pull phase spans from (the final snapshot covers every
-/// pass; the per-report round numbers keep them separable).
-fn pass_json(report: &xrd_net::SwarmReport, stats: &xrd_obs::Snapshot) -> String {
+/// The swarm's measurements as JSON fields, phase spans pulled from
+/// its end-of-run snapshot.
+fn report_json(report: &xrd_net::SwarmReport) -> String {
+    let stats = &report.stats;
     let rounds: Vec<u64> = report.rounds.iter().map(|r| r.round).collect();
     let latency_ms: Vec<f64> = report
         .rounds
@@ -707,8 +679,8 @@ fn pass_json(report: &xrd_net::SwarmReport, stats: &xrd_obs::Snapshot) -> String
         .collect();
     let msgs: Vec<f64> = report.rounds.iter().map(|r| r.msgs_per_sec).collect();
     format!(
-        "{{\"round_ms\": {}, \"msgs_per_sec\": {}, \"submit_ms\": {}, \"mix_ms\": {}, \
-         \"deliver_ms\": {}, \"fetch_ms\": {}}}",
+        "\"round_ms\": {}, \"msgs_per_sec\": {}, \"submit_ms\": {}, \"mix_ms\": {}, \
+         \"deliver_ms\": {}, \"fetch_ms\": {}",
         json_f64s(&latency_ms),
         json_f64s(&msgs),
         json_f64s(&spans_ms(stats, "round.submit_window", &rounds)),
@@ -719,8 +691,7 @@ fn pass_json(report: &xrd_net::SwarmReport, stats: &xrd_obs::Snapshot) -> String
 }
 
 /// The §8 scaling curve: per population size, a fresh multi-process
-/// deployment, the swarm under forwarded then streamed transport, one
-/// JSON object on stdout.  Multiple sizes run as child invocations so
+/// deployment, the swarm's rounds, one JSON object on stdout.  Multiple sizes run as child invocations so
 /// every measurement gets its own process-global metrics registry.
 fn scale(args: &[String]) -> ExitCode {
     let users_arg = flag(args, "--users").unwrap_or_else(|| "1000,10000,50000".into());
@@ -858,33 +829,19 @@ fn scale(args: &[String]) -> ExitCode {
         rounds,
         conversing_fraction: 0.5,
     };
-    deployment.set_transport(Transport::Forwarded);
-    let forwarded = match run_swarm(&mut rng, &mut deployment, &config) {
+    let report = match run_swarm(&mut rng, &mut deployment, &config) {
         Ok(r) => r,
         Err(e) => {
-            xrd_obs::error!("scale: forwarded pass failed: {e}");
-            cluster.shutdown();
-            return ExitCode::FAILURE;
-        }
-    };
-    deployment.set_transport(Transport::Streamed);
-    let streamed = match run_swarm(&mut rng, &mut deployment, &config) {
-        Ok(r) => r,
-        Err(e) => {
-            xrd_obs::error!("scale: streamed pass failed: {e}");
+            xrd_obs::error!("scale: swarm failed: {e}");
             cluster.shutdown();
             return ExitCode::FAILURE;
         }
     };
     cluster.shutdown();
-    // The final snapshot has both passes' spans; report round numbers
-    // keep them separable.
     println!(
         "{{\"users\": {n_users}, \"rounds\": {rounds}, \"servers\": {servers}, \
-         \"chain_len\": {chain_len}, \"shards\": {shards}, \
-         \"forwarded\": {}, \"streamed\": {}}}",
-        pass_json(&forwarded, &streamed.stats),
-        pass_json(&streamed, &streamed.stats),
+         \"chain_len\": {chain_len}, \"shards\": {shards}, {}}}",
+        report_json(&report),
     );
     ExitCode::SUCCESS
 }

@@ -1001,26 +1001,10 @@ frames! {
         /// verifier does not hold.
         check: CrossCheck,
     },
-    /// Coordinator → every hop of a chain, before streaming the round's
-    /// batch to hop 0: run this round in *forwarded* mode.  A hop with
-    /// a configured successor streams its output straight to that
-    /// successor instead of replying with it, and reports only its
-    /// keys-only attestation ([`Frame::HopForwarded`]) on the
-    /// connection this frame arrived on; the last hop (no successor)
-    /// reports its full reply there instead.  Answered with
-    /// [`Frame::Ok`]; the reports follow unsolicited once the hop
-    /// completes.
-    0x2C MixForward {
-        /// Round number.
-        round: u64,
-    },
-    /// A forwarding hop's keys-only attestation for a round it ran in
-    /// forwarded mode (§6.3 binds only the DH-key columns), pushed to
-    /// the coordinator while the full entries travel daemon-to-daemon.
-    0x2D HopForwarded {
-        /// The reporting hop's statement.
-        attestation: HopAttestation,
-    },
+    // 0x2C and 0x2D carried daemon-to-daemon forwarding and are
+    // retired: the coordinator relays every hop's output.
+    0x2C reserved,
+    0x2D reserved,
     /// The opening frame of a hop's reply: its aggregate blinding
     /// attestation (§6.3 step 3), followed by the hop's output as a
     /// [`Frame::MixBatchStart`]/[`Frame::MixBatchChunk`]/[`Frame::MixBatchEnd`]

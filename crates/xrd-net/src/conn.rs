@@ -31,7 +31,7 @@ use std::time::Duration;
 
 use xrd_crypto::nizk::DleqProof;
 use xrd_mixnet::message::MixEntry;
-use xrd_mixnet::server::{DhColumn, HopAttestation};
+use xrd_mixnet::server::DhColumn;
 
 use crate::codec::{BatchAssembler, ChunkedBatch, CodecError, Frame, StreamError};
 use crate::framed::{Flush, Framed};
@@ -173,10 +173,6 @@ pub enum HopReply {
         /// Aggregate blinding attestation (§6.3 step 3).
         proof: DleqProof,
     },
-    /// The hop completed and pushed its outputs straight to its
-    /// successor ([`Frame::HopForwarded`]): only the statement comes
-    /// back — the DH-key columns it proved over, never the ciphertexts.
-    Attested(HopAttestation),
     /// The hop halted on authentication failures (blame follows).
     Failure {
         /// The halting server's position.
@@ -249,14 +245,6 @@ impl Conn {
     pub fn reconnect(&mut self) -> Result<(), NetError> {
         self.framed = Conn::connect_with(self.peer, self.timeouts)?.framed;
         Ok(())
-    }
-
-    /// Whether this connection, idle since its last exchange, can carry
-    /// the next one (the framed socket's check, its `peek` nonblocking).
-    pub(crate) fn is_at_rest(&self) -> bool {
-        let stream = self.framed.stream();
-        let rest = stream.set_nonblocking(true).is_ok() && self.framed.is_at_rest();
-        stream.set_nonblocking(false).is_ok() && rest
     }
 
     /// The daemon's address.
@@ -349,19 +337,18 @@ impl Conn {
     }
 
     /// The send half of a hop exchange: ship `entries` to the daemon as
-    /// a `chunk`-entry [`ChunkedBatch`] stream for `round`.  Returns the
-    /// encodings of the entries' DH keys as the stream carried them.
+    /// a `chunk`-entry [`ChunkedBatch`] stream for `round`.
     pub fn send_batch(
         &mut self,
         round: u64,
         entries: &[MixEntry],
         chunk: usize,
-    ) -> Result<Vec<[u8; 32]>, NetError> {
+    ) -> Result<(), NetError> {
         let stream = ChunkedBatch::build(round, entries, chunk);
-        for bytes in stream.frames() {
-            self.send_encoded(bytes)?;
-        }
-        Ok(stream.dh_encodings().to_vec())
+        stream
+            .frames()
+            .iter()
+            .try_for_each(|bytes| self.send_encoded(bytes))
     }
 
     /// One whole hop exchange: [`Conn::send_batch`], then collect the
@@ -379,9 +366,8 @@ impl Conn {
     /// The receive half of a hop exchange: a [`Frame::HopProof`] for
     /// `round`, then the hop's output as one `MixBatchStart/Chunk…/End`
     /// stream carrying exactly `total` entries, reassembled and checked
-    /// against its digest — or the [`Frame::HopForwarded`] (the hop
-    /// sent its output to its successor instead), [`Frame::HopFailure`]
-    /// or [`Frame::Error`] sent in its place.
+    /// against its digest — or the [`Frame::HopFailure`] or
+    /// [`Frame::Error`] sent in its place.
     ///
     /// With `next`, the stream is relayed to the chain's next hop as it
     /// arrives: each batch frame, once checked here, goes out **byte for
@@ -434,11 +420,8 @@ impl Conn {
                 position,
                 failed,
             } if r == round => return Ok((HopReply::Failure { position, failed }, Vec::new())),
-            Frame::HopForwarded { attestation } if attestation.round == round => {
-                return Ok((HopReply::Attested(attestation), Vec::new()))
-            }
             other => {
-                let expected = format!("HopProof/HopForwarded/HopFailure for round {round}");
+                let expected = format!("HopProof/HopFailure for round {round}");
                 return Err(unexpected(other, &expected));
             }
         };

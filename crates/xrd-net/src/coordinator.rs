@@ -28,17 +28,16 @@
 //! close), which is streamed it.
 //!
 //! Batches travel as *chunk streams* and the chain is a pipeline: hop
-//! `i + 1` is decrypting while hop `i` is still emitting, whoever carries
-//! the chunks between them, so the per-hop serial cost is the shuffle +
-//! proof, not the whole transfer.  (A batch of one chunk is the
-//! degenerate pipeline: nothing to overlap, nothing lost.)  The wave is
-//! written once, with the successor as its parameter, and what it keeps
-//! of a hop is what §6.3 proves: a statement over products of DH keys,
-//! never ciphertexts — so the audit, the cross-server checks
-//! ([`Frame::VerifyHopKeys`], one per verifier) and a dispute all read
-//! key columns.
-//! Whether the columns chain from hop to hop is the pass's to check;
-//! which transport a retried pass uses is the coordinator's.
+//! `i + 1` is decrypting while hop `i` is still emitting, so the per-hop
+//! serial cost is the shuffle + proof, not the whole transfer.  (A
+//! batch of one chunk is the degenerate pipeline: nothing to overlap,
+//! nothing lost.)  The coordinator carries the chunks: each hop answers
+//! it, and it relays the reply to the next hop byte for byte as it
+//! arrives.  What it keeps of a hop is what §6.3 proves: a statement
+//! over products of DH keys, never ciphertexts — so the audit, the
+//! cross-server checks ([`Frame::VerifyHopKeys`], one per verifier) and
+//! a dispute all read key columns, and whether they chain from hop to
+//! hop is the pass's to check.
 //!
 //! Every other exchange goes through one fan-out, `ask`, so a chain's
 //! daemons work side by side — the §6.4 blame trace too, one daemon per
@@ -147,26 +146,6 @@ pub(crate) fn ask<'w>(
         Some(reply)
     });
     replies.collect()
-}
-
-/// Where a hop sends its output: the one parameter of the mix pass.
-/// Either way the batch moves in [`STREAM_CHUNK`]-entry chunks and the
-/// chain is audited, blamed and retried alike — §6.3 proves a statement
-/// over DH-key columns, so who carried the ciphertexts is routing.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum Transport {
-    /// To the coordinator, which relays it to the next hop chunk by
-    /// chunk as it arrives (the default).
-    #[default]
-    Streamed,
-    /// To its successor daemon (configured at daemon spawn, typically
-    /// from the deployment manifest), as the paper's servers do: the
-    /// coordinator streams the batch to hop 0 only and receives one
-    /// keys-only [`Frame::HopForwarded`] per intermediate hop plus the
-    /// last hop's output — intermediate batches never cross its wire.
-    /// A pass that fails is retried as [`Transport::Streamed`] on fresh
-    /// connections.
-    Forwarded,
 }
 
 /// The DH keys of `entries`, in order — the only part of a batch §6.3
@@ -279,7 +258,6 @@ pub struct ChainClient {
     conns: Vec<Conn>,
     public: ChainPublicKeys,
     pending: Option<ChainPublicKeys>,
-    transport: Transport,
     retry: RetryPolicy,
     /// Positions whose input-agreement digest dissented from the
     /// majority since the last [`ChainClient::take_suspects`] —
@@ -319,7 +297,6 @@ impl ChainClient {
             conns,
             public,
             pending: None,
-            transport: Transport::default(),
             retry,
             suspected: Vec::new(),
             excluded: HashSet::new(),
@@ -344,12 +321,6 @@ impl ChainClient {
             conn.reconnect()?;
         }
         Ok(())
-    }
-
-    /// Select where this chain's hops send their output (default
-    /// [`Transport::Streamed`]: to the coordinator).
-    pub fn set_transport(&mut self, transport: Transport) {
-        self.transport = transport;
     }
 
     /// Chain length `k`.
@@ -438,13 +409,9 @@ impl ChainClient {
             // Tell the chain who dissented — suspicion, not conviction,
             // so the verdict is announced as not upheld.
             let claim = dispute_claim::EQUIVOCATION;
-            self.pass(round, self.transport, None).party.announce(
-                round,
-                pos,
-                claim,
-                false,
-                votes as u32,
-            );
+            self.pass(round, None)
+                .party
+                .announce(round, pos, claim, false, votes as u32);
         }
         let (digest, count) = majority;
         Ok(Agreement {
@@ -488,9 +455,7 @@ impl ChainClient {
     /// `agreement` is what input agreement fixed.
     ///
     /// A pass that fails for a transport reason is run again on fresh
-    /// connections, within the retry policy; a forwarded pass that fails
-    /// for any reason (a dead successor link, a column seam) is run again
-    /// relayed, where every hop answers the coordinator directly.
+    /// connections, within the retry policy.
     pub fn mix_round_deferred(
         &mut self,
         round: u64,
@@ -498,26 +463,20 @@ impl ChainClient {
     ) -> Result<MixPhase, NetError> {
         let mut input = Input::new(agreement);
         let mut attempt = 0;
-        let mut transport = self.transport;
         loop {
-            let forwarded = transport == Transport::Forwarded;
             let (column, active) = (agreement.digest.column, (0..agreement.count).collect());
-            match self
-                .pass(round, transport, Some(&mut input))
-                .mix(column, active)
-            {
-                Err(e) if (e.retryable() || forwarded) && attempt + 1 < self.retry.attempts => {
+            match self.pass(round, Some(&mut input)).mix(column, active) {
+                Err(e) if e.retryable() && attempt + 1 < self.retry.attempts => {
                     attempt += 1;
                     xrd_obs::counter!("chain.mix_retries").incr();
-                    transport = Transport::Streamed;
                     xrd_obs::info!(
-                        "round {round}: mix pass failed ({e}), reconnecting for relayed attempt {}",
+                        "round {round}: mix pass failed ({e}), reconnecting for attempt {}",
                         attempt + 1
                     );
                     self.retry.sleep(attempt);
                     // A fresh pass needs fresh connections: streamed
-                    // sessions, forwarded marks and in-flight responses
-                    // on the old ones die with them.  A refused re-dial
+                    // sessions and in-flight responses on the old ones
+                    // die with them.  A refused re-dial
                     // is a daemon mid-reincarnation under supervision —
                     // burn the remaining retry attempts waiting for it
                     // to come back instead of aborting the pass.
@@ -555,23 +514,19 @@ impl ChainClient {
         pending: PendingChainRound,
         audit_ok: bool,
     ) -> Result<ChainRoundOutcome, NetError> {
-        self.pass(round, self.transport, None)
-            .conclude(pending, audit_ok)
+        self.pass(round, None).conclude(pending, audit_ok)
     }
 
     /// The chain pass for `round` with this chain's daemons as its
-    /// party, hops sending their output per `transport`, mixing `input`
-    /// (`None`: a pass asked no mix wave).
+    /// party, mixing `input` (`None`: a pass asked no mix wave).
     fn pass<'s, 'b>(
         &'s mut self,
         round: u64,
-        transport: Transport,
         input: Option<&'s mut Input<'b>>,
     ) -> ChainPass<'s, Wire<'s, 'b>> {
         ChainPass {
             party: Wire {
                 conns: &mut self.conns,
-                transport,
                 retry: self.retry,
                 input,
             },
@@ -628,7 +583,6 @@ impl ChainClient {
 /// pass of the batch through the hops.
 struct Wire<'a, 'b> {
     conns: &'a mut [Conn],
-    transport: Transport,
     retry: RetryPolicy,
     /// The batch a mix wave mixes.
     input: Option<&'a mut Input<'b>>,
@@ -641,23 +595,12 @@ impl ChainParty for Wire<'_, '_> {
     /// names the column it consumed, `c_0` ([`Frame::MixWindow`]); to a
     /// hop 0 that holds no window for the round the coordinator streams
     /// the agreed batch instead.  It collects one reply per hop in chain
-    /// order.  The transport decides only where hop `pos` sent its
-    /// output: back here — and, relaying, on to hop `pos + 1` **byte for
-    /// byte** as it arrives (the reply's stream is the next hop's
-    /// request), so the next hop's crypto overlaps this hop's emission —
-    /// or straight to its successor, in which case only its
-    /// [`HopAttestation`] comes back.  A [`Frame::HopFailure`] ends the
-    /// wave, whichever hop sent it and whoever carried its batch.
+    /// order, each relayed on to hop `pos + 1` **byte for byte** as it
+    /// arrives (the reply's stream is the next hop's request), so the
+    /// next hop's crypto overlaps this hop's emission.  A
+    /// [`Frame::HopFailure`] ends the wave, whichever hop sent it.
     fn mix(&mut self, round: u64, active: &[usize]) -> Result<MixWave, NetError> {
         let k = self.conns.len();
-        let forwarded = self.transport == Transport::Forwarded;
-        if forwarded {
-            // Mark the round on every hop; each daemon records this very
-            // connection as the round's report channel.
-            let mark = Frame::MixForward { round }.encode();
-            let marks = ask(self.conns, repeat(Some(&mark[..])), NO_RETRY);
-            marks.into_iter().flatten().try_for_each(expect_ok)?;
-        }
         let input = self.input.as_deref_mut().expect("a mix wave has a batch");
         // Open the pipeline: hop 0 mixes its window, or is streamed the
         // batch if it holds none.
@@ -700,19 +643,16 @@ impl ChainParty for Wire<'_, '_> {
             // starts while `i` is still emitting.  Each span measures
             // receipt of that hop's full reply.
             let _span = xrd_obs::span_timer(format!("coord.hop{pos}"), round);
-            // The last hop always answers with its output; the others do
-            // when relaying, and it goes on to the next hop before this
-            // one has delivered a single chunk.
-            let attests = forwarded && pos + 1 < k;
+            // Each reply goes on to the next hop before this one has
+            // delivered a single chunk.
             let (upto, after) = self.conns.split_at_mut(pos + 1);
-            let next = if forwarded { None } else { after.first_mut() };
-            let (reply, encoded) = upto[pos].recv_hop_output(round, c0.len(), next)?;
+            let (reply, encoded) = upto[pos].recv_hop_output(round, c0.len(), after.first_mut())?;
             let hop = match reply {
                 HopReply::Output {
                     position,
                     outputs,
                     proof,
-                } if position as usize == pos && !attests => {
+                } if position as usize == pos => {
                     // What entered this hop: the column hop 0 named, or
                     // what the hop before it attested.
                     let entered = hops.last().map(|h| &h.output_dhs);
@@ -726,7 +666,6 @@ impl ChainParty for Wire<'_, '_> {
                         proof,
                     }
                 }
-                HopReply::Attested(hop) if hop.position == pos && attests => hop,
                 // A failure names the slots that failed.
                 HopReply::Failure { position, failed }
                     if position as usize == pos && !failed.is_empty() =>
@@ -736,13 +675,13 @@ impl ChainParty for Wire<'_, '_> {
                 }
                 _ => {
                     return Err(NetError::Protocol(format!(
-                        "hop {pos} replied as another position, in another mode or naming no slot"
+                        "hop {pos} replied as another position or naming no slot"
                     )))
                 }
             };
             hops.push(hop);
         }
-        let outputs = last.expect("the last hop answers with its output");
+        let outputs = last.expect("every hop answers with its output");
         Ok((hops, Ok(outputs)))
     }
 
@@ -923,7 +862,7 @@ mod tests {
         }
         let agreement = client.close_and_agree(round).expect("agreement");
         let mut input = Input::new(&agreement);
-        let mut pass = client.pass(round, Transport::Streamed, Some(&mut input));
+        let mut pass = client.pass(round, Some(&mut input));
         let (hops, end) = pass.party.mix(round, &[0, 1, 2, 3, 4]).expect("mixes");
         assert!(end.is_ok(), "a clean pass");
         let verdicts = pass.party.verify(round, &hops, &[true, false, true]);

@@ -38,12 +38,9 @@
 //! chunks are dispatched to the pool *as they arrive* — its compute
 //! overlaps the remainder of its own transfer.  The hop answers with a
 //! `HopProof` followed by its output in the batch format it was sent
-//! in, so the reply's stream is, byte for byte, the next hop's request;
-//! a hop forwarding to its successor sends that same stream there and
-//! reports to the coordinator instead — its attestation, or a
-//! `HopFailure` for the coordinator to blame, wherever in the chain the
-//! hop stands.  A [`DaemonHandle`] owns the reactor thread and shuts the
-//! daemon down when asked (or on drop).
+//! in, so the reply's stream is, byte for byte, the next hop's request,
+//! which the coordinator relays.  A [`DaemonHandle`] owns the reactor
+//! thread and shuts the daemon down when asked (or on drop).
 
 use std::collections::HashMap;
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
@@ -57,10 +54,9 @@ use xrd_core::mailbox::{
     shard_of, LogMailboxStore, LogStoreConfig, MailboxError, MailboxHub, MailboxStore,
 };
 use xrd_core::RecordLog;
-use xrd_crypto::nizk::DleqProof;
 use xrd_mixnet::chain_keys::{rotation_share, ChainPublicKeys, ServerSecrets};
 use xrd_mixnet::client::Submission;
-use xrd_mixnet::lie::{attestation, upheld, window_digest, window_submissions, Lie};
+use xrd_mixnet::lie::{upheld, window_digest, window_submissions, Lie};
 use xrd_mixnet::message::{outer_ct_len, MailboxMessage, MixEntry};
 use xrd_mixnet::server::{ChunkKernel, CrossCheck, DhColumn, HopAttestation, MixError, MixServer};
 
@@ -68,8 +64,7 @@ use crate::codec::{
     count_decoded, decode_server_config, encode_hop_output_stream, encode_server_config,
     error_code, ChunkedBatch, CodecError, Frame, StreamDigest, StreamError, STREAM_CHUNK,
 };
-use crate::conn::{Conn, NetError};
-use crate::reactor::{ConnId, Outcome, Reactor, ReactorHandle, Service, Settled, WorkerPool};
+use crate::reactor::{ConnId, Outcome, Reactor, Service, Settled, WorkerPool};
 
 // ---------------------------------------------------------------------
 // Generic daemon plumbing
@@ -213,12 +208,6 @@ struct MixState {
     policy: SubmissionPolicy,
     /// Submissions accepted per connection for the open window.
     submitted: HashMap<ConnId, u32>,
-    /// Rounds the coordinator marked for daemon-to-daemon forwarding
-    /// ([`Frame::MixForward`]), mapped to the *report* connection —
-    /// the coordinator's own connection, where this hop's
-    /// [`Frame::HopForwarded`] attestation (or, for the last hop, the
-    /// full output stream) is pushed.
-    forward_reports: HashMap<u64, ConnId>,
     /// Daemon-local randomness (shuffles, proofs).
     rng: StdRng,
     /// Durable control state (rotation epoch + shares, open window):
@@ -293,9 +282,6 @@ struct HopStreamSession {
     received: usize,
     /// Running digest over the chunk payloads, in arrival order.
     digest: StreamDigest,
-    /// The input keys' encodings as the chunks carried them (a
-    /// forwarded hop's attestation reports its input column in them).
-    input_dhs: Vec<[u8; 32]>,
     kernel: ChunkKernel,
     work: Arc<ChunkWork>,
     /// Chunk jobs dispatched so far (what the End job's latch waits
@@ -310,7 +296,6 @@ impl HopStreamSession {
             total,
             received: 0,
             digest: StreamDigest::new(),
-            input_dhs: Vec::new(),
             kernel,
             work: Arc::new(ChunkWork::default()),
             jobs: 0,
@@ -378,124 +363,6 @@ impl ChunkWork {
         }
         (inputs, slots)
     }
-}
-
-/// Everything a forwarded hop's End job needs to route its output
-/// onward and its report back.
-struct ForwardCtx {
-    /// Connection the batch arrived on — the coordinator for hop 0,
-    /// the predecessor daemon otherwise.  The job's reply goes here,
-    /// and the predecessor's own forward blocks on it, so acks (and
-    /// forwarding failures) cascade back up the chain.
-    inbound: ConnId,
-    /// The coordinator's connection (where [`Frame::MixForward`]
-    /// arrived); the hop's report — attestation, output or
-    /// [`Frame::HopFailure`] — is pushed onto it.
-    report: ConnId,
-    /// Next hop of the chain (`None` on the last hop).
-    successor: Option<SocketAddr>,
-    /// Cached blocking link to the successor.
-    link: Arc<Mutex<Option<Conn>>>,
-    /// Push handle onto this daemon's own reactor.
-    handle: Option<ReactorHandle>,
-}
-
-/// Stream `outputs` to the successor as a normal
-/// `MixBatchStart/Chunk/End` round and await its single ack frame;
-/// the keys' encodings the stream carried come back.  The
-/// cached link is checked *before* anything is sent: one the successor
-/// hung up (or wrote to unasked) while it idled between rounds is
-/// replaced by a fresh dial.  Once the batch has gone out it is never
-/// sent again — a successor that read it may be mixing it — so any
-/// failure after that goes upstream, and the coordinator's relayed
-/// retry heals the round.
-fn forward_batch(
-    link: &Mutex<Option<Conn>>,
-    successor: SocketAddr,
-    round: u64,
-    outputs: &[MixEntry],
-) -> Result<Vec<[u8; 32]>, NetError> {
-    let mut guard = link.lock().expect("forward link poisoned");
-    let mut conn = match guard.take() {
-        Some(conn) if conn.is_at_rest() => conn,
-        _ => Conn::connect(successor)?,
-    };
-    let encoded = conn.send_batch(round, outputs, STREAM_CHUNK)?;
-    match conn.recv()? {
-        Frame::Ok => {
-            *guard = Some(conn);
-            Ok(encoded)
-        }
-        Frame::Error { code, message } => Err(NetError::Remote { code, message }),
-        other => Err(NetError::Protocol(format!(
-            "expected Ok from next hop, got {other:?}"
-        ))),
-    }
-}
-
-impl ForwardCtx {
-    /// Hand the coordinator this hop's `report` and return the bytes to
-    /// answer on the inbound connection.  On hop 0 the coordinator is
-    /// awaiting this very reply, so the report *is* the reply (a
-    /// `HopForwarded` there doubles as the signal that the whole
-    /// downstream cascade acked).  Deeper, it is pushed onto the report
-    /// connection and the predecessor is answered `Ok`: the
-    /// predecessor's forward landed, whatever this hop made of it.
-    fn report(&self, report: Vec<u8>) -> Vec<u8> {
-        if self.report == self.inbound {
-            return report;
-        }
-        let Some(handle) = &self.handle else {
-            xrd_obs::counter!("forward.failures").incr();
-            return err(
-                error_code::BAD_STATE,
-                "no reactor handle for forwarded report",
-            )
-            .encode();
-        };
-        handle.push(self.report, report);
-        Frame::Ok.encode()
-    }
-}
-
-/// Route one forwarded hop's completed output.  Non-last hops stream
-/// it straight to the successor and report a keys-only
-/// [`Frame::HopForwarded`] attestation (the §6.3 statement involves
-/// only DH key columns, so the coordinator audits the chain without
-/// ever seeing the intermediate ciphertexts); the last hop reports its
-/// whole reply — [`Frame::HopProof`] and the output stream.  Returns
-/// the bytes to reply on the inbound connection.  The attestation is the
-/// server's ([`attestation`]), its `lie` and all; its columns go out as
-/// the bytes the input arrived as and the output was sent as.
-fn forward_hop_output(
-    fwd: &ForwardCtx,
-    round: u64,
-    position: usize,
-    lie: Option<Lie>,
-    input_dhs: DhColumn,
-    outputs: &[MixEntry],
-    proof: DleqProof,
-) -> Vec<u8> {
-    let Some(successor) = fwd.successor else {
-        xrd_obs::counter!("forward.batches").incr();
-        let reply = encode_hop_output_stream(round, position as u32, outputs, &proof, STREAM_CHUNK);
-        return fwd.report(reply);
-    };
-    let sent = match forward_batch(&fwd.link, successor, round, outputs) {
-        Ok(sent) => sent,
-        Err(e) => {
-            xrd_obs::counter!("forward.failures").incr();
-            return err(
-                error_code::BAD_STATE,
-                format!("forward to next hop {successor} failed: {e}"),
-            )
-            .encode();
-        }
-    };
-    xrd_obs::counter!("forward.batches").incr();
-    let output_dhs = DhColumn::with_encodings(outputs.iter().map(|e| e.dh).collect(), sent);
-    let attestation = attestation(lie, round, position, input_dhs, output_dhs, proof);
-    fwd.report(Frame::HopForwarded { attestation }.encode())
 }
 
 impl MixState {
@@ -806,30 +673,9 @@ impl MixState {
 /// serve submissions while a hop is in flight.
 struct MixService {
     state: Arc<Mutex<MixState>>,
-    /// Next hop of this daemon's chain, when deployed for
-    /// daemon-to-daemon forwarding (static per process — the manifest
-    /// places chains, so a hop's successor never changes while it
-    /// runs).  `None` on the last hop and in relay-only deployments.
-    successor: Option<SocketAddr>,
-    /// Cached client connection to the successor, used only from
-    /// worker jobs (never the reactor thread).  Reconnected on demand.
-    forward_link: Arc<Mutex<Option<Conn>>>,
-    /// Handle for pushing unsolicited frames (forwarded-mode
-    /// attestations) to the coordinator's connection; installed by the
-    /// reactor at bind time.
-    handle: Mutex<Option<ReactorHandle>>,
 }
 
 impl MixService {
-    fn new(state: Arc<Mutex<MixState>>, successor: Option<SocketAddr>) -> MixService {
-        MixService {
-            state,
-            successor,
-            forward_link: Arc::new(Mutex::new(None)),
-            handle: Mutex::new(None),
-        }
-    }
-
     fn lock(&self) -> std::sync::MutexGuard<'_, MixState> {
         self.state.lock().expect("mix state poisoned")
     }
@@ -860,9 +706,9 @@ impl MixService {
     /// `MixBatchChunk`: dispatch the chunk's decrypt-and-blind to the
     /// pool immediately — compute overlaps the rest of the transfer
     /// ([`HopStreamSession::dispatch`]).  The reactor thread does the
-    /// overrun bookkeeping and reads the chunk's `wire` bytes — the
-    /// digest absorbs its payload, the session keeps its keys'
-    /// encodings — so nothing here is encoded again.
+    /// overrun bookkeeping and absorbs the chunk's payload, as its
+    /// `wire` bytes carried it, into the stream digest — so nothing
+    /// here is encoded again.
     fn stream_chunk(
         &self,
         conn: ConnId,
@@ -884,8 +730,6 @@ impl MixService {
         }
         let payload = &wire[ChunkedBatch::CHUNK_PAYLOAD_OFFSET..];
         session.digest.absorb_chunk_payload(payload);
-        let input_dhs = ChunkedBatch::payload_dhs(&entries, payload);
-        session.input_dhs.extend(input_dhs);
         session.dispatch(entries, workers);
         Outcome::Reply(Vec::new())
     }
@@ -897,13 +741,7 @@ impl MixService {
     /// mixes ([`Frame::WindowColumn`]), written as the bytes the
     /// submissions came in.  A daemon that is not hop 0, or holds no
     /// window for the round, refuses.
-    fn mix_window(
-        &self,
-        conn: ConnId,
-        round: u64,
-        removed: Vec<u64>,
-        workers: &Arc<WorkerPool>,
-    ) -> Outcome {
+    fn mix_window(&self, round: u64, removed: Vec<u64>, workers: &Arc<WorkerPool>) -> Outcome {
         let state = self.lock();
         if state.secrets.position != 0 {
             return Outcome::reply(err(error_code::BAD_STATE, "only hop 0 mixes its window"));
@@ -928,57 +766,33 @@ impl MixService {
         for chunk in mixed.chunks(STREAM_CHUNK) {
             session.dispatch(chunk.iter().map(|s| s.to_entry()).collect(), workers);
         }
-        session.input_dhs = column.encodings().expect("carried").to_vec();
         drop(state);
         let head = Frame::WindowColumn { round, column }.encode();
-        self.finish(conn, session, true, head)
+        self.finish(session, true, head)
     }
 
     /// `MixBatchEnd`: defer the hop's assembly — the job waits for the
-    /// session's chunk jobs, checks the stream digest, shuffles,
-    /// proves, and either streams the output back to the sender or —
-    /// in forwarded mode — pushes it straight to the chain's next hop,
-    /// reporting only the keys-only attestation to the coordinator.
+    /// session's chunk jobs, checks the stream digest, shuffles, proves
+    /// and streams the output back to the sender.
     fn stream_end(&self, conn: ConnId, digest: [u8; 32]) -> Outcome {
         let Some(mut session) = self.lock().streams.remove(&conn) else {
             return Outcome::reply(err(error_code::BAD_STATE, "end without MixBatchStart"));
         };
         let computed = std::mem::take(&mut session.digest);
-        self.finish(conn, session, computed.finalize() == digest, Vec::new())
+        self.finish(session, computed.finalize() == digest, Vec::new())
     }
 
     /// The End job of a hop whose chunk jobs `session` dispatched: it
-    /// waits for them, shuffles, proves and answers — its reply opened
-    /// by `head` — or, forwarding, routes the output onward.
-    fn finish(
-        &self,
-        conn: ConnId,
-        session: HopStreamSession,
-        digest_ok: bool,
-        head: Vec<u8>,
-    ) -> Outcome {
+    /// waits for them, shuffles, proves and answers, its reply opened
+    /// by `head`.
+    fn finish(&self, session: HopStreamSession, digest_ok: bool, head: Vec<u8>) -> Outcome {
         let HopStreamSession {
             total,
-            input_dhs,
             kernel,
             work,
             jobs,
             ..
         } = session;
-        // Forwarded round?  Claim the report connection now (on the
-        // reactor thread, under the state lock) so a duplicate End
-        // cannot double-forward.
-        let forward = self
-            .lock()
-            .forward_reports
-            .remove(&kernel.round())
-            .map(|report| ForwardCtx {
-                inbound: conn,
-                report,
-                successor: self.successor,
-                link: Arc::clone(&self.forward_link),
-                handle: self.handle.lock().expect("handle poisoned").clone(),
-            });
         let state = Arc::clone(&self.state);
         let hop = move || {
             let _span = xrd_obs::span_timer("hop.stream", kernel.round());
@@ -997,32 +811,14 @@ impl MixService {
                 return err(error_code::BAD_STATE, format!("stream rejected: {e}")).encode();
             }
             let round = kernel.round();
-            // Forwarded mode attests over key columns only (§6.3 —
-            // the statement never involves ciphertexts), so the input
-            // DH column — keys and the bytes they came as — is the one
-            // thing to save before the batch moves into `finish_round`.
-            let input_dhs = forward.as_ref().map(|_| {
-                DhColumn::with_encodings(inputs.iter().map(|e| e.dh).collect(), input_dhs)
-            });
             let mut guard = state.lock().expect("mix state poisoned");
             let st = &mut *guard;
-            let (position, lie) = (st.secrets.position, st.server.lie());
+            let position = st.secrets.position;
             match st.server.finish_round(&mut st.rng, round, inputs, slots) {
                 Ok(result) => {
                     // The proof and shuffle are done; release the lock
                     // before the output encoding pass.
                     drop(guard);
-                    if let Some(fwd) = forward {
-                        return forward_hop_output(
-                            &fwd,
-                            round,
-                            position,
-                            lie,
-                            input_dhs.unwrap_or_default(),
-                            &result.outputs,
-                            result.proof,
-                        );
-                    }
                     let encoding = std::time::Instant::now();
                     let bytes = encode_hop_output_stream(
                         round,
@@ -1034,20 +830,12 @@ impl MixService {
                     xrd_obs::hist!("hop.encode_us").record_duration(encoding.elapsed());
                     bytes
                 }
-                Err(MixError::DecryptFailure(failed)) => {
-                    let failure = Frame::HopFailure {
-                        round,
-                        position: position as u32,
-                        failed: failed.into_iter().map(|i| i as u64).collect(),
-                    }
-                    .encode();
-                    // A forwarded hop's failure is the coordinator's to
-                    // blame, wherever the hop stands in the chain.
-                    match forward {
-                        Some(fwd) => fwd.report(failure),
-                        None => failure,
-                    }
+                Err(MixError::DecryptFailure(failed)) => Frame::HopFailure {
+                    round,
+                    position: position as u32,
+                    failed: failed.into_iter().map(|i| i as u64).collect(),
                 }
+                .encode(),
                 Err(MixError::Malformed) => err(error_code::BAD_STATE, "malformed batch").encode(),
             }
         };
@@ -1104,10 +892,6 @@ impl MixService {
 }
 
 impl Service for MixService {
-    fn attach(&self, handle: ReactorHandle) {
-        *self.handle.lock().expect("handle poisoned") = Some(handle);
-    }
-
     fn handle(
         &self,
         conn: ConnId,
@@ -1116,16 +900,6 @@ impl Service for MixService {
         workers: &Arc<WorkerPool>,
     ) -> Outcome {
         match frame {
-            Frame::MixForward { round } => {
-                // The coordinator marks the round as forwarded; this
-                // connection becomes the round's report channel for
-                // the hop's attestation (or, last hop, its output).
-                let mut state = self.lock();
-                state.forward_reports.insert(round, conn);
-                // Only the current and previous rounds are live.
-                state.forward_reports.retain(|&r, _| r + 1 >= round);
-                Outcome::reply(Frame::Ok)
-            }
             // The `Ok` waits for the tick's screening: every submission
             // gets its verdict before its acknowledgement.
             Frame::Submit { round, submission } => {
@@ -1135,7 +909,7 @@ impl Service for MixService {
             Frame::MixBatchStart { round, total } => self.stream_start(conn, round, total),
             Frame::MixBatchChunk { entries } => self.stream_chunk(conn, entries, wire, workers),
             Frame::MixBatchEnd { digest } => self.stream_end(conn, digest),
-            Frame::MixWindow { round, removed } => self.mix_window(conn, round, removed, workers),
+            Frame::MixWindow { round, removed } => self.mix_window(round, removed, workers),
             Frame::VerifyHopKeys { check } => self.defer_cross_check(check),
             Frame::DisputeOpen { attestation } => self.defer_dispute(attestation),
             // Window and key control: the reply waits for the commit
@@ -1156,10 +930,6 @@ impl Service for MixService {
         let mut state = self.lock();
         state.streams.remove(&conn);
         state.submitted.remove(&conn);
-        // A forwarded mark dies with its report connection: a pass the
-        // coordinator gave up on must not have a later relayed stream
-        // answered as forwarded.
-        state.forward_reports.retain(|_, report| *report != conn);
     }
 
     /// The tick's one commit point: one screening of every submission
@@ -1222,7 +992,6 @@ impl MixServerDaemon {
             streams: HashMap::new(),
             policy,
             submitted: HashMap::new(),
-            forward_reports: HashMap::new(),
             rng: StdRng::seed_from_u64(rng_seed),
             journal,
             unsynced: false,
@@ -1295,24 +1064,7 @@ impl MixServerDaemon {
         policy: SubmissionPolicy,
     ) -> std::io::Result<DaemonHandle> {
         let state = Self::state(secrets, public, rng_seed, policy, None, None);
-        spawn_daemon(addr, Arc::new(MixService::new(state, None)))
-    }
-
-    /// Spawn with a chain successor for daemon-to-daemon forwarding:
-    /// when the coordinator marks a round forwarded
-    /// ([`Frame::MixForward`]), this hop streams its output straight
-    /// to `successor` instead of back to the sender, reporting only
-    /// its keys-only attestation.  Pass `None` on the last hop.
-    pub fn spawn_with_successor<A: ToSocketAddrs>(
-        addr: A,
-        secrets: ServerSecrets,
-        public: ChainPublicKeys,
-        rng_seed: u64,
-        successor: Option<SocketAddr>,
-    ) -> std::io::Result<DaemonHandle> {
-        let policy = SubmissionPolicy::default();
-        let state = Self::state(secrets, public, rng_seed, policy, None, None);
-        spawn_daemon(addr, Arc::new(MixService::new(state, successor)))
+        spawn_daemon(addr, Arc::new(MixService { state }))
     }
 
     /// Spawn with a durable state journal at `journal` (created if
@@ -1325,7 +1077,6 @@ impl MixServerDaemon {
         secrets: ServerSecrets,
         public: ChainPublicKeys,
         rng_seed: u64,
-        successor: Option<SocketAddr>,
         journal: impl Into<std::path::PathBuf>,
     ) -> std::io::Result<DaemonHandle> {
         let (journal, records) = open_journal(journal)?;
@@ -1337,7 +1088,7 @@ impl MixServerDaemon {
             Some((journal, records)),
             None,
         );
-        spawn_daemon(addr, Arc::new(MixService::new(state, successor)))
+        spawn_daemon(addr, Arc::new(MixService { state }))
     }
 
     /// Spawn a *byzantine* daemon: the honest protocol with exactly
@@ -1352,7 +1103,7 @@ impl MixServerDaemon {
     ) -> std::io::Result<DaemonHandle> {
         let policy = SubmissionPolicy::default();
         let state = Self::state(secrets, public, rng_seed, policy, None, Some(lie));
-        spawn_daemon(addr, Arc::new(MixService::new(state, None)))
+        spawn_daemon(addr, Arc::new(MixService { state }))
     }
 }
 
@@ -1644,7 +1395,7 @@ mod tests {
             Some(journal),
             None,
         );
-        (secrets, public, MixService::new(state, None))
+        (secrets, public, MixService { state })
     }
 
     /// Handle `frame`, demanding the reply be held for the commit.
@@ -1780,7 +1531,7 @@ mod tests {
         std::fs::remove_dir(squatter(&path)).expect("unsquat");
         let policy = SubmissionPolicy::default();
         let state = MixServerDaemon::state(secrets, public, 7, policy, Some((log, records)), None);
-        let restarted = MixService::new(state, None);
+        let restarted = MixService { state };
         assert_eq!(held(&restarted, activate), Frame::Ok, "the retry is taken");
         assert_eq!(restarted.commit(), Ok(Vec::new()));
         assert_eq!(restarted.lock().public(), &keys);

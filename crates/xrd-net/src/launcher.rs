@@ -4,11 +4,9 @@
 //! multi-process deployment: it runs the §6.1 key ceremony in-process,
 //! writes each mix server's config (secrets + public bundle) to a
 //! private scratch directory, spawns one OS process per declared
-//! daemon, wires the daemon-to-daemon forwarding links (each hop's
-//! `--successor` flag, spawned in reverse hop order so every successor
-//! address is known before its predecessor starts), and collects the
-//! actual bound addresses from the daemons' `LISTENING <addr>` lines —
-//! so `port 0` manifests work on any machine.
+//! daemon, and collects the actual bound addresses from the daemons'
+//! `LISTENING <addr>` lines — so `port 0` manifests work on any
+//! machine.
 //!
 //! The result, a [`LaunchedCluster`], is the multi-process analogue of
 //! [`crate::remote::LocalCluster`]: connect a coordinator with
@@ -316,14 +314,10 @@ fn scrub_configs(dir: &Path) {
 /// keys are generated here and written, per server, to a scratch
 /// directory the cluster owns).
 ///
-/// Mix daemons are spawned chain by chain in **reverse hop order**:
-/// the last hop first (no successor), then each predecessor with
-/// `--successor` pointing at the *actual* bound address of the hop it
-/// feeds — unless the manifest pins one explicitly — so forwarding
-/// links survive `port 0` manifests.  Every spawn blocks until the
-/// daemon announces `LISTENING <addr>`; a child that exits without
-/// announcing aborts the launch (and tears down everything already
-/// spawned).
+/// Mix daemons are spawned chain by chain in hop order.  Every spawn
+/// blocks until the daemon announces `LISTENING <addr>`; a child that
+/// exits without announcing aborts the launch (and tears down
+/// everything already spawned).
 ///
 /// A manifest with `restart N` (N > 0) additionally provisions durable
 /// state (`--journal` per mix hop, `--dir` per mailbox shard) and
@@ -363,7 +357,7 @@ pub fn launch_manifest<R: RngCore + ?Sized>(
     let mut shard_specs: HashMap<usize, &ProcessSpec> = HashMap::new();
     for p in &manifest.processes {
         match p.role {
-            Role::Mix { chain, hop, .. } => {
+            Role::Mix { chain, hop } => {
                 mix_specs.insert((chain, hop), p);
             }
             Role::Mailbox { shard } => {
@@ -390,22 +384,12 @@ pub fn launch_manifest<R: RngCore + ?Sized>(
         let (mut secrets, mut public) = generate_chain_keys(rng, k, chain as u64);
         rotate_inner_keys(rng, &mut secrets, &mut public, 0);
 
-        let mut addrs: Vec<SocketAddr> = vec![SocketAddr::from(([0, 0, 0, 0], 0)); k];
-        for (hop, server_secrets) in secrets.into_iter().enumerate().rev() {
+        let mut addrs: Vec<SocketAddr> = Vec::with_capacity(k);
+        for (hop, server_secrets) in secrets.into_iter().enumerate() {
             let spec = mix_specs[&(chain, hop)];
             let listen = manifest.addr_of(spec).expect("validated");
             let config_path = config_dir.join(format!("chain-{chain}-hop-{hop}.cfg"));
             std::fs::write(&config_path, encode_server_config(&server_secrets, &public))?;
-
-            let pinned = match spec.role {
-                Role::Mix { successor, .. } => successor,
-                Role::Mailbox { .. } => unreachable!("mix index holds mix specs"),
-            };
-            let successor = if hop + 1 < k {
-                Some(pinned.unwrap_or(addrs[hop + 1]))
-            } else {
-                None
-            };
 
             let label = format!("mix chain={chain} hop={hop}");
             let mut args = vec![
@@ -415,10 +399,6 @@ pub fn launch_manifest<R: RngCore + ?Sized>(
                 "--listen".to_string(),
                 listen.to_string(),
             ];
-            if let Some(successor) = successor {
-                args.push("--successor".to_string());
-                args.push(successor.to_string());
-            }
             if supervised {
                 args.push("--journal".to_string());
                 args.push(
@@ -428,8 +408,7 @@ pub fn launch_manifest<R: RngCore + ?Sized>(
                         .to_string(),
                 );
             }
-            let addr = spawn_announced(&mut cluster, netd, args, &label)?;
-            addrs[hop] = addr;
+            addrs.push(spawn_announced(&mut cluster, netd, args, &label)?);
         }
         cluster.chain_addrs.push(addrs);
         cluster.chain_keys.push(public);

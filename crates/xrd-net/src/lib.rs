@@ -54,12 +54,10 @@
 //!   ([`swarm::reactor::fetch_sessions`], the one fetch walk — a
 //!   round's fetch phase runs it too);
 //! * [`manifest`] — parsed, validated deployment manifests: hosts,
-//!   per-process chain/hop/shard placement, ports, and the
-//!   daemon-to-daemon forwarding links, all checked against the
-//!   seed-derived topology;
+//!   per-process chain/hop/shard placement and ports, all checked
+//!   against the seed-derived topology;
 //! * [`launcher`] — spawn real `xrd-netd` processes from a manifest
-//!   (key ceremony, config files, `--successor` wiring, address
-//!   discovery) and connect a [`RemoteDeployment`] to them.  See
+//!   (key ceremony, config files, address discovery) and connect a [`RemoteDeployment`] to them.  See
 //!   `docs/DEPLOYMENT.md`;
 //! * [`faults`] — the adversarial deployment harness: a seeded,
 //!   frame-aware fault-injecting TCP proxy ([`FaultProxy`]) for chaos
@@ -87,9 +85,7 @@ pub mod swarm;
 
 pub use codec::{BatchAssembler, ChunkedBatch, CodecError, Frame, StreamDigest, StreamError};
 pub use conn::{Conn, ConnTimeouts, HopReply, NetError};
-pub use coordinator::{
-    Agreement, ChainClient, MixPhase, PendingChainRound, RetryPolicy, Transport,
-};
+pub use coordinator::{Agreement, ChainClient, MixPhase, PendingChainRound, RetryPolicy};
 pub use daemon::{DaemonHandle, MailboxDaemon, MixServerDaemon, SubmissionPolicy};
 pub use faults::{Direction, FaultKind, FaultPlan, FaultProxy, FaultRule};
 pub use launcher::{launch_manifest, LaunchedCluster};

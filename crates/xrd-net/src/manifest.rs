@@ -1,8 +1,7 @@
 //! Deployment manifests: a parsed, validated description of where
 //! every daemon of an XRD deployment runs — hosts, processes, chain
-//! and hop placement, mailbox shards, listen ports, and the
-//! daemon-to-daemon forwarding links — in a line-based text format an
-//! operator can write by hand and a launcher
+//! and hop placement, mailbox shards and listen ports — in a
+//! line-based text format an operator can write by hand and a launcher
 //! ([`crate::launcher::launch_manifest`]) can spawn real processes
 //! from.
 //!
@@ -25,7 +24,7 @@
 //!
 //! # processes — one daemon each
 //! process mix chain=0 hop=0 host=alpha port=7100
-//! process mix chain=0 hop=1 host=alpha port=7101 successor=127.0.0.1:7102
+//! process mix chain=0 hop=1 host=alpha port=7101
 //! process mix chain=0 hop=2 host=beta  port=7102
 //! process mailbox shard=0 host=alpha port=7200
 //! ```
@@ -37,16 +36,6 @@
 //! header implies.  `port 0` asks the launcher for an OS-assigned
 //! port (the daemon announces the real one); fixed ports are checked
 //! for duplicates per host address.
-//!
-//! `successor=HOST:PORT` pins the daemon-to-daemon forwarding link of
-//! a mix hop (where its output chunks go under
-//! [`crate::Transport::Forwarded`]).  It is derivable — hop `i`
-//! forwards to hop `i+1` of its chain — so an explicit value must
-//! agree with the declared address of that next hop, and a successor
-//! on a chain's last hop is rejected.  The redundancy is deliberate:
-//! a manifest that *says* where chunks flow can be audited by eye,
-//! and a typo becomes a parse-time error instead of a silently
-//! mis-wired mix chain.
 
 use std::collections::{HashMap, HashSet};
 use std::fmt;
@@ -72,10 +61,6 @@ pub enum Role {
         chain: usize,
         /// Hop position within the chain, `0..chain_len`.
         hop: usize,
-        /// Explicit forwarding link: where this hop streams its output
-        /// under [`crate::Transport::Forwarded`].  Must agree with the
-        /// declared address of hop `hop + 1`; `None` derives it.
-        successor: Option<SocketAddr>,
     },
     /// One mailbox shard.
     Mailbox {
@@ -257,11 +242,7 @@ impl Manifest {
         for chain in 0..topo.n_chains() {
             for hop in 0..chain_len {
                 processes.push(ProcessSpec {
-                    role: Role::Mix {
-                        chain,
-                        hop,
-                        successor: None,
-                    },
+                    role: Role::Mix { chain, hop },
                     host: name.to_string(),
                     port: port(),
                 });
@@ -321,7 +302,7 @@ impl Manifest {
         let topo = self.topology();
         let mut addrs = vec![vec![None; self.chain_len]; topo.n_chains()];
         for p in &self.processes {
-            if let Role::Mix { chain, hop, .. } = p.role {
+            if let Role::Mix { chain, hop } = p.role {
                 addrs[chain][hop] = self.addr_of(p);
             }
         }
@@ -343,34 +324,6 @@ impl Manifest {
         addrs.into_iter().map(|a| a.expect("validated")).collect()
     }
 
-    /// Where hop `hop` of `chain` forwards its output chunks under
-    /// [`crate::Transport::Forwarded`]: the explicit `successor=` pin
-    /// if one is declared, otherwise the declared address of hop
-    /// `hop + 1`; `None` on the last hop (its output goes to the
-    /// coordinator).
-    pub fn successor_of(&self, chain: usize, hop: usize) -> Option<SocketAddr> {
-        if hop + 1 >= self.chain_len {
-            return None;
-        }
-        let pinned = self.processes.iter().find_map(|p| match p.role {
-            Role::Mix {
-                chain: c,
-                hop: h,
-                successor,
-            } if c == chain && h == hop => successor,
-            _ => None,
-        });
-        if pinned.is_some() {
-            return pinned;
-        }
-        self.processes.iter().find_map(|p| match p.role {
-            Role::Mix {
-                chain: c, hop: h, ..
-            } if c == chain && h == hop + 1 => self.addr_of(p),
-            _ => None,
-        })
-    }
-
     /// Check every invariant the launcher (and the protocol) relies
     /// on; [`Manifest::parse`] calls this, so a parsed manifest is
     /// always valid.
@@ -383,10 +336,7 @@ impl Manifest {
     ///   OS-assigned and cannot collide);
     /// * placement: every chain of the seed-derived topology has
     ///   exactly one process per hop `0..chain_len`, every shard
-    ///   exactly one owner, and nothing outside those ranges;
-    /// * forwarding: a `successor=` pin only on a non-last hop, and it
-    ///   must equal the declared address of the next hop of the same
-    ///   chain.
+    ///   exactly one owner, and nothing outside those ranges.
     pub fn validate(&self) -> Result<(), ManifestError> {
         if self.n_servers == 0 {
             return Err(ManifestError::global("needs at least one server"));
@@ -446,7 +396,7 @@ impl Manifest {
         let mut shards: HashMap<usize, usize> = HashMap::new();
         for p in &self.processes {
             match p.role {
-                Role::Mix { chain, hop, .. } => *hops.entry((chain, hop)).or_default() += 1,
+                Role::Mix { chain, hop } => *hops.entry((chain, hop)).or_default() += 1,
                 Role::Mailbox { shard } => *shards.entry(shard).or_default() += 1,
             }
         }
@@ -495,41 +445,6 @@ impl Manifest {
             )));
         }
 
-        // Forwarding pins: only on non-last hops, and agreeing with
-        // the next hop's declared address.
-        for p in &self.processes {
-            let Role::Mix {
-                chain,
-                hop,
-                successor: Some(successor),
-            } = p.role
-            else {
-                continue;
-            };
-            if hop + 1 >= self.chain_len {
-                return Err(ManifestError::global(format!(
-                    "chain {chain} hop {hop} is the last hop; its successor \
-                     is the coordinator, not {successor}"
-                )));
-            }
-            let next = self
-                .processes
-                .iter()
-                .find_map(|q| match q.role {
-                    Role::Mix {
-                        chain: c, hop: h, ..
-                    } if c == chain && h == hop + 1 => self.addr_of(q),
-                    _ => None,
-                })
-                .expect("placement check guarantees the next hop exists");
-            if successor != next {
-                return Err(ManifestError::global(format!(
-                    "chain {chain} hop {hop} forwards to {successor}, but hop {} \
-                     is declared at {next} — dangling successor",
-                    hop + 1
-                )));
-            }
-        }
         Ok(())
     }
 }
@@ -537,7 +452,7 @@ impl Manifest {
 /// Short human label for a process, for error messages.
 fn describe(p: &ProcessSpec) -> String {
     match p.role {
-        Role::Mix { chain, hop, .. } => format!("mix chain={chain} hop={hop}"),
+        Role::Mix { chain, hop } => format!("mix chain={chain} hop={hop}"),
         Role::Mailbox { shard } => format!("mailbox shard={shard}"),
     }
 }
@@ -577,22 +492,10 @@ fn parse_process<'a>(
         .to_string();
     let port: u16 = parse_value(line, "port", take("port"))?;
     let role = match kind {
-        "mix" => {
-            let chain = parse_value(line, "chain", take("chain"))?;
-            let hop = parse_value(line, "hop", take("hop"))?;
-            let successor = match take("successor") {
-                None => None,
-                Some(v) => Some(
-                    v.parse()
-                        .map_err(|_| ManifestError::at(line, format!("bad successor `{v}`")))?,
-                ),
-            };
-            Role::Mix {
-                chain,
-                hop,
-                successor,
-            }
-        }
+        "mix" => Role::Mix {
+            chain: parse_value(line, "chain", take("chain"))?,
+            hop: parse_value(line, "hop", take("hop"))?,
+        },
         "mailbox" => Role::Mailbox {
             shard: parse_value(line, "shard", take("shard"))?,
         },
@@ -624,20 +527,12 @@ impl fmt::Display for Manifest {
         }
         for p in &self.processes {
             match &p.role {
-                Role::Mix {
-                    chain,
-                    hop,
-                    successor,
-                } => {
-                    write!(
+                Role::Mix { chain, hop } => {
+                    writeln!(
                         out,
                         "process mix chain={chain} hop={hop} host={} port={}",
                         p.host, p.port
                     )?;
-                    if let Some(successor) = successor {
-                        write!(out, " successor={successor}")?;
-                    }
-                    writeln!(out)?;
                 }
                 Role::Mailbox { shard } => {
                     writeln!(

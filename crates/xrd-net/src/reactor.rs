@@ -146,15 +146,6 @@ pub trait Service: Send + Sync + 'static {
         let _ = conn;
     }
 
-    /// Called once at bind time with a [`ReactorHandle`] the service
-    /// may keep to push unsolicited frames to live connections (e.g. a
-    /// forwarding mix hop reporting its attestation back to the
-    /// coordinator when the triggering request arrived on a *different*
-    /// connection).  Default: ignore it.
-    fn attach(&self, handle: ReactorHandle) {
-        let _ = handle;
-    }
-
     /// The service's once-per-tick point: settle whatever the handlers
     /// of this loop iteration left pending behind an
     /// [`Outcome::ReplyAfterCommit`] — sync what they wrote, screen what
@@ -192,38 +183,6 @@ pub enum Settled {
 /// once it drains (the stream may be desynchronized).
 fn bad_frame(e: &CodecError) -> Frame {
     crate::daemon::err(error_code::BAD_STATE, format!("bad frame: {e}"))
-}
-
-/// Pushes encoded frames to a reactor connection from any thread.
-///
-/// Bytes land in the connection's output buffer at the reactor's next
-/// loop iteration (a self-pipe wakeup makes that immediate) and are
-/// flushed under the usual backpressure rules.  A push to a connection
-/// that has since closed is silently discarded — the token is never
-/// reused, so it cannot reach a newer peer.  Unlike a deferred-job
-/// completion, a push does **not** re-open the connection's pending
-/// slot: it rides alongside whatever request/response exchange the
-/// connection is in.
-#[derive(Clone)]
-pub struct ReactorHandle {
-    completions: Arc<Completions>,
-    waker: Arc<Waker>,
-}
-
-impl ReactorHandle {
-    /// Queue `bytes` (one or more complete encoded frames) for `conn`.
-    pub fn push(&self, conn: ConnId, bytes: Vec<u8>) {
-        self.completions
-            .lock()
-            .expect("completions poisoned")
-            .push(Completion {
-                conn,
-                bytes,
-                reopens_slot: false,
-                closes: false,
-            });
-        self.waker.wake();
-    }
 }
 
 /// Wrap a plain request→response function as a [`Service`]: every
@@ -815,7 +774,6 @@ impl Connection {
                             held.push(Completion {
                                 conn: token,
                                 bytes: frames.iter().flat_map(Frame::encode).collect(),
-                                reopens_slot: true,
                                 closes: false,
                             });
                             return Action::Held;
@@ -901,19 +859,17 @@ impl Waker {
     }
 }
 
-/// Bytes awaiting delivery to a connection: a deferred job's response
-/// or a reply released by a commit (both re-open the pending slot), or
-/// a [`ReactorHandle`] push (which does not).
+/// Bytes awaiting delivery to a connection, re-opening its pending
+/// slot: a deferred job's response or a reply released by a commit.
 struct Completion {
     conn: ConnId,
     bytes: Vec<u8>,
-    reopens_slot: bool,
     /// The connection closes once these bytes drain (a commit found
     /// its request malformed).
     closes: bool,
 }
 
-/// Completed deferred jobs and handle pushes awaiting delivery.
+/// Completed deferred jobs awaiting delivery.
 type Completions = Mutex<Vec<Completion>>;
 
 /// The event loop serving every connection of one daemon from a single
@@ -974,10 +930,6 @@ impl Reactor {
         tx.set_nonblocking(true)?;
         let waker = Arc::new(Waker { tx: Mutex::new(tx) });
         let completions: Arc<Completions> = Arc::new(Mutex::new(Vec::new()));
-        service.attach(ReactorHandle {
-            completions: Arc::clone(&completions),
-            waker: Arc::clone(&waker),
-        });
         Ok(Reactor {
             poller,
             listener,
@@ -1058,10 +1010,9 @@ impl Reactor {
             }
             xrd_obs::counter!("reactor.wakes").incr();
             xrd_obs::counter!("reactor.ready_events").add(events.len() as u64);
-            // Deliver completed deferred responses and committed replies
-            // (re-opening each connection's pending slot) and handle
-            // pushes (which ride alongside): queue the bytes and drive
-            // the connection this iteration.
+            // Deliver completed deferred responses and committed replies,
+            // re-opening each connection's pending slot: queue the bytes
+            // and drive the connection this iteration.
             let mut done: Vec<Completion> =
                 std::mem::take(&mut *self.completions.lock().expect("completions poisoned"));
             done.append(&mut released);
@@ -1069,9 +1020,7 @@ impl Reactor {
                 let Some(conn) = self.conns.get_mut(&completion.conn) else {
                     continue; // connection died while its job ran
                 };
-                if completion.reopens_slot {
-                    conn.pending = false;
-                }
+                conn.pending = false;
                 conn.closing |= completion.closes;
                 conn.framed.queue_encoded(completion.bytes);
                 events.push((completion.conn, 0));
@@ -1182,7 +1131,6 @@ impl Reactor {
                             .push(Completion {
                                 conn: token,
                                 bytes,
-                                reopens_slot: true,
                                 closes: false,
                             });
                         waker.wake();

@@ -190,14 +190,6 @@ impl RemoteDeployment {
         chain_bytes + mailbox_bytes
     }
 
-    /// Select where every chain's hops send their output (default
-    /// [`crate::Transport::Streamed`]: to the coordinator).
-    pub fn set_transport(&mut self, transport: crate::Transport) {
-        for chain in &mut self.cluster.chains {
-            chain.set_transport(transport);
-        }
-    }
-
     /// Queue a raw submission for the next round (simulating a user
     /// that does not follow the protocol).  Fault-injection hook for
     /// tests, mirroring `Deployment::inject_submission`.
@@ -757,26 +749,10 @@ fn spawn_cluster<R: RngCore + ?Sized>(
         // deployment.
         let (mut secrets, mut public) = generate_chain_keys(rng, k, c as u64);
         rotate_inner_keys(rng, &mut secrets, &mut public, 0);
-        // Spawn in reverse hop order so each daemon knows its
-        // successor's bound address; the links sit unused until a
-        // round runs under [`crate::Transport::Forwarded`].
-        let mut daemons = Vec::with_capacity(k);
-        let mut addrs = Vec::with_capacity(k);
-        let mut successor: Option<SocketAddr> = None;
-        for server_secrets in secrets.into_iter().rev() {
-            let daemon = MixServerDaemon::spawn_with_successor(
-                "127.0.0.1:0",
-                server_secrets,
-                public.clone(),
-                rng.next_u64(),
-                successor,
-            )?;
-            successor = Some(daemon.addr());
-            addrs.push(daemon.addr());
-            daemons.push(daemon);
-        }
-        daemons.reverse();
-        addrs.reverse();
+        let daemons = (secrets.into_iter())
+            .map(|s| MixServerDaemon::spawn("127.0.0.1:0", s, public.clone(), rng.next_u64()))
+            .collect::<std::io::Result<Vec<_>>>()?;
+        let addrs = daemons.iter().map(DaemonHandle::addr).collect();
         mix.push(daemons);
         chain_addrs.push(addrs);
         chain_keys.push(public);

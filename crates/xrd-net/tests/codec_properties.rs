@@ -448,9 +448,8 @@ impl PerItem<'_> {
                     _ => Err(CodecError::BadLength),
                 })?;
             }
-            // HopForwarded, DisputeOpen: round, position, two key
-            // columns, the proof.
-            0x2D | 0x44 => {
+            // DisputeOpen: round, position, two key columns, the proof.
+            0x44 => {
                 self.take(12)?;
                 self.seq(Self::point)?;
                 self.seq(Self::point)?;
@@ -490,7 +489,7 @@ fn point_rows_frame(rng: &mut StdRng, which: usize) -> Frame {
         output_dhs: column(rng, n_out).into(),
         proof: dleq(rng),
     };
-    match which % 6 {
+    match which % 5 {
         0 => Frame::SubmissionBatch {
             round,
             submissions: (0..n).map(|_| submission(rng)).collect(),
@@ -507,10 +506,7 @@ fn point_rows_frame(rng: &mut StdRng, which: usize) -> Frame {
                     .collect(),
             },
         },
-        3 => Frame::HopForwarded {
-            attestation: attestation(rng, n, n / 2),
-        },
-        4 => Frame::WindowColumn {
+        3 => Frame::WindowColumn {
             round,
             column: column(rng, n).into(),
         },

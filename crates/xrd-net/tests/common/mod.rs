@@ -249,12 +249,6 @@ pub fn arb_frame(rng: &mut StdRng, tag: u8) -> Option<Frame> {
                     .collect(),
             },
         },
-        0x2C => Frame::MixForward {
-            round: rng.next_u64(),
-        },
-        0x2D => Frame::HopForwarded {
-            attestation: attestation(rng),
-        },
         0x2E => Frame::HopProof {
             round: rng.next_u64(),
             position: rng.gen_range(0..64u32),

@@ -1,20 +1,13 @@
-//! What the coordinator checks about a mix pass, under both transports.
-//!
-//! **The shared audit.**  All `n_chains × k` hop proofs of a round fold
+//! The shared audit: all `n_chains × k` hop proofs of a round fold
 //! into ONE batched multiscalar mul (`verify_hops_batched_multi`), which
 //! must be equivalent to auditing each chain separately — accepting
 //! exactly when every per-chain audit accepts, rejecting when any
 //! chain's proof is bad, and (via `conclude_audited`'s per-hop re-check)
 //! convicting the offender through the dispute path without punishing
-//! an honest chain for another chain's offense.  A forwarded chain joins
-//! that audit exactly as a relayed one does.
+//! an honest chain for another chain's offense.
 //!
-//! **The seam.**  When daemons hand batches to each other the
-//! coordinator sees only key columns, and checks each attested input
-//! column against the column the hop before it emitted.
-//!
-//! Neither check fires in an honest deployment, so the offenders here
-//! are *scripted hops*: a peer that stands in for one mix daemon in the
+//! A bad proof never reaches the audit in an honest deployment, so the
+//! offenders here are *scripted hops*: a peer that stands in for one mix daemon in the
 //! coordinator's address list, passes every frame to the real daemon
 //! behind it, and rewrites chosen answers on their way back.
 
@@ -26,23 +19,19 @@ use std::sync::Arc;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use xrd_crypto::ristretto::GroupElement;
 use xrd_crypto::Scalar;
 use xrd_mixnet::chain_keys::{generate_chain_keys, rotate_inner_keys, ChainPublicKeys};
 use xrd_mixnet::{verify_hops_batched, verify_hops_batched_multi, ChainAudit, HopRecord};
 use xrd_net::codec::{Frame, FrameDecoder};
 use xrd_net::swarm::sealed_submissions;
-use xrd_net::{
-    Agreement, ChainClient, Conn, ConnTimeouts, DaemonHandle, MixPhase, MixServerDaemon, NetError,
-    RetryPolicy, Transport,
-};
+use xrd_net::{Agreement, ChainClient, Conn, DaemonHandle, MixPhase, MixServerDaemon};
 
 const USERS: usize = 6;
 const ROUND: u64 = 0;
 
 /// A scripted hop: listens where the coordinator dials, bridges each
 /// connection to the real daemon at `upstream`, and applies `script` to
-/// every frame the daemon sends back (solicited or pushed).
+/// every frame the daemon sends back.
 struct ScriptedHop {
     addr: SocketAddr,
     stop: Arc<AtomicBool>,
@@ -110,36 +99,15 @@ impl Drop for ScriptedHop {
     }
 }
 
-/// One loopback chain: daemons (each knowing its successor, so either
-/// transport runs), a connected client, and its bundle.
+/// One loopback chain: daemons, a connected client, and its bundle.
 struct TestChain {
     // Held for their Drop (daemon and scripted-hop shutdown).
     _daemons: Vec<DaemonHandle>,
     _scripted: Vec<ScriptedHop>,
     /// Where users submit: the daemons themselves.
     daemon_addrs: Vec<SocketAddr>,
-    /// Where the coordinator dials: a scripted hop where one stands in.
-    addrs: Vec<SocketAddr>,
     client: ChainClient,
     public: ChainPublicKeys,
-}
-
-/// A coordinator for the chain at `addrs` with `attempts` mix attempts.
-fn coordinator(
-    addrs: &[SocketAddr],
-    public: &ChainPublicKeys,
-    transport: Transport,
-    attempts: u32,
-) -> ChainClient {
-    let retry = RetryPolicy {
-        attempts,
-        ..RetryPolicy::default()
-    };
-    let mut client =
-        ChainClient::connect_with(addrs, public.clone(), ConnTimeouts::default(), retry)
-            .expect("client connects");
-    client.set_transport(transport);
-    client
 }
 
 type Script = Box<dyn Fn(Frame) -> Frame + Send + Sync>;
@@ -149,28 +117,16 @@ fn launch_chain(
     rng: &mut StdRng,
     epoch: u64,
     k: usize,
-    transport: Transport,
     scripts: Vec<(usize, Script)>,
 ) -> TestChain {
     let (mut secrets, mut public) = generate_chain_keys(rng, k, epoch);
     rotate_inner_keys(rng, &mut secrets, &mut public, ROUND);
-    // Reverse hop order: each daemon is told its successor's address.
-    let mut daemons = Vec::with_capacity(k);
-    let mut successor = None;
-    for server_secrets in secrets.into_iter().rev() {
-        let daemon = MixServerDaemon::spawn_with_successor(
-            "127.0.0.1:0",
-            server_secrets,
-            public.clone(),
-            epoch,
-            successor,
-        )
-        .expect("daemon spawns");
-        successor = Some(daemon.addr());
-        daemons.push(daemon);
-    }
-    daemons.reverse();
+    let daemons: Vec<DaemonHandle> = (secrets.into_iter())
+        .map(|s| MixServerDaemon::spawn("127.0.0.1:0", s, public.clone(), epoch))
+        .collect::<Result<_, _>>()
+        .expect("daemons spawn");
     let daemon_addrs: Vec<SocketAddr> = daemons.iter().map(|d| d.addr()).collect();
+    // Where the coordinator dials: a scripted hop where one stands in.
     let mut addrs = daemon_addrs.clone();
     let mut scripted = Vec::new();
     for (pos, script) in scripts {
@@ -178,12 +134,11 @@ fn launch_chain(
         addrs[pos] = hop.addr;
         scripted.push(hop);
     }
-    let client = coordinator(&addrs, &public, transport, RetryPolicy::default().attempts);
+    let client = ChainClient::connect(&addrs, public.clone()).expect("client connects");
     TestChain {
         _daemons: daemons,
         _scripted: scripted,
         daemon_addrs,
-        addrs,
         client,
         public,
     }
@@ -232,16 +187,17 @@ fn audits<'a>(
         .collect()
 }
 
-/// Two clean chains under `transport`: returns each chain's
-/// `(proofs_generated, proofs_verified)` for the round.
-fn clean_chains_share_one_audit(transport: Transport) -> Vec<(usize, usize)> {
+/// Two clean chains share one audit, and a failed combined verdict
+/// still clears them.
+#[test]
+fn multi_chain_audit_equivalent_to_per_chain() {
     const K: usize = 2;
     let mut rng = StdRng::seed_from_u64(4096);
 
     // Two independent chains, each mixed through the wire with the
     // coordinator audit deferred.
     let mut chains: Vec<TestChain> = (0..2)
-        .map(|c| launch_chain(&mut rng, c as u64, K, transport, Vec::new()))
+        .map(|c| launch_chain(&mut rng, c as u64, K, Vec::new()))
         .collect();
     let mut pendings = Vec::new();
     for chain in chains.iter_mut() {
@@ -292,7 +248,6 @@ fn clean_chains_share_one_audit(transport: Transport) -> Vec<(usize, usize)> {
     // must still deliver every message.
     drop(record_sets);
     drop(tampered_sets);
-    let mut stats = Vec::new();
     for (chain, pending) in chains.iter_mut().zip(pendings) {
         let outcome = chain
             .client
@@ -307,22 +262,7 @@ fn clean_chains_share_one_audit(transport: Transport) -> Vec<(usize, usize)> {
             USERS,
             "cleared chain still delivers"
         );
-        stats.push((
-            outcome.stats.proofs_generated,
-            outcome.stats.proofs_verified,
-        ));
     }
-    stats
-}
-
-#[test]
-fn multi_chain_audit_equivalent_to_per_chain() {
-    let streamed = clean_chains_share_one_audit(Transport::Streamed);
-    let forwarded = clean_chains_share_one_audit(Transport::Forwarded);
-    assert_eq!(
-        streamed, forwarded,
-        "a clean round proves and verifies the same under both transports"
-    );
 }
 
 /// A prover with a bad proof and a verifier that covers for it get past
@@ -331,18 +271,15 @@ fn multi_chain_audit_equivalent_to_per_chain() {
 /// columns, puts the refuted hop through the dispute protocol and
 /// convicts it with nothing revealed — while the honest chain that
 /// shared the audit still reveals.
-fn shared_audit_convicts_a_bad_proof(transport: Transport) {
+#[test]
+fn shared_audit_convicts_a_bad_proof() {
     const K: usize = 2;
     let mut rng = StdRng::seed_from_u64(8192);
-    let honest = launch_chain(&mut rng, 0, K, transport, Vec::new());
-    // Hop 0's proof is bent on its way to the coordinator (it rides a
-    // `HopForwarded` or the reply's `HopProof`, by transport) and hop 1
-    // vouches for whatever it is asked about.
+    let honest = launch_chain(&mut rng, 0, K, Vec::new());
+    // Hop 0's proof is bent on its way to the coordinator (it rides the
+    // reply's `HopProof`) and hop 1 vouches for whatever it is asked
+    // about.
     let bad_proof: Script = Box::new(|frame| match frame {
-        Frame::HopForwarded { mut attestation } => {
-            attestation.proof.response = attestation.proof.response.add(&Scalar::ONE);
-            Frame::HopForwarded { attestation }
-        }
         Frame::HopProof {
             round,
             position,
@@ -369,7 +306,7 @@ fn shared_audit_convicts_a_bad_proof(transport: Transport) {
         }
         other => other,
     });
-    let crooked = launch_chain(&mut rng, 1, K, transport, vec![(0, bad_proof), (1, covers)]);
+    let crooked = launch_chain(&mut rng, 1, K, vec![(0, bad_proof), (1, covers)]);
     let mut chains = vec![honest, crooked];
 
     let mut pendings = Vec::new();
@@ -409,75 +346,4 @@ fn shared_audit_convicts_a_bad_proof(transport: Transport) {
         evidence_seen.load(Ordering::SeqCst) >= 1,
         "the conviction went through the dispute protocol"
     );
-}
-
-#[test]
-fn shared_audit_convicts_a_bad_proof_under_both_transports() {
-    shared_audit_convicts_a_bad_proof(Transport::Streamed);
-    shared_audit_convicts_a_bad_proof(Transport::Forwarded);
-}
-
-/// Rewrite the `HopForwarded` passing through a scripted hop.
-fn rewrite_attestation(
-    rewrite: impl Fn(&mut Vec<GroupElement>, &mut Vec<GroupElement>) + Send + Sync + 'static,
-) -> Script {
-    Box::new(move |frame| match frame {
-        Frame::HopForwarded { mut attestation } => {
-            rewrite(&mut attestation.input_dhs, &mut attestation.output_dhs);
-            Frame::HopForwarded { attestation }
-        }
-        other => other,
-    })
-}
-
-/// A forwarded pass whose attested columns do not line up fails with a
-/// typed error naming the seam — it never reaches the audit — and the
-/// relayed retry, where the coordinator carries every batch itself,
-/// delivers the round.
-#[test]
-fn column_seam_mismatch_fails_the_forwarded_pass_and_the_relayed_retry_delivers() {
-    const K: usize = 3;
-    let swap_inputs = || rewrite_attestation(|inputs, _| inputs.swap(0, 1));
-    let cases: Vec<(usize, Script, &str)> = vec![
-        // Hop 1 claims to have consumed something other than what hop 0
-        // said it emitted.
-        (1, swap_inputs(), "column seam mismatch entering hop 1"),
-        // Hop 0 attests a batch other than the one the chain agreed on.
-        (0, swap_inputs(), "column seam mismatch entering hop 0"),
-        // Hop 0's columns are not the same length.
-        (
-            0,
-            rewrite_attestation(|_, outputs| {
-                outputs.pop();
-            }),
-            "hop 0 attested mismatched column lengths",
-        ),
-    ];
-    for (seed, (pos, script, expected)) in cases.into_iter().enumerate() {
-        let mut rng = StdRng::seed_from_u64(500 + seed as u64);
-        let mut chain = launch_chain(
-            &mut rng,
-            seed as u64,
-            K,
-            Transport::Forwarded,
-            vec![(pos, script)],
-        );
-        let agreement = agree(&mut rng, &mut chain);
-
-        // With a single attempt the failure is the caller's to see.
-        let mut once = coordinator(&chain.addrs, &chain.public, Transport::Forwarded, 1);
-        match once.mix_round_deferred(ROUND, &agreement) {
-            Err(NetError::Protocol(msg)) => assert_eq!(msg, expected),
-            Err(other) => panic!("expected `{expected}`, got {other}"),
-            Ok(_) => panic!("expected `{expected}`, but the pass went through"),
-        }
-        // With a retry to spend, the forwarded attempt fails the same
-        // way and the relayed one delivers.
-        let mut twice = coordinator(&chain.addrs, &chain.public, Transport::Forwarded, 2);
-        let outcome = twice
-            .mix_round(ROUND, &agreement)
-            .expect("the relayed retry runs");
-        assert!(outcome.misbehaving_servers.is_empty(), "{expected}");
-        assert_eq!(outcome.delivered.len(), USERS, "{expected}");
-    }
 }

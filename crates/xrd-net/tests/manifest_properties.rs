@@ -1,13 +1,12 @@
 //! Deployment-manifest property tests: the text format round-trips
 //! exactly, and validation rejects the misconfigurations that would
 //! otherwise surface as a mis-wired cluster at launch time —
-//! duplicate bindings, dangling forwarding links, placement holes.
+//! duplicate bindings, placement holes, unknown fields.
 
 use proptest::prelude::*;
 
-use std::net::{IpAddr, SocketAddr};
+use std::net::IpAddr;
 
-use xrd_net::manifest::Role;
 use xrd_net::Manifest;
 
 /// A generated single-host manifest, every knob derived from one
@@ -50,42 +49,34 @@ fn arb(x: u64) -> Manifest {
     m
 }
 
-/// Indices of the manifest's mix processes, in declaration order.
-fn mix_indices(m: &Manifest) -> Vec<usize> {
-    m.processes
-        .iter()
-        .enumerate()
-        .filter(|(_, p)| matches!(p.role, Role::Mix { .. }))
-        .map(|(i, _)| i)
-        .collect()
+/// `m`'s text with `successor=ADDR` appended to one mix line — a last
+/// hop's or another's, as `last_hop` says, `pick` choosing which — and
+/// that line's number.
+fn with_successor(m: &Manifest, last_hop: bool, pick: u64, addr: &str) -> (String, usize) {
+    let mut lines: Vec<String> = m.to_string().lines().map(str::to_string).collect();
+    let hop_of = |line: &str| -> Option<usize> {
+        let fields = line.strip_prefix("process mix ")?;
+        fields
+            .split(' ')
+            .find_map(|w| w.strip_prefix("hop="))?
+            .parse()
+            .ok()
+    };
+    let candidates: Vec<usize> = (0..lines.len())
+        .filter(|&i| hop_of(&lines[i]).is_some_and(|hop| (hop + 1 == m.chain_len) == last_hop))
+        .collect();
+    let at = candidates[pick as usize % candidates.len()];
+    lines[at].push_str(&format!(" successor={addr}"));
+    (lines.join("\n"), at + 1)
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
-    /// `Display` then `parse` reproduces the manifest exactly —
-    /// including an explicit `successor=` pin on every non-last hop.
+    /// `Display` then `parse` reproduces the manifest exactly.
     #[test]
     fn display_parse_roundtrips(gen in any::<u64>()) {
-        let mut m = arb(gen);
-        prop_assert!(m.validate().is_ok());
-
-        // Pin every derivable forwarding link explicitly: the pinned
-        // form must stay valid and still round-trip.
-        let pins: Vec<(usize, Option<SocketAddr>)> = m
-            .processes
-            .iter()
-            .enumerate()
-            .filter_map(|(i, p)| match p.role {
-                Role::Mix { chain, hop, .. } => Some((i, m.successor_of(chain, hop))),
-                Role::Mailbox { .. } => None,
-            })
-            .collect();
-        for (i, pin) in pins {
-            if let Role::Mix { ref mut successor, .. } = m.processes[i].role {
-                *successor = pin;
-            }
-        }
+        let m = arb(gen);
         prop_assert!(m.validate().is_ok());
 
         let text = m.to_string();
@@ -125,63 +116,32 @@ proptest! {
         };
         m.processes[a].port = 7777;
         m.processes[b].port = 7777;
-        // A pinned successor could now disagree too; drop any pins so
-        // the duplicate binding is the only defect.
-        for p in &mut m.processes {
-            if let Role::Mix { ref mut successor, .. } = p.role {
-                *successor = None;
-            }
-        }
         let err = m.validate().expect_err("duplicate binding must fail");
         prop_assert!(err.message.contains("both bind"), "got: {}", err.message);
     }
 
-    /// A `successor=` pin that does not match the next hop's declared
-    /// address is a dangling forwarding link and is rejected — both by
-    /// `validate` on the struct and by `parse` on the text form.
+    /// A `successor=` naming an address nothing declares is refused at
+    /// its line — as every `successor=` is: hops do not send batches to
+    /// each other, so the key is unknown.
     #[test]
     fn dangling_successor_rejected(gen in any::<u64>(), pick in any::<u64>()) {
-        let mut m = arb(gen);
+        let m = arb(gen);
         prop_assume!(m.chain_len >= 2);
-        let mixes = mix_indices(&m);
-        // Pick a non-last hop and point it somewhere nothing listens.
-        let candidates: Vec<usize> = mixes
-            .iter()
-            .copied()
-            .filter(|&i| match m.processes[i].role {
-                Role::Mix { hop, .. } => hop + 1 < m.chain_len,
-                _ => false,
-            })
-            .collect();
-        let i = candidates[pick as usize % candidates.len()];
-        let bogus: SocketAddr = "203.0.113.9:19".parse().unwrap();
-        if let Role::Mix { ref mut successor, .. } = m.processes[i].role {
-            *successor = Some(bogus);
-        }
-        let err = m.validate().expect_err("dangling successor must fail");
-        prop_assert!(err.message.contains("dangling successor"), "got: {}", err.message);
-        let err = Manifest::parse(&m.to_string()).expect_err("text form must fail too");
-        prop_assert!(err.message.contains("dangling successor"), "got: {}", err.message);
+        let (text, line) = with_successor(&m, false, pick, "203.0.113.9:19");
+        let err = Manifest::parse(&text).expect_err("a successor= line must fail");
+        prop_assert_eq!(err.line, Some(line));
+        prop_assert_eq!(err.message, "unknown field `successor=`");
     }
 
-    /// A `successor=` pin on a chain's last hop is rejected: its output
-    /// goes to the coordinator, never to another daemon.
+    /// A `successor=` on a chain's last hop is refused at its line the
+    /// same way.
     #[test]
     fn successor_on_last_hop_rejected(gen in any::<u64>(), pick in any::<u64>()) {
-        let mut m = arb(gen);
-        let lasts: Vec<usize> = mix_indices(&m)
-            .into_iter()
-            .filter(|&i| match m.processes[i].role {
-                Role::Mix { hop, .. } => hop + 1 == m.chain_len,
-                _ => false,
-            })
-            .collect();
-        let i = lasts[pick as usize % lasts.len()];
-        if let Role::Mix { ref mut successor, .. } = m.processes[i].role {
-            *successor = Some("127.0.0.1:7100".parse().unwrap());
-        }
-        let err = m.validate().expect_err("last-hop successor must fail");
-        prop_assert!(err.message.contains("last hop"), "got: {}", err.message);
+        let m = arb(gen);
+        let (text, line) = with_successor(&m, true, pick, "127.0.0.1:7100");
+        let err = Manifest::parse(&text).expect_err("a successor= line must fail");
+        prop_assert_eq!(err.line, Some(line));
+        prop_assert_eq!(err.message, "unknown field `successor=`");
     }
 
     /// Placement is exact: removing any process leaves a hole
@@ -211,22 +171,6 @@ proptest! {
         let err = doubled.validate().expect_err("double declaration must fail");
         prop_assert!(err.message.contains("declared 2 times"), "got: {}", err.message);
     }
-
-    /// The derived forwarding links agree with the declared chain
-    /// layout: hop `i` forwards to hop `i + 1`'s declared address and
-    /// the last hop to nobody.
-    #[test]
-    fn successor_derivation_matches_chain_layout(gen in any::<u64>()) {
-        let m = arb(gen);
-        prop_assume!(m.processes.iter().all(|p| p.port != 0));
-        let chains = m.chain_addrs();
-        for (chain, addrs) in chains.iter().enumerate() {
-            for hop in 0..m.chain_len {
-                let expect = addrs.get(hop + 1).copied();
-                prop_assert_eq!(m.successor_of(chain, hop), expect);
-            }
-        }
-    }
 }
 
 #[test]
@@ -254,4 +198,18 @@ fn trailing_words_and_unknown_directives_rejected() {
     assert!(Manifest::parse("seed 1 extra\n").is_err());
     assert!(Manifest::parse("warp-drive on\n").is_err());
     assert!(Manifest::parse("process mix chain=0 hop=0 host=a port=1 warp=9\n").is_err());
+
+    // A mix process naming its successor — a manifest written when hops
+    // could forward to each other — is refused at its line, not read
+    // as something else.
+    let m = Manifest::single_host("alpha", IpAddr::from([127, 0, 0, 1]), 1, 3, 0.2, 3, 1, 7100);
+    let next_hop = m.chain_addrs()[0][1];
+    let mut lines: Vec<String> = m.to_string().lines().map(str::to_string).collect();
+    let at = (lines.iter())
+        .position(|l| l.starts_with("process mix chain=0 hop=0 "))
+        .expect("hop 0 of chain 0 is declared");
+    lines[at].push_str(&format!(" successor={next_hop}"));
+    let err = Manifest::parse(&lines.join("\n")).expect_err("successor= is no field");
+    assert_eq!(err.line, Some(at + 1));
+    assert_eq!(err.message, "unknown field `successor=`");
 }

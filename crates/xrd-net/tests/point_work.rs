@@ -26,7 +26,7 @@ use xrd_mixnet::message::{MailboxMessage, MixEntry, MAILBOX_MSG_LEN};
 use xrd_mixnet::server::{CrossCheck, DhColumn};
 use xrd_net::codec::{ChunkedBatch, Frame};
 use xrd_net::swarm::sealed_submissions;
-use xrd_net::{ChainClient, Conn, Transport};
+use xrd_net::{ChainClient, Conn};
 
 /// Held by every test of this binary: the counters are the process's.
 static COUNTERS: Mutex<()> = Mutex::new(());
@@ -40,7 +40,7 @@ fn counters() -> std::sync::MutexGuard<'static, ()> {
 const K: usize = 3;
 const N: u64 = 24;
 
-/// A mix daemon as a child process, wired to `successor`.
+/// A mix daemon as a child process.
 struct ChildDaemon {
     child: Child,
     addr: std::net::SocketAddr,
@@ -51,7 +51,6 @@ impl ChildDaemon {
         dir: &std::path::Path,
         secrets: &ServerSecrets,
         public: &ChainPublicKeys,
-        successor: Option<std::net::SocketAddr>,
     ) -> ChildDaemon {
         use std::io::BufRead;
         let config = dir.join(format!("hop-{}.cfg", secrets.position));
@@ -63,9 +62,6 @@ impl ChildDaemon {
         let mut command = Command::new(env!("CARGO_BIN_EXE_xrd-netd"));
         command.args(["mix", "--listen", "127.0.0.1:0", "--config"]);
         command.arg(&config);
-        if let Some(successor) = successor {
-            command.args(["--successor", &successor.to_string()]);
-        }
         let mut child = command
             .stdout(Stdio::piped())
             .spawn()
@@ -139,7 +135,7 @@ fn waves() -> u64 {
     xrd_obs::counter("net.coordinator.waves").get()
 }
 
-/// One clean round for `transport`: per daemon and for the coordinator,
+/// One clean round: per daemon and for the coordinator,
 /// how many points it decoded and encoded; and how many waves the
 /// coordinator asked.
 fn round_work(
@@ -147,13 +143,11 @@ fn round_work(
     daemons: &[ChildDaemon],
     client: &mut ChainClient,
     round: u64,
-    transport: Transport,
 ) -> (Vec<(u64, u64)>, (u64, u64), u64) {
     let daemons_before: Vec<_> = daemons.iter().map(|d| daemon_work(d.addr)).collect();
     let coordinator_before = point_work(&xrd_obs::global().snapshot());
     let waves_before = waves();
 
-    client.set_transport(transport);
     client.open_round(round).expect("window opens");
     let submissions = sealed_submissions(rng, client.public(), round, N as usize);
     submit_all(daemons, round, &submissions);
@@ -162,11 +156,11 @@ fn round_work(
     let outcome = client
         .mix_round(round, &agreement)
         .expect("the round mixes");
-    assert_eq!(outcome.delivered.len() as u64, N, "{transport:?}");
+    assert_eq!(outcome.delivered.len() as u64, N);
     assert!(outcome.misbehaving_servers.is_empty());
     for daemon in daemons {
         let fetches = scrape(daemon.addr).counter("frames.in.GetBatch");
-        assert_eq!(fetches, 0, "{transport:?}: a clean round fetches no batch");
+        assert_eq!(fetches, 0, "a clean round fetches no batch");
     }
 
     let waves = waves() - waves_before;
@@ -185,15 +179,13 @@ fn round_work(
 /// it is hop 0, which mixes its screened window, and the chain's k + 1
 /// key columns but the two its own hop consumed and emitted, which it
 /// checks the other hops against; it encodes exactly its hop's N
-/// computed outputs — never a window entry or a hop input again, and a
-/// forwarding hop's report reuses the bytes it streamed.  The
+/// computed outputs — never a window entry or a hop input again.  The
 /// coordinator decodes the column hop 0 names and what each hop sends
 /// back, and encodes nothing: every attestation column goes out as the
 /// bytes it came in.
 ///
 /// It asks its daemons in four waves — open, close, the one
-/// verification wave, reveal — and a fifth to mark a forwarded round;
-/// the batch is never fetched.
+/// verification wave, reveal; the batch is never fetched.
 #[test]
 fn a_round_decodes_each_wire_point_once_and_encodes_only_computed_ones() {
     let _counters = counters();
@@ -202,37 +194,21 @@ fn a_round_decodes_each_wire_point_once_and_encodes_only_computed_ones() {
     rotate_inner_keys(&mut rng, &mut secrets, &mut public, 0);
     let dir = std::env::temp_dir().join(format!("xrd-point-work-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("config dir");
-    // Last hop first, so each daemon is spawned knowing its successor.
-    let mut daemons: Vec<ChildDaemon> = Vec::new();
-    for hop in secrets.iter().rev() {
-        let successor = daemons.last().map(|d: &ChildDaemon| d.addr);
-        daemons.push(ChildDaemon::spawn(&dir, hop, &public, successor));
-    }
-    daemons.reverse();
+    let daemons: Vec<ChildDaemon> = (secrets.iter())
+        .map(|hop| ChildDaemon::spawn(&dir, hop, &public))
+        .collect();
     let addrs: Vec<_> = daemons.iter().map(|d| d.addr).collect();
     let mut client = ChainClient::connect(&addrs, public.clone()).expect("coordinator connects");
 
     let cross_checks = N * (K as u64 - 1);
     // Hop 0 decodes no hop input: its window was decoded at screening.
     let decoded = |pos: usize| N + if pos == 0 { 0 } else { N } + cross_checks;
-    let (daemon_work, coordinator, waves) =
-        round_work(&mut rng, &daemons, &mut client, 0, Transport::Streamed);
-    assert_eq!(waves, 4, "streamed: waves");
+    let (daemon_work, coordinator, waves) = round_work(&mut rng, &daemons, &mut client, 0);
+    assert_eq!(waves, 4, "waves");
     for (pos, work) in daemon_work.into_iter().enumerate() {
-        assert_eq!(work, (decoded(pos), N), "streamed: daemon {pos}");
+        assert_eq!(work, (decoded(pos), N), "daemon {pos}");
     }
-    assert_eq!(coordinator, (N + K as u64 * N, 0), "streamed: coordinator");
-
-    let (daemon_work, coordinator, waves) =
-        round_work(&mut rng, &daemons, &mut client, 1, Transport::Forwarded);
-    assert_eq!(waves, 5, "forwarded: waves");
-    for (pos, work) in daemon_work.into_iter().enumerate() {
-        assert_eq!(work, (decoded(pos), N), "forwarded: daemon {pos}");
-    }
-    // The column hop 0 names, each forwarding hop's two columns, the
-    // last hop's output.
-    let attested = 2 * N * (K as u64 - 1);
-    assert_eq!(coordinator, (N + attested + N, 0), "forwarded: coordinator");
+    assert_eq!(coordinator, (N + K as u64 * N, 0), "coordinator");
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -340,7 +316,7 @@ proptest! {
     fn a_decoded_frame_reencodes_to_its_bytes_without_encoding_a_point(seed in any::<u64>()) {
         let _counters = counters();
         let mut rng = StdRng::seed_from_u64(seed);
-        for tag in [0x11, 0x15, 0x2B, 0x2D, 0x44] {
+        for tag in [0x11, 0x15, 0x2B, 0x44] {
             let frame = common::arb_frame(&mut rng, tag).expect("a generator arm");
             let (_, encodes) = reencoded(&frame);
             prop_assert_eq!(encodes, 0, "tag {:#04x}", tag);

@@ -1,10 +1,9 @@
 //! End-to-end tests for the hop pipeline: chunking-invariance against
 //! the in-process reference, full chain rounds over multi-chunk batches
-//! under both transports (including blame), the daemon's handling of
-//! malformed streams, and a forwarding hop's link to its successor.
+//! (including blame), and the daemon's handling of malformed streams.
 
-use std::io::{Read, Write};
-use std::net::{Shutdown, SocketAddr, TcpListener};
+use std::io::Write;
+use std::net::TcpListener;
 use std::sync::mpsc;
 use std::time::Duration;
 
@@ -16,12 +15,10 @@ use xrd_crypto::nizk::DleqProof;
 use xrd_mixnet::chain_keys::{generate_chain_keys, rotate_inner_keys};
 use xrd_mixnet::message::MixEntry;
 use xrd_mixnet::server::{verify_hop, MixServer};
-use xrd_net::codec::{
-    encode_hop_output_stream, error_code, ChunkedBatch, Frame, FrameDecoder, STREAM_CHUNK,
-};
+use xrd_net::codec::{encode_hop_output_stream, error_code, ChunkedBatch, Frame, STREAM_CHUNK};
 use xrd_net::{
-    launch_local, launch_local_faulty_with, run_swarm, Conn, ConnTimeouts, DaemonHandle, FaultPlan,
-    HopReply, MixServerDaemon, NetError, RetryPolicy, SwarmConfig, Transport,
+    launch_local, launch_local_faulty_with, run_swarm, Conn, ConnTimeouts, FaultPlan, HopReply,
+    MixServerDaemon, NetError, RetryPolicy, SwarmConfig,
 };
 use xrd_topology::ChainId;
 
@@ -159,16 +156,18 @@ fn inner_key_is_revealed_for_the_last_opened_round_only() {
     }
 }
 
-/// Rounds of `n_users` swarm users over a 4-chain, 3-hop loopback
-/// deployment under `transport`: every round (mix, cross-verify, audit,
-/// reveal, delivery, rotation) completes and every chat lands.  The
-/// population is sized so that some chain's batch spans several chunks.
-fn swarm_rounds_deliver(seed: u64, transport: Transport) {
+/// The relayed pass over multi-chunk batches: hop `i + 1` receives hop
+/// `i`'s chunks from the coordinator as they are emitted.  Rounds of 96
+/// swarm users over a 4-chain, 3-hop loopback deployment: every round
+/// (mix, cross-verify, audit, reveal, delivery, rotation) completes and
+/// every chat lands.  The population is sized so that some chain's
+/// batch spans several chunks.
+#[test]
+fn streamed_chain_rounds_deliver() {
     const N_USERS: usize = 96;
-    let mut rng = StdRng::seed_from_u64(seed);
+    let mut rng = StdRng::seed_from_u64(23);
     let config = DeploymentConfig::small(4, 3);
     let (mut cluster, mut deployment) = launch_local(&mut rng, &config).expect("cluster launches");
-    deployment.set_transport(transport);
     let n_chains = deployment.topology().n_chains();
 
     let report = run_swarm(
@@ -197,33 +196,13 @@ fn swarm_rounds_deliver(seed: u64, transport: Transport) {
     cluster.shutdown();
 }
 
-/// The relayed pass over multi-chunk batches: hop `i + 1` receives hop
-/// `i`'s chunks from the coordinator as they are emitted.
+/// One bad *user* onion never costs a chain its round, whichever layer
+/// it breaks at.  The failing hop answers the coordinator's relay with
+/// its `HopFailure`, so the §6.4 trace convicts the injected submission
+/// in place and the pass repeats without it: with a single attempt the
+/// round still delivers and `chain.mix_retries` does not move.
 #[test]
-fn streamed_chain_rounds_deliver() {
-    swarm_rounds_deliver(23, Transport::Streamed);
-}
-
-/// Daemon-to-daemon forwarding is the same pass with another successor:
-/// the coordinator streams the batch to hop 0 once, hops forward output
-/// chunks directly to their successors, and only keys-only attestations
-/// plus the last hop's stream come back — yet every round completes and
-/// every chat lands, across rotations.
-#[test]
-fn forwarded_chain_rounds_deliver() {
-    swarm_rounds_deliver(29, Transport::Forwarded);
-}
-
-/// One bad *user* onion never costs a forwarded chain its round,
-/// whichever layer it breaks at.  The failing hop reports its
-/// `HopFailure` to the coordinator — hop 0 as its reply, a deeper hop
-/// on its report connection, acking its predecessor `Ok` — so the §6.4
-/// trace convicts the injected submission in place and the pass repeats
-/// forwarded without it.  No relayed retry is needed: with a single
-/// attempt the round still delivers and `chain.mix_retries` does not
-/// move.
-#[test]
-fn forwarded_chain_survives_a_bad_onion_at_any_layer() {
+fn a_chain_survives_a_bad_onion_at_any_layer() {
     let config = DeploymentConfig::small(4, 3);
     for (attempts, layer) in [(2, 0), (2, 1), (2, 2), (1, 0), (1, 1), (1, 2)] {
         let retry = RetryPolicy {
@@ -241,7 +220,6 @@ fn forwarded_chain_survives_a_bad_onion_at_any_layer() {
             retry,
         )
         .expect("cluster launches");
-        deployment.set_transport(Transport::Forwarded);
         let ell = deployment.topology().ell();
         assert_eq!(deployment.topology().chain_len(), 3);
 
@@ -279,7 +257,7 @@ fn forwarded_chain_survives_a_bad_onion_at_any_layer() {
             assert_eq!(
                 mix_retries.get(),
                 retries_before,
-                "layer {layer}: the failure is blamed in place, not retried relayed"
+                "layer {layer}: the failure is blamed in place, not retried"
             );
         }
         cluster.shutdown();
@@ -533,139 +511,4 @@ fn a_relayed_reply_reaches_the_next_hop_byte_for_byte() {
             proof: reference.proof,
         }
     );
-}
-
-/// What a [`fake_successor`] does once a whole stream has arrived.
-#[derive(Clone, Copy)]
-enum Then {
-    Ack,
-    AckAndHangUp,
-    HangUp,
-}
-
-/// A scripted successor for a forwarding hop: it serves one connection
-/// at a time, reads `MixBatchStart…End` streams off it, and after each
-/// does `script(round)`.  It reports every stream it read
-/// (`Some(round)`, before acting on it) and every connection it closed
-/// (`None`), in order.  Its thread ends with the process; a panic in it
-/// drops the sender, which the test's reads of the events show.
-fn fake_successor(script: fn(u64) -> Then) -> (SocketAddr, mpsc::Receiver<Option<u64>>) {
-    let listener = TcpListener::bind("127.0.0.1:0").expect("binds");
-    let addr = listener.local_addr().expect("bound");
-    let (events, rx) = mpsc::channel();
-    std::thread::spawn(move || {
-        for stream in listener.incoming() {
-            let Ok(mut stream) = stream else { return };
-            let (mut decoder, mut buf) = (FrameDecoder::new(), [0u8; 8192]);
-            let mut round = None;
-            loop {
-                let frame = match decoder.try_frame() {
-                    Some(Ok(frame)) => frame,
-                    Some(Err(_)) => break,
-                    None => match stream.read(&mut buf) {
-                        Ok(0) | Err(_) => break,
-                        Ok(n) => {
-                            decoder.feed(&buf[..n]);
-                            continue;
-                        }
-                    },
-                };
-                match frame {
-                    Frame::MixBatchStart { round: r, .. } => round = Some(r),
-                    Frame::MixBatchEnd { .. } => {
-                        let r = round.take().expect("Start before End");
-                        if events.send(Some(r)).is_err() {
-                            return;
-                        }
-                        let then = script(r);
-                        if matches!(then, Then::Ack | Then::AckAndHangUp) {
-                            stream.write_all(&Frame::Ok.encode()).expect("acks");
-                        }
-                        if !matches!(then, Then::Ack) {
-                            break;
-                        }
-                    }
-                    _ => {}
-                }
-            }
-            let _ = stream.shutdown(Shutdown::Both);
-            if events.send(None).is_err() {
-                return;
-            }
-        }
-    });
-    (addr, rx)
-}
-
-/// Hop 0 of a two-hop chain forwarding to `successor`, the
-/// coordinator's connection to it, and a batch for each of rounds 0
-/// and 1.
-fn forwarding_hop(successor: SocketAddr) -> (DaemonHandle, Conn, [Vec<MixEntry>; 2]) {
-    let mut rng = StdRng::seed_from_u64(61);
-    let (mut secrets, mut public) = generate_chain_keys(&mut rng, 2, 0);
-    rotate_inner_keys(&mut rng, &mut secrets, &mut public, 0);
-    let batches = [0, 1].map(|round| {
-        let subs = xrd_net::swarm::sealed_submissions(&mut rng, &public, round, 4);
-        subs.iter().map(|s| s.to_entry()).collect()
-    });
-    let daemon = MixServerDaemon::spawn_with_successor(
-        "127.0.0.1:0",
-        secrets.remove(0),
-        public,
-        7,
-        Some(successor),
-    )
-    .expect("daemon spawns");
-    let conn = Conn::connect(daemon.addr()).expect("connects");
-    (daemon, conn, batches)
-}
-
-/// One forwarded hop of `round`, driven as the coordinator drives it.
-fn forward(conn: &mut Conn, round: u64, batch: &[MixEntry]) -> Result<HopReply, NetError> {
-    conn.request_ok(&Frame::MixForward { round })?;
-    conn.stream_hop(round, batch, STREAM_CHUNK)
-}
-
-/// A batch that has gone out to the successor is never sent again.
-/// The successor acks round 0 on the cached link, then reads round 1's
-/// whole stream and hangs up without a word — a successor that crashed
-/// mid-hop, or whose ack was lost.  It may already be mixing the batch,
-/// so the hop must not stream it again on a fresh dial: it answers the
-/// coordinator an error (the relayed retry heals the round there), and
-/// the successor has seen round 1 once.
-#[test]
-fn a_forwarded_batch_is_sent_once() {
-    let (successor, events) = fake_successor(|round| match round {
-        0 => Then::Ack,
-        _ => Then::HangUp,
-    });
-    let (_daemon, mut conn, batches) = forwarding_hop(successor);
-    let first = forward(&mut conn, 0, &batches[0]);
-    assert!(matches!(first, Ok(HopReply::Attested(_))), "{first:?}");
-    match forward(&mut conn, 1, &batches[1]) {
-        Err(NetError::Remote { code, .. }) => assert_eq!(code, error_code::BAD_STATE),
-        other => panic!("expected the forward's failure, got {other:?}"),
-    }
-    let streams: Vec<u64> = events.try_iter().flatten().collect();
-    assert_eq!(streams, [0, 1], "a batch reached the successor twice");
-}
-
-/// The other half of the rule: a cached link the successor closed while
-/// it idled between rounds is found dead *before* the send and replaced
-/// by a fresh dial, so the next round's forward succeeds.
-#[test]
-fn a_forward_link_closed_while_idle_is_redialed() {
-    let (successor, events) = fake_successor(|round| match round {
-        0 => Then::AckAndHangUp,
-        _ => Then::Ack,
-    });
-    let (_daemon, mut conn, batches) = forwarding_hop(successor);
-    let first = forward(&mut conn, 0, &batches[0]);
-    assert!(matches!(first, Ok(HopReply::Attested(_))), "{first:?}");
-    let wait = Duration::from_secs(10);
-    assert_eq!(events.recv_timeout(wait), Ok(Some(0)));
-    assert_eq!(events.recv_timeout(wait), Ok(None), "the link is closed");
-    let second = forward(&mut conn, 1, &batches[1]);
-    assert!(matches!(second, Ok(HopReply::Attested(_))), "{second:?}");
-    assert_eq!(events.recv_timeout(wait), Ok(Some(1)));
 }
